@@ -1,5 +1,6 @@
 //! The tape: graph storage, node ops, and the backward pass.
 
+use ahntp_telemetry::{KernelKind, KernelSpan};
 use ahntp_tensor::{CsrMatrix, Shape, Tensor};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -286,7 +287,7 @@ impl Var {
     ///
     /// Panics if the node is not a single-element tensor.
     pub fn backward(&self) {
-        let _span = ahntp_telemetry::span!("backward");
+        let _span = KernelSpan::enter("backward", KernelKind::Other);
         ahntp_telemetry::counter_add("autograd.backward.calls", 1);
         let mut nodes = self.graph.nodes.borrow_mut();
         ahntp_telemetry::counter_add("autograd.backward.nodes", nodes.len() as u64);

@@ -10,15 +10,17 @@
 //! `AHNTP_SHARD_BENCH_QUERIES` (top-k queries per level, default 200),
 //! `AHNTP_SHARD_BENCH_CONNS` (closed-loop connections, default 2).
 
-use ahntp_bench::loadgen::http_request;
 use ahntp_bench::print_row;
 use ahntp_nn::TrustArtifact;
+use ahntp_serve::client::{Client, Response};
 use ahntp_serve::{
     serve, serve_sharded, shard_ranges, BackendKind, ServeConfig, ServerHandle, TrustIndex,
 };
 use ahntp_telemetry::json::Json;
-use std::net::{SocketAddr, TcpStream};
-use std::time::Instant;
+use std::net::SocketAddr;
+use std::time::{Duration, Instant};
+
+const TIMEOUT: Duration = Duration::from_secs(10);
 
 fn env_usize(name: &str, default: usize) -> usize {
     match std::env::var(name) {
@@ -72,13 +74,13 @@ fn drive_topk(addr: SocketAddr, n_users: usize, queries: usize, conns: usize) ->
         let handles: Vec<_> = (0..conns)
             .map(|c| {
                 scope.spawn(move || {
-                    let mut stream = TcpStream::connect(addr).expect("connect");
+                    let mut stream = Client::connect(addr, TIMEOUT).expect("connect");
                     let mut out = Vec::with_capacity(per_conn);
                     for q in 0..per_conn {
                         let user = (c * per_conn + q * 97) % n_users;
                         let started = Instant::now();
-                        let (status, body) =
-                            http_request(&mut stream, "GET", &format!("/topk?user={user}&k=10"), "")
+                        let Response { status, body, .. } = stream
+                            .get(&format!("/topk?user={user}&k=10"))
                                 .expect("topk request");
                         assert_eq!(status, 200, "{body}");
                         out.push(started.elapsed().as_secs_f64() * 1e6);
@@ -194,20 +196,19 @@ fn main() {
     let mut swaps = 0usize;
     let mut dropped = 0usize;
     let started = Instant::now();
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    let mut admin = TcpStream::connect(addr).expect("connect admin");
+    let mut stream = Client::connect(addr, TIMEOUT).expect("connect");
+    let mut admin = Client::connect(addr, TIMEOUT).expect("connect admin");
     let mut samples = Vec::with_capacity(queries);
     for q in 0..queries {
         if q % swap_every == 0 {
-            let (status, body) =
-                http_request(&mut admin, "POST", "/admin/swap", &swap_body).expect("swap");
+            let Response { status, body, .. } =
+                admin.post("/admin/swap", &swap_body).expect("swap");
             assert_eq!(status, 200, "swap failed: {body}");
             swaps += 1;
         }
         let user = (q * 97) % n;
         let t0 = Instant::now();
-        let (status, _) =
-            http_request(&mut stream, "GET", &format!("/topk?user={user}&k=10"), "")
+        let Response { status, .. } = stream.get(&format!("/topk?user={user}&k=10"))
                 .expect("topk under swap");
         if status == 200 {
             samples.push(t0.elapsed().as_secs_f64() * 1e6);

@@ -14,9 +14,14 @@
 //! exact percentiles per request class — the read-latency cost of live
 //! ingest is the number the streaming benches exist to measure.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::time::{Duration, Instant};
+
+use ahntp_serve::client::Client;
+
+/// Connect/read/write timeout of every load connection: far above any
+/// served latency, so a hung server fails the request instead of the run.
+const TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Shape of the generated load.
 #[derive(Debug, Clone)]
@@ -74,98 +79,6 @@ impl LoadReport {
     }
 }
 
-/// Sends one request over an open connection and reads the full response.
-/// Returns the status code. The connection stays usable (keep-alive).
-///
-/// # Errors
-///
-/// Socket-level failures and unparseable responses come back as
-/// `io::Error`.
-pub fn http_request(
-    stream: &mut TcpStream,
-    method: &str,
-    target: &str,
-    body: &str,
-) -> std::io::Result<(u16, String)> {
-    let resp = http_request_headers(stream, method, target, body)?;
-    Ok((resp.status, resp.body))
-}
-
-/// A parsed HTTP response: status code, headers as lowercase
-/// `(name, value)` pairs, and the body.
-#[derive(Debug)]
-pub struct HttpResponse {
-    /// HTTP status code.
-    pub status: u16,
-    /// Response headers, names lowercased.
-    pub headers: Vec<(String, String)>,
-    /// Response body (decoded to UTF-8).
-    pub body: String,
-}
-
-/// As [`http_request`], but also returns the response headers —
-/// e.g. to read `X-Ahntp-Trace-Id`.
-///
-/// # Errors
-///
-/// As [`http_request`].
-pub fn http_request_headers(
-    stream: &mut TcpStream,
-    method: &str,
-    target: &str,
-    body: &str,
-) -> std::io::Result<HttpResponse> {
-    let request = format!(
-        "{method} {target} HTTP/1.1\r\nContent-Type: application/json\r\n\
-         Content-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(request.as_bytes())?;
-    let mut reader = BufReader::new(stream);
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line)?;
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("bad status line {status_line:?}"),
-            )
-        })?;
-    let mut headers = Vec::new();
-    let mut content_length = 0usize;
-    loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 {
-            return Err(std::io::ErrorKind::UnexpectedEof.into());
-        }
-        if line.trim_end().is_empty() {
-            break;
-        }
-        if let Some((name, value)) = line.split_once(':') {
-            let name = name.trim().to_ascii_lowercase();
-            let value = value.trim().to_string();
-            if name == "content-length" {
-                content_length = value.parse().map_err(|_| {
-                    std::io::Error::new(std::io::ErrorKind::InvalidData, "bad content-length")
-                })?;
-            }
-            headers.push((name, value));
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body)?;
-    let body = String::from_utf8(body)
-        .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidData, "non-UTF-8 body"))?;
-    Ok(HttpResponse {
-        status,
-        headers,
-        body,
-    })
-}
-
 /// Deterministic pair pattern for connection `conn`, request `req`: spreads
 /// load over all users without an RNG so runs are reproducible.
 fn request_body(conn: usize, req: usize, pairs: usize, n_users: usize) -> String {
@@ -195,15 +108,9 @@ pub fn run_load(addr: SocketAddr, config: &LoadConfig) -> LoadReport {
                 let mut latencies: Vec<u64> = Vec::new();
                 let mut failed = 0usize;
                 let mut trace_id: Option<String> = None;
-                let mut stream = match TcpStream::connect(addr) {
-                    Ok(s) => s,
-                    Err(_) => {
-                        return (false, latencies, config.requests_per_connection, trace_id)
-                    }
+                let Ok(mut client) = Client::connect(addr, TIMEOUT) else {
+                    return (false, latencies, config.requests_per_connection, trace_id);
                 };
-                // Small request frames: without TCP_NODELAY the closed loop
-                // measures Nagle's ~40ms, not the server.
-                let _ = stream.set_nodelay(true);
                 for req in 0..config.requests_per_connection {
                     let body = request_body(
                         conn,
@@ -212,15 +119,11 @@ pub fn run_load(addr: SocketAddr, config: &LoadConfig) -> LoadReport {
                         config.n_users,
                     );
                     let sent = Instant::now();
-                    match http_request_headers(&mut stream, "POST", "/score", &body) {
-                        Ok(resp) if resp.status == 200 => {
+                    match client.post("/score", &body) {
+                        Ok(mut resp) if resp.status == 200 => {
                             latencies.push(sent.elapsed().as_micros() as u64);
                             if trace_id.is_none() {
-                                trace_id = resp
-                                    .headers
-                                    .into_iter()
-                                    .find(|(n, _)| n == "x-ahntp-trace-id")
-                                    .map(|(_, v)| v);
+                                trace_id = resp.headers.remove("x-ahntp-trace-id");
                             }
                         }
                         Ok(_) | Err(_) => failed += 1,
@@ -245,27 +148,14 @@ pub fn run_load(addr: SocketAddr, config: &LoadConfig) -> LoadReport {
     assert!(connected, "load generator could not reach {addr}");
     let wall = started.elapsed().max(Duration::from_micros(1));
 
-    latencies.sort_unstable();
-    let percentile = |q: f64| -> u64 {
-        if latencies.is_empty() {
-            return 0;
-        }
-        let rank = ((latencies.len() as f64 * q).ceil() as usize).clamp(1, latencies.len());
-        latencies[rank - 1]
-    };
-    let completed = latencies.len();
-    let mean_us = if completed == 0 {
-        0.0
-    } else {
-        latencies.iter().sum::<u64>() as f64 / completed as f64
-    };
+    let stats = ClassStats::from_samples(latencies, failed);
     LoadReport {
-        completed,
+        completed: stats.completed,
         failed,
-        p50_us: percentile(0.50),
-        p99_us: percentile(0.99),
-        mean_us,
-        throughput_rps: completed as f64 / wall.as_secs_f64(),
+        p50_us: stats.p50_us,
+        p99_us: stats.p99_us,
+        mean_us: stats.mean_us,
+        throughput_rps: stats.completed as f64 / wall.as_secs_f64(),
         sample_trace_id,
     }
 }
@@ -446,33 +336,34 @@ pub fn run_mixed_load(addr: SocketAddr, config: &MixedLoadConfig) -> MixedLoadRe
                 // [score, topk, events].
                 let mut latencies: [Vec<u64>; 3] = Default::default();
                 let mut failed = [0usize; 3];
-                let mut stream = match TcpStream::connect(addr) {
-                    Ok(s) => s,
-                    Err(_) => return (false, latencies, failed),
+                let Ok(mut client) = Client::connect(addr, TIMEOUT) else {
+                    return (false, latencies, failed);
                 };
-                let _ = stream.set_nodelay(true);
                 for req in 0..config.requests_per_connection {
                     let class = slot_class(req, config.write_ratio);
-                    let (method, target, body) = match class {
+                    // `None` body: a GET.
+                    let (target, body) = match class {
                         RequestClass::Score => (
-                            "POST",
                             "/score".to_string(),
-                            request_body(conn, req, config.pairs_per_request, config.n_users),
+                            Some(request_body(conn, req, config.pairs_per_request, config.n_users)),
                         ),
                         RequestClass::TopK => {
                             let u = (conn * 7919 + req * 104_729) % config.n_users;
-                            ("GET", format!("/topk?user={u}&k=5"), String::new())
+                            (format!("/topk?user={u}&k=5"), None)
                         }
                         RequestClass::Events => (
-                            "POST",
                             "/events".to_string(),
-                            events_body(conn, req, config.events_per_request, config.n_users),
+                            Some(events_body(conn, req, config.events_per_request, config.n_users)),
                         ),
                     };
                     let slot = class as usize;
                     let sent = Instant::now();
-                    match http_request(&mut stream, method, &target, &body) {
-                        Ok((200, _)) => {
+                    let reply = match &body {
+                        Some(body) => client.post(&target, body),
+                        None => client.get(&target),
+                    };
+                    match reply {
+                        Ok(resp) if resp.status == 200 => {
                             latencies[slot].push(sent.elapsed().as_micros() as u64);
                         }
                         Ok(_) | Err(_) => failed[slot] += 1,

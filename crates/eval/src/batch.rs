@@ -245,6 +245,7 @@ mod tests {
 
     #[test]
     fn minibatch_loop_feeds_one_plan_per_epoch() {
+        let _gate = crate::failpoint_gate();
         let tr = pairs(10);
         let te = pairs(4);
         let mut m = PlanProbe {
@@ -273,6 +274,7 @@ mod tests {
 
     #[test]
     fn exact_minibatch_report_matches_full_batch() {
+        let _gate = crate::failpoint_gate();
         // Same deterministic fake loss sequence through both entry points:
         // the shared loop must produce byte-identical reports.
         let tr = pairs(6);

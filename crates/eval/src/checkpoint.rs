@@ -374,11 +374,6 @@ mod tests {
     use super::*;
     use crate::train_and_evaluate;
     use ahntp_faultz::{scoped, Action, FaultSpec};
-    use std::sync::{Mutex, PoisonError};
-
-    /// The process-global failpoint registry forces failpoint-using tests
-    /// in one binary to run serially.
-    static GATE: Mutex<()> = Mutex::new(());
 
     /// A deterministic fake model: epoch `k` (1-based internal step) yields
     /// loss `1/step`, and the full state is just the step counter — enough
@@ -453,6 +448,7 @@ mod tests {
 
     #[test]
     fn atomic_write_round_trips_and_replaces() {
+        let _gate = crate::failpoint_gate();
         let path = tmp_path("atomic");
         write_checkpoint_atomic(&path, b"first").expect("write");
         assert_eq!(read_checkpoint(&path).expect("read"), b"first");
@@ -463,7 +459,7 @@ mod tests {
 
     #[test]
     fn injected_io_faults_surface_and_preserve_the_old_checkpoint() {
-        let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
+        let _gate = crate::failpoint_gate();
         let path = tmp_path("faulty");
         write_checkpoint_atomic(&path, b"good").expect("write");
         for site in ["ckpt.io.write", "ckpt.io.fsync", "ckpt.io.rename"] {
@@ -485,7 +481,7 @@ mod tests {
 
     #[test]
     fn resumed_run_reproduces_the_uninterrupted_report() {
-        let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
+        let _gate = crate::failpoint_gate();
         let tr = pairs(6);
         let te = pairs(4);
         let cfg = TrainConfig {
@@ -516,7 +512,7 @@ mod tests {
 
     #[test]
     fn resume_from_a_finished_run_runs_zero_epochs() {
-        let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
+        let _gate = crate::failpoint_gate();
         let tr = pairs(4);
         let te = pairs(4);
         let cfg = TrainConfig {
@@ -538,7 +534,7 @@ mod tests {
 
     #[test]
     fn missing_resume_file_starts_fresh_and_corrupt_one_panics() {
-        let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
+        let _gate = crate::failpoint_gate();
         let tr = pairs(4);
         let te = pairs(4);
         let cfg = TrainConfig {
@@ -565,7 +561,7 @@ mod tests {
 
     #[test]
     fn train_epoch_failpoint_kills_training_mid_run() {
-        let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
+        let _gate = crate::failpoint_gate();
         let tr = pairs(4);
         let te = pairs(4);
         let cfg = TrainConfig {

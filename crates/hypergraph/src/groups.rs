@@ -7,6 +7,7 @@
 
 use crate::Hypergraph;
 use ahntp_graph::DiGraph;
+use ahntp_telemetry::{KernelKind, KernelSpan};
 
 /// The high-social-influence hypergroup (§IV-B-1, Eq. 6).
 ///
@@ -32,7 +33,7 @@ pub fn social_influence_hypergroup(g: &DiGraph, scores: &[f64], k: usize) -> Hyp
         g.n()
     );
     assert!(k > 0, "social_influence_hypergroup: k must be positive");
-    let _span = ahntp_telemetry::span!("hypergroup.social_influence");
+    let _span = KernelSpan::enter("hypergroup.social_influence", KernelKind::Other);
     let mut h = Hypergraph::new(g.n());
     for u in 0..g.n() {
         let mut neighbors: Vec<usize> = g.out_neighbors(u);
@@ -72,7 +73,7 @@ pub fn attribute_hypergroup(n: usize, attributes: &[Vec<usize>]) -> Hypergraph {
         "attribute_hypergroup: {} attribute lists for {n} users",
         attributes.len()
     );
-    let _span = ahntp_telemetry::span!("hypergroup.attribute");
+    let _span = KernelSpan::enter("hypergroup.attribute", KernelKind::Other);
     let max_attr = attributes
         .iter()
         .flat_map(|a| a.iter().copied())
@@ -100,7 +101,7 @@ pub fn attribute_hypergroup(n: usize, attributes: &[Vec<usize>]) -> Hypergraph {
 /// undirected social tie, covering the basic low-order correlation.
 /// Reciprocated edges produce a single hyperedge.
 pub fn pairwise_hypergroup(g: &DiGraph) -> Hypergraph {
-    let _span = ahntp_telemetry::span!("hypergroup.pairwise");
+    let _span = KernelSpan::enter("hypergroup.pairwise", KernelKind::Other);
     let mut h = Hypergraph::new(g.n());
     let mut seen = std::collections::HashSet::new();
     for u in 0..g.n() {
@@ -127,7 +128,7 @@ pub fn pairwise_hypergroup(g: &DiGraph) -> Hypergraph {
 /// Panics if `hops == 0`.
 pub fn multi_hop_hypergroup(g: &DiGraph, hops: usize) -> Hypergraph {
     assert!(hops >= 1, "multi_hop_hypergroup: hops must be >= 1");
-    let _span = ahntp_telemetry::span!("hypergroup.multi_hop");
+    let _span = KernelSpan::enter("hypergroup.multi_hop", KernelKind::Other);
     let mut h = Hypergraph::new(g.n());
     for t in 1..=hops {
         for u in 0..g.n() {
@@ -158,7 +159,7 @@ pub fn multi_hop_hypergroup_capped(g: &DiGraph, hops: usize, max_size: usize) ->
         max_size >= 1,
         "multi_hop_hypergroup_capped: max_size must be >= 1"
     );
-    let _span = ahntp_telemetry::span!("hypergroup.multi_hop_capped");
+    let _span = KernelSpan::enter("hypergroup.multi_hop_capped", KernelKind::Other);
     let mut h = Hypergraph::new(g.n());
     for t in 1..=hops {
         for u in 0..g.n() {

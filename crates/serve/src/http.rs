@@ -7,13 +7,20 @@
 //! hard-coded and conservative because the server fronts a model, not the
 //! open internet.
 //!
+//! Requests and responses share everything after their first line —
+//! header block, `Content-Length`, body — so that part is read by one
+//! function here, used by [`read_request`] and by the response parser of
+//! [`crate::client`]. Every head line is read against what is left of
+//! [`MAX_HEAD_BYTES`] and the body length is checked before it is
+//! allocated, so neither side buffers more than its caps on a peer's say.
+//!
 //! Failpoints (`ahntp-faultz`): `serve.read` fires at the top of
 //! [`read_request`] and `serve.write` at the top of
 //! [`write_response_with`], both surfacing as injected I/O errors — the
 //! chaos suite uses them to simulate flaky sockets.
 
 use std::collections::BTreeMap;
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
 /// Maximum bytes for the request line plus all headers.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -104,8 +111,9 @@ impl Request {
 /// malformed syntax, [`HttpError::TooLarge`] on oversized bodies.
 pub fn read_request(reader: &mut impl BufRead) -> Result<Option<Request>, HttpError> {
     ahntp_faultz::failpoint!("serve.read");
-    let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
+    let mut head_bytes = 0;
+    let line = read_head_line(reader, &mut head_bytes)?;
+    if line.is_empty() {
         return Ok(None);
     }
     let mut parts = line.split_whitespace();
@@ -116,39 +124,7 @@ pub fn read_request(reader: &mut impl BufRead) -> Result<Option<Request>, HttpEr
     if !version.starts_with("HTTP/1.") {
         return Err(HttpError::BadRequest(format!("unsupported version {version}")));
     }
-
-    let mut headers = BTreeMap::new();
-    let mut head_bytes = line.len();
-    loop {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
-            return Err(HttpError::BadRequest("eof inside headers".to_string()));
-        }
-        head_bytes += header.len();
-        if head_bytes > MAX_HEAD_BYTES {
-            return Err(HttpError::BadRequest("headers too large".to_string()));
-        }
-        let header = header.trim_end();
-        if header.is_empty() {
-            break;
-        }
-        let Some((name, value)) = header.split_once(':') else {
-            return Err(HttpError::BadRequest(format!("bad header {header:?}")));
-        };
-        headers.insert(name.trim().to_ascii_lowercase(), value.trim().to_string());
-    }
-
-    let content_length = match headers.get("content-length") {
-        Some(v) => v
-            .parse::<usize>()
-            .map_err(|_| HttpError::BadRequest("bad content-length".to_string()))?,
-        None => 0,
-    };
-    if content_length > MAX_BODY_BYTES {
-        return Err(HttpError::TooLarge);
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body)?;
+    let (headers, body) = read_headers_and_body(reader, head_bytes, MAX_BODY_BYTES)?;
 
     let (path, query_str) = match target.split_once('?') {
         Some((p, q)) => (p.to_string(), q),
@@ -167,6 +143,84 @@ pub fn read_request(reader: &mut impl BufRead) -> Result<Option<Request>, HttpEr
         headers,
         body,
     }))
+}
+
+/// Reads one head line, at most one byte past what is left of
+/// [`MAX_HEAD_BYTES`] (so "exactly fits" and "too long" stay apart), and
+/// charges it to `head_bytes`. An empty string means EOF.
+pub(crate) fn read_head_line(
+    reader: &mut impl BufRead,
+    head_bytes: &mut usize,
+) -> Result<String, HttpError> {
+    let mut line = String::new();
+    let room = (MAX_HEAD_BYTES + 1).saturating_sub(*head_bytes);
+    reader.by_ref().take(room as u64).read_line(&mut line)?;
+    *head_bytes += line.len();
+    if *head_bytes > MAX_HEAD_BYTES {
+        return Err(HttpError::BadRequest("headers too large".to_string()));
+    }
+    Ok(line)
+}
+
+/// What follows the first line of a request or a response: the header
+/// block (names lower-cased, last occurrence wins) and a `Content-Length`
+/// body of at most `max_body` bytes. `head_bytes` is what the first line
+/// already used of [`MAX_HEAD_BYTES`].
+pub(crate) fn read_headers_and_body(
+    reader: &mut impl BufRead,
+    mut head_bytes: usize,
+    max_body: usize,
+) -> Result<(BTreeMap<String, String>, Vec<u8>), HttpError> {
+    let mut headers = BTreeMap::new();
+    loop {
+        let header = read_head_line(reader, &mut head_bytes)?;
+        if header.is_empty() {
+            return Err(HttpError::BadRequest("eof inside headers".to_string()));
+        }
+        let header = header.trim_end();
+        if header.is_empty() {
+            break;
+        }
+        let Some((name, value)) = header.split_once(':') else {
+            return Err(HttpError::BadRequest(format!("bad header {header:?}")));
+        };
+        headers.insert(name.trim().to_ascii_lowercase(), value.trim().to_string());
+    }
+    let content_length = match headers.get("content-length") {
+        Some(v) => v
+            .parse::<usize>()
+            .map_err(|_| HttpError::BadRequest("bad content-length".to_string()))?,
+        None => 0,
+    };
+    // Checked before the allocation: the length is the peer's claim.
+    if content_length > max_body {
+        return Err(HttpError::TooLarge);
+    }
+    let mut body = vec![0u8; content_length];
+    reader.read_exact(&mut body)?;
+    Ok((headers, body))
+}
+
+/// The reason phrase this stack writes for `status`. One table for every
+/// response the server core renders, including shard replies the front
+/// passes through (a status no endpoint here produces reads
+/// `Upstream Status`).
+pub(crate) fn reason_phrase(status: u16) -> &'static str {
+    match status {
+        200 => "OK",
+        400 => "Bad Request",
+        404 => "Not Found",
+        405 => "Method Not Allowed",
+        409 => "Conflict",
+        413 => "Payload Too Large",
+        422 => "Unprocessable Entity",
+        500 => "Internal Server Error",
+        501 => "Not Implemented",
+        502 => "Bad Gateway",
+        503 => "Service Unavailable",
+        504 => "Gateway Timeout",
+        _ => "Upstream Status",
+    }
 }
 
 /// Writes one fixed-length response.
@@ -277,6 +331,14 @@ mod tests {
             MAX_BODY_BYTES + 1
         );
         assert!(matches!(parse(&raw), Err(HttpError::TooLarge)));
+    }
+
+    #[test]
+    fn reason_phrases_cover_every_status_the_stack_writes() {
+        for status in [200, 400, 404, 405, 409, 413, 422, 500, 501, 502, 503, 504] {
+            assert_ne!(reason_phrase(status), "Upstream Status", "{status}");
+        }
+        assert_eq!(reason_phrase(418), "Upstream Status");
     }
 
     #[test]

@@ -10,14 +10,18 @@
 //!   L2-normalised at export, so the dot *is* the cosine of Eq. 19;
 //!   [`TrustIndex::top_k_trustees`] ranks candidates with a bounded heap
 //!   over one row scan.
-//! * [`serve`] — a zero-dependency HTTP/1.1 server on
-//!   `std::net::TcpListener`: a fixed worker pool, a bounded micro-batch
-//!   queue that coalesces concurrent `POST /score` requests for the
-//!   batcher thread, and cooperative graceful shutdown that finishes
-//!   in-flight requests. Endpoints: `POST /score`, `GET /topk`,
+//! * One server core (module `server`) — a zero-dependency HTTP/1.1
+//!   server on `std::net::TcpListener`: a fixed worker pool, one
+//!   keep-alive connection loop, the observability surface below, and
+//!   cooperative graceful shutdown that finishes in-flight requests. A
+//!   crate-private request handler with two implementations (node, front)
+//!   parameterises it; the three entry points are thin constructors.
+//! * [`serve`] — the node handler over a frozen index: a bounded
+//!   micro-batch queue that coalesces concurrent `POST /score` requests
+//!   for the batcher thread. Endpoints: `POST /score`, `GET /topk`,
 //!   `GET /healthz`, `GET /metrics` (all JSON, via
-//!   `ahntp_telemetry::json`), plus the observability surface below.
-//! * [`serve_live`] — the same server bound to a mutable
+//!   `ahntp_telemetry::json`).
+//! * [`serve_live`] — the same node bound to a mutable
 //!   [`ahntp_stream::LiveTrustModel`]: `POST /events` ingests trust
 //!   events (add/remove/reweight/decay hyperedges), a dedicated applier
 //!   thread folds them into the model's delta-maintained caches, and the
@@ -26,8 +30,8 @@
 //!   throughout. The `ahntp_stream::StalenessBound` decides how much
 //!   staleness may accumulate between refreshes; the default refreshes
 //!   after every event, keeping the index exact.
-//! * [`serve_sharded`] — a scatter-gather front tier over shard servers
-//!   that each own a contiguous trustee id range
+//! * [`serve_sharded`] — the front handler: a scatter-gather tier over
+//!   shard servers that each own a contiguous trustee id range
 //!   ([`ServeConfig::shard_range`]): `/score` requests are re-grouped by
 //!   owning shard, `/topk` fans out to every shard and merges the
 //!   per-shard heaps under the documented (score desc, id asc) order —
@@ -37,6 +41,10 @@
 //!   fingerprint or shape mismatches with `409`; v2 artifacts load
 //!   zero-copy ([`TrustIndex::open`]), so a shard (re)start maps instead
 //!   of parsing.
+//! * [`client`] — the one blocking HTTP/1.1 client (timeouts, capped
+//!   response head and body): what the front calls its shards with, and
+//!   what the load generator, benches, example and tests drive servers
+//!   with.
 //!
 //! Request latency (`serve.request.us`), batch sizes
 //! (`serve.score.batch_size`), queue depth (`serve.queue.depth`) and
@@ -44,6 +52,9 @@
 //! so `GET /metrics` and the training run ledger share one vocabulary.
 //!
 //! # Observability
+//!
+//! All of this is the server core's, so the front has it too, under
+//! `front.*` names (`front.request.us`, `front.access`, …).
 //!
 //! Every request is assigned a trace id, echoed back in the
 //! `X-Ahntp-Trace-Id` response header and recorded (with the request's
@@ -96,10 +107,12 @@
 //! `ahntp-par` worker pool (`serve.score_pairs.par_calls` /
 //! `serve.topk.par_calls` count those dispatches). The pool is sized by
 //! the `AHNTP_THREADS` environment variable (unset or `0` = one thread
-//! per core, `1` = plain serial execution); [`ServeConfig::threads`]
-//! overrides it at server startup when nonzero. Banding never reorders
-//! the per-score arithmetic, so responses are bitwise identical at every
-//! thread count.
+//! per core, `1` = plain serial execution) and by nothing else — the pool
+//! is process-wide, so a server does not resize it. Banding never
+//! reorders the per-score arithmetic, so responses are bitwise identical
+//! at every thread count. The HTTP side is sized by
+//! [`ServeConfig::workers`]; batch size, batch linger, queue capacity and
+//! the idle-connection read timeout are constants.
 //!
 //! ```no_run
 //! use ahntp_serve::{serve, ServeConfig, TrustIndex};
@@ -115,13 +128,16 @@
 #![warn(missing_docs)]
 
 pub mod backend;
+pub mod client;
 pub mod http;
 mod index;
+mod node;
 mod server;
 mod shard;
 mod trace_ring;
 
 pub use backend::{BackendKind, IvfParams};
 pub use index::{DefensePrior, ScoreError, SharedIndex, SwapError, TrustIndex};
-pub use server::{serve, serve_live, ServeConfig, ServerHandle};
+pub use node::{serve, serve_live, ServerHandle};
+pub use server::ServeConfig;
 pub use shard::{serve_sharded, shard_ranges, ShardInfo, ShardedHandle};

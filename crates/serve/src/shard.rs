@@ -1,4 +1,8 @@
-//! Scatter-gather serving over range-sharded shard servers.
+//! The front handler: scatter-gather over range-sharded shard servers,
+//! served through the one core ([`crate::server`]) — which is why the
+//! front has the same connection handling, trace ids, `/metrics*` and
+//! `/debug/*` routes and 404/405 answers as a single node, under the
+//! `front.*` metric names.
 //!
 //! A *shard* is an ordinary [`crate::serve`] server started with
 //! [`crate::ServeConfig::shard_range`] set: it maps the **full** artifact
@@ -27,32 +31,33 @@
 //!   artifact, so live patches must land everywhere); the highest-status
 //!   reply wins, surfacing any shard's failure.
 //! * `GET /healthz` — aggregates shard health (`"ok"` / `"degraded"`),
-//!   `GET /metrics` serves the front's registry and
-//!   `GET /metrics/shards` fans out to the shards' registries.
+//!   and `GET /metrics/shards` fans out to the shards' registries
+//!   (`GET /metrics` is the front's own, from the core).
+//!
+//! Every shard call is one `Connection: close` exchange through
+//! [`crate::client`].
 //!
 //! # Fault model
 //!
 //! Any shard unreachable (or the `shard.rpc` failpoint armed) makes
 //! fan-out reads answer `503` + `Retry-After` *deterministically* — a
 //! partial top-k merge would be silently wrong, so the front never
-//! serves one. `tests/shard_chaos.rs` drives these paths.
+//! serves one. A shard whose reply cannot be read — malformed, or a head
+//! or `Content-Length` over the client's caps — is a `502` naming the
+//! shard. `tests/shard_chaos.rs` drives these paths.
 
-use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::io;
+use std::net::SocketAddr;
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use ahntp_telemetry::json::{parse, Json};
-use ahntp_telemetry::{
-    counter_add, debug, histogram_record, info, metrics_prometheus_text, metrics_snapshot_json,
-    warn,
-};
+use ahntp_telemetry::{counter_add, info, warn};
 
-use crate::http::{read_request, write_response, write_response_with, HttpError, Request};
+use crate::client::Client;
 use crate::index::ScoreError;
-use crate::server::{parse_pairs, Response, ServeConfig};
+use crate::node::{bad_request, parse_pairs, topk_query};
+use crate::server::{Answer, Call, Core, Handler, Names, Response, Route, ServeConfig};
 
 /// One discovered shard: where it listens and which trustee ids it owns.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -91,8 +96,8 @@ pub fn shard_ranges(n_users: usize, n_shards: usize) -> Vec<(usize, usize)> {
     ranges
 }
 
-/// What the front learned from the shards at startup, shared (read-only
-/// except the swap lock) by every front worker.
+/// The front: what it learned from the shards at startup, shared
+/// (read-only except the swap lock) by every core worker.
 struct Front {
     shards: Vec<ShardInfo>,
     n_users: usize,
@@ -107,6 +112,53 @@ struct Front {
     swap_lock: Mutex<()>,
 }
 
+impl Handler for Front {
+    const NAMES: Names = Names {
+        log: "front",
+        access: "front.access",
+        requests: "front.http.requests",
+        errors: "front.http.errors",
+        latency_us: "front.request.us",
+        span: "front.request",
+    };
+    const ROUTES: &'static [Route<Front>] = &[
+        ("POST", "/score", Front::score),
+        ("GET", "/topk", Front::topk),
+        ("POST", "/admin/swap", Front::swap),
+        ("POST", "/events", Front::events),
+        ("GET", "/healthz", Front::healthz),
+        ("GET", "/metrics/shards", Front::shard_metrics),
+    ];
+
+    fn backend(&self) -> &str {
+        &self.backend
+    }
+}
+
+/// A shard's reply: status and body.
+type Reply = io::Result<(u16, String)>;
+
+/// One exchange with a shard — `POST` when there is a body, else `GET` —
+/// on a fresh `Connection: close` connection (persistent shard
+/// connections are a separate, measured change).
+///
+/// # Errors
+///
+/// Socket-level failures (connect/read/write, including the `shard.rpc`
+/// failpoint), which [`Front::failed`] maps to a deterministic `503`, and
+/// [`io::ErrorKind::InvalidData`] for a reply the client refuses, which
+/// becomes a `502`.
+fn call_shard(addr: SocketAddr, target: &str, body: Option<&str>, timeout: Duration) -> Reply {
+    ahntp_faultz::failpoint!("shard.rpc");
+    counter_add("front.rpc.calls", 1);
+    let mut conn = Client::connect(addr, timeout)?.one_shot();
+    let reply = match body {
+        Some(body) => conn.post(target, body),
+        None => conn.get(target),
+    }?;
+    Ok((reply.status, reply.body))
+}
+
 impl Front {
     /// Which shard owns trustee id `v`. Ranges partition `[0, n_users)`
     /// (validated at startup), so this always resolves for valid ids.
@@ -116,498 +168,290 @@ impl Front {
             .position(|s| s.lo <= v && v < s.hi)
             .expect("ranges partition the id space")
     }
-}
 
-/// One blocking HTTP exchange with a shard. `Connection: close` per call:
-/// correctness first — connection pooling is a measured optimization the
-/// bench harness can motivate later.
-///
-/// # Errors
-///
-/// Socket-level failures (connect/read/write, including the `shard.rpc`
-/// failpoint) — the caller maps these to a deterministic `503`.
-fn rpc(addr: SocketAddr, request: &[u8], timeout: Duration) -> io::Result<(u16, String)> {
-    ahntp_faultz::failpoint!("shard.rpc");
-    counter_add("front.rpc.calls", 1);
-    let stream = TcpStream::connect_timeout(&addr, timeout)?;
-    stream.set_read_timeout(Some(timeout))?;
-    stream.set_write_timeout(Some(timeout))?;
-    stream.set_nodelay(true)?;
-    let mut writer = stream.try_clone()?;
-    writer.write_all(request)?;
-    writer.flush()?;
-    let mut reader = BufReader::new(stream);
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line)?;
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| {
-            io::Error::new(io::ErrorKind::InvalidData, format!("bad status line {status_line:?}"))
-        })?;
-    let mut content_length = 0usize;
-    loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 {
-            return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "eof inside shard headers"));
+    /// Runs `call(i, shard)` for every shard in parallel; index `i` of the
+    /// result pairs with `self.shards[i]`.
+    fn fan_out<T: Send>(&self, call: impl Fn(usize, &ShardInfo) -> T + Sync) -> Vec<T> {
+        std::thread::scope(|scope| {
+            let call = &call;
+            let handles: Vec<_> = self
+                .shards
+                .iter()
+                .enumerate()
+                .map(|(i, shard)| scope.spawn(move || call(i, shard)))
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("rpc thread panicked")).collect()
+        })
+    }
+
+    /// The same request to every shard.
+    fn broadcast(&self, target: &str, body: Option<&str>) -> Vec<Reply> {
+        self.fan_out(|_, shard| call_shard(shard.addr, target, body, self.rpc_timeout))
+    }
+
+    /// The answer when a shard call failed. Unreachable: the deterministic
+    /// degraded `503` + `Retry-After`, naming the shard — partial fan-out
+    /// results are never served. Reachable but unreadable: `502`.
+    fn failed(&self, shard: &ShardInfo, e: &io::Error) -> Response {
+        if e.kind() == io::ErrorKind::InvalidData {
+            return bad_gateway(shard, &format!("unreadable reply: {e}"));
         }
-        if line.trim_end().is_empty() {
-            break;
+        counter_add("front.shard_unavailable", 1);
+        warn!("front", "shard {} unreachable: {e}", shard.addr);
+        Response::error(
+            503,
+            &format!("shard {} (users [{}, {})) unavailable", shard.addr, shard.lo, shard.hi),
+        )
+        .retry_after(self.retry_after)
+    }
+
+    /// A shard's `200` reply as JSON. Anything else ends the request: a
+    /// shard-side refusal (shed, deadline, injected fault) is passed
+    /// through rather than served around, an unparseable body is a `502`.
+    fn ok_json(&self, shard: &ShardInfo, reply: Reply, what: &str) -> Result<Json, Response> {
+        let (status, body) = reply.map_err(|e| self.failed(shard, &e))?;
+        if status != 200 {
+            counter_add("front.shard_errors", 1);
+            return Err(self.passthrough(status, &body));
         }
-        if let Some(v) = line.to_ascii_lowercase().strip_prefix("content-length:") {
-            content_length = v
-                .trim()
-                .parse()
-                .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "bad content-length"))?;
+        parse(&body).map_err(|e| bad_gateway(shard, &format!("unparseable {what} body: {e}")))
+    }
+
+    /// Forwards a shard reply as the front's own response, re-rendering
+    /// the parsed JSON (bit-exact for numeric payloads).
+    fn passthrough(&self, status: u16, body: &str) -> Response {
+        let doc = parse(body).unwrap_or_else(|_| Json::obj([("error", body.into())]));
+        let resp = Response::new(status, doc);
+        if status == 503 || status == 504 {
+            resp.retry_after(self.retry_after)
+        } else {
+            resp
         }
     }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body)?;
-    let body = String::from_utf8(body)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "shard body not UTF-8"))?;
-    Ok((status, body))
-}
 
-fn get_request(path: &str) -> Vec<u8> {
-    format!("GET {path} HTTP/1.1\r\nConnection: close\r\n\r\n").into_bytes()
-}
-
-fn post_request(path: &str, body: &str) -> Vec<u8> {
-    format!(
-        "POST {path} HTTP/1.1\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    )
-    .into_bytes()
-}
-
-/// Queries every shard in parallel; index `i` of the result pairs with
-/// `front.shards[i]`.
-fn fan_out(front: &Front, request: &[u8]) -> Vec<io::Result<(u16, String)>> {
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = front
-            .shards
-            .iter()
-            .map(|shard| {
-                let request = &request;
-                scope.spawn(move || rpc(shard.addr, request, front.rpc_timeout))
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("rpc thread panicked")).collect()
-    })
-}
-
-/// The deterministic degraded answer when any shard is unreachable:
-/// `503` + `Retry-After`, naming the shard. Partial fan-out results are
-/// never served.
-fn shard_unavailable(front: &Front, shard: &ShardInfo, e: &io::Error) -> Response {
-    counter_add("front.shard_unavailable", 1);
-    warn!("front", "shard {} unreachable: {e}", shard.addr);
-    Response::error(
-        503,
-        "Service Unavailable",
-        &format!("shard {} (users [{}, {})) unavailable", shard.addr, shard.lo, shard.hi),
-    )
-    .retry_after(front.retry_after)
-}
-
-/// `POST /score` on the front: validate ids against the cluster id space
-/// (byte-identical typed errors to a single node), group by the trustee's
-/// owning shard, score in parallel, reassemble in request order.
-fn front_score(req: &Request, front: &Front) -> Response {
-    let pairs = match parse_pairs(&req.body) {
-        Ok(p) => p,
-        Err(m) => return Response::error(400, "Bad Request", &m),
-    };
-    // Mirror TrustIndex::score_pairs' validation order (trustor then
-    // trustee, first offender wins) so error bodies match bitwise.
-    for &(u, v) in &pairs {
-        for user in [u, v] {
-            if user >= front.n_users {
-                let e = ScoreError::UserOutOfRange { user, n_users: front.n_users };
-                return Response::error(400, "Bad Request", &e.to_string());
+    /// `POST /score` on the front: validate ids against the cluster id
+    /// space (byte-identical typed errors to a single node), group by the
+    /// trustee's owning shard, score in parallel, reassemble in request
+    /// order.
+    fn score(&self, call: &mut Call<'_>) -> Answer {
+        let pairs = parse_pairs(&call.req.body).map_err(bad_request)?;
+        // Mirror TrustIndex::score_pairs' validation order (trustor then
+        // trustee, first offender wins) so error bodies match bitwise.
+        for &(u, v) in &pairs {
+            for user in [u, v] {
+                if user >= self.n_users {
+                    return Err(bad_request(ScoreError::UserOutOfRange { user, n_users: self.n_users }));
+                }
             }
         }
+        // Group pair positions by owning shard; relative order within a
+        // group preserves request order, so reassembly is a scatter write.
+        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
+        for (i, &(_, v)) in pairs.iter().enumerate() {
+            groups[self.owner(v)].push(i);
+        }
+        let replies = self.fan_out(|s, shard| {
+            if groups[s].is_empty() {
+                return None;
+            }
+            let group = groups[s].iter().map(|&i| Json::Arr(vec![pairs[i].0.into(), pairs[i].1.into()]));
+            let body = Json::obj([("pairs", Json::Arr(group.collect()))]).to_line();
+            Some(call_shard(shard.addr, "/score", Some(&body), self.rpc_timeout))
+        });
+        let mut scores: Vec<Option<Json>> = vec![None; pairs.len()];
+        for ((shard, group), reply) in self.shards.iter().zip(&groups).zip(replies) {
+            let Some(reply) = reply else { continue };
+            let doc = self.ok_json(shard, reply, "/score")?;
+            let Some(Json::Arr(got)) = doc.get("scores") else {
+                return Err(bad_gateway(shard, "no scores in /score body"));
+            };
+            if got.len() != group.len() {
+                return Err(bad_gateway(shard, "shard returned a different number of scores"));
+            }
+            for (&i, s) in group.iter().zip(got) {
+                scores[i] = Some(s.clone());
+            }
+        }
+        let scores: Vec<Json> = scores
+            .into_iter()
+            .map(|s| s.expect("every pair was grouped to exactly one shard"))
+            .collect();
+        Ok(Response::new(
+            200,
+            Json::obj([("scores", Json::Arr(scores)), ("backend", self.backend.as_str().into())]),
+        ))
     }
-    // Group pair positions by owning shard; relative order within a
-    // group preserves request order, so reassembly is a scatter write.
-    let mut groups: Vec<Vec<usize>> = vec![Vec::new(); front.shards.len()];
-    for (i, &(_, v)) in pairs.iter().enumerate() {
-        groups[front.owner(v)].push(i);
+
+    /// `GET /topk` on the front: fan out to every shard, merge the
+    /// per-shard candidate heaps under (score desc, user id asc), truncate
+    /// to `k`.
+    fn topk(&self, call: &mut Call<'_>) -> Answer {
+        let (user, k) = topk_query(call.req)?;
+        let replies = self.broadcast(&format!("/topk?user={user}&k={k}"), None);
+        // (score, user id). f32→f64 is exact and the JSON renderer prints
+        // shortest-roundtrip doubles, so sorting the parsed doubles and
+        // re-rendering them reproduces the single-node body bytes.
+        let mut merged: Vec<(f64, usize)> = Vec::new();
+        for (shard, reply) in self.shards.iter().zip(replies) {
+            let doc = self.ok_json(shard, reply, "/topk")?;
+            let Some(Json::Arr(trustees)) = doc.get("trustees") else {
+                return Err(bad_gateway(shard, "no trustees in /topk body"));
+            };
+            for t in trustees {
+                let (Some(v), Some(s)) = (
+                    t.get("user").and_then(Json::as_f64),
+                    t.get("score").and_then(Json::as_f64),
+                ) else {
+                    return Err(bad_gateway(shard, "malformed trustee entry"));
+                };
+                merged.push((s, v as usize));
+            }
+        }
+        // The documented tie-break across shard boundaries: score
+        // descending, then user id ascending. Shard ids are global, so no
+        // per-shard offset arithmetic happens here (or anywhere).
+        merged.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+        merged.truncate(k);
+        let trustees = merged
+            .into_iter()
+            .map(|(s, v)| Json::obj([("user", v.into()), ("score", s.into())]))
+            .collect();
+        Ok(Response::new(
+            200,
+            Json::obj([
+                ("user", user.into()),
+                ("trustees", Json::Arr(trustees)),
+                ("backend", self.backend.as_str().into()),
+            ]),
+        ))
     }
-    let replies = std::thread::scope(|scope| {
-        let handles: Vec<_> = front
+
+    /// `POST /admin/swap` on the front: serialized broadcast; every shard
+    /// must accept. A refusal or failure surfaces with that shard named —
+    /// shards already swapped stay swapped (snapshots are compatible by
+    /// construction; the refusing shard is the operator's signal).
+    fn swap(&self, call: &mut Call<'_>) -> Answer {
+        let _one_at_a_time = self.swap_lock.lock().expect("swap lock poisoned");
+        let body = call.text()?;
+        let mut results = Vec::with_capacity(self.shards.len());
+        for shard in &self.shards {
+            let (status, reply) =
+                call_shard(shard.addr, "/admin/swap", Some(body), self.rpc_timeout)
+                    .map_err(|e| self.failed(shard, &e))?;
+            if status != 200 {
+                counter_add("front.swap.refused", 1);
+                let error = parse(&reply)
+                    .ok()
+                    .and_then(|d| d.get("error").and_then(Json::as_str).map(str::to_string))
+                    .unwrap_or(reply);
+                return Err(Response::new(
+                    status,
+                    Json::obj([
+                        ("error", error.into()),
+                        ("shard", shard.addr.to_string().into()),
+                    ]),
+                ));
+            }
+            results.push(parse(&reply).unwrap_or(Json::Null));
+        }
+        counter_add("front.swap.ok", 1);
+        info!("front", "snapshot swapped across {} shards", self.shards.len());
+        Ok(Response::new(200, Json::obj([("swapped", true.into()), ("shards", Json::Arr(results))])))
+    }
+
+    /// `POST /events` on the front: broadcast (every shard holds the full
+    /// artifact, so live patches must land on all of them); the
+    /// highest-status reply is returned so any shard's failure surfaces.
+    fn events(&self, call: &mut Call<'_>) -> Answer {
+        let replies = self.broadcast("/events", Some(call.text()?));
+        let mut worst: Option<(u16, String)> = None;
+        for (shard, reply) in self.shards.iter().zip(replies) {
+            let (status, body) = reply.map_err(|e| self.failed(shard, &e))?;
+            if worst.as_ref().map_or(true, |(w, _)| status > *w) {
+                worst = Some((status, body));
+            }
+        }
+        let (status, body) = worst.expect("at least one shard");
+        Ok(self.passthrough(status, &body))
+    }
+
+    /// `GET /healthz` on the front: aggregate shard health. Always `200` —
+    /// the front itself is alive — with `"status": "degraded"` when any
+    /// shard is down.
+    fn healthz(&self, _call: &mut Call<'_>) -> Answer {
+        let replies = self.broadcast("/healthz", None);
+        let mut all_ok = true;
+        let shards: Vec<Json> = self
             .shards
             .iter()
-            .zip(&groups)
-            .map(|(shard, group)| {
-                let pairs = &pairs;
-                scope.spawn(move || {
-                    if group.is_empty() {
-                        return Ok(None);
-                    }
-                    let body = Json::obj([(
-                        "pairs",
-                        Json::Arr(
-                            group
-                                .iter()
-                                .map(|&i| {
-                                    Json::Arr(vec![pairs[i].0.into(), pairs[i].1.into()])
-                                })
-                                .collect(),
-                        ),
-                    )])
-                    .to_line();
-                    rpc(shard.addr, &post_request("/score", &body), front.rpc_timeout)
-                        .map(Some)
-                })
+            .zip(replies)
+            .map(|(shard, reply)| {
+                let status = match reply {
+                    Ok((200, _)) => "ok",
+                    Ok(_) => "unhealthy",
+                    Err(_) => "down",
+                };
+                all_ok &= status == "ok";
+                Json::obj([
+                    ("addr", shard.addr.to_string().into()),
+                    ("lo", shard.lo.into()),
+                    ("hi", shard.hi.into()),
+                    ("status", status.into()),
+                ])
             })
             .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("rpc thread panicked"))
-            .collect::<Vec<_>>()
-    });
-    let mut scores: Vec<Option<Json>> = vec![None; pairs.len()];
-    for ((shard, group), reply) in front.shards.iter().zip(&groups).zip(replies) {
-        let Some((status, body)) = (match reply {
-            Ok(r) => r,
-            Err(e) => return shard_unavailable(front, shard, &e),
-        }) else {
-            continue;
-        };
-        if status != 200 {
-            // A shard-side refusal (shed, deadline, injected fault):
-            // propagate the first one rather than serving partial scores.
-            counter_add("front.shard_errors", 1);
-            return passthrough(status, &body, front);
-        }
-        let doc = match parse(&body) {
-            Ok(d) => d,
-            Err(e) => return bad_gateway(shard, &format!("unparseable /score body: {e}")),
-        };
-        let Some(Json::Arr(got)) = doc.get("scores") else {
-            return bad_gateway(shard, "no scores in /score body");
-        };
-        if got.len() != group.len() {
-            return bad_gateway(shard, "shard returned a different number of scores");
-        }
-        for (&i, s) in group.iter().zip(got) {
-            scores[i] = Some(s.clone());
-        }
-    }
-    let scores: Vec<Json> = scores
-        .into_iter()
-        .map(|s| s.expect("every pair was grouped to exactly one shard"))
-        .collect();
-    Response::new(
-        200,
-        "OK",
-        Json::obj([
-            ("scores", Json::Arr(scores)),
-            ("backend", front.backend.as_str().into()),
-        ]),
-    )
-}
-
-/// `GET /topk` on the front: fan out to every shard, merge the per-shard
-/// candidate heaps under (score desc, user id asc), truncate to `k`.
-fn front_topk(req: &Request, front: &Front) -> Response {
-    let user = match req.query_usize("user") {
-        Ok(u) => u,
-        Err(m) => return Response::error(400, "Bad Request", &m),
-    };
-    let k = match req.query.get("k") {
-        Some(_) => match req.query_usize("k") {
-            Ok(k) => k,
-            Err(m) => return Response::error(400, "Bad Request", &m),
-        },
-        None => 10,
-    };
-    let path = match req.query.get("k") {
-        Some(_) => format!("/topk?user={user}&k={k}"),
-        None => format!("/topk?user={user}"),
-    };
-    let replies = fan_out(front, &get_request(&path));
-    // (score f64, user id, the score's parsed Json for re-rendering).
-    // f32→f64 is exact and the JSON renderer prints shortest-roundtrip
-    // doubles, so sorting the parsed doubles and re-rendering them
-    // reproduces the single-node body bytes.
-    let mut merged: Vec<(f64, usize, Json)> = Vec::new();
-    for (shard, reply) in front.shards.iter().zip(replies) {
-        let (status, body) = match reply {
-            Ok(r) => r,
-            Err(e) => return shard_unavailable(front, shard, &e),
-        };
-        if status != 200 {
-            counter_add("front.shard_errors", 1);
-            return passthrough(status, &body, front);
-        }
-        let doc = match parse(&body) {
-            Ok(d) => d,
-            Err(e) => return bad_gateway(shard, &format!("unparseable /topk body: {e}")),
-        };
-        let Some(Json::Arr(trustees)) = doc.get("trustees") else {
-            return bad_gateway(shard, "no trustees in /topk body");
-        };
-        for t in trustees {
-            let (Some(v), Some(s)) = (
-                t.get("user").and_then(Json::as_f64),
-                t.get("score").and_then(Json::as_f64),
-            ) else {
-                return bad_gateway(shard, "malformed trustee entry");
-            };
-            let score = t.get("score").cloned().unwrap_or(Json::Null);
-            merged.push((s, v as usize, score));
-        }
-    }
-    // The documented tie-break across shard boundaries: score
-    // descending, then user id ascending. Shard ids are global, so no
-    // per-shard offset arithmetic happens here (or anywhere).
-    merged.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-    merged.truncate(k);
-    Response::new(
-        200,
-        "OK",
-        Json::obj([
-            ("user", user.into()),
-            (
-                "trustees",
-                Json::Arr(
-                    merged
-                        .into_iter()
-                        .map(|(_, v, score)| {
-                            Json::obj([("user", v.into()), ("score", score)])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("backend", front.backend.as_str().into()),
-        ]),
-    )
-}
-
-/// `POST /admin/swap` on the front: serialized broadcast; every shard
-/// must accept. A refusal or failure surfaces with that shard named —
-/// shards already swapped stay swapped (snapshots are compatible by
-/// construction; the refusing shard is the operator's signal).
-fn front_swap(req: &Request, front: &Front) -> Response {
-    let _one_at_a_time = front.swap_lock.lock().expect("swap lock poisoned");
-    let body = match std::str::from_utf8(&req.body) {
-        Ok(t) => t,
-        Err(_) => return Response::error(400, "Bad Request", "body is not UTF-8"),
-    };
-    let request = post_request("/admin/swap", body);
-    let mut results = Vec::with_capacity(front.shards.len());
-    for shard in &front.shards {
-        let (status, reply) = match rpc(shard.addr, &request, front.rpc_timeout) {
-            Ok(r) => r,
-            Err(e) => return shard_unavailable(front, shard, &e),
-        };
-        if status != 200 {
-            counter_add("front.swap.refused", 1);
-            let error = parse(&reply)
-                .ok()
-                .and_then(|d| d.get("error").and_then(Json::as_str).map(str::to_string))
-                .unwrap_or(reply);
-            let (_, reason) = reason_for(status);
-            return Response::new(
-                status,
-                reason,
-                Json::obj([
-                    ("error", error.into()),
-                    ("shard", shard.addr.to_string().into()),
-                ]),
-            );
-        }
-        results.push(parse(&reply).unwrap_or(Json::Null));
-    }
-    counter_add("front.swap.ok", 1);
-    info!("front", "snapshot swapped across {} shards", front.shards.len());
-    Response::new(
-        200,
-        "OK",
-        Json::obj([("swapped", true.into()), ("shards", Json::Arr(results))]),
-    )
-}
-
-/// `POST /events` on the front: broadcast (every shard holds the full
-/// artifact, so live patches must land on all of them); the
-/// highest-status reply is returned so any shard's failure surfaces.
-fn front_events(req: &Request, front: &Front) -> Response {
-    let body = match std::str::from_utf8(&req.body) {
-        Ok(t) => t,
-        Err(_) => return Response::error(400, "Bad Request", "body is not UTF-8"),
-    };
-    let replies = fan_out(front, &post_request("/events", body));
-    let mut worst: Option<(u16, String)> = None;
-    for (shard, reply) in front.shards.iter().zip(replies) {
-        let (status, body) = match reply {
-            Ok(r) => r,
-            Err(e) => return shard_unavailable(front, shard, &e),
-        };
-        if worst.as_ref().map_or(true, |(w, _)| status > *w) {
-            worst = Some((status, body));
-        }
-    }
-    let (status, body) = worst.expect("at least one shard");
-    passthrough(status, &body, front)
-}
-
-/// `GET /healthz` on the front: aggregate shard health. Always `200` —
-/// the front itself is alive — with `"status": "degraded"` when any
-/// shard is down.
-fn front_healthz(front: &Front) -> Response {
-    let replies = fan_out(front, &get_request("/healthz"));
-    let mut all_ok = true;
-    let shards: Vec<Json> = front
-        .shards
-        .iter()
-        .zip(replies)
-        .map(|(shard, reply)| {
-            let status = match reply {
-                Ok((200, _)) => "ok",
-                Ok(_) => {
-                    all_ok = false;
-                    "unhealthy"
-                }
-                Err(_) => {
-                    all_ok = false;
-                    "down"
-                }
-            };
+        Ok(Response::new(
+            200,
             Json::obj([
-                ("addr", shard.addr.to_string().into()),
-                ("lo", shard.lo.into()),
-                ("hi", shard.hi.into()),
-                ("status", status.into()),
-            ])
-        })
-        .collect();
-    Response::new(
-        200,
-        "OK",
-        Json::obj([
-            ("status", if all_ok { "ok" } else { "degraded" }.into()),
-            ("model", front.model.as_str().into()),
-            ("n_users", front.n_users.into()),
-            ("fingerprint", front.fingerprint.as_str().into()),
-            ("live", front.live.into()),
-            ("backend", front.backend.as_str().into()),
-            ("sharded", true.into()),
-            ("shards", Json::Arr(shards)),
-        ]),
-    )
-}
+                ("status", if all_ok { "ok" } else { "degraded" }.into()),
+                ("model", self.model.as_str().into()),
+                ("n_users", self.n_users.into()),
+                ("fingerprint", self.fingerprint.as_str().into()),
+                ("live", self.live.into()),
+                ("backend", self.backend.as_str().into()),
+                ("sharded", true.into()),
+                ("shards", Json::Arr(shards)),
+            ]),
+        ))
+    }
 
-/// `GET /metrics/shards`: every shard's metrics registry, labeled.
-fn front_shard_metrics(front: &Front) -> Response {
-    let replies = fan_out(front, &get_request("/metrics"));
-    let shards: Vec<Json> = front
-        .shards
-        .iter()
-        .zip(replies)
-        .map(|(shard, reply)| {
-            let metrics = match reply {
-                Ok((200, body)) => parse(&body).unwrap_or(Json::Null),
-                _ => Json::Null,
-            };
-            Json::obj([
-                ("addr", shard.addr.to_string().into()),
-                ("metrics", metrics),
-            ])
-        })
-        .collect();
-    Response::new(200, "OK", Json::obj([("shards", Json::Arr(shards))]))
-}
-
-/// Maps a status code to its canonical reason phrase for passthrough.
-fn reason_for(status: u16) -> (u16, &'static str) {
-    let reason = match status {
-        200 => "OK",
-        400 => "Bad Request",
-        404 => "Not Found",
-        405 => "Method Not Allowed",
-        409 => "Conflict",
-        413 => "Payload Too Large",
-        422 => "Unprocessable Entity",
-        500 => "Internal Server Error",
-        501 => "Not Implemented",
-        503 => "Service Unavailable",
-        504 => "Gateway Timeout",
-        _ => "Upstream Status",
-    };
-    (status, reason)
-}
-
-/// Forwards a shard reply as the front's own response, re-rendering the
-/// parsed JSON (bit-exact for numeric payloads).
-fn passthrough(status: u16, body: &str, front: &Front) -> Response {
-    let (status, reason) = reason_for(status);
-    let doc = parse(body).unwrap_or_else(|_| Json::obj([("error", body.into())]));
-    let resp = Response::new(status, reason, doc);
-    if status == 503 || status == 504 {
-        resp.retry_after(front.retry_after)
-    } else {
-        resp
+    /// `GET /metrics/shards`: every shard's metrics registry, labeled.
+    fn shard_metrics(&self, _call: &mut Call<'_>) -> Answer {
+        let replies = self.broadcast("/metrics", None);
+        let shards: Vec<Json> = self
+            .shards
+            .iter()
+            .zip(replies)
+            .map(|(shard, reply)| {
+                let metrics = match reply {
+                    Ok((200, body)) => parse(&body).unwrap_or(Json::Null),
+                    _ => Json::Null,
+                };
+                Json::obj([("addr", shard.addr.to_string().into()), ("metrics", metrics)])
+            })
+            .collect();
+        Ok(Response::new(200, Json::obj([("shards", Json::Arr(shards))])))
     }
 }
 
 /// A shard reply the front cannot make sense of: `502`, naming the shard.
 fn bad_gateway(shard: &ShardInfo, message: &str) -> Response {
     counter_add("front.shard_errors", 1);
-    Response::error(
-        502,
-        "Bad Gateway",
-        &format!("shard {}: {message}", shard.addr),
-    )
-}
-
-fn front_route(req: &Request, front: &Front) -> Response {
-    match (req.method.as_str(), req.path.as_str()) {
-        ("POST", "/score") => front_score(req, front),
-        ("GET", "/topk") => front_topk(req, front),
-        ("POST", "/admin/swap") => front_swap(req, front),
-        ("POST", "/events") => front_events(req, front),
-        ("GET", "/healthz") => front_healthz(front),
-        ("GET", "/metrics") => match req.query.get("format").map(String::as_str) {
-            Some("prometheus") => {
-                Response::text("text/plain; version=0.0.4", metrics_prometheus_text())
-            }
-            Some(other) => Response::error(
-                400,
-                "Bad Request",
-                &format!("unknown metrics format {other:?} (try \"prometheus\")"),
-            ),
-            None => Response::new(200, "OK", metrics_snapshot_json()),
-        },
-        ("GET", "/metrics/prometheus") => {
-            Response::text("text/plain; version=0.0.4", metrics_prometheus_text())
-        }
-        ("GET", "/metrics/shards") => front_shard_metrics(front),
-        (_, "/score") | (_, "/topk") | (_, "/admin/swap") | (_, "/events") | (_, "/healthz")
-        | (_, "/metrics") | (_, "/metrics/prometheus") | (_, "/metrics/shards") => {
-            Response::error(405, "Method Not Allowed", "method not allowed")
-        }
-        _ => Response::error(404, "Not Found", "no such endpoint"),
-    }
+    Response::error(502, &format!("shard {}: {message}", shard.addr))
 }
 
 /// Handle to a running scatter-gather front. Dropping it shuts the front
 /// down (the shard servers it talks to are owned by their own
 /// [`crate::ServerHandle`]s and are not touched).
 pub struct ShardedHandle {
-    addr: SocketAddr,
+    core: Core,
     shards: Vec<ShardInfo>,
-    shutdown: Arc<AtomicBool>,
-    acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
 }
 
 impl ShardedHandle {
     /// The front tier's bound address.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.core.addr()
     }
 
     /// The discovered shard layout, sorted by range.
@@ -622,17 +466,9 @@ impl ShardedHandle {
     }
 
     fn stop(&mut self) {
-        if self.shutdown.swap(true, Ordering::SeqCst) {
-            return;
+        if self.core.stop() {
+            info!("front", "front on {} stopped", self.addr());
         }
-        let _ = TcpStream::connect(self.addr);
-        if let Some(t) = self.acceptor.take() {
-            let _ = t.join();
-        }
-        for t in self.workers.drain(..) {
-            let _ = t.join();
-        }
-        info!("front", "front on {} stopped", self.addr);
     }
 }
 
@@ -642,15 +478,20 @@ impl Drop for ShardedHandle {
     }
 }
 
+/// `n_users` as a shard's `/healthz` states it.
+fn n_users_of(healthz: &Json) -> usize {
+    healthz.get("n_users").and_then(Json::as_f64).unwrap_or(0.0) as usize
+}
+
 /// Discovers one shard through its `/healthz`.
 fn discover(addr: SocketAddr, timeout: Duration) -> io::Result<(ShardInfo, Json)> {
-    let (status, body) = rpc(addr, &get_request("/healthz"), timeout)?;
+    let (status, body) = call_shard(addr, "/healthz", None, timeout)?;
     if status != 200 {
         return Err(io::Error::other(format!("shard {addr} /healthz answered {status}")));
     }
     let doc = parse(&body)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("shard {addr}: {e}")))?;
-    let n_users = doc.get("n_users").and_then(Json::as_f64).unwrap_or(0.0) as usize;
+    let n_users = n_users_of(&doc);
     // A shard without an explicit range owns the whole id space (a
     // one-shard cluster over a plain server works).
     let lo = doc.get("shard_lo").and_then(Json::as_f64).unwrap_or(0.0) as usize;
@@ -667,9 +508,9 @@ fn discover(addr: SocketAddr, timeout: Duration) -> io::Result<(ShardInfo, Json)
 /// whose shards could disagree on a single byte of a response is refused
 /// before it serves anything.
 ///
-/// Front-specific [`ServeConfig`] knobs: `addr`, `workers`,
-/// `read_timeout`, `retry_after`, and `deadline` (the per-RPC timeout to
-/// a shard). Batcher knobs are unused — the front does not score.
+/// The front reads `addr`, `workers`, `trace_ring`, `retry_after` and
+/// `deadline` (the per-RPC timeout to a shard) from the [`ServeConfig`];
+/// the index-side fields are the shards' business.
 ///
 /// # Errors
 ///
@@ -684,13 +525,14 @@ pub fn serve_sharded(shards: &[SocketAddr], config: &ServeConfig) -> io::Result<
         infos.push(discover(addr, rpc_timeout)?);
     }
     // Cluster-wide invariants: identical snapshot everywhere.
+    let invalid = |message: String| io::Error::new(io::ErrorKind::InvalidData, message);
     let field = |doc: &Json, name: &str| -> String {
         doc.get(name).and_then(Json::as_str).unwrap_or("").to_string()
     };
     let first = &infos[0].1;
     let (model, fingerprint, backend) =
         (field(first, "model"), field(first, "fingerprint"), field(first, "backend"));
-    let n_users = first.get("n_users").and_then(Json::as_f64).unwrap_or(0.0) as usize;
+    let n_users = n_users_of(first);
     let live = first.get("live") == Some(&Json::Bool(true));
     for (info, doc) in &infos {
         for (name, want) in
@@ -698,18 +540,12 @@ pub fn serve_sharded(shards: &[SocketAddr], config: &ServeConfig) -> io::Result<
         {
             let got = field(doc, name);
             if &got != want {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("shard {} {name} {got:?} != {want:?}", info.addr),
-                ));
+                return Err(invalid(format!("shard {} {name} {got:?} != {want:?}", info.addr)));
             }
         }
-        let got = doc.get("n_users").and_then(Json::as_f64).unwrap_or(0.0) as usize;
+        let got = n_users_of(doc);
         if got != n_users {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("shard {} holds {got} users, expected {n_users}", info.addr),
-            ));
+            return Err(invalid(format!("shard {} holds {got} users, expected {n_users}", info.addr)));
         }
     }
     // Ranges must partition [0, n_users) with no gap or overlap.
@@ -718,22 +554,18 @@ pub fn serve_sharded(shards: &[SocketAddr], config: &ServeConfig) -> io::Result<
     let mut expect = 0usize;
     for shard in &layout {
         if shard.lo != expect || shard.hi <= shard.lo {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "shard ranges do not partition [0, {n_users}): shard {} owns [{}, {})\
-                     but [{expect}, ..) is next",
-                    shard.addr, shard.lo, shard.hi
-                ),
-            ));
+            return Err(invalid(format!(
+                "shard ranges do not partition [0, {n_users}): shard {} owns [{}, {})\
+                 but [{expect}, ..) is next",
+                shard.addr, shard.lo, shard.hi
+            )));
         }
         expect = shard.hi;
     }
     if expect != n_users {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("shard ranges cover [0, {expect}) but the index holds {n_users} users"),
-        ));
+        return Err(invalid(format!(
+            "shard ranges cover [0, {expect}) but the index holds {n_users} users"
+        )));
     }
 
     let front = Arc::new(Front {
@@ -748,153 +580,16 @@ pub fn serve_sharded(shards: &[SocketAddr], config: &ServeConfig) -> io::Result<
         swap_lock: Mutex::new(()),
     });
 
-    let listener = TcpListener::bind(&config.addr)?;
-    let addr = listener.local_addr()?;
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let (conn_tx, conn_rx) = std::sync::mpsc::channel::<TcpStream>();
-    let conn_rx = Arc::new(Mutex::new(conn_rx));
-
-    let acceptor = {
-        let shutdown = Arc::clone(&shutdown);
-        std::thread::spawn(move || loop {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    if shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    if conn_tx.send(stream).is_err() {
-                        break;
-                    }
-                }
-                Err(e) => {
-                    if shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    warn!("front", "accept failed: {e}");
-                }
-            }
-        })
-    };
-
-    let workers: Vec<JoinHandle<()>> = (0..config.workers.max(1))
-        .map(|_| {
-            let conn_rx = Arc::clone(&conn_rx);
-            let front = Arc::clone(&front);
-            let shutdown = Arc::clone(&shutdown);
-            let read_timeout = config.read_timeout;
-            std::thread::spawn(move || loop {
-                let stream = match conn_rx.lock().unwrap().recv() {
-                    Ok(s) => s,
-                    Err(_) => return,
-                };
-                if let Err(e) = front_connection(stream, &front, &shutdown, read_timeout) {
-                    warn!("front", "connection dropped: {e}");
-                }
-            })
-        })
-        .collect();
-
+    let core = Core::start(Arc::clone(&front), config)?;
     info!(
         "front",
-        "scatter-gather front on {addr} over {} shards ({} users, {} backend)",
+        "scatter-gather front on {} over {} shards ({} users, {} backend)",
+        core.addr(),
         front.shards.len(),
         front.n_users,
         front.backend
     );
-    Ok(ShardedHandle {
-        addr,
-        shards: front.shards.clone(),
-        shutdown,
-        acceptor: Some(acceptor),
-        workers,
-    })
-}
-
-/// The front's keep-alive connection loop — the same shape as the shard
-/// servers' ([`crate::server`]) minus the trace ring and batch queue.
-fn front_connection(
-    stream: TcpStream,
-    front: &Front,
-    shutdown: &AtomicBool,
-    read_timeout: Duration,
-) -> io::Result<()> {
-    stream.set_read_timeout(Some(read_timeout))?;
-    stream.set_nodelay(true)?;
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
-    loop {
-        match read_request(&mut reader) {
-            Ok(Some(req)) => {
-                let started = Instant::now();
-                counter_add("front.http.requests", 1);
-                let trace_id = ahntp_telemetry::next_trace_id();
-                let resp = {
-                    let _scope = ahntp_telemetry::set_trace_id_scope(trace_id);
-                    front_route(&req, front)
-                };
-                if resp.status >= 400 {
-                    counter_add("front.http.errors", 1);
-                }
-                let mut headers: Vec<(&str, String)> = vec![
-                    ("X-Ahntp-Trace-Id", format!("{trace_id:016x}")),
-                    ("X-Ahntp-Backend", front.backend.clone()),
-                ];
-                if let Some(secs) = resp.retry_after {
-                    headers.push(("Retry-After", secs.to_string()));
-                }
-                let keep_alive = !req.wants_close() && !shutdown.load(Ordering::SeqCst);
-                let (content_type, body) = match resp.text {
-                    Some((ct, text)) => (ct, text.into_bytes()),
-                    None => ("application/json", resp.body.to_line().into_bytes()),
-                };
-                write_response_with(
-                    &mut writer,
-                    resp.status,
-                    resp.reason,
-                    content_type,
-                    &headers,
-                    &body,
-                    keep_alive,
-                )?;
-                let us = started.elapsed().as_micros() as u64;
-                histogram_record("front.request.us", us);
-                debug!(
-                    "front.access",
-                    "{} {} {} {us}us trace={trace_id:016x}",
-                    req.method,
-                    req.path,
-                    resp.status
-                );
-                if !keep_alive {
-                    return Ok(());
-                }
-            }
-            Ok(None) => return Ok(()),
-            Err(HttpError::Io(e))
-                if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) =>
-            {
-                if shutdown.load(Ordering::SeqCst) {
-                    return Ok(());
-                }
-            }
-            Err(HttpError::Io(e)) => return Err(e),
-            Err(HttpError::BadRequest(m)) => {
-                counter_add("front.http.errors", 1);
-                let body = Json::obj([("error", Json::from(m.as_str()))]).to_line();
-                write_response(&mut writer, 400, "Bad Request", "application/json",
-                    body.as_bytes(), false)?;
-                return Ok(());
-            }
-            Err(HttpError::TooLarge) => {
-                counter_add("front.http.errors", 1);
-                let body = Json::obj([("error", Json::from("body too large"))]).to_line();
-                write_response(&mut writer, 413, "Payload Too Large", "application/json",
-                    body.as_bytes(), false)?;
-                return Ok(());
-            }
-        }
-        writer.flush()?;
-    }
+    Ok(ShardedHandle { core, shards: front.shards.clone() })
 }
 
 #[cfg(test)]
@@ -933,15 +628,5 @@ mod tests {
     #[should_panic(expected = "leave a shard empty")]
     fn more_shards_than_users_is_refused() {
         let _ = shard_ranges(3, 4);
-    }
-
-    #[test]
-    fn reason_phrases_cover_passthrough_statuses() {
-        for status in [200, 400, 409, 422, 500, 501, 503, 504] {
-            let (s, reason) = reason_for(status);
-            assert_eq!(s, status);
-            assert!(!reason.is_empty());
-        }
-        assert_eq!(reason_for(418).1, "Upstream Status");
     }
 }

@@ -286,13 +286,17 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so this
-                    // slicing at char boundaries is safe via chars()).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Copy the whole run up to the next quote or escape.
+                    // Both are ASCII, so the run ends on a char boundary
+                    // and is validated once — linear in the input.
+                    let end = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |i| self.pos + i);
+                    let run = std::str::from_utf8(&self.bytes[self.pos..end])
                         .map_err(|e| e.to_string())?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
+                    self.pos = end;
                 }
             }
         }
@@ -386,6 +390,18 @@ mod tests {
         assert!(parse("{\"a\" 1}").is_err());
         assert!(parse("12 34").is_err());
         assert!(parse("\"open").is_err());
+    }
+
+    #[test]
+    fn multi_byte_characters_survive_next_to_escapes_and_quotes() {
+        // Runs between escapes are copied whole; every boundary a run can
+        // have (escape | scalar, scalar | escape, scalar | closing quote)
+        // sits next to a 2-, 3- or 4-byte character here.
+        let text = "é\\n→\\\"𝄞\\u00e9\\\\ü";
+        let want = "é\n→\"𝄞é\\ü";
+        assert_eq!(parse(&format!("\"{text}\"")), Ok(Json::Str(want.to_string())));
+        assert_eq!(parse(&Json::from(want).to_line()), Ok(Json::from(want)));
+        assert!(parse("\"→").is_err(), "unterminated after a multi-byte run");
     }
 
     #[test]

@@ -13,9 +13,6 @@
 //!   [`error!`](crate::error)): an env-filterable stderr logger.
 //!   `AHNTP_LOG=debug,spmm=trace` sets a global `debug` floor and a
 //!   per-target `trace` override for the `spmm` target.
-//! * **Spans** ([`span!`](crate::span), [`SpanGuard`]): RAII scope timers.
-//!   On drop, a span records its wall time into the histogram
-//!   `span.<name>.us` and emits a `trace`-level log line.
 //! * **Metrics** ([`counter_add`], [`gauge_set`], [`histogram_record`],
 //!   [`metrics_snapshot`]): a global, thread-safe registry of named
 //!   counters, gauges and histograms (op counts, FLOP estimates, sparse
@@ -48,7 +45,8 @@
 //!
 //! Telemetry activates when `AHNTP_TELEMETRY=1` or `AHNTP_LOG` is set in
 //! the environment, or programmatically via [`set_enabled`]. When
-//! disabled, counters, spans and ledger hooks are no-ops.
+//! disabled, counters, histograms and ledger hooks are no-ops; kernel
+//! spans have their own switch ([`trace_active`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -60,7 +58,6 @@ mod ledger;
 mod log;
 mod metrics;
 mod prometheus;
-mod span;
 mod trace;
 
 pub use divergence::{
@@ -76,7 +73,6 @@ pub use metrics::{
     Snapshot,
 };
 pub use prometheus::metrics_prometheus_text;
-pub use span::SpanGuard;
 pub use trace::{
     chrome_trace_json, current_trace_id, flush_trace_to_env, next_trace_id, profile_reset,
     profile_snapshot, profiling_enabled, set_profiling, set_trace_collect, set_trace_id_scope,

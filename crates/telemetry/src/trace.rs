@@ -287,7 +287,7 @@ fn lane() -> u64 {
 
 /// Pushes a frame. Returns `true` (the caller must pair it with
 /// [`frame_exit`]) unless tracing is inactive.
-pub(crate) fn frame_enter(name: &'static str, kind: KernelKind) -> bool {
+fn frame_enter(name: &'static str, kind: KernelKind) -> bool {
     if !trace_active() {
         return false;
     }
@@ -306,7 +306,7 @@ pub(crate) fn frame_enter(name: &'static str, kind: KernelKind) -> bool {
 /// Pops the innermost frame: attributes self time to its kind, telescopes
 /// its duration into the parent, and emits a Chrome complete event when
 /// collecting.
-pub(crate) fn frame_exit() {
+fn frame_exit() {
     let end_us = now_us();
     let (frame, parent) = FRAMES.with(|f| {
         let mut frames = f.borrow_mut();
@@ -342,8 +342,8 @@ pub(crate) fn frame_exit() {
 }
 
 /// A lightweight RAII kernel timer: participates in the frame hierarchy
-/// and the per-kind profile, but — unlike [`crate::SpanGuard`] — never
-/// touches the metrics registry, so it is safe on the hottest kernels.
+/// and the per-kind profile, but never touches the metrics registry, so
+/// it is safe on the hottest kernels.
 /// Inert (no thread-local access at all) while tracing is inactive.
 #[must_use = "a kernel span measures the scope it lives in; bind it to a variable"]
 pub struct KernelSpan {

@@ -11,11 +11,14 @@
 //! queries over HTTP.
 
 use ahntp::{Ahntp, AhntpConfig};
-use ahntp_bench::loadgen::{http_request, run_load, LoadConfig};
+use ahntp_bench::loadgen::{run_load, LoadConfig};
 use ahntp_data::{DatasetConfig, TrustDataset};
 use ahntp_eval::{train_and_evaluate, TrainConfig};
+use ahntp_serve::client::{Client, Response};
 use ahntp_serve::{serve, ServeConfig, TrustIndex};
-use std::net::TcpStream;
+use std::time::Duration;
+
+const TIMEOUT: Duration = Duration::from_secs(10);
 
 fn main() {
     // Serving metrics (latency/batch histograms) go through the telemetry
@@ -59,13 +62,13 @@ fn main() {
     println!("serving on http://{}", server.addr());
 
     // 4. Query it like a client: health, a scored batch, a ranking.
-    let mut conn = TcpStream::connect(server.addr()).expect("connect");
-    let (status, body) = http_request(&mut conn, "GET", "/healthz", "").unwrap();
+    let mut conn = Client::connect(server.addr(), TIMEOUT).expect("connect");
+    let Response { status, body, .. } = conn.get("/healthz").unwrap();
     println!("GET /healthz         -> {status} {body}");
-    let (status, body) =
-        http_request(&mut conn, "POST", "/score", r#"{"pairs":[[0,1],[1,0],[2,3]]}"#).unwrap();
+    let Response { status, body, .. } =
+        conn.post("/score", r#"{"pairs":[[0,1],[1,0],[2,3]]}"#).unwrap();
     println!("POST /score          -> {status} {body}");
-    let (status, body) = http_request(&mut conn, "GET", "/topk?user=0&k=3", "").unwrap();
+    let Response { status, body, .. } = conn.get("/topk?user=0&k=3").unwrap();
     println!("GET /topk?user=0&k=3 -> {status} {body}");
 
     // 5. A short closed-loop load run, then the server's own metrics view.
@@ -79,7 +82,7 @@ fn main() {
         },
     );
     println!("load: {}", load.summary());
-    let (status, body) = http_request(&mut conn, "GET", "/metrics", "").unwrap();
+    let Response { status, body, .. } = conn.get("/metrics").unwrap();
     println!("GET /metrics         -> {status} ({} bytes)", body.len());
 
     server.shutdown();

@@ -10,13 +10,13 @@
 //! Failpoints are process-global, so every test serializes on a
 //! file-local gate.
 
-use ahntp_bench::loadgen::{http_request, run_load, LoadConfig};
+use ahntp_bench::loadgen::{run_load, LoadConfig};
 use ahntp_faultz::{self as faultz, Action, FaultSpec};
+use ahntp_serve::client::Client;
 use ahntp_serve::{serve, ServeConfig, ServerHandle, TrustIndex};
 use ahntp_telemetry::json::{parse, Json};
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -57,54 +57,20 @@ fn start(deadline: Duration) -> ServerHandle {
     .expect("bind loopback")
 }
 
-/// One-shot HTTP exchange that also captures response headers
-/// (lower-cased names) — `http_request` in the loadgen drops them.
-fn exchange(addr: SocketAddr, request: &str) -> (u16, BTreeMap<String, String>, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.write_all(request.as_bytes()).expect("send");
-    let mut reader = BufReader::new(&mut stream);
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line).expect("status line");
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("bad status line {status_line:?}"));
-    let mut headers = BTreeMap::new();
-    loop {
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("header line");
-        if line.trim_end().is_empty() {
-            break;
-        }
-        if let Some((name, value)) = line.split_once(':') {
-            headers.insert(name.trim().to_ascii_lowercase(), value.trim().to_string());
-        }
-    }
-    let len: usize = headers
-        .get("content-length")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
-    let mut body = vec![0u8; len];
-    reader.read_exact(&mut body).expect("body");
-    (status, headers, String::from_utf8(body).expect("utf-8 body"))
+const TIMEOUT: Duration = Duration::from_secs(10);
+
+fn connect(addr: SocketAddr) -> Client {
+    Client::connect(addr, TIMEOUT).expect("connect")
 }
 
 fn post_score(addr: SocketAddr, body: &str) -> (u16, BTreeMap<String, String>, String) {
-    exchange(
-        addr,
-        &format!(
-            "POST /score HTTP/1.1\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-            body.len()
-        ),
-    )
+    let r = connect(addr).post("/score", body).expect("POST /score");
+    (r.status, r.headers, r.body)
 }
 
 fn get(addr: SocketAddr, path: &str) -> (u16, BTreeMap<String, String>, String) {
-    exchange(
-        addr,
-        &format!("GET {path} HTTP/1.1\r\nConnection: close\r\n\r\n"),
-    )
+    let r = connect(addr).get(path).expect("GET");
+    (r.status, r.headers, r.body)
 }
 
 fn metric(addr: SocketAddr, name: &str) -> f64 {
@@ -233,14 +199,9 @@ fn injected_read_faults_drop_connections_but_not_the_server() {
         let _fault = faultz::scoped("serve.read", FaultSpec::new(Action::Err));
         // The worker aborts the connection before reading the request;
         // the client sees EOF instead of a response.
-        let mut stream = TcpStream::connect(addr).expect("connect");
-        stream
-            .write_all(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
-            .expect("send");
-        let mut response = String::new();
-        let _ = BufReader::new(&stream).read_to_string(&mut response);
+        let response = connect(addr).get("/healthz");
         assert!(
-            response.is_empty(),
+            response.is_err(),
             "connection should have been dropped, got {response:?}"
         );
     }
@@ -296,9 +257,8 @@ fn loadgen_under_injected_delay_answers_every_request() {
 
     // A clean one-shot request after all chaos: the stack is still whole.
     let server = start(Duration::from_secs(2));
-    let mut conn = TcpStream::connect(server.addr()).expect("connect");
-    let (status, body) = http_request(&mut conn, "POST", "/score", r#"{"pairs":[[1,2]]}"#)
-        .expect("clean request");
-    assert_eq!(status, 200, "{body}");
+    let mut conn = connect(server.addr());
+    let clean = conn.post("/score", r#"{"pairs":[[1,2]]}"#).expect("clean request");
+    assert_eq!(clean.status, 200, "{}", clean.body);
     server.shutdown();
 }

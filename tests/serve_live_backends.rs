@@ -13,9 +13,9 @@ use ahntp_eval::TrustModel;
 use ahntp_serve::{serve_live, BackendKind, IvfParams, ServeConfig, TrustIndex};
 use ahntp_stream::{HyperGroup, LiveTrustModel, StalenessBound, TrustEvent};
 use ahntp_telemetry::json::{parse, Json};
+use ahntp_serve::client::Client;
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::time::Duration;
 
 const N_USERS: usize = 70;
@@ -99,45 +99,20 @@ fn event_stream(n_node: usize, n_struct: usize) -> Vec<TrustEvent> {
     events
 }
 
-fn exchange(addr: SocketAddr, request: &str) -> (u16, BTreeMap<String, String>, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.write_all(request.as_bytes()).expect("send");
-    let mut reader = BufReader::new(&mut stream);
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line).expect("status line");
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("bad status line {status_line:?}"));
-    let mut headers = BTreeMap::new();
-    loop {
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("header line");
-        if line.trim_end().is_empty() {
-            break;
-        }
-        if let Some((name, value)) = line.split_once(':') {
-            headers.insert(name.trim().to_ascii_lowercase(), value.trim().to_string());
-        }
-    }
-    let len: usize = headers
-        .get("content-length")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
-    let mut body = vec![0u8; len];
-    reader.read_exact(&mut body).expect("body");
-    (status, headers, String::from_utf8(body).expect("utf-8 body"))
+const TIMEOUT: Duration = Duration::from_secs(10);
+
+fn connect(addr: SocketAddr) -> Client {
+    Client::connect(addr, TIMEOUT).expect("connect")
+}
+
+fn get(addr: SocketAddr, path: &str) -> (u16, BTreeMap<String, String>, String) {
+    let r = connect(addr).get(path).expect("GET");
+    (r.status, r.headers, r.body)
 }
 
 fn post(addr: SocketAddr, path: &str, body: &str) -> (u16, BTreeMap<String, String>, String) {
-    exchange(
-        addr,
-        &format!(
-            "POST {path} HTTP/1.1\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-            body.len()
-        ),
-    )
+    let r = connect(addr).post(path, body).expect("POST");
+    (r.status, r.headers, r.body)
 }
 
 /// Renders events in the `POST /events` wire form.
@@ -191,8 +166,7 @@ fn server_scores(addr: SocketAddr, pairs: &[(usize, usize)], backend: &str) -> V
 /// The live backend's current stated envelope, read off `/healthz` (int8
 /// re-quantization after patches can move the bound, so read it live).
 fn served_error_bound(addr: SocketAddr, backend: &str) -> f64 {
-    let (status, _, body) =
-        exchange(addr, "GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n");
+    let (status, _, body) = get(addr, "/healthz");
     assert_eq!(status, 200, "{body}");
     let doc = parse(&body).expect("healthz JSON");
     assert_eq!(doc.get("backend").and_then(Json::as_str), Some(backend), "{body}");
@@ -269,10 +243,7 @@ fn live_patches_keep_every_backend_inside_its_envelope_of_the_rebuild_oracle() {
 
             // /topk keeps answering through the patched backend state:
             // well-formed, documented order, no stale out-of-range ids.
-            let (status, _, body) = exchange(
-                addr,
-                "GET /topk?user=3&k=8 HTTP/1.1\r\nConnection: close\r\n\r\n",
-            );
+            let (status, _, body) = get(addr, "/topk?user=3&k=8");
             assert_eq!(status, 200, "[{backend}] checkpoint {ckpt}: {body}");
             let doc = parse(&body).unwrap();
             assert_eq!(doc.get("backend").and_then(Json::as_str), Some(backend));

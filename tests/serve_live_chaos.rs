@@ -12,14 +12,13 @@ use ahntp::{Ahntp, AhntpConfig};
 use ahntp_data::{DatasetConfig, TrustDataset};
 use ahntp_eval::TrustModel;
 use ahntp_faultz::{self as faultz, Action, FaultSpec};
+use ahntp_serve::client::Client;
 use ahntp_serve::{serve_live, ServeConfig, ServerHandle, TrustIndex};
 use ahntp_stream::{
     EventApplier, HyperGroup, LiveTrustModel, StalenessBound, StreamError, TrustEvent,
 };
 use ahntp_telemetry::json::{parse, Json};
-use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
@@ -87,46 +86,10 @@ impl Mirror {
     }
 }
 
-fn exchange(addr: SocketAddr, request: &str) -> (u16, BTreeMap<String, String>, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.write_all(request.as_bytes()).expect("send");
-    let mut reader = BufReader::new(&mut stream);
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line).expect("status line");
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("bad status line {status_line:?}"));
-    let mut headers = BTreeMap::new();
-    loop {
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("header line");
-        if line.trim_end().is_empty() {
-            break;
-        }
-        if let Some((name, value)) = line.split_once(':') {
-            headers.insert(name.trim().to_ascii_lowercase(), value.trim().to_string());
-        }
-    }
-    let len: usize = headers
-        .get("content-length")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
-    let mut body = vec![0u8; len];
-    reader.read_exact(&mut body).expect("body");
-    (status, headers, String::from_utf8(body).expect("utf-8 body"))
-}
-
 fn post(addr: SocketAddr, path: &str, body: &str) -> (u16, String) {
-    let (status, _, body) = exchange(
-        addr,
-        &format!(
-            "POST {path} HTTP/1.1\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-            body.len()
-        ),
-    );
-    (status, body)
+    let mut conn = Client::connect(addr, Duration::from_secs(10)).expect("connect");
+    let r = conn.post(path, body).expect("POST");
+    (r.status, r.body)
 }
 
 /// Renders events in the `POST /events` wire form.

@@ -12,15 +12,17 @@
 //! exhaustive.
 
 use ahntp::{Ahntp, AhntpConfig};
-use ahntp_bench::loadgen::{http_request, run_load, LoadConfig};
+use ahntp_bench::loadgen::{run_load, LoadConfig};
 use ahntp_data::{DatasetConfig, LabeledPair, TrustDataset};
 use ahntp_eval::TrustModel;
 use ahntp_graph::{ppr, trust_prior, PprConfig};
+use ahntp_serve::client::{Client, Response};
 use ahntp_serve::{serve, DefensePrior, ServeConfig, TrustIndex};
 use ahntp_telemetry::json::{parse, Json};
 use ahntp_telemetry::RunLedger;
-use std::net::TcpStream;
 use std::time::Duration;
+
+const TIMEOUT: Duration = Duration::from_secs(10);
 
 fn trained_model() -> (TrustDataset, Vec<LabeledPair>, Ahntp) {
     let dataset = TrustDataset::generate(&DatasetConfig::ciao_like(80, 11));
@@ -82,8 +84,8 @@ fn serve_smoke_end_to_end() {
     let addr = server.addr();
 
     // Health first.
-    let mut conn = TcpStream::connect(addr).expect("connect");
-    let (status, body) = http_request(&mut conn, "GET", "/healthz", "").unwrap();
+    let mut conn = Client::connect(addr, TIMEOUT).expect("connect");
+    let Response { status, body, .. } = conn.get("/healthz").unwrap();
     assert_eq!(status, 200, "{body}");
     let health = parse(&body).unwrap();
     assert_eq!(health.get("status").and_then(Json::as_str), Some("ok"));
@@ -102,7 +104,7 @@ fn serve_smoke_end_to_end() {
             .collect::<Vec<_>>()
             .join(",")
     );
-    let (status, body) = http_request(&mut conn, "POST", "/score", &body_json).unwrap();
+    let Response { status, body, .. } = conn.post("/score", &body_json).unwrap();
     assert_eq!(status, 200, "{body}");
     let doc = parse(&body).unwrap();
     let Some(Json::Arr(scores)) = doc.get("scores") else {
@@ -127,7 +129,7 @@ fn serve_smoke_end_to_end() {
     // ivf probes a candidate subset) must still answer well-formed and
     // sorted — their recall is measured by tests/backend_exactness.rs and
     // backend_bench with controlled parameters.
-    let (status, body) = http_request(&mut conn, "GET", "/topk?user=0&k=5", "").unwrap();
+    let Response { status, body, .. } = conn.get("/topk?user=0&k=5").unwrap();
     assert_eq!(status, 200, "{body}");
     let doc = parse(&body).unwrap();
     let Some(Json::Arr(trustees)) = doc.get("trustees") else {
@@ -176,7 +178,7 @@ fn serve_smoke_end_to_end() {
     assert!(load.throughput_rps > 0.0);
 
     // The /metrics snapshot carries the latency and batch-size histograms.
-    let (status, body) = http_request(&mut conn, "GET", "/metrics", "").unwrap();
+    let Response { status, body, .. } = conn.get("/metrics").unwrap();
     assert_eq!(status, 200);
     let metrics = parse(&body).expect("metrics endpoint emits valid JSON");
     let latency = metrics.get("serve.request.us").expect("latency histogram");
@@ -213,10 +215,10 @@ fn serve_smoke_end_to_end() {
         .map(|_| {
             std::thread::spawn(move || {
                 for _ in 0..50 {
-                    let Ok(mut c) = TcpStream::connect(addr) else {
+                    let Ok(mut c) = Client::connect(addr, TIMEOUT) else {
                         return;
                     };
-                    if http_request(&mut c, "POST", "/score", r#"{"pairs":[[1,2]]}"#).is_err() {
+                    if c.post("/score", r#"{"pairs":[[1,2]]}"#).is_err() {
                         return;
                     }
                 }
@@ -260,10 +262,10 @@ fn defended_serve_smoke() {
     )
     .expect("bind loopback");
     let addr = server.addr();
-    let mut conn = TcpStream::connect(addr).expect("connect");
+    let mut conn = Client::connect(addr, TIMEOUT).expect("connect");
 
     // Health advertises the defended state and the blend weight.
-    let (status, body) = http_request(&mut conn, "GET", "/healthz", "").unwrap();
+    let Response { status, body, .. } = conn.get("/healthz").unwrap();
     assert_eq!(status, 200, "{body}");
     let health = parse(&body).unwrap();
     assert!(
@@ -288,7 +290,7 @@ fn defended_serve_smoke() {
             .collect::<Vec<_>>()
             .join(",")
     );
-    let (status, body) = http_request(&mut conn, "POST", "/score", &body_json).unwrap();
+    let Response { status, body, .. } = conn.post("/score", &body_json).unwrap();
     assert_eq!(status, 200, "{body}");
     let doc = parse(&body).unwrap();
     let Some(Json::Arr(scores)) = doc.get("scores") else {
@@ -317,7 +319,7 @@ fn defended_serve_smoke() {
     // Defended top-k is served from the exhaustive blended scan: ids and
     // scores agree with the defended local index, in (score desc, id asc)
     // order.
-    let (status, body) = http_request(&mut conn, "GET", "/topk?user=0&k=5", "").unwrap();
+    let Response { status, body, .. } = conn.get("/topk?user=0&k=5").unwrap();
     assert_eq!(status, 200, "{body}");
     let doc = parse(&body).unwrap();
     let Some(Json::Arr(trustees)) = doc.get("trustees") else {

@@ -19,9 +19,11 @@ use ahntp_serve::{
     serve, serve_sharded, shard_ranges, BackendKind, ServeConfig, ServerHandle, ShardedHandle,
     TrustIndex,
 };
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use ahntp_serve::client::Client;
+use std::collections::BTreeMap;
+use std::net::SocketAddr;
 use std::path::PathBuf;
+use std::time::Duration;
 use std::sync::{Mutex, PoisonError};
 
 static GATE: Mutex<()> = Mutex::new(());
@@ -82,54 +84,24 @@ fn write_v2(a: &TrustArtifact, tag: &str) -> PathBuf {
     path
 }
 
-fn exchange(addr: SocketAddr, request: &str) -> (u16, Vec<(String, String)>, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.write_all(request.as_bytes()).expect("send");
-    let mut reader = BufReader::new(&mut stream);
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line).expect("status line");
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("bad status line {status_line:?}"));
-    let mut headers = Vec::new();
-    let mut len = 0usize;
-    loop {
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("header line");
-        if line.trim_end().is_empty() {
-            break;
-        }
-        if let Some((name, value)) = line.split_once(':') {
-            let (name, value) = (name.trim().to_ascii_lowercase(), value.trim().to_string());
-            if name == "content-length" {
-                len = value.parse().expect("content-length");
-            }
-            headers.push((name, value));
-        }
-    }
-    let mut body = vec![0u8; len];
-    reader.read_exact(&mut body).expect("body");
-    (status, headers, String::from_utf8(body).expect("utf-8 body"))
+const TIMEOUT: Duration = Duration::from_secs(10);
+
+fn connect(addr: SocketAddr) -> Client {
+    Client::connect(addr, TIMEOUT).expect("connect")
 }
 
-fn get(addr: SocketAddr, path: &str) -> (u16, Vec<(String, String)>, String) {
-    exchange(addr, &format!("GET {path} HTTP/1.1\r\nConnection: close\r\n\r\n"))
+fn get(addr: SocketAddr, path: &str) -> (u16, BTreeMap<String, String>, String) {
+    let r = connect(addr).get(path).expect("GET");
+    (r.status, r.headers, r.body)
 }
 
-fn post(addr: SocketAddr, path: &str, body: &str) -> (u16, Vec<(String, String)>, String) {
-    exchange(
-        addr,
-        &format!(
-            "POST {path} HTTP/1.1\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-            body.len()
-        ),
-    )
+fn post(addr: SocketAddr, path: &str, body: &str) -> (u16, BTreeMap<String, String>, String) {
+    let r = connect(addr).post(path, body).expect("POST");
+    (r.status, r.headers, r.body)
 }
 
-fn header<'h>(headers: &'h [(String, String)], name: &str) -> Option<&'h str> {
-    headers.iter().find(|(n, _)| n == name).map(|(_, v)| v.as_str())
+fn header<'h>(headers: &'h BTreeMap<String, String>, name: &str) -> Option<&'h str> {
+    headers.get(name).map(String::as_str)
 }
 
 fn swap_body(path: &std::path::Path) -> String {
@@ -195,6 +167,51 @@ fn injected_rpc_faults_answer_503_and_recover() {
     for s in shards {
         s.shutdown();
     }
+}
+
+/// A faulty shard cannot make the front allocate on its say-so: a reply
+/// claiming a terabyte of body is refused by the client from the header
+/// alone and surfaces as `502` naming the shard — and the front keeps
+/// serving.
+#[test]
+fn an_oversized_shard_reply_is_a_502_naming_the_shard() {
+    use ahntp_serve::http::{read_request, write_response};
+    use std::io::{BufReader, Write};
+
+    let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind fake shard");
+    let shard_addr = listener.local_addr().expect("fake shard addr");
+    // Three exchanges: discovery, the oversized /topk, a sane /score.
+    let shard = std::thread::spawn(move || {
+        for stream in listener.incoming().take(3) {
+            let mut stream = stream.expect("accept");
+            let req = read_request(&mut BufReader::new(&stream)).expect("request").expect("some");
+            let body = match req.path.as_str() {
+                "/topk" => {
+                    stream
+                        .write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 1099511627776\r\n\r\n")
+                        .expect("oversized reply");
+                    continue;
+                }
+                "/healthz" => format!(
+                    r#"{{"status":"ok","model":"AHNTP","n_users":{N_USERS},"fingerprint":"f","backend":"exact"}}"#
+                ),
+                _ => r#"{"scores":[0.5],"backend":"exact"}"#.to_string(),
+            };
+            write_response(&mut stream, 200, "OK", "application/json", body.as_bytes(), false)
+                .expect("reply");
+        }
+    });
+    let front = serve_sharded(&[shard_addr], &config()).expect("start front");
+
+    let (status, _, body) = get(front.addr(), "/topk?user=1&k=3");
+    assert_eq!(status, 502, "{body}");
+    assert!(body.contains(&shard_addr.to_string()), "502 names the shard: {body}");
+    let (status, _, body) = post(front.addr(), "/score", r#"{"pairs":[[0,1]]}"#);
+    assert_eq!(status, 200, "the front must serve the next request: {body}");
+
+    front.shutdown();
+    shard.join().expect("fake shard thread");
 }
 
 /// A swap killed mid-broadcast (the `shard.swap` failpoint fires on the

@@ -10,14 +10,15 @@
 //! silently reorder ties.
 
 use ahntp_nn::TrustArtifact;
+use ahntp_serve::client::Client;
 use ahntp_serve::{
     serve, serve_sharded, shard_ranges, BackendKind, ServeConfig, ServerHandle, ShardedHandle,
     TrustIndex,
 };
 use proptest::prelude::*;
 use proptest::TestRng;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
+use std::time::Duration;
 
 const N_USERS: usize = 24;
 
@@ -74,46 +75,26 @@ fn start_cluster(
     (shards, front)
 }
 
-/// One-shot HTTP exchange returning `(status, raw body bytes)`.
-fn exchange(addr: SocketAddr, request: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.write_all(request.as_bytes()).expect("send");
-    let mut reader = BufReader::new(&mut stream);
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line).expect("status line");
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("bad status line {status_line:?}"));
-    let mut len = 0usize;
-    loop {
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("header line");
-        if line.trim_end().is_empty() {
-            break;
-        }
-        if let Some(v) = line.to_ascii_lowercase().strip_prefix("content-length:") {
-            len = v.trim().parse().expect("content-length");
-        }
-    }
-    let mut body = vec![0u8; len];
-    reader.read_exact(&mut body).expect("body");
-    (status, String::from_utf8(body).expect("utf-8 body"))
+const TIMEOUT: Duration = Duration::from_secs(10);
+
+fn connect(addr: SocketAddr) -> Client {
+    Client::connect(addr, TIMEOUT).expect("connect")
 }
 
 fn get(addr: SocketAddr, path: &str) -> (u16, String) {
-    exchange(addr, &format!("GET {path} HTTP/1.1\r\nConnection: close\r\n\r\n"))
+    let r = connect(addr).get(path).expect("GET");
+    (r.status, r.body)
 }
 
 fn post(addr: SocketAddr, path: &str, body: &str) -> (u16, String) {
-    exchange(
-        addr,
-        &format!(
-            "POST {path} HTTP/1.1\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-            body.len()
-        ),
-    )
+    let r = connect(addr).post(path, body).expect("POST");
+    (r.status, r.body)
+}
+
+/// Sends `raw` as is on a fresh connection.
+fn send(addr: SocketAddr, raw: &str) -> (u16, String) {
+    let r = connect(addr).send(raw.as_bytes()).expect("send");
+    (r.status, r.body)
 }
 
 /// Pairs that hit every shard of every layout the sweep uses, plus
@@ -164,6 +145,21 @@ fn assert_cluster_matches_single(single: SocketAddr, front: SocketAddr, layout: 
     let (f_status, f_body) = post(front, "/score", &bad);
     assert_eq!((s_status, s_body.as_str()), (400, f_body.as_str()), "[{layout}] 400 body diverged: {f_body}");
     assert_eq!(f_status, 400, "[{layout}]");
+    // Answers that never reach an endpoint come from the one server core
+    // both tiers run on: unknown path, wrong method on a known path,
+    // malformed request line, body over `MAX_BODY_BYTES`.
+    let too_large = ahntp_serve::http::MAX_BODY_BYTES + 1;
+    for (want, raw) in [
+        (404, "GET /nope HTTP/1.1\r\nConnection: close\r\n\r\n".to_string()),
+        (405, "PUT /topk?user=0 HTTP/1.1\r\nConnection: close\r\n\r\n".to_string()),
+        (400, "NONSENSE\r\n\r\n".to_string()),
+        (413, format!("POST /score HTTP/1.1\r\nContent-Length: {too_large}\r\n\r\n")),
+    ] {
+        let (s_status, s_body) = send(single, &raw);
+        let (f_status, f_body) = send(front, &raw);
+        assert_eq!((s_status, &s_body), (f_status, &f_body), "[{layout}] {raw:?} diverged");
+        assert_eq!(f_status, want, "[{layout}] {raw:?}: {f_body}");
+    }
 }
 
 /// The deterministic core sweep: shard counts 1/2/3/7 (all uneven over

@@ -20,13 +20,13 @@
 //! collected trace to that file on their way out.
 
 use ahntp::{Ahntp, AhntpConfig};
-use ahntp_bench::loadgen::{http_request, run_load, LoadConfig};
+use ahntp_bench::loadgen::{run_load, LoadConfig};
 use ahntp_data::{DatasetConfig, TrustDataset};
 use ahntp_eval::{train_and_evaluate_observed, LedgerObserver, TrustModel};
 use ahntp_faultz::{self as faultz, Action, FaultSpec};
+use ahntp_serve::client::{Client, Response};
 use ahntp_serve::{serve, ServeConfig, TrustIndex};
 use ahntp_telemetry::json::{parse, Json};
-use std::net::TcpStream;
 use std::sync::Mutex;
 
 /// Serializes the two scenarios: trace collection, profiling, and the
@@ -258,8 +258,8 @@ fn serve_trace_ids_propagate_and_debug_endpoints_answer() {
 
     // The server-side p99 (log-spaced sketch) never over-reports the
     // loadgen's exact client-side p99 by more than one bucket width.
-    let mut conn = TcpStream::connect(addr).unwrap();
-    let (status, body) = http_request(&mut conn, "GET", "/metrics", "").unwrap();
+    let mut conn = Client::connect(addr, std::time::Duration::from_secs(10)).unwrap();
+    let Response { status, body, .. } = conn.get("/metrics").unwrap();
     assert_eq!(status, 200);
     let metrics = parse(&body).unwrap();
     let server_p99 = metrics
@@ -275,7 +275,7 @@ fn serve_trace_ids_propagate_and_debug_endpoints_answer() {
     );
 
     // The debug ring remembers the scored requests with their stages.
-    let (status, body) = http_request(&mut conn, "GET", "/debug/traces", "").unwrap();
+    let Response { status, body, .. } = conn.get("/debug/traces").unwrap();
     assert_eq!(status, 200);
     let doc = parse(&body).unwrap();
     let Some(Json::Arr(traces)) = doc.get("traces") else {
@@ -289,7 +289,7 @@ fn serve_trace_ids_propagate_and_debug_endpoints_answer() {
     assert!(with_stages > 0, "no staged /score entries in the ring: {body}");
 
     // Prometheus exposition answers with the serve metrics.
-    let (status, body) = http_request(&mut conn, "GET", "/metrics/prometheus", "").unwrap();
+    let Response { status, body, .. } = conn.get("/metrics/prometheus").unwrap();
     assert_eq!(status, 200);
     assert!(body.contains("# TYPE serve_request_us summary"), "{body}");
     assert!(body.contains("serve_http_requests"), "{body}");
