@@ -26,7 +26,7 @@ fn main() {
 
     let artifact = model.export_artifact();
     let n_users = artifact.n_users;
-    let index = TrustIndex::load(&artifact.encode()).expect("artifact round-trip");
+    let index = TrustIndex::load(&artifact.encode_v2()).expect("artifact round-trip");
     let server = serve(index, &ServeConfig::default()).expect("bind loopback");
     let addr = server.addr();
     eprintln!("serving {n_users} users on {addr}");

@@ -1124,7 +1124,7 @@ mod tests {
         assert_eq!(artifact.emb_dim, 16);
         assert_eq!(artifact.fingerprint, model.architecture_fingerprint());
         // Round-trips through the AHNTPSRV1 frame.
-        let decoded = ahntp_nn::TrustArtifact::decode(&artifact.encode()).unwrap();
+        let decoded = ahntp_nn::TrustArtifact::decode(&artifact.encode_v2()).unwrap();
         assert_eq!(decoded, artifact);
         // Scoring from the frozen head reproduces the model's predictions.
         let d = artifact.head_dim;

@@ -13,8 +13,8 @@
 //! **bitwise** — same loss trajectory, same parameters, at any thread
 //! count. The exactness test suite pins this down.
 
-use crate::trainer::training_loop;
-use crate::{EvalReport, LedgerObserver, NoopObserver, TrainConfig, TrainObserver, TrustModel};
+use crate::trainer::{env_observer, training_loop};
+use crate::{EvalReport, TrainConfig, TrustModel};
 use ahntp_data::{plan_micro_batches, LabeledPair, MiniBatchConfig};
 
 /// One epoch's worth of mini-batch work, handed to
@@ -113,27 +113,6 @@ pub fn train_and_evaluate_minibatch(
     cfg: &TrainConfig,
     mb: &MiniBatchConfig,
 ) -> EvalReport {
-    if ahntp_telemetry::env_flag("AHNTP_TELEMETRY") {
-        let mut observer = LedgerObserver::new();
-        train_and_evaluate_minibatch_observed(model, train, test, cfg, mb, &mut observer)
-    } else {
-        train_and_evaluate_minibatch_observed(model, train, test, cfg, mb, &mut NoopObserver)
-    }
-}
-
-/// [`train_and_evaluate_minibatch`] with explicit observer hooks.
-///
-/// # Panics
-///
-/// As [`train_and_evaluate_minibatch`].
-pub fn train_and_evaluate_minibatch_observed(
-    model: &mut dyn BatchTrustModel,
-    train: &[LabeledPair],
-    test: &[LabeledPair],
-    cfg: &TrainConfig,
-    mb: &MiniBatchConfig,
-    observer: &mut dyn TrainObserver,
-) -> EvalReport {
     mb.validate().expect("invalid mini-batch config");
     training_loop(
         model,
@@ -149,7 +128,7 @@ pub fn train_and_evaluate_minibatch_observed(
         train,
         test,
         cfg,
-        observer,
+        env_observer().as_mut(),
     )
 }
 

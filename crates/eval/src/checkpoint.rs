@@ -33,11 +33,8 @@
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use crate::trainer::training_loop;
-use crate::{
-    BatchPlan, BatchTrustModel, EvalReport, LedgerObserver, NoopObserver, TrainConfig,
-    TrainObserver, TrustModel,
-};
+use crate::trainer::{env_observer, training_loop};
+use crate::{BatchPlan, BatchTrustModel, EvalReport, TrainConfig, TrustModel};
 use ahntp_data::{LabeledPair, MiniBatchConfig};
 use ahntp_faultz::failpoint;
 
@@ -251,7 +248,10 @@ fn checkpoint_hook<'a, M: ResumableModel + ?Sized>(
 /// `ckpt.resume_from` when present, then checkpoints the full training
 /// state after every `ckpt.every`-th epoch. A run killed at any point and
 /// resumed from its last checkpoint produces the same loss trajectory and
-/// final parameters, bit for bit, as one that was never interrupted.
+/// final parameters, bit for bit, as one that was never interrupted. The
+/// run ledger (`AHNTP_TELEMETRY=1`) sees only the epochs this process
+/// actually runs — a resumed run starts its epoch records at the resume
+/// point.
 ///
 /// # Panics
 ///
@@ -264,29 +264,6 @@ pub fn train_and_evaluate_resumable(
     cfg: &TrainConfig,
     ckpt: &CheckpointConfig,
 ) -> EvalReport {
-    if ahntp_telemetry::env_flag("AHNTP_TELEMETRY") {
-        let mut observer = LedgerObserver::new();
-        train_and_evaluate_resumable_observed(model, train, test, cfg, ckpt, &mut observer)
-    } else {
-        train_and_evaluate_resumable_observed(model, train, test, cfg, ckpt, &mut NoopObserver)
-    }
-}
-
-/// [`train_and_evaluate_resumable`] with explicit observer hooks. The
-/// observer sees only the epochs this process actually runs — a resumed
-/// run starts its `on_epoch` stream at the resume point.
-///
-/// # Panics
-///
-/// As [`train_and_evaluate_resumable`].
-pub fn train_and_evaluate_resumable_observed(
-    model: &mut dyn ResumableModel,
-    train: &[LabeledPair],
-    test: &[LabeledPair],
-    cfg: &TrainConfig,
-    ckpt: &CheckpointConfig,
-    observer: &mut dyn TrainObserver,
-) -> EvalReport {
     let init = load_progress(model, ckpt);
     training_loop(
         model,
@@ -296,7 +273,7 @@ pub fn train_and_evaluate_resumable_observed(
         train,
         test,
         cfg,
-        observer,
+        env_observer().as_mut(),
     )
 }
 
@@ -317,38 +294,6 @@ pub fn train_and_evaluate_minibatch_resumable(
     mb: &MiniBatchConfig,
     ckpt: &CheckpointConfig,
 ) -> EvalReport {
-    if ahntp_telemetry::env_flag("AHNTP_TELEMETRY") {
-        let mut observer = LedgerObserver::new();
-        train_and_evaluate_minibatch_resumable_observed(
-            model, train, test, cfg, mb, ckpt, &mut observer,
-        )
-    } else {
-        train_and_evaluate_minibatch_resumable_observed(
-            model,
-            train,
-            test,
-            cfg,
-            mb,
-            ckpt,
-            &mut NoopObserver,
-        )
-    }
-}
-
-/// [`train_and_evaluate_minibatch_resumable`] with explicit observer hooks.
-///
-/// # Panics
-///
-/// As [`train_and_evaluate_minibatch_resumable`].
-pub fn train_and_evaluate_minibatch_resumable_observed(
-    model: &mut dyn ResumableBatchModel,
-    train: &[LabeledPair],
-    test: &[LabeledPair],
-    cfg: &TrainConfig,
-    mb: &MiniBatchConfig,
-    ckpt: &CheckpointConfig,
-    observer: &mut dyn TrainObserver,
-) -> EvalReport {
     mb.validate().expect("invalid mini-batch config");
     let init = load_progress(model, ckpt);
     training_loop(
@@ -365,7 +310,7 @@ pub fn train_and_evaluate_minibatch_resumable_observed(
         train,
         test,
         cfg,
-        observer,
+        env_observer().as_mut(),
     )
 }
 

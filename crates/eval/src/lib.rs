@@ -25,15 +25,11 @@ pub use attack::{
     evaluate_under_attack, score_inflation, AttackReport, DefendedInflation, DefendedScore,
     InflationMetrics,
 };
-pub use batch::{
-    train_and_evaluate_minibatch, train_and_evaluate_minibatch_observed, BatchPlan,
-    BatchTrustModel,
-};
+pub use batch::{train_and_evaluate_minibatch, BatchPlan, BatchTrustModel};
 pub use checkpoint::{
-    read_checkpoint, train_and_evaluate_minibatch_resumable,
-    train_and_evaluate_minibatch_resumable_observed, train_and_evaluate_resumable,
-    train_and_evaluate_resumable_observed, write_checkpoint_atomic, CheckpointConfig,
-    ResumableBatchModel, ResumableModel, TrainProgress,
+    read_checkpoint, train_and_evaluate_minibatch_resumable, train_and_evaluate_resumable,
+    write_checkpoint_atomic, CheckpointConfig, ResumableBatchModel, ResumableModel,
+    TrainProgress,
 };
 pub use metrics::{auc, binary_metrics, Metrics};
 pub use trainer::{

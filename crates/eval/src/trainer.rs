@@ -223,17 +223,24 @@ pub fn train_and_evaluate(
     test: &[LabeledPair],
     cfg: &TrainConfig,
 ) -> EvalReport {
+    train_and_evaluate_observed(model, train, test, cfg, env_observer().as_mut())
+}
+
+/// The observer the environment asks for — a [`LedgerObserver`] under
+/// `AHNTP_TELEMETRY=1`, otherwise [`NoopObserver`]. Every entry point
+/// without an explicit observer parameter gets its observer here.
+pub(crate) fn env_observer() -> Box<dyn TrainObserver> {
     if ahntp_telemetry::env_flag("AHNTP_TELEMETRY") {
-        let mut observer = LedgerObserver::new();
-        train_and_evaluate_observed(model, train, test, cfg, &mut observer)
+        Box::new(LedgerObserver::new())
     } else {
-        train_and_evaluate_observed(model, train, test, cfg, &mut NoopObserver)
+        Box::new(NoopObserver)
     }
 }
 
 /// [`train_and_evaluate`] with explicit observer hooks: `on_start`, one
 /// `on_epoch` per completed epoch (in order), then `on_finish` with the
-/// final report.
+/// final report. This is the one entry point that takes an observer; the
+/// mini-batch and resumable loops pick theirs from the environment.
 ///
 /// # Panics
 ///

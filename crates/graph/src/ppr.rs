@@ -317,18 +317,16 @@ mod tests {
         edges.dedup();
         let g = graph(40, &edges);
         let cfg = PprConfig::default();
-        let old_threads = ahntp_par::threads();
-        let old_threshold = ahntp_par::par_threshold();
-        ahntp_par::set_par_threshold(0); // force banding even at toy size
-        ahntp_par::set_threads(1);
-        let serial: Vec<u64> = ppr(&g, &[0, 3, 17], &cfg).iter().map(|v| v.to_bits()).collect();
+        // Threshold 0 forces banding even at toy size.
+        let bits_at = |t: usize| -> Vec<u64> {
+            ahntp_par::with_pool(t, 0, || {
+                ppr(&g, &[0, 3, 17], &cfg).iter().map(|v| v.to_bits()).collect()
+            })
+        };
+        let serial = bits_at(1);
         for t in [2usize, 4, 7] {
-            ahntp_par::set_threads(t);
-            let par: Vec<u64> = ppr(&g, &[0, 3, 17], &cfg).iter().map(|v| v.to_bits()).collect();
-            assert_eq!(serial, par, "ppr at {t} threads");
+            assert_eq!(serial, bits_at(t), "ppr at {t} threads");
         }
-        ahntp_par::set_par_threshold(old_threshold);
-        ahntp_par::set_threads(old_threads);
     }
 
     #[test]

@@ -14,43 +14,33 @@
 //!
 //! `score(u, v) = σ( ⟨trustor_head[u], trustee_head[v]⟩ / c )`
 //!
-//! # Frame layout, version 1 (packed)
+//! # Frame layout (version 2, the only version)
 //!
-//! ```text
-//! magic "AHNTPSRV1" (9 bytes)
-//! u16 version (1)
-//! u64 architecture fingerprint (same hash as the AHNTP001 header; 0 = untagged)
-//! f32 calibration c (σ(cos/c); the trainer's COSINE_CALIBRATION)
-//! u32 model-name length, name bytes (UTF-8)
-//! u32 n_users, u32 emb_dim, u32 head_dim
-//! f32 embeddings    (n_users × emb_dim, row-major; raw comprehensive embeddings)
-//! f32 trustor_head  (n_users × head_dim, row-major; L2-normalised tower-A rows)
-//! f32 trustee_head  (n_users × head_dim, row-major; L2-normalised tower-B rows)
-//! u32 CRC-32 of everything above (see `frame::seal`)
-//! ```
-//!
-//! # Frame layout, version 2 (mmap-friendly)
-//!
-//! Version 2 carries the same fields but places each matrix at a 64-byte
-//! aligned offset recorded in an explicit offsets table, so a server can
-//! map the file ([`TrustArtifact::map`]) and score straight out of the
-//! page cache instead of parsing — a shard (re)start allocates nothing
-//! proportional to the index.
+//! Each matrix sits at a 64-byte aligned offset recorded in an explicit
+//! offsets table, so a server can map the file ([`TrustArtifact::map`]) and
+//! score straight out of the page cache instead of parsing — a shard
+//! (re)start allocates nothing proportional to the index.
 //!
 //! ```text
 //! magic "AHNTPSRV1" (9 bytes)
 //! u16 version (2)
-//! u64 fingerprint, f32 calibration, model name, n_users/emb_dim/head_dim
-//!   (identical to v1)
+//! u64 architecture fingerprint (same hash as the AHNTP001 header; 0 = untagged)
+//! f32 calibration c (σ(cos/c); the trainer's COSINE_CALIBRATION)
+//! u32 model-name length, name bytes (UTF-8)
+//! u32 n_users, u32 emb_dim, u32 head_dim
 //! u64 emb_off, u64 trustor_off, u64 trustee_off, u64 data_end
 //!   (byte offsets from the frame start; each matrix offset is 64-byte
 //!    aligned, data_end is the end of the trustee matrix)
 //! zero padding to emb_off
-//! f32 embeddings    (at emb_off)
-//! zero padding, f32 trustor_head (at trustor_off)
-//! zero padding, f32 trustee_head (at trustee_off, ending at data_end)
-//! u32 CRC-32 of everything above (at data_end)
+//! f32 embeddings    (at emb_off; n_users × emb_dim, row-major; raw comprehensive embeddings)
+//! zero padding, f32 trustor_head (at trustor_off; n_users × head_dim; L2-normalised tower-A rows)
+//! zero padding, f32 trustee_head (at trustee_off, ending at data_end; L2-normalised tower-B rows)
+//! u32 CRC-32 of everything above (at data_end; see `frame::seal`)
 //! ```
+//!
+//! Version 1 (the same fields packed back to back, no offsets table) was
+//! only ever written by this repository's own tests and is refused like any
+//! other unknown version: [`ArtifactError::UnsupportedVersion`]`(1)`.
 //!
 //! All integers and floats are little-endian. The trailing CRC is verified
 //! before any field is parsed — by [`TrustArtifact::decode`] *and* by
@@ -67,10 +57,7 @@ use bytes::{Buf, BufMut, BytesMut};
 
 const MAGIC: &[u8; 9] = b"AHNTPSRV1";
 
-/// The packed artifact format version ([`TrustArtifact::encode`]).
-pub const ARTIFACT_VERSION: u16 = 1;
-
-/// The mmap-friendly artifact format version ([`TrustArtifact::encode_v2`]).
+/// The artifact format version ([`TrustArtifact::encode_v2`]).
 pub const ARTIFACT_VERSION_V2: u16 = 2;
 
 /// Alignment of every matrix section in a v2 frame. 64 bytes covers a
@@ -97,7 +84,7 @@ impl std::fmt::Display for ArtifactError {
             ArtifactError::UnsupportedVersion(v) => write!(
                 f,
                 "unsupported artifact version {v} (this build understands \
-                 {ARTIFACT_VERSION} and {ARTIFACT_VERSION_V2})"
+                 {ARTIFACT_VERSION_V2})"
             ),
             ArtifactError::Inconsistent(m) => write!(f, "inconsistent artifact: {m}"),
         }
@@ -309,34 +296,10 @@ impl TrustArtifact {
             && self.trustee_head.is_mapped()
     }
 
-    /// Encodes the artifact as a packed v1 `AHNTPSRV1` frame.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut buf = BytesMut::with_capacity(
-            64 + self.model.len()
-                + 4 * (self.embeddings.len()
-                    + self.trustor_head.len()
-                    + self.trustee_head.len()),
-        );
-        buf.put_slice(MAGIC);
-        buf.put_u16_le(ARTIFACT_VERSION);
-        buf.put_u64_le(self.fingerprint);
-        buf.put_f32_le(self.calibration);
-        put_string(&mut buf, &self.model);
-        buf.put_u32_le(self.n_users as u32);
-        buf.put_u32_le(self.emb_dim as u32);
-        buf.put_u32_le(self.head_dim as u32);
-        put_f32s(&mut buf, &self.embeddings);
-        put_f32s(&mut buf, &self.trustor_head);
-        put_f32s(&mut buf, &self.trustee_head);
-        seal(&mut buf);
-        buf.freeze().to_vec()
-    }
-
-    /// Encodes the artifact as an mmap-friendly v2 frame: same fields as
-    /// [`TrustArtifact::encode`], with each matrix zero-padded out to a
-    /// 64-byte aligned offset recorded in the offsets table, so the frame
-    /// can be served zero-copy through [`TrustArtifact::map`]. Converting
-    /// between versions is lossless: `decode(encode_v2(a)) == a`.
+    /// Encodes the artifact as an `AHNTPSRV1` version-2 frame: each matrix
+    /// zero-padded out to a 64-byte aligned offset recorded in the offsets
+    /// table, so the frame can be served zero-copy through
+    /// [`TrustArtifact::map`]. Lossless: `decode(encode_v2(a)) == a`.
     pub fn encode_v2(&self) -> Vec<u8> {
         let header_len =
             MAGIC.len() + 2 + 8 + 4 + (4 + self.model.len()) + 12 + 32;
@@ -373,110 +336,48 @@ impl TrustArtifact {
         buf.freeze().to_vec()
     }
 
-    /// Decodes and validates an `AHNTPSRV1` frame of either version into
-    /// owned matrices (the copying path; see [`TrustArtifact::map`] for
-    /// the zero-copy one).
+    /// Decodes and validates an `AHNTPSRV1` frame into owned matrices (the
+    /// copying path; see [`TrustArtifact::map`] for the zero-copy one).
     ///
     /// # Errors
     ///
-    /// Returns [`ArtifactError::Malformed`] on bad magic, truncation, or
-    /// a corrupt v2 offsets table, [`ArtifactError::UnsupportedVersion`]
-    /// on an unknown version, and [`ArtifactError::Inconsistent`] when
-    /// the decoded fields disagree with each other.
+    /// Returns [`ArtifactError::Malformed`] on a failed checksum, bad
+    /// magic, truncation, or a corrupt offsets table,
+    /// [`ArtifactError::UnsupportedVersion`] on any version but 2, and
+    /// [`ArtifactError::Inconsistent`] when the decoded fields disagree
+    /// with each other.
     pub fn decode(data: &[u8]) -> Result<TrustArtifact, ArtifactError> {
         failpoint!("artifact.decode");
-        let malformed = ArtifactError::Malformed;
-        // Verify the trailing CRC before trusting any field.
-        let payload = check_seal(data).map_err(malformed)?;
-        need(payload, MAGIC.len() + 2, "magic and version").map_err(malformed)?;
-        if &payload[..MAGIC.len()] != MAGIC {
-            return Err(ArtifactError::Malformed("bad magic".into()));
-        }
-        let version = u16::from_le_bytes([payload[MAGIC.len()], payload[MAGIC.len() + 1]]);
-        match version {
-            ARTIFACT_VERSION => TrustArtifact::decode_v1_payload(payload),
-            ARTIFACT_VERSION_V2 => {
-                let layout = V2Layout::parse(data)?;
-                let copy = |off: usize, n: usize, what: &str| -> Result<Vec<f32>, ArtifactError> {
-                    let mut section = &payload[off..];
-                    get_f32s(&mut section, n, what).map_err(ArtifactError::Malformed)
-                };
-                let emb = copy(layout.emb_off, layout.n_users * layout.emb_dim, "embeddings")?;
-                let tor =
-                    copy(layout.trustor_off, layout.n_users * layout.head_dim, "trustor head")?;
-                let tee =
-                    copy(layout.trustee_off, layout.n_users * layout.head_dim, "trustee head")?;
-                layout.assemble(emb.into(), tor.into(), tee.into())
-            }
-            v => Err(ArtifactError::UnsupportedVersion(v)),
-        }
-    }
-
-    /// The v1 field walk, starting from the sealed payload.
-    fn decode_v1_payload(payload: &[u8]) -> Result<TrustArtifact, ArtifactError> {
-        let malformed = ArtifactError::Malformed;
-        let mut data = payload;
-        data.advance(MAGIC.len() + 2); // magic + version, checked by decode
-        need(data, 8 + 4, "header").map_err(malformed)?;
-        let fingerprint = data.get_u64_le();
-        let calibration = data.get_f32_le();
-        let model = get_string(&mut data, "model name").map_err(malformed)?;
-        need(data, 12, "dimensions").map_err(malformed)?;
-        let n_users = data.get_u32_le() as usize;
-        let emb_dim = data.get_u32_le() as usize;
-        let head_dim = data.get_u32_le() as usize;
-        let embeddings =
-            get_f32s(&mut data, n_users * emb_dim, "embeddings").map_err(malformed)?;
-        let trustor_head =
-            get_f32s(&mut data, n_users * head_dim, "trustor head").map_err(malformed)?;
-        let trustee_head =
-            get_f32s(&mut data, n_users * head_dim, "trustee head").map_err(malformed)?;
-        if !data.is_empty() {
-            return Err(ArtifactError::Malformed(format!(
-                "{} trailing bytes after frame",
-                data.len()
-            )));
-        }
-        let artifact = TrustArtifact {
-            model,
-            fingerprint,
-            calibration,
-            n_users,
-            emb_dim,
-            head_dim,
-            embeddings: embeddings.into(),
-            trustor_head: trustor_head.into(),
-            trustee_head: trustee_head.into(),
+        // Verifies the trailing CRC before trusting any field, then bounds
+        // every section inside the sealed payload.
+        let layout = V2Layout::parse(data)?;
+        let copy = |off: usize, n: usize, what: &str| -> Result<Vec<f32>, ArtifactError> {
+            let mut section = &data[off..];
+            get_f32s(&mut section, n, what).map_err(ArtifactError::Malformed)
         };
-        artifact.validate()?;
-        Ok(artifact)
+        let emb = copy(layout.emb_off, layout.n_users * layout.emb_dim, "embeddings")?;
+        let tor = copy(layout.trustor_off, layout.n_users * layout.head_dim, "trustor head")?;
+        let tee = copy(layout.trustee_off, layout.n_users * layout.head_dim, "trustee head")?;
+        layout.assemble(emb.into(), tor.into(), tee.into())
     }
 
     /// Builds an artifact whose matrices are zero-copy views into
-    /// `bytes` — the O(1)-allocation load path for v2 frames. The CRC
+    /// `bytes` — the O(1)-allocation load path. The CRC
     /// seal and the whole offsets table are verified up front (the CRC
     /// pass streams the file through the page cache but allocates
     /// nothing), and validation runs as for a decode, so a torn or
     /// tampered frame fails with the same typed errors.
     ///
-    /// A v1 frame (no aligned sections to view) transparently falls back
-    /// to the copying [`TrustArtifact::decode`], as does a platform where
-    /// zero-copy views are unavailable (big-endian); either way the
-    /// caller gets a valid artifact.
+    /// On a platform where zero-copy views are unavailable (big-endian)
+    /// this falls back to the copying [`TrustArtifact::decode`]; either way
+    /// the caller gets a valid artifact.
     ///
     /// # Errors
     ///
     /// As [`TrustArtifact::decode`].
     pub fn map(bytes: Arc<MappedBytes>) -> Result<TrustArtifact, ArtifactError> {
         failpoint!("artifact.map");
-        let layout = match V2Layout::parse(&bytes) {
-            Ok(layout) => layout,
-            // v1 frames can't be mapped; decode them instead.
-            Err(ArtifactError::UnsupportedVersion(ARTIFACT_VERSION)) => {
-                return TrustArtifact::decode(&bytes);
-            }
-            Err(e) => return Err(e),
-        };
+        let layout = V2Layout::parse(&bytes)?;
         let view = |off: usize, n: usize| Rows::mapped(Arc::clone(&bytes), off, n);
         let views = (
             view(layout.emb_off, layout.n_users * layout.emb_dim),
@@ -490,8 +391,8 @@ impl TrustArtifact {
         }
     }
 
-    /// Opens an artifact file zero-copy: `mmap` + [`TrustArtifact::map`].
-    /// v2 frames score straight out of the mapping; v1 frames are parsed.
+    /// Opens an artifact file zero-copy: `mmap` + [`TrustArtifact::map`];
+    /// scoring reads straight out of the mapping.
     ///
     /// # Errors
     ///
@@ -532,15 +433,6 @@ mod tests {
     }
 
     #[test]
-    fn encode_decode_round_trips() {
-        let a = tiny();
-        let bytes = a.encode();
-        assert_eq!(&bytes[..9], b"AHNTPSRV1");
-        let b = TrustArtifact::decode(&bytes).expect("well-formed frame");
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn encode_v2_decode_round_trips_and_sections_are_aligned() {
         let a = tiny();
         let bytes = a.encode_v2();
@@ -548,9 +440,6 @@ mod tests {
         assert_eq!(u16::from_le_bytes([bytes[9], bytes[10]]), 2);
         let b = TrustArtifact::decode(&bytes).expect("well-formed v2 frame");
         assert_eq!(a, b);
-        // v1 → v2 conversion is lossless through the struct.
-        let via_v1 = TrustArtifact::decode(&a.encode()).unwrap();
-        assert_eq!(TrustArtifact::decode(&via_v1.encode_v2()).unwrap(), a);
     }
 
     #[test]
@@ -564,10 +453,6 @@ mod tests {
         for (x, y) in mapped.trustor_head.iter().zip(a.trustor_head.iter()) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
-        // Mapping a v1 frame falls back to a parse: same artifact, owned.
-        let v1 = TrustArtifact::map(Arc::new(MappedBytes::from_bytes(&a.encode()))).unwrap();
-        assert!(!v1.is_mapped());
-        assert_eq!(v1, a);
     }
 
     #[test]
@@ -629,7 +514,7 @@ mod tests {
             TrustArtifact::decode(b"NOTAFRAME"),
             Err(ArtifactError::Malformed(_))
         ));
-        let mut bytes = tiny().encode();
+        let mut bytes = tiny().encode_v2();
         bytes.truncate(bytes.len() - 5);
         assert!(matches!(
             TrustArtifact::decode(&bytes),
@@ -641,35 +526,28 @@ mod tests {
 
     #[test]
     fn unknown_versions_are_rejected_with_the_version() {
-        let mut bytes = tiny().encode();
-        bytes[9] = 9; // little-endian u16 version right after the magic
-        reseal(&mut bytes);
-        match TrustArtifact::decode(&bytes) {
-            Err(ArtifactError::UnsupportedVersion(9)) => {}
-            other => panic!("expected UnsupportedVersion(9), got {other:?}"),
+        // 1 is the retired packed layout; it gets no special treatment.
+        for version in [1u8, 9] {
+            let mut bytes = tiny().encode_v2();
+            bytes[9] = version; // little-endian u16 version right after the magic
+            reseal(&mut bytes);
+            let want = Err(ArtifactError::UnsupportedVersion(u16::from(version)));
+            assert_eq!(TrustArtifact::decode(&bytes), want);
+            assert_eq!(TrustArtifact::map(Arc::new(MappedBytes::from_bytes(&bytes))), want);
         }
     }
 
     #[test]
     fn trailing_bytes_are_rejected() {
         // Appended garbage breaks the seal…
-        let mut bytes = tiny().encode();
+        let mut bytes = tiny().encode_v2();
         bytes.push(0);
         assert!(matches!(
             TrustArtifact::decode(&bytes),
             Err(ArtifactError::Malformed(m)) if m.contains("checksum")
         ));
         // …and garbage smuggled *inside* a correctly sealed frame is still
-        // caught by the trailing-bytes check.
-        let mut inner = tiny().encode();
-        let split = inner.len() - 4;
-        inner.insert(split, 0);
-        reseal(&mut inner);
-        assert!(matches!(
-            TrustArtifact::decode(&inner),
-            Err(ArtifactError::Malformed(m)) if m.contains("trailing")
-        ));
-        // The v2 equivalent: data_end stops matching the payload length.
+        // caught: data_end stops matching the payload length.
         let mut v2 = tiny().encode_v2();
         let split = v2.len() - 4;
         v2.insert(split, 0);

@@ -41,7 +41,7 @@ mod rows;
 mod serialize;
 mod train_state;
 
-pub use artifact::{ArtifactError, TrustArtifact, ARTIFACT_VERSION, ARTIFACT_VERSION_V2};
+pub use artifact::{ArtifactError, TrustArtifact, ARTIFACT_VERSION_V2};
 pub use rows::Rows;
 // Re-exported so downstream crates can open mapped artifacts without a
 // direct ahntp-mapped dependency.

@@ -4,8 +4,10 @@
 //! aggregations, the autograd backward passes built on them, and the
 //! serving index scans — is embarrassingly parallel across *output rows*.
 //! This crate supplies the one piece of machinery they share: a
-//! lazily-initialized, persistent worker pool plus three partitioning
-//! primitives ([`par_chunks`], [`par_map`], [`par_join`]).
+//! lazily-initialized, persistent worker pool plus the banding primitives
+//! kernels are written against: [`par_rows`] fills a mutable output band
+//! by band, [`par_bands`] builds one fragment per band, and [`par_map`]
+//! runs independent tasks.
 //!
 //! # Determinism contract
 //!
@@ -22,23 +24,27 @@
 //! The pool size is resolved once from `AHNTP_THREADS` (default: the
 //! machine's available parallelism; `1` disables the pool entirely and
 //! every primitive degrades to an exact inline serial loop; `0` means
-//! "auto"). [`set_threads`] overrides it at runtime — the serving stack
-//! plumbs `ServeConfig::threads` through this so deployments can cap
-//! compute threads independently of HTTP workers. Worker threads are
-//! spawned on first parallel use, never before, and parked on a condvar
-//! when idle.
+//! "auto"). [`set_threads`] overrides it at runtime; `AHNTP_THREADS` is
+//! the one deployment knob. Worker threads are spawned on first parallel
+//! use, never before, and parked on a condvar when idle.
 //!
-//! Small inputs stay serial: kernels gate the parallel path on
-//! [`par_enabled`], which compares an estimated scalar-op count against a
-//! threshold ([`set_par_threshold`] lowers it to 0 in tests so even tiny,
-//! ragged shapes exercise the pool).
+//! # One loop per kernel
+//!
+//! A kernel hands [`par_rows`] / [`par_bands`] its estimated scalar-op
+//! count and one band closure. The serial/parallel decision is taken here,
+//! once: with a single thread, work under [`par_threshold`] or fewer than
+//! two rows, the closure is called exactly once over the whole range — that
+//! call *is* the serial kernel, so no kernel carries a second copy of its
+//! loop. [`par_enabled`] exposes the same decision to the two kernels that
+//! keep a different *algorithm* per side (serial scatter, banded gather:
+//! `Tensor::t_matmul`, `CsrMatrix::t_mul_dense`).
 //!
 //! # Telemetry
 //!
 //! `par.tasks` counts tasks executed by the primitives and `par.threads`
 //! gauges the resolved pool size (both via `ahntp-telemetry`, no-ops
-//! while telemetry is off). Kernels additionally count their own
-//! `*.par_calls` when they take the parallel path.
+//! while telemetry is off). Each kernel names a `<kernel>.par_calls`
+//! counter that moves when its banded path runs.
 //!
 //! # Safety
 //!
@@ -179,7 +185,7 @@ pub fn par_enabled(work: usize) -> bool {
 /// Contiguous band length that splits `n` items across the pool: the
 /// smallest size giving at most [`threads`] bands. Always ≥ 1.
 #[inline]
-pub fn band_size(n: usize) -> usize {
+fn band_size(n: usize) -> usize {
     n.div_ceil(threads()).max(1)
 }
 
@@ -312,27 +318,6 @@ fn worker_loop(pool: &'static Pool) {
     }
 }
 
-/// Runs `a` and `b`, potentially in parallel, returning both results.
-pub fn par_join<RA, RB>(
-    a: impl FnOnce() -> RA + Send,
-    b: impl FnOnce() -> RB + Send,
-) -> (RA, RB)
-where
-    RA: Send,
-    RB: Send,
-{
-    let mut ra: Option<RA> = None;
-    let mut rb: Option<RB> = None;
-    run_tasks(vec![
-        Box::new(|| ra = Some(a())),
-        Box::new(|| rb = Some(b())),
-    ]);
-    (
-        ra.expect("par_join: first task completed"),
-        rb.expect("par_join: second task completed"),
-    )
-}
-
 /// Splits `data` into contiguous chunks of `chunk_len` elements (the last
 /// may be shorter) and runs `f(chunk_index, chunk)` across the pool.
 ///
@@ -340,7 +325,7 @@ where
 /// one task, so writes need no synchronization and the result is
 /// identical at any thread count as long as `f` itself is deterministic
 /// per `(chunk_index, chunk)`.
-pub fn par_chunks<T, F>(data: &mut [T], chunk_len: usize, f: F)
+fn par_chunks<T, F>(data: &mut [T], chunk_len: usize, f: F)
 where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
@@ -378,23 +363,116 @@ where
         .collect()
 }
 
+/// The one serial/parallel decision, shared by [`par_rows`] and
+/// [`par_bands`]: `Some(band length)` when `n` rows carrying `work`
+/// estimated scalar ops should be banded across the pool (counted on the
+/// kernel's `par_calls` counter), `None` when they should run as one band.
+fn band_plan(n: usize, work: usize, par_calls: &str) -> Option<usize> {
+    if n < 2 || !par_enabled(work) {
+        return None;
+    }
+    counter_add(par_calls, 1);
+    Some(band_size(n))
+}
+
+/// Fills `out` — `out.len() / row_len` rows of `row_len` elements — by
+/// calling `f(row0, band)` on contiguous row bands, where `band` holds the
+/// rows starting at `row0`.
+///
+/// `work` is the kernel's estimated scalar-op count and `par_calls` its
+/// `<kernel>.par_calls` counter. When the rows are not worth banding (see
+/// the crate docs), `f(0, out)` is called exactly once: that call is the
+/// serial kernel, so write `f` the way that is fastest over the whole
+/// output. Each row belongs to exactly one band, so if `f` computes a row
+/// the same way wherever its band starts, results are bitwise identical at
+/// any thread count. An empty `out` has no rows and `f` is not called.
+///
+/// # Panics
+///
+/// Panics if `out.len()` is not a multiple of `row_len`.
+pub fn par_rows<T, F>(out: &mut [T], row_len: usize, work: usize, par_calls: &str, f: F)
+where
+    T: Send,
+    F: Fn(usize, &mut [T]) + Sync,
+{
+    if out.is_empty() {
+        return;
+    }
+    assert!(
+        out.len() % row_len == 0,
+        "par_rows: output of {} elements is not whole rows of {row_len}",
+        out.len()
+    );
+    match band_plan(out.len() / row_len, work, par_calls) {
+        None => f(0, out),
+        Some(band) => par_chunks(out, band * row_len, |ci, chunk| f(ci * band, chunk)),
+    }
+}
+
+/// Computes one fragment per contiguous band of `0..n` by calling
+/// `f(lo, hi)`, returning the fragments in band order — for kernels whose
+/// output size is not known up front (CSR products and selections, per-band
+/// top-k heaps).
+///
+/// `work` and `par_calls` are as for [`par_rows`]. When `0..n` is not worth
+/// banding, the result is the single fragment `f(0, n)` (also for `n == 0`),
+/// so callers stitch fragments the same way on both sides of the decision.
+pub fn par_bands<R, F>(n: usize, work: usize, par_calls: &str, f: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize, usize) -> R + Sync,
+{
+    match band_plan(n, work, par_calls) {
+        None => vec![f(0, n)],
+        Some(band) => par_map(n.div_ceil(band), |bi| {
+            let lo = bi * band;
+            f(lo, (lo + band).min(n))
+        }),
+    }
+}
+
+/// Runs `f` with the pool forced to `threads` threads and the work
+/// threshold to `threshold` (`0` sends every gated kernel down its banded
+/// path), then restores both — also when `f` panics.
+///
+/// The pool configuration is process-global and `cargo test` runs the tests
+/// of one binary on parallel threads, so calls serialise on an internal
+/// lock: two tests can neither observe each other's settings nor restore
+/// them out of order. Not re-entrant.
+pub fn with_pool<R>(threads: usize, threshold: usize, f: impl FnOnce() -> R) -> R {
+    static LOCK: Mutex<()> = Mutex::new(());
+    struct Restore {
+        threads: usize,
+        threshold: usize,
+        // Dropped after `Drop::drop` has restored the configuration.
+        _lock: std::sync::MutexGuard<'static, ()>,
+    }
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            set_threads(self.threads);
+            set_par_threshold(self.threshold);
+        }
+    }
+    // A panicking `f` poisons the lock after `Restore` has put the
+    // configuration back, so the guarded state is valid either way.
+    let lock = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let _restore = Restore {
+        threads: self::threads(),
+        threshold: par_threshold(),
+        _lock: lock,
+    };
+    set_threads(threads);
+    set_par_threshold(threshold);
+    f()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Tests in this file mutate the global pool size; funnel them
-    /// through one lock so they don't fight (other test binaries get
-    /// their own process).
+    /// Pool size `n` at the default threshold, via the public helper.
     fn with_threads(n: usize, f: impl FnOnce()) {
-        static LOCK: Mutex<()> = Mutex::new(());
-        let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let before = threads();
-        set_threads(n);
-        let result = catch_unwind(AssertUnwindSafe(f));
-        set_threads(before);
-        if let Err(p) = result {
-            resume_unwind(p);
-        }
+        with_pool(n, DEFAULT_PAR_THRESHOLD, f);
     }
 
     #[test]
@@ -434,15 +512,6 @@ mod tests {
             // Empty input is a no-op.
             let mut empty: Vec<i64> = Vec::new();
             par_chunks(&mut empty, 4, |_, _| panic!("no chunks expected"));
-        });
-    }
-
-    #[test]
-    fn par_join_returns_both() {
-        with_threads(4, || {
-            let xs = [1, 2, 3, 4];
-            let (a, b) = par_join(|| xs.iter().sum::<i32>(), || xs.len());
-            assert_eq!((a, b), (10, 4));
         });
     }
 
@@ -503,13 +572,11 @@ mod tests {
     #[test]
     fn threshold_gates_par_enabled() {
         with_threads(4, || {
-            let before = par_threshold();
             set_par_threshold(1000);
             assert!(!par_enabled(999));
             assert!(par_enabled(1000));
             set_par_threshold(0);
             assert!(par_enabled(0));
-            set_par_threshold(before);
         });
     }
 
@@ -518,5 +585,92 @@ mod tests {
         with_threads(1, || {
             assert!(!par_enabled(usize::MAX));
         });
+    }
+
+    /// Row ranges handed to a band closure.
+    type Ranges = Vec<(usize, usize)>;
+
+    /// Every `(row0, rows)` / `(lo, hi)` call the two primitives make for
+    /// `n` rows of `row_len` elements.
+    fn calls_of(n: usize, row_len: usize, work: usize) -> (Ranges, Ranges) {
+        let rows_calls = Mutex::new(Vec::new());
+        let mut out = vec![0u8; n * row_len];
+        par_rows(&mut out, row_len, work, "test.par_calls", |row0, band| {
+            assert_eq!(band.len() % row_len, 0, "band splits a row");
+            rows_calls
+                .lock()
+                .unwrap()
+                .push((row0, band.len() / row_len));
+            band.fill(1);
+        });
+        assert!(out.iter().all(|&v| v == 1), "a row was never handed out");
+        let bands = par_bands(n, work, "test.par_calls", |lo, hi| (lo, hi));
+        let mut rows_calls = rows_calls.into_inner().unwrap();
+        rows_calls.sort_unstable(); // tasks may finish in any order
+        (rows_calls, bands)
+    }
+
+    #[test]
+    fn serial_decision_is_one_call_over_the_whole_range() {
+        // (threads, threshold, rows, work): one thread; work under the
+        // threshold; a single row.
+        for (threads, threshold, n, work) in
+            [(1, 0, 40, usize::MAX), (4, 1000, 40, 999), (4, 0, 1, 5)]
+        {
+            with_pool(threads, threshold, || {
+                let (rows_calls, bands) = calls_of(n, 3, work);
+                assert_eq!(rows_calls, vec![(0, n)], "par_rows at {threads} threads");
+                assert_eq!(bands, vec![(0, n)], "par_bands at {threads} threads");
+            });
+        }
+        // No rows: nothing to fill, but still exactly one (empty) fragment.
+        with_pool(4, 0, || {
+            par_rows(&mut [0u8; 0], 3, 0, "test.par_calls", |_, _| {
+                panic!("no rows expected")
+            });
+            assert_eq!(
+                par_bands(0, 0, "test.par_calls", |lo, hi| (lo, hi)),
+                vec![(0, 0)]
+            );
+        });
+    }
+
+    #[test]
+    fn ragged_splits_cover_every_row_once_in_order() {
+        for threads in [2, 7] {
+            for n in [3usize, 7, 13, 40] {
+                with_pool(threads, 0, || {
+                    let (rows_calls, bands) = calls_of(n, 5, 0);
+                    let as_ranges: Vec<_> = rows_calls
+                        .iter()
+                        .map(|&(row0, rows)| (row0, row0 + rows))
+                        .collect();
+                    assert_eq!(as_ranges, bands, "the two primitives band alike");
+                    assert!(
+                        bands.len() >= 2 && bands.len() <= threads,
+                        "n={n}: {bands:?}"
+                    );
+                    let mut next = 0;
+                    for &(lo, hi) in &bands {
+                        assert_eq!(lo, next, "n={n} threads={threads}: gap or overlap");
+                        assert!(hi > lo, "n={n} threads={threads}: empty band");
+                        next = hi;
+                    }
+                    assert_eq!(next, n, "n={n} threads={threads}: rows left over");
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn with_pool_restores_on_unwind() {
+        // 12345 is a threshold no other test forces, so seeing it after the
+        // unwind can only mean the restore did not run. (Reading the ambient
+        // values outside the lock would race with sibling tests.)
+        let result = catch_unwind(|| with_pool(6, 12345, || panic!("inside with_pool")));
+        assert!(result.is_err(), "the panic must reach the caller");
+        assert_ne!(par_threshold(), 12345, "threshold left behind by a panic");
+        // The lock is free again (poisoned, which `with_pool` tolerates).
+        with_pool(2, 9, || assert_eq!((threads(), par_threshold()), (2, 9)));
     }
 }

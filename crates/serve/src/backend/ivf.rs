@@ -176,24 +176,18 @@ impl IvfBackend {
     fn assign_all(&mut self, artifact: &TrustArtifact) {
         let n = artifact.n_users;
         let d = artifact.head_dim;
-        if n == 0 {
-            return;
-        }
-        if ahntp_par::par_enabled(n * self.nlist * d) && n >= 2 {
-            let band = ahntp_par::band_size(n);
-            let me = &*self;
-            let assign: Vec<Vec<usize>> = ahntp_par::par_map(n.div_ceil(band), |bi| {
-                let u0 = bi * band;
-                (u0..(u0 + band).min(n))
+        let me = &*self;
+        let bands = ahntp_par::par_bands(
+            n,
+            n * self.nlist * d,
+            "serve.ivf.assign.par_calls",
+            |u0, u1| -> Vec<usize> {
+                (u0..u1)
                     .map(|u| me.nearest_centroid(&artifact.trustee_head[u * d..(u + 1) * d], d))
                     .collect()
-            });
-            self.assign = assign.into_iter().flatten().collect();
-        } else {
-            self.assign = (0..n)
-                .map(|u| self.nearest_centroid(&artifact.trustee_head[u * d..(u + 1) * d], d))
-                .collect();
-        }
+            },
+        );
+        self.assign = bands.into_iter().flatten().collect();
     }
 
     fn rebuild_lists(&mut self) {

@@ -38,7 +38,6 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use ahntp_nn::TrustArtifact;
-use ahntp_telemetry::counter_add;
 
 mod exact;
 mod int8;
@@ -289,23 +288,20 @@ where
     F: Fn(usize, usize) -> Vec<Ranked> + Sync,
 {
     let n = hi.saturating_sub(lo);
-    if ahntp_par::par_enabled(2 * n * artifact.head_dim) && n >= 2 {
-        counter_add(par_counter, 1);
-        let band = ahntp_par::band_size(n);
-        let n_bands = n.div_ceil(band);
-        let mut merged: Vec<Ranked> = ahntp_par::par_map(n_bands, |bi| {
-            let c0 = lo + bi * band;
-            band_fn(c0, (c0 + band).min(hi))
-        })
-        .into_iter()
-        .flatten()
-        .collect();
+    let mut bands = ahntp_par::par_bands(n, 2 * n * artifact.head_dim, par_counter, |b0, b1| {
+        band_fn(lo + b0, lo + b1)
+    })
+    .into_iter();
+    // `k` per band is a superset of the global top `k`; only a union that
+    // overflows `k` (never the one-band serial scan, whose vector is
+    // returned as is) needs selecting.
+    let mut merged = bands.next().expect("par_bands yields at least one band");
+    merged.extend(bands.flatten());
+    if merged.len() > k {
         merged.sort_by(|a, b| b.cmp(a));
         merged.truncate(k);
-        merged
-    } else {
-        band_fn(lo, hi)
     }
+    merged
 }
 
 /// Exact scalar top-k over the candidate id range `lo..hi` (excluding

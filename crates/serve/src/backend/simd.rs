@@ -27,9 +27,8 @@
 //! # Runtime dispatch
 //!
 //! The `dot_batch` lane width is picked once per backend instance: 8 when
-//! the host advertises AVX2 (x86-64), else 4; `AHNTP_SIMD_LANES=4|8`
-//! overrides. Both widths produce identical bits, so dispatch never
-//! affects results, only throughput.
+//! the host advertises AVX2 (x86-64), else 4. Both widths produce
+//! identical bits, so dispatch never affects results, only throughput.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -45,18 +44,6 @@ const TOPK_BLOCK: usize = 64;
 
 /// Picks the unroll width for this host (see module docs).
 fn detect_lanes() -> usize {
-    if let Ok(spec) = std::env::var("AHNTP_SIMD_LANES") {
-        match spec.trim() {
-            "4" => return 4,
-            "8" => return 8,
-            other => {
-                ahntp_telemetry::warn!(
-                    "serve",
-                    "AHNTP_SIMD_LANES={other:?} invalid (want 4 or 8); auto-detecting"
-                );
-            }
-        }
-    }
     #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("avx2") {

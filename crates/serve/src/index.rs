@@ -238,11 +238,10 @@ impl TrustIndex {
     }
 
     /// Opens an artifact file and builds the index, zero-copy when
-    /// possible: a v2 frame is memory-mapped and its matrices become
+    /// possible: the frame is memory-mapped and its matrices become
     /// borrowed views ([`TrustArtifact::open`]), so a shard (re)start
-    /// costs O(header + CRC) instead of O(matrix copy). v1 frames and
-    /// platforms without the fast path fall back to a parsing decode —
-    /// same index either way.
+    /// costs O(header + CRC) instead of O(matrix copy). Platforms without
+    /// the fast path fall back to a parsing decode — same index either way.
     ///
     /// # Errors
     ///
@@ -435,18 +434,16 @@ impl TrustIndex {
             self.check(v)?;
         }
         let mut out = vec![0.0f32; pairs.len()];
-        if ahntp_par::par_enabled(2 * pairs.len() * self.artifact.head_dim) && pairs.len() >= 2
-        {
-            counter_add("serve.score_pairs.par_calls", 1);
-            let band = ahntp_par::band_size(pairs.len());
-            ahntp_par::par_chunks(&mut out, band, |ci, chunk| {
-                let off = ci * band;
+        ahntp_par::par_rows(
+            &mut out,
+            1,
+            2 * pairs.len() * self.artifact.head_dim,
+            "serve.score_pairs.par_calls",
+            |off, band| {
                 self.backend
-                    .dot_batch(&self.artifact, &pairs[off..off + chunk.len()], chunk);
-            });
-        } else {
-            self.backend.dot_batch(&self.artifact, pairs, &mut out);
-        }
+                    .dot_batch(&self.artifact, &pairs[off..off + band.len()], band);
+            },
+        );
         for v in &mut out {
             *v = self.calibrated(*v);
         }
@@ -1089,64 +1086,54 @@ mod tests {
         let artifact = wide_artifact(41); // ragged over every band size below
         let pairs: Vec<(usize, usize)> =
             (0..37).map(|i| (i % 41, (i * 7 + 3) % 41)).collect();
-        let old_threshold = ahntp_par::par_threshold();
-        let old_threads = ahntp_par::threads();
-        ahntp_par::set_par_threshold(0); // force the parallel path
         for kind in [
             BackendKind::Exact,
             BackendKind::Simd,
             BackendKind::Int8,
             BackendKind::Ivf(crate::backend::IvfParams::default()),
         ] {
-            let index = TrustIndex::from_artifact_with(artifact.clone(), kind).unwrap();
-            ahntp_par::set_threads(1);
-            let scores_serial: Vec<u32> = index
-                .score_pairs(&pairs)
-                .unwrap()
-                .iter()
-                .map(|s| s.to_bits())
-                .collect();
-            let topk_serial: Vec<Vec<(usize, u32)>> = (0..41)
-                .map(|u| {
-                    index
-                        .top_k_trustees(u, 5)
+            // Batch scores and every user's top-5 as bits, with the banded
+            // path forced (threshold 0) — index construction included.
+            let surface_at = |t: usize| -> (Vec<u32>, Vec<Vec<(usize, u32)>>) {
+                ahntp_par::with_pool(t, 0, || {
+                    let index = TrustIndex::from_artifact_with(artifact.clone(), kind).unwrap();
+                    let scores = index
+                        .score_pairs(&pairs)
                         .unwrap()
-                        .into_iter()
-                        .map(|(v, s)| (v, s.to_bits()))
-                        .collect()
+                        .iter()
+                        .map(|s| s.to_bits())
+                        .collect();
+                    let topk = (0..41)
+                        .map(|u| {
+                            index
+                                .top_k_trustees(u, 5)
+                                .unwrap()
+                                .into_iter()
+                                .map(|(v, s)| (v, s.to_bits()))
+                                .collect()
+                        })
+                        .collect();
+                    (scores, topk)
                 })
-                .collect();
+            };
+            let (scores_serial, topk_serial) = surface_at(1);
             for t in [2usize, 7] {
-                ahntp_par::set_threads(t);
-                let scores: Vec<u32> = index
-                    .score_pairs(&pairs)
-                    .unwrap()
-                    .iter()
-                    .map(|s| s.to_bits())
-                    .collect();
+                let (scores, topk) = surface_at(t);
                 assert_eq!(
                     scores_serial, scores,
                     "{} score_pairs at {t} threads",
                     kind.name()
                 );
-                for (u, want) in topk_serial.iter().enumerate() {
-                    let got: Vec<(usize, u32)> = index
-                        .top_k_trustees(u, 5)
-                        .unwrap()
-                        .into_iter()
-                        .map(|(v, s)| (v, s.to_bits()))
-                        .collect();
+                for (u, (want, got)) in topk_serial.iter().zip(&topk).enumerate() {
                     assert_eq!(
                         want,
-                        &got,
+                        got,
                         "{} top_k_trustees({u}) at {t} threads",
                         kind.name()
                     );
                 }
             }
         }
-        ahntp_par::set_par_threshold(old_threshold);
-        ahntp_par::set_threads(old_threads);
     }
 
     #[test]

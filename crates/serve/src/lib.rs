@@ -102,10 +102,14 @@
 //!
 //! # Threads
 //!
-//! Scoring itself is data-parallel: once a batch or candidate scan is
-//! large enough, [`TrustIndex`] fans it out over the process-wide
-//! `ahntp-par` worker pool (`serve.score_pairs.par_calls` /
-//! `serve.topk.par_calls` count those dispatches). The pool is sized by
+//! Scoring itself is data-parallel: the batch dot, the candidate scans and
+//! IVF assignment are each one band closure run through
+//! `ahntp_par::par_rows` / `par_bands`, which either bands it over the
+//! process-wide worker pool once the work is large enough
+//! (`serve.score_pairs.par_calls`, `serve.topk.par_calls`,
+//! `serve.topk.range.par_calls` and `serve.ivf.assign.par_calls` count
+//! those dispatches) or calls it once over the whole range — there is no
+//! separate serial scan. The pool is sized by
 //! the `AHNTP_THREADS` environment variable (unset or `0` = one thread
 //! per core, `1` = plain serial execution) and by nothing else — the pool
 //! is process-wide, so a server does not resize it. Banding never

@@ -1,11 +1,15 @@
 //! Dense matrix multiplication and transpose.
 //!
-//! The three product kernels are row-partitioned across the `ahntp-par`
-//! worker pool when the estimated FLOP count clears
-//! `ahntp_par::par_enabled`. Each output row is owned by exactly one task
-//! and accumulated in the same `k`-ascending order (with the same
-//! zero-skip tests) as the serial loop, so parallel results are bitwise
-//! identical to serial ones at any thread count.
+//! # Threads
+//!
+//! Each product is one band function handed to `ahntp_par::par_rows` with
+//! its FLOP estimate: the pool splits the output rows into bands or runs
+//! the function once over the whole output, so serial and parallel are the
+//! same loop. Every output row is owned by exactly one band and accumulated
+//! in `k`-ascending order with the same zero-skip tests, which makes results
+//! bitwise identical at any thread count. `t_matmul` alone keeps two
+//! algorithms (serial k-outer scatter, banded gather); the comment there
+//! gives the measurement that keeps both.
 
 use ahntp_telemetry::{counter_add, KernelKind, KernelSpan};
 
@@ -30,23 +34,13 @@ fn record_matmul(kernel_calls: &'static str, m: usize, n: usize, k: usize) {
     );
 }
 
-/// Counts one parallel-path dispatch for a kernel.
-#[inline]
-pub(crate) fn record_par(par_calls: &'static str) {
-    if ahntp_telemetry::enabled() {
-        counter_add(par_calls, 1);
-    }
-}
-
 /// `matmul` band kernel: fills output rows `row0..row0 + out_band/n` with
-/// the cache-friendly `i-k-j` loop. Used for both the serial whole-matrix
-/// call and each parallel band, so the two paths are the same code.
+/// the cache-friendly `i-k-j` loop. Like every band kernel here it is only
+/// reached through `par_rows`, so `out_band` is whole rows and never empty.
 fn matmul_rows(a: &[f32], b: &[f32], k: usize, n: usize, row0: usize, out_band: &mut [f32]) {
-    let rows = out_band.len().checked_div(n).unwrap_or(0);
-    for bi in 0..rows {
+    for (bi, out_row) in out_band.chunks_mut(n).enumerate() {
         let i = row0 + bi;
         let a_row = &a[i * k..(i + 1) * k];
-        let out_row = &mut out_band[bi * n..(bi + 1) * n];
         for (kk, &aik) in a_row.iter().enumerate() {
             if aik == 0.0 {
                 continue; // feature matrices after ReLU are often sparse
@@ -71,10 +65,8 @@ fn t_matmul_rows(
     row0: usize,
     out_band: &mut [f32],
 ) {
-    let rows = out_band.len().checked_div(n).unwrap_or(0);
-    for bi in 0..rows {
+    for (bi, out_row) in out_band.chunks_mut(n).enumerate() {
         let i = row0 + bi;
-        let out_row = &mut out_band[bi * n..(bi + 1) * n];
         for kk in 0..kdim {
             let aki = a[kk * m + i];
             if aki == 0.0 {
@@ -90,17 +82,16 @@ fn t_matmul_rows(
 
 /// `matmul_t` band kernel: plain row-dot-row products.
 fn matmul_t_rows(a: &[f32], b: &[f32], k: usize, n: usize, row0: usize, out_band: &mut [f32]) {
-    let rows = out_band.len().checked_div(n).unwrap_or(0);
-    for bi in 0..rows {
+    for (bi, out_row) in out_band.chunks_mut(n).enumerate() {
         let i = row0 + bi;
-        let a_row = &a[(row0 + bi) * k..(i + 1) * k];
-        for j in 0..n {
+        let a_row = &a[i * k..(i + 1) * k];
+        for (j, o) in out_row.iter_mut().enumerate() {
             let b_row = &b[j * k..(j + 1) * k];
             let mut acc = 0.0f32;
             for (&x, &y) in a_row.iter().zip(b_row) {
                 acc += x * y;
             }
-            out_band[bi * n + j] = acc;
+            *o = acc;
         }
     }
 }
@@ -138,15 +129,13 @@ impl Tensor {
         let a = &self.data;
         // When `other` is a vector we can index it directly as a column.
         let b = &other.data;
-        if ahntp_par::par_enabled(2 * m * n * k) && m >= 2 {
-            record_par("tensor.matmul.par_calls");
-            let band = ahntp_par::band_size(m);
-            ahntp_par::par_chunks(&mut out, band * n, |ci, chunk| {
-                matmul_rows(a, b, k, n, ci * band, chunk);
-            });
-        } else {
-            matmul_rows(a, b, k, n, 0, &mut out);
-        }
+        ahntp_par::par_rows(
+            &mut out,
+            n,
+            2 * m * n * k,
+            "tensor.matmul.par_calls",
+            |row0, band| matmul_rows(a, b, k, n, row0, band),
+        );
         let shape = match (self.shape(), other.shape()) {
             (Shape::Vector(_), Shape::Matrix(_, c)) => Shape::Vector(c),
             (Shape::Matrix(r, _), Shape::Vector(_)) => Shape::Vector(r),
@@ -170,16 +159,25 @@ impl Tensor {
         record_matmul("tensor.t_matmul.calls", m, n, k1);
         let _k = KernelSpan::enter("tensor.t_matmul", KernelKind::Matmul);
         let mut out = vec![0.0f32; m * n];
-        if ahntp_par::par_enabled(2 * m * n * k1) && m >= 2 {
-            // Gather form: each task owns a band of output rows and walks
-            // k ascending, matching the serial scatter's per-element
-            // accumulation order exactly.
-            record_par("tensor.t_matmul.par_calls");
+        // Two algorithms on purpose, chosen from what the pool observes
+        // (thread count and work). A scatter cannot be banded by output
+        // row, and running the gather as one whole-range band instead of
+        // the scatter cost +11.8 % `op_us` on `ahntp-perf train_full`
+        // (median 79 457 → 88 818 µs, slower in 9 of 10 alternating pairs
+        // on a 2-vCPU host): the gather strides `a` by `m` per step.
+        let work = 2 * m * n * k1;
+        if ahntp_par::par_enabled(work) {
+            // Gather form: each band owns output rows and walks k
+            // ascending, matching the scatter's per-element accumulation
+            // order exactly.
             let (a, b) = (&self.data, &other.data);
-            let band = ahntp_par::band_size(m);
-            ahntp_par::par_chunks(&mut out, band * n, |ci, chunk| {
-                t_matmul_rows(a, b, m, n, k1, ci * band, chunk);
-            });
+            ahntp_par::par_rows(
+                &mut out,
+                n,
+                work,
+                "tensor.t_matmul.par_calls",
+                |row0, band| t_matmul_rows(a, b, m, n, k1, row0, band),
+            );
         } else {
             // Serial scatter: k-outer keeps both operands streaming.
             for kk in 0..k1 {
@@ -218,15 +216,13 @@ impl Tensor {
         let _k = KernelSpan::enter("tensor.matmul_t", KernelKind::Matmul);
         let mut out = vec![0.0f32; m * n];
         let (a, b) = (&self.data, &other.data);
-        if ahntp_par::par_enabled(2 * m * n * k1) && m >= 2 {
-            record_par("tensor.matmul_t.par_calls");
-            let band = ahntp_par::band_size(m);
-            ahntp_par::par_chunks(&mut out, band * n, |ci, chunk| {
-                matmul_t_rows(a, b, k1, n, ci * band, chunk);
-            });
-        } else {
-            matmul_t_rows(a, b, k1, n, 0, &mut out);
-        }
+        ahntp_par::par_rows(
+            &mut out,
+            n,
+            2 * m * n * k1,
+            "tensor.matmul_t.par_calls",
+            |row0, band| matmul_t_rows(a, b, k1, n, row0, band),
+        );
         Tensor {
             data: out,
             shape: Shape::Matrix(m, n),

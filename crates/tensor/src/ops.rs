@@ -1,14 +1,15 @@
 //! Element-wise arithmetic and broadcasting.
 //!
-//! The element-wise kernels band their (embarrassingly parallel) output
-//! across the `ahntp-par` pool once the element count clears
-//! `ahntp_par::par_enabled`. Every element is written by exactly one task
-//! with the same per-element expression as the serial loop, so parallel
-//! results are bitwise identical at any thread count. Closures therefore
-//! need `Sync`; every mapper in this codebase is a pure function, so the
-//! bound is free.
+//! # Threads
+//!
+//! Each element-wise kernel is one band closure handed to
+//! `ahntp_par::par_rows` with its element count as the work estimate: the
+//! pool either splits the output into bands or calls the closure once over
+//! all of it, so there is no separate serial loop. Every element is written
+//! by exactly one band with the same per-element expression, so results are
+//! bitwise identical at any thread count. Closures therefore need `Sync`;
+//! every mapper in this codebase is a pure function, so the bound is free.
 
-use crate::matmul::record_par;
 use crate::{Shape, Tensor};
 use ahntp_telemetry::{KernelKind, KernelSpan};
 
@@ -35,19 +36,11 @@ impl Tensor {
     pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32 + Sync) {
         let _k = KernelSpan::enter("tensor.map", KernelKind::Elementwise);
         let n = self.data.len();
-        if ahntp_par::par_enabled(n) {
-            record_par("tensor.map.par_calls");
-            let band = ahntp_par::band_size(n);
-            ahntp_par::par_chunks(&mut self.data, band, |_, chunk| {
-                for v in chunk {
-                    *v = f(*v);
-                }
-            });
-        } else {
-            for v in &mut self.data {
+        ahntp_par::par_rows(&mut self.data, 1, n, "tensor.map.par_calls", |_, band| {
+            for v in band {
                 *v = f(*v);
             }
-        }
+        });
     }
 
     /// Element-wise combination of two same-shape tensors.
@@ -56,21 +49,12 @@ impl Tensor {
         let _k = KernelSpan::enter("tensor.zip", KernelKind::Elementwise);
         let mut out = self.clone();
         let n = out.data.len();
-        if ahntp_par::par_enabled(n) {
-            record_par("tensor.zip.par_calls");
-            let band = ahntp_par::band_size(n);
-            let b = &other.data;
-            ahntp_par::par_chunks(&mut out.data, band, |ci, chunk| {
-                let off = ci * band;
-                for (i, v) in chunk.iter_mut().enumerate() {
-                    *v = f(*v, b[off + i]);
-                }
-            });
-        } else {
-            for (v, &bv) in out.data.iter_mut().zip(&other.data) {
+        let b = &other.data;
+        ahntp_par::par_rows(&mut out.data, 1, n, "tensor.zip.par_calls", |off, band| {
+            for (v, &bv) in band.iter_mut().zip(&b[off..]) {
                 *v = f(*v, bv);
             }
-        }
+        });
         out
     }
 
@@ -113,21 +97,18 @@ impl Tensor {
         assert_same_shape("axpy_inplace", self, other);
         let _k = KernelSpan::enter("tensor.axpy", KernelKind::Elementwise);
         let n = self.data.len();
-        if ahntp_par::par_enabled(n) {
-            record_par("tensor.axpy.par_calls");
-            let band = ahntp_par::band_size(n);
-            let b = &other.data;
-            ahntp_par::par_chunks(&mut self.data, band, |ci, chunk| {
-                let off = ci * band;
-                for (i, a) in chunk.iter_mut().enumerate() {
-                    *a += alpha * b[off + i];
+        let b = &other.data;
+        ahntp_par::par_rows(
+            &mut self.data,
+            1,
+            n,
+            "tensor.axpy.par_calls",
+            |off, band| {
+                for (a, &bv) in band.iter_mut().zip(&b[off..]) {
+                    *a += alpha * bv;
                 }
-            });
-        } else {
-            for (a, &b) in self.data.iter_mut().zip(&other.data) {
-                *a += alpha * b;
-            }
-        }
+            },
+        );
     }
 
     /// Adds `row` (a vector of length `cols`) to every row of `self`.
@@ -141,26 +122,21 @@ impl Tensor {
         );
         let _k = KernelSpan::enter("tensor.add_row_broadcast", KernelKind::Elementwise);
         let mut out = self.clone();
-        let cols = self.cols();
-        if ahntp_par::par_enabled(out.data.len()) && self.rows() >= 2 {
-            record_par("tensor.add_row_broadcast.par_calls");
-            let band = ahntp_par::band_size(self.rows());
-            let bias = &row.data;
-            ahntp_par::par_chunks(&mut out.data, band * cols, |_, chunk| {
-                for band_row in chunk.chunks_mut(cols) {
+        let (cols, n) = (self.cols(), out.data.len());
+        let bias = &row.data;
+        ahntp_par::par_rows(
+            &mut out.data,
+            cols,
+            n,
+            "tensor.add_row_broadcast.par_calls",
+            |_, band| {
+                for band_row in band.chunks_mut(cols) {
                     for (v, &b) in band_row.iter_mut().zip(bias) {
                         *v += b;
                     }
                 }
-            });
-        } else {
-            for r in 0..self.rows() {
-                let base = r * cols;
-                for c in 0..cols {
-                    out.data[base + c] += row.data[c];
-                }
-            }
-        }
+            },
+        );
         out
     }
 
@@ -175,28 +151,21 @@ impl Tensor {
         );
         let _k = KernelSpan::enter("tensor.scale_rows", KernelKind::Elementwise);
         let mut out = self.clone();
-        let cols = self.cols();
-        if ahntp_par::par_enabled(out.data.len()) && self.rows() >= 2 {
-            record_par("tensor.scale_rows.par_calls");
-            let band = ahntp_par::band_size(self.rows());
-            let scales = &col.data;
-            ahntp_par::par_chunks(&mut out.data, band * cols, |ci, chunk| {
-                let row0 = ci * band;
-                for (bi, band_row) in chunk.chunks_mut(cols).enumerate() {
-                    let s = scales[row0 + bi];
+        let (cols, n) = (self.cols(), out.data.len());
+        let scales = &col.data;
+        ahntp_par::par_rows(
+            &mut out.data,
+            cols,
+            n,
+            "tensor.scale_rows.par_calls",
+            |row0, band| {
+                for (band_row, &s) in band.chunks_mut(cols).zip(&scales[row0..]) {
                     for v in band_row {
                         *v *= s;
                     }
                 }
-            });
-        } else {
-            for r in 0..self.rows() {
-                let s = col.data[r];
-                for v in &mut out.data[r * cols..(r + 1) * cols] {
-                    *v *= s;
-                }
-            }
-        }
+            },
+        );
         out
     }
 

@@ -1,14 +1,14 @@
 //! Reductions, norms, and row-wise softmax.
 //!
 //! Row-wise reductions (`row_sums`, `row_norms`, `softmax_rows`,
-//! `normalize_rows`) band their output rows across the `ahntp-par` pool:
-//! each row is reduced by exactly one task in the serial order, so results
-//! are bitwise identical at any thread count. Whole-tensor scalar
+//! `normalize_rows`) are one band closure each, run through
+//! `ahntp_par::par_rows`: every row is reduced by exactly one band in the
+//! same element order, so results are bitwise identical at any thread
+//! count (one thread is the closure called once). Whole-tensor scalar
 //! reductions (`sum`, `mean`, `frobenius_norm`, `col_sums`, …) stay serial
 //! on purpose — splitting them would change the accumulation order and
 //! therefore the rounding.
 
-use crate::matmul::record_par;
 use crate::{Shape, Tensor};
 use ahntp_telemetry::{KernelKind, KernelSpan};
 
@@ -37,30 +37,53 @@ impl Tensor {
         self.data.iter().copied().fold(f32::INFINITY, f32::min)
     }
 
-    /// Per-row sums as a vector of length `rows`.
-    pub fn row_sums(&self) -> Tensor {
-        let _k = KernelSpan::enter("tensor.row_sums", KernelKind::Reduction);
+    /// Reduces every row to one value with `f`, as a vector of length
+    /// `rows`: the loop behind [`Tensor::row_sums`] and
+    /// [`Tensor::row_norms`].
+    fn reduce_rows(
+        &self,
+        span: &'static str,
+        par_calls: &str,
+        f: impl Fn(&[f32]) -> f32 + Sync,
+    ) -> Tensor {
+        let _k = KernelSpan::enter(span, KernelKind::Reduction);
         let cols = self.cols();
         let mut out = vec![0.0f32; self.rows()];
-        if ahntp_par::par_enabled(self.data.len()) && self.rows() >= 2 {
-            record_par("tensor.row_sums.par_calls");
-            let band = ahntp_par::band_size(self.rows());
-            ahntp_par::par_chunks(&mut out, band, |ci, chunk| {
-                let row0 = ci * band;
-                for (bi, o) in chunk.iter_mut().enumerate() {
-                    let r = row0 + bi;
-                    *o = self.data[r * cols..(r + 1) * cols].iter().sum();
-                }
-            });
-        } else {
-            for (r, o) in out.iter_mut().enumerate() {
-                *o = self.data[r * cols..(r + 1) * cols].iter().sum();
+        ahntp_par::par_rows(&mut out, 1, self.data.len(), par_calls, |row0, band| {
+            for (bi, o) in band.iter_mut().enumerate() {
+                let r = row0 + bi;
+                *o = f(&self.data[r * cols..(r + 1) * cols]);
             }
-        }
+        });
         Tensor {
             data: out,
             shape: Shape::Vector(self.rows()),
         }
+    }
+
+    /// Rewrites every row of a copy in place with `f`: the loop behind
+    /// [`Tensor::softmax_rows`] and [`Tensor::normalize_rows`].
+    fn map_rows(
+        &self,
+        span: &'static str,
+        par_calls: &str,
+        f: impl Fn(&mut [f32]) + Sync,
+    ) -> Tensor {
+        let _k = KernelSpan::enter(span, KernelKind::Reduction);
+        let cols = self.cols();
+        let mut out = self.clone();
+        let work = 2 * out.data.len();
+        ahntp_par::par_rows(&mut out.data, cols, work, par_calls, |_, band| {
+            band.chunks_mut(cols).for_each(&f)
+        });
+        out
+    }
+
+    /// Per-row sums as a vector of length `rows`.
+    pub fn row_sums(&self) -> Tensor {
+        self.reduce_rows("tensor.row_sums", "tensor.row_sums.par_calls", |row| {
+            row.iter().sum()
+        })
     }
 
     /// Per-column sums as a vector of length `cols`.
@@ -81,33 +104,9 @@ impl Tensor {
 
     /// Per-row Euclidean norms as a vector of length `rows`.
     pub fn row_norms(&self) -> Tensor {
-        let _k = KernelSpan::enter("tensor.row_norms", KernelKind::Reduction);
-        let cols = self.cols();
-        let norm_of_row = |r: usize| -> f32 {
-            self.data[r * cols..(r + 1) * cols]
-                .iter()
-                .map(|&v| v * v)
-                .sum::<f32>()
-                .sqrt()
-        };
-        let mut out = vec![0.0f32; self.rows()];
-        if ahntp_par::par_enabled(self.data.len()) && self.rows() >= 2 {
-            record_par("tensor.row_norms.par_calls");
-            let band = ahntp_par::band_size(self.rows());
-            ahntp_par::par_chunks(&mut out, band, |ci, chunk| {
-                for (bi, o) in chunk.iter_mut().enumerate() {
-                    *o = norm_of_row(ci * band + bi);
-                }
-            });
-        } else {
-            for (r, o) in out.iter_mut().enumerate() {
-                *o = norm_of_row(r);
-            }
-        }
-        Tensor {
-            data: out,
-            shape: Shape::Vector(self.rows()),
-        }
+        self.reduce_rows("tensor.row_norms", "tensor.row_norms.par_calls", |row| {
+            row.iter().map(|&v| v * v).sum::<f32>().sqrt()
+        })
     }
 
     /// Frobenius norm of the whole tensor.
@@ -117,7 +116,6 @@ impl Tensor {
 
     /// Numerically-stable row-wise softmax (max-shifted).
     pub fn softmax_rows(&self) -> Tensor {
-        let _k = KernelSpan::enter("tensor.softmax_rows", KernelKind::Reduction);
         let cols = self.cols();
         let softmax_row = |row: &mut [f32]| {
             let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
@@ -139,27 +137,15 @@ impl Tensor {
                 }
             }
         };
-        let mut out = self.clone();
-        if ahntp_par::par_enabled(2 * out.data.len()) && self.rows() >= 2 {
-            record_par("tensor.softmax_rows.par_calls");
-            let band = ahntp_par::band_size(self.rows());
-            ahntp_par::par_chunks(&mut out.data, band * cols, |_, chunk| {
-                for row in chunk.chunks_mut(cols) {
-                    softmax_row(row);
-                }
-            });
-        } else {
-            for r in 0..self.rows() {
-                softmax_row(&mut out.data[r * cols..(r + 1) * cols]);
-            }
-        }
-        out
+        self.map_rows(
+            "tensor.softmax_rows",
+            "tensor.softmax_rows.par_calls",
+            softmax_row,
+        )
     }
 
     /// Rows rescaled to unit L2 norm; zero rows are left untouched.
     pub fn normalize_rows(&self) -> Tensor {
-        let _k = KernelSpan::enter("tensor.normalize_rows", KernelKind::Reduction);
-        let cols = self.cols();
         let normalize_row = |row: &mut [f32]| {
             let n: f32 = row.iter().map(|&v| v * v).sum::<f32>().sqrt();
             if n > 0.0 {
@@ -168,21 +154,11 @@ impl Tensor {
                 }
             }
         };
-        let mut out = self.clone();
-        if ahntp_par::par_enabled(2 * out.data.len()) && self.rows() >= 2 {
-            record_par("tensor.normalize_rows.par_calls");
-            let band = ahntp_par::band_size(self.rows());
-            ahntp_par::par_chunks(&mut out.data, band * cols, |_, chunk| {
-                for row in chunk.chunks_mut(cols) {
-                    normalize_row(row);
-                }
-            });
-        } else {
-            for r in 0..self.rows() {
-                normalize_row(&mut out.data[r * cols..(r + 1) * cols]);
-            }
-        }
-        out
+        self.map_rows(
+            "tensor.normalize_rows",
+            "tensor.normalize_rows.par_calls",
+            normalize_row,
+        )
     }
 
     /// Cosine similarity between row `i` of `self` and row `j` of `other`.

@@ -21,7 +21,6 @@
 
 use ahntp_telemetry::{counter_add, KernelKind, KernelSpan};
 
-use crate::matmul::record_par;
 use crate::{Tensor, TensorError};
 
 /// Pre-interned counter names for one sparse kernel, so the hot path never
@@ -616,53 +615,15 @@ impl<T: Scalar> CsrMatrix<T> {
             self.rows, self.cols, other.rows, other.cols
         );
         // Exact multiply-add count: one pass over our entries, each fanning
-        // out to a row of `other`. Only worth computing when a pool exists.
-        let par = ahntp_par::threads() > 1 && self.rows >= 2 && {
-            let mut flops = 0usize;
-            for &k in &self.col_idx {
-                flops += other.row_nnz(k);
-            }
-            ahntp_par::par_enabled(2 * flops)
-        };
-        let (row_ptr, col_idx, values) = if par {
-            record_par("tensor.spmm.par_calls");
-            let band = ahntp_par::band_size(self.rows);
-            let n_bands = self.rows.div_ceil(band);
-            let parts = ahntp_par::par_map(n_bands, |bi| {
-                let r0 = bi * band;
-                let r1 = (r0 + band).min(self.rows);
+        // out to a row of `other`.
+        let flops: usize = self.col_idx.iter().map(|&k| other.row_nnz(k)).sum();
+        let parts =
+            ahntp_par::par_bands(self.rows, 2 * flops, "tensor.spmm.par_calls", |r0, r1| {
                 self.spmm_band(other, r0, r1)
             });
-            let total: usize = parts.iter().map(|(_, c, _)| c.len()).sum();
-            let mut row_ptr = Vec::with_capacity(self.rows + 1);
-            row_ptr.push(0usize);
-            let mut col_idx = Vec::with_capacity(total);
-            let mut values = Vec::with_capacity(total);
-            for (row_lens, band_cols, band_vals) in parts {
-                for len in row_lens {
-                    row_ptr.push(row_ptr.last().unwrap() + len);
-                }
-                col_idx.extend_from_slice(&band_cols);
-                values.extend_from_slice(&band_vals);
-            }
-            (row_ptr, col_idx, values)
-        } else {
-            let (row_lens, col_idx, values) = self.spmm_band(other, 0, self.rows);
-            let mut row_ptr = Vec::with_capacity(self.rows + 1);
-            row_ptr.push(0usize);
-            for len in row_lens {
-                row_ptr.push(row_ptr.last().unwrap() + len);
-            }
-            (row_ptr, col_idx, values)
-        };
-        record_sparse(&SPMM_COUNTERS, self.nnz() + other.nnz(), col_idx.len());
-        CsrMatrix {
-            rows: self.rows,
-            cols: other.cols,
-            row_ptr,
-            col_idx,
-            values,
-        }
+        let out = Self::stitch_bands(self.rows, other.cols, parts);
+        record_sparse(&SPMM_COUNTERS, self.nnz() + other.nnz(), out.nnz());
+        out
     }
 
     /// `(self @ other) ⊙ mask-pattern` computed without materialising the
@@ -742,10 +703,7 @@ impl<T: Scalar> CsrMatrix<T> {
     /// row in ascending-`k` order (with the same `w == 0` skip everywhere),
     /// so the result is independent of how rows are banded across tasks.
     fn gather_rows_into(&self, x: &Tensor, row0: usize, out_band: &mut [f32]) {
-        let cols = x.cols();
-        let rows = out_band.len().checked_div(cols).unwrap_or(0);
-        for bi in 0..rows {
-            let out_row = &mut out_band[bi * cols..(bi + 1) * cols];
+        for (bi, out_row) in out_band.chunks_mut(x.cols()).enumerate() {
             for (k, v) in self.row_entries(row0 + bi) {
                 let w = v.to_f64() as f32;
                 if w == 0.0 {
@@ -774,15 +732,13 @@ impl<T: Scalar> CsrMatrix<T> {
         record_sparse(&MUL_DENSE_COUNTERS, self.nnz(), self.nnz() * x.cols());
         let cols = x.cols();
         let mut out = Tensor::zeros(self.rows, cols);
-        if ahntp_par::par_enabled(2 * self.nnz() * cols) && self.rows >= 2 {
-            record_par("tensor.mul_dense.par_calls");
-            let band = ahntp_par::band_size(self.rows);
-            ahntp_par::par_chunks(&mut out.data, band * cols, |ci, chunk| {
-                self.gather_rows_into(x, ci * band, chunk);
-            });
-        } else {
-            self.gather_rows_into(x, 0, &mut out.data);
-        }
+        ahntp_par::par_rows(
+            &mut out.data,
+            cols,
+            2 * self.nnz() * cols,
+            "tensor.mul_dense.par_calls",
+            |row0, band| self.gather_rows_into(x, row0, band),
+        );
         out
     }
 
@@ -793,7 +749,11 @@ impl<T: Scalar> CsrMatrix<T> {
     /// first (O(nnz) counting sort) and gathers per output-row band; the
     /// counting sort emits each transposed row's entries in ascending
     /// former-row order, which is exactly the order the serial scatter
-    /// visits them in, so both paths are bitwise identical.
+    /// visits them in, so both paths are bitwise identical. Like
+    /// `Tensor::t_matmul`, this kernel keeps both algorithms and chooses
+    /// from what the pool observes (thread count and work): a scatter
+    /// cannot be banded by output row, and a single thread has no use for
+    /// the transpose the gather needs.
     pub fn t_mul_dense(&self, x: &Tensor) -> Tensor {
         let _k = KernelSpan::enter("csr.t_mul_dense", KernelKind::Csr);
         assert_eq!(
@@ -807,24 +767,27 @@ impl<T: Scalar> CsrMatrix<T> {
         record_sparse(&T_MUL_DENSE_COUNTERS, self.nnz(), self.nnz() * x.cols());
         let cols = x.cols();
         let mut out = Tensor::zeros(self.cols, cols);
-        if ahntp_par::par_enabled(2 * self.nnz() * cols) && self.cols >= 2 {
-            record_par("tensor.t_mul_dense.par_calls");
+        let work = 2 * self.nnz() * cols;
+        if ahntp_par::par_enabled(work) {
             let t = self.transpose();
-            let band = ahntp_par::band_size(t.rows);
-            ahntp_par::par_chunks(&mut out.data, band * cols, |ci, chunk| {
-                t.gather_rows_into(x, ci * band, chunk);
-            });
+            ahntp_par::par_rows(
+                &mut out.data,
+                cols,
+                work,
+                "tensor.t_mul_dense.par_calls",
+                |row0, band| t.gather_rows_into(x, row0, band),
+            );
             return out;
         }
         for r in 0..self.rows {
-            let x_row: Vec<f32> = x.row(r).to_vec();
+            let x_row = x.row(r);
             for (c, v) in self.row_entries(r) {
                 let w = v.to_f64() as f32;
                 if w == 0.0 {
                     continue;
                 }
                 let o = out.row_mut(c);
-                for (ov, &xv) in o.iter_mut().zip(&x_row) {
+                for (ov, &xv) in o.iter_mut().zip(x_row) {
                     *ov += w * xv;
                 }
             }
@@ -846,27 +809,21 @@ impl<T: Scalar> CsrMatrix<T> {
             x.len()
         );
         let mut out = vec![T::ZERO; self.rows];
-        if ahntp_par::par_enabled(2 * self.nnz()) && self.rows >= 2 {
-            record_par("tensor.mul_vec.par_calls");
-            let band = ahntp_par::band_size(self.rows);
-            ahntp_par::par_chunks(&mut out, band, |ci, chunk| {
-                for (bi, o) in chunk.iter_mut().enumerate() {
+        ahntp_par::par_rows(
+            &mut out,
+            1,
+            2 * self.nnz(),
+            "tensor.mul_vec.par_calls",
+            |row0, band| {
+                for (bi, o) in band.iter_mut().enumerate() {
                     let mut acc = T::ZERO;
-                    for (c, v) in self.row_entries(ci * band + bi) {
+                    for (c, v) in self.row_entries(row0 + bi) {
                         acc += v * x[c];
                     }
                     *o = acc;
                 }
-            });
-            return out;
-        }
-        for (r, o) in out.iter_mut().enumerate() {
-            let mut acc = T::ZERO;
-            for (c, v) in self.row_entries(r) {
-                acc += v * x[c];
-            }
-            *o = acc;
-        }
+            },
+        );
         out
     }
 
@@ -957,19 +914,12 @@ impl<T: Scalar> CsrMatrix<T> {
             }
             (row_lens, col_idx, values)
         };
-        let par = ahntp_par::threads() > 1 && rows.len() >= 2 && ahntp_par::par_enabled(nnz_out);
-        let parts = if par {
-            record_par("tensor.select_rows.par_calls");
-            let band = ahntp_par::band_size(rows.len());
-            let n_bands = rows.len().div_ceil(band);
-            ahntp_par::par_map(n_bands, |bi| {
-                let i0 = bi * band;
-                let i1 = (i0 + band).min(rows.len());
-                build_band(i0, i1)
-            })
-        } else {
-            vec![build_band(0, rows.len())]
-        };
+        let parts = ahntp_par::par_bands(
+            rows.len(),
+            nnz_out,
+            "tensor.select_rows.par_calls",
+            build_band,
+        );
         let out = Self::stitch_bands(rows.len(), self.cols, parts);
         record_sparse(&SELECT_ROWS_COUNTERS, self.nnz(), out.nnz());
         out
@@ -1022,27 +972,21 @@ impl<T: Scalar> CsrMatrix<T> {
             }
             (row_lens, col_idx, values)
         };
-        let par =
-            ahntp_par::threads() > 1 && self.rows >= 2 && ahntp_par::par_enabled(self.nnz());
-        let parts = if par {
-            record_par("tensor.select_cols.par_calls");
-            let band = ahntp_par::band_size(self.rows);
-            let n_bands = self.rows.div_ceil(band);
-            ahntp_par::par_map(n_bands, |bi| {
-                let r0 = bi * band;
-                let r1 = (r0 + band).min(self.rows);
-                build_band(r0, r1)
-            })
-        } else {
-            vec![build_band(0, self.rows)]
-        };
+        let parts = ahntp_par::par_bands(
+            self.rows,
+            self.nnz(),
+            "tensor.select_cols.par_calls",
+            build_band,
+        );
         let out = Self::stitch_bands(self.rows, cols.len(), parts);
         record_sparse(&SELECT_COLS_COUNTERS, self.nnz(), out.nnz());
         out
     }
 
-    /// Reassembles per-band `(row_lens, col_idx, values)` fragments into one
-    /// CSR matrix (the same stitching as [`CsrMatrix::spmm`]).
+    /// Reassembles the per-band `(row_lens, col_idx, values)` fragments of
+    /// `ahntp_par::par_bands` into one CSR matrix. The first band's vectors
+    /// become the result's storage, so the one-band (serial) case copies no
+    /// entry.
     fn stitch_bands(
         rows: usize,
         cols: usize,
@@ -1051,12 +995,19 @@ impl<T: Scalar> CsrMatrix<T> {
         let total: usize = parts.iter().map(|(_, c, _)| c.len()).sum();
         let mut row_ptr = Vec::with_capacity(rows + 1);
         row_ptr.push(0usize);
-        let mut col_idx = Vec::with_capacity(total);
-        let mut values = Vec::with_capacity(total);
-        for (row_lens, band_cols, band_vals) in parts {
+        let mut push_rows = |row_lens: Vec<usize>| {
             for len in row_lens {
                 row_ptr.push(row_ptr.last().unwrap() + len);
             }
+        };
+        let mut parts = parts.into_iter();
+        let (row_lens, mut col_idx, mut values) =
+            parts.next().expect("par_bands yields at least one band");
+        push_rows(row_lens);
+        col_idx.reserve_exact(total - col_idx.len());
+        values.reserve_exact(total - values.len());
+        for (row_lens, band_cols, band_vals) in parts {
+            push_rows(row_lens);
             col_idx.extend_from_slice(&band_cols);
             values.extend_from_slice(&band_vals);
         }

@@ -7,14 +7,16 @@
 //! and compare each kernel at 1, 2, and 7 threads against the serial
 //! result, including ragged shapes with fewer rows than threads.
 //!
-//! Tests in this binary share the process-wide pool configuration, so a
-//! static mutex serializes them.
-
-use std::sync::Mutex;
+//! Since the kernels have one loop body each (`ahntp_par::par_rows` /
+//! `par_bands` call it once when serial), "serial" is no longer a separate
+//! implementation to compare against: `naive_references_match_bitwise`
+//! pins the kernels that lost their hand-written serial loop to a scalar
+//! loop written here.
+//!
+//! Tests in this binary share the process-wide pool configuration;
+//! `ahntp_par::with_pool` serialises them and restores it.
 
 use ahntp_tensor::{CsrMatrix, Tensor};
-
-static POOL_CONFIG: Mutex<()> = Mutex::new(());
 
 /// Thread counts exercised: serial fallback, even split, and a count
 /// larger than some test shapes' row counts.
@@ -24,14 +26,10 @@ const THREAD_COUNTS: [usize; 3] = [1, 2, 7];
 /// forced to zero and asserts the f32 outputs are bitwise identical to
 /// the 1-thread (exact serial) result.
 fn assert_bitwise_stable(what: &str, compute: impl Fn() -> Vec<f32>) {
-    let _guard = POOL_CONFIG.lock().unwrap_or_else(|e| e.into_inner());
-    let old_threshold = ahntp_par::par_threshold();
-    let old_threads = ahntp_par::threads();
-    ahntp_par::set_par_threshold(0);
     let mut reference: Option<Vec<u32>> = None;
     for &t in &THREAD_COUNTS {
-        ahntp_par::set_threads(t);
-        let bits: Vec<u32> = compute().iter().map(|v| v.to_bits()).collect();
+        let bits: Vec<u32> =
+            ahntp_par::with_pool(t, 0, || compute().iter().map(|v| v.to_bits()).collect());
         match &reference {
             None => reference = Some(bits),
             Some(want) => assert_eq!(
@@ -40,8 +38,6 @@ fn assert_bitwise_stable(what: &str, compute: impl Fn() -> Vec<f32>) {
             ),
         }
     }
-    ahntp_par::set_par_threshold(old_threshold);
-    ahntp_par::set_threads(old_threads);
 }
 
 /// Deterministic pseudo-random matrix without pulling in a RNG: values
@@ -120,23 +116,15 @@ fn sparse_kernels_are_bitwise_stable() {
 fn spmm_parallel_stitching_preserves_structure() {
     // Structure (row_ptr / col_idx), not just values, must be banding
     // independent — the CSR fragments are concatenated across bands.
-    let _guard = POOL_CONFIG.lock().unwrap_or_else(|e| e.into_inner());
-    let old_threshold = ahntp_par::par_threshold();
-    let old_threads = ahntp_par::threads();
-    ahntp_par::set_par_threshold(0);
     let a = sparse(13, 9, 11);
     let b = sparse(9, 12, 12);
-    ahntp_par::set_threads(1);
-    let serial = a.spmm(&b);
+    let serial = ahntp_par::with_pool(1, 0, || a.spmm(&b));
     for t in [2, 7] {
-        ahntp_par::set_threads(t);
-        let par = a.spmm(&b);
+        let par = ahntp_par::with_pool(t, 0, || a.spmm(&b));
         assert_eq!(serial.row_ptr(), par.row_ptr(), "row_ptr at {t} threads");
         assert_eq!(serial.col_indices(), par.col_indices(), "col_idx at {t} threads");
         assert_eq!(serial.values(), par.values(), "values at {t} threads");
     }
-    ahntp_par::set_par_threshold(old_threshold);
-    ahntp_par::set_threads(old_threads);
 }
 
 #[test]
@@ -192,19 +180,143 @@ fn row_reductions_are_bitwise_stable() {
 #[test]
 fn f64_mul_vec_is_bitwise_stable() {
     // The PageRank path runs in f64; check that precision too.
-    let _guard = POOL_CONFIG.lock().unwrap_or_else(|e| e.into_inner());
-    let old_threshold = ahntp_par::par_threshold();
-    let old_threads = ahntp_par::threads();
-    ahntp_par::set_par_threshold(0);
     let s: CsrMatrix<f64> = CsrMatrix::from_dense(&dense(23, 11, 19));
     let v: Vec<f64> = (0..11).map(|i| f64::from(i as u32) * 0.125 - 0.5).collect();
-    ahntp_par::set_threads(1);
-    let serial: Vec<u64> = s.mul_vec(&v).iter().map(|x| x.to_bits()).collect();
+    let bits = |t: usize| -> Vec<u64> {
+        ahntp_par::with_pool(t, 0, || s.mul_vec(&v).iter().map(|x| x.to_bits()).collect())
+    };
+    let serial = bits(1);
     for t in [2, 7] {
-        ahntp_par::set_threads(t);
-        let par: Vec<u64> = s.mul_vec(&v).iter().map(|x| x.to_bits()).collect();
-        assert_eq!(serial, par, "f64 mul_vec at {t} threads");
+        assert_eq!(serial, bits(t), "f64 mul_vec at {t} threads");
     }
-    ahntp_par::set_par_threshold(old_threshold);
-    ahntp_par::set_threads(old_threads);
+}
+
+/// One kernel under test next to a naive scalar version of it.
+type Case = (&'static str, fn(&Inputs) -> Vec<f32>, fn(&Inputs) -> Vec<f32>);
+
+/// Operands shared by every row of the reference table.
+struct Inputs {
+    a: Tensor,
+    b: Tensor,
+    /// One value per column of `a`.
+    bias: Vec<f32>,
+    /// One value per row of `a`.
+    scales: Vec<f32>,
+    /// `a`'s nonzeros as CSR.
+    s: CsrMatrix<f32>,
+}
+
+/// Applies `row_fn` to each row of `t`, concatenating what it returns.
+fn per_row(t: &Tensor, row_fn: impl Fn(usize, &[f32]) -> Vec<f32>) -> Vec<f32> {
+    (0..t.rows()).flat_map(|r| row_fn(r, t.row(r))).collect()
+}
+
+/// Left-to-right scalar sum, the order the row kernels accumulate in.
+fn sum_of(values: impl Iterator<Item = f32>) -> f32 {
+    let mut acc = 0.0f32;
+    for v in values {
+        acc += v;
+    }
+    acc
+}
+
+#[test]
+fn naive_references_match_bitwise() {
+    // The kernels below used to carry a hand-written serial loop beside
+    // the banded one; now the band closure is the only implementation.
+    // Each is compared, at every thread count, against an index-by-index
+    // scalar version that shares no code with it.
+    const CASES: &[Case] = &[
+        (
+            "map",
+            |i| i.a.map(|v| (v * 1.7).tanh()).as_slice().to_vec(),
+            |i| i.a.as_slice().iter().map(|&v| (v * 1.7).tanh()).collect(),
+        ),
+        (
+            "zip",
+            |i| i.a.zip(&i.b, |x, y| x * y + 0.5).as_slice().to_vec(),
+            |i| (0..i.a.len()).map(|e| i.a.as_slice()[e] * i.b.as_slice()[e] + 0.5).collect(),
+        ),
+        (
+            "axpy_inplace",
+            |i| {
+                let mut c = i.a.clone();
+                c.axpy_inplace(-0.3, &i.b);
+                c.as_slice().to_vec()
+            },
+            |i| (0..i.a.len()).map(|e| i.a.as_slice()[e] + -0.3 * i.b.as_slice()[e]).collect(),
+        ),
+        (
+            "add_row_broadcast",
+            |i| i.a.add_row_broadcast(&Tensor::vector(i.bias.clone())).as_slice().to_vec(),
+            |i| per_row(&i.a, |_, row| (0..row.len()).map(|c| row[c] + i.bias[c]).collect()),
+        ),
+        (
+            "scale_rows",
+            |i| i.a.scale_rows(&Tensor::vector(i.scales.clone())).as_slice().to_vec(),
+            |i| per_row(&i.a, |r, row| row.iter().map(|&v| v * i.scales[r]).collect()),
+        ),
+        (
+            "row_sums",
+            |i| i.a.row_sums().as_slice().to_vec(),
+            |i| per_row(&i.a, |_, row| vec![sum_of(row.iter().copied())]),
+        ),
+        (
+            "row_norms",
+            |i| i.a.row_norms().as_slice().to_vec(),
+            |i| per_row(&i.a, |_, row| vec![sum_of(row.iter().map(|&v| v * v)).sqrt()]),
+        ),
+        (
+            "softmax_rows",
+            |i| i.a.softmax_rows().as_slice().to_vec(),
+            |i| {
+                per_row(&i.a, |_, row| {
+                    let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+                    let e: Vec<f32> = row.iter().map(|&v| (v - m).exp()).collect();
+                    let z = sum_of(e.iter().copied());
+                    e.iter().map(|&v| v / z).collect()
+                })
+            },
+        ),
+        (
+            "normalize_rows",
+            |i| i.a.normalize_rows().as_slice().to_vec(),
+            |i| {
+                per_row(&i.a, |_, row| {
+                    let n = sum_of(row.iter().map(|&v| v * v)).sqrt();
+                    row.iter().map(|&v| if n > 0.0 { v / n } else { v }).collect()
+                })
+            },
+        ),
+        (
+            "mul_vec",
+            |i| i.s.mul_vec(&i.bias),
+            |i| {
+                // Stored entries only, ascending column: CSR row order.
+                per_row(&i.a, |_, row| {
+                    let stored = (0..row.len()).filter(|&c| row[c] != 0.0);
+                    vec![sum_of(stored.map(|c| row[c] * i.bias[c]))]
+                })
+            },
+        ),
+    ];
+    for &(m, _, n) in &SHAPES {
+        let a = dense(m, n, 21);
+        let inputs = Inputs {
+            b: dense(m, n, 22),
+            bias: dense(1, n, 23).row(0).to_vec(),
+            scales: dense(1, m, 24).row(0).to_vec(),
+            s: CsrMatrix::from_dense(&a),
+            a,
+        };
+        for &(name, kernel, naive) in CASES {
+            let want: Vec<u32> = naive(&inputs).iter().map(|v| v.to_bits()).collect();
+            for &t in &THREAD_COUNTS {
+                let got: Vec<u32> = ahntp_par::with_pool(t, 0, || {
+                    kernel(&inputs).iter().map(|v| v.to_bits()).collect()
+                });
+                assert_eq!(got, want, "{name} {m}x{n} at {t} threads differs from the naive loop");
+            }
+        }
+    }
 }

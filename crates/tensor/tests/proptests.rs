@@ -215,9 +215,6 @@ proptest! {
         let s = CsrMatrix::<f32>::from_dense(&a);
         let x = cell(rows, cols, salt(3));
 
-        let old_threshold = ahntp_par::par_threshold();
-        let old_threads = ahntp_par::threads();
-        ahntp_par::set_par_threshold(0);
         let run = || -> Vec<u32> {
             let mut bits = Vec::new();
             let mut push = |t: Tensor| bits.extend(t.as_slice().iter().map(|v| v.to_bits()));
@@ -235,14 +232,11 @@ proptest! {
             push(a.normalize_rows());
             bits
         };
-        ahntp_par::set_threads(1);
-        let serial = run();
+        // Threshold 0 forces banding even at these toy sizes.
+        let serial = ahntp_par::with_pool(1, 0, run);
         for t in [2usize, 7] {
-            ahntp_par::set_threads(t);
-            let par = run();
+            let par = ahntp_par::with_pool(t, 0, run);
             prop_assert_eq!(&serial, &par, "kernels differ at {} threads", t);
         }
-        ahntp_par::set_par_threshold(old_threshold);
-        ahntp_par::set_threads(old_threads);
     }
 }

@@ -46,7 +46,7 @@ fn main() {
     //    and scoring head, frozen, with the architecture fingerprint.
     let artifact = model.export_artifact();
     let path = std::env::temp_dir().join("ahntp_quickstart.ahntpsrv");
-    std::fs::write(&path, artifact.encode()).expect("write artifact");
+    std::fs::write(&path, artifact.encode_v2()).expect("write artifact");
     println!(
         "exported {} users × {} head dims to {}",
         artifact.n_users,

@@ -1,14 +1,18 @@
-//! The `AHNTPSRV1` v2 frame contract, pinned three ways:
+//! The `AHNTPSRV1` frame contract (version 2, the only version), pinned
+//! three ways:
 //!
 //! * a checked-in **golden hex dump** of a fixed artifact's v2 bytes —
 //!   the layout (offsets table, 64-byte section alignment, CRC seal) can
 //!   never drift silently;
 //! * a **property sweep**: for random artifacts, the zero-copy mapped
-//!   view of the v2 frame is bitwise identical to the parsed v1 frame —
-//!   every matrix element, every metadata field;
+//!   view of the frame, the copying decode of it, and the source artifact
+//!   are bitwise identical — every matrix element, every metadata field;
 //! * a **fuzz pass** over truncations and byte flips (the offsets table
 //!   included): every corruption is rejected with a typed error, never a
 //!   panic, and never a silently-wrong artifact.
+//!
+//! The retired packed version-1 layout is refused by number, like any
+//! other unknown version.
 //!
 //! Regenerate the golden file with
 //! `AHNTP_REGEN_GOLDEN=1 cargo test --test artifact_v2_roundtrip`.
@@ -119,23 +123,61 @@ fn golden_v2_frame_bytes_are_pinned() {
     );
 }
 
-/// v1 and v2 encodings of the same artifact decode to bitwise-identical
-/// artifacts, through both the copying parser and the zero-copy map.
+/// The fixture's frame decodes to a bitwise-identical artifact through
+/// both the copying parser and the zero-copy map.
 #[test]
 fn fixture_round_trips_through_every_path() {
     let a = fixture();
-    let v1 = a.encode();
     let v2 = a.encode_v2();
-    assert_bitwise_equal(&a, &TrustArtifact::decode(&v1).unwrap(), "decode(v1)");
-    assert_bitwise_equal(&a, &TrustArtifact::decode(&v2).unwrap(), "decode(v2)");
+    let decoded = TrustArtifact::decode(&v2).unwrap();
+    assert_bitwise_equal(&a, &decoded, "decode(v2)");
+    assert!(!decoded.is_mapped(), "decode copies");
     let mapped = map(&v2).unwrap();
     assert_bitwise_equal(&a, &mapped, "map(v2)");
     // The map genuinely aliased the frame bytes instead of copying.
     assert!(mapped.is_mapped(), "v2 map must be zero-copy on this platform");
-    // v1 frames have no aligned sections: map falls back to parsing.
-    let parsed = map(&v1).unwrap();
-    assert_bitwise_equal(&a, &parsed, "map(v1) fallback");
-    assert!(!parsed.is_mapped(), "v1 fallback is a parse, not a view");
+}
+
+/// CRC-32 (IEEE), bitwise — `ahntp_nn` keeps its own private.
+fn crc32(bytes: &[u8]) -> u32 {
+    let mut crc = !0u32;
+    for &b in bytes {
+        crc ^= u32::from(b);
+        for _ in 0..8 {
+            crc = (crc >> 1) ^ (0xedb8_8320 & (crc & 1).wrapping_neg());
+        }
+    }
+    !crc
+}
+
+/// A hand-built, correctly sealed frame of the retired packed version-1
+/// layout (same header, matrices back to back, no offsets table) is
+/// refused by its version number — by the parser and by the map alike, so
+/// neither path keeps a silent fallback.
+#[test]
+fn version_1_frames_are_refused_by_number() {
+    let a = fixture();
+    let mut v1 = Vec::new();
+    v1.extend_from_slice(b"AHNTPSRV1");
+    v1.extend_from_slice(&1u16.to_le_bytes());
+    v1.extend_from_slice(&a.fingerprint.to_le_bytes());
+    v1.extend_from_slice(&a.calibration.to_le_bytes());
+    v1.extend_from_slice(&(a.model.len() as u32).to_le_bytes());
+    v1.extend_from_slice(a.model.as_bytes());
+    for dim in [a.n_users, a.emb_dim, a.head_dim] {
+        v1.extend_from_slice(&(dim as u32).to_le_bytes());
+    }
+    for matrix in [&a.embeddings, &a.trustor_head, &a.trustee_head] {
+        for v in matrix.iter() {
+            v1.extend_from_slice(&v.to_le_bytes());
+        }
+    }
+    let seal = crc32(&v1);
+    v1.extend_from_slice(&seal.to_le_bytes());
+    // A wrong seal would surface as `Malformed("checksum …")` instead, so
+    // these refusals are about the version.
+    assert_eq!(TrustArtifact::decode(&v1), Err(ArtifactError::UnsupportedVersion(1)));
+    assert_eq!(map(&v1), Err(ArtifactError::UnsupportedVersion(1)));
 }
 
 /// The v2 offsets table puts every matrix on a 64-byte boundary — the
@@ -165,15 +207,17 @@ fn v2_sections_are_64_byte_aligned() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Zero-copy v2 ≡ parsed v1, bitwise, across random shapes (ragged
-    /// against the 64-byte alignment in every dimension).
+    /// Mapped v2 ≡ decoded v2 ≡ source, bitwise, across random shapes
+    /// (ragged against the 64-byte alignment in every dimension).
     #[test]
-    fn mapped_v2_is_bitwise_equal_to_parsed_v1(seed in 0u64..1_000_000) {
+    fn mapped_v2_is_bitwise_equal_to_decoded_v2_and_source(seed in 0u64..1_000_000) {
         let a = random_artifact(seed);
-        let from_v1 = TrustArtifact::decode(&a.encode()).unwrap();
-        let mapped = map(&a.encode_v2()).unwrap();
+        let frame = a.encode_v2();
+        let decoded = TrustArtifact::decode(&frame).unwrap();
+        let mapped = map(&frame).unwrap();
         prop_assert_eq!(mapped.is_mapped(), true, "v2 must map zero-copy");
-        assert_bitwise_equal(&from_v1, &mapped, "mapped v2 vs parsed v1");
+        assert_bitwise_equal(&a, &decoded, "decoded v2 vs source");
+        assert_bitwise_equal(&decoded, &mapped, "mapped v2 vs decoded v2");
     }
 
     /// Every truncation of a v2 frame is rejected with a typed error —

@@ -57,32 +57,29 @@ proptest! {
         let pairs = all_pairs(n);
         let k = (n / 2).max(1);
 
-        let old_threshold = ahntp_par::par_threshold();
-        let old_threads = ahntp_par::threads();
-        ahntp_par::set_par_threshold(0);
+        // Batch scores and every user's top-k list, as bits.
+        let surface = |index: &TrustIndex| {
+            let scores = bits(&index.score_pairs(&pairs).unwrap());
+            let lists: Vec<Vec<(usize, u32)>> = (0..n)
+                .map(|u| {
+                    index
+                        .top_k_trustees(u, k)
+                        .unwrap()
+                        .into_iter()
+                        .map(|(v, s)| (v, s.to_bits()))
+                        .collect()
+                })
+                .collect();
+            (scores, lists)
+        };
         for threads in [1usize, 4] {
-            ahntp_par::set_threads(threads);
-            let a = exact.score_pairs(&pairs).unwrap();
-            let b = simd.score_pairs(&pairs).unwrap();
-            prop_assert_eq!(bits(&a), bits(&b), "score_pairs at {} threads", threads);
+            let ((a_scores, a_lists), (b_scores, b_lists)) =
+                ahntp_par::with_pool(threads, 0, || (surface(&exact), surface(&simd)));
+            prop_assert_eq!(a_scores, b_scores, "score_pairs at {} threads", threads);
             for u in 0..n {
-                let a: Vec<(usize, u32)> = exact
-                    .top_k_trustees(u, k)
-                    .unwrap()
-                    .into_iter()
-                    .map(|(v, s)| (v, s.to_bits()))
-                    .collect();
-                let b: Vec<(usize, u32)> = simd
-                    .top_k_trustees(u, k)
-                    .unwrap()
-                    .into_iter()
-                    .map(|(v, s)| (v, s.to_bits()))
-                    .collect();
-                prop_assert_eq!(a, b, "top_k({}) at {} threads", u, threads);
+                prop_assert_eq!(&a_lists[u], &b_lists[u], "top_k({}) at {} threads", u, threads);
             }
         }
-        ahntp_par::set_par_threshold(old_threshold);
-        ahntp_par::set_threads(old_threads);
     }
 
     /// int8's measured max-abs score delta vs exact stays under the bound

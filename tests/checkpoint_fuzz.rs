@@ -67,7 +67,7 @@ fn frames() -> Vec<(&'static str, Vec<u8>)> {
             ahntp_nn::save_params_tagged(&params(), 0xabcd).to_vec(),
         ),
         ("AHNTP002", train_state().encode().to_vec()),
-        ("AHNTPSRV1", artifact().encode()),
+        ("AHNTPSRV1", artifact().encode_v2()),
     ]
 }
 

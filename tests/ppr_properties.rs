@@ -90,22 +90,12 @@ proptest! {
     fn deterministic_across_thread_counts(seed in 0u64..1_000_000, n in 4usize..48) {
         let g = random_graph(seed, n);
         let cfg = PprConfig::default();
-        let old_threshold = ahntp_par::par_threshold();
-        let old_threads = ahntp_par::threads();
-        ahntp_par::set_par_threshold(0);
-        ahntp_par::set_threads(1);
-        let reference = bits(&ppr(&g, &[0, n / 3], &cfg));
-        let mut ok = true;
+        let bits_at =
+            |threads: usize| ahntp_par::with_pool(threads, 0, || bits(&ppr(&g, &[0, n / 3], &cfg)));
+        let reference = bits_at(1);
         for threads in [2usize, 4] {
-            ahntp_par::set_threads(threads);
-            ok &= bits(&ppr(&g, &[0, n / 3], &cfg)) == reference;
-            if !ok {
-                break;
-            }
+            prop_assert!(bits_at(threads) == reference, "ppr differs at {} threads", threads);
         }
-        ahntp_par::set_par_threshold(old_threshold);
-        ahntp_par::set_threads(old_threads);
-        prop_assert!(ok, "ppr differs across thread counts");
     }
 
     /// On randomly generated Sybil topologies (random host, random

@@ -52,7 +52,7 @@ fn serve_smoke_end_to_end() {
 
     // Export → encode → decode → index: the full artifact path.
     let artifact = model.export_artifact();
-    let index = TrustIndex::load(&artifact.encode()).expect("exported artifact loads");
+    let index = TrustIndex::load(&artifact.encode_v2()).expect("exported artifact loads");
     assert_eq!(index.fingerprint(), model.architecture_fingerprint());
     // Backend-aware tolerance: the stated envelope, floored at the float
     // slack the exact path needs.
@@ -240,7 +240,7 @@ fn serve_smoke_end_to_end() {
 fn defended_serve_smoke() {
     let (dataset, test_pairs, model) = trained_model();
     let artifact = model.export_artifact();
-    let undefended = TrustIndex::load(&artifact.encode()).expect("artifact loads");
+    let undefended = TrustIndex::load(&artifact.encode_v2()).expect("artifact loads");
 
     // The prior CI serves in production: personalized PageRank from a
     // handful of honest seeds, max-normalised into [0, 1].

@@ -136,24 +136,18 @@ fn ppr_prior_is_bitwise_thread_invariant_on_the_attacked_graph() {
     let h = host();
     let inj = inject_sybil(&h, &attack(2, 8));
     let cfg = ppr_cfg();
-    let old_threshold = ahntp_par::par_threshold();
-    let old_threads = ahntp_par::threads();
-    ahntp_par::set_par_threshold(0);
-    ahntp_par::set_threads(1);
-    let reference: Vec<u64> = ppr(&inj.dataset.graph, &inj.honest, &cfg)
-        .iter()
-        .map(|v| v.to_bits())
-        .collect();
+    let bits_at = |threads: usize| -> Vec<u64> {
+        ahntp_par::with_pool(threads, 0, || {
+            ppr(&inj.dataset.graph, &inj.honest, &cfg)
+                .iter()
+                .map(|v| v.to_bits())
+                .collect()
+        })
+    };
+    let reference = bits_at(1);
     for threads in [2usize, 4] {
-        ahntp_par::set_threads(threads);
-        let got: Vec<u64> = ppr(&inj.dataset.graph, &inj.honest, &cfg)
-            .iter()
-            .map(|v| v.to_bits())
-            .collect();
-        assert_eq!(reference, got, "ppr differs at {threads} threads");
+        assert_eq!(reference, bits_at(threads), "ppr differs at {threads} threads");
     }
-    ahntp_par::set_par_threshold(old_threshold);
-    ahntp_par::set_threads(old_threads);
 }
 
 #[test]

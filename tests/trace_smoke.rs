@@ -229,7 +229,7 @@ fn serve_trace_ids_propagate_and_debug_endpoints_answer() {
     for _ in 0..3 {
         model.train_epoch(&split.train);
     }
-    let index = TrustIndex::load(&model.export_artifact().encode()).unwrap();
+    let index = TrustIndex::load(&model.export_artifact().encode_v2()).unwrap();
     let server = serve(
         index,
         &ServeConfig {
