@@ -290,7 +290,6 @@ mod tests {
 
     #[test]
     fn evaluate_under_attack_reports_sweep() {
-        let _gate = crate::failpoint_gate();
         let table: std::collections::HashMap<usize, f32> =
             [(0, 0.4), (1, 0.4), (2, 0.9), (3, 0.9)].into();
         let mut clean = FixedModel { table: table.clone() };

@@ -119,8 +119,6 @@ pub fn train_and_evaluate_minibatch(
         |m, epoch| {
             ahntp_faultz::enforce("train.plan");
             let plan = BatchPlan::for_epoch(train, mb, epoch as u64);
-            ahntp_telemetry::counter_add("batch.plans", 1);
-            ahntp_telemetry::counter_add("batch.micro_batches", plan.n_batches() as u64);
             m.train_epoch_planned(&plan)
         },
         crate::TrainProgress::fresh(),
@@ -224,7 +222,6 @@ mod tests {
 
     #[test]
     fn minibatch_loop_feeds_one_plan_per_epoch() {
-        let _gate = crate::failpoint_gate();
         let tr = pairs(10);
         let te = pairs(4);
         let mut m = PlanProbe {
@@ -253,7 +250,6 @@ mod tests {
 
     #[test]
     fn exact_minibatch_report_matches_full_batch() {
-        let _gate = crate::failpoint_gate();
         // Same deterministic fake loss sequence through both entry points:
         // the shared loop must produce byte-identical reports.
         let tr = pairs(6);

@@ -165,7 +165,6 @@ pub fn write_checkpoint_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()>
     }
     failpoint!("ckpt.io.rename");
     std::fs::rename(&tmp, path)?;
-    ahntp_telemetry::counter_add("ckpt.writes", 1);
     Ok(())
 }
 
@@ -177,7 +176,6 @@ pub fn write_checkpoint_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()>
 pub fn read_checkpoint(path: &Path) -> std::io::Result<Vec<u8>> {
     failpoint!("ckpt.io.read");
     let bytes = std::fs::read(path)?;
-    ahntp_telemetry::counter_add("ckpt.reads", 1);
     Ok(bytes)
 }
 
@@ -207,7 +205,6 @@ fn load_progress<M: ResumableModel + ?Sized>(
     let progress = model
         .decode_train_state(&bytes)
         .unwrap_or_else(|e| panic!("refusing to resume from {}: {e}", src.display()));
-    ahntp_telemetry::counter_add("train.resumes", 1);
     ahntp_telemetry::info!(
         "ckpt",
         "resumed from {} at epoch {} (best loss {})",
@@ -301,8 +298,6 @@ pub fn train_and_evaluate_minibatch_resumable(
         |m, epoch| {
             ahntp_faultz::enforce("train.plan");
             let plan = BatchPlan::for_epoch(train, mb, epoch as u64);
-            ahntp_telemetry::counter_add("batch.plans", 1);
-            ahntp_telemetry::counter_add("batch.micro_batches", plan.n_batches() as u64);
             m.train_epoch_planned(&plan)
         },
         init,
@@ -393,7 +388,6 @@ mod tests {
 
     #[test]
     fn atomic_write_round_trips_and_replaces() {
-        let _gate = crate::failpoint_gate();
         let path = tmp_path("atomic");
         write_checkpoint_atomic(&path, b"first").expect("write");
         assert_eq!(read_checkpoint(&path).expect("read"), b"first");
@@ -404,7 +398,6 @@ mod tests {
 
     #[test]
     fn injected_io_faults_surface_and_preserve_the_old_checkpoint() {
-        let _gate = crate::failpoint_gate();
         let path = tmp_path("faulty");
         write_checkpoint_atomic(&path, b"good").expect("write");
         for site in ["ckpt.io.write", "ckpt.io.fsync", "ckpt.io.rename"] {
@@ -426,7 +419,6 @@ mod tests {
 
     #[test]
     fn resumed_run_reproduces_the_uninterrupted_report() {
-        let _gate = crate::failpoint_gate();
         let tr = pairs(6);
         let te = pairs(4);
         let cfg = TrainConfig {
@@ -457,7 +449,6 @@ mod tests {
 
     #[test]
     fn resume_from_a_finished_run_runs_zero_epochs() {
-        let _gate = crate::failpoint_gate();
         let tr = pairs(4);
         let te = pairs(4);
         let cfg = TrainConfig {
@@ -479,7 +470,6 @@ mod tests {
 
     #[test]
     fn missing_resume_file_starts_fresh_and_corrupt_one_panics() {
-        let _gate = crate::failpoint_gate();
         let tr = pairs(4);
         let te = pairs(4);
         let cfg = TrainConfig {
@@ -506,7 +496,6 @@ mod tests {
 
     #[test]
     fn train_epoch_failpoint_kills_training_mid_run() {
-        let _gate = crate::failpoint_gate();
         let tr = pairs(4);
         let te = pairs(4);
         let cfg = TrainConfig {

@@ -12,15 +12,6 @@ mod checkpoint;
 mod metrics;
 mod trainer;
 
-/// Failpoints are process-global (`ahntp-faultz`): a unit test that arms
-/// `train.epoch` or `ckpt.io.*`, and every test whose training loop or
-/// checkpoint write passes those sites, holds this for its duration.
-#[cfg(test)]
-pub(crate) fn failpoint_gate() -> std::sync::MutexGuard<'static, ()> {
-    static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    GATE.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
 pub use attack::{
     evaluate_under_attack, score_inflation, AttackReport, DefendedInflation, DefendedScore,
     InflationMetrics,

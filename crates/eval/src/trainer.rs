@@ -449,7 +449,6 @@ mod tests {
 
     #[test]
     fn early_stopping_kicks_in() {
-        let _gate = crate::failpoint_gate();
         let mut m = Majority {
             bias: 0.0,
             losses: vec![1.0; 50],
@@ -471,7 +470,6 @@ mod tests {
 
     #[test]
     fn improving_loss_runs_to_completion() {
-        let _gate = crate::failpoint_gate();
         let mut m = Majority {
             bias: 0.0,
             losses: (0..20).map(|i| 1.0 / (i + 1) as f32).collect(),
@@ -497,7 +495,6 @@ mod tests {
 
     #[test]
     fn best_loss_survives_a_late_regression() {
-        let _gate = crate::failpoint_gate();
         // Loss dips to 0.2 then regresses; best_loss must keep the dip.
         let mut m = Majority {
             bias: 0.0,
@@ -523,7 +520,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "training diverged")]
     fn nan_loss_is_a_bug() {
-        let _gate = crate::failpoint_gate();
         let mut m = Majority {
             bias: 0.0,
             losses: vec![f32::NAN],
@@ -535,7 +531,6 @@ mod tests {
 
     #[test]
     fn divergence_panic_names_epoch_and_recorded_op() {
-        let _gate = crate::failpoint_gate();
         // Simulate what the autograd tape does under AHNTP_CHECK_FINITE:
         // record the first non-finite op, then diverge two epochs later.
         ahntp_telemetry::clear_nonfinite();
@@ -576,7 +571,6 @@ mod tests {
 
     #[test]
     fn observer_sees_every_epoch_in_order() {
-        let _gate = crate::failpoint_gate();
         #[derive(Default)]
         struct Recorder {
             started: Vec<String>,
@@ -626,7 +620,6 @@ mod tests {
 
     #[test]
     fn ledger_observer_writes_one_record_per_epoch() {
-        let _gate = crate::failpoint_gate();
         ahntp_telemetry::set_enabled(true);
         let dir = std::env::temp_dir().join(format!(
             "ahntp-eval-ledger-test-{}",

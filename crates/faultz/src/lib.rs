@@ -13,11 +13,29 @@
 //!
 //! # Cost when disabled
 //!
-//! The fast path of every site is one relaxed atomic load of the global
-//! armed-site count followed by a single always-false predicted branch —
-//! the same budget as a disabled telemetry hook. No string is hashed, no
-//! lock is touched, and nothing allocates until at least one failpoint is
-//! armed.
+//! The fast path of every site is one relaxed atomic load of the
+//! process-wide armed-site count (every live scope plus the environment)
+//! followed by a single always-false predicted branch — the same budget as
+//! a disabled telemetry hook. No string is hashed, no lock or thread-local
+//! is touched, and nothing allocates until at least one failpoint is armed
+//! somewhere in the process.
+//!
+//! # Scope
+//!
+//! A failpoint belongs to the context that armed it. [`scoped`] arms a site
+//! in the calling thread's [`Scope`] (created on first use), and evaluating
+//! a site consults the evaluating thread's scope only — a test that arms
+//! `train.epoch` faults its own training run, not the sibling test's on the
+//! next thread. A scope is *inherited*, never configured: code that hands
+//! work to another thread captures [`scope()`] and [`Scope::run`]s the work
+//! in it on the other side, as `ahntp-par` does for every pool task and
+//! `ahntp-serve` for its workers, batcher, applier and shard fan-out. Both
+//! sides share one scope, so a server sees what its starter arms *later*.
+//!
+//! The environment is the only process-wide arm: `AHNTP_FAILPOINTS` sites
+//! fire on every thread. A scoped spec on the same site *shadows* the
+//! environment's within its scope and uncovers it again when its guard
+//! drops; each layer keeps its own hit count.
 //!
 //! # Arming
 //!
@@ -26,9 +44,15 @@
 //! ```
 //! use ahntp_faultz::{self as faultz, Action, FaultSpec};
 //!
-//! let _guard = faultz::scoped("demo.site", FaultSpec::new(Action::Err));
+//! let guard = faultz::scoped("demo.site", FaultSpec::new(Action::Err));
 //! assert!(faultz::hit("demo.site").is_some());
-//! drop(_guard); // site disarmed, hit count cleared
+//! // Other threads are not in this scope…
+//! assert!(std::thread::spawn(|| faultz::hit("demo.site")).join().unwrap().is_none());
+//! // …unless they inherit it.
+//! let scope = faultz::scope();
+//! let worker = std::thread::spawn(move || scope.run(|| faultz::hit("demo.site")));
+//! assert!(worker.join().unwrap().is_some());
+//! drop(guard); // site disarmed, hit count cleared
 //! assert!(faultz::hit("demo.site").is_none());
 //! ```
 //!
@@ -71,9 +95,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// The error value a triggered failpoint injects. Consumer crates convert
 /// it into their own error types via `From<Injected>` impls.
@@ -188,33 +213,72 @@ struct SiteState {
     hits: u64,
 }
 
+/// One layer of armed sites: a thread [`Scope`]'s, or the environment's.
+#[derive(Default)]
 struct Registry {
-    sites: HashMap<String, SiteState>,
+    sites: Mutex<HashMap<String, SiteState>>,
 }
 
+/// Armed sites over every live scope plus the environment.
 static ARMED_SITES: AtomicUsize = AtomicUsize::new(0);
-static REGISTRY: OnceLock<Mutex<Registry>> = OnceLock::new();
-static ENV_INIT: OnceLock<()> = OnceLock::new();
+static ENV: OnceLock<Registry> = OnceLock::new();
 
-fn registry() -> MutexGuard<'static, Registry> {
-    REGISTRY
-        .get_or_init(|| {
-            Mutex::new(Registry {
-                sites: HashMap::new(),
-            })
-        })
-        .lock()
-        // Failpoints panic by design; a poisoned registry is still valid.
-        .unwrap_or_else(PoisonError::into_inner)
+thread_local! {
+    /// The scope this thread arms into and evaluates against; `None` until
+    /// the thread arms a site, captures its scope, or runs in another's.
+    static SCOPE: RefCell<Option<Arc<Registry>>> = const { RefCell::new(None) };
 }
 
-/// Reads `AHNTP_FAILPOINTS` once and arms the sites it names. Malformed
+impl Registry {
+    fn sites(&self) -> MutexGuard<'_, HashMap<String, SiteState>> {
+        // Failpoints panic by design; a poisoned registry is still valid.
+        self.sites.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Arms `site` with `spec`, replacing any previous spec and resetting
+    /// the site's hit count.
+    fn arm(&self, site: &str, spec: FaultSpec) {
+        let fresh = self
+            .sites()
+            .insert(site.to_string(), SiteState { spec, hits: 0 })
+            .is_none();
+        if fresh {
+            ARMED_SITES.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Disarms `site` (no-op if it was not armed).
+    fn disarm(&self, site: &str) {
+        if self.sites().remove(site).is_some() {
+            ARMED_SITES.fetch_sub(1, Ordering::Relaxed);
+        }
+    }
+
+    fn hits(&self, site: &str) -> Option<u64> {
+        self.sites().get(site).map(|s| s.hits)
+    }
+
+    /// Counts one evaluation of `site`. `None`: not armed in this layer.
+    /// `Some(None)`: armed, but the `nth` gate holds this evaluation back.
+    fn evaluate(&self, site: &str) -> Option<Option<Action>> {
+        let mut sites = self.sites();
+        let state = sites.get_mut(site)?;
+        state.hits += 1;
+        Some(match state.spec.nth {
+            Some(n) if state.hits != n => None,
+            _ => Some(state.spec.action),
+        })
+    }
+}
+
+/// The environment's registry: `AHNTP_FAILPOINTS`, read once. Malformed
 /// entries are warned about and skipped, matching the telemetry crate's
 /// env-parsing policy (never silently ignore, never abort).
-fn init_from_env() {
-    ENV_INIT.get_or_init(|| {
+fn env() -> &'static Registry {
+    ENV.get_or_init(|| {
+        let env = Registry::default();
         let Ok(raw) = std::env::var("AHNTP_FAILPOINTS") else {
-            return;
+            return env;
         };
         for entry in raw.split([';', ',']).filter(|e| !e.trim().is_empty()) {
             let Some((site, spec)) = entry.split_once('=') else {
@@ -225,92 +289,96 @@ fn init_from_env() {
                 continue;
             };
             match FaultSpec::parse(spec) {
-                // `arm`, not `configure`: configure() re-enters
-                // init_from_env(), and a re-entrant OnceLock::get_or_init
-                // deadlocks.
-                Ok(spec) => arm(site.trim(), spec),
+                Ok(spec) => env.arm(site.trim(), spec),
                 Err(e) => {
                     ahntp_telemetry::warn!("faultz", "AHNTP_FAILPOINTS: {e}; skipped");
                 }
             }
         }
-    });
+        env
+    })
 }
 
-/// Whether any failpoint is armed. One relaxed atomic load — the gate the
-/// [`failpoint!`] macro and every helper check before doing real work.
+/// Runs `f` on the calling thread's scope, if it has one.
+fn current<R>(f: impl FnOnce(&Registry) -> Option<R>) -> Option<R> {
+    SCOPE.with(|s| s.borrow().as_deref().and_then(f))
+}
+
+/// Whether any failpoint is armed, in any scope or by the environment. One
+/// relaxed atomic load — the gate the [`failpoint!`] macro and every helper
+/// check before doing real work.
 #[inline]
 pub fn armed() -> bool {
-    init_from_env();
+    env();
     ARMED_SITES.load(Ordering::Relaxed) != 0
 }
 
-/// Arms `site` with `spec`, replacing any previous spec and resetting the
-/// site's hit count.
-pub fn configure(site: &str, spec: FaultSpec) {
-    init_from_env();
-    arm(site, spec);
+/// The failpoints one context armed, shared by every thread working for
+/// that context; see the crate docs.
+#[derive(Clone)]
+pub struct Scope(Arc<Registry>);
+
+/// The calling thread's scope, created if this is its first use. Capture it
+/// where work is handed to another thread and [`run`](Scope::run) the work
+/// in it on the other side.
+pub fn scope() -> Scope {
+    SCOPE.with(|s| Scope(Arc::clone(s.borrow_mut().get_or_insert_with(Arc::default))))
 }
 
-/// The arming core, shared by [`configure`] and the env initializer
-/// (which must not re-enter [`configure`]'s `init_from_env`).
-fn arm(site: &str, spec: FaultSpec) {
-    let mut reg = registry();
-    let fresh = reg
-        .sites
-        .insert(site.to_string(), SiteState { spec, hits: 0 })
-        .is_none();
-    if fresh {
-        ARMED_SITES.fetch_add(1, Ordering::Relaxed);
+impl Scope {
+    /// Runs `f` with this as the calling thread's scope, putting the
+    /// thread's previous scope back afterwards (also on unwind).
+    pub fn run<R>(&self, f: impl FnOnce() -> R) -> R {
+        struct Restore(Option<Arc<Registry>>);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                SCOPE.with(|s| *s.borrow_mut() = self.0.take());
+            }
+        }
+        let _restore = Restore(SCOPE.with(|s| s.replace(Some(Arc::clone(&self.0)))));
+        f()
     }
 }
 
-/// Disarms `site` (no-op if it was not armed).
-pub fn disarm(site: &str) {
-    let mut reg = registry();
-    if reg.sites.remove(site).is_some() {
-        ARMED_SITES.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-/// Disarms every failpoint.
-pub fn clear() {
-    let mut reg = registry();
-    let n = reg.sites.len();
-    reg.sites.clear();
-    ARMED_SITES.fetch_sub(n, Ordering::Relaxed);
-}
-
-/// Number of times `site` has been evaluated since it was last configured
+/// Number of times `site` has been evaluated since it was armed — in the
+/// calling thread's scope if it is armed there, else by the environment
 /// (0 for unarmed sites — unarmed evaluations are not tracked).
 pub fn hits(site: &str) -> u64 {
-    registry().sites.get(site).map_or(0, |s| s.hits)
+    current(|scope| scope.hits(site))
+        .or_else(|| env().hits(site))
+        .unwrap_or(0)
 }
 
 /// RAII guard returned by [`scoped`]: disarms its site on drop.
 pub struct ScopedFault {
+    scope: Scope,
     site: String,
 }
 
 impl Drop for ScopedFault {
     fn drop(&mut self) {
-        disarm(&self.site);
+        self.scope.0.disarm(&self.site);
     }
 }
 
-/// Arms `site` for the lifetime of the returned guard — the test-friendly
-/// entry point that cannot leak armed faults into later tests.
+/// Arms `site` in the calling thread's scope for the lifetime of the
+/// returned guard, replacing any spec the scope already held for it and
+/// resetting its hit count — the test-friendly entry point that cannot leak
+/// armed faults into later tests, nor into concurrent ones.
 #[must_use = "the failpoint is disarmed when the guard drops"]
 pub fn scoped(site: &str, spec: FaultSpec) -> ScopedFault {
-    configure(site, spec);
+    let scope = scope();
+    scope.0.arm(site, spec);
     ScopedFault {
+        scope,
         site: site.to_string(),
     }
 }
 
-/// Evaluates the failpoint `site`: counts the hit and, if an armed spec
-/// matches, performs its action. `Some(Injected)` means "fail now";
-/// `None` means continue (possibly after a delay).
+/// Evaluates the failpoint `site` against the calling thread's scope, then
+/// the environment: counts the hit and, if an armed spec matches, performs
+/// its action. `Some(Injected)` means "fail now"; `None` means continue
+/// (possibly after a delay).
 ///
 /// # Panics
 ///
@@ -319,15 +387,9 @@ pub fn hit(site: &str) -> Option<Injected> {
     if !armed() {
         return None;
     }
-    let action = {
-        let mut reg = registry();
-        let state = reg.sites.get_mut(site)?;
-        state.hits += 1;
-        match state.spec.nth {
-            Some(n) if state.hits != n => return None,
-            _ => state.spec.action,
-        }
-    };
+    // The scope's spec shadows the environment's: when the site is armed
+    // in both, only the scope's layer counts and decides this evaluation.
+    let action = current(|scope| scope.evaluate(site)).or_else(|| env().evaluate(site))??;
     ahntp_telemetry::counter_add("faultz.triggered", 1);
     ahntp_telemetry::counter_add(&format!("faultz.{site}.triggered"), 1);
     // Mark the trigger in the Chrome trace so injected faults line up
@@ -399,24 +461,25 @@ macro_rules! failpoint {
 mod tests {
     use super::*;
 
-    // The registry is process-global; tests in this file serialize on one
-    // lock so their arming cannot interleave.
-    static GATE: Mutex<()> = Mutex::new(());
-
-    fn exclusive() -> MutexGuard<'static, ()> {
-        GATE.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     #[test]
-    fn unarmed_sites_are_silent() {
-        let _gate = exclusive();
-        assert!(hit("tests.nowhere").is_none());
-        assert_eq!(hits("tests.nowhere"), 0);
+    fn unarmed_sites_are_silent_and_never_create_a_scope() {
+        // On a fresh thread. Siblings arming sites of their own only send
+        // `hit` past the `armed()` gate — the stricter case.
+        let probe = std::thread::spawn(|| {
+            let through_macro = || -> Result<(), String> {
+                failpoint!("tests.nowhere");
+                Ok(())
+            };
+            assert_eq!(through_macro(), Ok(()));
+            assert!(hit("tests.nowhere").is_none());
+            assert_eq!(hits("tests.nowhere"), 0);
+            assert!(SCOPE.with(|s| s.borrow().is_none()), "a scope was created");
+        });
+        probe.join().unwrap();
     }
 
     #[test]
     fn err_fires_on_every_hit_and_scoped_disarms() {
-        let _gate = exclusive();
         let guard = scoped("tests.err", FaultSpec::new(Action::Err));
         for _ in 0..3 {
             let inj = hit("tests.err").expect("armed err fires");
@@ -429,7 +492,6 @@ mod tests {
 
     #[test]
     fn nth_gates_to_exactly_one_hit() {
-        let _gate = exclusive();
         let _guard = scoped("tests.nth", FaultSpec::new(Action::Err).on_nth(3));
         assert!(hit("tests.nth").is_none());
         assert!(hit("tests.nth").is_none());
@@ -439,7 +501,6 @@ mod tests {
 
     #[test]
     fn panic_action_panics_with_the_site_name() {
-        let _gate = exclusive();
         let _guard = scoped("tests.panic", FaultSpec::new(Action::Panic));
         let result = std::panic::catch_unwind(|| hit("tests.panic"));
         let err = result.expect_err("must panic");
@@ -449,7 +510,6 @@ mod tests {
 
     #[test]
     fn delay_returns_none_after_sleeping() {
-        let _gate = exclusive();
         let _guard = scoped("tests.delay", FaultSpec::new(Action::Delay(5)));
         let started = std::time::Instant::now();
         assert!(hit("tests.delay").is_none());
@@ -458,7 +518,6 @@ mod tests {
 
     #[test]
     fn enforce_escalates_err_to_panic() {
-        let _gate = exclusive();
         let _guard = scoped("tests.enforce", FaultSpec::new(Action::Err));
         let result = std::panic::catch_unwind(|| enforce("tests.enforce"));
         let err = result.expect_err("must panic");
@@ -488,7 +547,6 @@ mod tests {
 
     #[test]
     fn macro_returns_the_converted_error() {
-        let _gate = exclusive();
         fn guarded() -> Result<u32, String> {
             failpoint!("tests.macro");
             Ok(7)
@@ -501,7 +559,6 @@ mod tests {
 
     #[test]
     fn macro_closure_form_builds_the_return_value() {
-        let _gate = exclusive();
         fn guarded() -> u32 {
             failpoint!("tests.macro.closure", |_inj| 99);
             7
@@ -512,32 +569,50 @@ mod tests {
     }
 
     #[test]
-    fn configure_resets_hit_counts() {
-        let _gate = exclusive();
+    fn rearming_resets_hit_counts() {
         let _guard = scoped("tests.reset", FaultSpec::new(Action::Err).on_nth(2));
         assert!(hit("tests.reset").is_none());
         assert!(hit("tests.reset").is_some());
-        configure("tests.reset", FaultSpec::new(Action::Err).on_nth(2));
+        let _again = scoped("tests.reset", FaultSpec::new(Action::Err).on_nth(2));
         assert!(hit("tests.reset").is_none(), "count restarted");
         assert!(hit("tests.reset").is_some());
-        disarm("tests.reset");
     }
 
     #[test]
-    fn triggered_counter_accounts_for_every_injection() {
-        let _gate = exclusive();
-        ahntp_telemetry::set_enabled(true);
-        let before = ahntp_telemetry::counter_get("faultz.triggered");
-        let site_before = ahntp_telemetry::counter_get("faultz.tests.counted.triggered");
-        let _guard = scoped("tests.counted", FaultSpec::new(Action::Err));
-        let n = 4;
-        for _ in 0..n {
-            assert!(hit("tests.counted").is_some());
+    fn an_armed_site_is_invisible_to_a_sibling_thread_outside_the_scope() {
+        let _guard = scoped("iso.site", FaultSpec::new(Action::Err));
+        let scope = scope();
+        std::thread::scope(|threads| {
+            threads.spawn(|| {
+                for i in 0..1000 {
+                    assert!(hit("iso.site").is_none(), "sibling faulted on hit {i}");
+                }
+                assert!(scope.run(|| hit("iso.site")).is_some(), "inherited scope must fire");
+                assert!(hit("iso.site").is_none(), "left the scope, still faulted");
+            });
+            // Armed here the whole time the sibling was probing.
+            assert!(hit("iso.site").is_some());
+        });
+        assert_eq!(hits("iso.site"), 2, "the sibling's 1001 stray hits were counted");
+    }
+
+    #[test]
+    fn a_scoped_spec_shadows_the_environments_and_uncovers_it_on_drop() {
+        // What `AHNTP_FAILPOINTS='tests.shadow=delay(1)'` does at start-up.
+        env().arm("tests.shadow", FaultSpec::new(Action::Delay(1)));
+        assert!(hit("tests.shadow").is_none(), "a delay continues normally");
+        assert_eq!(hits("tests.shadow"), 1);
+        {
+            let _guard = scoped("tests.shadow", FaultSpec::new(Action::Err));
+            assert!(hit("tests.shadow").is_some(), "the scoped err shadows the delay");
+            assert_eq!(hits("tests.shadow"), 1, "the scope counts its own hits");
+            let elsewhere = std::thread::spawn(|| hit("tests.shadow"));
+            assert!(elsewhere.join().unwrap().is_none(), "other threads keep the delay");
         }
-        assert_eq!(ahntp_telemetry::counter_get("faultz.triggered"), before + n);
-        assert_eq!(
-            ahntp_telemetry::counter_get("faultz.tests.counted.triggered"),
-            site_before + n
-        );
+        let started = std::time::Instant::now();
+        assert!(hit("tests.shadow").is_none(), "the env arm survived the guard");
+        assert!(started.elapsed() >= std::time::Duration::from_millis(1));
+        assert_eq!(hits("tests.shadow"), 3, "env layer: before, elsewhere, after");
+        env().disarm("tests.shadow");
     }
 }

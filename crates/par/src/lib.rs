@@ -18,6 +18,9 @@
 //! built this way are **bitwise identical** to their serial versions —
 //! which is what keeps autograd gradcheck, checkpoint fingerprints, and
 //! the serving `±1e-6` invariant intact when `AHNTP_THREADS` changes.
+//! A task also runs under its submitter's trace *and* fault context
+//! (`ahntp_telemetry::TraceContext`, `ahntp_faultz::Scope`), whichever
+//! thread executes it, so spans and injected faults follow the work.
 //!
 //! # Sizing
 //!
@@ -236,6 +239,9 @@ fn run_tasks<'a>(tasks: Vec<Box<dyn FnOnce() + Send + 'a>>) {
     // span) so worker-side spans reparent to the task that spawned them.
     // All-zero and free when tracing is inactive.
     let trace_ctx = ahntp_telemetry::trace_context();
+    // Likewise its fault scope: a task fails the way its submitter armed it,
+    // and not the way whoever else keeps this worker busy did.
+    let faults = ahntp_faultz::scope();
     let batch = Arc::new(Batch {
         remaining: Mutex::new(n),
         done: Condvar::new(),
@@ -244,10 +250,10 @@ fn run_tasks<'a>(tasks: Vec<Box<dyn FnOnce() + Send + 'a>>) {
     {
         let mut state = pool.state.lock().unwrap();
         for task in tasks {
-            let batch = Arc::clone(&batch);
+            let (batch, faults) = (Arc::clone(&batch), faults.clone());
             let wrapped: Box<dyn FnOnce() + Send + 'a> = Box::new(move || {
                 let result = catch_unwind(AssertUnwindSafe(|| {
-                    ahntp_telemetry::with_trace_context(trace_ctx, task)
+                    faults.run(|| ahntp_telemetry::with_trace_context(trace_ctx, task))
                 }));
                 if let Err(payload) = result {
                     let mut slot = batch.panic.lock().unwrap();
@@ -660,6 +666,32 @@ mod tests {
                 });
             }
         }
+    }
+
+    #[test]
+    fn a_task_runs_under_its_submitters_fault_scope() {
+        use ahntp_faultz::{hit, scoped, Action, FaultSpec};
+        // Which rows of a banded `par_rows` saw `par.tests.site` armed.
+        let rows_faulted = || {
+            let mut rows = [false; 8];
+            par_rows(&mut rows, 1, 0, "test.par_calls", |_, band| {
+                band.fill(hit("par.tests.site").is_some());
+            });
+            rows
+        };
+        with_pool(4, 0, || {
+            let _fault = scoped("par.tests.site", FaultSpec::new(Action::Err));
+            // Both submitters feed one queue and help drain it, so each
+            // thread runs the other's bands too.
+            std::thread::scope(|s| {
+                let other = s.spawn(|| (0..20).map(|_| rows_faulted()).collect::<Vec<_>>());
+                for _ in 0..20 {
+                    assert_eq!(rows_faulted(), [true; 8], "a band missed its submitter's fault");
+                }
+                let leaked = other.join().unwrap().iter().any(|rows| rows.contains(&true));
+                assert!(!leaked, "a band saw another submitter's fault");
+            });
+        });
     }
 
     #[test]

@@ -1136,6 +1136,63 @@ mod tests {
         }
     }
 
+    /// The `RwLock` is all that stands between live updates and torn reads:
+    /// readers score while one thread hot-swaps between two snapshots and
+    /// another patches every row over to one or the other, and each answer
+    /// must be one snapshot's in full — never a mix of rows.
+    #[test]
+    fn concurrent_swaps_and_patches_never_tear_a_read() {
+        use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
+        const N: usize = 64;
+        let a = wide_artifact(N);
+        let mut b = a.clone();
+        b.trustee_head = a.trustee_head.iter().map(|x| -x).collect::<Vec<f32>>().into();
+        let snapshots = [&a, &b]
+            .map(|art| TrustIndex::from_artifact_with(art.clone(), BackendKind::Exact).unwrap());
+        let patches = [&a, &b].map(|art| HeadPatch {
+            users: (0..N).collect(),
+            emb_dim: art.emb_dim,
+            head_dim: art.head_dim,
+            emb_rows: art.embeddings.to_vec(),
+            trustor_rows: art.trustor_head.to_vec(),
+            trustee_rows: art.trustee_head.to_vec(),
+        });
+        let pairs: Vec<(usize, usize)> = (0..N).map(|i| (i, (i * 7 + 3) % N)).collect();
+        let answer = |index: &TrustIndex| -> Vec<u32> {
+            index.score_pairs(&pairs).unwrap().iter().map(|s| s.to_bits()).collect()
+        };
+        let answers = snapshots.each_ref().map(answer);
+        assert_ne!(answers[0], answers[1], "the snapshots must score differently");
+
+        for threads in [1usize, 4] {
+            // Threshold 0: at 4 threads every read is banded over the pool
+            // while its submitter holds the read guard.
+            ahntp_par::with_pool(threads, 0, || {
+                let shared = SharedIndex::new(snapshots[0].clone());
+                let stop = AtomicBool::new(false);
+                let until_stopped = |write: &dyn Fn(usize)| {
+                    (0..).take_while(|_| !stop.load(Relaxed)).for_each(write)
+                };
+                std::thread::scope(|s| {
+                    for _ in 0..threads {
+                        s.spawn(|| {
+                            until_stopped(&|_| {
+                                let got = answer(&shared.read());
+                                assert!(answers.contains(&got), "torn read: {got:08x?}");
+                            })
+                        });
+                    }
+                    s.spawn(|| until_stopped(&|i| shared.swap(snapshots[i % 2].clone()).unwrap()));
+                    s.spawn(|| {
+                        until_stopped(&|i| shared.apply_head_patch(&patches[i % 2]).unwrap())
+                    });
+                    std::thread::sleep(std::time::Duration::from_millis(400));
+                    stop.store(true, Relaxed);
+                });
+            });
+        }
+    }
+
     #[test]
     fn simd_is_bitwise_equal_to_exact_on_a_wide_index() {
         let artifact = wide_artifact(53);

@@ -428,7 +428,8 @@ where
     let (ingest_tx, ingest_rx) = mpsc::channel::<IngestJob>();
     let kind = config.backend.unwrap_or_else(BackendKind::from_env);
     let defense = config.defense.clone();
-    let applier = std::thread::spawn(move || {
+    let faults = ahntp_faultz::scope();
+    let applier = std::thread::spawn(move || faults.run(|| {
         let model = factory();
         let index = match TrustIndex::from_artifact_with(model.export_artifact(), kind) {
             Ok(index) => index,
@@ -452,7 +453,7 @@ where
             return; // serve_shared failed to bind; nothing to apply onto
         }
         run_applier(&ingest_rx, model, bound, &shared);
-    });
+    }));
     let shared = match boot_rx.recv() {
         Ok(Ok(shared)) => shared,
         Ok(Err(msg)) => {
@@ -595,7 +596,8 @@ fn serve_shared(
     let core = Core::start(node, config)?;
     let batcher = {
         let (index, queue) = (Arc::clone(&index), Arc::clone(&queue));
-        std::thread::spawn(move || run_batcher(&queue, &index))
+        let faults = ahntp_faultz::scope();
+        std::thread::spawn(move || faults.run(|| run_batcher(&queue, &index)))
     };
 
     {
@@ -1077,6 +1079,30 @@ mod tests {
         queue.stop();
         let (tx, _rx) = mpsc::channel();
         assert!(!queue.push(ScoreJob { pairs: vec![(0, 0)], trace_id: 1, reply: tx }));
+    }
+
+    #[test]
+    fn a_failpoint_faults_only_the_server_its_arming_thread_started() {
+        use ahntp_faultz::{scoped, Action, FaultSpec};
+        let score = |server: &ServerHandle| post_score(server.addr(), r#"{"pairs":[[0,1]]}"#).0;
+        let (armed_tx, armed_rx) = mpsc::channel();
+        let (probed_tx, probed_rx) = mpsc::channel::<()>();
+        let arming = std::thread::spawn(move || {
+            let server = start(4);
+            // Armed after the workers spawned: they share the scope, not a copy.
+            let _fault = scoped("serve.request", FaultSpec::new(Action::Err));
+            armed_tx.send(()).unwrap();
+            let status = score(&server);
+            let _ = probed_rx.recv(); // stay armed until the sibling has probed
+            server.shutdown();
+            status
+        });
+        let server = start(4);
+        armed_rx.recv().expect("arming thread died");
+        assert_eq!(score(&server), 200, "faulted by a sibling thread's failpoint");
+        drop(probed_tx);
+        assert_eq!(arming.join().unwrap(), 500, "the arming thread's own server");
+        server.shutdown();
     }
 
     fn request(method: &str, path: &str, body: &[u8]) -> Request {

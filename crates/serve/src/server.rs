@@ -288,7 +288,9 @@ impl Core {
                 let handler = Arc::clone(&handler);
                 let traces = Arc::clone(&traces);
                 let shutdown = Arc::clone(&shutdown);
-                std::thread::spawn(move || loop {
+                // Workers fail the way whoever started the server arms them.
+                let faults = ahntp_faultz::scope();
+                std::thread::spawn(move || faults.run(|| loop {
                     // Don't hold the receiver lock while serving a connection.
                     let stream = match conn_rx.lock().unwrap().recv() {
                         Ok(s) => s,
@@ -297,7 +299,7 @@ impl Core {
                     if let Err(e) = serve_connection(stream, &*handler, &traces, &shutdown) {
                         warn!(H::NAMES.log, "connection dropped: {e}");
                     }
-                })
+                }))
             })
             .collect();
         Ok(Core { addr, shutdown, acceptor: Some(acceptor), workers })

@@ -150,7 +150,6 @@ type Reply = io::Result<(u16, String)>;
 /// becomes a `502`.
 fn call_shard(addr: SocketAddr, target: &str, body: Option<&str>, timeout: Duration) -> Reply {
     ahntp_faultz::failpoint!("shard.rpc");
-    counter_add("front.rpc.calls", 1);
     let mut conn = Client::connect(addr, timeout)?.one_shot();
     let reply = match body {
         Some(body) => conn.post(target, body),
@@ -172,13 +171,14 @@ impl Front {
     /// Runs `call(i, shard)` for every shard in parallel; index `i` of the
     /// result pairs with `self.shards[i]`.
     fn fan_out<T: Send>(&self, call: impl Fn(usize, &ShardInfo) -> T + Sync) -> Vec<T> {
+        let faults = &ahntp_faultz::scope();
         std::thread::scope(|scope| {
             let call = &call;
             let handles: Vec<_> = self
                 .shards
                 .iter()
                 .enumerate()
-                .map(|(i, shard)| scope.spawn(move || call(i, shard)))
+                .map(|(i, shard)| scope.spawn(move || faults.run(|| call(i, shard))))
                 .collect();
             handles.into_iter().map(|h| h.join().expect("rpc thread panicked")).collect()
         })
@@ -211,7 +211,6 @@ impl Front {
     fn ok_json(&self, shard: &ShardInfo, reply: Reply, what: &str) -> Result<Json, Response> {
         let (status, body) = reply.map_err(|e| self.failed(shard, &e))?;
         if status != 200 {
-            counter_add("front.shard_errors", 1);
             return Err(self.passthrough(status, &body));
         }
         parse(&body).map_err(|e| bad_gateway(shard, &format!("unparseable {what} body: {e}")))
@@ -436,7 +435,6 @@ impl Front {
 
 /// A shard reply the front cannot make sense of: `502`, naming the shard.
 fn bad_gateway(shard: &ShardInfo, message: &str) -> Response {
-    counter_add("front.shard_errors", 1);
     Response::error(502, &format!("shard {}: {message}", shard.addr))
 }
 

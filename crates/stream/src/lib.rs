@@ -530,15 +530,6 @@ fn parse_event((i, entry): (usize, &Json)) -> Result<TrustEvent, String> {
 mod tests {
     use super::*;
     use ahntp_faultz::{Action, FaultSpec};
-    use std::sync::{Mutex, MutexGuard, PoisonError};
-
-    /// Failpoints are process-global: the test that arms `stream.apply` /
-    /// `stream.refresh`, and every test whose applier passes those sites,
-    /// holds this for its duration.
-    fn fault_lock() -> MutexGuard<'static, ()> {
-        static FAULT_LOCK: Mutex<()> = Mutex::new(());
-        FAULT_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
-    }
 
     /// A scripted model: event k dirties users `k % n` and `(k + 1) % n`;
     /// refresh writes a recognizable constant into each requested row.
@@ -617,7 +608,6 @@ mod tests {
 
     #[test]
     fn immediate_bound_refreshes_after_every_dirtying_event() {
-        let _guard = fault_lock();
         let mut applier = EventApplier::new(MockModel::new(8), StalenessBound::immediate());
         let applied = applier.apply(&add(&[1, 3])).unwrap();
         assert_eq!(applied.affected_users, vec![1, 3]);
@@ -631,7 +621,6 @@ mod tests {
 
     #[test]
     fn weight_only_events_dirty_nobody_but_still_clear_pending() {
-        let _guard = fault_lock();
         let mut applier = EventApplier::new(MockModel::new(8), StalenessBound::immediate());
         applier.apply(&TrustEvent::Decay { factor: 0.9 }).unwrap();
         assert_eq!(applier.pending_events(), 1);
@@ -643,7 +632,6 @@ mod tests {
 
     #[test]
     fn batched_bound_accumulates_until_exceeded() {
-        let _guard = fault_lock();
         let mut applier = EventApplier::new(MockModel::new(8), StalenessBound::batched(3));
         for k in 0..3 {
             applier.apply(&add(&[k])).unwrap();
@@ -660,7 +648,6 @@ mod tests {
 
     #[test]
     fn invalid_event_is_rejected_without_dirtying() {
-        let _guard = fault_lock();
         let mut applier = EventApplier::new(MockModel::new(4), StalenessBound::immediate());
         let err = applier.apply(&add(&[9])).unwrap_err();
         assert!(matches!(err, StreamError::Hypergraph(_)), "{err}");
@@ -670,7 +657,6 @@ mod tests {
 
     #[test]
     fn box_dyn_models_fold_through_the_applier() {
-        let _guard = fault_lock();
         let model: Box<dyn LiveTrustModel> = Box::new(MockModel::new(8));
         let mut applier = EventApplier::new(model, StalenessBound::immediate());
         applier.apply(&add(&[2])).unwrap();
@@ -681,7 +667,6 @@ mod tests {
 
     #[test]
     fn apply_failpoint_rejects_before_mutation_and_refresh_failpoint_keeps_dirty() {
-        let _guard = fault_lock();
         let mut applier = EventApplier::new(MockModel::new(8), StalenessBound::batched(100));
         applier.apply(&add(&[1])).unwrap();
 

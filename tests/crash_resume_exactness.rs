@@ -9,9 +9,6 @@
 //! The fixed-seed resumed trajectory is pinned in a checked-in golden
 //! file; regenerate after an *intentional* numeric change with
 //! `AHNTP_REGEN_GOLDEN=1 cargo test --test crash_resume_exactness`.
-//!
-//! Failpoints are process-global, so every test in this binary serializes
-//! on a file-local gate.
 
 use ahntp::{Ahntp, AhntpConfig};
 use ahntp_data::{DatasetConfig, MiniBatchConfig, Split, TrustDataset};
@@ -21,9 +18,6 @@ use ahntp_eval::{
 use ahntp_faultz::{self as faultz, Action, FaultSpec};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, PoisonError};
-
-static GATE: Mutex<()> = Mutex::new(());
 
 const EPOCHS: usize = 5;
 
@@ -81,13 +75,10 @@ fn uninterrupted(dir: &Path) -> (EvalReport, Vec<f32>) {
     (report, m.predict(&split.test))
 }
 
-/// Runs the `body` expecting it to panic, with the default panic-message
-/// printer silenced (the panic is the point, not noise).
+/// Runs the `body` expecting it to panic. The panic hook is process-wide,
+/// so it is left alone: the report lands in the test's captured output.
 fn expect_panic(body: impl FnOnce()) {
-    let prev = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
     let outcome = catch_unwind(AssertUnwindSafe(body));
-    std::panic::set_hook(prev);
     assert!(outcome.is_err(), "the armed failpoint should have fired");
 }
 
@@ -157,30 +148,30 @@ fn assert_bitwise_equal(base: &(EvalReport, Vec<f32>), got: &(EvalReport, Vec<f3
 /// at both thread counts.
 #[test]
 fn killed_and_resumed_runs_match_the_uninterrupted_run_bitwise() {
-    let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
-    let ambient = ahntp_par::threads();
+    // The pool size is process-wide: `with_pool` takes turns with the
+    // golden test below, which forces it too.
     for threads in [1usize, 4] {
-        // A fresh dir per round: a leftover checkpoint from the previous
-        // round would turn the "no checkpoint yet" kill into a full
-        // resume and test nothing.
-        let dir = scratch_dir(&format!("kills-t{threads}"));
-        ahntp_par::set_threads(threads);
-        let base = uninterrupted(&dir);
-        assert_eq!(base.0.epochs_run, EPOCHS);
-        // `train.epoch` is hit once per epoch, 1-based: nth(1) dies before
-        // anything is checkpointed, nth(3) mid-run, nth(5) before the
-        // final epoch.
-        for kill_at in [1u64, 3, EPOCHS as u64] {
-            let resumed = crashed_then_resumed(&dir, "train.epoch", kill_at);
-            assert_bitwise_equal(
-                &base,
-                &resumed,
-                &format!("{threads} threads, killed at epoch hit {kill_at}"),
-            );
-        }
-        let _ = std::fs::remove_dir_all(&dir);
+        ahntp_par::with_pool(threads, ahntp_par::DEFAULT_PAR_THRESHOLD, || {
+            // A fresh dir per round: a leftover checkpoint from the previous
+            // round would turn the "no checkpoint yet" kill into a full
+            // resume and test nothing.
+            let dir = scratch_dir(&format!("kills-t{threads}"));
+            let base = uninterrupted(&dir);
+            assert_eq!(base.0.epochs_run, EPOCHS);
+            // `train.epoch` is hit once per epoch, 1-based: nth(1) dies before
+            // anything is checkpointed, nth(3) mid-run, nth(5) before the
+            // final epoch.
+            for kill_at in [1u64, 3, EPOCHS as u64] {
+                let resumed = crashed_then_resumed(&dir, "train.epoch", kill_at);
+                assert_bitwise_equal(
+                    &base,
+                    &resumed,
+                    &format!("{threads} threads, killed at epoch hit {kill_at}"),
+                );
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        });
     }
-    ahntp_par::set_threads(ambient);
 }
 
 /// A crash *inside* the checkpoint protocol (the rename step of the
@@ -188,7 +179,6 @@ fn killed_and_resumed_runs_match_the_uninterrupted_run_bitwise() {
 /// up and still lands bitwise on the uninterrupted run.
 #[test]
 fn checkpoint_write_crash_leaves_a_usable_previous_checkpoint() {
-    let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
     let dir = scratch_dir("torn-write");
     let base = uninterrupted(&dir);
     // `ckpt.io.rename` injects an Err; the checkpoint hook escalates a
@@ -220,17 +210,15 @@ fn golden_path() -> PathBuf {
 /// byte-for-byte, identical at 1 and 4 threads.
 #[test]
 fn golden_resumed_trajectory_bytes_exact_at_one_and_four_threads() {
-    let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
     let dir = scratch_dir("golden");
-    let ambient = ahntp_par::threads();
     let render = |threads: usize| {
-        ahntp_par::set_threads(threads);
-        let (report, _) = crashed_then_resumed(&dir, "train.epoch", 3);
-        render_trajectory(&report)
+        ahntp_par::with_pool(threads, ahntp_par::DEFAULT_PAR_THRESHOLD, || {
+            let (report, _) = crashed_then_resumed(&dir, "train.epoch", 3);
+            render_trajectory(&report)
+        })
     };
     let rendered_1 = render(1);
     let rendered_4 = render(4);
-    ahntp_par::set_threads(ambient);
     let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(
         rendered_1, rendered_4,

@@ -7,8 +7,8 @@
 //! stays live throughout, and the metrics snapshot accounts for every
 //! injected event.
 //!
-//! Failpoints are process-global, so every test serializes on a
-//! file-local gate.
+//! A test's failpoints live in its own `ahntp-faultz` scope, which every
+//! server it starts inherits, so the tests run in parallel.
 
 use ahntp_bench::loadgen::{run_load, LoadConfig};
 use ahntp_faultz::{self as faultz, Action, FaultSpec};
@@ -17,10 +17,7 @@ use ahntp_serve::{serve, ServeConfig, ServerHandle, TrustIndex};
 use ahntp_telemetry::json::{parse, Json};
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
-use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
-
-static GATE: Mutex<()> = Mutex::new(());
 
 const N_USERS: usize = 16;
 
@@ -88,7 +85,6 @@ fn metric(addr: SocketAddr, name: &str) -> f64 {
 /// `/healthz` (which never touches the queue) stays live throughout.
 #[test]
 fn injected_batch_delay_never_hangs_a_client_past_the_deadline() {
-    let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
     let server = start(Duration::from_millis(100));
     let addr = server.addr();
     let _fault = faultz::scoped("serve.batch", FaultSpec::new(Action::Delay(400)));
@@ -117,7 +113,6 @@ fn injected_batch_delay_never_hangs_a_client_past_the_deadline() {
 /// get correct `200` answers, and `serve.degraded` counts the fallback.
 #[test]
 fn injected_batch_error_degrades_to_per_pair_scoring() {
-    let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
     let server = start(Duration::from_secs(2));
     let addr = server.addr();
     let degraded_before = metric(addr, "serve.degraded");
@@ -147,7 +142,6 @@ fn injected_batch_error_degrades_to_per_pair_scoring() {
 /// in `serve.shed`, with `/healthz` unaffected.
 #[test]
 fn injected_enqueue_rejection_sheds_with_retry_after() {
-    let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
     let server = start(Duration::from_secs(2));
     let addr = server.addr();
     let shed_before = metric(addr, "serve.shed");
@@ -168,7 +162,6 @@ fn injected_enqueue_rejection_sheds_with_retry_after() {
 /// records exactly one trigger.
 #[test]
 fn nth_gated_request_fault_fires_exactly_once() {
-    let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
     let server = start(Duration::from_secs(2));
     let addr = server.addr();
     let triggered_before = metric(addr, "faultz.serve.request.triggered");
@@ -192,7 +185,6 @@ fn nth_gated_request_fault_fires_exactly_once() {
 /// disarmed, the same server serves normally again.
 #[test]
 fn injected_read_faults_drop_connections_but_not_the_server() {
-    let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
     let server = start(Duration::from_secs(2));
     let addr = server.addr();
     {
@@ -216,7 +208,6 @@ fn injected_read_faults_drop_connections_but_not_the_server() {
 /// bounded time. Prints baseline-vs-chaos numbers for EXPERIMENTS.md.
 #[test]
 fn loadgen_under_injected_delay_answers_every_request() {
-    let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
     let cfg = LoadConfig {
         connections: 3,
         requests_per_connection: 25,

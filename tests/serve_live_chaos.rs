@@ -5,8 +5,8 @@
 //! throughout: after any fault, `/score` answers exactly what a mirror
 //! model that applied the same successful prefix would answer.
 //!
-//! Failpoints are process-global, so every test serializes on a
-//! file-local gate.
+//! A test's failpoints live in its own `ahntp-faultz` scope, which every
+//! server it starts inherits, so the tests run in parallel.
 
 use ahntp::{Ahntp, AhntpConfig};
 use ahntp_data::{DatasetConfig, TrustDataset};
@@ -19,10 +19,7 @@ use ahntp_stream::{
 };
 use ahntp_telemetry::json::{parse, Json};
 use std::net::SocketAddr;
-use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
-
-static GATE: Mutex<()> = Mutex::new(());
 
 const N_USERS: usize = 40;
 
@@ -160,7 +157,6 @@ fn sample_events() -> Vec<TrustEvent> {
 /// nothing applied, the live index bitwise untouched.
 #[test]
 fn ingest_fault_rejects_the_batch_before_any_mutation() {
-    let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
     let server = start();
     let addr = server.addr();
     let mirror = Mirror::new();
@@ -188,7 +184,6 @@ fn ingest_fault_rejects_the_batch_before_any_mutation() {
 /// answers like a mirror that applied the same prefix.
 #[test]
 fn apply_fault_mid_batch_keeps_the_live_index_on_the_applied_prefix() {
-    let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
     let server = start();
     let addr = server.addr();
     let mut mirror = Mirror::new();
@@ -226,7 +221,6 @@ fn apply_fault_mid_batch_keeps_the_live_index_on_the_applied_prefix() {
 /// dirty set survives and the next healthy batch flushes everything.
 #[test]
 fn refresh_fault_leaves_rows_stale_but_consistent_until_the_next_flush() {
-    let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
     let server = start();
     let addr = server.addr();
     let mut mirror = Mirror::new();

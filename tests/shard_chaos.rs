@@ -10,8 +10,8 @@
 //! * a fingerprint mismatch is refused with `409`,
 //! * a swap under closed-loop load drops zero requests.
 //!
-//! Failpoints are process-global, so every test serializes on a
-//! file-local gate.
+//! A test's failpoints live in its own `ahntp-faultz` scope, which every
+//! server it starts inherits, so the tests run in parallel.
 
 use ahntp_faultz::{self as faultz, Action, FaultSpec};
 use ahntp_nn::TrustArtifact;
@@ -24,9 +24,6 @@ use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::time::Duration;
-use std::sync::{Mutex, PoisonError};
-
-static GATE: Mutex<()> = Mutex::new(());
 
 const N_USERS: usize = 16;
 const FINGERPRINT: u64 = 0xc1a0_5c1a_0000_0001;
@@ -114,7 +111,6 @@ fn swap_body(path: &std::path::Path) -> String {
 /// answering and `/healthz` reports the cluster degraded.
 #[test]
 fn one_shard_down_fails_fanout_reads_deterministically() {
-    let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
     let (mut shards, front) = start_cluster(&artifact(0.0), 2);
     // Kill the shard owning the upper half [8, 16).
     shards.pop().unwrap().shutdown();
@@ -152,7 +148,6 @@ fn one_shard_down_fails_fanout_reads_deterministically() {
 /// serves again (nothing wedged).
 #[test]
 fn injected_rpc_faults_answer_503_and_recover() {
-    let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
     ahntp_telemetry::set_enabled(true);
     let (shards, front) = start_cluster(&artifact(0.0), 2);
     {
@@ -178,7 +173,6 @@ fn an_oversized_shard_reply_is_a_502_naming_the_shard() {
     use ahntp_serve::http::{read_request, write_response};
     use std::io::{BufReader, Write};
 
-    let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind fake shard");
     let shard_addr = listener.local_addr().expect("fake shard addr");
     // Three exchanges: discovery, the oversized /topk, a sane /score.
@@ -220,7 +214,6 @@ fn an_oversized_shard_reply_is_a_502_naming_the_shard() {
 /// snapshot takes over with zero restarts.
 #[test]
 fn mid_swap_failure_leaves_the_old_snapshot_serving() {
-    let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
     let (shards, front) = start_cluster(&artifact(0.0), 2);
     let probe = "/topk?user=2&k=4";
     let (_, _, before) = get(front.addr(), probe);
@@ -262,7 +255,6 @@ fn mid_swap_failure_leaves_the_old_snapshot_serving() {
 /// onto one refuses with `422` and keeps serving the old snapshot.
 #[test]
 fn torn_v2_artifacts_fail_closed_at_map_time() {
-    let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
     let bytes = artifact(0.0).encode_v2();
     let torn_path = std::env::temp_dir().join(format!(
         "ahntp_shard_chaos_{}_torn.ahntpsrv",
@@ -307,7 +299,6 @@ fn torn_v2_artifacts_fail_closed_at_map_time() {
 /// nothing changes.
 #[test]
 fn fingerprint_mismatch_is_refused_with_409() {
-    let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
     let (shards, front) = start_cluster(&artifact(0.0), 2);
     let mut foreign = artifact(0.5);
     foreign.fingerprint = FINGERPRINT ^ 0xdead;
@@ -333,7 +324,6 @@ fn fingerprint_mismatch_is_refused_with_409() {
 /// move (snapshots build outside it), so zero requests drop or error.
 #[test]
 fn swaps_under_closed_loop_load_drop_zero_requests() {
-    let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
     let (shards, front) = start_cluster(&artifact(0.0), 2);
     let a = write_v2(&artifact(0.1), "load_a");
     let b = write_v2(&artifact(0.2), "load_b");
