@@ -620,6 +620,11 @@ mod tests {
 
     #[test]
     fn ledger_observer_writes_one_record_per_epoch() {
+        // A context of its own: `run_end` embeds this run's counters only.
+        ahntp_telemetry::Scope::fresh().run(ledger_one_record_per_epoch);
+    }
+
+    fn ledger_one_record_per_epoch() {
         ahntp_telemetry::set_enabled(true);
         let dir = std::env::temp_dir().join(format!(
             "ahntp-eval-ledger-test-{}",
@@ -670,6 +675,11 @@ mod tests {
         let end = records.last().expect("non-empty");
         assert_eq!(end.get("kind").and_then(Json::as_str), Some("run_end"));
         assert!(end.get("test_auc").and_then(Json::as_f64).is_some());
+        let metrics = end.get("metrics").expect("run_end carries the metrics snapshot");
+        let epochs = Some(report.epochs_run as f64);
+        assert_eq!(metrics.get("train.epochs").and_then(Json::as_f64), epochs);
+        let timed = metrics.get("train.epoch.us").and_then(|h| h.get("count"));
+        assert_eq!(timed.and_then(Json::as_f64), epochs, "one wall-clock sample per epoch");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -26,11 +26,13 @@
 //! in the calling thread's [`Scope`] (created on first use), and evaluating
 //! a site consults the evaluating thread's scope only — a test that arms
 //! `train.epoch` faults its own training run, not the sibling test's on the
-//! next thread. A scope is *inherited*, never configured: code that hands
-//! work to another thread captures [`scope()`] and [`Scope::run`]s the work
-//! in it on the other side, as `ahntp-par` does for every pool task and
-//! `ahntp-serve` for its workers, batcher, applier and shard fan-out. Both
-//! sides share one scope, so a server sees what its starter arms *later*.
+//! next thread. A scope is *inherited*, never configured, and not on its
+//! own: it rides inside `ahntp_par::Context`, the one value captured where
+//! work goes to another thread (`ahntp-par` pool tasks; every thread of an
+//! `ahntp-serve` server) together with the telemetry context, so the
+//! counters a triggered fault moves are its own context's too. Both sides
+//! share one scope, so a server sees what its starter arms *later*.
+//! [`Scope::capture`] / [`Scope::run`] are the halves `Context` is built from.
 //!
 //! The environment is the only process-wide arm: `AHNTP_FAILPOINTS` sites
 //! fire on every thread. A scoped spec on the same site *shadows* the
@@ -48,8 +50,8 @@
 //! assert!(faultz::hit("demo.site").is_some());
 //! // Other threads are not in this scope…
 //! assert!(std::thread::spawn(|| faultz::hit("demo.site")).join().unwrap().is_none());
-//! // …unless they inherit it.
-//! let scope = faultz::scope();
+//! // …unless they inherit it (what `ahntp_par::Context` does at a hand-off).
+//! let scope = faultz::Scope::capture();
 //! let worker = std::thread::spawn(move || scope.run(|| faultz::hit("demo.site")));
 //! assert!(worker.join().unwrap().is_some());
 //! drop(guard); // site disarmed, hit count cleared
@@ -89,8 +91,9 @@
 //! directly and branches on the result.
 //!
 //! Every triggered fault increments the `faultz.triggered` telemetry
-//! counter (plus per-site `faultz.<site>.triggered`), so chaos tests can
-//! assert that the metrics snapshot accounts for every injected event.
+//! counter (plus per-site `faultz.<site>.triggered`) of the context it fired
+//! in, so a chaos test under a fresh context asserts the exact number of
+//! injected events.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -314,18 +317,17 @@ pub fn armed() -> bool {
 }
 
 /// The failpoints one context armed, shared by every thread working for
-/// that context; see the crate docs.
-#[derive(Clone)]
+/// that context; see the crate docs. The default is a new scope with
+/// nothing armed.
+#[derive(Clone, Default)]
 pub struct Scope(Arc<Registry>);
 
-/// The calling thread's scope, created if this is its first use. Capture it
-/// where work is handed to another thread and [`run`](Scope::run) the work
-/// in it on the other side.
-pub fn scope() -> Scope {
-    SCOPE.with(|s| Scope(Arc::clone(s.borrow_mut().get_or_insert_with(Arc::default))))
-}
-
 impl Scope {
+    /// The calling thread's scope, created if this is its first use.
+    pub fn capture() -> Scope {
+        SCOPE.with(|s| Scope(Arc::clone(s.borrow_mut().get_or_insert_with(Arc::default))))
+    }
+
     /// Runs `f` with this as the calling thread's scope, putting the
     /// thread's previous scope back afterwards (also on unwind).
     pub fn run<R>(&self, f: impl FnOnce() -> R) -> R {
@@ -367,7 +369,7 @@ impl Drop for ScopedFault {
 /// armed faults into later tests, nor into concurrent ones.
 #[must_use = "the failpoint is disarmed when the guard drops"]
 pub fn scoped(site: &str, spec: FaultSpec) -> ScopedFault {
-    let scope = scope();
+    let scope = Scope::capture();
     scope.0.arm(site, spec);
     ScopedFault {
         scope,
@@ -491,6 +493,22 @@ mod tests {
     }
 
     #[test]
+    fn triggered_counters_account_for_every_injection_and_nothing_else() {
+        ahntp_telemetry::Scope::fresh().run(|| {
+            ahntp_telemetry::set_enabled(true);
+            let _guard = scoped("tests.counted", FaultSpec::new(Action::Err).on_nth(3));
+            let _delay = scoped("tests.counted.delay", FaultSpec::new(Action::Delay(0)));
+            for i in 1..=4 {
+                assert_eq!(hit("tests.counted").is_some(), i == 3);
+            }
+            assert!(hit("tests.counted.delay").is_none());
+            assert!(hit("tests.counted.unarmed").is_none());
+            let expected = r#"{"faultz.tests.counted.delay.triggered":1,"faultz.tests.counted.triggered":1,"faultz.triggered":2}"#;
+            assert_eq!(ahntp_telemetry::metrics_snapshot_json().to_line(), expected);
+        });
+    }
+
+    #[test]
     fn nth_gates_to_exactly_one_hit() {
         let _guard = scoped("tests.nth", FaultSpec::new(Action::Err).on_nth(3));
         assert!(hit("tests.nth").is_none());
@@ -581,7 +599,7 @@ mod tests {
     #[test]
     fn an_armed_site_is_invisible_to_a_sibling_thread_outside_the_scope() {
         let _guard = scoped("iso.site", FaultSpec::new(Action::Err));
-        let scope = scope();
+        let scope = Scope::capture();
         std::thread::scope(|threads| {
             threads.spawn(|| {
                 for i in 0..1000 {

@@ -679,6 +679,21 @@ mod tests {
     }
 
     #[test]
+    fn hit_and_miss_counters_count_builds_and_reuses_exactly() {
+        ahntp_telemetry::Scope::fresh().run(|| {
+            ahntp_telemetry::set_enabled(true);
+            let cache = AggregationCache::new(sample());
+            cache.full_ops();
+            cache.full_ops();
+            cache.slice_ops(&[1, 2]);
+            cache.slice_ops(&[1, 2]);
+            let counts = ["hypergraph.cache.misses", "hypergraph.cache.hits"]
+                .map(ahntp_telemetry::counter_get);
+            assert_eq!(counts, [2, 2], "one miss per distinct build, one hit per reuse");
+        });
+    }
+
+    #[test]
     fn identity_slice_shares_the_full_set() {
         let cache = AggregationCache::new(sample());
         let full = cache.full_ops();

@@ -299,34 +299,50 @@ proptest! {
         // The streaming keystone: 200 interleaved add/remove/reweight/decay
         // steps, and after EVERY one the delta-patched operators, Laplacian,
         // and degrees are bitwise equal to a from-scratch rebuild.
-        let mut cache = AggregationCache::new(h);
-        // Warm everything so mutations must patch, not lazily rebuild.
-        cache.full_ops();
-        cache.full_laplacian();
-        cache.degree_vector();
-        for step in steps {
-            match step {
-                Mutation::Add(members, w) => {
-                    cache.apply_add(&members, w).expect("valid by construction");
-                }
-                Mutation::Remove(raw) => {
-                    if cache.n_edges() > 0 {
-                        let e = raw % cache.n_edges();
-                        cache.apply_remove(e).expect("id reduced into range");
+        // Under a telemetry context of its own, the `delta_*` counters are
+        // exactly the mutations this case applied.
+        ahntp_telemetry::Scope::fresh().run(|| {
+            ahntp_telemetry::set_enabled(true);
+            let mut cache = AggregationCache::new(h);
+            // Warm everything so mutations must patch, not lazily rebuild.
+            cache.full_ops();
+            cache.full_laplacian();
+            cache.degree_vector();
+            // Applied adds, removes, reweights, decays.
+            let mut applied = [0u64; 4];
+            for step in steps {
+                match step {
+                    Mutation::Add(members, w) => {
+                        cache.apply_add(&members, w).expect("valid by construction");
+                        applied[0] += 1;
+                    }
+                    Mutation::Remove(raw) => {
+                        if cache.n_edges() > 0 {
+                            let e = raw % cache.n_edges();
+                            cache.apply_remove(e).expect("id reduced into range");
+                            applied[1] += 1;
+                        }
+                    }
+                    Mutation::Reweight(raw, w) => {
+                        if cache.n_edges() > 0 {
+                            let e = raw % cache.n_edges();
+                            cache.apply_reweight(e, w).expect("id reduced into range");
+                            applied[2] += 1;
+                        }
+                    }
+                    Mutation::Decay(f) => {
+                        cache.apply_decay(f).expect("factor in (0, 1)");
+                        applied[3] += 1;
                     }
                 }
-                Mutation::Reweight(raw, w) => {
-                    if cache.n_edges() > 0 {
-                        let e = raw % cache.n_edges();
-                        cache.apply_reweight(e, w).expect("id reduced into range");
-                    }
-                }
-                Mutation::Decay(f) => {
-                    cache.apply_decay(f).expect("factor in (0, 1)");
-                }
+                assert_cache_exact(&cache)?;
             }
-            assert_cache_exact(&cache)?;
-        }
+            let counted = ["add", "remove", "reweight", "decay"].map(|kind| {
+                ahntp_telemetry::counter_get(&format!("hypergraph.cache.delta_{kind}"))
+            });
+            prop_assert_eq!(counted, applied);
+            Ok(())
+        })?;
     }
 
     #[test]

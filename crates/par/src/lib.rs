@@ -18,9 +18,18 @@
 //! built this way are **bitwise identical** to their serial versions —
 //! which is what keeps autograd gradcheck, checkpoint fingerprints, and
 //! the serving `±1e-6` invariant intact when `AHNTP_THREADS` changes.
-//! A task also runs under its submitter's trace *and* fault context
-//! (`ahntp_telemetry::TraceContext`, `ahntp_faultz::Scope`), whichever
-//! thread executes it, so spans and injected faults follow the work.
+//!
+//! # One context, one hand-off
+//!
+//! Whose counter a kernel moves, which span it parents under and which
+//! failpoints it can hit is one question with one answer: the thread's
+//! [`Context`]. A thread gets its context by inheritance only, and the
+//! contract is the same wherever work moves to another thread:
+//! [`Context::capture`] on the side that hands it over, [`Context::run`]
+//! around it on the side that executes it, nothing carried separately.
+//! Every pool task runs under its submitter's context whichever thread
+//! executes it; [`Context::spawn`] does the same for a dedicated thread
+//! (every thread of `ahntp-serve`); [`Context::fresh`] starts a new one.
 //!
 //! # Sizing
 //!
@@ -28,8 +37,9 @@
 //! machine's available parallelism; `1` disables the pool entirely and
 //! every primitive degrades to an exact inline serial loop; `0` means
 //! "auto"). [`set_threads`] overrides it at runtime; `AHNTP_THREADS` is
-//! the one deployment knob. Worker threads are spawned on first parallel
-//! use, never before, and parked on a condvar when idle.
+//! the one deployment knob, and [`with_pool`] the one way to vary the pool
+//! inside a test. Worker threads are spawned on first parallel use, never
+//! before, and parked on a condvar when idle.
 //!
 //! # One loop per kernel
 //!
@@ -45,13 +55,15 @@
 //! # Telemetry
 //!
 //! `par.tasks` counts tasks executed by the primitives and `par.threads`
-//! gauges the resolved pool size (both via `ahntp-telemetry`, no-ops
-//! while telemetry is off). Each kernel names a `<kernel>.par_calls`
-//! counter that moves when its banded path runs.
+//! gauges the resolved pool size (both via `ahntp-telemetry`, in the
+//! submitter's context; no-ops while its telemetry is off). Each kernel
+//! names a `<kernel>.par_calls` counter that moves when its banded path
+//! runs.
 //!
 //! # Safety
 //!
-//! This is the only crate in the workspace that uses `unsafe`. The pool
+//! Besides `ahntp-mapped` (memory-mapped artifact views) this is the only
+//! crate in the workspace that uses `unsafe`. The pool
 //! executes borrowed closures on persistent threads, which requires
 //! erasing the closure lifetime (exactly the trick scoped-thread
 //! libraries use). Soundness rests on one invariant, enforced by
@@ -81,8 +93,8 @@ pub const DEFAULT_PAR_THRESHOLD: usize = 262_144;
 /// Resolved pool size; 0 = not yet resolved.
 static THREADS: AtomicUsize = AtomicUsize::new(0);
 
-/// Work threshold for [`par_enabled`]; usize::MAX sentinel = unset.
-static PAR_THRESHOLD: AtomicUsize = AtomicUsize::new(usize::MAX);
+/// Work threshold for [`par_enabled`].
+static PAR_THRESHOLD: AtomicUsize = AtomicUsize::new(DEFAULT_PAR_THRESHOLD);
 
 /// A queued unit of work. `'static` here is a lie told by
 /// [`erase_lifetime`]; see the crate-level Safety section.
@@ -152,6 +164,11 @@ fn resolve_threads_from_env() -> usize {
 /// Overrides the pool size (clamped to `1..=`[`MAX_THREADS`]). `1` makes
 /// every primitive run inline and serially. Shrinking after workers have
 /// spawned leaves the surplus parked; growing spawns more on demand.
+///
+/// Process-wide and never restored: for a binary that pins its pool once.
+/// Inside a test [`with_pool`] is the only correct way to vary the pool — it
+/// keeps sibling tests' kernels off a size they did not ask for, and puts
+/// the size back when the closure panics.
 pub fn set_threads(n: usize) {
     let n = n.clamp(1, MAX_THREADS);
     THREADS.store(n, Ordering::Relaxed);
@@ -161,10 +178,7 @@ pub fn set_threads(n: usize) {
 /// Current parallelism threshold (estimated scalar ops); see
 /// [`par_enabled`].
 pub fn par_threshold() -> usize {
-    match PAR_THRESHOLD.load(Ordering::Relaxed) {
-        usize::MAX => DEFAULT_PAR_THRESHOLD,
-        t => t,
-    }
+    PAR_THRESHOLD.load(Ordering::Relaxed)
 }
 
 /// Overrides the work threshold of [`par_enabled`]. `0` forces every
@@ -172,7 +186,6 @@ pub fn par_threshold() -> usize {
 /// determinism tests use this to exercise ragged shapes smaller than the
 /// thread count.
 pub fn set_par_threshold(threshold: usize) {
-    // usize::MAX is the "unset" sentinel; an explicit MAX means "never".
     PAR_THRESHOLD.store(threshold, Ordering::Relaxed);
 }
 
@@ -190,6 +203,47 @@ pub fn par_enabled(work: usize) -> bool {
 #[inline]
 fn band_size(n: usize) -> usize {
     n.div_ceil(threads()).max(1)
+}
+
+/// The execution context a thread works in — telemetry context, trace
+/// position and failpoint scope — as one value; see the crate docs.
+#[derive(Clone)]
+pub struct Context {
+    telemetry: ahntp_telemetry::Scope,
+    faults: ahntp_faultz::Scope,
+}
+
+impl Context {
+    /// The calling thread's context.
+    pub fn capture() -> Context {
+        Context {
+            telemetry: ahntp_telemetry::Scope::capture(),
+            faults: ahntp_faultz::Scope::capture(),
+        }
+    }
+
+    /// A new context: empty counters, trace buffers and profile (switches
+    /// as the environment set them) and no failpoint armed.
+    pub fn fresh() -> Context {
+        Context {
+            telemetry: ahntp_telemetry::Scope::fresh(),
+            faults: ahntp_faultz::Scope::default(),
+        }
+    }
+
+    /// Runs `f` with this as the calling thread's context, putting the
+    /// previous one back afterwards (also on unwind).
+    pub fn run<R>(&self, f: impl FnOnce() -> R) -> R {
+        self.faults.run(|| self.telemetry.run(f))
+    }
+
+    /// Spawns a thread that runs `f` under this context.
+    pub fn spawn<T: Send + 'static>(
+        self,
+        f: impl FnOnce() -> T + Send + 'static,
+    ) -> std::thread::JoinHandle<T> {
+        std::thread::spawn(move || self.run(f))
+    }
 }
 
 /// Erases the lifetime of a boxed task so it can sit in the `'static`
@@ -235,13 +289,9 @@ fn run_tasks<'a>(tasks: Vec<Box<dyn FnOnce() + Send + 'a>>) {
     let pool = pool();
     ensure_workers(pool, threads() - 1);
 
-    // Capture the submitting thread's trace position (trace id + innermost
-    // span) so worker-side spans reparent to the task that spawned them.
-    // All-zero and free when tracing is inactive.
-    let trace_ctx = ahntp_telemetry::trace_context();
-    // Likewise its fault scope: a task fails the way its submitter armed it,
-    // and not the way whoever else keeps this worker busy did.
-    let faults = ahntp_faultz::scope();
+    // A task counts, traces and fails the way its submitter does, and not
+    // the way whoever else keeps this worker busy does.
+    let ctx = Context::capture();
     let batch = Arc::new(Batch {
         remaining: Mutex::new(n),
         done: Condvar::new(),
@@ -250,11 +300,9 @@ fn run_tasks<'a>(tasks: Vec<Box<dyn FnOnce() + Send + 'a>>) {
     {
         let mut state = pool.state.lock().unwrap();
         for task in tasks {
-            let (batch, faults) = (Arc::clone(&batch), faults.clone());
+            let (batch, ctx) = (Arc::clone(&batch), ctx.clone());
             let wrapped: Box<dyn FnOnce() + Send + 'a> = Box::new(move || {
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    faults.run(|| ahntp_telemetry::with_trace_context(trace_ctx, task))
-                }));
+                let result = catch_unwind(AssertUnwindSafe(|| ctx.run(task)));
                 if let Err(payload) = result {
                     let mut slot = batch.panic.lock().unwrap();
                     slot.get_or_insert(payload);
@@ -299,6 +347,8 @@ fn ensure_workers(pool: &'static Pool, target: usize) {
     let mut state = pool.state.lock().unwrap();
     while state.workers < target {
         let id = state.workers;
+        // A worker outlives every submitter, so the thread itself belongs to
+        // no context: each job it pops installs its own (see `run_tasks`).
         std::thread::Builder::new()
             .name(format!("ahntp-par-{id}"))
             .spawn(move || worker_loop(pool))
@@ -692,6 +742,55 @@ mod tests {
                 assert!(!leaked, "a band saw another submitter's fault");
             });
         });
+    }
+
+    #[test]
+    fn a_band_counts_into_its_submitters_context() {
+        use ahntp_telemetry::{counter_get, set_enabled};
+        // `rounds` banded kernels of 8 rows, every row counted on `name`
+        // from whichever thread runs its band; the submitter's readings.
+        let submit = |name: &'static str, rounds: u64| {
+            Context::fresh().run(|| {
+                set_enabled(true);
+                for _ in 0..rounds {
+                    par_rows(&mut [0u8; 8], 1, 0, "par.tests.par_calls", |_, band| {
+                        counter_add(name, band.len() as u64);
+                    });
+                }
+                [name, "par.tests.par_calls", "par.tasks"].map(counter_get)
+            })
+        };
+        with_pool(4, 0, || {
+            // Both submitters feed one queue and help drain it, so each
+            // thread runs the other's bands too.
+            std::thread::scope(|s| {
+                let other = s.spawn(|| {
+                    let mine = submit("par.tests.other_rows", 13);
+                    (mine, counter_get("par.tests.rows"))
+                });
+                assert_eq!(submit("par.tests.rows", 20), [160, 20, 80]);
+                let (others, seen_of_mine) = other.join().unwrap();
+                assert_eq!(others, [104, 13, 52]);
+                assert_eq!(seen_of_mine, 0, "a band counted into another submitter's context");
+            });
+        });
+    }
+
+    #[test]
+    fn spawn_and_run_carry_the_whole_context() {
+        use ahntp_faultz::{hit, scoped, Action, FaultSpec};
+        use ahntp_telemetry::{counter_get, set_enabled};
+        let ctx = Context::fresh();
+        let seen = ctx.run(|| {
+            set_enabled(true);
+            let _fault = scoped("par.tests.spawned", FaultSpec::new(Action::Err));
+            let inherited = Context::capture().spawn(|| hit("par.tests.spawned").is_some());
+            let stranger = std::thread::spawn(|| hit("par.tests.spawned").is_some());
+            (inherited.join().unwrap(), stranger.join().unwrap(), counter_get("faultz.triggered"))
+        });
+        assert_eq!(seen, (true, false, 1));
+        assert_eq!(counter_get("faultz.par.tests.spawned.triggered"), 0, "left the context");
+        assert_eq!(ctx.run(|| counter_get("faultz.par.tests.spawned.triggered")), 1);
     }
 
     #[test]

@@ -54,7 +54,11 @@
 //! # Observability
 //!
 //! All of this is the server core's, so the front has it too, under
-//! `front.*` names (`front.request.us`, `front.access`, …).
+//! `front.*` names (`front.request.us`, `front.access`, …). A server
+//! belongs to the `ahntp_par::Context` it was started under — every one of
+//! its threads runs in it — so its `/metrics` and `/debug/trace.json` are
+//! its own: two servers started under two contexts report disjoint
+//! numbers, in one process as in two.
 //!
 //! Every request is assigned a trace id, echoed back in the
 //! `X-Ahntp-Trace-Id` response header and recorded (with the request's

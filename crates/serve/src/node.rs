@@ -63,6 +63,7 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use ahntp_par::Context;
 use ahntp_telemetry::json::{parse, Json};
 use ahntp_telemetry::{
     counter_add, gauge_set, histogram_record, info, trace_now_us, warn, KernelKind, KernelSpan,
@@ -334,6 +335,8 @@ pub struct ServerHandle {
     /// applier drain the remaining batches and exit.
     ingest: Option<mpsc::Sender<IngestJob>>,
     applier: Option<JoinHandle<()>>,
+    /// The context the server was started under, whose trace it flushes.
+    ctx: Context,
 }
 
 impl ServerHandle {
@@ -367,8 +370,8 @@ impl ServerHandle {
             let _ = t.join();
         }
         // Every thread has quiesced: if AHNTP_TRACE_OUT is set, persist
-        // the Chrome trace collected over the server's lifetime.
-        ahntp_telemetry::flush_trace_to_env();
+        // the Chrome trace the server's context collected.
+        self.ctx.run(ahntp_telemetry::flush_trace_to_env);
         info!("serve", "server on {} stopped", self.addr());
     }
 }
@@ -428,8 +431,7 @@ where
     let (ingest_tx, ingest_rx) = mpsc::channel::<IngestJob>();
     let kind = config.backend.unwrap_or_else(BackendKind::from_env);
     let defense = config.defense.clone();
-    let faults = ahntp_faultz::scope();
-    let applier = std::thread::spawn(move || faults.run(|| {
+    let applier = Context::capture().spawn(move || {
         let model = factory();
         let index = match TrustIndex::from_artifact_with(model.export_artifact(), kind) {
             Ok(index) => index,
@@ -453,7 +455,7 @@ where
             return; // serve_shared failed to bind; nothing to apply onto
         }
         run_applier(&ingest_rx, model, bound, &shared);
-    }));
+    });
     let shared = match boot_rx.recv() {
         Ok(Ok(shared)) => shared,
         Ok(Err(msg)) => {
@@ -594,10 +596,10 @@ fn serve_shared(
         shard_range: config.shard_range,
     });
     let core = Core::start(node, config)?;
+    let ctx = Context::capture();
     let batcher = {
         let (index, queue) = (Arc::clone(&index), Arc::clone(&queue));
-        let faults = ahntp_faultz::scope();
-        std::thread::spawn(move || faults.run(|| run_batcher(&queue, &index)))
+        ctx.clone().spawn(move || run_batcher(&queue, &index))
     };
 
     {
@@ -613,7 +615,7 @@ fn serve_shared(
             backend
         );
     }
-    Ok(ServerHandle { core, queue, batcher: Some(batcher), ingest, applier })
+    Ok(ServerHandle { core, queue, batcher: Some(batcher), ingest, applier, ctx })
 }
 
 /// Reads `{"pairs": [[u, v], ...]}` out of a `/score` body (shared with
@@ -672,6 +674,20 @@ impl Node {
         Response::error(504, message).retry_after(self.retry_after)
     }
 
+    /// Waits out what is left of the request's deadline (its budget started
+    /// at `started`, when the request began parsing) for the reply to a job
+    /// queued for the `what` ("scoring" / "ingest") thread.
+    fn await_reply<T>(&self, rx: &mpsc::Receiver<T>, started: Instant, what: &str) -> Result<T, Response> {
+        rx.recv_timeout(self.deadline.saturating_sub(started.elapsed())).map_err(|e| match e {
+            mpsc::RecvTimeoutError::Timeout => {
+                self.deadline_exceeded(&format!("{what} deadline exceeded"))
+            }
+            // The thread went away mid-flight (shutdown race): an
+            // overloaded-style answer rather than a hung worker.
+            mpsc::RecvTimeoutError::Disconnected => self.shed(&format!("{what} backend stopped")),
+        })
+    }
+
     fn score(&self, call: &mut Call<'_>) -> Answer {
         let started = Instant::now();
         let parse_ts = trace_now_us();
@@ -690,31 +706,16 @@ impl Node {
         }
         let enqueued_us = trace_now_us();
         call.stage("serve.enqueue", enqueue_ts, enqueued_us);
-        // The deadline budget started when the request began parsing; wait
-        // only for what is left of it.
-        let remaining = self.deadline.saturating_sub(started.elapsed());
-        let reply = reply_rx.recv_timeout(remaining);
-        if let Ok(reply) = &reply {
-            // Attribute the wait: queued until the batcher drained the job,
-            // then scoring until the batch kernel finished.
-            call.stage("serve.queue.wait", enqueued_us, reply.picked_up_us);
-            call.stage(
-                if reply.degraded { "serve.score.degraded" } else { "serve.score" },
-                reply.picked_up_us,
-                reply.scored_us,
-            );
-        }
-        let scores = match reply {
-            Ok(reply) => reply.result.map_err(bad_request)?,
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                return Err(self.deadline_exceeded("scoring deadline exceeded"))
-            }
-            // Batcher went away mid-flight (shutdown race): overloaded-style
-            // answer rather than a hung worker.
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                return Err(self.shed("scoring backend stopped"))
-            }
-        };
+        let reply = self.await_reply(&reply_rx, started, "scoring")?;
+        // Attribute the wait: queued until the batcher drained the job,
+        // then scoring until the batch kernel finished.
+        call.stage("serve.queue.wait", enqueued_us, reply.picked_up_us);
+        call.stage(
+            if reply.degraded { "serve.score.degraded" } else { "serve.score" },
+            reply.picked_up_us,
+            reply.scored_us,
+        );
+        let scores = reply.result.map_err(bad_request)?;
         Ok(Response::new(
             200,
             Json::obj([
@@ -752,30 +753,22 @@ impl Node {
         }
         let enqueued_us = trace_now_us();
         call.stage("serve.enqueue", enqueue_ts, enqueued_us);
-        let remaining = self.deadline.saturating_sub(started.elapsed());
-        match reply_rx.recv_timeout(remaining) {
-            Ok(reply) => {
-                call.stage("serve.ingest.wait", enqueued_us, reply.picked_up_us);
-                call.stage("serve.ingest.apply", reply.picked_up_us, reply.done_us);
-                let mut entries = vec![
-                    ("events", Json::from(n_events)),
-                    ("applied", Json::from(reply.applied)),
-                    ("affected_users", Json::from(reply.affected)),
-                    ("refreshed_users", Json::from(reply.refreshed)),
-                    ("dirty_users", Json::from(reply.dirty)),
-                ];
-                match reply.error {
-                    None => Ok(Response::new(200, Json::obj(entries))),
-                    Some(e) => {
-                        entries.push(("error", Json::from(e)));
-                        Err(Response::new(500, Json::obj(entries)))
-                    }
-                }
+        let reply = self.await_reply(&reply_rx, started, "ingest")?;
+        call.stage("serve.ingest.wait", enqueued_us, reply.picked_up_us);
+        call.stage("serve.ingest.apply", reply.picked_up_us, reply.done_us);
+        let mut entries = vec![
+            ("events", Json::from(n_events)),
+            ("applied", Json::from(reply.applied)),
+            ("affected_users", Json::from(reply.affected)),
+            ("refreshed_users", Json::from(reply.refreshed)),
+            ("dirty_users", Json::from(reply.dirty)),
+        ];
+        match reply.error {
+            None => Ok(Response::new(200, Json::obj(entries))),
+            Some(e) => {
+                entries.push(("error", Json::from(e)));
+                Err(Response::new(500, Json::obj(entries)))
             }
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                Err(self.deadline_exceeded("ingest deadline exceeded"))
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => Err(self.shed("ingest backend stopped")),
         }
     }
 
@@ -914,6 +907,12 @@ mod tests {
         TrustIndex::from_artifact(artifact).unwrap()
     }
 
+    /// Runs a test body under a context of its own, so the counters it reads
+    /// — its own and those of any server it starts — count from zero.
+    fn isolated<R>(body: impl FnOnce() -> R) -> R {
+        Context::fresh().run(body)
+    }
+
     fn start(n_users: usize) -> ServerHandle {
         ahntp_telemetry::set_enabled(true);
         serve(
@@ -983,6 +982,10 @@ mod tests {
 
     #[test]
     fn topk_healthz_and_metrics_respond() {
+        isolated(topk_healthz_and_metrics);
+    }
+
+    fn topk_healthz_and_metrics() {
         let server = start(5);
         let addr = server.addr();
         let (status, body) =
@@ -1013,11 +1016,10 @@ mod tests {
             get(addr, "/metrics");
         assert_eq!(status, 200);
         let doc = parse(&body).unwrap();
-        // At least the requests we just made are visible.
-        assert!(
-            doc.get("serve.http.requests").and_then(Json::as_f64).unwrap_or(0.0) >= 2.0,
-            "{body}"
-        );
+        // Exactly the requests this server has read: the two above and
+        // the one being answered.
+        assert_eq!(doc.get("serve.http.requests").and_then(Json::as_f64), Some(3.0), "{body}");
+        assert_eq!(doc.get("serve.http.errors"), None, "{body}");
         server.shutdown();
     }
 
@@ -1135,22 +1137,25 @@ mod tests {
 
     #[test]
     fn deadline_and_shed_responses_carry_retry_after() {
+        isolated(deadline_then_shed);
+    }
+
+    fn deadline_then_shed() {
         ahntp_telemetry::set_enabled(true);
+        let counts = || ["serve.deadline_exceeded", "serve.shed"].map(ahntp_telemetry::counter_get);
         // Capacity-1 queue with no batcher: the first job is accepted but
         // never answered (deadline path), which leaves the queue full so
         // the second job is shed.
         let node = bare_node(4, BatchQueue::new(1), 20, 2);
         let traces = TraceRing::new(4);
-        let deadline0 = ahntp_telemetry::counter_get("serve.deadline_exceeded");
-        let shed0 = ahntp_telemetry::counter_get("serve.shed");
         let resp = dispatch(&node, &traces, &mut Call::new(&score_request(), 1));
         assert_eq!(resp.status, 504, "{}", resp.body.to_line());
         assert_eq!(resp.retry_after, Some(2));
-        assert!(ahntp_telemetry::counter_get("serve.deadline_exceeded") > deadline0);
+        assert_eq!(counts(), [1, 0]);
         let resp = dispatch(&node, &traces, &mut Call::new(&score_request(), 2));
         assert_eq!(resp.status, 503, "{}", resp.body.to_line());
         assert_eq!(resp.retry_after, Some(2));
-        assert!(ahntp_telemetry::counter_get("serve.shed") > shed0);
+        assert_eq!(counts(), [1, 1]);
     }
 
     #[test]

@@ -41,6 +41,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use ahntp_par::Context;
 use ahntp_telemetry::json::Json;
 use ahntp_telemetry::{
     counter_add, debug, histogram_record, metrics_prometheus_text, metrics_snapshot_json,
@@ -264,9 +265,11 @@ impl Core {
         let (conn_tx, conn_rx) = mpsc::channel::<TcpStream>();
         let conn_rx = Arc::new(Mutex::new(conn_rx));
 
+        // Every thread of the server works in the starter's context.
+        let ctx = Context::capture();
         let acceptor = {
             let shutdown = Arc::clone(&shutdown);
-            std::thread::spawn(move || loop {
+            ctx.clone().spawn(move || loop {
                 let accepted = listener.accept();
                 if shutdown.load(Ordering::SeqCst) {
                     break; // the wake-up connection, or a late arrival
@@ -288,9 +291,7 @@ impl Core {
                 let handler = Arc::clone(&handler);
                 let traces = Arc::clone(&traces);
                 let shutdown = Arc::clone(&shutdown);
-                // Workers fail the way whoever started the server arms them.
-                let faults = ahntp_faultz::scope();
-                std::thread::spawn(move || faults.run(|| loop {
+                ctx.clone().spawn(move || loop {
                     // Don't hold the receiver lock while serving a connection.
                     let stream = match conn_rx.lock().unwrap().recv() {
                         Ok(s) => s,
@@ -299,7 +300,7 @@ impl Core {
                     if let Err(e) = serve_connection(stream, &*handler, &traces, &shutdown) {
                         warn!(H::NAMES.log, "connection dropped: {e}");
                     }
-                }))
+                })
             })
             .collect();
         Ok(Core { addr, shutdown, acceptor: Some(acceptor), workers })

@@ -171,14 +171,14 @@ impl Front {
     /// Runs `call(i, shard)` for every shard in parallel; index `i` of the
     /// result pairs with `self.shards[i]`.
     fn fan_out<T: Send>(&self, call: impl Fn(usize, &ShardInfo) -> T + Sync) -> Vec<T> {
-        let faults = &ahntp_faultz::scope();
+        let ctx = &ahntp_par::Context::capture();
         std::thread::scope(|scope| {
             let call = &call;
             let handles: Vec<_> = self
                 .shards
                 .iter()
                 .enumerate()
-                .map(|(i, shard)| scope.spawn(move || faults.run(|| call(i, shard))))
+                .map(|(i, shard)| scope.spawn(move || ctx.run(|| call(i, shard))))
                 .collect();
             handles.into_iter().map(|h| h.join().expect("rpc thread panicked")).collect()
         })

@@ -84,11 +84,6 @@ impl RunLedger {
         &self.path
     }
 
-    /// Records one completed epoch.
-    pub fn epoch(&mut self, epoch: usize, loss: f64, wall_us: u64, grad_norm: f64) {
-        self.epoch_profiled(epoch, loss, wall_us, grad_norm, None);
-    }
-
     /// Records one completed epoch with an optional per-kernel profile
     /// object (`{"matmul": us, "csr": us, ...}` — see
     /// [`crate::KernelProfile::to_json`]). The per-kernel µs are *self*
@@ -153,8 +148,8 @@ impl RunLedger {
 mod tests {
     use super::*;
     use crate::json::parse;
+    use crate::context::tests::enabled_context;
     use crate::metrics::counter_add;
-    use crate::set_enabled;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -167,7 +162,10 @@ mod tests {
 
     #[test]
     fn ledger_round_trips_through_the_parser() {
-        set_enabled(true);
+        enabled_context(ledger_round_trip);
+    }
+
+    fn ledger_round_trip() {
         let dir = temp_dir("roundtrip");
         let mut ledger = RunLedger::create_in(
             &dir,
@@ -178,8 +176,8 @@ mod tests {
         let path = ledger.path().to_path_buf();
 
         counter_add("test.ledger.counter", 5);
-        ledger.epoch(0, 0.9, 1200, 0.4);
-        ledger.epoch(1, 0.5, 1100, 0.2);
+        ledger.epoch_profiled(0, 0.9, 1200, 0.4, None);
+        ledger.epoch_profiled(1, 0.5, 1100, 0.2, None);
         ledger.event("early_stop", [("epoch", Json::from(1usize))]);
         ledger.finish([("best_loss", Json::from(0.5f64))]);
 
@@ -210,7 +208,7 @@ mod tests {
         assert_eq!(end.get("best_loss").and_then(Json::as_f64), Some(0.5));
         // The metrics snapshot made it into run_end.
         let metrics = end.get("metrics").expect("run_end carries metrics");
-        assert!(metrics.get("test.ledger.counter").is_some());
+        assert_eq!(metrics.to_line(), r#"{"test.ledger.counter":5}"#);
 
         let _ = fs::remove_dir_all(&dir);
     }

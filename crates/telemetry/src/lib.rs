@@ -7,6 +7,19 @@
 //! relaxed atomic load so that disabled telemetry costs a single predicted
 //! branch.
 //!
+//! # Contexts
+//!
+//! A counter belongs to the context that counted it. The metrics registry,
+//! the enable/collect/profile switches, the trace-event buffer and the
+//! profile accumulators are the state of a *context*; every free function
+//! below acts on the calling thread's context: the process's one **root**
+//! context (configured by the environment) unless the thread runs inside a
+//! [`Scope`]. A context is inherited, never configured — `ahntp-par`
+//! carries the scope across every thread hand-off in the workspace — so a
+//! server's `/metrics` is its own, and a test that wants exact numbers runs
+//! under a fresh context (`ahntp_par::Context::fresh().run(|| …)`): the
+//! root's switches, counters and buffers starting at zero.
+//!
 //! # Components
 //!
 //! * **Logging** ([`log_enabled`], [`trace!`](crate::trace) …
@@ -14,14 +27,14 @@
 //!   `AHNTP_LOG=debug,spmm=trace` sets a global `debug` floor and a
 //!   per-target `trace` override for the `spmm` target.
 //! * **Metrics** ([`counter_add`], [`gauge_set`], [`histogram_record`],
-//!   [`metrics_snapshot`]): a global, thread-safe registry of named
+//!   [`metrics_snapshot`]): a per-context, thread-safe registry of named
 //!   counters, gauges and histograms (op counts, FLOP estimates, sparse
 //!   nnz throughput, allocation bytes, gradient norms, epoch wall time).
 //! * **Tracing & profiling** ([`KernelSpan`], [`trace_instant`],
 //!   [`chrome_trace_json`], [`profile_snapshot`]): hierarchical spans with
 //!   thread-local parent/child stacks and self-vs-child time, per-request
-//!   trace-id propagation (including across the `ahntp-par` pool via
-//!   [`trace_context`]), Chrome trace-event export
+//!   trace-id propagation (including across the `ahntp-par` pool, inside
+//!   the captured [`Scope`]), Chrome trace-event export
 //!   (`AHNTP_TRACE_OUT=trace.json`, Perfetto-loadable), and a per-kernel
 //!   profiler (`AHNTP_PROFILE=1`) whose self-time accounting telescopes so
 //!   per-kernel µs always sum to ≤ the enclosing wall-clock.
@@ -43,14 +56,15 @@
 //!
 //! # Enabling
 //!
-//! Telemetry activates when `AHNTP_TELEMETRY=1` or `AHNTP_LOG` is set in
-//! the environment, or programmatically via [`set_enabled`]. When
-//! disabled, counters, histograms and ledger hooks are no-ops; kernel
-//! spans have their own switch ([`trace_active`]).
+//! The root context's telemetry activates when `AHNTP_TELEMETRY=1` or
+//! `AHNTP_LOG` is set in the environment; [`set_enabled`] flips it for the
+//! calling thread's context. When disabled, counters, histograms and ledger
+//! hooks are no-ops; kernel spans have their own switches ([`trace_active`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod context;
 mod divergence;
 mod env;
 pub mod json;
@@ -60,6 +74,7 @@ mod metrics;
 mod prometheus;
 mod trace;
 
+pub use context::Scope;
 pub use divergence::{
     clear_nonfinite, finite_checks_enabled, first_nonfinite, record_nonfinite,
     set_finite_checks, NonFiniteEvent,
@@ -69,47 +84,29 @@ pub use ledger::{default_ledger_dir, RunLedger};
 pub use log::{log_enabled, log_message, set_log_filter, Level};
 pub use metrics::{
     counter_add, counter_get, gauge_get, gauge_set, histogram_bucket_width, histogram_record,
-    metrics_reset, metrics_snapshot, metrics_snapshot_json, HistogramSummary, MetricValue,
-    Snapshot,
+    metrics_snapshot, metrics_snapshot_json, HistogramSummary, MetricValue, Snapshot,
 };
 pub use prometheus::metrics_prometheus_text;
 pub use trace::{
-    chrome_trace_json, current_trace_id, flush_trace_to_env, next_trace_id, profile_reset,
-    profile_snapshot, profiling_enabled, set_profiling, set_trace_collect, set_trace_id_scope,
-    trace_active, trace_collecting, trace_complete_request, trace_context, trace_events_dropped,
-    trace_events_len, trace_instant, trace_now_us, trace_reset, with_trace_context, write_chrome_trace,
-    KernelKind, KernelProfile, KernelSpan, TraceContext, TraceIdScope, KERNEL_KINDS,
+    chrome_trace_json, flush_trace_to_env, next_trace_id, profile_snapshot, profiling_enabled,
+    set_profiling, set_trace_collect, set_trace_id_scope, trace_active, trace_collecting,
+    trace_complete_request, trace_instant, trace_now_us, write_chrome_trace, KernelKind,
+    KernelProfile, KernelSpan, TraceIdScope, KERNEL_KINDS,
 };
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
-
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static ENV_INIT: OnceLock<()> = OnceLock::new();
-
-/// Reads the environment once and primes the global enabled flag.
-fn init_from_env() {
-    ENV_INIT.get_or_init(|| {
-        let on = env_flag("AHNTP_TELEMETRY") || std::env::var("AHNTP_LOG").is_ok();
-        if on {
-            ENABLED.store(true, Ordering::Relaxed);
-        }
-    });
-}
-
-/// Whether telemetry is globally enabled. One relaxed atomic load on the
-/// fast path — cheap enough for inner kernels.
+/// Whether telemetry is enabled in the calling thread's context. One
+/// relaxed atomic load while it is enabled in no context at all — cheap
+/// enough for inner kernels.
 #[inline]
 pub fn enabled() -> bool {
-    init_from_env();
-    ENABLED.load(Ordering::Relaxed)
+    context::is_on(context::ENABLED)
 }
 
-/// Programmatically enables or disables telemetry (overrides the
-/// environment). Mainly for tests and embedding applications.
+/// Enables or disables telemetry in the calling thread's context (on the
+/// root context this overrides the environment). Mainly for tests and
+/// embedding applications.
 pub fn set_enabled(on: bool) {
-    init_from_env();
-    ENABLED.store(on, Ordering::Relaxed);
+    context::set(context::ENABLED, on);
 }
 
 #[cfg(test)]
@@ -118,11 +115,11 @@ mod tests {
 
     #[test]
     fn toggling_enabled_is_visible() {
-        let before = enabled();
-        set_enabled(true);
-        assert!(enabled());
-        set_enabled(false);
-        assert!(!enabled());
-        set_enabled(before);
+        Scope::fresh().run(|| {
+            set_enabled(true);
+            assert!(enabled());
+            set_enabled(false);
+            assert!(!enabled());
+        });
     }
 }

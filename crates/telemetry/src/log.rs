@@ -8,7 +8,6 @@
 
 use std::io::Write;
 use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
 
 /// Log severity, ordered from most to least verbose.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -91,7 +90,6 @@ impl Filter {
 
 /// Global filter state, seeded from `AHNTP_LOG` on first use.
 static FILTER: OnceLock<Mutex<Filter>> = OnceLock::new();
-static START: OnceLock<Instant> = OnceLock::new();
 
 fn filter_cell() -> &'static Mutex<Filter> {
     FILTER.get_or_init(|| {
@@ -118,13 +116,14 @@ pub fn log_message(level: Level, target: &str, message: &str) {
     if !log_enabled(level, target) {
         return;
     }
-    let elapsed = START.get_or_init(Instant::now).elapsed();
+    // The trace clock, so log lines and trace events line up.
+    let elapsed_s = crate::trace_now_us() as f64 / 1e6;
     let mut err = std::io::stderr().lock();
     // One write_fmt per line so concurrent threads don't interleave.
     let _ = writeln!(
         err,
         "[{:>9.3}s {:>5} {}] {}",
-        elapsed.as_secs_f64(),
+        elapsed_s,
         level.tag(),
         target,
         message

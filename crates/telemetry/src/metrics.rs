@@ -1,4 +1,4 @@
-//! Global registry of named counters, gauges and histograms.
+//! The per-context registry of named counters, gauges and histograms.
 //!
 //! Counters are monotonic `u64` sums (op counts, FLOPs, nnz processed,
 //! bytes allocated). Gauges hold the latest `f64` (gradient norm, learning
@@ -7,16 +7,20 @@
 //! below 16), so p50/p99 readouts land within 12.5% of the true sample —
 //! one bucket width, see [`histogram_bucket_width`].
 //!
-//! All update paths take the registry mutex only on the *first* touch of a
-//! name; after that, counters and gauges update lock-free through
-//! `Arc<AtomicU64>` handles cached in the map. Everything is a no-op while
+//! Every function here acts on the calling thread's context
+//! ([`crate::Scope`]): a name counted under one context is invisible to
+//! every other. An update to a name the context already holds takes the
+//! registry's *read* lock for a lookup by `&str` and applies relaxed atomic
+//! operations — it never allocates and updaters never wait for each other;
+//! only the first touch of a name takes the write lock and allocates the
+//! key. Everything is a no-op, behind one relaxed load, while the context's
 //! telemetry is disabled.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::RwLock;
 
-use crate::enabled;
+use crate::context::{when_on, with_current, ENABLED};
 use crate::json::Json;
 
 /// Sub-bucket resolution of the log-spaced sketch: each power-of-two
@@ -134,51 +138,89 @@ impl Histogram {
 }
 
 enum Metric {
-    Counter(Arc<AtomicU64>),
+    Counter(AtomicU64),
     /// Gauge: latest f64, stored as bits.
-    Gauge(Arc<AtomicU64>),
-    Histogram(Arc<Histogram>),
+    Gauge(AtomicU64),
+    Histogram(Box<Histogram>),
 }
 
-struct Registry {
-    metrics: Mutex<BTreeMap<String, Metric>>,
+/// The three ways to update a metric; `value` is the delta, the gauge's
+/// bits, or the sample.
+#[derive(Clone, Copy)]
+enum Update {
+    Add,
+    Set,
+    Record,
 }
 
-static REGISTRY: OnceLock<Registry> = OnceLock::new();
-
-fn registry() -> &'static Registry {
-    REGISTRY.get_or_init(|| Registry {
-        metrics: Mutex::new(BTreeMap::new()),
-    })
-}
-
-fn counter_handle(name: &str) -> Option<Arc<AtomicU64>> {
-    let mut map = registry().metrics.lock().unwrap();
-    match map
-        .entry(name.to_string())
-        .or_insert_with(|| Metric::Counter(Arc::new(AtomicU64::new(0))))
-    {
-        Metric::Counter(c) => Some(Arc::clone(c)),
-        _ => None, // name registered as another kind; drop the update
+impl Metric {
+    fn value(&self) -> MetricValue {
+        match self {
+            Metric::Counter(c) => MetricValue::Counter(c.load(Ordering::Relaxed)),
+            Metric::Gauge(g) => MetricValue::Gauge(f64::from_bits(g.load(Ordering::Relaxed))),
+            Metric::Histogram(h) => MetricValue::Histogram(h.summary()),
+        }
     }
+
+    /// Applies the update if it fits this metric's kind; an update to a name
+    /// registered as another kind is dropped.
+    fn apply(&self, update: Update, value: u64) {
+        match (self, update) {
+            (Metric::Counter(c), Update::Add) => {
+                c.fetch_add(value, Ordering::Relaxed);
+            }
+            (Metric::Gauge(g), Update::Set) => g.store(value, Ordering::Relaxed),
+            (Metric::Histogram(h), Update::Record) => h.record(value),
+            _ => {}
+        }
+    }
+}
+
+/// One context's metrics, by name.
+#[derive(Default)]
+pub(crate) struct Registry {
+    metrics: RwLock<BTreeMap<String, Metric>>,
+}
+
+impl Registry {
+    fn update(&self, name: &str, update: Update, value: u64) {
+        if let Some(metric) = self.metrics.read().unwrap().get(name) {
+            return metric.apply(update, value);
+        }
+        // First touch of the name: the only path that allocates.
+        #[cfg(test)]
+        tests::INSERTS.with(|n| n.set(n.get() + 1));
+        let mut metrics = self.metrics.write().unwrap();
+        let metric = metrics.entry(name.to_string()).or_insert_with(|| match update {
+            Update::Add => Metric::Counter(AtomicU64::new(0)),
+            Update::Set => Metric::Gauge(AtomicU64::new(0)),
+            Update::Record => Metric::Histogram(Box::new(Histogram::new())),
+        });
+        metric.apply(update, value);
+    }
+}
+
+/// Reads the calling thread's context's metrics.
+fn read<R>(f: impl FnOnce(&BTreeMap<String, Metric>) -> R) -> R {
+    with_current(|scope| f(&scope.state().metrics.metrics.read().unwrap()))
+}
+
+/// Runs one update on the calling thread's context, if its telemetry is on.
+#[inline]
+fn update(name: &str, update: Update, value: u64) {
+    when_on(ENABLED, |scope| scope.state().metrics.update(name, update, value));
 }
 
 /// Adds `delta` to the named counter. No-op when telemetry is disabled.
 #[inline]
 pub fn counter_add(name: &str, delta: u64) {
-    if !enabled() {
-        return;
-    }
-    if let Some(c) = counter_handle(name) {
-        c.fetch_add(delta, Ordering::Relaxed);
-    }
+    update(name, Update::Add, delta);
 }
 
 /// Current value of the named counter (0 if never touched).
 pub fn counter_get(name: &str) -> u64 {
-    let map = registry().metrics.lock().unwrap();
-    match map.get(name) {
-        Some(Metric::Counter(c)) => c.load(Ordering::Relaxed),
+    match read(|metrics| metrics.get(name).map(Metric::value)) {
+        Some(MetricValue::Counter(total)) => total,
         _ => 0,
     }
 }
@@ -186,23 +228,13 @@ pub fn counter_get(name: &str) -> u64 {
 /// Sets the named gauge to `value`. No-op when telemetry is disabled.
 #[inline]
 pub fn gauge_set(name: &str, value: f64) {
-    if !enabled() {
-        return;
-    }
-    let mut map = registry().metrics.lock().unwrap();
-    if let Metric::Gauge(g) = map
-        .entry(name.to_string())
-        .or_insert_with(|| Metric::Gauge(Arc::new(AtomicU64::new(0))))
-    {
-        g.store(value.to_bits(), Ordering::Relaxed);
-    }
+    update(name, Update::Set, value.to_bits());
 }
 
 /// Latest value of the named gauge, `None` if never set.
 pub fn gauge_get(name: &str) -> Option<f64> {
-    let map = registry().metrics.lock().unwrap();
-    match map.get(name) {
-        Some(Metric::Gauge(g)) => Some(f64::from_bits(g.load(Ordering::Relaxed))),
+    match read(|metrics| metrics.get(name).map(Metric::value)) {
+        Some(MetricValue::Gauge(latest)) => Some(latest),
         _ => None,
     }
 }
@@ -211,22 +243,7 @@ pub fn gauge_get(name: &str) -> Option<f64> {
 /// named histogram. No-op when telemetry is disabled.
 #[inline]
 pub fn histogram_record(name: &str, value: u64) {
-    if !enabled() {
-        return;
-    }
-    let handle = {
-        let mut map = registry().metrics.lock().unwrap();
-        match map
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Histogram(Arc::new(Histogram::new())))
-        {
-            Metric::Histogram(h) => Some(Arc::clone(h)),
-            _ => None,
-        }
-    };
-    if let Some(h) = handle {
-        h.record(value);
-    }
+    update(name, Update::Record, value);
 }
 
 /// Point-in-time summary of one histogram.
@@ -303,19 +320,7 @@ pub type Snapshot = BTreeMap<String, MetricValue>;
 /// Copies the current value of every metric. Names sort alphabetically,
 /// so dotted prefixes (`tensor.matmul.calls`) group naturally.
 pub fn metrics_snapshot() -> Snapshot {
-    let map = registry().metrics.lock().unwrap();
-    map.iter()
-        .map(|(name, m)| {
-            let v = match m {
-                Metric::Counter(c) => MetricValue::Counter(c.load(Ordering::Relaxed)),
-                Metric::Gauge(g) => {
-                    MetricValue::Gauge(f64::from_bits(g.load(Ordering::Relaxed)))
-                }
-                Metric::Histogram(h) => MetricValue::Histogram(h.summary()),
-            };
-            (name.clone(), v)
-        })
-        .collect()
+    read(|metrics| metrics.iter().map(|(name, m)| (name.clone(), m.value())).collect())
 }
 
 /// The full metrics snapshot as one JSON object keyed by metric name —
@@ -330,53 +335,89 @@ pub fn metrics_snapshot_json() -> Json {
     )
 }
 
-/// Clears every registered metric. Intended for tests and for isolating
-/// runs inside one process; handles cached by callers are dropped too.
-pub fn metrics_reset() {
-    registry().metrics.lock().unwrap().clear();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::set_enabled;
+    use crate::context::tests::enabled_context;
+    use crate::{set_enabled, Scope};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// First touches of a name seen by [`Registry::update`] on this thread.
+        pub(super) static INSERTS: Cell<u64> = const { Cell::new(0) };
+    }
 
     #[test]
-    fn counters_sum_across_threads() {
-        set_enabled(true);
+    fn counters_sum_across_the_threads_of_one_context() {
         let name = "test.concurrent.counter";
-        let threads: Vec<_> = (0..8)
-            .map(|_| {
-                std::thread::spawn(move || {
-                    for _ in 0..1000 {
-                        counter_add(name, 3);
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        assert_eq!(counter_get(name), 8 * 1000 * 3);
+        let total = enabled_context(|| {
+            let scope = Scope::capture();
+            std::thread::scope(|threads| {
+                for _ in 0..8 {
+                    threads.spawn(|| {
+                        scope.run(|| {
+                            for _ in 0..1000 {
+                                counter_add(name, 3);
+                            }
+                        })
+                    });
+                }
+            });
+            counter_get(name)
+        });
+        assert_eq!(total, 8 * 1000 * 3);
+    }
+
+    #[test]
+    fn only_the_first_touch_of_a_name_inserts() {
+        enabled_context(|| {
+            let inserts = || INSERTS.with(Cell::get);
+            let before = inserts();
+            counter_add("test.insert.counter", 1);
+            gauge_set("test.insert.gauge", 1.0);
+            histogram_record("test.insert.histo", 1);
+            assert_eq!(inserts(), before + 3);
+            for _ in 0..10 {
+                counter_add("test.insert.counter", 1);
+                gauge_set("test.insert.gauge", 2.0);
+                histogram_record("test.insert.histo", 2);
+            }
+            assert_eq!(inserts(), before + 3, "an existing name took the insert path");
+            assert_eq!(counter_get("test.insert.counter"), 11);
+            assert_eq!(metrics_snapshot().len(), 3);
+        });
+    }
+
+    #[test]
+    fn an_update_of_another_kind_is_dropped() {
+        enabled_context(|| {
+            counter_add("test.kind", 4);
+            gauge_set("test.kind", 1.0);
+            histogram_record("test.kind", 9);
+            assert_eq!(counter_get("test.kind"), 4);
+            assert_eq!(gauge_get("test.kind"), None);
+        });
     }
 
     #[test]
     fn gauges_keep_latest() {
-        set_enabled(true);
-        gauge_set("test.gauge", 1.5);
-        gauge_set("test.gauge", -2.25);
-        assert_eq!(gauge_get("test.gauge"), Some(-2.25));
-        assert_eq!(gauge_get("test.gauge.unset"), None);
+        enabled_context(|| {
+            gauge_set("test.gauge", 1.5);
+            gauge_set("test.gauge", -2.25);
+            assert_eq!(gauge_get("test.gauge"), Some(-2.25));
+            assert_eq!(gauge_get("test.gauge.unset"), None);
+        });
     }
 
     #[test]
     fn histogram_summary_statistics() {
-        set_enabled(true);
         let name = "test.histo";
-        for v in [1u64, 2, 3, 100] {
-            histogram_record(name, v);
-        }
-        let snap = metrics_snapshot();
+        let snap = enabled_context(|| {
+            for v in [1u64, 2, 3, 100] {
+                histogram_record(name, v);
+            }
+            metrics_snapshot()
+        });
         match snap.get(name) {
             Some(MetricValue::Histogram(h)) => {
                 assert_eq!(h.count, 4);
@@ -413,7 +454,6 @@ mod tests {
 
     #[test]
     fn quantiles_track_exact_percentiles_within_one_bucket() {
-        set_enabled(true);
         // A latency-shaped sample: bulk around 300–800µs, a 1% tail at
         // ~20ms. A flat log2 sketch reports p99 = 1023 for this shape
         // (28% over the exact 799); the log-spaced sketch must land
@@ -426,12 +466,14 @@ mod tests {
         for i in 0..10u64 {
             samples.push(20_000 + i * 37);
         }
-        for &s in &samples {
-            histogram_record(name, s);
-        }
+        let snap = enabled_context(|| {
+            for &s in &samples {
+                histogram_record(name, s);
+            }
+            metrics_snapshot()
+        });
         samples.sort_unstable();
         let exact = |q: f64| samples[((samples.len() as f64 * q).ceil() as usize).max(1) - 1];
-        let snap = metrics_snapshot();
         let Some(MetricValue::Histogram(h)) = snap.get(name) else {
             panic!("missing histogram");
         };
@@ -447,9 +489,11 @@ mod tests {
 
     #[test]
     fn disabled_updates_are_dropped() {
-        set_enabled(false);
-        counter_add("test.disabled.counter", 10);
-        set_enabled(true);
-        assert_eq!(counter_get("test.disabled.counter"), 0);
+        enabled_context(|| {
+            set_enabled(false);
+            counter_add("test.disabled.counter", 10);
+            set_enabled(true);
+            assert_eq!(metrics_snapshot().len(), 0);
+        });
     }
 }

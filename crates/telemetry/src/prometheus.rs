@@ -73,8 +73,8 @@ pub fn metrics_prometheus_text() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::tests::enabled_context;
     use crate::metrics::{counter_add, gauge_set, histogram_record};
-    use crate::set_enabled;
 
     #[test]
     fn names_are_sanitized() {
@@ -126,14 +126,16 @@ mod tests {
 
     #[test]
     fn exposition_parses_and_carries_all_three_kinds() {
-        set_enabled(true);
-        counter_add("test.prom.counter", 7);
-        gauge_set("test.prom.gauge", -1.5);
-        for v in [10u64, 20, 30, 1000] {
-            histogram_record("test.prom.histo.us", v);
-        }
-        let text = metrics_prometheus_text();
+        let text = enabled_context(|| {
+            counter_add("test.prom.counter", 7);
+            gauge_set("test.prom.gauge", -1.5);
+            for v in [10u64, 20, 30, 1000] {
+                histogram_record("test.prom.histo.us", v);
+            }
+            metrics_prometheus_text()
+        });
         let samples = parse_exposition(&text);
+        assert_eq!(samples.len(), 2 + 4, "another context's metrics were exposed:\n{text}");
         let get = |name: &str, labels: &str| {
             samples
                 .iter()

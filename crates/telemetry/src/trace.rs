@@ -1,7 +1,9 @@
 //! Hierarchical tracing, per-request trace propagation, Chrome trace
 //! export, and per-kernel profiling accumulators.
 //!
-//! This module is the causal layer on top of the flat metrics registry:
+//! This module is the causal layer on top of the flat metrics registry;
+//! like it, everything but the clock and the id allocators belongs to the
+//! calling thread's context ([`crate::Scope`]):
 //!
 //! * **Hierarchical frames**: every traced span pushes a frame onto a
 //!   thread-local stack. When the frame pops, its wall time is split into
@@ -11,123 +13,77 @@
 //! * **Kernel profiling** ([`KernelSpan`], [`profile_snapshot`]): kernel
 //!   entry points (matmul, CSR, element-wise, reductions, cache builds,
 //!   index scoring) open a [`KernelSpan`] tagged with a [`KernelKind`];
-//!   self time accumulates into one global atomic per kind. The trainer
-//!   diffs snapshots around each epoch to attribute epoch wall-clock per
-//!   kernel.
+//!   self time accumulates into one atomic per kind in the context the
+//!   span closed under. The trainer diffs snapshots around each epoch to
+//!   attribute epoch wall-clock per kernel.
 //! * **Chrome trace export** ([`chrome_trace_json`],
 //!   [`write_chrome_trace`]): with `AHNTP_TRACE_OUT=trace.json` (or
-//!   [`set_trace_collect`]), closed frames are appended to a bounded
-//!   in-memory sink as Chrome trace-event "complete" events (`ph:"X"`),
+//!   [`set_trace_collect`]), closed frames are appended to the context's
+//!   bounded in-memory sink as Chrome trace-event "complete" events (`ph:"X"`),
 //!   loadable in Perfetto / `chrome://tracing`. Faultz triggers arrive as
 //!   instant events (`ph:"i"`) via [`trace_instant`].
 //! * **Trace ids** ([`next_trace_id`], [`TraceIdScope`]): the serve layer
 //!   allocates one id per request, scopes it onto the handling thread, and
 //!   the id rides along into every event closed under that scope (and
-//!   across the `ahntp-par` pool via [`TraceContext`]).
+//!   across every thread hand-off, as part of the captured [`crate::Scope`]).
 //!
 //! # Cost when disarmed
 //!
-//! [`trace_active`] is one `OnceLock` read plus one relaxed atomic load —
-//! the same budget as [`crate::enabled`]. A [`KernelSpan`] on an inactive
-//! trace does no thread-local access, takes no lock, and records nothing,
-//! so golden-trajectory and determinism tests are unaffected.
+//! While no context in the process collects or profiles, [`trace_active`]
+//! and [`KernelSpan::enter`] are one relaxed load of a process-wide count —
+//! the budget of [`crate::enabled`] — with no thread-local access, no lock
+//! and nothing recorded, so golden-trajectory and determinism tests are
+//! unaffected.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 use std::time::Instant;
 
+use crate::context::{self, when_on, with_current, COLLECT, PROFILE};
 use crate::json::Json;
 use crate::warn;
 
-/// Bit: closed frames are appended to the Chrome event sink.
-const COLLECT: u32 = 1;
-/// Bit: kernel self time accumulates into the per-kind profile counters.
-const PROFILE: u32 = 2;
-
-static FLAGS: AtomicU32 = AtomicU32::new(0);
-
-/// `AHNTP_TRACE_OUT` destination, read once. `None` when unset.
-static TRACE_OUT: OnceLock<Option<PathBuf>> = OnceLock::new();
-
-fn trace_out_path() -> Option<&'static Path> {
-    TRACE_OUT
-        .get_or_init(|| {
-            let path = std::env::var("AHNTP_TRACE_OUT")
-                .ok()
-                .filter(|p| !p.trim().is_empty())
-                .map(PathBuf::from);
-            let mut flags = 0;
-            if path.is_some() {
-                flags |= COLLECT;
-            }
-            if crate::env::env_flag("AHNTP_PROFILE") {
-                flags |= PROFILE;
-            }
-            if flags != 0 {
-                FLAGS.fetch_or(flags, Ordering::Relaxed);
-            }
-            path
-        })
-        .as_deref()
-}
-
-/// Whether any tracing feature (collection or profiling) is armed. One
-/// `OnceLock` read plus one relaxed load — cheap enough for inner kernels.
+/// Whether any tracing feature (collection or profiling) is armed in the
+/// calling thread's context. One relaxed load while none is armed in any
+/// context — cheap enough for inner kernels.
 #[inline]
 pub fn trace_active() -> bool {
-    trace_out_path();
-    FLAGS.load(Ordering::Relaxed) != 0
+    context::is_on(COLLECT | PROFILE)
 }
 
 /// Whether closed frames are being collected into the Chrome event sink.
 #[inline]
 pub fn trace_collecting() -> bool {
-    trace_out_path();
-    FLAGS.load(Ordering::Relaxed) & COLLECT != 0
+    context::is_on(COLLECT)
 }
 
 /// Whether kernel self time is being accumulated per [`KernelKind`].
 #[inline]
 pub fn profiling_enabled() -> bool {
-    trace_out_path();
-    FLAGS.load(Ordering::Relaxed) & PROFILE != 0
+    context::is_on(PROFILE)
 }
 
-/// Programmatically starts/stops Chrome event collection (the same switch
-/// `AHNTP_TRACE_OUT` flips). Mainly for tests and embedders.
+/// Programmatically starts/stops Chrome event collection in the calling
+/// thread's context (the switch `AHNTP_TRACE_OUT` flips on the root).
+/// Mainly for tests and embedders.
 pub fn set_trace_collect(on: bool) {
-    trace_out_path();
-    if on {
-        FLAGS.fetch_or(COLLECT, Ordering::Relaxed);
-    } else {
-        FLAGS.fetch_and(!COLLECT, Ordering::Relaxed);
-    }
+    context::set(COLLECT, on);
 }
 
-/// Programmatically starts/stops per-kernel profiling (the same switch
-/// `AHNTP_PROFILE=1` flips).
+/// Programmatically starts/stops per-kernel profiling in the calling
+/// thread's context (the switch `AHNTP_PROFILE=1` flips on the root).
 pub fn set_profiling(on: bool) {
-    trace_out_path();
-    if on {
-        FLAGS.fetch_or(PROFILE, Ordering::Relaxed);
-    } else {
-        FLAGS.fetch_and(!PROFILE, Ordering::Relaxed);
-    }
+    context::set(PROFILE, on);
 }
 
-/// One process-wide monotonic epoch; all trace timestamps are µs since it.
-fn now_us() -> u64 {
+/// Microseconds since the one process-wide monotonic trace epoch — the
+/// clock every trace event and request stage timestamp shares.
+pub fn trace_now_us() -> u64 {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     EPOCH.get_or_init(Instant::now).elapsed().as_micros() as u64
-}
-
-/// Microseconds since the process trace epoch — the clock every trace
-/// event and request stage timestamp shares.
-pub fn trace_now_us() -> u64 {
-    now_us()
 }
 
 // ---------------------------------------------------------------------------
@@ -174,27 +130,10 @@ impl KernelKind {
 
     /// All kinds, in `repr` order.
     pub fn all() -> [KernelKind; KERNEL_KINDS] {
-        [
-            KernelKind::Matmul,
-            KernelKind::Csr,
-            KernelKind::Elementwise,
-            KernelKind::Reduction,
-            KernelKind::CacheBuild,
-            KernelKind::Score,
-            KernelKind::Other,
-        ]
+        use KernelKind::*;
+        [Matmul, Csr, Elementwise, Reduction, CacheBuild, Score, Other]
     }
 }
-
-static KERNEL_SELF_US: [AtomicU64; KERNEL_KINDS] = [
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-];
 
 /// A point-in-time copy of the per-kind self-time totals (µs). `Copy`, so
 /// it can ride inside `EpochStats` and be diffed with
@@ -210,11 +149,7 @@ impl KernelProfile {
     /// `self − earlier`, element-wise and saturating — the time spent
     /// between two snapshots.
     pub fn delta_since(&self, earlier: &KernelProfile) -> KernelProfile {
-        let mut us = [0u64; KERNEL_KINDS];
-        for (i, slot) in us.iter_mut().enumerate() {
-            *slot = self.us[i].saturating_sub(earlier.us[i]);
-        }
-        KernelProfile { us }
+        KernelProfile { us: std::array::from_fn(|i| self.us[i].saturating_sub(earlier.us[i])) }
     }
 
     /// Total µs across every kind. Because children telescope into their
@@ -237,21 +172,12 @@ impl KernelProfile {
     }
 }
 
-/// Copies the current per-kernel self-time totals. Diff two snapshots with
-/// [`KernelProfile::delta_since`] to attribute an interval.
+/// Copies the calling thread's context's per-kernel self-time totals. Diff
+/// two snapshots with [`KernelProfile::delta_since`] to attribute an interval.
 pub fn profile_snapshot() -> KernelProfile {
-    let mut us = [0u64; KERNEL_KINDS];
-    for (i, slot) in us.iter_mut().enumerate() {
-        *slot = KERNEL_SELF_US[i].load(Ordering::Relaxed);
-    }
-    KernelProfile { us }
-}
-
-/// Zeroes the per-kernel accumulators (tests and run isolation).
-pub fn profile_reset() {
-    for slot in &KERNEL_SELF_US {
-        slot.store(0, Ordering::Relaxed);
-    }
+    with_current(|scope| KernelProfile {
+        us: std::array::from_fn(|i| scope.state().kernel_self_us[i].load(Ordering::Relaxed)),
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -268,10 +194,18 @@ struct Frame {
 
 thread_local! {
     static FRAMES: RefCell<Vec<Frame>> = const { RefCell::new(Vec::new()) };
-    /// Trace id scoped onto this thread (0 = none).
-    static CUR_TRACE: Cell<u64> = const { Cell::new(0) };
-    /// Parent span name inherited across a pool boundary.
-    static INHERITED_PARENT: Cell<Option<&'static str>> = const { Cell::new(None) };
+}
+
+/// Name of the innermost span open on this thread — what a captured
+/// [`crate::Scope`] parents the other side's spans under.
+pub(crate) fn innermost_span() -> Option<&'static str> {
+    FRAMES.with(|f| f.borrow().last().map(|frame| frame.name))
+}
+
+/// Whether this thread has never pushed a span frame.
+#[cfg(test)]
+pub(crate) fn frames_never_pushed() -> bool {
+    FRAMES.with(|f| f.borrow().capacity() == 0)
 }
 
 /// Stable per-thread lane id for Chrome events (pid 1).
@@ -285,34 +219,16 @@ fn lane() -> u64 {
     LANE.with(|l| *l)
 }
 
-/// Pushes a frame. Returns `true` (the caller must pair it with
-/// [`frame_exit`]) unless tracing is inactive.
-fn frame_enter(name: &'static str, kind: KernelKind) -> bool {
-    if !trace_active() {
-        return false;
-    }
-    let start_us = now_us();
-    FRAMES.with(|f| {
-        f.borrow_mut().push(Frame {
-            name,
-            kind,
-            start_us,
-            child_us: 0,
-        });
-    });
-    true
-}
-
 /// Pops the innermost frame: attributes self time to its kind, telescopes
 /// its duration into the parent, and emits a Chrome complete event when
 /// collecting.
 fn frame_exit() {
-    let end_us = now_us();
+    let end_us = trace_now_us();
     let (frame, parent) = FRAMES.with(|f| {
         let mut frames = f.borrow_mut();
         let frame = frames
             .pop()
-            .expect("frame_exit without a matching frame_enter");
+            .expect("frame_exit without a matching KernelSpan::enter");
         let dur = end_us - frame.start_us;
         let parent = frames.last_mut().map(|p| {
             p.child_us += dur;
@@ -322,41 +238,47 @@ fn frame_exit() {
     });
     let dur_us = end_us - frame.start_us;
     let self_us = dur_us.saturating_sub(frame.child_us);
-    if profiling_enabled() {
-        KERNEL_SELF_US[frame.kind as usize].fetch_add(self_us, Ordering::Relaxed);
-    }
-    if trace_collecting() {
-        let parent = parent.or_else(|| INHERITED_PARENT.with(Cell::get));
-        emit(TraceEvent {
-            name: frame.name.to_string(),
-            cat: frame.kind.label(),
-            ph: Phase::Complete,
-            ts_us: frame.start_us,
-            dur_us,
-            pid: PID_THREADS,
-            tid: lane(),
-            trace_id: CUR_TRACE.with(Cell::get),
-            parent,
-        });
-    }
+    when_on(COLLECT | PROFILE, |scope| {
+        let state = scope.state();
+        if state.on(PROFILE) {
+            state.kernel_self_us[frame.kind as usize].fetch_add(self_us, Ordering::Relaxed);
+        }
+        if state.on(COLLECT) {
+            state.emit(TraceEvent {
+                name: frame.name.to_string(),
+                cat: frame.kind.label(),
+                ph: Phase::Complete,
+                ts_us: frame.start_us,
+                dur_us,
+                pid: PID_THREADS,
+                tid: lane(),
+                trace_id: scope.trace_id,
+                parent: parent.or(scope.parent),
+            });
+        }
+    });
 }
 
 /// A lightweight RAII kernel timer: participates in the frame hierarchy
 /// and the per-kind profile, but never touches the metrics registry, so
 /// it is safe on the hottest kernels.
-/// Inert (no thread-local access at all) while tracing is inactive.
+/// Inert (no thread-local access at all) while no context is tracing.
 #[must_use = "a kernel span measures the scope it lives in; bind it to a variable"]
 pub struct KernelSpan {
     pushed: bool,
 }
 
 impl KernelSpan {
-    /// Opens a kernel span; costs one branch when tracing is off.
+    /// Opens a kernel span (pushes a frame); costs one branch when tracing
+    /// is off.
     #[inline]
     pub fn enter(name: &'static str, kind: KernelKind) -> KernelSpan {
-        KernelSpan {
-            pushed: frame_enter(name, kind),
+        let pushed = trace_active();
+        if pushed {
+            let frame = Frame { name, kind, start_us: trace_now_us(), child_us: 0 };
+            FRAMES.with(|f| f.borrow_mut().push(frame));
         }
+        KernelSpan { pushed }
     }
 }
 
@@ -389,11 +311,6 @@ pub fn next_trace_id() -> u64 {
         | (NEXT.fetch_add(1, Ordering::Relaxed) & 0xff_ffff_ffff)
 }
 
-/// The trace id scoped onto the current thread (0 = none).
-pub fn current_trace_id() -> u64 {
-    CUR_TRACE.with(Cell::get)
-}
-
 /// RAII scope that tags the current thread with a trace id; spans closed
 /// inside the scope carry it into their Chrome event args. Restores the
 /// previous id on drop, so scopes nest.
@@ -405,65 +322,14 @@ pub struct TraceIdScope {
 /// Tags the current thread with `trace_id` until the guard drops.
 pub fn set_trace_id_scope(trace_id: u64) -> TraceIdScope {
     TraceIdScope {
-        prev: CUR_TRACE.with(|c| c.replace(trace_id)),
+        prev: context::replace_trace_id(trace_id),
     }
 }
 
 impl Drop for TraceIdScope {
     fn drop(&mut self) {
-        CUR_TRACE.with(|c| c.set(self.prev));
+        context::replace_trace_id(self.prev);
     }
-}
-
-/// A capture of the calling thread's trace position (trace id + innermost
-/// span name), cheap to copy into pool tasks so worker-side spans reparent
-/// to the span that spawned them. [`TraceContext::default`] (what an
-/// inactive trace captures) makes [`with_trace_context`] a plain call.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TraceContext {
-    trace_id: u64,
-    parent: Option<&'static str>,
-    active: bool,
-}
-
-/// Captures the current thread's trace context. Free (all-zero) when
-/// tracing is inactive.
-pub fn trace_context() -> TraceContext {
-    if !trace_active() {
-        return TraceContext::default();
-    }
-    let parent = FRAMES
-        .with(|f| f.borrow().last().map(|fr| fr.name))
-        .or_else(|| INHERITED_PARENT.with(Cell::get));
-    TraceContext {
-        trace_id: CUR_TRACE.with(Cell::get),
-        parent,
-        active: true,
-    }
-}
-
-/// Runs `f` with `ctx` installed as the thread's trace id and inherited
-/// parent, restoring the previous state afterwards (also on panic). The
-/// `ahntp-par` pool wraps every queued task in this.
-pub fn with_trace_context<R>(ctx: TraceContext, f: impl FnOnce() -> R) -> R {
-    if !ctx.active {
-        return f();
-    }
-    struct Restore {
-        trace_id: u64,
-        parent: Option<&'static str>,
-    }
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            CUR_TRACE.with(|c| c.set(self.trace_id));
-            INHERITED_PARENT.with(|c| c.set(self.parent));
-        }
-    }
-    let _restore = Restore {
-        trace_id: CUR_TRACE.with(|c| c.replace(ctx.trace_id)),
-        parent: INHERITED_PARENT.with(|c| c.replace(ctx.parent)),
-    };
-    f()
 }
 
 // ---------------------------------------------------------------------------
@@ -482,7 +348,7 @@ enum Phase {
     Instant,
 }
 
-struct TraceEvent {
+pub(crate) struct TraceEvent {
     name: String,
     cat: &'static str,
     ph: Phase,
@@ -528,52 +394,21 @@ impl TraceEvent {
     }
 }
 
-/// Bounded sink: events past the cap are counted, not stored, so a
-/// long-running traced server cannot grow without bound.
-struct Sink {
-    events: Mutex<Vec<TraceEvent>>,
-    dropped: AtomicU64,
-}
-
-fn sink() -> &'static Sink {
-    static SINK: OnceLock<Sink> = OnceLock::new();
-    SINK.get_or_init(|| Sink {
-        events: Mutex::new(Vec::new()),
-        dropped: AtomicU64::new(0),
-    })
-}
-
-fn sink_cap() -> usize {
-    static CAP: OnceLock<usize> = OnceLock::new();
-    *CAP.get_or_init(|| crate::env::env_parse("AHNTP_TRACE_CAP", 262_144usize).max(1))
-}
-
-fn emit(ev: TraceEvent) {
-    let s = sink();
-    let mut events = s.events.lock().unwrap();
-    if events.len() >= sink_cap() {
-        s.dropped.fetch_add(1, Ordering::Relaxed);
-    } else {
-        events.push(ev);
-    }
-}
-
 /// Emits an instant event (`ph:"i"`) onto the current thread's lane — how
 /// faultz trigger markers land in the trace. No-op unless collecting.
 pub fn trace_instant(cat: &'static str, name: &str) {
-    if !trace_collecting() {
-        return;
-    }
-    emit(TraceEvent {
-        name: name.to_string(),
-        cat,
-        ph: Phase::Instant,
-        ts_us: now_us(),
-        dur_us: 0,
-        pid: PID_THREADS,
-        tid: lane(),
-        trace_id: CUR_TRACE.with(Cell::get),
-        parent: None,
+    when_on(COLLECT, |scope| {
+        scope.state().emit(TraceEvent {
+            name: name.to_string(),
+            cat,
+            ph: Phase::Instant,
+            ts_us: trace_now_us(),
+            dur_us: 0,
+            pid: PID_THREADS,
+            tid: lane(),
+            trace_id: scope.trace_id,
+            parent: None,
+        });
     });
 }
 
@@ -582,55 +417,34 @@ pub fn trace_instant(cat: &'static str, name: &str) {
 /// queue.wait → score stages under one strictly-nested lane per trace id.
 /// No-op unless collecting.
 pub fn trace_complete_request(name: &'static str, ts_us: u64, dur_us: u64, trace_id: u64) {
-    if !trace_collecting() {
-        return;
-    }
-    emit(TraceEvent {
-        name: name.to_string(),
-        cat: "serve",
-        ph: Phase::Complete,
-        ts_us,
-        dur_us,
-        pid: PID_REQUESTS,
-        tid: trace_id,
-        trace_id,
-        parent: None,
+    when_on(COLLECT, |scope| {
+        scope.state().emit(TraceEvent {
+            name: name.to_string(),
+            cat: "serve",
+            ph: Phase::Complete,
+            ts_us,
+            dur_us,
+            pid: PID_REQUESTS,
+            tid: trace_id,
+            trace_id,
+            parent: None,
+        });
     });
-}
-
-/// Number of events currently buffered in the sink.
-pub fn trace_events_len() -> usize {
-    sink().events.lock().unwrap().len()
-}
-
-/// Events rejected because the sink was full (`AHNTP_TRACE_CAP`).
-pub fn trace_events_dropped() -> u64 {
-    sink().dropped.load(Ordering::Relaxed)
-}
-
-/// Clears the event sink (tests and run isolation). Leaves the profile
-/// accumulators alone — use [`profile_reset`] for those.
-pub fn trace_reset() {
-    let s = sink();
-    s.events.lock().unwrap().clear();
-    s.dropped.store(0, Ordering::Relaxed);
 }
 
 /// The buffered events as a Chrome trace-event JSON document:
 /// `{"traceEvents":[...], "displayTimeUnit":"ms"}`. Loadable in Perfetto
 /// and `chrome://tracing`.
 pub fn chrome_trace_json() -> Json {
-    let events = sink().events.lock().unwrap();
-    Json::obj([
-        (
-            "traceEvents",
-            Json::Arr(events.iter().map(TraceEvent::to_json).collect()),
-        ),
-        ("displayTimeUnit", Json::from("ms")),
-    ])
+    let events = with_current(|scope| {
+        scope.state().events.lock().unwrap().iter().map(TraceEvent::to_json).collect()
+    });
+    Json::obj([("traceEvents", Json::Arr(events)), ("displayTimeUnit", Json::from("ms"))])
 }
 
 /// Writes [`chrome_trace_json`] to `path` (creating parent directories).
+/// The file is replaced in one rename, so two contexts flushing to one
+/// path leave the later one's trace, never a mix of both.
 ///
 /// # Errors
 ///
@@ -641,7 +455,9 @@ pub fn write_chrome_trace(path: &Path) -> io::Result<()> {
             std::fs::create_dir_all(parent)?;
         }
     }
-    std::fs::write(path, chrome_trace_json().to_line())
+    let staged = path.with_extension(format!("tmp-{}-{}", std::process::id(), lane()));
+    std::fs::write(&staged, chrome_trace_json().to_line())?;
+    std::fs::rename(&staged, path)
 }
 
 /// Writes the buffered trace to the `AHNTP_TRACE_OUT` path, if one is
@@ -649,16 +465,14 @@ pub fn write_chrome_trace(path: &Path) -> io::Result<()> {
 /// propagating — tracing must never kill a run. Call sites: end of
 /// training, server shutdown, report binaries.
 pub fn flush_trace_to_env() -> Option<PathBuf> {
-    let path = trace_out_path()?.to_path_buf();
+    let path: PathBuf = with_current(|scope| scope.state().trace_out.clone())?;
     match write_chrome_trace(&path) {
         Ok(()) => {
-            crate::info!(
-                "trace",
-                "wrote {} trace events to {} ({} dropped)",
-                trace_events_len(),
-                path.display(),
-                trace_events_dropped()
-            );
+            let (len, dropped) = with_current(|scope| {
+                let state = scope.state();
+                (state.events.lock().unwrap().len(), state.dropped.load(Ordering::Relaxed))
+            });
+            crate::info!("trace", "wrote {len} trace events to {} ({dropped} dropped)", path.display());
             Some(path)
         }
         Err(e) => {
@@ -671,59 +485,51 @@ pub fn flush_trace_to_env() -> Option<PathBuf> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scope;
 
-    /// Collection/profiling toggles are process-global; serialize the
-    /// tests that flip them.
-    fn gate() -> std::sync::MutexGuard<'static, ()> {
-        static GATE: Mutex<()> = Mutex::new(());
-        GATE.lock().unwrap_or_else(|e| e.into_inner())
+    /// Runs `f` under a fresh context with the given switches set; the
+    /// counters, events and profile `f` sees are its own.
+    fn tracing<R>(collect: bool, profile: bool, f: impl FnOnce() -> R) -> R {
+        Scope::fresh().run(|| {
+            set_trace_collect(collect);
+            set_profiling(profile);
+            f()
+        })
     }
 
-    fn sink_events_named(prefix: &str) -> Vec<Json> {
+    fn sink_events() -> Vec<Json> {
         match chrome_trace_json().get("traceEvents") {
-            Some(Json::Arr(evs)) => evs
-                .iter()
-                .filter(|e| {
-                    e.get("name")
-                        .and_then(Json::as_str)
-                        .is_some_and(|n| n.starts_with(prefix))
-                })
-                .cloned()
-                .collect(),
+            Some(Json::Arr(evs)) => evs.clone(),
             _ => Vec::new(),
         }
     }
 
     #[test]
     fn inactive_tracing_is_inert() {
-        let _g = gate();
-        set_trace_collect(false);
-        set_profiling(false);
-        let before = profile_snapshot();
-        {
-            let _k = KernelSpan::enter("test.inert", KernelKind::Matmul);
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        assert_eq!(profile_snapshot(), before);
-        assert!(sink_events_named("test.inert").is_empty());
-        assert!(!trace_context().active);
+        tracing(false, false, || {
+            {
+                let _k = KernelSpan::enter("test.inert", KernelKind::Matmul);
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            assert_eq!(profile_snapshot(), KernelProfile::default());
+            assert!(sink_events().is_empty());
+            assert!(!trace_active());
+        });
     }
 
     #[test]
     fn nested_frames_split_self_and_child_time() {
-        let _g = gate();
-        set_profiling(true);
-        profile_reset();
-        {
-            let _outer = KernelSpan::enter("test.outer", KernelKind::Reduction);
-            std::thread::sleep(std::time::Duration::from_millis(4));
+        let p = tracing(false, true, || {
             {
-                let _inner = KernelSpan::enter("test.inner", KernelKind::Matmul);
-                std::thread::sleep(std::time::Duration::from_millis(6));
+                let _outer = KernelSpan::enter("test.outer", KernelKind::Reduction);
+                std::thread::sleep(std::time::Duration::from_millis(4));
+                {
+                    let _inner = KernelSpan::enter("test.inner", KernelKind::Matmul);
+                    std::thread::sleep(std::time::Duration::from_millis(6));
+                }
             }
-        }
-        let p = profile_snapshot();
-        set_profiling(false);
+            profile_snapshot()
+        });
         let matmul = p.us[KernelKind::Matmul as usize];
         let reduction = p.us[KernelKind::Reduction as usize];
         assert!(matmul >= 6_000, "inner self time under-measured: {matmul}");
@@ -737,27 +543,25 @@ mod tests {
         );
         // Telescoping: total self time ≤ total wall of the outer scope.
         assert!(p.total_us() >= 10_000);
+        assert_eq!(p.total_us(), matmul + reduction, "another kind was profiled");
     }
 
     #[test]
     fn collected_events_are_well_formed_and_nested() {
-        let _g = gate();
-        trace_reset();
-        set_trace_collect(true);
         let trace_id = next_trace_id();
-        {
-            let _scope = set_trace_id_scope(trace_id);
-            let _outer = KernelSpan::enter("test.evt.outer", KernelKind::Other);
-            std::thread::sleep(std::time::Duration::from_millis(2));
+        let evs = tracing(true, false, || {
             {
-                let _inner = KernelSpan::enter("test.evt.inner", KernelKind::Csr);
+                let _scope = set_trace_id_scope(trace_id);
+                let _outer = KernelSpan::enter("test.evt.outer", KernelKind::Other);
                 std::thread::sleep(std::time::Duration::from_millis(2));
+                {
+                    let _inner = KernelSpan::enter("test.evt.inner", KernelKind::Csr);
+                    std::thread::sleep(std::time::Duration::from_millis(2));
+                }
             }
-        }
-        trace_instant("faultz", "test.evt.fault");
-        set_trace_collect(false);
-
-        let evs = sink_events_named("test.evt.");
+            trace_instant("faultz", "test.evt.fault");
+            sink_events()
+        });
         assert_eq!(evs.len(), 3, "{evs:?}");
         let by_name = |n: &str| {
             evs.iter()
@@ -790,29 +594,26 @@ mod tests {
     }
 
     #[test]
-    fn pool_tasks_reparent_through_the_context() {
-        let _g = gate();
-        trace_reset();
-        set_trace_collect(true);
+    fn spans_on_another_thread_reparent_through_the_captured_scope() {
         let trace_id = next_trace_id();
-        let ctx = {
-            let _scope = set_trace_id_scope(trace_id);
-            let _parent = KernelSpan::enter("test.ctx.parent", KernelKind::Other);
-            let ctx = trace_context();
-            std::thread::spawn(move || {
-                with_trace_context(ctx, || {
-                    let _child = KernelSpan::enter("test.ctx.child", KernelKind::Matmul);
+        let evs = tracing(true, false, || {
+            {
+                let _scope = set_trace_id_scope(trace_id);
+                let _parent = KernelSpan::enter("test.ctx.parent", KernelKind::Other);
+                let scope = Scope::capture();
+                std::thread::spawn(move || {
+                    scope.run(|| drop(KernelSpan::enter("test.ctx.child", KernelKind::Matmul)));
+                    // Outside the scope this thread is on the root again.
+                    drop(KernelSpan::enter("test.ctx.stray", KernelKind::Matmul));
                 })
-            })
-            .join()
-            .unwrap();
-            ctx
-        };
-        set_trace_collect(false);
-        assert!(ctx.active);
-        let evs = sink_events_named("test.ctx.child");
-        assert_eq!(evs.len(), 1);
+                .join()
+                .unwrap();
+            }
+            sink_events()
+        });
+        assert_eq!(evs.len(), 2, "child and parent, not the stray: {evs:?}");
         let child = &evs[0];
+        assert_eq!(child.get("name").and_then(Json::as_str), Some("test.ctx.child"));
         assert_eq!(
             child
                 .get("args")
@@ -841,12 +642,10 @@ mod tests {
 
     #[test]
     fn request_lane_events_use_the_trace_id_as_tid() {
-        let _g = gate();
-        trace_reset();
-        set_trace_collect(true);
-        trace_complete_request("test.lane.request", 10, 50, 0x42);
-        set_trace_collect(false);
-        let evs = sink_events_named("test.lane.request");
+        let evs = tracing(true, false, || {
+            trace_complete_request("test.lane.request", 10, 50, 0x42);
+            sink_events()
+        });
         assert_eq!(evs.len(), 1);
         assert_eq!(evs[0].get("pid").and_then(Json::as_f64), Some(2.0));
         assert_eq!(evs[0].get("tid").and_then(Json::as_f64), Some(66.0));

@@ -145,16 +145,10 @@ fn golden_path() -> std::path::PathBuf {
 /// file byte-for-byte, and must be identical at 1 and 4 compute threads.
 #[test]
 fn golden_trajectory_bytes_exact_at_one_and_four_threads() {
-    let ambient = ahntp_par::threads();
-    let rendered_1 = {
-        ahntp_par::set_threads(1);
-        render_trajectories()
+    let at = |threads| {
+        ahntp_par::with_pool(threads, ahntp_par::DEFAULT_PAR_THRESHOLD, render_trajectories)
     };
-    let rendered_4 = {
-        ahntp_par::set_threads(4);
-        render_trajectories()
-    };
-    ahntp_par::set_threads(ambient);
+    let (rendered_1, rendered_4) = (at(1), at(4));
     assert_eq!(
         rendered_1, rendered_4,
         "loss trajectory depends on the thread count — deterministic-kernel \

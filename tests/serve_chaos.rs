@@ -7,17 +7,20 @@
 //! stays live throughout, and the metrics snapshot accounts for every
 //! injected event.
 //!
-//! A test's failpoints live in its own `ahntp-faultz` scope, which every
-//! server it starts inherits, so the tests run in parallel.
+//! Every test runs under an execution context of its own
+//! (`ahntp_par::Context::fresh`), which every server it starts inherits:
+//! its failpoints fault only its own servers and `/metrics` counts only its
+//! own requests, so the tests run in parallel and assert exact numbers.
 
 use ahntp_bench::loadgen::{run_load, LoadConfig};
 use ahntp_faultz::{self as faultz, Action, FaultSpec};
+use ahntp_par::Context;
 use ahntp_serve::client::Client;
 use ahntp_serve::{serve, ServeConfig, ServerHandle, TrustIndex};
 use ahntp_telemetry::json::{parse, Json};
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const N_USERS: usize = 16;
 
@@ -70,52 +73,65 @@ fn get(addr: SocketAddr, path: &str) -> (u16, BTreeMap<String, String>, String) 
     (r.status, r.headers, r.body)
 }
 
-fn metric(addr: SocketAddr, name: &str) -> f64 {
+/// The server's `/metrics`, parsed.
+fn metrics(addr: SocketAddr) -> Json {
     let (status, _, body) = get(addr, "/metrics");
     assert_eq!(status, 200, "{body}");
-    parse(&body)
-        .expect("metrics JSON")
-        .get(name)
-        .and_then(Json::as_f64)
-        .unwrap_or(0.0)
+    parse(&body).expect("metrics JSON")
+}
+
+fn metric(addr: SocketAddr, name: &str) -> f64 {
+    metrics(addr).get(name).and_then(Json::as_f64).unwrap_or(0.0)
 }
 
 /// A batch delay far past the deadline: the client gets `504` +
-/// `Retry-After` within the deadline budget instead of hanging, and
-/// `/healthz` (which never touches the queue) stays live throughout.
+/// `Retry-After` while the delayed batch is still held up — not after it —
+/// and `/healthz` (which never touches the queue) stays live throughout.
 #[test]
 fn injected_batch_delay_never_hangs_a_client_past_the_deadline() {
-    let server = start(Duration::from_millis(100));
-    let addr = server.addr();
-    let _fault = faultz::scoped("serve.batch", FaultSpec::new(Action::Delay(400)));
+    Context::fresh().run(|| {
+        let server = start(Duration::from_millis(100));
+        let addr = server.addr();
+        let _fault = faultz::scoped("serve.batch", FaultSpec::new(Action::Delay(2_000)));
 
-    let started = Instant::now();
-    let (status, headers, body) = post_score(addr, r#"{"pairs":[[0,1]]}"#);
-    let elapsed = started.elapsed();
-    assert_eq!(status, 504, "{body}");
-    assert_eq!(headers.get("retry-after").map(String::as_str), Some("2"));
-    assert!(body.contains("deadline"), "{body}");
-    assert!(
-        elapsed < Duration::from_millis(350),
-        "client waited {elapsed:?} — past the 100ms deadline and into the injected delay"
-    );
+        let (status, headers, body) = post_score(addr, r#"{"pairs":[[0,1]]}"#);
+        assert_eq!(status, 504, "{body}");
+        assert_eq!(headers.get("retry-after").map(String::as_str), Some("2"));
+        assert!(body.contains("deadline"), "{body}");
+        let kernel_calls = format!("serve.score_pairs.{}.calls", headers["x-ahntp-backend"]);
 
-    // Liveness is queue-independent: healthz answers while scoring stalls.
-    let (status, _, body) = get(addr, "/healthz");
-    assert_eq!(status, 200, "{body}");
+        // The order of events, not their wall-clock: when the client holds
+        // the 504 the batcher has picked the job up (the batch is sized
+        // before the `serve.batch` site sleeps) and the delay has fired, but
+        // the kernel behind the delay has not run (it counts its calls only
+        // once the site returns). So the answer came from the deadline, not
+        // from the end of the injected delay.
+        let now = metrics(addr);
+        let count = |name: &str| now.get(name).and_then(Json::as_f64).unwrap_or(0.0);
+        let batches = now.get("serve.score.batch_size").and_then(|h| h.get("count"));
+        assert_eq!(batches.and_then(Json::as_f64), Some(1.0), "{}", now.to_line());
+        assert_eq!(count(&kernel_calls), 0.0, "{}", now.to_line());
+        assert_eq!(count("serve.deadline_exceeded"), 1.0);
+        assert_eq!(count("faultz.triggered"), 1.0);
+        assert_eq!(count("faultz.serve.batch.triggered"), 1.0);
 
-    assert!(metric(addr, "serve.deadline_exceeded") >= 1.0);
-    assert!(metric(addr, "faultz.triggered") >= 1.0);
-    server.shutdown();
+        // Liveness is queue-independent: healthz answers while scoring stalls.
+        let (status, _, body) = get(addr, "/healthz");
+        assert_eq!(status, 200, "{body}");
+        server.shutdown();
+    });
 }
 
 /// An erroring batch kernel degrades to per-pair scoring: clients still
 /// get correct `200` answers, and `serve.degraded` counts the fallback.
 #[test]
 fn injected_batch_error_degrades_to_per_pair_scoring() {
+    Context::fresh().run(batch_error_degrades);
+}
+
+fn batch_error_degrades() {
     let server = start(Duration::from_secs(2));
     let addr = server.addr();
-    let degraded_before = metric(addr, "serve.degraded");
     let _fault = faultz::scoped("serve.batch", FaultSpec::new(Action::Err));
 
     let (status, _, body) = post_score(addr, r#"{"pairs":[[0,1],[2,5],[3,3]]}"#);
@@ -134,7 +150,7 @@ fn injected_batch_error_degrades_to_per_pair_scoring() {
             "degraded score {got} vs batched {want}"
         );
     }
-    assert!(metric(addr, "serve.degraded") > degraded_before);
+    assert_eq!(metric(addr, "serve.degraded"), 1.0);
     server.shutdown();
 }
 
@@ -142,9 +158,12 @@ fn injected_batch_error_degrades_to_per_pair_scoring() {
 /// in `serve.shed`, with `/healthz` unaffected.
 #[test]
 fn injected_enqueue_rejection_sheds_with_retry_after() {
+    Context::fresh().run(enqueue_rejection_sheds);
+}
+
+fn enqueue_rejection_sheds() {
     let server = start(Duration::from_secs(2));
     let addr = server.addr();
-    let shed_before = metric(addr, "serve.shed");
     let _fault = faultz::scoped("serve.enqueue", FaultSpec::new(Action::Err));
 
     let (status, headers, body) = post_score(addr, r#"{"pairs":[[0,1]]}"#);
@@ -153,7 +172,7 @@ fn injected_enqueue_rejection_sheds_with_retry_after() {
     assert!(body.contains("queue full"), "{body}");
     let (status, _, _) = get(addr, "/healthz");
     assert_eq!(status, 200);
-    assert!(metric(addr, "serve.shed") > shed_before);
+    assert_eq!(metric(addr, "serve.shed"), 1.0);
     server.shutdown();
 }
 
@@ -162,9 +181,12 @@ fn injected_enqueue_rejection_sheds_with_retry_after() {
 /// records exactly one trigger.
 #[test]
 fn nth_gated_request_fault_fires_exactly_once() {
+    Context::fresh().run(nth_gated_request_fault);
+}
+
+fn nth_gated_request_fault() {
     let server = start(Duration::from_secs(2));
     let addr = server.addr();
-    let triggered_before = metric(addr, "faultz.serve.request.triggered");
     let _fault = faultz::scoped("serve.request", FaultSpec::new(Action::Err).on_nth(1));
 
     let (status, _, body) = post_score(addr, r#"{"pairs":[[0,1]]}"#);
@@ -172,11 +194,11 @@ fn nth_gated_request_fault_fires_exactly_once() {
     assert!(body.contains("injected"), "{body}");
     let (status, _, body) = post_score(addr, r#"{"pairs":[[0,1]]}"#);
     assert_eq!(status, 200, "second request must be clean: {body}");
-    assert_eq!(
-        metric(addr, "faultz.serve.request.triggered") - triggered_before,
-        1.0,
-        "the nth(1) gate must fire exactly once"
-    );
+    let now = metrics(addr);
+    for name in ["faultz.serve.request.triggered", "faultz.triggered", "serve.http.errors"] {
+        let count = now.get(name).and_then(Json::as_f64);
+        assert_eq!(count, Some(1.0), "{name}: the nth(1) gate must fire exactly once");
+    }
     server.shutdown();
 }
 
@@ -185,6 +207,10 @@ fn nth_gated_request_fault_fires_exactly_once() {
 /// disarmed, the same server serves normally again.
 #[test]
 fn injected_read_faults_drop_connections_but_not_the_server() {
+    Context::fresh().run(read_faults_drop_connections);
+}
+
+fn read_faults_drop_connections() {
     let server = start(Duration::from_secs(2));
     let addr = server.addr();
     {
@@ -208,6 +234,10 @@ fn injected_read_faults_drop_connections_but_not_the_server() {
 /// bounded time. Prints baseline-vs-chaos numbers for EXPERIMENTS.md.
 #[test]
 fn loadgen_under_injected_delay_answers_every_request() {
+    Context::fresh().run(loadgen_under_injected_delay);
+}
+
+fn loadgen_under_injected_delay() {
     let cfg = LoadConfig {
         connections: 3,
         requests_per_connection: 25,
@@ -245,6 +275,12 @@ fn loadgen_under_injected_delay_answers_every_request() {
     println!("baseline: {}", baseline.summary());
     println!("delay(10): {}", chaos.summary());
     println!("deadline_exceeded={deadline_exceeded} shed={shed}");
+    // Both servers counted into this test's context and nobody else did.
+    assert_eq!(
+        (baseline.failed + chaos.failed) as f64,
+        deadline_exceeded + shed,
+        "a failed request that was neither a missed deadline nor a shed"
+    );
 
     // A clean one-shot request after all chaos: the stack is still whole.
     let server = start(Duration::from_secs(2));

@@ -5,13 +5,16 @@
 //! throughout: after any fault, `/score` answers exactly what a mirror
 //! model that applied the same successful prefix would answer.
 //!
-//! A test's failpoints live in its own `ahntp-faultz` scope, which every
-//! server it starts inherits, so the tests run in parallel.
+//! Every test runs under an execution context of its own
+//! (`ahntp_par::Context::fresh`), which the server it starts inherits: its
+//! failpoints fault only its own server and the ingest counters it reads
+//! are exactly its own, so the tests run in parallel.
 
 use ahntp::{Ahntp, AhntpConfig};
 use ahntp_data::{DatasetConfig, TrustDataset};
 use ahntp_eval::TrustModel;
 use ahntp_faultz::{self as faultz, Action, FaultSpec};
+use ahntp_par::Context;
 use ahntp_serve::client::Client;
 use ahntp_serve::{serve_live, ServeConfig, ServerHandle, TrustIndex};
 use ahntp_stream::{
@@ -80,6 +83,16 @@ impl Mirror {
 
     fn scores(&self, pairs: &[(usize, usize)]) -> Vec<f32> {
         self.index.score_pairs(pairs).expect("mirror scores")
+    }
+}
+
+/// What the applier thread of this test's server has counted so far:
+/// `(serve.ingest.errors, batches it picked up, events in those batches)`.
+fn ingest_counts() -> (u64, u64, u64) {
+    let errors = ahntp_telemetry::counter_get("serve.ingest.errors");
+    match ahntp_telemetry::metrics_snapshot().get("serve.ingest.batch_size") {
+        Some(ahntp_telemetry::MetricValue::Histogram(h)) => (errors, h.count, h.sum),
+        _ => (errors, 0, 0),
     }
 }
 
@@ -157,6 +170,10 @@ fn sample_events() -> Vec<TrustEvent> {
 /// nothing applied, the live index bitwise untouched.
 #[test]
 fn ingest_fault_rejects_the_batch_before_any_mutation() {
+    Context::fresh().run(ingest_fault);
+}
+
+fn ingest_fault() {
     let server = start();
     let addr = server.addr();
     let mirror = Mirror::new();
@@ -172,10 +189,12 @@ fn ingest_fault_rejects_the_batch_before_any_mutation() {
     let after = server_scores(addr, &[(0, 1), (5, 9), (11, 3)]);
     assert_eq!(before, after, "index mutated by a rejected batch");
     assert_matches_mirror(addr, &mirror, "after serve.ingest fault");
+    assert_eq!(ingest_counts(), (0, 0, 0), "the rejected batch reached the applier");
 
     // Disarmed, the same batch lands.
     let (status, body) = post(addr, "/events", &wire(&sample_events()));
     assert_eq!(status, 200, "{body}");
+    assert_eq!(ingest_counts(), (0, 1, 5));
     server.shutdown();
 }
 
@@ -184,6 +203,10 @@ fn ingest_fault_rejects_the_batch_before_any_mutation() {
 /// answers like a mirror that applied the same prefix.
 #[test]
 fn apply_fault_mid_batch_keeps_the_live_index_on_the_applied_prefix() {
+    Context::fresh().run(apply_fault_mid_batch);
+}
+
+fn apply_fault_mid_batch() {
     let server = start();
     let addr = server.addr();
     let mut mirror = Mirror::new();
@@ -205,10 +228,12 @@ fn apply_fault_mid_batch_keeps_the_live_index_on_the_applied_prefix() {
         mirror.apply(event).expect("mirror prefix");
     }
     assert_matches_mirror(addr, &mirror, "after stream.apply fault");
+    assert_eq!(ingest_counts(), (1, 1, 5));
 
     // The rest of the batch can be replayed once the fault clears.
     let (status, body) = post(addr, "/events", &wire(&events[2..]));
     assert_eq!(status, 200, "{body}");
+    assert_eq!(ingest_counts(), (1, 2, 8));
     for event in &events[2..] {
         mirror.apply(event).expect("mirror tail");
     }
@@ -221,6 +246,10 @@ fn apply_fault_mid_batch_keeps_the_live_index_on_the_applied_prefix() {
 /// dirty set survives and the next healthy batch flushes everything.
 #[test]
 fn refresh_fault_leaves_rows_stale_but_consistent_until_the_next_flush() {
+    Context::fresh().run(refresh_fault);
+}
+
+fn refresh_fault() {
     let server = start();
     let addr = server.addr();
     let mut mirror = Mirror::new();
@@ -244,6 +273,7 @@ fn refresh_fault_leaves_rows_stale_but_consistent_until_the_next_flush() {
     }
     // Consistent-but-stale: the index still answers the pre-event rows.
     assert_matches_mirror(addr, &stale_mirror, "stale rows after stream.refresh fault");
+    assert_eq!(ingest_counts(), (1, 1, 1));
 
     // The next healthy event flushes the retained dirty set too.
     let second = TrustEvent::AddEdge {
@@ -258,5 +288,6 @@ fn refresh_fault_leaves_rows_stale_but_consistent_until_the_next_flush() {
     mirror.apply(&first).expect("mirror first");
     mirror.apply(&second).expect("mirror second");
     assert_matches_mirror(addr, &mirror, "after the flush catches up");
+    assert_eq!(ingest_counts(), (1, 2, 2));
     server.shutdown();
 }

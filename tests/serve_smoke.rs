@@ -47,6 +47,12 @@ fn trained_model() -> (TrustDataset, Vec<LabeledPair>, Ahntp) {
 
 #[test]
 fn serve_smoke_end_to_end() {
+    // Under a context of its own, which the server inherits: `/metrics`
+    // and the ledger count this test's requests and no other's.
+    ahntp_par::Context::fresh().run(serve_smoke);
+}
+
+fn serve_smoke() {
     ahntp_telemetry::set_enabled(true);
     let (_dataset, test_pairs, model) = trained_model();
 
@@ -181,15 +187,19 @@ fn serve_smoke_end_to_end() {
     let Response { status, body, .. } = conn.get("/metrics").unwrap();
     assert_eq!(status, 200);
     let metrics = parse(&body).expect("metrics endpoint emits valid JSON");
+    let number = |doc: &Json, field: &str| doc.get(field).and_then(Json::as_f64).unwrap();
+    // /healthz, /score, /topk, the 90 of the burst, and this read.
+    assert_eq!(number(&metrics, "serve.http.requests"), 94.0, "{body}");
+    // Latency is recorded once a response is written: all 93 answered
+    // requests, less the burst's last if its worker is still at it.
     let latency = metrics.get("serve.request.us").expect("latency histogram");
-    assert!(
-        latency.get("count").and_then(Json::as_f64).unwrap() >= 90.0,
-        "{body}"
-    );
+    assert!((92.0..=93.0).contains(&number(latency, "count")), "{body}");
+    // Every scored pair went through exactly one batch: 10 + 90 × 4.
     let batches = metrics
         .get("serve.score.batch_size")
         .expect("batch-size histogram");
-    assert!(batches.get("count").and_then(Json::as_f64).unwrap() >= 1.0);
+    assert_eq!(number(batches, "sum"), 370.0, "{body}");
+    assert!((1.0..=91.0).contains(&number(batches, "count")), "{body}");
     assert!(metrics.get("serve.queue.depth").is_some());
 
     // The same histograms land in a run ledger's run_end record.

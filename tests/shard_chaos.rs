@@ -10,16 +10,21 @@
 //! * a fingerprint mismatch is refused with `409`,
 //! * a swap under closed-loop load drops zero requests.
 //!
-//! A test's failpoints live in its own `ahntp-faultz` scope, which every
-//! server it starts inherits, so the tests run in parallel.
+//! Every test runs under an execution context of its own
+//! (`ahntp_par::Context::fresh`), which the front and the shards it starts
+//! inherit: its failpoints fault only its own cluster and the counters it
+//! reads (`front.*` from the front, `serve.*` summed over its shards) are
+//! exactly its own, so the tests run in parallel and assert with `==`.
 
 use ahntp_faultz::{self as faultz, Action, FaultSpec};
 use ahntp_nn::TrustArtifact;
+use ahntp_par::Context;
 use ahntp_serve::{
     serve, serve_sharded, shard_ranges, BackendKind, ServeConfig, ServerHandle, ShardedHandle,
     TrustIndex,
 };
 use ahntp_serve::client::Client;
+use ahntp_telemetry::counter_get;
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -58,7 +63,9 @@ fn config() -> ServeConfig {
     ServeConfig { workers: 2, ..ServeConfig::default() }
 }
 
+/// A front over `n_shards` shards, all in the calling test's context.
 fn start_cluster(a: &TrustArtifact, n_shards: usize) -> (Vec<ServerHandle>, ShardedHandle) {
+    ahntp_telemetry::set_enabled(true);
     let shards: Vec<ServerHandle> = shard_ranges(N_USERS, n_shards)
         .into_iter()
         .map(|range| {
@@ -111,6 +118,10 @@ fn swap_body(path: &std::path::Path) -> String {
 /// answering and `/healthz` reports the cluster degraded.
 #[test]
 fn one_shard_down_fails_fanout_reads_deterministically() {
+    Context::fresh().run(one_shard_down);
+}
+
+fn one_shard_down() {
     let (mut shards, front) = start_cluster(&artifact(0.0), 2);
     // Kill the shard owning the upper half [8, 16).
     shards.pop().unwrap().shutdown();
@@ -136,6 +147,11 @@ fn one_shard_down_fails_fanout_reads_deterministically() {
     assert_eq!(status, 200);
     assert!(body.contains("\"status\":\"degraded\""), "{body}");
     assert!(body.contains("\"down\""), "{body}");
+    // Five /topk and one /score met the dead shard, once each; the eight
+    // requests above are all the front has read.
+    assert_eq!(counter_get("front.shard_unavailable"), 6);
+    assert_eq!(counter_get("front.http.errors"), 6);
+    assert_eq!(counter_get("front.http.requests"), 8);
 
     front.shutdown();
     for s in shards {
@@ -148,7 +164,10 @@ fn one_shard_down_fails_fanout_reads_deterministically() {
 /// serves again (nothing wedged).
 #[test]
 fn injected_rpc_faults_answer_503_and_recover() {
-    ahntp_telemetry::set_enabled(true);
+    Context::fresh().run(injected_rpc_faults);
+}
+
+fn injected_rpc_faults() {
     let (shards, front) = start_cluster(&artifact(0.0), 2);
     {
         let _fault = faultz::scoped("shard.rpc", FaultSpec::new(Action::Err));
@@ -158,6 +177,10 @@ fn injected_rpc_faults_answer_503_and_recover() {
     }
     let (status, _, body) = get(front.addr(), "/topk?user=0&k=2");
     assert_eq!(status, 200, "disarmed cluster must serve again: {body}");
+    // Both fan-out calls of the armed request hit the site; the front
+    // answered for the first failed shard and stopped there.
+    assert_eq!(counter_get("faultz.shard.rpc.triggered"), 2);
+    assert_eq!(counter_get("front.shard_unavailable"), 1);
     front.shutdown();
     for s in shards {
         s.shutdown();
@@ -170,6 +193,10 @@ fn injected_rpc_faults_answer_503_and_recover() {
 /// serving.
 #[test]
 fn an_oversized_shard_reply_is_a_502_naming_the_shard() {
+    Context::fresh().run(oversized_shard_reply);
+}
+
+fn oversized_shard_reply() {
     use ahntp_serve::http::{read_request, write_response};
     use std::io::{BufReader, Write};
 
@@ -196,6 +223,7 @@ fn an_oversized_shard_reply_is_a_502_naming_the_shard() {
                 .expect("reply");
         }
     });
+    ahntp_telemetry::set_enabled(true);
     let front = serve_sharded(&[shard_addr], &config()).expect("start front");
 
     let (status, _, body) = get(front.addr(), "/topk?user=1&k=3");
@@ -203,6 +231,8 @@ fn an_oversized_shard_reply_is_a_502_naming_the_shard() {
     assert!(body.contains(&shard_addr.to_string()), "502 names the shard: {body}");
     let (status, _, body) = post(front.addr(), "/score", r#"{"pairs":[[0,1]]}"#);
     assert_eq!(status, 200, "the front must serve the next request: {body}");
+    // Unreadable is not unreachable: a 502, not a `front.shard_unavailable`.
+    assert_eq!(["front.http.errors", "front.shard_unavailable"].map(counter_get), [1, 0]);
 
     front.shutdown();
     shard.join().expect("fake shard thread");
@@ -214,6 +244,10 @@ fn an_oversized_shard_reply_is_a_502_naming_the_shard() {
 /// snapshot takes over with zero restarts.
 #[test]
 fn mid_swap_failure_leaves_the_old_snapshot_serving() {
+    Context::fresh().run(mid_swap_failure);
+}
+
+fn mid_swap_failure() {
     let (shards, front) = start_cluster(&artifact(0.0), 2);
     let probe = "/topk?user=2&k=4";
     let (_, _, before) = get(front.addr(), probe);
@@ -225,6 +259,12 @@ fn mid_swap_failure_leaves_the_old_snapshot_serving() {
         assert_eq!(status, 500, "injected swap failure must surface: {body}");
         assert!(body.contains("shard"), "refusal names the shard: {body}");
     }
+    // The broadcast stopped at the first shard; nothing was swapped.
+    let swap_counts = || {
+        ["faultz.shard.swap.triggered", "front.swap.refused", "front.swap.ok", "serve.index.swaps"]
+            .map(counter_get)
+    };
+    assert_eq!(swap_counts(), [1, 1, 0, 0]);
     let (status, _, after_failure) = get(front.addr(), probe);
     assert_eq!(status, 200);
     assert_eq!(before, after_failure, "failed swap must not change served bytes");
@@ -233,6 +273,7 @@ fn mid_swap_failure_leaves_the_old_snapshot_serving() {
     let (status, _, body) = post(front.addr(), "/admin/swap", &swap_body(&next));
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"swapped\":true"), "{body}");
+    assert_eq!(swap_counts(), [1, 1, 1, 2], "one swap on each of the two shards");
     // ...and the cluster serves the new snapshot: byte-identical to a
     // fresh single node over the swapped-in artifact.
     let single = serve(exact_index(&artifact(0.25)), &config()).expect("bind single");
@@ -255,6 +296,10 @@ fn mid_swap_failure_leaves_the_old_snapshot_serving() {
 /// onto one refuses with `422` and keeps serving the old snapshot.
 #[test]
 fn torn_v2_artifacts_fail_closed_at_map_time() {
+    Context::fresh().run(torn_v2_artifacts);
+}
+
+fn torn_v2_artifacts() {
     let bytes = artifact(0.0).encode_v2();
     let torn_path = std::env::temp_dir().join(format!(
         "ahntp_shard_chaos_{}_torn.ahntpsrv",
@@ -280,6 +325,7 @@ fn torn_v2_artifacts_fail_closed_at_map_time() {
     }
 
     // A live shard swapping onto a torn file: 422, old snapshot intact.
+    ahntp_telemetry::set_enabled(true);
     let index = exact_index(&artifact(0.0));
     let server = serve(index, &config()).expect("bind");
     let mut torn = bytes.clone();
@@ -290,6 +336,7 @@ fn torn_v2_artifacts_fail_closed_at_map_time() {
     assert_eq!(status, 422, "torn artifact must be refused: {body}");
     let (_, _, after) = get(server.addr(), "/topk?user=1&k=3");
     assert_eq!(before, after, "refused swap must not perturb the index");
+    assert_eq!(["serve.swap.errors", "serve.index.swaps"].map(counter_get), [1, 0]);
     server.shutdown();
     let _ = std::fs::remove_file(torn_path);
 }
@@ -299,6 +346,10 @@ fn torn_v2_artifacts_fail_closed_at_map_time() {
 /// nothing changes.
 #[test]
 fn fingerprint_mismatch_is_refused_with_409() {
+    Context::fresh().run(fingerprint_mismatch);
+}
+
+fn fingerprint_mismatch() {
     let (shards, front) = start_cluster(&artifact(0.0), 2);
     let mut foreign = artifact(0.5);
     foreign.fingerprint = FINGERPRINT ^ 0xdead;
@@ -311,6 +362,9 @@ fn fingerprint_mismatch_is_refused_with_409() {
     assert!(body.contains("shard"), "refusal names the refusing shard: {body}");
     let (_, _, after) = get(front.addr(), "/topk?user=5&k=3");
     assert_eq!(before, after, "refused swap must not perturb the cluster");
+    // The first shard refused and the broadcast stopped there.
+    let counts = ["serve.swap.refused", "front.swap.refused", "serve.index.swaps"].map(counter_get);
+    assert_eq!(counts, [1, 1, 0]);
 
     let _ = std::fs::remove_file(path);
     front.shutdown();
@@ -324,6 +378,10 @@ fn fingerprint_mismatch_is_refused_with_409() {
 /// move (snapshots build outside it), so zero requests drop or error.
 #[test]
 fn swaps_under_closed_loop_load_drop_zero_requests() {
+    Context::fresh().run(swaps_under_load);
+}
+
+fn swaps_under_load() {
     let (shards, front) = start_cluster(&artifact(0.0), 2);
     let a = write_v2(&artifact(0.1), "load_a");
     let b = write_v2(&artifact(0.2), "load_b");
@@ -366,9 +424,69 @@ fn swaps_under_closed_loop_load_drop_zero_requests() {
     }
     assert_eq!(total, 120, "every request must be answered");
     assert_eq!(swaps, 6);
+    let counts = ["front.swap.ok", "serve.index.swaps", "front.http.requests", "front.http.errors"];
+    assert_eq!(counts.map(counter_get), [6, 12, 126, 0]);
 
     let _ = std::fs::remove_file(a);
     let _ = std::fs::remove_file(b);
+    front.shutdown();
+    for s in shards {
+        s.shutdown();
+    }
+}
+
+/// Three servers, three contexts, one process: each `/metrics` is its
+/// server's own. `N` front `/topk` requests are `N` requests on the front
+/// and `N` on each shard; the front counts none of the shards' and the
+/// shards none of each other's — nor does the process's root context, which
+/// this test thread works in, see any of them.
+#[test]
+fn a_front_and_its_shards_report_disjoint_metrics() {
+    const N: usize = 7;
+    // Starts a server under a context of its own, telemetry on.
+    fn own_context<S>(start: impl FnOnce() -> S) -> (Context, S) {
+        let ctx = Context::fresh();
+        let server = ctx.run(|| {
+            ahntp_telemetry::set_enabled(true);
+            start()
+        });
+        (ctx, server)
+    }
+    let shards: Vec<ServerHandle> = shard_ranges(N_USERS, 2)
+        .into_iter()
+        .map(|range| {
+            let cfg = ServeConfig { shard_range: Some(range), ..config() };
+            own_context(|| serve(exact_index(&artifact(0.0)), &cfg).expect("bind shard")).1
+        })
+        .collect();
+    let addrs: Vec<SocketAddr> = shards.iter().map(ServerHandle::addr).collect();
+    let (front_ctx, front) =
+        own_context(|| serve_sharded(&addrs, &config()).expect("start front"));
+
+    for i in 0..N {
+        let (status, _, body) = get(front.addr(), &format!("/topk?user={i}&k=3"));
+        assert_eq!(status, 200, "{body}");
+    }
+    let count = |metrics: &str, name: &str| {
+        let doc = ahntp_telemetry::json::parse(metrics).expect("metrics JSON");
+        doc.get(name).and_then(ahntp_telemetry::json::Json::as_f64)
+    };
+    // The front: N requests and this read; it has never counted a `serve.*`.
+    let (_, _, metrics) = get(front.addr(), "/metrics");
+    assert_eq!(count(&metrics, "front.http.requests"), Some((N + 1) as f64), "{metrics}");
+    assert_eq!(count(&metrics, "serve.http.requests"), None, "{metrics}");
+    assert_eq!(count(&metrics, "serve.topk.range.calls"), None, "{metrics}");
+    // Each shard: its discovery /healthz, its N fan-out calls and this read.
+    for shard in &shards {
+        let (_, _, metrics) = get(shard.addr(), "/metrics");
+        assert_eq!(count(&metrics, "serve.http.requests"), Some((N + 2) as f64), "{metrics}");
+        assert_eq!(count(&metrics, "serve.topk.range.calls"), Some(N as f64), "{metrics}");
+        assert_eq!(count(&metrics, "front.http.requests"), None, "{metrics}");
+    }
+    // And the context of this thread, which started none of them.
+    assert_eq!(counter_get("serve.topk.range.calls"), 0);
+    assert_eq!(front_ctx.run(|| counter_get("front.http.requests")), (N + 1) as u64);
+
     front.shutdown();
     for s in shards {
         s.shutdown();

@@ -168,21 +168,20 @@ fn assert_cluster_matches_single(single: SocketAddr, front: SocketAddr, layout: 
 fn sharded_responses_are_byte_identical_across_shard_counts_and_threads() {
     let artifact = tied_artifact(0);
     let single = serve(exact_index(&artifact), &config()).expect("bind single");
-    let old_threads = ahntp_par::threads();
     for threads in [1usize, 4] {
-        ahntp_par::set_threads(threads);
-        for n_shards in [1usize, 2, 3, 7] {
-            let ranges = shard_ranges(N_USERS, n_shards);
-            let (shards, front) = start_cluster(&artifact, &ranges);
-            let layout = format!("shards={n_shards} threads={threads}");
-            assert_cluster_matches_single(single.addr(), front.addr(), &layout);
-            front.shutdown();
-            for s in shards {
-                s.shutdown();
+        ahntp_par::with_pool(threads, ahntp_par::DEFAULT_PAR_THRESHOLD, || {
+            for n_shards in [1usize, 2, 3, 7] {
+                let ranges = shard_ranges(N_USERS, n_shards);
+                let (shards, front) = start_cluster(&artifact, &ranges);
+                let layout = format!("shards={n_shards} threads={threads}");
+                assert_cluster_matches_single(single.addr(), front.addr(), &layout);
+                front.shutdown();
+                for s in shards {
+                    s.shutdown();
+                }
             }
-        }
+        });
     }
-    ahntp_par::set_threads(old_threads);
     single.shutdown();
 }
 
@@ -281,26 +280,26 @@ proptest! {
 
         let single = serve(exact_index(&artifact), &config()).expect("bind single");
         let (shards, front) = start_cluster(&artifact, &ranges);
-        let old_threads = ahntp_par::threads();
         for threads in [1usize, 4] {
-            ahntp_par::set_threads(threads);
-            for user in [0, N_USERS / 2, N_USERS - 1] {
-                for k in [1usize, 5, N_USERS] {
-                    let path = format!("/topk?user={user}&k={k}");
-                    let (_, s_body) = get(single.addr(), &path);
-                    let (_, f_body) = get(front.addr(), &path);
-                    prop_assert_eq!(
-                        &s_body, &f_body,
-                        "ranges {:?} user={} k={} threads={}", ranges, user, k, threads
-                    );
+            ahntp_par::with_pool(threads, ahntp_par::DEFAULT_PAR_THRESHOLD, || {
+                for user in [0, N_USERS / 2, N_USERS - 1] {
+                    for k in [1usize, 5, N_USERS] {
+                        let path = format!("/topk?user={user}&k={k}");
+                        let (_, s_body) = get(single.addr(), &path);
+                        let (_, f_body) = get(front.addr(), &path);
+                        prop_assert_eq!(
+                            &s_body, &f_body,
+                            "ranges {:?} user={} k={} threads={}", ranges, user, k, threads
+                        );
+                    }
                 }
-            }
-            let body = score_body();
-            let (_, s_body) = post(single.addr(), "/score", &body);
-            let (_, f_body) = post(front.addr(), "/score", &body);
-            prop_assert_eq!(&s_body, &f_body, "/score at ranges {:?}", ranges);
+                let body = score_body();
+                let (_, s_body) = post(single.addr(), "/score", &body);
+                let (_, f_body) = post(front.addr(), "/score", &body);
+                prop_assert_eq!(&s_body, &f_body, "/score at ranges {:?}", ranges);
+                Ok(())
+            })?;
         }
-        ahntp_par::set_threads(old_threads);
         front.shutdown();
         for s in shards {
             s.shutdown();

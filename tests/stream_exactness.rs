@@ -129,7 +129,10 @@ fn assert_artifacts_close(live: &TrustArtifact, oracle: &TrustArtifact, what: &s
 /// Runs the full event sequence at a given thread count, checking the
 /// patched artifact against the rebuild oracle after every event.
 fn run_sequence(threads: usize) -> TrustArtifact {
-    ahntp_par::set_threads(threads);
+    ahntp_par::with_pool(threads, ahntp_par::DEFAULT_PAR_THRESHOLD, || sequence(threads))
+}
+
+fn sequence(threads: usize) -> TrustArtifact {
     let mut model = trained_model();
     let mut artifact = Ahntp::export_artifact(&model);
     let (n_node, n_struct) = model.hyperedge_counts();
@@ -164,10 +167,8 @@ fn run_sequence(threads: usize) -> TrustArtifact {
 
 #[test]
 fn mixed_event_stream_stays_within_tolerance_of_the_rebuild_oracle() {
-    let old_threads = ahntp_par::threads();
     let serial = run_sequence(1);
     let parallel = run_sequence(4);
-    ahntp_par::set_threads(old_threads);
     // Same events, same bits: the delta path is thread-invariant.
     for (name, a, b) in [
         ("embeddings", &serial.embeddings, &parallel.embeddings),

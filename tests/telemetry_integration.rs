@@ -11,6 +11,12 @@ use ahntp_telemetry::json::{parse, Json};
 
 #[test]
 fn real_training_run_emits_ledger_and_kernel_counters() {
+    // Under a context of its own: the counters below, and the snapshot the
+    // ledger embeds, are this run's and nobody else's.
+    ahntp_par::Context::fresh().run(real_training_run);
+}
+
+fn real_training_run() {
     ahntp_telemetry::set_enabled(true);
     let dir = std::env::temp_dir().join(format!(
         "ahntp-telemetry-integration-{}",
@@ -82,10 +88,14 @@ fn real_training_run_emits_ledger_and_kernel_counters() {
     let end = records.last().expect("non-empty ledger");
     assert_eq!(end.get("kind").and_then(Json::as_str), Some("run_end"));
     let metrics = end.get("metrics").expect("metrics snapshot in run_end");
-    assert!(
-        metrics.get("tensor.matmul.calls").is_some(),
-        "kernel counters must reach the ledger"
-    );
+    for name in ["tensor.matmul.calls", "tensor.mul_dense.nnz_in", "train.epochs"] {
+        assert_eq!(
+            metrics.get(name).and_then(Json::as_f64),
+            Some(ahntp_telemetry::counter_get(name) as f64),
+            "{name}: the ledger embeds this run's counters exactly"
+        );
+    }
+    assert_eq!(ahntp_telemetry::counter_get("train.epochs"), 3);
 
     let _ = std::fs::remove_dir_all(&dir);
 }

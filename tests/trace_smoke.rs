@@ -1,7 +1,8 @@
 //! Trace/profile smoke suite — the CI trace step.
 //!
-//! Two end-to-end scenarios share the process-global trace collector (a
-//! mutex serializes them):
+//! Two end-to-end scenarios, each under an execution context of its own
+//! (`ahntp_par::Context::fresh`), so they run side by side and each sees
+//! exactly the events, profile and counters of its own run:
 //!
 //! 1. **Training**: a short AHNTP run with collection + profiling on and
 //!    an armed `train.epoch` delay failpoint. The emitted Chrome trace
@@ -16,8 +17,8 @@
 //!    trace nests each request's queue/batch/score stages under the
 //!    request's own trace-id lane.
 //!
-//! When `AHNTP_TRACE_OUT` is set (as in CI), both scenarios flush the
-//! collected trace to that file on their way out.
+//! When `AHNTP_TRACE_OUT` is set (as in CI), each scenario flushes the
+//! trace it collected to that file on its way out (the later one wins).
 
 use ahntp::{Ahntp, AhntpConfig};
 use ahntp_bench::loadgen::{run_load, LoadConfig};
@@ -26,12 +27,8 @@ use ahntp_eval::{train_and_evaluate_observed, LedgerObserver, TrustModel};
 use ahntp_faultz::{self as faultz, Action, FaultSpec};
 use ahntp_serve::client::{Client, Response};
 use ahntp_serve::{serve, ServeConfig, TrustIndex};
+use ahntp_par::Context;
 use ahntp_telemetry::json::{parse, Json};
-use std::sync::Mutex;
-
-/// Serializes the two scenarios: trace collection, profiling, and the
-/// event sink are process-global.
-static TRACE_GATE: Mutex<()> = Mutex::new(());
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("ahntp-trace-smoke-{tag}-{}", std::process::id()));
@@ -111,12 +108,13 @@ fn assert_strict_nesting(events: &[Json]) {
 
 #[test]
 fn training_trace_profile_and_ledger_agree() {
-    let _gate = TRACE_GATE.lock().unwrap();
+    Context::fresh().run(training_scenario);
+}
+
+fn training_scenario() {
     ahntp_telemetry::set_enabled(true);
     ahntp_telemetry::set_trace_collect(true);
     ahntp_telemetry::set_profiling(true);
-    ahntp_telemetry::trace_reset();
-    ahntp_telemetry::profile_reset();
     // A delayed (not failed) epoch failpoint: training proceeds, but the
     // trigger must land in the trace as an instant event.
     let _fault = faultz::scoped("train.epoch", FaultSpec::new(Action::Delay(1)).on_nth(2));
@@ -162,13 +160,15 @@ fn training_trace_profile_and_ledger_agree() {
     for want in ["tensor.matmul", "csr.spmm", "nn.adaptive_hconv.forward"] {
         assert!(names.contains(&want), "no {want} span in the trace");
     }
-    // The armed failpoint appears as an instant event.
-    let fault_instants = events.iter().any(|e| {
-        e.get("ph").and_then(Json::as_str) == Some("i")
-            && e.get("cat").and_then(Json::as_str) == Some("faultz")
-            && e.get("name").and_then(Json::as_str) == Some("train.epoch")
-    });
-    assert!(fault_instants, "faultz trigger missing from the trace");
+    // The armed failpoint appears as an instant event: the nth(2) gate
+    // fired once, and no other run's triggers are in this trace.
+    let instants: Vec<_> = events
+        .iter()
+        .filter(|e| e.get("ph").and_then(Json::as_str) == Some("i"))
+        .map(|e| (e.get("cat").and_then(Json::as_str), e.get("name").and_then(Json::as_str)))
+        .collect();
+    assert_eq!(instants, [(Some("faultz"), Some("train.epoch"))]);
+    assert_eq!(ahntp_telemetry::counter_get("faultz.triggered"), 1);
 
     // Ledger: every epoch record carries a profile summing to ≤ wall_us.
     // (`on_finish` consumed the observer's handle, so locate the file.)
@@ -200,17 +200,17 @@ fn training_trace_profile_and_ledger_agree() {
     assert_eq!(epochs_seen, 3);
 
     ahntp_telemetry::flush_trace_to_env();
-    ahntp_telemetry::set_profiling(false);
-    ahntp_telemetry::set_trace_collect(false);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn serve_trace_ids_propagate_and_debug_endpoints_answer() {
-    let _gate = TRACE_GATE.lock().unwrap();
+    Context::fresh().run(serving_scenario);
+}
+
+fn serving_scenario() {
     ahntp_telemetry::set_enabled(true);
     ahntp_telemetry::set_trace_collect(true);
-    ahntp_telemetry::trace_reset();
 
     // A tiny trained model end to end, as in serve_smoke.
     let dataset = TrustDataset::generate(&DatasetConfig::ciao_like(64, 13));
@@ -312,7 +312,8 @@ fn serve_trace_ids_propagate_and_debug_endpoints_answer() {
         .iter()
         .filter(|e| e.get("name").and_then(Json::as_str) == Some("serve.request"))
         .count();
-    assert!(roots >= 50, "one serve.request span per scored request, got {roots}");
+    // The loadgen's 2 × 25 /score requests plus the three GETs above.
+    assert_eq!(roots, 53, "one serve.request span per request this server answered");
     for stage in ["serve.parse", "serve.enqueue", "serve.queue.wait", "serve.score"] {
         assert!(
             request_lanes
@@ -349,6 +350,5 @@ fn serve_trace_ids_propagate_and_debug_endpoints_answer() {
     }
 
     ahntp_telemetry::flush_trace_to_env();
-    ahntp_telemetry::set_trace_collect(false);
     let _ = std::fs::remove_dir_all(&dir);
 }
