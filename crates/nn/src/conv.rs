@@ -109,16 +109,6 @@ impl HypergraphConv {
         &self.edge_weights
     }
 
-    /// The per-edge weight column `w_e` of Eq. 11, gathered down to a
-    /// slice's selected edges when `ops` is a slice.
-    fn edge_weight_column(&self, s: &Session, ops: &AggregationOps) -> Var {
-        let w_col = s.var(&self.edge_weights);
-        match &ops.edge_ids {
-            Some(ids) => w_col.gather_rows(ids),
-            None => w_col,
-        }
-    }
-
     /// Forward pass over vertex features `x` (`n × in_dim`).
     pub fn forward(&self, s: &Session, x: &Var) -> Var {
         self.forward_on(s, &self.ops, x)
@@ -130,12 +120,25 @@ impl HypergraphConv {
     pub fn forward_on(&self, s: &Session, ops: &AggregationOps, x: &Var) -> Var {
         let _span =
             ahntp_telemetry::KernelSpan::enter("nn.hconv.forward", ahntp_telemetry::KernelKind::Other);
+        self.edge_features_and_update(s, ops, x).1
+    }
+
+    /// Eqs. 10–13, the one body both layer kinds run: the hyperedge
+    /// features `h_e` (Eqs. 10–11) and the vertex update `x'` (Eqs. 12–13)
+    /// — final for the plain layer, provisional for the adaptive one,
+    /// whose attention (Eq. 14) reads both.
+    fn edge_features_and_update(&self, s: &Session, ops: &AggregationOps, x: &Var) -> (Var, Var) {
         let g = s.graph();
         // Eq. 10: hyperedge messages by mean aggregation.
         let mess_e = g.spmm(&ops.v2e, x);
-        // Eq. 11: trainable per-edge scaling, broadcast over columns via
-        // (m × 1) @ (1 × d) — a rank-1 expansion of the weight column.
-        let w_col = self.edge_weight_column(s, ops);
+        // Eq. 11: trainable per-edge scaling (gathered down to a slice's
+        // selected edges), broadcast over columns via (m × 1) @ (1 × d) —
+        // a rank-1 expansion of the weight column.
+        let w_col = s.var(&self.edge_weights);
+        let w_col = match &ops.edge_ids {
+            Some(ids) => w_col.gather_rows(ids),
+            None => w_col,
+        };
         let ones = s.constant(Tensor::full(1, self.in_dim, 1.0));
         let h_e = mess_e.mul(&w_col.matmul(&ones));
         // Eq. 12: vertex messages by mean over incident hyperedges.
@@ -143,7 +146,7 @@ impl HypergraphConv {
         // Eq. 13: F(x_u^t, Mess) — message transform plus the self-term.
         let msg = mess_v.matmul(&s.var(&self.theta));
         let own = x.matmul(&s.var(&self.theta_self));
-        msg.add(&own).relu()
+        (h_e, msg.add(&own).relu())
     }
 }
 
@@ -255,41 +258,34 @@ impl AdaptiveHypergraphConv {
             "nn.adaptive_hconv.forward",
             ahntp_telemetry::KernelKind::Other,
         );
-        let g = s.graph();
-        // Eqs. 10–11 as in the base layer.
-        let mess_e = g.spmm(&ops.v2e, x);
-        let w_col = self.base.edge_weight_column(s, ops);
-        let ones = s.constant(Tensor::full(1, self.base.in_dim, 1.0));
-        let h_e = mess_e.mul(&w_col.matmul(&ones));
-        // Eqs. 12–13: provisional vertex update x' with the F(x^t, ·)
-        // self-term.
-        let theta = s.var(&self.base.theta);
-        let theta_self = s.var(&self.base.theta_self);
-        let x_next = g
-            .spmm(&ops.e2v, &h_e)
-            .matmul(&theta)
-            .add(&x.matmul(&theta_self))
-            .relu();
+        let (att, h_proj, x_proj) = self.attention(s, ops, x);
+        // Eq. 16: attention-weighted aggregation of projected hyperedges,
+        // plus the x' self-term carried over from Eq. 13's F(x^t, ·).
+        s.graph()
+            .weighted_gather(&ops.pairs, ops.n_vertices, &att, &h_proj)
+            .add(&x_proj)
+            .relu()
+    }
+
+    /// Eqs. 14–15 on top of the base layer's Eqs. 10–13: the attention
+    /// coefficients `w_ie` (one per incidence pair of `ops`) together with
+    /// the two projections Eq. 16 aggregates, `(w_ie, W h̃_e, W x')`.
+    fn attention(&self, s: &Session, ops: &AggregationOps, x: &Var) -> (Var, Var, Var) {
+        let (h_e, x_next) = self.base.edge_features_and_update(s, ops, x);
         // Project both sides with the shared W (h̃_e = h_e θ first).
         let w = s.var(&self.w_att);
-        let h_proj = h_e.matmul(&theta).matmul(&w); // m × out
+        let h_proj = h_e.matmul(&s.var(&self.base.theta)).matmul(&w); // m × out
         let x_proj = x_next.matmul(&w); // n × out
         // Eq. 14: per-incidence attention scores.
         let xi = x_proj.gather_rows(&ops.pair_vertices); // nnz × out
         let he = h_proj.gather_rows(&ops.pair_edges); // nnz × out
-        let cat = g.concat_cols(&[&xi, &he]); // nnz × 2·out
-        let beta = s.var(&self.beta);
+        let cat = s.graph().concat_cols(&[&xi, &he]); // nnz × 2·out
         let scores = cat
-            .matmul(&beta)
+            .matmul(&s.var(&self.beta))
             .reshape(ahntp_tensor::Shape::Vector(ops.pairs.len()))
             .leaky_relu(ATTENTION_SLOPE);
         // Eq. 15: softmax per central vertex.
-        let att = scores.segment_softmax(&ops.segments);
-        // Eq. 16: attention-weighted aggregation of projected hyperedges,
-        // plus the x' self-term carried over from Eq. 13's F(x^t, ·).
-        g.weighted_gather(&ops.pairs, ops.n_vertices, &att, &h_proj)
-            .add(&x_proj)
-            .relu()
+        (scores.segment_softmax(&ops.segments), h_proj, x_proj)
     }
 
     /// The attention coefficients `w_ie` (Eq. 15) for inspection: a vector
@@ -297,32 +293,8 @@ impl AdaptiveHypergraphConv {
     /// pass on its own session.
     pub fn attention_coefficients(&self, x: &Tensor) -> Vec<f32> {
         let s = Session::new();
-        let g = s.graph();
-        let ops = &self.base.ops;
-        let xv = s.constant(x.clone());
-        let mess_e = g.spmm(&ops.v2e, &xv);
-        let w_col = s.var(&self.base.edge_weights);
-        let ones = s.constant(Tensor::full(1, self.base.in_dim, 1.0));
-        let h_e = mess_e.mul(&w_col.matmul(&ones));
-        let theta = s.var(&self.base.theta);
-        let theta_self = s.var(&self.base.theta_self);
-        let x_next = g
-            .spmm(&ops.e2v, &h_e)
-            .matmul(&theta)
-            .add(&xv.matmul(&theta_self))
-            .relu();
-        let w = s.var(&self.w_att);
-        let h_proj = h_e.matmul(&theta).matmul(&w);
-        let x_proj = x_next.matmul(&w);
-        let xi = x_proj.gather_rows(&ops.pair_vertices);
-        let he = h_proj.gather_rows(&ops.pair_edges);
-        let cat = g.concat_cols(&[&xi, &he]);
-        let beta = s.var(&self.beta);
-        let scores = cat
-            .matmul(&beta)
-            .reshape(ahntp_tensor::Shape::Vector(ops.pairs.len()))
-            .leaky_relu(ATTENTION_SLOPE);
-        scores.segment_softmax(&ops.segments).value().into_vec()
+        let (att, _, _) = self.attention(&s, &self.base.ops, &s.constant(x.clone()));
+        att.value().into_vec()
     }
 
     /// The incidence pairs the attention coefficients refer to.
