@@ -15,8 +15,8 @@ use ahntp_nn::loss::{
     supervised_contrastive, ContrastiveBatch, COSINE_CALIBRATION,
 };
 use ahntp_nn::{
-    Adam, AdaptiveHypergraphConv, HypergraphConv, Mlp, Module, Optimizer, Param, Session,
-    TrainState, TrustArtifact,
+    Adam, AdaptiveHypergraphConv, HypergraphConv, HypergraphLayer, Mlp, Module, Optimizer, Param,
+    Session, TrainState, TrustArtifact,
 };
 use ahntp_stream::{AppliedEvent, HeadPatch, HyperGroup, LiveTrustModel, StreamError, TrustEvent};
 use ahntp_tensor::{CsrMatrix, SplitMix64, Tensor};
@@ -50,10 +50,7 @@ struct HeadCache {
 
 /// One stack of hypergraph convolutions over a fixed hypergraph — adaptive
 /// (Eqs. 14–16) for the full model, plain (Eqs. 10–13) for `AHNTP_noatt`.
-enum ConvStack {
-    Adaptive(Vec<AdaptiveHypergraphConv>),
-    Plain(Vec<HypergraphConv>),
-}
+struct ConvStack(Vec<Box<dyn HypergraphLayer>>);
 
 impl ConvStack {
     /// Builds the stack over a shared full operator set, so all layers of
@@ -67,72 +64,35 @@ impl ConvStack {
         seed: u64,
     ) -> ConvStack {
         let mut prev = in_dim;
-        if adaptive {
-            let mut layers = Vec::with_capacity(dims.len());
-            for (i, &d) in dims.iter().enumerate() {
-                layers.push(AdaptiveHypergraphConv::with_ops(
-                    &format!("{name}.conv{i}"),
-                    Rc::clone(ops),
-                    prev,
-                    d,
-                    seed,
-                ));
-                prev = d;
-            }
-            ConvStack::Adaptive(layers)
-        } else {
-            let mut layers = Vec::with_capacity(dims.len());
-            for (i, &d) in dims.iter().enumerate() {
-                layers.push(HypergraphConv::with_ops(
-                    &format!("{name}.conv{i}"),
-                    Rc::clone(ops),
-                    prev,
-                    d,
-                    seed,
-                ));
-                prev = d;
-            }
-            ConvStack::Plain(layers)
-        }
+        let layers = dims.iter().enumerate().map(|(i, &d)| {
+            let (name, ops) = (format!("{name}.conv{i}"), Rc::clone(ops));
+            let layer: Box<dyn HypergraphLayer> = if adaptive {
+                Box::new(AdaptiveHypergraphConv::with_ops(&name, ops, prev, d, seed))
+            } else {
+                Box::new(HypergraphConv::with_ops(&name, ops, prev, d, seed))
+            };
+            prev = d;
+            layer
+        });
+        ConvStack(layers.collect())
     }
 
     /// Forward pass against an explicit operator set — the full extraction
     /// or a sampled hyperedge slice.
     fn forward_on(&self, s: &Session, ops: &AggregationOps, x: &Var) -> Var {
-        let mut h = x.clone();
-        match self {
-            ConvStack::Adaptive(layers) => {
-                for l in layers {
-                    h = l.forward_on(s, ops, &h);
-                }
-            }
-            ConvStack::Plain(layers) => {
-                for l in layers {
-                    h = l.forward_on(s, ops, &h);
-                }
-            }
-        }
-        h
+        self.0
+            .iter()
+            .fold(x.clone(), |h, layer| layer.forward_on(s, ops, &h))
     }
 
     fn params(&self) -> Vec<Param> {
-        match self {
-            ConvStack::Adaptive(layers) => layers.iter().flat_map(Module::params).collect(),
-            ConvStack::Plain(layers) => layers.iter().flat_map(Module::params).collect(),
-        }
+        self.0.iter().flat_map(|layer| layer.params()).collect()
     }
 
     /// The per-layer hyperedge-weight columns (`m × 1` each). Live
     /// structural mutation resizes these in step with the hypergraph.
     fn edge_weight_params(&self) -> Vec<Param> {
-        match self {
-            ConvStack::Adaptive(layers) => {
-                layers.iter().map(|l| l.edge_weights().clone()).collect()
-            }
-            ConvStack::Plain(layers) => {
-                layers.iter().map(|l| l.edge_weights().clone()).collect()
-            }
-        }
+        self.0.iter().map(|layer| layer.edge_weights().clone()).collect()
     }
 }
 

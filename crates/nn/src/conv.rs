@@ -11,6 +11,18 @@ use std::rc::Rc;
 /// the GAT convention the paper follows.
 const ATTENTION_SLOPE: f32 = 0.2;
 
+/// What a stack of hypergraph convolutions needs from a layer, whichever
+/// kind it is: [`HypergraphConv`] and [`AdaptiveHypergraphConv`] both
+/// implement it, so a stack is one `Vec<Box<dyn HypergraphLayer>>`.
+pub trait HypergraphLayer: Module {
+    /// Forward pass against an explicit operator set — the full extraction
+    /// or a sampled hyperedge slice from the same hypergraph.
+    fn forward_on(&self, s: &Session, ops: &AggregationOps, x: &Var) -> Var;
+
+    /// The per-edge weight parameter `w_e` of Eq. 11 (`m × 1`).
+    fn edge_weights(&self) -> &Param;
+}
+
 /// The plain two-step spatial hypergraph convolution (Eqs. 10–13):
 ///
 /// 1. `Mess_e = mean_{u ∈ N_e} x_u` (Eq. 10),
@@ -147,6 +159,16 @@ impl HypergraphConv {
         let msg = mess_v.matmul(&s.var(&self.theta));
         let own = x.matmul(&s.var(&self.theta_self));
         (h_e, msg.add(&own).relu())
+    }
+}
+
+impl HypergraphLayer for HypergraphConv {
+    fn forward_on(&self, s: &Session, ops: &AggregationOps, x: &Var) -> Var {
+        HypergraphConv::forward_on(self, s, ops, x)
+    }
+
+    fn edge_weights(&self) -> &Param {
+        &self.edge_weights
     }
 }
 
@@ -300,6 +322,16 @@ impl AdaptiveHypergraphConv {
     /// The incidence pairs the attention coefficients refer to.
     pub fn incidence_pairs(&self) -> &[(usize, usize)] {
         &self.base.ops.pairs
+    }
+}
+
+impl HypergraphLayer for AdaptiveHypergraphConv {
+    fn forward_on(&self, s: &Session, ops: &AggregationOps, x: &Var) -> Var {
+        AdaptiveHypergraphConv::forward_on(self, s, ops, x)
+    }
+
+    fn edge_weights(&self) -> &Param {
+        &self.base.edge_weights
     }
 }
 

@@ -14,6 +14,8 @@
 //! * [`AdaptiveHypergraphConv`] — the adaptive layer of Eqs. 14–16, which
 //!   reweights each vertex's incident hyperedges with a shared-attention
 //!   mechanism (`β`) and aggregates with the attention coefficients.
+//!   Both run one Eqs. 10–13 body and implement [`HypergraphLayer`], the
+//!   one interface a layer stack holds them through.
 //! * [`GcnConv`], [`GatConv`], [`sgc_features`] — the graph-side layers the
 //!   baselines are built from.
 //! * [`loss`] — binary cross-entropy on the cosine head (Eq. 21), the
@@ -46,7 +48,7 @@ pub use rows::Rows;
 // Re-exported so downstream crates can open mapped artifacts without a
 // direct ahntp-mapped dependency.
 pub use ahntp_mapped::MappedBytes;
-pub use conv::{AdaptiveHypergraphConv, HypergraphConv};
+pub use conv::{AdaptiveHypergraphConv, HypergraphConv, HypergraphLayer};
 pub use gnn::{gcn_norm_adjacency, sgc_features, GatConv, GcnConv};
 pub use linear::{Linear, Mlp};
 pub use optim::{Adam, AdamConfig, Optimizer, Sgd};
