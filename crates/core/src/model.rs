@@ -103,8 +103,11 @@ impl ConvStack {
 /// Laplacian — from the *training* graph only (test edges never shape the
 /// structure). Training is Adam over the combined objective of Eqs. 20–24,
 /// full-batch through [`TrustModel::train_epoch`] or planned mini-batches
-/// through [`BatchTrustModel::train_epoch_planned`] (the full-batch path
-/// is the identity plan of the mini-batch one, bitwise).
+/// through [`BatchTrustModel::train_epoch_planned`]. Two invariants hold:
+/// the full-batch epoch *is* the identity plan of the mini-batch path, so
+/// the two agree bitwise at compute threads {1, 4}; and every objective is
+/// one function of one embedding — one embedding forward and one pass per
+/// tower per micro-batch, shared by the trust head and the Eq. 23 term.
 pub struct Ahntp {
     cfg: AhntpConfig,
     features: Tensor,
@@ -307,8 +310,8 @@ impl Ahntp {
     /// Forward pass to the comprehensive user embedding (node-level and
     /// structure-level paths concatenated). Runs against the caches'
     /// *current* operators, so live mutations are picked up immediately
-    /// (with an unmutated cache this hands back the very operators the
-    /// layers were constructed over — bitwise the historical path).
+    /// (an unmutated cache hands back the very operators the layers were
+    /// constructed over).
     fn embed(&self, s: &Session) -> Var {
         self.embed_on(
             s,
@@ -339,17 +342,18 @@ impl Ahntp {
     /// Cosine similarity per pair (Eq. 19) on a given session.
     fn pair_similarities(&self, s: &Session, pairs: &[LabeledPair]) -> Var {
         let emb = self.embed(s);
-        self.similarities_from(s, &emb, pairs)
+        let trustor = self.tower_a.forward(s, &emb);
+        let trustee = self.tower_b.forward(s, &emb);
+        Self::similarities_from(&trustor, &trustee, pairs)
     }
 
-    /// Pair similarities from an already-built embedding.
-    fn similarities_from(&self, s: &Session, emb: &Var, pairs: &[LabeledPair]) -> Var {
-        let ta_all = self.tower_a.forward(s, emb);
-        let tb_all = self.tower_b.forward(s, emb);
+    /// Pair similarities (Eq. 19) from the two towers' outputs over every
+    /// user (Eqs. 17–18).
+    fn similarities_from(trustor: &Var, trustee: &Var, pairs: &[LabeledPair]) -> Var {
         let trustors = Rc::new(pairs.iter().map(|p| p.trustor).collect::<Vec<_>>());
         let trustees = Rc::new(pairs.iter().map(|p| p.trustee).collect::<Vec<_>>());
-        let ta = ta_all.gather_rows(&trustors);
-        let tb = tb_all.gather_rows(&trustees);
+        let ta = trustor.gather_rows(&trustors);
+        let tb = trustee.gather_rows(&trustees);
         ta.pairwise_cosine(&tb)
     }
 
@@ -468,7 +472,9 @@ impl Ahntp {
     }
 
     /// The combined training objective (Eqs. 20–24) of one micro-batch on
-    /// session `s`, against the given (possibly sliced) operators.
+    /// session `s`, against the given (possibly sliced) operators. One
+    /// function of one embedding: the embedding and each tower are built
+    /// once, and the trust head and the Eq. 23 term both read them.
     fn batch_loss(
         &self,
         s: &Session,
@@ -478,33 +484,38 @@ impl Ahntp {
         smooth_lap: Option<&Rc<CsrMatrix<f32>>>,
     ) -> Var {
         let emb = self.embed_on(s, node_ops, struct_ops);
-        let cs = self.similarities_from(s, &emb, pairs);
-        let labels = Tensor::vector(pairs.iter().map(|p| f32::from(p.label)).collect());
-        let l2 = bce_from_similarity(s, &cs, &labels);
-        let mut loss = if self.cfg.variant == AhntpVariant::NoContrastive {
-            l2
-        } else {
-            // Eq. 20: anchors are trustors; positives are their trusted
-            // partners, negatives the sampled non-partners.
-            let anchors: Vec<usize> = pairs.iter().map(|p| p.trustor).collect();
-            let is_pos: Vec<bool> = pairs.iter().map(|p| p.label).collect();
-            let batch = ContrastiveBatch::new(&anchors, &is_pos);
-            let l1 = supervised_contrastive(s, &cs, &batch, self.cfg.temperature);
-            combined_loss(&l1, &l2, self.cfg.lambda1, self.cfg.lambda2)
-        };
-        if let Some(lap) = smooth_lap {
-            // Eq. 23: label smoothing over the (sampled) trust hypergraph.
-            // Applied to the similarity-space embeddings (the
-            // classification function f of Eq. 24). A fresh embedding
-            // forward keeps the tape identical to the historical
-            // full-batch objective.
-            let emb = self.embed_on(s, node_ops, struct_ops);
-            let f = self.tower_a.forward(s, &emb);
-            let reg = smoothness_penalty(s, lap, &f)
-                .scale(self.cfg.smoothness_weight / self.features.rows() as f32);
-            loss = loss.add(&reg);
+        let trustor = self.tower_a.forward(s, &emb);
+        let trustee = self.tower_b.forward(s, &emb);
+        let cs = Self::similarities_from(&trustor, &trustee, pairs);
+        let loss = self.pair_loss(s, &cs, pairs);
+        match smooth_lap {
+            Some(lap) => loss.add(&self.smoothness_term(s, lap, &trustor)),
+            None => loss,
         }
-        loss
+    }
+
+    /// The supervised part of the objective (Eqs. 20–22) from the pair
+    /// similarities.
+    fn pair_loss(&self, s: &Session, cs: &Var, pairs: &[LabeledPair]) -> Var {
+        let labels = Tensor::vector(pairs.iter().map(|p| f32::from(p.label)).collect());
+        let l2 = bce_from_similarity(s, cs, &labels);
+        if self.cfg.variant == AhntpVariant::NoContrastive {
+            return l2;
+        }
+        // Eq. 20: anchors are trustors; positives are their trusted
+        // partners, negatives the sampled non-partners.
+        let anchors: Vec<usize> = pairs.iter().map(|p| p.trustor).collect();
+        let is_pos: Vec<bool> = pairs.iter().map(|p| p.label).collect();
+        let batch = ContrastiveBatch::new(&anchors, &is_pos);
+        let l1 = supervised_contrastive(s, cs, &batch, self.cfg.temperature);
+        combined_loss(&l1, &l2, self.cfg.lambda1, self.cfg.lambda2)
+    }
+
+    /// Eq. 23: label smoothing over the (sampled) trust hypergraph, applied
+    /// to the similarity-space embeddings `f` (the classification function
+    /// of Eq. 24 — the trustor tower's output).
+    fn smoothness_term(&self, s: &Session, lap: &Rc<CsrMatrix<f32>>, f: &Var) -> Var {
+        smoothness_penalty(s, lap, f).scale(self.cfg.smoothness_weight / self.features.rows() as f32)
     }
 
     /// Exact post-stack rows for `users` computed over a closed cone of
@@ -748,8 +759,7 @@ impl TrustModel for Ahntp {
         assert!(!pairs.is_empty(), "train_epoch: no pairs");
         // The full-batch epoch *is* the identity plan: every hyperedge,
         // one in-order batch, one optimizer step. The caches recognise the
-        // identity selection and hand back the full operators, so this
-        // path is bitwise what a dedicated full-batch implementation was.
+        // identity selection and hand back the full operators.
         self.train_epoch_planned(&BatchPlan::full(pairs))
     }
 
@@ -820,12 +830,14 @@ impl BatchTrustModel for Ahntp {
     /// batches per optimizer step, each batch's gradient weighted by its
     /// share of the step's pairs.
     ///
-    /// The identity plan (ratio `1.0`, one batch, accumulation `1`) takes
-    /// the exact full-batch path: the caches return the full operators,
-    /// the loss is backpropagated unscaled, and
+    /// The identity plan (ratio `1.0`, one batch, accumulation `1`) *is*
+    /// the full-batch epoch: the caches return the full operators, the
+    /// loss is backpropagated unscaled, and
     /// [`Session::harvest_accumulate`] after `zero_grad` is
-    /// `Session::harvest` — bitwise identical to historical full-batch
-    /// training at any thread count.
+    /// `Session::harvest`. `minibatch_exactness` holds the two entry
+    /// points to bitwise-equal trajectories at compute threads {1, 4}.
+    /// Each micro-batch builds its embedding once and runs each tower
+    /// once (`batch_loss`).
     fn train_epoch_planned(&mut self, plan: &BatchPlan) -> f32 {
         assert!(plan.n_pairs() > 0, "train_epoch_planned: no pairs");
         assert!(
@@ -883,10 +895,10 @@ impl BatchTrustModel for Ahntp {
                     self.batch_loss(&s, batch, &node_ops, &struct_ops, smooth_lap.as_ref());
                 let loss_value = loss.value().as_slice()[0];
                 // A lone batch backpropagates the loss itself (its weight
-                // is exactly 1.0), keeping the tape identical to the
-                // full-batch path; accumulated batches are weighted by
-                // their share of the step's pairs so the summed gradient
-                // is the gradient of the group's pair-weighted mean loss.
+                // is exactly 1.0, so the identity plan adds no tape op);
+                // accumulated batches are weighted by their share of the
+                // step's pairs so the summed gradient is the gradient of
+                // the group's pair-weighted mean loss.
                 let objective = if group.len() == 1 {
                     loss
                 } else {
@@ -1153,6 +1165,89 @@ mod tests {
         }
         assert_eq!(last.to_bits(), twin_last.to_bits());
         assert_eq!(model.predict(&split.test), twin.predict(&split.test));
+    }
+
+    /// The objective as it stood before the embedding was shared — Eq. 23
+    /// gets an embedding forward and a trustor-tower pass of its own —
+    /// kept as the reference [`Ahntp::batch_loss`] is checked against.
+    fn two_forward_loss(
+        m: &Ahntp,
+        s: &Session,
+        pairs: &[LabeledPair],
+        node_ops: &AggregationOps,
+        struct_ops: &AggregationOps,
+        lap: &Rc<CsrMatrix<f32>>,
+    ) -> Var {
+        let emb = m.embed_on(s, node_ops, struct_ops);
+        let trustor = m.tower_a.forward(s, &emb);
+        let trustee = m.tower_b.forward(s, &emb);
+        let cs = Ahntp::similarities_from(&trustor, &trustee, pairs);
+        let loss = m.pair_loss(s, &cs, pairs);
+        let emb = m.embed_on(s, node_ops, struct_ops);
+        loss.add(&m.smoothness_term(s, lap, &m.tower_a.forward(s, &emb)))
+    }
+
+    /// Backpropagates `loss` and returns it with every parameter's gradient.
+    fn loss_and_grads(m: &Ahntp, s: &Session, loss: &Var) -> (f32, Vec<Option<Tensor>>) {
+        m.parameters().iter().for_each(Param::zero_grad);
+        loss.backward();
+        s.harvest();
+        let grads = m.parameters().iter().map(Param::grad).collect();
+        (loss.value().as_slice()[0], grads)
+    }
+
+    #[test]
+    fn shared_embedding_objective_matches_the_two_forward_reference() {
+        let (ds, split) = tiny_setup();
+        let max_abs = |t: &Tensor| t.as_slice().iter().fold(0.0f32, |m, v| m.max(v.abs()));
+        for cfg in [
+            tiny_config(),
+            tiny_config().no_attention(),
+            tiny_config().no_contrastive(),
+        ] {
+            assert!(cfg.smoothness_weight > 0.0, "Eq. 23 must be in the objective");
+            let mut m = Ahntp::new(&ds.features, &ds.attributes, &split.train_graph, &cfg);
+            // Off the initialisation point (unit edge weights, zero biases).
+            m.train_epoch(&split.train);
+            let (m_node, m_struct) = m.hyperedge_counts();
+            for ratio in [1.0, 0.5] {
+                let node_ids = sample_edges(m_node, ratio, 11, 0);
+                let struct_ids = sample_edges(m_struct, ratio, 12, 0);
+                let all_ids: Vec<usize> = node_ids
+                    .iter()
+                    .copied()
+                    .chain(struct_ids.iter().map(|&e| e + m_node))
+                    .collect();
+                let node_ops = m.node_cache.slice_ops(&node_ids);
+                let struct_ops = m.struct_cache.slice_ops(&struct_ids);
+                let lap = m.smooth_cache.slice_laplacian(&all_ids);
+
+                let s = Session::new();
+                let loss = m.batch_loss(&s, &split.train, &node_ops, &struct_ops, Some(&lap));
+                let (loss, grads) = loss_and_grads(&m, &s, &loss);
+                let s = Session::new();
+                let reference =
+                    two_forward_loss(&m, &s, &split.train, &node_ops, &struct_ops, &lap);
+                let (ref_loss, ref_grads) = loss_and_grads(&m, &s, &reference);
+
+                let tag = format!("{} at edge ratio {ratio}", m.name());
+                assert_eq!(loss.to_bits(), ref_loss.to_bits(), "{tag}: loss value");
+                for ((p, g), r) in m.parameters().iter().zip(&grads).zip(&ref_grads) {
+                    let (Some(g), Some(r)) = (g, r) else {
+                        panic!("{tag}: {} received no gradient", p.name());
+                    };
+                    let mut diff = g.clone();
+                    diff.axpy_inplace(-1.0, r);
+                    assert!(
+                        max_abs(&diff) <= 1e-5 * max_abs(r),
+                        "{tag}: {} gradient off by {} against max-norm {}",
+                        p.name(),
+                        max_abs(&diff),
+                        max_abs(r)
+                    );
+                }
+            }
+        }
     }
 
     #[test]
