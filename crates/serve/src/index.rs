@@ -900,24 +900,29 @@ mod tests {
 
     #[test]
     fn head_patches_update_exactly_the_named_rows() {
-        let mut index = toy_index();
-        let sig = |cos: f32| 1.0 / (1.0 + (-cos / 0.5).exp());
-        let patch = HeadPatch {
-            users: vec![1, 3],
-            emb_dim: 2,
-            head_dim: 2,
-            emb_rows: vec![0.5, 0.5, -0.5, -0.5],
-            trustor_rows: vec![0.0, 1.0, 1.0, 0.0],
-            trustee_rows: vec![1.0, 0.0, 0.0, -1.0],
-        };
-        index.apply_head_patch(&patch).unwrap();
-        // Patched rows answer with the new geometry: trustor 1 now points
-        // along +y, trustee 3 along −y.
-        assert_eq!(index.score(1, 2).unwrap(), sig(1.0));
-        assert_eq!(index.score(0, 3).unwrap(), 0.5);
-        // Rows the patch did not name are untouched.
-        assert_eq!(index.score(2, 2).unwrap(), 0.5);
-        assert_eq!(index.score(0, 0).unwrap(), sig(1.0));
+        // Under a context of its own, so the counter below counts from zero.
+        ahntp_par::Context::fresh().run(|| {
+            ahntp_telemetry::set_enabled(true);
+            let mut index = toy_index();
+            let sig = |cos: f32| 1.0 / (1.0 + (-cos / 0.5).exp());
+            let patch = HeadPatch {
+                users: vec![1, 3],
+                emb_dim: 2,
+                head_dim: 2,
+                emb_rows: vec![0.5, 0.5, -0.5, -0.5],
+                trustor_rows: vec![0.0, 1.0, 1.0, 0.0],
+                trustee_rows: vec![1.0, 0.0, 0.0, -1.0],
+            };
+            index.apply_head_patch(&patch).unwrap();
+            // Patched rows answer with the new geometry: trustor 1 now points
+            // along +y, trustee 3 along −y.
+            assert_eq!(index.score(1, 2).unwrap(), sig(1.0));
+            assert_eq!(index.score(0, 3).unwrap(), 0.5);
+            // Rows the patch did not name are untouched.
+            assert_eq!(index.score(2, 2).unwrap(), 0.5);
+            assert_eq!(index.score(0, 0).unwrap(), sig(1.0));
+            assert_eq!(ahntp_telemetry::counter_get("serve.index.patched_rows"), 2);
+        });
     }
 
     #[test]

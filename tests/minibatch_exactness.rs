@@ -14,7 +14,7 @@
 //! `AHNTP_REGEN_GOLDEN=1 cargo test --test minibatch_exactness`.
 
 use ahntp::{Ahntp, AhntpConfig};
-use ahntp_data::{DatasetConfig, MiniBatchConfig, Split, TrustDataset};
+use ahntp_data::{sample_edges, DatasetConfig, MiniBatchConfig, Split, TrustDataset};
 use ahntp_eval::{
     train_and_evaluate, train_and_evaluate_minibatch, BatchPlan, BatchTrustModel, TrainConfig,
     TrustModel,
@@ -181,4 +181,73 @@ fn identity_plan_equals_train_epoch() {
         let lb = b.train_epoch(&split.train);
         assert_eq!(la.to_bits(), lb.to_bits());
     }
+}
+
+/// The number of adaptive-convolution forward spans in the calling
+/// context's collected trace.
+fn conv_forward_spans() -> usize {
+    use ahntp_telemetry::json::Json;
+    let trace = ahntp_telemetry::chrome_trace_json();
+    let Some(Json::Arr(events)) = trace.get("traceEvents") else {
+        panic!("a Chrome trace document has a traceEvents array");
+    };
+    events
+        .iter()
+        .filter(|e| e.get("name").and_then(Json::as_str) == Some("nn.adaptive_hconv.forward"))
+        .count()
+}
+
+/// Tripwire for "one embedding per objective": with the Eq. 23 term in
+/// the objective, a full-batch epoch — and one sampled micro-batch — runs
+/// each conv layer's forward exactly once per tier. A second embedding
+/// forward feeding the smoothness term would double the count.
+#[test]
+fn an_objective_runs_each_conv_layer_once_per_tier() {
+    ahntp_par::Context::fresh().run(|| {
+        ahntp_telemetry::set_enabled(true);
+        ahntp_telemetry::set_trace_collect(true);
+        let (ds, split) = setup();
+        let mut m = model(&ds, &split);
+        assert!(m.config().smoothness_weight > 0.0, "Eq. 23 must be in the objective");
+        let per_objective = 2 * m.config().conv_dims.len(); // tiers × layers
+        m.train_epoch(&split.train);
+        assert_eq!(conv_forward_spans(), per_objective);
+        let mut plan =
+            BatchPlan::for_epoch(&split.train, &MiniBatchConfig::sampled(0.5, 64, 2, 11), 0);
+        plan.batches.truncate(1);
+        m.train_epoch_planned(&plan);
+        assert_eq!(conv_forward_spans(), 2 * per_objective);
+    });
+}
+
+/// The plan's counters count the plan: one `batch.micro_batches.run` per
+/// micro-batch, one `batch.optimizer_steps` per accumulation group, and
+/// `batch.sampled_edges` the hyperedge ids drawn each epoch.
+#[test]
+fn batch_counters_count_the_plan() {
+    ahntp_par::Context::fresh().run(|| {
+        ahntp_telemetry::set_enabled(true);
+        let (ds, split) = setup();
+        let mut m = model(&ds, &split);
+        let mb = MiniBatchConfig::sampled(0.5, 64, 2, 11);
+        let cfg = three_epochs();
+        train_and_evaluate_minibatch(&mut m, &split.train, &split.test, &cfg, &mb);
+        let epochs = cfg.epochs as u64;
+        let batches = BatchPlan::for_epoch(&split.train, &mb, 0).n_batches() as u64;
+        assert!(batches > 2, "the split must span several accumulation groups");
+        let (m_node, m_struct) = m.hyperedge_counts();
+        let sampled: usize = (0..epochs)
+            .map(|e| {
+                sample_edges(m_node, mb.edge_ratio, mb.seed, e).len()
+                    + sample_edges(m_struct, mb.edge_ratio, mb.seed, e).len()
+            })
+            .sum();
+        let counter = ahntp_telemetry::counter_get;
+        assert_eq!(counter("batch.micro_batches.run"), batches * epochs);
+        assert_eq!(
+            counter("batch.optimizer_steps"),
+            batches.div_ceil(mb.accumulation as u64) * epochs
+        );
+        assert_eq!(counter("batch.sampled_edges"), sampled as u64);
+    });
 }
