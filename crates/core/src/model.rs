@@ -487,35 +487,31 @@ impl Ahntp {
         let trustor = self.tower_a.forward(s, &emb);
         let trustee = self.tower_b.forward(s, &emb);
         let cs = Self::similarities_from(&trustor, &trustee, pairs);
-        let loss = self.pair_loss(s, &cs, pairs);
+        let labels = Tensor::vector(pairs.iter().map(|p| f32::from(p.label)).collect());
+        let l2 = bce_from_similarity(s, &cs, &labels);
+        let loss = if self.cfg.variant == AhntpVariant::NoContrastive {
+            l2
+        } else {
+            // Eq. 20: anchors are trustors; positives are their trusted
+            // partners, negatives the sampled non-partners.
+            let anchors: Vec<usize> = pairs.iter().map(|p| p.trustor).collect();
+            let is_pos: Vec<bool> = pairs.iter().map(|p| p.label).collect();
+            let batch = ContrastiveBatch::new(&anchors, &is_pos);
+            let l1 = supervised_contrastive(s, &cs, &batch, self.cfg.temperature);
+            combined_loss(&l1, &l2, self.cfg.lambda1, self.cfg.lambda2)
+        };
         match smooth_lap {
             Some(lap) => loss.add(&self.smoothness_term(s, lap, &trustor)),
             None => loss,
         }
     }
 
-    /// The supervised part of the objective (Eqs. 20–22) from the pair
-    /// similarities.
-    fn pair_loss(&self, s: &Session, cs: &Var, pairs: &[LabeledPair]) -> Var {
-        let labels = Tensor::vector(pairs.iter().map(|p| f32::from(p.label)).collect());
-        let l2 = bce_from_similarity(s, cs, &labels);
-        if self.cfg.variant == AhntpVariant::NoContrastive {
-            return l2;
-        }
-        // Eq. 20: anchors are trustors; positives are their trusted
-        // partners, negatives the sampled non-partners.
-        let anchors: Vec<usize> = pairs.iter().map(|p| p.trustor).collect();
-        let is_pos: Vec<bool> = pairs.iter().map(|p| p.label).collect();
-        let batch = ContrastiveBatch::new(&anchors, &is_pos);
-        let l1 = supervised_contrastive(s, cs, &batch, self.cfg.temperature);
-        combined_loss(&l1, &l2, self.cfg.lambda1, self.cfg.lambda2)
-    }
-
     /// Eq. 23: label smoothing over the (sampled) trust hypergraph, applied
     /// to the similarity-space embeddings `f` (the classification function
     /// of Eq. 24 — the trustor tower's output).
     fn smoothness_term(&self, s: &Session, lap: &Rc<CsrMatrix<f32>>, f: &Var) -> Var {
-        smoothness_penalty(s, lap, f).scale(self.cfg.smoothness_weight / self.features.rows() as f32)
+        let weight = self.cfg.smoothness_weight / self.features.rows() as f32;
+        smoothness_penalty(s, lap, f).scale(weight)
     }
 
     /// Exact post-stack rows for `users` computed over a closed cone of
@@ -1167,9 +1163,10 @@ mod tests {
         assert_eq!(model.predict(&split.test), twin.predict(&split.test));
     }
 
-    /// The objective as it stood before the embedding was shared — Eq. 23
-    /// gets an embedding forward and a trustor-tower pass of its own —
-    /// kept as the reference [`Ahntp::batch_loss`] is checked against.
+    /// The objective as it stood before the embedding was shared — the
+    /// supervised part, then Eq. 23 on an embedding forward and a
+    /// trustor-tower pass of its own — kept as the reference
+    /// [`Ahntp::batch_loss`] is checked against.
     fn two_forward_loss(
         m: &Ahntp,
         s: &Session,
@@ -1178,11 +1175,7 @@ mod tests {
         struct_ops: &AggregationOps,
         lap: &Rc<CsrMatrix<f32>>,
     ) -> Var {
-        let emb = m.embed_on(s, node_ops, struct_ops);
-        let trustor = m.tower_a.forward(s, &emb);
-        let trustee = m.tower_b.forward(s, &emb);
-        let cs = Ahntp::similarities_from(&trustor, &trustee, pairs);
-        let loss = m.pair_loss(s, &cs, pairs);
+        let loss = m.batch_loss(s, pairs, node_ops, struct_ops, None);
         let emb = m.embed_on(s, node_ops, struct_ops);
         loss.add(&m.smoothness_term(s, lap, &m.tower_a.forward(s, &emb)))
     }
