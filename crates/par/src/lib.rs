@@ -48,9 +48,9 @@
 //! once: with a single thread, work under [`par_threshold`] or fewer than
 //! two rows, the closure is called exactly once over the whole range — that
 //! call *is* the serial kernel, so no kernel carries a second copy of its
-//! loop. [`par_enabled`] exposes the same decision to the two kernels that
-//! keep a different *algorithm* per side (serial scatter, banded gather:
-//! `Tensor::t_matmul`, `CsrMatrix::t_mul_dense`).
+//! loop. [`par_enabled`] exposes the same decision to the one kernel that
+//! keeps a different *algorithm* per side (serial scatter, banded gather):
+//! `CsrMatrix::t_mul_dense`.
 //!
 //! # Telemetry
 //!

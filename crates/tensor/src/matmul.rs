@@ -1,99 +1,173 @@
 //! Dense matrix multiplication and transpose.
 //!
-//! # Threads
+//! # One kernel
 //!
-//! Each product is one band function handed to `ahntp_par::par_rows` with
-//! its FLOP estimate: the pool splits the output rows into bands or runs
-//! the function once over the whole output, so serial and parallel are the
-//! same loop. Every output row is owned by exactly one band and accumulated
-//! in `k`-ascending order with the same zero-skip tests, which makes results
-//! bitwise identical at any thread count. `t_matmul` alone keeps two
-//! algorithms (serial k-outer scatter, banded gather); the comment there
-//! gives the measurement that keeps both.
+//! `matmul`, `t_matmul` and `matmul_t` all run `product_rows`, handed to
+//! `ahntp_par::par_rows` with the product's FLOP count: the pool splits the
+//! output rows into bands or calls it once over the whole output, so serial
+//! and parallel are the same loop. The right operand is always `k×n`
+//! row-major — `matmul_t` packs `Bᵀ` once per call, `n·k` copies against
+//! `m·n·k` multiply-adds — and the left one is read where it lies, by rows
+//! or, for `t_matmul`, by columns (`Left`).
+//!
+//! A band is walked in `MR×NR` output tiles whose accumulators stay in
+//! locals across the whole `k` range (4×8 `f32` is eight SSE registers,
+//! which every x86-64 has): a `k` step loads two vectors of `b` and four
+//! scalars of `a` and stores nothing, where a row-at-a-time `i-k-j` loop
+//! reloads and stores the output row at every step.
+//!
+//! # Bits
+//!
+//! Every output element starts from `+0.0` and adds `a·b` for `k` ascending
+//! — one rounded multiply, one rounded add — whatever tile or band it falls
+//! in, so results are bitwise identical at any thread count and to the
+//! scalar loops in `tests/par_determinism.rs`. Hence no `mul_add`: a fused
+//! multiply-add rounds once and changes bits.
+//!
+//! Nor is there an `a == 0.0` skip, and for finite `b` none is observable:
+//! an accumulator that starts at `+0.0` never holds `-0.0` under
+//! round-to-nearest (a sum is `-0.0` only if both addends are, exact
+//! cancellation gives `+0.0`, and sums in the subnormal range are exact so
+//! none rounds to zero), so adding the `±0.0` of a zero `a` changes no bit.
+//! Measured, the branch-free tile beats the skipping loop even on the
+//! sparsest post-ReLU operands of a training epoch (half zeros; ROADMAP 3b
+//! has the table). What a zero in the left operand no longer does is mask
+//! a non-finite value in the right one: `0·inf` is `NaN` in all three
+//! products.
 
 use ahntp_telemetry::{counter_add, KernelKind, KernelSpan};
 
 use crate::{Shape, Tensor};
 
-/// Records one dense-product invocation in the global metrics registry.
-/// `counter_add` is a no-op (one relaxed load) while telemetry is off.
-/// The per-kernel counter name is interned at compile time so hot kernels
-/// never allocate for metrics.
+/// Records one dense-product invocation in the global metrics registry:
+/// `tensor.matmul.calls` counts every product, `kind_calls` the transposed
+/// kinds. `counter_add` is a no-op (one relaxed load) while telemetry is
+/// off, and the names are interned at compile time so hot kernels never
+/// allocate for metrics.
 #[inline]
-fn record_matmul(kernel_calls: &'static str, m: usize, n: usize, k: usize) {
+fn record_matmul(kind_calls: Option<&'static str>, m: usize, n: usize, k: usize, scratch: usize) {
     if !ahntp_telemetry::enabled() {
         return;
     }
     counter_add("tensor.matmul.calls", 1);
-    counter_add(kernel_calls, 1);
-    // Upper bound: zero-skip makes the realised count data-dependent.
+    if let Some(name) = kind_calls {
+        counter_add(name, 1);
+    }
+    // Exact: the kernel has no data-dependent skip.
     counter_add("tensor.matmul.flops", 2 * (m * n * k) as u64);
     counter_add(
         "tensor.alloc.bytes",
-        (m * n * std::mem::size_of::<f32>()) as u64,
+        ((m * n + scratch) * std::mem::size_of::<f32>()) as u64,
     );
 }
 
-/// `matmul` band kernel: fills output rows `row0..row0 + out_band/n` with
-/// the cache-friendly `i-k-j` loop. Like every band kernel here it is only
-/// reached through `par_rows`, so `out_band` is whole rows and never empty.
-fn matmul_rows(a: &[f32], b: &[f32], k: usize, n: usize, row0: usize, out_band: &mut [f32]) {
-    for (bi, out_row) in out_band.chunks_mut(n).enumerate() {
-        let i = row0 + bi;
-        let a_row = &a[i * k..(i + 1) * k];
-        for (kk, &aik) in a_row.iter().enumerate() {
-            if aik == 0.0 {
-                continue; // feature matrices after ReLU are often sparse
-            }
-            let b_row = &b[kk * n..(kk + 1) * n];
-            for (o, &bkj) in out_row.iter_mut().zip(b_row) {
-                *o += aik * bkj;
-            }
+/// Output tile held in registers: `MR` rows by `NR` columns.
+const MR: usize = 4;
+const NR: usize = 8;
+
+/// The left operand `A` of `A @ B`, as stored.
+#[derive(Clone, Copy)]
+enum Left<'a> {
+    /// `m×k` row-major (`matmul`, `matmul_t`): `A[i][kk]` is `a[i * k + kk]`.
+    Rows(&'a [f32]),
+    /// `k×m` row-major, read transposed (`t_matmul`): `A[i][kk]` is
+    /// `a[kk * m + i]`; carries `m`.
+    Cols(&'a [f32], usize),
+}
+
+/// `acc += av ⊗ b_row`: one `k` step of a tile.
+#[inline(always)]
+fn step<const R: usize, const C: usize>(acc: &mut [[f32; C]; R], av: [f32; R], b_row: &[f32]) {
+    for (acc_row, a) in acc.iter_mut().zip(av) {
+        for (s, &bv) in acc_row.iter_mut().zip(b_row) {
+            *s += a * bv;
         }
     }
 }
 
-/// `t_matmul` band kernel: output row `i` gathers `sum_k A[k][i] * B[k]`
-/// with `k` ascending and the same `a[k][i] == 0` skip as the serial
-/// scatter loop, so per-element accumulation order is identical.
-fn t_matmul_rows(
-    a: &[f32],
+/// One `R×C` output tile — rows `i..i + R` of the product, columns
+/// `j..j + C` — written to the rows `out_rows` starts with: `R·C`
+/// accumulators from `+0.0`, `k` ascending, stored once at the end. Each
+/// layout gets the `k` loop whose `a` indices the compiler can prove in
+/// range; checking them per element costs a third of the throughput.
+#[inline(always)]
+fn tile<const R: usize, const C: usize>(
+    left: Left,
+    i: usize,
+    j: usize,
     b: &[f32],
-    m: usize,
     n: usize,
-    kdim: usize,
-    row0: usize,
-    out_band: &mut [f32],
+    k: usize,
+    out_rows: &mut [f32],
 ) {
-    for (bi, out_row) in out_band.chunks_mut(n).enumerate() {
-        let i = row0 + bi;
-        for kk in 0..kdim {
-            let aki = a[kk * m + i];
-            if aki == 0.0 {
-                continue;
-            }
-            let b_row = &b[kk * n..(kk + 1) * n];
-            for (o, &bkj) in out_row.iter_mut().zip(b_row) {
-                *o += aki * bkj;
+    let mut acc = [[0.0f32; C]; R];
+    match left {
+        Left::Rows(a) => {
+            let rows: [&[f32]; R] = std::array::from_fn(|r| &a[(i + r) * k..][..k]);
+            for kk in 0..k {
+                step(&mut acc, std::array::from_fn(|r| rows[r][kk]), &b[kk * n + j..][..C]);
             }
         }
+        Left::Cols(a, m) => {
+            for (a_row, b_row) in a.chunks_exact(m).zip(b.chunks_exact(n)) {
+                let av = a_row[i..i + R].try_into().expect("a slice of R elements");
+                step(&mut acc, av, &b_row[j..j + C]);
+            }
+        }
+    }
+    for (acc_row, out_row) in acc.iter().zip(out_rows.chunks_mut(n)) {
+        out_row[j..j + C].copy_from_slice(acc_row);
     }
 }
 
-/// `matmul_t` band kernel: plain row-dot-row products.
-fn matmul_t_rows(a: &[f32], b: &[f32], k: usize, n: usize, row0: usize, out_band: &mut [f32]) {
-    for (bi, out_row) in out_band.chunks_mut(n).enumerate() {
-        let i = row0 + bi;
-        let a_row = &a[i * k..(i + 1) * k];
-        for (j, o) in out_row.iter_mut().enumerate() {
-            let b_row = &b[j * k..(j + 1) * k];
-            let mut acc = 0.0f32;
-            for (&x, &y) in a_row.iter().zip(b_row) {
-                acc += x * y;
-            }
-            *o = acc;
-        }
+/// `R` whole output rows: `NR`-wide tiles, one 4 wide, then single columns.
+fn strip<const R: usize>(left: Left, i: usize, b: &[f32], n: usize, k: usize, out: &mut [f32]) {
+    let mut j = 0;
+    while n - j >= NR {
+        tile::<R, NR>(left, i, j, b, n, k, out);
+        j += NR;
     }
+    if n - j >= 4 {
+        tile::<R, 4>(left, i, j, b, n, k, out);
+        j += 4;
+    }
+    while j < n {
+        tile::<R, 1>(left, i, j, b, n, k, out);
+        j += 1;
+    }
+}
+
+/// The band kernel of all three products: fills output rows `row0..` of
+/// `A @ B` with `b` the `k×n` row-major right operand. Only reached through
+/// `par_rows`, so `out_band` is whole rows and never empty.
+fn product_rows(left: Left, b: &[f32], k: usize, n: usize, row0: usize, out_band: &mut [f32]) {
+    let rows = out_band.len() / n;
+    let mut i = 0;
+    while i < rows {
+        let out = &mut out_band[i * n..];
+        // One output column has no width to vectorise over; eight rows at a
+        // time keep eight independent add chains in flight instead.
+        i += if n == 1 && rows - i >= 8 {
+            tile::<8, 1>(left, row0 + i, 0, b, n, k, out);
+            8
+        } else if rows - i >= MR {
+            strip::<MR>(left, row0 + i, b, n, k, out);
+            MR
+        } else {
+            strip::<1>(left, row0 + i, b, n, k, out);
+            1
+        };
+    }
+}
+
+/// Allocates the `m×n` output and fills it with `A @ B` through
+/// `product_rows`, banded across the pool when the work is worth it.
+fn product(par_calls: &str, left: Left, b: &[f32], (m, n, k): (usize, usize, usize)) -> Vec<f32> {
+    let mut out = vec![0.0f32; m * n];
+    ahntp_par::par_rows(&mut out, n, 2 * m * n * k, par_calls, |row0, band| {
+        product_rows(left, b, k, n, row0, band)
+    });
+    out
 }
 
 impl Tensor {
@@ -102,16 +176,17 @@ impl Tensor {
     /// Vectors are promoted to matrices in the only way that makes the
     /// product well-formed (`[n]` on the left acts as `1 x n`; on the right
     /// as `n x 1`), and the result is demoted back to a vector when one side
-    /// was a vector. Uses the cache-friendly `i-k-j` loop order, which is
-    /// within a small factor of BLAS for the ≤512-wide matrices this model
-    /// uses; large products are row-partitioned across the worker pool with
-    /// bitwise-identical results.
+    /// was a vector. Runs the register-tiled kernel of the module docs;
+    /// large products are row-partitioned across the worker pool with
+    /// bitwise-identical results. A zero in `self` does not mask a
+    /// non-finite value in `other`: `0·inf` is `NaN`.
     ///
     /// # Panics
     ///
     /// Panics when the inner dimensions disagree.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
         let (m, k1) = (self.rows(), self.cols());
+        // A vector on the right is a column, which is how its data lies.
         let (k2, n) = match other.shape() {
             Shape::Matrix(r, c) => (r, c),
             Shape::Vector(len) => (len, 1),
@@ -123,19 +198,10 @@ impl Tensor {
             other.shape()
         );
         let k = k1;
-        record_matmul("tensor.matmul.calls", m, n, k);
+        record_matmul(None, m, n, k, 0);
         let _k = KernelSpan::enter("tensor.matmul", KernelKind::Matmul);
-        let mut out = vec![0.0f32; m * n];
-        let a = &self.data;
-        // When `other` is a vector we can index it directly as a column.
-        let b = &other.data;
-        ahntp_par::par_rows(
-            &mut out,
-            n,
-            2 * m * n * k,
-            "tensor.matmul.par_calls",
-            |row0, band| matmul_rows(a, b, k, n, row0, band),
-        );
+        let left = Left::Rows(&self.data);
+        let out = product("tensor.matmul.par_calls", left, &other.data, (m, n, k));
         let shape = match (self.shape(), other.shape()) {
             (Shape::Vector(_), Shape::Matrix(_, c)) => Shape::Vector(c),
             (Shape::Matrix(r, _), Shape::Vector(_)) => Shape::Vector(r),
@@ -145,9 +211,10 @@ impl Tensor {
         Tensor { data: out, shape }
     }
 
-    /// `self^T @ other` without materialising the transpose.
+    /// `self^T @ other` without materialising the transpose. As in
+    /// [`Tensor::matmul`], `0·inf` is `NaN`.
     pub fn t_matmul(&self, other: &Tensor) -> Tensor {
-        // (A^T B)_{ij} = sum_k A_{ki} B_{kj}
+        // (A^T B)_{ij} = sum_k A_{ki} B_{kj}: A^T is A read by columns.
         let (k1, m) = (self.rows(), self.cols());
         let (k2, n) = (other.rows(), other.cols());
         assert_eq!(
@@ -156,54 +223,21 @@ impl Tensor {
             self.shape(),
             other.shape()
         );
-        record_matmul("tensor.t_matmul.calls", m, n, k1);
+        record_matmul(Some("tensor.t_matmul.calls"), m, n, k1, 0);
         let _k = KernelSpan::enter("tensor.t_matmul", KernelKind::Matmul);
-        let mut out = vec![0.0f32; m * n];
-        // Two algorithms on purpose, chosen from what the pool observes
-        // (thread count and work). A scatter cannot be banded by output
-        // row, and running the gather as one whole-range band instead of
-        // the scatter cost +11.8 % `op_us` on `ahntp-perf train_full`
-        // (median 79 457 → 88 818 µs, slower in 9 of 10 alternating pairs
-        // on a 2-vCPU host): the gather strides `a` by `m` per step.
-        let work = 2 * m * n * k1;
-        if ahntp_par::par_enabled(work) {
-            // Gather form: each band owns output rows and walks k
-            // ascending, matching the scatter's per-element accumulation
-            // order exactly.
-            let (a, b) = (&self.data, &other.data);
-            ahntp_par::par_rows(
-                &mut out,
-                n,
-                work,
-                "tensor.t_matmul.par_calls",
-                |row0, band| t_matmul_rows(a, b, m, n, k1, row0, band),
-            );
-        } else {
-            // Serial scatter: k-outer keeps both operands streaming.
-            for kk in 0..k1 {
-                let a_row = &self.data[kk * m..(kk + 1) * m];
-                let b_row = &other.data[kk * n..(kk + 1) * n];
-                for (i, &aki) in a_row.iter().enumerate() {
-                    if aki == 0.0 {
-                        continue;
-                    }
-                    let out_row = &mut out[i * n..(i + 1) * n];
-                    for (o, &bkj) in out_row.iter_mut().zip(b_row) {
-                        *o += aki * bkj;
-                    }
-                }
-            }
-        }
+        let left = Left::Cols(&self.data, m);
+        let out = product("tensor.t_matmul.par_calls", left, &other.data, (m, n, k1));
         Tensor {
             data: out,
             shape: Shape::Matrix(m, n),
         }
     }
 
-    /// `self @ other^T` without materialising the transpose.
+    /// `self @ other^T` without the caller materialising the transpose. As
+    /// in [`Tensor::matmul`], `0·inf` is `NaN`.
     pub fn matmul_t(&self, other: &Tensor) -> Tensor {
-        // (A B^T)_{ij} = dot(A_i, B_j) — both operands walk rows, so this is
-        // the friendliest kernel of the three.
+        // (A B^T)_{ij} = dot(A_i, B_j), accumulated left to right. The tile
+        // wants B^T's rows contiguous, so pack it once: n·k copies.
         let (m, k1) = (self.rows(), self.cols());
         let (n, k2) = (other.rows(), other.cols());
         assert_eq!(
@@ -212,17 +246,11 @@ impl Tensor {
             self.shape(),
             other.shape()
         );
-        record_matmul("tensor.matmul_t.calls", m, n, k1);
+        record_matmul(Some("tensor.matmul_t.calls"), m, n, k1, n * k1);
         let _k = KernelSpan::enter("tensor.matmul_t", KernelKind::Matmul);
-        let mut out = vec![0.0f32; m * n];
-        let (a, b) = (&self.data, &other.data);
-        ahntp_par::par_rows(
-            &mut out,
-            n,
-            2 * m * n * k1,
-            "tensor.matmul_t.par_calls",
-            |row0, band| matmul_t_rows(a, b, k1, n, row0, band),
-        );
+        let left = Left::Rows(&self.data);
+        let bt = other.transpose();
+        let out = product("tensor.matmul_t.par_calls", left, &bt.data, (m, n, k1));
         Tensor {
             data: out,
             shape: Shape::Matrix(m, n),
@@ -320,6 +348,38 @@ mod tests {
         let a = Tensor::vector(vec![1.0, 2.0, 3.0]);
         let b = Tensor::vector(vec![4.0, 5.0, 6.0]);
         assert_eq!(a.dot(&b), 32.0);
+    }
+
+    #[test]
+    fn a_zero_does_not_mask_a_non_finite_factor() {
+        // [0, 1] · [inf, 2], laid out for each product: 0·inf is NaN. (The
+        // zero-skipping loops this kernel replaced returned 2 from the
+        // first two.)
+        let a = Tensor::from_rows(&[&[0.0, 1.0]]);
+        let b = Tensor::from_rows(&[&[f32::INFINITY], &[2.0]]);
+        assert!(a.matmul(&b).get(0, 0).is_nan(), "matmul");
+        assert!(a.transpose().t_matmul(&b).get(0, 0).is_nan(), "t_matmul");
+        assert!(a.matmul_t(&b.transpose()).get(0, 0).is_nan(), "matmul_t");
+    }
+
+    #[test]
+    fn counters_are_exact_for_one_product_of_each_kind() {
+        use ahntp_telemetry::counter_get;
+        let (a, b) = (Tensor::zeros(5, 3), Tensor::zeros(3, 7));
+        let (at, bt) = (a.transpose(), b.transpose());
+        ahntp_par::Context::fresh().run(|| {
+            ahntp_telemetry::set_enabled(true);
+            a.matmul(&b);
+            at.t_matmul(&b);
+            a.matmul_t(&bt);
+            assert_eq!(counter_get("tensor.matmul.calls"), 3, "every dense product");
+            assert_eq!(counter_get("tensor.t_matmul.calls"), 1);
+            assert_eq!(counter_get("tensor.matmul_t.calls"), 1);
+            // 2·m·n·k each: the kernel skips nothing, zeros included.
+            assert_eq!(counter_get("tensor.matmul.flops"), 3 * 2 * 5 * 7 * 3);
+            // Three 5×7 outputs and matmul_t's packed 3×7 transpose.
+            assert_eq!(counter_get("tensor.alloc.bytes"), (3 * 5 * 7 + 3 * 7) * 4);
+        });
     }
 
     #[test]

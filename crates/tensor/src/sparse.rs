@@ -749,8 +749,8 @@ impl<T: Scalar> CsrMatrix<T> {
     /// first (O(nnz) counting sort) and gathers per output-row band; the
     /// counting sort emits each transposed row's entries in ascending
     /// former-row order, which is exactly the order the serial scatter
-    /// visits them in, so both paths are bitwise identical. Like
-    /// `Tensor::t_matmul`, this kernel keeps both algorithms and chooses
+    /// visits them in, so both paths are bitwise identical. This is the
+    /// one kernel that keeps two algorithms, chosen
     /// from what the pool observes (thread count and work): a scatter
     /// cannot be banded by output row, and a single thread has no use for
     /// the transpose the gather needs.

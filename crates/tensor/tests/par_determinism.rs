@@ -11,7 +11,8 @@
 //! `par_bands` call it once when serial), "serial" is no longer a separate
 //! implementation to compare against: `naive_references_match_bitwise`
 //! pins the kernels that lost their hand-written serial loop to a scalar
-//! loop written here.
+//! loop written here — for the dense products, the scalar loops (zero-skip
+//! included) that the register-tiled kernel replaced.
 //!
 //! Tests in this binary share the process-wide pool configuration;
 //! `ahntp_par::with_pool` serialises them and restores it.
@@ -69,6 +70,41 @@ const SHAPES: [(usize, usize, usize); 4] = [
     (13, 6, 9),  // ragged final band
     (40, 17, 8), // several rows per band
 ];
+
+/// Like [`dense`], with the values a rewritten dense kernel could treat
+/// differently mixed in: both zeros (the old loops skipped them in the left
+/// operand), subnormals, and magnitudes whose products and sums overflow.
+fn edgy(rows: usize, cols: usize, salt: u32) -> Tensor {
+    let data: Vec<f32> = (0..rows * cols)
+        .map(|i| {
+            let h = (i as u32).wrapping_mul(2654435761).wrapping_add(salt);
+            match (h >> 16) % 12 {
+                0 | 1 => 0.0,
+                2 => -0.0,
+                3 => 1e-41,  // subnormal
+                4 => -3e-39, // subnormal
+                5 => 2.5e30, // squares to +inf
+                6 => -1.5e25,
+                _ => (h % 1000) as f32 / 500.0 - 1.0,
+            }
+        })
+        .collect();
+    Tensor::from_vec(rows, cols, data).expect("length matches by construction")
+}
+
+/// `(m, k, n)` for the reference table: [`SHAPES`], then every combination
+/// of sizes around the dense kernel's 4×8 tile — full tiles, the 4-wide and
+/// single-column remainders, single-row remainders, the one-column product,
+/// and inner dimensions from none to many.
+fn reference_shapes() -> Vec<(usize, usize, usize)> {
+    let mut shapes = SHAPES.to_vec();
+    for m in [1, 3, 4, 5, 13] {
+        for n in [1, 4, 7, 8, 9, 28, 64] {
+            shapes.extend([0, 1, 17, 64].map(|k| (m, k, n)));
+        }
+    }
+    shapes
+}
 
 #[test]
 fn dense_products_are_bitwise_stable() {
@@ -204,6 +240,12 @@ struct Inputs {
     scales: Vec<f32>,
     /// `a`'s nonzeros as CSR.
     s: CsrMatrix<f32>,
+    /// Operands of the dense products, `m×k` and `k×n`, and their
+    /// transposes for the two fused-transpose kernels.
+    left: Tensor,
+    right: Tensor,
+    left_t: Tensor,
+    right_t: Tensor,
 }
 
 /// Applies `row_fn` to each row of `t`, concatenating what it returns.
@@ -218,6 +260,68 @@ fn sum_of(values: impl Iterator<Item = f32>) -> f32 {
         acc += v;
     }
     acc
+}
+
+/// The three dense products as scalar loops: what `matmul.rs` ran before
+/// its register tile, kept here as the reference. `matmul` and `t_matmul`
+/// skip zeros of the left operand and accumulate into the output;
+/// `matmul_t` is one dot product per element.
+fn naive_matmul(a: &Tensor, b: &Tensor) -> Vec<f32> {
+    let (m, k, n) = (a.rows(), a.cols(), b.cols());
+    let (a, b) = (a.as_slice(), b.as_slice());
+    let mut out = vec![0.0f32; m * n];
+    for i in 0..m {
+        for kk in 0..k {
+            let aik = a[i * k + kk];
+            if aik == 0.0 {
+                continue;
+            }
+            for j in 0..n {
+                out[i * n + j] += aik * b[kk * n + j];
+            }
+        }
+    }
+    out
+}
+
+fn naive_t_matmul(a: &Tensor, b: &Tensor) -> Vec<f32> {
+    let (k, m, n) = (a.rows(), a.cols(), b.cols());
+    let (a, b) = (a.as_slice(), b.as_slice());
+    let mut out = vec![0.0f32; m * n];
+    for kk in 0..k {
+        for i in 0..m {
+            let aki = a[kk * m + i];
+            if aki == 0.0 {
+                continue;
+            }
+            for j in 0..n {
+                out[i * n + j] += aki * b[kk * n + j];
+            }
+        }
+    }
+    out
+}
+
+fn naive_matmul_t(a: &Tensor, b: &Tensor) -> Vec<f32> {
+    let (m, k, n) = (a.rows(), a.cols(), b.rows());
+    let (a, b) = (a.as_slice(), b.as_slice());
+    let mut out = vec![0.0f32; m * n];
+    for i in 0..m {
+        for j in 0..n {
+            out[i * n + j] = sum_of((0..k).map(|kk| a[i * k + kk] * b[j * k + kk]));
+        }
+    }
+    out
+}
+
+/// `t` as the vector `matmul` promotes back to it: a single row on the left
+/// of a product, a single column on the right.
+fn as_vector_if(single: bool, t: &Tensor) -> Tensor {
+    if single {
+        Tensor::vector(t.as_slice().to_vec())
+    } else {
+        t.clone()
+    }
 }
 
 #[test]
@@ -299,15 +403,44 @@ fn naive_references_match_bitwise() {
                 })
             },
         ),
+        (
+            "matmul",
+            |i| i.left.matmul(&i.right).as_slice().to_vec(),
+            |i| naive_matmul(&i.left, &i.right),
+        ),
+        (
+            "matmul of vectors",
+            |i| {
+                let left = as_vector_if(i.left.rows() == 1, &i.left);
+                let right = as_vector_if(i.right.cols() == 1, &i.right);
+                left.matmul(&right).as_slice().to_vec()
+            },
+            |i| naive_matmul(&i.left, &i.right),
+        ),
+        (
+            "t_matmul",
+            |i| i.left_t.t_matmul(&i.right).as_slice().to_vec(),
+            |i| naive_t_matmul(&i.left_t, &i.right),
+        ),
+        (
+            "matmul_t",
+            |i| i.left.matmul_t(&i.right_t).as_slice().to_vec(),
+            |i| naive_matmul_t(&i.left, &i.right_t),
+        ),
     ];
-    for &(m, _, n) in &SHAPES {
+    for (m, k, n) in reference_shapes() {
         let a = dense(m, n, 21);
+        let (left, right) = (edgy(m, k, 25), edgy(k, n, 26));
         let inputs = Inputs {
             b: dense(m, n, 22),
             bias: dense(1, n, 23).row(0).to_vec(),
             scales: dense(1, m, 24).row(0).to_vec(),
             s: CsrMatrix::from_dense(&a),
             a,
+            left_t: left.transpose(),
+            right_t: right.transpose(),
+            left,
+            right,
         };
         for &(name, kernel, naive) in CASES {
             let want: Vec<u32> = naive(&inputs).iter().map(|v| v.to_bits()).collect();
@@ -315,7 +448,10 @@ fn naive_references_match_bitwise() {
                 let got: Vec<u32> = ahntp_par::with_pool(t, 0, || {
                     kernel(&inputs).iter().map(|v| v.to_bits()).collect()
                 });
-                assert_eq!(got, want, "{name} {m}x{n} at {t} threads differs from the naive loop");
+                assert_eq!(
+                    got, want,
+                    "{name} {m}x{k}x{n} at {t} threads differs from the naive loop"
+                );
             }
         }
     }

@@ -192,11 +192,14 @@ proptest! {
     /// run the parallelized kernels at 1/2/7 threads (threshold forced to
     /// zero so even these tiny shapes take the parallel path — including
     /// row counts smaller than the thread count) and compare exactly.
+    /// Shapes reach past the dense kernel's 4×8 register tile on both
+    /// sides (row and column remainders, the one-column product), and the
+    /// values mix in both zeros, a subnormal and a magnitude that overflows.
     #[test]
     fn parallel_kernels_bitwise_match_serial(
-        rows in 1usize..9,
-        k in 1usize..7,
-        cols in 1usize..8,
+        rows in 1usize..14,
+        k in prop_oneof![4 => 1usize..19, 1 => Just(64usize)],
+        cols in prop_oneof![4 => 1usize..10, 1 => Just(28usize), 1 => Just(64usize)],
         seed in 0u32..1000,
     ) {
         let salt = |i: u32| seed.wrapping_mul(31).wrapping_add(i);
@@ -204,7 +207,13 @@ proptest! {
             let data: Vec<f32> = (0..rows * cols)
                 .map(|i| {
                     let h = (i as u32).wrapping_mul(2654435761).wrapping_add(s);
-                    if h % 4 == 0 { 0.0 } else { (h % 256) as f32 / 128.0 - 1.0 }
+                    match h % 16 {
+                        0..=2 => 0.0,
+                        3 => -0.0,
+                        4 => 1e-41,
+                        5 => -2.5e30,
+                        _ => (h % 256) as f32 / 128.0 - 1.0,
+                    }
                 })
                 .collect();
             Tensor::from_vec(rows, cols, data).expect("length matches")
