@@ -2,6 +2,7 @@
 
 use ahntp_telemetry::{KernelKind, KernelSpan};
 use ahntp_tensor::{CsrMatrix, Shape, Tensor};
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -369,16 +370,14 @@ fn backward_step(nodes: &mut [Node], i: usize, op: &Op, grad_out: &Tensor) {
         Op::AddScalar(a) => accum(nodes, *a, grad_out.clone()),
         Op::Matmul(a, b) => {
             // y = A @ B : dA = g @ B^T ; dB = A^T @ g
-            let (av, bv) = (nodes[*a].value.clone(), nodes[*b].value.clone());
-            let (ga, gb) = matmul_backward(&av, &bv, grad_out);
+            let (ga, gb) = matmul_backward(&nodes[*a].value, &nodes[*b].value, grad_out);
             accum(nodes, *a, ga);
             accum(nodes, *b, gb);
         }
         Op::MatmulT(a, b) => {
             // y = A @ B^T : dA = g @ B ; dB = g^T @ A
-            let (av, bv) = (nodes[*a].value.clone(), nodes[*b].value.clone());
-            let da = grad_out.matmul(&bv);
-            let db = grad_out.t_matmul(&av);
+            let da = grad_out.matmul(&nodes[*b].value);
+            let db = grad_out.t_matmul(&nodes[*a].value);
             accum(nodes, *a, da);
             accum(nodes, *b, db);
         }
@@ -554,27 +553,17 @@ fn backward_step(nodes: &mut [Node], i: usize, op: &Op, grad_out: &Tensor) {
 /// [`Tensor::matmul`] respected (so `[n]`-shaped operands receive
 /// `[n]`-shaped gradients).
 fn matmul_backward(a: &Tensor, b: &Tensor, g: &Tensor) -> (Tensor, Tensor) {
-    // Lift everything to matrices, compute, then demote.
-    let lift = |t: &Tensor, as_row: bool| -> Tensor {
+    // Lift everything to matrices, compute, then demote. A matrix is used
+    // where it is; only a vector is copied, into its `rows x cols` shape.
+    fn lift(t: &Tensor, rows: usize, cols: usize) -> Cow<'_, Tensor> {
         match t.shape() {
-            Shape::Matrix(_, _) => t.clone(),
-            Shape::Vector(n) => {
-                if as_row {
-                    t.clone().reshape(Shape::Matrix(1, n))
-                } else {
-                    t.clone().reshape(Shape::Matrix(n, 1))
-                }
-            }
+            Shape::Matrix(_, _) => Cow::Borrowed(t),
+            Shape::Vector(_) => Cow::Owned(t.clone().reshape(Shape::Matrix(rows, cols))),
         }
-    };
-    let am = lift(a, true); // [n] on the left acts as 1 x n
-    let bm = lift(b, false); // [n] on the right acts as n x 1
-    let gm = match g.shape() {
-        Shape::Matrix(_, _) => g.clone(),
-        Shape::Vector(_) => g
-            .clone()
-            .reshape(Shape::Matrix(am.rows(), bm.cols())),
-    };
+    }
+    let am = lift(a, 1, a.len()); // [n] on the left acts as 1 x n
+    let bm = lift(b, b.len(), 1); // [n] on the right acts as n x 1
+    let gm = lift(g, am.rows(), bm.cols());
     let ga = gm.matmul_t(&bm);
     let gb = am.t_matmul(&gm);
     let demote = |t: Tensor, like: &Tensor| -> Tensor {
