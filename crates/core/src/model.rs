@@ -374,7 +374,7 @@ impl Ahntp {
     /// (state-dict-style; see `ahntp_nn::save_params_tagged`). The frame
     /// carries this model's [architecture fingerprint](Self::architecture_fingerprint).
     pub fn save(&self) -> Vec<u8> {
-        ahntp_nn::save_params_tagged(self.optimizer.params(), self.fingerprint).to_vec()
+        ahntp_nn::save_params_tagged(self.optimizer.params(), self.fingerprint)
     }
 
     /// Loads a checkpoint produced by [`Ahntp::save`] into this model.
@@ -788,7 +788,6 @@ impl ResumableModel for Ahntp {
             &progress.epoch_losses,
         )
         .encode()
-        .to_vec()
     }
 
     /// Restores an `AHNTP002` frame into this model: the architecture

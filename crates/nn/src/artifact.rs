@@ -49,11 +49,10 @@
 
 use std::sync::Arc;
 
-use crate::frame::{check_seal, get_f32s, get_string, need, put_f32s, put_string, seal};
+use crate::frame::{check_seal, get_f32s, get_string, need, put_f32s, put_string, seal, take};
 use crate::rows::Rows;
 use ahntp_faultz::failpoint;
 use ahntp_mapped::MappedBytes;
-use bytes::{Buf, BufMut, BytesMut};
 
 const MAGIC: &[u8; 9] = b"AHNTPSRV1";
 
@@ -155,23 +154,23 @@ impl V2Layout {
         if &data[..MAGIC.len()] != MAGIC {
             return Err(ArtifactError::Malformed("bad magic".into()));
         }
-        data.advance(MAGIC.len());
+        data = &data[MAGIC.len()..];
         need(data, 2, "version").map_err(malformed)?;
-        let version = data.get_u16_le();
+        let version = u16::from_le_bytes(take(&mut data));
         if version != ARTIFACT_VERSION_V2 {
             return Err(ArtifactError::UnsupportedVersion(version));
         }
         need(data, 8 + 4, "header").map_err(malformed)?;
-        let fingerprint = data.get_u64_le();
-        let calibration = data.get_f32_le();
+        let fingerprint = u64::from_le_bytes(take(&mut data));
+        let calibration = f32::from_le_bytes(take(&mut data));
         let model = get_string(&mut data, "model name").map_err(malformed)?;
         need(data, 12 + 32, "dimensions and offsets table").map_err(malformed)?;
-        let n_users = data.get_u32_le() as usize;
-        let emb_dim = data.get_u32_le() as usize;
-        let head_dim = data.get_u32_le() as usize;
+        let n_users = u32::from_le_bytes(take(&mut data)) as usize;
+        let emb_dim = u32::from_le_bytes(take(&mut data)) as usize;
+        let head_dim = u32::from_le_bytes(take(&mut data)) as usize;
         let mut offsets = [0usize; 4];
         for slot in &mut offsets {
-            let v = data.get_u64_le();
+            let v = u64::from_le_bytes(take(&mut data));
             *slot = usize::try_from(v).map_err(|_| {
                 ArtifactError::Malformed(format!("offsets table entry {v} overflows"))
             })?;
@@ -308,32 +307,28 @@ impl TrustArtifact {
         let trustor_off = align(emb_off + 4 * self.embeddings.len());
         let trustee_off = align(trustor_off + 4 * self.trustor_head.len());
         let data_end = trustee_off + 4 * self.trustee_head.len();
-        let mut buf = BytesMut::with_capacity(data_end + 4);
-        buf.put_slice(MAGIC);
-        buf.put_u16_le(ARTIFACT_VERSION_V2);
-        buf.put_u64_le(self.fingerprint);
-        buf.put_f32_le(self.calibration);
+        let mut buf = Vec::with_capacity(data_end + 4);
+        buf.extend_from_slice(MAGIC);
+        buf.extend_from_slice(&ARTIFACT_VERSION_V2.to_le_bytes());
+        buf.extend_from_slice(&self.fingerprint.to_le_bytes());
+        buf.extend_from_slice(&self.calibration.to_le_bytes());
         put_string(&mut buf, &self.model);
-        buf.put_u32_le(self.n_users as u32);
-        buf.put_u32_le(self.emb_dim as u32);
-        buf.put_u32_le(self.head_dim as u32);
-        buf.put_u64_le(emb_off as u64);
-        buf.put_u64_le(trustor_off as u64);
-        buf.put_u64_le(trustee_off as u64);
-        buf.put_u64_le(data_end as u64);
-        let pad_to = |buf: &mut BytesMut, off: usize| {
-            for _ in buf.len()..off {
-                buf.put_u8(0);
-            }
-        };
-        pad_to(&mut buf, emb_off);
+        for dim in [self.n_users, self.emb_dim, self.head_dim] {
+            buf.extend_from_slice(&(dim as u32).to_le_bytes());
+        }
+        for off in [emb_off, trustor_off, trustee_off, data_end] {
+            buf.extend_from_slice(&(off as u64).to_le_bytes());
+        }
+        // Each offset is `align(..)` of the bytes written so far, so these
+        // only ever grow the buffer.
+        buf.resize(emb_off, 0);
         put_f32s(&mut buf, &self.embeddings);
-        pad_to(&mut buf, trustor_off);
+        buf.resize(trustor_off, 0);
         put_f32s(&mut buf, &self.trustor_head);
-        pad_to(&mut buf, trustee_off);
+        buf.resize(trustee_off, 0);
         put_f32s(&mut buf, &self.trustee_head);
         seal(&mut buf);
-        buf.freeze().to_vec()
+        buf
     }
 
     /// Decodes and validates an `AHNTPSRV1` frame into owned matrices (the

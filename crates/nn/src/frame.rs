@@ -19,8 +19,6 @@
 //! with a typed "checksum" error instead of being silently decoded into
 //! garbage parameters.
 
-use bytes::{Buf, BufMut, BytesMut};
-
 /// CRC-32 (IEEE 802.3, the zlib/PNG polynomial), bitwise implementation.
 /// Frames are megabytes at most and written once per epoch; simplicity
 /// beats a table here.
@@ -37,9 +35,9 @@ pub(crate) fn crc32(bytes: &[u8]) -> u32 {
 }
 
 /// Appends the CRC-32 of the buffer's current contents, sealing the frame.
-pub(crate) fn seal(buf: &mut BytesMut) {
+pub(crate) fn seal(buf: &mut Vec<u8>) {
     let crc = crc32(buf);
-    buf.put_u32_le(crc);
+    buf.extend_from_slice(&crc.to_le_bytes());
 }
 
 /// Verifies the trailing CRC-32 written by [`seal`] and returns the
@@ -71,38 +69,46 @@ pub(crate) fn need(data: &[u8], n: usize, what: &str) -> Result<(), String> {
     }
 }
 
+/// Splits the next `N` bytes off the front of `data`, for
+/// `u32::from_le_bytes(take(data))` and friends.
+///
+/// # Panics
+///
+/// Panics when fewer than `N` bytes remain: every caller runs [`need`]
+/// first, which is where a truncated frame becomes a typed error.
+pub(crate) fn take<const N: usize>(data: &mut &[u8]) -> [u8; N] {
+    let (head, rest) = data.split_at(N);
+    *data = rest;
+    head.try_into().expect("split_at(N) yields N bytes")
+}
+
 /// Writes a `u32` length prefix followed by the UTF-8 bytes.
-pub(crate) fn put_string(buf: &mut BytesMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
+pub(crate) fn put_string(buf: &mut Vec<u8>, s: &str) {
+    buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
+    buf.extend_from_slice(s.as_bytes());
 }
 
 /// Reads a string written by [`put_string`], advancing `data` past it.
 pub(crate) fn get_string(data: &mut &[u8], what: &str) -> Result<String, String> {
     need(data, 4, &format!("{what} length"))?;
-    let len = data.get_u32_le() as usize;
+    let len = u32::from_le_bytes(take(data)) as usize;
     need(data, len, what)?;
     let s = String::from_utf8(data[..len].to_vec())
         .map_err(|_| format!("non-UTF-8 {what}"))?;
-    data.advance(len);
+    *data = &data[len..];
     Ok(s)
 }
 
 /// Writes one tensor as `u8 rank, u32 rows, u32 cols, f32 data` — the
 /// shape-plus-payload layout shared by `AHNTP001` and `AHNTP002` frames.
-pub(crate) fn put_tensor(buf: &mut BytesMut, t: &ahntp_tensor::Tensor) {
-    match t.shape() {
-        ahntp_tensor::Shape::Vector(n) => {
-            buf.put_u8(1);
-            buf.put_u32_le(n as u32);
-            buf.put_u32_le(0);
-        }
-        ahntp_tensor::Shape::Matrix(r, c) => {
-            buf.put_u8(2);
-            buf.put_u32_le(r as u32);
-            buf.put_u32_le(c as u32);
-        }
-    }
+pub(crate) fn put_tensor(buf: &mut Vec<u8>, t: &ahntp_tensor::Tensor) {
+    let (rank, rows, cols) = match t.shape() {
+        ahntp_tensor::Shape::Vector(n) => (1u8, n, 0),
+        ahntp_tensor::Shape::Matrix(r, c) => (2u8, r, c),
+    };
+    buf.push(rank);
+    buf.extend_from_slice(&(rows as u32).to_le_bytes());
+    buf.extend_from_slice(&(cols as u32).to_le_bytes());
     put_f32s(buf, t.as_slice());
 }
 
@@ -112,9 +118,9 @@ pub(crate) fn get_tensor(
     what: &str,
 ) -> Result<ahntp_tensor::Tensor, String> {
     need(data, 9, &format!("{what} shape"))?;
-    let rank = data.get_u8();
-    let rows = data.get_u32_le() as usize;
-    let cols = data.get_u32_le() as usize;
+    let [rank] = take(data);
+    let rows = u32::from_le_bytes(take(data)) as usize;
+    let cols = u32::from_le_bytes(take(data)) as usize;
     match rank {
         1 => Ok(ahntp_tensor::Tensor::vector(get_f32s(data, rows, what)?)),
         2 => {
@@ -129,9 +135,9 @@ pub(crate) fn get_tensor(
 }
 
 /// Writes `values` as little-endian `f32`s.
-pub(crate) fn put_f32s(buf: &mut BytesMut, values: &[f32]) {
+pub(crate) fn put_f32s(buf: &mut Vec<u8>, values: &[f32]) {
     for &v in values {
-        buf.put_f32_le(v);
+        buf.extend_from_slice(&v.to_le_bytes());
     }
 }
 
@@ -144,7 +150,7 @@ pub(crate) fn get_f32s(data: &mut &[u8], n: usize, what: &str) -> Result<Vec<f32
     need(data, bytes, what)?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
-        out.push(data.get_f32_le());
+        out.push(f32::from_le_bytes(take(data)));
     }
     Ok(out)
 }
@@ -155,11 +161,10 @@ mod tests {
 
     #[test]
     fn strings_and_floats_round_trip() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         put_string(&mut buf, "tower.0.w");
         put_f32s(&mut buf, &[1.0, -2.5, f32::MIN_POSITIVE]);
-        let frozen = buf.freeze();
-        let mut data: &[u8] = &frozen;
+        let mut data: &[u8] = &buf;
         assert_eq!(get_string(&mut data, "name").unwrap(), "tower.0.w");
         assert_eq!(
             get_f32s(&mut data, 3, "values").unwrap(),
@@ -187,10 +192,9 @@ mod tests {
 
     #[test]
     fn sealed_frames_verify_and_corruption_is_caught() {
-        let mut buf = BytesMut::new();
-        put_string(&mut buf, "payload");
-        seal(&mut buf);
-        let bytes = buf.freeze().to_vec();
+        let mut bytes = Vec::new();
+        put_string(&mut bytes, "payload");
+        seal(&mut bytes);
         let payload = check_seal(&bytes).expect("intact frame verifies");
         let mut data = payload;
         assert_eq!(get_string(&mut data, "s").unwrap(), "payload");

@@ -26,11 +26,10 @@
 //! with [`load_params_tagged`]. A fingerprint of `0` means "untagged" and
 //! is never checked, so generic state-dict users keep the old behaviour.
 
-use crate::frame::{check_seal, get_string, get_tensor, need, put_string, put_tensor, seal};
+use crate::frame::{check_seal, get_string, get_tensor, need, put_string, put_tensor, seal, take};
 use crate::Param;
 use ahntp_faultz::failpoint;
 use ahntp_tensor::Tensor;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 const MAGIC: &[u8; 8] = b"AHNTP001";
 
@@ -96,23 +95,23 @@ impl From<ahntp_faultz::Injected> for CheckpointError {
 
 /// Serialises parameters into an untagged checkpoint frame (architecture
 /// fingerprint 0, never verified on load).
-pub fn save_params(params: &[Param]) -> Bytes {
+pub fn save_params(params: &[Param]) -> Vec<u8> {
     save_params_tagged(params, 0)
 }
 
 /// Serialises parameters into a checkpoint frame carrying the caller's
 /// architecture `fingerprint` (see [`load_params_tagged`]).
-pub fn save_params_tagged(params: &[Param], fingerprint: u64) -> Bytes {
-    let mut buf = BytesMut::new();
-    buf.put_slice(MAGIC);
-    buf.put_u64_le(fingerprint);
-    buf.put_u32_le(params.len() as u32);
+pub fn save_params_tagged(params: &[Param], fingerprint: u64) -> Vec<u8> {
+    let mut buf = Vec::new();
+    buf.extend_from_slice(MAGIC);
+    buf.extend_from_slice(&fingerprint.to_le_bytes());
+    buf.extend_from_slice(&(params.len() as u32).to_le_bytes());
     for p in params {
         put_string(&mut buf, &p.name());
         put_tensor(&mut buf, &p.value());
     }
     seal(&mut buf);
-    buf.freeze()
+    buf
 }
 
 fn malformed(m: String) -> CheckpointError {
@@ -128,11 +127,11 @@ fn decode(data: &[u8]) -> Result<(u64, Vec<(String, Tensor)>), CheckpointError> 
     if &data[..8] != MAGIC {
         return Err(CheckpointError::Malformed("bad magic".into()));
     }
-    data.advance(8);
+    data = &data[8..];
     need(data, 8, "fingerprint").map_err(malformed)?;
-    let fingerprint = data.get_u64_le();
+    let fingerprint = u64::from_le_bytes(take(&mut data));
     need(data, 4, "count").map_err(malformed)?;
-    let count = data.get_u32_le() as usize;
+    let count = u32::from_le_bytes(take(&mut data)) as usize;
     let mut out = Vec::with_capacity(count);
     for i in 0..count {
         let name = get_string(&mut data, &format!("param {i} name")).map_err(malformed)?;
@@ -202,9 +201,9 @@ pub fn checkpoint_fingerprint(checkpoint: &[u8]) -> Result<u64, CheckpointError>
     if &data[..8] != MAGIC {
         return Err(CheckpointError::Malformed("bad magic".into()));
     }
-    data.advance(8);
+    data = &data[8..];
     need(data, 8, "fingerprint").map_err(malformed)?;
-    Ok(data.get_u64_le())
+    Ok(u64::from_le_bytes(take(&mut data)))
 }
 
 #[cfg(test)]
@@ -288,7 +287,7 @@ mod tests {
             load_params(&a.params(), b"not a checkpoint"),
             Err(CheckpointError::Malformed(_))
         ));
-        let mut blob = save_params(&a.params()).to_vec();
+        let mut blob = save_params(&a.params());
         blob.truncate(blob.len() - 3);
         assert!(matches!(
             load_params(&a.params(), &blob),

@@ -35,12 +35,13 @@
 //! verified before any field is trusted — a checkpoint torn by a crash
 //! mid-write fails with a "checksum" error instead of half-loading.
 
-use crate::frame::{check_seal, get_string, get_tensor, need, put_string, put_tensor, seal};
+use crate::frame::{
+    check_seal, get_string, get_tensor, need, put_f32s, put_string, put_tensor, seal, take,
+};
 use crate::optim::{Adam, Optimizer};
 use crate::serialize::CheckpointError;
 use ahntp_faultz::failpoint;
 use ahntp_tensor::Tensor;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 const MAGIC: &[u8; 8] = b"AHNTP002";
 
@@ -120,20 +121,18 @@ impl TrainState {
     }
 
     /// Serialises the state into a CRC-sealed `AHNTP002` frame.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC);
-        buf.put_u64_le(self.fingerprint);
-        buf.put_u64_le(self.rng_state);
-        buf.put_u32_le(self.epochs_done);
-        buf.put_f32_le(self.best_loss);
-        buf.put_u32_le(self.stale);
-        buf.put_u32_le(self.epoch_losses.len() as u32);
-        for &l in &self.epoch_losses {
-            buf.put_f32_le(l);
-        }
-        buf.put_u32_le(self.adam_t);
-        buf.put_u32_le(self.params.len() as u32);
+    pub fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(MAGIC);
+        buf.extend_from_slice(&self.fingerprint.to_le_bytes());
+        buf.extend_from_slice(&self.rng_state.to_le_bytes());
+        buf.extend_from_slice(&self.epochs_done.to_le_bytes());
+        buf.extend_from_slice(&self.best_loss.to_le_bytes());
+        buf.extend_from_slice(&self.stale.to_le_bytes());
+        buf.extend_from_slice(&(self.epoch_losses.len() as u32).to_le_bytes());
+        put_f32s(&mut buf, &self.epoch_losses);
+        buf.extend_from_slice(&self.adam_t.to_le_bytes());
+        buf.extend_from_slice(&(self.params.len() as u32).to_le_bytes());
         for p in &self.params {
             put_string(&mut buf, &p.name);
             put_tensor(&mut buf, &p.value);
@@ -141,7 +140,7 @@ impl TrainState {
             put_tensor(&mut buf, &p.v);
         }
         seal(&mut buf);
-        buf.freeze()
+        buf
     }
 
     /// Decodes an `AHNTP002` frame, verifying the trailing CRC first.
@@ -160,22 +159,22 @@ impl TrainState {
                 "bad magic (not an AHNTP002 training state)".into(),
             ));
         }
-        data.advance(8);
+        data = &data[8..];
         need(data, 8 + 8 + 4 + 4 + 4 + 4, "header").map_err(malformed)?;
-        let fingerprint = data.get_u64_le();
-        let rng_state = data.get_u64_le();
-        let epochs_done = data.get_u32_le();
-        let best_loss = data.get_f32_le();
-        let stale = data.get_u32_le();
-        let n_losses = data.get_u32_le() as usize;
+        let fingerprint = u64::from_le_bytes(take(&mut data));
+        let rng_state = u64::from_le_bytes(take(&mut data));
+        let epochs_done = u32::from_le_bytes(take(&mut data));
+        let best_loss = f32::from_le_bytes(take(&mut data));
+        let stale = u32::from_le_bytes(take(&mut data));
+        let n_losses = u32::from_le_bytes(take(&mut data)) as usize;
         let mut epoch_losses = Vec::with_capacity(n_losses.min(1 << 16));
         for i in 0..n_losses {
             need(data, 4, &format!("epoch loss {i}")).map_err(malformed)?;
-            epoch_losses.push(data.get_f32_le());
+            epoch_losses.push(f32::from_le_bytes(take(&mut data)));
         }
         need(data, 8, "optimizer header").map_err(malformed)?;
-        let adam_t = data.get_u32_le();
-        let count = data.get_u32_le() as usize;
+        let adam_t = u32::from_le_bytes(take(&mut data));
+        let count = u32::from_le_bytes(take(&mut data)) as usize;
         let mut params = Vec::with_capacity(count.min(1 << 16));
         for i in 0..count {
             let name = get_string(&mut data, &format!("param {i} name")).map_err(malformed)?;
