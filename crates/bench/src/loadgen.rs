@@ -5,14 +5,8 @@
 //! when the previous response lands), recording per-request latency.
 //! The report carries exact percentiles — every latency sample is kept
 //! and sorted, unlike the server's own log2-bucket histograms — plus
-//! aggregate throughput, so `benches/serve_load.rs`-style harnesses and
-//! the smoke tests can print p50/p99/RPS lines from one call.
-//!
-//! [`run_mixed_load`] drives a live server instead: each connection
-//! interleaves `POST /events` writes with `POST /score` / `GET /topk`
-//! reads at a configurable write ratio, and the report keeps separate
-//! exact percentiles per request class — the read-latency cost of live
-//! ingest is the number the streaming benches exist to measure.
+//! aggregate throughput, so `backend_bench`, `serve_quickstart` and the
+//! smoke and chaos tests can print p50/p99/RPS lines from one call.
 
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
@@ -160,40 +154,7 @@ pub fn run_load(addr: SocketAddr, config: &LoadConfig) -> LoadReport {
     }
 }
 
-/// Shape of a mixed read/write load run against a live server.
-#[derive(Debug, Clone)]
-pub struct MixedLoadConfig {
-    /// Concurrent closed-loop client connections.
-    pub connections: usize,
-    /// Requests issued per connection (reads and writes combined).
-    pub requests_per_connection: usize,
-    /// Scored pairs per `/score` request body.
-    pub pairs_per_request: usize,
-    /// Trust events per `POST /events` request body.
-    pub events_per_request: usize,
-    /// Exclusive upper bound for generated user ids.
-    pub n_users: usize,
-    /// Fraction of requests that are writes, in `[0, 1]`. The write
-    /// slots are spread evenly through each connection's sequence (not
-    /// front- or back-loaded), so reads observe a steadily mutating
-    /// index.
-    pub write_ratio: f64,
-}
-
-impl Default for MixedLoadConfig {
-    fn default() -> MixedLoadConfig {
-        MixedLoadConfig {
-            connections: 4,
-            requests_per_connection: 50,
-            pairs_per_request: 8,
-            events_per_request: 4,
-            n_users: 64,
-            write_ratio: 0.2,
-        }
-    }
-}
-
-/// Exact latency aggregate for one request class of a mixed run.
+/// Exact latency aggregate over every sample of a run.
 #[derive(Debug, Clone, Default)]
 pub struct ClassStats {
     /// Requests answered 200.
@@ -232,169 +193,6 @@ impl ClassStats {
             mean_us,
         }
     }
-
-    /// One-line human summary for bench output.
-    pub fn summary(&self) -> String {
-        format!(
-            "{} ok / {} failed, p50 {}us, p99 {}us, mean {:.0}us",
-            self.completed, self.failed, self.p50_us, self.p99_us, self.mean_us
-        )
-    }
-}
-
-/// Aggregated results of one mixed read/write run: per-class exact
-/// percentiles plus combined throughput.
-#[derive(Debug, Clone)]
-pub struct MixedLoadReport {
-    /// `POST /score` read requests.
-    pub score: ClassStats,
-    /// `GET /topk` read requests.
-    pub topk: ClassStats,
-    /// `POST /events` write requests.
-    pub events: ClassStats,
-    /// Completed requests per wall-clock second, all classes combined.
-    pub throughput_rps: f64,
-}
-
-impl MixedLoadReport {
-    /// Multi-line human summary for bench output.
-    pub fn summary(&self) -> String {
-        format!(
-            "score  {}\ntopk   {}\nevents {}\n{:.0} req/s combined",
-            self.score.summary(),
-            self.topk.summary(),
-            self.events.summary(),
-            self.throughput_rps
-        )
-    }
-}
-
-/// Request class of slot `req` in a connection's sequence. Writes fire
-/// whenever the running `write_ratio` quota crosses an integer — evenly
-/// spaced, deterministic, and exact over any window where
-/// `requests * ratio` is whole. Reads alternate `/score` and `/topk`.
-fn slot_class(req: usize, write_ratio: f64) -> RequestClass {
-    let quota = |n: usize| (n as f64 * write_ratio.clamp(0.0, 1.0)).floor() as usize;
-    if quota(req + 1) > quota(req) {
-        RequestClass::Events
-    } else if (req - quota(req)) % 2 == 0 {
-        RequestClass::Score
-    } else {
-        RequestClass::TopK
-    }
-}
-
-/// One request class of the mixed loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RequestClass {
-    Score,
-    TopK,
-    Events,
-}
-
-/// Deterministic event batch for connection `conn`, request `req`: adds
-/// with distinct in-range members on alternating hypergraph levels,
-/// plus a mild decay every fourth event. Only self-validating event
-/// shapes are generated — removes and reweights need a live edge id,
-/// which concurrent connections cannot agree on.
-fn events_body(conn: usize, req: usize, events: usize, n_users: usize) -> String {
-    let mut items = Vec::with_capacity(events);
-    for e in 0..events {
-        if e % 4 == 3 {
-            items.push("{\"op\":\"decay\",\"factor\":0.999}".to_string());
-            continue;
-        }
-        let a = (conn * 7919 + req * 104_729 + e * 31) % n_users;
-        let mut b = (conn * 15_485_863 + req * 6_700_417 + e * 97 + 1) % n_users;
-        if b == a {
-            b = (b + 1) % n_users;
-        }
-        let group = if e % 2 == 0 { "node" } else { "structure" };
-        let weight = 0.5 + ((conn + req + e) % 10) as f64 / 10.0;
-        items.push(format!(
-            "{{\"op\":\"add\",\"group\":\"{group}\",\"members\":[{a},{b}],\"weight\":{weight}}}"
-        ));
-    }
-    format!("{{\"events\":[{}]}}", items.join(","))
-}
-
-/// Runs the mixed closed loop against a live serving endpoint and
-/// aggregates latencies per request class.
-///
-/// # Panics
-///
-/// Panics when no connection can be established at all, or when
-/// `n_users < 2` (add events need two distinct members).
-pub fn run_mixed_load(addr: SocketAddr, config: &MixedLoadConfig) -> MixedLoadReport {
-    assert!(config.n_users >= 2, "n_users must be at least 2");
-    let started = Instant::now();
-    let workers: Vec<_> = (0..config.connections.max(1))
-        .map(|conn| {
-            let config = config.clone();
-            std::thread::spawn(move || {
-                // Latency samples and failure counts indexed by class:
-                // [score, topk, events].
-                let mut latencies: [Vec<u64>; 3] = Default::default();
-                let mut failed = [0usize; 3];
-                let Ok(mut client) = Client::connect(addr, TIMEOUT) else {
-                    return (false, latencies, failed);
-                };
-                for req in 0..config.requests_per_connection {
-                    let class = slot_class(req, config.write_ratio);
-                    // `None` body: a GET.
-                    let (target, body) = match class {
-                        RequestClass::Score => (
-                            "/score".to_string(),
-                            Some(request_body(conn, req, config.pairs_per_request, config.n_users)),
-                        ),
-                        RequestClass::TopK => {
-                            let u = (conn * 7919 + req * 104_729) % config.n_users;
-                            (format!("/topk?user={u}&k=5"), None)
-                        }
-                        RequestClass::Events => (
-                            "/events".to_string(),
-                            Some(events_body(conn, req, config.events_per_request, config.n_users)),
-                        ),
-                    };
-                    let slot = class as usize;
-                    let sent = Instant::now();
-                    let reply = match &body {
-                        Some(body) => client.post(&target, body),
-                        None => client.get(&target),
-                    };
-                    match reply {
-                        Ok(resp) if resp.status == 200 => {
-                            latencies[slot].push(sent.elapsed().as_micros() as u64);
-                        }
-                        Ok(_) | Err(_) => failed[slot] += 1,
-                    }
-                }
-                (true, latencies, failed)
-            })
-        })
-        .collect();
-
-    let mut latencies: [Vec<u64>; 3] = Default::default();
-    let mut failed = [0usize; 3];
-    let mut connected = false;
-    for w in workers {
-        let (ok, l, f) = w.join().expect("mixed load worker panicked");
-        connected |= ok;
-        for (slot, mut samples) in l.into_iter().enumerate() {
-            latencies[slot].append(&mut samples);
-            failed[slot] += f[slot];
-        }
-    }
-    assert!(connected, "mixed load generator could not reach {addr}");
-    let wall = started.elapsed().max(Duration::from_micros(1));
-    let completed: usize = latencies.iter().map(Vec::len).sum();
-    let [score, topk, events] = latencies;
-    MixedLoadReport {
-        score: ClassStats::from_samples(score, failed[0]),
-        topk: ClassStats::from_samples(topk, failed[1]),
-        events: ClassStats::from_samples(events, failed[2]),
-        throughput_rps: completed as f64 / wall.as_secs_f64(),
-    }
 }
 
 #[cfg(test)]
@@ -416,61 +214,6 @@ mod tests {
     }
 
     #[test]
-    fn write_slots_hit_the_ratio_exactly_and_spread_evenly() {
-        // Over 100 slots at ratio 0.25, exactly 25 writes, never two in
-        // a row, and reads alternate between the two read classes.
-        let classes: Vec<_> = (0..100).map(|r| slot_class(r, 0.25)).collect();
-        let writes = classes
-            .iter()
-            .filter(|c| **c == RequestClass::Events)
-            .count();
-        assert_eq!(writes, 25);
-        for pair in classes.windows(2) {
-            assert!(
-                pair != [RequestClass::Events, RequestClass::Events],
-                "writes must not clump"
-            );
-        }
-        let scores = classes
-            .iter()
-            .filter(|c| **c == RequestClass::Score)
-            .count();
-        let topks = classes
-            .iter()
-            .filter(|c| **c == RequestClass::TopK)
-            .count();
-        assert_eq!(scores, 38);
-        assert_eq!(topks, 37);
-        // Degenerate ratios collapse to pure-read / pure-write loops.
-        assert!((0..50).all(|r| slot_class(r, 0.0) != RequestClass::Events));
-        assert!((0..50).all(|r| slot_class(r, 1.0) == RequestClass::Events));
-    }
-
-    #[test]
-    fn event_bodies_are_valid_wire_events() {
-        let body = events_body(2, 3, 8, 10);
-        assert!(body.starts_with("{\"events\":[{"), "{body}");
-        assert_eq!(body.matches("\"op\":\"add\"").count(), 6, "{body}");
-        assert_eq!(body.matches("\"op\":\"decay\"").count(), 2, "{body}");
-        assert!(body.contains("\"group\":\"node\""), "{body}");
-        assert!(body.contains("\"group\":\"structure\""), "{body}");
-        // Every member id stays under n_users, and the two members of
-        // each add are distinct.
-        for event in body.split("\"members\":[").skip(1) {
-            let ids: Vec<usize> = event
-                .split(']')
-                .next()
-                .unwrap()
-                .split(',')
-                .map(|t| t.parse().unwrap())
-                .collect();
-            assert_eq!(ids.len(), 2, "{body}");
-            assert_ne!(ids[0], ids[1], "{body}");
-            assert!(ids.iter().all(|&id| id < 10), "{body}");
-        }
-    }
-
-    #[test]
     fn class_stats_report_exact_percentiles() {
         let stats = ClassStats::from_samples((1..=100).rev().collect(), 3);
         assert_eq!(stats.completed, 100);
@@ -483,9 +226,7 @@ mod tests {
     }
 
     #[test]
-    fn percentiles_come_from_sorted_samples() {
-        // Exercise run_load's percentile logic indirectly: a report over an
-        // unreachable address is a panic, not a zeroed report.
+    fn an_unreachable_address_panics_instead_of_reporting_zeros() {
         let addr: SocketAddr = "127.0.0.1:1".parse().unwrap();
         let result = std::panic::catch_unwind(|| {
             run_load(
