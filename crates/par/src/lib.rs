@@ -45,7 +45,8 @@
 //!
 //! A kernel hands [`par_rows`] / [`par_bands`] its estimated scalar-op
 //! count and one band closure. The serial/parallel decision is taken here,
-//! once: with a single thread, work under [`par_threshold`] or fewer than
+//! once: with a single thread, work under the threshold
+//! ([`DEFAULT_PAR_THRESHOLD`]; only [`with_pool`] varies it) or fewer than
 //! two rows, the closure is called exactly once over the whole range — that
 //! call *is* the serial kernel, so no kernel carries a second copy of its
 //! loop. [`par_enabled`] exposes the same decision to the one kernel that
@@ -177,15 +178,14 @@ pub fn set_threads(n: usize) {
 
 /// Current parallelism threshold (estimated scalar ops); see
 /// [`par_enabled`].
-pub fn par_threshold() -> usize {
+fn par_threshold() -> usize {
     PAR_THRESHOLD.load(Ordering::Relaxed)
 }
 
 /// Overrides the work threshold of [`par_enabled`]. `0` forces every
-/// gated kernel onto the parallel path regardless of size — the
-/// determinism tests use this to exercise ragged shapes smaller than the
-/// thread count.
-pub fn set_par_threshold(threshold: usize) {
+/// gated kernel onto the parallel path regardless of size. Never restored,
+/// so private: [`with_pool`] is the way to vary it.
+fn set_par_threshold(threshold: usize) {
     PAR_THRESHOLD.store(threshold, Ordering::Relaxed);
 }
 

@@ -5,7 +5,9 @@
 //!
 //! These are the machine-checked versions of the claims each backend's
 //! module docs make; `backend_bench` measures the same quantities at
-//! benchmark scale and publishes them as BENCH JSON.
+//! benchmark scale and publishes them as BENCH JSON. Every index here is
+//! built with an explicit `with_backend(kind)` — the suite never reads
+//! `AHNTP_BACKEND`, so one run covers all four backends.
 
 use ahntp_nn::TrustArtifact;
 use ahntp_serve::{BackendKind, DefensePrior, IvfParams, TrustIndex};

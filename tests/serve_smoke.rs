@@ -4,8 +4,8 @@
 //! `Ahntp::predict` — then that metrics, the run ledger, and graceful
 //! shutdown all hold up. This is the CI serve smoke step.
 //!
-//! The CI backend matrix re-runs this test under every `AHNTP_BACKEND`
-//! value, so the pair-score assertions use the index's own
+//! The end-to-end test runs its body once per scoring backend (exact,
+//! simd, int8, ivf), so the pair-score assertions use the index's own
 //! `score_error_bound()` as tolerance (1e-6 on exact/simd, the measured
 //! quantization envelope on int8), and the top-k argmax check only
 //! demands brute-force agreement from backends whose candidate scan is
@@ -17,7 +17,7 @@ use ahntp_data::{DatasetConfig, LabeledPair, TrustDataset};
 use ahntp_eval::TrustModel;
 use ahntp_graph::{ppr, trust_prior, PprConfig};
 use ahntp_serve::client::{Client, Response};
-use ahntp_serve::{serve, DefensePrior, ServeConfig, TrustIndex};
+use ahntp_serve::{serve, BackendKind, DefensePrior, IvfParams, ServeConfig, TrustIndex};
 use ahntp_telemetry::json::{parse, Json};
 use ahntp_telemetry::RunLedger;
 use std::time::Duration;
@@ -47,22 +47,33 @@ fn trained_model() -> (TrustDataset, Vec<LabeledPair>, Ahntp) {
 
 #[test]
 fn serve_smoke_end_to_end() {
-    // Under a context of its own, which the server inherits: `/metrics`
-    // and the ledger count this test's requests and no other's.
-    ahntp_par::Context::fresh().run(serve_smoke);
+    let (_dataset, test_pairs, model) = trained_model();
+    for kind in [
+        BackendKind::Exact,
+        BackendKind::Simd,
+        BackendKind::Int8,
+        BackendKind::Ivf(IvfParams::default()),
+    ] {
+        // Each backend under a context of its own, which the server
+        // inherits: `/metrics` and the ledger count that run's requests
+        // and no other's.
+        ahntp_par::Context::fresh().run(|| serve_smoke(kind, &test_pairs, &model));
+    }
 }
 
-fn serve_smoke() {
+fn serve_smoke(kind: BackendKind, test_pairs: &[LabeledPair], model: &Ahntp) {
     ahntp_telemetry::set_enabled(true);
-    let (_dataset, test_pairs, model) = trained_model();
 
     // Export → encode → decode → index: the full artifact path.
     let artifact = model.export_artifact();
-    let index = TrustIndex::load(&artifact.encode_v2()).expect("exported artifact loads");
+    let index = TrustIndex::load(&artifact.encode_v2())
+        .expect("exported artifact loads")
+        .with_backend(kind);
     assert_eq!(index.fingerprint(), model.architecture_fingerprint());
     // Backend-aware tolerance: the stated envelope, floored at the float
     // slack the exact path needs.
     let backend = index.backend_name();
+    assert_eq!(backend, kind.name());
     let tol = f64::from(index.score_error_bound()).max(1e-6);
     let exhaustive_topk = !index.approximate_top_k();
 
@@ -83,6 +94,7 @@ fn serve_smoke() {
         index,
         &ServeConfig {
             workers: 2,
+            backend: Some(kind),
             ..ServeConfig::default()
         },
     )
@@ -133,8 +145,8 @@ fn serve_smoke() {
     // Top-k: exhaustive backends agree with a brute-force argmax over the
     // model itself; approximate backends (int8 ranks on quantized scores,
     // ivf probes a candidate subset) must still answer well-formed and
-    // sorted — their recall is measured by tests/backend_exactness.rs and
-    // backend_bench with controlled parameters.
+    // sorted — their recall is gated by tests/backend_exactness.rs with
+    // controlled parameters.
     let Response { status, body, .. } = conn.get("/topk?user=0&k=5").unwrap();
     assert_eq!(status, 200, "{body}");
     let doc = parse(&body).unwrap();

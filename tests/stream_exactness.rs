@@ -8,12 +8,16 @@
 //! rebuild of the mutated structure. The whole run must also be bitwise
 //! identical at 1 and 4 kernel threads (the deterministic-kernel
 //! contract of `ahntp-par`).
+//!
+//! A second test lets the same stream age under a *batched* staleness
+//! bound: rows go stale between refreshes, and once the last patch is
+//! folded in the artifact must land on the same rebuild oracle.
 
 use ahntp::{Ahntp, AhntpConfig};
 use ahntp_data::{DatasetConfig, TrustDataset};
 use ahntp_eval::TrustModel;
 use ahntp_nn::TrustArtifact;
-use ahntp_stream::{HyperGroup, LiveTrustModel, TrustEvent};
+use ahntp_stream::{EventApplier, HyperGroup, LiveTrustModel, StalenessBound, TrustEvent};
 
 const N_USERS: usize = 70;
 const N_EVENTS: usize = 120;
@@ -184,4 +188,37 @@ fn mixed_event_stream_stays_within_tolerance_of_the_rebuild_oracle() {
             );
         }
     }
+}
+
+#[test]
+fn a_batched_staleness_bound_converges_to_the_rebuild_oracle() {
+    const BATCH: usize = 32;
+    let model = trained_model();
+    let mut artifact = Ahntp::export_artifact(&model);
+    let (n_node, n_struct) = model.hyperedge_counts();
+    let mut applier = EventApplier::new(model, StalenessBound::batched(BATCH));
+    let mut patches = 0usize;
+    for (i, event) in event_stream(n_node, n_struct).iter().enumerate() {
+        applier
+            .apply(event)
+            .unwrap_or_else(|e| panic!("event {i} ({}) rejected: {e}", event.op()));
+        if let Some(patch) = applier.maybe_refresh().expect("no faults armed") {
+            apply_patch(&mut artifact, &patch);
+            patches += 1;
+        }
+    }
+    // Whatever the bound left dirty is flushed by the final refresh; without
+    // this fold the rows touched since the last batch stay stale.
+    if let Some(patch) = applier.force_refresh().expect("no faults armed") {
+        apply_patch(&mut artifact, &patch);
+        patches += 1;
+    }
+    assert_artifacts_close(
+        &artifact,
+        &applier.model().rebuild_artifact(),
+        "batched bound after the final refresh",
+    );
+    // The bound really batched: one refresh each time a pending event
+    // exceeds it, plus the flush.
+    assert_eq!(patches, N_EVENTS / (BATCH + 1) + 1, "patches for {N_EVENTS} events");
 }
