@@ -383,7 +383,12 @@ mod tests {
     }
 
     fn tmp_path(tag: &str) -> PathBuf {
-        std::env::temp_dir().join(format!("ahntp-ckpt-test-{tag}-{}", std::process::id()))
+        // Pid and thread id: two tests sharing a tag never share a file.
+        std::env::temp_dir().join(format!(
+            "ahntp-ckpt-test-{tag}-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ))
     }
 
     #[test]

@@ -250,7 +250,7 @@ pub fn write_response_with(
     status: u16,
     reason: &str,
     content_type: &str,
-    extra_headers: &[(&str, String)],
+    extra_headers: &[(&str, &str)],
     body: &[u8],
     keep_alive: bool,
 ) -> io::Result<()> {
@@ -360,7 +360,7 @@ mod tests {
             503,
             "Service Unavailable",
             "application/json",
-            &[("Retry-After", "2".to_string())],
+            &[("Retry-After", "2")],
             b"{}",
             false,
         )

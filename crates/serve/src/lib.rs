@@ -16,9 +16,11 @@
 //!   cooperative graceful shutdown that finishes in-flight requests. A
 //!   crate-private request handler with two implementations (node, front)
 //!   parameterises it; the three entry points are thin constructors.
-//! * [`serve`] — the node handler over a frozen index: a bounded
-//!   micro-batch queue that coalesces concurrent `POST /score` requests
-//!   for the batcher thread. Endpoints: `POST /score`, `GET /topk`,
+//! * [`serve`] — the node handler over a frozen index: a bounded queue
+//!   in front of one batcher thread, which takes whatever `POST /score`
+//!   requests are queued the moment it is free — a lone request is scored
+//!   at once, a backlog coalesces into one batch — and never waits on a
+//!   timer. Endpoints: `POST /score`, `GET /topk`,
 //!   `GET /healthz`, `GET /metrics` (all JSON, via
 //!   `ahntp_telemetry::json`).
 //! * [`serve_live`] — the same node bound to a mutable
@@ -119,8 +121,8 @@
 //! is process-wide, so a server does not resize it. Banding never
 //! reorders the per-score arithmetic, so responses are bitwise identical
 //! at every thread count. The HTTP side is sized by
-//! [`ServeConfig::workers`]; batch size, batch linger, queue capacity and
-//! the idle-connection read timeout are constants.
+//! [`ServeConfig::workers`]; batch size, queue capacity and the
+//! idle-connection read timeout are constants.
 //!
 //! ```no_run
 //! use ahntp_serve::{serve, ServeConfig, TrustIndex};

@@ -3,14 +3,22 @@
 //!
 //! ```text
 //! core worker ── POST /score ──▶ bounded batch queue (Mutex+Condvar)
-//!                                          │ drain ≤ MAX_BATCH pairs
-//!                                          ▼
-//!                                 batcher thread ──▶ TrustIndex
+//!      ▲                                   │ take what is queued,
+//!      │ the worker's ReplySlot            ▼ ≤ MAX_BATCH pairs
+//!      └───────────────────────── batcher thread ──▶ TrustIndex
 //! ```
 //!
 //! The core's workers parse HTTP and run this module's endpoints;
 //! `GET` endpoints answer directly, `POST /score` jobs go through the
-//! batch queue so concurrent clients share index scans. On shutdown the
+//! batch queue to the one batcher thread. Batching is *natural*: the
+//! batcher takes whatever is queued the moment it is free and never
+//! waits for company, so a batch forms while the previous one is being
+//! scored — a lone request is dispatched alone and at once, and requests
+//! coalesce exactly when the batcher is the bottleneck. (Coalescing buys
+//! no kernel time — eight pairs are a quarter of a microsecond — only
+//! wake-ups, so there is nothing for an idle batcher to wait for.) The
+//! answer comes back through the worker's own [`ReplySlot`], reused from
+//! request to request: the hand-off allocates nothing. On shutdown the
 //! core stops first (acceptor, then workers), then the batcher drains the
 //! queue before exiting — no request is dropped — then the applier, then
 //! the trace is flushed.
@@ -18,13 +26,14 @@
 //! # Live trust
 //!
 //! [`serve_live`] additionally runs an **applier thread** owning a
-//! [`LiveTrustModel`]: `POST /events` batches flow to it over a channel,
-//! it folds them into the model's delta-maintained caches
-//! ([`EventApplier`]), and patches the refreshed head rows into the
-//! shared index under short write locks ([`SharedIndex`]). One consumer
-//! means the event log is totally ordered; `/score` and `/topk` keep
-//! answering from the live index throughout. A server started with
-//! [`serve`] has no model and answers `/events` with `501`.
+//! [`LiveTrustModel`]: `POST /events` batches flow to it over a channel
+//! (and their replies back through the same kind of slot), it folds them
+//! into the model's delta-maintained caches ([`EventApplier`]), and
+//! patches the refreshed head rows into the shared index under short
+//! write locks ([`SharedIndex`]). One consumer means the event log is
+//! totally ordered; `/score` and `/topk` keep answering from the live
+//! index throughout. A server started with [`serve`] has no model and
+//! answers `/events` with `501`.
 //!
 //! Metrics (all under the `serve.` prefix): the core's
 //! `serve.http.requests` / `serve.http.errors` counters and
@@ -59,7 +68,7 @@
 use std::collections::VecDeque;
 use std::io;
 use std::net::SocketAddr;
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -80,13 +89,11 @@ use crate::server::{Answer, Call, Core, Handler, Names, Response, Route, ServeCo
 
 /// Maximum pairs scored per batcher wake-up.
 const MAX_BATCH: usize = 64;
-/// How long the batcher waits for more jobs once it has one.
-const BATCH_WAIT: Duration = Duration::from_millis(2);
 /// Maximum queued scoring jobs before `POST /score` answers 503.
 const QUEUE_CAPACITY: usize = 1024;
 
 /// The node: everything its endpoints need to answer one request.
-struct Node {
+pub(crate) struct Node {
     index: Arc<SharedIndex>,
     queue: Arc<BatchQueue>,
     /// Channel to the live-event applier thread; `None` on a frozen
@@ -128,6 +135,120 @@ impl Handler for Node {
     }
 }
 
+/// One worker's rendezvous with whichever thread answers the job it
+/// queued — the batcher or the applier — reused for every request that
+/// worker serves. A per-request channel would be allocated on the worker
+/// and freed on the answering thread (and its message block the other way
+/// round) ten thousand times a second; the slot is allocated once per
+/// thread and a job carries a refcount on it.
+///
+/// A worker waits for one reply at a time, so the slot holds one outcome,
+/// tagged with the sequence number of the request it belongs to:
+/// [`ReplySlot::open`] starts a request, [`ReplySlot::wait`] ends it, and a
+/// [`ReplyTo`] settling outside that window — the late answer to a request
+/// that already got its `504` — finds another number and is discarded, so
+/// it can never be taken for the worker's next request.
+struct ReplySlot<T> {
+    state: Mutex<SlotState<T>>,
+    settled: Condvar,
+}
+
+struct SlotState<T> {
+    /// Number of the request the worker is waiting on (or waited on last).
+    seq: u64,
+    /// `Some(Some(reply))` once answered, `Some(None)` once the job was
+    /// dropped unanswered.
+    outcome: Option<Option<T>>,
+}
+
+/// Why [`ReplySlot::wait`] returned without a reply.
+#[derive(Debug, PartialEq)]
+enum NoReply {
+    /// Nothing arrived in time.
+    Timeout,
+    /// The job was dropped unanswered: its queue stopped, or the thread
+    /// that would have answered is gone.
+    Dropped,
+}
+
+/// The answering side of one request on a [`ReplySlot`], carried by the
+/// queued job. Dropping it without [`ReplyTo::send`] wakes the worker with
+/// [`NoReply::Dropped`] instead of leaving it to its deadline.
+struct ReplyTo<T> {
+    slot: Arc<ReplySlot<T>>,
+    seq: u64,
+}
+
+impl<T> Default for ReplySlot<T> {
+    fn default() -> ReplySlot<T> {
+        ReplySlot { state: Mutex::new(SlotState { seq: 0, outcome: None }), settled: Condvar::new() }
+    }
+}
+
+impl<T> ReplySlot<T> {
+    /// The state, whether or not a thread panicked holding it: every
+    /// update is a plain store that leaves it valid, and [`ReplyTo`]'s drop
+    /// must not panic over a poisoned lock.
+    fn state(&self) -> MutexGuard<'_, SlotState<T>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Starts the worker's next request, discarding whatever an earlier
+    /// one left behind.
+    fn open(self: &Arc<Self>) -> ReplyTo<T> {
+        let mut state = self.state();
+        state.seq += 1;
+        state.outcome = None;
+        ReplyTo { slot: Arc::clone(self), seq: state.seq }
+    }
+
+    /// Waits up to `timeout` for the outcome of the request opened last
+    /// (one that is already there is returned whatever the timeout) and
+    /// ends the request: what settles later is discarded.
+    fn wait(&self, timeout: Duration) -> Result<T, NoReply> {
+        let (mut state, _) = self
+            .settled
+            .wait_timeout_while(self.state(), timeout, |s| s.outcome.is_none())
+            .unwrap_or_else(PoisonError::into_inner);
+        state.seq += 1;
+        match state.outcome.take() {
+            Some(Some(reply)) => Ok(reply),
+            Some(None) => Err(NoReply::Dropped),
+            None => Err(NoReply::Timeout),
+        }
+    }
+}
+
+impl<T> ReplyTo<T> {
+    fn send(self, reply: T) {
+        self.settle(Some(reply));
+    }
+
+    /// Settles the request if it is still the slot's current one and still
+    /// open, so the drop that follows a `send` changes nothing.
+    fn settle(&self, outcome: Option<T>) {
+        let mut state = self.slot.state();
+        if state.seq == self.seq && state.outcome.is_none() {
+            state.outcome = Some(outcome);
+            // Unlock first: the woken worker takes the lock at once.
+            drop(state);
+            self.slot.settled.notify_one();
+        }
+    }
+}
+
+impl<T> Drop for ReplyTo<T> {
+    fn drop(&mut self) {
+        self.settle(None);
+    }
+}
+
+thread_local! {
+    /// The calling worker's slots, one per kind of reply it waits for.
+    static SCORE_REPLY: Arc<ReplySlot<ScoreReply>> = Arc::default();
+    static INGEST_REPLY: Arc<ReplySlot<IngestReply>> = Arc::default();
+}
+
 /// What the batcher sends back for one job: the scores plus the
 /// timestamps the requesting worker needs to attribute its wait.
 struct ScoreReply {
@@ -146,14 +267,14 @@ struct ScoreJob {
     /// Trace id of the originating request; carried through the queue so
     /// the batcher works under the requester's id.
     trace_id: u64,
-    reply: mpsc::Sender<ScoreReply>,
+    reply: ReplyTo<ScoreReply>,
 }
 
 /// One queued `POST /events` batch bound for the applier thread.
 struct IngestJob {
     events: Vec<TrustEvent>,
     trace_id: u64,
-    reply: mpsc::Sender<IngestReply>,
+    reply: ReplyTo<IngestReply>,
 }
 
 /// What the applier sends back for one ingest batch.
@@ -214,33 +335,20 @@ impl BatchQueue {
     }
 }
 
-/// The batcher loop: sleep until work arrives, linger [`BATCH_WAIT`] to
-/// let a batch form, drain up to [`MAX_BATCH`] pairs, score, reply.
+/// The batcher loop: sleep until work arrives, take what is queued — whole
+/// jobs, up to [`MAX_BATCH`] pairs — score, reply. It never waits for a
+/// batch to fill: whatever arrives while this batch is being scored is the
+/// next one, so a lone request pays one wake-up and a backlog coalesces.
 fn run_batcher(queue: &BatchQueue, index: &SharedIndex) {
     loop {
         let mut state = queue.state.lock().unwrap();
         while state.jobs.is_empty() && !state.stopped {
             state = queue.cond.wait(state).unwrap();
         }
-        if state.jobs.is_empty() && state.stopped {
+        if state.jobs.is_empty() {
             return; // drained and told to stop
         }
-        // Linger briefly so concurrent clients coalesce into one batch —
-        // unless we're already full or shutting down.
-        let deadline = Instant::now() + BATCH_WAIT;
-        loop {
-            let queued: usize = state.jobs.iter().map(|j| j.pairs.len()).sum();
-            if queued >= MAX_BATCH || state.stopped {
-                break;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            let (next, _timeout) = queue.cond.wait_timeout(state, deadline - now).unwrap();
-            state = next;
-        }
-        // Drain whole jobs until the batch is full (always at least one).
+        // Whole jobs until the batch is full (always at least one).
         let mut batch: Vec<ScoreJob> = Vec::new();
         let mut batch_pairs = 0usize;
         while let Some(job) = state.jobs.front() {
@@ -279,7 +387,7 @@ fn run_batcher(queue: &BatchQueue, index: &SharedIndex) {
                     .iter()
                     .map(|&(trustor, trustee)| index.score(trustor, trustee))
                     .collect();
-                let _ = job.reply.send(ScoreReply {
+                job.reply.send(ScoreReply {
                     result,
                     picked_up_us,
                     scored_us: trace_now_us(),
@@ -300,7 +408,7 @@ fn run_batcher(queue: &BatchQueue, index: &SharedIndex) {
                     let n = job.pairs.len();
                     let slice = scores[offset..offset + n].to_vec();
                     offset += n;
-                    let _ = job.reply.send(ScoreReply {
+                    job.reply.send(ScoreReply {
                         result: Ok(slice),
                         picked_up_us,
                         scored_us,
@@ -313,7 +421,7 @@ fn run_batcher(queue: &BatchQueue, index: &SharedIndex) {
                 // the offender sees the error.
                 for job in batch {
                     let result = index.score_pairs(&job.pairs);
-                    let _ = job.reply.send(ScoreReply {
+                    job.reply.send(ScoreReply {
                         result,
                         picked_up_us,
                         scored_us: trace_now_us(),
@@ -541,7 +649,7 @@ fn run_applier(
             counter_add("serve.ingest.errors", 1);
             warn!("serve", "ingest batch failed after {applied} events: {message}");
         }
-        let _ = job.reply.send(IngestReply {
+        job.reply.send(IngestReply {
             applied,
             affected,
             refreshed,
@@ -668,23 +776,21 @@ impl Node {
 
     /// A missed deadline: `504` + `Retry-After`, counted in
     /// `serve.deadline_exceeded`. The job may still complete behind the
-    /// queue; the reply channel is simply dropped and its send ignored.
+    /// queue; its reply finds the worker's slot moved on and is discarded.
     fn deadline_exceeded(&self, message: &str) -> Response {
         counter_add("serve.deadline_exceeded", 1);
         Response::error(504, message).retry_after(self.retry_after)
     }
 
     /// Waits out what is left of the request's deadline (its budget started
-    /// at `started`, when the request began parsing) for the reply to a job
-    /// queued for the `what` ("scoring" / "ingest") thread.
-    fn await_reply<T>(&self, rx: &mpsc::Receiver<T>, started: Instant, what: &str) -> Result<T, Response> {
-        rx.recv_timeout(self.deadline.saturating_sub(started.elapsed())).map_err(|e| match e {
-            mpsc::RecvTimeoutError::Timeout => {
-                self.deadline_exceeded(&format!("{what} deadline exceeded"))
-            }
+    /// at `started`, when the request began parsing) for the reply to the
+    /// job this worker queued for the `what` ("scoring" / "ingest") thread.
+    fn await_reply<T>(&self, slot: &ReplySlot<T>, started: Instant, what: &str) -> Result<T, Response> {
+        slot.wait(self.deadline.saturating_sub(started.elapsed())).map_err(|e| match e {
+            NoReply::Timeout => self.deadline_exceeded(&format!("{what} deadline exceeded")),
             // The thread went away mid-flight (shutdown race): an
             // overloaded-style answer rather than a hung worker.
-            mpsc::RecvTimeoutError::Disconnected => self.shed(&format!("{what} backend stopped")),
+            NoReply::Dropped => self.shed(&format!("{what} backend stopped")),
         })
     }
 
@@ -699,14 +805,14 @@ impl Node {
         call.stage("serve.parse", parse_ts, trace_now_us());
         // Chaos hook: pretend the queue rejected the job.
         ahntp_faultz::failpoint!("serve.enqueue", |_inj| Err(self.shed("scoring queue full")));
-        let (reply_tx, reply_rx) = mpsc::channel();
+        let slot = SCORE_REPLY.with(Arc::clone);
         let enqueue_ts = trace_now_us();
-        if !self.queue.push(ScoreJob { pairs, trace_id: call.trace_id, reply: reply_tx }) {
+        if !self.queue.push(ScoreJob { pairs, trace_id: call.trace_id, reply: slot.open() }) {
             return Err(self.shed("scoring queue full"));
         }
         let enqueued_us = trace_now_us();
         call.stage("serve.enqueue", enqueue_ts, enqueued_us);
-        let reply = self.await_reply(&reply_rx, started, "scoring")?;
+        let reply = self.await_reply(&slot, started, "scoring")?;
         // Attribute the wait: queued until the batcher drained the job,
         // then scoring until the batch kernel finished.
         call.stage("serve.queue.wait", enqueued_us, reply.picked_up_us);
@@ -746,14 +852,14 @@ impl Node {
         let events = parse_events(call.text()?).map_err(bad_request)?;
         call.stage("serve.parse", parse_ts, trace_now_us());
         let n_events = events.len();
-        let (reply_tx, reply_rx) = mpsc::channel();
+        let slot = INGEST_REPLY.with(Arc::clone);
         let enqueue_ts = trace_now_us();
-        if ingest.send(IngestJob { events, trace_id: call.trace_id, reply: reply_tx }).is_err() {
+        if ingest.send(IngestJob { events, trace_id: call.trace_id, reply: slot.open() }).is_err() {
             return Err(self.shed("ingest backend stopped"));
         }
         let enqueued_us = trace_now_us();
         call.stage("serve.enqueue", enqueue_ts, enqueued_us);
-        let reply = self.await_reply(&reply_rx, started, "ingest")?;
+        let reply = self.await_reply(&slot, started, "ingest")?;
         call.stage("serve.ingest.wait", enqueued_us, reply.picked_up_us);
         call.stage("serve.ingest.apply", reply.picked_up_us, reply.done_us);
         let mut entries = vec![
@@ -941,6 +1047,37 @@ mod tests {
         (r.status, r.body)
     }
 
+    fn score_body(pairs: &[(usize, usize)]) -> String {
+        let pairs = pairs.iter().map(|&(u, v)| Json::Arr(vec![u.into(), v.into()]));
+        Json::obj([("pairs", Json::Arr(pairs.collect()))]).to_line()
+    }
+
+    /// The `/score` body a correct server answers for `pairs`.
+    fn expected_score_body(index: &TrustIndex, pairs: &[(usize, usize)]) -> String {
+        let scores = index.score_pairs(pairs).unwrap();
+        Json::obj([
+            ("scores", Json::Arr(scores.into_iter().map(Json::from).collect())),
+            ("backend", index.backend_name().into()),
+        ])
+        .to_line()
+    }
+
+    fn histogram(name: &str) -> ahntp_telemetry::HistogramSummary {
+        match ahntp_telemetry::metrics_snapshot().get(name) {
+            Some(ahntp_telemetry::MetricValue::Histogram(summary)) => *summary,
+            other => panic!("{name} is not a histogram: {other:?}"),
+        }
+    }
+
+    /// Polls `done` every millisecond, for at most [`TIMEOUT`].
+    fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
+        let started = Instant::now();
+        while !done() {
+            assert!(started.elapsed() < TIMEOUT, "timed out waiting until {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
     #[test]
     fn score_endpoint_matches_the_index() {
         let server = start(6);
@@ -1079,8 +1216,158 @@ mod tests {
         // push path degrades to 503.
         let queue = BatchQueue::new(1);
         queue.stop();
-        let (tx, _rx) = mpsc::channel();
-        assert!(!queue.push(ScoreJob { pairs: vec![(0, 0)], trace_id: 1, reply: tx }));
+        let reply = Arc::<ReplySlot<ScoreReply>>::default().open();
+        assert!(!queue.push(ScoreJob { pairs: vec![(0, 0)], trace_id: 1, reply }));
+    }
+
+    #[test]
+    fn a_reply_slot_discards_what_settles_outside_its_request() {
+        let slot = Arc::<ReplySlot<u32>>::default();
+        // A reply that lands while the worker waits for its next request.
+        let late = slot.open();
+        assert_eq!(slot.wait(Duration::ZERO), Err(NoReply::Timeout));
+        let next = slot.open();
+        late.send(1);
+        next.send(2);
+        assert_eq!(slot.wait(Duration::ZERO), Ok(2));
+        // One that lands between two requests.
+        let late = slot.open();
+        assert_eq!(slot.wait(Duration::ZERO), Err(NoReply::Timeout));
+        late.send(3);
+        let next = slot.open();
+        assert_eq!(slot.wait(Duration::ZERO), Err(NoReply::Timeout));
+        drop(next);
+        // A job dropped unanswered wakes its worker at once.
+        let dropped = slot.open();
+        let dropper = std::thread::spawn(move || drop(dropped));
+        assert_eq!(slot.wait(TIMEOUT), Err(NoReply::Dropped));
+        dropper.join().unwrap();
+    }
+
+    /// A frozen server over `toy_index(8)` with room for `workers`
+    /// connections at once.
+    fn start_with(workers: usize, deadline: Duration) -> ServerHandle {
+        ahntp_telemetry::set_enabled(true);
+        serve(toy_index(8), &ServeConfig { workers, deadline, ..ServeConfig::default() })
+            .expect("bind 127.0.0.1:0")
+    }
+
+    /// Request 1 misses its deadline behind a delayed batch; request 2, on
+    /// the same connection — so the same worker and the same reply slot —
+    /// must get its own answer, whether the late reply to request 1 lands
+    /// before request 2 starts or while it waits.
+    #[test]
+    fn a_late_score_reply_never_answers_the_next_request() {
+        use ahntp_faultz::{scoped, Action, FaultSpec};
+        for (deadline_ms, delay_ms, lands_first) in [(50, 300, true), (400, 600, false)] {
+            isolated(|| {
+                let server = start_with(2, Duration::from_millis(deadline_ms));
+                let index = toy_index(8);
+                let _fault = scoped("serve.batch", FaultSpec::new(Action::Delay(delay_ms)).on_nth(1));
+                let mut conn = connect(server.addr());
+                let first = conn.post("/score", &score_body(&[(0, 1)])).unwrap();
+                assert_eq!(first.status, 504, "{}", first.body);
+                if lands_first {
+                    // The kernel runs once the delay is over and the reply
+                    // follows it at once.
+                    let calls = format!("serve.score_pairs.{}.calls", index.backend_name());
+                    wait_until("the delayed batch is scored", || ahntp_telemetry::counter_get(&calls) == 1);
+                    std::thread::sleep(Duration::from_millis(20));
+                }
+                let pairs = [(2, 5), (3, 3), (7, 0)];
+                let second = conn.post("/score", &score_body(&pairs)).unwrap();
+                assert_eq!(second.status, 200, "{}", second.body);
+                assert_eq!(second.body, expected_score_body(&index, &pairs));
+                assert_eq!(ahntp_telemetry::counter_get("serve.deadline_exceeded"), 1);
+                server.shutdown();
+            });
+        }
+    }
+
+    /// Four clients queue up behind a held batcher: released, it takes them
+    /// in one batch, and every client still gets its own scores.
+    #[test]
+    fn a_backlog_coalesces_into_one_batch() {
+        use ahntp_faultz::{scoped, Action, FaultSpec};
+        isolated(|| {
+            let server = start_with(6, TIMEOUT);
+            let addr = server.addr();
+            let index = toy_index(8);
+            let _fault = scoped("serve.batch", FaultSpec::new(Action::Delay(500)).on_nth(1));
+            let post = move |pairs: Vec<(usize, usize)>| {
+                std::thread::spawn(move || (post_score(addr, &score_body(&pairs)), pairs))
+            };
+            let plug = post(vec![(0, 1)]);
+            wait_until("the batcher holds the plug", || ahntp_faultz::hits("serve.batch") == 1);
+            let clients: Vec<_> = (0..4).map(|c| post(vec![(c, 7), (c + 1, c), (3, c + 4)])).collect();
+            for client in clients.into_iter().chain([plug]) {
+                let ((status, body), pairs) = client.join().unwrap();
+                assert_eq!(status, 200, "{body}");
+                assert_eq!(body, expected_score_body(&index, &pairs));
+            }
+            let batches = histogram("serve.score.batch_size");
+            assert!(batches.max >= 6, "no two jobs shared a batch: {batches:?}");
+            server.shutdown();
+        });
+    }
+
+    /// With nobody else asking, every request is a batch of its own and the
+    /// batcher picks it up as soon as it is woken: a median wait under a
+    /// millisecond is far above any wake-up and below any batching timer.
+    #[test]
+    fn an_idle_batcher_dispatches_each_request_alone_and_at_once() {
+        isolated(|| {
+            let server = start_with(2, TIMEOUT);
+            let addr = server.addr();
+            let mut conn = connect(addr);
+            for i in 0..100 {
+                let scored = conn.post("/score", &score_body(&[(i % 8, 3), (5, i % 7)])).unwrap();
+                assert_eq!(scored.status, 200, "{}", scored.body);
+            }
+            let batches = histogram("serve.score.batch_size");
+            assert_eq!((batches.count, batches.min, batches.max), (100, 2, 2));
+            let doc = parse(&get(addr, "/debug/traces").1).unwrap();
+            let Some(Json::Arr(traces)) = doc.get("traces") else {
+                panic!("no traces in {}", doc.to_line());
+            };
+            let mut waits: Vec<f64> = traces
+                .iter()
+                .filter_map(|t| match t.get("stages") {
+                    Some(Json::Arr(stages)) => stages
+                        .iter()
+                        .find(|s| s.get("name").and_then(Json::as_str) == Some("serve.queue.wait")),
+                    _ => None,
+                })
+                .map(|s| s.get("dur_us").and_then(Json::as_f64).unwrap())
+                .collect();
+            assert_eq!(waits.len(), 100);
+            waits.sort_by(f64::total_cmp);
+            assert!(waits[50] < 1000.0, "median queue wait {} us", waits[50]);
+            server.shutdown();
+        });
+    }
+
+    #[test]
+    fn a_job_dropped_unanswered_sheds_well_before_the_deadline() {
+        isolated(|| {
+            ahntp_telemetry::set_enabled(true);
+            // No batcher: the only thing that can end the wait early is the
+            // job's drop.
+            let node = bare_node(4, BatchQueue::new(1), 10_000, 2);
+            let queue = Arc::clone(&node.queue);
+            let dropper = std::thread::spawn(move || {
+                wait_until("the job is queued", || queue.state.lock().unwrap().jobs.pop_front().is_some());
+            });
+            let started = Instant::now();
+            let resp = dispatch(&node, &TraceRing::new(4), &mut Call::new(&score_request(), 1));
+            dropper.join().unwrap();
+            assert_eq!(resp.status, 503, "{}", resp.body.to_line());
+            assert_eq!(resp.body.to_line(), r#"{"error":"scoring backend stopped"}"#);
+            assert_eq!(resp.retry_after, Some(2));
+            assert!(started.elapsed() < Duration::from_secs(5), "waited {:?}", started.elapsed());
+            let counts = ["serve.shed", "serve.deadline_exceeded"].map(ahntp_telemetry::counter_get);
+            assert_eq!(counts, [1, 0]);
+        });
     }
 
     #[test]
@@ -1210,6 +1497,27 @@ mod tests {
         for want in ["serve.parse", "serve.enqueue", "serve.queue.wait", "serve.score"] {
             assert!(names.iter().any(|n| n == want), "missing {want} in {names:?}");
         }
+        server.shutdown();
+    }
+
+    #[test]
+    fn unrouted_requests_are_recorded_verbatim() {
+        let server = start(4);
+        let addr = server.addr();
+        assert_eq!(connect(addr).send(b"PUT /score HTTP/1.1\r\n\r\n").unwrap().status, 405);
+        assert_eq!(get(addr, "/nope").0, 404);
+        let doc = parse(&get(addr, "/debug/traces").1).unwrap();
+        let Some(Json::Arr(traces)) = doc.get("traces") else {
+            panic!("no traces in {}", doc.to_line());
+        };
+        let recorded: Vec<_> = traces
+            .iter()
+            .map(|t| {
+                let text = |key| t.get(key).and_then(Json::as_str).unwrap();
+                (text("method"), text("path"), t.get("status").and_then(Json::as_f64).unwrap())
+            })
+            .collect();
+        assert_eq!(recorded, [("PUT", "/score", 405.0), ("GET", "/nope", 404.0)]);
         server.shutdown();
     }
 
@@ -1523,6 +1831,45 @@ mod tests {
         assert_eq!(doc.get("refreshed_users").and_then(Json::as_f64), Some(3.0), "{body}");
         assert_eq!(doc.get("dirty_users").and_then(Json::as_f64), Some(0.0));
         server.shutdown();
+    }
+
+    /// The `/events` shape of `a_late_score_reply_never_answers_the_next_request`:
+    /// the applier's late reply to a timed-out batch lands while the same
+    /// worker waits for its next batch.
+    #[test]
+    fn a_late_ingest_reply_never_answers_the_next_request() {
+        use ahntp_faultz::{scoped, Action, FaultSpec};
+        isolated(|| {
+            ahntp_telemetry::set_enabled(true);
+            let server = serve_live(
+                || Box::new(ToyLive::new(5)),
+                StalenessBound::immediate(),
+                &ServeConfig { workers: 2, deadline: Duration::from_millis(400), ..ServeConfig::default() },
+            )
+            .expect("bind live server");
+            let _fault = scoped("stream.apply", FaultSpec::new(Action::Delay(600)).on_nth(1));
+            let mut conn = connect(server.addr());
+            let first = conn
+                .post("/events", r#"{"events":[{"op":"add","group":"node","members":[0,2],"weight":0.7}]}"#)
+                .unwrap();
+            assert_eq!(first.status, 504, "{}", first.body);
+            let second = conn
+                .post(
+                    "/events",
+                    r#"{"events":[
+                        {"op":"add","group":"node","members":[1],"weight":0.1},
+                        {"op":"add","group":"node","members":[3,4],"weight":0.2}
+                    ]}"#,
+                )
+                .unwrap();
+            assert_eq!(second.status, 200, "{}", second.body);
+            assert_eq!(
+                second.body,
+                r#"{"affected_users":3,"applied":2,"dirty_users":0,"events":2,"refreshed_users":3}"#
+            );
+            assert_eq!(ahntp_telemetry::counter_get("serve.deadline_exceeded"), 1);
+            server.shutdown();
+        });
     }
 
     #[test]

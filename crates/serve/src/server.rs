@@ -34,6 +34,7 @@
 //! connection) and exit. Idle keep-alive connections notice within
 //! [`READ_TIMEOUT`].
 
+use std::borrow::Cow;
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -52,7 +53,7 @@ use crate::backend::BackendKind;
 use crate::http::{
     read_request, reason_phrase, write_response, write_response_with, HttpError, Request,
 };
-use crate::trace_ring::{RequestTrace, Stage, TraceRing};
+use crate::trace_ring::{RequestTrace, Stage, Stages, TraceRing};
 
 /// Socket read timeout: how long an idle keep-alive connection can delay
 /// shutdown.
@@ -156,16 +157,17 @@ pub(crate) type Answer = Result<Response, Response>;
 pub(crate) struct Call<'a> {
     pub(crate) req: &'a Request,
     pub(crate) trace_id: u64,
-    stages: Vec<Stage>,
+    stages: Stages,
 }
 
 impl<'a> Call<'a> {
     pub(crate) fn new(req: &'a Request, trace_id: u64) -> Call<'a> {
-        Call { req, trace_id, stages: Vec::new() }
+        Call { req, trace_id, stages: Stages::default() }
     }
 
     /// Records the stage `name` as having run over `[from_us, to_us)` on
-    /// the trace clock ([`trace_now_us`]).
+    /// the trace clock ([`trace_now_us`]). An endpoint records at most
+    /// four ([`Stages`]).
     pub(crate) fn stage(&mut self, name: &'static str, from_us: u64, to_us: u64) {
         self.stages.push(Stage { name, ts_us: from_us, dur_us: to_us.saturating_sub(from_us) });
     }
@@ -227,6 +229,21 @@ const SHARED_ROUTES: [(&str, SharedEndpoint); 4] = [
 fn prometheus() -> Response {
     let text = ("text/plain; version=0.0.4", metrics_prometheus_text());
     Response { text: Some(text), ..Response::new(200, Json::Null) }
+}
+
+/// `name` borrowed from `known` when it is there, else an owned copy.
+fn interned(mut known: impl Iterator<Item = &'static str>, name: &str) -> Cow<'static, str> {
+    known.find(|k| *k == name).map_or_else(|| Cow::Owned(name.to_string()), Cow::Borrowed)
+}
+
+/// A request's method and path as the ring records them: borrowed from
+/// the two route tables, owned only when no route has that method or that
+/// path (what `405` and `404` answer), so the record of a routed request
+/// allocates nothing.
+fn route_names<H: Handler>(method: &str, path: &str) -> (Cow<'static, str>, Cow<'static, str>) {
+    let methods = H::ROUTES.iter().map(|r| r.0).chain(["GET"]);
+    let paths = H::ROUTES.iter().map(|r| r.1).chain(SHARED_ROUTES.iter().map(|r| r.0));
+    (interned(methods, method), interned(paths, path))
 }
 
 /// Dispatches one request: the handler's table, then the shared routes;
@@ -402,13 +419,15 @@ fn serve_request<H: Handler>(
     if status >= 400 {
         counter_add(names.errors, 1);
     }
-    let mut headers: Vec<(&str, String)> = vec![
-        ("X-Ahntp-Trace-Id", format!("{trace_id:016x}")),
-        ("X-Ahntp-Backend", handler.backend().to_string()),
+    let trace_hex = format!("{trace_id:016x}");
+    let retry_after = resp.retry_after.map(|secs| secs.to_string());
+    // The third header rides only on backpressure answers.
+    let headers = [
+        ("X-Ahntp-Trace-Id", trace_hex.as_str()),
+        ("X-Ahntp-Backend", handler.backend()),
+        ("Retry-After", retry_after.as_deref().unwrap_or_default()),
     ];
-    if let Some(secs) = resp.retry_after {
-        headers.push(("Retry-After", secs.to_string()));
-    }
+    let headers = &headers[..2 + usize::from(retry_after.is_some())];
     // Finish the in-flight response even during shutdown, but don't
     // invite another request.
     let keep_alive = !req.wants_close() && !shutdown.load(Ordering::SeqCst);
@@ -421,7 +440,7 @@ fn serve_request<H: Handler>(
         status,
         reason_phrase(status),
         content_type,
-        &headers,
+        headers,
         &body,
         keep_alive,
     )?;
@@ -434,18 +453,47 @@ fn serve_request<H: Handler>(
         // Request lane: one span for the request with the stages nested
         // under the same (pid, tid).
         ahntp_telemetry::trace_complete_request(names.span, req_ts_us, us, trace_id);
-        for s in &stages {
+        for s in stages.as_slice() {
             ahntp_telemetry::trace_complete_request(s.name, s.ts_us, s.dur_us, trace_id);
         }
     }
+    let (method, path) = route_names::<H>(&req.method, &req.path);
     traces.push(RequestTrace {
         trace_id,
-        method: req.method.clone(),
-        path: req.path.clone(),
+        method,
+        path,
         status,
         ts_us: req_ts_us,
         dur_us: us,
         stages,
     });
     Ok(keep_alive)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::node::Node;
+    use crate::shard::Front;
+
+    /// Every route of `H` and of the core is recorded by reference.
+    fn routes_are_recorded_borrowed<H: Handler>() {
+        let own = H::ROUTES.iter().map(|(m, p, _)| (*m, *p));
+        for (method, path) in own.chain(SHARED_ROUTES.iter().map(|(p, _)| ("GET", *p))) {
+            let (m, p) = route_names::<H>(method, path);
+            assert!(matches!(m, Cow::Borrowed(_)) && m == method, "{method} {path}: {m:?}");
+            assert!(matches!(p, Cow::Borrowed(_)) && p == path, "{method} {path}: {p:?}");
+        }
+    }
+
+    #[test]
+    fn ring_records_borrow_routed_names_and_own_unknown_ones() {
+        routes_are_recorded_borrowed::<Node>();
+        routes_are_recorded_borrowed::<Front>();
+        // What 405 and 404 answer is recorded verbatim, the unknown part owned.
+        let (m, p) = route_names::<Node>("PUT", "/score");
+        assert!(matches!(&m, Cow::Owned(m) if m == "PUT") && matches!(p, Cow::Borrowed("/score")));
+        let (m, p) = route_names::<Node>("GET", "/nope");
+        assert!(matches!(m, Cow::Borrowed("GET")) && matches!(&p, Cow::Owned(p) if p == "/nope"));
+    }
 }

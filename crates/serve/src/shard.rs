@@ -98,7 +98,7 @@ pub fn shard_ranges(n_users: usize, n_shards: usize) -> Vec<(usize, usize)> {
 
 /// The front: what it learned from the shards at startup, shared
 /// (read-only except the swap lock) by every core worker.
-struct Front {
+pub(crate) struct Front {
     shards: Vec<ShardInfo>,
     n_users: usize,
     model: String,

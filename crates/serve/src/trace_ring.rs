@@ -8,7 +8,14 @@
 //! live server without any external tooling. The ring is fixed-size
 //! ([`ServeConfig::trace_ring`](crate::ServeConfig::trace_ring)); old
 //! entries fall off the front.
+//!
+//! A record owns no heap memory for a routed request: method and path are
+//! borrowed from the route tables and the stages sit inline ([`Stages`]).
+//! Records are evicted by whichever worker pushes next, so anything a
+//! record allocated would be freed on a thread other than the one that
+//! allocated it, once per request.
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
@@ -17,7 +24,7 @@ use ahntp_telemetry::json::Json;
 /// One timed stage inside a request (e.g. `serve.parse`,
 /// `serve.queue.wait`, `serve.score`). Timestamps are µs on the
 /// process-wide trace clock ([`ahntp_telemetry::trace_now_us`]).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Stage {
     pub name: &'static str,
     pub ts_us: u64,
@@ -34,32 +41,63 @@ impl Stage {
     }
 }
 
+/// The most stages one request records (`/score` and `/events` leave
+/// four each).
+const MAX_STAGES: usize = 4;
+
+/// The stages of one request, inline: what an endpoint collects on its
+/// [`Call`](crate::server::Call) and the ring keeps.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Stages {
+    items: [Stage; MAX_STAGES],
+    len: usize,
+}
+
+impl Stages {
+    /// Appends a stage. One past [`MAX_STAGES`] is a programming error:
+    /// caught in debug builds, dropped in release (a worker never panics
+    /// over a trace record).
+    pub fn push(&mut self, stage: Stage) {
+        debug_assert!(self.len < MAX_STAGES, "more than {MAX_STAGES} stages: {}", stage.name);
+        if let Some(slot) = self.items.get_mut(self.len) {
+            *slot = stage;
+            self.len += 1;
+        }
+    }
+
+    pub fn as_slice(&self) -> &[Stage] {
+        &self.items[..self.len]
+    }
+}
+
 /// One completed request as recorded in the debug ring.
 #[derive(Debug, Clone)]
 pub(crate) struct RequestTrace {
     /// Request trace id; rendered as the 16-hex-digit wire form used by
     /// the `X-Ahntp-Trace-Id` header.
     pub trace_id: u64,
-    pub method: String,
-    pub path: String,
+    /// Borrowed from the route tables; owned only when no route knows it.
+    pub method: Cow<'static, str>,
+    /// As `method`.
+    pub path: Cow<'static, str>,
     pub status: u16,
     pub ts_us: u64,
     pub dur_us: u64,
-    pub stages: Vec<Stage>,
+    pub stages: Stages,
 }
 
 impl RequestTrace {
     fn to_json(&self) -> Json {
         Json::obj([
             ("trace_id", format!("{:016x}", self.trace_id).into()),
-            ("method", self.method.as_str().into()),
-            ("path", self.path.as_str().into()),
+            ("method", (&*self.method).into()),
+            ("path", (&*self.path).into()),
             ("status", u64::from(self.status).into()),
             ("ts_us", self.ts_us.into()),
             ("dur_us", self.dur_us.into()),
             (
                 "stages",
-                Json::Arr(self.stages.iter().map(|s| s.to_json()).collect()),
+                Json::Arr(self.stages.as_slice().iter().map(|s| s.to_json()).collect()),
             ),
         ])
     }
@@ -110,13 +148,19 @@ mod tests {
     fn trace(id: u64) -> RequestTrace {
         RequestTrace {
             trace_id: id,
-            method: "GET".to_string(),
-            path: "/healthz".to_string(),
+            method: "GET".into(),
+            path: "/healthz".into(),
             status: 200,
             ts_us: id * 10,
             dur_us: 5,
-            stages: vec![Stage { name: "serve.parse", ts_us: id * 10, dur_us: 1 }],
+            stages: stages(&[Stage { name: "serve.parse", ts_us: id * 10, dur_us: 1 }]),
         }
+    }
+
+    fn stages(of: &[Stage]) -> Stages {
+        let mut stages = Stages::default();
+        of.iter().for_each(|&s| stages.push(s));
+        stages
     }
 
     #[test]
@@ -147,5 +191,31 @@ mod tests {
             stages[0].get("name").and_then(Json::as_str),
             Some("serve.parse")
         );
+        // `/debug/traces` is a wire format: pinned byte for byte.
+        assert_eq!(
+            doc.to_line(),
+            concat!(
+                r#"{"capacity":2,"traces":[{"dur_us":5,"method":"GET","path":"/healthz","#,
+                r#""stages":[{"dur_us":1,"name":"serve.parse","ts_us":20}],"status":200,"#,
+                r#""trace_id":"0000000000000002","ts_us":20},{"dur_us":5,"method":"GET","#,
+                r#""path":"/healthz","stages":[{"dur_us":1,"name":"serve.parse","ts_us":30}],"#,
+                r#""status":200,"trace_id":"0000000000000003","ts_us":30}]}"#,
+            )
+        );
+    }
+
+    #[test]
+    fn a_fifth_stage_is_dropped_not_a_release_panic() {
+        let stage = |i: u64| Stage { name: "serve.parse", ts_us: i, dur_us: 1 };
+        let mut full = stages(&[stage(0), stage(1), stage(2), stage(3)]);
+        let pushed = std::panic::catch_unwind(move || {
+            full.push(stage(4));
+            full
+        });
+        assert_eq!(pushed.is_err(), cfg!(debug_assertions), "caught in debug, dropped in release");
+        if let Ok(full) = pushed {
+            // The record keeps its four stages and the worker lives.
+            assert_eq!(full.as_slice().iter().map(|s| s.ts_us).collect::<Vec<_>>(), [0, 1, 2, 3]);
+        }
     }
 }
