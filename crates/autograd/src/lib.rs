@@ -29,10 +29,16 @@
 //!   *variable-size* neighbourhoods and a gradient through the attention
 //!   weights of a sparse aggregation. Instead of composing these from dozens
 //!   of scalar ops (slow, and numerically delicate), the tape provides
-//!   [`Var::segment_softmax`], [`Var::segment_sum`],
+//!   [`Graph::pair_scores`], [`Var::segment_softmax`], [`Var::segment_sum`],
 //!   [`Graph::weighted_gather`] and [`Var::pairwise_cosine`] as single nodes
 //!   with hand-derived adjoints. Every adjoint is validated against central
 //!   finite differences in `tests/gradcheck.rs`.
+//! * **Values are read where they lie.** A forward op computes from its
+//!   operands' tensors on the tape, under one borrow, and copies nothing;
+//!   [`Var::value`] is for reading a result out. The backward pass moves
+//!   each node's gradient out of the node for that node's step and frees it
+//!   there — only leaves keep theirs ([`Var::grad`]) — and computes no
+//!   gradient for an operand that takes none (features, labels, masks).
 //! * **Sparse structure is constant.** Incidence and adjacency matrices
 //!   enter via [`Graph::spmm`] / [`Graph::weighted_gather`] as
 //!   non-differentiable structure; gradients flow only through dense

@@ -11,9 +11,8 @@ use std::rc::Rc;
 pub(crate) type IncidencePairs = Rc<Vec<(usize, usize)>>;
 
 /// An operation recorded on the tape. Parents are node ids; constant
-/// structure (sparse matrices, index lists) is shared via `Rc` so cloning an
-/// `Op` during backward is cheap.
-#[derive(Clone)]
+/// structure (sparse matrices, index lists) is shared via `Rc`, never
+/// copied.
 pub(crate) enum Op {
     Leaf,
     Add(usize, usize),
@@ -58,6 +57,15 @@ pub(crate) enum Op {
         h: usize,
         pairs: IncidencePairs,
     },
+    /// Per-incidence attention scores (Eq. 14 before the LeakyReLU):
+    /// `s_p = [x_{v_p} ‖ h_{e_p}] · β`.
+    PairScores {
+        x: usize,
+        h: usize,
+        beta: usize,
+        pair_vertices: Rc<Vec<usize>>,
+        pair_edges: Rc<Vec<usize>>,
+    },
 }
 
 /// Stable human-readable name for an op, used by telemetry counters and
@@ -92,6 +100,7 @@ pub(crate) fn op_name(op: &Op) -> &'static str {
         Op::SegmentSum(..) => "segment_sum",
         Op::Reshape(..) => "reshape",
         Op::WeightedGather { .. } => "weighted_gather",
+        Op::PairScores { .. } => "pair_scores",
     }
 }
 
@@ -171,8 +180,11 @@ impl Graph {
     /// aggregation). Gradients flow to `x`; the sparse structure is fixed.
     pub fn spmm(&self, h: &Rc<CsrMatrix<f32>>, x: &Var) -> Var {
         x.assert_same_graph(self, "spmm");
-        let value = h.mul_dense(&x.value());
-        let rg = x.requires_grad();
+        let (value, rg) = {
+            let nodes = self.nodes.borrow();
+            let x = &nodes[x.id];
+            (h.mul_dense(&x.value), x.requires_grad)
+        };
         self.push(value, Op::Spmm(Rc::clone(h), x.id), rg)
     }
 
@@ -187,39 +199,32 @@ impl Graph {
     ///
     /// Panics if `w` is not a vector of length `pairs.len()` or any pair
     /// index is out of range.
-    pub fn weighted_gather(
-        &self,
-        pairs: &IncidencePairs,
-        n_out: usize,
-        w: &Var,
-        h: &Var,
-    ) -> Var {
+    pub fn weighted_gather(&self, pairs: &IncidencePairs, n_out: usize, w: &Var, h: &Var) -> Var {
         w.assert_same_graph(self, "weighted_gather");
         h.assert_same_graph(self, "weighted_gather");
-        let wv = w.value();
-        let hv = h.value();
-        assert!(
-            wv.shape().is_vector() && wv.len() == pairs.len(),
-            "weighted_gather: weights must be a [{}] vector, got {}",
-            pairs.len(),
-            wv.shape()
-        );
-        let d = hv.cols();
-        let mut out = Tensor::zeros(n_out, d);
-        for (k, &(v, e)) in pairs.iter().enumerate() {
+        let (out, rg) = {
+            let nodes = self.nodes.borrow();
+            let (wn, hn) = (&nodes[w.id], &nodes[h.id]);
+            let (wv, hv) = (&wn.value, &hn.value);
             assert!(
-                v < n_out && e < hv.rows(),
-                "weighted_gather: pair {k} = ({v}, {e}) out of range ({n_out} vertices, {} edges)",
-                hv.rows()
+                wv.shape().is_vector() && wv.len() == pairs.len(),
+                "weighted_gather: weights must be a [{}] vector, got {}",
+                pairs.len(),
+                wv.shape()
             );
-            let wk = wv.as_slice()[k];
-            let src: Vec<f32> = hv.row(e).to_vec();
-            let dst = out.row_mut(v);
-            for (o, s) in dst.iter_mut().zip(&src) {
-                *o += wk * s;
+            let mut out = Tensor::zeros(n_out, hv.cols());
+            for (k, (&(v, e), &wk)) in pairs.iter().zip(wv.as_slice()).enumerate() {
+                assert!(
+                    v < n_out && e < hv.rows(),
+                    "weighted_gather: pair {k} = ({v}, {e}) out of range ({n_out} vertices, {} edges)",
+                    hv.rows()
+                );
+                for (o, s) in out.row_mut(v).iter_mut().zip(hv.row(e)) {
+                    *o += wk * s;
+                }
             }
-        }
-        let rg = w.requires_grad() || h.requires_grad();
+            (out, wn.requires_grad || hn.requires_grad)
+        };
         self.push(
             out,
             Op::WeightedGather {
@@ -231,18 +236,82 @@ impl Graph {
         )
     }
 
+    /// Per-incidence attention scores, Eq. (14) before its LeakyReLU:
+    /// `s_p = [x_{v_p} ‖ h_{e_p}] · β` for each pair
+    /// `(v_p, e_p) = (pair_vertices[p], pair_edges[p])`, as one node that
+    /// never builds the `nnz × 2d` gathered matrix. `x` is `n × d`, `h` is
+    /// `m × d`, `beta` holds `2d` weights (a `[2d]` vector or a `2d × 1`
+    /// column); the result is the `[nnz]` vector of scores.
+    ///
+    /// Bitwise equal — value and all three gradients — to
+    /// `concat_cols(x.gather_rows(v), h.gather_rows(e)).matmul(beta)`
+    /// reshaped to a vector: every sum starts from `+0.0` and runs in that
+    /// composition's order (`tests/gradcheck.rs` holds it as the oracle).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` and `h` are not matrices of one width `d`, `beta` does
+    /// not hold `2d` weights, the index lists differ in length, or an index
+    /// is out of range.
+    pub fn pair_scores(
+        &self,
+        x: &Var,
+        h: &Var,
+        beta: &Var,
+        pair_vertices: &Rc<Vec<usize>>,
+        pair_edges: &Rc<Vec<usize>>,
+    ) -> Var {
+        for v in [x, h, beta] {
+            v.assert_same_graph(self, "pair_scores");
+        }
+        let (value, rg) = {
+            let nodes = self.nodes.borrow();
+            let (xn, hn, bn) = (&nodes[x.id], &nodes[h.id], &nodes[beta.id]);
+            let value =
+                pair_scores_forward(&xn.value, &hn.value, &bn.value, pair_vertices, pair_edges);
+            (
+                value,
+                xn.requires_grad || hn.requires_grad || bn.requires_grad,
+            )
+        };
+        self.push(
+            value,
+            Op::PairScores {
+                x: x.id,
+                h: h.id,
+                beta: beta.id,
+                pair_vertices: Rc::clone(pair_vertices),
+                pair_edges: Rc::clone(pair_edges),
+            },
+            rg,
+        )
+    }
+
     /// Column-wise concatenation of several variables (the `||` operator).
     pub fn concat_cols(&self, parts: &[&Var]) -> Var {
         assert!(!parts.is_empty(), "concat_cols: no parts");
         for p in parts {
             p.assert_same_graph(self, "concat_cols");
         }
-        let tensors: Vec<Tensor> = parts.iter().map(|p| p.value()).collect();
-        let refs: Vec<&Tensor> = tensors.iter().collect();
-        let value = Tensor::concat_cols(&refs);
-        let rg = parts.iter().any(|p| p.requires_grad());
+        let (value, rg) = {
+            let nodes = self.nodes.borrow();
+            let tensors: Vec<&Tensor> = parts.iter().map(|p| &nodes[p.id].value).collect();
+            let rg = parts.iter().any(|p| nodes[p.id].requires_grad);
+            (Tensor::concat_cols(&tensors), rg)
+        };
         let ids = Rc::new(parts.iter().map(|p| p.id).collect::<Vec<_>>());
         self.push(value, Op::ConcatCols(ids), rg)
+    }
+
+    /// The shape of every recorded node's value, in tape order: read-only
+    /// inspection for tests that pin what a forward pass materialises.
+    #[doc(hidden)]
+    pub fn shapes(&self) -> Vec<Shape> {
+        self.nodes
+            .borrow()
+            .iter()
+            .map(|n| n.value.shape())
+            .collect()
     }
 }
 
@@ -276,13 +345,28 @@ impl Var {
         self.graph.nodes.borrow()[self.id].requires_grad
     }
 
-    /// The accumulated gradient, if [`Var::backward`] has been run and this
-    /// node participated in the output.
+    /// A copy of the accumulated gradient: `Some` for a leaf that influenced
+    /// the output of a [`Var::backward`] run, `None` otherwise. Interior
+    /// gradients are consumed by the backward pass, so an interior node
+    /// always reads `None`.
     pub fn grad(&self) -> Option<Tensor> {
         self.graph.nodes.borrow()[self.id].grad.clone()
     }
 
+    /// Moves the accumulated gradient out of the node (see [`Var::grad`]),
+    /// leaving `None`: what a caller that hands the gradient on — to a
+    /// parameter, say — uses instead of copying it.
+    pub fn take_grad(&self) -> Option<Tensor> {
+        self.graph.nodes.borrow_mut()[self.id].grad.take()
+    }
+
     /// Runs reverse-mode accumulation from this scalar output.
+    ///
+    /// Each interior node's gradient is complete when the pass reaches it,
+    /// is consumed by that node's own step and freed there; only leaves
+    /// keep theirs. A second call on the same tape therefore recomputes
+    /// every interior gradient and *adds* into the leaves: after two calls
+    /// a leaf's gradient is exactly twice what one call leaves.
     ///
     /// # Panics
     ///
@@ -292,25 +376,27 @@ impl Var {
         ahntp_telemetry::counter_add("autograd.backward.calls", 1);
         let mut nodes = self.graph.nodes.borrow_mut();
         ahntp_telemetry::counter_add("autograd.backward.nodes", nodes.len() as u64);
-        {
-            let out = &mut nodes[self.id];
-            assert_eq!(
-                out.value.len(),
-                1,
-                "backward: output must be scalar, got {}",
-                out.value.shape()
-            );
-            out.grad = Some(match out.value.shape() {
-                Shape::Vector(_) => Tensor::full_vec(1, 1.0),
-                Shape::Matrix(_, _) => Tensor::full(1, 1, 1.0),
-            });
-        }
+        let out = &nodes[self.id].value;
+        assert_eq!(
+            out.len(),
+            1,
+            "backward: output must be scalar, got {}",
+            out.shape()
+        );
+        let mut seed = zeros_like(out);
+        seed.as_mut_slice()[0] = 1.0;
+        accum(&mut nodes, self.id, seed);
         for i in (0..=self.id).rev() {
-            let Some(grad_out) = nodes[i].grad.clone() else {
+            if matches!(nodes[i].op, Op::Leaf) {
+                continue; // nothing to propagate; a leaf keeps its gradient
+            }
+            let Some(grad_out) = nodes[i].grad.take() else {
                 continue;
             };
-            let op = nodes[i].op.clone();
-            backward_step(&mut nodes, i, &op, &grad_out);
+            // Lend the op out for the step so `nodes` is free to be updated.
+            let op = std::mem::replace(&mut nodes[i].op, Op::Leaf);
+            backward_step(&mut nodes, i, &op, grad_out);
+            nodes[i].op = op;
         }
     }
 }
@@ -339,87 +425,108 @@ fn zeros_like(t: &Tensor) -> Tensor {
     }
 }
 
+/// One node's adjoint: reads operand values where they lie, owns
+/// `grad_out` (so a pass-through hands it on instead of copying it), and
+/// computes nothing for an operand that takes no gradient.
 #[allow(clippy::too_many_lines)] // one arm per op; splitting would obscure the adjoint table
-fn backward_step(nodes: &mut [Node], i: usize, op: &Op, grad_out: &Tensor) {
+fn backward_step(nodes: &mut [Node], i: usize, op: &Op, grad_out: Tensor) {
     match op {
         Op::Leaf => {}
         Op::Add(a, b) => {
             accum(nodes, *a, grad_out.clone());
-            accum(nodes, *b, grad_out.clone());
+            accum(nodes, *b, grad_out);
         }
         Op::Sub(a, b) => {
-            accum(nodes, *a, grad_out.clone());
-            accum(nodes, *b, grad_out.scale(-1.0));
+            let db = grad_out.scale(-1.0);
+            accum(nodes, *a, grad_out);
+            accum(nodes, *b, db);
         }
         Op::Mul(a, b) => {
-            let da = grad_out.mul(&nodes[*b].value);
-            let db = grad_out.mul(&nodes[*a].value);
-            accum(nodes, *a, da);
-            accum(nodes, *b, db);
+            let da = nodes[*a]
+                .requires_grad
+                .then(|| grad_out.mul(&nodes[*b].value));
+            let db = nodes[*b]
+                .requires_grad
+                .then(|| grad_out.mul(&nodes[*a].value));
+            accum_some(nodes, *a, da);
+            accum_some(nodes, *b, db);
         }
         Op::Div(a, b) => {
             // y = a / b : da = g / b ; db = -g * a / b^2
-            let bv = nodes[*b].value.clone();
-            let av = nodes[*a].value.clone();
-            let da = grad_out.div(&bv);
-            let db = grad_out.mul(&av).div(&bv).div(&bv).scale(-1.0);
+            let (av, bv) = (&nodes[*a].value, &nodes[*b].value);
+            let da = grad_out.div(bv);
+            let db = grad_out.mul(av).div(bv).div(bv).scale(-1.0);
             accum(nodes, *a, da);
             accum(nodes, *b, db);
         }
         Op::Scale(a, c) => accum(nodes, *a, grad_out.scale(*c)),
-        Op::AddScalar(a) => accum(nodes, *a, grad_out.clone()),
+        Op::AddScalar(a) => accum(nodes, *a, grad_out),
         Op::Matmul(a, b) => {
             // y = A @ B : dA = g @ B^T ; dB = A^T @ g
-            let (ga, gb) = matmul_backward(&nodes[*a].value, &nodes[*b].value, grad_out);
-            accum(nodes, *a, ga);
-            accum(nodes, *b, gb);
+            let (an, bn) = (&nodes[*a], &nodes[*b]);
+            let (da, db) = matmul_backward(
+                &an.value,
+                &bn.value,
+                &grad_out,
+                (an.requires_grad, bn.requires_grad),
+            );
+            accum_some(nodes, *a, da);
+            accum_some(nodes, *b, db);
         }
         Op::MatmulT(a, b) => {
             // y = A @ B^T : dA = g @ B ; dB = g^T @ A
-            let da = grad_out.matmul(&nodes[*b].value);
-            let db = grad_out.t_matmul(&nodes[*a].value);
-            accum(nodes, *a, da);
-            accum(nodes, *b, db);
+            let da = nodes[*a]
+                .requires_grad
+                .then(|| grad_out.matmul(&nodes[*b].value));
+            let db = nodes[*b]
+                .requires_grad
+                .then(|| grad_out.t_matmul(&nodes[*a].value));
+            accum_some(nodes, *a, da);
+            accum_some(nodes, *b, db);
         }
         Op::Transpose(a) => accum(nodes, *a, grad_out.transpose()),
         Op::Spmm(h, x) => {
-            let dx = h.t_mul_dense(grad_out);
+            let dx = h.t_mul_dense(&grad_out);
             accum(nodes, *x, dx);
         }
+        // The pointwise adjoints keep the multiply even where the factor is
+        // 0 or 1: `g · 0.0` is `-0.0` for a negative `g`, and that bit
+        // reaches the trajectory goldens.
         Op::Relu(a) => {
-            let mask = nodes[*a].value.map(|v| if v > 0.0 { 1.0 } else { 0.0 });
-            accum(nodes, *a, grad_out.mul(&mask));
+            let da = grad_out.zip(&nodes[*a].value, |g, v| g * if v > 0.0 { 1.0 } else { 0.0 });
+            accum(nodes, *a, da);
         }
         Op::LeakyRelu(a, slope) => {
             let s = *slope;
-            let mask = nodes[*a].value.map(|v| if v > 0.0 { 1.0 } else { s });
-            accum(nodes, *a, grad_out.mul(&mask));
+            let da = grad_out.zip(&nodes[*a].value, |g, v| g * if v > 0.0 { 1.0 } else { s });
+            accum(nodes, *a, da);
         }
         Op::Sigmoid(a) => {
-            let y = nodes[i].value.clone();
-            let dy = y.map(|v| v * (1.0 - v));
-            accum(nodes, *a, grad_out.mul(&dy));
+            let da = grad_out.zip(&nodes[i].value, |g, y| g * (y * (1.0 - y)));
+            accum(nodes, *a, da);
         }
         Op::Tanh(a) => {
-            let y = nodes[i].value.clone();
-            let dy = y.map(|v| 1.0 - v * v);
-            accum(nodes, *a, grad_out.mul(&dy));
+            let da = grad_out.zip(&nodes[i].value, |g, y| g * (1.0 - y * y));
+            accum(nodes, *a, da);
         }
         Op::Exp(a) => {
-            let y = nodes[i].value.clone();
-            accum(nodes, *a, grad_out.mul(&y));
+            let da = grad_out.mul(&nodes[i].value);
+            accum(nodes, *a, da);
         }
         Op::LnEps(a, eps) => {
             // ln(max(a, eps)) is flat below the clamp: the true subgradient
             // there is 0 (returning 1/eps would inject enormous spurious
             // gradients exactly when the input has collapsed).
             let e = *eps;
-            let da = nodes[*a].value.map(|v| if v > e { 1.0 / v } else { 0.0 });
-            accum(nodes, *a, grad_out.mul(&da));
+            let da = grad_out.zip(&nodes[*a].value, |g, v| {
+                g * if v > e { 1.0 / v } else { 0.0 }
+            });
+            accum(nodes, *a, da);
         }
         Op::AddBias(a, bias) => {
-            accum(nodes, *a, grad_out.clone());
-            accum(nodes, *bias, grad_out.col_sums());
+            let dbias = grad_out.col_sums();
+            accum(nodes, *a, grad_out);
+            accum(nodes, *bias, dbias);
         }
         Op::ConcatCols(ids) => {
             let widths: Vec<usize> = ids.iter().map(|&p| nodes[p].value.cols()).collect();
@@ -438,16 +545,15 @@ fn backward_step(nodes: &mut [Node], i: usize, op: &Op, grad_out: &Tensor) {
             let mut da = zeros_like(&nodes[*a].value);
             let cols = da.cols();
             for (out_row, &src) in idx.iter().enumerate() {
-                let g_row: Vec<f32> = grad_out.row(out_row).to_vec();
                 let dst = &mut da.as_mut_slice()[src * cols..(src + 1) * cols];
-                for (d, g) in dst.iter_mut().zip(&g_row) {
+                for (d, g) in dst.iter_mut().zip(grad_out.row(out_row)) {
                     *d += g;
                 }
             }
             accum(nodes, *a, da);
         }
         Op::ScaleRowsConst(a, factors) => {
-            let mut da = grad_out.clone();
+            let mut da = grad_out;
             let cols = da.cols();
             for (r, &f) in factors.iter().enumerate() {
                 for v in &mut da.as_mut_slice()[r * cols..(r + 1) * cols] {
@@ -470,11 +576,9 @@ fn backward_step(nodes: &mut [Node], i: usize, op: &Op, grad_out: &Tensor) {
             accum(nodes, *a, da);
         }
         Op::PairwiseCosine(a, b) => {
-            let av = nodes[*a].value.clone();
-            let bv = nodes[*b].value.clone();
-            let y = nodes[i].value.clone();
-            let mut da = zeros_like(&av);
-            let mut db = zeros_like(&bv);
+            let (av, bv, y) = (&nodes[*a].value, &nodes[*b].value, &nodes[i].value);
+            let mut da = zeros_like(av);
+            let mut db = zeros_like(bv);
             let d = av.cols();
             for r in 0..av.rows() {
                 let ar = av.row(r);
@@ -497,17 +601,16 @@ fn backward_step(nodes: &mut [Node], i: usize, op: &Op, grad_out: &Tensor) {
             accum(nodes, *b, db);
         }
         Op::SegmentSoftmax(a, segments) => {
-            let y = nodes[i].value.clone();
+            let (y, g) = (nodes[i].value.as_slice(), grad_out.as_slice());
             let n_seg = segments.iter().copied().max().map_or(0, |m| m + 1);
             // dot_s = Σ_{j∈s} y_j g_j, then da_i = y_i (g_i − dot_{seg(i)})
             let mut dot = vec![0.0f32; n_seg];
             for (k, &s) in segments.iter().enumerate() {
-                dot[s] += y.as_slice()[k] * grad_out.as_slice()[k];
+                dot[s] += y[k] * g[k];
             }
             let mut da = zeros_like(&nodes[*a].value);
             for (k, &s) in segments.iter().enumerate() {
-                da.as_mut_slice()[k] =
-                    y.as_slice()[k] * (grad_out.as_slice()[k] - dot[s]);
+                da.as_mut_slice()[k] = y[k] * (g[k] - dot[s]);
             }
             accum(nodes, *a, da);
         }
@@ -520,39 +623,68 @@ fn backward_step(nodes: &mut [Node], i: usize, op: &Op, grad_out: &Tensor) {
         }
         Op::Reshape(a) => {
             let parent_shape = nodes[*a].value.shape();
-            accum(nodes, *a, grad_out.clone().reshape(parent_shape));
+            accum(nodes, *a, grad_out.reshape(parent_shape));
         }
         Op::WeightedGather { weights, h, pairs } => {
-            let wv = nodes[*weights].value.clone();
-            let hv = nodes[*h].value.clone();
-            let d = hv.cols();
-            let mut dw = zeros_like(&wv);
-            let mut dh = zeros_like(&hv);
+            let (wv, hv) = (&nodes[*weights].value, &nodes[*h].value);
+            let mut dw = zeros_like(wv);
+            let mut dh = zeros_like(hv);
             for (k, &(v, e)) in pairs.iter().enumerate() {
                 let g_row = grad_out.row(v);
-                let h_row = hv.row(e);
                 let mut dot = 0.0f32;
-                for (&g, &hh) in g_row.iter().zip(h_row) {
+                for (&g, &hh) in g_row.iter().zip(hv.row(e)) {
                     dot += g * hh;
                 }
                 dw.as_mut_slice()[k] = dot;
                 let wk = wv.as_slice()[k];
-                let g_copy: Vec<f32> = g_row.to_vec();
-                let dst = &mut dh.as_mut_slice()[e * d..(e + 1) * d];
-                for (o, g) in dst.iter_mut().zip(&g_copy) {
+                for (o, g) in dh.row_mut(e).iter_mut().zip(g_row) {
                     *o += wk * g;
                 }
             }
             accum(nodes, *weights, dw);
             accum(nodes, *h, dh);
         }
+        Op::PairScores {
+            x,
+            h,
+            beta,
+            pair_vertices,
+            pair_edges,
+        } => {
+            let (dx, dh, dbeta) = pair_scores_backward(
+                &nodes[*x].value,
+                &nodes[*h].value,
+                &nodes[*beta].value,
+                pair_vertices,
+                pair_edges,
+                &grad_out,
+            );
+            // The order the composed ops reach their parents in: the
+            // product's `beta`, then the `h` gather, then the `x` gather.
+            accum(nodes, *beta, dbeta);
+            accum(nodes, *h, dh);
+            accum(nodes, *x, dx);
+        }
+    }
+}
+
+fn accum_some(nodes: &mut [Node], id: usize, delta: Option<Tensor>) {
+    if let Some(delta) = delta {
+        accum(nodes, id, delta);
     }
 }
 
 /// Gradient of a dense matmul with the vector-promotion rules of
 /// [`Tensor::matmul`] respected (so `[n]`-shaped operands receive
-/// `[n]`-shaped gradients).
-fn matmul_backward(a: &Tensor, b: &Tensor, g: &Tensor) -> (Tensor, Tensor) {
+/// `[n]`-shaped gradients). `needs` says which operands take a gradient;
+/// the product for one that does not (the feature matrix, a row of ones)
+/// is not computed.
+fn matmul_backward(
+    a: &Tensor,
+    b: &Tensor,
+    g: &Tensor,
+    needs: (bool, bool),
+) -> (Option<Tensor>, Option<Tensor>) {
     // Lift everything to matrices, compute, then demote. A matrix is used
     // where it is; only a vector is copied, into its `rows x cols` shape.
     fn lift(t: &Tensor, rows: usize, cols: usize) -> Cow<'_, Tensor> {
@@ -564,15 +696,135 @@ fn matmul_backward(a: &Tensor, b: &Tensor, g: &Tensor) -> (Tensor, Tensor) {
     let am = lift(a, 1, a.len()); // [n] on the left acts as 1 x n
     let bm = lift(b, b.len(), 1); // [n] on the right acts as n x 1
     let gm = lift(g, am.rows(), bm.cols());
-    let ga = gm.matmul_t(&bm);
-    let gb = am.t_matmul(&gm);
     let demote = |t: Tensor, like: &Tensor| -> Tensor {
         match like.shape() {
             Shape::Vector(n) => t.reshape(Shape::Vector(n)),
             Shape::Matrix(_, _) => t,
         }
     };
-    (demote(ga, a), demote(gb, b))
+    (
+        needs.0.then(|| demote(gm.matmul_t(&bm), a)),
+        needs.1.then(|| demote(am.t_matmul(&gm), b)),
+    )
+}
+
+/// Dot-product chains run side by side. Each is `k`-sequential by the
+/// bitwise contract, so throughput comes from keeping several in flight —
+/// what the dense kernel's one-column tile does for `cat @ β`.
+const CHAINS: usize = 8;
+
+/// `acc[r] += rows[r] · b`: `k` ascending, one rounded multiply and one
+/// rounded add per step, continuing from whatever `acc` holds.
+#[inline(always)]
+fn extend_chains<const R: usize>(acc: &mut [f32; R], rows: [&[f32]; R], b: &[f32]) {
+    let rows = rows.map(|r| &r[..b.len()]);
+    let mut sums = *acc;
+    for (k, &bk) in b.iter().enumerate() {
+        for (s, row) in sums.iter_mut().zip(rows) {
+            *s += row[k] * bk;
+        }
+    }
+    *acc = sums;
+}
+
+/// Continues every `out[i]` through `row(i) · b`, `CHAINS` at a time.
+fn extend_all<'a>(out: &mut [f32], row: impl Fn(usize) -> &'a [f32], b: &[f32]) {
+    for (block, chunk) in out.chunks_mut(CHAINS).enumerate() {
+        let i = block * CHAINS;
+        if let Ok(acc) = <&mut [f32; CHAINS]>::try_from(&mut *chunk) {
+            extend_chains(acc, std::array::from_fn(|r| row(i + r)), b);
+        } else {
+            for (r, s) in chunk.iter_mut().enumerate() {
+                extend_chains(std::array::from_mut(s), [row(i + r)], b);
+            }
+        }
+    }
+}
+
+/// Forward of [`Graph::pair_scores`]: per pair, `+0.0`, then `x_v · β[..d]`,
+/// then `h_e · β[d..]`. The first half depends on the vertex alone, so it
+/// is computed once per vertex and every pair of that vertex continues
+/// from it.
+fn pair_scores_forward(
+    x: &Tensor,
+    h: &Tensor,
+    beta: &Tensor,
+    pair_vertices: &[usize],
+    pair_edges: &[usize],
+) -> Tensor {
+    let d = x.cols();
+    assert!(
+        !x.shape().is_vector() && !h.shape().is_vector() && h.cols() == d,
+        "pair_scores: x and h must be matrices of one width, got {} and {}",
+        x.shape(),
+        h.shape()
+    );
+    assert!(
+        beta.len() == 2 * d && (beta.shape().is_vector() || beta.cols() == 1),
+        "pair_scores: beta must hold {} weights ([{}] or {}x1), got {}",
+        2 * d,
+        2 * d,
+        2 * d,
+        beta.shape()
+    );
+    assert_eq!(
+        pair_vertices.len(),
+        pair_edges.len(),
+        "pair_scores: {} pair vertices for {} pair edges",
+        pair_vertices.len(),
+        pair_edges.len()
+    );
+    for (p, (&v, &e)) in pair_vertices.iter().zip(pair_edges).enumerate() {
+        assert!(
+            v < x.rows() && e < h.rows(),
+            "pair_scores: pair {p} = ({v}, {e}) out of range ({} vertices, {} edges)",
+            x.rows(),
+            h.rows()
+        );
+    }
+    let (beta_x, beta_h) = beta.as_slice().split_at(d);
+    let mut per_vertex = vec![0.0f32; x.rows()];
+    extend_all(&mut per_vertex, |v| x.row(v), beta_x);
+    let mut scores: Vec<f32> = pair_vertices.iter().map(|&v| per_vertex[v]).collect();
+    extend_all(&mut scores, |p| h.row(pair_edges[p]), beta_h);
+    Tensor::vector(scores)
+}
+
+/// Adjoint of [`Graph::pair_scores`], `(dx, dh, dβ)`, in the composition's
+/// order: `dβ = catᵀ @ g` sums over pairs ascending; `g @ βᵀ` has inner
+/// dimension 1, so each of its elements is the product's `+0.0` start plus
+/// one term, scatter-added into the gathered row, pairs ascending.
+fn pair_scores_backward(
+    x: &Tensor,
+    h: &Tensor,
+    beta: &Tensor,
+    pair_vertices: &[usize],
+    pair_edges: &[usize],
+    grad_out: &Tensor,
+) -> (Tensor, Tensor, Tensor) {
+    let d = x.cols();
+    let (mut dx, mut dh, mut dbeta) = (zeros_like(x), zeros_like(h), zeros_like(beta));
+    let (beta_x, beta_h) = beta.as_slice().split_at(d);
+    let (dbeta_x, dbeta_h) = dbeta.as_mut_slice().split_at_mut(d);
+    for ((&v, &e), &g) in pair_vertices
+        .iter()
+        .zip(pair_edges)
+        .zip(grad_out.as_slice())
+    {
+        for (s, &xv) in dbeta_x.iter_mut().zip(x.row(v)) {
+            *s += xv * g;
+        }
+        for (s, &hv) in dbeta_h.iter_mut().zip(h.row(e)) {
+            *s += hv * g;
+        }
+        for (s, &b) in dx.row_mut(v).iter_mut().zip(beta_x) {
+            *s += 0.0 + g * b;
+        }
+        for (s, &b) in dh.row_mut(e).iter_mut().zip(beta_h) {
+            *s += 0.0 + g * b;
+        }
+    }
+    (dx, dh, dbeta)
 }
 
 #[cfg(test)]
@@ -622,6 +874,39 @@ mod tests {
     }
 
     #[test]
+    fn a_constant_operand_costs_no_product_in_backward() {
+        use ahntp_telemetry::counter_get;
+        ahntp_par::Context::fresh().run(|| {
+            ahntp_telemetry::set_enabled(true);
+            let g = Graph::new();
+            let features = g.constant(Tensor::full(3, 2, 1.0));
+            let w = g.leaf(Tensor::full(2, 4, 0.5));
+            features.matmul(&w).sum().backward();
+            // Forward, and `featuresᵀ @ g` for `w`; no `g @ wᵀ`.
+            assert_eq!(counter_get("tensor.matmul.calls"), 2);
+            assert_eq!(counter_get("tensor.t_matmul.calls"), 1);
+            assert_eq!(counter_get("tensor.matmul_t.calls"), 0);
+            assert!(features.grad().is_none());
+            assert_eq!(w.grad().expect("grad").as_slice(), &[3.0; 8]);
+        });
+    }
+
+    #[test]
+    fn a_second_backward_adds_into_the_leaves() {
+        let g = Graph::new();
+        let x = g.leaf(Tensor::from_rows(&[&[1.5, -0.5]]));
+        let y = x.mul(&x);
+        let loss = y.tanh().sum();
+        loss.backward();
+        let once = x.grad().expect("leaf gradient");
+        assert!(y.grad().is_none(), "interior gradients are consumed");
+        assert!(loss.grad().is_none(), "the root's included");
+        loss.backward();
+        assert_eq!(x.grad().expect("leaf gradient"), once.scale(2.0));
+        assert!(y.grad().is_none());
+    }
+
+    #[test]
     #[should_panic(expected = "output must be scalar")]
     fn backward_rejects_non_scalar() {
         let g = Graph::new();
@@ -651,6 +936,22 @@ mod tests {
         let ev = ahntp_telemetry::first_nonfinite().expect("overflow recorded");
         assert_eq!(ev.op, "exp");
         assert_eq!(ev.step, 1); // node 0 is the leaf
+        ahntp_telemetry::set_finite_checks(false);
+        ahntp_telemetry::clear_nonfinite();
+    }
+
+    #[test]
+    fn finite_checks_name_pair_scores() {
+        ahntp_telemetry::set_finite_checks(true);
+        ahntp_telemetry::clear_nonfinite();
+        let g = Graph::new();
+        let x = g.leaf(Tensor::from_rows(&[&[f32::MAX]]));
+        let h = g.leaf(Tensor::from_rows(&[&[f32::MAX]]));
+        let beta = g.leaf(Tensor::vector(vec![1.0, 1.0]));
+        let _s = g.pair_scores(&x, &h, &beta, &Rc::new(vec![0]), &Rc::new(vec![0]));
+        let ev = ahntp_telemetry::first_nonfinite().expect("overflow recorded");
+        assert_eq!(ev.op, "pair_scores");
+        assert_eq!(ev.step, 3); // after the three leaves
         ahntp_telemetry::set_finite_checks(false);
         ahntp_telemetry::clear_nonfinite();
     }

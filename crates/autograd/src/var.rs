@@ -5,51 +5,62 @@ use ahntp_tensor::{Shape, Tensor};
 use std::rc::Rc;
 
 impl Var {
-    fn binary(&self, other: &Var, op_name: &str, value: Tensor, op: Op) -> Var {
+    /// Records `f(self, other)`: both operands are read where they lie on
+    /// the tape, under one borrow, once the two are known to share it.
+    fn binary(
+        &self,
+        other: &Var,
+        op_name: &str,
+        op: Op,
+        f: impl FnOnce(&Tensor, &Tensor) -> Tensor,
+    ) -> Var {
         other.assert_same_graph(&self.graph, op_name);
-        let rg = self.requires_grad() || other.requires_grad();
+        let (value, rg) = {
+            let nodes = self.graph.nodes.borrow();
+            let (a, b) = (&nodes[self.id], &nodes[other.id]);
+            (f(&a.value, &b.value), a.requires_grad || b.requires_grad)
+        };
         self.graph.push(value, op, rg)
     }
 
-    fn unary(&self, value: Tensor, op: Op) -> Var {
-        let rg = self.requires_grad();
+    /// Records `f(self)`, reading the operand where it lies on the tape.
+    fn unary(&self, op: Op, f: impl FnOnce(&Tensor) -> Tensor) -> Var {
+        let (value, rg) = {
+            let nodes = self.graph.nodes.borrow();
+            let a = &nodes[self.id];
+            (f(&a.value), a.requires_grad)
+        };
         self.graph.push(value, op, rg)
     }
 
     /// Element-wise sum.
     pub fn add(&self, other: &Var) -> Var {
-        let v = self.value().add(&other.value());
-        self.binary(other, "add", v, Op::Add(self.id, other.id))
+        self.binary(other, "add", Op::Add(self.id, other.id), Tensor::add)
     }
 
     /// Element-wise difference.
     pub fn sub(&self, other: &Var) -> Var {
-        let v = self.value().sub(&other.value());
-        self.binary(other, "sub", v, Op::Sub(self.id, other.id))
+        self.binary(other, "sub", Op::Sub(self.id, other.id), Tensor::sub)
     }
 
     /// Element-wise (Hadamard) product.
     pub fn mul(&self, other: &Var) -> Var {
-        let v = self.value().mul(&other.value());
-        self.binary(other, "mul", v, Op::Mul(self.id, other.id))
+        self.binary(other, "mul", Op::Mul(self.id, other.id), Tensor::mul)
     }
 
     /// Element-wise quotient.
     pub fn div(&self, other: &Var) -> Var {
-        let v = self.value().div(&other.value());
-        self.binary(other, "div", v, Op::Div(self.id, other.id))
+        self.binary(other, "div", Op::Div(self.id, other.id), Tensor::div)
     }
 
     /// Multiplication by a constant scalar.
     pub fn scale(&self, c: f32) -> Var {
-        let v = self.value().scale(c);
-        self.unary(v, Op::Scale(self.id, c))
+        self.unary(Op::Scale(self.id, c), |a| a.scale(c))
     }
 
     /// Addition of a constant scalar (gradient passes through unchanged).
     pub fn add_scalar(&self, c: f32) -> Var {
-        let v = self.value().add_scalar(c);
-        self.unary(v, Op::AddScalar(self.id))
+        self.unary(Op::AddScalar(self.id), |a| a.add_scalar(c))
     }
 
     /// Negation.
@@ -59,120 +70,124 @@ impl Var {
 
     /// Dense matrix product `self @ other`.
     pub fn matmul(&self, other: &Var) -> Var {
-        let v = self.value().matmul(&other.value());
-        self.binary(other, "matmul", v, Op::Matmul(self.id, other.id))
+        self.binary(
+            other,
+            "matmul",
+            Op::Matmul(self.id, other.id),
+            Tensor::matmul,
+        )
     }
 
     /// Dense product with transposed right operand, `self @ other^T`.
     pub fn matmul_t(&self, other: &Var) -> Var {
-        let v = self.value().matmul_t(&other.value());
-        self.binary(other, "matmul_t", v, Op::MatmulT(self.id, other.id))
+        self.binary(
+            other,
+            "matmul_t",
+            Op::MatmulT(self.id, other.id),
+            Tensor::matmul_t,
+        )
     }
 
     /// Matrix transpose.
     pub fn transpose(&self) -> Var {
-        let v = self.value().transpose();
-        self.unary(v, Op::Transpose(self.id))
+        self.unary(Op::Transpose(self.id), Tensor::transpose)
     }
 
     /// Rectified linear unit (the `f` of Eqs. 13 and 16–18).
     pub fn relu(&self) -> Var {
-        let v = self.value().map(|x| x.max(0.0));
-        self.unary(v, Op::Relu(self.id))
+        self.unary(Op::Relu(self.id), |a| a.map(|x| x.max(0.0)))
     }
 
     /// Leaky ReLU with the given negative slope (the `σ` of Eq. 14).
     pub fn leaky_relu(&self, slope: f32) -> Var {
-        let v = self.value().map(|x| if x > 0.0 { x } else { slope * x });
-        self.unary(v, Op::LeakyRelu(self.id, slope))
+        self.unary(Op::LeakyRelu(self.id, slope), |a| {
+            a.map(|x| if x > 0.0 { x } else { slope * x })
+        })
     }
 
     /// Logistic sigmoid.
     pub fn sigmoid(&self) -> Var {
-        let v = self.value().map(|x| 1.0 / (1.0 + (-x).exp()));
-        self.unary(v, Op::Sigmoid(self.id))
+        self.unary(Op::Sigmoid(self.id), |a| {
+            a.map(|x| 1.0 / (1.0 + (-x).exp()))
+        })
     }
 
     /// Hyperbolic tangent.
     pub fn tanh(&self) -> Var {
-        let v = self.value().map(f32::tanh);
-        self.unary(v, Op::Tanh(self.id))
+        self.unary(Op::Tanh(self.id), |a| a.map(f32::tanh))
     }
 
     /// Element-wise exponential.
     pub fn exp(&self) -> Var {
-        let v = self.value().map(f32::exp);
-        self.unary(v, Op::Exp(self.id))
+        self.unary(Op::Exp(self.id), |a| a.map(f32::exp))
     }
 
     /// Element-wise `ln(max(x, eps))` — the clamped logarithm used by the
     /// loss terms so that `log(0)` cannot poison training.
     pub fn ln_eps(&self, eps: f32) -> Var {
         assert!(eps > 0.0, "ln_eps: eps must be positive, got {eps}");
-        let v = self.value().map(|x| x.max(eps).ln());
-        self.unary(v, Op::LnEps(self.id, eps))
+        self.unary(Op::LnEps(self.id, eps), |a| a.map(|x| x.max(eps).ln()))
     }
 
     /// Adds a broadcast row-vector bias to every row of a matrix.
     pub fn add_bias(&self, bias: &Var) -> Var {
-        let v = self.value().add_row_broadcast(&bias.value());
-        self.binary(bias, "add_bias", v, Op::AddBias(self.id, bias.id))
+        self.binary(
+            bias,
+            "add_bias",
+            Op::AddBias(self.id, bias.id),
+            Tensor::add_row_broadcast,
+        )
     }
 
     /// Selects rows by index (rows may repeat); gradient scatter-adds back.
     pub fn gather_rows(&self, indices: &Rc<Vec<usize>>) -> Var {
-        let v = self.value().gather_rows(indices);
-        self.unary(v, Op::GatherRows(self.id, Rc::clone(indices)))
+        self.unary(Op::GatherRows(self.id, Rc::clone(indices)), |a| {
+            a.gather_rows(indices)
+        })
     }
 
     /// Scales each row `r` by the constant factor `factors[r]`.
     pub fn scale_rows(&self, factors: &Rc<Vec<f32>>) -> Var {
-        assert_eq!(
-            factors.len(),
-            self.value().rows(),
-            "scale_rows: {} factors for {} rows",
-            factors.len(),
-            self.value().rows()
-        );
-        let col = Tensor::vector(factors.as_ref().clone());
-        let v = self.value().scale_rows(&col);
-        self.unary(v, Op::ScaleRowsConst(self.id, Rc::clone(factors)))
+        self.unary(Op::ScaleRowsConst(self.id, Rc::clone(factors)), |a| {
+            assert_eq!(
+                factors.len(),
+                a.rows(),
+                "scale_rows: {} factors for {} rows",
+                factors.len(),
+                a.rows()
+            );
+            a.scale_rows(&Tensor::vector(factors.as_ref().clone()))
+        })
     }
 
     /// Sum of all elements → scalar.
     pub fn sum(&self) -> Var {
-        let v = Tensor::full(1, 1, self.value().sum());
-        self.unary(v, Op::Sum(self.id))
+        self.unary(Op::Sum(self.id), |a| Tensor::full(1, 1, a.sum()))
     }
 
     /// Mean of all elements → scalar.
     pub fn mean(&self) -> Var {
-        let v = Tensor::full(1, 1, self.value().mean());
-        self.unary(v, Op::Mean(self.id))
+        self.unary(Op::Mean(self.id), |a| Tensor::full(1, 1, a.mean()))
     }
 
     /// Row-paired cosine similarity (Eq. 19): both operands are `n x d`;
     /// the result is the `[n]` vector of `cos(self_i, other_i)`. Zero rows
     /// yield similarity 0 with zero gradient.
     pub fn pairwise_cosine(&self, other: &Var) -> Var {
-        let a = self.value();
-        let b = other.value();
-        assert_eq!(
-            a.shape(),
-            b.shape(),
-            "pairwise_cosine: shape mismatch {} vs {}",
-            a.shape(),
-            b.shape()
-        );
-        let mut out = Vec::with_capacity(a.rows());
-        for r in 0..a.rows() {
-            out.push(a.cosine_rows(r, &b, r));
-        }
         self.binary(
             other,
             "pairwise_cosine",
-            Tensor::vector(out),
             Op::PairwiseCosine(self.id, other.id),
+            |a, b| {
+                assert_eq!(
+                    a.shape(),
+                    b.shape(),
+                    "pairwise_cosine: shape mismatch {} vs {}",
+                    a.shape(),
+                    b.shape()
+                );
+                Tensor::vector((0..a.rows()).map(|r| a.cosine_rows(r, b, r)).collect())
+            },
         )
     }
 
@@ -180,65 +195,61 @@ impl Var {
     /// normalisation over each vertex's incident hyperedges).
     /// `segments[k]` is the segment id of element `k`.
     pub fn segment_softmax(&self, segments: &Rc<Vec<usize>>) -> Var {
-        let v = self.value();
-        assert!(
-            v.shape().is_vector() && v.len() == segments.len(),
-            "segment_softmax: need a [{}] vector, got {}",
-            segments.len(),
-            v.shape()
-        );
-        let n_seg = segments.iter().copied().max().map_or(0, |m| m + 1);
-        // Max-shift per segment for numerical stability.
-        let mut seg_max = vec![f32::NEG_INFINITY; n_seg];
-        for (k, &s) in segments.iter().enumerate() {
-            seg_max[s] = seg_max[s].max(v.as_slice()[k]);
-        }
-        let mut exps: Vec<f32> = Vec::with_capacity(v.len());
-        let mut seg_sum = vec![0.0f32; n_seg];
-        for (k, &s) in segments.iter().enumerate() {
-            let e = (v.as_slice()[k] - seg_max[s]).exp();
-            exps.push(e);
-            seg_sum[s] += e;
-        }
-        for (k, &s) in segments.iter().enumerate() {
-            exps[k] /= seg_sum[s];
-        }
-        self.unary(
-            Tensor::vector(exps),
-            Op::SegmentSoftmax(self.id, Rc::clone(segments)),
-        )
+        self.unary(Op::SegmentSoftmax(self.id, Rc::clone(segments)), |v| {
+            assert!(
+                v.shape().is_vector() && v.len() == segments.len(),
+                "segment_softmax: need a [{}] vector, got {}",
+                segments.len(),
+                v.shape()
+            );
+            let v = v.as_slice();
+            let n_seg = segments.iter().copied().max().map_or(0, |m| m + 1);
+            // Max-shift per segment for numerical stability.
+            let mut seg_max = vec![f32::NEG_INFINITY; n_seg];
+            for (k, &s) in segments.iter().enumerate() {
+                seg_max[s] = seg_max[s].max(v[k]);
+            }
+            let mut exps: Vec<f32> = Vec::with_capacity(v.len());
+            let mut seg_sum = vec![0.0f32; n_seg];
+            for (k, &s) in segments.iter().enumerate() {
+                let e = (v[k] - seg_max[s]).exp();
+                exps.push(e);
+                seg_sum[s] += e;
+            }
+            for (k, &s) in segments.iter().enumerate() {
+                exps[k] /= seg_sum[s];
+            }
+            Tensor::vector(exps)
+        })
     }
 
     /// Sums vector elements within segments → `[n_segments]` (the Σ of
     /// Eq. 20's positive/denominator pools, grouped by anchor).
     pub fn segment_sum(&self, segments: &Rc<Vec<usize>>, n_segments: usize) -> Var {
-        let v = self.value();
-        assert!(
-            v.shape().is_vector() && v.len() == segments.len(),
-            "segment_sum: need a [{}] vector, got {}",
-            segments.len(),
-            v.shape()
-        );
-        let mut out = vec![0.0f32; n_segments];
-        for (k, &s) in segments.iter().enumerate() {
+        self.unary(Op::SegmentSum(self.id, Rc::clone(segments)), |v| {
             assert!(
-                s < n_segments,
-                "segment_sum: segment id {s} >= n_segments {n_segments}"
+                v.shape().is_vector() && v.len() == segments.len(),
+                "segment_sum: need a [{}] vector, got {}",
+                segments.len(),
+                v.shape()
             );
-            out[s] += v.as_slice()[k];
-        }
-        self.unary(
-            Tensor::vector(out),
-            Op::SegmentSum(self.id, Rc::clone(segments)),
-        )
+            let mut out = vec![0.0f32; n_segments];
+            for (&x, &s) in v.as_slice().iter().zip(segments.iter()) {
+                assert!(
+                    s < n_segments,
+                    "segment_sum: segment id {s} >= n_segments {n_segments}"
+                );
+                out[s] += x;
+            }
+            Tensor::vector(out)
+        })
     }
 
     /// Reinterprets the value with a new same-volume shape. Gradients are
     /// reshaped back automatically because buffers are row-major on both
     /// sides — implemented as a transpose-free unary view.
     pub fn reshape(&self, shape: Shape) -> Var {
-        let v = self.value().reshape(shape);
-        self.unary(v, Op::Reshape(self.id))
+        self.unary(Op::Reshape(self.id), |a| a.clone().reshape(shape))
     }
 }
 

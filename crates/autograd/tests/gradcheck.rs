@@ -6,8 +6,8 @@
 //! tolerance at eps = 1e-2; inputs are chosen away from kinks (ReLU at 0)
 //! so the comparison is well-posed.
 
-use ahntp_autograd::check_gradients;
-use ahntp_tensor::{CsrMatrix, Tensor};
+use ahntp_autograd::{check_gradients, Graph, Var};
+use ahntp_tensor::{CsrMatrix, Shape, Tensor};
 use std::rc::Rc;
 
 const EPS: f32 = 1e-2;
@@ -234,6 +234,132 @@ fn grad_weighted_gather() {
         EPS,
         TOL,
     );
+}
+
+/// Five incidence pairs over 3 vertices and 2 hyperedges, with repeats on
+/// both sides.
+fn pair_lists() -> (Rc<Vec<usize>>, Rc<Vec<usize>>) {
+    (Rc::new(vec![0, 0, 2, 1, 2]), Rc::new(vec![1, 0, 1, 1, 0]))
+}
+
+#[test]
+fn grad_pair_scores_with_repeats() {
+    let (pv, pe) = pair_lists();
+    check_gradients(
+        &[t(3, 4, 30), t(2, 4, 31), t(8, 1, 32)],
+        move |g, v| {
+            let s = g.pair_scores(&v[0], &v[1], &v[2], &pv, &pe);
+            s.mul(&s).sum()
+        },
+        EPS,
+        TOL,
+    );
+}
+
+/// Eq. 14's scores as the five general ops `pair_scores` replaced: the
+/// oracle it must match bit for bit.
+fn composed_pair_scores(
+    g: &Graph,
+    x: &Var,
+    h: &Var,
+    beta: &Var,
+    pv: &Rc<Vec<usize>>,
+    pe: &Rc<Vec<usize>>,
+) -> Var {
+    g.concat_cols(&[&x.gather_rows(pv), &h.gather_rows(pe)])
+        .matmul(beta)
+        .reshape(Shape::Vector(pv.len()))
+}
+
+#[test]
+fn pair_scores_is_bitwise_the_composed_ops() {
+    // 37 pairs (not a multiple of the kernel's eight chains) over 9
+    // vertices and 5 hyperedges of width 6; `x` and `h` each feed a second
+    // consumer recorded after the scores, as in the layer (Eq. 16), so
+    // their gradients are sums whose order must hold too.
+    let (n, m, d, nnz) = (9, 5, 6, 37);
+    let pv = Rc::new((0..nnz).map(|p| (p * 7 + p / 5) % n).collect::<Vec<_>>());
+    let pe = Rc::new((0..nnz).map(|p| (p * 3 + p / 4) % m).collect::<Vec<_>>());
+    let inputs = [t(n, d, 33), t(m, d, 34), t(2 * d, 1, 35)];
+    type Scores = fn(&Graph, &Var, &Var, &Var, &Rc<Vec<usize>>, &Rc<Vec<usize>>) -> Var;
+    let run = |scores: Scores| -> Vec<Vec<u32>> {
+        let g = Graph::new();
+        let v: Vec<Var> = inputs.iter().map(|t| g.leaf(t.clone())).collect();
+        let s = scores(&g, &v[0], &v[1], &v[2], &pv, &pe).leaky_relu(0.2);
+        let loss = s
+            .mul(&s)
+            .sum()
+            .add(&v[0].tanh().sum())
+            .add(&v[1].mul(&v[1]).sum());
+        loss.backward();
+        let bits = |t: Tensor| t.as_slice().iter().map(|f| f.to_bits()).collect();
+        let mut out = vec![bits(s.value())];
+        out.extend(
+            v.iter()
+                .map(|v| bits(v.grad().expect("every input reaches the loss"))),
+        );
+        out
+    };
+    let fused: Scores = |g, x, h, beta, pv, pe| g.pair_scores(x, h, beta, pv, pe);
+    for threads in [1, 4] {
+        // Threshold 0: every gated kernel of the composed path forks.
+        let (a, b) = ahntp_par::with_pool(threads, 0, || (run(fused), run(composed_pair_scores)));
+        for (what, (a, b)) in ["scores", "dx", "dh", "dbeta"].iter().zip(a.iter().zip(&b)) {
+            assert_eq!(
+                a, b,
+                "{what} differs from the composed ops at {threads} threads"
+            );
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "x and h must be matrices of one width")]
+fn pair_scores_rejects_mismatched_widths() {
+    let g = Graph::new();
+    let (pv, pe) = pair_lists();
+    let (x, h, beta) = (g.leaf(t(3, 4, 1)), g.leaf(t(2, 3, 2)), g.leaf(t(8, 1, 3)));
+    g.pair_scores(&x, &h, &beta, &pv, &pe);
+}
+
+#[test]
+#[should_panic(expected = "beta must hold 8 weights")]
+fn pair_scores_rejects_a_short_beta() {
+    let g = Graph::new();
+    let (pv, pe) = pair_lists();
+    let (x, h, beta) = (g.leaf(t(3, 4, 1)), g.leaf(t(2, 4, 2)), g.leaf(t(4, 1, 3)));
+    g.pair_scores(&x, &h, &beta, &pv, &pe);
+}
+
+#[test]
+#[should_panic(expected = "5 pair vertices for 4 pair edges")]
+fn pair_scores_rejects_unequal_index_lists() {
+    let g = Graph::new();
+    let (pv, _) = pair_lists();
+    let (x, h, beta) = (g.leaf(t(3, 4, 1)), g.leaf(t(2, 4, 2)), g.leaf(t(8, 1, 3)));
+    g.pair_scores(&x, &h, &beta, &pv, &Rc::new(vec![0, 1, 0, 1]));
+}
+
+#[test]
+#[should_panic(expected = "pair 2 = (2, 2) out of range (3 vertices, 2 edges)")]
+fn pair_scores_rejects_an_out_of_range_pair() {
+    let g = Graph::new();
+    let (pv, _) = pair_lists();
+    let (x, h, beta) = (g.leaf(t(3, 4, 1)), g.leaf(t(2, 4, 2)), g.leaf(t(8, 1, 3)));
+    g.pair_scores(&x, &h, &beta, &pv, &Rc::new(vec![1, 0, 2, 1, 0]));
+}
+
+#[test]
+#[should_panic(expected = "pair_scores: variables belong to different graphs")]
+fn pair_scores_rejects_a_foreign_operand() {
+    let (g, other) = (Graph::new(), Graph::new());
+    let (pv, pe) = pair_lists();
+    let (x, h, beta) = (
+        g.leaf(t(3, 4, 1)),
+        g.leaf(t(2, 4, 2)),
+        other.leaf(t(8, 1, 3)),
+    );
+    g.pair_scores(&x, &h, &beta, &pv, &pe);
 }
 
 #[test]

@@ -298,13 +298,18 @@ impl AdaptiveHypergraphConv {
         let w = s.var(&self.w_att);
         let h_proj = h_e.matmul(&s.var(&self.base.theta)).matmul(&w); // m × out
         let x_proj = x_next.matmul(&w); // n × out
-        // Eq. 14: per-incidence attention scores.
-        let xi = x_proj.gather_rows(&ops.pair_vertices); // nnz × out
-        let he = h_proj.gather_rows(&ops.pair_edges); // nnz × out
-        let cat = s.graph().concat_cols(&[&xi, &he]); // nnz × 2·out
-        let scores = cat
-            .matmul(&s.var(&self.beta))
-            .reshape(ahntp_tensor::Shape::Vector(ops.pairs.len()))
+
+        // Eq. 14: per-incidence attention scores, βᵀ[W x'_i ‖ W h̃_e] as
+        // one node — the nnz × 2·out concatenation is never built.
+        let scores = s
+            .graph()
+            .pair_scores(
+                &x_proj,
+                &h_proj,
+                &s.var(&self.beta),
+                &ops.pair_vertices,
+                &ops.pair_edges,
+            )
             .leaky_relu(ATTENTION_SLOPE);
         // Eq. 15: softmax per central vertex.
         (scores.segment_softmax(&ops.segments), h_proj, x_proj)
@@ -418,6 +423,34 @@ mod tests {
             assert!(
                 (sum - 1.0).abs() < 1e-5,
                 "vertex {v}: attention sums to {sum}"
+            );
+        }
+    }
+
+    #[test]
+    fn adaptive_conv_records_no_per_pair_matrix() {
+        // Eq. 14 composed from general ops gathers `nnz × out` rows twice
+        // and concatenates them; as one node it records the `[nnz]` scores
+        // alone. 6 vertices in 4 hyperedges of 4: nnz = 16 > n + m, so no
+        // per-vertex or per-edge tensor can be mistaken for a per-pair one.
+        let mut h = Hypergraph::new(6);
+        for e in [[0, 1, 2, 3], [2, 3, 4, 5], [0, 1, 4, 5], [0, 2, 3, 5]] {
+            h.add_edge(&e).expect("valid");
+        }
+        let conv = AdaptiveHypergraphConv::new("a", &h, 3, 2, 19);
+        let nnz = conv.incidence_pairs().len();
+        assert_eq!(nnz, 16);
+        let s = Session::new();
+        conv.forward(&s, &s.constant(xavier_uniform(6, 3, 4)));
+        let shapes = s.graph().shapes();
+        assert!(
+            shapes.contains(&Shape::Vector(nnz)),
+            "the scores themselves"
+        );
+        for shape in shapes {
+            assert!(
+                !(shape.rows() == nnz && shape.cols() > 1),
+                "a {shape} node: Eq. 14 was composed from per-pair gathers again"
             );
         }
     }

@@ -8,7 +8,9 @@ use crate::{Shape, TensorError};
 /// variants (`*_inplace`, [`Tensor::map_inplace`]) exist for the optimizer
 /// hot path. The backing storage is a plain `Vec<f32>` so cloning is an
 /// honest O(n) copy — the autograd tape above this crate is responsible for
-/// avoiding gratuitous clones.
+/// avoiding gratuitous clones, and does: its ops take `&Tensor` operands
+/// straight from the tape and its backward pass moves gradients, so the
+/// copies left in a training step are the ones a caller asks for.
 #[derive(Clone, PartialEq)]
 pub struct Tensor {
     pub(crate) data: Vec<f32>,
