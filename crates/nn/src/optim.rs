@@ -122,7 +122,7 @@ impl Adam {
             ));
         }
         for (i, p) in self.params.iter().enumerate() {
-            let shape = p.value().shape();
+            let shape = p.shape();
             if m[i].shape() != shape || v[i].shape() != shape {
                 return Err(format!(
                     "moment shape mismatch for {}: param is {shape}, moments are {} / {}",
@@ -149,11 +149,12 @@ impl Optimizer for Adam {
         for (i, p) in self.params.iter().enumerate() {
             let Some(mut g) = p.grad() else { continue };
             if c.weight_decay > 0.0 {
-                g.axpy_inplace(c.weight_decay, &p.value());
+                p.with_value(|w| g.axpy_inplace(c.weight_decay, w));
             }
             let m = &mut self.m[i];
             let v = &mut self.v[i];
-            let mut delta = p.value(); // reuse as scratch with correct shape
+            // Each gradient entry is read once, then overwritten with its
+            // update direction.
             for k in 0..g.len() {
                 let gk = g.as_slice()[k];
                 let mk = c.beta1 * m.as_slice()[k] + (1.0 - c.beta1) * gk;
@@ -162,9 +163,9 @@ impl Optimizer for Adam {
                 v.as_mut_slice()[k] = vk;
                 let m_hat = mk / bias1;
                 let v_hat = vk / bias2;
-                delta.as_mut_slice()[k] = m_hat / (v_hat.sqrt() + c.eps);
+                g.as_mut_slice()[k] = m_hat / (v_hat.sqrt() + c.eps);
             }
-            p.axpy(-c.lr, &delta);
+            p.axpy(-c.lr, &g);
         }
     }
 
@@ -208,7 +209,7 @@ impl Optimizer for Sgd {
         for (i, p) in self.params.iter().enumerate() {
             let Some(mut g) = p.grad() else { continue };
             if self.weight_decay > 0.0 {
-                g.axpy_inplace(self.weight_decay, &p.value());
+                p.with_value(|w| g.axpy_inplace(self.weight_decay, w));
             }
             let v = &mut self.velocity[i];
             for k in 0..g.len() {

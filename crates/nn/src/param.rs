@@ -1,7 +1,7 @@
 //! Parameters and the parameter-binding session.
 
 use ahntp_autograd::{Graph, Var};
-use ahntp_tensor::Tensor;
+use ahntp_tensor::{Shape, Tensor};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -48,6 +48,18 @@ impl Param {
     /// A copy of the current value.
     pub fn value(&self) -> Tensor {
         self.inner.borrow().value.clone()
+    }
+
+    /// The value's shape, without copying the value.
+    pub fn shape(&self) -> Shape {
+        self.inner.borrow().value.shape()
+    }
+
+    /// Runs `f` on the current value where it lies — what a caller that
+    /// only reads the value uses instead of [`Param::value`]'s copy. `f`
+    /// must not update this parameter.
+    pub fn with_value<R>(&self, f: impl FnOnce(&Tensor) -> R) -> R {
+        f(&self.inner.borrow().value)
     }
 
     /// Replaces the value (used by optimizers and tests).
@@ -133,12 +145,13 @@ impl Session {
         self.graph.constant(t)
     }
 
-    /// Copies each bound parameter's tape gradient into the parameter.
-    /// Call after `loss.backward()`. Parameters that did not influence the
-    /// loss keep `grad = None`.
+    /// Moves each bound parameter's tape gradient into the parameter.
+    /// Call once after `loss.backward()`: the tape's leaves are left
+    /// without gradients. Parameters that did not influence the loss keep
+    /// `grad = None`.
     pub fn harvest(&self) {
         for (p, v) in self.bound.borrow().iter() {
-            p.inner.borrow_mut().grad = v.grad();
+            p.inner.borrow_mut().grad = v.take_grad();
         }
     }
 
@@ -152,9 +165,11 @@ impl Session {
     /// from the tape gradient itself, not from an added zero — bitwise
     /// identical to the single-batch path). Parameters that did not
     /// influence this session's loss keep whatever they accumulated so far.
+    /// Like `harvest`, it moves the gradients off the tape: once per
+    /// backward pass.
     pub fn harvest_accumulate(&self) {
         for (p, v) in self.bound.borrow().iter() {
-            if let Some(new) = v.grad() {
+            if let Some(new) = v.take_grad() {
                 let mut d = p.inner.borrow_mut();
                 d.grad = Some(match d.grad.take() {
                     Some(mut acc) => {
