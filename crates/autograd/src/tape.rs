@@ -202,6 +202,7 @@ impl Graph {
     pub fn weighted_gather(&self, pairs: &IncidencePairs, n_out: usize, w: &Var, h: &Var) -> Var {
         w.assert_same_graph(self, "weighted_gather");
         h.assert_same_graph(self, "weighted_gather");
+        let _k = KernelSpan::enter("autograd.weighted_gather", KernelKind::Csr);
         let (out, rg) = {
             let nodes = self.nodes.borrow();
             let (wn, hn) = (&nodes[w.id], &nodes[h.id]);
@@ -576,6 +577,7 @@ fn backward_step(nodes: &mut [Node], i: usize, op: &Op, grad_out: Tensor) {
             accum(nodes, *a, da);
         }
         Op::PairwiseCosine(a, b) => {
+            let _k = KernelSpan::enter("autograd.pairwise_cosine.adjoint", KernelKind::Reduction);
             let (av, bv, y) = (&nodes[*a].value, &nodes[*b].value, &nodes[i].value);
             let mut da = zeros_like(av);
             let mut db = zeros_like(bv);
@@ -601,6 +603,7 @@ fn backward_step(nodes: &mut [Node], i: usize, op: &Op, grad_out: Tensor) {
             accum(nodes, *b, db);
         }
         Op::SegmentSoftmax(a, segments) => {
+            let _k = KernelSpan::enter("autograd.segment_softmax.adjoint", KernelKind::Reduction);
             let (y, g) = (nodes[i].value.as_slice(), grad_out.as_slice());
             let n_seg = segments.iter().copied().max().map_or(0, |m| m + 1);
             // dot_s = Σ_{j∈s} y_j g_j, then da_i = y_i (g_i − dot_{seg(i)})
@@ -626,6 +629,7 @@ fn backward_step(nodes: &mut [Node], i: usize, op: &Op, grad_out: Tensor) {
             accum(nodes, *a, grad_out.reshape(parent_shape));
         }
         Op::WeightedGather { weights, h, pairs } => {
+            let _k = KernelSpan::enter("autograd.weighted_gather.adjoint", KernelKind::Csr);
             let (wv, hv) = (&nodes[*weights].value, &nodes[*h].value);
             let mut dw = zeros_like(wv);
             let mut dh = zeros_like(hv);
@@ -752,6 +756,7 @@ fn pair_scores_forward(
     pair_vertices: &[usize],
     pair_edges: &[usize],
 ) -> Tensor {
+    let _k = KernelSpan::enter("autograd.pair_scores", KernelKind::Csr);
     let d = x.cols();
     assert!(
         !x.shape().is_vector() && !h.shape().is_vector() && h.cols() == d,
@@ -802,6 +807,7 @@ fn pair_scores_backward(
     pair_edges: &[usize],
     grad_out: &Tensor,
 ) -> (Tensor, Tensor, Tensor) {
+    let _k = KernelSpan::enter("autograd.pair_scores.adjoint", KernelKind::Csr);
     let d = x.cols();
     let (mut dx, mut dh, mut dbeta) = (zeros_like(x), zeros_like(h), zeros_like(beta));
     let (beta_x, beta_h) = beta.as_slice().split_at(d);
@@ -888,6 +894,45 @@ mod tests {
             assert_eq!(counter_get("tensor.matmul_t.calls"), 0);
             assert!(features.grad().is_none());
             assert_eq!(w.grad().expect("grad").as_slice(), &[3.0; 8]);
+        });
+    }
+
+    #[test]
+    fn sparse_kernels_are_profiled_as_kernels_not_as_tape_bookkeeping() {
+        use ahntp_telemetry::json::Json;
+        ahntp_par::Context::fresh().run(|| {
+            ahntp_telemetry::set_trace_collect(true);
+            let g = Graph::new();
+            let x = g.leaf(Tensor::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]));
+            let h = g.leaf(Tensor::from_rows(&[&[0.5, -1.0], &[2.0, 0.25]]));
+            let beta = g.leaf(Tensor::vector(vec![0.1, 0.2, 0.3, 0.4]));
+            let pairs: IncidencePairs = Rc::new(vec![(0, 0), (0, 1), (1, 1)]);
+            let (pv, pe) = (Rc::new(vec![0, 0, 1]), Rc::new(vec![0, 1, 1]));
+            let att = g.pair_scores(&x, &h, &beta, &pv, &pe).segment_softmax(&pv);
+            let y = g.weighted_gather(&pairs, 2, &att, &h);
+            y.pairwise_cosine(&x).sum().backward();
+            let trace = ahntp_telemetry::chrome_trace_json();
+            let Some(Json::Arr(events)) = trace.get("traceEvents") else {
+                panic!("a Chrome trace document has a traceEvents array");
+            };
+            let field = |e: &Json, k: &str| e.get(k).and_then(Json::as_str).map(str::to_owned);
+            let spans: Vec<(String, String)> = events
+                .iter()
+                .filter_map(|e| Some((field(e, "name")?, field(e, "cat")?)))
+                .filter(|(name, _)| name.starts_with("autograd."))
+                .collect();
+            let expected = [
+                ("autograd.pair_scores", "csr"),
+                ("autograd.segment_softmax", "reduction"),
+                ("autograd.weighted_gather", "csr"),
+                ("autograd.pairwise_cosine", "reduction"),
+                ("autograd.pairwise_cosine.adjoint", "reduction"),
+                ("autograd.weighted_gather.adjoint", "csr"),
+                ("autograd.segment_softmax.adjoint", "reduction"),
+                ("autograd.pair_scores.adjoint", "csr"),
+            ]
+            .map(|(name, cat)| (name.to_owned(), cat.to_owned()));
+            assert_eq!(spans, expected);
         });
     }
 

@@ -1,6 +1,7 @@
 //! Forward-pass constructors: every differentiable operation on [`Var`].
 
 use crate::tape::{Op, Var};
+use ahntp_telemetry::{KernelKind, KernelSpan};
 use ahntp_tensor::{Shape, Tensor};
 use std::rc::Rc;
 
@@ -179,6 +180,7 @@ impl Var {
             "pairwise_cosine",
             Op::PairwiseCosine(self.id, other.id),
             |a, b| {
+                let _k = KernelSpan::enter("autograd.pairwise_cosine", KernelKind::Reduction);
                 assert_eq!(
                     a.shape(),
                     b.shape(),
@@ -196,6 +198,7 @@ impl Var {
     /// `segments[k]` is the segment id of element `k`.
     pub fn segment_softmax(&self, segments: &Rc<Vec<usize>>) -> Var {
         self.unary(Op::SegmentSoftmax(self.id, Rc::clone(segments)), |v| {
+            let _k = KernelSpan::enter("autograd.segment_softmax", KernelKind::Reduction);
             assert!(
                 v.shape().is_vector() && v.len() == segments.len(),
                 "segment_softmax: need a [{}] vector, got {}",

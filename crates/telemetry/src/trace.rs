@@ -96,11 +96,13 @@ pub fn trace_now_us() -> u64 {
 pub enum KernelKind {
     /// Dense products: `matmul`, `t_matmul`, `matmul_t`.
     Matmul = 0,
-    /// CSR sparse kernels: `spmm`, `mul_dense`, `mul_vec`, …
+    /// CSR sparse kernels: `spmm`, `mul_dense`, `mul_vec`, … and the
+    /// tape's incidence-indexed nodes (`pair_scores`, `weighted_gather`).
     Csr = 1,
     /// Element-wise maps, zips, axpy, broadcasts.
     Elementwise = 2,
-    /// Reductions, norms, softmax, row normalization.
+    /// Reductions, norms, softmax (per row or per segment), row
+    /// normalization, row-paired cosine.
     Reduction = 3,
     /// Hypergraph aggregation-operator / Laplacian cache builds.
     CacheBuild = 4,
