@@ -766,9 +766,7 @@ fn pair_scores_forward(
     );
     assert!(
         beta.len() == 2 * d && (beta.shape().is_vector() || beta.cols() == 1),
-        "pair_scores: beta must hold {} weights ([{}] or {}x1), got {}",
-        2 * d,
-        2 * d,
+        "pair_scores: beta must hold {} weights as a vector or a column, got {}",
         2 * d,
         beta.shape()
     );
