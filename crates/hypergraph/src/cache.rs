@@ -2,29 +2,31 @@
 //!
 //! Building the operator set of [`AggregationOps`] (and the Laplacian) is
 //! the expensive structural part of a training step. The cache owns the
-//! hypergraph, extracts the full operators once, keeps the most recent
-//! hyperedge slice alive across the micro-batches of an epoch, and —
-//! since the streaming tier — *delta-maintains* the full operators under
-//! hyperedge mutation: [`AggregationCache::apply_add`] /
-//! [`AggregationCache::apply_remove`] / [`AggregationCache::apply_reweight`]
-//! / [`AggregationCache::apply_decay`] patch exactly the incidence-operator
-//! rows, degree entries, and Laplacian rows the mutated edge's members
-//! touch, instead of wholesale invalidation. Patched state is bitwise
-//! identical to a fresh rebuild: row patches replay the original
-//! constructors' per-row arithmetic (same expressions, same accumulation
-//! order), which the mutation proptests and the stream exactness harness
-//! enforce at every step.
+//! hypergraph, extracts the full operators once and keeps the most recent
+//! hyperedge slice alive across the micro-batches of an epoch.
+//!
+//! One rule covers mutation: CSR is not an updatable format, so a live
+//! mutation ([`AggregationCache::apply_add`] / [`AggregationCache::apply_remove`]
+//! / [`AggregationCache::apply_reweight`] / [`AggregationCache::apply_decay`])
+//! updates only the two lists whose update really is `O(|e|)` — the
+//! [`Hypergraph`]'s member lists and weights, and the per-vertex incident
+//! edge lists — and drops every derived matrix it invalidates. Those are
+//! rebuilt on next use through the same constructors a from-scratch
+//! extraction runs, so "bitwise equal to a rebuild" holds by construction.
+//! The streaming path never asks for them: it walks the two lists
+//! ([`AggregationCache::closure`], [`AggregationCache::incident_edges`]) and
+//! cuts its cones from the member lists ([`AggregationCache::cone_ops`]).
 
 use crate::{AggregationOps, Hypergraph, HypergraphError, RemovedEdge};
 use ahntp_tensor::CsrMatrix;
-use std::cell::RefCell;
-use std::collections::BTreeSet;
+use std::cell::{OnceCell, RefCell};
 use std::rc::Rc;
 
-/// Owns a [`Hypergraph`] plus lazily built, structure-versioned caches of
-/// its aggregation operators:
+/// Owns a [`Hypergraph`] plus what is derived from it:
 ///
-/// * the full operator set and Laplacian, built once and shared;
+/// * the per-vertex incident-edge lists, built on first use and kept in
+///   step with every mutation;
+/// * the full operator set and Laplacian, built on first use and shared;
 /// * the operator set / Laplacian of the most recent hyperedge slice,
 ///   reused while consecutive requests ask for the same edge ids (the
 ///   common case: one slice per epoch, many micro-batches).
@@ -33,23 +35,20 @@ use std::rc::Rc;
 /// sliced construction is bitwise identical there (see
 /// [`AggregationOps::sliced_from`]), so sharing is safe and free.
 ///
-/// Structural mutation goes through [`AggregationCache::add_edge`] /
-/// [`AggregationCache::add_weighted_edge`], which clear every cached
-/// operator. Telemetry: `hypergraph.cache.hits` / `.misses` counters and a
-/// `hypergraph.cache.resident_rows` gauge per slice build.
+/// A structural mutation drops every cached matrix; a weight-only one
+/// drops the two Laplacians (the operators aggregate by *count*, Eqs.
+/// 10/12, and stay shared). Telemetry: `hypergraph.cache.hits` / `.misses`
+/// counters, a `hypergraph.cache.resident_rows` gauge per operator build,
+/// and one `hypergraph.cache.delta_*` counter per applied mutation kind.
 pub struct AggregationCache {
     h: Hypergraph,
+    /// Per-vertex incident hyperedge ids, ascending.
+    adj: OnceCell<Vec<Vec<usize>>>,
     full_inputs: Cached<(CsrMatrix<f32>, CsrMatrix<f32>)>,
     full: Cached<AggregationOps>,
     full_lap: Cached<CsrMatrix<f32>>,
     slice: SliceCached<AggregationOps>,
     slice_lap: SliceCached<CsrMatrix<f32>>,
-    /// Per-vertex incident hyperedge ids, ascending — the adjacency index
-    /// the delta paths patch rows from (and closures/cones walk).
-    adj: Cached<Vec<Vec<usize>>>,
-    /// Maintained weighted vertex degrees (`D_vv` diagonal), bitwise equal
-    /// to `Hypergraph::vertex_degrees` at all times.
-    dv: Cached<Vec<f32>>,
 }
 
 /// A lazily-built shared value, absent until first use.
@@ -62,13 +61,12 @@ impl AggregationCache {
     pub fn new(h: Hypergraph) -> AggregationCache {
         AggregationCache {
             h,
+            adj: OnceCell::new(),
             full_inputs: RefCell::new(None),
             full: RefCell::new(None),
             full_lap: RefCell::new(None),
             slice: RefCell::new(None),
             slice_lap: RefCell::new(None),
-            adj: RefCell::new(None),
-            dv: RefCell::new(None),
         }
     }
 
@@ -87,47 +85,9 @@ impl AggregationCache {
         self.h.n_vertices()
     }
 
-    /// Adds a unit-weight hyperedge, delta-patching the cached operators.
-    ///
-    /// # Errors
-    ///
-    /// As [`Hypergraph::add_edge`].
-    pub fn add_edge(&mut self, members: &[usize]) -> Result<usize, HypergraphError> {
-        self.apply_add(members, 1.0)
-    }
+    // --- mutation ------------------------------------------------------------
 
-    /// Adds a weighted hyperedge, delta-patching the cached operators.
-    ///
-    /// # Errors
-    ///
-    /// As [`Hypergraph::add_weighted_edge`].
-    pub fn add_weighted_edge(
-        &mut self,
-        members: &[usize],
-        weight: f32,
-    ) -> Result<usize, HypergraphError> {
-        self.apply_add(members, weight)
-    }
-
-    /// Drops every cached operator and maintained index.
-    pub fn invalidate(&mut self) {
-        self.full_inputs.borrow_mut().take();
-        self.full.borrow_mut().take();
-        self.full_lap.borrow_mut().take();
-        self.slice.borrow_mut().take();
-        self.slice_lap.borrow_mut().take();
-        self.adj.borrow_mut().take();
-        self.dv.borrow_mut().take();
-    }
-
-    // --- delta maintenance -------------------------------------------------
-
-    /// Adds a hyperedge and patches (rather than rebuilds) every cached
-    /// structure: the new `v2e` row is appended, the members' incidence and
-    /// `e2v` rows are respliced, their degree entries re-summed, and the
-    /// Laplacian rows of the members and their hyperedge neighbours
-    /// recomputed with the original constructors' row arithmetic. Returns
-    /// the new hyperedge id.
+    /// Adds a hyperedge and returns its id.
     ///
     /// # Errors
     ///
@@ -137,75 +97,28 @@ impl AggregationCache {
         members: &[usize],
         weight: f32,
     ) -> Result<usize, HypergraphError> {
-        self.ensure_adj();
         let e = self.h.add_weighted_edge(members, weight)?;
         ahntp_telemetry::counter_add("hypergraph.cache.delta_add", 1);
-        let members: Vec<usize> = self.h.edge(e).to_vec(); // canonical: sorted, unique
-        let m = self.h.n_edges();
-        // Adjacency: the new id is the maximum, so appending keeps order.
-        {
-            let adj = self.adj_mut();
-            for &v in &members {
+        if let Some(adj) = self.adj.get_mut() {
+            // The new id is the maximum, so appending keeps lists ascending.
+            for &v in self.h.edge(e) {
                 adj[v].push(e);
             }
         }
-        self.repatch_degrees(&members);
-        // (incidence, v2e) slice inputs.
-        let rows = self.incidence_rows(&members);
-        if let Some(rc) = self.full_inputs.get_mut().as_mut() {
-            let (inc, v2e) = Rc::make_mut(rc);
-            inc.set_cols(m);
-            for (v, row) in &rows {
-                inc.set_row(*v, row);
-            }
-            let inv = 1.0 / members.len() as f32;
-            let new_row: Vec<(usize, f32)> = members.iter().map(|&v| (v, inv)).collect();
-            v2e.push_row(&new_row);
-        }
-        // Full operator set.
-        if self.full.get_mut().is_some() {
-            let mut v2e = (*self.full_ops_ref().v2e).clone();
-            let mut e2v = (*self.full_ops_ref().e2v).clone();
-            let inv = 1.0 / members.len() as f32;
-            let new_row: Vec<(usize, f32)> = members.iter().map(|&v| (v, inv)).collect();
-            v2e.push_row(&new_row);
-            e2v.set_cols(m);
-            for (v, row) in self.e2v_rows(&members) {
-                e2v.set_row(v, &row);
-            }
-            self.replace_full_ops(v2e, e2v);
-        }
-        // Laplacian rows of members and their hyperedge neighbours.
-        let dirty = self.neighbourhood(&members);
-        self.repatch_laplacian_rows(&dirty);
-        self.slice.get_mut().take();
-        self.slice_lap.get_mut().take();
+        self.drop_operators();
         Ok(e)
     }
 
     /// Removes hyperedge `e` (swap-remove id semantics, see
-    /// [`Hypergraph::remove_edge`]) and patches the cached structures: the
-    /// `v2e` row is swap-removed, the rows of the removed *and* moved
-    /// edges' members are respliced from the adjacency index, and the
-    /// affected Laplacian rows recomputed.
+    /// [`Hypergraph::remove_edge`]).
     ///
     /// # Errors
     ///
     /// As [`Hypergraph::remove_edge`]; on error nothing changes.
     pub fn apply_remove(&mut self, e: usize) -> Result<RemovedEdge, HypergraphError> {
-        self.ensure_adj();
         let removed = self.h.remove_edge(e)?;
         ahntp_telemetry::counter_add("hypergraph.cache.delta_remove", 1);
-        let m = self.h.n_edges();
-        let last = m; // the moved edge's old id
-        // Union of vertices whose incidence rows change.
-        let mut affected: BTreeSet<usize> = removed.members.iter().copied().collect();
-        if let Some(moved) = &removed.moved {
-            affected.extend(moved.members.iter().copied());
-        }
-        let affected: Vec<usize> = affected.into_iter().collect();
-        {
-            let adj = self.adj_mut();
+        if let Some(adj) = self.adj.get_mut() {
             for &v in &removed.members {
                 if let Ok(pos) = adj[v].binary_search(&e) {
                     adj[v].remove(pos);
@@ -214,107 +127,70 @@ impl AggregationCache {
             if let Some(moved) = &removed.moved {
                 for &v in &moved.members {
                     // The old id was the maximum, so it sits at the tail.
-                    debug_assert_eq!(adj[v].last(), Some(&last));
+                    debug_assert_eq!(adj[v].last(), Some(&moved.old_id));
                     adj[v].pop();
                     let pos = adj[v].partition_point(|&x| x < e);
                     adj[v].insert(pos, e);
                 }
             }
         }
-        self.repatch_degrees(&affected);
-        let rows = self.incidence_rows(&affected);
-        if let Some(rc) = self.full_inputs.get_mut().as_mut() {
-            let (inc, v2e) = Rc::make_mut(rc);
-            for (v, row) in &rows {
-                inc.set_row(*v, row);
-            }
-            inc.set_cols(m);
-            v2e.swap_remove_row(e);
-        }
-        if self.full.get_mut().is_some() {
-            let mut v2e = (*self.full_ops_ref().v2e).clone();
-            let mut e2v = (*self.full_ops_ref().e2v).clone();
-            v2e.swap_remove_row(e);
-            for (v, row) in self.e2v_rows(&affected) {
-                e2v.set_row(v, &row);
-            }
-            e2v.set_cols(m);
-            self.replace_full_ops(v2e, e2v);
-        }
-        let dirty = self.neighbourhood(&affected);
-        self.repatch_laplacian_rows(&dirty);
-        self.slice.get_mut().take();
-        self.slice_lap.get_mut().take();
+        self.drop_operators();
         Ok(removed)
     }
 
     /// Reweights hyperedge `e`, returning the old weight. The aggregation
     /// operators are weight-independent (Eqs. 10/12 aggregate by *count*),
-    /// so only the maintained degrees and the Laplacian rows touched by the
-    /// edge's members change.
+    /// so only the Laplacians are dropped.
     ///
     /// # Errors
     ///
     /// As [`Hypergraph::reweight_edge`]; on error nothing changes.
     pub fn apply_reweight(&mut self, e: usize, weight: f32) -> Result<f32, HypergraphError> {
-        self.ensure_adj();
         let old = self.h.reweight_edge(e, weight)?;
         ahntp_telemetry::counter_add("hypergraph.cache.delta_reweight", 1);
-        let members: Vec<usize> = self.h.edge(e).to_vec();
-        self.repatch_degrees(&members);
-        let dirty = self.neighbourhood(&members);
-        self.repatch_laplacian_rows(&dirty);
-        // Structure is unchanged: the operator caches (full and sliced)
-        // stay valid; only the Laplacian slice is weight-dependent.
-        self.slice_lap.get_mut().take();
+        self.drop_laplacians();
         Ok(old)
     }
 
     /// Scales every hyperedge weight by `factor` — the batched time-decay
-    /// reweight. Degrees and the full Laplacian are recomputed wholesale
-    /// (every row is touched anyway); the aggregation operators stay
-    /// untouched because they are weight-independent.
+    /// reweight. Weight-only, as [`AggregationCache::apply_reweight`].
     ///
     /// # Errors
     ///
     /// As [`Hypergraph::scale_weights`]; on error nothing changes.
     pub fn apply_decay(&mut self, factor: f32) -> Result<(), HypergraphError> {
-        self.ensure_adj();
         self.h.scale_weights(factor)?;
         ahntp_telemetry::counter_add("hypergraph.cache.delta_decay", 1);
-        if self.dv.get_mut().is_some() {
-            let fresh = self.h.vertex_degrees();
-            *Rc::make_mut(self.dv.get_mut().as_mut().expect("checked above")) = fresh;
-        }
-        if self.full_lap.get_mut().is_some() {
-            *self.full_lap.get_mut() = Some(Rc::new(self.h.laplacian()));
-        }
-        self.slice_lap.get_mut().take();
+        self.drop_laplacians();
         Ok(())
     }
 
-    // --- maintained indexes and cone extraction ----------------------------
-
-    /// The per-vertex incident-hyperedge index (ascending ids per vertex),
-    /// built on first use and delta-maintained thereafter.
-    pub fn adjacency(&self) -> Rc<Vec<Vec<usize>>> {
-        if let Some(adj) = self.adj.borrow().as_ref() {
-            return Rc::clone(adj);
-        }
-        let adj = Rc::new(Self::build_adj(&self.h));
-        *self.adj.borrow_mut() = Some(Rc::clone(&adj));
-        adj
+    fn drop_laplacians(&mut self) {
+        self.full_lap.get_mut().take();
+        self.slice_lap.get_mut().take();
     }
 
-    /// The maintained weighted vertex-degree vector, bitwise equal to
-    /// [`Hypergraph::vertex_degrees`] at all times.
-    pub fn degree_vector(&self) -> Rc<Vec<f32>> {
-        if let Some(dv) = self.dv.borrow().as_ref() {
-            return Rc::clone(dv);
-        }
-        let dv = Rc::new(self.h.vertex_degrees());
-        *self.dv.borrow_mut() = Some(Rc::clone(&dv));
-        dv
+    fn drop_operators(&mut self) {
+        self.full_inputs.get_mut().take();
+        self.full.get_mut().take();
+        self.slice.get_mut().take();
+        self.drop_laplacians();
+    }
+
+    // --- the live lists and cone extraction ----------------------------------
+
+    /// The per-vertex incident-hyperedge lists (ascending ids per vertex),
+    /// built on first use and kept in step with every mutation.
+    pub fn adjacency(&self) -> &[Vec<usize>] {
+        self.adj.get_or_init(|| {
+            let mut adj: Vec<Vec<usize>> = vec![Vec::new(); self.h.n_vertices()];
+            for (e, members) in self.h.edges().iter().enumerate() {
+                for &v in members {
+                    adj[v].push(e);
+                }
+            }
+            adj
+        })
     }
 
     /// Vertices within `hops` hyperedge expansions of `seed` (including the
@@ -370,179 +246,11 @@ impl AggregationCache {
     }
 
     /// The cone operator set over the given (sorted) hyperedge and vertex
-    /// subsets, cut from the cached slice inputs. Not cached — streaming
-    /// cones change every refresh.
+    /// subsets, cut from the selected edges' member lists alone (see
+    /// [`AggregationOps::cone`]). Not cached — streaming cones change every
+    /// refresh.
     pub fn cone_ops(&self, edge_ids: &[usize], vertex_ids: &[usize]) -> AggregationOps {
-        let inputs = self.full_slice_inputs();
-        AggregationOps::cone_from(&inputs.0, &inputs.1, edge_ids, vertex_ids)
-    }
-
-    // --- private delta helpers ---------------------------------------------
-
-    fn build_adj(h: &Hypergraph) -> Vec<Vec<usize>> {
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); h.n_vertices()];
-        for (e, members) in h.edges().iter().enumerate() {
-            for &v in members {
-                adj[v].push(e);
-            }
-        }
-        adj
-    }
-
-    /// Builds adjacency + degrees if absent (delta methods patch them, so
-    /// they must exist before the mutation).
-    fn ensure_adj(&mut self) {
-        if self.adj.get_mut().is_none() {
-            *self.adj.get_mut() = Some(Rc::new(Self::build_adj(&self.h)));
-        }
-        if self.dv.get_mut().is_none() {
-            *self.dv.get_mut() = Some(Rc::new(self.h.vertex_degrees()));
-        }
-    }
-
-    fn adj_mut(&mut self) -> &mut Vec<Vec<usize>> {
-        Rc::make_mut(self.adj.get_mut().as_mut().expect("ensure_adj ran"))
-    }
-
-    /// Re-sums the weighted degree of each listed vertex over its incident
-    /// edges in ascending id order — the same per-vertex accumulation order
-    /// as `Hypergraph::vertex_degrees`, hence bitwise identical.
-    fn repatch_degrees(&mut self, vertices: &[usize]) {
-        let adj = Rc::clone(self.adj.get_mut().as_ref().expect("ensure_adj ran"));
-        let weights = self.h.weights().to_vec();
-        let dv = Rc::make_mut(self.dv.get_mut().as_mut().expect("ensure_adj ran"));
-        for &v in vertices {
-            let mut d = 0.0f32;
-            for &e in &adj[v] {
-                d += weights[e];
-            }
-            dv[v] = d;
-        }
-    }
-
-    /// Fresh incidence rows (`(col, 1.0)` per incident edge) for the listed
-    /// vertices, from the maintained adjacency.
-    fn incidence_rows(&self, vertices: &[usize]) -> Vec<(usize, Vec<(usize, f32)>)> {
-        let adj = self.adjacency();
-        vertices
-            .iter()
-            .map(|&v| (v, adj[v].iter().map(|&e| (e, 1.0f32)).collect()))
-            .collect()
-    }
-
-    /// Fresh `e2v` rows (`(col, 1/|N_v|)`) for the listed vertices — the
-    /// same `1.0 / count as f32` expression as
-    /// `Hypergraph::edge_to_vertex_mean`.
-    fn e2v_rows(&self, vertices: &[usize]) -> Vec<(usize, Vec<(usize, f32)>)> {
-        let adj = self.adjacency();
-        vertices
-            .iter()
-            .map(|&v| {
-                let inv = 1.0 / adj[v].len() as f32;
-                (v, adj[v].iter().map(|&e| (e, inv)).collect())
-            })
-            .collect()
-    }
-
-    /// Replaces the cached full operator set with one rebuilt from patched
-    /// matrices plus attention vectors regenerated from the adjacency (a
-    /// row-major pass — the same (vertex, edge) order as
-    /// `Hypergraph::incidence_pairs`).
-    fn replace_full_ops(&mut self, v2e: CsrMatrix<f32>, e2v: CsrMatrix<f32>) {
-        let adj = Rc::clone(self.adj.get_mut().as_ref().expect("ensure_adj ran"));
-        let mut pairs = Vec::new();
-        for (v, edges) in adj.iter().enumerate() {
-            for &e in edges {
-                pairs.push((v, e));
-            }
-        }
-        let segments: Vec<usize> = pairs.iter().map(|&(v, _)| v).collect();
-        let pair_vertices = segments.clone();
-        let pair_edges: Vec<usize> = pairs.iter().map(|&(_, e)| e).collect();
-        *self.full.get_mut() = Some(Rc::new(AggregationOps {
-            v2e: Rc::new(v2e),
-            e2v: Rc::new(e2v),
-            pairs: Rc::new(pairs),
-            segments: Rc::new(segments),
-            pair_vertices: Rc::new(pair_vertices),
-            pair_edges: Rc::new(pair_edges),
-            edge_ids: None,
-            n_vertices: self.h.n_vertices(),
-        }));
-    }
-
-    fn full_ops_ref(&mut self) -> Rc<AggregationOps> {
-        Rc::clone(self.full.get_mut().as_ref().expect("caller checked"))
-    }
-
-    /// Vertices whose Laplacian rows a mutation of edges touching `seed`
-    /// can change: the seed plus every vertex sharing a hyperedge with it.
-    fn neighbourhood(&self, seed: &[usize]) -> Vec<usize> {
-        let adj = self.adjacency();
-        let mut set: BTreeSet<usize> = seed.iter().copied().collect();
-        for &v in seed {
-            for &e in &adj[v] {
-                set.extend(self.h.edge(e).iter().copied());
-            }
-        }
-        set.into_iter().collect()
-    }
-
-    /// Recomputes the listed Laplacian rows in place, replaying
-    /// `Hypergraph::laplacian`'s per-row arithmetic exactly: the Gustavson
-    /// accumulation over `(incident edge ascending) × (member ascending)`
-    /// with the same `dv^{-1/2} · sqrt(w_e/|N_e|)` factor pair, then the
-    /// `I - Θ` merge with explicit zeros pruned.
-    fn repatch_laplacian_rows(&mut self, rows: &[usize]) {
-        if self.full_lap.get_mut().is_none() {
-            return;
-        }
-        let adj = Rc::clone(self.adj.get_mut().as_ref().expect("ensure_adj ran"));
-        let dv = Rc::clone(self.dv.get_mut().as_ref().expect("ensure_adj ran"));
-        let n = self.h.n_vertices();
-        let inv_sqrt = |d: f32| if d > 0.0 { 1.0 / d.sqrt() } else { 0.0 };
-        let mut acc = vec![0.0f32; n];
-        let mut seen = vec![false; n];
-        let mut touched: Vec<usize> = Vec::new();
-        let lap = Rc::make_mut(self.full_lap.get_mut().as_mut().expect("checked above"));
-        for &v in rows {
-            let div_v = inv_sqrt(dv[v]);
-            for &e in &adj[v] {
-                let members = self.h.edge(e);
-                let scale = self.h.weights()[e] / members.len() as f32;
-                let s = scale.sqrt();
-                let a_ve = div_v * s;
-                for &u in members {
-                    if !seen[u] {
-                        seen[u] = true;
-                        touched.push(u);
-                    }
-                    acc[u] += a_ve * (inv_sqrt(dv[u]) * s);
-                }
-            }
-            touched.sort_unstable();
-            let mut row: Vec<(usize, f32)> = Vec::with_capacity(touched.len() + 1);
-            let mut saw_diag = false;
-            for &u in &touched {
-                let val = if u == v {
-                    saw_diag = true;
-                    1.0 - acc[u]
-                } else {
-                    0.0 - acc[u]
-                };
-                if val != 0.0 {
-                    row.push((u, val));
-                }
-                acc[u] = 0.0;
-                seen[u] = false;
-            }
-            touched.clear();
-            if !saw_diag {
-                let pos = row.partition_point(|&(c, _)| c < v);
-                row.insert(pos, (v, 1.0));
-            }
-            lap.set_row(v, &row);
-        }
+        AggregationOps::cone(&self.h, edge_ids, vertex_ids)
     }
 
     /// The full-hypergraph operator set, extracted once.
@@ -723,7 +431,7 @@ mod tests {
         let mut cache = AggregationCache::new(sample());
         let before = cache.full_ops();
         let slice_before = cache.slice_ops(&[0, 1]);
-        cache.add_edge(&[1, 3]).expect("valid");
+        cache.apply_add(&[1, 3], 1.0).expect("valid");
         assert_eq!(cache.n_edges(), 4);
         let after = cache.full_ops();
         assert!(!Rc::ptr_eq(&before, &after), "full set rebuilt");
@@ -744,9 +452,29 @@ mod tests {
         assert!(Rc::ptr_eq(&lap, &cache.slice_laplacian(&[0, 2])));
     }
 
-    /// Asserts every cached structure equals a from-scratch rebuild bitwise.
+    /// The closed `hops`-hop cone around `seed`, as `Ahntp::cone_rows` cuts it.
+    fn closed_cone(cache: &AggregationCache, seed: &[usize], hops: usize) -> AggregationOps {
+        let edge_ids = cache.incident_edges(&cache.closure(seed, hops - 1));
+        cache.cone_ops(&edge_ids, &cache.closure(seed, hops))
+    }
+
+    /// Asserts the maintained lists, the cones cut from them and every
+    /// (re)built matrix equal a from-scratch rebuild bitwise.
     fn assert_matches_rebuild(cache: &AggregationCache) {
         let h = cache.hypergraph();
+        let rebuilt = AggregationCache::new(h.clone());
+        assert_eq!(cache.adjacency(), rebuilt.adjacency(), "adjacency drifted");
+        for hops in [1, 2] {
+            let live = closed_cone(cache, &[0], hops);
+            let fresh = closed_cone(&rebuilt, &[0], hops);
+            assert_eq!(*live.v2e, *fresh.v2e, "cone v2e drifted");
+            assert_eq!(*live.e2v, *fresh.e2v, "cone e2v drifted");
+            assert_eq!(*live.pairs, *fresh.pairs);
+            assert_eq!(*live.segments, *fresh.segments);
+            assert_eq!(*live.pair_vertices, *fresh.pair_vertices);
+            assert_eq!(*live.pair_edges, *fresh.pair_edges);
+            assert_eq!(live.edge_ids, fresh.edge_ids);
+        }
         let fresh = AggregationOps::full(h);
         let cached = cache.full_ops();
         assert_eq!(*cached.v2e, *fresh.v2e, "v2e drifted");
@@ -756,23 +484,24 @@ mod tests {
         assert_eq!(*cached.pair_vertices, *fresh.pair_vertices);
         assert_eq!(*cached.pair_edges, *fresh.pair_edges);
         assert_eq!(*cache.full_laplacian(), h.laplacian(), "Laplacian drifted");
-        assert_eq!(*cache.degree_vector(), h.vertex_degrees(), "degrees drifted");
         let inputs = cache.full_slice_inputs();
         assert_eq!(inputs.0, h.incidence(), "incidence input drifted");
         assert_eq!(inputs.1, h.vertex_to_edge_mean(), "v2e input drifted");
     }
 
-    /// Forces every cache entry to exist so the delta paths must patch
-    /// (not lazily rebuild) them.
+    /// Forces every cache entry to exist, so a mutation has the lists to
+    /// update and every matrix to drop.
     fn warm(cache: &AggregationCache) {
+        cache.adjacency();
         cache.full_ops();
         cache.full_laplacian();
         cache.full_slice_inputs();
-        cache.degree_vector();
+        cache.slice_ops(&[0, 1]);
+        cache.slice_laplacian(&[0, 1]);
     }
 
     #[test]
-    fn delta_add_matches_rebuild() {
+    fn add_on_warm_cache_matches_rebuild() {
         let mut cache = AggregationCache::new(sample());
         warm(&cache);
         cache.apply_add(&[1, 3], 2.5).expect("valid");
@@ -782,7 +511,7 @@ mod tests {
     }
 
     #[test]
-    fn delta_remove_matches_rebuild_including_swap() {
+    fn remove_on_warm_cache_matches_rebuild_including_swap() {
         let mut cache = AggregationCache::new(sample());
         warm(&cache);
         // Removing edge 0 swap-moves edge 2 into its slot.
@@ -801,28 +530,60 @@ mod tests {
     }
 
     #[test]
-    fn delta_reweight_and_decay_match_rebuild() {
+    fn reweight_and_decay_keep_operators_and_drop_laplacians() {
         let mut cache = AggregationCache::new(sample());
         warm(&cache);
         let ops_before = cache.full_ops();
+        let slice_before = cache.slice_ops(&[0, 1]);
         let old = cache.apply_reweight(1, 4.0).expect("valid");
         assert_eq!(old, 1.0);
         // Aggregation operators are weight-independent: not even rebuilt.
         assert!(Rc::ptr_eq(&ops_before, &cache.full_ops()));
+        assert!(Rc::ptr_eq(&slice_before, &cache.slice_ops(&[0, 1])));
+        assert_eq!(
+            *cache.slice_laplacian(&[0, 1]),
+            cache.hypergraph().laplacian_for_edges(&[0, 1])
+        );
         assert_matches_rebuild(&cache);
         cache.apply_decay(0.5).expect("valid");
         assert_eq!(cache.hypergraph().weights()[1], 2.0);
+        assert!(Rc::ptr_eq(&ops_before, &cache.full_ops()));
         assert_matches_rebuild(&cache);
     }
 
     #[test]
-    fn delta_on_cold_cache_still_consistent() {
-        // Nothing warmed: mutation maintains adjacency/degrees only, and
-        // later builds see the post-mutation hypergraph.
+    fn mutation_on_cold_cache_still_consistent() {
+        // Nothing built: mutation touches the hypergraph only, and later
+        // builds (lists and matrices) see the post-mutation hypergraph.
         let mut cache = AggregationCache::new(sample());
         cache.apply_add(&[1, 3], 1.5).expect("valid");
         cache.apply_remove(1).expect("valid");
         assert_matches_rebuild(&cache);
+    }
+
+    #[test]
+    fn a_live_event_builds_no_matrix_and_slices_none() {
+        ahntp_telemetry::Scope::fresh().run(|| {
+            ahntp_telemetry::set_enabled(true);
+            let mut cache = AggregationCache::new(sample());
+            warm(&cache);
+            let counts = || {
+                [
+                    "hypergraph.cache.misses",
+                    "tensor.select_rows.calls",
+                    "tensor.select_cols.calls",
+                ]
+                .map(ahntp_telemetry::counter_get)
+            };
+            let warm_counts = counts();
+            let e = cache.apply_add(&[1, 3], 2.0).expect("valid");
+            let cone = closed_cone(&cache, &[1, 3], 1);
+            assert_eq!(cone.edge_ids.as_deref(), Some(&vec![0, 1, 2, 3]));
+            cache.apply_remove(e).expect("valid");
+            assert_eq!(counts(), warm_counts, "the live path reads lists only");
+            cache.full_ops();
+            assert_eq!(counts()[0], warm_counts[0] + 1, "the next reader rebuilds");
+        });
     }
 
     #[test]

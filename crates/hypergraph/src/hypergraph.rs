@@ -129,8 +129,8 @@ impl Hypergraph {
     /// moved into slot `e` (`Vec::swap_remove`), so exactly one other edge
     /// is renamed. The returned [`RemovedEdge`] records the removed edge's
     /// members and weight plus, when a rename happened, the old id and
-    /// members of the moved edge — delta-maintenance needs both to know
-    /// which incidence rows to patch.
+    /// members of the moved edge — a per-vertex incident-edge index needs
+    /// both to know which of its lists to update.
     ///
     /// # Errors
     ///

@@ -133,28 +133,30 @@ impl AggregationOps {
 
     /// Builds the operator set restricted to a hyperedge subset *and* a
     /// vertex subset — the "dependency cone" extraction behind streaming
-    /// head refreshes. Local vertex `i` is global vertex `vertex_ids[i]`,
-    /// local edge `j` is global edge `edge_ids[j]`; `edge_ids` is kept in
-    /// the result so layers gather their per-edge weights globally.
+    /// head refreshes — straight from the member lists of `h`, in time
+    /// proportional to the cone's incidences; no full matrix is read.
+    /// Local vertex `i` is global vertex `vertex_ids[i]`, local edge `j` is
+    /// global edge `edge_ids[j]`; `edge_ids` is kept in the result so
+    /// layers gather their per-edge weights globally.
     ///
     /// Exactness contract (see the stream crate): when the cone is closed —
     /// every member of every selected edge appears in `vertex_ids` and
     /// every edge incident to a target vertex appears in `edge_ids` — the
     /// rows of a `forward_on` pass over this set are bitwise identical to
-    /// the corresponding rows of the full forward pass, because `select_*`
-    /// preserve per-row entry order and values verbatim and the per-vertex
-    /// renormalisation sees the same counts.
+    /// the corresponding rows of the full forward pass: entries keep the
+    /// full operators' per-row order (members and incident edges both
+    /// ascend) and their expressions (`1 / |N_e|`, `1 / |N_v|` over the
+    /// same counts).
     ///
     /// Both id lists must be sorted and duplicate-free.
     ///
     /// # Panics
     ///
-    /// Panics if any id is out of range, or (debug) if a selected edge has
-    /// members outside `vertex_ids` — an open cone would silently drop
+    /// Panics if an edge id is out of range, or (debug) if a selected edge
+    /// has members outside `vertex_ids` — an open cone would silently drop
     /// aggregation terms.
-    pub fn cone_from(
-        incidence: &CsrMatrix<f32>,
-        v2e_full: &CsrMatrix<f32>,
+    pub(crate) fn cone(
+        h: &Hypergraph,
         edge_ids: &[usize],
         vertex_ids: &[usize],
     ) -> AggregationOps {
@@ -163,40 +165,44 @@ impl AggregationOps {
             vertex_ids.windows(2).all(|w| w[0] < w[1]),
             "vertex_ids sorted"
         );
-        let v2e = v2e_full.select_rows(edge_ids).select_cols(vertex_ids);
-        #[cfg(debug_assertions)]
+        let mut v2e = Vec::new();
         for (j, &e) in edge_ids.iter().enumerate() {
+            let members = h.edge(e);
+            let inv = 1.0 / members.len() as f32;
+            let kept = v2e.len();
+            v2e.extend(
+                members
+                    .iter()
+                    .filter_map(|v| vertex_ids.binary_search(v).ok())
+                    .map(|i| (j, i, inv)),
+            );
             debug_assert_eq!(
-                v2e.row_nnz(j),
-                v2e_full.row_nnz(e),
-                "cone_from: edge {e} has members outside vertex_ids"
+                v2e.len() - kept,
+                members.len(),
+                "cone: edge {e} has members outside vertex_ids"
             );
         }
-        let inc_c = incidence.select_rows(vertex_ids).select_cols(edge_ids);
-        let inv_counts: Vec<f32> = (0..inc_c.rows())
-            .map(|v| {
-                let c = inc_c.row_nnz(v);
-                if c > 0 {
-                    1.0 / c as f32
-                } else {
-                    0.0
-                }
-            })
-            .collect();
-        let e2v = inc_c.scale_rows(&inv_counts);
-        let mut pairs = Vec::with_capacity(inc_c.nnz());
-        for v in 0..inc_c.rows() {
-            for (e, _) in inc_c.row_entries(v) {
-                pairs.push((v, e));
-            }
+        // The same incidences seen from the vertex side: "(vertex, local
+        // edge) sorted by vertex", each vertex averaging over the selected
+        // edges it is in.
+        let mut pairs: Vec<(usize, usize)> = v2e.iter().map(|&(j, i, _)| (i, j)).collect();
+        pairs.sort_unstable();
+        let mut counts = vec![0usize; vertex_ids.len()];
+        for &(i, _) in &pairs {
+            counts[i] += 1;
         }
+        let e2v: Vec<_> = pairs
+            .iter()
+            .map(|&(i, j)| (i, j, 1.0 / counts[i] as f32))
+            .collect();
         let segments = pairs.iter().map(|&(v, _)| v).collect::<Vec<_>>();
         let pair_vertices = segments.clone();
         let pair_edges = pairs.iter().map(|&(_, e)| e).collect::<Vec<_>>();
+        let (m, n) = (edge_ids.len(), vertex_ids.len());
         AggregationOps {
-            n_vertices: vertex_ids.len(),
-            v2e: Rc::new(v2e),
-            e2v: Rc::new(e2v),
+            n_vertices: n,
+            v2e: Rc::new(CsrMatrix::from_triplets(m, n, &v2e).expect("local ids in range")),
+            e2v: Rc::new(CsrMatrix::from_triplets(n, m, &e2v).expect("local ids in range")),
             pairs: Rc::new(pairs),
             segments: Rc::new(segments),
             pair_vertices: Rc::new(pair_vertices),
@@ -300,12 +306,7 @@ mod tests {
         let full = AggregationOps::full(&h);
         // Cone for target vertex 2: incident edges {0, 1}, their members
         // {0, 1, 2, 3} — a closed cone around vertex 2.
-        let cone = AggregationOps::cone_from(
-            &h.incidence(),
-            &h.vertex_to_edge_mean(),
-            &[0, 1],
-            &[0, 1, 2, 3],
-        );
+        let cone = AggregationOps::cone(&h, &[0, 1], &[0, 1, 2, 3]);
         cone.v2e.validate().unwrap();
         cone.e2v.validate().unwrap();
         assert_eq!(cone.n_vertices, 4);

@@ -5,7 +5,7 @@ use ahntp_hypergraph::{
     attribute_hypergroup, multi_hop_hypergroup_capped, pairwise_hypergroup,
     social_influence_hypergroup, AggregationCache, AggregationOps, Hypergraph,
 };
-use ahntp_tensor::{xavier_uniform, SplitMix64, Tensor};
+use ahntp_tensor::{xavier_uniform, CsrMatrix, SplitMix64, Tensor};
 use proptest::prelude::*;
 
 const N: usize = 12;
@@ -45,11 +45,81 @@ fn arb_mutation() -> impl Strategy<Value = Mutation> {
     ]
 }
 
-/// Asserts the delta-maintained caches equal a from-scratch rebuild,
+/// A CSR matrix as `(cols, row_ptr, col_idx, value bits)`: equal tuples
+/// mean equal matrices entry-for-entry in bits.
+fn csr_bits(m: &CsrMatrix<f32>) -> (usize, &[usize], &[usize], Vec<u32>) {
+    let bits = m.values().iter().map(|v| v.to_bits()).collect();
+    (m.cols(), m.row_ptr(), m.col_indices(), bits)
+}
+
+/// The cone's two operators cut from full matrices with the CSR slicing
+/// kernels — how cones were built before they were read off the lists,
+/// kept as the oracle for the list-built cone.
+fn sliced_cone(
+    h: &Hypergraph,
+    edge_ids: &[usize],
+    vertex_ids: &[usize],
+) -> (CsrMatrix<f32>, CsrMatrix<f32>) {
+    let v2e = h.vertex_to_edge_mean();
+    let v2e = v2e.select_rows(edge_ids).select_cols(vertex_ids);
+    let inc = h.incidence().select_rows(vertex_ids).select_cols(edge_ids);
+    let inv_counts: Vec<f32> = (0..inc.rows())
+        .map(|v| match inc.row_nnz(v) {
+            0 => 0.0,
+            c => 1.0 / c as f32,
+        })
+        .collect();
+    (v2e, inc.scale_rows(&inv_counts))
+}
+
+/// Asserts the closed `hops`-hop cone around `seed`, walked and cut from
+/// the live lists, equals in bits the one a cache built fresh on the
+/// mutated hypergraph walks and cuts, and the matrix-sliced oracle.
+fn assert_cone_exact(
+    cache: &AggregationCache,
+    rebuilt: &AggregationCache,
+    seed: usize,
+    hops: usize,
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    let walk = |c: &AggregationCache| {
+        let edge_ids = c.incident_edges(&c.closure(&[seed], hops - 1));
+        (edge_ids, c.closure(&[seed], hops))
+    };
+    let (edge_ids, vertex_ids) = walk(cache);
+    prop_assert_eq!(walk(rebuilt), (edge_ids.clone(), vertex_ids.clone()));
+    let live = cache.cone_ops(&edge_ids, &vertex_ids);
+    let fresh = rebuilt.cone_ops(&edge_ids, &vertex_ids);
+    let (v2e, e2v) = sliced_cone(cache.hypergraph(), &edge_ids, &vertex_ids);
+    prop_assert_eq!(csr_bits(&live.v2e), csr_bits(&fresh.v2e));
+    prop_assert_eq!(csr_bits(&live.v2e), csr_bits(&v2e));
+    prop_assert_eq!(csr_bits(&live.e2v), csr_bits(&fresh.e2v));
+    prop_assert_eq!(csr_bits(&live.e2v), csr_bits(&e2v));
+    prop_assert_eq!(&*live.pairs, &*fresh.pairs);
+    let row_major: Vec<(usize, usize)> = (0..e2v.rows())
+        .flat_map(|v| e2v.row_entries(v).map(move |(e, _)| (v, e)))
+        .collect();
+    prop_assert_eq!(&*live.pairs, &row_major);
+    prop_assert_eq!(&*live.segments, &*fresh.segments);
+    prop_assert_eq!(&*live.pair_vertices, &*fresh.pair_vertices);
+    prop_assert_eq!(&*live.pair_edges, &*fresh.pair_edges);
+    prop_assert_eq!(&live.edge_ids, &fresh.edge_ids);
+    prop_assert_eq!(live.n_vertices, vertex_ids.len());
+    Ok(())
+}
+
+/// Asserts the lists a mutation maintains, and the cones cut from them,
+/// equal those of a cache built fresh on the mutated hypergraph, and that
+/// every matrix the cache hands out equals a from-scratch extraction,
 /// entry-for-entry in bits.
 fn assert_cache_exact(
     cache: &AggregationCache,
+    seed: usize,
 ) -> Result<(), proptest::test_runner::TestCaseError> {
+    let rebuilt = AggregationCache::new(cache.hypergraph().clone());
+    prop_assert_eq!(cache.adjacency(), rebuilt.adjacency());
+    for hops in [1, 2] {
+        assert_cone_exact(cache, &rebuilt, seed, hops)?;
+    }
     let h = cache.hypergraph();
     let fresh = AggregationOps::full(h);
     let live = cache.full_ops();
@@ -80,10 +150,6 @@ fn assert_cache_exact(
                 "Laplacian entry ({}, {}) drifted", r, c
             );
         }
-    }
-    let dv_fresh = h.vertex_degrees();
-    for (v, (a, b)) in cache.degree_vector().iter().zip(&dv_fresh).enumerate() {
-        prop_assert_eq!(a.to_bits(), b.to_bits(), "degree of vertex {} drifted", v);
     }
     Ok(())
 }
@@ -297,20 +363,19 @@ proptest! {
         steps in proptest::collection::vec(arb_mutation(), 200),
     ) {
         // The streaming keystone: 200 interleaved add/remove/reweight/decay
-        // steps, and after EVERY one the delta-patched operators, Laplacian,
-        // and degrees are bitwise equal to a from-scratch rebuild.
-        // Under a telemetry context of its own, the `delta_*` counters are
-        // exactly the mutations this case applied.
+        // steps, and after EVERY one the maintained incident-edge lists and
+        // the cones cut from them equal a fresh cache's, and the operators
+        // and Laplacian the cache hands out are bitwise a from-scratch
+        // rebuild. Under a telemetry context of its own, the `delta_*`
+        // counters are exactly the mutations this case applied.
         ahntp_telemetry::Scope::fresh().run(|| {
             ahntp_telemetry::set_enabled(true);
             let mut cache = AggregationCache::new(h);
-            // Warm everything so mutations must patch, not lazily rebuild.
-            cache.full_ops();
-            cache.full_laplacian();
-            cache.degree_vector();
+            // Build the lists first so every mutation must update them.
+            cache.adjacency();
             // Applied adds, removes, reweights, decays.
             let mut applied = [0u64; 4];
-            for step in steps {
+            for (k, step) in steps.into_iter().enumerate() {
                 match step {
                     Mutation::Add(members, w) => {
                         cache.apply_add(&members, w).expect("valid by construction");
@@ -335,7 +400,7 @@ proptest! {
                         applied[3] += 1;
                     }
                 }
-                assert_cache_exact(&cache)?;
+                assert_cache_exact(&cache, k % N)?;
             }
             let counted = ["add", "remove", "reweight", "decay"].map(|kind| {
                 ahntp_telemetry::counter_get(&format!("hypergraph.cache.delta_{kind}"))

@@ -1037,111 +1037,6 @@ impl<T: Scalar> CsrMatrix<T> {
         }
         out
     }
-
-    /// Asserts `entries` forms a valid CSR row: strictly increasing
-    /// columns, all `< cols`.
-    fn check_row_entries(entries: &[(usize, T)], cols: usize, op: &str) {
-        for w in entries.windows(2) {
-            assert!(
-                w[0].0 < w[1].0,
-                "CsrMatrix::{op}: columns not strictly increasing ({} then {})",
-                w[0].0,
-                w[1].0
-            );
-        }
-        if let Some(&(last, _)) = entries.last() {
-            assert!(last < cols, "CsrMatrix::{op}: column {last} >= cols {cols}");
-        }
-    }
-
-    /// Replaces the stored entries of row `r` in place (an `O(nnz)`
-    /// splice). The delta-maintenance path of `AggregationCache` uses this
-    /// to patch exactly the incidence-operator rows a hypergraph mutation
-    /// touches.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` is out of range or `entries` is not a valid CSR row
-    /// (strictly increasing columns, all `< cols`).
-    pub fn set_row(&mut self, r: usize, entries: &[(usize, T)]) {
-        assert!(
-            r < self.rows,
-            "CsrMatrix::set_row: row {r} out of range for {} rows",
-            self.rows
-        );
-        Self::check_row_entries(entries, self.cols, "set_row");
-        let (lo, hi) = (self.row_ptr[r], self.row_ptr[r + 1]);
-        self.col_idx.splice(lo..hi, entries.iter().map(|&(c, _)| c));
-        self.values.splice(lo..hi, entries.iter().map(|&(_, v)| v));
-        let delta = entries.len() as isize - (hi - lo) as isize;
-        if delta != 0 {
-            for p in &mut self.row_ptr[r + 1..] {
-                *p = (*p as isize + delta) as usize;
-            }
-        }
-        debug_assert_eq!(self.validate(), Ok(()));
-    }
-
-    /// Appends one row at index `rows()` with the given entries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `entries` is not a valid CSR row.
-    pub fn push_row(&mut self, entries: &[(usize, T)]) {
-        Self::check_row_entries(entries, self.cols, "push_row");
-        self.col_idx.extend(entries.iter().map(|&(c, _)| c));
-        self.values.extend(entries.iter().map(|&(_, v)| v));
-        self.rows += 1;
-        self.row_ptr.push(self.col_idx.len());
-        debug_assert_eq!(self.validate(), Ok(()));
-    }
-
-    /// Removes row `r` by moving the last row into its place and shrinking
-    /// the matrix by one row — the row analogue of `Vec::swap_remove`,
-    /// mirroring `Hypergraph::remove_edge`'s hyperedge-id reuse.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` is out of range.
-    pub fn swap_remove_row(&mut self, r: usize) {
-        assert!(
-            r < self.rows,
-            "CsrMatrix::swap_remove_row: row {r} out of range for {} rows",
-            self.rows
-        );
-        let last = self.rows - 1;
-        if r != last {
-            let (lo, hi) = (self.row_ptr[last], self.row_ptr[last + 1]);
-            let moved: Vec<(usize, T)> = self.col_idx[lo..hi]
-                .iter()
-                .copied()
-                .zip(self.values[lo..hi].iter().copied())
-                .collect();
-            self.set_row(r, &moved);
-        }
-        let cut = self.row_ptr[last];
-        self.col_idx.truncate(cut);
-        self.values.truncate(cut);
-        self.row_ptr.truncate(last + 1);
-        self.rows = last;
-        debug_assert_eq!(self.validate(), Ok(()));
-    }
-
-    /// Changes the column count in place (grow or shrink). Used when a
-    /// hyperedge is added to or removed from an incidence-shaped matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any stored entry's column is `>= cols`.
-    pub fn set_cols(&mut self, cols: usize) {
-        if let Some(&max) = self.col_idx.iter().max() {
-            assert!(
-                max < cols,
-                "CsrMatrix::set_cols: stored column {max} >= new cols {cols}"
-            );
-        }
-        self.cols = cols;
-    }
 }
 
 #[cfg(test)]
@@ -1215,70 +1110,6 @@ mod tests {
         let d = a.sub(&a);
         assert_eq!(d.nnz(), 4); // explicit zeros
         assert_eq!(d.prune().nnz(), 0);
-    }
-
-    #[test]
-    fn set_row_splices_in_place() {
-        let mut m = small();
-        m.set_row(0, &[(1, 7.0)]); // shrink row 0 from 2 entries to 1
-        m.validate().unwrap();
-        assert_eq!(m.get(0, 1), 7.0);
-        assert_eq!(m.get(0, 0), 0.0);
-        assert_eq!(m.get(2, 1), 4.0); // later rows untouched
-        m.set_row(1, &[(0, 1.0), (2, 2.0)]); // grow the empty row
-        m.validate().unwrap();
-        assert_eq!(m.get(1, 2), 2.0);
-        assert_eq!(m.nnz(), 5);
-        m.set_row(2, &[]); // clear a row
-        m.validate().unwrap();
-        assert_eq!(m.row_nnz(2), 0);
-    }
-
-    #[test]
-    fn push_and_swap_remove_rows() {
-        let mut m = small();
-        m.push_row(&[(0, 9.0), (1, 8.0)]);
-        m.validate().unwrap();
-        assert_eq!(m.rows(), 4);
-        assert_eq!(m.get(3, 0), 9.0);
-        // Remove row 0: the pushed last row moves into its slot.
-        m.swap_remove_row(0);
-        m.validate().unwrap();
-        assert_eq!(m.rows(), 3);
-        assert_eq!(m.get(0, 1), 8.0);
-        assert_eq!(m.get(2, 0), 3.0);
-        // Removing the last row is a plain truncation.
-        m.swap_remove_row(2);
-        m.validate().unwrap();
-        assert_eq!(m.rows(), 2);
-        assert_eq!(m.nnz(), 2);
-    }
-
-    #[test]
-    fn set_cols_resizes_and_guards() {
-        let mut m = small();
-        m.set_cols(5);
-        m.validate().unwrap();
-        assert_eq!(m.cols(), 5);
-        m.set_row(0, &[(4, 1.0)]);
-        m.validate().unwrap();
-        let shrink = std::panic::catch_unwind(move || {
-            m.set_cols(3); // column 4 is stored → must panic
-        });
-        assert!(shrink.is_err());
-    }
-
-    #[test]
-    fn set_row_rejects_bad_rows() {
-        let m = small();
-        for bad in [
-            vec![(1usize, 1.0f64), (1, 2.0)], // duplicate column
-            vec![(2, 1.0), (0, 2.0)],         // out of order
-            vec![(3, 1.0)],                   // out of range
-        ] {
-            let mut m = m.clone();
-            assert!(std::panic::catch_unwind(move || m.set_row(0, &bad)).is_err());
-        }
     }
 
     #[test]
