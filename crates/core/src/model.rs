@@ -42,6 +42,7 @@ fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
 /// outputs under the *current* parameters. Cached between parameter
 /// updates so single-pair queries and artifact export don't re-run the
 /// full hypergraph forward.
+#[derive(Clone)]
 struct HeadCache {
     emb: Tensor,
     trustor: Tensor,
@@ -451,16 +452,22 @@ impl Ahntp {
     /// [`ahntp_nn::artifact::TrustArtifact`] for the `AHNTPSRV1` frame.
     pub fn export_artifact(&self) -> TrustArtifact {
         let head = self.head();
+        self.artifact_from(head.emb.clone(), &head.trustor, &head.trustee)
+    }
+
+    /// The artifact of an embedding matrix and its two *unnormalised*
+    /// tower outputs.
+    fn artifact_from(&self, emb: Tensor, trustor: &Tensor, trustee: &Tensor) -> TrustArtifact {
         TrustArtifact {
             model: self.name(),
             fingerprint: self.fingerprint,
             calibration: COSINE_CALIBRATION,
-            n_users: head.emb.rows(),
-            emb_dim: head.emb.cols(),
-            head_dim: head.trustor.cols(),
-            embeddings: head.emb.clone().into_vec().into(),
-            trustor_head: head.trustor.normalize_rows().into_vec().into(),
-            trustee_head: head.trustee.normalize_rows().into_vec().into(),
+            n_users: emb.rows(),
+            emb_dim: emb.cols(),
+            head_dim: trustor.cols(),
+            embeddings: emb.into_vec().into(),
+            trustor_head: trustor.normalize_rows().into_vec().into(),
+            trustee_head: trustee.normalize_rows().into_vec().into(),
         }
     }
 
@@ -537,8 +544,7 @@ impl Ahntp {
         let edge_ids = cache.incident_edges(&v_need);
         let v_comp = cache.closure(users, hops);
         let ops = cache.cone_ops(&edge_ids, &v_comp);
-        let idx = Rc::new(v_comp.clone());
-        let x = s.constant(self.features.clone()).gather_rows(&idx);
+        let x = s.constant(self.features.gather_rows(&v_comp));
         let h = stack.forward_on(s, &ops, &mlp.forward(s, &x));
         let local: Vec<usize> = users
             .iter()
@@ -575,7 +581,9 @@ impl LiveTrustModel for Ahntp {
         self.features.rows()
     }
 
-    /// Folds one live event into the delta-maintained caches.
+    /// Folds one live event into the tier caches: their member and
+    /// incident-edge lists are updated, the matrices derived from them
+    /// dropped (see [`AggregationCache`]).
     ///
     /// Structural events (add/remove) resize the per-layer hyperedge
     /// weight columns in step with the hypergraph — a new edge starts at
@@ -691,21 +699,13 @@ impl LiveTrustModel for Ahntp {
             return HeadPatch::empty(emb_dim, head_dim);
         }
         let (emb_rows, trustor_rows, trustee_rows) = self.refreshed_head_rows(users);
-        let warm = self.head_cache.borrow().clone();
-        if let Some(head) = warm {
-            let mut emb = head.emb.clone();
-            let mut trustor = head.trustor.clone();
-            let mut trustee = head.trustee.clone();
+        if let Some(head) = self.head_cache.borrow_mut().as_mut() {
+            let head = Rc::make_mut(head);
             for (k, &u) in users.iter().enumerate() {
-                emb.row_mut(u).copy_from_slice(emb_rows.row(k));
-                trustor.row_mut(u).copy_from_slice(trustor_rows.row(k));
-                trustee.row_mut(u).copy_from_slice(trustee_rows.row(k));
+                head.emb.row_mut(u).copy_from_slice(emb_rows.row(k));
+                head.trustor.row_mut(u).copy_from_slice(trustor_rows.row(k));
+                head.trustee.row_mut(u).copy_from_slice(trustee_rows.row(k));
             }
-            *self.head_cache.borrow_mut() = Some(Rc::new(HeadCache {
-                emb,
-                trustor,
-                trustee,
-            }));
         }
         HeadPatch {
             users: users.to_vec(),
@@ -731,18 +731,7 @@ impl LiveTrustModel for Ahntp {
         let emb = self.embed_on(&s, &node_ops, &struct_ops);
         let trustor = self.tower_a.forward(&s, &emb).value();
         let trustee = self.tower_b.forward(&s, &emb).value();
-        let emb = emb.value();
-        TrustArtifact {
-            model: self.name(),
-            fingerprint: self.fingerprint,
-            calibration: COSINE_CALIBRATION,
-            n_users: emb.rows(),
-            emb_dim: emb.cols(),
-            head_dim: trustor.cols(),
-            embeddings: emb.clone().into_vec().into(),
-            trustor_head: trustor.normalize_rows().into_vec().into(),
-            trustee_head: trustee.normalize_rows().into_vec().into(),
-        }
+        self.artifact_from(emb.value(), &trustor, &trustee)
     }
 }
 
