@@ -26,7 +26,7 @@
 //! * [`serve_live`] — the same node bound to a mutable
 //!   [`ahntp_stream::LiveTrustModel`]: `POST /events` ingests trust
 //!   events (add/remove/reweight/decay hyperedges), a dedicated applier
-//!   thread folds them into the model's delta-maintained caches, and the
+//!   thread folds them into the model's hypergraphs, and the
 //!   refreshed head rows are patched into the [`SharedIndex`] under
 //!   short write locks — `/score` and `/topk` answer from the live index
 //!   throughout. The `ahntp_stream::StalenessBound` decides how much

@@ -28,7 +28,7 @@
 //! [`serve_live`] additionally runs an **applier thread** owning a
 //! [`LiveTrustModel`]: `POST /events` batches flow to it over a channel
 //! (and their replies back through the same kind of slot), it folds them
-//! into the model's delta-maintained caches ([`EventApplier`]), and
+//! into the model's hypergraphs ([`EventApplier`]), and
 //! patches the refreshed head rows into the shared index under short
 //! write locks ([`SharedIndex`]). One consumer means the event log is
 //! totally ordered; `/score` and `/topk` keep answering from the live

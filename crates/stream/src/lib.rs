@@ -10,7 +10,7 @@
 //!   `TemporalTrustDataset`'s creation order); this crate only defines the
 //!   vocabulary and its JSON wire form ([`parse_events`]).
 //! * [`LiveTrustModel`] — the contract a model implements to be servable
-//!   live: fold one event into its delta-maintained caches
+//!   live: fold one event into its hypergraphs
 //!   ([`LiveTrustModel::apply_event`], returning the affected users) and
 //!   recompute just those users' scoring-head rows
 //!   ([`LiveTrustModel::refresh_heads`], returning a [`HeadPatch`]).
@@ -225,8 +225,8 @@ pub trait LiveTrustModel {
     /// Number of users (rows in every head matrix).
     fn n_users(&self) -> usize;
 
-    /// Folds one event into the model's delta-maintained caches and
-    /// reports which users' head rows went stale.
+    /// Folds one event into the model's hypergraphs and reports which
+    /// users' head rows went stale.
     ///
     /// # Errors
     ///
