@@ -138,7 +138,6 @@ fn main() {
     let k = 10usize;
     let backends = [
         BackendKind::Exact,
-        BackendKind::Simd,
         BackendKind::Int8,
         BackendKind::Ivf(IvfParams::default()),
     ];

@@ -1,65 +1,62 @@
-//! The reference backend: scalar f32 dots and exhaustive candidate scans.
+//! The reference backend: exact f32 dots and exhaustive candidate scans.
 //!
-//! This is the seed `TrustIndex` arithmetic, unchanged: one
-//! sequentially-accumulated dot product per pair, a bounded heap over a
-//! full candidate scan for top-k. Every other backend states its error
-//! envelope relative to this one.
+//! A pair dot is one chain over the trustee row in element order; a
+//! `/topk` scans every candidate a panel at a time, sixteen independent
+//! accumulators per panel (see `panels.rs`). Both are bitwise the seed's
+//! scalar dot, which `tests/backend_exactness.rs` keeps as the oracle.
+//! Every other backend states its error envelope relative to this one.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use ahntp_nn::TrustArtifact;
+use super::{banded_top_k, heap_push, Heads, Ranked, ScoringBackend};
 
-use super::{banded_top_k, heap_push, scalar_dot, Ranked, ScoringBackend};
-
-/// Exhaustive scalar f32 scoring (the reference semantics).
+/// Exhaustive exact f32 scoring (the reference semantics).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExactBackend;
 
-/// Heap-tracked scalar scan over the candidate band `c0..c1` (excluding
-/// `trustor`): the best `k` raw-dot candidates, in no particular order.
-pub(crate) fn scalar_band_top_k(
-    artifact: &TrustArtifact,
+/// The exact top-`k` for `trustor` over the candidate id range `lo..hi`
+/// (excluding `trustor`), banded over the `ahntp-par` pool. This is the
+/// whole-index scan, the shard-local scan, the defended scan and ivf's
+/// fallback alike, so merging per-shard results under the [`Ranked`]
+/// total order reproduces the single-node scan bitwise.
+pub(crate) fn top_k_in(
+    heads: &Heads,
     trustor: usize,
     k: usize,
-    c0: usize,
-    c1: usize,
+    lo: usize,
+    hi: usize,
+    par_counter: &str,
 ) -> Vec<Ranked> {
-    let mut heap: BinaryHeap<Reverse<Ranked>> = BinaryHeap::with_capacity(k + 1);
-    for candidate in c0..c1 {
-        if candidate == trustor {
-            continue;
-        }
-        heap_push(&mut heap, k, scalar_dot(artifact, trustor, candidate), candidate);
-    }
-    heap.into_iter().map(|Reverse(r)| r).collect()
+    let q = heads.trustor_row(trustor);
+    banded_top_k(heads, k, lo, hi, par_counter, |c0, c1| {
+        let mut heap: BinaryHeap<Reverse<Ranked>> = BinaryHeap::with_capacity(k + 1);
+        heads.trustee.scan(q, c0, c1, |v, score| {
+            if v != trustor {
+                heap_push(&mut heap, k, score, v);
+            }
+        });
+        heap.into_iter().map(|Reverse(r)| r).collect()
+    })
 }
 
 impl ScoringBackend for ExactBackend {
-    fn dot(&self, artifact: &TrustArtifact, trustor: usize, trustee: usize) -> f32 {
-        scalar_dot(artifact, trustor, trustee)
+    fn dot(&self, heads: &Heads, trustor: usize, trustee: usize) -> f32 {
+        heads.dot(trustor, trustee)
     }
 
-    fn dot_batch(&self, artifact: &TrustArtifact, pairs: &[(usize, usize)], out: &mut [f32]) {
-        for (&(u, v), o) in pairs.iter().zip(out) {
-            *o = scalar_dot(artifact, u, v);
-        }
+    fn top_k(&self, heads: &Heads, trustor: usize, k: usize) -> Vec<Ranked> {
+        top_k_in(heads, trustor, k, 0, heads.n(), "serve.topk.par_calls")
     }
 
-    fn top_k(&self, artifact: &TrustArtifact, trustor: usize, k: usize) -> Vec<Ranked> {
-        banded_top_k(artifact, k, "serve.topk.par_calls", |c0, c1| {
-            scalar_band_top_k(artifact, trustor, k, c0, c1)
-        })
+    fn on_patch(&mut self, _heads: &Heads, _users: &[usize]) {}
+
+    fn bytes_per_user(&self, heads: &Heads) -> usize {
+        // Two f32 head rows per user, each held once.
+        2 * heads.d() * std::mem::size_of::<f32>()
     }
 
-    fn on_patch(&mut self, _artifact: &TrustArtifact, _users: &[usize]) {}
-
-    fn bytes_per_user(&self, artifact: &TrustArtifact) -> usize {
-        // Two f32 head rows per user.
-        2 * artifact.head_dim * std::mem::size_of::<f32>()
-    }
-
-    fn score_error_bound(&self, _artifact: &TrustArtifact) -> f32 {
+    fn score_error_bound(&self, _calibration: f32) -> f32 {
         0.0
     }
 

@@ -33,9 +33,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use ahntp_nn::TrustArtifact;
-
-use super::{banded_top_k, heap_push, Ranked, ScoringBackend};
+use super::{banded_top_k, heap_push, Heads, Ranked, ScoringBackend};
 
 /// One quantized head matrix plus its per-row bookkeeping.
 #[derive(Debug, Clone, Default)]
@@ -53,18 +51,15 @@ struct QuantizedHead {
 }
 
 impl QuantizedHead {
-    fn build(rows: &[f32], n_users: usize, d: usize) -> QuantizedHead {
-        let mut head = QuantizedHead {
+    /// An all-zero head; [`Int8Backend::build`] quantizes every row in.
+    fn zeros(n_users: usize, d: usize) -> QuantizedHead {
+        QuantizedHead {
             codes: vec![0i8; n_users * d],
             scales: vec![0.0; n_users],
             errs: vec![0.0; n_users],
             norms: vec![0.0; n_users],
             qnorms: vec![0.0; n_users],
-        };
-        for u in 0..n_users {
-            head.quantize_row(&rows[u * d..(u + 1) * d], u, d);
         }
-        head
     }
 
     /// (Re)quantizes one row, updating codes, scale, and error metadata.
@@ -102,12 +97,23 @@ pub struct Int8Backend {
 }
 
 impl Int8Backend {
-    /// Quantizes both head matrices of a validated artifact.
-    pub fn build(artifact: &TrustArtifact) -> Int8Backend {
-        let (n, d) = (artifact.n_users, artifact.head_dim);
-        Int8Backend {
-            trustor: QuantizedHead::build(&artifact.trustor_head, n, d),
-            trustee: QuantizedHead::build(&artifact.trustee_head, n, d),
+    /// Quantizes both head matrices.
+    pub(crate) fn build(heads: &Heads) -> Int8Backend {
+        let (n, d) = (heads.n(), heads.d());
+        let mut backend = Int8Backend {
+            trustor: QuantizedHead::zeros(n, d),
+            trustee: QuantizedHead::zeros(n, d),
+        };
+        backend.quantize(heads, 0..n);
+        backend
+    }
+
+    /// (Re)quantizes the rows of `users` in both heads.
+    fn quantize(&mut self, heads: &Heads, users: impl IntoIterator<Item = usize>) {
+        let d = heads.d();
+        for u in users {
+            self.trustor.quantize_row(heads.trustor_row(u), u, d);
+            self.trustee.quantize_row(&heads.trustee.row(u), u, d);
         }
     }
 
@@ -179,41 +185,30 @@ impl Int8Backend {
 }
 
 impl ScoringBackend for Int8Backend {
-    fn dot(&self, artifact: &TrustArtifact, trustor: usize, trustee: usize) -> f32 {
-        self.qdot(artifact.head_dim, trustor, trustee)
+    fn dot(&self, heads: &Heads, trustor: usize, trustee: usize) -> f32 {
+        self.qdot(heads.d(), trustor, trustee)
     }
 
-    fn dot_batch(&self, artifact: &TrustArtifact, pairs: &[(usize, usize)], out: &mut [f32]) {
-        let d = artifact.head_dim;
-        for (&(u, v), o) in pairs.iter().zip(out) {
-            *o = self.qdot(d, u, v);
-        }
-    }
-
-    fn top_k(&self, artifact: &TrustArtifact, trustor: usize, k: usize) -> Vec<Ranked> {
-        let d = artifact.head_dim;
-        banded_top_k(artifact, k, "serve.topk.par_calls", |c0, c1| {
+    fn top_k(&self, heads: &Heads, trustor: usize, k: usize) -> Vec<Ranked> {
+        let d = heads.d();
+        banded_top_k(heads, k, 0, heads.n(), "serve.topk.par_calls", |c0, c1| {
             self.band_top_k(d, trustor, k, c0, c1)
         })
     }
 
-    fn on_patch(&mut self, artifact: &TrustArtifact, users: &[usize]) {
-        let d = artifact.head_dim;
-        for &u in users {
-            self.trustor.quantize_row(&artifact.trustor_head[u * d..(u + 1) * d], u, d);
-            self.trustee.quantize_row(&artifact.trustee_head[u * d..(u + 1) * d], u, d);
-        }
+    fn on_patch(&mut self, heads: &Heads, users: &[usize]) {
+        self.quantize(heads, users.iter().copied());
     }
 
-    fn bytes_per_user(&self, artifact: &TrustArtifact) -> usize {
+    fn bytes_per_user(&self, heads: &Heads) -> usize {
         // Two i8 rows plus two f32 scales.
-        2 * artifact.head_dim + 2 * std::mem::size_of::<f32>()
+        2 * heads.d() + 2 * std::mem::size_of::<f32>()
     }
 
-    fn score_error_bound(&self, artifact: &TrustArtifact) -> f32 {
+    fn score_error_bound(&self, calibration: f32) -> f32 {
         // σ(x/c) has slope ≤ 1/(4c); propagate the dot bound through it,
         // plus one ulp-scale term for evaluating the sigmoid itself.
-        self.dot_error_bound() / (4.0 * artifact.calibration) + 4.0 * f32::EPSILON
+        self.dot_error_bound() / (4.0 * calibration) + 4.0 * f32::EPSILON
     }
 
     fn approximate_top_k(&self) -> bool {

@@ -6,16 +6,20 @@
 //! the identical index). A `/topk` query scores the trustor row against
 //! the `nlist` centroids — `O(nlist · d)` — and scans only the `nprobe`
 //! most-promising lists' candidates with the exact f32 dot, instead of
-//! all `n` rows. Pair scoring (`/score`) is always the exact dot; only
-//! the top-k *candidate set* is approximate, with recall measured against
-//! the exact scan by `backend_bench` and `tests/backend_exactness.rs`.
+//! all `n` rows. Pair scoring (`/score`) is always the exact dot, and the
+//! probe scores each candidate with that same dot, reading the trustee
+//! row by id through its panel — a strided read, where the exact scan
+//! reads whole panels contiguously. Only the top-k *candidate set* is
+//! approximate, with recall measured against the exact scan by
+//! `backend_bench` and `tests/backend_exactness.rs`.
 //!
 //! Probing widens past `nprobe` until at least `k` candidates have been
 //! seen, and the whole query falls back to the exact banded scan whenever
-//! probing would not beat it (tiny indexes, huge `k`, or `nprobe` close
-//! to `nlist`) — the backend is never slower than exact by more than the
-//! centroid-scan epsilon, and never returns fewer candidates than the
-//! exact scan would.
+//! probing would touch no fewer rows than it (tiny indexes, huge `k`, or
+//! `nprobe` close to `nlist`), so it never returns fewer candidates than
+//! the exact scan would. Touching fewer rows is not the same as being
+//! faster: `backend_bench` reports the speedup against `exact` as
+//! measured.
 //!
 //! # Determinism
 //!
@@ -30,11 +34,9 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use ahntp_nn::TrustArtifact;
 use ahntp_telemetry::counter_add;
 
-use super::exact::scalar_band_top_k;
-use super::{banded_top_k, heap_push, scalar_dot, IvfParams, Ranked, ScoringBackend};
+use super::{exact, heap_push, Heads, IvfParams, Ranked, ScoringBackend};
 
 /// Lloyd iterations at build time; fixed so builds are reproducible.
 const KMEANS_ITERS: usize = 8;
@@ -66,16 +68,15 @@ impl IvfBackend {
     /// Builds the coarse index with deterministic k-means; `None` params
     /// resolve to `nlist = √n` (clamped to `[1, 1024]`) and
     /// `nprobe = max(1, nlist/4)`.
-    pub fn build(artifact: &TrustArtifact, params: IvfParams) -> IvfBackend {
-        let n = artifact.n_users;
-        let d = artifact.head_dim;
+    pub(crate) fn build(heads: &Heads, fingerprint: u64, params: IvfParams) -> IvfBackend {
+        let (n, d) = (heads.n(), heads.d());
         let default_nlist = ((n as f64).sqrt().round() as usize).clamp(1, 1024);
         let nlist = params.nlist.unwrap_or(default_nlist).clamp(1, n.max(1));
         let nprobe = params.nprobe.unwrap_or_else(|| (nlist / 4).max(1)).clamp(1, nlist);
 
         // Seed centroids from distinct rows picked by a fingerprint-seeded
         // LCG (salted so an untagged fingerprint of 0 still mixes).
-        let mut rng = artifact.fingerprint ^ 0x41_48_4e_54_50_49_56_46; // "AHNTPIVF"
+        let mut rng = fingerprint ^ 0x41_48_4e_54_50_49_56_46; // "AHNTPIVF"
         let mut centroids = vec![0.0f32; nlist * d];
         if n > 0 {
             let mut picked = vec![false; n];
@@ -85,8 +86,7 @@ impl IvfBackend {
                     row = (row + 1) % n;
                 }
                 picked[row] = true;
-                centroids[c * d..(c + 1) * d]
-                    .copy_from_slice(&artifact.trustee_head[row * d..(row + 1) * d]);
+                centroids[c * d..(c + 1) * d].copy_from_slice(&heads.trustee.row(row));
             }
         }
 
@@ -101,15 +101,15 @@ impl IvfBackend {
         backend.refresh_centroid_norms(d);
 
         for _ in 0..KMEANS_ITERS {
-            backend.assign_all(artifact);
+            backend.assign_all(heads);
             // Recompute centroids as member means, accumulating in
             // ascending user order; empty lists keep their centroid.
             let mut sums = vec![0.0f64; nlist * d];
             let mut counts = vec![0usize; nlist];
             for (u, &c) in backend.assign.iter().enumerate() {
                 counts[c] += 1;
-                let row = &artifact.trustee_head[u * d..(u + 1) * d];
-                for (s, &v) in sums[c * d..(c + 1) * d].iter_mut().zip(row) {
+                let row = heads.trustee.row(u);
+                for (s, &v) in sums[c * d..(c + 1) * d].iter_mut().zip(&row) {
                     *s += f64::from(v);
                 }
             }
@@ -126,7 +126,7 @@ impl IvfBackend {
             }
             backend.refresh_centroid_norms(d);
         }
-        backend.assign_all(artifact);
+        backend.assign_all(heads);
         backend.rebuild_lists();
         backend
     }
@@ -173,9 +173,8 @@ impl IvfBackend {
 
     /// Reassigns every user to its nearest centroid. The per-row decision
     /// is a pure function, so the `ahntp-par` banding is free.
-    fn assign_all(&mut self, artifact: &TrustArtifact) {
-        let n = artifact.n_users;
-        let d = artifact.head_dim;
+    fn assign_all(&mut self, heads: &Heads) {
+        let (n, d) = (heads.n(), heads.d());
         let me = &*self;
         let bands = ahntp_par::par_bands(
             n,
@@ -183,7 +182,7 @@ impl IvfBackend {
             "serve.ivf.assign.par_calls",
             |u0, u1| -> Vec<usize> {
                 (u0..u1)
-                    .map(|u| me.nearest_centroid(&artifact.trustee_head[u * d..(u + 1) * d], d))
+                    .map(|u| me.nearest_centroid(&heads.trustee.row(u), d))
                     .collect()
             },
         );
@@ -211,30 +210,21 @@ impl IvfBackend {
 }
 
 impl ScoringBackend for IvfBackend {
-    fn dot(&self, artifact: &TrustArtifact, trustor: usize, trustee: usize) -> f32 {
+    fn dot(&self, heads: &Heads, trustor: usize, trustee: usize) -> f32 {
         // Pair scoring is exact: IVF only accelerates candidate search.
-        scalar_dot(artifact, trustor, trustee)
+        heads.dot(trustor, trustee)
     }
 
-    fn dot_batch(&self, artifact: &TrustArtifact, pairs: &[(usize, usize)], out: &mut [f32]) {
-        for (&(u, v), o) in pairs.iter().zip(out) {
-            *o = scalar_dot(artifact, u, v);
-        }
-    }
-
-    fn top_k(&self, artifact: &TrustArtifact, trustor: usize, k: usize) -> Vec<Ranked> {
-        let n = artifact.n_users;
-        let d = artifact.head_dim;
+    fn top_k(&self, heads: &Heads, trustor: usize, k: usize) -> Vec<Ranked> {
+        let (n, d) = (heads.n(), heads.d());
         if !self.probing_pays_off(n, k) {
             counter_add("serve.topk.ivf.fallback", 1);
-            return banded_top_k(artifact, k, "serve.topk.par_calls", |c0, c1| {
-                scalar_band_top_k(artifact, trustor, k, c0, c1)
-            });
+            return exact::top_k_in(heads, trustor, k, 0, n, "serve.topk.par_calls");
         }
         counter_add("serve.topk.ivf.probed_queries", 1);
         // Rank centroids by affinity to the trustor row (dot desc, id asc
         // on ties) and probe lists in that order.
-        let q = &artifact.trustor_head[trustor * d..(trustor + 1) * d];
+        let q = heads.trustor_row(trustor);
         let mut order: Vec<(f32, usize)> = (0..self.nlist)
             .map(|c| {
                 let dot: f32 = self.centroids[c * d..(c + 1) * d]
@@ -260,19 +250,19 @@ impl ScoringBackend for IvfBackend {
                     continue;
                 }
                 seen += 1;
-                heap_push(&mut heap, k, scalar_dot(artifact, trustor, candidate), candidate);
+                heap_push(&mut heap, k, heads.trustee.dot(q, candidate), candidate);
             }
         }
         counter_add("serve.topk.ivf.probed_lists", probed as u64);
         heap.into_iter().map(|Reverse(r)| r).collect()
     }
 
-    fn on_patch(&mut self, artifact: &TrustArtifact, users: &[usize]) {
+    fn on_patch(&mut self, heads: &Heads, users: &[usize]) {
         // Centroids stay frozen (the standard IVF maintenance contract);
         // patched rows move between posting lists so they stay findable.
-        let d = artifact.head_dim;
+        let d = heads.d();
         for &u in users {
-            let new = self.nearest_centroid(&artifact.trustee_head[u * d..(u + 1) * d], d);
+            let new = self.nearest_centroid(&heads.trustee.row(u), d);
             let old = self.assign[u];
             if new != old {
                 let list = &mut self.lists[old];
@@ -289,9 +279,9 @@ impl ScoringBackend for IvfBackend {
         counter_add("serve.topk.ivf.reassigned", users.len() as u64);
     }
 
-    fn bytes_per_user(&self, artifact: &TrustArtifact) -> usize {
-        let d = artifact.head_dim;
-        let n = artifact.n_users.max(1);
+    fn bytes_per_user(&self, heads: &Heads) -> usize {
+        let d = heads.d();
+        let n = heads.n().max(1);
         // f32 heads plus the coarse index amortized across users.
         let index_bytes = self.centroids.len() * 4
             + self.centroid_norms.len() * 4
@@ -300,7 +290,7 @@ impl ScoringBackend for IvfBackend {
         2 * d * std::mem::size_of::<f32>() + index_bytes.div_ceil(n)
     }
 
-    fn score_error_bound(&self, _artifact: &TrustArtifact) -> f32 {
+    fn score_error_bound(&self, _calibration: f32) -> f32 {
         0.0 // pair scoring is the exact dot
     }
 

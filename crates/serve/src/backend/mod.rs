@@ -2,19 +2,15 @@
 //!
 //! The serving hot path is one prenormalized dot product per candidate;
 //! how that dot (and the `/topk` candidate scan around it) is computed is
-//! a [`ScoringBackend`] decision:
+//! a [`ScoringBackend`] decision, made over one scoring state, [`Heads`]:
+//! the trustor head row-major and the trustee head in 16-user panels
+//! (module `panels`), each held once.
 //!
-//! * [`exact`](ExactBackend) — the reference: scalar f32 dots, full
-//!   candidate scans. Every other backend's envelope is stated against
-//!   this one.
-//! * [`simd`](SimdBackend) — the same arithmetic restructured for the
-//!   hardware: candidates/pairs are processed in blocks of 4–8 with one
-//!   independent accumulator chain per lane (runtime-dispatched width),
-//!   so the compiler keeps several fused multiply-add chains in flight
-//!   instead of serializing on one. Each lane accumulates its dot in the
-//!   exact scalar element order, so results are **bitwise identical** to
-//!   `exact` — this backend buys instruction-level parallelism, not a
-//!   different rounding.
+//! * [`exact`](ExactBackend) — the reference: exhaustive scans of the
+//!   panels with one independent accumulator per candidate, each summing
+//!   in scalar element order, so every score is **bitwise** the seed's
+//!   scalar dot (kept as the oracle in `tests/backend_exactness.rs`).
+//!   Every other backend's envelope is stated against this one.
 //! * [`int8`](Int8Backend) — symmetric per-row int8 quantization of both
 //!   head matrices (scale vector + i32-accumulated integer dot), cutting
 //!   the scoring working set ~4×. The quantization error is *measured at
@@ -30,7 +26,7 @@
 //!   (`ivf_recall_at_10_is_at_least_095_on_a_seeded_clustered_model`).
 //!
 //! Determinism per backend is preserved: each backend is a pure function
-//! of the artifact (and its own fixed parameters), candidate scans reuse
+//! of the heads (and its own fixed parameters), candidate scans reuse
 //! the `ahntp-par` row-band discipline with banding-invariant per-element
 //! arithmetic, and all tie-breaks are total orders — so any backend's
 //! output is bitwise identical at every thread count.
@@ -38,17 +34,50 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use ahntp_nn::TrustArtifact;
+use ahntp_nn::Rows;
 
 mod exact;
 mod int8;
 mod ivf;
-mod simd;
+mod panels;
 
+pub(crate) use exact::top_k_in as exact_top_k_in;
 pub use exact::ExactBackend;
 pub use int8::Int8Backend;
 pub use ivf::IvfBackend;
-pub use simd::SimdBackend;
+pub(crate) use panels::Panels;
+
+/// The scoring state every backend reads: the trustor head row-major
+/// (a zero-copy view while the artifact is mapped and unpatched) and the
+/// trustee head as [`Panels`].
+#[derive(Debug, Clone)]
+pub(crate) struct Heads {
+    pub(crate) trustor: Rows,
+    pub(crate) trustee: Panels,
+}
+
+impl Heads {
+    /// Number of users.
+    pub(crate) fn n(&self) -> usize {
+        self.trustee.n()
+    }
+
+    /// Head dimension.
+    pub(crate) fn d(&self) -> usize {
+        self.trustee.d()
+    }
+
+    /// Trustor row `u`.
+    pub(crate) fn trustor_row(&self, u: usize) -> &[f32] {
+        let d = self.d();
+        &self.trustor[u * d..(u + 1) * d]
+    }
+
+    /// The exact f32 head dot of one pair.
+    pub(crate) fn dot(&self, trustor: usize, trustee: usize) -> f32 {
+        self.trustee.dot(self.trustor_row(trustor), trustee)
+    }
+}
 
 /// A candidate ordered by raw dot for the top-k heaps. Scores are finite
 /// (artifact validation guarantees finite inputs), so `total_cmp` is a
@@ -91,11 +120,9 @@ pub struct IvfParams {
 /// Which scoring backend a [`crate::TrustIndex`] uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackendKind {
-    /// Reference scalar f32 path.
+    /// Exhaustive f32 scans, bitwise the scalar reference.
     #[default]
     Exact,
-    /// Lane-unrolled kernels, bitwise-equal to [`BackendKind::Exact`].
-    Simd,
     /// Per-row symmetric int8 quantization with a measured error bound.
     Int8,
     /// IVF coarse clustering for sublinear `/topk`.
@@ -108,13 +135,12 @@ impl BackendKind {
     pub fn name(self) -> &'static str {
         match self {
             BackendKind::Exact => "exact",
-            BackendKind::Simd => "simd",
             BackendKind::Int8 => "int8",
             BackendKind::Ivf(_) => "ivf",
         }
     }
 
-    /// Parses a backend spec: `exact`, `simd`, `int8`, `ivf`, or
+    /// Parses a backend spec: `exact`, `int8`, `ivf`, or
     /// `ivf:nlist=<n>,nprobe=<n>` (either key optional).
     ///
     /// # Errors
@@ -124,7 +150,6 @@ impl BackendKind {
         let spec = spec.trim();
         match spec {
             "" | "exact" => return Ok(BackendKind::Exact),
-            "simd" => return Ok(BackendKind::Simd),
             "int8" => return Ok(BackendKind::Int8),
             "ivf" => return Ok(BackendKind::Ivf(IvfParams::default())),
             _ => {}
@@ -151,7 +176,7 @@ impl BackendKind {
             return Ok(BackendKind::Ivf(params));
         }
         Err(format!(
-            "unknown backend {spec:?} (known: exact, simd, int8, ivf[:nlist=..,nprobe=..])"
+            "unknown backend {spec:?} (known: exact, int8, ivf[:nlist=..,nprobe=..])"
         ))
     }
 
@@ -176,13 +201,13 @@ impl BackendKind {
         }
     }
 
-    /// Builds the backend's derived state from a validated artifact.
-    pub(crate) fn build(self, artifact: &TrustArtifact) -> Box<dyn ScoringBackend> {
+    /// Builds the backend's derived state from the heads; `fingerprint`
+    /// (the artifact's) seeds ivf's k-means.
+    pub(crate) fn build(self, heads: &Heads, fingerprint: u64) -> Box<dyn ScoringBackend> {
         match self {
             BackendKind::Exact => Box::new(ExactBackend),
-            BackendKind::Simd => Box::new(SimdBackend::build(artifact)),
-            BackendKind::Int8 => Box::new(Int8Backend::build(artifact)),
-            BackendKind::Ivf(params) => Box::new(IvfBackend::build(artifact, params)),
+            BackendKind::Int8 => Box::new(Int8Backend::build(heads)),
+            BackendKind::Ivf(params) => Box::new(IvfBackend::build(heads, fingerprint, params)),
         }
     }
 }
@@ -195,46 +220,38 @@ impl BackendKind {
 /// `top_k` returns the best-`k` candidate set in no particular order.
 pub(crate) trait ScoringBackend: std::fmt::Debug + Send + Sync {
     /// Raw (possibly approximated) head dot for one pair.
-    fn dot(&self, artifact: &TrustArtifact, trustor: usize, trustee: usize) -> f32;
+    fn dot(&self, heads: &Heads, trustor: usize, trustee: usize) -> f32;
 
     /// Raw dots for a batch of pairs, written to `out` (same length).
     /// Called per `ahntp-par` band; per-pair arithmetic must not depend
     /// on the banding.
-    fn dot_batch(&self, artifact: &TrustArtifact, pairs: &[(usize, usize)], out: &mut [f32]);
+    fn dot_batch(&self, heads: &Heads, pairs: &[(usize, usize)], out: &mut [f32]) {
+        for (&(u, v), o) in pairs.iter().zip(out) {
+            *o = self.dot(heads, u, v);
+        }
+    }
 
     /// The best-`k` candidates for `trustor` (excluding `trustor`), as
     /// raw-dot [`Ranked`] entries in no particular order.
-    fn top_k(&self, artifact: &TrustArtifact, trustor: usize, k: usize) -> Vec<Ranked>;
+    fn top_k(&self, heads: &Heads, trustor: usize, k: usize) -> Vec<Ranked>;
 
-    /// Refreshes derived state after the artifact rows for `users` were
+    /// Refreshes derived state after the head rows for `users` were
     /// patched in place (live-trust head patches).
-    fn on_patch(&mut self, artifact: &TrustArtifact, users: &[usize]);
+    fn on_patch(&mut self, heads: &Heads, users: &[usize]);
 
     /// Bytes of scoring-path state per user (head matrices plus any
-    /// derived structures; the raw f32 artifact is excluded for
-    /// compressed backends).
-    fn bytes_per_user(&self, artifact: &TrustArtifact) -> usize;
+    /// derived structures; the f32 heads are excluded for compressed
+    /// backends).
+    fn bytes_per_user(&self, heads: &Heads) -> usize;
 
     /// Rigorous bound on `|score_backend − score_exact|` for pair
-    /// scoring, in probability units. `0.0` for backends whose pair dot
-    /// is exact.
-    fn score_error_bound(&self, artifact: &TrustArtifact) -> f32;
+    /// scoring, in probability units, under calibration `c`. `0.0` for
+    /// backends whose pair dot is exact.
+    fn score_error_bound(&self, calibration: f32) -> f32;
 
     /// Whether `top_k` may return a candidate set different from the
     /// exact scan (recall < 1). `false` means top-k is exhaustive.
     fn approximate_top_k(&self) -> bool;
-}
-
-/// Scalar reference dot: the exact element order every backend's
-/// per-lane accumulation must reproduce to claim bitwise equality.
-#[inline]
-pub(crate) fn scalar_dot(artifact: &TrustArtifact, trustor: usize, trustee: usize) -> f32 {
-    let d = artifact.head_dim;
-    artifact.trustor_head[trustor * d..(trustor + 1) * d]
-        .iter()
-        .zip(&artifact.trustee_head[trustee * d..(trustee + 1) * d])
-        .map(|(a, b)| a * b)
-        .sum()
 }
 
 /// Pushes a candidate through the bounded-heap top-k discipline shared by
@@ -252,33 +269,17 @@ pub(crate) fn heap_push(heap: &mut BinaryHeap<Reverse<Ranked>>, k: usize, score:
     }
 }
 
-/// The shared banded candidate scan: splits `0..n` into `ahntp-par` row
-/// bands, keeps `k` per band via `band_fn`, and selects the global top
-/// `k` from the union. The union is a superset of the serial scan's
-/// survivors and [`Ranked`] never ties across distinct users, so the
-/// selection equals the serial candidate set bitwise — at any thread
-/// count.
+/// The shared banded candidate scan over the candidate id range
+/// `lo..hi`: splits it into `ahntp-par` row bands, keeps `k` per band via
+/// `band_fn`, and selects the global top `k` from the union. Candidate
+/// ids stay **global** throughout: `band_fn` receives absolute `(c0, c1)`
+/// bounds and returns absolute user ids, so a shard's scatter-gather
+/// merge never translates ids. The union is a superset of the serial
+/// scan's survivors and [`Ranked`] never ties across distinct users, so
+/// the selection equals the serial candidate set bitwise — at any thread
+/// count and any band placement.
 pub(crate) fn banded_top_k<F>(
-    artifact: &TrustArtifact,
-    k: usize,
-    par_counter: &str,
-    band_fn: F,
-) -> Vec<Ranked>
-where
-    F: Fn(usize, usize) -> Vec<Ranked> + Sync,
-{
-    banded_range_top_k(artifact, k, 0, artifact.n_users, par_counter, band_fn)
-}
-
-/// [`banded_top_k`] over the candidate id sub-range `lo..hi` — the
-/// shard-local scan. Candidate ids stay **global** throughout: bands are
-/// offset by `lo`, `band_fn` receives absolute `(c0, c1)` bounds, and the
-/// returned [`Ranked`] entries carry absolute user ids, so a scatter-
-/// gather merge never translates ids. Per-candidate arithmetic is
-/// banding-invariant, so the range result is bitwise identical at any
-/// thread count and any band placement.
-pub(crate) fn banded_range_top_k<F>(
-    artifact: &TrustArtifact,
+    heads: &Heads,
     k: usize,
     lo: usize,
     hi: usize,
@@ -289,7 +290,7 @@ where
     F: Fn(usize, usize) -> Vec<Ranked> + Sync,
 {
     let n = hi.saturating_sub(lo);
-    let mut bands = ahntp_par::par_bands(n, 2 * n * artifact.head_dim, par_counter, |b0, b1| {
+    let mut bands = ahntp_par::par_bands(n, 2 * n * heads.d(), par_counter, |b0, b1| {
         band_fn(lo + b0, lo + b1)
     })
     .into_iter();
@@ -305,24 +306,6 @@ where
     merged
 }
 
-/// Exact scalar top-k over the candidate id range `lo..hi` (excluding
-/// `trustor`). This is the shard-local `/topk` scan: it always runs the
-/// reference scalar arithmetic *regardless of the index's configured
-/// backend*, so merging per-shard results under the [`Ranked`] total
-/// order reproduces the single-node exact scan bitwise — the invariant
-/// the shard-exactness tier asserts.
-pub(crate) fn exact_top_k_in(
-    artifact: &TrustArtifact,
-    trustor: usize,
-    k: usize,
-    lo: usize,
-    hi: usize,
-) -> Vec<Ranked> {
-    banded_range_top_k(artifact, k, lo, hi, "serve.topk.range.par_calls", |c0, c1| {
-        exact::scalar_band_top_k(artifact, trustor, k, c0, c1)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -331,7 +314,6 @@ mod tests {
     fn backend_specs_parse_and_name_round_trip() {
         assert_eq!(BackendKind::parse("exact").unwrap(), BackendKind::Exact);
         assert_eq!(BackendKind::parse("").unwrap(), BackendKind::Exact);
-        assert_eq!(BackendKind::parse("simd").unwrap(), BackendKind::Simd);
         assert_eq!(BackendKind::parse("int8").unwrap(), BackendKind::Int8);
         assert_eq!(
             BackendKind::parse("ivf").unwrap(),
@@ -347,7 +329,6 @@ mod tests {
         );
         for kind in [
             BackendKind::Exact,
-            BackendKind::Simd,
             BackendKind::Int8,
             BackendKind::Ivf(IvfParams::default()),
         ] {
@@ -357,7 +338,15 @@ mod tests {
 
     #[test]
     fn malformed_backend_specs_are_typed_errors() {
-        for bad in ["quantum", "ivf:nlist=zero", "ivf:nlist=0", "ivf:depth=3", "ivf:nlist"] {
+        // " simd": the retired backend, padded with whitespace `parse` trims.
+        for bad in [
+            "quantum",
+            " simd",
+            "ivf:nlist=zero",
+            "ivf:nlist=0",
+            "ivf:depth=3",
+            "ivf:nlist",
+        ] {
             let err = BackendKind::parse(bad).unwrap_err();
             assert!(!err.is_empty(), "{bad}: {err}");
         }

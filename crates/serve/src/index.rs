@@ -1,16 +1,18 @@
 //! The in-memory scoring index behind the serving endpoints.
 //!
-//! A [`TrustIndex`] wraps a decoded [`TrustArtifact`] and answers trust
-//! queries with no graph machinery: the artifact's head rows are already
-//! L2-normalised, so `score(u, v)` is one `O(d)` dot product followed by
-//! the trainer's calibrated sigmoid, and `top_k_trustees` ranks
-//! candidates over one row scan.
+//! A [`TrustIndex`] takes a decoded [`TrustArtifact`] apart and answers
+//! trust queries with no graph machinery: the artifact's head rows are
+//! already L2-normalised, so `score(u, v)` is one `O(d)` dot product
+//! followed by the trainer's calibrated sigmoid, and `top_k_trustees`
+//! ranks candidates over one scan. The trustee head is kept once, re-laid
+//! in place into 16-user panels for that scan (`backend/panels.rs`); the
+//! embeddings and the trustor head stay as the artifact held them.
 //!
 //! *How* the dot and the candidate scan are computed is delegated to a
-//! pluggable [`ScoringBackend`](crate::backend) — `exact` (the scalar
-//! reference), `simd` (lane-unrolled, bitwise-equal to exact), `int8`
-//! (quantized, ~4× smaller, measured error bound), or `ivf` (coarse
-//! clustering, sublinear `/topk`). The backend is picked by
+//! pluggable [`ScoringBackend`](crate::backend) — `exact` (the panel
+//! scan, bitwise the scalar reference), `int8` (quantized, ~4× smaller,
+//! measured error bound), or `ivf` (coarse clustering, sublinear
+//! `/topk`). The backend is picked by
 //! [`BackendKind::from_env`] (`AHNTP_BACKEND`) at construction, or
 //! explicitly via [`TrustIndex::from_artifact_with`] /
 //! [`TrustIndex::with_backend`].
@@ -34,11 +36,11 @@
 
 use std::sync::{RwLock, RwLockReadGuard};
 
-use ahntp_nn::{ArtifactError, TrustArtifact};
+use ahntp_nn::{ArtifactError, Rows, TrustArtifact};
 use ahntp_stream::HeadPatch;
 use ahntp_telemetry::counter_add;
 
-use crate::backend::{BackendKind, ScoringBackend};
+use crate::backend::{exact_top_k_in, BackendKind, Heads, Panels, ScoringBackend};
 
 /// Errors from scoring queries against a [`TrustIndex`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -146,7 +148,6 @@ impl DefensePrior {
 fn topk_span(kind: BackendKind) -> &'static str {
     match kind {
         BackendKind::Exact => "serve.topk.exact",
-        BackendKind::Simd => "serve.topk.simd",
         BackendKind::Int8 => "serve.topk.int8",
         BackendKind::Ivf(_) => "serve.topk.ivf",
     }
@@ -155,10 +156,19 @@ fn topk_span(kind: BackendKind) -> &'static str {
 fn score_span(kind: BackendKind) -> &'static str {
     match kind {
         BackendKind::Exact => "serve.score_pairs.exact",
-        BackendKind::Simd => "serve.score_pairs.simd",
         BackendKind::Int8 => "serve.score_pairs.int8",
         BackendKind::Ivf(_) => "serve.score_pairs.ivf",
     }
+}
+
+/// The artifact's fields besides the two scoring heads.
+#[derive(Debug, Clone)]
+struct Meta {
+    model: String,
+    fingerprint: u64,
+    calibration: f32,
+    emb_dim: usize,
+    embeddings: Rows,
 }
 
 /// Trust-scoring index over an exported [`TrustArtifact`], scored through
@@ -166,7 +176,8 @@ fn score_span(kind: BackendKind) -> &'static str {
 /// patches mutate it, and those re-derive exactly the touched rows.
 #[derive(Debug)]
 pub struct TrustIndex {
-    artifact: TrustArtifact,
+    meta: Meta,
+    heads: Heads,
     kind: BackendKind,
     backend: Box<dyn ScoringBackend>,
     /// Sybil-defense prior; `None` serves raw learned scores.
@@ -178,24 +189,24 @@ pub struct TrustIndex {
 
 impl Clone for TrustIndex {
     fn clone(&self) -> TrustIndex {
-        // Backends are pure functions of (artifact, kind), so a clone
+        // Backends are pure functions of (heads, kind), so a clone
         // rebuilds identical derived state; the defense prior is carried
         // over explicitly (it is graph-derived, not artifact-derived).
-        let mut clone = TrustIndex::assemble(self.artifact.clone(), self.kind);
+        let mut clone = TrustIndex::assemble(self.meta.clone(), self.heads.clone(), self.kind);
         clone.defense = self.defense.clone();
         clone
     }
 }
 
 impl TrustIndex {
-    fn assemble(artifact: TrustArtifact, kind: BackendKind) -> TrustIndex {
-        let backend = kind.build(&artifact);
+    fn assemble(meta: Meta, heads: Heads, kind: BackendKind) -> TrustIndex {
         TrustIndex {
             m_score_calls: format!("serve.score_pairs.{}.calls", kind.name()),
             m_topk_calls: format!("serve.topk.{}.calls", kind.name()),
-            artifact,
+            backend: kind.build(&heads, meta.fingerprint),
+            meta,
+            heads,
             kind,
-            backend,
             defense: None,
         }
     }
@@ -212,7 +223,9 @@ impl TrustIndex {
         TrustIndex::from_artifact_with(artifact, BackendKind::from_env())
     }
 
-    /// Builds the index with an explicit scoring backend.
+    /// Builds the index with an explicit scoring backend. The trustee
+    /// head is re-laid into panels in place: an owned matrix is reused,
+    /// a mapped one is copied once.
     ///
     /// # Errors
     ///
@@ -223,7 +236,29 @@ impl TrustIndex {
         kind: BackendKind,
     ) -> Result<TrustIndex, ArtifactError> {
         artifact.validate()?;
-        Ok(TrustIndex::assemble(artifact, kind))
+        let TrustArtifact {
+            model,
+            fingerprint,
+            calibration,
+            n_users,
+            emb_dim,
+            head_dim,
+            embeddings,
+            trustor_head,
+            trustee_head,
+        } = artifact;
+        let meta = Meta {
+            model,
+            fingerprint,
+            calibration,
+            emb_dim,
+            embeddings,
+        };
+        let heads = Heads {
+            trustor: trustor_head,
+            trustee: Panels::new(trustee_head.into_vec(), n_users, head_dim),
+        };
+        Ok(TrustIndex::assemble(meta, heads, kind))
     }
 
     /// Decodes an `AHNTPSRV1` frame and builds the index (backend from
@@ -237,11 +272,14 @@ impl TrustIndex {
         TrustIndex::from_artifact(TrustArtifact::decode(bytes)?)
     }
 
-    /// Opens an artifact file and builds the index, zero-copy when
-    /// possible: the frame is memory-mapped and its matrices become
-    /// borrowed views ([`TrustArtifact::open`]), so a shard (re)start
-    /// costs O(header + CRC) instead of O(matrix copy). Platforms without
-    /// the fast path fall back to a parsing decode — same index either way.
+    /// Opens an artifact file and builds the index, zero-copy where the
+    /// layout allows: the frame is memory-mapped and its matrices become
+    /// borrowed views ([`TrustArtifact::open`]). The embeddings and the
+    /// trustor head stay views; the trustee head is copied once while it
+    /// is re-laid into panels — one pass beside the CRC pass `open`
+    /// already makes over every byte, and the copy the first live patch
+    /// made before panels existed. Platforms without the fast path fall
+    /// back to a parsing decode — same index either way.
     ///
     /// # Errors
     ///
@@ -269,26 +307,29 @@ impl TrustIndex {
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
     }
 
-    /// Whether the artifact matrices are zero-copy mapped views (true
-    /// until the first live head patch copies a matrix).
+    /// Whether what the index still serves from the mapping — the
+    /// embeddings and the trustor head — is a zero-copy view (true after
+    /// [`TrustIndex::open`] until the first live head patch copies them).
+    /// The trustee head is never a view: it is re-laid into panels at
+    /// build time.
     pub fn is_mapped(&self) -> bool {
-        self.artifact.is_mapped()
+        self.meta.embeddings.is_mapped() && self.heads.trustor.is_mapped()
     }
 
     /// Rebuilds this index on a different scoring backend. Derived state
     /// (quantized matrices, posting lists) is reconstructed from the
-    /// artifact, so the swap is deterministic. An attached defense prior
+    /// heads, so the swap is deterministic. An attached defense prior
     /// survives the rebuild.
     pub fn with_backend(self, kind: BackendKind) -> TrustIndex {
-        let mut index = TrustIndex::assemble(self.artifact, kind);
+        let mut index = TrustIndex::assemble(self.meta, self.heads, kind);
         index.defense = self.defense;
         index
     }
 
     /// Attaches a Sybil-defense prior: every served probability becomes
     /// `(1 − α) · learned + α · prior[trustee]` (see [`DefensePrior`]).
-    /// `/topk` under defense always ranks via a full exact candidate scan
-    /// — the prior reweights candidates, so approximate backends cannot
+    /// `/topk` under defense always ranks via the full exact panel scan —
+    /// the prior reweights candidates, so approximate backends cannot
     /// pre-rank for it.
     ///
     /// # Errors
@@ -296,11 +337,11 @@ impl TrustIndex {
     /// Rejects a prior that does not cover exactly `n_users` nodes; the
     /// index is unchanged on error.
     pub fn with_defense(mut self, defense: DefensePrior) -> Result<TrustIndex, String> {
-        if defense.len() != self.artifact.n_users {
+        if defense.len() != self.n_users() {
             return Err(format!(
                 "defense prior covers {} users but the index holds {}",
                 defense.len(),
-                self.artifact.n_users
+                self.n_users()
             ));
         }
         self.defense = Some(defense);
@@ -336,17 +377,16 @@ impl TrustIndex {
         self.kind
     }
 
-    /// Stable backend name (`exact`, `simd`, `int8`, `ivf`).
+    /// Stable backend name (`exact`, `int8`, `ivf`).
     pub fn backend_name(&self) -> &'static str {
         self.kind.name()
     }
 
     /// Rigorous bound on `|score − exact_score|` for pair scoring under
-    /// this backend, in probability units. `0.0` for `exact`, `simd`
-    /// (bitwise-equal), and `ivf` (exact pair dots); measured at build
-    /// time for `int8`.
+    /// this backend, in probability units. `0.0` for `exact` and `ivf`
+    /// (exact pair dots); measured at build time for `int8`.
     pub fn score_error_bound(&self) -> f32 {
-        self.backend.score_error_bound(&self.artifact)
+        self.backend.score_error_bound(self.meta.calibration)
     }
 
     /// Whether `top_k_trustees` may return a candidate set different from
@@ -357,39 +397,39 @@ impl TrustIndex {
 
     /// Bytes of scoring-path state per user under this backend.
     pub fn bytes_per_user(&self) -> usize {
-        self.backend.bytes_per_user(&self.artifact)
+        self.backend.bytes_per_user(&self.heads)
     }
 
     /// Number of users the index can score.
     pub fn n_users(&self) -> usize {
-        self.artifact.n_users
+        self.heads.n()
     }
 
     /// Embedding dimension of the exported model.
     pub fn emb_dim(&self) -> usize {
-        self.artifact.emb_dim
+        self.meta.emb_dim
     }
 
     /// Head dimension (the per-pair dot length).
     pub fn head_dim(&self) -> usize {
-        self.artifact.head_dim
+        self.heads.d()
     }
 
     /// Name of the exporting model (e.g. `"AHNTP"`).
     pub fn model(&self) -> &str {
-        &self.artifact.model
+        &self.meta.model
     }
 
     /// Architecture fingerprint of the exporting model (0 = untagged).
     pub fn fingerprint(&self) -> u64 {
-        self.artifact.fingerprint
+        self.meta.fingerprint
     }
 
     fn check(&self, user: usize) -> Result<(), ScoreError> {
-        if user >= self.artifact.n_users {
+        if user >= self.n_users() {
             Err(ScoreError::UserOutOfRange {
                 user,
-                n_users: self.artifact.n_users,
+                n_users: self.n_users(),
             })
         } else {
             Ok(())
@@ -397,7 +437,7 @@ impl TrustIndex {
     }
 
     fn calibrated(&self, dot: f32) -> f32 {
-        1.0 / (1.0 + (-dot / self.artifact.calibration).exp())
+        1.0 / (1.0 + (-dot / self.meta.calibration).exp())
     }
 
     /// Probability that `trustor` trusts `trustee`:
@@ -414,7 +454,7 @@ impl TrustIndex {
         self.check(trustee)?;
         Ok(self.defended_score(
             trustee,
-            self.calibrated(self.backend.dot(&self.artifact, trustor, trustee)),
+            self.calibrated(self.backend.dot(&self.heads, trustor, trustee)),
         ))
     }
 
@@ -437,11 +477,11 @@ impl TrustIndex {
         ahntp_par::par_rows(
             &mut out,
             1,
-            2 * pairs.len() * self.artifact.head_dim,
+            2 * pairs.len() * self.head_dim(),
             "serve.score_pairs.par_calls",
             |off, band| {
                 self.backend
-                    .dot_batch(&self.artifact, &pairs[off..off + band.len()], band);
+                    .dot_batch(&self.heads, &pairs[off..off + band.len()], band);
             },
         );
         for v in &mut out {
@@ -484,12 +524,11 @@ impl TrustIndex {
             // The prior reweights candidates, so a backend's dot-ordered
             // pre-ranking (int8 quantized heaps, ivf posting lists) is
             // not a valid filter for the blended order. Defended top-k
-            // therefore ranks every candidate through the exact scalar
+            // therefore ranks every candidate through the exact panel
             // scan — identical across backends by construction.
-            let n = self.artifact.n_users;
-            return Ok(self.defended_top_k_in(trustor, k, 0, n));
+            return Ok(self.defended_top_k_in(trustor, k, 0, self.n_users()));
         }
-        let ranked = self.backend.top_k(&self.artifact, trustor, k);
+        let ranked = self.backend.top_k(&self.heads, trustor, k);
         let mut out: Vec<(usize, f32)> = ranked
             .into_iter()
             .map(|r| (r.user, self.calibrated(r.score)))
@@ -507,9 +546,8 @@ impl TrustIndex {
     /// range `lo..hi` — the shard-local `/topk` scan. Candidate ids are
     /// **global** user ids throughout (the range selects, it does not
     /// re-base), so a scatter-gather front merges per-shard results
-    /// without any id translation. The scan always runs the reference
-    /// exact scalar arithmetic regardless of this index's configured
-    /// backend, so the union of disjoint ranges covering `0..n`, merged
+    /// without any id translation. The scan always runs the exact panel
+    /// scan regardless of this index's configured backend, so the union of disjoint ranges covering `0..n`, merged
     /// under (score desc, id asc) and truncated to `k`, is bitwise
     /// identical to the single-node exact `top_k_trustees`.
     ///
@@ -534,14 +572,21 @@ impl TrustIndex {
         );
         counter_add("serve.topk.range.calls", 1);
         self.check(trustor)?;
-        let hi = hi.min(self.artifact.n_users);
+        let hi = hi.min(self.n_users());
         if lo >= hi {
             return Ok(Vec::new());
         }
         if self.defense.is_some() {
             return Ok(self.defended_top_k_in(trustor, k, lo, hi));
         }
-        let ranked = crate::backend::exact_top_k_in(&self.artifact, trustor, k, lo, hi);
+        let ranked = exact_top_k_in(
+            &self.heads,
+            trustor,
+            k,
+            lo,
+            hi,
+            "serve.topk.range.par_calls",
+        );
         let mut out: Vec<(usize, f32)> = ranked
             .into_iter()
             .map(|r| (r.user, self.calibrated(r.score)))
@@ -555,7 +600,7 @@ impl TrustIndex {
 
     /// The defended candidate scan shared by `top_k_trustees` and
     /// `top_k_trustees_in`: rank *all* candidates in `lo..hi` with the
-    /// exact scalar arithmetic, blend each with the prior, then apply the
+    /// exact panel scan, blend each with the prior, then apply the
     /// documented (score desc, id asc) tie-break and truncate. Because
     /// the blend happens before the per-shard sort, the union of disjoint
     /// shard ranges covering `0..n`, merged under the same order, is
@@ -565,7 +610,14 @@ impl TrustIndex {
         // `hi - lo` candidates = the whole range; truncation to `k` must
         // happen *after* blending or the prior could not promote a
         // candidate the raw dot order had cut.
-        let ranked = crate::backend::exact_top_k_in(&self.artifact, trustor, hi - lo, lo, hi);
+        let ranked = exact_top_k_in(
+            &self.heads,
+            trustor,
+            hi - lo,
+            lo,
+            hi,
+            "serve.topk.range.par_calls",
+        );
         let mut out: Vec<(usize, f32)> = ranked
             .into_iter()
             .map(|r| (r.user, d.blend(r.user, self.calibrated(r.score))))
@@ -592,31 +644,35 @@ impl TrustIndex {
         if patch.is_empty() {
             return Ok(());
         }
-        if patch.emb_dim != self.artifact.emb_dim || patch.head_dim != self.artifact.head_dim {
+        if patch.emb_dim != self.emb_dim() || patch.head_dim != self.head_dim() {
             return Err(format!(
                 "head patch dims {}×{} do not match index dims {}×{}",
-                patch.emb_dim, patch.head_dim, self.artifact.emb_dim, self.artifact.head_dim
+                patch.emb_dim,
+                patch.head_dim,
+                self.emb_dim(),
+                self.head_dim()
             ));
         }
-        if let Some(&bad) = patch.users.iter().find(|&&u| u >= self.artifact.n_users) {
+        if let Some(&bad) = patch.users.iter().find(|&&u| u >= self.n_users()) {
             return Err(format!(
                 "head patch user {bad} out of range (index holds {} users)",
-                self.artifact.n_users
+                self.n_users()
             ));
         }
         let (ed, hd) = (patch.emb_dim, patch.head_dim);
         // `to_mut` copies a zero-copy mapped matrix on first write: a
         // freshly mapped shard pays for exactly the matrices live patches
-        // touch, never for the whole artifact.
+        // touch. The trustee head was copied into panels at build time.
         for (k, &u) in patch.users.iter().enumerate() {
-            self.artifact.embeddings.to_mut()[u * ed..(u + 1) * ed]
+            self.meta.embeddings.to_mut()[u * ed..(u + 1) * ed]
                 .copy_from_slice(&patch.emb_rows[k * ed..(k + 1) * ed]);
-            self.artifact.trustor_head.to_mut()[u * hd..(u + 1) * hd]
+            self.heads.trustor.to_mut()[u * hd..(u + 1) * hd]
                 .copy_from_slice(&patch.trustor_rows[k * hd..(k + 1) * hd]);
-            self.artifact.trustee_head.to_mut()[u * hd..(u + 1) * hd]
-                .copy_from_slice(&patch.trustee_rows[k * hd..(k + 1) * hd]);
+            self.heads
+                .trustee
+                .set_row(u, &patch.trustee_rows[k * hd..(k + 1) * hd]);
         }
-        self.backend.on_patch(&self.artifact, &patch.users);
+        self.backend.on_patch(&self.heads, &patch.users);
         counter_add("serve.index.patched_rows", patch.users.len() as u64);
         Ok(())
     }
@@ -841,7 +897,6 @@ mod tests {
         };
         for kind in [
             BackendKind::Exact,
-            BackendKind::Simd,
             BackendKind::Int8,
             BackendKind::Ivf(crate::backend::IvfParams::default()),
         ] {
@@ -880,11 +935,7 @@ mod tests {
         assert!(!index.approximate_top_k());
         let exact_scores = index.score_pairs(&[(0, 1), (2, 3)]).unwrap();
 
-        let simd = index.clone().with_backend(BackendKind::Simd);
-        assert_eq!(simd.backend_name(), "simd");
-        assert_eq!(simd.score_pairs(&[(0, 1), (2, 3)]).unwrap(), exact_scores);
-
-        let int8 = simd.with_backend(BackendKind::Int8);
+        let int8 = index.clone().with_backend(BackendKind::Int8);
         assert_eq!(int8.backend_name(), "int8");
         assert!(int8.approximate_top_k());
         let bound = int8.score_error_bound();
@@ -1093,7 +1144,6 @@ mod tests {
             (0..37).map(|i| (i % 41, (i * 7 + 3) % 41)).collect();
         for kind in [
             BackendKind::Exact,
-            BackendKind::Simd,
             BackendKind::Int8,
             BackendKind::Ivf(crate::backend::IvfParams::default()),
         ] {
@@ -1198,28 +1248,45 @@ mod tests {
         }
     }
 
+    /// The trustee head is held once: building from an owned artifact
+    /// re-lays the artifact's own allocation into panels, and the exact
+    /// backend counts two f32 rows per user. A copying build fails this.
     #[test]
-    fn simd_is_bitwise_equal_to_exact_on_a_wide_index() {
+    fn the_trustee_head_is_re_laid_in_place() {
         let artifact = wide_artifact(53);
-        let exact = TrustIndex::from_artifact_with(artifact.clone(), BackendKind::Exact).unwrap();
-        let simd = TrustIndex::from_artifact_with(artifact, BackendKind::Simd).unwrap();
-        let pairs: Vec<(usize, usize)> =
-            (0..29).map(|i| (i % 53, (i * 11 + 5) % 53)).collect();
-        let a = exact.score_pairs(&pairs).unwrap();
-        let b = simd.score_pairs(&pairs).unwrap();
-        assert_eq!(
-            a.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            b.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
-        for u in 0..53 {
-            let a = exact.top_k_trustees(u, 7).unwrap();
-            let b = simd.top_k_trustees(u, 7).unwrap();
-            assert_eq!(
-                a.iter().map(|&(v, s)| (v, s.to_bits())).collect::<Vec<_>>(),
-                b.iter().map(|&(v, s)| (v, s.to_bits())).collect::<Vec<_>>(),
-                "top_k({u})"
-            );
-        }
+        let allocation = artifact.trustee_head.as_ptr();
+        let index = TrustIndex::from_artifact_with(artifact, BackendKind::Exact).unwrap();
+        assert_eq!(index.heads.trustee.as_ptr(), allocation);
+        assert_eq!(index.bytes_per_user(), 8 * index.head_dim());
+    }
+
+    /// `is_mapped` reports what is still a view of the file: after `open`
+    /// the embeddings and trustor head are, and the first live patch
+    /// copies them (the trustee head is panels either way).
+    #[test]
+    fn open_reports_the_mapped_views_until_a_patch_copies_them() {
+        let path = std::env::temp_dir().join(format!(
+            "ahntp-index-mapped-{}-{:?}.ahntpsrv",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::write(&path, wide_artifact(20).encode_v2()).unwrap();
+        let opened = TrustIndex::open_with(&path, BackendKind::Exact);
+        let _ = std::fs::remove_file(&path);
+        let mut index = opened.unwrap();
+        assert!(index.is_mapped(), "embeddings and trustor head map zero-copy");
+        let before = index.score(0, 5).unwrap();
+        let patch = HeadPatch {
+            users: vec![0],
+            emb_dim: 2,
+            head_dim: 2,
+            emb_rows: vec![0.0, 0.0],
+            trustor_rows: vec![0.0, 1.0],
+            trustee_rows: index.heads.trustee.row(0),
+        };
+        index.apply_head_patch(&patch).unwrap();
+        assert!(!index.is_mapped(), "a trustor-row patch copies the views");
+        assert_ne!(index.score(0, 5).unwrap(), before);
     }
 
     // ------------------------- defended scoring -------------------------
@@ -1321,7 +1388,6 @@ mod tests {
                 .collect()
         };
         for kind in [
-            BackendKind::Simd,
             BackendKind::Int8,
             BackendKind::Ivf(crate::backend::IvfParams::default()),
         ] {
@@ -1345,7 +1411,7 @@ mod tests {
         let index = toy_index().with_defense(toy_defense(0.5)).unwrap();
         assert!(index.clone().defended(), "Clone must carry the defense");
         assert!(
-            index.clone().with_backend(BackendKind::Simd).defended(),
+            index.clone().with_backend(BackendKind::Int8).defended(),
             "backend rebuild must carry the defense"
         );
         // A hot swap keeps the active defense when the snapshot has none…

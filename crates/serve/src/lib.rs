@@ -9,7 +9,8 @@
 //!   scores pairs with one `O(d)` dot product per query. Head rows are
 //!   L2-normalised at export, so the dot *is* the cosine of Eq. 19;
 //!   [`TrustIndex::top_k_trustees`] ranks candidates with a bounded heap
-//!   over one row scan.
+//!   over one scan of the trustee head, which the index holds once, in
+//!   16-user panels.
 //! * One server core (module `server`) — a zero-dependency HTTP/1.1
 //!   server on `std::net::TcpListener`: a fixed worker pool, one
 //!   keep-alive connection loop, the observability surface below, and
@@ -40,9 +41,10 @@
 //!   bitwise identical to the single-node exact scan. `POST /admin/swap`
 //!   (on shards and the front) hot-swaps a new artifact snapshot behind
 //!   the [`SharedIndex`] write lock with zero dropped requests, refusing
-//!   fingerprint or shape mismatches with `409`; v2 artifacts load
-//!   zero-copy ([`TrustIndex::open`]), so a shard (re)start maps instead
-//!   of parsing.
+//!   fingerprint or shape mismatches with `409`; v2 artifacts are mapped
+//!   ([`TrustIndex::open`]), so a shard (re)start serves the embeddings
+//!   and trustor head zero-copy and copies only the trustee head, into
+//!   its panels, instead of parsing.
 //! * [`client`] — the one blocking HTTP/1.1 client (timeouts, capped
 //!   response head and body): what the front calls its shards with, and
 //!   what the load generator, benches, example and tests drive servers
@@ -79,10 +81,9 @@
 //! # Scoring backends
 //!
 //! *How* the index computes its dots and candidate scans is pluggable
-//! (module [`backend`]): `exact` (scalar f32 reference), `simd`
-//! (lane-unrolled kernels, bitwise-equal to exact), `int8` (quantized
-//! heads, ~4× smaller, measured error bound), and `ivf` (coarse
-//! clustering for sublinear `/topk`). Select one with the
+//! (module [`backend`]): `exact` (the panel scan, bitwise the scalar f32
+//! reference), `int8` (quantized heads, ~4× smaller, measured error
+//! bound), and `ivf` (coarse clustering for sublinear `/topk`). Select one with the
 //! `AHNTP_BACKEND` environment variable (e.g. `AHNTP_BACKEND=ivf`, or
 //! `ivf:nlist=64,nprobe=8`), [`ServeConfig::backend`], or
 //! [`TrustIndex::from_artifact_with`]. Responses carry the active

@@ -879,7 +879,8 @@ impl Node {
     }
 
     /// `POST /admin/swap`: atomically replaces the served snapshot with one
-    /// opened (zero-copy when the frame is v2) from `{"path": "..."}`.
+    /// opened (mapped when the frame is v2) from `{"path": "..."}`; the
+    /// reply's `mapped` is [`TrustIndex::is_mapped`] of the new index.
     ///
     /// The new index is fully built — mapped/decoded, CRC-checked,
     /// validated, backend constructed — *before* the write lock is taken,
@@ -966,7 +967,8 @@ impl Node {
             ("backend_bytes_per_user", index.bytes_per_user().into()),
             ("backend_score_error_bound", index.score_error_bound().into()),
             ("backend_approximate_topk", index.approximate_top_k().into()),
-            // Whether the artifact is still a zero-copy mapped view.
+            // Whether the embeddings and trustor head are still zero-copy
+            // views of the mapped file (`TrustIndex::is_mapped`).
             ("mapped", index.is_mapped().into()),
             // Whether served scores are Sybil-defense blended.
             ("defended", index.defended().into()),

@@ -1,17 +1,20 @@
-//! Cross-backend contracts, property-tested: `simd` is bitwise-equal to
-//! `exact` (at 1 and 4 kernel threads), `int8` stays inside its own
+//! Cross-backend contracts, property-tested: `exact` is bitwise-equal to
+//! the seed's scalar loop, kept here as the oracle (at 1 and 4 kernel
+//! threads, before and after a live patch), `int8` stays inside its own
 //! stated error envelope, and `ivf` hits recall@10 ≥ 0.95 on a seeded
 //! clustered model while keeping pair scoring exact.
 //!
 //! These are the machine-checked versions of the claims each backend's
 //! module docs make; `backend_bench` measures the same quantities at
 //! benchmark scale and publishes them as BENCH JSON. Every index here is
-//! built with an explicit `with_backend(kind)` — the suite never reads
-//! `AHNTP_BACKEND`, so one run covers all four backends.
+//! built with an explicit backend — the suite never reads
+//! `AHNTP_BACKEND`, so one run covers all three backends.
 
 use ahntp_nn::TrustArtifact;
 use ahntp_serve::{BackendKind, DefensePrior, IvfParams, TrustIndex};
+use ahntp_stream::HeadPatch;
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use proptest::TestRng;
 
 /// Random (unnormalised is fine — the index never assumes norms) artifact
@@ -43,43 +46,110 @@ fn bits(scores: &[f32]) -> Vec<u32> {
     scores.iter().map(|s| s.to_bits()).collect()
 }
 
+fn ranked_bits(list: Vec<(usize, f32)>) -> Vec<(usize, u32)> {
+    list.into_iter().map(|(v, s)| (v, s.to_bits())).collect()
+}
+
+/// The seed's exact arithmetic, kept as the oracle: one scalar dot per
+/// pair over the row-major heads, the calibrated sigmoid, and an
+/// exhaustive ranking — raw dot desc then id asc picks the `k`, and the
+/// served (score desc, id asc) order sorts them.
+struct Oracle<'a>(&'a TrustArtifact);
+
+impl Oracle<'_> {
+    fn dot(&self, u: usize, v: usize) -> f32 {
+        let (a, d) = (self.0, self.0.head_dim);
+        a.trustor_head[u * d..(u + 1) * d]
+            .iter()
+            .zip(&a.trustee_head[v * d..(v + 1) * d])
+            .map(|(a, b)| a * b)
+            .sum()
+    }
+
+    fn score(&self, u: usize, v: usize) -> f32 {
+        1.0 / (1.0 + (-self.dot(u, v) / self.0.calibration).exp())
+    }
+
+    fn top_k_in(&self, u: usize, k: usize, lo: usize, hi: usize) -> Vec<(usize, u32)> {
+        let mut ranked: Vec<(usize, f32)> = (lo..hi)
+            .filter(|&v| v != u)
+            .map(|v| (v, self.dot(u, v)))
+            .collect();
+        ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        ranked.truncate(k);
+        let mut out: Vec<(usize, f32)> = ranked
+            .into_iter()
+            .map(|(v, _)| (v, self.score(u, v)))
+            .collect();
+        out.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        ranked_bits(out)
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The simd backend's whole visible surface — batch scores and top-k
-    /// lists — is bitwise identical to exact, with the `ahntp-par` pool
-    /// at 1 and 4 threads and banding forced on. Dimensions sweep across
-    /// every lane-remainder shape (n and d both ragged against the 4- and
-    /// 8-wide unrolls).
+    /// `exact`'s whole visible surface — every pair's score, every
+    /// user's top-k, and shard-range top-k at random `lo..hi` that cut
+    /// through panels — is bitwise the scalar oracle, with the
+    /// `ahntp-par` pool at 1 and 4 threads and banding forced on, then
+    /// again after a live patch rewrites one panel row and one tail row.
+    /// `n` spans zero to four full 16-user panels plus a ragged tail.
     #[test]
-    fn simd_is_bitwise_equal_to_exact(seed in 0u64..1_000_000, n in 2usize..34, d in 1usize..19) {
-        let artifact = random_artifact(seed, n, d);
-        let exact = TrustIndex::from_artifact_with(artifact.clone(), BackendKind::Exact).unwrap();
-        let simd = TrustIndex::from_artifact_with(artifact, BackendKind::Simd).unwrap();
+    fn exact_is_bitwise_equal_to_the_scalar_oracle(seed in 0u64..1_000_000, n in 2usize..80, d in 1usize..19) {
+        let mut artifact = random_artifact(seed, n, d);
+        let mut index = TrustIndex::from_artifact_with(artifact.clone(), BackendKind::Exact).unwrap();
         let pairs = all_pairs(n);
         let k = (n / 2).max(1);
+        let mut rng = TestRng::from_label(&format!("backend-oracle-{seed}"));
+        let ranges: Vec<(usize, usize)> = (0..4)
+            .map(|_| {
+                let (a, b) = (rng.below(n + 1), rng.below(n + 1));
+                (a.min(b), a.max(b))
+            })
+            .collect();
+        // A row inside the first panel (when there is one) and the last
+        // row, which is a tail row unless `n` is a multiple of 16.
+        let patched: Vec<usize> = if n >= 16 { vec![seed as usize % 15, n - 1] } else { vec![n - 1] };
 
-        // Batch scores and every user's top-k list, as bits.
-        let surface = |index: &TrustIndex| {
-            let scores = bits(&index.score_pairs(&pairs).unwrap());
-            let lists: Vec<Vec<(usize, u32)>> = (0..n)
-                .map(|u| {
-                    index
-                        .top_k_trustees(u, k)
-                        .unwrap()
-                        .into_iter()
-                        .map(|(v, s)| (v, s.to_bits()))
-                        .collect()
-                })
-                .collect();
-            (scores, lists)
-        };
-        for threads in [1usize, 4] {
-            let ((a_scores, a_lists), (b_scores, b_lists)) =
-                ahntp_par::with_pool(threads, 0, || (surface(&exact), surface(&simd)));
-            prop_assert_eq!(a_scores, b_scores, "score_pairs at {} threads", threads);
-            for u in 0..n {
-                prop_assert_eq!(&a_lists[u], &b_lists[u], "top_k({}) at {} threads", u, threads);
+        for round in ["built", "patched"] {
+            if round == "patched" {
+                let mut patch = HeadPatch::empty(1, d);
+                for &u in &patched {
+                    let row: Vec<f32> = (0..d).map(|_| (rng.next_f64() * 2.0 - 1.0) as f32).collect();
+                    artifact.trustor_head.to_mut()[u * d..(u + 1) * d].copy_from_slice(&row);
+                    artifact.trustee_head.to_mut()[u * d..(u + 1) * d].copy_from_slice(&row);
+                    patch.users.push(u);
+                    patch.emb_rows.push(0.0);
+                    patch.trustor_rows.extend(&row);
+                    patch.trustee_rows.extend(&row);
+                }
+                index.apply_head_patch(&patch).unwrap();
+            }
+            let oracle = Oracle(&artifact);
+            let want_scores: Vec<u32> = pairs.iter().map(|&(u, v)| oracle.score(u, v).to_bits()).collect();
+            for threads in [1usize, 4] {
+                ahntp_par::with_pool(threads, 0, || -> Result<(), TestCaseError> {
+                    prop_assert_eq!(
+                        bits(&index.score_pairs(&pairs).unwrap()), want_scores,
+                        "{} score_pairs at {} threads", round, threads
+                    );
+                    for u in 0..n {
+                        prop_assert_eq!(
+                            ranked_bits(index.top_k_trustees(u, k).unwrap()), oracle.top_k_in(u, k, 0, n),
+                            "{} top_k({}) at {} threads", round, u, threads
+                        );
+                    }
+                    for &(lo, hi) in &ranges {
+                        let u = (lo + hi) % n;
+                        prop_assert_eq!(
+                            ranked_bits(index.top_k_trustees_in(u, k, lo, hi).unwrap()),
+                            oracle.top_k_in(u, k, lo, hi),
+                            "{} top_k_in({}, {}..{}) at {} threads", round, u, lo, hi, threads
+                        );
+                    }
+                    Ok(())
+                })?;
             }
         }
     }
@@ -127,13 +197,13 @@ proptest! {
         prop_assert_eq!(bits(&a), bits(&b));
     }
 
-    /// The defended (PPR-blended) path keeps every backend contract: simd
-    /// and ivf blended pair scores stay bitwise equal to exact, int8's
+    /// The defended (PPR-blended) path keeps every backend contract: ivf
+    /// blended pair scores stay bitwise equal to exact, int8's
     /// blended delta shrinks to `(1 − α)` of its stated envelope (the
     /// prior term is backend-independent), and the defended top-k list —
     /// which ranks every candidate through the exact blended scan, since
     /// a dot-ordered pre-ranking is not a valid filter once the prior
-    /// reweights candidates — is bitwise identical across all four
+    /// reweights candidates — is bitwise identical across all three
     /// backends.
     #[test]
     fn defended_blend_preserves_each_backend_contract(
@@ -154,14 +224,12 @@ proptest! {
                 .unwrap()
         };
         let exact = defended(BackendKind::Exact);
-        let simd = defended(BackendKind::Simd);
         let int8 = defended(BackendKind::Int8);
         let ivf = defended(BackendKind::Ivf(IvfParams::default()));
         let pairs = all_pairs(n);
         let reference = exact.score_pairs(&pairs).unwrap();
 
-        // Bitwise-equal backends stay bitwise equal under the blend.
-        prop_assert_eq!(bits(&reference), bits(&simd.score_pairs(&pairs).unwrap()));
+        // A bitwise-equal pair dot stays bitwise equal under the blend.
         prop_assert_eq!(bits(&reference), bits(&ivf.score_pairs(&pairs).unwrap()));
 
         // int8: the learned term carries (1 − α) of the weight, so the
@@ -190,7 +258,7 @@ proptest! {
                 .into_iter()
                 .map(|(v, s)| (v, s.to_bits()))
                 .collect();
-            for (name, index) in [("simd", &simd), ("int8", &int8), ("ivf", &ivf)] {
+            for (name, index) in [("int8", &int8), ("ivf", &ivf)] {
                 let got: Vec<(usize, u32)> = index
                     .top_k_trustees(u, k)
                     .unwrap()

@@ -187,7 +187,6 @@ fn live_patches_keep_every_backend_inside_its_envelope_of_the_rebuild_oracle() {
 
     for kind in [
         BackendKind::Exact,
-        BackendKind::Simd,
         BackendKind::Int8,
         BackendKind::Ivf(IvfParams::default()),
     ] {

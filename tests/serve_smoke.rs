@@ -5,8 +5,8 @@
 //! shutdown all hold up. This is the CI serve smoke step.
 //!
 //! The end-to-end test runs its body once per scoring backend (exact,
-//! simd, int8, ivf), so the pair-score assertions use the index's own
-//! `score_error_bound()` as tolerance (1e-6 on exact/simd, the measured
+//! int8, ivf), so the pair-score assertions use the index's own
+//! `score_error_bound()` as tolerance (1e-6 on exact and ivf, the measured
 //! quantization envelope on int8), and the top-k argmax check only
 //! demands brute-force agreement from backends whose candidate scan is
 //! exhaustive.
@@ -50,7 +50,6 @@ fn serve_smoke_end_to_end() {
     let (_dataset, test_pairs, model) = trained_model();
     for kind in [
         BackendKind::Exact,
-        BackendKind::Simd,
         BackendKind::Int8,
         BackendKind::Ivf(IvfParams::default()),
     ] {
