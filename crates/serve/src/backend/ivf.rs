@@ -36,7 +36,7 @@ use std::collections::BinaryHeap;
 
 use ahntp_telemetry::counter_add;
 
-use super::{exact, heap_push, Heads, IvfParams, Ranked, ScoringBackend};
+use super::{exact_top_k_in, heap_push, Heads, IvfParams, Ranked, ScoringBackend};
 
 /// Lloyd iterations at build time; fixed so builds are reproducible.
 const KMEANS_ITERS: usize = 8;
@@ -219,7 +219,7 @@ impl ScoringBackend for IvfBackend {
         let (n, d) = (heads.n(), heads.d());
         if !self.probing_pays_off(n, k) {
             counter_add("serve.topk.ivf.fallback", 1);
-            return exact::top_k_in(heads, trustor, k, 0, n, "serve.topk.par_calls");
+            return exact_top_k_in(heads, trustor, k, 0, n, "serve.topk.par_calls");
         }
         counter_add("serve.topk.ivf.probed_queries", 1);
         // Rank centroids by affinity to the trustor row (dot desc, id asc

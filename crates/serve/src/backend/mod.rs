@@ -245,7 +245,7 @@ pub(crate) trait ScoringBackend: std::fmt::Debug + Send + Sync {
     fn bytes_per_user(&self, heads: &Heads) -> usize;
 
     /// Rigorous bound on `|score_backend − score_exact|` for pair
-    /// scoring, in probability units, under calibration `c`. `0.0` for
+    /// scoring, in probability units, under `calibration`. `0.0` for
     /// backends whose pair dot is exact.
     fn score_error_bound(&self, calibration: f32) -> f32;
 

@@ -277,9 +277,8 @@ impl TrustIndex {
     /// borrowed views ([`TrustArtifact::open`]). The embeddings and the
     /// trustor head stay views; the trustee head is copied once while it
     /// is re-laid into panels — one pass beside the CRC pass `open`
-    /// already makes over every byte, and the copy the first live patch
-    /// made before panels existed. Platforms without the fast path fall
-    /// back to a parsing decode — same index either way.
+    /// already makes over every byte. Platforms without the fast path
+    /// fall back to a parsing decode — same index either way.
     ///
     /// # Errors
     ///
@@ -547,9 +546,10 @@ impl TrustIndex {
     /// **global** user ids throughout (the range selects, it does not
     /// re-base), so a scatter-gather front merges per-shard results
     /// without any id translation. The scan always runs the exact panel
-    /// scan regardless of this index's configured backend, so the union of disjoint ranges covering `0..n`, merged
-    /// under (score desc, id asc) and truncated to `k`, is bitwise
-    /// identical to the single-node exact `top_k_trustees`.
+    /// scan regardless of this index's configured backend, so the union
+    /// of disjoint ranges covering `0..n`, merged under (score desc, id
+    /// asc) and truncated to `k`, is bitwise identical to the single-node
+    /// exact `top_k_trustees`.
     ///
     /// `hi` is clamped to `n_users`; an empty or inverted range returns
     /// no candidates.
