@@ -27,12 +27,12 @@
 //! * [`serve_live`] — the same node bound to a mutable
 //!   [`ahntp_stream::LiveTrustModel`]: `POST /events` ingests trust
 //!   events (add/remove/reweight/decay hyperedges), a dedicated applier
-//!   thread folds them into the model's hypergraphs, and the
-//!   refreshed head rows are patched into the [`SharedIndex`] under
-//!   short write locks — `/score` and `/topk` answer from the live index
-//!   throughout. The `ahntp_stream::StalenessBound` decides how much
-//!   staleness may accumulate between refreshes; the default refreshes
-//!   after every event, keeping the index exact.
+//!   thread folds each batch into the model's hypergraphs, and the
+//!   batch's one refresh is patched into the [`SharedIndex`] under a
+//!   short write lock — `/score` and `/topk` answer from the live index
+//!   throughout. The `ahntp_stream::StalenessBound`, checked once per
+//!   batch, decides how much staleness may accumulate between refreshes;
+//!   the default refreshes after every batch, keeping the index exact.
 //! * [`serve_sharded`] — the front handler: a scatter-gather tier over
 //!   shard servers that each own a contiguous trustee id range
 //!   ([`ServeConfig::shard_range`]): `/score` requests are re-grouped by

@@ -27,10 +27,10 @@
 //!
 //! [`serve_live`] additionally runs an **applier thread** owning a
 //! [`LiveTrustModel`]: `POST /events` batches flow to it over a channel
-//! (and their replies back through the same kind of slot), it folds them
-//! into the model's hypergraphs ([`EventApplier`]), and
-//! patches the refreshed head rows into the shared index under short
-//! write locks ([`SharedIndex`]). One consumer means the event log is
+//! (and their replies back through the same kind of slot), it folds each
+//! batch into the model's hypergraphs ([`EventApplier::apply_batch`]), and
+//! patches the batch's one refresh into the shared index under a short
+//! write lock ([`SharedIndex`]). One consumer means the event log is
 //! totally ordered; `/score` and `/topk` keep answering from the live
 //! index throughout. A server started with [`serve`] has no model and
 //! answers `/events` with `501`.
@@ -78,9 +78,7 @@ use ahntp_telemetry::{
     counter_add, gauge_set, histogram_record, info, trace_now_us, warn, KernelKind, KernelSpan,
 };
 
-use ahntp_stream::{
-    parse_events, EventApplier, HeadPatch, LiveTrustModel, StalenessBound, TrustEvent,
-};
+use ahntp_stream::{parse_events, EventApplier, LiveTrustModel, StalenessBound, TrustEvent};
 
 use crate::backend::BackendKind;
 use crate::http::Request;
@@ -281,9 +279,10 @@ struct IngestJob {
 struct IngestReply {
     /// Events applied before the first failure (all of them on success).
     applied: usize,
-    /// Total affected users across the applied events.
+    /// Affected users summed over the applied events.
     affected: usize,
-    /// Head rows patched into the index while handling this batch.
+    /// Rows in the batch's one patch: the union of its dirty users (plus
+    /// any a deferred or failed refresh left), each counted once.
     refreshed: usize,
     /// Users still dirty after the batch (staleness-bound refresh failed
     /// or was deferred).
@@ -519,9 +518,9 @@ pub fn serve(index: TrustIndex, config: &ServeConfig) -> io::Result<ServerHandle
 /// non-`Send` state): it builds the model there, seeds the index from
 /// [`LiveTrustModel::export_artifact`], then applies event batches in
 /// arrival order — a single consumer, so the event log is totally
-/// ordered. `bound` decides how much staleness may accumulate between
-/// head refreshes; [`StalenessBound::immediate`] keeps the index exact
-/// after every event.
+/// ordered. `bound`, checked once per batch, decides how much staleness
+/// may accumulate between head refreshes; [`StalenessBound::immediate`]
+/// keeps the index exact after every batch.
 ///
 /// # Errors
 ///
@@ -580,11 +579,13 @@ where
 }
 
 /// The applier loop: single consumer of the ingest channel. Each batch
-/// folds into the model through an [`EventApplier`]; refreshed head rows
-/// are patched into the shared index under short write locks. A mid-batch
-/// failure stops the batch, but the successfully applied prefix is still
-/// flushed so the reply always describes an index that has caught up with
-/// everything that was applied.
+/// folds into the model through [`EventApplier::apply_batch`] — events in
+/// order, the staleness bound checked once after them — and its one patch
+/// goes into the shared index under one short write lock, so readers see a
+/// batch change the index all at once. A mid-batch apply failure stops the
+/// batch, but the applied prefix is still flushed, so the reply always
+/// describes an index that has caught up with everything that was applied;
+/// a refresh failure keeps the dirty set for the next batch to retry.
 fn run_applier(
     jobs: &mpsc::Receiver<IngestJob>,
     model: Box<dyn LiveTrustModel>,
@@ -597,61 +598,24 @@ fn run_applier(
         let _scope = ahntp_telemetry::set_trace_id_scope(job.trace_id);
         let _span = KernelSpan::enter("serve.ingest", KernelKind::Other);
         histogram_record("serve.ingest.batch_size", job.events.len() as u64);
-        let mut applied = 0usize;
-        let mut affected = 0usize;
-        let mut refreshed = 0usize;
-        let mut error: Option<String> = None;
-        let patch_index = |patch: Option<HeadPatch>, refreshed: &mut usize| match patch {
-            Some(patch) => match index.apply_head_patch(&patch) {
-                Ok(()) => {
-                    *refreshed += patch.users.len();
-                    None
-                }
-                Err(e) => Some(e),
-            },
-            None => None,
-        };
-        for event in &job.events {
-            match applier.apply(event) {
-                Ok(a) => {
-                    applied += 1;
-                    affected += a.affected_users.len();
-                }
+        let batch = applier.apply_batch(&job.events);
+        let mut error = batch.error.map(|e| e.to_string());
+        let mut refreshed = 0;
+        if let Some(patch) = &batch.patch {
+            match index.apply_head_patch(patch) {
+                Ok(()) => refreshed = patch.users.len(),
                 Err(e) => {
-                    error = Some(e.to_string());
-                    break;
-                }
-            }
-            match applier.maybe_refresh() {
-                Ok(patch) => {
-                    error = patch_index(patch, &mut refreshed);
-                    if error.is_some() {
-                        break;
-                    }
-                }
-                Err(e) => {
-                    error = Some(e.to_string());
-                    break;
+                    error.get_or_insert(e);
                 }
             }
         }
-        // A fault mid-batch leaves an applied-but-unrefreshed prefix:
-        // flush it so the error reply never hides index lag behind the
-        // failure. (Healthy batches refresh per the staleness bound; a
-        // `stream.refresh` fault keeps the dirty set, so the rows stay
-        // consistent-but-stale and the next refresh retries.)
         if let Some(message) = &error {
-            if let Ok(patch) = applier.force_refresh() {
-                if let Some(e) = patch_index(patch, &mut refreshed) {
-                    warn!("serve", "ingest flush failed: {e}");
-                }
-            }
             counter_add("serve.ingest.errors", 1);
-            warn!("serve", "ingest batch failed after {applied} events: {message}");
+            warn!("serve", "ingest batch failed after {} events: {message}", batch.applied);
         }
         job.reply.send(IngestReply {
-            applied,
-            affected,
+            applied: batch.applied,
+            affected: batch.affected,
             refreshed,
             dirty: applier.dirty_users().len(),
             error,
@@ -832,9 +796,12 @@ impl Node {
     }
 
     /// `POST /events`: parses a trust-event batch, hands it to the applier
-    /// thread, and reports what was applied. A partial failure (invalid
-    /// event, armed `stream.*` failpoint) answers `500` with the applied
-    /// prefix length; the index has still caught up with that prefix.
+    /// thread, and reports what was applied: `affected_users` sums each
+    /// applied event's affected users, `refreshed_users` counts the rows
+    /// in the batch's one patch (each user once), `dirty_users` what is
+    /// left stale. A partial failure (invalid event, armed `stream.*`
+    /// failpoint) answers `500` with the applied prefix length; after an
+    /// apply failure the index has still caught up with that prefix.
     fn events(&self, call: &mut Call<'_>) -> Answer {
         let started = Instant::now();
         let parse_ts = trace_now_us();
@@ -1606,7 +1573,7 @@ mod tests {
     }
 
     use ahntp_hypergraph::HypergraphError;
-    use ahntp_stream::AppliedEvent;
+    use ahntp_stream::{AppliedEvent, HeadPatch};
 
     /// Minimal live model: each user is an angle; adding an edge rotates
     /// its members by the edge weight. Weight-only events affect nobody,

@@ -18,7 +18,11 @@
 //!   [`StalenessBound`] policy, when the accumulated dirty users are
 //!   re-scored. Between refreshes the serving index answers from rows that
 //!   are *consistent but stale* — exactly as old as the staleness gauge
-//!   (`stream.staleness_seconds`) reports.
+//!   (`stream.staleness_seconds`) reports. A batch of events
+//!   ([`EventApplier::apply_batch`], one `POST /events` body) is the unit
+//!   of ingest: its events apply in order and the bound is checked once,
+//!   after the last, so one refresh recomputes the union of the batch's
+//!   dirty users against the final structure.
 //!
 //! Failpoints `stream.apply` and `stream.refresh` (see `ahntp-faultz`) cut
 //! the two halves: an injected apply fault rejects the event before any
@@ -266,9 +270,13 @@ impl<M: LiveTrustModel + ?Sized> LiveTrustModel for Box<M> {
 
 /// When accumulated staleness forces a head refresh.
 ///
-/// A refresh triggers as soon as *any* bound is exceeded. The default is
-/// the immediate policy (refresh after every event that dirtied anything),
-/// which keeps the serving index exact at all times.
+/// A refresh triggers as soon as *any* bound is exceeded, checked whenever
+/// [`EventApplier::maybe_refresh`] runs — for the server, once per
+/// [`EventApplier::apply_batch`], i.e. once per `POST /events` batch. The
+/// default is the immediate policy (refresh whenever anything is pending),
+/// which keeps the serving index exact after every batch. The bound is
+/// never checked mid-batch, so a batch of `len` events refreshes at most
+/// `len − 1` events later than a check after every event would have.
 #[derive(Debug, Clone, Copy)]
 pub struct StalenessBound {
     /// Refresh once more than this many events are pending.
@@ -287,7 +295,7 @@ impl Default for StalenessBound {
 }
 
 impl StalenessBound {
-    /// Refresh after every event — zero staleness.
+    /// Refresh at every check — zero staleness once a batch is applied.
     pub fn immediate() -> StalenessBound {
         StalenessBound {
             max_pending_events: 0,
@@ -316,6 +324,24 @@ impl StalenessBound {
             _ => false,
         }
     }
+}
+
+/// What one [`EventApplier::apply_batch`] did.
+#[derive(Debug)]
+pub struct BatchOutcome {
+    /// Events applied before the first apply failure (all of them when
+    /// none failed).
+    pub applied: usize,
+    /// Affected users summed over the applied events; a user two events
+    /// dirtied counts twice.
+    pub affected: usize,
+    /// The batch's one refresh: rows for every dirty user, recomputed
+    /// against the structure the whole batch left. `None` when the bound
+    /// deferred it, nothing was dirty, or the refresh failed.
+    pub patch: Option<HeadPatch>,
+    /// The first failure: the apply error that stopped the batch, or else
+    /// the refresh error.
+    pub error: Option<StreamError>,
 }
 
 /// Folds a [`TrustEvent`] stream into a [`LiveTrustModel`] and schedules
@@ -381,6 +407,43 @@ impl<M: LiveTrustModel> EventApplier<M> {
         self.oldest_pending.get_or_insert_with(Instant::now);
         self.publish_gauges();
         Ok(applied)
+    }
+
+    /// Applies `events` in order, then checks the staleness bound once.
+    ///
+    /// An apply failure stops the batch — later events never reach the
+    /// model — and flushes the applied prefix whatever the bound says, so
+    /// a failed batch never hides index lag. A refresh failure keeps the
+    /// dirty set for the next refresh to retry, as
+    /// [`EventApplier::force_refresh`] does. Exact, not just cheaper than a
+    /// refresh per event: a user's refreshed row depends only on the
+    /// structure it is computed against, so the row computed after the
+    /// batch is the one a per-event refresh would have written last.
+    pub fn apply_batch(&mut self, events: &[TrustEvent]) -> BatchOutcome {
+        let mut outcome = BatchOutcome { applied: 0, affected: 0, patch: None, error: None };
+        for event in events {
+            match self.apply(event) {
+                Ok(applied) => {
+                    outcome.applied += 1;
+                    outcome.affected += applied.affected_users.len();
+                }
+                Err(e) => {
+                    outcome.error = Some(e);
+                    break;
+                }
+            }
+        }
+        let refreshed = match outcome.error {
+            Some(_) => self.force_refresh(),
+            None => self.maybe_refresh(),
+        };
+        match refreshed {
+            Ok(patch) => outcome.patch = patch,
+            Err(e) => {
+                outcome.error.get_or_insert(e);
+            }
+        }
+        outcome
     }
 
     /// Refreshes if the staleness bound is exceeded; otherwise leaves the
@@ -530,17 +593,21 @@ fn parse_event((i, entry): (usize, &Json)) -> Result<TrustEvent, String> {
 mod tests {
     use super::*;
     use ahntp_faultz::{Action, FaultSpec};
+    use std::cell::RefCell;
 
-    /// A scripted model: event k dirties users `k % n` and `(k + 1) % n`;
-    /// refresh writes a recognizable constant into each requested row.
+    /// A scripted model: an add dirties its members, a remove dirties
+    /// `edge % n`, weight-only events dirty nobody; refresh writes a
+    /// recognizable constant into each requested row and records the call.
     struct MockModel {
         n: usize,
         applied: usize,
+        /// The `users` argument of every `refresh_heads` call, in order.
+        refreshes: RefCell<Vec<Vec<usize>>>,
     }
 
     impl MockModel {
         fn new(n: usize) -> MockModel {
-            MockModel { n, applied: 0 }
+            MockModel { n, applied: 0, refreshes: RefCell::default() }
         }
     }
 
@@ -573,6 +640,7 @@ mod tests {
             })
         }
         fn refresh_heads(&self, users: &[usize]) -> HeadPatch {
+            self.refreshes.borrow_mut().push(users.to_vec());
             let mut patch = HeadPatch::empty(2, 2);
             patch.users = users.to_vec();
             patch.emb_rows = vec![1.0; users.len() * 2];
@@ -644,6 +712,77 @@ mod tests {
         applier.apply(&add(&[7])).unwrap();
         let patch = applier.maybe_refresh().unwrap().expect("4 > 3 pending");
         assert_eq!(patch.users, vec![0, 1, 2, 7]);
+    }
+
+    #[test]
+    fn a_batch_refreshes_once_with_the_union_of_its_dirty_users() {
+        let mut applier = EventApplier::new(MockModel::new(8), StalenessBound::immediate());
+        let remove = TrustEvent::RemoveEdge { group: HyperGroup::Structure, edge: 14 };
+        let batch = applier.apply_batch(&[add(&[3, 1]), add(&[1, 5]), remove]);
+        assert!(batch.error.is_none(), "{:?}", batch.error);
+        assert_eq!((batch.applied, batch.affected), (3, 5));
+        assert_eq!(*applier.model().refreshes.borrow(), vec![vec![1, 3, 5, 6]]);
+        assert_eq!(batch.patch.expect("dirty users exist").users, vec![1, 3, 5, 6]);
+        assert_eq!(applier.pending_events(), 0);
+        assert!(applier.dirty_users().is_empty());
+    }
+
+    #[test]
+    fn a_weight_only_batch_refreshes_nothing_and_clears_pending() {
+        let mut applier = EventApplier::new(MockModel::new(8), StalenessBound::immediate());
+        let reweight = TrustEvent::ReweightEdge { group: HyperGroup::Node, edge: 2, weight: 0.7 };
+        let batch = applier.apply_batch(&[TrustEvent::Decay { factor: 0.9 }, reweight]);
+        assert!(batch.error.is_none(), "{:?}", batch.error);
+        assert_eq!((batch.applied, batch.affected), (2, 0));
+        assert!(batch.patch.is_none());
+        assert!(applier.model().refreshes.borrow().is_empty());
+        assert_eq!(applier.pending_events(), 0);
+    }
+
+    #[test]
+    fn an_apply_failure_stops_the_batch_and_flushes_its_prefix_once() {
+        // The bound alone would defer: the flush is the failure's doing.
+        let mut applier = EventApplier::new(MockModel::new(8), StalenessBound::batched(100));
+        let batch = applier.apply_batch(&[add(&[1]), add(&[2]), add(&[9]), add(&[4])]);
+        assert!(matches!(batch.error, Some(StreamError::Hypergraph(_))), "{:?}", batch.error);
+        assert_eq!(batch.applied, 2);
+        // The event after the failure never reached the model.
+        assert_eq!(applier.model().applied, 2);
+        assert_eq!(*applier.model().refreshes.borrow(), vec![vec![1, 2]]);
+        assert_eq!(batch.patch.expect("prefix flushed").users, vec![1, 2]);
+        assert!(applier.dirty_users().is_empty());
+    }
+
+    #[test]
+    fn a_refresh_failure_after_a_batch_applies_every_event_and_keeps_dirty() {
+        let mut applier = EventApplier::new(MockModel::new(8), StalenessBound::immediate());
+        let batch = {
+            let _fp = ahntp_faultz::scoped("stream.refresh", FaultSpec::new(Action::Err));
+            applier.apply_batch(&[add(&[1]), add(&[2, 3])])
+        };
+        assert!(matches!(batch.error, Some(StreamError::Injected(_))), "{:?}", batch.error);
+        assert_eq!(batch.applied, 2);
+        assert!(batch.patch.is_none());
+        assert_eq!(applier.dirty_users(), vec![1, 2, 3]);
+        // The next batch's one refresh covers the retained set too.
+        let batch = applier.apply_batch(&[add(&[5])]);
+        assert_eq!(batch.patch.expect("healthy refresh").users, vec![1, 2, 3, 5]);
+        assert_eq!(*applier.model().refreshes.borrow(), vec![vec![1, 2, 3, 5]]);
+    }
+
+    #[test]
+    fn a_batched_bound_is_checked_once_after_the_batch() {
+        let mut applier = EventApplier::new(MockModel::new(8), StalenessBound::batched(3));
+        let batch = applier.apply_batch(&[add(&[0]), add(&[1]), add(&[2])]);
+        assert!(batch.patch.is_none(), "3 pending do not exceed 3");
+        assert_eq!(applier.pending_events(), 3);
+        // A check per event would refresh after the 1st of these four and
+        // leave 3 pending; the batch refreshes once, 3 = len − 1 events
+        // later, and leaves nothing pending.
+        let batch = applier.apply_batch(&[add(&[3]), add(&[4]), add(&[5]), add(&[6])]);
+        assert_eq!(batch.patch.expect("7 > 3 pending").users, vec![0, 1, 2, 3, 4, 5, 6]);
+        assert_eq!(*applier.model().refreshes.borrow(), vec![vec![0, 1, 2, 3, 4, 5, 6]]);
+        assert_eq!(applier.pending_events(), 0);
     }
 
     #[test]

@@ -3,7 +3,10 @@
 //! (`serve.ingest`), mid-apply (`stream.apply`), and at refresh time
 //! (`stream.refresh`) — and the serving index must stay *consistent*
 //! throughout: after any fault, `/score` answers exactly what a mirror
-//! model that applied the same successful prefix would answer.
+//! model that applied the same successful prefix would answer. The mirror
+//! refreshes after every event while the server refreshes once per batch,
+//! so every comparison also checks the batch refresh against the
+//! per-event one.
 //!
 //! Every test runs under an execution context of its own
 //! (`ahntp_par::Context::fresh`), which the server it starts inherits: its
@@ -18,9 +21,11 @@ use ahntp_par::Context;
 use ahntp_serve::client::Client;
 use ahntp_serve::{serve_live, ServeConfig, ServerHandle, TrustIndex};
 use ahntp_stream::{
-    EventApplier, HyperGroup, LiveTrustModel, StalenessBound, StreamError, TrustEvent,
+    AppliedEvent, EventApplier, HyperGroup, LiveTrustModel, StalenessBound, StreamError,
+    TrustEvent,
 };
 use ahntp_telemetry::json::{parse, Json};
+use std::collections::BTreeSet;
 use std::net::SocketAddr;
 use std::time::Duration;
 
@@ -72,13 +77,14 @@ impl Mirror {
         }
     }
 
-    /// Applies one event and flushes its refresh into the mirror index.
-    fn apply(&mut self, event: &TrustEvent) -> Result<(), StreamError> {
-        self.applier.apply(event)?;
+    /// Applies one event and flushes its refresh into the mirror index —
+    /// per event, so it cross-checks the server's one refresh per batch.
+    fn apply(&mut self, event: &TrustEvent) -> Result<AppliedEvent, StreamError> {
+        let applied = self.applier.apply(event)?;
         if let Some(patch) = self.applier.maybe_refresh()? {
             self.index.apply_head_patch(&patch).expect("mirror patch");
         }
-        Ok(())
+        Ok(applied)
     }
 
     fn scores(&self, pairs: &[(usize, usize)]) -> Vec<f32> {
@@ -289,5 +295,87 @@ fn refresh_fault() {
     mirror.apply(&second).expect("mirror second");
     assert_matches_mirror(addr, &mirror, "after the flush catches up");
     assert_eq!(ingest_counts(), (1, 2, 2));
+    server.shutdown();
+}
+
+/// A `stream.refresh` fault under a multi-event batch: every event
+/// applies (the refresh runs once, after the batch), the failed refresh
+/// keeps the dirty set, the index keeps the pre-batch rows, and the next
+/// healthy batch lands on the per-event mirror.
+#[test]
+fn refresh_fault_after_a_batch_applies_every_event_and_keeps_rows_stale() {
+    Context::fresh().run(refresh_fault_after_a_batch);
+}
+
+fn refresh_fault_after_a_batch() {
+    let server = start();
+    let addr = server.addr();
+    let mut mirror = Mirror::new();
+    let stale_mirror = Mirror::new();
+    let events = sample_events();
+    {
+        let _fault = faultz::scoped("stream.refresh", FaultSpec::new(Action::Err));
+        let (status, body) = post(addr, "/events", &wire(&events));
+        assert_eq!(status, 500, "{body}");
+        let doc = parse(&body).expect("ingest JSON");
+        assert_eq!(doc.get("applied").and_then(Json::as_f64), Some(events.len() as f64), "{body}");
+        assert_eq!(doc.get("refreshed_users").and_then(Json::as_f64), Some(0.0), "{body}");
+        assert!(
+            doc.get("dirty_users").and_then(Json::as_f64).unwrap_or(0.0) >= 1.0,
+            "dirty set must survive a refresh fault: {body}"
+        );
+        assert!(
+            doc.get("error").and_then(Json::as_str).unwrap_or("").contains("stream.refresh"),
+            "{body}"
+        );
+    }
+    assert_matches_mirror(addr, &stale_mirror, "stale rows after a batch's refresh fault");
+    assert_eq!(ingest_counts(), (1, 1, events.len() as u64));
+
+    let next = TrustEvent::AddEdge {
+        group: HyperGroup::Structure,
+        members: vec![4, 17],
+        weight: 0.9,
+    };
+    let (status, body) = post(addr, "/events", &wire(std::slice::from_ref(&next)));
+    assert_eq!(status, 200, "{body}");
+    let doc = parse(&body).expect("ingest JSON");
+    assert_eq!(doc.get("dirty_users").and_then(Json::as_f64), Some(0.0), "{body}");
+    for event in events.iter().chain([&next]) {
+        mirror.apply(event).expect("mirror event");
+    }
+    assert_matches_mirror(addr, &mirror, "after the next batch flushes the backlog");
+    server.shutdown();
+}
+
+/// A healthy batch's reply: `affected_users` sums the events' affected
+/// sets, `refreshed_users` is the size of their union — one refresh, each
+/// dirty user once — and the index lands on the per-event mirror.
+#[test]
+fn a_healthy_batch_refreshes_the_union_of_its_affected_users_once() {
+    Context::fresh().run(healthy_batch);
+}
+
+fn healthy_batch() {
+    let server = start();
+    let addr = server.addr();
+    let mut mirror = Mirror::new();
+    let events = sample_events();
+    let (status, body) = post(addr, "/events", &wire(&events));
+    assert_eq!(status, 200, "{body}");
+    let (mut sum, mut union) = (0usize, BTreeSet::new());
+    for event in &events {
+        let applied = mirror.apply(event).expect("mirror event");
+        sum += applied.affected_users.len();
+        union.extend(applied.affected_users);
+    }
+    assert!(union.len() < sum, "the batch's affected sets must overlap for this test to bite");
+    let doc = parse(&body).expect("ingest JSON");
+    let field = |name: &str| doc.get(name).and_then(Json::as_f64);
+    assert_eq!(field("applied"), Some(events.len() as f64), "{body}");
+    assert_eq!(field("affected_users"), Some(sum as f64), "{body}");
+    assert_eq!(field("refreshed_users"), Some(union.len() as f64), "{body}");
+    assert_eq!(field("dirty_users"), Some(0.0), "{body}");
+    assert_matches_mirror(addr, &mirror, "after one healthy batch");
     server.shutdown();
 }

@@ -9,7 +9,12 @@
 //! identical at 1 and 4 kernel threads (the deterministic-kernel
 //! contract of `ahntp-par`).
 //!
-//! A second test lets the same stream age under a *batched* staleness
+//! A second test feeds the same stream the way the server ingests it:
+//! `EventApplier::apply_batch` in 4-event batches under `immediate()`,
+//! one refresh per batch. The artifact must stay on the rebuild oracle
+//! after every batch and end bitwise equal to the per-event artifact.
+//!
+//! A third test lets the same stream age under a *batched* staleness
 //! bound: rows go stale between refreshes, and once the last patch is
 //! folded in the artifact must land on the same rebuild oracle.
 
@@ -169,24 +174,72 @@ fn sequence(threads: usize) -> TrustArtifact {
     artifact
 }
 
+fn assert_artifacts_bitwise(a: &TrustArtifact, b: &TrustArtifact, what: &str) {
+    for (name, a, b) in [
+        ("embeddings", &a.embeddings, &b.embeddings),
+        ("trustor_head", &a.trustor_head, &b.trustor_head),
+        ("trustee_head", &a.trustee_head, &b.trustee_head),
+    ] {
+        assert_eq!(a.len(), b.len(), "{what}: {name} length");
+        for (i, (x, y)) in a.iter().zip(b.iter()).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}: {name}[{i}] {x} vs {y}");
+        }
+    }
+}
+
 #[test]
 fn mixed_event_stream_stays_within_tolerance_of_the_rebuild_oracle() {
     let serial = run_sequence(1);
     let parallel = run_sequence(4);
     // Same events, same bits: the delta path is thread-invariant.
-    for (name, a, b) in [
-        ("embeddings", &serial.embeddings, &parallel.embeddings),
-        ("trustor_head", &serial.trustor_head, &parallel.trustor_head),
-        ("trustee_head", &serial.trustee_head, &parallel.trustee_head),
-    ] {
-        assert_eq!(a.len(), b.len(), "{name} length");
-        for (i, (x, y)) in a.iter().zip(b.iter()).enumerate() {
-            assert_eq!(
-                x.to_bits(),
-                y.to_bits(),
-                "{name}[{i}]: 1-thread {x} vs 4-thread {y}"
+    assert_artifacts_bitwise(&serial, &parallel, "1 vs 4 threads");
+}
+
+/// Events per `apply_batch` call: a `serve_live` request's size.
+const BATCH_LEN: usize = 4;
+
+/// The stream through `apply_batch` under `immediate()`, checked against
+/// the rebuild oracle after every batch; returns the artifact and how
+/// many refreshes produced a patch.
+fn run_batches(threads: usize) -> (TrustArtifact, usize) {
+    ahntp_par::with_pool(threads, ahntp_par::DEFAULT_PAR_THRESHOLD, || {
+        let model = trained_model();
+        let mut artifact = Ahntp::export_artifact(&model);
+        let (n_node, n_struct) = model.hyperedge_counts();
+        let mut applier = EventApplier::new(model, StalenessBound::immediate());
+        let mut refreshes = 0usize;
+        for (k, chunk) in event_stream(n_node, n_struct).chunks(BATCH_LEN).enumerate() {
+            let batch = applier.apply_batch(chunk);
+            assert!(batch.error.is_none(), "batch {k}: {:?}", batch.error);
+            assert_eq!(batch.applied, chunk.len(), "batch {k}");
+            if let Some(patch) = &batch.patch {
+                apply_patch(&mut artifact, patch);
+                refreshes += 1;
+            }
+            assert!(applier.dirty_users().is_empty(), "batch {k} left rows dirty");
+            assert_artifacts_close(
+                &artifact,
+                &applier.model().rebuild_artifact(),
+                &format!("batch {k} at {threads} threads"),
             );
         }
+        (artifact, refreshes)
+    })
+}
+
+#[test]
+fn batches_refresh_once_each_and_land_bitwise_on_the_per_event_artifact() {
+    let per_event = run_sequence(1);
+    for threads in [1, 4] {
+        let (batched, refreshes) = run_batches(threads);
+        // Every 4-event window of the stream holds an add, so each batch
+        // refreshes exactly once.
+        assert_eq!(refreshes, N_EVENTS / BATCH_LEN, "refreshes at {threads} threads");
+        assert_artifacts_bitwise(
+            &batched,
+            &per_event,
+            &format!("4-event batches at {threads} threads vs per-event"),
+        );
     }
 }
 
