@@ -42,11 +42,19 @@ fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
 /// outputs under the *current* parameters. Cached between parameter
 /// updates so single-pair queries and artifact export don't re-run the
 /// full hypergraph forward.
+///
+/// Per tier (indexed by `HyperGroup as usize`) it also keeps what a live
+/// refresh walks from: every activation of the forward, and the seeds.
 #[derive(Clone)]
 struct HeadCache {
     emb: Tensor,
     trustor: Tensor,
     trustee: Tensor,
+    /// Per tier: the tier MLP's output `x^0`, then `x^1 … x^L`.
+    layers: [Vec<Tensor>; 2],
+    /// Per tier: the members of every hyperedge added, removed or renamed
+    /// since the last refresh.
+    seeds: [Vec<usize>; 2],
 }
 
 /// One stack of hypergraph convolutions over a fixed hypergraph — adaptive
@@ -79,11 +87,14 @@ impl ConvStack {
     }
 
     /// Forward pass against an explicit operator set — the full extraction
-    /// or a sampled hyperedge slice.
-    fn forward_on(&self, s: &Session, ops: &AggregationOps, x: &Var) -> Var {
-        self.0
-            .iter()
-            .fold(x.clone(), |h, layer| layer.forward_on(s, ops, &h))
+    /// or a sampled hyperedge slice — keeping every activation: `x`, then
+    /// each layer's output in turn.
+    fn activations(&self, s: &Session, ops: &AggregationOps, x: Var) -> Vec<Var> {
+        let mut acts = vec![x];
+        for layer in &self.0 {
+            acts.push(layer.forward_on(s, ops, &acts[acts.len() - 1]));
+        }
+        acts
     }
 
     fn params(&self) -> Vec<Param> {
@@ -330,14 +341,32 @@ impl Ahntp {
         node_ops: &AggregationOps,
         struct_ops: &AggregationOps,
     ) -> Var {
+        Self::embedding(s, &self.tier_activations(s, node_ops, struct_ops))
+    }
+
+    /// Per tier — node-level, then structure-level — every activation of
+    /// the embedding forward: the tier MLP's output `x^0`, then each
+    /// convolution layer's output `x^1 … x^L`.
+    fn tier_activations(
+        &self,
+        s: &Session,
+        node_ops: &AggregationOps,
+        struct_ops: &AggregationOps,
+    ) -> [Vec<Var>; 2] {
         let x = s.constant(self.features.clone());
-        let node = self
-            .node_stack
-            .forward_on(s, node_ops, &self.node_mlp.forward(s, &x));
-        let stru = self
-            .struct_stack
-            .forward_on(s, struct_ops, &self.struct_mlp.forward(s, &x));
-        s.graph().concat_cols(&[&node, &stru])
+        [
+            self.node_stack
+                .activations(s, node_ops, self.node_mlp.forward(s, &x)),
+            self.struct_stack
+                .activations(s, struct_ops, self.struct_mlp.forward(s, &x)),
+        ]
+    }
+
+    /// The comprehensive embedding: the two tiers' last activations side
+    /// by side.
+    fn embedding(s: &Session, [node, stru]: &[Vec<Var>; 2]) -> Var {
+        s.graph()
+            .concat_cols(&[&node[node.len() - 1], &stru[stru.len() - 1]])
     }
 
     /// Cosine similarity per pair (Eq. 19) on a given session.
@@ -395,19 +424,27 @@ impl Ahntp {
     }
 
     /// The scoring head under the current parameters, computed on first
-    /// use and cached until the next parameter update.
+    /// use and cached until the next parameter update. A rebuilt head is
+    /// current with the structure, so it starts with no seeds pending.
     fn head(&self) -> Rc<HeadCache> {
         if let Some(head) = self.head_cache.borrow().as_ref() {
             return Rc::clone(head);
         }
         let s = Session::new();
-        let emb = self.embed(&s);
+        let tiers = self.tier_activations(
+            &s,
+            &self.node_cache.full_ops(),
+            &self.struct_cache.full_ops(),
+        );
+        let emb = Self::embedding(&s, &tiers);
         let trustor = self.tower_a.forward(&s, &emb).value();
         let trustee = self.tower_b.forward(&s, &emb).value();
         let head = Rc::new(HeadCache {
             emb: emb.value(),
             trustor,
             trustee,
+            layers: tiers.map(|acts| acts.iter().map(Var::value).collect()),
+            seeds: Default::default(),
         });
         *self.head_cache.borrow_mut() = Some(Rc::clone(&head));
         head
@@ -521,58 +558,75 @@ impl Ahntp {
         smoothness_penalty(s, lap, f).scale(weight)
     }
 
-    /// Exact post-stack rows for `users` computed over a closed cone of
-    /// the hypergraph instead of the full extraction.
-    ///
-    /// With `L` convolution layers, the rows that must stay exact after
-    /// layer `k` are `closure(users, L-k)`; the cone therefore carries the
-    /// vertices of `closure(users, L)` and every hyperedge incident to
-    /// `closure(users, L-1)`. Inside that cone each target vertex sees its
-    /// complete incident-edge set (attention softmax groups are whole) and
-    /// every contributing hyperedge sees all its members, so the selected
-    /// rows are bitwise what the full forward produces.
-    fn cone_rows(
-        &self,
-        s: &Session,
-        cache: &AggregationCache,
-        stack: &ConvStack,
-        mlp: &Mlp,
-        users: &[usize],
-    ) -> Var {
-        let hops = self.cfg.conv_dims.len();
-        let v_need = cache.closure(users, hops.saturating_sub(1));
-        let edge_ids = cache.incident_edges(&v_need);
-        let v_comp = cache.closure(users, hops);
-        let ops = cache.cone_ops(&edge_ids, &v_comp);
-        let x = s.constant(self.features.gather_rows(&v_comp));
-        let h = stack.forward_on(s, &ops, &mlp.forward(s, &x));
-        let local: Vec<usize> = users
-            .iter()
-            .map(|u| {
-                v_comp
-                    .binary_search(u)
-                    .expect("refresh targets are in their own closure")
-            })
-            .collect();
-        h.gather_rows(&Rc::new(local))
+    /// A tier's hypergraph cache and convolution stack.
+    fn tier(&self, group: HyperGroup) -> (&AggregationCache, &ConvStack) {
+        match group {
+            HyperGroup::Node => (&self.node_cache, &self.node_stack),
+            HyperGroup::Structure => (&self.struct_cache, &self.struct_stack),
+        }
     }
 
-    /// Recomputed head rows (embedding + both towers, *unnormalised*) for
-    /// `users`, via per-tier cones.
-    fn refreshed_head_rows(&self, users: &[usize]) -> (Tensor, Tensor, Tensor) {
+    fn tier_mut(&mut self, group: HyperGroup) -> (&mut AggregationCache, &ConvStack) {
+        match group {
+            HyperGroup::Node => (&mut self.node_cache, &self.node_stack),
+            HyperGroup::Structure => (&mut self.struct_cache, &self.struct_stack),
+        }
+    }
+
+    /// Brings `head` up to date with the structure by walking each tier's
+    /// seeds forward one layer at a time. Layer `l` rewrites rows `T_l`
+    /// of `x^{l+1}` from `x^l` over the closed cone `closure(T_l, 1)` —
+    /// every hyperedge incident to `T_l` and all their members — and that
+    /// cone is `T_{l+1}`; `T_0` is the seeds. A vertex's layer output
+    /// depends only on its incident hyperedges and their members' inputs,
+    /// the cone keeps the full operators' per-row order
+    /// ([`AggregationCache::cone_ops`]) and every product row is its own
+    /// accumulation chain, so each rewritten row is bitwise the full
+    /// forward's and no row outside `T_l` changed. A tier without seeds
+    /// does nothing; the towers run on the embedding rows that changed.
+    fn catch_up(&self, head: &mut HeadCache) {
+        let d = *self.cfg.conv_dims.last().expect("validated non-empty");
         let s = Session::new();
-        let node = self.cone_rows(&s, &self.node_cache, &self.node_stack, &self.node_mlp, users);
-        let stru = self.cone_rows(
-            &s,
-            &self.struct_cache,
-            &self.struct_stack,
-            &self.struct_mlp,
-            users,
-        );
-        let emb = s.graph().concat_cols(&[&node, &stru]);
+        let mut changed = Vec::new();
+        for group in [HyperGroup::Node, HyperGroup::Structure] {
+            let t = group as usize;
+            let seeds = std::mem::take(&mut head.seeds[t]);
+            if seeds.is_empty() {
+                continue;
+            }
+            let (cache, stack) = self.tier(group);
+            let mut rows = cache.closure(&seeds, 0);
+            for (l, layer) in stack.0.iter().enumerate() {
+                let cone = cache.closure(&rows, 1);
+                let ops = cache.cone_ops(&cache.incident_edges(&rows), &cone);
+                let x = s.constant(head.layers[t][l].gather_rows(&cone));
+                let y = layer.forward_on(&s, &ops, &x).value();
+                for &u in &rows {
+                    let k = cone.partition_point(|&v| v < u);
+                    head.layers[t][l + 1].row_mut(u).copy_from_slice(y.row(k));
+                }
+                if l + 1 < stack.0.len() {
+                    rows = cone;
+                }
+            }
+            for &u in &rows {
+                let out = head.layers[t][stack.0.len()].row(u);
+                head.emb.row_mut(u)[t * d..(t + 1) * d].copy_from_slice(out);
+            }
+            changed.extend(rows);
+        }
+        if changed.is_empty() {
+            return;
+        }
+        changed.sort_unstable();
+        changed.dedup();
+        let emb = s.constant(head.emb.gather_rows(&changed));
         let trustor = self.tower_a.forward(&s, &emb).value();
         let trustee = self.tower_b.forward(&s, &emb).value();
-        (emb.value(), trustor, trustee)
+        for (k, &u) in changed.iter().enumerate() {
+            head.trustor.row_mut(u).copy_from_slice(trustor.row(k));
+            head.trustee.row_mut(u).copy_from_slice(trustee.row(k));
+        }
     }
 }
 
@@ -590,9 +644,14 @@ impl LiveTrustModel for Ahntp {
     /// the initialisation weight `1.0`, a removed edge's slot is taken by
     /// the renamed last edge, mirroring the swap-remove id rename — and
     /// mark the model as structurally mutated (training is refused
-    /// afterwards). Weight-only events (reweight/decay) touch degrees and
-    /// Laplacians but no operator, so they leave every head row exact and
-    /// report no affected users; they are mirrored into the smoothness
+    /// afterwards). Their seeds are the members of the added hyperedge, or
+    /// of the removed one and of the one renamed into its slot: the only
+    /// users whose incident-edge lists changed. The seeds are kept for the
+    /// next refresh, and the affected users are `closure(seeds, L − 1)`:
+    /// layer 1 changes the seeds' rows alone and each later layer reaches
+    /// one hop further. Weight-only events (reweight/decay) touch degrees
+    /// and Laplacians but no operator, so they leave every head row exact
+    /// and report no affected users; they are mirrored into the smoothness
     /// cache so weight-only streams remain trainable.
     ///
     /// Until [`LiveTrustModel::refresh_heads`] runs, the *cached* head
@@ -600,17 +659,13 @@ impl LiveTrustModel for Ahntp {
     /// [`Ahntp::export_artifact`]) are stale; the batched
     /// [`TrustModel::predict`] recomputes the forward and is always live.
     fn apply_event(&mut self, event: &TrustEvent) -> Result<AppliedEvent, StreamError> {
-        let hops = self.cfg.conv_dims.len();
-        let affected_users = match event {
+        let (group, seeds) = match event {
             TrustEvent::AddEdge {
                 group,
                 members,
                 weight,
             } => {
-                let (cache, stack) = match group {
-                    HyperGroup::Node => (&mut self.node_cache, &self.node_stack),
-                    HyperGroup::Structure => (&mut self.struct_cache, &self.struct_stack),
-                };
+                let (cache, stack) = self.tier_mut(*group);
                 cache.apply_add(members, *weight)?;
                 for p in stack.edge_weight_params() {
                     let t = p.value();
@@ -619,18 +674,10 @@ impl LiveTrustModel for Ahntp {
                     data.push(1.0);
                     p.set_value(Tensor::matrix(rows + 1, 1, data));
                 }
-                self.structure_mutated = true;
-                let cache = match group {
-                    HyperGroup::Node => &self.node_cache,
-                    HyperGroup::Structure => &self.struct_cache,
-                };
-                cache.closure(members, hops)
+                (*group, members.clone())
             }
             TrustEvent::RemoveEdge { group, edge } => {
-                let (cache, stack) = match group {
-                    HyperGroup::Node => (&mut self.node_cache, &self.node_stack),
-                    HyperGroup::Structure => (&mut self.struct_cache, &self.struct_stack),
-                };
+                let (cache, stack) = self.tier_mut(*group);
                 let removed = cache.apply_remove(*edge)?;
                 for p in stack.edge_weight_params() {
                     let t = p.value();
@@ -641,19 +688,14 @@ impl LiveTrustModel for Ahntp {
                     data.truncate(last);
                     p.set_value(Tensor::matrix(last, 1, data));
                 }
-                self.structure_mutated = true;
                 // The renamed edge changes its members' incident-edge
-                // summation order, so they count as affected alongside the
+                // summation order, so they seed the refresh alongside the
                 // removed edge's members.
-                let mut seed = removed.members.clone();
-                if let Some(moved) = &removed.moved {
-                    seed.extend_from_slice(&moved.members);
+                let mut seeds = removed.members;
+                if let Some(moved) = removed.moved {
+                    seeds.extend(moved.members);
                 }
-                let cache = match group {
-                    HyperGroup::Node => &self.node_cache,
-                    HyperGroup::Structure => &self.struct_cache,
-                };
-                cache.closure(&seed, hops)
+                (*group, seeds)
             }
             TrustEvent::ReweightEdge {
                 group,
@@ -675,45 +717,52 @@ impl LiveTrustModel for Ahntp {
                     // only consumer — is refused anyway).
                     self.smooth_cache.apply_reweight(edge + offset, *weight)?;
                 }
-                Vec::new()
+                return Ok(AppliedEvent::default());
             }
             TrustEvent::Decay { factor } => {
                 self.node_cache.apply_decay(*factor)?;
                 self.struct_cache.apply_decay(*factor)?;
                 self.smooth_cache.apply_decay(*factor)?;
-                Vec::new()
+                return Ok(AppliedEvent::default());
             }
         };
+        self.structure_mutated = true;
+        // Without a cached head there is nothing to catch up: the next
+        // `head()` runs the full forward over the mutated structure.
+        if let Some(head) = self.head_cache.get_mut() {
+            Rc::make_mut(head).seeds[group as usize].extend_from_slice(&seeds);
+        }
+        let hops = self.cfg.conv_dims.len();
+        let affected_users = self.tier(group).0.closure(&seeds, hops - 1);
         Ok(AppliedEvent { affected_users })
     }
 
-    /// Recomputes the head rows of `users` over closed cones (see
-    /// [`Ahntp::cone_rows`]) and patches the model's own cached head in
-    /// place, so `predict_pair`/`export_artifact` and the returned patch
-    /// agree. Rows in the patch are L2-normalised exactly as artifact
-    /// export normalises them.
+    /// Catches the model's own cached head up with every event applied
+    /// since the last refresh (see [`Ahntp::catch_up`]), then reads the
+    /// rows of `users` from it, so `predict_pair`/`export_artifact` and
+    /// the returned patch agree. A dropped head (after a parameter load)
+    /// is rebuilt by a full forward instead. Rows in the patch are
+    /// L2-normalised exactly as artifact export normalises them.
     fn refresh_heads(&self, users: &[usize]) -> HeadPatch {
         let emb_dim = 2 * *self.cfg.conv_dims.last().expect("validated non-empty");
         let head_dim = *self.cfg.tower_dims.last().expect("validated non-empty");
         if users.is_empty() {
             return HeadPatch::empty(emb_dim, head_dim);
         }
-        let (emb_rows, trustor_rows, trustee_rows) = self.refreshed_head_rows(users);
+        // `head()`'s handle is released before the walk, so `make_mut`
+        // finds the cache unshared and never clones it.
+        drop(self.head());
         if let Some(head) = self.head_cache.borrow_mut().as_mut() {
-            let head = Rc::make_mut(head);
-            for (k, &u) in users.iter().enumerate() {
-                head.emb.row_mut(u).copy_from_slice(emb_rows.row(k));
-                head.trustor.row_mut(u).copy_from_slice(trustor_rows.row(k));
-                head.trustee.row_mut(u).copy_from_slice(trustee_rows.row(k));
-            }
+            self.catch_up(Rc::make_mut(head));
         }
+        let head = self.head();
         HeadPatch {
             users: users.to_vec(),
             emb_dim,
             head_dim,
-            emb_rows: emb_rows.into_vec(),
-            trustor_rows: trustor_rows.normalize_rows().into_vec(),
-            trustee_rows: trustee_rows.normalize_rows().into_vec(),
+            emb_rows: head.emb.gather_rows(users).into_vec(),
+            trustor_rows: head.trustor.gather_rows(users).normalize_rows().into_vec(),
+            trustee_rows: head.trustee.gather_rows(users).normalize_rows().into_vec(),
         }
     }
 
@@ -1369,19 +1418,26 @@ mod live_tests {
     use super::*;
     use ahntp_data::{DatasetConfig, TrustDataset};
 
-    fn trained_model() -> Ahntp {
-        let ds = TrustDataset::generate(&DatasetConfig::ciao_like(80, 5));
-        let split = ds.split(0.8, 0.2, 2, 42);
-        let cfg = AhntpConfig {
+    fn tiny_config() -> AhntpConfig {
+        AhntpConfig {
             conv_dims: vec![16, 8],
             tower_dims: vec![8],
             ..AhntpConfig::default()
-        };
-        let mut model = Ahntp::new(&ds.features, &ds.attributes, &split.train_graph, &cfg);
+        }
+    }
+
+    fn trained(cfg: &AhntpConfig) -> Ahntp {
+        let ds = TrustDataset::generate(&DatasetConfig::ciao_like(80, 5));
+        let split = ds.split(0.8, 0.2, 2, 42);
+        let mut model = Ahntp::new(&ds.features, &ds.attributes, &split.train_graph, cfg);
         for _ in 0..2 {
             model.train_epoch(&split.train);
         }
         model
+    }
+
+    fn trained_model() -> Ahntp {
+        trained(&tiny_config())
     }
 
     /// Folds `patch` into the flat head matrices of `artifact`.
@@ -1398,7 +1454,7 @@ mod live_tests {
         }
     }
 
-    fn assert_artifacts_close(live: &TrustArtifact, oracle: &TrustArtifact, what: &str) {
+    fn assert_artifacts_bitwise(live: &TrustArtifact, oracle: &TrustArtifact, what: &str) {
         for (name, a, b) in [
             ("embeddings", &live.embeddings, &oracle.embeddings),
             ("trustor_head", &live.trustor_head, &oracle.trustor_head),
@@ -1406,8 +1462,9 @@ mod live_tests {
         ] {
             assert_eq!(a.len(), b.len(), "{what}: {name} length");
             for (i, (x, y)) in a.iter().zip(b.iter()).enumerate() {
-                assert!(
-                    (x - y).abs() <= 1e-6,
+                assert_eq!(
+                    x.to_bits(),
+                    y.to_bits(),
                     "{what}: {name}[{i}] live {x} vs rebuilt {y}"
                 );
             }
@@ -1416,8 +1473,6 @@ mod live_tests {
 
     #[test]
     fn live_mutations_patch_to_the_rebuilt_artifact() {
-        let mut model = trained_model();
-        let mut artifact = Ahntp::export_artifact(&model);
         let events = [
             TrustEvent::AddEdge {
                 group: HyperGroup::Node,
@@ -1444,19 +1499,98 @@ mod live_tests {
                 edge: 5,
             },
         ];
-        for (i, event) in events.iter().enumerate() {
-            let applied = model.apply_event(event).expect("valid event");
-            let patch = model.refresh_heads(&applied.affected_users);
-            apply_patch(&mut artifact, &patch);
-            let oracle = model.rebuild_artifact();
-            assert_artifacts_close(&artifact, &oracle, &format!("event {i} ({})", event.op()));
-            // The in-place patched head cache agrees with the oracle too.
-            assert_artifacts_close(
-                &Ahntp::export_artifact(&model),
-                &oracle,
-                &format!("export after event {i}"),
+        // `noatt` runs the plain layer, the other three the adaptive one.
+        for cfg in [
+            tiny_config(),
+            tiny_config().no_mpr(),
+            tiny_config().no_attention(),
+            tiny_config().no_contrastive(),
+        ] {
+            let mut model = trained(&cfg);
+            let mut artifact = Ahntp::export_artifact(&model);
+            for (i, event) in events.iter().enumerate() {
+                let what = format!("{} event {i} ({})", model.name(), event.op());
+                let applied = model.apply_event(event).expect("valid event");
+                let patch = model.refresh_heads(&applied.affected_users);
+                apply_patch(&mut artifact, &patch);
+                let oracle = model.rebuild_artifact();
+                assert_artifacts_bitwise(&artifact, &oracle, &what);
+                // The in-place patched head cache agrees with the oracle too.
+                assert_artifacts_bitwise(&Ahntp::export_artifact(&model), &oracle, &what);
+            }
+        }
+    }
+
+    /// Matmul FLOPs `f` performs, counted in a context of its own.
+    fn matmul_flops(f: impl FnOnce()) -> u64 {
+        ahntp_par::Context::fresh().run(|| {
+            ahntp_telemetry::set_enabled(true);
+            f();
+            ahntp_telemetry::counter_get("tensor.matmul.flops")
+        })
+    }
+
+    #[test]
+    fn a_refresh_after_one_pair_add_costs_under_half_a_rebuild() {
+        for group in [HyperGroup::Node, HyperGroup::Structure] {
+            let mut model = trained_model();
+            Ahntp::export_artifact(&model);
+            let event = TrustEvent::AddEdge {
+                group,
+                members: vec![3, 9],
+                weight: 1.0,
+            };
+            let applied = model.apply_event(&event).expect("valid event");
+            let refresh = matmul_flops(|| {
+                model.refresh_heads(&applied.affected_users);
+            });
+            let rebuild = matmul_flops(|| {
+                model.rebuild_artifact();
+            });
+            assert!(
+                refresh > 0 && 2 * refresh < rebuild,
+                "{}: a refresh did {refresh} FLOPs against a rebuild's {rebuild}",
+                group.name()
             );
         }
+    }
+
+    #[test]
+    fn a_refresh_after_the_head_was_dropped_lands_on_the_rebuild() {
+        let mut model = trained_model();
+        Ahntp::export_artifact(&model);
+        let applied = model
+            .apply_event(&TrustEvent::AddEdge {
+                group: HyperGroup::Structure,
+                members: vec![5, 17, 60],
+                weight: 1.2,
+            })
+            .expect("valid event");
+        // Reloading the model's own parameters drops the head cache with
+        // the event's seeds still pending in it.
+        model.load(&model.save()).expect("same architecture");
+        model.refresh_heads(&applied.affected_users);
+        let oracle = model.rebuild_artifact();
+        assert_artifacts_bitwise(&Ahntp::export_artifact(&model), &oracle, "after load");
+        let buffer = |m: &Ahntp| {
+            let cache = m.head_cache.borrow();
+            let head = cache.as_ref().expect("refresh built the head");
+            assert!(head.seeds.iter().all(Vec::is_empty), "seeds left pending");
+            head.layers[1][0].as_slice().as_ptr()
+        };
+        let before = buffer(&model);
+        let applied = model
+            .apply_event(&TrustEvent::RemoveEdge {
+                group: HyperGroup::Node,
+                edge: 1,
+            })
+            .expect("valid event");
+        model.refresh_heads(&applied.affected_users);
+        // The walk patched the cache where it lies: a clone would have
+        // moved every buffer.
+        assert_eq!(buffer(&model), before, "the refresh cloned the head cache");
+        let oracle = model.rebuild_artifact();
+        assert_artifacts_bitwise(&Ahntp::export_artifact(&model), &oracle, "after a remove");
     }
 
     #[test]

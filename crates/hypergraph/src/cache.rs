@@ -452,7 +452,8 @@ mod tests {
         assert!(Rc::ptr_eq(&lap, &cache.slice_laplacian(&[0, 2])));
     }
 
-    /// The closed `hops`-hop cone around `seed`, as `Ahntp::cone_rows` cuts it.
+    /// The closed `hops`-hop cone around `seed`; at `hops = 1` it is what
+    /// each layer of `Ahntp`'s live refresh cuts around its target rows.
     fn closed_cone(cache: &AggregationCache, seed: &[usize], hops: usize) -> AggregationOps {
         let edge_ids = cache.incident_edges(&cache.closure(seed, hops - 1));
         cache.cone_ops(&edge_ids, &cache.closure(seed, hops))

@@ -4,7 +4,7 @@
 //! A trained model absorbs 120 mixed mutation events (hyperedge adds,
 //! removes, reweights, and decays on both hypergraph levels); after each
 //! event the delta-maintained head refresh is patched into an artifact,
-//! and the patched artifact must stay within `1e-6` of a from-scratch
+//! and the patched artifact must be bitwise equal to a from-scratch
 //! rebuild of the mutated structure. The whole run must also be bitwise
 //! identical at 1 and 4 kernel threads (the deterministic-kernel
 //! contract of `ahntp-par`).
@@ -17,12 +17,17 @@
 //! A third test lets the same stream age under a *batched* staleness
 //! bound: rows go stale between refreshes, and once the last patch is
 //! folded in the artifact must land on the same rebuild oracle.
+//!
+//! A fourth test guards what the model reports: across every 4-event
+//! batch, the rebuilt rows of users outside the union of the batch's
+//! affected sets must not move by a bit.
 
 use ahntp::{Ahntp, AhntpConfig};
 use ahntp_data::{DatasetConfig, TrustDataset};
 use ahntp_eval::TrustModel;
 use ahntp_nn::TrustArtifact;
 use ahntp_stream::{EventApplier, HyperGroup, LiveTrustModel, StalenessBound, TrustEvent};
+use std::collections::BTreeSet;
 
 const N_USERS: usize = 70;
 const N_EVENTS: usize = 120;
@@ -119,22 +124,6 @@ fn apply_patch(artifact: &mut TrustArtifact, patch: &ahntp_stream::HeadPatch) {
     }
 }
 
-fn assert_artifacts_close(live: &TrustArtifact, oracle: &TrustArtifact, what: &str) {
-    for (name, a, b) in [
-        ("embeddings", &live.embeddings, &oracle.embeddings),
-        ("trustor_head", &live.trustor_head, &oracle.trustor_head),
-        ("trustee_head", &live.trustee_head, &oracle.trustee_head),
-    ] {
-        assert_eq!(a.len(), b.len(), "{what}: {name} length");
-        for (i, (x, y)) in a.iter().zip(b.iter()).enumerate() {
-            assert!(
-                (x - y).abs() <= 1e-6,
-                "{what}: {name}[{i}] live {x} vs rebuilt {y}"
-            );
-        }
-    }
-}
-
 /// Runs the full event sequence at a given thread count, checking the
 /// patched artifact against the rebuild oracle after every event.
 fn run_sequence(threads: usize) -> TrustArtifact {
@@ -160,7 +149,7 @@ fn sequence(threads: usize) -> TrustArtifact {
         let patch = model.refresh_heads(&applied.affected_users);
         apply_patch(&mut artifact, &patch);
         let oracle = model.rebuild_artifact();
-        assert_artifacts_close(
+        assert_artifacts_bitwise(
             &artifact,
             &oracle,
             &format!("event {i} ({}) at {threads} threads", event.op()),
@@ -188,7 +177,7 @@ fn assert_artifacts_bitwise(a: &TrustArtifact, b: &TrustArtifact, what: &str) {
 }
 
 #[test]
-fn mixed_event_stream_stays_within_tolerance_of_the_rebuild_oracle() {
+fn mixed_event_stream_lands_bitwise_on_the_rebuild_oracle() {
     let serial = run_sequence(1);
     let parallel = run_sequence(4);
     // Same events, same bits: the delta path is thread-invariant.
@@ -217,7 +206,7 @@ fn run_batches(threads: usize) -> (TrustArtifact, usize) {
                 refreshes += 1;
             }
             assert!(applier.dirty_users().is_empty(), "batch {k} left rows dirty");
-            assert_artifacts_close(
+            assert_artifacts_bitwise(
                 &artifact,
                 &applier.model().rebuild_artifact(),
                 &format!("batch {k} at {threads} threads"),
@@ -266,7 +255,7 @@ fn a_batched_staleness_bound_converges_to_the_rebuild_oracle() {
         apply_patch(&mut artifact, &patch);
         patches += 1;
     }
-    assert_artifacts_close(
+    assert_artifacts_bitwise(
         &artifact,
         &applier.model().rebuild_artifact(),
         "batched bound after the final refresh",
@@ -274,4 +263,48 @@ fn a_batched_staleness_bound_converges_to_the_rebuild_oracle() {
     // The bound really batched: one refresh each time a pending event
     // exceeds it, plus the flush.
     assert_eq!(patches, N_EVENTS / (BATCH + 1) + 1, "patches for {N_EVENTS} events");
+}
+
+/// User `u`'s rows of `a`: embedding, trustor head, trustee head.
+fn user_rows(a: &TrustArtifact, u: usize) -> [&[f32]; 3] {
+    let (ed, hd) = (a.emb_dim, a.head_dim);
+    [
+        &a.embeddings[u * ed..(u + 1) * ed],
+        &a.trustor_head[u * hd..(u + 1) * hd],
+        &a.trustee_head[u * hd..(u + 1) * hd],
+    ]
+}
+
+#[test]
+fn rows_outside_the_reported_affected_sets_never_move() {
+    let mut model = trained_model();
+    let (n_node, n_struct) = model.hyperedge_counts();
+    let mut before = model.rebuild_artifact();
+    let mut untouched_rows = 0usize;
+    for (k, chunk) in event_stream(n_node, n_struct).chunks(BATCH_LEN).enumerate() {
+        let mut affected = BTreeSet::new();
+        for event in chunk {
+            let applied = model.apply_event(event).expect("valid event");
+            affected.extend(applied.affected_users);
+        }
+        let users: Vec<usize> = affected.iter().copied().collect();
+        model.refresh_heads(&users);
+        let after = model.rebuild_artifact();
+        for u in (0..N_USERS).filter(|u| !affected.contains(u)) {
+            let names = ["embeddings", "trustor_head", "trustee_head"];
+            let rows = user_rows(&before, u).into_iter().zip(user_rows(&after, u));
+            for (name, (a, b)) in names.iter().zip(rows) {
+                assert!(
+                    a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits()),
+                    "batch {k}: user {u} is outside the affected sets but its {name} row moved"
+                );
+            }
+            untouched_rows += 1;
+        }
+        let what = format!("batch {k}");
+        assert_artifacts_bitwise(&Ahntp::export_artifact(&model), &after, &what);
+        before = after;
+    }
+    // The guard is not vacuous: batches leave some users out.
+    assert!(untouched_rows > 0, "every batch affected every user");
 }
