@@ -119,7 +119,8 @@ impl ConvStack {
 /// the full-batch epoch *is* the identity plan of the mini-batch path, so
 /// the two agree bitwise at compute threads {1, 4}; and every objective is
 /// one function of one embedding — one embedding forward and one pass per
-/// tower per micro-batch, shared by the trust head and the Eq. 23 term.
+/// tower per accumulation group, shared by every micro-batch's trust head
+/// and Eq. 23 term.
 pub struct Ahntp {
     cfg: AhntpConfig,
     features: Tensor,
@@ -515,22 +516,32 @@ impl Ahntp {
         (self.node_cache.n_edges(), self.struct_cache.n_edges())
     }
 
-    /// The combined training objective (Eqs. 20–24) of one micro-batch on
-    /// session `s`, against the given (possibly sliced) operators. One
-    /// function of one embedding: the embedding and each tower are built
-    /// once, and the trust head and the Eq. 23 term both read them.
-    fn batch_loss(
+    /// The forward an accumulation group shares, on session `s` against
+    /// the given (possibly sliced) operators: the embedding once, then
+    /// each tower once over every user — `(trustor, trustee)`.
+    fn group_forward(
+        &self,
+        s: &Session,
+        node_ops: &AggregationOps,
+        struct_ops: &AggregationOps,
+    ) -> (Var, Var) {
+        let emb = self.embed_on(s, node_ops, struct_ops);
+        (self.tower_a.forward(s, &emb), self.tower_b.forward(s, &emb))
+    }
+
+    /// The combined training objective (Eqs. 20–24) of one micro-batch,
+    /// read off the group's tower outputs ([`Ahntp::group_forward`]): the
+    /// trust head on the batch's pairs, then the Eq. 23 term on
+    /// `trustor`. One function of one embedding.
+    fn pair_loss(
         &self,
         s: &Session,
         pairs: &[LabeledPair],
-        node_ops: &AggregationOps,
-        struct_ops: &AggregationOps,
+        trustor: &Var,
+        trustee: &Var,
         smooth_lap: Option<&Rc<CsrMatrix<f32>>>,
     ) -> Var {
-        let emb = self.embed_on(s, node_ops, struct_ops);
-        let trustor = self.tower_a.forward(s, &emb);
-        let trustee = self.tower_b.forward(s, &emb);
-        let cs = Self::similarities_from(&trustor, &trustee, pairs);
+        let cs = Self::similarities_from(trustor, trustee, pairs);
         let labels = Tensor::vector(pairs.iter().map(|p| f32::from(p.label)).collect());
         let l2 = bce_from_similarity(s, &cs, &labels);
         let loss = if self.cfg.variant == AhntpVariant::NoContrastive {
@@ -545,9 +556,58 @@ impl Ahntp {
             combined_loss(&l1, &l2, self.cfg.lambda1, self.cfg.lambda2)
         };
         match smooth_lap {
-            Some(lap) => loss.add(&self.smoothness_term(s, lap, &trustor)),
+            Some(lap) => loss.add(&self.smoothness_term(s, lap, trustor)),
             None => loss,
         }
+    }
+
+    /// The epoch's sampled operators: one hyperedge sample per tier,
+    /// seeded from the plan, and the smoothness Laplacian sliced to the
+    /// same hyperedges (`None` without the Eq. 23 term). Ratio 1.0 never
+    /// touches the RNG and hands back the full operators.
+    fn sampled_operators(
+        &self,
+        plan: &BatchPlan,
+    ) -> (
+        Rc<AggregationOps>,
+        Rc<AggregationOps>,
+        Option<Rc<CsrMatrix<f32>>>,
+    ) {
+        // One sample per hypergraph so node-level and structure-level
+        // draws are independent.
+        let node_ids = sample_edges(
+            self.node_cache.n_edges(),
+            plan.edge_ratio,
+            SplitMix64::derive(plan.seed, "minibatch.node"),
+            plan.epoch,
+        );
+        let struct_ids = sample_edges(
+            self.struct_cache.n_edges(),
+            plan.edge_ratio,
+            SplitMix64::derive(plan.seed, "minibatch.struct"),
+            plan.epoch,
+        );
+        ahntp_telemetry::counter_add(
+            "batch.sampled_edges",
+            (node_ids.len() + struct_ids.len()) as u64,
+        );
+        let node_ops = self.node_cache.slice_ops(&node_ids);
+        let struct_ops = self.struct_cache.slice_ops(&struct_ids);
+        let smooth_lap = (self.cfg.smoothness_weight > 0.0).then(|| {
+            // The smoothness hypergraph is the concatenation of the two,
+            // so the sampled sub-hypergraph keeps exactly the sampled
+            // hyperedges: node ids verbatim, structure ids offset past the
+            // node-level block. Both halves are sorted, so the identity
+            // sample concatenates to the identity selection.
+            let m_node = self.node_cache.n_edges();
+            let full_ids: Vec<usize> = node_ids
+                .iter()
+                .copied()
+                .chain(struct_ids.iter().map(|&e| e + m_node))
+                .collect();
+            self.smooth_cache.slice_laplacian(&full_ids)
+        });
+        (node_ops, struct_ops, smooth_lap)
     }
 
     /// Eq. 23: label smoothing over the (sampled) trust hypergraph, applied
@@ -869,8 +929,14 @@ impl BatchTrustModel for Ahntp {
     /// [`Session::harvest_accumulate`] after `zero_grad` is
     /// `Session::harvest`. `minibatch_exactness` holds the two entry
     /// points to bitwise-equal trajectories at compute threads {1, 4}.
-    /// Each micro-batch builds its embedding once and runs each tower
-    /// once (`batch_loss`).
+    /// Each accumulation group builds its embedding and runs each tower
+    /// once, on one tape; every micro-batch then appends its own
+    /// objective ([`Ahntp::pair_loss`]) and backpropagates it alone, in
+    /// plan order. A backward consumes the interior gradients it used and
+    /// the harvest takes the leaves', so each batch's gradient is bitwise
+    /// the one a tape of its own would give. The Eq. 23 term stays in the
+    /// batch's segment: hoisted to once per group, it would reorder the
+    /// f32 sum of the three gradients it and the trust head send `trustor`.
     fn train_epoch_planned(&mut self, plan: &BatchPlan) -> f32 {
         assert!(plan.n_pairs() > 0, "train_epoch_planned: no pairs");
         assert!(
@@ -880,52 +946,15 @@ impl BatchTrustModel for Ahntp {
              bound to the construction-time edge set — rebuild the model \
              to continue training"
         );
-        // Per-epoch hyperedge sample, one per hypergraph so node-level and
-        // structure-level draws are independent. Ratio 1.0 never touches
-        // the RNG and yields the identity selection.
-        let node_ids = sample_edges(
-            self.node_cache.n_edges(),
-            plan.edge_ratio,
-            SplitMix64::derive(plan.seed, "minibatch.node"),
-            plan.epoch,
-        );
-        let struct_ids = sample_edges(
-            self.struct_cache.n_edges(),
-            plan.edge_ratio,
-            SplitMix64::derive(plan.seed, "minibatch.struct"),
-            plan.epoch,
-        );
-        ahntp_telemetry::counter_add(
-            "batch.sampled_edges",
-            (node_ids.len() + struct_ids.len()) as u64,
-        );
-        let node_ops = self.node_cache.slice_ops(&node_ids);
-        let struct_ops = self.struct_cache.slice_ops(&struct_ids);
-        let smooth_lap = if self.cfg.smoothness_weight > 0.0 {
-            // The smoothness hypergraph is the concatenation of the two,
-            // so the sampled sub-hypergraph keeps exactly the sampled
-            // hyperedges: node ids verbatim, structure ids offset past the
-            // node-level block. Both halves are sorted, so the identity
-            // sample concatenates to the identity selection.
-            let m_node = self.node_cache.n_edges();
-            let full_ids: Vec<usize> = node_ids
-                .iter()
-                .copied()
-                .chain(struct_ids.iter().map(|&e| e + m_node))
-                .collect();
-            Some(self.smooth_cache.slice_laplacian(&full_ids))
-        } else {
-            None
-        };
-
+        let (node_ops, struct_ops, smooth_lap) = self.sampled_operators(plan);
         let mut batch_losses: Vec<(usize, f32)> = Vec::with_capacity(plan.n_batches());
         for group in plan.batches.chunks(plan.accumulation.max(1)) {
             self.optimizer.zero_grad();
             let group_pairs: usize = group.iter().map(Vec::len).sum();
+            let s = Session::new();
+            let (trustor, trustee) = self.group_forward(&s, &node_ops, &struct_ops);
             for batch in group {
-                let s = Session::new();
-                let loss =
-                    self.batch_loss(&s, batch, &node_ops, &struct_ops, smooth_lap.as_ref());
+                let loss = self.pair_loss(&s, batch, &trustor, &trustee, smooth_lap.as_ref());
                 let loss_value = loss.value().as_slice()[0];
                 // A lone batch backpropagates the loss itself (its weight
                 // is exactly 1.0, so the identity plan adds no tape op);
@@ -947,18 +976,22 @@ impl BatchTrustModel for Ahntp {
         }
         // Parameters moved: the cached scoring head is stale.
         self.head_cache.borrow_mut().take();
-        // Epoch loss: the batch loss itself for a single batch (bitwise
-        // the full-batch loss), else the pair-weighted mean.
-        if batch_losses.len() == 1 {
-            batch_losses[0].1
-        } else {
-            let total: usize = batch_losses.iter().map(|&(n, _)| n).sum();
-            batch_losses
-                .iter()
-                .map(|&(n, l)| l * (n as f32 / total as f32))
-                .sum()
-        }
+        epoch_loss(&batch_losses)
     }
+}
+
+/// An epoch's loss from its `(pairs, loss)` per micro-batch: the batch
+/// loss itself for a single batch (bitwise the full-batch loss), else the
+/// pair-weighted mean.
+fn epoch_loss(batch_losses: &[(usize, f32)]) -> f32 {
+    if let [(_, loss)] = batch_losses {
+        return *loss;
+    }
+    let total: usize = batch_losses.iter().map(|&(n, _)| n).sum();
+    batch_losses
+        .iter()
+        .map(|&(n, l)| l * (n as f32 / total as f32))
+        .sum()
 }
 
 #[cfg(test)]
@@ -1203,7 +1236,8 @@ mod tests {
     /// The objective as it stood before the embedding was shared — the
     /// supervised part, then Eq. 23 on an embedding forward and a
     /// trustor-tower pass of its own — kept as the reference
-    /// [`Ahntp::batch_loss`] is checked against.
+    /// [`Ahntp::group_forward`] plus [`Ahntp::pair_loss`] is checked
+    /// against.
     fn two_forward_loss(
         m: &Ahntp,
         s: &Session,
@@ -1212,7 +1246,8 @@ mod tests {
         struct_ops: &AggregationOps,
         lap: &Rc<CsrMatrix<f32>>,
     ) -> Var {
-        let loss = m.batch_loss(s, pairs, node_ops, struct_ops, None);
+        let (trustor, trustee) = m.group_forward(s, node_ops, struct_ops);
+        let loss = m.pair_loss(s, pairs, &trustor, &trustee, None);
         let emb = m.embed_on(s, node_ops, struct_ops);
         loss.add(&m.smoothness_term(s, lap, &m.tower_a.forward(s, &emb)))
     }
@@ -1253,7 +1288,8 @@ mod tests {
                 let lap = m.smooth_cache.slice_laplacian(&all_ids);
 
                 let s = Session::new();
-                let loss = m.batch_loss(&s, &split.train, &node_ops, &struct_ops, Some(&lap));
+                let (trustor, trustee) = m.group_forward(&s, &node_ops, &struct_ops);
+                let loss = m.pair_loss(&s, &split.train, &trustor, &trustee, Some(&lap));
                 let (loss, grads) = loss_and_grads(&m, &s, &loss);
                 let s = Session::new();
                 let reference =
@@ -1275,6 +1311,80 @@ mod tests {
                         max_abs(&diff),
                         max_abs(r)
                     );
+                }
+            }
+        }
+    }
+
+    /// The epoch loop as it stood before an accumulation group shared its
+    /// forward — a session, an embedding and both towers per micro-batch,
+    /// the same scaling, harvest and step — kept as the reference
+    /// `train_epoch_planned` is checked against.
+    fn per_batch_forward_epoch(m: &mut Ahntp, plan: &BatchPlan) -> f32 {
+        let (node_ops, struct_ops, smooth_lap) = m.sampled_operators(plan);
+        let mut batch_losses = Vec::new();
+        for group in plan.batches.chunks(plan.accumulation) {
+            m.optimizer.zero_grad();
+            let group_pairs: usize = group.iter().map(Vec::len).sum();
+            for batch in group {
+                let s = Session::new();
+                let (trustor, trustee) = m.group_forward(&s, &node_ops, &struct_ops);
+                let loss = m.pair_loss(&s, batch, &trustor, &trustee, smooth_lap.as_ref());
+                batch_losses.push((batch.len(), loss.value().as_slice()[0]));
+                let objective = if group.len() == 1 {
+                    loss
+                } else {
+                    loss.scale(batch.len() as f32 / group_pairs as f32)
+                };
+                objective.backward();
+                s.harvest_accumulate();
+            }
+            m.optimizer.step();
+        }
+        epoch_loss(&batch_losses)
+    }
+
+    #[test]
+    fn a_group_shared_forward_trains_bitwise_like_a_forward_per_batch() {
+        use ahntp_data::MiniBatchConfig;
+        let (ds, split) = tiny_setup();
+        let n = split.train.len();
+        // Short last batch, and a last group short of 2 and of 3 batches.
+        let batch_size = (48..)
+            .find(|&b| n % b != 0 && matches!(n.div_ceil(b) % 6, 1 | 5))
+            .expect("some batch size leaves ragged groups");
+        for cfg in [
+            tiny_config(),
+            tiny_config().no_mpr(),
+            tiny_config().no_attention(),
+            tiny_config().no_contrastive(),
+        ] {
+            for accumulation in 1..=3 {
+                let mb = MiniBatchConfig::sampled(0.5, batch_size, accumulation, 11);
+                let mut shared = Ahntp::new(&ds.features, &ds.attributes, &split.train_graph, &cfg);
+                let mut reference =
+                    Ahntp::new(&ds.features, &ds.attributes, &split.train_graph, &cfg);
+                for epoch in 0..3 {
+                    let plan = BatchPlan::for_epoch(&split.train, &mb, epoch);
+                    let tag = format!(
+                        "{} at accumulation {accumulation}, epoch {epoch}",
+                        cfg.variant
+                    );
+                    assert!(plan.n_batches() > 3, "{tag}: several groups");
+                    let l_shared = shared.train_epoch_planned(&plan);
+                    let l_ref = per_batch_forward_epoch(&mut reference, &plan);
+                    assert_eq!(l_shared.to_bits(), l_ref.to_bits(), "{tag}: epoch loss");
+                    for (p, q) in shared.parameters().iter().zip(reference.parameters()) {
+                        let (a, b) = (p.value(), q.value());
+                        assert!(
+                            a.as_slice()
+                                .iter()
+                                .zip(b.as_slice())
+                                .all(|(x, y)| x.to_bits() == y.to_bits()),
+                            "{tag}: {} moved off the reference",
+                            p.name()
+                        );
+                    }
                 }
             }
         }

@@ -197,12 +197,14 @@ fn conv_forward_spans() -> usize {
         .count()
 }
 
-/// Tripwire for "one embedding per objective": with the Eq. 23 term in
-/// the objective, a full-batch epoch — and one sampled micro-batch — runs
-/// each conv layer's forward exactly once per tier. A second embedding
-/// forward feeding the smoothness term would double the count.
+/// Tripwire for "one embedding per accumulation group": with the Eq. 23
+/// term in the objective, a full-batch epoch — and one full sampled
+/// accumulation group — runs each conv layer's forward exactly once per
+/// tier. A forward per micro-batch, or a second one feeding the
+/// smoothness term, would raise the count; every micro-batch still
+/// backpropagates on its own.
 #[test]
-fn an_objective_runs_each_conv_layer_once_per_tier() {
+fn an_objective_runs_each_conv_layer_once_per_tier_per_accumulation_group() {
     ahntp_par::Context::fresh().run(|| {
         ahntp_telemetry::set_enabled(true);
         ahntp_telemetry::set_trace_collect(true);
@@ -212,11 +214,17 @@ fn an_objective_runs_each_conv_layer_once_per_tier() {
         let per_objective = 2 * m.config().conv_dims.len(); // tiers × layers
         m.train_epoch(&split.train);
         assert_eq!(conv_forward_spans(), per_objective);
+        assert_eq!(ahntp_telemetry::counter_get("autograd.backward.calls"), 1);
         let mut plan =
             BatchPlan::for_epoch(&split.train, &MiniBatchConfig::sampled(0.5, 64, 2, 11), 0);
-        plan.batches.truncate(1);
+        assert!(plan.accumulation > 1 && plan.n_batches() > plan.accumulation);
+        plan.batches.truncate(plan.accumulation);
         m.train_epoch_planned(&plan);
         assert_eq!(conv_forward_spans(), 2 * per_objective);
+        assert_eq!(
+            ahntp_telemetry::counter_get("autograd.backward.calls"),
+            1 + plan.accumulation as u64
+        );
     });
 }
 
