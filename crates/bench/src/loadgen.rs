@@ -5,8 +5,8 @@
 //! when the previous response lands), recording per-request latency.
 //! The report carries exact percentiles — every latency sample is kept
 //! and sorted, unlike the server's own log2-bucket histograms — plus
-//! aggregate throughput, so `backend_bench`, `serve_quickstart` and the
-//! smoke and chaos tests can print p50/p99/RPS lines from one call.
+//! aggregate throughput, so `serve_quickstart` and the smoke and chaos
+//! tests can print p50/p99/RPS lines from one call.
 
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};

@@ -339,7 +339,6 @@ pub(crate) fn training_loop<M: TrustModel + ?Sized>(
         final_loss = loss;
         epoch_losses.push(loss);
         ahntp_telemetry::counter_add("train.epochs", 1);
-        ahntp_telemetry::histogram_record("train.epoch.us", wall_us);
         let stats = EpochStats {
             epoch,
             loss,
@@ -678,8 +677,6 @@ mod tests {
         let metrics = end.get("metrics").expect("run_end carries the metrics snapshot");
         let epochs = Some(report.epochs_run as f64);
         assert_eq!(metrics.get("train.epochs").and_then(Json::as_f64), epochs);
-        let timed = metrics.get("train.epoch.us").and_then(|h| h.get("count"));
-        assert_eq!(timed.and_then(Json::as_f64), epochs, "one wall-clock sample per epoch");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

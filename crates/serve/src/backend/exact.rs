@@ -1,25 +1,42 @@
-//! The reference backend: exact f32 dots and exhaustive candidate scans.
+//! The exhaustive candidate scan.
 //!
-//! A pair dot is one chain over the trustee row in element order; a
-//! `/topk` scans every candidate a panel at a time, sixteen independent
-//! accumulators per panel (see `panels.rs`). Both are bitwise the seed's
-//! scalar dot, which `tests/backend_exactness.rs` keeps as the oracle.
-//! Every other backend states its error envelope relative to this one.
+//! A `/topk` scans every candidate a panel at a time, sixteen independent
+//! accumulators per panel (see `panels.rs`), each summing its own dot in
+//! scalar element order, so every score is bitwise the seed's scalar dot,
+//! which `tests/backend_exactness.rs` keeps as the oracle.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use super::{banded_top_k, heap_push, Heads, Ranked, ScoringBackend};
+use super::{Heads, Ranked};
 
-/// Exhaustive exact f32 scoring (the reference semantics).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ExactBackend;
+/// Pushes a candidate through the bounded-heap top-k discipline: keep the
+/// `k` largest under the [`Ranked`] total order.
+#[inline]
+fn heap_push(heap: &mut BinaryHeap<Reverse<Ranked>>, k: usize, score: f32, user: usize) {
+    if heap.len() < k {
+        heap.push(Reverse(Ranked { score, user }));
+    } else if let Some(worst) = heap.peek() {
+        if (Ranked { score, user }) > worst.0 {
+            heap.pop();
+            heap.push(Reverse(Ranked { score, user }));
+        }
+    }
+}
 
 /// The exact top-`k` for `trustor` over the candidate id range `lo..hi`
-/// (excluding `trustor`), banded over the `ahntp-par` pool. This is the
-/// whole-index scan, the shard-local scan, the defended scan and ivf's
-/// fallback alike, so merging per-shard results under the [`Ranked`]
-/// total order reproduces the single-node scan bitwise.
+/// (excluding `trustor`), as raw-dot [`Ranked`] entries in no particular
+/// order. This is the whole-index scan, the shard-local scan and the
+/// defended scan alike.
+///
+/// The range is split into `ahntp-par` row bands, each keeping `k`
+/// candidates, and the global top `k` is selected from the union.
+/// Candidate ids stay **global** throughout, so a shard's scatter-gather
+/// merge never translates ids. The union is a superset of the serial
+/// scan's survivors and [`Ranked`] never ties across distinct users, so
+/// the selection equals the serial candidate set bitwise — at any thread
+/// count and any band placement — and merging per-shard results under the
+/// same order reproduces the single-node scan.
 pub(crate) fn top_k_in(
     heads: &Heads,
     trustor: usize,
@@ -29,38 +46,25 @@ pub(crate) fn top_k_in(
     par_counter: &str,
 ) -> Vec<Ranked> {
     let q = heads.trustor_row(trustor);
-    banded_top_k(heads, k, lo, hi, par_counter, |c0, c1| {
+    let n = hi.saturating_sub(lo);
+    let mut bands = ahntp_par::par_bands(n, 2 * n * heads.d(), par_counter, |b0, b1| {
         let mut heap: BinaryHeap<Reverse<Ranked>> = BinaryHeap::with_capacity(k + 1);
-        heads.trustee.scan(q, c0, c1, |v, score| {
+        heads.trustee.scan(q, lo + b0, lo + b1, |v, score| {
             if v != trustor {
                 heap_push(&mut heap, k, score, v);
             }
         });
-        heap.into_iter().map(|Reverse(r)| r).collect()
+        heap.into_iter().map(|Reverse(r)| r).collect::<Vec<_>>()
     })
-}
-
-impl ScoringBackend for ExactBackend {
-    fn dot(&self, heads: &Heads, trustor: usize, trustee: usize) -> f32 {
-        heads.dot(trustor, trustee)
+    .into_iter();
+    // `k` per band is a superset of the global top `k`; only a union that
+    // overflows `k` (never the one-band serial scan, whose vector is
+    // returned as is) needs selecting.
+    let mut merged = bands.next().expect("par_bands yields at least one band");
+    merged.extend(bands.flatten());
+    if merged.len() > k {
+        merged.sort_by(|a, b| b.cmp(a));
+        merged.truncate(k);
     }
-
-    fn top_k(&self, heads: &Heads, trustor: usize, k: usize) -> Vec<Ranked> {
-        top_k_in(heads, trustor, k, 0, heads.n(), "serve.topk.par_calls")
-    }
-
-    fn on_patch(&mut self, _heads: &Heads, _users: &[usize]) {}
-
-    fn bytes_per_user(&self, heads: &Heads) -> usize {
-        // Two f32 head rows per user, each held once.
-        2 * heads.d() * std::mem::size_of::<f32>()
-    }
-
-    fn score_error_bound(&self, _calibration: f32) -> f32 {
-        0.0
-    }
-
-    fn approximate_top_k(&self) -> bool {
-        false
-    }
+    merged
 }

@@ -16,8 +16,8 @@
 //! `PANEL` rows is already contiguous, so [`Panels::new`] copies each block
 //! into one `PANEL × d` tile buffer and writes it back transposed over
 //! itself. The `n mod PANEL` tail rows stay row-major. The index holds
-//! the trustee head once, in this form, and nothing else: pair dots,
-//! row reads and live patches go through the same type.
+//! the trustee head once, in this form, and nothing else: pair dots, the
+//! scan and live patches go through the same type.
 
 /// Users per panel. Sixteen accumulators are four SSE2 vectors, enough
 /// to cover the add latency; eight leave the scan latency-bound, and
@@ -86,6 +86,7 @@ impl Panels {
     }
 
     /// A copy of row `v`, in row-major element order.
+    #[cfg(test)]
     pub(crate) fn row(&self, v: usize) -> Vec<f32> {
         let (start, end, stride) = self.span(v);
         self.data[start..end]

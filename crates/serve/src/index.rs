@@ -6,33 +6,22 @@
 //! followed by the trainer's calibrated sigmoid, and `top_k_trustees`
 //! ranks candidates over one scan. The trustee head is kept once, re-laid
 //! in place into 16-user panels for that scan (`backend/panels.rs`); the
-//! embeddings and the trustor head stay as the artifact held them.
-//!
-//! *How* the dot and the candidate scan are computed is delegated to a
-//! pluggable [`ScoringBackend`](crate::backend) — `exact` (the panel
-//! scan, bitwise the scalar reference), `int8` (quantized, ~4× smaller,
-//! measured error bound), or `ivf` (coarse clustering, sublinear
-//! `/topk`). The backend is picked by
-//! [`BackendKind::from_env`] (`AHNTP_BACKEND`) at construction, or
-//! explicitly via [`TrustIndex::from_artifact_with`] /
-//! [`TrustIndex::with_backend`].
+//! embeddings and the trustor head stay as the artifact held them. Every
+//! score is bitwise the seed's scalar f32 dot (`tests/backend_exactness.rs`
+//! keeps that loop as the oracle).
 //!
 //! Big batches and big candidate scans are split across the `ahntp-par`
 //! worker pool: each pair/candidate is scored by exactly one task with
 //! banding-invariant arithmetic, and the per-band top-k heaps merge under
-//! one total order, so every backend's results are bitwise identical to
-//! its own serial execution at any thread count.
+//! one total order, so results are bitwise identical to serial execution
+//! at any thread count.
 //!
 //! # Top-k tie-break
 //!
 //! [`TrustIndex::top_k_trustees`] orders its output by **score
-//! descending, then user id ascending**. The id tie-break is load-bearing
-//! twice over: it makes responses deterministic when distinct candidates
-//! collide on a score (common under `int8`, where quantized dots tie far
-//! more often than f32 dots), and it makes exact-vs-approximate recall
-//! comparisons well-defined — two backends that agree on scores agree on
-//! the returned set and order, so any disagreement is genuine
-//! approximation error, never arbitrary tie resolution.
+//! descending, then user id ascending**, so responses are deterministic
+//! when distinct candidates collide on a score, and a scatter-gather
+//! front can merge per-shard lists into the single-node answer.
 
 use std::sync::{RwLock, RwLockReadGuard};
 
@@ -40,7 +29,7 @@ use ahntp_nn::{ArtifactError, Rows, TrustArtifact};
 use ahntp_stream::HeadPatch;
 use ahntp_telemetry::counter_add;
 
-use crate::backend::{exact_top_k_in, BackendKind, Heads, Panels, ScoringBackend};
+use crate::backend::{top_k_in, BackendKind, Heads, Panels};
 
 /// Errors from scoring queries against a [`TrustIndex`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -143,98 +132,30 @@ impl DefensePrior {
     }
 }
 
-/// Static kernel-span name per backend so traces carry the backend label
-/// without a per-request allocation.
-fn topk_span(kind: BackendKind) -> &'static str {
-    match kind {
-        BackendKind::Exact => "serve.topk.exact",
-        BackendKind::Int8 => "serve.topk.int8",
-        BackendKind::Ivf(_) => "serve.topk.ivf",
-    }
-}
-
-fn score_span(kind: BackendKind) -> &'static str {
-    match kind {
-        BackendKind::Exact => "serve.score_pairs.exact",
-        BackendKind::Int8 => "serve.score_pairs.int8",
-        BackendKind::Ivf(_) => "serve.score_pairs.ivf",
-    }
-}
-
-/// The artifact's fields besides the two scoring heads.
+/// Trust-scoring index over an exported [`TrustArtifact`]. "Frozen" in
+/// the sense that only live-trust head patches mutate it.
 #[derive(Debug, Clone)]
-struct Meta {
+pub struct TrustIndex {
     model: String,
     fingerprint: u64,
     calibration: f32,
     emb_dim: usize,
     embeddings: Rows,
-}
-
-/// Trust-scoring index over an exported [`TrustArtifact`], scored through
-/// a pluggable backend. "Frozen" in the sense that only live-trust head
-/// patches mutate it, and those re-derive exactly the touched rows.
-#[derive(Debug)]
-pub struct TrustIndex {
-    meta: Meta,
     heads: Heads,
-    kind: BackendKind,
-    backend: Box<dyn ScoringBackend>,
     /// Sybil-defense prior; `None` serves raw learned scores.
     defense: Option<DefensePrior>,
-    /// Pre-interned per-backend counter names (no `format!` per request).
-    m_score_calls: String,
-    m_topk_calls: String,
-}
-
-impl Clone for TrustIndex {
-    fn clone(&self) -> TrustIndex {
-        // Backends are pure functions of (heads, kind), so a clone
-        // rebuilds identical derived state; the defense prior is carried
-        // over explicitly (it is graph-derived, not artifact-derived).
-        let mut clone = TrustIndex::assemble(self.meta.clone(), self.heads.clone(), self.kind);
-        clone.defense = self.defense.clone();
-        clone
-    }
 }
 
 impl TrustIndex {
-    fn assemble(meta: Meta, heads: Heads, kind: BackendKind) -> TrustIndex {
-        TrustIndex {
-            m_score_calls: format!("serve.score_pairs.{}.calls", kind.name()),
-            m_topk_calls: format!("serve.topk.{}.calls", kind.name()),
-            backend: kind.build(&heads, meta.fingerprint),
-            meta,
-            heads,
-            kind,
-            defense: None,
-        }
-    }
-
     /// Builds the index from a decoded artifact, re-validating it. The
-    /// scoring backend comes from the environment
-    /// ([`BackendKind::from_env`]; `AHNTP_BACKEND`, default `exact`).
+    /// trustee head is re-laid into panels in place: an owned matrix is
+    /// reused, a mapped one is copied once.
     ///
     /// # Errors
     ///
     /// Returns the artifact's own [`ArtifactError`] when it is
     /// inconsistent.
     pub fn from_artifact(artifact: TrustArtifact) -> Result<TrustIndex, ArtifactError> {
-        TrustIndex::from_artifact_with(artifact, BackendKind::from_env())
-    }
-
-    /// Builds the index with an explicit scoring backend. The trustee
-    /// head is re-laid into panels in place: an owned matrix is reused,
-    /// a mapped one is copied once.
-    ///
-    /// # Errors
-    ///
-    /// Returns the artifact's own [`ArtifactError`] when it is
-    /// inconsistent.
-    pub fn from_artifact_with(
-        artifact: TrustArtifact,
-        kind: BackendKind,
-    ) -> Result<TrustIndex, ArtifactError> {
         artifact.validate()?;
         let TrustArtifact {
             model,
@@ -247,22 +168,35 @@ impl TrustIndex {
             trustor_head,
             trustee_head,
         } = artifact;
-        let meta = Meta {
+        Ok(TrustIndex {
             model,
             fingerprint,
             calibration,
             emb_dim,
             embeddings,
-        };
-        let heads = Heads {
-            trustor: trustor_head,
-            trustee: Panels::new(trustee_head.into_vec(), n_users, head_dim),
-        };
-        Ok(TrustIndex::assemble(meta, heads, kind))
+            heads: Heads {
+                trustor: trustor_head,
+                trustee: Panels::new(trustee_head.into_vec(), n_users, head_dim),
+            },
+            defense: None,
+        })
     }
 
-    /// Decodes an `AHNTPSRV1` frame and builds the index (backend from
-    /// the environment, as [`TrustIndex::from_artifact`]).
+    /// [`TrustIndex::from_artifact`]; `kind` is ignored (see
+    /// [`BackendKind`]: it goes with the next change to the benchmark
+    /// harness).
+    ///
+    /// # Errors
+    ///
+    /// As [`TrustIndex::from_artifact`].
+    pub fn from_artifact_with(
+        artifact: TrustArtifact,
+        _kind: BackendKind,
+    ) -> Result<TrustIndex, ArtifactError> {
+        TrustIndex::from_artifact(artifact)
+    }
+
+    /// Decodes an `AHNTPSRV1` frame and builds the index.
     ///
     /// # Errors
     ///
@@ -287,22 +221,8 @@ impl TrustIndex {
     /// [`std::io::ErrorKind::InvalidData`] — a typed error, never a
     /// panic, which is what the chaos tier asserts for torn artifacts.
     pub fn open<P: AsRef<std::path::Path>>(path: P) -> std::io::Result<TrustIndex> {
-        TrustIndex::open_with(path, BackendKind::from_env())
-    }
-
-    /// [`TrustIndex::open`] with an explicit scoring backend (the
-    /// `/admin/swap` path uses this to rebuild a freshly mapped snapshot
-    /// onto the serving backend).
-    ///
-    /// # Errors
-    ///
-    /// As [`TrustIndex::open`].
-    pub fn open_with<P: AsRef<std::path::Path>>(
-        path: P,
-        kind: BackendKind,
-    ) -> std::io::Result<TrustIndex> {
         let artifact = TrustArtifact::open(path)?;
-        TrustIndex::from_artifact_with(artifact, kind)
+        TrustIndex::from_artifact(artifact)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
     }
 
@@ -312,24 +232,13 @@ impl TrustIndex {
     /// The trustee head is never a view: it is re-laid into panels at
     /// build time.
     pub fn is_mapped(&self) -> bool {
-        self.meta.embeddings.is_mapped() && self.heads.trustor.is_mapped()
-    }
-
-    /// Rebuilds this index on a different scoring backend. Derived state
-    /// (quantized matrices, posting lists) is reconstructed from the
-    /// heads, so the swap is deterministic. An attached defense prior
-    /// survives the rebuild.
-    pub fn with_backend(self, kind: BackendKind) -> TrustIndex {
-        let mut index = TrustIndex::assemble(self.meta, self.heads, kind);
-        index.defense = self.defense;
-        index
+        self.embeddings.is_mapped() && self.heads.trustor.is_mapped()
     }
 
     /// Attaches a Sybil-defense prior: every served probability becomes
     /// `(1 − α) · learned + α · prior[trustee]` (see [`DefensePrior`]).
-    /// `/topk` under defense always ranks via the full exact panel scan —
-    /// the prior reweights candidates, so approximate backends cannot
-    /// pre-rank for it.
+    /// `/topk` under defense ranks every candidate — the prior reweights
+    /// them, so the raw dot order is no filter for the blended one.
     ///
     /// # Errors
     ///
@@ -371,32 +280,11 @@ impl TrustIndex {
         }
     }
 
-    /// The backend this index scores through.
-    pub fn backend_kind(&self) -> BackendKind {
-        self.kind
-    }
-
-    /// Stable backend name (`exact`, `int8`, `ivf`).
+    /// `"exact"`, the `backend` field of `/score`, `/topk` and `/healthz`
+    /// (see [`BackendKind`]: it goes with the next change to the
+    /// benchmark harness).
     pub fn backend_name(&self) -> &'static str {
-        self.kind.name()
-    }
-
-    /// Rigorous bound on `|score − exact_score|` for pair scoring under
-    /// this backend, in probability units. `0.0` for `exact` and `ivf`
-    /// (exact pair dots); measured at build time for `int8`.
-    pub fn score_error_bound(&self) -> f32 {
-        self.backend.score_error_bound(self.meta.calibration)
-    }
-
-    /// Whether `top_k_trustees` may return a candidate set different from
-    /// the exact scan (recall < 1): true for `int8` and `ivf`.
-    pub fn approximate_top_k(&self) -> bool {
-        self.backend.approximate_top_k()
-    }
-
-    /// Bytes of scoring-path state per user under this backend.
-    pub fn bytes_per_user(&self) -> usize {
-        self.backend.bytes_per_user(&self.heads)
+        BackendKind::Exact.name()
     }
 
     /// Number of users the index can score.
@@ -406,7 +294,7 @@ impl TrustIndex {
 
     /// Embedding dimension of the exported model.
     pub fn emb_dim(&self) -> usize {
-        self.meta.emb_dim
+        self.emb_dim
     }
 
     /// Head dimension (the per-pair dot length).
@@ -416,12 +304,12 @@ impl TrustIndex {
 
     /// Name of the exporting model (e.g. `"AHNTP"`).
     pub fn model(&self) -> &str {
-        &self.meta.model
+        &self.model
     }
 
     /// Architecture fingerprint of the exporting model (0 = untagged).
     pub fn fingerprint(&self) -> u64 {
-        self.meta.fingerprint
+        self.fingerprint
     }
 
     fn check(&self, user: usize) -> Result<(), ScoreError> {
@@ -436,14 +324,12 @@ impl TrustIndex {
     }
 
     fn calibrated(&self, dot: f32) -> f32 {
-        1.0 / (1.0 + (-dot / self.meta.calibration).exp())
+        1.0 / (1.0 + (-dot / self.calibration).exp())
     }
 
     /// Probability that `trustor` trusts `trustee`:
     /// `σ(⟨trustor_head[u], trustee_head[v]⟩ / c)`, matching
-    /// `Ahntp::predict` within float tolerance on the exact backend and
-    /// within [`TrustIndex::score_error_bound`] of that on approximate
-    /// ones.
+    /// `Ahntp::predict` within float tolerance.
     ///
     /// # Errors
     ///
@@ -451,10 +337,7 @@ impl TrustIndex {
     pub fn score(&self, trustor: usize, trustee: usize) -> Result<f32, ScoreError> {
         self.check(trustor)?;
         self.check(trustee)?;
-        Ok(self.defended_score(
-            trustee,
-            self.calibrated(self.backend.dot(&self.heads, trustor, trustee)),
-        ))
+        Ok(self.defended_score(trustee, self.calibrated(self.heads.dot(trustor, trustee))))
     }
 
     /// Scores a batch of `(trustor, trustee)` pairs in order.
@@ -464,10 +347,10 @@ impl TrustIndex {
     /// Fails on the first out-of-range id; no partial results.
     pub fn score_pairs(&self, pairs: &[(usize, usize)]) -> Result<Vec<f32>, ScoreError> {
         let _k = ahntp_telemetry::KernelSpan::enter(
-            score_span(self.kind),
+            "serve.score_pairs.exact",
             ahntp_telemetry::KernelKind::Score,
         );
-        counter_add(&self.m_score_calls, 1);
+        counter_add("serve.score_pairs.exact.calls", 1);
         for &(u, v) in pairs {
             self.check(u)?;
             self.check(v)?;
@@ -479,8 +362,9 @@ impl TrustIndex {
             2 * pairs.len() * self.head_dim(),
             "serve.score_pairs.par_calls",
             |off, band| {
-                self.backend
-                    .dot_batch(&self.heads, &pairs[off..off + band.len()], band);
+                for (&(u, v), o) in pairs[off..off + band.len()].iter().zip(band) {
+                    *o = self.heads.dot(u, v);
+                }
             },
         );
         for v in &mut out {
@@ -498,12 +382,8 @@ impl TrustIndex {
 
     /// The `k` most-trusted candidate trustees for `trustor` (excluding
     /// `trustor` itself), ordered by **score descending, then user id
-    /// ascending** — the documented deterministic tie-break, shared by
-    /// every backend so exact-vs-approximate comparisons are well-defined
-    /// at score ties. Returns fewer than `k` entries only when the index
-    /// holds fewer candidates (or, under `ivf`, when probing exhausts all
-    /// posting lists first — probing always widens until at least `k`
-    /// candidates were seen).
+    /// ascending** — the documented deterministic tie-break. Returns
+    /// fewer than `k` entries only when the index holds fewer candidates.
     ///
     /// # Errors
     ///
@@ -514,42 +394,21 @@ impl TrustIndex {
         k: usize,
     ) -> Result<Vec<(usize, f32)>, ScoreError> {
         let _k = ahntp_telemetry::KernelSpan::enter(
-            topk_span(self.kind),
+            "serve.topk.exact",
             ahntp_telemetry::KernelKind::Score,
         );
-        counter_add(&self.m_topk_calls, 1);
+        counter_add("serve.topk.exact.calls", 1);
         self.check(trustor)?;
-        if self.defense.is_some() {
-            // The prior reweights candidates, so a backend's dot-ordered
-            // pre-ranking (int8 quantized heaps, ivf posting lists) is
-            // not a valid filter for the blended order. Defended top-k
-            // therefore ranks every candidate through the exact panel
-            // scan — identical across backends by construction.
-            return Ok(self.defended_top_k_in(trustor, k, 0, self.n_users()));
-        }
-        let ranked = self.backend.top_k(&self.heads, trustor, k);
-        let mut out: Vec<(usize, f32)> = ranked
-            .into_iter()
-            .map(|r| (r.user, self.calibrated(r.score)))
-            .collect();
-        // The dot→probability map is monotonic, so sorting by probability
-        // equals sorting by dot product — except where calibration rounds
-        // two distinct dots to the same f32, where the id tiebreak takes
-        // over; every backend feeds its candidate set through this same
-        // sort, so the output order is identical for identical scores.
-        out.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        Ok(out)
+        Ok(self.ranked_in(trustor, k, 0, self.n_users(), "serve.topk.par_calls"))
     }
 
     /// [`TrustIndex::top_k_trustees`] restricted to the candidate id
     /// range `lo..hi` — the shard-local `/topk` scan. Candidate ids are
     /// **global** user ids throughout (the range selects, it does not
     /// re-base), so a scatter-gather front merges per-shard results
-    /// without any id translation. The scan always runs the exact panel
-    /// scan regardless of this index's configured backend, so the union
-    /// of disjoint ranges covering `0..n`, merged under (score desc, id
-    /// asc) and truncated to `k`, is bitwise identical to the single-node
-    /// exact `top_k_trustees`.
+    /// without any id translation: the union of disjoint ranges covering
+    /// `0..n`, merged under (score desc, id asc) and truncated to `k`, is
+    /// bitwise identical to the single-node `top_k_trustees`.
     ///
     /// `hi` is clamped to `n_users`; an empty or inverted range returns
     /// no candidates.
@@ -576,51 +435,43 @@ impl TrustIndex {
         if lo >= hi {
             return Ok(Vec::new());
         }
-        if self.defense.is_some() {
-            return Ok(self.defended_top_k_in(trustor, k, lo, hi));
-        }
-        let ranked = exact_top_k_in(
-            &self.heads,
-            trustor,
-            k,
-            lo,
-            hi,
-            "serve.topk.range.par_calls",
-        );
-        let mut out: Vec<(usize, f32)> = ranked
-            .into_iter()
-            .map(|r| (r.user, self.calibrated(r.score)))
-            .collect();
-        // Same final sort as `top_k_trustees`: the documented
-        // (score desc, id asc) tie-break, applied per shard *and* again
-        // at the merge, keeps ties across shard boundaries well-defined.
-        out.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        Ok(out)
+        Ok(self.ranked_in(trustor, k, lo, hi, "serve.topk.range.par_calls"))
     }
 
-    /// The defended candidate scan shared by `top_k_trustees` and
-    /// `top_k_trustees_in`: rank *all* candidates in `lo..hi` with the
-    /// exact panel scan, blend each with the prior, then apply the
-    /// documented (score desc, id asc) tie-break and truncate. Because
-    /// the blend happens before the per-shard sort, the union of disjoint
-    /// shard ranges covering `0..n`, merged under the same order, is
-    /// bitwise identical to the single-node defended scan.
-    fn defended_top_k_in(&self, trustor: usize, k: usize, lo: usize, hi: usize) -> Vec<(usize, f32)> {
-        let d = self.defense.as_ref().expect("defended scan without a defense prior");
-        // `hi - lo` candidates = the whole range; truncation to `k` must
-        // happen *after* blending or the prior could not promote a
-        // candidate the raw dot order had cut.
-        let ranked = exact_top_k_in(
-            &self.heads,
-            trustor,
-            hi - lo,
-            lo,
-            hi,
-            "serve.topk.range.par_calls",
-        );
-        let mut out: Vec<(usize, f32)> = ranked
+    /// The candidate scan shared by `top_k_trustees` and
+    /// `top_k_trustees_in`: the panel scan over `lo..hi`, each candidate
+    /// calibrated (and blended, when defended), then the documented
+    /// (score desc, id asc) sort and truncation to `k`. The dot →
+    /// probability map is monotonic, so the sort equals the dot order
+    /// except where calibration rounds two distinct dots to one f32,
+    /// where the id tie-break takes over. Because the blend happens
+    /// before the per-shard sort, the union of disjoint shard ranges
+    /// covering `0..n`, merged under the same order, is bitwise identical
+    /// to the single-node scan.
+    fn ranked_in(
+        &self,
+        trustor: usize,
+        k: usize,
+        lo: usize,
+        hi: usize,
+        par_counter: &str,
+    ) -> Vec<(usize, f32)> {
+        // The prior reweights candidates, so the raw dot order cannot
+        // pre-rank a defended scan: it keeps the whole range and
+        // truncates to `k` only *after* blending, or the prior could not
+        // promote a candidate the dot order had cut.
+        let (keep, par_counter) = match self.defense {
+            Some(_) => (hi - lo, "serve.topk.range.par_calls"),
+            None => (k, par_counter),
+        };
+        let mut out: Vec<(usize, f32)> = top_k_in(&self.heads, trustor, keep, lo, hi, par_counter)
             .into_iter()
-            .map(|r| (r.user, d.blend(r.user, self.calibrated(r.score))))
+            .map(|r| {
+                (
+                    r.user,
+                    self.defended_score(r.user, self.calibrated(r.score)),
+                )
+            })
             .collect();
         out.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         out.truncate(k);
@@ -629,10 +480,7 @@ impl TrustIndex {
 
     /// Patches refreshed head rows from a live model into the index in
     /// place. Rows arrive already L2-normalised (the export invariant),
-    /// so scoring stays one dot product per pair. The backend re-derives
-    /// exactly the patched rows (re-quantization under `int8`,
-    /// posting-list reassignment under `ivf`), so the live-trust path
-    /// keeps each backend's stated envelope.
+    /// so scoring stays one dot product per pair.
     ///
     /// # Errors
     ///
@@ -664,7 +512,7 @@ impl TrustIndex {
         // freshly mapped shard pays for exactly the matrices live patches
         // touch. The trustee head was copied into panels at build time.
         for (k, &u) in patch.users.iter().enumerate() {
-            self.meta.embeddings.to_mut()[u * ed..(u + 1) * ed]
+            self.embeddings.to_mut()[u * ed..(u + 1) * ed]
                 .copy_from_slice(&patch.emb_rows[k * ed..(k + 1) * ed]);
             self.heads.trustor.to_mut()[u * hd..(u + 1) * hd]
                 .copy_from_slice(&patch.trustor_rows[k * hd..(k + 1) * hd]);
@@ -672,7 +520,6 @@ impl TrustIndex {
                 .trustee
                 .set_row(u, &patch.trustee_rows[k * hd..(k + 1) * hd]);
         }
-        self.backend.on_patch(&self.heads, &patch.users);
         counter_add("serve.index.patched_rows", patch.users.len() as u64);
         Ok(())
     }
@@ -753,7 +600,7 @@ impl SharedIndex {
     /// Atomically replaces the served index with a fully-built snapshot.
     ///
     /// The hot-swap discipline: callers build (decode/map + validate +
-    /// backend construction) `new` **before** calling, so the write lock
+    /// panel layout) `new` **before** calling, so the write lock
     /// is held only for two compatibility checks and a pointer-sized
     /// move. In-flight requests holding read guards finish against the
     /// old index; requests arriving after the lock drops see the new one
@@ -812,7 +659,7 @@ mod tests {
             // Trustee rows at distinct angles: cos = 1, 0.6, 0, -1.
             trustee_head: vec![1.0, 0.0, 0.6, 0.8, 0.0, 1.0, -1.0, 0.0].into(),
         };
-        TrustIndex::from_artifact_with(artifact, BackendKind::Exact).unwrap()
+        TrustIndex::from_artifact(artifact).unwrap()
     }
 
     #[test]
@@ -869,8 +716,7 @@ mod tests {
     }
 
     /// The documented deterministic tie-break: score descending, then
-    /// user id ascending — asserted on exact ties under every backend so
-    /// exact-vs-approx recall comparisons are well-defined.
+    /// user id ascending — asserted on exact ties.
     #[test]
     fn top_k_breaks_score_ties_by_ascending_user_id() {
         // Five trustees; ids 1, 2, 4 share one row bit-for-bit (dot 0.6
@@ -895,58 +741,24 @@ mod tests {
             .concat()
             .into(),
         };
-        for kind in [
-            BackendKind::Exact,
-            BackendKind::Int8,
-            BackendKind::Ivf(crate::backend::IvfParams::default()),
-        ] {
-            let index =
-                TrustIndex::from_artifact_with(artifact.clone(), kind).unwrap();
-            let got: Vec<usize> = index
-                .top_k_trustees(0, 5)
+        let index = TrustIndex::from_artifact(artifact).unwrap();
+        let ids = |k: usize| -> Vec<usize> {
+            index
+                .top_k_trustees(0, k)
                 .unwrap()
                 .into_iter()
                 .map(|(u, _)| u)
-                .collect();
-            // Highest score first, then the tied block in ascending id.
-            assert_eq!(got, vec![3, 1, 2, 4], "{} backend", kind.name());
-            // A k that cuts through the tied block keeps the same prefix.
-            let got: Vec<usize> = index
-                .top_k_trustees(0, 2)
-                .unwrap()
-                .into_iter()
-                .map(|(u, _)| u)
-                .collect();
-            assert_eq!(got, vec![3, 1], "{} backend at k=2", kind.name());
-        }
+                .collect()
+        };
+        // Highest score first, then the tied block in ascending id.
+        assert_eq!(ids(5), vec![3, 1, 2, 4]);
+        // A k that cuts through the tied block keeps the same prefix.
+        assert_eq!(ids(2), vec![3, 1]);
     }
 
     #[test]
     fn loading_rejects_garbage_frames() {
         assert!(TrustIndex::load(b"definitely not an artifact").is_err());
-    }
-
-    #[test]
-    fn backend_selection_is_visible_and_swappable() {
-        let index = toy_index();
-        assert_eq!(index.backend_name(), "exact");
-        assert_eq!(index.backend_kind(), BackendKind::Exact);
-        assert_eq!(index.score_error_bound(), 0.0);
-        assert!(!index.approximate_top_k());
-        let exact_scores = index.score_pairs(&[(0, 1), (2, 3)]).unwrap();
-
-        let int8 = index.clone().with_backend(BackendKind::Int8);
-        assert_eq!(int8.backend_name(), "int8");
-        assert!(int8.approximate_top_k());
-        let bound = int8.score_error_bound();
-        assert!(bound > 0.0 && bound < 0.1, "int8 bound {bound}");
-        for (got, want) in int8.score_pairs(&[(0, 1), (2, 3)]).unwrap().iter().zip(&exact_scores) {
-            assert!((got - want).abs() <= bound, "{got} vs {want} (bound {bound})");
-        }
-        // Quantized heads are smaller even at toy dims (the ~4× ratio
-        // needs head_dim to amortize the two f32 row scales: at d = 32,
-        // 72 bytes vs 256).
-        assert!(int8.bytes_per_user() < index.bytes_per_user());
     }
 
     #[test]
@@ -1032,8 +844,7 @@ mod tests {
     #[test]
     fn range_top_k_unions_reproduce_the_full_scan() {
         let artifact = wide_artifact(23);
-        let index =
-            TrustIndex::from_artifact_with(artifact, BackendKind::Exact).unwrap();
+        let index = TrustIndex::from_artifact(artifact).unwrap();
         for trustor in [0usize, 7, 22] {
             for k in [1usize, 5, 23] {
                 let want = index.top_k_trustees(trustor, k).unwrap();
@@ -1096,8 +907,7 @@ mod tests {
             trustor_head: [1.0, 0.0].repeat(4).into(),
             trustee_head: [0.0, 1.0].repeat(4).into(),
         };
-        let stranger =
-            TrustIndex::from_artifact_with(artifact.clone(), BackendKind::Exact).unwrap();
+        let stranger = TrustIndex::from_artifact(artifact.clone()).unwrap();
         let err = shared.swap(stranger).unwrap_err();
         assert!(
             matches!(err, SwapError::FingerprintMismatch { offered: 0xbad, .. }),
@@ -1111,7 +921,7 @@ mod tests {
         artifact.embeddings = vec![0.0; 6].into();
         artifact.trustor_head = [1.0, 0.0].repeat(3).into();
         artifact.trustee_head = [0.0, 1.0].repeat(3).into();
-        let shrunk = TrustIndex::from_artifact_with(artifact, BackendKind::Exact).unwrap();
+        let shrunk = TrustIndex::from_artifact(artifact).unwrap();
         let err = shared.swap(shrunk).unwrap_err();
         assert!(matches!(err, SwapError::ShapeMismatch { .. }), "{err}");
         assert_eq!(shared.read().n_users(), 4, "refusals leave the index serving");
@@ -1142,51 +952,36 @@ mod tests {
         let artifact = wide_artifact(41); // ragged over every band size below
         let pairs: Vec<(usize, usize)> =
             (0..37).map(|i| (i % 41, (i * 7 + 3) % 41)).collect();
-        for kind in [
-            BackendKind::Exact,
-            BackendKind::Int8,
-            BackendKind::Ivf(crate::backend::IvfParams::default()),
-        ] {
-            // Batch scores and every user's top-5 as bits, with the banded
-            // path forced (threshold 0) — index construction included.
-            let surface_at = |t: usize| -> (Vec<u32>, Vec<Vec<(usize, u32)>>) {
-                ahntp_par::with_pool(t, 0, || {
-                    let index = TrustIndex::from_artifact_with(artifact.clone(), kind).unwrap();
-                    let scores = index
-                        .score_pairs(&pairs)
-                        .unwrap()
-                        .iter()
-                        .map(|s| s.to_bits())
-                        .collect();
-                    let topk = (0..41)
-                        .map(|u| {
-                            index
-                                .top_k_trustees(u, 5)
-                                .unwrap()
-                                .into_iter()
-                                .map(|(v, s)| (v, s.to_bits()))
-                                .collect()
-                        })
-                        .collect();
-                    (scores, topk)
-                })
-            };
-            let (scores_serial, topk_serial) = surface_at(1);
-            for t in [2usize, 7] {
-                let (scores, topk) = surface_at(t);
-                assert_eq!(
-                    scores_serial, scores,
-                    "{} score_pairs at {t} threads",
-                    kind.name()
-                );
-                for (u, (want, got)) in topk_serial.iter().zip(&topk).enumerate() {
-                    assert_eq!(
-                        want,
-                        got,
-                        "{} top_k_trustees({u}) at {t} threads",
-                        kind.name()
-                    );
-                }
+        // Batch scores and every user's top-5 as bits, with the banded
+        // path forced (threshold 0) — index construction included.
+        let surface_at = |t: usize| -> (Vec<u32>, Vec<Vec<(usize, u32)>>) {
+            ahntp_par::with_pool(t, 0, || {
+                let index = TrustIndex::from_artifact(artifact.clone()).unwrap();
+                let scores = index
+                    .score_pairs(&pairs)
+                    .unwrap()
+                    .iter()
+                    .map(|s| s.to_bits())
+                    .collect();
+                let topk = (0..41)
+                    .map(|u| {
+                        index
+                            .top_k_trustees(u, 5)
+                            .unwrap()
+                            .into_iter()
+                            .map(|(v, s)| (v, s.to_bits()))
+                            .collect()
+                    })
+                    .collect();
+                (scores, topk)
+            })
+        };
+        let (scores_serial, topk_serial) = surface_at(1);
+        for t in [2usize, 7] {
+            let (scores, topk) = surface_at(t);
+            assert_eq!(scores_serial, scores, "score_pairs at {t} threads");
+            for (u, (want, got)) in topk_serial.iter().zip(&topk).enumerate() {
+                assert_eq!(want, got, "top_k_trustees({u}) at {t} threads");
             }
         }
     }
@@ -1202,8 +997,7 @@ mod tests {
         let a = wide_artifact(N);
         let mut b = a.clone();
         b.trustee_head = a.trustee_head.iter().map(|x| -x).collect::<Vec<f32>>().into();
-        let snapshots = [&a, &b]
-            .map(|art| TrustIndex::from_artifact_with(art.clone(), BackendKind::Exact).unwrap());
+        let snapshots = [&a, &b].map(|art| TrustIndex::from_artifact(art.clone()).unwrap());
         let patches = [&a, &b].map(|art| HeadPatch {
             users: (0..N).collect(),
             emb_dim: art.emb_dim,
@@ -1249,15 +1043,14 @@ mod tests {
     }
 
     /// The trustee head is held once: building from an owned artifact
-    /// re-lays the artifact's own allocation into panels, and the exact
-    /// backend counts two f32 rows per user. A copying build fails this.
+    /// re-lays the artifact's own allocation into panels. A copying build
+    /// fails this.
     #[test]
     fn the_trustee_head_is_re_laid_in_place() {
         let artifact = wide_artifact(53);
         let allocation = artifact.trustee_head.as_ptr();
-        let index = TrustIndex::from_artifact_with(artifact, BackendKind::Exact).unwrap();
+        let index = TrustIndex::from_artifact(artifact).unwrap();
         assert_eq!(index.heads.trustee.as_ptr(), allocation);
-        assert_eq!(index.bytes_per_user(), 8 * index.head_dim());
     }
 
     /// `is_mapped` reports what is still a view of the file: after `open`
@@ -1271,7 +1064,7 @@ mod tests {
             std::thread::current().id()
         ));
         std::fs::write(&path, wide_artifact(20).encode_v2()).unwrap();
-        let opened = TrustIndex::open_with(&path, BackendKind::Exact);
+        let opened = TrustIndex::open(&path);
         let _ = std::fs::remove_file(&path);
         let mut index = opened.unwrap();
         assert!(index.is_mapped(), "embeddings and trustor head map zero-copy");
@@ -1372,48 +1165,9 @@ mod tests {
     }
 
     #[test]
-    fn defended_top_k_is_identical_across_backends() {
-        let artifact = wide_artifact(53);
-        let prior: Vec<f32> = (0..53).map(|i| if i % 5 == 0 { 0.0 } else { 1.0 }).collect();
-        let reference: Vec<(usize, u32)> = {
-            let index = TrustIndex::from_artifact_with(artifact.clone(), BackendKind::Exact)
-                .unwrap()
-                .with_defense(DefensePrior::new(0.35, prior.clone()).unwrap())
-                .unwrap();
-            index
-                .top_k_trustees(7, 9)
-                .unwrap()
-                .into_iter()
-                .map(|(u, s)| (u, s.to_bits()))
-                .collect()
-        };
-        for kind in [
-            BackendKind::Int8,
-            BackendKind::Ivf(crate::backend::IvfParams::default()),
-        ] {
-            let index = TrustIndex::from_artifact_with(artifact.clone(), kind)
-                .unwrap()
-                .with_defense(DefensePrior::new(0.35, prior.clone()).unwrap())
-                .unwrap();
-            let got: Vec<(usize, u32)> = index
-                .top_k_trustees(7, 9)
-                .unwrap()
-                .into_iter()
-                .map(|(u, s)| (u, s.to_bits()))
-                .collect();
-            // Defended top-k bypasses approximate pre-ranking entirely.
-            assert_eq!(got, reference, "{} backend", kind.name());
-        }
-    }
-
-    #[test]
     fn defense_survives_clone_backend_rebuild_and_swap() {
         let index = toy_index().with_defense(toy_defense(0.5)).unwrap();
         assert!(index.clone().defended(), "Clone must carry the defense");
-        assert!(
-            index.clone().with_backend(BackendKind::Int8).defended(),
-            "backend rebuild must carry the defense"
-        );
         // A hot swap keeps the active defense when the snapshot has none…
         let shared = SharedIndex::new(index);
         shared.swap(toy_index()).unwrap();

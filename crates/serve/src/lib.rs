@@ -78,18 +78,14 @@
 //! under the `serve.access` target (off by default; enable with
 //! `AHNTP_LOG=serve.access=debug`).
 //!
-//! # Scoring backends
+//! # Scoring
 //!
-//! *How* the index computes its dots and candidate scans is pluggable
-//! (module [`backend`]): `exact` (the panel scan, bitwise the scalar f32
-//! reference), `int8` (quantized heads, ~4× smaller, measured error
-//! bound), and `ivf` (coarse clustering for sublinear `/topk`). Select one with the
-//! `AHNTP_BACKEND` environment variable (e.g. `AHNTP_BACKEND=ivf`, or
-//! `ivf:nlist=64,nprobe=8`), [`ServeConfig::backend`], or
-//! [`TrustIndex::from_artifact_with`]. Responses carry the active
-//! backend in their `backend` JSON field and the `X-Ahntp-Backend`
-//! header, and `/healthz` reports it alongside its memory footprint and
-//! error envelope.
+//! Every `/score` and `/topk` is computed by one path, the panel scan:
+//! each pair's score is one chain over the trustee row in element order,
+//! and a `/topk` scans 16 candidates per panel with one accumulator each,
+//! so every score is **bitwise** the seed's scalar f32 dot. A server
+//! started with `AHNTP_BACKEND` set to anything but `exact` warns once
+//! that the backend it names was removed and serves exact.
 //!
 //! # Defended scoring
 //!
@@ -100,22 +96,20 @@
 //! `(1 − α) · learned + α · prior[trustee]` blended probabilities: mass
 //! entering a Sybil region under PPR is bounded by the attack-edge cut,
 //! so the blend caps how much trust a fake cluster can manufacture out
-//! of a fooled model. Defended `/topk` always ranks through the exact
-//! full candidate scan (the prior reweights candidates, so approximate
-//! backends cannot pre-rank for it); pair scoring keeps each backend's
-//! error envelope scaled by `1 − α`. `/healthz` advertises `defended`
+//! of a fooled model. Defended `/topk` ranks every candidate before it
+//! truncates (the prior reweights candidates, so the raw dot order cannot
+//! pre-rank for it). `/healthz` advertises `defended`
 //! and `defense_alpha`, and a hot `/admin/swap` keeps the active defense
 //! unless the incoming snapshot carries its own.
 //!
 //! # Threads
 //!
-//! Scoring itself is data-parallel: the batch dot, the candidate scans and
-//! IVF assignment are each one band closure run through
-//! `ahntp_par::par_rows` / `par_bands`, which either bands it over the
-//! process-wide worker pool once the work is large enough
-//! (`serve.score_pairs.par_calls`, `serve.topk.par_calls`,
-//! `serve.topk.range.par_calls` and `serve.ivf.assign.par_calls` count
-//! those dispatches) or calls it once over the whole range — there is no
+//! Scoring itself is data-parallel: the batch dot and the candidate scans
+//! are each one band closure run through `ahntp_par::par_rows` /
+//! `par_bands`, which either bands it over the process-wide worker pool
+//! once the work is large enough (`serve.score_pairs.par_calls`,
+//! `serve.topk.par_calls` and `serve.topk.range.par_calls` count those
+//! dispatches) or calls it once over the whole range — there is no
 //! separate serial scan. The pool is sized by
 //! the `AHNTP_THREADS` environment variable (unset or `0` = one thread
 //! per core, `1` = plain serial execution) and by nothing else — the pool
@@ -138,7 +132,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod backend;
+mod backend;
 pub mod client;
 pub mod http;
 mod index;
@@ -147,7 +141,7 @@ mod server;
 mod shard;
 mod trace_ring;
 
-pub use backend::{BackendKind, IvfParams};
+pub use backend::BackendKind;
 pub use index::{DefensePrior, ScoreError, SharedIndex, SwapError, TrustIndex};
 pub use node::{serve, serve_live, ServerHandle};
 pub use server::ServeConfig;

@@ -80,7 +80,7 @@ use ahntp_telemetry::{
 
 use ahntp_stream::{parse_events, EventApplier, LiveTrustModel, StalenessBound, TrustEvent};
 
-use crate::backend::BackendKind;
+use crate::backend::{warn_on_removed_backend, BackendKind};
 use crate::http::Request;
 use crate::index::{ScoreError, SharedIndex, TrustIndex};
 use crate::server::{Answer, Call, Core, Handler, Names, Response, Route, ServeConfig};
@@ -99,13 +99,6 @@ pub(crate) struct Node {
     ingest: Option<mpsc::Sender<IngestJob>>,
     deadline: Duration,
     retry_after: Duration,
-    /// Active scoring backend name, captured once at startup (head
-    /// patches never change the backend), echoed in the
-    /// `X-Ahntp-Backend` header and response `backend` fields.
-    backend: &'static str,
-    /// Backend kind matching `backend`; `/admin/swap` rebuilds opened
-    /// snapshots onto it so a swap never silently changes the backend.
-    backend_kind: BackendKind,
     /// Owned trustee range when serving as a shard
     /// ([`ServeConfig::shard_range`]); restricts `/topk` candidates.
     shard_range: Option<(usize, usize)>,
@@ -127,10 +120,6 @@ impl Handler for Node {
         ("GET", "/topk", Node::topk),
         ("GET", "/healthz", Node::healthz),
     ];
-
-    fn backend(&self) -> &str {
-        self.backend
-    }
 }
 
 /// One worker's rendezvous with whichever thread answers the job it
@@ -497,10 +486,6 @@ impl Drop for ServerHandle {
 ///
 /// Fails when the address cannot be bound.
 pub fn serve(index: TrustIndex, config: &ServeConfig) -> io::Result<ServerHandle> {
-    let index = match config.backend {
-        Some(kind) if kind != index.backend_kind() => index.with_backend(kind),
-        _ => index,
-    };
     let index = match &config.defense {
         Some(defense) => index
             .with_defense(defense.clone())
@@ -536,11 +521,10 @@ where
 {
     let (boot_tx, boot_rx) = mpsc::channel();
     let (ingest_tx, ingest_rx) = mpsc::channel::<IngestJob>();
-    let kind = config.backend.unwrap_or_else(BackendKind::from_env);
     let defense = config.defense.clone();
     let applier = Context::capture().spawn(move || {
         let model = factory();
-        let index = match TrustIndex::from_artifact_with(model.export_artifact(), kind) {
+        let index = match TrustIndex::from_artifact(model.export_artifact()) {
             Ok(index) => index,
             Err(e) => {
                 let _ = boot_tx.send(Err(format!("exported artifact invalid: {e}")));
@@ -632,29 +616,16 @@ fn serve_shared(
     config: &ServeConfig,
     live: Option<(mpsc::Sender<IngestJob>, JoinHandle<()>)>,
 ) -> io::Result<ServerHandle> {
-    // Capture the backend surface once: the kind never changes after
-    // startup, so workers echo a `&'static str` instead of re-reading it,
-    // and the footprint/envelope gauges describe the running process.
-    let (backend, backend_kind) = {
-        let snapshot = index.read();
-        gauge_set("serve.backend.bytes_per_user", snapshot.bytes_per_user() as f64);
-        gauge_set(
-            "serve.backend.score_error_bound",
-            f64::from(snapshot.score_error_bound()),
-        );
-        if let Some((lo, hi)) = config.shard_range {
-            if lo >= hi || hi > snapshot.n_users() {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    format!(
-                        "shard range [{lo}, {hi}) invalid for an index of {} users",
-                        snapshot.n_users()
-                    ),
-                ));
-            }
+    warn_on_removed_backend();
+    if let Some((lo, hi)) = config.shard_range {
+        let n_users = index.read().n_users();
+        if lo >= hi || hi > n_users {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("shard range [{lo}, {hi}) invalid for an index of {n_users} users"),
+            ));
         }
-        (snapshot.backend_name(), snapshot.backend_kind())
-    };
+    }
     let (ingest, applier) = live.unzip();
     let queue = Arc::new(BatchQueue::new(QUEUE_CAPACITY));
     let node = Arc::new(Node {
@@ -663,8 +634,6 @@ fn serve_shared(
         ingest: ingest.clone(),
         deadline: config.deadline,
         retry_after: config.retry_after,
-        backend,
-        backend_kind,
         shard_range: config.shard_range,
     });
     let core = Core::start(node, config)?;
@@ -678,13 +647,12 @@ fn serve_shared(
         let snapshot = index.read();
         info!(
             "serve",
-            "serving {} users of model {:?} on {} with {} workers ({}, {} backend)",
+            "serving {} users of model {:?} on {} with {} workers ({})",
             snapshot.n_users(),
             snapshot.model(),
             core.addr(),
             config.workers.max(1),
             if ingest.is_some() { "live" } else { "frozen" },
-            backend
         );
     }
     Ok(ServerHandle { core, queue, batcher: Some(batcher), ingest, applier, ctx })
@@ -790,7 +758,7 @@ impl Node {
             200,
             Json::obj([
                 ("scores", Json::Arr(scores.into_iter().map(Json::from).collect())),
-                ("backend", self.backend.into()),
+                ("backend", BackendKind::Exact.name().into()),
             ]),
         ))
     }
@@ -850,7 +818,7 @@ impl Node {
     /// reply's `mapped` is [`TrustIndex::is_mapped`] of the new index.
     ///
     /// The new index is fully built — mapped/decoded, CRC-checked,
-    /// validated, backend constructed — *before* the write lock is taken,
+    /// validated, panels laid out — *before* the write lock is taken,
     /// so in-flight requests keep scoring the old snapshot throughout and a
     /// crash anywhere before the final swap leaves the old snapshot
     /// serving. Refusals are typed: `409` when the offered snapshot's
@@ -870,7 +838,7 @@ impl Node {
             .ok_or_else(|| bad_request("body must be {\"path\": \"...\"}"))?;
         // Build outside the lock: the expensive part of the swap happens
         // while the old snapshot keeps serving.
-        let new = TrustIndex::open_with(path, self.backend_kind).map_err(|e| {
+        let new = TrustIndex::open(path).map_err(|e| {
             counter_add("serve.swap.errors", 1);
             Response::error(422, &format!("snapshot {path:?} unusable: {e}"))
         })?;
@@ -880,7 +848,7 @@ impl Node {
             ("fingerprint", format!("{:016x}", new.fingerprint()).into()),
             ("n_users", new.n_users().into()),
             ("mapped", new.is_mapped().into()),
-            ("backend", self.backend.into()),
+            ("backend", new.backend_name().into()),
         ]);
         self.index.swap(new).map_err(|e| {
             counter_add("serve.swap.refused", 1);
@@ -893,10 +861,8 @@ impl Node {
     fn topk(&self, call: &mut Call<'_>) -> Answer {
         let (user, k) = topk_query(call.req)?;
         let index = self.index.read();
-        // A shard scans only its owned trustee range (exact arithmetic, so
-        // a front-tier merge reproduces the single-node exact scan
-        // bitwise); a whole-space server scans through its configured
-        // backend.
+        // A shard scans only its owned trustee range (same arithmetic, so
+        // a front-tier merge reproduces the single-node scan bitwise).
         let top = match self.shard_range {
             Some((lo, hi)) => index.top_k_trustees_in(user, k, lo, hi),
             None => index.top_k_trustees(user, k),
@@ -929,11 +895,7 @@ impl Node {
             ("fingerprint", format!("{:016x}", index.fingerprint()).into()),
             // Whether this server ingests live trust events.
             ("live", self.ingest.is_some().into()),
-            // Active scoring backend and its stated envelope.
             ("backend", index.backend_name().into()),
-            ("backend_bytes_per_user", index.bytes_per_user().into()),
-            ("backend_score_error_bound", index.score_error_bound().into()),
-            ("backend_approximate_topk", index.approximate_top_k().into()),
             // Whether the embeddings and trustor head are still zero-copy
             // views of the mapped file (`TrustIndex::is_mapped`).
             ("mapped", index.is_mapped().into()),
@@ -1239,8 +1201,10 @@ mod tests {
                 if lands_first {
                     // The kernel runs once the delay is over and the reply
                     // follows it at once.
-                    let calls = format!("serve.score_pairs.{}.calls", index.backend_name());
-                    wait_until("the delayed batch is scored", || ahntp_telemetry::counter_get(&calls) == 1);
+                    let calls = "serve.score_pairs.exact.calls";
+                    wait_until("the delayed batch is scored", || {
+                        ahntp_telemetry::counter_get(calls) == 1
+                    });
                     std::thread::sleep(Duration::from_millis(20));
                 }
                 let pairs = [(2, 5), (3, 3), (7, 0)];
@@ -1295,7 +1259,10 @@ mod tests {
             }
             let batches = histogram("serve.score.batch_size");
             assert_eq!((batches.count, batches.min, batches.max), (100, 2, 2));
-            let doc = parse(&get(addr, "/debug/traces").1).unwrap();
+            // On the same connection: its worker records a request in the
+            // ring only after writing the answer, so another worker could
+            // read the ring before the last `/score` is in it.
+            let doc = parse(&conn.get("/debug/traces").unwrap().body).unwrap();
             let Some(Json::Arr(traces)) = doc.get("traces") else {
                 panic!("no traces in {}", doc.to_line());
             };
@@ -1385,8 +1352,6 @@ mod tests {
             ingest: None,
             deadline: Duration::from_millis(deadline_ms),
             retry_after: Duration::from_secs(retry_after_s),
-            backend: "exact",
-            backend_kind: BackendKind::Exact,
             shard_range: None,
         }
     }
@@ -1490,62 +1455,27 @@ mod tests {
         server.shutdown();
     }
 
-    /// Satellite: the active backend is visible on the wire — `backend`
-    /// JSON field on `/score`, `/topk`, `/healthz`, plus an
-    /// `X-Ahntp-Backend` header on every response — and
-    /// [`ServeConfig::backend`] actually switches it.
+    /// The backend is named on the wire: a `backend` JSON field on
+    /// `/score`, `/topk` and `/healthz`, always `exact`.
     #[test]
     fn responses_carry_the_active_backend() {
-        ahntp_telemetry::set_enabled(true);
-        for kind in [None, Some(BackendKind::Int8)] {
-            let server = serve(
-                toy_index(6),
-                &ServeConfig { workers: 2, backend: kind, ..ServeConfig::default() },
-            )
-            .unwrap();
-            let addr = server.addr();
-            let want = kind.unwrap_or_default().name();
-
-            let body = r#"{"pairs":[[0,1]]}"#;
-            let client::Response { status, headers, body } =
-                connect(addr).post("/score", body).unwrap();
-            assert_eq!(status, 200, "{body}");
-            let header = headers
-                .get("x-ahntp-backend")
-                .map(String::as_str)
-                .expect("X-Ahntp-Backend header on every response");
-            assert_eq!(header, want);
+        let server = start(6);
+        let addr = server.addr();
+        let (status, body) = post_score(addr, r#"{"pairs":[[0,1]]}"#);
+        assert_eq!(status, 200, "{body}");
+        for (path, body) in [
+            ("/score", body),
+            ("/topk", get(addr, "/topk?user=0&k=2").1),
+            ("/healthz", get(addr, "/healthz").1),
+        ] {
             let doc = parse(&body).unwrap();
-            assert_eq!(doc.get("backend").and_then(Json::as_str), Some(want), "{body}");
-
-            let (_, body) =
-                get(addr, "/topk?user=0&k=2");
-            let doc = parse(&body).unwrap();
-            assert_eq!(doc.get("backend").and_then(Json::as_str), Some(want), "{body}");
-
-            let (_, body) =
-                get(addr, "/healthz");
-            let doc = parse(&body).unwrap();
-            assert_eq!(doc.get("backend").and_then(Json::as_str), Some(want), "{body}");
-            assert!(
-                doc.get("backend_bytes_per_user").and_then(Json::as_f64).unwrap_or(0.0) > 0.0,
-                "{body}"
+            assert_eq!(
+                doc.get("backend").and_then(Json::as_str),
+                Some("exact"),
+                "{path}: {body}"
             );
-            let bound = doc
-                .get("backend_score_error_bound")
-                .and_then(Json::as_f64)
-                .expect("error bound in healthz");
-            if kind.is_some() {
-                assert!(bound > 0.0, "int8 must state a nonzero envelope: {body}");
-            } else {
-                assert_eq!(bound, 0.0, "{body}");
-            }
-            // The error paths carry the header too.
-            let missing = connect(addr).get("/nope").unwrap();
-            assert_eq!(missing.status, 404);
-            assert_eq!(missing.headers.get("x-ahntp-backend").map(String::as_str), Some(want));
-            server.shutdown();
         }
+        server.shutdown();
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!
 //! Per request the core mints the trace id and installs it as the worker
 //! thread's ambient id, dispatches, writes the response with the
-//! `X-Ahntp-Trace-Id` / `X-Ahntp-Backend` (and, on backpressure answers,
-//! `Retry-After`) headers, counts requests, errors and latency, writes
+//! `X-Ahntp-Trace-Id` (and, on backpressure answers, `Retry-After`)
+//! headers, counts requests, errors and latency, writes
 //! the access-log line, records the request with its stage timings in the
 //! [`TraceRing`] and — with trace collection on — emits it as one span on
 //! a per-request Chrome-trace lane (`pid` 2, `tid` = trace id) with its
@@ -24,8 +24,8 @@
 //!
 //! There are exactly two handlers: the node ([`crate::node`]) and the
 //! scatter-gather front ([`crate::shard`]). Each supplies its metric and
-//! log names ([`Names`]: `serve.*` / `front.*`), its routes and its
-//! `X-Ahntp-Backend` value; [`crate::serve`], [`crate::serve_live`] and
+//! log names ([`Names`]: `serve.*` / `front.*`) and its routes;
+//! [`crate::serve`], [`crate::serve_live`] and
 //! [`crate::serve_sharded`] build theirs and hand it to [`Core::start`].
 //!
 //! Shutdown is cooperative: a flag flip plus one self-connection unblocks
@@ -79,11 +79,9 @@ pub struct ServeConfig {
     /// How many recently served requests `GET /debug/traces` retains
     /// (per-request stage timings, newest last). Minimum 1.
     pub trace_ring: usize,
-    /// Scoring backend override. `None` (the default) keeps whatever the
-    /// index was built with — for [`crate::serve`] that is the index
-    /// passed in; for [`crate::serve_live`] the environment default
-    /// ([`BackendKind::from_env`], `AHNTP_BACKEND`). `Some(kind)` rebuilds
-    /// onto `kind` at startup.
+    /// Ignored: exact is the only scoring backend. Kept only because the
+    /// benchmark harness (`crates/perf`) sets it; it goes with the next
+    /// change to that harness (see [`BackendKind`]).
     pub backend: Option<BackendKind>,
     /// The contiguous trustee id range `[lo, hi)` this server owns as a
     /// shard of a scatter-gather cluster. `None` (the default) serves the
@@ -204,8 +202,6 @@ pub(crate) trait Handler: Send + Sync + Sized + 'static {
     const NAMES: Names;
     /// Every route beyond the ones the core answers itself.
     const ROUTES: &'static [Route<Self>];
-    /// Value of the `X-Ahntp-Backend` response header.
-    fn backend(&self) -> &str;
 }
 
 type SharedEndpoint = fn(&Request, &TraceRing) -> Response;
@@ -421,13 +417,12 @@ fn serve_request<H: Handler>(
     }
     let trace_hex = format!("{trace_id:016x}");
     let retry_after = resp.retry_after.map(|secs| secs.to_string());
-    // The third header rides only on backpressure answers.
+    // The second header rides only on backpressure answers.
     let headers = [
         ("X-Ahntp-Trace-Id", trace_hex.as_str()),
-        ("X-Ahntp-Backend", handler.backend()),
         ("Retry-After", retry_after.as_deref().unwrap_or_default()),
     ];
-    let headers = &headers[..2 + usize::from(retry_after.is_some())];
+    let headers = &headers[..1 + usize::from(retry_after.is_some())];
     // Finish the in-flight response even during shutdown, but don't
     // invite another request.
     let keep_alive = !req.wants_close() && !shutdown.load(Ordering::SeqCst);

@@ -18,9 +18,9 @@
 //! * `GET /topk` — fanned out to every shard; the per-shard heaps merge
 //!   under the documented **(score desc, user id asc)** total order and
 //!   truncate to `k`. Shard scans return global user ids and run the
-//!   exact scalar kernel, and JSON numbers round-trip bit-exactly, so
-//!   the merged body is **byte-identical** to the single-node exact
-//!   backend's response — the invariant `tests/shard_exactness.rs`
+//!   same scan as a single node, and JSON numbers round-trip
+//!   bit-exactly, so the merged body is **byte-identical** to the
+//!   single-node response — the invariant `tests/shard_exactness.rs`
 //!   sweeps.
 //! * `POST /admin/swap` — serialized through a front-level lock and
 //!   forwarded to every shard; each shard builds the new snapshot before
@@ -54,6 +54,7 @@ use std::time::Duration;
 use ahntp_telemetry::json::{parse, Json};
 use ahntp_telemetry::{counter_add, info, warn};
 
+use crate::backend::BackendKind;
 use crate::client::Client;
 use crate::index::ScoreError;
 use crate::node::{bad_request, parse_pairs, topk_query};
@@ -103,7 +104,6 @@ pub(crate) struct Front {
     n_users: usize,
     model: String,
     fingerprint: String,
-    backend: String,
     live: bool,
     rpc_timeout: Duration,
     retry_after: Duration,
@@ -129,10 +129,6 @@ impl Handler for Front {
         ("GET", "/healthz", Front::healthz),
         ("GET", "/metrics/shards", Front::shard_metrics),
     ];
-
-    fn backend(&self) -> &str {
-        &self.backend
-    }
 }
 
 /// A shard's reply: status and body.
@@ -277,7 +273,10 @@ impl Front {
             .collect();
         Ok(Response::new(
             200,
-            Json::obj([("scores", Json::Arr(scores)), ("backend", self.backend.as_str().into())]),
+            Json::obj([
+                ("scores", Json::Arr(scores)),
+                ("backend", BackendKind::Exact.name().into()),
+            ]),
         ))
     }
 
@@ -320,7 +319,7 @@ impl Front {
             Json::obj([
                 ("user", user.into()),
                 ("trustees", Json::Arr(trustees)),
-                ("backend", self.backend.as_str().into()),
+                ("backend", BackendKind::Exact.name().into()),
             ]),
         ))
     }
@@ -407,7 +406,7 @@ impl Front {
                 ("n_users", self.n_users.into()),
                 ("fingerprint", self.fingerprint.as_str().into()),
                 ("live", self.live.into()),
-                ("backend", self.backend.as_str().into()),
+                ("backend", BackendKind::Exact.name().into()),
                 ("sharded", true.into()),
                 ("shards", Json::Arr(shards)),
             ]),
@@ -501,7 +500,7 @@ fn discover(addr: SocketAddr, timeout: Duration) -> io::Result<(ShardInfo, Json)
 /// servers (see the module docs for the serving surface).
 ///
 /// Discovery runs once at startup: every shard's `/healthz` must answer,
-/// all fingerprints / models / backends / `n_users` must agree, and the
+/// all fingerprints / models / `n_users` must agree, and the
 /// advertised ranges must partition `[0, n_users)` exactly — a cluster
 /// whose shards could disagree on a single byte of a response is refused
 /// before it serves anything.
@@ -528,14 +527,11 @@ pub fn serve_sharded(shards: &[SocketAddr], config: &ServeConfig) -> io::Result<
         doc.get(name).and_then(Json::as_str).unwrap_or("").to_string()
     };
     let first = &infos[0].1;
-    let (model, fingerprint, backend) =
-        (field(first, "model"), field(first, "fingerprint"), field(first, "backend"));
+    let (model, fingerprint) = (field(first, "model"), field(first, "fingerprint"));
     let n_users = n_users_of(first);
     let live = first.get("live") == Some(&Json::Bool(true));
     for (info, doc) in &infos {
-        for (name, want) in
-            [("model", &model), ("fingerprint", &fingerprint), ("backend", &backend)]
-        {
+        for (name, want) in [("model", &model), ("fingerprint", &fingerprint)] {
             let got = field(doc, name);
             if &got != want {
                 return Err(invalid(format!("shard {} {name} {got:?} != {want:?}", info.addr)));
@@ -571,7 +567,6 @@ pub fn serve_sharded(shards: &[SocketAddr], config: &ServeConfig) -> io::Result<
         n_users,
         model,
         fingerprint,
-        backend,
         live,
         rpc_timeout,
         retry_after: config.retry_after,
@@ -581,11 +576,10 @@ pub fn serve_sharded(shards: &[SocketAddr], config: &ServeConfig) -> io::Result<
     let core = Core::start(Arc::clone(&front), config)?;
     info!(
         "front",
-        "scatter-gather front on {} over {} shards ({} users, {} backend)",
+        "scatter-gather front on {} over {} shards ({} users)",
         core.addr(),
         front.shards.len(),
-        front.n_users,
-        front.backend
+        front.n_users
     );
     Ok(ShardedHandle { core, shards: front.shards.clone() })
 }

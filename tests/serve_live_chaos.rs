@@ -2,10 +2,10 @@
 //! (`ahntp-faultz`) fail event batches at every stage — before dispatch
 //! (`serve.ingest`), mid-apply (`stream.apply`), and at refresh time
 //! (`stream.refresh`) — and the serving index must stay *consistent*
-//! throughout: after any fault, `/score` answers exactly what a mirror
-//! model that applied the same successful prefix would answer. The mirror
-//! refreshes after every event while the server refreshes once per batch,
-//! so every comparison also checks the batch refresh against the
+//! throughout: after any fault, `/score` and `/topk` answer exactly what a
+//! mirror model that applied the same successful prefix would answer. The
+//! mirror refreshes after every event while the server refreshes once per
+//! batch, so every comparison also checks the batch refresh against the
 //! per-event one.
 //!
 //! Every test runs under an execution context of its own
@@ -160,6 +160,29 @@ fn assert_matches_mirror(addr: SocketAddr, mirror: &Mirror, what: &str) {
             "{what}: pair {i} server {g} vs mirror {w}"
         );
     }
+    // `/topk` answers from the patched panels: the mirror's ranking —
+    // ids in range, (score desc, id asc) order, the same scores.
+    let topk = Client::connect(addr, Duration::from_secs(10))
+        .and_then(|mut conn| conn.get("/topk?user=3&k=8"))
+        .expect("GET /topk");
+    assert_eq!(topk.status, 200, "{what}: {}", topk.body);
+    let doc = parse(&topk.body).expect("topk JSON");
+    let Some(Json::Arr(trustees)) = doc.get("trustees") else {
+        panic!("{what}: no trustees in {}", topk.body);
+    };
+    let field = |t: &Json, name: &str| t.get(name).and_then(Json::as_f64).expect("numeric field");
+    let got: Vec<(f64, f64)> = trustees
+        .iter()
+        .map(|t| (field(t, "user"), field(t, "score")))
+        .collect();
+    let want: Vec<(f64, f64)> = mirror
+        .index
+        .top_k_trustees(3, 8)
+        .expect("mirror top-k")
+        .into_iter()
+        .map(|(v, s)| (v as f64, f64::from(s)))
+        .collect();
+    assert_eq!(got, want, "{what}: /topk");
 }
 
 fn sample_events() -> Vec<TrustEvent> {

@@ -3,13 +3,6 @@
 //! serve it over a real TCP socket, and check that HTTP answers match
 //! `Ahntp::predict` — then that metrics, the run ledger, and graceful
 //! shutdown all hold up. This is the CI serve smoke step.
-//!
-//! The end-to-end test runs its body once per scoring backend (exact,
-//! int8, ivf), so the pair-score assertions use the index's own
-//! `score_error_bound()` as tolerance (1e-6 on exact and ivf, the measured
-//! quantization envelope on int8), and the top-k argmax check only
-//! demands brute-force agreement from backends whose candidate scan is
-//! exhaustive.
 
 use ahntp::{Ahntp, AhntpConfig};
 use ahntp_bench::loadgen::{run_load, LoadConfig};
@@ -17,7 +10,7 @@ use ahntp_data::{DatasetConfig, LabeledPair, TrustDataset};
 use ahntp_eval::TrustModel;
 use ahntp_graph::{ppr, trust_prior, PprConfig};
 use ahntp_serve::client::{Client, Response};
-use ahntp_serve::{serve, BackendKind, DefensePrior, IvfParams, ServeConfig, TrustIndex};
+use ahntp_serve::{serve, DefensePrior, ServeConfig, TrustIndex};
 use ahntp_telemetry::json::{parse, Json};
 use ahntp_telemetry::RunLedger;
 use std::time::Duration;
@@ -48,42 +41,27 @@ fn trained_model() -> (TrustDataset, Vec<LabeledPair>, Ahntp) {
 #[test]
 fn serve_smoke_end_to_end() {
     let (_dataset, test_pairs, model) = trained_model();
-    for kind in [
-        BackendKind::Exact,
-        BackendKind::Int8,
-        BackendKind::Ivf(IvfParams::default()),
-    ] {
-        // Each backend under a context of its own, which the server
-        // inherits: `/metrics` and the ledger count that run's requests
-        // and no other's.
-        ahntp_par::Context::fresh().run(|| serve_smoke(kind, &test_pairs, &model));
-    }
+    // Under a context of its own, which the server inherits: `/metrics`
+    // and the ledger count this run's requests and no other's.
+    ahntp_par::Context::fresh().run(|| serve_smoke(&test_pairs, &model));
 }
 
-fn serve_smoke(kind: BackendKind, test_pairs: &[LabeledPair], model: &Ahntp) {
+fn serve_smoke(test_pairs: &[LabeledPair], model: &Ahntp) {
     ahntp_telemetry::set_enabled(true);
 
     // Export → encode → decode → index: the full artifact path.
     let artifact = model.export_artifact();
-    let index = TrustIndex::load(&artifact.encode_v2())
-        .expect("exported artifact loads")
-        .with_backend(kind);
+    let index = TrustIndex::load(&artifact.encode_v2()).expect("exported artifact loads");
     assert_eq!(index.fingerprint(), model.architecture_fingerprint());
-    // Backend-aware tolerance: the stated envelope, floored at the float
-    // slack the exact path needs.
-    let backend = index.backend_name();
-    assert_eq!(backend, kind.name());
-    let tol = f64::from(index.score_error_bound()).max(1e-6);
-    let exhaustive_topk = !index.approximate_top_k();
+    let tol = 1e-6;
 
-    // Direct index scores match the training-side forward pass within the
-    // backend's stated envelope.
+    // Direct index scores match the training-side forward pass.
     for pair in test_pairs.iter().take(20) {
         let served = index.score(pair.trustor, pair.trustee).unwrap();
         let trained = model.predict_pair(pair.trustor, pair.trustee);
         assert!(
             (f64::from(served) - f64::from(trained)).abs() < tol,
-            "[{backend}] index {served} vs model {trained} for ({}, {})",
+            "index {served} vs model {trained} for ({}, {})",
             pair.trustor,
             pair.trustee
         );
@@ -93,7 +71,6 @@ fn serve_smoke(kind: BackendKind, test_pairs: &[LabeledPair], model: &Ahntp) {
         index,
         &ServeConfig {
             workers: 2,
-            backend: Some(kind),
             ..ServeConfig::default()
         },
     )
@@ -133,19 +110,20 @@ fn serve_smoke(kind: BackendKind, test_pairs: &[LabeledPair], model: &Ahntp) {
         let direct = f64::from(model.predict_pair(pair.trustor, pair.trustee));
         assert!(
             (over_http - direct).abs() < tol,
-            "[{backend}] http {over_http} vs model {direct} for ({}, {})",
+            "http {over_http} vs model {direct} for ({}, {})",
             pair.trustor,
             pair.trustee
         );
     }
     // The response names the backend it was scored with.
-    assert_eq!(doc.get("backend").and_then(Json::as_str), Some(backend), "{body}");
+    assert_eq!(
+        doc.get("backend").and_then(Json::as_str),
+        Some("exact"),
+        "{body}"
+    );
 
-    // Top-k: exhaustive backends agree with a brute-force argmax over the
-    // model itself; approximate backends (int8 ranks on quantized scores,
-    // ivf probes a candidate subset) must still answer well-formed and
-    // sorted — their recall is gated by tests/backend_exactness.rs with
-    // controlled parameters.
+    // Top-k: sorted, and its head is the brute-force argmax over the
+    // model itself.
     let Response { status, body, .. } = conn.get("/topk?user=0&k=5").unwrap();
     assert_eq!(status, 200, "{body}");
     let doc = parse(&body).unwrap();
@@ -165,20 +143,18 @@ fn serve_smoke(kind: BackendKind, test_pairs: &[LabeledPair], model: &Ahntp) {
     for w in served.windows(2) {
         assert!(
             w[0].1 > w[1].1 || (w[0].1 == w[1].1 && w[0].0 < w[1].0),
-            "[{backend}] top-k not in (score desc, id asc) order: {served:?}"
+            "top-k not in (score desc, id asc) order: {served:?}"
         );
     }
-    if exhaustive_topk {
-        let best_direct = (0..80usize)
-            .filter(|&v| v != 0)
-            .max_by(|&a, &b| {
-                model
-                    .predict_pair(0, a)
-                    .total_cmp(&model.predict_pair(0, b))
-            })
-            .unwrap();
-        assert_eq!(served[0].0, best_direct, "[{backend}]");
-    }
+    let best_direct = (0..80usize)
+        .filter(|&v| v != 0)
+        .max_by(|&a, &b| {
+            model
+                .predict_pair(0, a)
+                .total_cmp(&model.predict_pair(0, b))
+        })
+        .unwrap();
+    assert_eq!(served[0].0, best_direct);
 
     // A burst of concurrent load, so the batch histograms see real traffic.
     let load = run_load(
