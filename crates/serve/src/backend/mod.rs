@@ -127,16 +127,24 @@ mod tests {
     use super::*;
 
     #[test]
-    fn only_a_removed_backend_in_the_environment_earns_a_warning() {
+    fn backend_specs_parse_and_name_round_trip() {
+        // Unset, empty or exact (whitespace trimmed): served silently.
         for silent in [None, Some(""), Some("exact"), Some(" exact ")] {
             assert_eq!(removed_backend(silent), None, "{silent:?}");
         }
-        // Any name but exact: a removed backend, with or without options,
-        // or one that never existed.
-        for removed in ["simd", "lsh:bits=8", "quantum"] {
-            let message = removed_backend(Some(removed)).expect(removed);
-            assert!(message.contains(removed) && message.contains("serving exact"), "{message}");
+        let kind = BackendKind::default();
+        assert_eq!(kind, BackendKind::Exact);
+        assert_eq!(kind.name(), "exact");
+        assert_eq!(removed_backend(Some(kind.name())), None);
+    }
+
+    #[test]
+    fn malformed_backend_specs_are_typed_errors() {
+        // Any name but exact, with or without options, warns; " simd" is
+        // padded with whitespace the reader trims.
+        for bad in ["quantum", " simd", "lsh", "lsh:bits=8,tables=4", "lsh:bits"] {
+            let message = removed_backend(Some(bad)).expect(bad);
+            assert!(message.contains(bad.trim()) && message.contains("serving exact"), "{message}");
         }
-        assert_eq!(BackendKind::default().name(), "exact");
     }
 }
