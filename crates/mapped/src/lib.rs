@@ -1,8 +1,11 @@
 //! Read-only memory-mapped byte buffers with aligned typed views.
 //!
-//! Every other crate in this workspace carries `#![forbid(unsafe_code)]`;
-//! this crate is the single, deliberately tiny exception. It owns the two
-//! pieces of `unsafe` the zero-copy artifact path needs:
+//! The library crates of this workspace carry `#![forbid(unsafe_code)]`,
+//! with three deliberately tiny exceptions: `ahntp-par` erases one closure
+//! lifetime for its pool, `ahntp-tensor` denies `unsafe` but for one call
+//! (its dense kernel's AVX-512F instantiation, made only after runtime
+//! detection), and this crate. It owns the two pieces of `unsafe` the
+//! zero-copy artifact path needs:
 //!
 //! 1. **`mmap`**: [`MappedBytes::open`] maps a file read-only through the
 //!    raw `mmap(2)`/`munmap(2)` FFI (no `libc` crate in this offline
@@ -79,11 +82,14 @@ pub struct MappedBytes {
     repr: Repr,
 }
 
+// SAFETY: the mapping's pointer is owned by this value alone, never
+// aliased by another `MappedBytes`, and `munmap` may run on any thread,
+// so moving the value (and its one `Drop`) to another thread is sound.
+#[allow(unsafe_code)]
+unsafe impl Send for MappedBytes {}
 // SAFETY: the bytes are immutable for the lifetime of the value — the
 // mapping is PROT_READ and the owned buffer is never exposed mutably —
 // so sharing references across threads cannot race.
-#[allow(unsafe_code)]
-unsafe impl Send for MappedBytes {}
 #[allow(unsafe_code)]
 unsafe impl Sync for MappedBytes {}
 

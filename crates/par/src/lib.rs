@@ -63,8 +63,9 @@
 //!
 //! # Safety
 //!
-//! Besides `ahntp-mapped` (memory-mapped artifact views) this is the only
-//! crate in the workspace that uses `unsafe`. The pool
+//! Besides `ahntp-mapped` (memory-mapped artifact views) and one guarded
+//! call in `ahntp-tensor` (its dense kernel's AVX-512F instantiation) this
+//! is the only library crate in the workspace that uses `unsafe`. The pool
 //! executes borrowed closures on persistent threads, which requires
 //! erasing the closure lifetime (exactly the trick scoped-thread
 //! libraries use). Soundness rests on one invariant, enforced by

@@ -20,7 +20,9 @@
 //! ([`Tensor::from_vec`], [`CsrMatrix::from_triplets`]) return
 //! [`TensorError`] for data-dependent failures instead.
 
-#![forbid(unsafe_code)]
+// One exception, allowed where it stands: the call into the dense kernel's
+// AVX-512F instantiation, made only after runtime detection (`matmul.rs`).
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod dense;

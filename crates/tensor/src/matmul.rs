@@ -10,19 +10,37 @@
 //! `m·n·k` multiply-adds — and the left one is read where it lies, by rows
 //! or, for `t_matmul`, by columns (`Left`).
 //!
-//! A band is walked in `MR×NR` output tiles whose accumulators stay in
-//! locals across the whole `k` range (4×8 `f32` is eight SSE registers,
-//! which every x86-64 has): a `k` step loads two vectors of `b` and four
-//! scalars of `a` and stores nothing, where a row-at-a-time `i-k-j` loop
-//! reloads and stores the output row at every step.
+//! A band is walked in `MR×W` output tiles whose accumulators stay in
+//! locals across the whole `k` range: a `k` step loads one tile row of `b`
+//! and `MR` scalars of `a` and stores nothing, where a row-at-a-time
+//! `i-k-j` loop reloads and stores the output row at every step.
+//!
+//! # Two instantiations of one source
+//!
+//! `product_rows` is compiled twice, and only the tile width `W` differs:
+//!
+//! - the baseline, `W = 8`, for the target's ISA baseline: a 4×8 tile is
+//!   eight SSE registers, which every x86-64 has;
+//! - the wide one, `W = 32`, inside `product_rows_avx512`, which enables
+//!   `avx512f` for itself alone, so LLVM holds a 4×32 tile in eight 16-lane
+//!   registers. Everything it calls is `#[inline(always)]`, so the whole
+//!   band is compiled into it, with its features.
+//!
+//! `product` asks the CPU once per call (`is_x86_feature_detected!`, which
+//! `std` caches) and hands `par_rows` the wide band when the CPU has
+//! AVX-512F, the baseline otherwise. Calling the wide band is this crate's
+//! one `unsafe` block. There are no intrinsics and no second algorithm:
+//! the lane count is the only difference, so the bits are the same (below),
+//! and a CPU without the feature runs the baseline unchanged.
 //!
 //! # Bits
 //!
 //! Every output element starts from `+0.0` and adds `a·b` for `k` ascending
-//! — one rounded multiply, one rounded add — whatever tile or band it falls
-//! in, so results are bitwise identical at any thread count and to the
-//! scalar loops in `tests/par_determinism.rs`. Hence no `mul_add`: a fused
-//! multiply-add rounds once and changes bits.
+//! — one rounded multiply, one rounded add — whatever tile, instantiation
+//! or band it falls in, so results are bitwise identical at any thread
+//! count, on either instantiation, and to the scalar loops in
+//! `tests/par_determinism.rs`. Hence no `mul_add`: a fused multiply-add
+//! rounds once and changes bits.
 //!
 //! Nor is there an `a == 0.0` skip, and for finite `b` none is observable:
 //! an accumulator that starts at `+0.0` never holds `-0.0` under
@@ -61,9 +79,14 @@ fn record_matmul(kind_calls: Option<&'static str>, m: usize, n: usize, k: usize,
     );
 }
 
-/// Output tile held in registers: `MR` rows by `NR` columns.
+/// Output tile held in registers: `MR` rows by the instantiation's width.
 const MR: usize = 4;
+/// Tile width of the baseline instantiation.
 const NR: usize = 8;
+
+/// One band of a product as `par_rows` runs it: `product_rows`'s
+/// arguments, `(left, b, k, n, row0, out_band)`.
+type Band = fn(Left, &[f32], usize, usize, usize, &mut [f32]);
 
 /// The left operand `A` of `A @ B`, as stored.
 #[derive(Clone, Copy)]
@@ -120,12 +143,29 @@ fn tile<const R: usize, const C: usize>(
     }
 }
 
-/// `R` whole output rows: `NR`-wide tiles, one 4 wide, then single columns.
-fn strip<const R: usize>(left: Left, i: usize, b: &[f32], n: usize, k: usize, out: &mut [f32]) {
+/// `R` whole output rows: `W`-wide tiles, then one tile each of 16, 8 and
+/// 4 columns where it fits and is narrower than `W`, then single columns.
+#[inline(always)]
+fn strip<const R: usize, const W: usize>(
+    left: Left,
+    i: usize,
+    b: &[f32],
+    n: usize,
+    k: usize,
+    out: &mut [f32],
+) {
     let mut j = 0;
-    while n - j >= NR {
-        tile::<R, NR>(left, i, j, b, n, k, out);
-        j += NR;
+    while n - j >= W {
+        tile::<R, W>(left, i, j, b, n, k, out);
+        j += W;
+    }
+    if W > 16 && n - j >= 16 {
+        tile::<R, 16>(left, i, j, b, n, k, out);
+        j += 16;
+    }
+    if W > 8 && n - j >= 8 {
+        tile::<R, 8>(left, i, j, b, n, k, out);
+        j += 8;
     }
     if n - j >= 4 {
         tile::<R, 4>(left, i, j, b, n, k, out);
@@ -137,10 +177,19 @@ fn strip<const R: usize>(left: Left, i: usize, b: &[f32], n: usize, k: usize, ou
     }
 }
 
-/// The band kernel of all three products: fills output rows `row0..` of
-/// `A @ B` with `b` the `k×n` row-major right operand. Only reached through
-/// `par_rows`, so `out_band` is whole rows and never empty.
-fn product_rows(left: Left, b: &[f32], k: usize, n: usize, row0: usize, out_band: &mut [f32]) {
+/// The band kernel of all three products at tile width `W`: fills output
+/// rows `row0..` of `A @ B` with `b` the `k×n` row-major right operand.
+/// Only reached through `par_rows`, so `out_band` is whole rows and never
+/// empty.
+#[inline(always)]
+fn product_rows<const W: usize>(
+    left: Left,
+    b: &[f32],
+    k: usize,
+    n: usize,
+    row0: usize,
+    out_band: &mut [f32],
+) {
     let rows = out_band.len() / n;
     let mut i = 0;
     while i < rows {
@@ -151,21 +200,54 @@ fn product_rows(left: Left, b: &[f32], k: usize, n: usize, row0: usize, out_band
             tile::<8, 1>(left, row0 + i, 0, b, n, k, out);
             8
         } else if rows - i >= MR {
-            strip::<MR>(left, row0 + i, b, n, k, out);
+            strip::<MR, W>(left, row0 + i, b, n, k, out);
             MR
         } else {
-            strip::<1>(left, row0 + i, b, n, k, out);
+            strip::<1, W>(left, row0 + i, b, n, k, out);
             1
         };
     }
 }
 
-/// Allocates the `m×n` output and fills it with `A @ B` through
-/// `product_rows`, banded across the pool when the work is worth it.
+/// `product_rows` with 4×32 tiles, compiled with AVX-512F enabled so that
+/// the same source runs on 16-lane registers. Only `wide_band` calls it,
+/// after checking the CPU.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn product_rows_avx512(
+    left: Left,
+    b: &[f32],
+    k: usize,
+    n: usize,
+    row0: usize,
+    out_band: &mut [f32],
+) {
+    product_rows::<32>(left, b, k, n, row0, out_band)
+}
+
+/// The wide band, if this CPU can run it.
+#[allow(unsafe_code)]
+fn wide_band() -> Option<Band> {
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("avx512f") {
+        let band: Band = |left, b, k, n, row0, out_band| {
+            // SAFETY: `product_rows_avx512` needs AVX-512F and nothing
+            // else, and this band is only returned once the check above
+            // has found it on this CPU.
+            unsafe { product_rows_avx512(left, b, k, n, row0, out_band) }
+        };
+        return Some(band);
+    }
+    None
+}
+
+/// Allocates the `m×n` output and fills it with `A @ B` through the widest
+/// band this CPU runs, banded across the pool when the work is worth it.
 fn product(par_calls: &str, left: Left, b: &[f32], (m, n, k): (usize, usize, usize)) -> Vec<f32> {
+    let band = wide_band().unwrap_or(product_rows::<NR>);
     let mut out = vec![0.0f32; m * n];
-    ahntp_par::par_rows(&mut out, n, 2 * m * n * k, par_calls, |row0, band| {
-        product_rows(left, b, k, n, row0, band)
+    ahntp_par::par_rows(&mut out, n, 2 * m * n * k, par_calls, |row0, out_band| {
+        band(left, b, k, n, row0, out_band)
     });
     out
 }
@@ -360,6 +442,59 @@ mod tests {
         assert!(a.matmul(&b).get(0, 0).is_nan(), "matmul");
         assert!(a.transpose().t_matmul(&b).get(0, 0).is_nan(), "t_matmul");
         assert!(a.matmul_t(&b.transpose()).get(0, 0).is_nan(), "matmul_t");
+    }
+
+    /// `len` values of the mix `tests/par_determinism.rs` feeds the dense
+    /// products: both zeros, subnormals, and magnitudes whose products and
+    /// sums overflow to `inf` and on to `NaN`.
+    fn edgy(len: usize, salt: u32) -> Vec<f32> {
+        (0..len)
+            .map(|i| {
+                let h = (i as u32).wrapping_mul(2654435761).wrapping_add(salt);
+                match (h >> 16) % 12 {
+                    0 | 1 => 0.0,
+                    2 => -0.0,
+                    3 => 1e-41,
+                    4 => -3e-39,
+                    5 => 2.5e30,
+                    6 => -1.5e25,
+                    _ => (h % 1000) as f32 / 500.0 - 1.0,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_wide_instantiation_is_bitwise_the_baseline() {
+        let Some(wide) = wide_band() else {
+            // Written past the harness's output capture, so that a run on a
+            // CPU without AVX-512F says this test compared nothing.
+            let note = "matmul: no avx512f on this CPU; the wide instantiation was not exercised\n";
+            std::io::Write::write_all(&mut std::io::stderr(), note.as_bytes())
+                .expect("stderr is writable");
+            return;
+        };
+        // Widths around every tile the wide strip walks (32, 16, 8, 4, 1)
+        // and the baseline's (8, 4, 1); single-row and 4-row strips.
+        for m in [1, 5, 13] {
+            for n in [1, 4, 8, 15, 16, 17, 31, 32, 33, 48, 64, 65] {
+                for k in [0, 1, 17, 64] {
+                    let (a, b) = (edgy(m * k, 41), edgy(k * n, 42));
+                    for (layout, left) in [("rows", Left::Rows(&a)), ("cols", Left::Cols(&a, m))] {
+                        let bits = |band: Band| -> Vec<u32> {
+                            let mut out = vec![0.0f32; m * n];
+                            band(left, &b, k, n, 0, &mut out);
+                            out.iter().map(|v| v.to_bits()).collect()
+                        };
+                        assert_eq!(
+                            bits(wide),
+                            bits(product_rows::<NR>),
+                            "{m}x{k}x{n}, left operand by {layout}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

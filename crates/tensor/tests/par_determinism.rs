@@ -93,13 +93,14 @@ fn edgy(rows: usize, cols: usize, salt: u32) -> Tensor {
 }
 
 /// `(m, k, n)` for the reference table: [`SHAPES`], then every combination
-/// of sizes around the dense kernel's 4×8 tile — full tiles, the 4-wide and
-/// single-column remainders, single-row remainders, the one-column product,
-/// and inner dimensions from none to many.
+/// of sizes around the dense kernel's 4×8 tile and, on a CPU with AVX-512F,
+/// its 4×32 one — full tiles, the 16-, 8- and 4-wide and single-column
+/// remainders, single-row remainders, the one-column product, and inner
+/// dimensions from none to many.
 fn reference_shapes() -> Vec<(usize, usize, usize)> {
     let mut shapes = SHAPES.to_vec();
     for m in [1, 3, 4, 5, 13] {
-        for n in [1, 4, 7, 8, 9, 28, 64] {
+        for n in [1, 4, 7, 8, 9, 16, 28, 32, 33, 48, 64] {
             shapes.extend([0, 1, 17, 64].map(|k| (m, k, n)));
         }
     }

@@ -192,7 +192,8 @@ proptest! {
     /// run the parallelized kernels at 1/2/7 threads (threshold forced to
     /// zero so even these tiny shapes take the parallel path — including
     /// row counts smaller than the thread count) and compare exactly.
-    /// Shapes reach past the dense kernel's 4×8 register tile on both
+    /// Shapes reach past the dense kernel's register tiles (4×8, and 4×32
+    /// on a CPU with AVX-512F) on both
     /// sides (row and column remainders, the one-column product), and the
     /// values mix in both zeros, a subnormal and a magnitude that overflows.
     #[test]
