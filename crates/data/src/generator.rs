@@ -261,7 +261,7 @@ pub(crate) fn generate(cfg: &DatasetConfig) -> Generated {
                 let hub = ((in_degree[cand] + 1) as f64).powf(cfg.preferential_attachment);
                 let sim = (0.05 + taste_sim(u, cand)).powi(2);
                 let weight = hub * sim * rng.gen_range(0.5..1.0);
-                if best.map_or(true, |(_, w)| weight > w) {
+                if best.is_none_or(|(_, w)| weight > w) {
                     best = Some((cand, weight));
                 }
             }

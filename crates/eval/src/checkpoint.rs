@@ -227,7 +227,7 @@ fn checkpoint_hook<'a, M: ResumableModel + ?Sized>(
 ) -> impl FnMut(&M, &TrainProgress) + 'a {
     let every = ckpt.every.max(1);
     move |model: &M, progress: &TrainProgress| {
-        if progress.epochs_done % every != 0 {
+        if !progress.epochs_done.is_multiple_of(every) {
             return;
         }
         let bytes = model.encode_train_state(progress);

@@ -236,7 +236,7 @@ impl MappedBytes {
             return Some(&[]);
         }
         let ptr = bytes[byte_off..].as_ptr();
-        if (ptr as usize) % std::mem::align_of::<f32>() != 0 {
+        if !(ptr as usize).is_multiple_of(std::mem::align_of::<f32>()) {
             return None;
         }
         // SAFETY: in bounds, aligned, immutable for the buffer's

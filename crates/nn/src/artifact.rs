@@ -182,7 +182,7 @@ impl V2Layout {
         // section must be aligned, in order, in bounds, and sized exactly
         // for the declared dimensions.
         let section = |name: &str, off: usize, dim: usize| -> Result<usize, ArtifactError> {
-            if off % V2_ALIGN != 0 {
+            if !off.is_multiple_of(V2_ALIGN) {
                 return Err(ArtifactError::Malformed(format!(
                     "offsets table: {name} offset {off} is not {V2_ALIGN}-byte aligned"
                 )));

@@ -456,7 +456,7 @@ where
         return;
     }
     assert!(
-        out.len() % row_len == 0,
+        out.len().is_multiple_of(row_len),
         "par_rows: output of {} elements is not whole rows of {row_len}",
         out.len()
     );

@@ -365,7 +365,7 @@ impl Front {
         let mut worst: Option<(u16, String)> = None;
         for (shard, reply) in self.shards.iter().zip(replies) {
             let (status, body) = reply.map_err(|e| self.failed(shard, &e))?;
-            if worst.as_ref().map_or(true, |(w, _)| status > *w) {
+            if worst.as_ref().is_none_or(|(w, _)| status > *w) {
                 worst = Some((status, body));
             }
         }

@@ -48,7 +48,7 @@ fn dense(rows: usize, cols: usize, salt: u32) -> Tensor {
     let data: Vec<f32> = (0..rows * cols)
         .map(|i| {
             let h = (i as u32).wrapping_mul(2654435761).wrapping_add(salt);
-            if h % 5 == 0 {
+            if h.is_multiple_of(5) {
                 0.0
             } else {
                 (h % 1000) as f32 / 500.0 - 1.0

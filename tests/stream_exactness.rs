@@ -86,7 +86,7 @@ fn event_stream(n_node: usize, n_struct: usize) -> Vec<TrustEvent> {
                     b = (b + 1) % N_USERS;
                 }
                 let mut members = vec![a, b];
-                if lcg(&mut rng) % 2 == 0 {
+                if lcg(&mut rng).is_multiple_of(2) {
                     let mut c = lcg(&mut rng) % N_USERS;
                     while c == a || c == b {
                         c = (c + 1) % N_USERS;
