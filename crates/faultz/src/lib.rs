@@ -5,7 +5,7 @@
 //! panic, or a delay. Sites are compiled in permanently and wired through
 //! the hot seams of the stack — checkpoint I/O, the training loop,
 //! hypergraph cache builds, every serve request stage — so that "the disk
-//! died mid-checkpoint" or "the batcher wedged" become deterministic,
+//! died mid-checkpoint" or "the applier wedged" become deterministic,
 //! assertable test scenarios instead of prayers.
 //!
 //! Everything is plain `std` plus the in-workspace telemetry crate: no
@@ -61,7 +61,7 @@
 //! Or from the environment, read once on first use:
 //!
 //! ```text
-//! AHNTP_FAILPOINTS='ckpt.io.write=err;serve.batch=delay(10);train.epoch=nth(3)'
+//! AHNTP_FAILPOINTS='ckpt.io.write=err;serve.request=delay(10);train.epoch=nth(3)'
 //! ```
 //!
 //! The env grammar is `site=action` pairs separated by `;` (or `,`), with
@@ -87,8 +87,8 @@
 //! Infallible code (the training loop, cache builds) calls
 //! [`enforce`], which escalates an injected error to a panic — the only
 //! honest way to "fail" a function that cannot return an error. Code that
-//! wants to *degrade* rather than fail (the serve batcher) calls [`hit`]
-//! directly and branches on the result.
+//! wants to *degrade* rather than fail calls [`hit`] directly and
+//! branches on the result.
 //!
 //! Every triggered fault increments the `faultz.triggered` telemetry
 //! counter (plus per-site `faultz.<site>.triggered`) of the context it fired

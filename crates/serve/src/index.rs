@@ -566,8 +566,8 @@ impl std::fmt::Display for SwapError {
 
 impl std::error::Error for SwapError {}
 
-/// A [`TrustIndex`] behind a reader-writer lock: request workers and the
-/// batcher score under read locks while the live-event applier patches
+/// A [`TrustIndex`] behind a reader-writer lock: request workers score
+/// under read locks while the live-event applier patches
 /// refreshed head rows under short write locks. A frozen server wraps its
 /// index here too and simply never writes.
 #[derive(Debug)]

@@ -17,13 +17,11 @@
 //!   cooperative graceful shutdown that finishes in-flight requests. A
 //!   crate-private request handler with two implementations (node, front)
 //!   parameterises it; the three entry points are thin constructors.
-//! * [`serve`] — the node handler over a frozen index: a bounded queue
-//!   in front of one batcher thread, which takes whatever `POST /score`
-//!   requests are queued the moment it is free — a lone request is scored
-//!   at once, a backlog coalesces into one batch — and never waits on a
-//!   timer. Endpoints: `POST /score`, `GET /topk`,
-//!   `GET /healthz`, `GET /metrics` (all JSON, via
-//!   `ahntp_telemetry::json`).
+//! * [`serve`] — the node handler over a frozen index: each request is
+//!   answered on the worker that read it, `POST /score` and `GET /topk`
+//!   under one index read guard apiece — no queue, no scoring thread.
+//!   Endpoints: `POST /score`, `GET /topk`, `GET /healthz`, `GET /metrics`
+//!   (all JSON, via `ahntp_telemetry::json`).
 //! * [`serve_live`] — the same node bound to a mutable
 //!   [`ahntp_stream::LiveTrustModel`]: `POST /events` ingests trust
 //!   events (add/remove/reweight/decay hyperedges), a dedicated applier
@@ -50,10 +48,10 @@
 //!   what the load generator, benches, example and tests drive servers
 //!   with.
 //!
-//! Request latency (`serve.request.us`), batch sizes
-//! (`serve.score.batch_size`), queue depth (`serve.queue.depth`) and
-//! request/error counters land in the `ahntp_telemetry` metrics registry,
-//! so `GET /metrics` and the training run ledger share one vocabulary.
+//! Request latency (`serve.request.us`), pairs per `/score`
+//! (`serve.score.batch_size`) and request/error counters land in the
+//! `ahntp_telemetry` metrics registry, so `GET /metrics` and the training
+//! run ledger share one vocabulary.
 //!
 //! # Observability
 //!
@@ -70,11 +68,11 @@
 //! `GET /debug/traces`. When trace collection is on
 //! (`AHNTP_TRACE_OUT`, or `ahntp_telemetry::set_trace_collect`), each
 //! request also emits Chrome trace events — one `serve.request` span per
-//! request with its queue/batch/score stages nested under the same trace
-//! id — retrievable live at `GET /debug/trace.json` or written to
-//! `AHNTP_TRACE_OUT` on shutdown. `GET /metrics?format=prometheus` and
-//! `GET /metrics/prometheus` expose the registry in Prometheus text
-//! format. An access-log line per request is emitted at `debug` level
+//! request with its stages (for `/score`: parse, read-guard wait, score)
+//! nested under the same trace id — retrievable live at
+//! `GET /debug/trace.json` or written to `AHNTP_TRACE_OUT` on shutdown.
+//! `GET /metrics?format=prometheus` exposes the registry in Prometheus
+//! text format. An access-log line per request is emitted at `debug` level
 //! under the `serve.access` target (off by default; enable with
 //! `AHNTP_LOG=serve.access=debug`).
 //!
@@ -116,8 +114,8 @@
 //! is process-wide, so a server does not resize it. Banding never
 //! reorders the per-score arithmetic, so responses are bitwise identical
 //! at every thread count. The HTTP side is sized by
-//! [`ServeConfig::workers`]; batch size, queue capacity and the
-//! idle-connection read timeout are constants.
+//! [`ServeConfig::workers`]; the idle-connection read timeout is a
+//! constant.
 //!
 //! ```no_run
 //! use ahntp_serve::{serve, ServeConfig, TrustIndex};

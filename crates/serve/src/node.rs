@@ -1,35 +1,28 @@
-//! The node handler: one index — frozen or live — behind the scoring
-//! micro-batcher, served through the one core ([`crate::server`]).
+//! The node handler: one index — frozen or live — served through the one
+//! core ([`crate::server`]).
 //!
 //! ```text
-//! core worker ── POST /score ──▶ bounded batch queue (Mutex+Condvar)
-//!      ▲                                   │ take what is queued,
-//!      │ the worker's ReplySlot            ▼ ≤ MAX_BATCH pairs
-//!      └───────────────────────── batcher thread ──▶ TrustIndex
+//! core worker ── POST /score ──▶ parse ──▶ index read guard ──▶ TrustIndex
+//!      ▲                                                            │
+//!      └──────────────────────────── render ◀───────────────────────┘
 //! ```
 //!
-//! The core's workers parse HTTP and run this module's endpoints;
-//! `GET` endpoints answer directly, `POST /score` jobs go through the
-//! batch queue to the one batcher thread. Batching is *natural*: the
-//! batcher takes whatever is queued the moment it is free and never
-//! waits for company, so a batch forms while the previous one is being
-//! scored — a lone request is dispatched alone and at once, and requests
-//! coalesce exactly when the batcher is the bottleneck. (Coalescing buys
-//! no kernel time — eight pairs are a quarter of a microsecond — only
-//! wake-ups, so there is nothing for an idle batcher to wait for.) The
-//! answer comes back through the worker's own [`ReplySlot`], reused from
-//! request to request: the hand-off allocates nothing. On shutdown the
-//! core stops first (acceptor, then workers), then the batcher drains the
-//! queue before exiting — no request is dropped — then the applier, then
-//! the trace is flushed.
+//! The core's workers parse HTTP and run this module's endpoints, each on
+//! the worker that read the request. `POST /score` takes the index's read
+//! guard — one pinned index version per request, as `GET /topk` does — and
+//! scores its pairs in one call: eight pairs are a quarter of a
+//! microsecond of kernel, so there is nothing to gain from handing them to
+//! another thread. On shutdown the core stops first (acceptor, then
+//! workers), then the applier drains its channel, then the trace is
+//! flushed.
 //!
 //! # Live trust
 //!
 //! [`serve_live`] additionally runs an **applier thread** owning a
 //! [`LiveTrustModel`]: `POST /events` batches flow to it over a channel
-//! (and their replies back through the same kind of slot), it folds each
-//! batch into the model's hypergraphs ([`EventApplier::apply_batch`]), and
-//! patches the batch's one refresh into the shared index under a short
+//! (and their replies back through the worker's [`ReplySlot`]), it folds
+//! each batch into the model's hypergraphs ([`EventApplier::apply_batch`]),
+//! and patches the batch's one refresh into the shared index under a short
 //! write lock ([`SharedIndex`]). One consumer means the event log is
 //! totally ordered; `/score` and `/topk` keep answering from the live
 //! index throughout. A server started with [`serve`] has no model and
@@ -37,35 +30,31 @@
 //!
 //! Metrics (all under the `serve.` prefix): the core's
 //! `serve.http.requests` / `serve.http.errors` counters and
-//! `serve.request.us` latency histogram, plus `serve.score.batch_size`
-//! histogram and the `serve.queue.depth` gauge from here.
+//! `serve.request.us` latency histogram, plus the `serve.score.batch_size`
+//! histogram (pairs per `/score`) from here.
 //!
 //! # Tracing
 //!
-//! The trace id the core mints travels with the scoring job through the
-//! queue into the batcher and back, and the endpoints leave their
-//! parse / enqueue / queue-wait / score stage timings on the
+//! The trace id the core mints is the worker's ambient id while an
+//! endpoint runs (and travels with an ingest job to the applier and
+//! back); the endpoints leave their stage timings — for `/score`: parse,
+//! the wait for the index read guard (`serve.queue.wait`), score — on the
 //! [`Call`], which the core records in the ring behind
 //! `GET /debug/traces` and, with trace collection on, emits nested inside
 //! the request's `serve.request` span.
 //!
 //! # Fault tolerance
 //!
-//! Every `/score` request carries a deadline ([`ServeConfig::deadline`]):
+//! Every `/events` request carries a deadline ([`ServeConfig::deadline`]):
 //! a reply that does not arrive in time answers `504` with a
 //! `Retry-After` header and bumps `serve.deadline_exceeded`, so a stalled
-//! or slow batcher can never hang a client past the deadline. A full (or
-//! stopped) batch queue sheds load with `503` + `Retry-After` and bumps
-//! `serve.shed`. When the `serve.batch` failpoint trips, the batcher
-//! degrades from the fused batch kernel to per-pair scalar scoring
-//! (`serve.degraded` counts the batches served that way) rather than
-//! failing the jobs. `GET /healthz` never touches the queue, so liveness
+//! or slow applier can never hang a client past the deadline. An applier
+//! that is gone sheds the batch with `503` + `Retry-After` and bumps
+//! `serve.shed`. `GET /healthz` never touches the applier, so liveness
 //! probes keep answering under every failure mode. Failpoints
-//! (`ahntp-faultz`): `serve.request`, `serve.enqueue`, `serve.batch`,
-//! `serve.ingest`, `shard.swap`, plus `serve.read` / `serve.write` in the
-//! HTTP layer.
+//! (`ahntp-faultz`): `serve.request`, `serve.ingest`, `shard.swap`, plus
+//! `serve.read` / `serve.write` in the HTTP layer.
 
-use std::collections::VecDeque;
 use std::io;
 use std::net::SocketAddr;
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -74,26 +63,18 @@ use std::time::{Duration, Instant};
 
 use ahntp_par::Context;
 use ahntp_telemetry::json::{parse, Json};
-use ahntp_telemetry::{
-    counter_add, gauge_set, histogram_record, info, trace_now_us, warn, KernelKind, KernelSpan,
-};
+use ahntp_telemetry::{counter_add, histogram_record, info, trace_now_us, warn, KernelKind, KernelSpan};
 
 use ahntp_stream::{parse_events, EventApplier, LiveTrustModel, StalenessBound, TrustEvent};
 
 use crate::backend::{warn_on_removed_backend, BackendKind};
 use crate::http::Request;
-use crate::index::{ScoreError, SharedIndex, TrustIndex};
+use crate::index::{SharedIndex, TrustIndex};
 use crate::server::{Answer, Call, Core, Handler, Names, Response, Route, ServeConfig};
-
-/// Maximum pairs scored per batcher wake-up.
-const MAX_BATCH: usize = 64;
-/// Maximum queued scoring jobs before `POST /score` answers 503.
-const QUEUE_CAPACITY: usize = 1024;
 
 /// The node: everything its endpoints need to answer one request.
 pub(crate) struct Node {
     index: Arc<SharedIndex>,
-    queue: Arc<BatchQueue>,
     /// Channel to the live-event applier thread; `None` on a frozen
     /// server, which answers `POST /events` with `501`.
     ingest: Option<mpsc::Sender<IngestJob>>,
@@ -122,12 +103,12 @@ impl Handler for Node {
     ];
 }
 
-/// One worker's rendezvous with whichever thread answers the job it
-/// queued — the batcher or the applier — reused for every request that
-/// worker serves. A per-request channel would be allocated on the worker
-/// and freed on the answering thread (and its message block the other way
-/// round) ten thousand times a second; the slot is allocated once per
-/// thread and a job carries a refcount on it.
+/// One worker's rendezvous with the applier thread that answers the
+/// ingest job it queued, reused for every request that worker serves. A
+/// per-request channel would be allocated on the worker and freed on the
+/// applier (and its message block the other way round) on every request;
+/// the slot is allocated once per thread and a job carries a refcount on
+/// it.
 ///
 /// A worker waits for one reply at a time, so the slot holds one outcome,
 /// tagged with the sequence number of the request it belongs to:
@@ -231,30 +212,8 @@ impl<T> Drop for ReplyTo<T> {
 }
 
 thread_local! {
-    /// The calling worker's slots, one per kind of reply it waits for.
-    static SCORE_REPLY: Arc<ReplySlot<ScoreReply>> = Arc::default();
+    /// The calling worker's slot for applier replies.
     static INGEST_REPLY: Arc<ReplySlot<IngestReply>> = Arc::default();
-}
-
-/// What the batcher sends back for one job: the scores plus the
-/// timestamps the requesting worker needs to attribute its wait.
-struct ScoreReply {
-    result: Result<Vec<f32>, ScoreError>,
-    /// When the batcher drained the job from the queue.
-    picked_up_us: u64,
-    /// When the batch's scoring finished.
-    scored_us: u64,
-    /// Whether the batch fell back to per-pair scalar scoring.
-    degraded: bool,
-}
-
-/// One queued `POST /score` request.
-struct ScoreJob {
-    pairs: Vec<(usize, usize)>,
-    /// Trace id of the originating request; carried through the queue so
-    /// the batcher works under the requester's id.
-    trace_id: u64,
-    reply: ReplyTo<ScoreReply>,
 }
 
 /// One queued `POST /events` batch bound for the applier thread.
@@ -283,149 +242,9 @@ struct IngestReply {
     done_us: u64,
 }
 
-#[derive(Default)]
-struct QueueState {
-    jobs: VecDeque<ScoreJob>,
-    stopped: bool,
-}
-
-/// Bounded job queue between workers and the batcher.
-struct BatchQueue {
-    state: Mutex<QueueState>,
-    cond: Condvar,
-    capacity: usize,
-}
-
-impl BatchQueue {
-    fn new(capacity: usize) -> BatchQueue {
-        BatchQueue {
-            state: Mutex::new(QueueState::default()),
-            cond: Condvar::new(),
-            capacity,
-        }
-    }
-
-    /// Enqueues a job; `false` means full or stopping (caller answers 503).
-    fn push(&self, job: ScoreJob) -> bool {
-        let mut state = self.state.lock().unwrap();
-        if state.stopped || state.jobs.len() >= self.capacity {
-            return false;
-        }
-        state.jobs.push_back(job);
-        gauge_set("serve.queue.depth", state.jobs.len() as f64);
-        self.cond.notify_one();
-        true
-    }
-
-    fn stop(&self) {
-        self.state.lock().unwrap().stopped = true;
-        self.cond.notify_all();
-    }
-}
-
-/// The batcher loop: sleep until work arrives, take what is queued — whole
-/// jobs, up to [`MAX_BATCH`] pairs — score, reply. It never waits for a
-/// batch to fill: whatever arrives while this batch is being scored is the
-/// next one, so a lone request pays one wake-up and a backlog coalesces.
-fn run_batcher(queue: &BatchQueue, index: &SharedIndex) {
-    loop {
-        let mut state = queue.state.lock().unwrap();
-        while state.jobs.is_empty() && !state.stopped {
-            state = queue.cond.wait(state).unwrap();
-        }
-        if state.jobs.is_empty() {
-            return; // drained and told to stop
-        }
-        // Whole jobs until the batch is full (always at least one).
-        let mut batch: Vec<ScoreJob> = Vec::new();
-        let mut batch_pairs = 0usize;
-        while let Some(job) = state.jobs.front() {
-            if !batch.is_empty() && batch_pairs + job.pairs.len() > MAX_BATCH {
-                break;
-            }
-            batch_pairs += job.pairs.len();
-            batch.push(state.jobs.pop_front().unwrap());
-        }
-        gauge_set("serve.queue.depth", state.jobs.len() as f64);
-        drop(state);
-
-        // Pin one index version for the whole batch: the read guard keeps
-        // the live applier's write lock out until every job is answered,
-        // so a coalesced batch never sees a half-applied patch.
-        let index = index.read();
-        histogram_record("serve.score.batch_size", batch_pairs as u64);
-        let picked_up_us = trace_now_us();
-        // Score under the requester's trace id when the batch is one job
-        // deep; a coalesced batch belongs to no single request, so the
-        // ambient id stays unset and the span attributes to the batcher
-        // thread lane only.
-        let _scope = (batch.len() == 1)
-            .then(|| ahntp_telemetry::set_trace_id_scope(batch[0].trace_id));
-        let _batch_span = KernelSpan::enter("serve.batch", KernelKind::Other);
-        // Chaos hook: an Err action degrades this batch from the fused
-        // kernel to per-pair scalar scoring (jobs still get answers); a
-        // Delay action just slows the batch down — the per-request
-        // deadline in `Node::score` bounds what clients see.
-        if ahntp_faultz::armed() && ahntp_faultz::hit("serve.batch").is_some() {
-            counter_add("serve.degraded", 1);
-            warn!("serve", "batch kernel faulted; degrading to per-pair scoring");
-            for job in batch {
-                let result: Result<Vec<f32>, ScoreError> = job
-                    .pairs
-                    .iter()
-                    .map(|&(trustor, trustee)| index.score(trustor, trustee))
-                    .collect();
-                job.reply.send(ScoreReply {
-                    result,
-                    picked_up_us,
-                    scored_us: trace_now_us(),
-                    degraded: true,
-                });
-            }
-            continue;
-        }
-        let all: Vec<(usize, usize)> = batch
-            .iter()
-            .flat_map(|j| j.pairs.iter().copied())
-            .collect();
-        match index.score_pairs(&all) {
-            Ok(scores) => {
-                let scored_us = trace_now_us();
-                let mut offset = 0;
-                for job in batch {
-                    let n = job.pairs.len();
-                    let slice = scores[offset..offset + n].to_vec();
-                    offset += n;
-                    job.reply.send(ScoreReply {
-                        result: Ok(slice),
-                        picked_up_us,
-                        scored_us,
-                        degraded: false,
-                    });
-                }
-            }
-            Err(_) => {
-                // Some job smuggled in a bad id; rescore per job so only
-                // the offender sees the error.
-                for job in batch {
-                    let result = index.score_pairs(&job.pairs);
-                    job.reply.send(ScoreReply {
-                        result,
-                        picked_up_us,
-                        scored_us: trace_now_us(),
-                        degraded: false,
-                    });
-                }
-            }
-        }
-    }
-}
-
 /// Handle to a running server. Dropping it shuts the server down.
 pub struct ServerHandle {
     core: Core,
-    queue: Arc<BatchQueue>,
-    batcher: Option<JoinHandle<()>>,
     /// Live servers only: the ingest channel and the applier thread.
     /// Dropping the sender (after the workers' handler is gone) lets the
     /// applier drain the remaining batches and exit.
@@ -443,7 +262,7 @@ impl ServerHandle {
     }
 
     /// Graceful shutdown: stops accepting, lets in-flight requests
-    /// finish, drains the scoring queue, joins every thread.
+    /// finish, drains the ingest channel, joins every thread.
     pub fn shutdown(mut self) {
         self.stop();
     }
@@ -452,11 +271,6 @@ impl ServerHandle {
         // Acceptor, then workers.
         if !self.core.stop() {
             return; // already stopped
-        }
-        // No worker can enqueue anymore: drain the batcher and stop it.
-        self.queue.stop();
-        if let Some(t) = self.batcher.take() {
-            let _ = t.join();
         }
         // Workers are gone, so the handle holds the last ingest sender:
         // dropping it disconnects the channel and the applier exits once
@@ -610,7 +424,7 @@ fn run_applier(
 }
 
 /// Shared startup path for [`serve`] and [`serve_live`]: the node handler
-/// on the core, plus the batcher thread.
+/// on the core.
 fn serve_shared(
     index: Arc<SharedIndex>,
     config: &ServeConfig,
@@ -627,22 +441,14 @@ fn serve_shared(
         }
     }
     let (ingest, applier) = live.unzip();
-    let queue = Arc::new(BatchQueue::new(QUEUE_CAPACITY));
     let node = Arc::new(Node {
         index: Arc::clone(&index),
-        queue: Arc::clone(&queue),
         ingest: ingest.clone(),
         deadline: config.deadline,
         retry_after: config.retry_after,
         shard_range: config.shard_range,
     });
     let core = Core::start(node, config)?;
-    let ctx = Context::capture();
-    let batcher = {
-        let (index, queue) = (Arc::clone(&index), Arc::clone(&queue));
-        ctx.clone().spawn(move || run_batcher(&queue, &index))
-    };
-
     {
         let snapshot = index.read();
         info!(
@@ -655,7 +461,7 @@ fn serve_shared(
             if ingest.is_some() { "live" } else { "frozen" },
         );
     }
-    Ok(ServerHandle { core, queue, batcher: Some(batcher), ingest, applier, ctx })
+    Ok(ServerHandle { core, ingest, applier, ctx: Context::capture() })
 }
 
 /// Reads `{"pairs": [[u, v], ...]}` out of a `/score` body (shared with
@@ -708,52 +514,45 @@ impl Node {
 
     /// A missed deadline: `504` + `Retry-After`, counted in
     /// `serve.deadline_exceeded`. The job may still complete behind the
-    /// queue; its reply finds the worker's slot moved on and is discarded.
+    /// channel; its reply finds the worker's slot moved on and is discarded.
     fn deadline_exceeded(&self, message: &str) -> Response {
         counter_add("serve.deadline_exceeded", 1);
         Response::error(504, message).retry_after(self.retry_after)
     }
 
     /// Waits out what is left of the request's deadline (its budget started
-    /// at `started`, when the request began parsing) for the reply to the
-    /// job this worker queued for the `what` ("scoring" / "ingest") thread.
-    fn await_reply<T>(&self, slot: &ReplySlot<T>, started: Instant, what: &str) -> Result<T, Response> {
+    /// at `started`, when the request began parsing) for the applier's
+    /// reply to the job this worker queued.
+    fn await_reply<T>(&self, slot: &ReplySlot<T>, started: Instant) -> Result<T, Response> {
         slot.wait(self.deadline.saturating_sub(started.elapsed())).map_err(|e| match e {
-            NoReply::Timeout => self.deadline_exceeded(&format!("{what} deadline exceeded")),
-            // The thread went away mid-flight (shutdown race): an
-            // overloaded-style answer rather than a hung worker.
-            NoReply::Dropped => self.shed(&format!("{what} backend stopped")),
+            NoReply::Timeout => self.deadline_exceeded("ingest deadline exceeded"),
+            // The applier went away mid-flight (a shutdown race, or it
+            // panicked): an overloaded-style answer rather than a hung
+            // worker.
+            NoReply::Dropped => self.shed("ingest backend stopped"),
         })
     }
 
+    /// `POST /score`: scores the pairs on this worker, under one read
+    /// guard — one pinned index version for the whole request.
     fn score(&self, call: &mut Call<'_>) -> Answer {
-        let started = Instant::now();
         let parse_ts = trace_now_us();
         ahntp_faultz::failpoint!("serve.request", |_inj| Err(Response::error(
             500,
             "injected fault in request handling",
         )));
         let pairs = parse_pairs(&call.req.body).map_err(bad_request)?;
-        call.stage("serve.parse", parse_ts, trace_now_us());
-        // Chaos hook: pretend the queue rejected the job.
-        ahntp_faultz::failpoint!("serve.enqueue", |_inj| Err(self.shed("scoring queue full")));
-        let slot = SCORE_REPLY.with(Arc::clone);
-        let enqueue_ts = trace_now_us();
-        if !self.queue.push(ScoreJob { pairs, trace_id: call.trace_id, reply: slot.open() }) {
-            return Err(self.shed("scoring queue full"));
-        }
-        let enqueued_us = trace_now_us();
-        call.stage("serve.enqueue", enqueue_ts, enqueued_us);
-        let reply = self.await_reply(&slot, started, "scoring")?;
-        // Attribute the wait: queued until the batcher drained the job,
-        // then scoring until the batch kernel finished.
-        call.stage("serve.queue.wait", enqueued_us, reply.picked_up_us);
-        call.stage(
-            if reply.degraded { "serve.score.degraded" } else { "serve.score" },
-            reply.picked_up_us,
-            reply.scored_us,
-        );
-        let scores = reply.result.map_err(bad_request)?;
+        let parsed_us = trace_now_us();
+        call.stage("serve.parse", parse_ts, parsed_us);
+        // The one wait left before scoring: a live applier's write lock.
+        let index = self.index.read();
+        let locked_us = trace_now_us();
+        call.stage("serve.queue.wait", parsed_us, locked_us);
+        histogram_record("serve.score.batch_size", pairs.len() as u64);
+        let scores = index.score_pairs(&pairs);
+        drop(index);
+        call.stage("serve.score", locked_us, trace_now_us());
+        let scores = scores.map_err(bad_request)?;
         Ok(Response::new(
             200,
             Json::obj([
@@ -794,7 +593,7 @@ impl Node {
         }
         let enqueued_us = trace_now_us();
         call.stage("serve.enqueue", enqueue_ts, enqueued_us);
-        let reply = self.await_reply(&slot, started, "ingest")?;
+        let reply = self.await_reply(&slot, started)?;
         call.stage("serve.ingest.wait", enqueued_us, reply.picked_up_us);
         call.stage("serve.ingest.apply", reply.picked_up_us, reply.done_us);
         let mut entries = vec![
@@ -882,9 +681,8 @@ impl Node {
         ))
     }
 
-    /// `GET /healthz` is answered inline without touching the batch
-    /// queue: liveness probes keep working while scoring is shedding,
-    /// degraded, or stalled.
+    /// `GET /healthz` never touches the applier: liveness probes keep
+    /// working while ingest is shedding or stalled.
     fn healthz(&self, _call: &mut Call<'_>) -> Answer {
         let index = self.index.read();
         let mut entries = vec![
@@ -997,15 +795,6 @@ mod tests {
         match ahntp_telemetry::metrics_snapshot().get(name) {
             Some(ahntp_telemetry::MetricValue::Histogram(summary)) => *summary,
             other => panic!("{name} is not a histogram: {other:?}"),
-        }
-    }
-
-    /// Polls `done` every millisecond, for at most [`TIMEOUT`].
-    fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
-        let started = Instant::now();
-        while !done() {
-            assert!(started.elapsed() < TIMEOUT, "timed out waiting until {what}");
-            std::thread::sleep(Duration::from_millis(1));
         }
     }
 
@@ -1141,17 +930,6 @@ mod tests {
     }
 
     #[test]
-    fn full_queue_answers_503() {
-        // Capacity-1 queue and a parked batcher thread can't be arranged
-        // without hooks; instead stop the queue directly and check the
-        // push path degrades to 503.
-        let queue = BatchQueue::new(1);
-        queue.stop();
-        let reply = Arc::<ReplySlot<ScoreReply>>::default().open();
-        assert!(!queue.push(ScoreJob { pairs: vec![(0, 0)], trace_id: 1, reply }));
-    }
-
-    #[test]
     fn a_reply_slot_discards_what_settles_outside_its_request() {
         let slot = Arc::<ReplySlot<u32>>::default();
         // A reply that lands while the worker waits for its next request.
@@ -1175,87 +953,20 @@ mod tests {
         dropper.join().unwrap();
     }
 
-    /// A frozen server over `toy_index(8)` with room for `workers`
-    /// connections at once.
-    fn start_with(workers: usize, deadline: Duration) -> ServerHandle {
-        ahntp_telemetry::set_enabled(true);
-        serve(toy_index(8), &ServeConfig { workers, deadline, ..ServeConfig::default() })
-            .expect("bind 127.0.0.1:0")
-    }
-
-    /// Request 1 misses its deadline behind a delayed batch; request 2, on
-    /// the same connection — so the same worker and the same reply slot —
-    /// must get its own answer, whether the late reply to request 1 lands
-    /// before request 2 starts or while it waits.
-    #[test]
-    fn a_late_score_reply_never_answers_the_next_request() {
-        use ahntp_faultz::{scoped, Action, FaultSpec};
-        for (deadline_ms, delay_ms, lands_first) in [(50, 300, true), (400, 600, false)] {
-            isolated(|| {
-                let server = start_with(2, Duration::from_millis(deadline_ms));
-                let index = toy_index(8);
-                let _fault = scoped("serve.batch", FaultSpec::new(Action::Delay(delay_ms)).on_nth(1));
-                let mut conn = connect(server.addr());
-                let first = conn.post("/score", &score_body(&[(0, 1)])).unwrap();
-                assert_eq!(first.status, 504, "{}", first.body);
-                if lands_first {
-                    // The kernel runs once the delay is over and the reply
-                    // follows it at once.
-                    let calls = "serve.score_pairs.exact.calls";
-                    wait_until("the delayed batch is scored", || {
-                        ahntp_telemetry::counter_get(calls) == 1
-                    });
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-                let pairs = [(2, 5), (3, 3), (7, 0)];
-                let second = conn.post("/score", &score_body(&pairs)).unwrap();
-                assert_eq!(second.status, 200, "{}", second.body);
-                assert_eq!(second.body, expected_score_body(&index, &pairs));
-                assert_eq!(ahntp_telemetry::counter_get("serve.deadline_exceeded"), 1);
-                server.shutdown();
-            });
-        }
-    }
-
-    /// Four clients queue up behind a held batcher: released, it takes them
-    /// in one batch, and every client still gets its own scores.
-    #[test]
-    fn a_backlog_coalesces_into_one_batch() {
-        use ahntp_faultz::{scoped, Action, FaultSpec};
-        isolated(|| {
-            let server = start_with(6, TIMEOUT);
-            let addr = server.addr();
-            let index = toy_index(8);
-            let _fault = scoped("serve.batch", FaultSpec::new(Action::Delay(500)).on_nth(1));
-            let post = move |pairs: Vec<(usize, usize)>| {
-                std::thread::spawn(move || (post_score(addr, &score_body(&pairs)), pairs))
-            };
-            let plug = post(vec![(0, 1)]);
-            wait_until("the batcher holds the plug", || ahntp_faultz::hits("serve.batch") == 1);
-            let clients: Vec<_> = (0..4).map(|c| post(vec![(c, 7), (c + 1, c), (3, c + 4)])).collect();
-            for client in clients.into_iter().chain([plug]) {
-                let ((status, body), pairs) = client.join().unwrap();
-                assert_eq!(status, 200, "{body}");
-                assert_eq!(body, expected_score_body(&index, &pairs));
-            }
-            let batches = histogram("serve.score.batch_size");
-            assert!(batches.max >= 6, "no two jobs shared a batch: {batches:?}");
-            server.shutdown();
-        });
-    }
-
-    /// With nobody else asking, every request is a batch of its own and the
-    /// batcher picks it up as soon as it is woken: a median wait under a
-    /// millisecond is far above any wake-up and below any batching timer.
+    /// Every `/score` is one scoring call of its own pairs, and with no
+    /// applier writing, the read guard it waits for is free: a median wait
+    /// under a millisecond is far above an uncontended lock.
     #[test]
     fn an_idle_batcher_dispatches_each_request_alone_and_at_once() {
         isolated(|| {
-            let server = start_with(2, TIMEOUT);
-            let addr = server.addr();
-            let mut conn = connect(addr);
+            let server = start(8);
+            let index = toy_index(8);
+            let mut conn = connect(server.addr());
             for i in 0..100 {
-                let scored = conn.post("/score", &score_body(&[(i % 8, 3), (5, i % 7)])).unwrap();
+                let pairs = [(i % 8, 3), (5, i % 7)];
+                let scored = conn.post("/score", &score_body(&pairs)).unwrap();
                 assert_eq!(scored.status, 200, "{}", scored.body);
+                assert_eq!(scored.body, expected_score_body(&index, &pairs));
             }
             let batches = histogram("serve.score.batch_size");
             assert_eq!((batches.count, batches.min, batches.max), (100, 2, 2));
@@ -1287,18 +998,16 @@ mod tests {
     fn a_job_dropped_unanswered_sheds_well_before_the_deadline() {
         isolated(|| {
             ahntp_telemetry::set_enabled(true);
-            // No batcher: the only thing that can end the wait early is the
+            // No applier: the only thing that can end the wait early is the
             // job's drop.
-            let node = bare_node(4, BatchQueue::new(1), 10_000, 2);
-            let queue = Arc::clone(&node.queue);
-            let dropper = std::thread::spawn(move || {
-                wait_until("the job is queued", || queue.state.lock().unwrap().jobs.pop_front().is_some());
-            });
+            let (ingest, jobs) = mpsc::channel();
+            let node = bare_node(4, Some(ingest), 10_000, 2);
+            let dropper = std::thread::spawn(move || drop(jobs.recv()));
             let started = Instant::now();
-            let resp = dispatch(&node, &TraceRing::new(4), &mut Call::new(&score_request(), 1));
+            let resp = dispatch(&node, &TraceRing::new(4), &mut Call::new(&events_request(), 1));
             dropper.join().unwrap();
             assert_eq!(resp.status, 503, "{}", resp.body.to_line());
-            assert_eq!(resp.body.to_line(), r#"{"error":"scoring backend stopped"}"#);
+            assert_eq!(resp.body.to_line(), r#"{"error":"ingest backend stopped"}"#);
             assert_eq!(resp.retry_after, Some(2));
             assert!(started.elapsed() < Duration::from_secs(5), "waited {:?}", started.elapsed());
             let counts = ["serve.shed", "serve.deadline_exceeded"].map(ahntp_telemetry::counter_get);
@@ -1340,16 +1049,21 @@ mod tests {
         }
     }
 
-    fn score_request() -> Request {
-        request("POST", "/score", br#"{"pairs":[[0,1]]}"#)
+    fn events_request() -> Request {
+        request("POST", "/events", br#"{"events":[{"op":"decay","factor":0.9}]}"#)
     }
 
-    /// A node with no core, batcher or applier behind it.
-    fn bare_node(n_users: usize, queue: BatchQueue, deadline_ms: u64, retry_after_s: u64) -> Node {
+    /// A node with no core behind it, and no applier behind `ingest`: the
+    /// test holds (or drops) the receiving end.
+    fn bare_node(
+        n_users: usize,
+        ingest: Option<mpsc::Sender<IngestJob>>,
+        deadline_ms: u64,
+        retry_after_s: u64,
+    ) -> Node {
         Node {
             index: Arc::new(SharedIndex::new(toy_index(n_users))),
-            queue: Arc::new(queue),
-            ingest: None,
+            ingest,
             deadline: Duration::from_millis(deadline_ms),
             retry_after: Duration::from_secs(retry_after_s),
             shard_range: None,
@@ -1364,16 +1078,18 @@ mod tests {
     fn deadline_then_shed() {
         ahntp_telemetry::set_enabled(true);
         let counts = || ["serve.deadline_exceeded", "serve.shed"].map(ahntp_telemetry::counter_get);
-        // Capacity-1 queue with no batcher: the first job is accepted but
-        // never answered (deadline path), which leaves the queue full so
-        // the second job is shed.
-        let node = bare_node(4, BatchQueue::new(1), 20, 2);
+        // An ingest channel nobody answers: the first batch is accepted but
+        // never answered (deadline path); once the receiving end is gone,
+        // the second is shed.
+        let (ingest, jobs) = mpsc::channel();
+        let node = bare_node(4, Some(ingest), 20, 2);
         let traces = TraceRing::new(4);
-        let resp = dispatch(&node, &traces, &mut Call::new(&score_request(), 1));
+        let resp = dispatch(&node, &traces, &mut Call::new(&events_request(), 1));
         assert_eq!(resp.status, 504, "{}", resp.body.to_line());
         assert_eq!(resp.retry_after, Some(2));
         assert_eq!(counts(), [1, 0]);
-        let resp = dispatch(&node, &traces, &mut Call::new(&score_request(), 2));
+        drop(jobs);
+        let resp = dispatch(&node, &traces, &mut Call::new(&events_request(), 2));
         assert_eq!(resp.status, 503, "{}", resp.body.to_line());
         assert_eq!(resp.retry_after, Some(2));
         assert_eq!(counts(), [1, 1]);
@@ -1381,14 +1097,14 @@ mod tests {
 
     #[test]
     fn healthz_bypasses_the_scoring_queue() {
-        let queue = BatchQueue::new(1);
-        queue.stop(); // scoring is completely dead...
-        let node = bare_node(3, queue, 5, 1);
+        let (ingest, jobs) = mpsc::channel();
+        drop(jobs); // ingest is completely dead...
+        let node = bare_node(3, Some(ingest), 5, 1);
         let traces = TraceRing::new(4);
         let resp = dispatch(&node, &traces, &mut Call::new(&request("GET", "/healthz", b""), 1));
         assert_eq!(resp.status, 200, "...but liveness still answers");
-        // While /score correctly sheds.
-        let resp = dispatch(&node, &traces, &mut Call::new(&score_request(), 2));
+        // While /events correctly sheds.
+        let resp = dispatch(&node, &traces, &mut Call::new(&events_request(), 2));
         assert_eq!(resp.status, 503);
         assert_eq!(resp.retry_after, Some(1));
     }
@@ -1428,7 +1144,7 @@ mod tests {
             .iter()
             .filter_map(|s| s.get("name").and_then(Json::as_str).map(str::to_string))
             .collect();
-        for want in ["serve.parse", "serve.enqueue", "serve.queue.wait", "serve.score"] {
+        for want in ["serve.parse", "serve.queue.wait", "serve.score"] {
             assert!(names.iter().any(|n| n == want), "missing {want} in {names:?}");
         }
         server.shutdown();
@@ -1482,14 +1198,12 @@ mod tests {
     fn prometheus_and_debug_trace_endpoints_respond() {
         let server = start(4);
         let addr = server.addr();
-        for path in ["/metrics/prometheus", "/metrics?format=prometheus"] {
-            let client::Response { status, headers, body } =
-                connect(addr).get(path).unwrap();
-            assert_eq!(status, 200, "{path}: {body}");
-            let ct = headers.get("content-type").unwrap();
-            assert!(ct.starts_with("text/plain"), "{path}: {ct}");
-            assert!(body.contains("# TYPE serve_http_requests counter"), "{path}: {body}");
-        }
+        let client::Response { status, headers, body } =
+            connect(addr).get("/metrics?format=prometheus").unwrap();
+        assert_eq!(status, 200, "{body}");
+        let ct = headers.get("content-type").unwrap();
+        assert!(ct.starts_with("text/plain"), "{ct}");
+        assert!(body.contains("# TYPE serve_http_requests counter"), "{body}");
         let (status, body) = get(addr, "/metrics?format=msgpack");
         assert_eq!(status, 400, "{body}");
 
@@ -1732,9 +1446,9 @@ mod tests {
         server.shutdown();
     }
 
-    /// The `/events` shape of `a_late_score_reply_never_answers_the_next_request`:
-    /// the applier's late reply to a timed-out batch lands while the same
-    /// worker waits for its next batch.
+    /// The applier's late reply to a timed-out batch lands while the same
+    /// worker — same connection, same reply slot — waits for its next
+    /// batch, which must still get its own answer.
     #[test]
     fn a_late_ingest_reply_never_answers_the_next_request() {
         use ahntp_faultz::{scoped, Action, FaultSpec};

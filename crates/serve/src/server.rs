@@ -17,8 +17,8 @@
 //! [`TraceRing`] and — with trace collection on — emits it as one span on
 //! a per-request Chrome-trace lane (`pid` 2, `tid` = trace id) with its
 //! stages nested inside. Unreadable requests get `400` / `413` and the
-//! connection closed. `GET /metrics`, `/metrics/prometheus`,
-//! `/debug/traces` and `/debug/trace.json` are answered here; every other
+//! connection closed. `GET /metrics` (`?format=prometheus` for the text
+//! format), `/debug/traces` and `/debug/trace.json` are answered here; every other
 //! route comes from the [`Handler`]'s table, and `404` / `405` are derived
 //! from the two tables, so no path list is kept by hand.
 //!
@@ -67,11 +67,12 @@ pub struct ServeConfig {
     pub addr: String,
     /// HTTP worker threads.
     pub workers: usize,
-    /// Per-request deadline for `POST /score` and `POST /events`: if the
-    /// batcher (or applier) has not replied within this budget (measured
-    /// from request parse), the worker answers `504 Gateway Timeout` with
-    /// a `Retry-After` header instead of blocking forever. On the front
-    /// it is the timeout of each RPC to a shard.
+    /// Per-request deadline for `POST /events`: if the applier has not
+    /// replied within this budget (measured from request parse), the
+    /// worker answers `504 Gateway Timeout` with a `Retry-After` header
+    /// instead of blocking forever. On the front it is the timeout of
+    /// each RPC to a shard. (`/score` and `/topk` are answered on the
+    /// worker and wait on nothing.)
     pub deadline: Duration,
     /// Value of the `Retry-After` header (whole seconds, minimum 1) on
     /// load-shed (`503`) and deadline (`504`) responses.
@@ -207,25 +208,22 @@ pub(crate) trait Handler: Send + Sync + Sized + 'static {
 type SharedEndpoint = fn(&Request, &TraceRing) -> Response;
 
 /// The routes every server answers, all `GET`.
-const SHARED_ROUTES: [(&str, SharedEndpoint); 4] = [
+const SHARED_ROUTES: [(&str, SharedEndpoint); 3] = [
     ("/metrics", |req, _| match req.query.get("format").map(String::as_str) {
-        Some("prometheus") => prometheus(),
+        Some("prometheus") => {
+            let text = ("text/plain; version=0.0.4", metrics_prometheus_text());
+            Response { text: Some(text), ..Response::new(200, Json::Null) }
+        }
         Some(other) => {
             Response::error(400, &format!("unknown metrics format {other:?} (try \"prometheus\")"))
         }
         None => Response::new(200, metrics_snapshot_json()),
     }),
-    ("/metrics/prometheus", |_, _| prometheus()),
     // The last `trace_ring` requests with their stage timings.
     ("/debug/traces", |_, traces| Response::new(200, traces.to_json())),
     // The live Chrome trace buffer (empty unless collection is on).
     ("/debug/trace.json", |_, _| Response::new(200, ahntp_telemetry::chrome_trace_json())),
 ];
-
-fn prometheus() -> Response {
-    let text = ("text/plain; version=0.0.4", metrics_prometheus_text());
-    Response { text: Some(text), ..Response::new(200, Json::Null) }
-}
 
 /// `name` borrowed from `known` when it is there, else an owned copy.
 fn interned(mut known: impl Iterator<Item = &'static str>, name: &str) -> Cow<'static, str> {

@@ -2,8 +2,8 @@
 //!
 //! Every request handled by the server — traced or not — deposits a
 //! [`RequestTrace`] here: its trace id, method, path, status, wall-clock,
-//! and the per-stage breakdown `POST /score` collects on its way through
-//! the queue and the batcher. `GET /debug/traces` renders the ring as
+//! and the per-stage breakdown an endpoint collects on its way (for
+//! `POST /score`: parse, index read guard, score). `GET /debug/traces` renders the ring as
 //! JSON, newest last, so an operator can inspect the last N requests of a
 //! live server without any external tooling. The ring is fixed-size
 //! ([`ServeConfig::trace_ring`](crate::ServeConfig::trace_ring)); old

@@ -42,8 +42,7 @@ fn fmt_f64(v: f64) -> String {
 }
 
 /// Renders every registered metric in Prometheus text exposition format.
-/// Served by `ahntp-serve` at `GET /metrics?format=prometheus` and
-/// `GET /metrics/prometheus`.
+/// Served by `ahntp-serve` at `GET /metrics?format=prometheus`.
 pub fn metrics_prometheus_text() -> String {
     let snap = metrics_snapshot();
     let mut out = String::new();

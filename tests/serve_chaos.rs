@@ -1,22 +1,25 @@
 //! Chaos suite for the serving stack: armed failpoints (`ahntp-faultz`)
-//! inject delays, errors, and queue rejections into a live server, and
-//! every failure mode must stay inside the fault-tolerance contract —
-//! shed requests answer `503` with `Retry-After`, slow batches never hang
-//! a client past the per-request deadline (`504` + `Retry-After`), the
-//! batcher degrades to per-pair scoring instead of failing, `/healthz`
-//! stays live throughout, and the metrics snapshot accounts for every
-//! injected event.
+//! inject delays, errors, panics and socket faults into a running
+//! server, and every failure mode must stay inside the fault-tolerance
+//! contract — an `/events` batch whose applier is gone answers `503` with
+//! `Retry-After`, a slow applier never hangs a client past the
+//! per-request deadline (`504` + `Retry-After`), `/healthz` stays live
+//! throughout, and the metrics snapshot accounts for every injected
+//! event.
 //!
 //! Every test runs under an execution context of its own
 //! (`ahntp_par::Context::fresh`), which every server it starts inherits:
 //! its failpoints fault only its own servers and `/metrics` counts only its
 //! own requests, so the tests run in parallel and assert exact numbers.
 
+use ahntp::{Ahntp, AhntpConfig};
 use ahntp_bench::loadgen::{run_load, LoadConfig};
+use ahntp_data::{DatasetConfig, TrustDataset};
 use ahntp_faultz::{self as faultz, Action, FaultSpec};
 use ahntp_par::Context;
 use ahntp_serve::client::Client;
-use ahntp_serve::{serve, ServeConfig, ServerHandle, TrustIndex};
+use ahntp_serve::{serve, serve_live, ServeConfig, ServerHandle, TrustIndex};
+use ahntp_stream::{LiveTrustModel, StalenessBound};
 use ahntp_telemetry::json::{parse, Json};
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
@@ -43,19 +46,39 @@ fn toy_index() -> TrustIndex {
     TrustIndex::from_artifact(artifact).expect("toy artifact is valid")
 }
 
+fn config(deadline: Duration) -> ServeConfig {
+    ServeConfig {
+        workers: 2,
+        deadline,
+        retry_after: Duration::from_secs(2),
+        ..ServeConfig::default()
+    }
+}
+
 fn start(deadline: Duration) -> ServerHandle {
     ahntp_telemetry::set_enabled(true);
-    serve(
-        toy_index(),
-        &ServeConfig {
-            workers: 2,
-            deadline,
-            retry_after: Duration::from_secs(2),
-            ..ServeConfig::default()
-        },
-    )
-    .expect("bind loopback")
+    serve(toy_index(), &config(deadline)).expect("bind loopback")
 }
+
+/// A live server over a small untrained model: what the `/events`
+/// faults run against.
+fn start_live(deadline: Duration) -> ServerHandle {
+    ahntp_telemetry::set_enabled(true);
+    let model = || {
+        let ds = TrustDataset::generate(&DatasetConfig::ciao_like(N_USERS, 5));
+        let split = ds.split(0.8, 0.2, 2, 42);
+        let cfg = AhntpConfig {
+            conv_dims: vec![8, 4],
+            tower_dims: vec![4],
+            ..AhntpConfig::default()
+        };
+        let model = Ahntp::new(&ds.features, &ds.attributes, &split.train_graph, &cfg);
+        Box::new(model) as Box<dyn LiveTrustModel>
+    };
+    serve_live(model, StalenessBound::immediate(), &config(deadline)).expect("bind loopback")
+}
+
+const EVENTS: &str = r#"{"events":[{"op":"decay","factor":0.9}]}"#;
 
 const TIMEOUT: Duration = Duration::from_secs(10);
 
@@ -63,8 +86,8 @@ fn connect(addr: SocketAddr) -> Client {
     Client::connect(addr, TIMEOUT).expect("connect")
 }
 
-fn post_score(addr: SocketAddr, body: &str) -> (u16, BTreeMap<String, String>, String) {
-    let r = connect(addr).post("/score", body).expect("POST /score");
+fn post(addr: SocketAddr, path: &str, body: &str) -> (u16, BTreeMap<String, String>, String) {
+    let r = connect(addr).post(path, body).expect("POST");
     (r.status, r.headers, r.body)
 }
 
@@ -84,99 +107,66 @@ fn metric(addr: SocketAddr, name: &str) -> f64 {
     metrics(addr).get(name).and_then(Json::as_f64).unwrap_or(0.0)
 }
 
-/// A batch delay far past the deadline: the client gets `504` +
+/// An apply delay far past the deadline: the client gets `504` +
 /// `Retry-After` while the delayed batch is still held up — not after it —
-/// and `/healthz` (which never touches the queue) stays live throughout.
+/// and `/healthz` (which never touches the applier) stays live throughout.
 #[test]
 fn injected_batch_delay_never_hangs_a_client_past_the_deadline() {
     Context::fresh().run(|| {
-        let server = start(Duration::from_millis(100));
+        let server = start_live(Duration::from_millis(100));
         let addr = server.addr();
-        let _fault = faultz::scoped("serve.batch", FaultSpec::new(Action::Delay(2_000)));
+        let _fault = faultz::scoped("stream.apply", FaultSpec::new(Action::Delay(2_000)));
 
-        let (status, headers, body) = post_score(addr, r#"{"pairs":[[0,1]]}"#);
+        let (status, headers, body) = post(addr, "/events", EVENTS);
         assert_eq!(status, 504, "{body}");
         assert_eq!(headers.get("retry-after").map(String::as_str), Some("2"));
         assert!(body.contains("deadline"), "{body}");
 
         // The order of events, not their wall-clock: when the client holds
-        // the 504 the batcher has picked the job up (the batch is sized
-        // before the `serve.batch` site sleeps) and the delay has fired, but
-        // the kernel behind the delay has not run (it counts its calls only
-        // once the site returns). So the answer came from the deadline, not
-        // from the end of the injected delay.
+        // the 504 the applier has picked the batch up (it is sized before
+        // the `stream.apply` site sleeps) and the delay has fired, but the
+        // event behind the delay has not been applied (`stream.events`
+        // counts only once the site returns). So the answer came from the
+        // deadline, not from the end of the injected delay.
         let now = metrics(addr);
         let count = |name: &str| now.get(name).and_then(Json::as_f64).unwrap_or(0.0);
-        let batches = now.get("serve.score.batch_size").and_then(|h| h.get("count"));
+        let batches = now.get("serve.ingest.batch_size").and_then(|h| h.get("count"));
         assert_eq!(batches.and_then(Json::as_f64), Some(1.0), "{}", now.to_line());
-        assert_eq!(
-            count("serve.score_pairs.exact.calls"),
-            0.0,
-            "{}",
-            now.to_line()
-        );
+        assert_eq!(count("stream.events"), 0.0, "{}", now.to_line());
         assert_eq!(count("serve.deadline_exceeded"), 1.0);
         assert_eq!(count("faultz.triggered"), 1.0);
-        assert_eq!(count("faultz.serve.batch.triggered"), 1.0);
+        assert_eq!(count("faultz.stream.apply.triggered"), 1.0);
 
-        // Liveness is queue-independent: healthz answers while scoring stalls.
+        // Liveness is applier-independent: healthz answers while ingest stalls.
         let (status, _, body) = get(addr, "/healthz");
         assert_eq!(status, 200, "{body}");
         server.shutdown();
     });
 }
 
-/// An erroring batch kernel degrades to per-pair scoring: clients still
-/// get correct `200` answers, and `serve.degraded` counts the fallback.
-#[test]
-fn injected_batch_error_degrades_to_per_pair_scoring() {
-    Context::fresh().run(batch_error_degrades);
-}
-
-fn batch_error_degrades() {
-    let server = start(Duration::from_secs(2));
-    let addr = server.addr();
-    let _fault = faultz::scoped("serve.batch", FaultSpec::new(Action::Err));
-
-    let (status, _, body) = post_score(addr, r#"{"pairs":[[0,1],[2,5],[3,3]]}"#);
-    assert_eq!(status, 200, "degraded mode must still answer: {body}");
-    let doc = parse(&body).expect("score JSON");
-    let Some(Json::Arr(scores)) = doc.get("scores") else {
-        panic!("no scores in {body}");
-    };
-    let index = toy_index();
-    let expected = index.score_pairs(&[(0, 1), (2, 5), (3, 3)]).unwrap();
-    assert_eq!(scores.len(), expected.len());
-    for (got, want) in scores.iter().zip(&expected) {
-        let got = got.as_f64().unwrap();
-        assert!(
-            (got - f64::from(*want)).abs() < 1e-6,
-            "degraded score {got} vs batched {want}"
-        );
-    }
-    assert_eq!(metric(addr, "serve.degraded"), 1.0);
-    server.shutdown();
-}
-
-/// A rejected enqueue sheds the request: `503` + `Retry-After`, counted
-/// in `serve.shed`, with `/healthz` unaffected.
+/// An applier killed by an injected panic: the batch it held and every
+/// batch after it — refused by the closed channel — shed with `503` +
+/// `Retry-After`, counted in `serve.shed`, with `/healthz` unaffected.
 #[test]
 fn injected_enqueue_rejection_sheds_with_retry_after() {
     Context::fresh().run(enqueue_rejection_sheds);
 }
 
 fn enqueue_rejection_sheds() {
-    let server = start(Duration::from_secs(2));
+    let server = start_live(Duration::from_secs(2));
     let addr = server.addr();
-    let _fault = faultz::scoped("serve.enqueue", FaultSpec::new(Action::Err));
+    let _fault = faultz::scoped("stream.apply", FaultSpec::new(Action::Panic));
 
-    let (status, headers, body) = post_score(addr, r#"{"pairs":[[0,1]]}"#);
-    assert_eq!(status, 503, "{body}");
-    assert_eq!(headers.get("retry-after").map(String::as_str), Some("2"));
-    assert!(body.contains("queue full"), "{body}");
+    for _ in 0..2 {
+        let (status, headers, body) = post(addr, "/events", EVENTS);
+        assert_eq!(status, 503, "{body}");
+        assert_eq!(headers.get("retry-after").map(String::as_str), Some("2"));
+        assert!(body.contains("ingest backend stopped"), "{body}");
+    }
     let (status, _, _) = get(addr, "/healthz");
     assert_eq!(status, 200);
-    assert_eq!(metric(addr, "serve.shed"), 1.0);
+    assert_eq!(metric(addr, "serve.shed"), 2.0);
+    assert_eq!(metric(addr, "faultz.stream.apply.triggered"), 1.0);
     server.shutdown();
 }
 
@@ -193,10 +183,10 @@ fn nth_gated_request_fault() {
     let addr = server.addr();
     let _fault = faultz::scoped("serve.request", FaultSpec::new(Action::Err).on_nth(1));
 
-    let (status, _, body) = post_score(addr, r#"{"pairs":[[0,1]]}"#);
+    let (status, _, body) = post(addr, "/score", r#"{"pairs":[[0,1]]}"#);
     assert_eq!(status, 500, "{body}");
     assert!(body.contains("injected"), "{body}");
-    let (status, _, body) = post_score(addr, r#"{"pairs":[[0,1]]}"#);
+    let (status, _, body) = post(addr, "/score", r#"{"pairs":[[0,1]]}"#);
     assert_eq!(status, 200, "second request must be clean: {body}");
     let now = metrics(addr);
     for name in ["faultz.serve.request.triggered", "faultz.triggered", "serve.http.errors"] {
@@ -233,7 +223,7 @@ fn read_faults_drop_connections() {
     server.shutdown();
 }
 
-/// The loadgen under a 10ms injected batch delay: every request is
+/// The loadgen under a 10ms injected request delay: every request is
 /// answered (completed or failed, never hung), and the run finishes in
 /// bounded time. Prints baseline-vs-chaos numbers for EXPERIMENTS.md.
 #[test]
@@ -258,7 +248,7 @@ fn loadgen_under_injected_delay() {
     let server = start(Duration::from_millis(200));
     let addr = server.addr();
     let chaos = {
-        let _fault = faultz::scoped("serve.batch", FaultSpec::new(Action::Delay(10)));
+        let _fault = faultz::scoped("serve.request", FaultSpec::new(Action::Delay(10)));
         run_load(addr, &cfg)
     };
     let deadline_exceeded = metric(addr, "serve.deadline_exceeded");
@@ -269,8 +259,8 @@ fn loadgen_under_injected_delay() {
         total,
         "every request must be answered under injected delay"
     );
-    // With a 10ms delay per batch and a 200ms deadline, most requests
-    // still complete; the rest must be accounted for as deadline/shed.
+    // `/score` waits on no other thread, so a 10ms delay per request only
+    // slows the run; a failure must be accounted for as deadline/shed.
     assert!(
         chaos.completed > 0,
         "nothing completed under a 10ms delay: {}",

@@ -187,7 +187,6 @@ fn serve_smoke(test_pairs: &[LabeledPair], model: &Ahntp) {
         .expect("batch-size histogram");
     assert_eq!(number(batches, "sum"), 370.0, "{body}");
     assert!((1.0..=91.0).contains(&number(batches, "count")), "{body}");
-    assert!(metrics.get("serve.queue.depth").is_some());
 
     // The same histograms land in a run ledger's run_end record.
     let dir = std::env::temp_dir().join(format!("ahntp-serve-smoke-{}", std::process::id()));

@@ -14,7 +14,7 @@
 //! 2. **Serving**: a loadgen run against a live server. Every response
 //!    carries an `X-Ahntp-Trace-Id` header (printed for the CI grep),
 //!    the debug ring and Prometheus endpoints answer, and the collected
-//!    trace nests each request's queue/batch/score stages under the
+//!    trace nests each request's parse/queue.wait/score stages under the
 //!    request's own trace-id lane.
 //!
 //! When `AHNTP_TRACE_OUT` is set (as in CI), each scenario flushes the
@@ -284,12 +284,12 @@ fn serving_scenario() {
     let with_stages = traces
         .iter()
         .filter(|t| t.get("path").and_then(Json::as_str) == Some("/score"))
-        .filter(|t| matches!(t.get("stages"), Some(Json::Arr(s)) if s.len() >= 4))
+        .filter(|t| matches!(t.get("stages"), Some(Json::Arr(s)) if s.len() >= 3))
         .count();
     assert!(with_stages > 0, "no staged /score entries in the ring: {body}");
 
     // Prometheus exposition answers with the serve metrics.
-    let Response { status, body, .. } = conn.get("/metrics/prometheus").unwrap();
+    let Response { status, body, .. } = conn.get("/metrics?format=prometheus").unwrap();
     assert_eq!(status, 200);
     assert!(body.contains("# TYPE serve_request_us summary"), "{body}");
     assert!(body.contains("serve_http_requests"), "{body}");
@@ -297,7 +297,7 @@ fn serving_scenario() {
     server.shutdown();
 
     // The collected trace: request lanes (pid 2) keyed by trace id, each
-    // serve.request span nesting its queue/batch/score stages.
+    // serve.request span nesting its parse/queue.wait/score stages.
     let dir = temp_dir("serve");
     std::fs::create_dir_all(&dir).unwrap();
     let trace_path = dir.join("trace.json");
@@ -314,7 +314,7 @@ fn serving_scenario() {
         .count();
     // The loadgen's 2 × 25 /score requests plus the three GETs above.
     assert_eq!(roots, 53, "one serve.request span per request this server answered");
-    for stage in ["serve.parse", "serve.enqueue", "serve.queue.wait", "serve.score"] {
+    for stage in ["serve.parse", "serve.queue.wait", "serve.score"] {
         assert!(
             request_lanes
                 .iter()
