@@ -18,9 +18,9 @@
 //! a per-request Chrome-trace lane (`pid` 2, `tid` = trace id) with its
 //! stages nested inside. Unreadable requests get `400` / `413` and the
 //! connection closed. `GET /metrics` (`?format=prometheus` for the text
-//! format), `/debug/traces` and `/debug/trace.json` are answered here; every other
-//! route comes from the [`Handler`]'s table, and `404` / `405` are derived
-//! from the two tables, so no path list is kept by hand.
+//! format), `/debug/traces` and `/debug/trace.json` are answered here;
+//! every other route comes from the [`Handler`]'s table, and `404` / `405`
+//! are derived from the two tables, so no path list is kept by hand.
 //!
 //! There are exactly two handlers: the node ([`crate::node`]) and the
 //! scatter-gather front ([`crate::shard`]). Each supplies its metric and
