@@ -336,6 +336,17 @@ impl Var {
         self.graph.nodes.borrow()[self.id].value.clone()
     }
 
+    /// Moves the node's value out, leaving an empty `0 × 0` matrix: how a
+    /// forward-only caller gets back a large constant it lent the tape,
+    /// without a copy. Whatever reads the node afterwards sees the empty
+    /// matrix, so take it only once nothing else will.
+    pub fn take_value(&self) -> Tensor {
+        std::mem::replace(
+            &mut self.graph.nodes.borrow_mut()[self.id].value,
+            Tensor::zeros(0, 0),
+        )
+    }
+
     /// The node's shape without copying the data.
     pub fn shape(&self) -> Shape {
         self.graph.nodes.borrow()[self.id].value.shape()

@@ -15,8 +15,8 @@ use ahntp_nn::loss::{
     supervised_contrastive, ContrastiveBatch, COSINE_CALIBRATION,
 };
 use ahntp_nn::{
-    Adam, AdaptiveHypergraphConv, HypergraphConv, HypergraphLayer, Mlp, Module, Optimizer, Param,
-    Session, TrainState, TrustArtifact,
+    Adam, AdaptiveHypergraphConv, EdgeFeatures, HypergraphConv, HypergraphLayer, Mlp, Module,
+    Optimizer, Param, Session, TrainState, TrustArtifact,
 };
 use ahntp_stream::{AppliedEvent, HeadPatch, HyperGroup, LiveTrustModel, StreamError, TrustEvent};
 use ahntp_tensor::{CsrMatrix, SplitMix64, Tensor};
@@ -44,7 +44,8 @@ fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
 /// full hypergraph forward.
 ///
 /// Per tier (indexed by `HyperGroup as usize`) it also keeps what a live
-/// refresh walks from: every activation of the forward, and the seeds.
+/// refresh walks from: every activation and every layer's hyperedge
+/// features of the forward, the seeds, and the hyperedges added since.
 #[derive(Clone)]
 struct HeadCache {
     emb: Tensor,
@@ -52,9 +53,102 @@ struct HeadCache {
     trustee: Tensor,
     /// Per tier: the tier MLP's output `x^0`, then `x^1 … x^L`.
     layers: [Vec<Tensor>; 2],
+    /// Per tier and layer: the hyperedge features, one row per hyperedge
+    /// id, kept in step with the ids as the edge-weight columns are.
+    edges: [Vec<LayerEdges>; 2],
     /// Per tier: the members of every hyperedge added, removed or renamed
     /// since the last refresh.
     seeds: [Vec<usize>; 2],
+    /// Per tier: the ids of the hyperedges added since the last refresh,
+    /// whose rows in `edges` are placeholders until it runs.
+    added: [Vec<usize>; 2],
+}
+
+/// One layer's hyperedge features as the head cache keeps them: `h_e`
+/// (`m × in`) and, for the adaptive layer, `W h̃_e` (`m × out`).
+#[derive(Clone)]
+struct LayerEdges {
+    h_e: Tensor,
+    projected: Option<Tensor>,
+}
+
+impl LayerEdges {
+    fn of(edges: &EdgeFeatures) -> LayerEdges {
+        LayerEdges {
+            h_e: edges.h_e.value(),
+            projected: edges.projected.as_ref().map(Var::value),
+        }
+    }
+
+    fn matrices(&mut self) -> impl Iterator<Item = &mut Tensor> {
+        std::iter::once(&mut self.h_e).chain(self.projected.as_mut())
+    }
+
+    /// Writes the rows `ids` of freshly computed features.
+    fn patch(&mut self, ids: &[usize], fresh: &EdgeFeatures) {
+        scatter_rows(&mut self.h_e, ids, &fresh.h_e.value());
+        if let (Some(cached), Some(fresh)) = (&mut self.projected, &fresh.projected) {
+            scatter_rows(cached, ids, &fresh.value());
+        }
+    }
+
+    /// Runs `f` on these features recorded as constants of `s` (see
+    /// [`lend`]).
+    fn lend<R>(&mut self, s: &Session, f: impl FnOnce(&EdgeFeatures) -> R) -> R {
+        lend(s, &mut self.h_e, |h_e| match &mut self.projected {
+            Some(projected) => lend(s, projected, |projected| {
+                f(&EdgeFeatures {
+                    h_e: h_e.clone(),
+                    projected: Some(projected.clone()),
+                })
+            }),
+            None => f(&EdgeFeatures {
+                h_e: h_e.clone(),
+                projected: None,
+            }),
+        })
+    }
+}
+
+/// Runs `f` on `t` recorded as a constant of `s`: the buffer moves onto
+/// the tape and back instead of being copied.
+fn lend<R>(s: &Session, t: &mut Tensor, f: impl FnOnce(&Var) -> R) -> R {
+    let v = s.constant(std::mem::replace(t, Tensor::zeros(0, 0)));
+    let out = f(&v);
+    *t = v.take_value();
+    out
+}
+
+/// Row `k` of `src` into row `rows[k]` of `dst`, for every `k`.
+fn scatter_rows(dst: &mut Tensor, rows: &[usize], src: &Tensor) {
+    for (k, &r) in rows.iter().enumerate() {
+        dst.row_mut(r).copy_from_slice(src.row(k));
+    }
+}
+
+/// Appends a row filled with `value`, moving the buffer.
+fn push_row(t: &mut Tensor, value: f32) {
+    let (rows, cols) = (t.rows(), t.cols());
+    let mut data = std::mem::replace(t, Tensor::zeros(0, 0)).into_vec();
+    data.resize((rows + 1) * cols, value);
+    *t = Tensor::matrix(rows + 1, cols, data);
+}
+
+/// Moves the last row into row `r` and drops the last: the swap-remove
+/// rename of hyperedge ids.
+fn swap_remove_row(t: &mut Tensor, r: usize) {
+    let (last, cols) = (t.rows() - 1, t.cols());
+    let mut data = std::mem::replace(t, Tensor::zeros(0, 0)).into_vec();
+    data.copy_within(last * cols.., r * cols);
+    data.truncate(last * cols);
+    *t = Tensor::matrix(last, cols, data);
+}
+
+/// One tier's forward: every activation (`x^0`, then each layer's output)
+/// and each layer's hyperedge features.
+struct TierForward {
+    acts: Vec<Var>,
+    edges: Vec<EdgeFeatures>,
 }
 
 /// One stack of hypergraph convolutions over a fixed hypergraph — adaptive
@@ -87,14 +181,17 @@ impl ConvStack {
     }
 
     /// Forward pass against an explicit operator set — the full extraction
-    /// or a sampled hyperedge slice — keeping every activation: `x`, then
-    /// each layer's output in turn.
-    fn activations(&self, s: &Session, ops: &AggregationOps, x: Var) -> Vec<Var> {
+    /// or a sampled hyperedge slice — keeping every activation (`x`, then
+    /// each layer's output in turn) and each layer's hyperedge features.
+    fn forward(&self, s: &Session, ops: &AggregationOps, x: Var) -> TierForward {
         let mut acts = vec![x];
+        let mut edges = Vec::with_capacity(self.0.len());
         for layer in &self.0 {
-            acts.push(layer.forward_on(s, ops, &acts[acts.len() - 1]));
+            let (y, e) = layer.forward_with_edges(s, ops, &acts[acts.len() - 1]);
+            acts.push(y);
+            edges.push(e);
         }
-        acts
+        TierForward { acts, edges }
     }
 
     fn params(&self) -> Vec<Param> {
@@ -345,27 +442,28 @@ impl Ahntp {
         Self::embedding(s, &self.tier_activations(s, node_ops, struct_ops))
     }
 
-    /// Per tier — node-level, then structure-level — every activation of
-    /// the embedding forward: the tier MLP's output `x^0`, then each
-    /// convolution layer's output `x^1 … x^L`.
+    /// Per tier — node-level, then structure-level — the embedding
+    /// forward: the tier MLP's output `x^0`, then each convolution layer's
+    /// output `x^1 … x^L` and hyperedge features.
     fn tier_activations(
         &self,
         s: &Session,
         node_ops: &AggregationOps,
         struct_ops: &AggregationOps,
-    ) -> [Vec<Var>; 2] {
+    ) -> [TierForward; 2] {
         let x = s.constant(self.features.clone());
         [
             self.node_stack
-                .activations(s, node_ops, self.node_mlp.forward(s, &x)),
+                .forward(s, node_ops, self.node_mlp.forward(s, &x)),
             self.struct_stack
-                .activations(s, struct_ops, self.struct_mlp.forward(s, &x)),
+                .forward(s, struct_ops, self.struct_mlp.forward(s, &x)),
         ]
     }
 
     /// The comprehensive embedding: the two tiers' last activations side
     /// by side.
-    fn embedding(s: &Session, [node, stru]: &[Vec<Var>; 2]) -> Var {
+    fn embedding(s: &Session, [node, stru]: &[TierForward; 2]) -> Var {
+        let (node, stru) = (&node.acts, &stru.acts);
         s.graph()
             .concat_cols(&[&node[node.len() - 1], &stru[stru.len() - 1]])
     }
@@ -425,12 +523,19 @@ impl Ahntp {
     }
 
     /// The scoring head under the current parameters, computed on first
-    /// use and cached until the next parameter update. A rebuilt head is
-    /// current with the structure, so it starts with no seeds pending.
+    /// use and cached until the next parameter update.
     fn head(&self) -> Rc<HeadCache> {
         if let Some(head) = self.head_cache.borrow().as_ref() {
             return Rc::clone(head);
         }
+        let head = Rc::new(self.forward_head());
+        *self.head_cache.borrow_mut() = Some(Rc::clone(&head));
+        head
+    }
+
+    /// The scoring head by a full forward. It is current with the
+    /// structure, so it starts with no seeds pending.
+    fn forward_head(&self) -> HeadCache {
         let s = Session::new();
         let tiers = self.tier_activations(
             &s,
@@ -440,15 +545,19 @@ impl Ahntp {
         let emb = Self::embedding(&s, &tiers);
         let trustor = self.tower_a.forward(&s, &emb).value();
         let trustee = self.tower_b.forward(&s, &emb).value();
-        let head = Rc::new(HeadCache {
+        HeadCache {
             emb: emb.value(),
             trustor,
             trustee,
-            layers: tiers.map(|acts| acts.iter().map(Var::value).collect()),
+            layers: tiers
+                .each_ref()
+                .map(|tier| tier.acts.iter().map(Var::value).collect()),
+            edges: tiers
+                .each_ref()
+                .map(|tier| tier.edges.iter().map(LayerEdges::of).collect()),
             seeds: Default::default(),
-        });
-        *self.head_cache.borrow_mut() = Some(Rc::clone(&head));
-        head
+            added: Default::default(),
+        }
     }
 
     /// The comprehensive user embedding matrix (`n × 2·conv_dims.last()`),
@@ -634,16 +743,23 @@ impl Ahntp {
     }
 
     /// Brings `head` up to date with the structure by walking each tier's
-    /// seeds forward one layer at a time. Layer `l` rewrites rows `T_l`
-    /// of `x^{l+1}` from `x^l` over the closed cone `closure(T_l, 1)` —
-    /// every hyperedge incident to `T_l` and all their members — and that
-    /// cone is `T_{l+1}`; `T_0` is the seeds. A vertex's layer output
-    /// depends only on its incident hyperedges and their members' inputs,
-    /// the cone keeps the full operators' per-row order
-    /// ([`AggregationCache::cone_ops`]) and every product row is its own
-    /// accumulation chain, so each rewritten row is bitwise the full
-    /// forward's and no row outside `T_l` changed. A tier without seeds
-    /// does nothing; the towers run on the embedding rows that changed.
+    /// seeds forward one layer at a time. Layer `l` rewrites rows `T_l` of
+    /// `x^{l+1}`, where `T_0` is the seeds and `T_l = closure(T_{l−1}, 1)`.
+    /// It first recomputes the hyperedges `E_l` whose features changed —
+    /// those with a member in `T_{l−1}`, whose `x^l` row was rewritten; at
+    /// `l = 0` only the hyperedges added since the last refresh, since
+    /// `x^0` is the tier MLP of fixed features — and patches their rows in
+    /// the cached features. It then runs the vertex half on `T_l` over the
+    /// whole cached feature matrices: a vertex's output depends only on its
+    /// own input, its incident hyperedges and their features, and `T_l`
+    /// holds every vertex where one of those changed. The operator rows
+    /// come straight off the lists ([`AggregationCache::edge_rows`],
+    /// [`AggregationCache::vertex_rows`]) and keep the full operators'
+    /// entries and order, and every product row is its own accumulation
+    /// chain, so each rewritten row is bitwise the full forward's and no
+    /// other row changed. A tier without seeds does nothing; the towers run
+    /// on the embedding rows that changed. Counts the recomputed hyperedge
+    /// rows in `core.refresh.edge_rows`.
     fn catch_up(&self, head: &mut HeadCache) {
         let d = *self.cfg.conv_dims.last().expect("validated non-empty");
         let s = Session::new();
@@ -651,23 +767,31 @@ impl Ahntp {
         for group in [HyperGroup::Node, HyperGroup::Structure] {
             let t = group as usize;
             let seeds = std::mem::take(&mut head.seeds[t]);
+            let mut edges = std::mem::take(&mut head.added[t]);
             if seeds.is_empty() {
                 continue;
             }
             let (cache, stack) = self.tier(group);
+            edges.sort_unstable();
             let mut rows = cache.closure(&seeds, 0);
             for (l, layer) in stack.0.iter().enumerate() {
-                let cone = cache.closure(&rows, 1);
-                let ops = cache.cone_ops(&cache.incident_edges(&rows), &cone);
-                let x = s.constant(head.layers[t][l].gather_rows(&cone));
-                let y = layer.forward_on(&s, &ops, &x).value();
-                for &u in &rows {
-                    let k = cone.partition_point(|&v| v < u);
-                    head.layers[t][l + 1].row_mut(u).copy_from_slice(y.row(k));
+                if l > 0 {
+                    edges = cache.incident_edges(&rows);
+                    rows = cache.closure(&rows, 1);
                 }
-                if l + 1 < stack.0.len() {
-                    rows = cone;
+                ahntp_telemetry::counter_add("core.refresh.edge_rows", edges.len() as u64);
+                let (inputs, outputs) = head.layers[t].split_at_mut(l + 1);
+                let (x, cached) = (&mut inputs[l], &mut head.edges[t][l]);
+                if !edges.is_empty() {
+                    let v2e = Rc::new(cache.edge_rows(&edges));
+                    let ids = Rc::new(std::mem::take(&mut edges));
+                    let fresh = lend(&s, x, |x| layer.edge_half(&s, &v2e, Some(&ids), x));
+                    cached.patch(&ids, &fresh);
                 }
+                let targets = cache.vertex_rows(&rows);
+                let x_rows = s.constant(x.gather_rows(&rows));
+                let y = cached.lend(&s, |e| layer.vertex_half(&s, &targets, &x_rows, e).value());
+                scatter_rows(&mut outputs[0], &rows, &y);
             }
             for &u in &rows {
                 let out = head.layers[t][stack.0.len()].row(u);
@@ -681,12 +805,16 @@ impl Ahntp {
         changed.sort_unstable();
         changed.dedup();
         let emb = s.constant(head.emb.gather_rows(&changed));
-        let trustor = self.tower_a.forward(&s, &emb).value();
-        let trustee = self.tower_b.forward(&s, &emb).value();
-        for (k, &u) in changed.iter().enumerate() {
-            head.trustor.row_mut(u).copy_from_slice(trustor.row(k));
-            head.trustee.row_mut(u).copy_from_slice(trustee.row(k));
-        }
+        scatter_rows(
+            &mut head.trustor,
+            &changed,
+            &self.tower_a.forward(&s, &emb).value(),
+        );
+        scatter_rows(
+            &mut head.trustee,
+            &changed,
+            &self.tower_b.forward(&s, &emb).value(),
+        );
     }
 }
 
@@ -703,8 +831,10 @@ impl LiveTrustModel for Ahntp {
     /// weight columns in step with the hypergraph — a new edge starts at
     /// the initialisation weight `1.0`, a removed edge's slot is taken by
     /// the renamed last edge, mirroring the swap-remove id rename — and
-    /// mark the model as structurally mutated (training is refused
-    /// afterwards). Their seeds are the members of the added hyperedge, or
+    /// the cached head's hyperedge-feature rows the same way (an added
+    /// edge's rows are placeholders, recorded for the next refresh to
+    /// compute), and mark the model as structurally mutated (training is
+    /// refused afterwards). Their seeds are the members of the added hyperedge, or
     /// of the removed one and of the one renamed into its slot: the only
     /// users whose incident-edge lists changed. The seeds are kept for the
     /// next refresh, and the affected users are `closure(seeds, L − 1)`:
@@ -726,13 +856,19 @@ impl LiveTrustModel for Ahntp {
                 weight,
             } => {
                 let (cache, stack) = self.tier_mut(*group);
-                cache.apply_add(members, *weight)?;
+                let e = cache.apply_add(members, *weight)?;
                 for p in stack.edge_weight_params() {
-                    let t = p.value();
-                    let rows = t.rows();
-                    let mut data = t.into_vec();
-                    data.push(1.0);
-                    p.set_value(Tensor::matrix(rows + 1, 1, data));
+                    let mut w = p.value();
+                    push_row(&mut w, 1.0);
+                    p.set_value(w);
+                }
+                if let Some(head) = self.head_cache.get_mut() {
+                    let head = Rc::make_mut(head);
+                    let t = *group as usize;
+                    for layer in &mut head.edges[t] {
+                        layer.matrices().for_each(|m| push_row(m, 0.0));
+                    }
+                    head.added[t].push(e);
                 }
                 (*group, members.clone())
             }
@@ -740,13 +876,23 @@ impl LiveTrustModel for Ahntp {
                 let (cache, stack) = self.tier_mut(*group);
                 let removed = cache.apply_remove(*edge)?;
                 for p in stack.edge_weight_params() {
-                    let t = p.value();
-                    let rows = t.rows();
-                    let mut data = t.into_vec();
-                    let last = rows - 1;
-                    data[*edge] = data[last];
-                    data.truncate(last);
-                    p.set_value(Tensor::matrix(last, 1, data));
+                    let mut w = p.value();
+                    swap_remove_row(&mut w, *edge);
+                    p.set_value(w);
+                }
+                if let Some(head) = self.head_cache.get_mut() {
+                    let head = Rc::make_mut(head);
+                    let t = *group as usize;
+                    for layer in &mut head.edges[t] {
+                        layer.matrices().for_each(|m| swap_remove_row(m, *edge));
+                    }
+                    let added = &mut head.added[t];
+                    added.retain(|&e| e != *edge);
+                    if let Some(moved) = &removed.moved {
+                        for e in added.iter_mut().filter(|e| **e == moved.old_id) {
+                            *e = *edge;
+                        }
+                    }
                 }
                 // The renamed edge changes its members' incident-edge
                 // summation order, so they seed the refresh alongside the
@@ -1631,13 +1777,148 @@ mod live_tests {
         }
     }
 
-    /// Matmul FLOPs `f` performs, counted in a context of its own.
-    fn matmul_flops(f: impl FnOnce()) -> u64 {
+    /// Asserts two matrices equal in shape and in every bit.
+    fn assert_bits(live: &Tensor, fresh: &Tensor, what: &str) {
+        assert_eq!(live.shape(), fresh.shape(), "{what}: shape");
+        for (i, (x, y)) in live.as_slice().iter().zip(fresh.as_slice()).enumerate() {
+            assert_eq!(
+                x.to_bits(),
+                y.to_bits(),
+                "{what}[{i}]: live {x} vs fresh {y}"
+            );
+        }
+    }
+
+    /// Asserts every matrix the cached head keeps — each tier's
+    /// activations and hyperedge features, the embedding and both towers —
+    /// equals a fresh full forward's bit for bit, with nothing pending.
+    fn assert_head_is_a_fresh_forward(model: &Ahntp, what: &str) {
+        let cache = model.head_cache.borrow();
+        let live = cache.as_ref().expect("the head is cached");
+        let fresh = model.forward_head();
+        for t in 0..2 {
+            assert!(
+                live.seeds[t].is_empty() && live.added[t].is_empty(),
+                "{what}: pending"
+            );
+            assert_eq!(live.layers[t].len(), fresh.layers[t].len());
+            for (l, (a, b)) in live.layers[t].iter().zip(&fresh.layers[t]).enumerate() {
+                assert_bits(a, b, &format!("{what}: tier {t} x^{l}"));
+            }
+            assert_eq!(live.edges[t].len(), fresh.edges[t].len());
+            for (l, (a, b)) in live.edges[t].iter().zip(&fresh.edges[t]).enumerate() {
+                assert_bits(&a.h_e, &b.h_e, &format!("{what}: tier {t} layer {l} h_e"));
+                match (&a.projected, &b.projected) {
+                    (Some(a), Some(b)) => {
+                        assert_bits(a, b, &format!("{what}: tier {t} layer {l} W h~_e"))
+                    }
+                    (None, None) => {}
+                    _ => panic!("{what}: tier {t} layer {l}: projections kept on one side only"),
+                }
+            }
+        }
+        assert_bits(&live.emb, &fresh.emb, &format!("{what}: emb"));
+        assert_bits(&live.trustor, &fresh.trustor, &format!("{what}: trustor"));
+        assert_bits(&live.trustee, &fresh.trustee, &format!("{what}: trustee"));
+    }
+
+    #[test]
+    fn the_cached_activations_and_hyperedge_features_stay_a_fresh_forward() {
+        let (m_node, m_struct) = trained_model().hyperedge_counts();
+        let add = |group, members: &[usize]| TrustEvent::AddEdge {
+            group,
+            members: members.to_vec(),
+            weight: 1.1,
+        };
+        let remove = |group, edge| TrustEvent::RemoveEdge { group, edge };
+        let events = [
+            add(HyperGroup::Node, &[3, 9, 21]),
+            // Renames the edge just added into slot 0.
+            remove(HyperGroup::Node, 0),
+            TrustEvent::ReweightEdge {
+                group: HyperGroup::Structure,
+                edge: 2,
+                weight: 0.6,
+            },
+            add(HyperGroup::Structure, &[0, 44]),
+            add(HyperGroup::Structure, &[5, 17, 60]),
+            // Removes the first of the two, renaming the second into it.
+            remove(HyperGroup::Structure, m_struct),
+            TrustEvent::Decay { factor: 0.93 },
+            remove(HyperGroup::Node, 5),
+            add(HyperGroup::Node, &[1, 2]),
+            // Removes the last edge, the one just added: nothing renamed.
+            remove(HyperGroup::Node, m_node - 1),
+        ];
+        for cfg in [
+            tiny_config(),
+            tiny_config().no_mpr(),
+            tiny_config().no_attention(),
+            tiny_config().no_contrastive(),
+        ] {
+            // One refresh per event, then per three: a batch leaves added
+            // edges pending across the removals that rename them.
+            for batch in [1, 3] {
+                let mut model = trained(&cfg);
+                Ahntp::export_artifact(&model);
+                for (k, chunk) in events.chunks(batch).enumerate() {
+                    let mut users = Vec::new();
+                    for event in chunk {
+                        users.extend(
+                            model
+                                .apply_event(event)
+                                .expect("valid event")
+                                .affected_users,
+                        );
+                    }
+                    users.sort_unstable();
+                    users.dedup();
+                    model.refresh_heads(&users);
+                    let what = format!("{} batch {batch} refresh {k}", model.name());
+                    assert_head_is_a_fresh_forward(&model, &what);
+                }
+            }
+        }
+    }
+
+    /// The value of counter `name` after `f`, counted in a context of its
+    /// own.
+    fn counted(name: &str, f: impl FnOnce()) -> u64 {
         ahntp_par::Context::fresh().run(|| {
             ahntp_telemetry::set_enabled(true);
             f();
-            ahntp_telemetry::counter_get("tensor.matmul.flops")
+            ahntp_telemetry::counter_get(name)
         })
+    }
+
+    #[test]
+    fn a_pair_add_recomputes_its_own_row_then_the_rows_around_its_seeds() {
+        let one_layer = AhntpConfig {
+            conv_dims: vec![8],
+            ..tiny_config()
+        };
+        for group in [HyperGroup::Node, HyperGroup::Structure] {
+            for cfg in [&one_layer, &tiny_config()] {
+                let mut model = trained(cfg);
+                Ahntp::export_artifact(&model);
+                let event = TrustEvent::AddEdge {
+                    group,
+                    members: vec![3, 9],
+                    weight: 1.0,
+                };
+                let applied = model.apply_event(&event).expect("valid event");
+                let rows = counted("core.refresh.edge_rows", || {
+                    model.refresh_heads(&applied.affected_users);
+                });
+                // Layer 0 recomputes the added hyperedge alone; layer 1 the
+                // hyperedges incident to its two members, itself included.
+                let expected = match cfg.conv_dims.len() {
+                    1 => 1,
+                    _ => 1 + model.tier(group).0.incident_edges(&[3, 9]).len() as u64,
+                };
+                assert_eq!(rows, expected, "{} over {:?}", group.name(), cfg.conv_dims);
+            }
+        }
     }
 
     #[test]
@@ -1651,10 +1932,10 @@ mod live_tests {
                 weight: 1.0,
             };
             let applied = model.apply_event(&event).expect("valid event");
-            let refresh = matmul_flops(|| {
+            let refresh = counted("tensor.matmul.flops", || {
                 model.refresh_heads(&applied.affected_users);
             });
-            let rebuild = matmul_flops(|| {
+            let rebuild = counted("tensor.matmul.flops", || {
                 model.rebuild_artifact();
             });
             assert!(

@@ -15,9 +15,10 @@
 //! extraction runs, so "bitwise equal to a rebuild" holds by construction.
 //! The streaming path never asks for them: it walks the two lists
 //! ([`AggregationCache::closure`], [`AggregationCache::incident_edges`]) and
-//! cuts its cones from the member lists ([`AggregationCache::cone_ops`]).
+//! reads the operator rows it recomputes straight off them
+//! ([`AggregationCache::edge_rows`], [`AggregationCache::vertex_rows`]).
 
-use crate::{AggregationOps, Hypergraph, HypergraphError, RemovedEdge};
+use crate::{AggregationOps, Hypergraph, HypergraphError, RemovedEdge, VertexRows};
 use ahntp_tensor::CsrMatrix;
 use std::cell::{OnceCell, RefCell};
 use std::rc::Rc;
@@ -177,7 +178,7 @@ impl AggregationCache {
         self.drop_laplacians();
     }
 
-    // --- the live lists and cone extraction ----------------------------------
+    // --- the live lists and the operator rows read off them -----------------
 
     /// The per-vertex incident-hyperedge lists (ascending ids per vertex),
     /// built on first use and kept in step with every mutation.
@@ -196,11 +197,13 @@ impl AggregationCache {
     /// Vertices within `hops` hyperedge expansions of `seed` (including the
     /// seed itself), sorted ascending. One hop takes a vertex to every
     /// member of every hyperedge incident to it — the dependency footprint
-    /// of one convolution layer.
+    /// of one convolution layer. Each hyperedge's members are walked once
+    /// per call, however many frontier vertices it touches.
     pub fn closure(&self, seed: &[usize], hops: usize) -> Vec<usize> {
         let adj = self.adjacency();
         let n = self.h.n_vertices();
         let mut in_set = vec![false; n];
+        let mut expanded = vec![false; self.h.n_edges()];
         let mut frontier: Vec<usize> = Vec::new();
         for &v in seed {
             if !in_set[v] {
@@ -212,6 +215,9 @@ impl AggregationCache {
             let mut next = Vec::new();
             for &v in &frontier {
                 for &e in &adj[v] {
+                    if std::mem::replace(&mut expanded[e], true) {
+                        continue;
+                    }
                     for &u in self.h.edge(e) {
                         if !in_set[u] {
                             in_set[u] = true;
@@ -245,12 +251,70 @@ impl AggregationCache {
         out
     }
 
-    /// The cone operator set over the given (sorted) hyperedge and vertex
-    /// subsets, cut from the selected edges' member lists alone (see
-    /// [`AggregationOps::cone`]). Not cached — streaming cones change every
-    /// refresh.
-    pub fn cone_ops(&self, edge_ids: &[usize], vertex_ids: &[usize]) -> AggregationOps {
-        AggregationOps::cone(&self.h, edge_ids, vertex_ids)
+    /// Rows `edges` of the vertex→edge operator of Eq. 10, over global
+    /// vertex ids: row `j` holds `1 / |N_e|` on the members of
+    /// `e = edges[j]`, bitwise row `e` of [`AggregationCache::full_ops`]'s
+    /// `v2e` (same entries, same order, same expression). Read straight
+    /// off the member lists, which ascend, in time linear in the rows'
+    /// entries. Not cached — a live refresh asks for different rows every
+    /// time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an edge id is out of range.
+    pub fn edge_rows(&self, edges: &[usize]) -> CsrMatrix<f32> {
+        let mut row_ptr = Vec::with_capacity(edges.len() + 1);
+        row_ptr.push(0);
+        let (mut cols, mut values) = (Vec::new(), Vec::new());
+        for &e in edges {
+            let members = self.h.edge(e);
+            cols.extend_from_slice(members);
+            values.resize(cols.len(), 1.0 / members.len() as f32);
+            row_ptr.push(cols.len());
+        }
+        CsrMatrix::from_csr(edges.len(), self.h.n_vertices(), row_ptr, cols, values)
+    }
+
+    /// Rows `vertices` of the vertex side of the operator set, over global
+    /// hyperedge ids: row `i` of `e2v` holds `1 / |N_v|` on the edges
+    /// incident to `v = vertices[i]`, bitwise row `v` of
+    /// [`AggregationCache::full_ops`]'s `e2v`, and the pairs of row `i`
+    /// are the full set's pairs of `v` with `v` renamed `i`. Read straight
+    /// off the incident-edge lists, which ascend, in time linear in the
+    /// rows' entries. Not cached, as [`AggregationCache::edge_rows`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a vertex id is out of range.
+    pub fn vertex_rows(&self, vertices: &[usize]) -> VertexRows {
+        let adj = self.adjacency();
+        let mut row_ptr = Vec::with_capacity(vertices.len() + 1);
+        row_ptr.push(0);
+        let (mut edges, mut values, mut pair_vertices) = (Vec::new(), Vec::new(), Vec::new());
+        for (i, &v) in vertices.iter().enumerate() {
+            edges.extend_from_slice(&adj[v]);
+            values.resize(edges.len(), 1.0 / adj[v].len() as f32);
+            pair_vertices.resize(edges.len(), i);
+            row_ptr.push(edges.len());
+        }
+        let pairs = pair_vertices
+            .iter()
+            .copied()
+            .zip(edges.iter().copied())
+            .collect();
+        let e2v = CsrMatrix::from_csr(
+            vertices.len(),
+            self.h.n_edges(),
+            row_ptr,
+            edges.clone(),
+            values,
+        );
+        VertexRows {
+            e2v: Rc::new(e2v),
+            pairs: Rc::new(pairs),
+            pair_vertices: Rc::new(pair_vertices),
+            pair_edges: Rc::new(edges),
+        }
     }
 
     /// The full-hypergraph operator set, extracted once.
@@ -452,36 +516,70 @@ mod tests {
         assert!(Rc::ptr_eq(&lap, &cache.slice_laplacian(&[0, 2])));
     }
 
-    /// The closed `hops`-hop cone around `seed`; at `hops = 1` it is what
-    /// each layer of `Ahntp`'s live refresh cuts around its target rows.
-    fn closed_cone(cache: &AggregationCache, seed: &[usize], hops: usize) -> AggregationOps {
-        let edge_ids = cache.incident_edges(&cache.closure(seed, hops - 1));
-        cache.cone_ops(&edge_ids, &cache.closure(seed, hops))
+    /// A CSR row as `(column, value bits)` pairs.
+    fn row_bits(m: &CsrMatrix<f32>, r: usize) -> Vec<(usize, u32)> {
+        m.row_entries(r).map(|(c, v)| (c, v.to_bits())).collect()
     }
 
-    /// Asserts the maintained lists, the cones cut from them and every
-    /// (re)built matrix equal a from-scratch rebuild bitwise.
+    /// Asserts the operator rows read off the lists for `edges` and
+    /// `vertices` equal, bitwise, the same rows of the cache's full set:
+    /// `v2e` per edge, `e2v` and the incidence pairs per vertex.
+    fn assert_rows_match_full(cache: &AggregationCache, edges: &[usize], vertices: &[usize]) {
+        let full = cache.full_ops();
+        let v2e = cache.edge_rows(edges);
+        assert_eq!((v2e.rows(), v2e.cols()), (edges.len(), full.v2e.cols()));
+        for (j, &e) in edges.iter().enumerate() {
+            assert_eq!(
+                row_bits(&v2e, j),
+                row_bits(&full.v2e, e),
+                "v2e row of edge {e}"
+            );
+        }
+        let rows = cache.vertex_rows(vertices);
+        assert_eq!(
+            (rows.n_rows(), rows.e2v.cols()),
+            (vertices.len(), full.e2v.cols())
+        );
+        for (i, &v) in vertices.iter().enumerate() {
+            assert_eq!(
+                row_bits(&rows.e2v, i),
+                row_bits(&full.e2v, v),
+                "e2v row of vertex {v}"
+            );
+            let ours: Vec<_> = rows
+                .pairs
+                .iter()
+                .filter(|p| p.0 == i)
+                .map(|&(_, e)| (v, e))
+                .collect();
+            let theirs: Vec<_> = full.pairs.iter().filter(|p| p.0 == v).copied().collect();
+            assert_eq!(ours, theirs, "pairs of vertex {v}");
+        }
+        assert!(
+            rows.pairs.windows(2).all(|w| w[0] <= w[1]),
+            "pairs sorted by row"
+        );
+        let split: (Vec<_>, Vec<_>) = rows.pairs.iter().copied().unzip();
+        assert_eq!(
+            (&*rows.pair_vertices, &*rows.pair_edges),
+            (&split.0, &split.1)
+        );
+    }
+
+    /// Asserts the maintained lists, the operator rows read off them and
+    /// every (re)built matrix equal a from-scratch rebuild bitwise.
     fn assert_matches_rebuild(cache: &AggregationCache) {
         let h = cache.hypergraph();
         let rebuilt = AggregationCache::new(h.clone());
         assert_eq!(cache.adjacency(), rebuilt.adjacency(), "adjacency drifted");
-        for hops in [1, 2] {
-            let live = closed_cone(cache, &[0], hops);
-            let fresh = closed_cone(&rebuilt, &[0], hops);
-            assert_eq!(*live.v2e, *fresh.v2e, "cone v2e drifted");
-            assert_eq!(*live.e2v, *fresh.e2v, "cone e2v drifted");
-            assert_eq!(*live.pairs, *fresh.pairs);
-            assert_eq!(*live.segments, *fresh.segments);
-            assert_eq!(*live.pair_vertices, *fresh.pair_vertices);
-            assert_eq!(*live.pair_edges, *fresh.pair_edges);
-            assert_eq!(live.edge_ids, fresh.edge_ids);
-        }
+        let every_edge: Vec<usize> = (0..h.n_edges()).rev().collect();
+        assert_rows_match_full(cache, &every_edge, &[3, 0, 2]);
+        assert_rows_match_full(cache, &every_edge[every_edge.len() / 2..], &[1]);
         let fresh = AggregationOps::full(h);
         let cached = cache.full_ops();
         assert_eq!(*cached.v2e, *fresh.v2e, "v2e drifted");
         assert_eq!(*cached.e2v, *fresh.e2v, "e2v drifted");
         assert_eq!(*cached.pairs, *fresh.pairs, "pairs drifted");
-        assert_eq!(*cached.segments, *fresh.segments, "segments drifted");
         assert_eq!(*cached.pair_vertices, *fresh.pair_vertices);
         assert_eq!(*cached.pair_edges, *fresh.pair_edges);
         assert_eq!(*cache.full_laplacian(), h.laplacian(), "Laplacian drifted");
@@ -578,8 +676,11 @@ mod tests {
             };
             let warm_counts = counts();
             let e = cache.apply_add(&[1, 3], 2.0).expect("valid");
-            let cone = closed_cone(&cache, &[1, 3], 1);
-            assert_eq!(cone.edge_ids.as_deref(), Some(&vec![0, 1, 2, 3]));
+            let targets = cache.closure(&[1, 3], 1);
+            let edges = cache.incident_edges(&[1, 3]);
+            assert_eq!(edges, vec![0, 1, 2, 3]);
+            assert_eq!(cache.edge_rows(&edges).rows(), 4);
+            assert_eq!(cache.vertex_rows(&targets).n_rows(), 4);
             cache.apply_remove(e).expect("valid");
             assert_eq!(counts(), warm_counts, "the live path reads lists only");
             cache.full_ops();
@@ -612,12 +713,38 @@ mod tests {
     }
 
     #[test]
-    fn cone_ops_match_slice_rows() {
-        let cache = AggregationCache::new(sample());
-        // Cone for edges {0, 1} over the union of their members.
-        let cone = cache.cone_ops(&[0, 1], &[0, 1, 2, 3]);
+    fn closure_expands_each_hyperedge_once() {
+        // Vertices 0..3 all sit in edge 0, so a walk that expanded an edge
+        // per frontier vertex would read its members four times.
+        let mut h = Hypergraph::new(6);
+        h.add_edge(&[0, 1, 2, 3]).expect("valid");
+        h.add_edge(&[0, 4]).expect("valid");
+        h.add_edge(&[3, 5]).expect("valid");
+        let cache = AggregationCache::new(h);
+        assert_eq!(cache.closure(&[0, 1, 2, 3], 1), vec![0, 1, 2, 3, 4, 5]);
+        assert_eq!(cache.closure(&[4], 2), vec![0, 1, 2, 3, 4]);
+        assert_eq!(cache.closure(&[5, 5], 0), vec![5]);
+    }
+
+    #[test]
+    fn edge_and_vertex_rows_match_the_full_rows() {
+        let mut cache = AggregationCache::new(sample());
+        assert_rows_match_full(&cache, &[2, 0], &[3, 1]);
+        assert_rows_match_full(&cache, &[], &[]);
         let slice = AggregationOps::sliced(cache.hypergraph(), &[0, 1]);
-        assert_eq!(*cone.v2e, *slice.v2e, "same edges, all vertices kept");
-        assert_eq!(cone.n_vertices, 4);
+        assert_eq!(
+            cache.edge_rows(&[0, 1]),
+            *slice.v2e,
+            "rows of Eq. 10 are a slice's"
+        );
+        // An isolated vertex is an empty row with no pairs.
+        cache.apply_remove(1).expect("valid");
+        let rows = cache.vertex_rows(&[2, 3]);
+        assert_eq!(rows.e2v.row_nnz(0), 1);
+        assert_eq!(*rows.pairs, vec![(0, 0), (1, 1)]);
+        cache.apply_remove(1).expect("valid");
+        let rows = cache.vertex_rows(&[3]);
+        assert_eq!((rows.e2v.nnz(), rows.pairs.len()), (0, 0));
+        assert_rows_match_full(&cache, &[0], &[0, 1, 2, 3]);
     }
 }

@@ -30,4 +30,4 @@ pub use groups::{
     pairwise_hypergroup, social_influence_hypergroup,
 };
 pub use hypergraph::{Hypergraph, HypergraphError, MovedEdge, RemovedEdge};
-pub use ops::AggregationOps;
+pub use ops::{AggregationOps, VertexRows};

@@ -7,6 +7,12 @@
 //! (`CsrMatrix::select_rows` / `select_cols` / `scale_rows`) so slices are
 //! cheap and — at the identity selection — bitwise identical to the full
 //! operators.
+//!
+//! A layer reads the set in two halves: the hyperedge side (`v2e` and
+//! `edge_ids`, Eqs. 10–11) and the vertex side ([`VertexRows`], Eqs.
+//! 12–16). A live refresh builds each half for a few rows only
+//! ([`crate::AggregationCache::edge_rows`] /
+//! [`crate::AggregationCache::vertex_rows`]).
 
 use crate::Hypergraph;
 use ahntp_tensor::CsrMatrix;
@@ -28,9 +34,8 @@ pub struct AggregationOps {
     /// Incidence pairs `(vertex, local edge)` sorted by vertex, for the
     /// attention of Eqs. 14–16.
     pub pairs: Rc<Vec<(usize, usize)>>,
-    /// Per-pair central-vertex segment ids (softmax groups of Eq. 15).
-    pub segments: Rc<Vec<usize>>,
-    /// Row index per pair: the central vertex (to gather `x_i`).
+    /// Row index per pair: the central vertex (to gather `x_i`, and the
+    /// softmax group of Eq. 15).
     pub pair_vertices: Rc<Vec<usize>>,
     /// Row index per pair: the local hyperedge (to gather `h_e`).
     pub pair_edges: Rc<Vec<usize>>,
@@ -42,18 +47,41 @@ pub struct AggregationOps {
     pub n_vertices: usize,
 }
 
+/// The vertex side of an operator set: what Eqs. 12–16 read for a run of
+/// output rows. Row `i` of `e2v` and the pairs with `pair_vertices == i`
+/// belong to output row `i`; `pair_edges` index the hyperedge-feature
+/// matrix the layer aggregates, so for a live refresh they are global
+/// hyperedge ids.
+#[derive(Clone)]
+pub struct VertexRows {
+    /// `rows × m` edge→vertex mean operator (Eq. 12).
+    pub e2v: Rc<CsrMatrix<f32>>,
+    /// Incidence pairs `(row, edge)` sorted by row (Eqs. 14–16).
+    pub pairs: Rc<Vec<(usize, usize)>>,
+    /// The row of each pair: what Eq. 14 gathers `x'_i` by and the
+    /// softmax group of Eq. 15.
+    pub pair_vertices: Rc<Vec<usize>>,
+    /// The hyperedge of each pair: what Eq. 14 gathers `W h̃_e` by.
+    pub pair_edges: Rc<Vec<usize>>,
+}
+
+impl VertexRows {
+    /// Number of output rows.
+    pub fn n_rows(&self) -> usize {
+        self.e2v.rows()
+    }
+}
+
 impl AggregationOps {
     /// Extracts the full-hypergraph operator set (the classic layer
     /// construction path).
     pub fn full(h: &Hypergraph) -> AggregationOps {
-        let (pairs, segments) = h.incidence_pairs();
-        let pair_vertices = pairs.iter().map(|&(v, _)| v).collect::<Vec<_>>();
+        let (pairs, pair_vertices) = h.incidence_pairs();
         let pair_edges = pairs.iter().map(|&(_, e)| e).collect::<Vec<_>>();
         AggregationOps {
             v2e: Rc::new(h.vertex_to_edge_mean()),
             e2v: Rc::new(h.edge_to_vertex_mean()),
             pairs: Rc::new(pairs),
-            segments: Rc::new(segments),
             pair_vertices: Rc::new(pair_vertices),
             pair_edges: Rc::new(pair_edges),
             edge_ids: None,
@@ -116,98 +144,27 @@ impl AggregationOps {
                 pairs.push((v, e));
             }
         }
-        let segments = pairs.iter().map(|&(v, _)| v).collect::<Vec<_>>();
-        let pair_vertices = segments.clone();
+        let pair_vertices = pairs.iter().map(|&(v, _)| v).collect::<Vec<_>>();
         let pair_edges = pairs.iter().map(|&(_, e)| e).collect::<Vec<_>>();
         AggregationOps {
             n_vertices: inc_s.rows(),
             v2e: Rc::new(v2e),
             e2v: Rc::new(e2v),
             pairs: Rc::new(pairs),
-            segments: Rc::new(segments),
             pair_vertices: Rc::new(pair_vertices),
             pair_edges: Rc::new(pair_edges),
             edge_ids: Some(Rc::new(edge_ids.to_vec())),
         }
     }
 
-    /// Builds the operator set restricted to a hyperedge subset *and* a
-    /// vertex subset — the "dependency cone" extraction behind streaming
-    /// head refreshes — straight from the member lists of `h`, in time
-    /// proportional to the cone's incidences; no full matrix is read.
-    /// Local vertex `i` is global vertex `vertex_ids[i]`, local edge `j` is
-    /// global edge `edge_ids[j]`; `edge_ids` is kept in the result so
-    /// layers gather their per-edge weights globally.
-    ///
-    /// Exactness contract (see the stream crate): when the cone is closed —
-    /// every member of every selected edge appears in `vertex_ids` and
-    /// every edge incident to a target vertex appears in `edge_ids` — the
-    /// rows of a `forward_on` pass over this set are bitwise identical to
-    /// the corresponding rows of the full forward pass: entries keep the
-    /// full operators' per-row order (members and incident edges both
-    /// ascend) and their expressions (`1 / |N_e|`, `1 / |N_v|` over the
-    /// same counts).
-    ///
-    /// Both id lists must be sorted and duplicate-free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an edge id is out of range, or (debug) if a selected edge
-    /// has members outside `vertex_ids` — an open cone would silently drop
-    /// aggregation terms.
-    pub(crate) fn cone(
-        h: &Hypergraph,
-        edge_ids: &[usize],
-        vertex_ids: &[usize],
-    ) -> AggregationOps {
-        debug_assert!(edge_ids.windows(2).all(|w| w[0] < w[1]), "edge_ids sorted");
-        debug_assert!(
-            vertex_ids.windows(2).all(|w| w[0] < w[1]),
-            "vertex_ids sorted"
-        );
-        let mut v2e = Vec::new();
-        for (j, &e) in edge_ids.iter().enumerate() {
-            let members = h.edge(e);
-            let inv = 1.0 / members.len() as f32;
-            let kept = v2e.len();
-            v2e.extend(
-                members
-                    .iter()
-                    .filter_map(|v| vertex_ids.binary_search(v).ok())
-                    .map(|i| (j, i, inv)),
-            );
-            debug_assert_eq!(
-                v2e.len() - kept,
-                members.len(),
-                "cone: edge {e} has members outside vertex_ids"
-            );
-        }
-        // The same incidences seen from the vertex side: "(vertex, local
-        // edge) sorted by vertex", each vertex averaging over the selected
-        // edges it is in.
-        let mut pairs: Vec<(usize, usize)> = v2e.iter().map(|&(j, i, _)| (i, j)).collect();
-        pairs.sort_unstable();
-        let mut counts = vec![0usize; vertex_ids.len()];
-        for &(i, _) in &pairs {
-            counts[i] += 1;
-        }
-        let e2v: Vec<_> = pairs
-            .iter()
-            .map(|&(i, j)| (i, j, 1.0 / counts[i] as f32))
-            .collect();
-        let segments = pairs.iter().map(|&(v, _)| v).collect::<Vec<_>>();
-        let pair_vertices = segments.clone();
-        let pair_edges = pairs.iter().map(|&(_, e)| e).collect::<Vec<_>>();
-        let (m, n) = (edge_ids.len(), vertex_ids.len());
-        AggregationOps {
-            n_vertices: n,
-            v2e: Rc::new(CsrMatrix::from_triplets(m, n, &v2e).expect("local ids in range")),
-            e2v: Rc::new(CsrMatrix::from_triplets(n, m, &e2v).expect("local ids in range")),
-            pairs: Rc::new(pairs),
-            segments: Rc::new(segments),
-            pair_vertices: Rc::new(pair_vertices),
-            pair_edges: Rc::new(pair_edges),
-            edge_ids: Some(Rc::new(edge_ids.to_vec())),
+    /// The vertex side of this set, every vertex a row (shares the
+    /// buffers).
+    pub fn vertex_rows(&self) -> VertexRows {
+        VertexRows {
+            e2v: Rc::clone(&self.e2v),
+            pairs: Rc::clone(&self.pairs),
+            pair_vertices: Rc::clone(&self.pair_vertices),
+            pair_edges: Rc::clone(&self.pair_edges),
         }
     }
 
@@ -243,9 +200,9 @@ mod tests {
         let ops = AggregationOps::full(&h);
         assert_eq!(*ops.v2e, h.vertex_to_edge_mean());
         assert_eq!(*ops.e2v, h.edge_to_vertex_mean());
-        let (pairs, segments) = h.incidence_pairs();
+        let (pairs, pair_vertices) = h.incidence_pairs();
         assert_eq!(*ops.pairs, pairs);
-        assert_eq!(*ops.segments, segments);
+        assert_eq!(*ops.pair_vertices, pair_vertices);
         assert!(ops.edge_ids.is_none());
         assert_eq!(ops.n_edges(), 3);
         assert_eq!(ops.resident_rows(), 5 + 3);
@@ -259,7 +216,6 @@ mod tests {
         assert_eq!(*sliced.v2e, *full.v2e);
         assert_eq!(*sliced.e2v, *full.e2v);
         assert_eq!(*sliced.pairs, *full.pairs);
-        assert_eq!(*sliced.segments, *full.segments);
         assert_eq!(*sliced.pair_vertices, *full.pair_vertices);
         assert_eq!(*sliced.pair_edges, *full.pair_edges);
         assert_eq!(sliced.edge_ids.as_deref(), Some(&vec![0, 1, 2]));
@@ -296,32 +252,19 @@ mod tests {
         // Local edge 0 is global edge 2 ({0, 3, 4}).
         assert_eq!(ops.v2e.row_nnz(0), 3);
         assert_eq!(ops.v2e.row_nnz(1), 3);
-        // Segment ids stay sorted (softmax grouping requirement).
-        assert!(ops.segments.windows(2).all(|w| w[0] <= w[1]));
+        // Pair vertices stay sorted (softmax grouping requirement).
+        assert!(ops.pair_vertices.windows(2).all(|w| w[0] <= w[1]));
     }
 
     #[test]
-    fn closed_cone_preserves_full_rows() {
-        let h = sample();
-        let full = AggregationOps::full(&h);
-        // Cone for target vertex 2: incident edges {0, 1}, their members
-        // {0, 1, 2, 3} — a closed cone around vertex 2.
-        let cone = AggregationOps::cone(&h, &[0, 1], &[0, 1, 2, 3]);
-        cone.v2e.validate().unwrap();
-        cone.e2v.validate().unwrap();
-        assert_eq!(cone.n_vertices, 4);
-        assert_eq!(cone.n_edges(), 2);
-        // Vertex 2 keeps its full edge set, so its e2v row is bitwise the
-        // full row (local ids coincide here).
-        assert_eq!(cone.e2v.get(2, 0), full.e2v.get(2, 0));
-        assert_eq!(cone.e2v.get(2, 1), full.e2v.get(2, 1));
-        // Every selected edge keeps all members.
-        assert_eq!(cone.v2e.row_nnz(0), 3);
-        assert_eq!(cone.v2e.row_nnz(1), 2);
-        assert_eq!(cone.edge_ids.as_deref(), Some(&vec![0, 1]));
-        // Pairs are local and sorted by vertex.
-        assert!(cone.pairs.iter().all(|&(v, e)| v < 4 && e < 2));
-        assert!(cone.segments.windows(2).all(|w| w[0] <= w[1]));
+    fn vertex_rows_share_the_sets_buffers() {
+        let ops = AggregationOps::sliced(&sample(), &[2, 0]);
+        let rows = ops.vertex_rows();
+        assert_eq!(rows.n_rows(), ops.n_vertices);
+        assert!(Rc::ptr_eq(&rows.e2v, &ops.e2v));
+        assert!(Rc::ptr_eq(&rows.pairs, &ops.pairs));
+        assert!(Rc::ptr_eq(&rows.pair_vertices, &ops.pair_vertices));
+        assert!(Rc::ptr_eq(&rows.pair_edges, &ops.pair_edges));
     }
 
     #[test]

@@ -52,63 +52,72 @@ fn csr_bits(m: &CsrMatrix<f32>) -> (usize, &[usize], &[usize], Vec<u32>) {
     (m.cols(), m.row_ptr(), m.col_indices(), bits)
 }
 
-/// The cone's two operators cut from full matrices with the CSR slicing
-/// kernels — how cones were built before they were read off the lists,
-/// kept as the oracle for the list-built cone.
-fn sliced_cone(
-    h: &Hypergraph,
-    edge_ids: &[usize],
-    vertex_ids: &[usize],
-) -> (CsrMatrix<f32>, CsrMatrix<f32>) {
-    let v2e = h.vertex_to_edge_mean();
-    let v2e = v2e.select_rows(edge_ids).select_cols(vertex_ids);
-    let inc = h.incidence().select_rows(vertex_ids).select_cols(edge_ids);
-    let inv_counts: Vec<f32> = (0..inc.rows())
-        .map(|v| match inc.row_nnz(v) {
-            0 => 0.0,
-            c => 1.0 / c as f32,
-        })
-        .collect();
-    (v2e, inc.scale_rows(&inv_counts))
+/// A CSR row as `(column, value bits)` pairs.
+fn row_bits(m: &CsrMatrix<f32>, r: usize) -> Vec<(usize, u32)> {
+    m.row_entries(r).map(|(c, v)| (c, v.to_bits())).collect()
 }
 
-/// Asserts the closed `hops`-hop cone around `seed`, walked and cut from
-/// the live lists, equals in bits the one a cache built fresh on the
-/// mutated hypergraph walks and cuts, and the matrix-sliced oracle.
-fn assert_cone_exact(
+/// Asserts the operator rows a live refresh reads off the lists around
+/// `seed` — `v2e` rows for the hyperedges of its one-hop closure, `e2v`
+/// rows and incidence pairs for its two-hop closure — equal in bits those
+/// a cache built fresh on the mutated hypergraph reads, and the same rows
+/// of the full operator set.
+fn assert_rows_exact(
     cache: &AggregationCache,
     rebuilt: &AggregationCache,
     seed: usize,
-    hops: usize,
 ) -> Result<(), proptest::test_runner::TestCaseError> {
     let walk = |c: &AggregationCache| {
-        let edge_ids = c.incident_edges(&c.closure(&[seed], hops - 1));
-        (edge_ids, c.closure(&[seed], hops))
+        (
+            c.incident_edges(&c.closure(&[seed], 1)),
+            c.closure(&[seed], 2),
+        )
     };
-    let (edge_ids, vertex_ids) = walk(cache);
-    prop_assert_eq!(walk(rebuilt), (edge_ids.clone(), vertex_ids.clone()));
-    let live = cache.cone_ops(&edge_ids, &vertex_ids);
-    let fresh = rebuilt.cone_ops(&edge_ids, &vertex_ids);
-    let (v2e, e2v) = sliced_cone(cache.hypergraph(), &edge_ids, &vertex_ids);
-    prop_assert_eq!(csr_bits(&live.v2e), csr_bits(&fresh.v2e));
-    prop_assert_eq!(csr_bits(&live.v2e), csr_bits(&v2e));
+    let (edges, vertices) = walk(cache);
+    prop_assert_eq!(walk(rebuilt), (edges.clone(), vertices.clone()));
+    let full = cache.full_ops();
+    let v2e = cache.edge_rows(&edges);
+    let fresh_v2e = rebuilt.edge_rows(&edges);
+    prop_assert_eq!(csr_bits(&v2e), csr_bits(&fresh_v2e));
+    for (j, &e) in edges.iter().enumerate() {
+        prop_assert_eq!(
+            row_bits(&v2e, j),
+            row_bits(&full.v2e, e),
+            "v2e row of edge {}",
+            e
+        );
+    }
+    let live = cache.vertex_rows(&vertices);
+    let fresh = rebuilt.vertex_rows(&vertices);
     prop_assert_eq!(csr_bits(&live.e2v), csr_bits(&fresh.e2v));
-    prop_assert_eq!(csr_bits(&live.e2v), csr_bits(&e2v));
     prop_assert_eq!(&*live.pairs, &*fresh.pairs);
-    let row_major: Vec<(usize, usize)> = (0..e2v.rows())
-        .flat_map(|v| e2v.row_entries(v).map(move |(e, _)| (v, e)))
-        .collect();
-    prop_assert_eq!(&*live.pairs, &row_major);
-    prop_assert_eq!(&*live.segments, &*fresh.segments);
     prop_assert_eq!(&*live.pair_vertices, &*fresh.pair_vertices);
     prop_assert_eq!(&*live.pair_edges, &*fresh.pair_edges);
-    prop_assert_eq!(&live.edge_ids, &fresh.edge_ids);
-    prop_assert_eq!(live.n_vertices, vertex_ids.len());
+    prop_assert_eq!(live.e2v.cols(), full.e2v.cols());
+    for (i, &v) in vertices.iter().enumerate() {
+        prop_assert_eq!(
+            row_bits(&live.e2v, i),
+            row_bits(&full.e2v, v),
+            "e2v row of vertex {}",
+            v
+        );
+        let ours: Vec<(usize, usize)> = live
+            .pairs
+            .iter()
+            .filter(|p| p.0 == i)
+            .map(|&(_, e)| (v, e))
+            .collect();
+        let theirs: Vec<(usize, usize)> = full.pairs.iter().filter(|p| p.0 == v).copied().collect();
+        prop_assert_eq!(ours, theirs, "pairs of vertex {}", v);
+    }
+    let (pair_vertices, pair_edges): (Vec<usize>, Vec<usize>) = live.pairs.iter().copied().unzip();
+    prop_assert_eq!(&*live.pair_vertices, &pair_vertices);
+    prop_assert_eq!(&*live.pair_edges, &pair_edges);
     Ok(())
 }
 
-/// Asserts the lists a mutation maintains, and the cones cut from them,
-/// equal those of a cache built fresh on the mutated hypergraph, and that
+/// Asserts the lists a mutation maintains, and the operator rows read off
+/// them, equal those of a cache built fresh on the mutated hypergraph, and that
 /// every matrix the cache hands out equals a from-scratch extraction,
 /// entry-for-entry in bits.
 fn assert_cache_exact(
@@ -117,14 +126,11 @@ fn assert_cache_exact(
 ) -> Result<(), proptest::test_runner::TestCaseError> {
     let rebuilt = AggregationCache::new(cache.hypergraph().clone());
     prop_assert_eq!(cache.adjacency(), rebuilt.adjacency());
-    for hops in [1, 2] {
-        assert_cone_exact(cache, &rebuilt, seed, hops)?;
-    }
+    assert_rows_exact(cache, &rebuilt, seed)?;
     let h = cache.hypergraph();
     let fresh = AggregationOps::full(h);
     let live = cache.full_ops();
     prop_assert_eq!(&*live.pairs, &*fresh.pairs);
-    prop_assert_eq!(&*live.segments, &*fresh.segments);
     prop_assert_eq!(&*live.pair_vertices, &*fresh.pair_vertices);
     prop_assert_eq!(&*live.pair_edges, &*fresh.pair_edges);
     for (a, b) in [(&live.v2e, &fresh.v2e), (&live.e2v, &fresh.e2v)] {
@@ -231,6 +237,28 @@ proptest! {
     }
 
     #[test]
+    fn closure_matches_a_naive_bfs(
+        h in arb_hypergraph(),
+        seeds in proptest::collection::vec(0usize..N, 0..4),
+        hops in 0usize..4,
+    ) {
+        // The reference expands every hyperedge that touches the set, once
+        // per hop, with no frontier and no marker over edges.
+        let mut set: std::collections::BTreeSet<usize> = seeds.iter().copied().collect();
+        for _ in 0..hops {
+            let mut next = set.clone();
+            for members in h.edges() {
+                if members.iter().any(|v| set.contains(v)) {
+                    next.extend(members.iter().copied());
+                }
+            }
+            set = next;
+        }
+        let cache = AggregationCache::new(h);
+        prop_assert_eq!(cache.closure(&seeds, hops), set.into_iter().collect::<Vec<_>>());
+    }
+
+    #[test]
     fn concat_preserves_edge_multiset(h1 in arb_hypergraph(), h2 in arb_hypergraph()) {
         let c = Hypergraph::concat(&[&h1, &h2]);
         prop_assert_eq!(c.n_edges(), h1.n_edges() + h2.n_edges());
@@ -288,7 +316,6 @@ proptest! {
         let sl = AggregationOps::sliced(&h, &identity);
         prop_assert_eq!(sl.n_edges(), full.n_edges());
         prop_assert_eq!(&*sl.pairs, &*full.pairs);
-        prop_assert_eq!(&*sl.segments, &*full.segments);
         prop_assert_eq!(&*sl.pair_vertices, &*full.pair_vertices);
         prop_assert_eq!(&*sl.pair_edges, &*full.pair_edges);
         for (a, b) in [(&sl.v2e, &full.v2e), (&sl.e2v, &full.e2v)] {
@@ -364,7 +391,7 @@ proptest! {
     ) {
         // The streaming keystone: 200 interleaved add/remove/reweight/decay
         // steps, and after EVERY one the maintained incident-edge lists and
-        // the cones cut from them equal a fresh cache's, and the operators
+        // the operator rows read off them equal a fresh cache's, and the operators
         // and Laplacian the cache hands out are bitwise a from-scratch
         // rebuild. Under a telemetry context of its own, the `delta_*`
         // counters are exactly the mutations this case applied.

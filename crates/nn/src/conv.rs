@@ -1,23 +1,68 @@
 //! Hypergraph convolution layers: the plain two-step spatial convolution of
 //! Eqs. 10–13 and the adaptive attention layer of Eqs. 14–16.
+//!
+//! Each layer runs in two halves split at the hyperedge features. The
+//! *edge half* computes `h_e` (Eqs. 10–11; the adaptive layer also `W h̃_e`)
+//! for the rows of a vertex→edge operator; the *vertex half* computes the
+//! output rows of a [`VertexRows`] (Eqs. 12–16) from whole hyperedge-feature
+//! matrices. A forward pass is the two halves over one operator set. A
+//! live refresh runs each half over the few rows that changed: every output
+//! row is its own accumulation chain over the same entries in the same
+//! order, so those rows are bitwise the forward pass's.
 
 use crate::{Module, Param, Session};
 use ahntp_autograd::Var;
-use ahntp_hypergraph::{AggregationOps, Hypergraph};
-use ahntp_tensor::{xavier_uniform, SplitMix64, Tensor};
+use ahntp_hypergraph::{AggregationOps, Hypergraph, VertexRows};
+use ahntp_tensor::{xavier_uniform, CsrMatrix, SplitMix64, Tensor};
 use std::rc::Rc;
 
 /// Negative slope of the LeakyReLU in the attention score (Eq. 14); 0.2 is
 /// the GAT convention the paper follows.
 const ATTENTION_SLOPE: f32 = 0.2;
 
+/// What the edge half of a layer hands its vertex half: the hyperedge
+/// features `h_e` (Eq. 11, `m × in`) and, for the adaptive layer, their
+/// projection `W h̃_e = h_e θ W` (Eq. 14, `m × out`).
+#[derive(Clone)]
+pub struct EdgeFeatures {
+    /// `h_e` of Eq. 11.
+    pub h_e: Var,
+    /// `W h̃_e` of Eq. 14 — `Some` for the adaptive layer only.
+    pub projected: Option<Var>,
+}
+
 /// What a stack of hypergraph convolutions needs from a layer, whichever
 /// kind it is: [`HypergraphConv`] and [`AdaptiveHypergraphConv`] both
 /// implement it, so a stack is one `Vec<Box<dyn HypergraphLayer>>`.
 pub trait HypergraphLayer: Module {
+    /// The edge half: hyperedge features for the rows of `v2e` (a
+    /// vertex→edge operator over every vertex of `x`). `edge_ids` names the
+    /// hyperedge of each row when they are not `0..m` (a slice, or the rows
+    /// a live refresh recomputes), so the per-edge weights are gathered
+    /// through it.
+    fn edge_half(
+        &self,
+        s: &Session,
+        v2e: &Rc<CsrMatrix<f32>>,
+        edge_ids: Option<&Rc<Vec<usize>>>,
+        x: &Var,
+    ) -> EdgeFeatures;
+
+    /// The vertex half: the output rows of `rows`, from `x`'s rows for the
+    /// same vertices and the whole hyperedge-feature matrices `edges` that
+    /// `rows` index.
+    fn vertex_half(&self, s: &Session, rows: &VertexRows, x: &Var, edges: &EdgeFeatures) -> Var;
+
     /// Forward pass against an explicit operator set — the full extraction
-    /// or a sampled hyperedge slice from the same hypergraph.
-    fn forward_on(&self, s: &Session, ops: &AggregationOps, x: &Var) -> Var;
+    /// or a sampled hyperedge slice from the same hypergraph — returning
+    /// the output and the hyperedge features it aggregated.
+    fn forward_with_edges(&self, s: &Session, ops: &AggregationOps, x: &Var)
+        -> (Var, EdgeFeatures);
+
+    /// [`HypergraphLayer::forward_with_edges`]'s output alone.
+    fn forward_on(&self, s: &Session, ops: &AggregationOps, x: &Var) -> Var {
+        self.forward_with_edges(s, ops, x).0
+    }
 
     /// The per-edge weight parameter `w_e` of Eq. 11 (`m × 1`).
     fn edge_weights(&self) -> &Param;
@@ -130,41 +175,75 @@ impl HypergraphConv {
     /// or a sampled hyperedge slice from the same hypergraph (mini-batch
     /// training). With the full set this is exactly [`Self::forward`].
     pub fn forward_on(&self, s: &Session, ops: &AggregationOps, x: &Var) -> Var {
-        let _span =
-            ahntp_telemetry::KernelSpan::enter("nn.hconv.forward", ahntp_telemetry::KernelKind::Other);
-        self.edge_features_and_update(s, ops, x).1
+        HypergraphLayer::forward_on(self, s, ops, x)
     }
 
-    /// Eqs. 10–13, the one body both layer kinds run: the hyperedge
-    /// features `h_e` (Eqs. 10–11) and the vertex update `x'` (Eqs. 12–13)
-    /// — final for the plain layer, provisional for the adaptive one,
-    /// whose attention (Eq. 14) reads both.
-    fn edge_features_and_update(&self, s: &Session, ops: &AggregationOps, x: &Var) -> (Var, Var) {
-        let g = s.graph();
+    /// Eqs. 10–11, the edge half both layer kinds start from: `h_e` for
+    /// the rows of `v2e` (see [`HypergraphLayer::edge_half`]).
+    fn edge_features(
+        &self,
+        s: &Session,
+        v2e: &Rc<CsrMatrix<f32>>,
+        edge_ids: Option<&Rc<Vec<usize>>>,
+        x: &Var,
+    ) -> Var {
         // Eq. 10: hyperedge messages by mean aggregation.
-        let mess_e = g.spmm(&ops.v2e, x);
-        // Eq. 11: trainable per-edge scaling (gathered down to a slice's
-        // selected edges), broadcast over columns via (m × 1) @ (1 × d) —
-        // a rank-1 expansion of the weight column.
+        let mess_e = s.graph().spmm(v2e, x);
+        // Eq. 11: trainable per-edge scaling (gathered down to the rows'
+        // edges), broadcast over columns via (m × 1) @ (1 × d) — a rank-1
+        // expansion of the weight column.
         let w_col = s.var(&self.edge_weights);
-        let w_col = match &ops.edge_ids {
+        let w_col = match edge_ids {
             Some(ids) => w_col.gather_rows(ids),
             None => w_col,
         };
         let ones = s.constant(Tensor::full(1, self.in_dim, 1.0));
-        let h_e = mess_e.mul(&w_col.matmul(&ones));
+        mess_e.mul(&w_col.matmul(&ones))
+    }
+
+    /// Eqs. 12–13, the vertex update `x'` of the rows of `e2v` — final for
+    /// the plain layer, provisional for the adaptive one, whose attention
+    /// (Eq. 14) reads it.
+    fn update(&self, s: &Session, e2v: &Rc<CsrMatrix<f32>>, x: &Var, h_e: &Var) -> Var {
         // Eq. 12: vertex messages by mean over incident hyperedges.
-        let mess_v = g.spmm(&ops.e2v, &h_e);
+        let mess_v = s.graph().spmm(e2v, h_e);
         // Eq. 13: F(x_u^t, Mess) — message transform plus the self-term.
         let msg = mess_v.matmul(&s.var(&self.theta));
         let own = x.matmul(&s.var(&self.theta_self));
-        (h_e, msg.add(&own).relu())
+        msg.add(&own).relu()
     }
 }
 
 impl HypergraphLayer for HypergraphConv {
-    fn forward_on(&self, s: &Session, ops: &AggregationOps, x: &Var) -> Var {
-        HypergraphConv::forward_on(self, s, ops, x)
+    fn edge_half(
+        &self,
+        s: &Session,
+        v2e: &Rc<CsrMatrix<f32>>,
+        edge_ids: Option<&Rc<Vec<usize>>>,
+        x: &Var,
+    ) -> EdgeFeatures {
+        EdgeFeatures {
+            h_e: self.edge_features(s, v2e, edge_ids, x),
+            projected: None,
+        }
+    }
+
+    fn vertex_half(&self, s: &Session, rows: &VertexRows, x: &Var, edges: &EdgeFeatures) -> Var {
+        self.update(s, &rows.e2v, x, &edges.h_e)
+    }
+
+    fn forward_with_edges(
+        &self,
+        s: &Session,
+        ops: &AggregationOps,
+        x: &Var,
+    ) -> (Var, EdgeFeatures) {
+        let _span = ahntp_telemetry::KernelSpan::enter(
+            "nn.hconv.forward",
+            ahntp_telemetry::KernelKind::Other,
+        );
+        let edges = self.edge_half(s, &ops.v2e, ops.edge_ids.as_ref(), x);
+        (self.vertex_half(s, &ops.vertex_rows(), x, &edges), edges)
     }
 
     fn edge_weights(&self) -> &Param {
@@ -276,43 +355,42 @@ impl AdaptiveHypergraphConv {
     /// or a sampled hyperedge slice from the same hypergraph (mini-batch
     /// training). With the full set this is exactly [`Self::forward`].
     pub fn forward_on(&self, s: &Session, ops: &AggregationOps, x: &Var) -> Var {
-        let _span = ahntp_telemetry::KernelSpan::enter(
-            "nn.adaptive_hconv.forward",
-            ahntp_telemetry::KernelKind::Other,
-        );
-        let (att, h_proj, x_proj) = self.attention(s, ops, x);
-        // Eq. 16: attention-weighted aggregation of projected hyperedges,
-        // plus the x' self-term carried over from Eq. 13's F(x^t, ·).
-        s.graph()
-            .weighted_gather(&ops.pairs, ops.n_vertices, &att, &h_proj)
-            .add(&x_proj)
-            .relu()
+        HypergraphLayer::forward_on(self, s, ops, x)
     }
 
-    /// Eqs. 14–15 on top of the base layer's Eqs. 10–13: the attention
-    /// coefficients `w_ie` (one per incidence pair of `ops`) together with
-    /// the two projections Eq. 16 aggregates, `(w_ie, W h̃_e, W x')`.
-    fn attention(&self, s: &Session, ops: &AggregationOps, x: &Var) -> (Var, Var, Var) {
-        let (h_e, x_next) = self.base.edge_features_and_update(s, ops, x);
-        // Project both sides with the shared W (h̃_e = h_e θ first).
-        let w = s.var(&self.w_att);
-        let h_proj = h_e.matmul(&s.var(&self.base.theta)).matmul(&w); // m × out
-        let x_proj = x_next.matmul(&w); // n × out
-
+    /// Eqs. 14–15 on top of the base layer's Eqs. 12–13: the attention
+    /// coefficients `w_ie` (one per pair of `rows`) together with the
+    /// vertex-side projection `W x'` Eq. 16 adds.
+    fn attention(
+        &self,
+        s: &Session,
+        rows: &VertexRows,
+        x: &Var,
+        edges: &EdgeFeatures,
+    ) -> (Var, Var) {
+        let x_next = self.base.update(s, &rows.e2v, x, &edges.h_e);
+        let x_proj = x_next.matmul(&s.var(&self.w_att));
         // Eq. 14: per-incidence attention scores, βᵀ[W x'_i ‖ W h̃_e] as
         // one node — the nnz × 2·out concatenation is never built.
         let scores = s
             .graph()
             .pair_scores(
                 &x_proj,
-                &h_proj,
+                Self::projected(edges),
                 &s.var(&self.beta),
-                &ops.pair_vertices,
-                &ops.pair_edges,
+                &rows.pair_vertices,
+                &rows.pair_edges,
             )
             .leaky_relu(ATTENTION_SLOPE);
         // Eq. 15: softmax per central vertex.
-        (scores.segment_softmax(&ops.segments), h_proj, x_proj)
+        (scores.segment_softmax(&rows.pair_vertices), x_proj)
+    }
+
+    fn projected(edges: &EdgeFeatures) -> &Var {
+        edges
+            .projected
+            .as_ref()
+            .expect("AdaptiveHypergraphConv: edge features come from an adaptive edge half")
     }
 
     /// The attention coefficients `w_ie` (Eq. 15) for inspection: a vector
@@ -320,7 +398,9 @@ impl AdaptiveHypergraphConv {
     /// pass on its own session.
     pub fn attention_coefficients(&self, x: &Tensor) -> Vec<f32> {
         let s = Session::new();
-        let (att, _, _) = self.attention(&s, &self.base.ops, &s.constant(x.clone()));
+        let (ops, x) = (&self.base.ops, s.constant(x.clone()));
+        let edges = self.edge_half(&s, &ops.v2e, None, &x);
+        let (att, _) = self.attention(&s, &ops.vertex_rows(), &x, &edges);
         att.value().into_vec()
     }
 
@@ -331,8 +411,45 @@ impl AdaptiveHypergraphConv {
 }
 
 impl HypergraphLayer for AdaptiveHypergraphConv {
-    fn forward_on(&self, s: &Session, ops: &AggregationOps, x: &Var) -> Var {
-        AdaptiveHypergraphConv::forward_on(self, s, ops, x)
+    fn edge_half(
+        &self,
+        s: &Session,
+        v2e: &Rc<CsrMatrix<f32>>,
+        edge_ids: Option<&Rc<Vec<usize>>>,
+        x: &Var,
+    ) -> EdgeFeatures {
+        let h_e = self.base.edge_features(s, v2e, edge_ids, x);
+        // Eq. 14's hyperedge side, W h̃_e with h̃_e = h_e θ.
+        let w = s.var(&self.w_att);
+        let projected = h_e.matmul(&s.var(&self.base.theta)).matmul(&w); // m × out
+        EdgeFeatures {
+            h_e,
+            projected: Some(projected),
+        }
+    }
+
+    fn vertex_half(&self, s: &Session, rows: &VertexRows, x: &Var, edges: &EdgeFeatures) -> Var {
+        let (att, x_proj) = self.attention(s, rows, x, edges);
+        // Eq. 16: attention-weighted aggregation of projected hyperedges,
+        // plus the x' self-term carried over from Eq. 13's F(x^t, ·).
+        s.graph()
+            .weighted_gather(&rows.pairs, rows.n_rows(), &att, Self::projected(edges))
+            .add(&x_proj)
+            .relu()
+    }
+
+    fn forward_with_edges(
+        &self,
+        s: &Session,
+        ops: &AggregationOps,
+        x: &Var,
+    ) -> (Var, EdgeFeatures) {
+        let _span = ahntp_telemetry::KernelSpan::enter(
+            "nn.adaptive_hconv.forward",
+            ahntp_telemetry::KernelKind::Other,
+        );
+        let edges = self.edge_half(s, &ops.v2e, ops.edge_ids.as_ref(), x);
+        (self.vertex_half(s, &ops.vertex_rows(), x, &edges), edges)
     }
 
     fn edge_weights(&self) -> &Param {

@@ -220,6 +220,31 @@ impl<T: Scalar> CsrMatrix<T> {
         Ok(m)
     }
 
+    /// Wraps CSR arrays that already satisfy the invariants above — what a
+    /// caller that emits rows in order, columns ascending, builds in one
+    /// pass with no sort. Checked in debug builds only.
+    ///
+    /// # Panics
+    ///
+    /// Panics (debug builds) if the arrays violate an invariant.
+    pub fn from_csr(
+        rows: usize,
+        cols: usize,
+        row_ptr: Vec<usize>,
+        col_idx: Vec<usize>,
+        values: Vec<T>,
+    ) -> Self {
+        let m = CsrMatrix {
+            rows,
+            cols,
+            row_ptr,
+            col_idx,
+            values,
+        };
+        debug_assert_eq!(m.validate(), Ok(()));
+        m
+    }
+
     /// Builds a CSR matrix from a dense tensor, keeping nonzero entries.
     pub fn from_dense(t: &Tensor) -> CsrMatrix<T> {
         let mut trips = Vec::new();
@@ -1066,6 +1091,25 @@ mod tests {
     fn from_triplets_rejects_out_of_bounds() {
         let e = CsrMatrix::from_triplets(2, 2, &[(2, 0, 1.0)]).unwrap_err();
         assert!(matches!(e, TensorError::IndexOutOfBounds { row: 2, .. }));
+    }
+
+    #[test]
+    fn from_csr_wraps_valid_arrays_as_is() {
+        let m = CsrMatrix::from_csr(
+            3,
+            3,
+            vec![0, 2, 2, 4],
+            vec![0, 2, 0, 1],
+            vec![1.0, 2.0, 3.0, 4.0],
+        );
+        assert_eq!(m, small());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "columns not strictly increasing")]
+    fn from_csr_checks_the_invariants_in_debug_builds() {
+        CsrMatrix::<f32>::from_csr(1, 3, vec![0, 2], vec![2, 0], vec![1.0, 1.0]);
     }
 
     #[test]
