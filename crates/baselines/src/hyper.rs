@@ -89,7 +89,6 @@ impl UniGcnLayer {
 struct UniGatLayer {
     v2e: Rc<CsrMatrix<f32>>,
     pairs: Rc<Vec<(usize, usize)>>,
-    segments: Rc<Vec<usize>>,
     pair_vertices: Rc<Vec<usize>>,
     pair_edges: Rc<Vec<usize>>,
     n: usize,
@@ -100,7 +99,7 @@ struct UniGatLayer {
 
 impl UniGatLayer {
     fn new(name: &str, h: &Hypergraph, in_dim: usize, out_dim: usize, relu: bool, seed: u64) -> Self {
-        let (pairs, segments) = h.incidence_pairs();
+        let pairs = h.incidence_pairs();
         let pair_vertices = pairs.iter().map(|&(v, _)| v).collect::<Vec<_>>();
         let pair_edges = pairs.iter().map(|&(_, e)| e).collect::<Vec<_>>();
         let w_seed = SplitMix64::derive(seed, &format!("{name}.w"));
@@ -108,7 +107,6 @@ impl UniGatLayer {
         UniGatLayer {
             v2e: Rc::new(h.vertex_to_edge_mean()),
             pairs: Rc::new(pairs),
-            segments: Rc::new(segments),
             pair_vertices: Rc::new(pair_vertices),
             pair_edges: Rc::new(pair_edges),
             n: h.n_vertices(),
@@ -133,7 +131,7 @@ impl UniGatLayer {
             .matmul(&s.var(&self.attn))
             .reshape(ahntp_tensor::Shape::Vector(self.pairs.len()))
             .leaky_relu(ATTENTION_SLOPE);
-        let alpha = scores.segment_softmax(&self.segments);
+        let alpha = scores.segment_softmax(&self.pair_vertices);
         let y = g.weighted_gather(&self.pairs, self.n, &alpha, &h_e);
         if self.relu {
             y.relu()

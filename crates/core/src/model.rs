@@ -1064,7 +1064,7 @@ impl ResumableModel for Ahntp {
 
 impl BatchTrustModel for Ahntp {
     /// One planned epoch: sample hyperedges once (per hypergraph, seeded
-    /// from the plan), slice the cached operators, then run the plan's
+    /// from the plan), build their operators once, then run the plan's
     /// micro-batches with gradient accumulation — `plan.accumulation`
     /// batches per optimizer step, each batch's gradient weighted by its
     /// share of the step's pairs.

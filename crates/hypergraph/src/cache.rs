@@ -1,9 +1,11 @@
-//! Cached aggregation operators for mini-batch training and streaming.
+//! Cached aggregation operators for training and streaming.
 //!
-//! Building the operator set of [`AggregationOps`] (and the Laplacian) is
-//! the expensive structural part of a training step. The cache owns the
-//! hypergraph, extracts the full operators once and keeps the most recent
-//! hyperedge slice alive across the micro-batches of an epoch.
+//! The cache owns the hypergraph and its per-vertex incident-edge lists,
+//! and builds every operator set off those lists and the member lists (see
+//! the builder in [`AggregationOps`]): the full set once, shared until a
+//! mutation drops it, and a sampled slice each time one is asked for. An
+//! epoch asks for one slice per tier and the next epoch draws new ids, so
+//! slices are not kept.
 //!
 //! One rule covers mutation: CSR is not an updatable format, so a live
 //! mutation ([`AggregationCache::apply_add`] / [`AggregationCache::apply_remove`]
@@ -11,13 +13,13 @@
 //! updates only the two lists whose update really is `O(|e|)` — the
 //! [`Hypergraph`]'s member lists and weights, and the per-vertex incident
 //! edge lists — and drops every derived matrix it invalidates. Those are
-//! rebuilt on next use through the same constructors a from-scratch
-//! extraction runs, so "bitwise equal to a rebuild" holds by construction.
-//! The streaming path never asks for them: it walks the two lists
-//! ([`AggregationCache::closure`], [`AggregationCache::incident_edges`]) and
-//! reads the operator rows it recomputes straight off them
-//! ([`AggregationCache::edge_rows`], [`AggregationCache::vertex_rows`]).
+//! rebuilt on next use from the lists. The streaming path never asks for
+//! them: it walks the two lists ([`AggregationCache::closure`],
+//! [`AggregationCache::incident_edges`]) and reads the operator rows it
+//! recomputes straight off them ([`AggregationCache::edge_rows`],
+//! [`AggregationCache::vertex_rows`]) with the same row readers.
 
+use crate::ops::{edge_rows, incident_lists, vertex_rows};
 use crate::{AggregationOps, Hypergraph, HypergraphError, RemovedEdge, VertexRows};
 use ahntp_tensor::CsrMatrix;
 use std::cell::{OnceCell, RefCell};
@@ -27,35 +29,28 @@ use std::rc::Rc;
 ///
 /// * the per-vertex incident-edge lists, built on first use and kept in
 ///   step with every mutation;
-/// * the full operator set and Laplacian, built on first use and shared;
-/// * the operator set / Laplacian of the most recent hyperedge slice,
-///   reused while consecutive requests ask for the same edge ids (the
-///   common case: one slice per epoch, many micro-batches).
+/// * the full operator set and Laplacian, built on first use and shared.
 ///
-/// Requesting the identity selection returns the cached *full* set — the
-/// sliced construction is bitwise identical there (see
-/// [`AggregationOps::sliced_from`]), so sharing is safe and free.
+/// Requesting the identity selection returns the cached *full* set and
+/// Laplacian — a slice of every hyperedge is bitwise the full set, so
+/// sharing is safe and free.
 ///
-/// A structural mutation drops every cached matrix; a weight-only one
-/// drops the two Laplacians (the operators aggregate by *count*, Eqs.
-/// 10/12, and stay shared). Telemetry: `hypergraph.cache.hits` / `.misses`
-/// counters, a `hypergraph.cache.resident_rows` gauge per operator build,
-/// and one `hypergraph.cache.delta_*` counter per applied mutation kind.
+/// A structural mutation drops both cached matrices; a weight-only one
+/// drops the Laplacian (the operators aggregate by *count*, Eqs. 10/12,
+/// and stay shared). Telemetry: one `hypergraph.cache.misses` per operator
+/// set or Laplacian built (slices included), one `hypergraph.cache.hits`
+/// per cached one handed out, and one `hypergraph.cache.delta_*` counter
+/// per applied mutation kind.
 pub struct AggregationCache {
     h: Hypergraph,
     /// Per-vertex incident hyperedge ids, ascending.
     adj: OnceCell<Vec<Vec<usize>>>,
-    full_inputs: Cached<(CsrMatrix<f32>, CsrMatrix<f32>)>,
     full: Cached<AggregationOps>,
     full_lap: Cached<CsrMatrix<f32>>,
-    slice: SliceCached<AggregationOps>,
-    slice_lap: SliceCached<CsrMatrix<f32>>,
 }
 
 /// A lazily-built shared value, absent until first use.
 type Cached<T> = RefCell<Option<Rc<T>>>;
-/// A one-entry slice cache keyed by the sorted hyperedge selection.
-type SliceCached<T> = RefCell<Option<(Vec<usize>, Rc<T>)>>;
 
 impl AggregationCache {
     /// Wraps a hypergraph; nothing is extracted until first use.
@@ -63,11 +58,8 @@ impl AggregationCache {
         AggregationCache {
             h,
             adj: OnceCell::new(),
-            full_inputs: RefCell::new(None),
             full: RefCell::new(None),
             full_lap: RefCell::new(None),
-            slice: RefCell::new(None),
-            slice_lap: RefCell::new(None),
         }
     }
 
@@ -141,7 +133,7 @@ impl AggregationCache {
 
     /// Reweights hyperedge `e`, returning the old weight. The aggregation
     /// operators are weight-independent (Eqs. 10/12 aggregate by *count*),
-    /// so only the Laplacians are dropped.
+    /// so only the Laplacian is dropped.
     ///
     /// # Errors
     ///
@@ -149,7 +141,7 @@ impl AggregationCache {
     pub fn apply_reweight(&mut self, e: usize, weight: f32) -> Result<f32, HypergraphError> {
         let old = self.h.reweight_edge(e, weight)?;
         ahntp_telemetry::counter_add("hypergraph.cache.delta_reweight", 1);
-        self.drop_laplacians();
+        self.full_lap.get_mut().take();
         Ok(old)
     }
 
@@ -162,20 +154,13 @@ impl AggregationCache {
     pub fn apply_decay(&mut self, factor: f32) -> Result<(), HypergraphError> {
         self.h.scale_weights(factor)?;
         ahntp_telemetry::counter_add("hypergraph.cache.delta_decay", 1);
-        self.drop_laplacians();
+        self.full_lap.get_mut().take();
         Ok(())
     }
 
-    fn drop_laplacians(&mut self) {
-        self.full_lap.get_mut().take();
-        self.slice_lap.get_mut().take();
-    }
-
     fn drop_operators(&mut self) {
-        self.full_inputs.get_mut().take();
         self.full.get_mut().take();
-        self.slice.get_mut().take();
-        self.drop_laplacians();
+        self.full_lap.get_mut().take();
     }
 
     // --- the live lists and the operator rows read off them -----------------
@@ -183,15 +168,7 @@ impl AggregationCache {
     /// The per-vertex incident-hyperedge lists (ascending ids per vertex),
     /// built on first use and kept in step with every mutation.
     pub fn adjacency(&self) -> &[Vec<usize>] {
-        self.adj.get_or_init(|| {
-            let mut adj: Vec<Vec<usize>> = vec![Vec::new(); self.h.n_vertices()];
-            for (e, members) in self.h.edges().iter().enumerate() {
-                for &v in members {
-                    adj[v].push(e);
-                }
-            }
-            adj
-        })
+        self.adj.get_or_init(|| incident_lists(&self.h))
     }
 
     /// Vertices within `hops` hyperedge expansions of `seed` (including the
@@ -254,121 +231,69 @@ impl AggregationCache {
     /// Rows `edges` of the vertex→edge operator of Eq. 10, over global
     /// vertex ids: row `j` holds `1 / |N_e|` on the members of
     /// `e = edges[j]`, bitwise row `e` of [`AggregationCache::full_ops`]'s
-    /// `v2e` (same entries, same order, same expression). Read straight
-    /// off the member lists, which ascend, in time linear in the rows'
-    /// entries. Not cached — a live refresh asks for different rows every
-    /// time.
+    /// `v2e` (the same reader builds both). Not cached — a live refresh
+    /// asks for different rows every time.
     ///
     /// # Panics
     ///
     /// Panics if an edge id is out of range.
     pub fn edge_rows(&self, edges: &[usize]) -> CsrMatrix<f32> {
-        let mut row_ptr = Vec::with_capacity(edges.len() + 1);
-        row_ptr.push(0);
-        let (mut cols, mut values) = (Vec::new(), Vec::new());
-        for &e in edges {
-            let members = self.h.edge(e);
-            cols.extend_from_slice(members);
-            values.resize(cols.len(), 1.0 / members.len() as f32);
-            row_ptr.push(cols.len());
-        }
-        CsrMatrix::from_csr(edges.len(), self.h.n_vertices(), row_ptr, cols, values)
+        edge_rows(&self.h, edges.iter().copied())
     }
 
     /// Rows `vertices` of the vertex side of the operator set, over global
     /// hyperedge ids: row `i` of `e2v` holds `1 / |N_v|` on the edges
     /// incident to `v = vertices[i]`, bitwise row `v` of
     /// [`AggregationCache::full_ops`]'s `e2v`, and the pairs of row `i`
-    /// are the full set's pairs of `v` with `v` renamed `i`. Read straight
-    /// off the incident-edge lists, which ascend, in time linear in the
-    /// rows' entries. Not cached, as [`AggregationCache::edge_rows`].
+    /// are the full set's pairs of `v` with `v` renamed `i`. Not cached,
+    /// as [`AggregationCache::edge_rows`].
     ///
     /// # Panics
     ///
     /// Panics if a vertex id is out of range.
     pub fn vertex_rows(&self, vertices: &[usize]) -> VertexRows {
-        let adj = self.adjacency();
-        let mut row_ptr = Vec::with_capacity(vertices.len() + 1);
-        row_ptr.push(0);
-        let (mut edges, mut values, mut pair_vertices) = (Vec::new(), Vec::new(), Vec::new());
-        for (i, &v) in vertices.iter().enumerate() {
-            edges.extend_from_slice(&adj[v]);
-            values.resize(edges.len(), 1.0 / adj[v].len() as f32);
-            pair_vertices.resize(edges.len(), i);
-            row_ptr.push(edges.len());
-        }
-        let pairs = pair_vertices
-            .iter()
-            .copied()
-            .zip(edges.iter().copied())
-            .collect();
-        let e2v = CsrMatrix::from_csr(
-            vertices.len(),
+        vertex_rows(
+            self.adjacency(),
+            vertices.iter().copied(),
             self.h.n_edges(),
-            row_ptr,
-            edges.clone(),
-            values,
-        );
-        VertexRows {
-            e2v: Rc::new(e2v),
-            pairs: Rc::new(pairs),
-            pair_vertices: Rc::new(pair_vertices),
-            pair_edges: Rc::new(edges),
-        }
+            Some,
+        )
     }
 
-    /// The full-hypergraph operator set, extracted once.
+    /// The full-hypergraph operator set, built once.
     pub fn full_ops(&self) -> Rc<AggregationOps> {
         if let Some(ops) = self.full.borrow().as_ref() {
             ahntp_telemetry::counter_add("hypergraph.cache.hits", 1);
             return Rc::clone(ops);
         }
-        ahntp_telemetry::counter_add("hypergraph.cache.misses", 1);
-        ahntp_faultz::enforce("hypergraph.cache.build");
-        let _k = ahntp_telemetry::KernelSpan::enter(
-            "hypergraph.cache.build",
-            ahntp_telemetry::KernelKind::CacheBuild,
-        );
-        let ops = Rc::new(AggregationOps::full(&self.h));
-        ahntp_telemetry::gauge_set(
-            "hypergraph.cache.resident_rows",
-            ops.resident_rows() as f64,
-        );
+        let ops = Rc::new(self.build("hypergraph.cache.build", None));
         *self.full.borrow_mut() = Some(Rc::clone(&ops));
         ops
     }
 
-    /// The operator set restricted to `edge_ids`, reusing the previous
-    /// slice when the ids match. The identity selection (every edge, in
-    /// order) short-circuits to [`AggregationCache::full_ops`].
+    /// The operator set restricted to `edge_ids`, each hyperedge renamed
+    /// to its position there; built on every call. The identity selection
+    /// (every edge, in order) short-circuits to
+    /// [`AggregationCache::full_ops`].
     ///
     /// # Panics
     ///
-    /// Panics if any edge id is out of range.
+    /// Panics unless `edge_ids` is strictly ascending (as `sample_edges`
+    /// returns them) and in range.
     pub fn slice_ops(&self, edge_ids: &[usize]) -> Rc<AggregationOps> {
         if self.is_identity(edge_ids) {
             return self.full_ops();
         }
-        if let Some((ids, ops)) = self.slice.borrow().as_ref() {
-            if ids == edge_ids {
-                ahntp_telemetry::counter_add("hypergraph.cache.hits", 1);
-                return Rc::clone(ops);
-            }
-        }
+        Rc::new(self.build("hypergraph.cache.slice", Some(edge_ids)))
+    }
+
+    /// Every operator set the cache hands out is built here, off the
+    /// maintained lists: one miss, and the failpoint and span `site`.
+    fn build(&self, site: &'static str, edge_ids: Option<&[usize]>) -> AggregationOps {
         ahntp_telemetry::counter_add("hypergraph.cache.misses", 1);
-        ahntp_faultz::enforce("hypergraph.cache.slice");
-        let _k = ahntp_telemetry::KernelSpan::enter(
-            "hypergraph.cache.slice",
-            ahntp_telemetry::KernelKind::CacheBuild,
-        );
-        let (inc, v2e) = &*self.full_slice_inputs();
-        let ops = Rc::new(AggregationOps::sliced_from(inc, v2e, edge_ids));
-        ahntp_telemetry::gauge_set(
-            "hypergraph.cache.resident_rows",
-            ops.resident_rows() as f64,
-        );
-        *self.slice.borrow_mut() = Some((edge_ids.to_vec(), Rc::clone(&ops)));
-        ops
+        ahntp_faultz::enforce(site);
+        let _k = ahntp_telemetry::KernelSpan::enter(site, ahntp_telemetry::KernelKind::CacheBuild);
+        AggregationOps::build(&self.h, self.adjacency(), edge_ids)
     }
 
     /// The full-hypergraph Laplacian (Eq. 24), built once.
@@ -387,9 +312,9 @@ impl AggregationCache {
         lap
     }
 
-    /// The Laplacian of the sub-hypergraph induced by `edge_ids`, reusing
-    /// the previous slice when the ids match; the identity selection
-    /// short-circuits to [`AggregationCache::full_laplacian`].
+    /// The Laplacian of the sub-hypergraph induced by `edge_ids`, built on
+    /// every call; the identity selection short-circuits to
+    /// [`AggregationCache::full_laplacian`].
     ///
     /// # Panics
     ///
@@ -398,30 +323,12 @@ impl AggregationCache {
         if self.is_identity(edge_ids) {
             return self.full_laplacian();
         }
-        if let Some((ids, lap)) = self.slice_lap.borrow().as_ref() {
-            if ids == edge_ids {
-                ahntp_telemetry::counter_add("hypergraph.cache.hits", 1);
-                return Rc::clone(lap);
-            }
-        }
         ahntp_telemetry::counter_add("hypergraph.cache.misses", 1);
         let _k = ahntp_telemetry::KernelSpan::enter(
             "hypergraph.cache.laplacian_slice",
             ahntp_telemetry::KernelKind::CacheBuild,
         );
-        let lap = Rc::new(self.h.laplacian_for_edges(edge_ids));
-        *self.slice_lap.borrow_mut() = Some((edge_ids.to_vec(), Rc::clone(&lap)));
-        lap
-    }
-
-    /// The cached (incidence, v2e) pair slices are cut from.
-    fn full_slice_inputs(&self) -> Rc<(CsrMatrix<f32>, CsrMatrix<f32>)> {
-        if let Some(inputs) = self.full_inputs.borrow().as_ref() {
-            return Rc::clone(inputs);
-        }
-        let inputs = Rc::new((self.h.incidence(), self.h.vertex_to_edge_mean()));
-        *self.full_inputs.borrow_mut() = Some(Rc::clone(&inputs));
-        inputs
+        Rc::new(self.h.laplacian_for_edges(edge_ids))
     }
 
     fn is_identity(&self, edge_ids: &[usize]) -> bool {
@@ -459,9 +366,14 @@ mod tests {
             cache.full_ops();
             cache.slice_ops(&[1, 2]);
             cache.slice_ops(&[1, 2]);
+            cache.slice_ops(&[0, 1, 2]);
             let counts = ["hypergraph.cache.misses", "hypergraph.cache.hits"]
                 .map(ahntp_telemetry::counter_get);
-            assert_eq!(counts, [2, 2], "one miss per distinct build, one hit per reuse");
+            assert_eq!(
+                counts,
+                [3, 2],
+                "one miss per build, slices included; one hit per full set reused"
+            );
         });
     }
 
@@ -477,34 +389,39 @@ mod tests {
     }
 
     #[test]
-    fn repeated_slice_requests_hit_the_cache() {
-        let cache = AggregationCache::new(sample());
-        let a = cache.slice_ops(&[2, 0]);
-        let b = cache.slice_ops(&[2, 0]);
-        assert!(Rc::ptr_eq(&a, &b), "same ids → cached slice");
-        let c = cache.slice_ops(&[1]);
-        assert!(!Rc::ptr_eq(&a, &c), "different ids → rebuild");
-        assert_eq!(c.n_edges(), 1);
-        // Slice matches the standalone extraction.
-        let standalone = AggregationOps::sliced(cache.hypergraph(), &[2, 0]);
-        assert_eq!(*cache.slice_ops(&[2, 0]).v2e, *standalone.v2e);
+    #[should_panic(expected = "strictly ascending")]
+    fn a_slice_rejects_unsorted_ids() {
+        AggregationCache::new(sample()).slice_ops(&[2, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn a_slice_rejects_repeated_ids() {
+        AggregationCache::new(sample()).slice_ops(&[0, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "hyperedge id 3 out of range for 3 hyperedges")]
+    fn a_slice_rejects_an_out_of_range_id() {
+        AggregationCache::new(sample()).slice_ops(&[0, 3]);
     }
 
     #[test]
     fn structure_change_invalidates_everything() {
         let mut cache = AggregationCache::new(sample());
         let before = cache.full_ops();
-        let slice_before = cache.slice_ops(&[0, 1]);
+        let lap_before = cache.full_laplacian();
         cache.apply_add(&[1, 3], 1.0).expect("valid");
         assert_eq!(cache.n_edges(), 4);
         let after = cache.full_ops();
         assert!(!Rc::ptr_eq(&before, &after), "full set rebuilt");
+        assert!(!Rc::ptr_eq(&lap_before, &cache.full_laplacian()));
         assert_eq!(after.n_edges(), 4);
-        let slice_after = cache.slice_ops(&[0, 1]);
-        assert!(!Rc::ptr_eq(&slice_before, &slice_after), "slice rebuilt");
-        // The rebuilt slice reflects the new structure: vertex 3 now also
-        // sees the new edge, but the slice only keeps edges {0, 1}.
-        assert_eq!(slice_after.n_edges(), 2);
+        // A slice reads the new lists: vertex 1 now also sits in edge 3,
+        // which the slice leaves out, so its row still averages edge 0.
+        let slice = cache.slice_ops(&[0, 1]);
+        assert_eq!(slice.n_edges(), 2);
+        assert_eq!(row_bits(&slice.rows.e2v, 1), vec![(0, 1.0f32.to_bits())]);
     }
 
     #[test]
@@ -512,8 +429,6 @@ mod tests {
         let cache = AggregationCache::new(sample());
         let lap = cache.slice_laplacian(&[0, 2]);
         assert_eq!(*lap, cache.hypergraph().laplacian_for_edges(&[0, 2]));
-        // Cached on repeat.
-        assert!(Rc::ptr_eq(&lap, &cache.slice_laplacian(&[0, 2])));
     }
 
     /// A CSR row as `(column, value bits)` pairs.
@@ -538,12 +453,12 @@ mod tests {
         let rows = cache.vertex_rows(vertices);
         assert_eq!(
             (rows.n_rows(), rows.e2v.cols()),
-            (vertices.len(), full.e2v.cols())
+            (vertices.len(), full.rows.e2v.cols())
         );
         for (i, &v) in vertices.iter().enumerate() {
             assert_eq!(
                 row_bits(&rows.e2v, i),
-                row_bits(&full.e2v, v),
+                row_bits(&full.rows.e2v, v),
                 "e2v row of vertex {v}"
             );
             let ours: Vec<_> = rows
@@ -552,7 +467,13 @@ mod tests {
                 .filter(|p| p.0 == i)
                 .map(|&(_, e)| (v, e))
                 .collect();
-            let theirs: Vec<_> = full.pairs.iter().filter(|p| p.0 == v).copied().collect();
+            let theirs: Vec<_> = full
+                .rows
+                .pairs
+                .iter()
+                .filter(|p| p.0 == v)
+                .copied()
+                .collect();
             assert_eq!(ours, theirs, "pairs of vertex {v}");
         }
         assert!(
@@ -567,7 +488,8 @@ mod tests {
     }
 
     /// Asserts the maintained lists, the operator rows read off them and
-    /// every (re)built matrix equal a from-scratch rebuild bitwise.
+    /// every (re)built matrix equal a from-scratch rebuild bitwise, and the
+    /// full set the triplet-built operators of [`Hypergraph`].
     fn assert_matches_rebuild(cache: &AggregationCache) {
         let h = cache.hypergraph();
         let rebuilt = AggregationCache::new(h.clone());
@@ -575,17 +497,11 @@ mod tests {
         let every_edge: Vec<usize> = (0..h.n_edges()).rev().collect();
         assert_rows_match_full(cache, &every_edge, &[3, 0, 2]);
         assert_rows_match_full(cache, &every_edge[every_edge.len() / 2..], &[1]);
-        let fresh = AggregationOps::full(h);
         let cached = cache.full_ops();
-        assert_eq!(*cached.v2e, *fresh.v2e, "v2e drifted");
-        assert_eq!(*cached.e2v, *fresh.e2v, "e2v drifted");
-        assert_eq!(*cached.pairs, *fresh.pairs, "pairs drifted");
-        assert_eq!(*cached.pair_vertices, *fresh.pair_vertices);
-        assert_eq!(*cached.pair_edges, *fresh.pair_edges);
+        assert_eq!(*cached.v2e, h.vertex_to_edge_mean(), "v2e drifted");
+        assert_eq!(*cached.rows.e2v, h.edge_to_vertex_mean(), "e2v drifted");
+        assert_eq!(*cached.rows.pairs, h.incidence_pairs(), "pairs drifted");
         assert_eq!(*cache.full_laplacian(), h.laplacian(), "Laplacian drifted");
-        let inputs = cache.full_slice_inputs();
-        assert_eq!(inputs.0, h.incidence(), "incidence input drifted");
-        assert_eq!(inputs.1, h.vertex_to_edge_mean(), "v2e input drifted");
     }
 
     /// Forces every cache entry to exist, so a mutation has the lists to
@@ -594,9 +510,6 @@ mod tests {
         cache.adjacency();
         cache.full_ops();
         cache.full_laplacian();
-        cache.full_slice_inputs();
-        cache.slice_ops(&[0, 1]);
-        cache.slice_laplacian(&[0, 1]);
     }
 
     #[test]
@@ -633,12 +546,10 @@ mod tests {
         let mut cache = AggregationCache::new(sample());
         warm(&cache);
         let ops_before = cache.full_ops();
-        let slice_before = cache.slice_ops(&[0, 1]);
         let old = cache.apply_reweight(1, 4.0).expect("valid");
         assert_eq!(old, 1.0);
         // Aggregation operators are weight-independent: not even rebuilt.
         assert!(Rc::ptr_eq(&ops_before, &cache.full_ops()));
-        assert!(Rc::ptr_eq(&slice_before, &cache.slice_ops(&[0, 1])));
         assert_eq!(
             *cache.slice_laplacian(&[0, 1]),
             cache.hypergraph().laplacian_for_edges(&[0, 1])
@@ -666,15 +577,10 @@ mod tests {
             ahntp_telemetry::set_enabled(true);
             let mut cache = AggregationCache::new(sample());
             warm(&cache);
-            let counts = || {
-                [
-                    "hypergraph.cache.misses",
-                    "tensor.select_rows.calls",
-                    "tensor.select_cols.calls",
-                ]
-                .map(ahntp_telemetry::counter_get)
-            };
-            let warm_counts = counts();
+            // Every operator set or Laplacian built, slices included,
+            // records one miss.
+            let misses = || ahntp_telemetry::counter_get("hypergraph.cache.misses");
+            let warm_misses = misses();
             let e = cache.apply_add(&[1, 3], 2.0).expect("valid");
             let targets = cache.closure(&[1, 3], 1);
             let edges = cache.incident_edges(&[1, 3]);
@@ -682,9 +588,11 @@ mod tests {
             assert_eq!(cache.edge_rows(&edges).rows(), 4);
             assert_eq!(cache.vertex_rows(&targets).n_rows(), 4);
             cache.apply_remove(e).expect("valid");
-            assert_eq!(counts(), warm_counts, "the live path reads lists only");
+            assert_eq!(misses(), warm_misses, "the live path reads lists only");
             cache.full_ops();
-            assert_eq!(counts()[0], warm_counts[0] + 1, "the next reader rebuilds");
+            assert_eq!(misses(), warm_misses + 1, "the next reader rebuilds");
+            cache.slice_ops(&[0, 2]);
+            assert_eq!(misses(), warm_misses + 2, "a slice is a build");
         });
     }
 
@@ -731,10 +639,9 @@ mod tests {
         let mut cache = AggregationCache::new(sample());
         assert_rows_match_full(&cache, &[2, 0], &[3, 1]);
         assert_rows_match_full(&cache, &[], &[]);
-        let slice = AggregationOps::sliced(cache.hypergraph(), &[0, 1]);
         assert_eq!(
             cache.edge_rows(&[0, 1]),
-            *slice.v2e,
+            *cache.slice_ops(&[0, 1]).v2e,
             "rows of Eq. 10 are a slice's"
         );
         // An isolated vertex is an empty row with no pairs.

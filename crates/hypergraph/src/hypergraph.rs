@@ -331,12 +331,11 @@ impl Hypergraph {
             .expect("members validated at insertion")
     }
 
-    /// All `(vertex, hyperedge)` incidence pairs sorted by vertex, plus the
-    /// per-pair vertex segment ids — the index structure behind the
-    /// attention of Eqs. 14–16. Pair `k` connects `pairs[k].0` to hyperedge
-    /// `pairs[k].1`, and `segments[k] = pairs[k].0` groups the attention
-    /// softmax per central vertex.
-    pub fn incidence_pairs(&self) -> (Vec<(usize, usize)>, Vec<usize>) {
+    /// All `(vertex, hyperedge)` incidence pairs sorted by vertex — the
+    /// index structure behind the attention of Eqs. 14–16. Pair `k`
+    /// connects `pairs[k].0` to hyperedge `pairs[k].1`; the vertex is also
+    /// the segment that groups the attention softmax.
+    pub fn incidence_pairs(&self) -> Vec<(usize, usize)> {
         let mut pairs = Vec::new();
         for (e, members) in self.edges.iter().enumerate() {
             for &v in members {
@@ -344,8 +343,7 @@ impl Hypergraph {
             }
         }
         pairs.sort_unstable();
-        let segments = pairs.iter().map(|&(v, _)| v).collect();
-        (pairs, segments)
+        pairs
     }
 
     /// The normalised hypergraph Laplacian of Eq. 24:
@@ -550,9 +548,8 @@ mod tests {
     #[test]
     fn incidence_pairs_sorted_with_segments() {
         let h = small();
-        let (pairs, segments) = h.incidence_pairs();
+        let pairs = h.incidence_pairs();
         assert_eq!(pairs, vec![(0, 0), (1, 0), (2, 0), (2, 1), (3, 1)]);
-        assert_eq!(segments, vec![0, 1, 2, 2, 3]);
     }
 
     #[test]

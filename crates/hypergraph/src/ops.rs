@@ -1,17 +1,17 @@
 //! The constant aggregation-operator set a hypergraph convolution consumes
-//! (Eqs. 10–16), for the full hypergraph or a sampled hyperedge subset.
-//!
-//! Layers used to extract this structure privately from a [`Hypergraph`] at
-//! construction; mini-batch training needs the same bundle *per sampled
-//! edge set*, built through the CSR slicing kernels
-//! (`CsrMatrix::select_rows` / `select_cols` / `scale_rows`) so slices are
-//! cheap and — at the identity selection — bitwise identical to the full
-//! operators.
+//! (Eqs. 10–16), for the full hypergraph or a sampled hyperedge subset,
+//! and the one builder every such set comes from.
 //!
 //! A layer reads the set in two halves: the hyperedge side (`v2e` and
 //! `edge_ids`, Eqs. 10–11) and the vertex side ([`VertexRows`], Eqs.
-//! 12–16). A live refresh builds each half for a few rows only
-//! ([`crate::AggregationCache::edge_rows`] /
+//! 12–16). Row `j` of the hyperedge side is read off the member list of
+//! its hyperedge, row `i` of the vertex side off the incident-edge list of
+//! its vertex. Both lists ascend, so every row comes out in CSR order with
+//! no sort, in time linear in its entries. The same two readers build the
+//! full set ([`AggregationOps::full`],
+//! [`crate::AggregationCache::full_ops`]), a sampled slice
+//! ([`crate::AggregationCache::slice_ops`]) and the few rows a live refresh
+//! recomputes ([`crate::AggregationCache::edge_rows`] /
 //! [`crate::AggregationCache::vertex_rows`]).
 
 use crate::Hypergraph;
@@ -19,8 +19,9 @@ use ahntp_tensor::CsrMatrix;
 use std::rc::Rc;
 
 /// Everything a hypergraph convolution needs about the (possibly sampled)
-/// incidence structure: the two mean-aggregation operators, the attention
-/// index vectors, and — for slices — the global ids of the edges kept.
+/// incidence structure: the vertex→edge mean operator, the vertex side
+/// every vertex a row, and — for slices — the global ids of the edges
+/// kept.
 ///
 /// All fields are `Rc`-shared so one extraction serves a whole layer stack.
 #[derive(Clone)]
@@ -28,23 +29,14 @@ pub struct AggregationOps {
     /// `m × n` vertex→edge mean operator (Eq. 10); `m` is the number of
     /// *selected* edges for a slice.
     pub v2e: Rc<CsrMatrix<f32>>,
-    /// `n × m` edge→vertex mean operator (Eq. 12), renormalised over the
-    /// selected edges.
-    pub e2v: Rc<CsrMatrix<f32>>,
-    /// Incidence pairs `(vertex, local edge)` sorted by vertex, for the
-    /// attention of Eqs. 14–16.
-    pub pairs: Rc<Vec<(usize, usize)>>,
-    /// Row index per pair: the central vertex (to gather `x_i`, and the
-    /// softmax group of Eq. 15).
-    pub pair_vertices: Rc<Vec<usize>>,
-    /// Row index per pair: the local hyperedge (to gather `h_e`).
-    pub pair_edges: Rc<Vec<usize>>,
+    /// The vertex side, row `i` for vertex `i`: the `n × m` edge→vertex
+    /// mean operator (Eq. 12), renormalised over the selected edges, and
+    /// the incidence pairs `(vertex, local edge)` of Eqs. 14–16.
+    pub rows: VertexRows,
     /// Global hyperedge id per local edge — `Some` only for slices, where
     /// layers must gather their per-edge weights through it. `None` means
     /// "full hypergraph, local ids are global ids".
     pub edge_ids: Option<Rc<Vec<usize>>>,
-    /// Number of vertices (rows of the convolution output).
-    pub n_vertices: usize,
 }
 
 /// The vertex side of an operator set: what Eqs. 12–16 read for a run of
@@ -73,98 +65,53 @@ impl VertexRows {
 }
 
 impl AggregationOps {
-    /// Extracts the full-hypergraph operator set (the classic layer
-    /// construction path).
+    /// Extracts the full-hypergraph operator set. The incident-edge lists
+    /// are built here, fresh from `h`'s member lists, so the result does
+    /// not depend on any cache's maintained lists.
     pub fn full(h: &Hypergraph) -> AggregationOps {
-        let (pairs, pair_vertices) = h.incidence_pairs();
-        let pair_edges = pairs.iter().map(|&(_, e)| e).collect::<Vec<_>>();
-        AggregationOps {
-            v2e: Rc::new(h.vertex_to_edge_mean()),
-            e2v: Rc::new(h.edge_to_vertex_mean()),
-            pairs: Rc::new(pairs),
-            pair_vertices: Rc::new(pair_vertices),
-            pair_edges: Rc::new(pair_edges),
-            edge_ids: None,
-            n_vertices: h.n_vertices(),
-        }
+        Self::build(h, &incident_lists(h), None)
     }
 
-    /// Extracts the operator set restricted to the given hyperedges,
-    /// recomputing the full incidence and vertex→edge operators first.
-    /// [`crate::AggregationCache`] keeps those two cached and calls
-    /// [`AggregationOps::sliced_from`] instead; this standalone entry point
-    /// exists for tests and one-off extractions.
+    /// The operator set of `h`, whose incident-edge lists are `adj`: every
+    /// hyperedge, or only `edge_ids`, each renamed to its position there.
+    /// A vertex's `e2v` row then averages over the edges it still sees
+    /// (Eq. 12 with `N_u ∩ S` in place of `N_u`).
     ///
     /// # Panics
     ///
-    /// Panics if any edge id is out of range.
-    pub fn sliced(h: &Hypergraph, edge_ids: &[usize]) -> AggregationOps {
-        Self::sliced_from(&h.incidence(), &h.vertex_to_edge_mean(), edge_ids)
-    }
-
-    /// Builds the sliced operator set from the full incidence matrix and
-    /// the full vertex→edge operator via the CSR slicing kernels.
-    ///
-    /// With the identity selection every matrix is bitwise identical to the
-    /// [`AggregationOps::full`] extraction: `select_rows` copies rows
-    /// verbatim, `select_cols` preserves the per-row entry order, and
-    /// `1.0 * x == x` exactly for the renormalised edge→vertex values.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any edge id is out of range.
-    pub fn sliced_from(
-        incidence: &CsrMatrix<f32>,
-        v2e_full: &CsrMatrix<f32>,
-        edge_ids: &[usize],
+    /// Panics unless `edge_ids` is strictly ascending and in range.
+    pub(crate) fn build(
+        h: &Hypergraph,
+        adj: &[Vec<usize>],
+        edge_ids: Option<&[usize]>,
     ) -> AggregationOps {
-        // Eq. 10 operator: row e of the full operator already holds
-        // 1/|N_e| on the members; sampling edges just selects rows.
-        let v2e = v2e_full.select_rows(edge_ids);
-        // Incidence restricted to the sampled edges (columns), then
-        // renormalised per vertex over the edges *it still sees* (Eq. 12
-        // with N_u ∩ S in place of N_u).
-        let inc_s = incidence.select_cols(edge_ids);
-        let inv_counts: Vec<f32> = (0..inc_s.rows())
-            .map(|v| {
-                let c = inc_s.row_nnz(v);
-                if c > 0 {
-                    1.0 / c as f32
-                } else {
-                    0.0
-                }
-            })
-            .collect();
-        let e2v = inc_s.scale_rows(&inv_counts);
-        // Attention index vectors: row-major iteration over the sliced
-        // incidence is exactly "(vertex, local edge) sorted by vertex".
-        let mut pairs = Vec::with_capacity(inc_s.nnz());
-        for v in 0..inc_s.rows() {
-            for (e, _) in inc_s.row_entries(v) {
-                pairs.push((v, e));
-            }
+        let (n, m) = (h.n_vertices(), h.n_edges());
+        let Some(ids) = edge_ids else {
+            return AggregationOps {
+                v2e: Rc::new(edge_rows(h, 0..m)),
+                rows: vertex_rows(adj, 0..n, m, Some),
+                edge_ids: None,
+            };
+        };
+        assert!(
+            ids.windows(2).all(|w| w[0] < w[1]),
+            "slice_ops: hyperedge ids must be strictly ascending"
+        );
+        if let Some(&e) = ids.last() {
+            assert!(
+                e < m,
+                "slice_ops: hyperedge id {e} out of range for {m} hyperedges"
+            );
         }
-        let pair_vertices = pairs.iter().map(|&(v, _)| v).collect::<Vec<_>>();
-        let pair_edges = pairs.iter().map(|&(_, e)| e).collect::<Vec<_>>();
+        // Ascending ids rename monotonically, so each row stays ascending.
+        let mut local = vec![None; m];
+        for (j, &e) in ids.iter().enumerate() {
+            local[e] = Some(j);
+        }
         AggregationOps {
-            n_vertices: inc_s.rows(),
-            v2e: Rc::new(v2e),
-            e2v: Rc::new(e2v),
-            pairs: Rc::new(pairs),
-            pair_vertices: Rc::new(pair_vertices),
-            pair_edges: Rc::new(pair_edges),
-            edge_ids: Some(Rc::new(edge_ids.to_vec())),
-        }
-    }
-
-    /// The vertex side of this set, every vertex a row (shares the
-    /// buffers).
-    pub fn vertex_rows(&self) -> VertexRows {
-        VertexRows {
-            e2v: Rc::clone(&self.e2v),
-            pairs: Rc::clone(&self.pairs),
-            pair_vertices: Rc::clone(&self.pair_vertices),
-            pair_edges: Rc::clone(&self.pair_edges),
+            v2e: Rc::new(edge_rows(h, ids.iter().copied())),
+            rows: vertex_rows(adj, 0..n, ids.len(), |e| local[e]),
+            edge_ids: Some(Rc::new(ids.to_vec())),
         }
     }
 
@@ -172,19 +119,87 @@ impl AggregationOps {
     pub fn n_edges(&self) -> usize {
         self.v2e.rows()
     }
+}
 
-    /// Rows of sparse operator state resident for this set — the
-    /// vertex-row count plus the selected-edge row count. The "peak
-    /// resident rows" figure the bench reports for full-batch vs
-    /// mini-batch epochs.
-    pub fn resident_rows(&self) -> usize {
-        self.n_vertices + self.n_edges()
+/// Per-vertex incident hyperedge ids of `h`, ascending.
+pub(crate) fn incident_lists(h: &Hypergraph) -> Vec<Vec<usize>> {
+    let mut adj = vec![Vec::new(); h.n_vertices()];
+    for (e, members) in h.edges().iter().enumerate() {
+        for &v in members {
+            adj[v].push(e);
+        }
+    }
+    adj
+}
+
+/// Rows of the vertex→edge operator of Eq. 10 over global vertex ids: row
+/// `j` holds `1 / |N_e|` on the members of the `j`-th hyperedge `e` of
+/// `edges`, read off its member list.
+///
+/// # Panics
+///
+/// Panics if an edge id is out of range.
+pub(crate) fn edge_rows(
+    h: &Hypergraph,
+    edges: impl ExactSizeIterator<Item = usize>,
+) -> CsrMatrix<f32> {
+    let n_rows = edges.len();
+    let mut row_ptr = Vec::with_capacity(n_rows + 1);
+    row_ptr.push(0);
+    let (mut cols, mut values) = (Vec::new(), Vec::new());
+    for e in edges {
+        let members = h.edge(e);
+        cols.extend_from_slice(members);
+        values.resize(cols.len(), 1.0 / members.len() as f32);
+        row_ptr.push(cols.len());
+    }
+    CsrMatrix::from_csr(n_rows, h.n_vertices(), row_ptr, cols, values)
+}
+
+/// The vertex side for the output rows `vertices`. Row `i` reads the
+/// incident-edge list of the `i`-th vertex, keeps each edge `e` that
+/// `column(e)` maps to a column, and holds `1 / (edges kept)` there (Eq.
+/// 12), one pair `(i, column)` per entry. `column` must increase along
+/// each list, so the row stays ascending.
+///
+/// # Panics
+///
+/// Panics if a vertex id is out of range.
+pub(crate) fn vertex_rows(
+    adj: &[Vec<usize>],
+    vertices: impl ExactSizeIterator<Item = usize>,
+    n_cols: usize,
+    column: impl Fn(usize) -> Option<usize>,
+) -> VertexRows {
+    let n_rows = vertices.len();
+    let mut row_ptr = Vec::with_capacity(n_rows + 1);
+    row_ptr.push(0);
+    let (mut edges, mut values, mut pair_vertices) = (Vec::new(), Vec::new(), Vec::new());
+    for (i, v) in vertices.enumerate() {
+        edges.extend(adj[v].iter().filter_map(|&e| column(e)));
+        let kept = edges.len() - row_ptr[i];
+        values.resize(edges.len(), 1.0 / kept as f32);
+        pair_vertices.resize(edges.len(), i);
+        row_ptr.push(edges.len());
+    }
+    let pairs = pair_vertices
+        .iter()
+        .copied()
+        .zip(edges.iter().copied())
+        .collect();
+    let e2v = CsrMatrix::from_csr(n_rows, n_cols, row_ptr, edges.clone(), values);
+    VertexRows {
+        e2v: Rc::new(e2v),
+        pairs: Rc::new(pairs),
+        pair_vertices: Rc::new(pair_vertices),
+        pair_edges: Rc::new(edges),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::AggregationCache;
 
     fn sample() -> Hypergraph {
         let mut h = Hypergraph::new(5);
@@ -199,80 +214,63 @@ mod tests {
         let h = sample();
         let ops = AggregationOps::full(&h);
         assert_eq!(*ops.v2e, h.vertex_to_edge_mean());
-        assert_eq!(*ops.e2v, h.edge_to_vertex_mean());
-        let (pairs, pair_vertices) = h.incidence_pairs();
-        assert_eq!(*ops.pairs, pairs);
-        assert_eq!(*ops.pair_vertices, pair_vertices);
+        assert_eq!(*ops.rows.e2v, h.edge_to_vertex_mean());
+        let pairs = h.incidence_pairs();
+        let split: (Vec<_>, Vec<_>) = pairs.iter().copied().unzip();
+        assert_eq!(*ops.rows.pairs, pairs);
+        assert_eq!(
+            (&*ops.rows.pair_vertices, &*ops.rows.pair_edges),
+            (&split.0, &split.1)
+        );
         assert!(ops.edge_ids.is_none());
-        assert_eq!(ops.n_edges(), 3);
-        assert_eq!(ops.resident_rows(), 5 + 3);
+        assert_eq!((ops.n_edges(), ops.rows.n_rows()), (3, 5));
     }
 
     #[test]
     fn identity_slice_is_bitwise_full() {
+        // `slice_ops` hands the identity selection the full set; the
+        // slice arithmetic itself must agree with it there too.
         let h = sample();
         let full = AggregationOps::full(&h);
-        let sliced = AggregationOps::sliced(&h, &[0, 1, 2]);
-        assert_eq!(*sliced.v2e, *full.v2e);
-        assert_eq!(*sliced.e2v, *full.e2v);
-        assert_eq!(*sliced.pairs, *full.pairs);
-        assert_eq!(*sliced.pair_vertices, *full.pair_vertices);
-        assert_eq!(*sliced.pair_edges, *full.pair_edges);
+        let cache = AggregationCache::new(h.clone());
+        let shared = cache.slice_ops(&[0, 1, 2]);
+        let sliced = AggregationOps::build(&h, cache.adjacency(), Some(&[0, 1, 2]));
+        for ops in [&*shared, &sliced] {
+            assert_eq!(*ops.v2e, *full.v2e);
+            assert_eq!(*ops.rows.e2v, *full.rows.e2v);
+            assert_eq!(*ops.rows.pairs, *full.rows.pairs);
+            assert_eq!(*ops.rows.pair_vertices, *full.rows.pair_vertices);
+            assert_eq!(*ops.rows.pair_edges, *full.rows.pair_edges);
+        }
         assert_eq!(sliced.edge_ids.as_deref(), Some(&vec![0, 1, 2]));
     }
 
     #[test]
     fn slice_renormalises_vertex_means() {
-        let h = sample();
         // Keep edges {0, 2}: vertex 0 sees both, vertex 2 only edge 0,
         // vertex 1 only edge 0, vertices 3/4 only edge 2 → all weights are
         // means over the *remaining* incident edges.
-        let ops = AggregationOps::sliced(&h, &[0, 2]);
+        let ops = AggregationCache::new(sample()).slice_ops(&[0, 2]);
+        let e2v = &ops.rows.e2v;
         ops.v2e.validate().unwrap();
-        ops.e2v.validate().unwrap();
+        e2v.validate().unwrap();
         assert_eq!(ops.n_edges(), 2);
-        assert_eq!(ops.e2v.get(0, 0), 0.5);
-        assert_eq!(ops.e2v.get(0, 1), 0.5);
-        assert_eq!(ops.e2v.get(2, 0), 1.0);
-        assert_eq!(ops.e2v.get(3, 1), 1.0);
+        assert_eq!(e2v.get(0, 0), 0.5);
+        assert_eq!(e2v.get(0, 1), 0.5);
+        assert_eq!(e2v.get(2, 0), 1.0);
+        assert_eq!(e2v.get(3, 1), 1.0);
         // Vertex 2 lost edge 1: its row over local edges sums to 1.
-        let sums = ops.e2v.row_sums();
-        assert_eq!(sums[2], 1.0);
+        assert_eq!(e2v.row_sums()[2], 1.0);
         // pairs reference local edge ids.
-        assert!(ops.pairs.iter().all(|&(_, e)| e < 2));
+        assert!(ops.rows.pairs.iter().all(|&(_, e)| e < 2));
         assert_eq!(ops.edge_ids.as_deref(), Some(&vec![0, 2]));
     }
 
     #[test]
-    fn out_of_order_slice_is_well_formed() {
-        let h = sample();
-        let ops = AggregationOps::sliced(&h, &[2, 0]);
-        ops.v2e.validate().unwrap();
-        ops.e2v.validate().unwrap();
-        // Local edge 0 is global edge 2 ({0, 3, 4}).
-        assert_eq!(ops.v2e.row_nnz(0), 3);
-        assert_eq!(ops.v2e.row_nnz(1), 3);
-        // Pair vertices stay sorted (softmax grouping requirement).
-        assert!(ops.pair_vertices.windows(2).all(|w| w[0] <= w[1]));
-    }
-
-    #[test]
-    fn vertex_rows_share_the_sets_buffers() {
-        let ops = AggregationOps::sliced(&sample(), &[2, 0]);
-        let rows = ops.vertex_rows();
-        assert_eq!(rows.n_rows(), ops.n_vertices);
-        assert!(Rc::ptr_eq(&rows.e2v, &ops.e2v));
-        assert!(Rc::ptr_eq(&rows.pairs, &ops.pairs));
-        assert!(Rc::ptr_eq(&rows.pair_vertices, &ops.pair_vertices));
-        assert!(Rc::ptr_eq(&rows.pair_edges, &ops.pair_edges));
-    }
-
-    #[test]
     fn empty_slice_is_well_formed() {
-        let h = sample();
-        let ops = AggregationOps::sliced(&h, &[]);
+        let ops = AggregationCache::new(sample()).slice_ops(&[]);
         assert_eq!(ops.n_edges(), 0);
-        assert_eq!(ops.e2v.nnz(), 0);
-        assert!(ops.pairs.is_empty());
+        assert_eq!((ops.rows.n_rows(), ops.rows.e2v.nnz()), (5, 0));
+        assert!(ops.rows.pairs.is_empty());
     }
 }

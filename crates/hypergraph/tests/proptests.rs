@@ -5,7 +5,7 @@ use ahntp_hypergraph::{
     attribute_hypergroup, multi_hop_hypergroup_capped, pairwise_hypergroup,
     social_influence_hypergroup, AggregationCache, AggregationOps, Hypergraph,
 };
-use ahntp_tensor::{xavier_uniform, CsrMatrix, SplitMix64, Tensor};
+use ahntp_tensor::{CsrMatrix, SplitMix64, Tensor};
 use proptest::prelude::*;
 
 const N: usize = 12;
@@ -93,11 +93,11 @@ fn assert_rows_exact(
     prop_assert_eq!(&*live.pairs, &*fresh.pairs);
     prop_assert_eq!(&*live.pair_vertices, &*fresh.pair_vertices);
     prop_assert_eq!(&*live.pair_edges, &*fresh.pair_edges);
-    prop_assert_eq!(live.e2v.cols(), full.e2v.cols());
+    prop_assert_eq!(live.e2v.cols(), full.rows.e2v.cols());
     for (i, &v) in vertices.iter().enumerate() {
         prop_assert_eq!(
             row_bits(&live.e2v, i),
-            row_bits(&full.e2v, v),
+            row_bits(&full.rows.e2v, v),
             "e2v row of vertex {}",
             v
         );
@@ -107,7 +107,13 @@ fn assert_rows_exact(
             .filter(|p| p.0 == i)
             .map(|&(_, e)| (v, e))
             .collect();
-        let theirs: Vec<(usize, usize)> = full.pairs.iter().filter(|p| p.0 == v).copied().collect();
+        let theirs: Vec<(usize, usize)> = full
+            .rows
+            .pairs
+            .iter()
+            .filter(|p| p.0 == v)
+            .copied()
+            .collect();
         prop_assert_eq!(ours, theirs, "pairs of vertex {}", v);
     }
     let (pair_vertices, pair_edges): (Vec<usize>, Vec<usize>) = live.pairs.iter().copied().unzip();
@@ -116,36 +122,95 @@ fn assert_rows_exact(
     Ok(())
 }
 
+/// Asserts an operator set's pairs and the two index vectors split from
+/// them equal `pairs`.
+fn assert_pairs(
+    ops: &AggregationOps,
+    pairs: &[(usize, usize)],
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    let (pair_vertices, pair_edges): (Vec<usize>, Vec<usize>) = pairs.iter().copied().unzip();
+    prop_assert_eq!(&ops.rows.pairs[..], pairs);
+    prop_assert_eq!(&*ops.rows.pair_vertices, &pair_vertices);
+    prop_assert_eq!(&*ops.rows.pair_edges, &pair_edges);
+    Ok(())
+}
+
+/// The slice of `h` keeping hyperedges `ids`, built densely from the
+/// incidence matrix: `v2e` row `j` is column `ids[j]` divided by its
+/// count, `e2v` keeps the columns `ids` and divides each row by its count,
+/// and the pairs are `e2v`'s nonzeros in row-major order.
+fn dense_slice(h: &Hypergraph, ids: &[usize]) -> (Tensor, Tensor, Vec<(usize, usize)>) {
+    let inc = h.incidence().to_dense();
+    let mut v2e = Tensor::zeros(ids.len(), N);
+    for (j, &e) in ids.iter().enumerate() {
+        let size = (0..N).filter(|&v| inc.get(v, e) != 0.0).count();
+        for v in 0..N {
+            v2e.set(j, v, inc.get(v, e) / size as f32);
+        }
+    }
+    let mut e2v = Tensor::zeros(N, ids.len());
+    let mut pairs = Vec::new();
+    for v in 0..N {
+        let kept = ids.iter().filter(|&&e| inc.get(v, e) != 0.0).count();
+        for (j, &e) in ids.iter().enumerate() {
+            if inc.get(v, e) != 0.0 {
+                e2v.set(v, j, inc.get(v, e) / kept as f32);
+                pairs.push((v, j));
+            }
+        }
+    }
+    (v2e, e2v, pairs)
+}
+
+/// Asserts a CSR operator equals a dense reference entry for entry in
+/// bits, and stores exactly the reference's nonzeros.
+fn assert_dense_bits(
+    m: &CsrMatrix<f32>,
+    reference: &Tensor,
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    prop_assert!(m.validate().is_ok());
+    prop_assert_eq!((m.rows(), m.cols()), (reference.rows(), reference.cols()));
+    let nonzeros = reference.as_slice().iter().filter(|&&x| x != 0.0).count();
+    prop_assert_eq!(m.nnz(), nonzeros);
+    for r in 0..m.rows() {
+        for c in 0..m.cols() {
+            prop_assert_eq!(
+                m.get(r, c).to_bits(),
+                reference.get(r, c).to_bits(),
+                "entry ({}, {}) differs in bits", r, c
+            );
+        }
+    }
+    Ok(())
+}
+
 /// Asserts the lists a mutation maintains, and the operator rows read off
-/// them, equal those of a cache built fresh on the mutated hypergraph, and that
-/// every matrix the cache hands out equals a from-scratch extraction,
-/// entry-for-entry in bits.
+/// them, equal those of a cache built fresh on the mutated hypergraph; that
+/// the full set equals the triplet-built operators of [`Hypergraph`] and
+/// the Laplacian a from-scratch one, entry-for-entry in bits; and that one
+/// ascending slice, drawn from `seed`, equals the dense reference.
 fn assert_cache_exact(
     cache: &AggregationCache,
     seed: usize,
 ) -> Result<(), proptest::test_runner::TestCaseError> {
     let rebuilt = AggregationCache::new(cache.hypergraph().clone());
     prop_assert_eq!(cache.adjacency(), rebuilt.adjacency());
-    assert_rows_exact(cache, &rebuilt, seed)?;
+    assert_rows_exact(cache, &rebuilt, seed % N)?;
     let h = cache.hypergraph();
-    let fresh = AggregationOps::full(h);
     let live = cache.full_ops();
-    prop_assert_eq!(&*live.pairs, &*fresh.pairs);
-    prop_assert_eq!(&*live.pair_vertices, &*fresh.pair_vertices);
-    prop_assert_eq!(&*live.pair_edges, &*fresh.pair_edges);
-    for (a, b) in [(&live.v2e, &fresh.v2e), (&live.e2v, &fresh.e2v)] {
-        prop_assert_eq!(a.rows(), b.rows());
-        prop_assert_eq!(a.cols(), b.cols());
-        for r in 0..a.rows() {
-            for c in 0..a.cols() {
-                prop_assert_eq!(
-                    a.get(r, c).to_bits(),
-                    b.get(r, c).to_bits(),
-                    "operator entry ({}, {}) drifted", r, c
-                );
-            }
-        }
-    }
+    let (v2e, e2v) = (h.vertex_to_edge_mean(), h.edge_to_vertex_mean());
+    prop_assert_eq!(csr_bits(&live.v2e), csr_bits(&v2e));
+    prop_assert_eq!(csr_bits(&live.rows.e2v), csr_bits(&e2v));
+    assert_pairs(&live, &h.incidence_pairs())?;
+    let mut rng = SplitMix64::new(seed as u64);
+    let ids: Vec<usize> = (0..h.n_edges()).filter(|_| rng.next_u64().is_multiple_of(2)).collect();
+    let slice = cache.slice_ops(&ids);
+    let (v2e, e2v, pairs) = dense_slice(h, &ids);
+    assert_dense_bits(&slice.v2e, &v2e)?;
+    assert_dense_bits(&slice.rows.e2v, &e2v)?;
+    assert_pairs(&slice, &pairs)?;
+    let every: Vec<usize> = (0..h.n_edges()).collect();
+    prop_assert_eq!(slice.edge_ids.as_deref().unwrap_or(&every), &ids);
     let lap_fresh = h.laplacian();
     let lap_live = cache.full_laplacian();
     for r in 0..N {
@@ -226,14 +291,13 @@ proptest! {
 
     #[test]
     fn incidence_pairs_are_sorted_and_complete(h in arb_hypergraph()) {
-        let (pairs, segments) = h.incidence_pairs();
+        let pairs = h.incidence_pairs();
         prop_assert_eq!(pairs.len(), h.incidence().nnz());
         for w in pairs.windows(2) {
-            prop_assert!(w[0] <= w[1], "pairs must be sorted");
+            prop_assert!(w[0] < w[1], "pairs must be sorted and distinct");
         }
-        for (k, &(v, _)) in pairs.iter().enumerate() {
-            prop_assert_eq!(segments[k], v);
-        }
+        let inc = h.incidence();
+        prop_assert!(pairs.iter().all(|&(v, e)| inc.get(v, e) == 1.0));
     }
 
     #[test]
@@ -313,74 +377,20 @@ proptest! {
         // the full extraction *bitwise*, not just numerically.
         let identity: Vec<usize> = (0..h.n_edges()).collect();
         let full = AggregationOps::full(&h);
-        let sl = AggregationOps::sliced(&h, &identity);
+        let cache = AggregationCache::new(h.clone());
+        let sl = cache.slice_ops(&identity);
         prop_assert_eq!(sl.n_edges(), full.n_edges());
-        prop_assert_eq!(&*sl.pairs, &*full.pairs);
-        prop_assert_eq!(&*sl.pair_vertices, &*full.pair_vertices);
-        prop_assert_eq!(&*sl.pair_edges, &*full.pair_edges);
-        for (a, b) in [(&sl.v2e, &full.v2e), (&sl.e2v, &full.e2v)] {
-            prop_assert_eq!(a.rows(), b.rows());
-            prop_assert_eq!(a.cols(), b.cols());
-            for r in 0..a.rows() {
-                for c in 0..a.cols() {
-                    prop_assert_eq!(
-                        a.get(r, c).to_bits(),
-                        b.get(r, c).to_bits(),
-                        "entry ({}, {}) differs in bits", r, c
-                    );
-                }
-            }
-        }
+        prop_assert!(sl.edge_ids.is_none());
+        prop_assert_eq!(csr_bits(&sl.v2e), csr_bits(&full.v2e));
+        prop_assert_eq!(csr_bits(&sl.rows.e2v), csr_bits(&full.rows.e2v));
+        assert_pairs(&sl, &full.rows.pairs)?;
         // Same for the Laplacian path.
         let lap_full = h.laplacian();
-        let lap_id = h.laplacian_for_edges(&identity);
+        let lap_id = cache.slice_laplacian(&identity);
         for r in 0..N {
             for c in 0..N {
                 prop_assert_eq!(lap_full.get(r, c).to_bits(), lap_id.get(r, c).to_bits());
             }
-        }
-    }
-
-    #[test]
-    fn sliced_aggregation_is_permutation_consistent(
-        h in arb_hypergraph(),
-        mask in proptest::collection::vec(proptest::bool::weighted(0.5), 15),
-        seed in 0u64..1000,
-    ) {
-        // At ratio < 1.0 the sampled aggregation must depend only on the
-        // *set* of hyperedges, not the order the sampler emitted them in:
-        // per-edge operator rows are bitwise order-independent, and the
-        // round-trip aggregation matches to accumulation-order tolerance.
-        let mut ids: Vec<usize> = (0..h.n_edges()).filter(|&e| mask[e]).collect();
-        if ids.is_empty() {
-            ids.push(0);
-        }
-        let mut shuffled = ids.clone();
-        let mut rng = SplitMix64::new(seed ^ 0xfeed);
-        for i in (1..shuffled.len()).rev() {
-            let j = (rng.next_u64() % (i as u64 + 1)) as usize;
-            shuffled.swap(i, j);
-        }
-        let a = AggregationOps::sliced(&h, &ids);
-        let b = AggregationOps::sliced(&h, &shuffled);
-        // v2e rows are verbatim copies: bitwise identical per edge.
-        for (i, &e) in ids.iter().enumerate() {
-            let j = shuffled.iter().position(|&s| s == e).expect("same set");
-            for v in 0..N {
-                prop_assert_eq!(
-                    a.v2e.get(i, v).to_bits(),
-                    b.v2e.get(j, v).to_bits(),
-                    "v2e row for edge {} differs between orderings", e
-                );
-            }
-        }
-        // Round-trip aggregation e2v · (v2e · X): same set, different
-        // order → same result up to f32 accumulation-order error.
-        let x = xavier_uniform(N, 3, seed);
-        let ya = a.e2v.mul_dense(&a.v2e.mul_dense(&x));
-        let yb = b.e2v.mul_dense(&b.v2e.mul_dense(&x));
-        for (p, q) in ya.as_slice().iter().zip(yb.as_slice()) {
-            prop_assert!((p - q).abs() < 1e-5, "aggregation {} vs {}", p, q);
         }
     }
 
@@ -391,10 +401,11 @@ proptest! {
     ) {
         // The streaming keystone: 200 interleaved add/remove/reweight/decay
         // steps, and after EVERY one the maintained incident-edge lists and
-        // the operator rows read off them equal a fresh cache's, and the operators
-        // and Laplacian the cache hands out are bitwise a from-scratch
-        // rebuild. Under a telemetry context of its own, the `delta_*`
-        // counters are exactly the mutations this case applied.
+        // the operator rows read off them equal a fresh cache's, the full
+        // set and Laplacian the cache hands out are bitwise the triplet
+        // and from-scratch builds, and a slice is bitwise a dense one. Under
+        // a telemetry context of its own, the `delta_*` counters are
+        // exactly the mutations this case applied.
         ahntp_telemetry::Scope::fresh().run(|| {
             ahntp_telemetry::set_enabled(true);
             let mut cache = AggregationCache::new(h);
@@ -427,7 +438,7 @@ proptest! {
                         applied[3] += 1;
                     }
                 }
-                assert_cache_exact(&cache, k % N)?;
+                assert_cache_exact(&cache, k)?;
             }
             let counted = ["add", "remove", "reweight", "decay"].map(|kind| {
                 ahntp_telemetry::counter_get(&format!("hypergraph.cache.delta_{kind}"))

@@ -154,11 +154,6 @@ impl HypergraphConv {
         self.out_dim
     }
 
-    /// The operator set the layer was constructed over.
-    pub fn ops(&self) -> &Rc<AggregationOps> {
-        &self.ops
-    }
-
     /// The per-edge weight parameter `w_e` of Eq. 11 (`m × 1`). Live
     /// hypergraph mutation resizes this in place via [`Param::set_value`]
     /// so the column keeps covering every hyperedge.
@@ -243,7 +238,7 @@ impl HypergraphLayer for HypergraphConv {
             ahntp_telemetry::KernelKind::Other,
         );
         let edges = self.edge_half(s, &ops.v2e, ops.edge_ids.as_ref(), x);
-        (self.vertex_half(s, &ops.vertex_rows(), x, &edges), edges)
+        (self.vertex_half(s, &ops.rows, x, &edges), edges)
     }
 
     fn edge_weights(&self) -> &Param {
@@ -335,11 +330,6 @@ impl AdaptiveHypergraphConv {
         self.base.out_dim
     }
 
-    /// The operator set the layer was constructed over.
-    pub fn ops(&self) -> &Rc<AggregationOps> {
-        self.base.ops()
-    }
-
     /// The per-edge weight parameter `w_e` (see
     /// [`HypergraphConv::edge_weights`]).
     pub fn edge_weights(&self) -> &Param {
@@ -400,13 +390,13 @@ impl AdaptiveHypergraphConv {
         let s = Session::new();
         let (ops, x) = (&self.base.ops, s.constant(x.clone()));
         let edges = self.edge_half(&s, &ops.v2e, None, &x);
-        let (att, _) = self.attention(&s, &ops.vertex_rows(), &x, &edges);
+        let (att, _) = self.attention(&s, &ops.rows, &x, &edges);
         att.value().into_vec()
     }
 
     /// The incidence pairs the attention coefficients refer to.
     pub fn incidence_pairs(&self) -> &[(usize, usize)] {
-        &self.base.ops.pairs
+        &self.base.ops.rows.pairs
     }
 }
 
@@ -449,7 +439,7 @@ impl HypergraphLayer for AdaptiveHypergraphConv {
             ahntp_telemetry::KernelKind::Other,
         );
         let edges = self.edge_half(s, &ops.v2e, ops.edge_ids.as_ref(), x);
-        (self.vertex_half(s, &ops.vertex_rows(), x, &edges), edges)
+        (self.vertex_half(s, &ops.rows, x, &edges), edges)
     }
 
     fn edge_weights(&self) -> &Param {

@@ -11,7 +11,7 @@
 //! gradients to the wrong edge rows.
 
 use ahntp_graph::DiGraph;
-use ahntp_hypergraph::{AggregationOps, Hypergraph};
+use ahntp_hypergraph::{AggregationCache, Hypergraph};
 use ahntp_nn::loss::{
     bce_from_similarity, combined_loss, similarity_to_probability, smoothness_penalty,
     supervised_contrastive, ContrastiveBatch,
@@ -174,7 +174,7 @@ sweep! {
         // rows, unselected ones must stay untouched.
         let h = toy_hypergraph();
         let c = HypergraphConv::new("c", &h, 4, 3, 23);
-        let ops = Rc::new(AggregationOps::sliced(&h, &[0, 2, 3]));
+        let ops = AggregationCache::new(h.clone()).slice_ops(&[0, 2, 3]);
         let p = c.params();
         layer_case(
             c,
@@ -195,7 +195,7 @@ sweep! {
         let h = toy_hypergraph();
         let c = AdaptiveHypergraphConv::new("a", &h, 4, 3, 31);
         nudge_beta(&c);
-        let ops = Rc::new(AggregationOps::sliced(&h, &[1, 2, 3]));
+        let ops = AggregationCache::new(h.clone()).slice_ops(&[1, 2, 3]);
         let p = c.params();
         layer_case(
             c,
@@ -276,7 +276,7 @@ sweep! {
 fn sliced_edge_weight_gradients_land_on_selected_rows() {
     let h = toy_hypergraph();
     let c = HypergraphConv::new("c", &h, 4, 3, 47);
-    let ops = Rc::new(AggregationOps::sliced(&h, &[0, 2]));
+    let ops = AggregationCache::new(h.clone()).slice_ops(&[0, 2]);
     let x = xavier_uniform(5, 4, 10);
     let s = Session::new();
     let xv = s.constant(x);

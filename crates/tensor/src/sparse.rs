@@ -51,17 +51,6 @@ static T_MUL_DENSE_COUNTERS: SparseCounters = SparseCounters {
     nnz_in: "tensor.t_mul_dense.nnz_in",
     nnz_out: "tensor.t_mul_dense.nnz_out",
 };
-static SELECT_ROWS_COUNTERS: SparseCounters = SparseCounters {
-    calls: "tensor.select_rows.calls",
-    nnz_in: "tensor.select_rows.nnz_in",
-    nnz_out: "tensor.select_rows.nnz_out",
-};
-static SELECT_COLS_COUNTERS: SparseCounters = SparseCounters {
-    calls: "tensor.select_cols.calls",
-    nnz_in: "tensor.select_cols.nnz_in",
-    nnz_out: "tensor.select_cols.nnz_out",
-};
-
 /// Counts one sparse-kernel invocation and the nonzeros it consumed and
 /// produced. No-op while telemetry is disabled.
 #[inline]
@@ -883,131 +872,6 @@ impl<T: Scalar> CsrMatrix<T> {
         }
     }
 
-    /// Scales every entry of row `r` by `factors[r]` (pattern unchanged).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factors.len() != self.rows()`.
-    pub fn scale_rows(&self, factors: &[T]) -> CsrMatrix<T> {
-        assert_eq!(
-            factors.len(),
-            self.rows,
-            "CsrMatrix::scale_rows: {} factors for {} rows",
-            factors.len(),
-            self.rows
-        );
-        let mut out = self.clone();
-        for (r, &f) in factors.iter().enumerate() {
-            let (lo, hi) = (out.row_ptr[r], out.row_ptr[r + 1]);
-            for v in &mut out.values[lo..hi] {
-                *v = *v * f;
-            }
-        }
-        out
-    }
-
-    /// Extracts the submatrix whose row `i` is `self`'s row `rows[i]`
-    /// (sub-incidence extraction for mini-batch hyperedge sampling).
-    ///
-    /// Rows may be requested in any order and may repeat; empty source rows
-    /// yield empty output rows. The column dimension is unchanged. Large
-    /// extractions are row-banded across the worker pool; per-row output is
-    /// a verbatim copy of the source row, so the result is bitwise identical
-    /// to serial at any thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any requested row index is out of range.
-    pub fn select_rows(&self, rows: &[usize]) -> CsrMatrix<T> {
-        for (i, &r) in rows.iter().enumerate() {
-            assert!(
-                r < self.rows,
-                "CsrMatrix::select_rows: rows[{i}] = {r} out of range for {} rows",
-                self.rows
-            );
-        }
-        let nnz_out: usize = rows.iter().map(|&r| self.row_nnz(r)).sum();
-        let build_band = |i0: usize, i1: usize| -> (Vec<usize>, Vec<usize>, Vec<T>) {
-            let mut row_lens = Vec::with_capacity(i1 - i0);
-            let mut col_idx = Vec::new();
-            let mut values = Vec::new();
-            for &r in &rows[i0..i1] {
-                let (lo, hi) = (self.row_ptr[r], self.row_ptr[r + 1]);
-                col_idx.extend_from_slice(&self.col_idx[lo..hi]);
-                values.extend_from_slice(&self.values[lo..hi]);
-                row_lens.push(hi - lo);
-            }
-            (row_lens, col_idx, values)
-        };
-        let parts = ahntp_par::par_bands(
-            rows.len(),
-            nnz_out,
-            "tensor.select_rows.par_calls",
-            build_band,
-        );
-        let out = Self::stitch_bands(rows.len(), self.cols, parts);
-        record_sparse(&SELECT_ROWS_COUNTERS, self.nnz(), out.nnz());
-        out
-    }
-
-    /// Extracts the submatrix whose column `j` is `self`'s column `cols[j]`
-    /// (incidence-slice extraction along the hyperedge axis).
-    ///
-    /// Columns may be requested out of order and may repeat; the output is
-    /// always well-formed CSR (strictly increasing columns per row), with
-    /// `cols.len()` columns and the same number of rows. Rows with no entry
-    /// in any requested column come out empty. Large extractions are
-    /// row-banded across the worker pool and bitwise identical to serial.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any requested column index is out of range.
-    pub fn select_cols(&self, cols: &[usize]) -> CsrMatrix<T> {
-        // Old column → every new position it was requested at (duplicates
-        // allowed). Within one output row each new position receives at most
-        // one entry, so sorting by new position restores the CSR invariant
-        // even for out-of-order requests.
-        let mut lookup: Vec<Vec<usize>> = vec![Vec::new(); self.cols];
-        for (j, &c) in cols.iter().enumerate() {
-            assert!(
-                c < self.cols,
-                "CsrMatrix::select_cols: cols[{j}] = {c} out of range for {} columns",
-                self.cols
-            );
-            lookup[c].push(j);
-        }
-        let build_band = |r0: usize, r1: usize| -> (Vec<usize>, Vec<usize>, Vec<T>) {
-            let mut row_lens = Vec::with_capacity(r1 - r0);
-            let mut col_idx = Vec::new();
-            let mut values = Vec::new();
-            let mut entries: Vec<(usize, T)> = Vec::new();
-            for r in r0..r1 {
-                entries.clear();
-                for (c, v) in self.row_entries(r) {
-                    for &j in &lookup[c] {
-                        entries.push((j, v));
-                    }
-                }
-                entries.sort_unstable_by_key(|&(j, _)| j);
-                for &(j, v) in &entries {
-                    col_idx.push(j);
-                    values.push(v);
-                }
-                row_lens.push(entries.len());
-            }
-            (row_lens, col_idx, values)
-        };
-        let parts = ahntp_par::par_bands(
-            self.rows,
-            self.nnz(),
-            "tensor.select_cols.par_calls",
-            build_band,
-        );
-        let out = Self::stitch_bands(self.rows, cols.len(), parts);
-        record_sparse(&SELECT_COLS_COUNTERS, self.nnz(), out.nnz());
-        out
-    }
-
     /// Reassembles the per-band `(row_lens, col_idx, values)` fragments of
     /// `ahntp_par::par_bands` into one CSR matrix. The first band's vectors
     /// become the result's storage, so the one-band (serial) case copies no
@@ -1232,111 +1096,5 @@ mod tests {
         assert_eq!(big.nnz(), 2);
         let scaled = m.scale(2.0);
         assert_eq!(scaled.get(2, 1), 8.0);
-    }
-
-    #[test]
-    fn scale_rows_scales_each_row_independently() {
-        let m = small();
-        let s = m.scale_rows(&[2.0, 10.0, 0.5]);
-        s.validate().unwrap();
-        assert_eq!(s.get(0, 0), 2.0);
-        assert_eq!(s.get(0, 2), 4.0);
-        assert_eq!(s.get(2, 0), 1.5);
-        assert_eq!(s.get(2, 1), 2.0);
-        // The empty row stays empty regardless of its factor.
-        assert_eq!(s.row_nnz(1), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "scale_rows")]
-    fn scale_rows_rejects_wrong_factor_count() {
-        small().scale_rows(&[1.0, 2.0]);
-    }
-
-    #[test]
-    fn select_rows_any_order_with_repeats_and_empty_rows() {
-        let m = small();
-        // Out of order, with a repeat, and including the empty row.
-        let s = m.select_rows(&[2, 1, 0, 2]);
-        s.validate().unwrap();
-        assert_eq!((s.rows(), s.cols()), (4, 3));
-        assert_eq!(s.row_nnz(0), 2);
-        assert_eq!(s.row_nnz(1), 0); // source row 1 is empty
-        assert_eq!(s.get(0, 1), 4.0);
-        assert_eq!(s.get(2, 2), 2.0);
-        assert_eq!(s.get(3, 0), 3.0); // repeated request copies again
-    }
-
-    #[test]
-    fn select_rows_identity_is_verbatim() {
-        let m = small();
-        assert_eq!(m.select_rows(&[0, 1, 2]), m);
-        // Empty selection: a well-formed 0 × cols matrix.
-        let none = m.select_rows(&[]);
-        none.validate().unwrap();
-        assert_eq!((none.rows(), none.cols(), none.nnz()), (0, 3, 0));
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn select_rows_rejects_out_of_range() {
-        small().select_rows(&[0, 3]);
-    }
-
-    #[test]
-    fn select_cols_out_of_order_yields_well_formed_csr() {
-        let m = small();
-        // Columns requested out of order: per-row entries must come back
-        // sorted by the *new* positions or validate() fails.
-        let s = m.select_cols(&[2, 0]);
-        s.validate().unwrap();
-        assert_eq!((s.rows(), s.cols()), (3, 2));
-        assert_eq!(s.get(0, 0), 2.0); // old col 2
-        assert_eq!(s.get(0, 1), 1.0); // old col 0
-        assert_eq!(s.row_nnz(1), 0);
-        assert_eq!(s.get(2, 1), 3.0);
-        assert_eq!(s.get(2, 0), 0.0); // old col 2 empty in row 2
-    }
-
-    #[test]
-    fn select_cols_with_repeats_and_identity() {
-        let m = small();
-        let s = m.select_cols(&[1, 1, 0]);
-        s.validate().unwrap();
-        assert_eq!((s.rows(), s.cols()), (3, 3));
-        assert_eq!(s.get(2, 0), 4.0);
-        assert_eq!(s.get(2, 1), 4.0); // duplicated column
-        assert_eq!(s.get(2, 2), 3.0);
-        assert_eq!(m.select_cols(&[0, 1, 2]), m);
-        // Empty selection drops every entry but keeps the row structure.
-        let none = m.select_cols(&[]);
-        none.validate().unwrap();
-        assert_eq!((none.rows(), none.cols(), none.nnz()), (3, 0, 0));
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn select_cols_rejects_out_of_range() {
-        small().select_cols(&[0, 5]);
-    }
-
-    #[test]
-    fn selections_match_dense_reference() {
-        let m = small().cast::<f32>();
-        let rows = [2usize, 0, 2];
-        let cols = [1usize, 2, 0, 1];
-        let sr = m.select_rows(&rows);
-        let sc = m.select_cols(&cols);
-        let d = m.to_dense();
-        for (i, &r) in rows.iter().enumerate() {
-            for j in 0..3 {
-                assert_eq!(sr.get(i, j), d.get(r, j), "select_rows ({i},{j})");
-            }
-        }
-        for i in 0..3 {
-            for (j, &c) in cols.iter().enumerate() {
-                assert_eq!(sc.get(i, j), d.get(i, c), "select_cols ({i},{j})");
-            }
-        }
     }
 }
