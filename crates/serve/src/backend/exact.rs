@@ -1,70 +1,83 @@
-//! The exhaustive candidate scan.
+//! The bound-pruned candidate walk.
 //!
-//! A `/topk` scans every candidate a panel at a time, sixteen independent
-//! accumulators per panel (see `panels.rs`), each summing its own dot in
-//! scalar element order, so every score is bitwise the seed's scalar dot,
-//! which `tests/backend_exactness.rs` keeps as the oracle.
+//! A `/topk` walks the trustee head's groups in descending bound (see
+//! `panels.rs`), scoring each group's in-range slots a panel at a time,
+//! sixteen independent accumulators per panel, each summing its own dot
+//! in scalar element order, so every score is bitwise the seed's scalar
+//! dot, which `tests/backend_exactness.rs` keeps as the oracle. It stops
+//! at the first group whose bound proves no row of it, or of any group
+//! after it, can enter the heap; an ungrouped head is one group, scored
+//! whole.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+use ahntp_telemetry::counter_add;
+
 use super::{Heads, Ranked};
 
-/// Pushes a candidate through the bounded-heap top-k discipline: keep the
-/// `k` largest under the [`Ranked`] total order.
-#[inline]
-fn heap_push(heap: &mut BinaryHeap<Reverse<Ranked>>, k: usize, score: f32, user: usize) {
-    if heap.len() < k {
-        heap.push(Reverse(Ranked { score, user }));
-    } else if let Some(worst) = heap.peek() {
-        if (Ranked { score, user }) > worst.0 {
-            heap.pop();
-            heap.push(Reverse(Ranked { score, user }));
-        }
-    }
-}
-
 /// The exact top-`k` for `trustor` over the candidate id range `lo..hi`
-/// (excluding `trustor`), as raw-dot [`Ranked`] entries in no particular
-/// order. This is the whole-index scan, the shard-local scan and the
-/// defended scan alike.
+/// (`lo < hi ≤ n`, excluding `trustor`), as raw-dot [`Ranked`] entries in
+/// no particular order. This is the whole-index scan, the shard-local
+/// scan and the defended scan alike; `k` is clamped to the candidate
+/// count before anything is allocated for it.
 ///
-/// The range is split into `ahntp-par` row bands, each keeping `k`
-/// candidates, and the global top `k` is selected from the union.
 /// Candidate ids stay **global** throughout, so a shard's scatter-gather
-/// merge never translates ids. The union is a superset of the serial
-/// scan's survivors and [`Ranked`] never ties across distinct users, so
-/// the selection equals the serial candidate set bitwise — at any thread
-/// count and any band placement — and merging per-shard results under the
-/// same order reproduces the single-node scan.
+/// merge never translates ids. The heap keeps the `k` largest under
+/// [`Ranked`]'s total order whatever order the groups feed it in, and
+/// the walk skips only rows that could not enter it (`panels.rs`), so the
+/// result is the exhaustive scan's, bitwise, and merging per-shard
+/// results under the same order reproduces the single-node scan. A scan
+/// that keeps the whole range (the defended one) never fills its heap
+/// before its last candidate, so it scores every group.
 pub(crate) fn top_k_in(
     heads: &Heads,
     trustor: usize,
     k: usize,
     lo: usize,
     hi: usize,
-    par_counter: &str,
 ) -> Vec<Ranked> {
+    let candidates = hi - lo - usize::from((lo..hi).contains(&trustor));
+    let k = k.min(candidates);
+    if k == 0 {
+        return Vec::new();
+    }
+    let panels = &heads.trustee;
     let q = heads.trustor_row(trustor);
-    let n = hi.saturating_sub(lo);
-    let mut bands = ahntp_par::par_bands(n, 2 * n * heads.d(), par_counter, |b0, b1| {
-        let mut heap: BinaryHeap<Reverse<Ranked>> = BinaryHeap::with_capacity(k + 1);
-        heads.trustee.scan(q, lo + b0, lo + b1, |v, score| {
-            if v != trustor {
-                heap_push(&mut heap, k, score, v);
+    let plan = panels.plan(q);
+    let mut heap: BinaryHeap<Reverse<Ranked>> = BinaryHeap::with_capacity(k + 1);
+    // The heap's `k`-th score once it is full: a candidate scoring below
+    // it cannot enter, so only one at or above it is mapped to its user
+    // and ranked.
+    let mut floor = f32::NEG_INFINITY;
+    let full = |heap: &BinaryHeap<Reverse<Ranked>>| heap.len() == k;
+    let skip = panels.slot(trustor);
+    let mut scanned = 0;
+    for &(bound, g) in &plan.order {
+        if full(&heap) && bound + plan.slack < f64::from(floor) {
+            break;
+        }
+        let (s0, s1) = panels.group_slots(g, lo, hi);
+        scanned += s1 - s0;
+        panels.scan(q, s0, s1, |s, score| {
+            if s == skip || (full(&heap) && score.total_cmp(&floor).is_lt()) {
+                return;
+            }
+            let entry = Ranked {
+                score,
+                user: panels.user(s),
+            };
+            if !full(&heap) {
+                heap.push(Reverse(entry));
+            } else if heap.peek().is_some_and(|worst| entry > worst.0) {
+                heap.pop();
+                heap.push(Reverse(entry));
+            }
+            if full(&heap) {
+                floor = heap.peek().map_or(floor, |worst| worst.0.score);
             }
         });
-        heap.into_iter().map(|Reverse(r)| r).collect::<Vec<_>>()
-    })
-    .into_iter();
-    // `k` per band is a superset of the global top `k`; only a union that
-    // overflows `k` (never the one-band serial scan, whose vector is
-    // returned as is) needs selecting.
-    let mut merged = bands.next().expect("par_bands yields at least one band");
-    merged.extend(bands.flatten());
-    if merged.len() > k {
-        merged.sort_by(|a, b| b.cmp(a));
-        merged.truncate(k);
     }
-    merged
+    counter_add("serve.topk.scanned", scanned as u64);
+    heap.into_iter().map(|Reverse(r)| r).collect()
 }

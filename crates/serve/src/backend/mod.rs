@@ -4,13 +4,13 @@
 //! over one scoring state, [`Heads`]: the trustor head row-major and the
 //! trustee head in 16-user panels (module `panels`), each held once. A
 //! pair dot is one chain over the trustee row in element order; a `/topk`
-//! scans every candidate a panel at a time (module `exact`). Both are
-//! **bitwise** the seed's scalar dot, kept as the oracle in
-//! `tests/backend_exactness.rs`.
+//! walks the trustee head's groups in descending bound, scoring a panel
+//! at a time and skipping every group whose bound cannot enter the heap
+//! (module `exact`). Both are **bitwise** the seed's scalar dot, kept as
+//! the oracle in `tests/backend_exactness.rs`.
 //!
-//! The candidate scan bands over the `ahntp-par` pool with
-//! banding-invariant per-element arithmetic, and every tie-break is a
-//! total order, so the output is bitwise identical at every thread count.
+//! The walk runs on the calling thread, and every tie-break is a total
+//! order, so the output is bitwise identical at every thread count.
 
 use ahntp_nn::Rows;
 

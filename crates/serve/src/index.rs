@@ -4,17 +4,24 @@
 //! trust queries with no graph machinery: the artifact's head rows are
 //! already L2-normalised, so `score(u, v)` is one `O(d)` dot product
 //! followed by the trainer's calibrated sigmoid, and `top_k_trustees`
-//! ranks candidates over one scan. The trustee head is kept once, re-laid
-//! in place into 16-user panels for that scan (`backend/panels.rs`); the
+//! ranks candidates over one bound-pruned walk. The trustee head is kept
+//! once, re-laid in place into 16-user panels (`backend/panels.rs`); the
 //! embeddings and the trustor head stay as the artifact held them. Every
 //! score is bitwise the seed's scalar f32 dot (`tests/backend_exactness.rs`
 //! keeps that loop as the oracle).
 //!
-//! Big batches and big candidate scans are split across the `ahntp-par`
-//! worker pool: each pair/candidate is scored by exactly one task with
-//! banding-invariant arithmetic, and the per-band top-k heaps merge under
-//! one total order, so results are bitwise identical to serial execution
-//! at any thread count.
+//! [`TrustIndex::group_trustees`] permutes the trustee rows, in place,
+//! into centroid–radius groups, and `top_k_trustees` then skips every
+//! group whose bound proves it cannot enter the top `k` (the proof is in
+//! `backend/panels.rs`). Grouping costs a few milliseconds and is paid
+//! once, by the first `/topk` ([`SharedIndex::read_grouped`]): a server
+//! that only scores pairs never groups. An ungrouped index answers the
+//! same, bitwise, by scoring every candidate.
+//!
+//! Big batches are split across the `ahntp-par` worker pool: each pair is
+//! scored by exactly one task with banding-invariant arithmetic, so
+//! results are bitwise identical to serial execution at any thread count.
+//! The top-k walk runs on the calling thread.
 //!
 //! # Top-k tie-break
 //!
@@ -287,6 +294,27 @@ impl TrustIndex {
         BackendKind::Exact.name()
     }
 
+    /// Groups the trustee head for the bound-pruned `/topk` walk (see
+    /// the module docs), once: later calls change nothing. Every answer
+    /// stays bitwise what it was; only how many candidates a top-k scores
+    /// changes. Counted in `serve.index.groupings`.
+    pub fn group_trustees(&mut self) {
+        if self.heads.trustee.is_grouped() {
+            return;
+        }
+        let _k = ahntp_telemetry::KernelSpan::enter(
+            "serve.index.group",
+            ahntp_telemetry::KernelKind::Score,
+        );
+        self.heads.trustee.group();
+        counter_add("serve.index.groupings", 1);
+    }
+
+    /// Whether [`TrustIndex::group_trustees`] has run.
+    pub(crate) fn is_grouped(&self) -> bool {
+        self.heads.trustee.is_grouped()
+    }
+
     /// Number of users the index can score.
     pub fn n_users(&self) -> usize {
         self.heads.n()
@@ -383,7 +411,8 @@ impl TrustIndex {
     /// The `k` most-trusted candidate trustees for `trustor` (excluding
     /// `trustor` itself), ordered by **score descending, then user id
     /// ascending** — the documented deterministic tie-break. Returns
-    /// fewer than `k` entries only when the index holds fewer candidates.
+    /// fewer than `k` entries only when the index holds fewer candidates;
+    /// any `k` is accepted, and costs no more than `k = n_users − 1`.
     ///
     /// # Errors
     ///
@@ -399,7 +428,7 @@ impl TrustIndex {
         );
         counter_add("serve.topk.exact.calls", 1);
         self.check(trustor)?;
-        Ok(self.ranked_in(trustor, k, 0, self.n_users(), "serve.topk.par_calls"))
+        Ok(self.ranked_in(trustor, k, 0, self.n_users()))
     }
 
     /// [`TrustIndex::top_k_trustees`] restricted to the candidate id
@@ -435,11 +464,11 @@ impl TrustIndex {
         if lo >= hi {
             return Ok(Vec::new());
         }
-        Ok(self.ranked_in(trustor, k, lo, hi, "serve.topk.range.par_calls"))
+        Ok(self.ranked_in(trustor, k, lo, hi))
     }
 
     /// The candidate scan shared by `top_k_trustees` and
-    /// `top_k_trustees_in`: the panel scan over `lo..hi`, each candidate
+    /// `top_k_trustees_in`: the top-k walk over `lo..hi`, each candidate
     /// calibrated (and blended, when defended), then the documented
     /// (score desc, id asc) sort and truncation to `k`. The dot →
     /// probability map is monotonic, so the sort equals the dot order
@@ -448,23 +477,16 @@ impl TrustIndex {
     /// before the per-shard sort, the union of disjoint shard ranges
     /// covering `0..n`, merged under the same order, is bitwise identical
     /// to the single-node scan.
-    fn ranked_in(
-        &self,
-        trustor: usize,
-        k: usize,
-        lo: usize,
-        hi: usize,
-        par_counter: &str,
-    ) -> Vec<(usize, f32)> {
+    fn ranked_in(&self, trustor: usize, k: usize, lo: usize, hi: usize) -> Vec<(usize, f32)> {
         // The prior reweights candidates, so the raw dot order cannot
         // pre-rank a defended scan: it keeps the whole range and
         // truncates to `k` only *after* blending, or the prior could not
         // promote a candidate the dot order had cut.
-        let (keep, par_counter) = match self.defense {
-            Some(_) => (hi - lo, "serve.topk.range.par_calls"),
-            None => (k, par_counter),
+        let keep = match self.defense {
+            Some(_) => hi - lo,
+            None => k,
         };
-        let mut out: Vec<(usize, f32)> = top_k_in(&self.heads, trustor, keep, lo, hi, par_counter)
+        let mut out: Vec<(usize, f32)> = top_k_in(&self.heads, trustor, keep, lo, hi)
             .into_iter()
             .map(|r| {
                 (
@@ -587,6 +609,20 @@ impl SharedIndex {
         self.inner.read().expect("index lock poisoned")
     }
 
+    /// [`SharedIndex::read`] for a top-k: the first call groups the
+    /// trustee head ([`TrustIndex::group_trustees`]) under the write lock,
+    /// once; every call then scores under a read guard.
+    pub fn read_grouped(&self) -> RwLockReadGuard<'_, TrustIndex> {
+        {
+            let index = self.read();
+            if index.is_grouped() {
+                return index;
+            }
+        }
+        self.inner.write().expect("index lock poisoned").group_trustees();
+        self.read()
+    }
+
     /// Applies a head patch under the write lock.
     ///
     /// # Errors
@@ -600,9 +636,10 @@ impl SharedIndex {
     /// Atomically replaces the served index with a fully-built snapshot.
     ///
     /// The hot-swap discipline: callers build (decode/map + validate +
-    /// panel layout) `new` **before** calling, so the write lock
-    /// is held only for two compatibility checks and a pointer-sized
-    /// move. In-flight requests holding read guards finish against the
+    /// panel layout) `new` **before** calling, and when the serving index
+    /// was grouped, `new` is grouped here before the lock is taken, so the
+    /// write lock is held only for two compatibility checks and a
+    /// pointer-sized move. In-flight requests holding read guards finish against the
     /// old index; requests arriving after the lock drops see the new one
     /// — no request ever observes a half-swapped state, and a crash
     /// before this call leaves the old snapshot serving untouched.
@@ -612,7 +649,10 @@ impl SharedIndex {
     /// Refuses (and leaves the current index serving) when the offered
     /// snapshot's fingerprint or shape disagrees with the serving one —
     /// see [`SwapError`].
-    pub fn swap(&self, new: TrustIndex) -> Result<(), SwapError> {
+    pub fn swap(&self, mut new: TrustIndex) -> Result<(), SwapError> {
+        if self.read().is_grouped() {
+            new.group_trustees();
+        }
         let mut guard = self.inner.write().expect("index lock poisoned");
         if guard.fingerprint() != new.fingerprint() {
             return Err(SwapError::FingerprintMismatch {
@@ -625,7 +665,6 @@ impl SharedIndex {
         if current != offered {
             return Err(SwapError::ShapeMismatch { current, offered });
         }
-        let mut new = new;
         // The defense prior is graph-derived state, not snapshot state: a
         // hot model swap keeps the active defense unless the incoming
         // index carries its own (the shape check above guarantees the
@@ -754,6 +793,81 @@ mod tests {
         assert_eq!(ids(5), vec![3, 1, 2, 4]);
         // A k that cuts through the tied block keeps the same prefix.
         assert_eq!(ids(2), vec![3, 1]);
+    }
+
+    /// `k` is clamped to the candidate count before anything is allocated
+    /// for it: a `k` past every candidate answers them all.
+    #[test]
+    fn a_huge_k_is_clamped_to_the_candidates() {
+        let index = toy_index();
+        let all = index.top_k_trustees(0, 3).unwrap();
+        assert_eq!(index.top_k_trustees(0, 100_000_000_000).unwrap(), all);
+        assert_eq!(index.top_k_trustees(0, usize::MAX).unwrap(), all);
+        assert_eq!(index.top_k_trustees_in(0, usize::MAX, 1, 3).unwrap().len(), 2);
+        let defended = toy_index().with_defense(toy_defense(0.5)).unwrap();
+        assert_eq!(defended.top_k_trustees(1, usize::MAX).unwrap().len(), 3);
+    }
+
+    /// Grouping changes which candidates a top-k scores, never what any
+    /// query answers, and runs once however often it is asked for.
+    #[test]
+    fn grouping_runs_once_and_changes_no_answer() {
+        ahntp_par::Context::fresh().run(|| {
+            ahntp_telemetry::set_enabled(true);
+            let n = 1000;
+            let ungrouped = TrustIndex::from_artifact(wide_artifact(n)).unwrap();
+            let mut grouped = ungrouped.clone();
+            assert!(!grouped.is_grouped());
+            grouped.group_trustees();
+            grouped.group_trustees();
+            assert!(grouped.is_grouped());
+            assert_eq!(ahntp_telemetry::counter_get("serve.index.groupings"), 1);
+            let pairs: Vec<(usize, usize)> = (0..n).map(|u| (u, (u * 7 + 3) % n)).collect();
+            assert_eq!(
+                ungrouped.score_pairs(&pairs).unwrap(),
+                grouped.score_pairs(&pairs).unwrap()
+            );
+            let bits = |list: Vec<(usize, f32)>| -> Vec<(usize, u32)> {
+                list.into_iter().map(|(v, s)| (v, s.to_bits())).collect()
+            };
+            for u in [0, 1, 499, 999] {
+                for k in [1, 10, n] {
+                    assert_eq!(
+                        bits(ungrouped.top_k_trustees(u, k).unwrap()),
+                        bits(grouped.top_k_trustees(u, k).unwrap()),
+                        "top_k({u}, {k})"
+                    );
+                    assert_eq!(
+                        bits(ungrouped.top_k_trustees_in(u, k, 250, 600).unwrap()),
+                        bits(grouped.top_k_trustees_in(u, k, 250, 600).unwrap()),
+                        "top_k_in({u}, {k})"
+                    );
+                }
+            }
+            // A unit query against unit rows in two groups skips at least
+            // one of them.
+            let scanned = ahntp_telemetry::counter_get("serve.topk.scanned");
+            grouped.top_k_trustees(0, 1).unwrap();
+            let grouped_scan = ahntp_telemetry::counter_get("serve.topk.scanned") - scanned;
+            assert!(grouped_scan < n as u64, "scanned {grouped_scan} of {n}");
+        });
+    }
+
+    /// The first top-k read groups the shared index, once; a swap while
+    /// grouped hands over an index that is grouped already.
+    #[test]
+    fn the_shared_index_groups_on_its_first_top_k_read() {
+        ahntp_par::Context::fresh().run(|| {
+            ahntp_telemetry::set_enabled(true);
+            let shared = SharedIndex::new(TrustIndex::from_artifact(wide_artifact(900)).unwrap());
+            assert!(!shared.read().is_grouped(), "a plain read never groups");
+            assert!(shared.read_grouped().is_grouped());
+            assert!(shared.read_grouped().is_grouped());
+            assert_eq!(ahntp_telemetry::counter_get("serve.index.groupings"), 1);
+            shared.swap(TrustIndex::from_artifact(wide_artifact(900)).unwrap()).unwrap();
+            assert!(shared.read().is_grouped(), "the incoming index was grouped");
+            assert_eq!(ahntp_telemetry::counter_get("serve.index.groupings"), 2);
+        });
     }
 
     #[test]

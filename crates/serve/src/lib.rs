@@ -80,10 +80,32 @@
 //!
 //! Every `/score` and `/topk` is computed by one path, the panel scan:
 //! each pair's score is one chain over the trustee row in element order,
-//! and a `/topk` scans 16 candidates per panel with one accumulator each,
+//! and a `/topk` scores 16 candidates per panel with one accumulator each,
 //! so every score is **bitwise** the seed's scalar f32 dot. A server
 //! started with `AHNTP_BACKEND` set to anything but `exact` warns once
 //! that the backend it names was removed and serves exact.
+//!
+//! A served score is an inner product of two heads, so `/topk` is an
+//! exact maximum-inner-product search, and it prunes. The first `/topk` a
+//! server answers groups the trustee head, under the index's write lock
+//! and once ([`SharedIndex::read_grouped`], counted in
+//! `serve.index.groupings`): a few rounds of spherical k-means on a
+//! strided sample pick one centre per 384 users (at most 64; below two
+//! groups nothing changes), every row joins its nearest centre, and the
+//! rows are permuted in place so that each group is a contiguous run of
+//! panels, ascending by user id within it. Two `u32` maps locate rows
+//! (8 bytes per user), and each group keeps its mean `c_g` and radius
+//! `r_g`; grouping a 24 000 × 32 head takes a few milliseconds. A `/topk`
+//! then walks the groups in descending `⟨q, c_g⟩ + ‖q‖·r_g` and stops at
+//! the first whose bound, plus a slack that covers the f32 dot's
+//! rounding, is below the heap's `k`-th score: no row it skips could have
+//! entered the heap, not even on the id tie-break, so the answer is the
+//! exhaustive scan's, bitwise (the proof is in `backend/panels.rs`).
+//! `serve.topk.scanned` counts the candidates scored. A range scan (a
+//! shard's, or [`TrustIndex::top_k_trustees_in`]) scores each group's
+//! in-range run; a defended one ranks every candidate. Live patches grow
+//! the radius of the row's group, never shrink it, so every bound stays
+//! valid. A server that only scores pairs or ingests events never groups.
 //!
 //! # Defended scoring
 //!
@@ -102,13 +124,11 @@
 //!
 //! # Threads
 //!
-//! Scoring itself is data-parallel: the batch dot and the candidate scans
-//! are each one band closure run through `ahntp_par::par_rows` /
-//! `par_bands`, which either bands it over the process-wide worker pool
-//! once the work is large enough (`serve.score_pairs.par_calls`,
-//! `serve.topk.par_calls` and `serve.topk.range.par_calls` count those
-//! dispatches) or calls it once over the whole range — there is no
-//! separate serial scan. The pool is sized by
+//! The batch dot is data-parallel: one band closure run through
+//! `ahntp_par::par_rows`, which either bands it over the process-wide
+//! worker pool once the work is large enough (`serve.score_pairs.par_calls`
+//! counts those dispatches) or calls it once over the whole batch. The
+//! top-k walk runs on the thread that asked for it. The pool is sized by
 //! the `AHNTP_THREADS` environment variable (unset or `0` = one thread
 //! per core, `1` = plain serial execution) and by nothing else — the pool
 //! is process-wide, so a server does not resize it. Banding never

@@ -617,7 +617,8 @@ impl Node {
     /// reply's `mapped` is [`TrustIndex::is_mapped`] of the new index.
     ///
     /// The new index is fully built — mapped/decoded, CRC-checked,
-    /// validated, panels laid out — *before* the write lock is taken,
+    /// validated, panels laid out, grouped when the serving index is —
+    /// *before* the write lock is taken,
     /// so in-flight requests keep scoring the old snapshot throughout and a
     /// crash anywhere before the final swap leaves the old snapshot
     /// serving. Refusals are typed: `409` when the offered snapshot's
@@ -657,9 +658,11 @@ impl Node {
         Ok(Response::new(200, summary))
     }
 
+    /// `GET /topk`: the first one groups the index
+    /// ([`SharedIndex::read_grouped`]); each scores under one read guard.
     fn topk(&self, call: &mut Call<'_>) -> Answer {
         let (user, k) = topk_query(call.req)?;
-        let index = self.index.read();
+        let index = self.index.read_grouped();
         // A shard scans only its owned trustee range (same arithmetic, so
         // a front-tier merge reproduces the single-node scan bitwise).
         let top = match self.shard_range {
@@ -877,6 +880,24 @@ mod tests {
         // the one being answered.
         assert_eq!(doc.get("serve.http.requests").and_then(Json::as_f64), Some(3.0), "{body}");
         assert_eq!(doc.get("serve.http.errors"), None, "{body}");
+        server.shutdown();
+    }
+
+    /// `k` reaches the scan unchecked from the query string; a `k` no
+    /// heap could be allocated for answers every candidate, and the
+    /// server goes on answering.
+    #[test]
+    fn a_huge_k_answers_every_candidate_and_the_server_lives_on() {
+        let server = start(5);
+        let addr = server.addr();
+        let (status, body) = get(addr, "/topk?user=0&k=100000000000");
+        assert_eq!(status, 200, "{body}");
+        let doc = parse(&body).unwrap();
+        let Some(Json::Arr(trustees)) = doc.get("trustees") else {
+            panic!("no trustees in {body}");
+        };
+        assert_eq!(trustees.len(), 4, "{body}");
+        assert_eq!(get(addr, "/healthz").0, 200);
         server.shutdown();
     }
 
@@ -1409,6 +1430,41 @@ mod tests {
             .unwrap();
         assert!((got - f64::from(want)).abs() < 1e-6, "{got} vs {want}");
         server.shutdown();
+    }
+
+    /// Grouping is paid by the first `/topk` alone: a server that has
+    /// answered only `/score` and `/events` never groups, and the first
+    /// `/topk` groups once for every later one.
+    #[test]
+    fn only_a_topk_groups_the_index() {
+        isolated(|| {
+            ahntp_telemetry::set_enabled(true);
+            let server = serve_live(
+                || Box::new(ToyLive::new(1000)),
+                StalenessBound::immediate(),
+                &ServeConfig { workers: 2, ..ServeConfig::default() },
+            )
+            .expect("bind live server");
+            let addr = server.addr();
+            let groupings = || {
+                let (_, body) = get(addr, "/metrics");
+                let doc = parse(&body).unwrap();
+                doc.get("serve.index.groupings").and_then(Json::as_f64).unwrap_or(0.0)
+            };
+            assert_eq!(post_score(addr, &score_body(&[(0, 1), (2, 999)])).0, 200);
+            let (status, body) = post_events(
+                addr,
+                r#"{"events":[{"op":"add","group":"node","members":[0,2],"weight":0.7}]}"#,
+            );
+            assert_eq!(status, 200, "{body}");
+            assert_eq!(post_score(addr, &score_body(&[(0, 2)])).0, 200);
+            assert_eq!(groupings(), 0.0);
+            for user in [0, 500] {
+                assert_eq!(get(addr, &format!("/topk?user={user}&k=3")).0, 200);
+            }
+            assert_eq!(groupings(), 1.0);
+            server.shutdown();
+        });
     }
 
     #[test]

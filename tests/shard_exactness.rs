@@ -253,6 +253,87 @@ fn boundary_ties_merge_in_score_desc_then_id_asc_order() {
     }
 }
 
+/// Users enough for the trustee head to split into groups on the first
+/// `/topk` (below two groups' worth it is never permuted).
+const GROUPED_USERS: usize = 1000;
+
+/// Trustee rows around eight directions, every fifth row an exact copy of
+/// its direction, so groups form and ties cross them.
+fn grouped_artifact(seed: u64) -> TrustArtifact {
+    let mut rng = TestRng::from_label(&format!("shard-grouped-{seed}"));
+    let head_dim = 4;
+    let mut unit = |scale: f64| -> Vec<f32> {
+        (0..head_dim).map(|_| ((rng.next_f64() * 2.0 - 1.0) * scale) as f32).collect()
+    };
+    let directions: Vec<Vec<f32>> = (0..8).map(|_| unit(1.0)).collect();
+    let trustee: Vec<f32> = (0..GROUPED_USERS)
+        .flat_map(|v| {
+            let noise = if v % 5 == 0 { vec![0.0; head_dim] } else { unit(0.1) };
+            directions[v % 8].iter().zip(noise).map(|(c, e)| c + e).collect::<Vec<f32>>()
+        })
+        .collect();
+    let trustor: Vec<f32> = (0..GROUPED_USERS).flat_map(|_| unit(1.0)).collect();
+    TrustArtifact {
+        model: "AHNTP".to_string(),
+        fingerprint: 0x9a0u64.wrapping_add(seed),
+        calibration: 0.5,
+        n_users: GROUPED_USERS,
+        emb_dim: 1,
+        head_dim,
+        embeddings: vec![0.0; GROUPED_USERS].into(),
+        trustor_head: trustor.into(),
+        trustee_head: trustee.into(),
+    }
+}
+
+/// The `/topk` body the never-grouped in-process index gives for `user`.
+fn topk_body(index: &TrustIndex, user: usize, k: usize) -> String {
+    use ahntp_telemetry::json::Json;
+    let trustees = index
+        .top_k_trustees(user, k)
+        .expect("user in range")
+        .into_iter()
+        .map(|(v, s)| Json::obj([("user", v.into()), ("score", s.into())]))
+        .collect();
+    Json::obj([
+        ("user", user.into()),
+        ("trustees", Json::Arr(trustees)),
+        ("backend", index.backend_name().into()),
+    ])
+    .to_line()
+}
+
+/// Servers group their trustee head on the first `/topk`; the grouped
+/// node and a front over grouped shards must still answer byte for byte
+/// what the never-grouped in-process index does, for every `k` up to a
+/// `k` no heap could be allocated for (which the front forwards
+/// verbatim).
+#[test]
+fn grouped_servers_answer_the_ungrouped_index_byte_for_byte() {
+    let artifact = grouped_artifact(5);
+    let oracle = exact_index(&artifact);
+    let single = serve(exact_index(&artifact), &config()).expect("bind single");
+    let (shards, front) = start_cluster(&artifact, &[(0, 333), (333, 340), (340, GROUPED_USERS)]);
+    for user in [0, 1, 337, 500, GROUPED_USERS - 1] {
+        for k in [1usize, 10, 50, GROUPED_USERS - 1, GROUPED_USERS + 5] {
+            let want = topk_body(&oracle, user, k);
+            let path = format!("/topk?user={user}&k={k}");
+            assert_eq!(get(single.addr(), &path), (200, want.clone()), "single {path}");
+            assert_eq!(get(front.addr(), &path), (200, want), "front {path}");
+        }
+    }
+    let huge = "/topk?user=3&k=100000000000";
+    let want = topk_body(&oracle, 3, GROUPED_USERS);
+    assert_eq!(get(front.addr(), huge), (200, want.clone()), "front {huge}");
+    assert_eq!(get(single.addr(), huge), (200, want), "single {huge}");
+    assert_eq!(get(front.addr(), "/healthz").0, 200);
+    front.shutdown();
+    for s in shards {
+        s.shutdown();
+    }
+    single.shutdown();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
