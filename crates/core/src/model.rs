@@ -215,9 +215,9 @@ impl ConvStack {
 /// through [`BatchTrustModel::train_epoch_planned`]. Two invariants hold:
 /// the full-batch epoch *is* the identity plan of the mini-batch path, so
 /// the two agree bitwise at compute threads {1, 4}; and every objective is
-/// one function of one embedding — one embedding forward and one pass per
-/// tower per accumulation group, shared by every micro-batch's trust head
-/// and Eq. 23 term.
+/// one function of one embedding — one embedding forward, one pass per
+/// tower, one Eq. 23 term and one backward per accumulation group, shared
+/// by every micro-batch's trust head.
 pub struct Ahntp {
     cfg: AhntpConfig,
     features: Tensor,
@@ -638,22 +638,16 @@ impl Ahntp {
         (self.tower_a.forward(s, &emb), self.tower_b.forward(s, &emb))
     }
 
-    /// The combined training objective (Eqs. 20–24) of one micro-batch,
-    /// read off the group's tower outputs ([`Ahntp::group_forward`]): the
-    /// trust head on the batch's pairs, then the Eq. 23 term on
-    /// `trustor`. One function of one embedding.
-    fn pair_loss(
-        &self,
-        s: &Session,
-        pairs: &[LabeledPair],
-        trustor: &Var,
-        trustee: &Var,
-        smooth_lap: Option<&Rc<CsrMatrix<f32>>>,
-    ) -> Var {
+    /// The trust objective (Eqs. 20–22) of one micro-batch, read off the
+    /// group's tower outputs ([`Ahntp::group_forward`]): similarities,
+    /// BCE and, unless ablated, the supervised contrastive term. The
+    /// Eq. 23 term is not a function of the batch's pairs; the
+    /// accumulation group adds it once ([`Ahntp::group_gradient`]).
+    fn pair_loss(&self, s: &Session, pairs: &[LabeledPair], trustor: &Var, trustee: &Var) -> Var {
         let cs = Self::similarities_from(trustor, trustee, pairs);
         let labels = Tensor::vector(pairs.iter().map(|p| f32::from(p.label)).collect());
         let l2 = bce_from_similarity(s, &cs, &labels);
-        let loss = if self.cfg.variant == AhntpVariant::NoContrastive {
+        if self.cfg.variant == AhntpVariant::NoContrastive {
             l2
         } else {
             // Eq. 20: anchors are trustors; positives are their trusted
@@ -663,11 +657,56 @@ impl Ahntp {
             let batch = ContrastiveBatch::new(&anchors, &is_pos);
             let l1 = supervised_contrastive(s, &cs, &batch, self.cfg.temperature);
             combined_loss(&l1, &l2, self.cfg.lambda1, self.cfg.lambda2)
-        };
-        match smooth_lap {
-            Some(lap) => loss.add(&self.smoothness_term(s, lap, trustor)),
-            None => loss,
         }
+    }
+
+    /// One accumulation group's gradient, harvested into the parameters
+    /// (which the caller has cleared): one session, one
+    /// [`Ahntp::group_forward`], then one objective
+    /// `Σᵢ (nᵢ / N_g)·Lᵢ + R` over the group's micro-batches — `Lᵢ` each
+    /// batch's [`Ahntp::pair_loss`], `R` the Eq. 23 term on `trustor`,
+    /// added once — and one `backward()`. The group's pair-weighted mean
+    /// of `Lᵢ + R` is that objective, since the weights sum to 1. A lone
+    /// batch is `L.add(R)` unscaled, so the full-batch epoch records no
+    /// extra tape op.
+    ///
+    /// Returns each micro-batch's `(pairs, Lᵢ + R)`, added from the
+    /// forward values: the per-batch loss a tape of its own would report.
+    fn group_gradient(
+        &self,
+        node_ops: &AggregationOps,
+        struct_ops: &AggregationOps,
+        smooth_lap: Option<&Rc<CsrMatrix<f32>>>,
+        group: &[Vec<LabeledPair>],
+    ) -> Vec<(usize, f32)> {
+        let group_pairs: usize = group.iter().map(Vec::len).sum();
+        let s = Session::new();
+        let (trustor, trustee) = self.group_forward(&s, node_ops, struct_ops);
+        let mut losses = Vec::with_capacity(group.len());
+        let mut objective: Option<Var> = None;
+        for batch in group {
+            let loss = self.pair_loss(&s, batch, &trustor, &trustee);
+            losses.push((batch.len(), loss.value().as_slice()[0]));
+            let term = if group.len() == 1 {
+                loss
+            } else {
+                loss.scale(batch.len() as f32 / group_pairs as f32)
+            };
+            objective = Some(match objective {
+                Some(sum) => sum.add(&term),
+                None => term,
+            });
+        }
+        let mut objective = objective.expect("an accumulation group holds a batch");
+        if let Some(lap) = smooth_lap {
+            let smooth = self.smoothness_term(&s, lap, &trustor);
+            let r = smooth.value().as_slice()[0];
+            losses.iter_mut().for_each(|(_, l)| *l += r);
+            objective = objective.add(&smooth);
+        }
+        objective.backward();
+        s.harvest();
+        losses
     }
 
     /// The epoch's sampled operators: one hyperedge sample per tier,
@@ -1066,23 +1105,22 @@ impl BatchTrustModel for Ahntp {
     /// One planned epoch: sample hyperedges once (per hypergraph, seeded
     /// from the plan), build their operators once, then run the plan's
     /// micro-batches with gradient accumulation — `plan.accumulation`
-    /// batches per optimizer step, each batch's gradient weighted by its
-    /// share of the step's pairs.
+    /// batches per optimizer step, each batch's trust objective weighted
+    /// by its share of the step's pairs.
     ///
     /// The identity plan (ratio `1.0`, one batch, accumulation `1`) *is*
-    /// the full-batch epoch: the caches return the full operators, the
-    /// loss is backpropagated unscaled, and
-    /// [`Session::harvest_accumulate`] after `zero_grad` is
-    /// `Session::harvest`. `minibatch_exactness` holds the two entry
-    /// points to bitwise-equal trajectories at compute threads {1, 4}.
-    /// Each accumulation group builds its embedding and runs each tower
-    /// once, on one tape; every micro-batch then appends its own
-    /// objective ([`Ahntp::pair_loss`]) and backpropagates it alone, in
-    /// plan order. A backward consumes the interior gradients it used and
-    /// the harvest takes the leaves', so each batch's gradient is bitwise
-    /// the one a tape of its own would give. The Eq. 23 term stays in the
-    /// batch's segment: hoisted to once per group, it would reorder the
-    /// f32 sum of the three gradients it and the trust head send `trustor`.
+    /// the full-batch epoch: the caches return the full operators and the
+    /// one batch's `L + R` is backpropagated unscaled.
+    /// `minibatch_exactness` holds the two entry points to bitwise-equal
+    /// trajectories at compute threads {1, 4}. Each accumulation group
+    /// builds its embedding and runs each tower once, on one tape, then
+    /// one objective — every micro-batch's trust objective, weighted,
+    /// plus the Eq. 23 term once — and one backward
+    /// ([`Ahntp::group_gradient`]), then one optimizer step. For groups of
+    /// two or more batches that gradient is the per-micro-batch sum up to
+    /// f32 reordering: `model.rs`'s
+    /// `a_group_objective_matches_a_tape_per_micro_batch` holds it within
+    /// `1e-5` of each parameter's max-norm against a tape per batch.
     fn train_epoch_planned(&mut self, plan: &BatchPlan) -> f32 {
         assert!(plan.n_pairs() > 0, "train_epoch_planned: no pairs");
         assert!(
@@ -1096,27 +1134,9 @@ impl BatchTrustModel for Ahntp {
         let mut batch_losses: Vec<(usize, f32)> = Vec::with_capacity(plan.n_batches());
         for group in plan.batches.chunks(plan.accumulation.max(1)) {
             self.optimizer.zero_grad();
-            let group_pairs: usize = group.iter().map(Vec::len).sum();
-            let s = Session::new();
-            let (trustor, trustee) = self.group_forward(&s, &node_ops, &struct_ops);
-            for batch in group {
-                let loss = self.pair_loss(&s, batch, &trustor, &trustee, smooth_lap.as_ref());
-                let loss_value = loss.value().as_slice()[0];
-                // A lone batch backpropagates the loss itself (its weight
-                // is exactly 1.0, so the identity plan adds no tape op);
-                // accumulated batches are weighted by their share of the
-                // step's pairs so the summed gradient is the gradient of
-                // the group's pair-weighted mean loss.
-                let objective = if group.len() == 1 {
-                    loss
-                } else {
-                    loss.scale(batch.len() as f32 / group_pairs as f32)
-                };
-                objective.backward();
-                s.harvest_accumulate();
-                ahntp_telemetry::counter_add("batch.micro_batches.run", 1);
-                batch_losses.push((batch.len(), loss_value));
-            }
+            let losses = self.group_gradient(&node_ops, &struct_ops, smooth_lap.as_ref(), group);
+            ahntp_telemetry::counter_add("batch.micro_batches.run", group.len() as u64);
+            batch_losses.extend(losses);
             self.optimizer.step();
             ahntp_telemetry::counter_add("batch.optimizer_steps", 1);
         }
@@ -1382,8 +1402,7 @@ mod tests {
     /// The objective as it stood before the embedding was shared — the
     /// supervised part, then Eq. 23 on an embedding forward and a
     /// trustor-tower pass of its own — kept as the reference
-    /// [`Ahntp::group_forward`] plus [`Ahntp::pair_loss`] is checked
-    /// against.
+    /// [`Ahntp::group_gradient`] is checked against.
     fn two_forward_loss(
         m: &Ahntp,
         s: &Session,
@@ -1393,24 +1412,47 @@ mod tests {
         lap: &Rc<CsrMatrix<f32>>,
     ) -> Var {
         let (trustor, trustee) = m.group_forward(s, node_ops, struct_ops);
-        let loss = m.pair_loss(s, pairs, &trustor, &trustee, None);
+        let loss = m.pair_loss(s, pairs, &trustor, &trustee);
         let emb = m.embed_on(s, node_ops, struct_ops);
         loss.add(&m.smoothness_term(s, lap, &m.tower_a.forward(s, &emb)))
     }
 
-    /// Backpropagates `loss` and returns it with every parameter's gradient.
-    fn loss_and_grads(m: &Ahntp, s: &Session, loss: &Var) -> (f32, Vec<Option<Tensor>>) {
-        m.parameters().iter().for_each(Param::zero_grad);
-        loss.backward();
-        s.harvest();
-        let grads = m.parameters().iter().map(Param::grad).collect();
-        (loss.value().as_slice()[0], grads)
+    /// Every parameter's current gradient.
+    fn grads(m: &Ahntp) -> Vec<Option<Tensor>> {
+        m.parameters().iter().map(Param::grad).collect()
+    }
+
+    fn max_abs(t: &Tensor) -> f32 {
+        t.as_slice().iter().fold(0.0f32, |m, v| m.max(v.abs()))
+    }
+
+    /// Asserts each gradient in `got` is within `1e-5 × max|r|` of its
+    /// reference `r`, in max-norm.
+    fn assert_grads_close(
+        m: &Ahntp,
+        got: &[Option<Tensor>],
+        reference: &[Option<Tensor>],
+        tag: &str,
+    ) {
+        for ((p, g), r) in m.parameters().iter().zip(got).zip(reference) {
+            let (Some(g), Some(r)) = (g, r) else {
+                panic!("{tag}: {} received no gradient", p.name());
+            };
+            let mut diff = g.clone();
+            diff.axpy_inplace(-1.0, r);
+            assert!(
+                max_abs(&diff) <= 1e-5 * max_abs(r),
+                "{tag}: {} gradient off by {} against max-norm {}",
+                p.name(),
+                max_abs(&diff),
+                max_abs(r)
+            );
+        }
     }
 
     #[test]
     fn shared_embedding_objective_matches_the_two_forward_reference() {
         let (ds, split) = tiny_setup();
-        let max_abs = |t: &Tensor| t.as_slice().iter().fold(0.0f32, |m, v| m.max(v.abs()));
         for cfg in [
             tiny_config(),
             tiny_config().no_attention(),
@@ -1433,104 +1475,187 @@ mod tests {
                 let struct_ops = m.struct_cache.slice_ops(&struct_ids);
                 let lap = m.smooth_cache.slice_laplacian(&all_ids);
 
-                let s = Session::new();
-                let (trustor, trustee) = m.group_forward(&s, &node_ops, &struct_ops);
-                let loss = m.pair_loss(&s, &split.train, &trustor, &trustee, Some(&lap));
-                let (loss, grads) = loss_and_grads(&m, &s, &loss);
+                m.optimizer.zero_grad();
+                let group = [split.train.clone()];
+                let [(_, loss)] = m.group_gradient(&node_ops, &struct_ops, Some(&lap), &group)[..]
+                else {
+                    panic!("one loss per batch");
+                };
+                let got = grads(&m);
+                m.optimizer.zero_grad();
                 let s = Session::new();
                 let reference =
                     two_forward_loss(&m, &s, &split.train, &node_ops, &struct_ops, &lap);
-                let (ref_loss, ref_grads) = loss_and_grads(&m, &s, &reference);
+                reference.backward();
+                s.harvest();
 
                 let tag = format!("{} at edge ratio {ratio}", m.name());
+                let ref_loss = reference.value().as_slice()[0];
                 assert_eq!(loss.to_bits(), ref_loss.to_bits(), "{tag}: loss value");
-                for ((p, g), r) in m.parameters().iter().zip(&grads).zip(&ref_grads) {
-                    let (Some(g), Some(r)) = (g, r) else {
-                        panic!("{tag}: {} received no gradient", p.name());
-                    };
-                    let mut diff = g.clone();
-                    diff.axpy_inplace(-1.0, r);
+                assert_grads_close(&m, &got, &grads(&m), &tag);
+            }
+        }
+    }
+
+    /// One accumulation group as the epoch loop ran it before the group
+    /// shared one objective — a session, an embedding, both towers and
+    /// the Eq. 23 term per micro-batch, each batch's `L + R`
+    /// backpropagated alone at its share of the group's pairs — kept as
+    /// the reference [`Ahntp::group_gradient`] is checked against. Returns
+    /// the gradients summed over the batches in plan order, and each
+    /// batch's `(pairs, loss)`. A one-batch group leaves its gradient on
+    /// the parameters, as the production path does.
+    fn per_batch_forward_group(
+        m: &mut Ahntp,
+        node_ops: &AggregationOps,
+        struct_ops: &AggregationOps,
+        smooth_lap: Option<&Rc<CsrMatrix<f32>>>,
+        group: &[Vec<LabeledPair>],
+    ) -> (Vec<Option<Tensor>>, Vec<(usize, f32)>) {
+        let group_pairs: usize = group.iter().map(Vec::len).sum();
+        let mut sum: Vec<Option<Tensor>> = vec![None; m.parameters().len()];
+        let mut losses = Vec::new();
+        for batch in group {
+            m.optimizer.zero_grad();
+            let s = Session::new();
+            let (trustor, trustee) = m.group_forward(&s, node_ops, struct_ops);
+            let mut loss = m.pair_loss(&s, batch, &trustor, &trustee);
+            if let Some(lap) = smooth_lap {
+                loss = loss.add(&m.smoothness_term(&s, lap, &trustor));
+            }
+            losses.push((batch.len(), loss.value().as_slice()[0]));
+            let objective = if group.len() == 1 {
+                loss
+            } else {
+                loss.scale(batch.len() as f32 / group_pairs as f32)
+            };
+            objective.backward();
+            s.harvest();
+            for (acc, g) in sum.iter_mut().zip(grads(m)) {
+                match (acc.as_mut(), g) {
+                    (Some(acc), Some(g)) => acc.axpy_inplace(1.0, &g),
+                    (None, g) => *acc = g,
+                    (Some(_), None) => {}
+                }
+            }
+        }
+        (sum, losses)
+    }
+
+    /// A batch size that leaves the last batch short, and the last
+    /// accumulation group short of 2 and of 3 batches.
+    fn ragged_batch_size(n: usize) -> usize {
+        (48..)
+            .find(|&b| !n.is_multiple_of(b) && matches!(n.div_ceil(b) % 6, 1 | 5))
+            .expect("some batch size leaves ragged groups")
+    }
+
+    fn four_variants() -> [AhntpConfig; 4] {
+        [
+            tiny_config(),
+            tiny_config().no_mpr(),
+            tiny_config().no_attention(),
+            tiny_config().no_contrastive(),
+        ]
+    }
+
+    /// At accumulation 1 every group is one batch, and its shared forward
+    /// and objective are the batch's own tape: three sampled epochs land
+    /// on the reference's losses and parameters bit for bit.
+    #[test]
+    fn a_group_shared_forward_trains_bitwise_like_a_forward_per_batch() {
+        use ahntp_data::MiniBatchConfig;
+        let (ds, split) = tiny_setup();
+        let mb = MiniBatchConfig::sampled(0.5, ragged_batch_size(split.train.len()), 1, 11);
+        for cfg in four_variants() {
+            let mut shared = Ahntp::new(&ds.features, &ds.attributes, &split.train_graph, &cfg);
+            let mut reference = Ahntp::new(&ds.features, &ds.attributes, &split.train_graph, &cfg);
+            for epoch in 0..3 {
+                let plan = BatchPlan::for_epoch(&split.train, &mb, epoch);
+                let tag = format!("{} at epoch {epoch}", cfg.variant);
+                assert!(plan.n_batches() > 3, "{tag}: several groups");
+                let l_shared = shared.train_epoch_planned(&plan);
+                let (node_ops, struct_ops, smooth_lap) = reference.sampled_operators(&plan);
+                let mut batch_losses = Vec::new();
+                for batch in &plan.batches {
+                    let group = std::slice::from_ref(batch);
+                    let (_, losses) = per_batch_forward_group(
+                        &mut reference,
+                        &node_ops,
+                        &struct_ops,
+                        smooth_lap.as_ref(),
+                        group,
+                    );
+                    batch_losses.extend(losses);
+                    reference.optimizer.step();
+                }
+                let l_ref = epoch_loss(&batch_losses);
+                assert_eq!(l_shared.to_bits(), l_ref.to_bits(), "{tag}: epoch loss");
+                for (p, q) in shared.parameters().iter().zip(reference.parameters()) {
+                    let (a, b) = (p.value(), q.value());
                     assert!(
-                        max_abs(&diff) <= 1e-5 * max_abs(r),
-                        "{tag}: {} gradient off by {} against max-norm {}",
-                        p.name(),
-                        max_abs(&diff),
-                        max_abs(r)
+                        a.as_slice()
+                            .iter()
+                            .zip(b.as_slice())
+                            .all(|(x, y)| x.to_bits() == y.to_bits()),
+                        "{tag}: {} moved off the reference",
+                        p.name()
                     );
                 }
             }
         }
     }
 
-    /// The epoch loop as it stood before an accumulation group shared its
-    /// forward — a session, an embedding and both towers per micro-batch,
-    /// the same scaling, harvest and step — kept as the reference
-    /// `train_epoch_planned` is checked against.
-    fn per_batch_forward_epoch(m: &mut Ahntp, plan: &BatchPlan) -> f32 {
-        let (node_ops, struct_ops, smooth_lap) = m.sampled_operators(plan);
-        let mut batch_losses = Vec::new();
-        for group in plan.batches.chunks(plan.accumulation) {
-            m.optimizer.zero_grad();
-            let group_pairs: usize = group.iter().map(Vec::len).sum();
-            for batch in group {
-                let s = Session::new();
-                let (trustor, trustee) = m.group_forward(&s, &node_ops, &struct_ops);
-                let loss = m.pair_loss(&s, batch, &trustor, &trustee, smooth_lap.as_ref());
-                batch_losses.push((batch.len(), loss.value().as_slice()[0]));
-                let objective = if group.len() == 1 {
-                    loss
-                } else {
-                    loss.scale(batch.len() as f32 / group_pairs as f32)
-                };
-                objective.backward();
-                s.harvest_accumulate();
-            }
-            m.optimizer.step();
-        }
-        epoch_loss(&batch_losses)
-    }
-
+    /// At accumulation 2 and 3 a group's one objective reorders the f32
+    /// sums a tape per micro-batch makes (the batches' weighted gradients,
+    /// and Eq. 23's once against once per batch at weights summing to 1),
+    /// so every group's gradient — the ragged last one too — must be
+    /// within `1e-5` of each parameter's max-norm of the reference's. The
+    /// per-batch losses are forward values, added the same way on both
+    /// sides: they, and the group's pair-weighted loss, must agree to
+    /// relative tolerance 0.
     #[test]
-    fn a_group_shared_forward_trains_bitwise_like_a_forward_per_batch() {
+    fn a_group_objective_matches_a_tape_per_micro_batch() {
         use ahntp_data::MiniBatchConfig;
         let (ds, split) = tiny_setup();
-        let n = split.train.len();
-        // Short last batch, and a last group short of 2 and of 3 batches.
-        let batch_size = (48..)
-            .find(|&b| n % b != 0 && matches!(n.div_ceil(b) % 6, 1 | 5))
-            .expect("some batch size leaves ragged groups");
-        for cfg in [
-            tiny_config(),
-            tiny_config().no_mpr(),
-            tiny_config().no_attention(),
-            tiny_config().no_contrastive(),
-        ] {
-            for accumulation in 1..=3 {
+        let batch_size = ragged_batch_size(split.train.len());
+        for cfg in four_variants() {
+            assert!(cfg.smoothness_weight > 0.0, "Eq. 23 must be in the objective");
+            let mut m = Ahntp::new(&ds.features, &ds.attributes, &split.train_graph, &cfg);
+            // Off the initialisation point (unit edge weights, zero biases).
+            m.train_epoch(&split.train);
+            for accumulation in 2..=3 {
                 let mb = MiniBatchConfig::sampled(0.5, batch_size, accumulation, 11);
-                let mut shared = Ahntp::new(&ds.features, &ds.attributes, &split.train_graph, &cfg);
-                let mut reference =
-                    Ahntp::new(&ds.features, &ds.attributes, &split.train_graph, &cfg);
-                for epoch in 0..3 {
-                    let plan = BatchPlan::for_epoch(&split.train, &mb, epoch);
-                    let tag = format!(
-                        "{} at accumulation {accumulation}, epoch {epoch}",
-                        cfg.variant
+                let plan = BatchPlan::for_epoch(&split.train, &mb, 1);
+                let (node_ops, struct_ops, smooth_lap) = m.sampled_operators(&plan);
+                let groups: Vec<_> = plan.batches.chunks(accumulation).collect();
+                let last = groups.last().expect("a plan has a group");
+                assert!(groups.len() > 2, "several groups");
+                assert!(last.len() < accumulation, "a ragged last group");
+                assert_ne!(last[last.len() - 1].len(), batch_size, "a ragged last batch");
+                for (g, group) in groups.into_iter().enumerate() {
+                    let tag = format!("{} at accumulation {accumulation}, group {g}", cfg.variant);
+                    m.optimizer.zero_grad();
+                    let losses =
+                        m.group_gradient(&node_ops, &struct_ops, smooth_lap.as_ref(), group);
+                    let got = grads(&m);
+                    let (reference, ref_losses) = per_batch_forward_group(
+                        &mut m,
+                        &node_ops,
+                        &struct_ops,
+                        smooth_lap.as_ref(),
+                        group,
                     );
-                    assert!(plan.n_batches() > 3, "{tag}: several groups");
-                    let l_shared = shared.train_epoch_planned(&plan);
-                    let l_ref = per_batch_forward_epoch(&mut reference, &plan);
-                    assert_eq!(l_shared.to_bits(), l_ref.to_bits(), "{tag}: epoch loss");
-                    for (p, q) in shared.parameters().iter().zip(reference.parameters()) {
-                        let (a, b) = (p.value(), q.value());
-                        assert!(
-                            a.as_slice()
-                                .iter()
-                                .zip(b.as_slice())
-                                .all(|(x, y)| x.to_bits() == y.to_bits()),
-                            "{tag}: {} moved off the reference",
-                            p.name()
-                        );
-                    }
+                    assert_grads_close(&m, &got, &reference, &tag);
+                    let bits = |l: &[(usize, f32)]| {
+                        l.iter().map(|&(n, v)| (n, v.to_bits())).collect::<Vec<_>>()
+                    };
+                    assert_eq!(bits(&losses), bits(&ref_losses), "{tag}: batch losses");
+                    assert_eq!(
+                        epoch_loss(&losses).to_bits(),
+                        epoch_loss(&ref_losses).to_bits(),
+                        "{tag}: group loss"
+                    );
                 }
             }
         }

@@ -155,33 +155,6 @@ impl Session {
         }
     }
 
-    /// Like [`Session::harvest`], but *adds* each tape gradient onto the
-    /// parameter's stored gradient instead of overwriting it — the
-    /// gradient-accumulation primitive for mini-batch training, where one
-    /// optimizer step sums the gradients of several micro-batch sessions.
-    ///
-    /// After `Optimizer::zero_grad` every stored gradient is `None`, so the
-    /// first accumulation is exactly [`Session::harvest`] (the sum starts
-    /// from the tape gradient itself, not from an added zero — bitwise
-    /// identical to the single-batch path). Parameters that did not
-    /// influence this session's loss keep whatever they accumulated so far.
-    /// Like `harvest`, it moves the gradients off the tape: once per
-    /// backward pass.
-    pub fn harvest_accumulate(&self) {
-        for (p, v) in self.bound.borrow().iter() {
-            if let Some(new) = v.take_grad() {
-                let mut d = p.inner.borrow_mut();
-                d.grad = Some(match d.grad.take() {
-                    Some(mut acc) => {
-                        acc.axpy_inplace(1.0, &new);
-                        acc
-                    }
-                    None => new,
-                });
-            }
-        }
-    }
-
     /// Number of distinct parameters bound so far.
     pub fn n_bound(&self) -> usize {
         self.bound.borrow().len()
@@ -234,43 +207,6 @@ mod tests {
         assert!(unused.grad().is_none());
         used.zero_grad();
         assert!(used.grad().is_none());
-    }
-
-    #[test]
-    fn harvest_accumulate_sums_across_sessions() {
-        let p = Param::new("w", Tensor::full(1, 2, 1.0));
-        // First micro-batch: grad = [1, 1] (sum over two elements each 1).
-        let s1 = Session::new();
-        s1.var(&p).sum().backward();
-        s1.harvest_accumulate();
-        assert_eq!(p.grad().expect("grad").as_slice(), &[1.0, 1.0]);
-        // Second micro-batch doubles the contribution: grad = [3, 3].
-        let s2 = Session::new();
-        let v = s2.var(&p);
-        v.add(&v).sum().backward();
-        s2.harvest_accumulate();
-        assert_eq!(p.grad().expect("grad").as_slice(), &[3.0, 3.0]);
-        // zero_grad resets, making accumulate behave like harvest again.
-        p.zero_grad();
-        let s3 = Session::new();
-        s3.var(&p).sum().backward();
-        s3.harvest_accumulate();
-        assert_eq!(p.grad().expect("grad").as_slice(), &[1.0, 1.0]);
-    }
-
-    #[test]
-    fn harvest_accumulate_keeps_untouched_params() {
-        let a = Param::new("a", Tensor::full(1, 1, 1.0));
-        let b = Param::new("b", Tensor::full(1, 1, 1.0));
-        let s1 = Session::new();
-        s1.var(&a).sum().backward();
-        s1.harvest_accumulate();
-        // Second session only touches b; a's accumulated grad survives.
-        let s2 = Session::new();
-        s2.var(&b).sum().backward();
-        s2.harvest_accumulate();
-        assert_eq!(a.grad().expect("kept").as_slice(), &[1.0]);
-        assert_eq!(b.grad().expect("new").as_slice(), &[1.0]);
     }
 
     #[test]

@@ -197,12 +197,12 @@ fn conv_forward_spans() -> usize {
         .count()
 }
 
-/// Tripwire for "one embedding per accumulation group": with the Eq. 23
+/// Tripwire for "one objective per accumulation group": with the Eq. 23
 /// term in the objective, a full-batch epoch — and one full sampled
 /// accumulation group — runs each conv layer's forward exactly once per
-/// tier. A forward per micro-batch, or a second one feeding the
-/// smoothness term, would raise the count; every micro-batch still
-/// backpropagates on its own.
+/// tier, the Eq. 23 product once, and one backward. A forward per
+/// micro-batch, a second one feeding the smoothness term, an Eq. 23 term
+/// per micro-batch or a backward per micro-batch would raise a count.
 #[test]
 fn an_objective_runs_each_conv_layer_once_per_tier_per_accumulation_group() {
     ahntp_par::Context::fresh().run(|| {
@@ -212,19 +212,23 @@ fn an_objective_runs_each_conv_layer_once_per_tier_per_accumulation_group() {
         let mut m = model(&ds, &split);
         assert!(m.config().smoothness_weight > 0.0, "Eq. 23 must be in the objective");
         let per_objective = 2 * m.config().conv_dims.len(); // tiers × layers
+        let counter = ahntp_telemetry::counter_get;
         m.train_epoch(&split.train);
         assert_eq!(conv_forward_spans(), per_objective);
-        assert_eq!(ahntp_telemetry::counter_get("autograd.backward.calls"), 1);
+        assert_eq!(counter("autograd.backward.calls"), 1);
+        // Two sparse products per conv layer (vertex → edge, edge →
+        // vertex) and the Laplacian's in Eq. 23; the backward runs the
+        // transposed kernel.
+        let products = counter("tensor.mul_dense.calls");
+        assert_eq!(products, 2 * per_objective as u64 + 1);
         let mut plan =
             BatchPlan::for_epoch(&split.train, &MiniBatchConfig::sampled(0.5, 64, 2, 11), 0);
         assert!(plan.accumulation > 1 && plan.n_batches() > plan.accumulation);
         plan.batches.truncate(plan.accumulation);
         m.train_epoch_planned(&plan);
         assert_eq!(conv_forward_spans(), 2 * per_objective);
-        assert_eq!(
-            ahntp_telemetry::counter_get("autograd.backward.calls"),
-            1 + plan.accumulation as u64
-        );
+        assert_eq!(counter("autograd.backward.calls"), 2);
+        assert_eq!(counter("tensor.mul_dense.calls"), 2 * products);
     });
 }
 
