@@ -1118,7 +1118,7 @@ impl BatchTrustModel for Ahntp {
     /// plus the Eq. 23 term once — and one backward
     /// ([`Ahntp::group_gradient`]), then one optimizer step. For groups of
     /// two or more batches that gradient is the per-micro-batch sum up to
-    /// f32 reordering: `model.rs`'s
+    /// f32 reordering: the test
     /// `a_group_objective_matches_a_tape_per_micro_batch` holds it within
     /// `1e-5` of each parameter's max-norm against a tape per batch.
     fn train_epoch_planned(&mut self, plan: &BatchPlan) -> f32 {
