@@ -1161,6 +1161,9 @@ fn epoch_loss(batch_losses: &[(usize, f32)]) -> f32 {
 }
 
 #[cfg(test)]
+mod reference;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use ahntp_data::{DatasetConfig, TrustDataset};
