@@ -40,6 +40,8 @@ pub(crate) enum Op {
     GatherRows(usize, Rc<Vec<usize>>),
     /// Per-row scaling by a constant vector.
     ScaleRowsConst(usize, Rc<Vec<f32>>),
+    /// Per-row scaling of a matrix by a variable column.
+    MulRows(usize, usize),
     Sum(usize),
     Mean(usize),
     /// Row-paired cosine similarity of two `n x d` matrices → `[n]`.
@@ -93,6 +95,7 @@ pub(crate) fn op_name(op: &Op) -> &'static str {
         Op::ConcatCols(..) => "concat_cols",
         Op::GatherRows(..) => "gather_rows",
         Op::ScaleRowsConst(..) => "scale_rows_const",
+        Op::MulRows(..) => "mul_rows",
         Op::Sum(..) => "sum",
         Op::Mean(..) => "mean",
         Op::PairwiseCosine(..) => "pairwise_cosine",
@@ -244,10 +247,16 @@ impl Graph {
     /// `m × d`, `beta` holds `2d` weights (a `[2d]` vector or a `2d × 1`
     /// column); the result is the `[nnz]` vector of scores.
     ///
-    /// Bitwise equal — value and all three gradients — to
-    /// `concat_cols(x.gather_rows(v), h.gather_rows(e)).matmul(beta)`
-    /// reshaped to a vector: every sum starts from `+0.0` and runs in that
-    /// composition's order (`tests/gradcheck.rs` holds it as the oracle).
+    /// The score splits as `x_v · β[..d] + h_e · β[d..]`, so each half is
+    /// one dot per vertex and one per hyperedge, and a pair adds two of
+    /// them. The adjoints split the same way: `dx` is each vertex's summed
+    /// incoming gradient times `β[..d]`, `dh` each hyperedge's times
+    /// `β[d..]`; `dβ` accumulates per pair, ascending. That is the
+    /// composition `concat_cols(x.gather_rows(v), h.gather_rows(e))
+    /// .matmul(beta)` reassociated, so value and gradients equal it up to
+    /// f32 rounding (`tests/gradcheck.rs` holds them within `1e-6` of
+    /// each tensor's max-norm, and checks the gradients against central
+    /// differences).
     ///
     /// # Panics
     ///
@@ -308,10 +317,17 @@ impl Graph {
     /// inspection for tests that pin what a forward pass materialises.
     #[doc(hidden)]
     pub fn shapes(&self) -> Vec<Shape> {
+        self.ops().into_iter().map(|(_, shape)| shape).collect()
+    }
+
+    /// Every recorded node's op name and value shape, in tape order (see
+    /// [`Graph::shapes`]).
+    #[doc(hidden)]
+    pub fn ops(&self) -> Vec<(&'static str, Shape)> {
         self.nodes
             .borrow()
             .iter()
-            .map(|n| n.value.shape())
+            .map(|n| (op_name(&n.op), n.value.shape()))
             .collect()
     }
 }
@@ -574,6 +590,23 @@ fn backward_step(nodes: &mut [Node], i: usize, op: &Op, grad_out: Tensor) {
             }
             accum(nodes, *a, da);
         }
+        Op::MulRows(a, factors) => {
+            let (av, fv) = (&nodes[*a].value, &nodes[*factors].value);
+            let df = nodes[*factors].requires_grad.then(|| {
+                let mut df = zeros_like(fv);
+                for (r, d) in df.as_mut_slice().iter_mut().enumerate() {
+                    for (&g, &x) in grad_out.row(r).iter().zip(av.row(r)) {
+                        *d += g * x;
+                    }
+                }
+                df
+            });
+            let da = nodes[*a]
+                .requires_grad
+                .then(|| grad_out.scale_rows(&Tensor::vector(fv.as_slice().to_vec())));
+            accum_some(nodes, *factors, df);
+            accum_some(nodes, *a, da);
+        }
         Op::Sum(a) => {
             let g = grad_out.as_slice()[0];
             let mut da = zeros_like(&nodes[*a].value);
@@ -674,8 +707,6 @@ fn backward_step(nodes: &mut [Node], i: usize, op: &Op, grad_out: Tensor) {
                 pair_edges,
                 &grad_out,
             );
-            // The order the composed ops reach their parents in: the
-            // product's `beta`, then the `h` gather, then the `x` gather.
             accum(nodes, *beta, dbeta);
             accum(nodes, *h, dh);
             accum(nodes, *x, dx);
@@ -723,9 +754,9 @@ fn matmul_backward(
     )
 }
 
-/// Dot-product chains run side by side. Each is `k`-sequential by the
-/// bitwise contract, so throughput comes from keeping several in flight —
-/// what the dense kernel's one-column tile does for `cat @ β`.
+/// Dot-product chains run side by side. Each is `k`-sequential, so its
+/// value does not depend on the pool or the tiling, and throughput comes
+/// from keeping several in flight.
 const CHAINS: usize = 8;
 
 /// `acc[r] += rows[r] · b`: `k` ascending, one rounded multiply and one
@@ -756,10 +787,8 @@ fn extend_all<'a>(out: &mut [f32], row: impl Fn(usize) -> &'a [f32], b: &[f32]) 
     }
 }
 
-/// Forward of [`Graph::pair_scores`]: per pair, `+0.0`, then `x_v · β[..d]`,
-/// then `h_e · β[d..]`. The first half depends on the vertex alone, so it
-/// is computed once per vertex and every pair of that vertex continues
-/// from it.
+/// Forward of [`Graph::pair_scores`]: one dot `x_v · β[..d]` per vertex
+/// and one `h_e · β[d..]` per hyperedge, then their sum per pair.
 fn pair_scores_forward(
     x: &Tensor,
     h: &Tensor,
@@ -799,15 +828,20 @@ fn pair_scores_forward(
     let (beta_x, beta_h) = beta.as_slice().split_at(d);
     let mut per_vertex = vec![0.0f32; x.rows()];
     extend_all(&mut per_vertex, |v| x.row(v), beta_x);
-    let mut scores: Vec<f32> = pair_vertices.iter().map(|&v| per_vertex[v]).collect();
-    extend_all(&mut scores, |p| h.row(pair_edges[p]), beta_h);
+    let mut per_edge = vec![0.0f32; h.rows()];
+    extend_all(&mut per_edge, |e| h.row(e), beta_h);
+    let scores = pair_vertices
+        .iter()
+        .zip(pair_edges)
+        .map(|(&v, &e)| per_vertex[v] + per_edge[e])
+        .collect();
     Tensor::vector(scores)
 }
 
-/// Adjoint of [`Graph::pair_scores`], `(dx, dh, dβ)`, in the composition's
-/// order: `dβ = catᵀ @ g` sums over pairs ascending; `g @ βᵀ` has inner
-/// dimension 1, so each of its elements is the product's `+0.0` start plus
-/// one term, scatter-added into the gathered row, pairs ascending.
+/// Adjoint of [`Graph::pair_scores`], `(dx, dh, dβ)`: the incoming
+/// gradient summed per vertex and per hyperedge (pairs ascending) scales
+/// `β[..d]` and `β[d..]` once per row; `dβ` sums `g_p · [x_v ‖ h_e]` over
+/// the pairs, ascending.
 fn pair_scores_backward(
     x: &Tensor,
     h: &Tensor,
@@ -818,28 +852,29 @@ fn pair_scores_backward(
 ) -> (Tensor, Tensor, Tensor) {
     let _k = KernelSpan::enter("autograd.pair_scores.adjoint", KernelKind::Csr);
     let d = x.cols();
-    let (mut dx, mut dh, mut dbeta) = (zeros_like(x), zeros_like(h), zeros_like(beta));
-    let (beta_x, beta_h) = beta.as_slice().split_at(d);
+    let mut dbeta = zeros_like(beta);
+    let (mut per_vertex, mut per_edge) = (vec![0.0f32; x.rows()], vec![0.0f32; h.rows()]);
     let (dbeta_x, dbeta_h) = dbeta.as_mut_slice().split_at_mut(d);
     for ((&v, &e), &g) in pair_vertices
         .iter()
         .zip(pair_edges)
         .zip(grad_out.as_slice())
     {
+        per_vertex[v] += g;
+        per_edge[e] += g;
         for (s, &xv) in dbeta_x.iter_mut().zip(x.row(v)) {
             *s += xv * g;
         }
         for (s, &hv) in dbeta_h.iter_mut().zip(h.row(e)) {
             *s += hv * g;
         }
-        for (s, &b) in dx.row_mut(v).iter_mut().zip(beta_x) {
-            *s += 0.0 + g * b;
-        }
-        for (s, &b) in dh.row_mut(e).iter_mut().zip(beta_h) {
-            *s += 0.0 + g * b;
-        }
     }
-    (dx, dh, dbeta)
+    let (beta_x, beta_h) = beta.as_slice().split_at(d);
+    let outer = |sums: &[f32], b: &[f32]| {
+        let data = sums.iter().flat_map(|&g| b.iter().map(move |&b| g * b)).collect();
+        Tensor::matrix(sums.len(), d, data)
+    };
+    (outer(&per_vertex, beta_x), outer(&per_edge, beta_h), dbeta)
 }
 
 #[cfg(test)]

@@ -161,6 +161,29 @@ impl Var {
         })
     }
 
+    /// Scales each row `r` of a matrix by entry `r` of `factors` (an
+    /// `[rows]` vector or a `rows × 1` column); gradients flow to both.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `factors` holds one entry per row.
+    pub fn mul_rows(&self, factors: &Var) -> Var {
+        self.binary(
+            factors,
+            "mul_rows",
+            Op::MulRows(self.id, factors.id),
+            |a, f| {
+                assert!(
+                    f.len() == a.rows() && (f.shape().is_vector() || f.cols() == 1),
+                    "mul_rows: need {} factors as a vector or a column, got {}",
+                    a.rows(),
+                    f.shape()
+                );
+                a.scale_rows(&Tensor::vector(f.as_slice().to_vec()))
+            },
+        )
+    }
+
     /// Sum of all elements → scalar.
     pub fn sum(&self) -> Var {
         self.unary(Op::Sum(self.id), |a| Tensor::full(1, 1, a.sum()))

@@ -243,6 +243,22 @@ fn pair_lists() -> (Rc<Vec<usize>>, Rc<Vec<usize>>) {
 }
 
 #[test]
+fn grad_mul_rows() {
+    let a = t(3, 4, 36);
+    check_gradients(
+        &[a.clone(), t(3, 1, 37)],
+        |_, v| {
+            let y = v[0].mul_rows(&v[1]);
+            y.mul(&y).sum()
+        },
+        EPS,
+        TOL,
+    );
+    let f = Tensor::vector(t(1, 3, 38).as_slice().to_vec());
+    check_gradients(&[a, f], |_, v| v[0].mul_rows(&v[1]).sum(), EPS, TOL);
+}
+
+#[test]
 fn grad_pair_scores_with_repeats() {
     let (pv, pe) = pair_lists();
     check_gradients(
@@ -257,7 +273,7 @@ fn grad_pair_scores_with_repeats() {
 }
 
 /// Eq. 14's scores as the five general ops `pair_scores` replaced: the
-/// oracle it must match bit for bit.
+/// composition it reassociates.
 fn composed_pair_scores(
     g: &Graph,
     x: &Var,
@@ -271,18 +287,22 @@ fn composed_pair_scores(
         .reshape(Shape::Vector(pv.len()))
 }
 
+/// How far `pair_scores` may sit from the composed ops, relative to each
+/// compared tensor's max-norm: a per-vertex and a per-edge dot added,
+/// against one chain per pair, and per-row gradient sums scaling `β` once.
+const PAIR_SCORES_TOL: f32 = 1e-6;
+
 #[test]
-fn pair_scores_is_bitwise_the_composed_ops() {
+fn pair_scores_matches_the_composed_ops_within_rounding() {
     // 37 pairs (not a multiple of the kernel's eight chains) over 9
     // vertices and 5 hyperedges of width 6; `x` and `h` each feed a second
-    // consumer recorded after the scores, as in the layer (Eq. 16), so
-    // their gradients are sums whose order must hold too.
+    // consumer recorded after the scores, as in the layer (Eq. 16).
     let (n, m, d, nnz) = (9, 5, 6, 37);
     let pv = Rc::new((0..nnz).map(|p| (p * 7 + p / 5) % n).collect::<Vec<_>>());
     let pe = Rc::new((0..nnz).map(|p| (p * 3 + p / 4) % m).collect::<Vec<_>>());
     let inputs = [t(n, d, 33), t(m, d, 34), t(2 * d, 1, 35)];
     type Scores = fn(&Graph, &Var, &Var, &Var, &Rc<Vec<usize>>, &Rc<Vec<usize>>) -> Var;
-    let run = |scores: Scores| -> Vec<Vec<u32>> {
+    let run = |scores: Scores| -> Vec<Tensor> {
         let g = Graph::new();
         let v: Vec<Var> = inputs.iter().map(|t| g.leaf(t.clone())).collect();
         let s = scores(&g, &v[0], &v[1], &v[2], &pv, &pe).leaky_relu(0.2);
@@ -292,22 +312,26 @@ fn pair_scores_is_bitwise_the_composed_ops() {
             .add(&v[0].tanh().sum())
             .add(&v[1].mul(&v[1]).sum());
         loss.backward();
-        let bits = |t: Tensor| t.as_slice().iter().map(|f| f.to_bits()).collect();
-        let mut out = vec![bits(s.value())];
-        out.extend(
-            v.iter()
-                .map(|v| bits(v.grad().expect("every input reaches the loss"))),
-        );
+        let mut out = vec![s.value()];
+        out.extend(v.iter().map(|v| v.grad().expect("every input reaches the loss")));
         out
     };
     let fused: Scores = |g, x, h, beta, pv, pe| g.pair_scores(x, h, beta, pv, pe);
+    let max_abs = |t: &Tensor| t.as_slice().iter().fold(0.0f32, |m, v| m.max(v.abs()));
     for threads in [1, 4] {
         // Threshold 0: every gated kernel of the composed path forks.
         let (a, b) = ahntp_par::with_pool(threads, 0, || (run(fused), run(composed_pair_scores)));
         for (what, (a, b)) in ["scores", "dx", "dh", "dbeta"].iter().zip(a.iter().zip(&b)) {
-            assert_eq!(
-                a, b,
-                "{what} differs from the composed ops at {threads} threads"
+            assert_eq!(a.shape(), b.shape(), "{what}: shape");
+            let worst = a
+                .as_slice()
+                .iter()
+                .zip(b.as_slice())
+                .fold(0.0f32, |m, (x, y)| m.max((x - y).abs()));
+            assert!(
+                worst <= PAIR_SCORES_TOL * max_abs(b),
+                "{what} is {worst} off the composed ops (max-norm {}) at {threads} threads",
+                max_abs(b)
             );
         }
     }

@@ -8,7 +8,7 @@ use ahntp_eval::{BatchPlan, BatchTrustModel, ResumableModel, TrainProgress, Trus
 use ahntp_graph::{motif_pagerank, pagerank, DiGraph, MotifPageRankConfig, PageRankConfig};
 use ahntp_hypergraph::{
     attribute_hypergroup, multi_hop_hypergroup_capped, pairwise_hypergroup,
-    social_influence_hypergroup, AggregationCache, AggregationOps, Hypergraph,
+    social_influence_hypergroup, AggregationCache, AggregationOps, Hypergraph, SmoothnessFactor,
 };
 use ahntp_nn::loss::{
     bce_from_similarity, combined_loss, similarity_to_probability, smoothness_penalty,
@@ -19,7 +19,7 @@ use ahntp_nn::{
     Optimizer, Param, Session, TrainState, TrustArtifact,
 };
 use ahntp_stream::{AppliedEvent, HeadPatch, HyperGroup, LiveTrustModel, StreamError, TrustEvent};
-use ahntp_tensor::{CsrMatrix, SplitMix64, Tensor};
+use ahntp_tensor::{SplitMix64, Tensor};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -44,8 +44,9 @@ fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
 /// full hypergraph forward.
 ///
 /// Per tier (indexed by `HyperGroup as usize`) it also keeps what a live
-/// refresh walks from: every activation and every layer's hyperedge
-/// features of the forward, the seeds, and the hyperedges added since.
+/// refresh walks from: every activation, every layer's projection `x θ`
+/// and hyperedge features of the forward, the seeds, and the hyperedges
+/// added since.
 #[derive(Clone)]
 struct HeadCache {
     emb: Tensor,
@@ -53,6 +54,9 @@ struct HeadCache {
     trustee: Tensor,
     /// Per tier: the tier MLP's output `x^0`, then `x^1 … x^L`.
     layers: [Vec<Tensor>; 2],
+    /// Per tier and layer `l`: `x^l θ`, the projection its edge half reads,
+    /// one row per user.
+    projections: [Vec<Tensor>; 2],
     /// Per tier and layer: the hyperedge features, one row per hyperedge
     /// id, kept in step with the ids as the edge-weight columns are.
     edges: [Vec<LayerEdges>; 2],
@@ -64,8 +68,8 @@ struct HeadCache {
     added: [Vec<usize>; 2],
 }
 
-/// One layer's hyperedge features as the head cache keeps them: `h_e`
-/// (`m × in`) and, for the adaptive layer, `W h̃_e` (`m × out`).
+/// One layer's hyperedge features as the head cache keeps them: `h̃_e`
+/// (`m × out`) and, for the adaptive layer, `W h̃_e` (`m × out`).
 #[derive(Clone)]
 struct LayerEdges {
     h_e: Tensor,
@@ -144,10 +148,11 @@ fn swap_remove_row(t: &mut Tensor, r: usize) {
     *t = Tensor::matrix(last, cols, data);
 }
 
-/// One tier's forward: every activation (`x^0`, then each layer's output)
-/// and each layer's hyperedge features.
+/// One tier's forward: every activation (`x^0`, then each layer's output),
+/// and each layer's projection `x θ` and hyperedge features.
 struct TierForward {
     acts: Vec<Var>,
+    projections: Vec<Var>,
     edges: Vec<EdgeFeatures>,
 }
 
@@ -182,16 +187,23 @@ impl ConvStack {
 
     /// Forward pass against an explicit operator set — the full extraction
     /// or a sampled hyperedge slice — keeping every activation (`x`, then
-    /// each layer's output in turn) and each layer's hyperedge features.
+    /// each layer's output in turn), and each layer's projection and
+    /// hyperedge features.
     fn forward(&self, s: &Session, ops: &AggregationOps, x: Var) -> TierForward {
         let mut acts = vec![x];
+        let mut projections = Vec::with_capacity(self.0.len());
         let mut edges = Vec::with_capacity(self.0.len());
         for layer in &self.0 {
-            let (y, e) = layer.forward_with_edges(s, ops, &acts[acts.len() - 1]);
-            acts.push(y);
-            edges.push(e);
+            let pass = layer.forward_with_edges(s, ops, &acts[acts.len() - 1]);
+            acts.push(pass.out);
+            projections.push(pass.x_theta);
+            edges.push(pass.edges);
         }
-        TierForward { acts, edges }
+        TierForward {
+            acts,
+            projections,
+            edges,
+        }
     }
 
     fn params(&self) -> Vec<Param> {
@@ -208,8 +220,8 @@ impl ConvStack {
 /// The Adaptive Hypergraph Network for Trust Prediction.
 ///
 /// Construction precomputes everything structural — Motif-based PageRank,
-/// the four hypergroups, the aggregation operators, and the hypergraph
-/// Laplacian — from the *training* graph only (test edges never shape the
+/// the four hypergroups and their aggregation operators; the factor of the
+/// hypergraph Laplacian follows on first use — from the *training* graph only (test edges never shape the
 /// structure). Training is Adam over the combined objective of Eqs. 20–24,
 /// full-batch through [`TrustModel::train_epoch`] or planned mini-batches
 /// through [`BatchTrustModel::train_epoch_planned`]. Two invariants hold:
@@ -231,8 +243,10 @@ pub struct Ahntp {
     node_cache: AggregationCache,
     /// Cached operators of the structure-level hypergroups (Eqs. 8–9).
     struct_cache: AggregationCache,
-    /// Cached Laplacian of the concatenated trust hypergraph (Eq. 24).
-    smooth_cache: AggregationCache,
+    /// The factor `B` of the Laplacian `Δ = I − B Bᵀ` of the two tiers'
+    /// hyperedges together (Eq. 24), built on first use and dropped by any
+    /// event that changes an edge or a weight.
+    smooth_factor: RefCell<Option<Rc<SmoothnessFactor>>>,
     optimizer: Adam,
     influence: Vec<f64>,
     /// Architecture fingerprint: hash of the config and hypergraph shapes,
@@ -242,8 +256,8 @@ pub struct Ahntp {
     /// change through [`Ahntp::train_epoch`] or [`Ahntp::load`].
     head_cache: RefCell<Option<Rc<HeadCache>>>,
     /// Set once a live event adds or removes a hyperedge. Training is
-    /// refused afterwards: the Adam moment buffers and the smoothness
-    /// cache are bound to the construction-time edge set.
+    /// refused afterwards: the Adam moment buffers are bound to the
+    /// construction-time edge set.
     structure_mutated: bool,
 }
 
@@ -301,7 +315,6 @@ impl Ahntp {
         let pair = pairwise_hypergroup(graph);
         let hop = multi_hop_hypergroup_capped(graph, cfg.multi_hops, MAX_HOP_EDGE_SIZE);
         let struct_hg = Hypergraph::concat(&[&pair, &hop]);
-        let full_hg = Hypergraph::concat(&[&node_hg, &struct_hg]);
 
         // Architecture fingerprint: everything that determines parameter
         // names and shapes (config widths, variant, input width) plus the
@@ -335,7 +348,6 @@ impl Ahntp {
         let struct_mlp = Mlp::new("struct_mlp", &[c, d0], true, cfg.seed ^ 0x5f5f);
         let node_cache = AggregationCache::new(node_hg);
         let struct_cache = AggregationCache::new(struct_hg);
-        let smooth_cache = AggregationCache::new(full_hg);
         let node_stack = ConvStack::new(
             "node",
             &node_cache.full_ops(),
@@ -397,7 +409,7 @@ impl Ahntp {
             tower_b,
             node_cache,
             struct_cache,
-            smooth_cache,
+            smooth_factor: RefCell::new(None),
             optimizer,
             influence,
             fingerprint,
@@ -552,6 +564,9 @@ impl Ahntp {
             layers: tiers
                 .each_ref()
                 .map(|tier| tier.acts.iter().map(Var::value).collect()),
+            projections: tiers
+                .each_ref()
+                .map(|tier| tier.projections.iter().map(Var::value).collect()),
             edges: tiers
                 .each_ref()
                 .map(|tier| tier.edges.iter().map(LayerEdges::of).collect()),
@@ -676,7 +691,7 @@ impl Ahntp {
         &self,
         node_ops: &AggregationOps,
         struct_ops: &AggregationOps,
-        smooth_lap: Option<&Rc<CsrMatrix<f32>>>,
+        smooth: Option<&Rc<SmoothnessFactor>>,
         group: &[Vec<LabeledPair>],
     ) -> Vec<(usize, f32)> {
         let group_pairs: usize = group.iter().map(Vec::len).sum();
@@ -698,8 +713,8 @@ impl Ahntp {
             });
         }
         let mut objective = objective.expect("an accumulation group holds a batch");
-        if let Some(lap) = smooth_lap {
-            let smooth = self.smoothness_term(&s, lap, &trustor);
+        if let Some(factor) = smooth {
+            let smooth = self.smoothness_term(&s, factor, &trustor);
             let r = smooth.value().as_slice()[0];
             losses.iter_mut().for_each(|(_, l)| *l += r);
             objective = objective.add(&smooth);
@@ -710,16 +725,17 @@ impl Ahntp {
     }
 
     /// The epoch's sampled operators: one hyperedge sample per tier,
-    /// seeded from the plan, and the smoothness Laplacian sliced to the
-    /// same hyperedges (`None` without the Eq. 23 term). Ratio 1.0 never
-    /// touches the RNG and hands back the full operators.
+    /// seeded from the plan, and the Laplacian's factor over the same
+    /// hyperedges (`None` without the Eq. 23 term). Ratio 1.0 never touches
+    /// the RNG and hands back the full operators and the cached full
+    /// factor.
     fn sampled_operators(
         &self,
         plan: &BatchPlan,
     ) -> (
         Rc<AggregationOps>,
         Rc<AggregationOps>,
-        Option<Rc<CsrMatrix<f32>>>,
+        Option<Rc<SmoothnessFactor>>,
     ) {
         // One sample per hypergraph so node-level and structure-level
         // draws are independent.
@@ -741,29 +757,40 @@ impl Ahntp {
         );
         let node_ops = self.node_cache.slice_ops(&node_ids);
         let struct_ops = self.struct_cache.slice_ops(&struct_ids);
-        let smooth_lap = (self.cfg.smoothness_weight > 0.0).then(|| {
-            // The smoothness hypergraph is the concatenation of the two,
-            // so the sampled sub-hypergraph keeps exactly the sampled
-            // hyperedges: node ids verbatim, structure ids offset past the
-            // node-level block. Both halves are sorted, so the identity
-            // sample concatenates to the identity selection.
-            let m_node = self.node_cache.n_edges();
-            let full_ids: Vec<usize> = node_ids
-                .iter()
-                .copied()
-                .chain(struct_ids.iter().map(|&e| e + m_node))
-                .collect();
-            self.smooth_cache.slice_laplacian(&full_ids)
+        let smooth = (self.cfg.smoothness_weight > 0.0).then(|| {
+            // Eq. 23 smooths over both tiers' sampled hyperedges together;
+            // a slice that keeps every hyperedge of both is the full set.
+            let (node, stru) = (node_ops.edge_ids.as_deref(), struct_ops.edge_ids.as_deref());
+            match (node.map(Vec::as_slice), stru.map(Vec::as_slice)) {
+                (None, None) => self.full_smoothness_factor(),
+                (node, stru) => Rc::new(SmoothnessFactor::build(&[
+                    (&self.node_cache, node),
+                    (&self.struct_cache, stru),
+                ])),
+            }
         });
-        (node_ops, struct_ops, smooth_lap)
+        (node_ops, struct_ops, smooth)
+    }
+
+    /// The factor of the Laplacian over every hyperedge of both tiers,
+    /// built once (until an event drops it).
+    fn full_smoothness_factor(&self) -> Rc<SmoothnessFactor> {
+        let mut cached = self.smooth_factor.borrow_mut();
+        let factor = cached.get_or_insert_with(|| {
+            Rc::new(SmoothnessFactor::build(&[
+                (&self.node_cache, None),
+                (&self.struct_cache, None),
+            ]))
+        });
+        Rc::clone(factor)
     }
 
     /// Eq. 23: label smoothing over the (sampled) trust hypergraph, applied
     /// to the similarity-space embeddings `f` (the classification function
     /// of Eq. 24 — the trustor tower's output).
-    fn smoothness_term(&self, s: &Session, lap: &Rc<CsrMatrix<f32>>, f: &Var) -> Var {
+    fn smoothness_term(&self, s: &Session, factor: &SmoothnessFactor, f: &Var) -> Var {
         let weight = self.cfg.smoothness_weight / self.features.rows() as f32;
-        smoothness_penalty(s, lap, f).scale(weight)
+        smoothness_penalty(s, factor, f).scale(weight)
     }
 
     /// A tier's hypergraph cache and convolution stack.
@@ -784,7 +811,9 @@ impl Ahntp {
     /// Brings `head` up to date with the structure by walking each tier's
     /// seeds forward one layer at a time. Layer `l` rewrites rows `T_l` of
     /// `x^{l+1}`, where `T_0` is the seeds and `T_l = closure(T_{l−1}, 1)`.
-    /// It first recomputes the hyperedges `E_l` whose features changed —
+    /// It first re-projects the rows `T_{l−1}` of `x^l θ` whose input it
+    /// rewrote (none at `l = 0`), then recomputes the hyperedges `E_l`
+    /// whose features changed —
     /// those with a member in `T_{l−1}`, whose `x^l` row was rewritten; at
     /// `l = 0` only the hyperedges added since the last refresh, since
     /// `x^0` is the tier MLP of fixed features — and patches their rows in
@@ -814,17 +843,22 @@ impl Ahntp {
             edges.sort_unstable();
             let mut rows = cache.closure(&seeds, 0);
             for (l, layer) in stack.0.iter().enumerate() {
+                let (inputs, outputs) = head.layers[t].split_at_mut(l + 1);
+                let (x, cached) = (&mut inputs[l], &mut head.edges[t][l]);
+                let projection = &mut head.projections[t][l];
                 if l > 0 {
+                    let changed = s.constant(x.gather_rows(&rows));
+                    scatter_rows(projection, &rows, &layer.project(&s, &changed).value());
                     edges = cache.incident_edges(&rows);
                     rows = cache.closure(&rows, 1);
                 }
                 ahntp_telemetry::counter_add("core.refresh.edge_rows", edges.len() as u64);
-                let (inputs, outputs) = head.layers[t].split_at_mut(l + 1);
-                let (x, cached) = (&mut inputs[l], &mut head.edges[t][l]);
                 if !edges.is_empty() {
                     let v2e = Rc::new(cache.edge_rows(&edges));
                     let ids = Rc::new(std::mem::take(&mut edges));
-                    let fresh = lend(&s, x, |x| layer.edge_half(&s, &v2e, Some(&ids), x));
+                    let fresh = lend(&s, projection, |xt| {
+                        layer.edge_half(&s, &v2e, Some(&ids), xt)
+                    });
                     cached.patch(&ids, &fresh);
                 }
                 let targets = cache.vertex_rows(&rows);
@@ -879,15 +913,20 @@ impl LiveTrustModel for Ahntp {
     /// next refresh, and the affected users are `closure(seeds, L − 1)`:
     /// layer 1 changes the seeds' rows alone and each later layer reaches
     /// one hop further. Weight-only events (reweight/decay) touch degrees
-    /// and Laplacians but no operator, so they leave every head row exact
-    /// and report no affected users; they are mirrored into the smoothness
-    /// cache so weight-only streams remain trainable.
+    /// and the Laplacian's factor but no operator, so they leave every head
+    /// row exact and report no affected users; the factor is rebuilt from
+    /// the reweighted tiers on next use, so weight-only streams remain
+    /// trainable.
     ///
     /// Until [`LiveTrustModel::refresh_heads`] runs, the *cached* head
     /// rows of affected users (used by [`Ahntp::predict_pair`] and
     /// [`Ahntp::export_artifact`]) are stale; the batched
     /// [`TrustModel::predict`] recomputes the forward and is always live.
     fn apply_event(&mut self, event: &TrustEvent) -> Result<AppliedEvent, StreamError> {
+        // Every valid event changes an edge or a weight. An invalid one
+        // leaves the tiers untouched, so dropping the factor costs a
+        // rebuild at most.
+        self.smooth_factor.get_mut().take();
         let (group, seeds) = match event {
             TrustEvent::AddEdge {
                 group,
@@ -947,27 +986,12 @@ impl LiveTrustModel for Ahntp {
                 edge,
                 weight,
             } => {
-                let (cache, offset) = match group {
-                    HyperGroup::Node => (&mut self.node_cache, 0),
-                    HyperGroup::Structure => {
-                        let offset = self.node_cache.n_edges();
-                        (&mut self.struct_cache, offset)
-                    }
-                };
-                cache.apply_reweight(*edge, *weight)?;
-                if !self.structure_mutated {
-                    // The smoothness hypergraph is the concatenation of
-                    // the two tiers; id alignment holds until a structural
-                    // mutation renames edges (after which training — the
-                    // only consumer — is refused anyway).
-                    self.smooth_cache.apply_reweight(edge + offset, *weight)?;
-                }
+                self.tier_mut(*group).0.apply_reweight(*edge, *weight)?;
                 return Ok(AppliedEvent::default());
             }
             TrustEvent::Decay { factor } => {
                 self.node_cache.apply_decay(*factor)?;
                 self.struct_cache.apply_decay(*factor)?;
-                self.smooth_cache.apply_decay(*factor)?;
                 return Ok(AppliedEvent::default());
             }
         };
@@ -1126,15 +1150,15 @@ impl BatchTrustModel for Ahntp {
         assert!(
             !self.structure_mutated,
             "train_epoch: the hypergraph structure was mutated by live \
-             events; the Adam moment buffers and the smoothness cache are \
-             bound to the construction-time edge set — rebuild the model \
-             to continue training"
+             events; the Adam moment buffers are bound to the \
+             construction-time edge set — rebuild the model to continue \
+             training"
         );
-        let (node_ops, struct_ops, smooth_lap) = self.sampled_operators(plan);
+        let (node_ops, struct_ops, smooth) = self.sampled_operators(plan);
         let mut batch_losses: Vec<(usize, f32)> = Vec::with_capacity(plan.n_batches());
         for group in plan.batches.chunks(plan.accumulation.max(1)) {
             self.optimizer.zero_grad();
-            let losses = self.group_gradient(&node_ops, &struct_ops, smooth_lap.as_ref(), group);
+            let losses = self.group_gradient(&node_ops, &struct_ops, smooth.as_ref(), group);
             ahntp_telemetry::counter_add("batch.micro_batches.run", group.len() as u64);
             batch_losses.extend(losses);
             self.optimizer.step();
@@ -1412,12 +1436,12 @@ mod tests {
         pairs: &[LabeledPair],
         node_ops: &AggregationOps,
         struct_ops: &AggregationOps,
-        lap: &Rc<CsrMatrix<f32>>,
+        factor: &SmoothnessFactor,
     ) -> Var {
         let (trustor, trustee) = m.group_forward(s, node_ops, struct_ops);
         let loss = m.pair_loss(s, pairs, &trustor, &trustee);
         let emb = m.embed_on(s, node_ops, struct_ops);
-        loss.add(&m.smoothness_term(s, lap, &m.tower_a.forward(s, &emb)))
+        loss.add(&m.smoothness_term(s, factor, &m.tower_a.forward(s, &emb)))
     }
 
     /// Every parameter's current gradient.
@@ -1469,18 +1493,16 @@ mod tests {
             for ratio in [1.0, 0.5] {
                 let node_ids = sample_edges(m_node, ratio, 11, 0);
                 let struct_ids = sample_edges(m_struct, ratio, 12, 0);
-                let all_ids: Vec<usize> = node_ids
-                    .iter()
-                    .copied()
-                    .chain(struct_ids.iter().map(|&e| e + m_node))
-                    .collect();
                 let node_ops = m.node_cache.slice_ops(&node_ids);
                 let struct_ops = m.struct_cache.slice_ops(&struct_ids);
-                let lap = m.smooth_cache.slice_laplacian(&all_ids);
+                let factor = Rc::new(SmoothnessFactor::build(&[
+                    (&m.node_cache, Some(&node_ids)),
+                    (&m.struct_cache, Some(&struct_ids)),
+                ]));
 
                 m.optimizer.zero_grad();
                 let group = [split.train.clone()];
-                let [(_, loss)] = m.group_gradient(&node_ops, &struct_ops, Some(&lap), &group)[..]
+                let [(_, loss)] = m.group_gradient(&node_ops, &struct_ops, Some(&factor), &group)[..]
                 else {
                     panic!("one loss per batch");
                 };
@@ -1488,7 +1510,7 @@ mod tests {
                 m.optimizer.zero_grad();
                 let s = Session::new();
                 let reference =
-                    two_forward_loss(&m, &s, &split.train, &node_ops, &struct_ops, &lap);
+                    two_forward_loss(&m, &s, &split.train, &node_ops, &struct_ops, &factor);
                 reference.backward();
                 s.harvest();
 
@@ -1512,7 +1534,7 @@ mod tests {
         m: &mut Ahntp,
         node_ops: &AggregationOps,
         struct_ops: &AggregationOps,
-        smooth_lap: Option<&Rc<CsrMatrix<f32>>>,
+        smooth: Option<&Rc<SmoothnessFactor>>,
         group: &[Vec<LabeledPair>],
     ) -> (Vec<Option<Tensor>>, Vec<(usize, f32)>) {
         let group_pairs: usize = group.iter().map(Vec::len).sum();
@@ -1523,8 +1545,8 @@ mod tests {
             let s = Session::new();
             let (trustor, trustee) = m.group_forward(&s, node_ops, struct_ops);
             let mut loss = m.pair_loss(&s, batch, &trustor, &trustee);
-            if let Some(lap) = smooth_lap {
-                loss = loss.add(&m.smoothness_term(&s, lap, &trustor));
+            if let Some(factor) = smooth {
+                loss = loss.add(&m.smoothness_term(&s, factor, &trustor));
             }
             losses.push((batch.len(), loss.value().as_slice()[0]));
             let objective = if group.len() == 1 {
@@ -1578,7 +1600,7 @@ mod tests {
                 let tag = format!("{} at epoch {epoch}", cfg.variant);
                 assert!(plan.n_batches() > 3, "{tag}: several groups");
                 let l_shared = shared.train_epoch_planned(&plan);
-                let (node_ops, struct_ops, smooth_lap) = reference.sampled_operators(&plan);
+                let (node_ops, struct_ops, smooth) = reference.sampled_operators(&plan);
                 let mut batch_losses = Vec::new();
                 for batch in &plan.batches {
                     let group = std::slice::from_ref(batch);
@@ -1586,7 +1608,7 @@ mod tests {
                         &mut reference,
                         &node_ops,
                         &struct_ops,
-                        smooth_lap.as_ref(),
+                        smooth.as_ref(),
                         group,
                     );
                     batch_losses.extend(losses);
@@ -1630,7 +1652,7 @@ mod tests {
             for accumulation in 2..=3 {
                 let mb = MiniBatchConfig::sampled(0.5, batch_size, accumulation, 11);
                 let plan = BatchPlan::for_epoch(&split.train, &mb, 1);
-                let (node_ops, struct_ops, smooth_lap) = m.sampled_operators(&plan);
+                let (node_ops, struct_ops, smooth) = m.sampled_operators(&plan);
                 let groups: Vec<_> = plan.batches.chunks(accumulation).collect();
                 let last = groups.last().expect("a plan has a group");
                 assert!(groups.len() > 2, "several groups");
@@ -1640,13 +1662,13 @@ mod tests {
                     let tag = format!("{} at accumulation {accumulation}, group {g}", cfg.variant);
                     m.optimizer.zero_grad();
                     let losses =
-                        m.group_gradient(&node_ops, &struct_ops, smooth_lap.as_ref(), group);
+                        m.group_gradient(&node_ops, &struct_ops, smooth.as_ref(), group);
                     let got = grads(&m);
                     let (reference, ref_losses) = per_batch_forward_group(
                         &mut m,
                         &node_ops,
                         &struct_ops,
-                        smooth_lap.as_ref(),
+                        smooth.as_ref(),
                         group,
                     );
                     assert_grads_close(&m, &got, &reference, &tag);
@@ -1918,7 +1940,8 @@ mod live_tests {
     }
 
     /// Asserts every matrix the cached head keeps — each tier's
-    /// activations and hyperedge features, the embedding and both towers —
+    /// activations, projections and hyperedge features, the embedding and
+    /// both towers —
     /// equals a fresh full forward's bit for bit, with nothing pending.
     fn assert_head_is_a_fresh_forward(model: &Ahntp, what: &str) {
         let cache = model.head_cache.borrow();
@@ -1932,6 +1955,10 @@ mod live_tests {
             assert_eq!(live.layers[t].len(), fresh.layers[t].len());
             for (l, (a, b)) in live.layers[t].iter().zip(&fresh.layers[t]).enumerate() {
                 assert_bits(a, b, &format!("{what}: tier {t} x^{l}"));
+            }
+            assert_eq!(live.projections[t].len(), fresh.projections[t].len());
+            for (l, (a, b)) in live.projections[t].iter().zip(&fresh.projections[t]).enumerate() {
+                assert_bits(a, b, &format!("{what}: tier {t} x^{l} θ"));
             }
             assert_eq!(live.edges[t].len(), fresh.edges[t].len());
             for (l, (a, b)) in live.edges[t].iter().zip(&fresh.edges[t]).enumerate() {

@@ -31,14 +31,16 @@ use std::rc::Rc;
 ///   step with every mutation;
 /// * the full operator set and Laplacian, built on first use and shared.
 ///
-/// Requesting the identity selection returns the cached *full* set and
-/// Laplacian — a slice of every hyperedge is bitwise the full set, so
-/// sharing is safe and free.
+/// Requesting the identity selection returns the cached *full* set — a
+/// slice of every hyperedge is bitwise the full set, so sharing is safe
+/// and free. Training reads Eq. 23 off the lists as a
+/// [`crate::SmoothnessFactor`]; the Laplacian matrix is kept for reference
+/// and measurement.
 ///
 /// A structural mutation drops both cached matrices; a weight-only one
 /// drops the Laplacian (the operators aggregate by *count*, Eqs. 10/12,
 /// and stay shared). Telemetry: one `hypergraph.cache.misses` per operator
-/// set or Laplacian built (slices included), one `hypergraph.cache.hits`
+/// set (slices included) or Laplacian built, one `hypergraph.cache.hits`
 /// per cached one handed out, and one `hypergraph.cache.delta_*` counter
 /// per applied mutation kind.
 pub struct AggregationCache {
@@ -312,25 +314,6 @@ impl AggregationCache {
         lap
     }
 
-    /// The Laplacian of the sub-hypergraph induced by `edge_ids`, built on
-    /// every call; the identity selection short-circuits to
-    /// [`AggregationCache::full_laplacian`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if any edge id is out of range.
-    pub fn slice_laplacian(&self, edge_ids: &[usize]) -> Rc<CsrMatrix<f32>> {
-        if self.is_identity(edge_ids) {
-            return self.full_laplacian();
-        }
-        ahntp_telemetry::counter_add("hypergraph.cache.misses", 1);
-        let _k = ahntp_telemetry::KernelSpan::enter(
-            "hypergraph.cache.laplacian_slice",
-            ahntp_telemetry::KernelKind::CacheBuild,
-        );
-        Rc::new(self.h.laplacian_for_edges(edge_ids))
-    }
-
     fn is_identity(&self, edge_ids: &[usize]) -> bool {
         edge_ids.len() == self.h.n_edges() && edge_ids.iter().enumerate().all(|(i, &e)| i == e)
     }
@@ -384,8 +367,6 @@ mod tests {
         let id = cache.slice_ops(&[0, 1, 2]);
         assert!(Rc::ptr_eq(&full, &id), "identity slice is the full set");
         assert!(id.edge_ids.is_none());
-        let lap = cache.full_laplacian();
-        assert!(Rc::ptr_eq(&lap, &cache.slice_laplacian(&[0, 1, 2])));
     }
 
     #[test]
@@ -426,9 +407,17 @@ mod tests {
 
     #[test]
     fn laplacian_slice_matches_direct_computation() {
+        // The factor of a slice, multiplied out, is the slice's Laplacian.
         let cache = AggregationCache::new(sample());
-        let lap = cache.slice_laplacian(&[0, 2]);
-        assert_eq!(*lap, cache.hypergraph().laplacian_for_edges(&[0, 2]));
+        let f = crate::SmoothnessFactor::build(&[(&cache, Some(&[0, 2]))]);
+        let bbt = f.b.to_dense().matmul(&f.bt.to_dense());
+        let lap = cache.hypergraph().laplacian_for_edges(&[0, 2]).to_dense();
+        for r in 0..cache.n_vertices() {
+            for c in 0..cache.n_vertices() {
+                let delta = if r == c { 1.0 } else { 0.0 } - bbt.get(r, c);
+                assert!((delta - lap.get(r, c)).abs() < 1e-6, "Δ[{r}][{c}]");
+            }
+        }
     }
 
     /// A CSR row as `(column, value bits)` pairs.
@@ -550,10 +539,7 @@ mod tests {
         assert_eq!(old, 1.0);
         // Aggregation operators are weight-independent: not even rebuilt.
         assert!(Rc::ptr_eq(&ops_before, &cache.full_ops()));
-        assert_eq!(
-            *cache.slice_laplacian(&[0, 1]),
-            cache.hypergraph().laplacian_for_edges(&[0, 1])
-        );
+        assert_eq!(*cache.full_laplacian(), cache.hypergraph().laplacian());
         assert_matches_rebuild(&cache);
         cache.apply_decay(0.5).expect("valid");
         assert_eq!(cache.hypergraph().weights()[1], 2.0);

@@ -14,7 +14,8 @@
 //! The crate also provides the mean-aggregation operators that the adaptive
 //! convolution layer consumes (`vertex→edge` of Eq. 10 and `edge→vertex` of
 //! Eq. 12), the incidence pairs used by hyperedge attention (Eqs. 14–15),
-//! and the hypergraph Laplacian regulariser of Eq. 24.
+//! and the hypergraph Laplacian regulariser of Eq. 24 — as a matrix for
+//! reference, and as the factor [`SmoothnessFactor`] training uses.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,6 +24,7 @@ mod cache;
 pub mod groups;
 mod hypergraph;
 mod ops;
+mod smooth;
 
 pub use cache::AggregationCache;
 pub use groups::{
@@ -31,3 +33,4 @@ pub use groups::{
 };
 pub use hypergraph::{Hypergraph, HypergraphError, MovedEdge, RemovedEdge};
 pub use ops::{AggregationOps, VertexRows};
+pub use smooth::SmoothnessFactor;

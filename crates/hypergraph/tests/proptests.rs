@@ -3,7 +3,7 @@
 use ahntp_graph::DiGraph;
 use ahntp_hypergraph::{
     attribute_hypergroup, multi_hop_hypergroup_capped, pairwise_hypergroup,
-    social_influence_hypergroup, AggregationCache, AggregationOps, Hypergraph,
+    social_influence_hypergroup, AggregationCache, AggregationOps, Hypergraph, SmoothnessFactor,
 };
 use ahntp_tensor::{CsrMatrix, SplitMix64, Tensor};
 use proptest::prelude::*;
@@ -384,14 +384,11 @@ proptest! {
         prop_assert_eq!(csr_bits(&sl.v2e), csr_bits(&full.v2e));
         prop_assert_eq!(csr_bits(&sl.rows.e2v), csr_bits(&full.rows.e2v));
         assert_pairs(&sl, &full.rows.pairs)?;
-        // Same for the Laplacian path.
-        let lap_full = h.laplacian();
-        let lap_id = cache.slice_laplacian(&identity);
-        for r in 0..N {
-            for c in 0..N {
-                prop_assert_eq!(lap_full.get(r, c).to_bits(), lap_id.get(r, c).to_bits());
-            }
-        }
+        // Same for Eq. 23's factor.
+        let factor_full = SmoothnessFactor::build(&[(&cache, None)]);
+        let factor_id = SmoothnessFactor::build(&[(&cache, Some(&identity))]);
+        prop_assert_eq!(csr_bits(&factor_full.b), csr_bits(&factor_id.b));
+        prop_assert_eq!(csr_bits(&factor_full.bt), csr_bits(&factor_id.bt));
     }
 
     #[test]

@@ -1,14 +1,22 @@
 //! Hypergraph convolution layers: the plain two-step spatial convolution of
 //! Eqs. 10–13 and the adaptive attention layer of Eqs. 14–16.
 //!
-//! Each layer runs in two halves split at the hyperedge features. The
-//! *edge half* computes `h_e` (Eqs. 10–11; the adaptive layer also `W h̃_e`)
-//! for the rows of a vertex→edge operator; the *vertex half* computes the
+//! Eqs. 10–13 are linear up to the ReLU, so θ is applied on the vertex
+//! side first: `h̃_e = w_e · mean_{u ∈ e} (x_u θ)` and Eq. 12's message is
+//! `mean_{e ∋ u} h̃_e`, which is `Mess_u θ` reassociated. No `m`-row
+//! product with θ and no `in`-wide hyperedge matrix is ever built; the
+//! adaptive layer's `W h̃_e` is the one dense product with a row per
+//! hyperedge.
+//!
+//! Each layer runs in three steps split at those intermediates. The
+//! *projection* is `x θ` (`n × out`); the *edge half* computes `h̃_e`
+//! (Eqs. 10–11; the adaptive layer also `W h̃_e`) for the rows of a
+//! vertex→edge operator from the projection; the *vertex half* computes the
 //! output rows of a [`VertexRows`] (Eqs. 12–16) from whole hyperedge-feature
-//! matrices. A forward pass is the two halves over one operator set. A
-//! live refresh runs each half over the few rows that changed: every output
-//! row is its own accumulation chain over the same entries in the same
-//! order, so those rows are bitwise the forward pass's.
+//! matrices. A forward pass is the three over one operator set. A live
+//! refresh runs each over the few rows that changed: every output row is
+//! its own accumulation chain over the same entries in the same order, so
+//! those rows are bitwise the forward pass's.
 
 use crate::{Module, Param, Session};
 use ahntp_autograd::Var;
@@ -21,31 +29,48 @@ use std::rc::Rc;
 const ATTENTION_SLOPE: f32 = 0.2;
 
 /// What the edge half of a layer hands its vertex half: the hyperedge
-/// features `h_e` (Eq. 11, `m × in`) and, for the adaptive layer, their
-/// projection `W h̃_e = h_e θ W` (Eq. 14, `m × out`).
+/// features `h̃_e = w_e · mean_{u ∈ e} x_u θ` (Eqs. 10–11 with θ applied
+/// first, `m × out`) and, for the adaptive layer, their projection `W h̃_e`
+/// (Eq. 14, `m × out`).
 #[derive(Clone)]
 pub struct EdgeFeatures {
-    /// `h_e` of Eq. 11.
+    /// `h̃_e` of Eq. 11, taken after θ.
     pub h_e: Var,
     /// `W h̃_e` of Eq. 14 — `Some` for the adaptive layer only.
     pub projected: Option<Var>,
+}
+
+/// One layer's forward pass over an operator set: its output, the
+/// projection `x θ` its edge half read, and the hyperedge features.
+pub struct LayerForward {
+    /// The layer's output rows.
+    pub out: Var,
+    /// `x θ` over every input row (see [`HypergraphLayer::project`]).
+    pub x_theta: Var,
+    /// What the edge half computed.
+    pub edges: EdgeFeatures,
 }
 
 /// What a stack of hypergraph convolutions needs from a layer, whichever
 /// kind it is: [`HypergraphConv`] and [`AdaptiveHypergraphConv`] both
 /// implement it, so a stack is one `Vec<Box<dyn HypergraphLayer>>`.
 pub trait HypergraphLayer: Module {
+    /// The projection `x θ` of input rows `x` — Eq. 13's θ, applied before
+    /// Eq. 10's mean. Each output row depends on its input row alone.
+    fn project(&self, s: &Session, x: &Var) -> Var;
+
     /// The edge half: hyperedge features for the rows of `v2e` (a
-    /// vertex→edge operator over every vertex of `x`). `edge_ids` names the
-    /// hyperedge of each row when they are not `0..m` (a slice, or the rows
-    /// a live refresh recomputes), so the per-edge weights are gathered
-    /// through it.
+    /// vertex→edge operator over every vertex of `x_theta`, the
+    /// [`HypergraphLayer::project`]ion of every input row). `edge_ids` names
+    /// the hyperedge of each row when they are not `0..m` (a slice, or the
+    /// rows a live refresh recomputes), so the per-edge weights are
+    /// gathered through it.
     fn edge_half(
         &self,
         s: &Session,
         v2e: &Rc<CsrMatrix<f32>>,
         edge_ids: Option<&Rc<Vec<usize>>>,
-        x: &Var,
+        x_theta: &Var,
     ) -> EdgeFeatures;
 
     /// The vertex half: the output rows of `rows`, from `x`'s rows for the
@@ -54,18 +79,33 @@ pub trait HypergraphLayer: Module {
     fn vertex_half(&self, s: &Session, rows: &VertexRows, x: &Var, edges: &EdgeFeatures) -> Var;
 
     /// Forward pass against an explicit operator set — the full extraction
-    /// or a sampled hyperedge slice from the same hypergraph — returning
-    /// the output and the hyperedge features it aggregated.
-    fn forward_with_edges(&self, s: &Session, ops: &AggregationOps, x: &Var)
-        -> (Var, EdgeFeatures);
+    /// or a sampled hyperedge slice from the same hypergraph — keeping the
+    /// intermediates a live refresh reads.
+    fn forward_with_edges(&self, s: &Session, ops: &AggregationOps, x: &Var) -> LayerForward;
 
     /// [`HypergraphLayer::forward_with_edges`]'s output alone.
     fn forward_on(&self, s: &Session, ops: &AggregationOps, x: &Var) -> Var {
-        self.forward_with_edges(s, ops, x).0
+        self.forward_with_edges(s, ops, x).out
     }
 
     /// The per-edge weight parameter `w_e` of Eq. 11 (`m × 1`).
     fn edge_weights(&self) -> &Param;
+}
+
+/// The three steps of a forward pass over `ops`.
+fn forward_steps(
+    layer: &dyn HypergraphLayer,
+    s: &Session,
+    ops: &AggregationOps,
+    x: &Var,
+) -> LayerForward {
+    let x_theta = layer.project(s, x);
+    let edges = layer.edge_half(s, &ops.v2e, ops.edge_ids.as_ref(), &x_theta);
+    LayerForward {
+        out: layer.vertex_half(s, &ops.rows, x, &edges),
+        x_theta,
+        edges,
+    }
 }
 
 /// The plain two-step spatial hypergraph convolution (Eqs. 10–13):
@@ -73,7 +113,10 @@ pub trait HypergraphLayer: Module {
 /// 1. `Mess_e = mean_{u ∈ N_e} x_u` (Eq. 10),
 /// 2. `h_e = w_e · Mess_e` with a trainable per-hyperedge scalar (Eq. 11),
 /// 3. `Mess_u = mean_{e ∈ N_u} h_e` (Eq. 12),
-/// 4. `x' = ReLU(Mess · θ)` (Eq. 13).
+/// 4. `x' = ReLU(Mess · θ)` (Eq. 13),
+///
+/// evaluated as `h̃_e = w_e · mean_{u ∈ N_e} x_u θ` and
+/// `x' = ReLU(mean_{e ∈ N_u} h̃_e + x θ_self)` (see the module docs).
 ///
 /// This is also the `AHNTP_noatt` ablation layer and the core of the HGNN+
 /// baseline.
@@ -173,52 +216,53 @@ impl HypergraphConv {
         HypergraphLayer::forward_on(self, s, ops, x)
     }
 
-    /// Eqs. 10–11, the edge half both layer kinds start from: `h_e` for
+    /// Eqs. 10–11, the edge half both layer kinds start from: `h̃_e` for
     /// the rows of `v2e` (see [`HypergraphLayer::edge_half`]).
     fn edge_features(
         &self,
         s: &Session,
         v2e: &Rc<CsrMatrix<f32>>,
         edge_ids: Option<&Rc<Vec<usize>>>,
-        x: &Var,
+        x_theta: &Var,
     ) -> Var {
-        // Eq. 10: hyperedge messages by mean aggregation.
-        let mess_e = s.graph().spmm(v2e, x);
-        // Eq. 11: trainable per-edge scaling (gathered down to the rows'
-        // edges), broadcast over columns via (m × 1) @ (1 × d) — a rank-1
-        // expansion of the weight column.
+        // Eq. 10: hyperedge messages by mean aggregation, after θ.
+        let mess_e = s.graph().spmm(v2e, x_theta);
+        // Eq. 11: trainable per-edge scaling, gathered down to the rows'
+        // edges.
         let w_col = s.var(&self.edge_weights);
         let w_col = match edge_ids {
             Some(ids) => w_col.gather_rows(ids),
             None => w_col,
         };
-        let ones = s.constant(Tensor::full(1, self.in_dim, 1.0));
-        mess_e.mul(&w_col.matmul(&ones))
+        mess_e.mul_rows(&w_col)
     }
 
     /// Eqs. 12–13, the vertex update `x'` of the rows of `e2v` — final for
     /// the plain layer, provisional for the adaptive one, whose attention
     /// (Eq. 14) reads it.
     fn update(&self, s: &Session, e2v: &Rc<CsrMatrix<f32>>, x: &Var, h_e: &Var) -> Var {
-        // Eq. 12: vertex messages by mean over incident hyperedges.
-        let mess_v = s.graph().spmm(e2v, h_e);
-        // Eq. 13: F(x_u^t, Mess) — message transform plus the self-term.
-        let msg = mess_v.matmul(&s.var(&self.theta));
+        // Eq. 12 on θ-projected features: Mess θ, reassociated.
+        let msg = s.graph().spmm(e2v, h_e);
+        // Eq. 13: F(x_u^t, Mess) — message plus the self-term.
         let own = x.matmul(&s.var(&self.theta_self));
         msg.add(&own).relu()
     }
 }
 
 impl HypergraphLayer for HypergraphConv {
+    fn project(&self, s: &Session, x: &Var) -> Var {
+        x.matmul(&s.var(&self.theta))
+    }
+
     fn edge_half(
         &self,
         s: &Session,
         v2e: &Rc<CsrMatrix<f32>>,
         edge_ids: Option<&Rc<Vec<usize>>>,
-        x: &Var,
+        x_theta: &Var,
     ) -> EdgeFeatures {
         EdgeFeatures {
-            h_e: self.edge_features(s, v2e, edge_ids, x),
+            h_e: self.edge_features(s, v2e, edge_ids, x_theta),
             projected: None,
         }
     }
@@ -227,18 +271,12 @@ impl HypergraphLayer for HypergraphConv {
         self.update(s, &rows.e2v, x, &edges.h_e)
     }
 
-    fn forward_with_edges(
-        &self,
-        s: &Session,
-        ops: &AggregationOps,
-        x: &Var,
-    ) -> (Var, EdgeFeatures) {
+    fn forward_with_edges(&self, s: &Session, ops: &AggregationOps, x: &Var) -> LayerForward {
         let _span = ahntp_telemetry::KernelSpan::enter(
             "nn.hconv.forward",
             ahntp_telemetry::KernelKind::Other,
         );
-        let edges = self.edge_half(s, &ops.v2e, ops.edge_ids.as_ref(), x);
-        (self.vertex_half(s, &ops.rows, x, &edges), edges)
+        forward_steps(self, s, ops, x)
     }
 
     fn edge_weights(&self) -> &Param {
@@ -267,7 +305,8 @@ impl Module for HypergraphConv {
 ///
 /// `W` is a shared `out_dim × out_dim` projection applied to both the
 /// updated vertex feature `x'_i` (already `out_dim` wide after Eq. 13) and
-/// the θ-projected hyperedge feature `h̃_e = h_e θ`, which resolves the
+/// the θ-projected hyperedge feature `h̃_e = h_e θ` (which the edge half
+/// computes directly as `w_e · mean_{u ∈ e} x_u θ`). This resolves the
 /// dimension mismatch left implicit in the paper (Eq. 14 concatenates a
 /// layer-`t+1` vertex with a layer-`t` hyperedge).
 #[derive(Clone)]
@@ -389,7 +428,7 @@ impl AdaptiveHypergraphConv {
     pub fn attention_coefficients(&self, x: &Tensor) -> Vec<f32> {
         let s = Session::new();
         let (ops, x) = (&self.base.ops, s.constant(x.clone()));
-        let edges = self.edge_half(&s, &ops.v2e, None, &x);
+        let edges = self.edge_half(&s, &ops.v2e, None, &self.project(&s, &x));
         let (att, _) = self.attention(&s, &ops.rows, &x, &edges);
         att.value().into_vec()
     }
@@ -401,17 +440,21 @@ impl AdaptiveHypergraphConv {
 }
 
 impl HypergraphLayer for AdaptiveHypergraphConv {
+    fn project(&self, s: &Session, x: &Var) -> Var {
+        self.base.project(s, x)
+    }
+
     fn edge_half(
         &self,
         s: &Session,
         v2e: &Rc<CsrMatrix<f32>>,
         edge_ids: Option<&Rc<Vec<usize>>>,
-        x: &Var,
+        x_theta: &Var,
     ) -> EdgeFeatures {
-        let h_e = self.base.edge_features(s, v2e, edge_ids, x);
-        // Eq. 14's hyperedge side, W h̃_e with h̃_e = h_e θ.
-        let w = s.var(&self.w_att);
-        let projected = h_e.matmul(&s.var(&self.base.theta)).matmul(&w); // m × out
+        let h_e = self.base.edge_features(s, v2e, edge_ids, x_theta);
+        // Eq. 14's hyperedge side, W h̃_e: the layer's one dense product
+        // with a row per hyperedge.
+        let projected = h_e.matmul(&s.var(&self.w_att)); // m × out
         EdgeFeatures {
             h_e,
             projected: Some(projected),
@@ -428,18 +471,12 @@ impl HypergraphLayer for AdaptiveHypergraphConv {
             .relu()
     }
 
-    fn forward_with_edges(
-        &self,
-        s: &Session,
-        ops: &AggregationOps,
-        x: &Var,
-    ) -> (Var, EdgeFeatures) {
+    fn forward_with_edges(&self, s: &Session, ops: &AggregationOps, x: &Var) -> LayerForward {
         let _span = ahntp_telemetry::KernelSpan::enter(
             "nn.adaptive_hconv.forward",
             ahntp_telemetry::KernelKind::Other,
         );
-        let edges = self.edge_half(s, &ops.v2e, ops.edge_ids.as_ref(), x);
-        (self.vertex_half(s, &ops.rows, x, &edges), edges)
+        forward_steps(self, s, ops, x)
     }
 
     fn edge_weights(&self) -> &Param {
@@ -559,6 +596,40 @@ mod tests {
                 !(shape.rows() == nnz && shape.cols() > 1),
                 "a {shape} node: Eq. 14 was composed from per-pair gathers again"
             );
+        }
+    }
+
+    #[test]
+    fn a_conv_forward_projects_before_it_aggregates() {
+        // 7 vertices in 5 hyperedges, widths 3 → 2: θ applied on the
+        // vertex side leaves no `m × in` node, and the adaptive layer's
+        // `W h̃_e` is the only dense product with a row per hyperedge.
+        let mut h = Hypergraph::new(7);
+        for e in [&[0, 1, 2][..], &[2, 3], &[3, 4, 5, 6], &[0, 6], &[1, 5]] {
+            h.add_edge(e).expect("valid");
+        }
+        let (n, m, in_dim, out_dim) = (7, 5, 3, 2);
+        let layers: [Box<dyn HypergraphLayer>; 2] = [
+            Box::new(HypergraphConv::new("c", &h, in_dim, out_dim, 23)),
+            Box::new(AdaptiveHypergraphConv::new("a", &h, in_dim, out_dim, 23)),
+        ];
+        let ops = AggregationOps::full(&h);
+        for (layer, m_row_products) in layers.iter().zip([0, 1]) {
+            let s = Session::new();
+            let pass = layer.forward_with_edges(&s, &ops, &s.constant(xavier_uniform(n, in_dim, 4)));
+            assert_eq!(pass.x_theta.value().shape(), Shape::Matrix(n, out_dim));
+            assert_eq!(pass.edges.h_e.value().shape(), Shape::Matrix(m, out_dim));
+            let recorded = s.graph().ops();
+            assert!(
+                !recorded.iter().any(|&(_, shape)| shape == Shape::Matrix(m, in_dim)),
+                "an m × in node: θ went back after the mean"
+            );
+            let products: Vec<_> = recorded
+                .iter()
+                .filter(|&&(op, shape)| op == "matmul" && shape.rows() == m)
+                .collect();
+            assert_eq!(products.len(), m_row_products, "dense products with m rows: {products:?}");
+            assert!(products.iter().all(|&&(_, shape)| shape == Shape::Matrix(m, out_dim)));
         }
     }
 

@@ -10,7 +10,7 @@
 //! * [`Linear`] / [`Mlp`] — dense layers and the ReLU towers of Eqs. 17–18.
 //! * [`HypergraphConv`] — the two-step spatial hypergraph convolution of
 //!   Eqs. 10–13 (vertex→edge mean, trainable hyperedge weight, edge→vertex
-//!   mean, linear + ReLU).
+//!   mean, linear + ReLU), with the linear map applied before the means.
 //! * [`AdaptiveHypergraphConv`] — the adaptive layer of Eqs. 14–16, which
 //!   reweights each vertex's incident hyperedges with a shared-attention
 //!   mechanism (`β`) and aggregates with the attention coefficients.
@@ -48,7 +48,9 @@ pub use rows::Rows;
 // Re-exported so downstream crates can open mapped artifacts without a
 // direct ahntp-mapped dependency.
 pub use ahntp_mapped::MappedBytes;
-pub use conv::{AdaptiveHypergraphConv, EdgeFeatures, HypergraphConv, HypergraphLayer};
+pub use conv::{
+    AdaptiveHypergraphConv, EdgeFeatures, HypergraphConv, HypergraphLayer, LayerForward,
+};
 pub use gnn::{gcn_norm_adjacency, sgc_features, GatConv, GcnConv};
 pub use linear::{Linear, Mlp};
 pub use optim::{Adam, AdamConfig, Optimizer, Sgd};

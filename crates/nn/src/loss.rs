@@ -4,7 +4,8 @@
 
 use crate::Session;
 use ahntp_autograd::Var;
-use ahntp_tensor::{CsrMatrix, Tensor};
+use ahntp_hypergraph::SmoothnessFactor;
+use ahntp_tensor::Tensor;
 use std::rc::Rc;
 
 /// Numerical floor inside logarithms.
@@ -183,12 +184,15 @@ pub fn combined_loss(l1: &Var, l2: &Var, lambda1: f32, lambda2: f32) -> Var {
     l1.scale(lambda1).add(&l2.scale(lambda2))
 }
 
-/// The hypergraph smoothness regulariser `R(f) = fᵀ Δ f` of Eq. 24, where
-/// `Δ` is the normalised hypergraph Laplacian
-/// ([`ahntp_hypergraph::Hypergraph::laplacian`]) and `f` the node
-/// embedding. Added to the objective per Eq. 23.
-pub fn smoothness_penalty(s: &Session, laplacian: &Rc<CsrMatrix<f32>>, f: &Var) -> Var {
-    let lf = s.graph().spmm(laplacian, f);
+/// The hypergraph smoothness regulariser `R(f) = Σ f ⊙ Δf` of Eqs. 23–24,
+/// with the normalised Laplacian taken in factored form
+/// `Δ = I − B Bᵀ` ([`SmoothnessFactor`]): `Δf = f − B (Bᵀ f)`, two sparse
+/// products over the incidence entries instead of one over the Laplacian's
+/// Σ|e|². The sum stays per element — `‖f‖² − ‖Bᵀf‖²` would cancel
+/// catastrophically in f32.
+pub fn smoothness_penalty(s: &Session, factor: &SmoothnessFactor, f: &Var) -> Var {
+    let bt_f = s.graph().spmm(&factor.bt, f);
+    let lf = f.sub(&s.graph().spmm(&factor.b, &bt_f));
     f.mul(&lf).sum()
 }
 
@@ -290,18 +294,93 @@ mod tests {
         assert!((l.value().as_slice()[0] - 7.0).abs() < 1e-6);
     }
 
+    /// Two tiers over six vertices: vertex 5 in no hyperedge, a
+    /// singleton edge, weights other than 1.
+    fn smoothness_tiers() -> [ahntp_hypergraph::AggregationCache; 2] {
+        use ahntp_hypergraph::{AggregationCache, Hypergraph};
+        let mut a = Hypergraph::new(6);
+        a.add_edge(&[0, 1, 2]).expect("valid");
+        a.add_weighted_edge(&[3], 1.5).expect("valid");
+        a.add_edge(&[1, 4]).expect("valid");
+        let mut b = Hypergraph::new(6);
+        b.add_weighted_edge(&[0, 3, 4], 0.7).expect("valid");
+        b.add_edge(&[2, 3]).expect("valid");
+        [AggregationCache::new(a), AggregationCache::new(b)]
+    }
+
+    /// `Δ` of Eq. 24 in f64 from the triplets of the kept hyperedges.
+    fn laplacian_f64(edges: &[(Vec<usize>, f64)], n: usize) -> Vec<Vec<f64>> {
+        let mut degree = vec![0.0f64; n];
+        for (members, w) in edges {
+            members.iter().for_each(|&v| degree[v] += w);
+        }
+        let mut lap: Vec<Vec<f64>> = (0..n)
+            .map(|r| (0..n).map(|c| if r == c { 1.0 } else { 0.0 }).collect())
+            .collect();
+        for (members, w) in edges {
+            for &u in members {
+                for &v in members {
+                    lap[u][v] -= w / members.len() as f64 / (degree[u] * degree[v]).sqrt();
+                }
+            }
+        }
+        lap
+    }
+
+    /// The factored Eq. 23 term — value and `∂R/∂f` — against `f · Δf` and
+    /// `2 Δf` from the f64 Laplacian, to `1e-6` of the largest magnitude,
+    /// over every hyperedge and over a sample of them.
     #[test]
     fn smoothness_penalty_matches_hypergraph_method() {
-        use ahntp_hypergraph::Hypergraph;
-        let mut h = Hypergraph::new(3);
-        h.add_edge(&[0, 1]).expect("valid");
-        h.add_edge(&[1, 2]).expect("valid");
-        let f = Tensor::from_rows(&[&[1.0, 0.0], &[0.0, 1.0], &[1.0, -1.0]]);
-        let expected = h.smoothness(&f);
-        let s = Session::new();
-        let lap = Rc::new(h.laplacian());
-        let fv = s.constant(f);
-        let got = smoothness_penalty(&s, &lap, &fv).value().as_slice()[0];
-        assert!((got - expected).abs() < 1e-5, "{got} vs {expected}");
+        let tiers = smoothness_tiers();
+        let f = Tensor::from_rows(&[
+            &[1.0, 0.0],
+            &[0.0, 1.0],
+            &[1.0, -1.0],
+            &[0.5, 2.0],
+            &[-1.5, 0.25],
+            &[0.75, -0.5],
+        ]);
+        let (n, d) = (f.rows(), f.cols());
+        let keep: [[Option<&[usize]>; 2]; 3] = [
+            [None, None],
+            [Some(&[0, 1]), Some(&[1])],
+            [Some(&[2]), Some(&[])],
+        ];
+        for sel in keep {
+            let mut edges = Vec::new();
+            for (cache, ids) in tiers.iter().zip(sel) {
+                let h = cache.hypergraph();
+                let ids: Vec<usize> = ids.map_or_else(|| (0..h.n_edges()).collect(), <[_]>::to_vec);
+                edges.extend(ids.iter().map(|&e| (h.edge(e).to_vec(), f64::from(h.weights()[e]))));
+            }
+            let lap = laplacian_f64(&edges, n);
+            let lf: Vec<f64> = (0..n * d)
+                .map(|k| {
+                    let (r, c) = (k / d, k % d);
+                    (0..n).map(|u| lap[r][u] * f64::from(f.get(u, c))).sum()
+                })
+                .collect();
+            let expected: f64 = lf.iter().zip(f.as_slice()).map(|(l, &x)| l * f64::from(x)).sum();
+
+            let factor = SmoothnessFactor::build(&[(&tiers[0], sel[0]), (&tiers[1], sel[1])]);
+            let s = Session::new();
+            let fv = s.graph().leaf(f.clone());
+            let r = smoothness_penalty(&s, &factor, &fv);
+            r.backward();
+            let got = f64::from(r.value().as_slice()[0]);
+            let grad = fv.grad().expect("f reaches R");
+            let scale = lf.iter().fold(expected.abs(), |m, v| m.max(2.0 * v.abs()));
+            assert!((got - expected).abs() <= 1e-6 * scale, "{sel:?}: R {got} vs {expected}");
+            for (k, (&g, l)) in grad.as_slice().iter().zip(&lf).enumerate() {
+                assert!(
+                    (f64::from(g) - 2.0 * l).abs() <= 1e-6 * scale,
+                    "{sel:?}: dR/df[{k}] {g} vs {}",
+                    2.0 * l
+                );
+            }
+            // The isolated vertex's row of Δ is the identity's.
+            assert_eq!(lf[5 * d], f64::from(f.get(5, 0)));
+        }
     }
 }

@@ -11,7 +11,7 @@
 //! gradients to the wrong edge rows.
 
 use ahntp_graph::DiGraph;
-use ahntp_hypergraph::{AggregationCache, Hypergraph};
+use ahntp_hypergraph::{AggregationCache, Hypergraph, SmoothnessFactor};
 use ahntp_nn::loss::{
     bce_from_similarity, combined_loss, similarity_to_probability, smoothness_penalty,
     supervised_contrastive, ContrastiveBatch,
@@ -262,9 +262,10 @@ sweep! {
 
     loss_smoothness_penalty => {
         let f_param = Param::new("f", xavier_uniform(5, 3, 43));
-        let lap = Rc::new(toy_hypergraph().laplacian());
+        let cache = AggregationCache::new(toy_hypergraph());
+        let factor = SmoothnessFactor::build(&[(&cache, None)]);
         let p = vec![f_param.clone()];
-        let f = move |s: &Session| smoothness_penalty(s, &lap, &s.var(&f_param));
+        let f = move |s: &Session| smoothness_penalty(s, &factor, &s.var(&f_param));
         (p, Box::new(f) as Box<dyn Fn(&Session) -> Var>)
     };
 }

@@ -200,7 +200,7 @@ fn conv_forward_spans() -> usize {
 /// Tripwire for "one objective per accumulation group": with the Eq. 23
 /// term in the objective, a full-batch epoch — and one full sampled
 /// accumulation group — runs each conv layer's forward exactly once per
-/// tier, the Eq. 23 product once, and one backward. A forward per
+/// tier, the Eq. 23 factor's two products once, and one backward. A forward per
 /// micro-batch, a second one feeding the smoothness term, an Eq. 23 term
 /// per micro-batch or a backward per micro-batch would raise a count.
 #[test]
@@ -217,10 +217,10 @@ fn an_objective_runs_each_conv_layer_once_per_tier_per_accumulation_group() {
         assert_eq!(conv_forward_spans(), per_objective);
         assert_eq!(counter("autograd.backward.calls"), 1);
         // Two sparse products per conv layer (vertex → edge, edge →
-        // vertex) and the Laplacian's in Eq. 23; the backward runs the
-        // transposed kernel.
+        // vertex) and the factor's two in Eq. 23 (`Bᵀ f`, then `B`
+        // times that); the backward runs the transposed kernel.
         let products = counter("tensor.mul_dense.calls");
-        assert_eq!(products, 2 * per_objective as u64 + 1);
+        assert_eq!(products, 2 * per_objective as u64 + 2);
         let mut plan =
             BatchPlan::for_epoch(&split.train, &MiniBatchConfig::sampled(0.5, 64, 2, 11), 0);
         assert!(plan.accumulation > 1 && plan.n_batches() > plan.accumulation);

@@ -157,7 +157,7 @@ fn training_scenario() {
         .iter()
         .filter_map(|e| e.get("name").and_then(Json::as_str))
         .collect();
-    for want in ["tensor.matmul", "csr.spmm", "nn.adaptive_hconv.forward"] {
+    for want in ["tensor.matmul", "csr.mul_dense", "nn.adaptive_hconv.forward"] {
         assert!(names.contains(&want), "no {want} span in the trace");
     }
     // The armed failpoint appears as an instant event: the nth(2) gate
