@@ -871,8 +871,13 @@ fn pair_scores_backward(
     }
     let (beta_x, beta_h) = beta.as_slice().split_at(d);
     let outer = |sums: &[f32], b: &[f32]| {
-        let data = sums.iter().flat_map(|&g| b.iter().map(move |&b| g * b)).collect();
-        Tensor::matrix(sums.len(), d, data)
+        let mut out = Tensor::zeros(sums.len(), d);
+        for (r, &g) in sums.iter().enumerate() {
+            for (o, &bk) in out.row_mut(r).iter_mut().zip(b) {
+                *o = g * bk;
+            }
+        }
+        out
     };
     (outer(&per_vertex, beta_x), outer(&per_edge, beta_h), dbeta)
 }
