@@ -220,9 +220,9 @@ impl ConvStack {
 /// The Adaptive Hypergraph Network for Trust Prediction.
 ///
 /// Construction precomputes everything structural — Motif-based PageRank,
-/// the four hypergroups and their aggregation operators; the factor of the
-/// hypergraph Laplacian follows on first use — from the *training* graph only (test edges never shape the
-/// structure). Training is Adam over the combined objective of Eqs. 20–24,
+/// the four hypergroups and their aggregation operators, and on first use
+/// the factor of the hypergraph Laplacian — from the *training* graph
+/// only (test edges never shape the structure). Training is Adam over the combined objective of Eqs. 20–24,
 /// full-batch through [`TrustModel::train_epoch`] or planned mini-batches
 /// through [`BatchTrustModel::train_epoch_planned`]. Two invariants hold:
 /// the full-batch epoch *is* the identity plan of the mini-batch path, so
@@ -813,11 +813,10 @@ impl Ahntp {
     /// `x^{l+1}`, where `T_0` is the seeds and `T_l = closure(T_{l−1}, 1)`.
     /// It first re-projects the rows `T_{l−1}` of `x^l θ` whose input it
     /// rewrote (none at `l = 0`), then recomputes the hyperedges `E_l`
-    /// whose features changed —
-    /// those with a member in `T_{l−1}`, whose `x^l` row was rewritten; at
-    /// `l = 0` only the hyperedges added since the last refresh, since
-    /// `x^0` is the tier MLP of fixed features — and patches their rows in
-    /// the cached features. It then runs the vertex half on `T_l` over the
+    /// whose features changed — those with a member in `T_{l−1}`, whose
+    /// `x^l` row was rewritten; at `l = 0` only the hyperedges added since
+    /// the last refresh, since `x^0` is the tier MLP of fixed features —
+    /// and patches their rows in the cached features. It then runs the vertex half on `T_l` over the
     /// whole cached feature matrices: a vertex's output depends only on its
     /// own input, its incident hyperedges and their features, and `T_l`
     /// holds every vertex where one of those changed. The operator rows

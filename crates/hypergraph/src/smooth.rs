@@ -92,7 +92,11 @@ impl SmoothnessFactor {
                     }
                 }
             }
-            let d = if degree > 0.0 { 1.0 / degree.sqrt() } else { 0.0 };
+            let d = if degree > 0.0 {
+                1.0 / degree.sqrt()
+            } else {
+                0.0
+            };
             values[row_ptr[v]..].iter_mut().for_each(|x| *x *= d);
             inv_sqrt_degree.push(d);
             row_ptr.push(cols.len());
@@ -118,18 +122,12 @@ impl SmoothnessFactor {
             b: Rc::new(b),
         }
     }
-
-    /// Number of columns of `B`: the kept hyperedges over every tier.
-    pub fn n_edges(&self) -> usize {
-        self.bt.rows()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Hypergraph;
-    use ahntp_tensor::Tensor;
 
     /// Two tiers over five vertices: vertex 4 in no hyperedge, a singleton
     /// edge, weights other than 1.
@@ -143,17 +141,13 @@ mod tests {
         (AggregationCache::new(a), AggregationCache::new(b))
     }
 
-    fn dense(m: &CsrMatrix<f32>) -> Tensor {
-        m.to_dense()
-    }
-
     #[test]
     fn the_two_orientations_are_transposes() {
         let (a, b) = tiers();
         for sel in [None, Some(&[1usize][..])] {
             let f = SmoothnessFactor::build(&[(&a, sel), (&b, None)]);
-            assert_eq!(dense(&f.b), dense(&f.bt).transpose());
-            assert_eq!(f.n_edges(), if sel.is_some() { 3 } else { 4 });
+            assert_eq!(f.b.to_dense(), f.bt.to_dense().transpose());
+            assert_eq!(f.bt.rows(), if sel.is_some() { 3 } else { 4 });
         }
     }
 
@@ -167,8 +161,8 @@ mod tests {
             (Some(&[][..]), Some(&[0usize, 1][..]), vec![2, 3]),
         ] {
             let f = SmoothnessFactor::build(&[(&a, sel_a), (&b, sel_b)]);
-            let bbt = dense(&f.b).matmul(&dense(&f.bt));
-            let lap = dense(&whole.laplacian_for_edges(&ids));
+            let bbt = f.b.to_dense().matmul(&f.bt.to_dense());
+            let lap = whole.laplacian_for_edges(&ids).to_dense();
             for r in 0..5 {
                 for c in 0..5 {
                     let identity = if r == c { 1.0 } else { 0.0 };
