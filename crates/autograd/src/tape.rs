@@ -593,6 +593,7 @@ fn backward_step(nodes: &mut [Node], i: usize, op: &Op, grad_out: Tensor) {
         Op::MulRows(a, factors) => {
             let (av, fv) = (&nodes[*a].value, &nodes[*factors].value);
             let df = nodes[*factors].requires_grad.then(|| {
+                let _k = KernelSpan::enter("autograd.mul_rows.adjoint", KernelKind::Reduction);
                 let mut df = zeros_like(fv);
                 for (r, d) in df.as_mut_slice().iter_mut().enumerate() {
                     for (&g, &x) in grad_out.row(r).iter().zip(av.row(r)) {
