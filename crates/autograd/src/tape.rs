@@ -651,14 +651,17 @@ fn backward_step(nodes: &mut [Node], i: usize, op: &Op, grad_out: Tensor) {
             let _k = KernelSpan::enter("autograd.segment_softmax.adjoint", KernelKind::Reduction);
             let (y, g) = (nodes[i].value.as_slice(), grad_out.as_slice());
             let n_seg = segments.iter().copied().max().map_or(0, |m| m + 1);
-            // dot_s = Σ_{j∈s} y_j g_j, then da_i = y_i (g_i − dot_{seg(i)})
-            let mut dot = vec![0.0f32; n_seg];
+            // dot_s = Σ_{j∈s} y_j g_j, then da_i = y_i (g_i − dot_{seg(i)}).
+            // Each product is exact in f64 and the sum cancels by
+            // construction (Σ_j y_j = 1), so it is accumulated there and
+            // rounded once.
+            let mut dot = vec![0.0f64; n_seg];
             for (k, &s) in segments.iter().enumerate() {
-                dot[s] += y[k] * g[k];
+                dot[s] += f64::from(y[k]) * f64::from(g[k]);
             }
             let mut da = zeros_like(&nodes[*a].value);
             for (k, &s) in segments.iter().enumerate() {
-                da.as_mut_slice()[k] = y[k] * (g[k] - dot[s]);
+                da.as_mut_slice()[k] = y[k] * (g[k] - dot[s] as f32);
             }
             accum(nodes, *a, da);
         }
@@ -1072,5 +1075,65 @@ mod tests {
         let v = y.value();
         assert_eq!(v.row(0), &[0.5, 0.5]);
         assert_eq!(v.row(1), &[0.0, 2.0]);
+    }
+
+    #[test]
+    fn the_segment_softmax_adjoint_survives_a_cancelling_segment() {
+        // Segment 0: 48 softmax entries under gradients of a few hundred,
+        // the last chosen so that Σ y·g cancels to ≈ 1e-9 of Σ |y·g|, and
+        // two zero gradients whose adjoint `−y·Σ y·g` is that residual
+        // alone. Segment 1 is ordinary. Every entry must be within 1e-6 of
+        // the f64 evaluation of `y (g − Σ y·g)` on the tape's own `y`.
+        let (k0, k1) = (48, 5);
+        let segments = Rc::new([vec![0; k0], vec![1; k1]].concat());
+        let logits: Vec<f32> = (0..k0 + k1)
+            .map(|k| ((k * 37) % 11) as f32 * 0.3 - 1.5)
+            .collect();
+        let g = Graph::new();
+        let a = g.leaf(Tensor::vector(logits));
+        let y = a.segment_softmax(&segments);
+        let yv: Vec<f64> = y.value().as_slice().iter().map(|&v| f64::from(v)).collect();
+        let mut grads: Vec<f32> = (0..k0 - 3)
+            .map(|k| {
+                let magnitude = ((k * 7919) % 1000) as f32 + 0.375;
+                if k % 2 == 0 {
+                    magnitude
+                } else {
+                    -magnitude
+                }
+            })
+            .collect();
+        grads.extend([0.0, 0.0]);
+        let partial: f64 = grads.iter().zip(&yv).map(|(&g, y)| f64::from(g) * y).sum();
+        grads.push((-partial / yv[k0 - 1]) as f32);
+        grads.extend([3.0, -2.0, 0.5, 7.0, -4.0]);
+        let dot = |s: usize| -> f64 {
+            let terms = grads.iter().zip(&yv).zip(segments.iter());
+            terms
+                .filter(|&(_, &t)| t == s)
+                .map(|((&g, y), _)| f64::from(g) * y)
+                .sum()
+        };
+        let magnitude: f64 = grads[..k0]
+            .iter()
+            .zip(&yv)
+            .map(|(&g, y)| (f64::from(g) * y).abs())
+            .sum();
+        let residual = dot(0);
+        assert!(
+            residual != 0.0 && residual.abs() < 1e-6 * magnitude,
+            "{residual} of {magnitude}"
+        );
+        y.mul(&g.constant(Tensor::vector(grads.clone())))
+            .sum()
+            .backward();
+        let da = a.grad().expect("leaf gradient");
+        for (k, (&got, &s)) in da.as_slice().iter().zip(segments.iter()).enumerate() {
+            let want = yv[k] * (f64::from(grads[k]) - dot(s));
+            assert!(
+                (f64::from(got) - want).abs() <= 1e-6 * want.abs(),
+                "entry {k} of segment {s}: {got} against the f64 {want}"
+            );
+        }
     }
 }

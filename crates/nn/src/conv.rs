@@ -3,17 +3,19 @@
 //!
 //! Eqs. 10–13 are linear up to the ReLU, so θ is applied on the vertex
 //! side first: `h̃_e = w_e · mean_{u ∈ e} (x_u θ)` and Eq. 12's message is
-//! `mean_{e ∋ u} h̃_e`, which is `Mess_u θ` reassociated. No `m`-row
-//! product with θ and no `in`-wide hyperedge matrix is ever built; the
-//! adaptive layer's `W h̃_e` is the one dense product with a row per
-//! hyperedge.
+//! `mean_{e ∋ u} h̃_e`, which is `Mess_u θ` reassociated. Eqs. 14 and 16
+//! use the adaptive layer's `W h̃_e` only linearly — dotted with `β_h`,
+//! summed per vertex — so `W` moves to the vertex side too: the scores dot
+//! `h̃_e` with `W β_h`, and Eq. 16 applies `W` once to each vertex's sum.
+//! No dense product with a row per hyperedge and no `in`-wide hyperedge
+//! matrix is ever built.
 //!
 //! Each layer runs in three steps split at those intermediates. The
 //! *projection* is `x θ` (`n × out`); the *edge half* computes `h̃_e`
-//! (Eqs. 10–11; the adaptive layer also `W h̃_e`) for the rows of a
-//! vertex→edge operator from the projection; the *vertex half* computes the
-//! output rows of a [`VertexRows`] (Eqs. 12–16) from whole hyperedge-feature
-//! matrices. A forward pass is the three over one operator set. A live
+//! (Eqs. 10–11) for the rows of a vertex→edge operator from the
+//! projection; the *vertex half* computes the output rows of a
+//! [`VertexRows`] (Eqs. 12–16) from the whole hyperedge-feature matrix.
+//! A forward pass is the three over one operator set. A live
 //! refresh runs each over the few rows that changed: every output row is
 //! its own accumulation chain over the same entries in the same order, so
 //! those rows are bitwise the forward pass's.
@@ -21,7 +23,7 @@
 use crate::{Module, Param, Session};
 use ahntp_autograd::Var;
 use ahntp_hypergraph::{AggregationOps, Hypergraph, VertexRows};
-use ahntp_tensor::{xavier_uniform, CsrMatrix, SplitMix64, Tensor};
+use ahntp_tensor::{xavier_uniform, CsrMatrix, Shape, SplitMix64, Tensor};
 use std::rc::Rc;
 
 /// Negative slope of the LeakyReLU in the attention score (Eq. 14); 0.2 is
@@ -30,14 +32,11 @@ const ATTENTION_SLOPE: f32 = 0.2;
 
 /// What the edge half of a layer hands its vertex half: the hyperedge
 /// features `h̃_e = w_e · mean_{u ∈ e} x_u θ` (Eqs. 10–11 with θ applied
-/// first, `m × out`) and, for the adaptive layer, their projection `W h̃_e`
-/// (Eq. 14, `m × out`).
+/// first, `m × out`), for either layer kind.
 #[derive(Clone)]
 pub struct EdgeFeatures {
     /// `h̃_e` of Eq. 11, taken after θ.
     pub h_e: Var,
-    /// `W h̃_e` of Eq. 14 — `Some` for the adaptive layer only.
-    pub projected: Option<Var>,
 }
 
 /// One layer's forward pass over an operator set: its output, the
@@ -74,7 +73,7 @@ pub trait HypergraphLayer: Module {
     ) -> EdgeFeatures;
 
     /// The vertex half: the output rows of `rows`, from `x`'s rows for the
-    /// same vertices and the whole hyperedge-feature matrices `edges` that
+    /// same vertices and the whole hyperedge-feature matrix `edges` that
     /// `rows` index.
     fn vertex_half(&self, s: &Session, rows: &VertexRows, x: &Var, edges: &EdgeFeatures) -> Var;
 
@@ -216,27 +215,6 @@ impl HypergraphConv {
         HypergraphLayer::forward_on(self, s, ops, x)
     }
 
-    /// Eqs. 10–11, the edge half both layer kinds start from: `h̃_e` for
-    /// the rows of `v2e` (see [`HypergraphLayer::edge_half`]).
-    fn edge_features(
-        &self,
-        s: &Session,
-        v2e: &Rc<CsrMatrix<f32>>,
-        edge_ids: Option<&Rc<Vec<usize>>>,
-        x_theta: &Var,
-    ) -> Var {
-        // Eq. 10: hyperedge messages by mean aggregation, after θ.
-        let mess_e = s.graph().spmm(v2e, x_theta);
-        // Eq. 11: trainable per-edge scaling, gathered down to the rows'
-        // edges.
-        let w_col = s.var(&self.edge_weights);
-        let w_col = match edge_ids {
-            Some(ids) => w_col.gather_rows(ids),
-            None => w_col,
-        };
-        mess_e.mul_rows(&w_col)
-    }
-
     /// Eqs. 12–13, the vertex update `x'` of the rows of `e2v` — final for
     /// the plain layer, provisional for the adaptive one, whose attention
     /// (Eq. 14) reads it.
@@ -254,6 +232,7 @@ impl HypergraphLayer for HypergraphConv {
         x.matmul(&s.var(&self.theta))
     }
 
+    /// Eqs. 10–11, the edge half of both layer kinds.
     fn edge_half(
         &self,
         s: &Session,
@@ -261,9 +240,17 @@ impl HypergraphLayer for HypergraphConv {
         edge_ids: Option<&Rc<Vec<usize>>>,
         x_theta: &Var,
     ) -> EdgeFeatures {
+        // Eq. 10: hyperedge messages by mean aggregation, after θ.
+        let mess_e = s.graph().spmm(v2e, x_theta);
+        // Eq. 11: trainable per-edge scaling, gathered down to the rows'
+        // edges.
+        let w_col = s.var(&self.edge_weights);
+        let w_col = match edge_ids {
+            Some(ids) => w_col.gather_rows(ids),
+            None => w_col,
+        };
         EdgeFeatures {
-            h_e: self.edge_features(s, v2e, edge_ids, x_theta),
-            projected: None,
+            h_e: mess_e.mul_rows(&w_col),
         }
     }
 
@@ -301,7 +288,7 @@ impl Module for HypergraphConv {
 /// `a_ie = LeakyReLU(βᵀ [W x'_i ‖ W h̃_e])` (Eq. 14), normalises it over
 /// each vertex's incident hyperedges (Eq. 15), and re-aggregates the
 /// projected hyperedge features with those weights (Eq. 16):
-/// `x''_i = ReLU(Σ_{e ∈ N_i} w_ie · W h̃_e)`.
+/// `x''_i = ReLU(Σ_{e ∈ N_i} w_ie · W h̃_e + W x'_i)`.
 ///
 /// `W` is a shared `out_dim × out_dim` projection applied to both the
 /// updated vertex feature `x'_i` (already `out_dim` wide after Eq. 13) and
@@ -309,6 +296,11 @@ impl Module for HypergraphConv {
 /// computes directly as `w_e · mean_{u ∈ e} x_u θ`). This resolves the
 /// dimension mismatch left implicit in the paper (Eq. 14 concatenates a
 /// layer-`t+1` vertex with a layer-`t` hyperedge).
+///
+/// Both equations are linear in `W h̃_e`, so the layer never forms it:
+/// with `β = [β_x ‖ β_h]`, Eq. 14's score is `x'_i · W β_x + h̃_e · W β_h`
+/// (one `2 × out` product makes `[W β_x ‖ W β_h]`), and Eq. 16 is
+/// `ReLU(W (Σ_e w_ie h̃_e + x'_i))`, `W` applied once per vertex.
 #[derive(Clone)]
 pub struct AdaptiveHypergraphConv {
     base: HypergraphConv,
@@ -389,37 +381,24 @@ impl AdaptiveHypergraphConv {
 
     /// Eqs. 14–15 on top of the base layer's Eqs. 12–13: the attention
     /// coefficients `w_ie` (one per pair of `rows`) together with the
-    /// vertex-side projection `W x'` Eq. 16 adds.
-    fn attention(
-        &self,
-        s: &Session,
-        rows: &VertexRows,
-        x: &Var,
-        edges: &EdgeFeatures,
-    ) -> (Var, Var) {
-        let x_next = self.base.update(s, &rows.e2v, x, &edges.h_e);
-        let x_proj = x_next.matmul(&s.var(&self.w_att));
-        // Eq. 14: per-incidence attention scores, βᵀ[W x'_i ‖ W h̃_e] as
-        // one node — the nnz × 2·out concatenation is never built.
+    /// vertex update `x'` Eq. 16 adds.
+    fn attention(&self, s: &Session, rows: &VertexRows, x: &Var, h_e: &Var) -> (Var, Var) {
+        let x_next = self.base.update(s, &rows.e2v, x, h_e);
+        // Eq. 14 with W moved onto β: the rows of `β_r Wᵀ` are W β_x and
+        // W β_h, and the scores are x'_i · W β_x + h̃_e · W β_h as one
+        // node — neither W h̃_e nor the nnz × 2·out concatenation is built.
+        let out = self.base.out_dim;
+        let beta_w = s
+            .var(&self.beta)
+            .reshape(Shape::Matrix(2, out))
+            .matmul_t(&s.var(&self.w_att))
+            .reshape(Shape::Vector(2 * out));
         let scores = s
             .graph()
-            .pair_scores(
-                &x_proj,
-                Self::projected(edges),
-                &s.var(&self.beta),
-                &rows.pair_vertices,
-                &rows.pair_edges,
-            )
+            .pair_scores(&x_next, h_e, &beta_w, &rows.pair_vertices, &rows.pair_edges)
             .leaky_relu(ATTENTION_SLOPE);
         // Eq. 15: softmax per central vertex.
-        (scores.segment_softmax(&rows.pair_vertices), x_proj)
-    }
-
-    fn projected(edges: &EdgeFeatures) -> &Var {
-        edges
-            .projected
-            .as_ref()
-            .expect("AdaptiveHypergraphConv: edge features come from an adaptive edge half")
+        (scores.segment_softmax(&rows.pair_vertices), x_next)
     }
 
     /// The attention coefficients `w_ie` (Eq. 15) for inspection: a vector
@@ -429,7 +408,7 @@ impl AdaptiveHypergraphConv {
         let s = Session::new();
         let (ops, x) = (&self.base.ops, s.constant(x.clone()));
         let edges = self.edge_half(&s, &ops.v2e, None, &self.project(&s, &x));
-        let (att, _) = self.attention(&s, &ops.rows, &x, &edges);
+        let (att, _) = self.attention(&s, &ops.rows, &x, &edges.h_e);
         att.value().into_vec()
     }
 
@@ -451,23 +430,18 @@ impl HypergraphLayer for AdaptiveHypergraphConv {
         edge_ids: Option<&Rc<Vec<usize>>>,
         x_theta: &Var,
     ) -> EdgeFeatures {
-        let h_e = self.base.edge_features(s, v2e, edge_ids, x_theta);
-        // Eq. 14's hyperedge side, W h̃_e: the layer's one dense product
-        // with a row per hyperedge.
-        let projected = h_e.matmul(&s.var(&self.w_att)); // m × out
-        EdgeFeatures {
-            h_e,
-            projected: Some(projected),
-        }
+        self.base.edge_half(s, v2e, edge_ids, x_theta)
     }
 
     fn vertex_half(&self, s: &Session, rows: &VertexRows, x: &Var, edges: &EdgeFeatures) -> Var {
-        let (att, x_proj) = self.attention(s, rows, x, edges);
-        // Eq. 16: attention-weighted aggregation of projected hyperedges,
-        // plus the x' self-term carried over from Eq. 13's F(x^t, ·).
+        let (att, x_next) = self.attention(s, rows, x, &edges.h_e);
+        // Eq. 16 with W after the sum: attention-weighted aggregation of
+        // the hyperedges plus the x' self-term carried over from Eq. 13's
+        // F(x^t, ·), then W once per vertex.
         s.graph()
-            .weighted_gather(&rows.pairs, rows.n_rows(), &att, Self::projected(edges))
-            .add(&x_proj)
+            .weighted_gather(&rows.pairs, rows.n_rows(), &att, &edges.h_e)
+            .add(&x_next)
+            .matmul(&s.var(&self.w_att))
             .relu()
     }
 
@@ -496,7 +470,6 @@ impl Module for AdaptiveHypergraphConv {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ahntp_tensor::Shape;
 
     fn toy_hypergraph() -> Hypergraph {
         let mut h = Hypergraph::new(4);
@@ -602,8 +575,9 @@ mod tests {
     #[test]
     fn a_conv_forward_projects_before_it_aggregates() {
         // 7 vertices in 5 hyperedges, widths 3 → 2: θ applied on the
-        // vertex side leaves no `m × in` node, and the adaptive layer's
-        // `W h̃_e` is the only dense product with a row per hyperedge.
+        // vertex side leaves no `m × in` node, and with Eq. 14's `W` moved
+        // onto β and Eq. 16's after the sum, neither layer records a dense
+        // product with a row per hyperedge.
         let mut h = Hypergraph::new(7);
         for e in [&[0, 1, 2][..], &[2, 3], &[3, 4, 5, 6], &[0, 6], &[1, 5]] {
             h.add_edge(e).expect("valid");
@@ -614,7 +588,7 @@ mod tests {
             Box::new(AdaptiveHypergraphConv::new("a", &h, in_dim, out_dim, 23)),
         ];
         let ops = AggregationOps::full(&h);
-        for (layer, m_row_products) in layers.iter().zip([0, 1]) {
+        for layer in &layers {
             let s = Session::new();
             let pass = layer.forward_with_edges(&s, &ops, &s.constant(xavier_uniform(n, in_dim, 4)));
             assert_eq!(pass.x_theta.value().shape(), Shape::Matrix(n, out_dim));
@@ -626,10 +600,94 @@ mod tests {
             );
             let products: Vec<_> = recorded
                 .iter()
-                .filter(|&&(op, shape)| op == "matmul" && shape.rows() == m)
+                .filter(|&&(op, shape)| op.starts_with("matmul") && shape.rows() == m)
                 .collect();
-            assert_eq!(products.len(), m_row_products, "dense products with m rows: {products:?}");
-            assert!(products.iter().all(|&&(_, shape)| shape == Shape::Matrix(m, out_dim)));
+            assert!(products.is_empty(), "dense products with m rows: {products:?}");
+        }
+    }
+
+    /// The adaptive layer in the paper's order, with no reassociation:
+    /// explicit `x' W` and `W h̃_e`, `β` dotted with their per-pair
+    /// concatenation (Eq. 14), and Eq. 16 summing `W h̃_e`.
+    fn composed_adaptive_forward(conv: &AdaptiveHypergraphConv, s: &Session, x: &Var) -> Var {
+        let (ops, w) = (&conv.base.ops, s.var(&conv.w_att));
+        let rows = &ops.rows;
+        let h_e = conv.edge_half(s, &ops.v2e, None, &conv.project(s, x)).h_e;
+        let w_h = h_e.matmul(&w);
+        let x_proj = conv.base.update(s, &rows.e2v, x, &h_e).matmul(&w);
+        let per_pair = [
+            &x_proj.gather_rows(&rows.pair_vertices),
+            &w_h.gather_rows(&rows.pair_edges),
+        ];
+        let scores = s
+            .graph()
+            .concat_cols(&per_pair)
+            .matmul(&s.var(&conv.beta))
+            .reshape(Shape::Vector(rows.pairs.len()))
+            .leaky_relu(ATTENTION_SLOPE);
+        let att = scores.segment_softmax(&rows.pair_vertices);
+        s.graph()
+            .weighted_gather(&rows.pairs, rows.n_rows(), &att, &w_h)
+            .add(&x_proj)
+            .relu()
+    }
+
+    #[test]
+    fn the_reassociated_adaptive_layer_matches_the_composed_equations() {
+        // 8 vertices in 6 hyperedges, widths 3 → 4, off the unit edge
+        // weights. `W` moved onto `β` and after Eq. 16's sum reorders f32
+        // sums only: output and every parameter gradient within 1e-6 of
+        // the tensor's max-norm.
+        let mut h = Hypergraph::new(8);
+        for e in [
+            &[0, 1, 2][..],
+            &[2, 3, 4],
+            &[4, 5],
+            &[5, 6, 7, 0],
+            &[1, 6],
+            &[3, 7],
+        ] {
+            h.add_edge(e).expect("valid");
+        }
+        let conv = AdaptiveHypergraphConv::new("a", &h, 3, 4, 29);
+        let w_e = (0..6).map(|e| 0.6 + 0.15 * e as f32).collect();
+        conv.edge_weights().set_value(Tensor::matrix(6, 1, w_e));
+        let x = xavier_uniform(8, 3, 6);
+        type Forward = fn(&AdaptiveHypergraphConv, &Session, &Var) -> Var;
+        let run = |forward: Forward| -> Vec<Tensor> {
+            let s = Session::new();
+            let y = forward(&conv, &s, &s.constant(x.clone()));
+            y.mul(&y).sum().add(&y.tanh().sum()).backward();
+            s.harvest();
+            let grads = conv
+                .params()
+                .into_iter()
+                .map(|p| p.grad().expect("every parameter reaches the loss"));
+            std::iter::once(y.value()).chain(grads).collect()
+        };
+        let fused: Forward = |conv, s, x| conv.forward(s, x);
+        let max_abs = |t: &Tensor| t.as_slice().iter().fold(0.0f32, |m, v| m.max(v.abs()));
+        let names = ["output", "edge_w", "theta", "theta_self", "w_att", "beta"];
+        for threads in [1, 4] {
+            let (a, b) =
+                ahntp_par::with_pool(threads, 0, || (run(fused), run(composed_adaptive_forward)));
+            assert!(
+                max_abs(&b[0]) > 0.0,
+                "the layer's output is not all ReLU-clipped"
+            );
+            for (what, (a, b)) in names.iter().zip(a.iter().zip(&b)) {
+                assert_eq!(a.shape(), b.shape(), "{what}: shape");
+                let worst = a
+                    .as_slice()
+                    .iter()
+                    .zip(b.as_slice())
+                    .fold(0.0f32, |m, (x, y)| m.max((x - y).abs()));
+                assert!(
+                    worst <= 1e-6 * max_abs(b),
+                    "{what} is {worst} off the composed equations (max-norm {}) at {threads} threads",
+                    max_abs(b)
+                );
+            }
         }
     }
 
