@@ -19,8 +19,10 @@ use ahntp_eval::TrustModel;
 const USERS: usize = 4_104;
 
 /// The bound on the process's peak resident set, in MiB. The factored
-/// objective peaks near 160 MiB on x86-64 Linux; the Laplacian it
-/// replaced needed about 600.
+/// objective, with the adaptive layer's `W` applied per vertex rather than
+/// per hyperedge, peaks near 137 MiB on x86-64 Linux (near 158 with
+/// `W h̃_e` formed per hyperedge); the Laplacian it replaced needed about
+/// 600.
 const PEAK_RSS_MIB: f64 = 250.0;
 
 /// The process's peak resident set (`VmHWM`), in MiB.
