@@ -122,11 +122,7 @@ mod tests {
     #[test]
     fn numerical_gradient_of_square_is_two_x() {
         let x = Tensor::vector(vec![1.0, -2.0, 3.0]);
-        let g = numerical_gradient(
-            |t| t.as_slice().iter().map(|&v| v * v).sum(),
-            &x,
-            1e-3,
-        );
+        let g = numerical_gradient(|t| t.as_slice().iter().map(|&v| v * v).sum(), &x, 1e-3);
         for (gi, xi) in g.as_slice().iter().zip(x.as_slice()) {
             assert!((gi - 2.0 * xi).abs() < 1e-2);
         }
@@ -135,12 +131,7 @@ mod tests {
     #[test]
     fn check_gradients_passes_for_simple_quadratic() {
         let x = Tensor::from_rows(&[&[0.5, -1.5]]);
-        let report = check_gradients(
-            &[x],
-            |_, vars| vars[0].mul(&vars[0]).sum(),
-            1e-2,
-            1e-2,
-        );
+        let report = check_gradients(&[x], |_, vars| vars[0].mul(&vars[0]).sum(), 1e-2, 1e-2);
         assert_eq!(report.checked, 2);
         assert!(report.max_rel_err < 1e-2);
     }

@@ -18,7 +18,9 @@ fn t(rows: usize, cols: usize, seed: u64) -> Tensor {
     let mut v = Vec::with_capacity(rows * cols);
     let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
     for i in 0..rows * cols {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
         let u = ((state >> 40) as f32) / ((1u64 << 24) as f32); // [0,1)
         let sign = if i % 2 == 0 { 1.0 } else { -1.0 };
         v.push(sign * (0.3 + 1.5 * u));
@@ -104,10 +106,25 @@ fn grad_matmul_vector_promotions() {
 fn grad_pointwise_nonlinearities() {
     let a = t(2, 3, 9);
     check_gradients(std::slice::from_ref(&a), |_, v| v[0].relu().sum(), EPS, TOL);
-    check_gradients(std::slice::from_ref(&a), |_, v| v[0].leaky_relu(0.2).sum(), EPS, TOL);
-    check_gradients(std::slice::from_ref(&a), |_, v| v[0].sigmoid().sum(), EPS, TOL);
+    check_gradients(
+        std::slice::from_ref(&a),
+        |_, v| v[0].leaky_relu(0.2).sum(),
+        EPS,
+        TOL,
+    );
+    check_gradients(
+        std::slice::from_ref(&a),
+        |_, v| v[0].sigmoid().sum(),
+        EPS,
+        TOL,
+    );
     check_gradients(std::slice::from_ref(&a), |_, v| v[0].tanh().sum(), EPS, TOL);
-    check_gradients(std::slice::from_ref(&a), |_, v| v[0].scale(0.5).exp().sum(), EPS, TOL);
+    check_gradients(
+        std::slice::from_ref(&a),
+        |_, v| v[0].scale(0.5).exp().sum(),
+        EPS,
+        TOL,
+    );
     // ln over strictly-positive inputs (sigmoid maps into (0,1))
     check_gradients(&[a], |_, v| v[0].sigmoid().ln_eps(1e-6).sum(), EPS, TOL);
 }
@@ -125,17 +142,18 @@ fn grad_spmm() {
         CsrMatrix::from_triplets(
             3,
             4,
-            &[(0, 0, 1.0), (0, 2, 0.5), (1, 1, 2.0), (2, 3, -1.0), (2, 0, 0.25)],
+            &[
+                (0, 0, 1.0),
+                (0, 2, 0.5),
+                (1, 1, 2.0),
+                (2, 3, -1.0),
+                (2, 0, 0.25),
+            ],
         )
         .expect("valid triplets"),
     );
     let x = t(4, 2, 11);
-    check_gradients(
-        &[x],
-        move |g, v| g.spmm(&h, &v[0]).sum(),
-        EPS,
-        TOL,
-    );
+    check_gradients(&[x], move |g, v| g.spmm(&h, &v[0]).sum(), EPS, TOL);
 }
 
 #[test]
@@ -144,7 +162,11 @@ fn grad_concat_cols() {
     let b = t(2, 3, 13);
     check_gradients(
         &[a, b],
-        |g, v| g.concat_cols(&[&v[0], &v[1]]).mul(&g.concat_cols(&[&v[0], &v[1]])).sum(),
+        |g, v| {
+            g.concat_cols(&[&v[0], &v[1]])
+                .mul(&g.concat_cols(&[&v[0], &v[1]]))
+                .sum()
+        },
         EPS,
         TOL,
     );
@@ -169,24 +191,14 @@ fn grad_gather_rows_with_repeats() {
 fn grad_scale_rows() {
     let a = t(3, 2, 15);
     let factors = Rc::new(vec![0.5f32, 2.0, -1.0]);
-    check_gradients(
-        &[a],
-        move |_, v| v[0].scale_rows(&factors).sum(),
-        EPS,
-        TOL,
-    );
+    check_gradients(&[a], move |_, v| v[0].scale_rows(&factors).sum(), EPS, TOL);
 }
 
 #[test]
 fn grad_pairwise_cosine() {
     let a = t(4, 3, 16);
     let b = t(4, 3, 17);
-    check_gradients(
-        &[a, b],
-        |_, v| v[0].pairwise_cosine(&v[1]).sum(),
-        EPS,
-        TOL,
-    );
+    check_gradients(&[a, b], |_, v| v[0].pairwise_cosine(&v[1]).sum(), EPS, TOL);
 }
 
 #[test]
@@ -313,7 +325,10 @@ fn pair_scores_matches_the_composed_ops_within_rounding() {
             .add(&v[1].mul(&v[1]).sum());
         loss.backward();
         let mut out = vec![s.value()];
-        out.extend(v.iter().map(|v| v.grad().expect("every input reaches the loss")));
+        out.extend(
+            v.iter()
+                .map(|v| v.grad().expect("every input reaches the loss")),
+        );
         out
     };
     let fused: Scores = |g, x, h, beta, pv, pe| g.pair_scores(x, h, beta, pv, pe);

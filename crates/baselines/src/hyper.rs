@@ -47,13 +47,20 @@ struct UniGcnLayer {
 }
 
 impl UniGcnLayer {
-    fn new(name: &str, h: &Hypergraph, in_dim: usize, out_dim: usize, relu: bool, seed: u64) -> Self {
+    fn new(
+        name: &str,
+        h: &Hypergraph,
+        in_dim: usize,
+        out_dim: usize,
+        relu: bool,
+        seed: u64,
+    ) -> Self {
         let degrees = h.vertex_edge_counts();
         // ĉ_e: mean vertex degree of e's members.
         let mut trips = Vec::new();
         for (e, members) in h.edges().iter().enumerate() {
-            let avg_deg: f32 = members.iter().map(|&v| degrees[v] as f32).sum::<f32>()
-                / members.len() as f32;
+            let avg_deg: f32 =
+                members.iter().map(|&v| degrees[v] as f32).sum::<f32>() / members.len() as f32;
             let edge_norm = 1.0 / avg_deg.max(1.0).sqrt();
             for &v in members {
                 let vert_norm = 1.0 / (degrees[v] as f32).max(1.0).sqrt();
@@ -98,7 +105,14 @@ struct UniGatLayer {
 }
 
 impl UniGatLayer {
-    fn new(name: &str, h: &Hypergraph, in_dim: usize, out_dim: usize, relu: bool, seed: u64) -> Self {
+    fn new(
+        name: &str,
+        h: &Hypergraph,
+        in_dim: usize,
+        out_dim: usize,
+        relu: bool,
+        seed: u64,
+    ) -> Self {
         let pairs = h.incidence_pairs();
         let pair_vertices = pairs.iter().map(|&(v, _)| v).collect::<Vec<_>>();
         let pair_edges = pairs.iter().map(|&(_, e)| e).collect::<Vec<_>>();

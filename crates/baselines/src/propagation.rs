@@ -135,8 +135,7 @@ mod tests {
     #[test]
     fn parallel_paths_aggregate_upwards() {
         // Two routes 0→1→3 and 0→2→3 beat a single route.
-        let diamond =
-            DiGraph::from_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]).expect("valid");
+        let diamond = DiGraph::from_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]).expect("valid");
         let single = TrustPropagation::new(&chain(), 0.7, 3).propagate_from(0)[2];
         let double = TrustPropagation::new(&diamond, 0.7, 3).propagate_from(0)[3];
         assert!(

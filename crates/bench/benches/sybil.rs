@@ -37,10 +37,20 @@ fn main() {
     println!();
     println!("## Escaped PPR mass vs. attack-edge budget");
     println!();
-    print_row(&["Attack edges".into(), "Escaped mass".into(), "Cut bound".into()]);
+    print_row(&[
+        "Attack edges".into(),
+        "Escaped mass".into(),
+        "Cut bound".into(),
+    ]);
     print_row(&vec!["---".into(); 3]);
     for budget in [0usize, 2, 4, 8, 16] {
-        let inj = inject_sybil(&ds, &SybilConfig { attack_edges: budget, ..base });
+        let inj = inject_sybil(
+            &ds,
+            &SybilConfig {
+                attack_edges: budget,
+                ..base
+            },
+        );
         let mass = ppr(&inj.dataset.graph, &inj.honest, &ppr_cfg);
         let escaped = region_mass(&mass, &inj.sybil);
         let bound = sybil_mass_bound(
@@ -49,7 +59,11 @@ fn main() {
             &inj.attack_edges,
             ppr_cfg.damping,
         );
-        print_row(&[budget.to_string(), format!("{escaped:.6}"), format!("{bound:.6}")]);
+        print_row(&[
+            budget.to_string(),
+            format!("{escaped:.6}"),
+            format!("{bound:.6}"),
+        ]);
     }
     println!();
 

@@ -65,12 +65,8 @@ fn main() {
                                 seed: scale.seed,
                                 ..AhntpConfig::default()
                             };
-                            let mut m = Ahntp::new(
-                                &ds.features,
-                                &ds.attributes,
-                                &split.train_graph,
-                                &cfg,
-                            );
+                            let mut m =
+                                Ahntp::new(&ds.features, &ds.attributes, &split.train_graph, &cfg);
                             run_prepared(&mut m, name, &split, &scale)
                         }
                     };

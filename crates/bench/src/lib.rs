@@ -154,7 +154,15 @@ impl Dataset {
 
 /// All nine models of Table IV, in column order.
 pub const TABLE4_MODELS: [&str; 9] = [
-    "GAT", "SGC", "Guardian", "AtNE-Trust", "KGTrust", "UniGCN", "UniGAT", "HGNN+", "AHNTP",
+    "GAT",
+    "SGC",
+    "Guardian",
+    "AtNE-Trust",
+    "KGTrust",
+    "UniGCN",
+    "UniGAT",
+    "HGNN+",
+    "AHNTP",
 ];
 
 /// A model name that is not one of [`TABLE4_MODELS`].
@@ -253,12 +261,7 @@ pub fn ahntp_variant_config(scale: &Scale, variant: AhntpVariant) -> AhntpConfig
 /// Panics (with the known-model list) on an unknown name — the bench
 /// tables hard-code their model columns, so an unknown name is a bug, not
 /// an input error.
-pub fn run_model(
-    name: &str,
-    ds: &TrustDataset,
-    split: &Split,
-    scale: &Scale,
-) -> EvalReport {
+pub fn run_model(name: &str, ds: &TrustDataset, split: &Split, scale: &Scale) -> EvalReport {
     let started = std::time::Instant::now();
     let mut model = build_model(name, ds, split, scale).unwrap_or_else(|e| panic!("{e}"));
     let report = train_and_evaluate(

@@ -67,7 +67,11 @@ impl LoadReport {
     pub fn summary(&self) -> String {
         format!(
             "{} ok / {} failed, p50 {}us, p99 {}us, mean {:.0}us, {:.0} req/s",
-            self.completed, self.failed, self.p50_us, self.p99_us, self.mean_us,
+            self.completed,
+            self.failed,
+            self.p50_us,
+            self.p99_us,
+            self.mean_us,
             self.throughput_rps
         )
     }
@@ -106,12 +110,7 @@ pub fn run_load(addr: SocketAddr, config: &LoadConfig) -> LoadReport {
                     return (false, latencies, config.requests_per_connection, trace_id);
                 };
                 for req in 0..config.requests_per_connection {
-                    let body = request_body(
-                        conn,
-                        req,
-                        config.pairs_per_request,
-                        config.n_users,
-                    );
+                    let body = request_body(conn, req, config.pairs_per_request, config.n_users);
                     let sent = Instant::now();
                     match client.post("/score", &body) {
                         Ok(mut resp) if resp.status == 200 => {
@@ -204,7 +203,7 @@ mod tests {
         let body = request_body(1, 2, 3, 10);
         assert!(body.starts_with("{\"pairs\":[["), "{body}");
         assert_eq!(body.matches('[').count(), 4); // outer + 3 pairs
-        // Every id stays under n_users.
+                                                  // Every id stays under n_users.
         for token in body
             .split(|c: char| !c.is_ascii_digit())
             .filter(|t| !t.is_empty())

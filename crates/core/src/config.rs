@@ -170,10 +170,7 @@ mod tests {
 
     #[test]
     fn ablation_builders_set_variants() {
-        assert_eq!(
-            AhntpConfig::default().no_mpr().variant,
-            AhntpVariant::NoMpr
-        );
+        assert_eq!(AhntpConfig::default().no_mpr().variant, AhntpVariant::NoMpr);
         assert_eq!(
             AhntpConfig::default().no_attention().variant,
             AhntpVariant::NoAttention

@@ -168,7 +168,10 @@ impl ConvStack {
     /// The per-layer hyperedge-weight columns (`m × 1` each). Live
     /// structural mutation resizes these in step with the hypergraph.
     fn edge_weight_params(&self) -> Vec<Param> {
-        self.0.iter().map(|layer| layer.edge_weights().clone()).collect()
+        self.0
+            .iter()
+            .map(|layer| layer.edge_weights().clone())
+            .collect()
     }
 }
 
@@ -400,12 +403,7 @@ impl Ahntp {
     /// [`Ahntp::embed`] against explicit operator sets (sampled hyperedge
     /// slices during mini-batch training). With the full sets this is
     /// exactly `embed` — the cache hands back the very same operators.
-    fn embed_on(
-        &self,
-        s: &Session,
-        node_ops: &AggregationOps,
-        struct_ops: &AggregationOps,
-    ) -> Var {
+    fn embed_on(&self, s: &Session, node_ops: &AggregationOps, struct_ops: &AggregationOps) -> Var {
         Self::embedding(s, &self.tier_activations(s, node_ops, struct_ops))
     }
 
@@ -916,7 +914,9 @@ impl LiveTrustModel for Ahntp {
                 if let Some(head) = self.head_cache.get_mut() {
                     let head = Rc::make_mut(head);
                     let t = *group as usize;
-                    head.edges[t].iter_mut().for_each(|h_e| swap_remove_row(h_e, *edge));
+                    head.edges[t]
+                        .iter_mut()
+                        .for_each(|h_e| swap_remove_row(h_e, *edge));
                     let added = &mut head.added[t];
                     added.retain(|&e| e != *edge);
                     if let Some(moved) = &removed.moved {
@@ -1163,7 +1163,12 @@ mod tests {
     #[test]
     fn model_builds_and_reports_parameters() {
         let (ds, split) = tiny_setup();
-        let model = Ahntp::new(&ds.features, &ds.attributes, &split.train_graph, &tiny_config());
+        let model = Ahntp::new(
+            &ds.features,
+            &ds.attributes,
+            &split.train_graph,
+            &tiny_config(),
+        );
         assert!(model.n_parameters() > 500);
         assert_eq!(model.name(), "AHNTP");
         assert_eq!(model.influence_scores().len(), 80);
@@ -1172,7 +1177,12 @@ mod tests {
     #[test]
     fn predictions_are_probabilities() {
         let (ds, split) = tiny_setup();
-        let model = Ahntp::new(&ds.features, &ds.attributes, &split.train_graph, &tiny_config());
+        let model = Ahntp::new(
+            &ds.features,
+            &ds.attributes,
+            &split.train_graph,
+            &tiny_config(),
+        );
         let scores = model.predict(&split.test);
         assert_eq!(scores.len(), split.test.len());
         assert!(scores.iter().all(|&p| (0.0..=1.0).contains(&p)));
@@ -1182,8 +1192,12 @@ mod tests {
     #[test]
     fn loss_decreases_over_epochs() {
         let (ds, split) = tiny_setup();
-        let mut model =
-            Ahntp::new(&ds.features, &ds.attributes, &split.train_graph, &tiny_config());
+        let mut model = Ahntp::new(
+            &ds.features,
+            &ds.attributes,
+            &split.train_graph,
+            &tiny_config(),
+        );
         let first = model.train_epoch(&split.train);
         let mut last = first;
         for _ in 0..8 {
@@ -1196,8 +1210,12 @@ mod tests {
     #[test]
     fn training_beats_chance_on_tiny_data() {
         let (ds, split) = tiny_setup();
-        let mut model =
-            Ahntp::new(&ds.features, &ds.attributes, &split.train_graph, &tiny_config());
+        let mut model = Ahntp::new(
+            &ds.features,
+            &ds.attributes,
+            &split.train_graph,
+            &tiny_config(),
+        );
         let report = train_and_evaluate(
             &mut model,
             &split.train,
@@ -1234,8 +1252,12 @@ mod tests {
     #[test]
     fn embeddings_have_expected_shape() {
         let (ds, split) = tiny_setup();
-        let model =
-            Ahntp::new(&ds.features, &ds.attributes, &split.train_graph, &tiny_config());
+        let model = Ahntp::new(
+            &ds.features,
+            &ds.attributes,
+            &split.train_graph,
+            &tiny_config(),
+        );
         let emb = model.embeddings();
         assert_eq!(emb.rows(), 80);
         assert_eq!(emb.cols(), 16); // 2 × last conv dim (8)
@@ -1245,8 +1267,12 @@ mod tests {
     #[test]
     fn predict_pair_is_symmetric_api() {
         let (ds, split) = tiny_setup();
-        let model =
-            Ahntp::new(&ds.features, &ds.attributes, &split.train_graph, &tiny_config());
+        let model = Ahntp::new(
+            &ds.features,
+            &ds.attributes,
+            &split.train_graph,
+            &tiny_config(),
+        );
         let p = model.predict_pair(0, 1);
         assert!((0.0..=1.0).contains(&p));
     }
@@ -1254,8 +1280,12 @@ mod tests {
     #[test]
     fn predict_pair_matches_batched_predict() {
         let (ds, split) = tiny_setup();
-        let mut model =
-            Ahntp::new(&ds.features, &ds.attributes, &split.train_graph, &tiny_config());
+        let mut model = Ahntp::new(
+            &ds.features,
+            &ds.attributes,
+            &split.train_graph,
+            &tiny_config(),
+        );
         model.train_epoch(&split.train);
         let pairs: Vec<LabeledPair> = split.test.iter().take(12).copied().collect();
         let batched = model.predict(&pairs);
@@ -1272,8 +1302,12 @@ mod tests {
     #[test]
     fn predict_pair_cache_invalidates_on_training() {
         let (ds, split) = tiny_setup();
-        let mut model =
-            Ahntp::new(&ds.features, &ds.attributes, &split.train_graph, &tiny_config());
+        let mut model = Ahntp::new(
+            &ds.features,
+            &ds.attributes,
+            &split.train_graph,
+            &tiny_config(),
+        );
         let before = model.predict_pair(0, 1);
         for _ in 0..3 {
             model.train_epoch(&split.train);
@@ -1281,7 +1315,11 @@ mod tests {
         let after = model.predict_pair(0, 1);
         assert_ne!(before, after, "training must refresh the cached head");
         // And the refreshed cache still agrees with the batched path.
-        let pair = LabeledPair { trustor: 0, trustee: 1, label: false };
+        let pair = LabeledPair {
+            trustor: 0,
+            trustee: 1,
+            label: false,
+        };
         assert_eq!(after, model.predict(&[pair])[0]);
     }
 
@@ -1289,21 +1327,31 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn predict_pair_rejects_out_of_range_users() {
         let (ds, split) = tiny_setup();
-        let model =
-            Ahntp::new(&ds.features, &ds.attributes, &split.train_graph, &tiny_config());
+        let model = Ahntp::new(
+            &ds.features,
+            &ds.attributes,
+            &split.train_graph,
+            &tiny_config(),
+        );
         model.predict_pair(0, 10_000);
     }
 
     #[test]
     fn exported_artifact_matches_predict_within_tolerance() {
         let (ds, split) = tiny_setup();
-        let mut model =
-            Ahntp::new(&ds.features, &ds.attributes, &split.train_graph, &tiny_config());
+        let mut model = Ahntp::new(
+            &ds.features,
+            &ds.attributes,
+            &split.train_graph,
+            &tiny_config(),
+        );
         for _ in 0..2 {
             model.train_epoch(&split.train);
         }
         let artifact = model.export_artifact();
-        artifact.validate().expect("exported artifact is consistent");
+        artifact
+            .validate()
+            .expect("exported artifact is consistent");
         assert_eq!(artifact.n_users, 80);
         assert_eq!(artifact.emb_dim, 16);
         assert_eq!(artifact.fingerprint, model.architecture_fingerprint());
@@ -1331,15 +1379,22 @@ mod tests {
     #[test]
     fn exact_plan_epoch_is_bitwise_full_batch() {
         let (ds, split) = tiny_setup();
-        let mut full =
-            Ahntp::new(&ds.features, &ds.attributes, &split.train_graph, &tiny_config());
-        let mut mini =
-            Ahntp::new(&ds.features, &ds.attributes, &split.train_graph, &tiny_config());
+        let mut full = Ahntp::new(
+            &ds.features,
+            &ds.attributes,
+            &split.train_graph,
+            &tiny_config(),
+        );
+        let mut mini = Ahntp::new(
+            &ds.features,
+            &ds.attributes,
+            &split.train_graph,
+            &tiny_config(),
+        );
         use ahntp_data::MiniBatchConfig;
         for epoch in 0..3 {
             let l_full = full.train_epoch(&split.train);
-            let plan =
-                BatchPlan::for_epoch(&split.train, &MiniBatchConfig::exact(7), epoch);
+            let plan = BatchPlan::for_epoch(&split.train, &MiniBatchConfig::exact(7), epoch);
             let l_mini = mini.train_epoch_planned(&plan);
             assert_eq!(
                 l_full.to_bits(),
@@ -1355,8 +1410,12 @@ mod tests {
     #[test]
     fn sampled_plan_trains_and_covers_all_pairs() {
         let (ds, split) = tiny_setup();
-        let mut model =
-            Ahntp::new(&ds.features, &ds.attributes, &split.train_graph, &tiny_config());
+        let mut model = Ahntp::new(
+            &ds.features,
+            &ds.attributes,
+            &split.train_graph,
+            &tiny_config(),
+        );
         use ahntp_data::MiniBatchConfig;
         let cfg = MiniBatchConfig::sampled(0.5, 16, 2, 11);
         let mut last = f32::INFINITY;
@@ -1368,8 +1427,12 @@ mod tests {
         }
         // Deterministic: a twin model on the same plans lands on the same
         // parameters.
-        let mut twin =
-            Ahntp::new(&ds.features, &ds.attributes, &split.train_graph, &tiny_config());
+        let mut twin = Ahntp::new(
+            &ds.features,
+            &ds.attributes,
+            &split.train_graph,
+            &tiny_config(),
+        );
         let mut twin_last = f32::NAN;
         for epoch in 0..4 {
             let plan = BatchPlan::for_epoch(&split.train, &cfg, epoch);
@@ -1445,7 +1508,10 @@ mod tests {
             tiny_config().no_attention(),
             tiny_config().no_contrastive(),
         ] {
-            assert!(cfg.smoothness_weight > 0.0, "Eq. 23 must be in the objective");
+            assert!(
+                cfg.smoothness_weight > 0.0,
+                "Eq. 23 must be in the objective"
+            );
             let mut m = Ahntp::new(&ds.features, &ds.attributes, &split.train_graph, &cfg);
             // Off the initialisation point (unit edge weights, zero biases).
             m.train_epoch(&split.train);
@@ -1462,7 +1528,8 @@ mod tests {
 
                 m.optimizer.zero_grad();
                 let group = [split.train.clone()];
-                let [(_, loss)] = m.group_gradient(&node_ops, &struct_ops, Some(&factor), &group)[..]
+                let [(_, loss)] =
+                    m.group_gradient(&node_ops, &struct_ops, Some(&factor), &group)[..]
                 else {
                     panic!("one loss per batch");
                 };
@@ -1607,7 +1674,10 @@ mod tests {
         let batch_size = ragged_batch_size(split.train.len());
         let mut worst = (String::new(), 0.0f32);
         for cfg in four_variants() {
-            assert!(cfg.smoothness_weight > 0.0, "Eq. 23 must be in the objective");
+            assert!(
+                cfg.smoothness_weight > 0.0,
+                "Eq. 23 must be in the objective"
+            );
             let mut m = Ahntp::new(&ds.features, &ds.attributes, &split.train_graph, &cfg);
             // Off the initialisation point (unit edge weights, zero biases).
             m.train_epoch(&split.train);
@@ -1619,12 +1689,15 @@ mod tests {
                 let last = groups.last().expect("a plan has a group");
                 assert!(groups.len() > 2, "several groups");
                 assert!(last.len() < accumulation, "a ragged last group");
-                assert_ne!(last[last.len() - 1].len(), batch_size, "a ragged last batch");
+                assert_ne!(
+                    last[last.len() - 1].len(),
+                    batch_size,
+                    "a ragged last batch"
+                );
                 for (g, group) in groups.into_iter().enumerate() {
                     let tag = format!("{} at accumulation {accumulation}, group {g}", cfg.variant);
                     m.optimizer.zero_grad();
-                    let losses =
-                        m.group_gradient(&node_ops, &struct_ops, smooth.as_ref(), group);
+                    let losses = m.group_gradient(&node_ops, &struct_ops, smooth.as_ref(), group);
                     let got = grads(&m);
                     let (reference, ref_losses) = per_batch_forward_group(
                         &mut m,
@@ -1649,7 +1722,10 @@ mod tests {
                 }
             }
         }
-        eprintln!("worst group gradient: {}, ratio {:e} (bound 1e-5)", worst.0, worst.1);
+        eprintln!(
+            "worst group gradient: {}, ratio {:e} (bound 1e-5)",
+            worst.0, worst.1
+        );
     }
 
     #[test]
@@ -1734,8 +1810,7 @@ mod checkpoint_tests {
         // A different sampler seed refuses the state.
         let mut other_cfg = cfg.clone();
         other_cfg.seed ^= 0x77;
-        let mut other =
-            Ahntp::new(&ds.features, &ds.attributes, &split.train_graph, &other_cfg);
+        let mut other = Ahntp::new(&ds.features, &ds.attributes, &split.train_graph, &other_cfg);
         let err = other.decode_train_state(&blob).unwrap_err();
         assert!(err.contains("seed"), "{err}");
 
@@ -1923,7 +1998,11 @@ mod live_tests {
                 assert_bits(a, b, &format!("{what}: tier {t} x^{l}"));
             }
             assert_eq!(live.projections[t].len(), fresh.projections[t].len());
-            for (l, (a, b)) in live.projections[t].iter().zip(&fresh.projections[t]).enumerate() {
+            for (l, (a, b)) in live.projections[t]
+                .iter()
+                .zip(&fresh.projections[t])
+                .enumerate()
+            {
                 assert_bits(a, b, &format!("{what}: tier {t} x^{l} θ"));
             }
             assert_eq!(live.edges[t].len(), fresh.edges[t].len());

@@ -124,7 +124,9 @@ mod tests {
 
     #[test]
     fn presets_are_valid() {
-        DatasetConfig::ciao_like(500, 1).validate().expect("ciao preset");
+        DatasetConfig::ciao_like(500, 1)
+            .validate()
+            .expect("ciao preset");
         DatasetConfig::epinions_like(500, 1)
             .validate()
             .expect("epinions preset");

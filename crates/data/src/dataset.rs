@@ -101,13 +101,7 @@ impl TrustDataset {
     /// # Panics
     ///
     /// Panics if ratios are not in `(0, 1]` or overlap past 100%.
-    pub fn split(
-        &self,
-        train_ratio: f64,
-        test_ratio: f64,
-        neg_per_pos: usize,
-        seed: u64,
-    ) -> Split {
+    pub fn split(&self, train_ratio: f64, test_ratio: f64, neg_per_pos: usize, seed: u64) -> Split {
         assert!(
             train_ratio > 0.0 && test_ratio > 0.0 && train_ratio + test_ratio <= 1.0 + 1e-9,
             "split: invalid ratios train={train_ratio}, test={test_ratio}"
@@ -172,8 +166,8 @@ impl TrustDataset {
             .collect();
         test.shuffle(&mut rng);
 
-        let train_graph = DiGraph::from_edges(n, train_pos)
-            .expect("training positives come from a valid graph");
+        let train_graph =
+            DiGraph::from_edges(n, train_pos).expect("training positives come from a valid graph");
         Split {
             train,
             test,
@@ -251,7 +245,10 @@ mod tests {
                 assert!(!pos.contains(&key), "negative {key:?} is a real edge");
             }
             assert!(p.trustor != p.trustee);
-            assert!(seen.insert((key, p.label)) || p.label, "duplicate pair {key:?}");
+            assert!(
+                seen.insert((key, p.label)) || p.label,
+                "duplicate pair {key:?}"
+            );
         }
     }
 

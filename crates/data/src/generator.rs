@@ -185,9 +185,8 @@ pub(crate) fn generate(cfg: &DatasetConfig) -> Generated {
             }
         }
     }
-    let taste_sim = |a: usize, b: usize| -> f64 {
-        taste[a].iter().zip(&taste[b]).map(|(x, y)| x * y).sum()
-    };
+    let taste_sim =
+        |a: usize, b: usize| -> f64 { taste[a].iter().zip(&taste[b]).map(|(x, y)| x * y).sum() };
 
     // ---- Trust edges ----------------------------------------------------
     let target_edges = (cfg.n_users as f64 * cfg.trust_per_user) as usize;
@@ -197,11 +196,11 @@ pub(crate) fn generate(cfg: &DatasetConfig) -> Generated {
     let all_users: Vec<usize> = (0..cfg.n_users).collect();
     let mut edge_order: Vec<(usize, usize)> = Vec::with_capacity(target_edges);
     let add_edge = |edges: &mut HashSet<(usize, usize)>,
-                        out_adj: &mut Vec<Vec<usize>>,
-                        in_degree: &mut Vec<usize>,
-                        edge_order: &mut Vec<(usize, usize)>,
-                        u: usize,
-                        w: usize|
+                    out_adj: &mut Vec<Vec<usize>>,
+                    in_degree: &mut Vec<usize>,
+                    edge_order: &mut Vec<(usize, usize)>,
+                    u: usize,
+                    w: usize|
      -> bool {
         if u == w || edges.contains(&(u, w)) {
             return false;
@@ -242,8 +241,7 @@ pub(crate) fn generate(cfg: &DatasetConfig) -> Generated {
                 continue;
             }
             Some(out_adj[v][rng.gen_range(0..out_adj[v].len())])
-        } else if mechanism < cfg.triadic_closure + persona[u] * (1.0 - cfg.triadic_closure)
-        {
+        } else if mechanism < cfg.triadic_closure + persona[u] * (1.0 - cfg.triadic_closure) {
             // Homophily: a fellow community member, weighted by hub status
             // and taste similarity (trust follows matching preferences).
             let cs = &user_communities[u];
@@ -276,10 +274,23 @@ pub(crate) fn generate(cfg: &DatasetConfig) -> Generated {
             )
         };
         let Some(w) = w else { continue };
-        if add_edge(&mut edges, &mut out_adj, &mut in_degree, &mut edge_order, u, w)
-            && rng.gen_bool(cfg.reciprocity)
+        if add_edge(
+            &mut edges,
+            &mut out_adj,
+            &mut in_degree,
+            &mut edge_order,
+            u,
+            w,
+        ) && rng.gen_bool(cfg.reciprocity)
         {
-            add_edge(&mut edges, &mut out_adj, &mut in_degree, &mut edge_order, w, u);
+            add_edge(
+                &mut edges,
+                &mut out_adj,
+                &mut in_degree,
+                &mut edge_order,
+                w,
+                u,
+            );
         }
     }
     let edge_list: Vec<(usize, usize)> = {
@@ -323,7 +334,7 @@ pub(crate) fn generate(cfg: &DatasetConfig) -> Generated {
         row[cfg.n_categories] = c.ln_1p() / max_log; // activity
         row[cfg.n_categories + 1] = mean / 5.0; // generosity
         row[cfg.n_categories + 2] = var.sqrt() / 2.0; // rating spread
-        // Engagement breadth: fraction of categories touched.
+                                                      // Engagement breadth: fraction of categories touched.
         let touched = row[..cfg.n_categories].iter().filter(|&&v| v > 0.0).count();
         row[cfg.n_categories + 3] = touched as f32 / cfg.n_categories as f32;
     }
@@ -375,12 +386,7 @@ impl TrustDataset {
     pub fn generate(cfg: &DatasetConfig) -> TrustDataset {
         let g = generate(cfg);
         let positives: Vec<(usize, usize)> = (0..g.graph.n())
-            .flat_map(|u| {
-                g.graph
-                    .out_neighbors(u)
-                    .into_iter()
-                    .map(move |v| (u, v))
-            })
+            .flat_map(|u| g.graph.out_neighbors(u).into_iter().map(move |v| (u, v)))
             .collect();
         TrustDataset {
             name: cfg.name.clone(),
@@ -438,11 +444,7 @@ mod tests {
                 (hist_sum - 1.0).abs() < 1e-4 || hist_sum == 0.0,
                 "user {u} histogram sums to {hist_sum}"
             );
-            assert!(ds
-                .features
-                .row(u)
-                .iter()
-                .all(|&v| (0.0..=1.5).contains(&v)));
+            assert!(ds.features.row(u).iter().all(|&v| (0.0..=1.5).contains(&v)));
         }
     }
 
@@ -485,7 +487,10 @@ mod tests {
     fn triangles_exist() {
         let ds = TrustDataset::generate(&small_cfg());
         let total: usize = ds.graph.triangle_counts().iter().sum();
-        assert!(total > 20, "triadic closure must create triangles, got {total}");
+        assert!(
+            total > 20,
+            "triadic closure must create triangles, got {total}"
+        );
     }
 
     #[test]

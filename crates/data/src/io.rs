@@ -186,8 +186,8 @@ impl TrustDataset {
             }
         }
 
-        let graph = DiGraph::from_edges(n_users, &edges)
-            .map_err(|e| DataError::Shape(e.to_string()))?;
+        let graph =
+            DiGraph::from_edges(n_users, &edges).map_err(|e| DataError::Shape(e.to_string()))?;
 
         // Same feature recipe as the generator: L1-normalised category
         // histogram + activity, generosity, spread, breadth.
@@ -230,9 +230,7 @@ impl TrustDataset {
             // Attributes: top-2 purchased categories.
             let mut cats: Vec<usize> = (0..n_categories).collect();
             let hist: Vec<f32> = features.row(u)[..n_categories].to_vec();
-            cats.sort_by(|&a, &b| {
-                hist[b].partial_cmp(&hist[a]).expect("finite histogram")
-            });
+            cats.sort_by(|&a, &b| hist[b].partial_cmp(&hist[a]).expect("finite histogram"));
             let attrs: Vec<usize> = cats
                 .into_iter()
                 .take(2)
@@ -292,14 +290,7 @@ mod tests {
     #[test]
     fn from_parts_validates_user_counts() {
         let g = DiGraph::from_edges(3, &[(0, 1)]).expect("valid");
-        let bad = TrustDataset::from_parts(
-            "bad",
-            g,
-            Tensor::zeros(2, 4),
-            vec![vec![0]; 3],
-            1,
-            0,
-        );
+        let bad = TrustDataset::from_parts("bad", g, Tensor::zeros(2, 4), vec![vec![0]; 3], 1, 0);
         assert!(matches!(bad, Err(DataError::Shape(_))));
     }
 }

@@ -69,7 +69,11 @@ pub enum DataError {
 impl std::fmt::Display for DataError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            DataError::Parse { what, line, content } => {
+            DataError::Parse {
+                what,
+                line,
+                content,
+            } => {
                 write!(f, "failed to parse {what} at line {line}: {content:?}")
             }
             DataError::Shape(msg) => write!(f, "inconsistent dataset parts: {msg}"),

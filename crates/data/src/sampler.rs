@@ -94,7 +94,10 @@ fn epoch_rng(seed: u64, label: &str, epoch: u64) -> StdRng {
 ///
 /// Panics if `ratio` is not positive.
 pub fn sample_edges(n_edges: usize, ratio: f64, seed: u64, epoch: u64) -> Vec<usize> {
-    assert!(ratio > 0.0, "sample_edges: ratio must be positive, got {ratio}");
+    assert!(
+        ratio > 0.0,
+        "sample_edges: ratio must be positive, got {ratio}"
+    );
     if ratio >= 1.0 || n_edges == 0 {
         return (0..n_edges).collect();
     }

@@ -162,7 +162,11 @@ impl SybilInjection {
                 if u == v || g.has_edge(u, v) || !used.insert((u, v)) {
                     continue;
                 }
-                out.push(LabeledPair { trustor: u, trustee: v, label: false });
+                out.push(LabeledPair {
+                    trustor: u,
+                    trustee: v,
+                    label: false,
+                });
             }
             out
         };
@@ -182,7 +186,8 @@ impl SybilInjection {
 ///
 /// Panics when `cfg.validate()` fails.
 pub fn inject_sybil(host: &TrustDataset, cfg: &SybilConfig) -> SybilInjection {
-    cfg.validate().unwrap_or_else(|e| panic!("inject_sybil: {e}"));
+    cfg.validate()
+        .unwrap_or_else(|e| panic!("inject_sybil: {e}"));
     let n_host = host.graph.n();
     let n_sybil = (cfg.sybil_fraction * n_host as f64).round() as usize;
     if n_sybil == 0 {
@@ -215,9 +220,9 @@ pub fn inject_sybil(host: &TrustDataset, cfg: &SybilConfig) -> SybilInjection {
     let mut edges: Vec<(usize, usize)> = host.positives.clone();
     let mut present: HashSet<(usize, usize)> = edges.iter().copied().collect();
     let add = |edges: &mut Vec<(usize, usize)>,
-                   present: &mut HashSet<(usize, usize)>,
-                   u: usize,
-                   v: usize| {
+               present: &mut HashSet<(usize, usize)>,
+               u: usize,
+               v: usize| {
         if u != v && present.insert((u, v)) {
             edges.push((u, v));
         }
@@ -226,7 +231,12 @@ pub fn inject_sybil(host: &TrustDataset, cfg: &SybilConfig) -> SybilInjection {
         // Deterministic ring keeps every cluster internally connected.
         if members.len() > 1 {
             for i in 0..members.len() {
-                add(&mut edges, &mut present, members[i], members[(i + 1) % members.len()]);
+                add(
+                    &mut edges,
+                    &mut present,
+                    members[i],
+                    members[(i + 1) % members.len()],
+                );
             }
         }
         for &i in members {
@@ -288,7 +298,9 @@ pub fn inject_sybil(host: &TrustDataset, cfg: &SybilConfig) -> SybilInjection {
             .collect();
         for &s in members {
             let template = rng.gen_range(0..n_host);
-            features.row_mut(s).copy_from_slice(host.features.row(template));
+            features
+                .row_mut(s)
+                .copy_from_slice(host.features.row(template));
             let mut attrs = host.attributes[template].clone();
             attrs.extend_from_slice(&colluding);
             attributes.push(attrs);
@@ -325,7 +337,12 @@ mod tests {
     }
 
     fn cfg() -> SybilConfig {
-        SybilConfig { sybil_fraction: 0.15, attack_edges: 6, seed: 5, ..SybilConfig::default() }
+        SybilConfig {
+            sybil_fraction: 0.15,
+            attack_edges: 6,
+            seed: 5,
+            ..SybilConfig::default()
+        }
     }
 
     #[test]
@@ -344,7 +361,13 @@ mod tests {
     #[test]
     fn zero_fraction_is_the_bitwise_identity() {
         let h = host();
-        let inj = inject_sybil(&h, &SybilConfig { sybil_fraction: 0.0, ..cfg() });
+        let inj = inject_sybil(
+            &h,
+            &SybilConfig {
+                sybil_fraction: 0.0,
+                ..cfg()
+            },
+        );
         assert_eq!(inj.dataset.positives, h.positives);
         assert_eq!(inj.dataset.features, h.features);
         assert_eq!(inj.dataset.attributes, h.attributes);
@@ -354,7 +377,13 @@ mod tests {
         assert_eq!(inj.honest.len(), h.graph.n());
         assert!(inj.sybil.is_empty() && inj.attack_edges.is_empty() && inj.clusters.is_empty());
         // A fraction that rounds to zero Sybils is the same identity.
-        let tiny = inject_sybil(&h, &SybilConfig { sybil_fraction: 1e-9, ..cfg() });
+        let tiny = inject_sybil(
+            &h,
+            &SybilConfig {
+                sybil_fraction: 1e-9,
+                ..cfg()
+            },
+        );
         assert_eq!(tiny.dataset.positives, h.positives);
     }
 
@@ -380,14 +409,20 @@ mod tests {
         let inj = inject_sybil(&h, &cfg());
         // Every host edge survives verbatim.
         for &(u, v) in &h.positives {
-            assert!(inj.dataset.graph.has_edge(u, v), "host edge ({u}, {v}) lost");
+            assert!(
+                inj.dataset.graph.has_edge(u, v),
+                "host edge ({u}, {v}) lost"
+            );
         }
         // The only honest → Sybil edges are the declared attack edges.
         let n_host = h.graph.n();
         let declared: HashSet<(usize, usize)> = inj.attack_edges.iter().copied().collect();
         for &(u, v) in &inj.dataset.positives {
             if u < n_host && v >= n_host {
-                assert!(declared.contains(&(u, v)), "undeclared attack edge ({u}, {v})");
+                assert!(
+                    declared.contains(&(u, v)),
+                    "undeclared attack edge ({u}, {v})"
+                );
             }
         }
         assert_eq!(inj.attack_edges.len(), 6, "budget fully spent");
@@ -400,7 +435,13 @@ mod tests {
     #[test]
     fn zero_attack_edges_leave_the_region_disconnected() {
         let h = host();
-        let inj = inject_sybil(&h, &SybilConfig { attack_edges: 0, ..cfg() });
+        let inj = inject_sybil(
+            &h,
+            &SybilConfig {
+                attack_edges: 0,
+                ..cfg()
+            },
+        );
         assert!(inj.attack_edges.is_empty());
         let n_host = h.graph.n();
         for &(u, v) in &inj.dataset.positives {
@@ -424,22 +465,37 @@ mod tests {
         // 80 users at fraction 0.1 → 8 Sybils; budget 20 > 8.
         let inj = inject_sybil(
             &h,
-            &SybilConfig { sybil_fraction: 0.1, attack_edges: 20, n_clusters: 1, ..cfg() },
+            &SybilConfig {
+                sybil_fraction: 0.1,
+                attack_edges: 20,
+                n_clusters: 1,
+                ..cfg()
+            },
         );
         assert_eq!(inj.attack_edges.len(), 20);
         let mut per_target = std::collections::HashMap::new();
         for &(_, s) in &inj.attack_edges {
             *per_target.entry(s).or_insert(0usize) += 1;
         }
-        assert!(per_target.values().all(|&c| c >= 2), "round-robin spreads the budget");
+        assert!(
+            per_target.values().all(|&c| c >= 2),
+            "round-robin spreads the budget"
+        );
         // An absurd budget caps at the distinct cross-pair count.
         let capped = inject_sybil(
             &h,
-            &SybilConfig { sybil_fraction: 0.05, attack_edges: 1_000_000, ..cfg() },
+            &SybilConfig {
+                sybil_fraction: 0.05,
+                attack_edges: 1_000_000,
+                ..cfg()
+            },
         );
         let n_sybil = capped.sybil.len();
         assert!(capped.attack_edges.len() <= h.graph.n() * n_sybil);
-        assert!(capped.attack_edges.len() > n_sybil, "cap still exceeds one edge per Sybil");
+        assert!(
+            capped.attack_edges.len() > n_sybil,
+            "cap still exceeds one edge per Sybil"
+        );
     }
 
     #[test]
@@ -448,8 +504,7 @@ mod tests {
         let inj = inject_sybil(&h, &cfg());
         let host_vocab = h.attributes.iter().flatten().copied().max().unwrap() + 1;
         for (c, members) in inj.clusters.iter().enumerate() {
-            let colluding: Vec<usize> =
-                (0..2).map(|a| host_vocab + c * 2 + a).collect();
+            let colluding: Vec<usize> = (0..2).map(|a| host_vocab + c * 2 + a).collect();
             for &s in members {
                 let attrs = &inj.dataset.attributes[s];
                 for id in &colluding {
@@ -500,6 +555,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "intra_density")]
     fn invalid_config_rejected() {
-        inject_sybil(&host(), &SybilConfig { intra_density: 1.5, ..cfg() });
+        inject_sybil(
+            &host(),
+            &SybilConfig {
+                intra_density: 1.5,
+                ..cfg()
+            },
+        );
     }
 }

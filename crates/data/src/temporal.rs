@@ -77,8 +77,7 @@ impl TemporalTrustDataset {
             .zip(&self.timestamps)
             .filter_map(|(&e, &ts)| (ts < t).then_some(e))
             .collect();
-        DiGraph::from_edges(self.dataset.graph.n(), &edges)
-            .expect("subset of a valid edge set")
+        DiGraph::from_edges(self.dataset.graph.n(), &edges).expect("subset of a valid edge set")
     }
 
     /// Splits by time: the oldest `train_frac` of trust relations train,
@@ -138,8 +137,8 @@ impl TemporalTrustDataset {
         };
         let train = to_pairs(train_pos, &train_neg, &mut rng);
         let test = to_pairs(test_pos, &test_neg, &mut rng);
-        let train_graph = DiGraph::from_edges(n_users, train_pos)
-            .expect("historical edges are valid");
+        let train_graph =
+            DiGraph::from_edges(n_users, train_pos).expect("historical edges are valid");
         Split {
             train,
             test,
@@ -231,12 +230,7 @@ mod tests {
         let late_edges = &t.dataset.positives[n / 2..];
         let closures = late_edges
             .iter()
-            .filter(|&&(u, w)| {
-                early
-                    .out_neighbors(u)
-                    .iter()
-                    .any(|&v| early.has_edge(v, w))
-            })
+            .filter(|&&(u, w)| early.out_neighbors(u).iter().any(|&v| early.has_edge(v, w)))
             .count();
         assert!(
             closures * 4 > late_edges.len(),

@@ -103,7 +103,10 @@ impl InflationMetrics {
 pub fn score_inflation(sybil_scores: &[f32], honest_scores: &[f32]) -> InflationMetrics {
     let mean = |s: &[f32], what: &str| -> f32 {
         assert!(!s.is_empty(), "no {what} probe scores");
-        assert!(s.iter().all(|v| v.is_finite()), "non-finite {what} probe score");
+        assert!(
+            s.iter().all(|v| v.is_finite()),
+            "non-finite {what} probe score"
+        );
         s.iter().sum::<f32>() / s.len() as f32
     };
     InflationMetrics {
@@ -199,7 +202,11 @@ mod tests {
     fn pairs(trustees: &[usize]) -> Vec<LabeledPair> {
         trustees
             .iter()
-            .map(|&t| LabeledPair { trustor: 0, trustee: t, label: false })
+            .map(|&t| LabeledPair {
+                trustor: 0,
+                trustee: t,
+                label: false,
+            })
             .collect()
     }
 
@@ -292,15 +299,35 @@ mod tests {
     fn evaluate_under_attack_reports_sweep() {
         let table: std::collections::HashMap<usize, f32> =
             [(0, 0.4), (1, 0.4), (2, 0.9), (3, 0.9)].into();
-        let mut clean = FixedModel { table: table.clone() };
+        let mut clean = FixedModel {
+            table: table.clone(),
+        };
         let mut attacked = FixedModel { table };
-        let train = [LabeledPair { trustor: 0, trustee: 1, label: true }];
-        let probes = SybilProbes { sybil: pairs(&[2, 3]), honest: pairs(&[0, 1]) };
+        let train = [LabeledPair {
+            trustor: 0,
+            trustee: 1,
+            label: true,
+        }];
+        let probes = SybilProbes {
+            sybil: pairs(&[2, 3]),
+            honest: pairs(&[0, 1]),
+        };
         let prior = [0.8f32, 0.8, 0.0, 0.0];
-        let cfg = TrainConfig { epochs: 1, ..TrainConfig::default() };
+        let cfg = TrainConfig {
+            epochs: 1,
+            ..TrainConfig::default()
+        };
         let report = evaluate_under_attack(
-            &mut clean, &train, &train, &mut attacked, &train, &train, &probes, &prior,
-            &[0.0, 0.5], &cfg,
+            &mut clean,
+            &train,
+            &train,
+            &mut attacked,
+            &train,
+            &train,
+            &probes,
+            &prior,
+            &[0.0, 0.5],
+            &cfg,
         );
         assert_eq!(report.model, "Fixed");
         assert_eq!(report.defended.len(), 2);

@@ -172,12 +172,7 @@ mod tests {
         assert!(!plan.is_exact());
         assert_eq!(plan.n_batches(), 5);
         assert_eq!(plan.n_pairs(), 23);
-        let mut seen: Vec<usize> = plan
-            .batches
-            .iter()
-            .flatten()
-            .map(|p| p.trustor)
-            .collect();
+        let mut seen: Vec<usize> = plan.batches.iter().flatten().map(|p| p.trustor).collect();
         seen.sort_unstable();
         assert_eq!(seen, (0..23).collect::<Vec<_>>(), "every pair exactly once");
         let other = BatchPlan::for_epoch(&ps, &cfg, 1);
@@ -269,13 +264,8 @@ mod tests {
             losses,
             plans_seen: Vec::new(),
         };
-        let mini_report = train_and_evaluate_minibatch(
-            &mut mini,
-            &tr,
-            &te,
-            &cfg,
-            &MiniBatchConfig::exact(0),
-        );
+        let mini_report =
+            train_and_evaluate_minibatch(&mut mini, &tr, &te, &cfg, &MiniBatchConfig::exact(0));
         assert_eq!(full_report.epoch_losses, mini_report.epoch_losses);
         assert_eq!(full_report.final_loss, mini_report.final_loss);
         assert!(mini.plans_seen.iter().all(|&(_, b, n)| b == 1 && n == 6));

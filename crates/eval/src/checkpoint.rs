@@ -193,11 +193,7 @@ fn load_progress<M: ResumableModel + ?Sized>(
         return TrainProgress::fresh();
     };
     if !src.exists() {
-        ahntp_telemetry::debug!(
-            "ckpt",
-            "no checkpoint at {}: starting fresh",
-            src.display()
-        );
+        ahntp_telemetry::debug!("ckpt", "no checkpoint at {}: starting fresh", src.display());
         return TrainProgress::fresh();
     }
     let bytes = read_checkpoint(src)
@@ -485,8 +481,7 @@ mod tests {
         let path = tmp_path("corrupt");
         let _ = std::fs::remove_file(&path);
         let ckpt = CheckpointConfig::resuming(&path);
-        let report =
-            train_and_evaluate_resumable(&mut Counter { step: 0 }, &tr, &te, &cfg, &ckpt);
+        let report = train_and_evaluate_resumable(&mut Counter { step: 0 }, &tr, &te, &cfg, &ckpt);
         assert_eq!(report.epochs_run, 2, "missing file → fresh run");
 
         std::fs::write(&path, b"xy").expect("plant corrupt checkpoint");

@@ -19,8 +19,7 @@ pub use attack::{
 pub use batch::{train_and_evaluate_minibatch, BatchPlan, BatchTrustModel};
 pub use checkpoint::{
     read_checkpoint, train_and_evaluate_minibatch_resumable, train_and_evaluate_resumable,
-    write_checkpoint_atomic, CheckpointConfig, ResumableBatchModel, ResumableModel,
-    TrainProgress,
+    write_checkpoint_atomic, CheckpointConfig, ResumableBatchModel, ResumableModel, TrainProgress,
 };
 pub use metrics::{auc, binary_metrics, Metrics};
 pub use trainer::{

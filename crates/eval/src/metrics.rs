@@ -131,8 +131,7 @@ pub fn auc(scores: &[f32], labels: &[bool]) -> f64 {
         .zip(labels)
         .filter_map(|(&r, &y)| y.then_some(r))
         .sum();
-    (rank_sum_pos - n_pos as f64 * (n_pos as f64 + 1.0) / 2.0)
-        / (n_pos as f64 * n_neg as f64)
+    (rank_sum_pos - n_pos as f64 * (n_pos as f64 + 1.0) / 2.0) / (n_pos as f64 * n_neg as f64)
 }
 
 #[cfg(test)]
@@ -175,7 +174,10 @@ mod tests {
         let scores = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8];
         let labels = [false, true, false, true, false, true, false, true];
         let a = auc(&scores, &labels);
-        assert!((a - 0.625).abs() < 1e-12, "alternating gives 0.625, got {a}");
+        assert!(
+            (a - 0.625).abs() < 1e-12,
+            "alternating gives 0.625, got {a}"
+        );
         // Truly balanced interleaving: pos/neg alternate with equal gaps.
         let labels2 = [true, false, true, false, true, false, true, false];
         let b = auc(&scores, &labels2);

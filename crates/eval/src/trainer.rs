@@ -151,7 +151,13 @@ impl LedgerObserver {
         let seq = RUN_SEQ.fetch_add(1, Ordering::Relaxed);
         let slug: String = model
             .chars()
-            .map(|c| if c.is_ascii_alphanumeric() { c.to_ascii_lowercase() } else { '-' })
+            .map(|c| {
+                if c.is_ascii_alphanumeric() {
+                    c.to_ascii_lowercase()
+                } else {
+                    '-'
+                }
+            })
             .collect();
         format!("{slug}-p{}-r{seq}", std::process::id())
     }
@@ -169,7 +175,10 @@ impl TrainObserver for LedgerObserver {
             ("model", Json::from(model)),
             ("epochs", Json::from(cfg.epochs)),
             ("patience", Json::from(cfg.patience)),
-            ("min_improvement", Json::from(f64::from(cfg.min_improvement))),
+            (
+                "min_improvement",
+                Json::from(f64::from(cfg.min_improvement)),
+            ),
             ("threshold", Json::from(f64::from(cfg.threshold))),
         ]);
         let run = Self::run_name(model);
@@ -186,7 +195,10 @@ impl TrainObserver for LedgerObserver {
                 f64::from(stats.loss),
                 stats.wall_us,
                 stats.grad_norm.unwrap_or(f64::NAN), // serialized as null
-                stats.profile.as_ref().map(ahntp_telemetry::KernelProfile::to_json),
+                stats
+                    .profile
+                    .as_ref()
+                    .map(ahntp_telemetry::KernelProfile::to_json),
             );
         }
     }
@@ -315,13 +327,13 @@ pub(crate) fn training_loop<M: TrustModel + ?Sized>(
         ahntp_faultz::enforce("train.epoch");
         // Snapshot the kernel accumulators around the epoch so its
         // wall-clock can be attributed per kernel (see `EpochStats`).
-        let profile_before = ahntp_telemetry::profiling_enabled()
-            .then(ahntp_telemetry::profile_snapshot);
+        let profile_before =
+            ahntp_telemetry::profiling_enabled().then(ahntp_telemetry::profile_snapshot);
         let started = Instant::now();
         let loss = run_epoch(model, epoch);
         let wall_us = started.elapsed().as_micros() as u64;
-        let profile = profile_before
-            .map(|before| ahntp_telemetry::profile_snapshot().delta_since(&before));
+        let profile =
+            profile_before.map(|before| ahntp_telemetry::profile_snapshot().delta_since(&before));
         if !loss.is_finite() {
             let provenance = ahntp_telemetry::first_nonfinite()
                 .map(|e| {
@@ -331,9 +343,7 @@ pub(crate) fn training_loop<M: TrustModel + ?Sized>(
                     )
                 })
                 .unwrap_or_default();
-            panic!(
-                "{name}: training diverged (loss = {loss}) at epoch {epoch}{provenance}"
-            );
+            panic!("{name}: training diverged (loss = {loss}) at epoch {epoch}{provenance}");
         }
         epochs_run += 1;
         final_loss = loss;
@@ -346,10 +356,7 @@ pub(crate) fn training_loop<M: TrustModel + ?Sized>(
             grad_norm: ahntp_telemetry::gauge_get("train.grad_norm"),
             profile,
         };
-        ahntp_telemetry::debug!(
-            "train",
-            "{name} epoch {epoch}: loss {loss:.6}, {wall_us}us"
-        );
+        ahntp_telemetry::debug!("train", "{name} epoch {epoch}: loss {loss:.6}, {wall_us}us");
         observer.on_epoch(&stats);
         let mut stop = false;
         if loss < best_loss * (1.0 - cfg.min_improvement) {
@@ -556,7 +563,12 @@ mod tests {
         let tr = pairs(&[true, false]);
         let te = pairs(&[true, false]);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            train_and_evaluate(&mut Diverging { epoch: 0 }, &tr, &te, &TrainConfig::default());
+            train_and_evaluate(
+                &mut Diverging { epoch: 0 },
+                &tr,
+                &te,
+                &TrainConfig::default(),
+            );
         }));
         let err = result.expect_err("NaN loss must panic");
         let msg = err
@@ -625,10 +637,8 @@ mod tests {
 
     fn ledger_one_record_per_epoch() {
         ahntp_telemetry::set_enabled(true);
-        let dir = std::env::temp_dir().join(format!(
-            "ahntp-eval-ledger-test-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("ahntp-eval-ledger-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut m = Majority {
             bias: 0.0,
@@ -674,7 +684,9 @@ mod tests {
         let end = records.last().expect("non-empty");
         assert_eq!(end.get("kind").and_then(Json::as_str), Some("run_end"));
         assert!(end.get("test_auc").and_then(Json::as_f64).is_some());
-        let metrics = end.get("metrics").expect("run_end carries the metrics snapshot");
+        let metrics = end
+            .get("metrics")
+            .expect("run_end carries the metrics snapshot");
         let epochs = Some(report.epochs_run as f64);
         assert_eq!(metrics.get("train.epochs").and_then(Json::as_f64), epochs);
         let _ = std::fs::remove_dir_all(&dir);

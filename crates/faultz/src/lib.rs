@@ -545,7 +545,10 @@ mod tests {
 
     #[test]
     fn spec_parsing_covers_the_env_grammar() {
-        assert_eq!(FaultSpec::parse("err").unwrap(), FaultSpec::new(Action::Err));
+        assert_eq!(
+            FaultSpec::parse("err").unwrap(),
+            FaultSpec::new(Action::Err)
+        );
         assert_eq!(
             FaultSpec::parse(" panic ").unwrap(),
             FaultSpec::new(Action::Panic)
@@ -605,13 +608,20 @@ mod tests {
                 for i in 0..1000 {
                     assert!(hit("iso.site").is_none(), "sibling faulted on hit {i}");
                 }
-                assert!(scope.run(|| hit("iso.site")).is_some(), "inherited scope must fire");
+                assert!(
+                    scope.run(|| hit("iso.site")).is_some(),
+                    "inherited scope must fire"
+                );
                 assert!(hit("iso.site").is_none(), "left the scope, still faulted");
             });
             // Armed here the whole time the sibling was probing.
             assert!(hit("iso.site").is_some());
         });
-        assert_eq!(hits("iso.site"), 2, "the sibling's 1001 stray hits were counted");
+        assert_eq!(
+            hits("iso.site"),
+            2,
+            "the sibling's 1001 stray hits were counted"
+        );
     }
 
     #[test]
@@ -622,15 +632,28 @@ mod tests {
         assert_eq!(hits("tests.shadow"), 1);
         {
             let _guard = scoped("tests.shadow", FaultSpec::new(Action::Err));
-            assert!(hit("tests.shadow").is_some(), "the scoped err shadows the delay");
+            assert!(
+                hit("tests.shadow").is_some(),
+                "the scoped err shadows the delay"
+            );
             assert_eq!(hits("tests.shadow"), 1, "the scope counts its own hits");
             let elsewhere = std::thread::spawn(|| hit("tests.shadow"));
-            assert!(elsewhere.join().unwrap().is_none(), "other threads keep the delay");
+            assert!(
+                elsewhere.join().unwrap().is_none(),
+                "other threads keep the delay"
+            );
         }
         let started = std::time::Instant::now();
-        assert!(hit("tests.shadow").is_none(), "the env arm survived the guard");
+        assert!(
+            hit("tests.shadow").is_none(),
+            "the env arm survived the guard"
+        );
         assert!(started.elapsed() >= std::time::Duration::from_millis(1));
-        assert_eq!(hits("tests.shadow"), 3, "env layer: before, elsewhere, after");
+        assert_eq!(
+            hits("tests.shadow"),
+            3,
+            "env layer: before, elsewhere, after"
+        );
         env().disarm("tests.shadow");
     }
 }

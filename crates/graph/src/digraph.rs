@@ -184,12 +184,7 @@ impl DiGraph {
         let und = self.adj.add(&self.adj_t).map_values(|_| 1.0);
         let tri = und.spmm_masked(&und, &und);
         (0..self.n)
-            .map(|u| {
-                tri.row_entries(u)
-                    .map(|(_, v)| v as usize)
-                    .sum::<usize>()
-                    / 2
-            })
+            .map(|u| tri.row_entries(u).map(|(_, v)| v as usize).sum::<usize>() / 2)
             .collect()
     }
 

@@ -73,9 +73,8 @@ pub fn motif_adjacency(g: &DiGraph, motif: Motif) -> CsrMatrix<f64> {
     let uc = g.unidirectional();
     let uc_t = uc.transpose();
     // Shorthand for `(x · y) ⊙ mask`.
-    let prod = |x: &CsrMatrix<f64>, y: &CsrMatrix<f64>, mask: &CsrMatrix<f64>| {
-        x.spmm_masked(y, mask)
-    };
+    let prod =
+        |x: &CsrMatrix<f64>, y: &CsrMatrix<f64>, mask: &CsrMatrix<f64>| x.spmm_masked(y, mask);
     let c = match motif {
         Motif::M1 => prod(&uc, &uc, &uc_t),
         Motif::M2 => prod(&bc, &uc, &uc_t)
@@ -228,14 +227,7 @@ mod tests {
                     let instances = PERMS
                         .iter()
                         .filter(|p| {
-                            role_pattern(
-                                motif,
-                                &uni,
-                                &bi,
-                                nodes[p[0]],
-                                nodes[p[1]],
-                                nodes[p[2]],
-                            )
+                            role_pattern(motif, &uni, &bi, nodes[p[0]], nodes[p[1]], nodes[p[2]])
                         })
                         .count();
                     assert_eq!(instances % sym, 0, "symmetry accounting broken for {motif}");

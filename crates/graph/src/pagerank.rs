@@ -216,7 +216,16 @@ mod tests {
     fn motif_pagerank_alpha_changes_ranking_weighting() {
         let g = graph(
             6,
-            &[(0, 1), (0, 2), (1, 2), (2, 1), (0, 4), (4, 5), (5, 4), (3, 4)],
+            &[
+                (0, 1),
+                (0, 2),
+                (1, 2),
+                (2, 1),
+                (0, 4),
+                (4, 5),
+                (5, 4),
+                (3, 4),
+            ],
         );
         let lo = motif_pagerank(
             &g,

@@ -182,12 +182,19 @@ pub fn sybil_mass_bound(
     attack_edges: &[(usize, usize)],
     damping: f64,
 ) -> f64 {
-    assert_eq!(mass.len(), w.rows(), "ppr: mass length must match the graph");
+    assert_eq!(
+        mass.len(),
+        w.rows(),
+        "ppr: mass length must match the graph"
+    );
     let p = w.row_normalized();
     let inflow: f64 = attack_edges
         .iter()
         .map(|&(h, v)| {
-            assert!(h < w.rows() && v < w.cols(), "ppr: attack edge ({h}, {v}) out of range");
+            assert!(
+                h < w.rows() && v < w.cols(),
+                "ppr: attack edge ({h}, {v}) out of range"
+            );
             let weight = p
                 .row_entries(h)
                 .find_map(|(col, val)| (col == v).then_some(val))
@@ -275,7 +282,10 @@ mod tests {
             }
         }
         let g = graph(8, &edges);
-        let cfg = PprConfig { tolerance: 1e-14, ..PprConfig::default() };
+        let cfg = PprConfig {
+            tolerance: 1e-14,
+            ..PprConfig::default()
+        };
         let s = ppr(&g, &[0, 1, 2, 3], &cfg);
         let sybil_mass = region_mass(&s, &[4, 5, 6, 7]);
         let bound = sybil_mass_bound(g.adjacency(), &s, &[(1, 4)], cfg.damping);
@@ -292,7 +302,11 @@ mod tests {
         let (_, stats) = ppr_from_seeds_with_stats(
             g.adjacency(),
             &[0],
-            &PprConfig { tolerance: 0.0, max_iterations: 3, ..PprConfig::default() },
+            &PprConfig {
+                tolerance: 0.0,
+                max_iterations: 3,
+                ..PprConfig::default()
+            },
         );
         assert_eq!(stats.iterations, 3);
         assert!(!stats.converged);
@@ -320,7 +334,10 @@ mod tests {
         // Threshold 0 forces banding even at toy size.
         let bits_at = |t: usize| -> Vec<u64> {
             ahntp_par::with_pool(t, 0, || {
-                ppr(&g, &[0, 3, 17], &cfg).iter().map(|v| v.to_bits()).collect()
+                ppr(&g, &[0, 3, 17], &cfg)
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect()
             })
         };
         let serial = bits_at(1);
@@ -347,7 +364,10 @@ mod tests {
         ppr(
             &graph(2, &[(0, 1)]),
             &[0],
-            &PprConfig { damping: 1.0, ..PprConfig::default() },
+            &PprConfig {
+                damping: 1.0,
+                ..PprConfig::default()
+            },
         );
     }
 }

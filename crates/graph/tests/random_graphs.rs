@@ -5,8 +5,7 @@
 #![allow(clippy::needless_range_loop)] // index pairs (i, j) mirror the matrix API
 
 use ahntp_graph::{
-    motif_adjacency, motif_pagerank, pagerank, DiGraph, Motif, MotifPageRankConfig,
-    PageRankConfig,
+    motif_adjacency, motif_pagerank, pagerank, DiGraph, Motif, MotifPageRankConfig, PageRankConfig,
 };
 use proptest::prelude::*;
 
@@ -86,9 +85,7 @@ fn oracle(g: &DiGraph, motif: Motif) -> Vec<Vec<f64>> {
                                 // M7: both mutual members point at c.
                                 Motif::M7 => uni(p, c) && uni(q, c),
                                 // M2: a directed path through c.
-                                Motif::M2 => {
-                                    uni(p, c) && uni(c, q) || uni(q, c) && uni(c, p)
-                                }
+                                Motif::M2 => uni(p, c) && uni(c, q) || uni(q, c) && uni(c, p),
                                 _ => unreachable!(),
                             }
                         }

@@ -87,11 +87,7 @@ impl AggregationCache {
     /// # Errors
     ///
     /// As [`Hypergraph::add_weighted_edge`]; on error nothing changes.
-    pub fn apply_add(
-        &mut self,
-        members: &[usize],
-        weight: f32,
-    ) -> Result<usize, HypergraphError> {
+    pub fn apply_add(&mut self, members: &[usize], weight: f32) -> Result<usize, HypergraphError> {
         let e = self.h.add_weighted_edge(members, weight)?;
         ahntp_telemetry::counter_add("hypergraph.cache.delta_add", 1);
         if let Some(adj) = self.adj.get_mut() {

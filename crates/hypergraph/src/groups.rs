@@ -134,8 +134,7 @@ pub fn multi_hop_hypergroup(g: &DiGraph, hops: usize) -> Hypergraph {
         for u in 0..g.n() {
             let mut members = vec![u];
             members.extend(g.k_hop_neighbors(u, t));
-            h.add_edge(&members)
-                .expect("BFS yields valid node ids");
+            h.add_edge(&members).expect("BFS yields valid node ids");
         }
     }
     h
@@ -211,7 +210,10 @@ mod tests {
         assert_eq!(h.n_edges(), g.n());
         // Every hyperedge contains its central user.
         for u in 0..g.n() {
-            assert!(h.edge(u).contains(&u), "hyperedge {u} must contain user {u}");
+            assert!(
+                h.edge(u).contains(&u),
+                "hyperedge {u} must contain user {u}"
+            );
             assert!(h.edge_degree(u) <= 3, "at most k + 1 members");
         }
     }
@@ -291,11 +293,8 @@ mod capped_tests {
     #[test]
     fn capped_multi_hop_respects_max_size_and_prefers_closer() {
         // Star: 0 connected to 1..=5; 1 connected to 6.
-        let g = DiGraph::from_edges(
-            7,
-            &[(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 6)],
-        )
-        .expect("valid");
+        let g = DiGraph::from_edges(7, &[(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 6)])
+            .expect("valid");
         let h = multi_hop_hypergroup_capped(&g, 2, 3);
         // Two levels × 7 users.
         assert_eq!(h.n_edges(), 14);

@@ -182,8 +182,7 @@ impl Hypergraph {
     /// Returns [`HypergraphError::NonPositiveWeight`] when `factor` is not
     /// a strictly positive finite number.
     pub fn scale_weights(&mut self, factor: f32) -> Result<(), HypergraphError> {
-        if factor.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) || !factor.is_finite()
-        {
+        if factor.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) || !factor.is_finite() {
             return Err(HypergraphError::NonPositiveWeight(factor));
         }
         for w in &mut self.weights {
@@ -623,9 +622,16 @@ mod tests {
         let mut h = small();
         assert_eq!(
             h.remove_edge(2),
-            Err(HypergraphError::EdgeOutOfRange { edge: 2, n_edges: 2 })
+            Err(HypergraphError::EdgeOutOfRange {
+                edge: 2,
+                n_edges: 2
+            })
         );
-        let msg = HypergraphError::EdgeOutOfRange { edge: 2, n_edges: 2 }.to_string();
+        let msg = HypergraphError::EdgeOutOfRange {
+            edge: 2,
+            n_edges: 2,
+        }
+        .to_string();
         assert!(msg.contains('2'), "{msg}");
         // A failed removal changes nothing.
         assert_eq!(h.n_edges(), 2);
@@ -636,7 +642,10 @@ mod tests {
         let mut h = small();
         assert_eq!(
             h.reweight_edge(7, 1.0),
-            Err(HypergraphError::EdgeOutOfRange { edge: 7, n_edges: 2 })
+            Err(HypergraphError::EdgeOutOfRange {
+                edge: 7,
+                n_edges: 2
+            })
         );
         assert_eq!(
             h.reweight_edge(0, 0.0),

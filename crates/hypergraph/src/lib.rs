@@ -28,8 +28,8 @@ mod smooth;
 
 pub use cache::AggregationCache;
 pub use groups::{
-    attribute_hypergroup, multi_hop_hypergroup, multi_hop_hypergroup_capped,
-    pairwise_hypergroup, social_influence_hypergroup,
+    attribute_hypergroup, multi_hop_hypergroup, multi_hop_hypergroup_capped, pairwise_hypergroup,
+    social_influence_hypergroup,
 };
 pub use hypergraph::{Hypergraph, HypergraphError, MovedEdge, RemovedEdge};
 pub use ops::{AggregationOps, VertexRows};

@@ -11,18 +11,16 @@ use proptest::prelude::*;
 const N: usize = 12;
 
 fn arb_hypergraph() -> impl Strategy<Value = Hypergraph> {
-    proptest::collection::vec(
-        proptest::collection::btree_set(0usize..N, 1..6),
-        1..15,
+    proptest::collection::vec(proptest::collection::btree_set(0usize..N, 1..6), 1..15).prop_map(
+        |edge_sets| {
+            let mut h = Hypergraph::new(N);
+            for members in edge_sets {
+                let v: Vec<usize> = members.into_iter().collect();
+                h.add_edge(&v).expect("members in range by construction");
+            }
+            h
+        },
     )
-    .prop_map(|edge_sets| {
-        let mut h = Hypergraph::new(N);
-        for members in edge_sets {
-            let v: Vec<usize> = members.into_iter().collect();
-            h.add_edge(&v).expect("members in range by construction");
-        }
-        h
-    })
 }
 
 /// One streaming mutation; `Remove`/`Reweight` carry a raw index reduced
@@ -177,7 +175,9 @@ fn assert_dense_bits(
             prop_assert_eq!(
                 m.get(r, c).to_bits(),
                 reference.get(r, c).to_bits(),
-                "entry ({}, {}) differs in bits", r, c
+                "entry ({}, {}) differs in bits",
+                r,
+                c
             );
         }
     }
@@ -203,7 +203,9 @@ fn assert_cache_exact(
     prop_assert_eq!(csr_bits(&live.rows.e2v), csr_bits(&e2v));
     assert_pairs(&live, &h.incidence_pairs())?;
     let mut rng = SplitMix64::new(seed as u64);
-    let ids: Vec<usize> = (0..h.n_edges()).filter(|_| rng.next_u64().is_multiple_of(2)).collect();
+    let ids: Vec<usize> = (0..h.n_edges())
+        .filter(|_| rng.next_u64().is_multiple_of(2))
+        .collect();
     let slice = cache.slice_ops(&ids);
     let (v2e, e2v, pairs) = dense_slice(h, &ids);
     assert_dense_bits(&slice.v2e, &v2e)?;
@@ -218,7 +220,9 @@ fn assert_cache_exact(
             prop_assert_eq!(
                 lap_live.get(r, c).to_bits(),
                 lap_fresh.get(r, c).to_bits(),
-                "Laplacian entry ({}, {}) drifted", r, c
+                "Laplacian entry ({}, {}) drifted",
+                r,
+                c
             );
         }
     }

@@ -116,7 +116,12 @@ impl MappedBytes {
             }
             let len = len as usize;
             if len == 0 {
-                return Ok(MappedBytes { repr: Repr::Owned { buf: Vec::new(), len: 0 } });
+                return Ok(MappedBytes {
+                    repr: Repr::Owned {
+                        buf: Vec::new(),
+                        len: 0,
+                    },
+                });
             }
             // SAFETY: fd is a valid open file for the duration of the
             // call; mmap either returns MAP_FAILED or a mapping of
@@ -133,7 +138,12 @@ impl MappedBytes {
                 )
             };
             if !sys::map_failed(ptr) {
-                return Ok(MappedBytes { repr: Repr::Mmap { ptr: ptr as *const u8, len } });
+                return Ok(MappedBytes {
+                    repr: Repr::Mmap {
+                        ptr: ptr as *const u8,
+                        len,
+                    },
+                });
             }
             // Fall through to the copying path (e.g. exotic filesystems).
         }
@@ -161,10 +171,14 @@ impl MappedBytes {
         // SAFETY: u64 → u8 reinterpretation of an owned buffer; the byte
         // view covers exactly the allocation we just made.
         #[allow(unsafe_code)]
-        let dst =
-            unsafe { std::slice::from_raw_parts_mut(buf.as_mut_ptr() as *mut u8, words * 8) };
+        let dst = unsafe { std::slice::from_raw_parts_mut(buf.as_mut_ptr() as *mut u8, words * 8) };
         dst[..bytes.len()].copy_from_slice(bytes);
-        MappedBytes { repr: Repr::Owned { buf, len: bytes.len() } }
+        MappedBytes {
+            repr: Repr::Owned {
+                buf,
+                len: bytes.len(),
+            },
+        }
     }
 
     /// Byte length of the buffer.

@@ -300,8 +300,7 @@ impl TrustArtifact {
     /// table, so the frame can be served zero-copy through
     /// [`TrustArtifact::map`]. Lossless: `decode(encode_v2(a)) == a`.
     pub fn encode_v2(&self) -> Vec<u8> {
-        let header_len =
-            MAGIC.len() + 2 + 8 + 4 + (4 + self.model.len()) + 12 + 32;
+        let header_len = MAGIC.len() + 2 + 8 + 4 + (4 + self.model.len()) + 12 + 32;
         let align = |off: usize| off.div_ceil(V2_ALIGN) * V2_ALIGN;
         let emb_off = align(header_len);
         let trustor_off = align(emb_off + 4 * self.embeddings.len());
@@ -350,9 +349,21 @@ impl TrustArtifact {
             let mut section = &data[off..];
             get_f32s(&mut section, n, what).map_err(ArtifactError::Malformed)
         };
-        let emb = copy(layout.emb_off, layout.n_users * layout.emb_dim, "embeddings")?;
-        let tor = copy(layout.trustor_off, layout.n_users * layout.head_dim, "trustor head")?;
-        let tee = copy(layout.trustee_off, layout.n_users * layout.head_dim, "trustee head")?;
+        let emb = copy(
+            layout.emb_off,
+            layout.n_users * layout.emb_dim,
+            "embeddings",
+        )?;
+        let tor = copy(
+            layout.trustor_off,
+            layout.n_users * layout.head_dim,
+            "trustor head",
+        )?;
+        let tee = copy(
+            layout.trustee_off,
+            layout.n_users * layout.head_dim,
+            "trustee head",
+        )?;
         layout.assemble(emb.into(), tor.into(), tee.into())
     }
 
@@ -453,11 +464,13 @@ mod tests {
     #[test]
     fn mapped_artifacts_copy_on_write() {
         let bytes = tiny().encode_v2();
-        let mut mapped =
-            TrustArtifact::map(Arc::new(MappedBytes::from_bytes(&bytes))).unwrap();
+        let mut mapped = TrustArtifact::map(Arc::new(MappedBytes::from_bytes(&bytes))).unwrap();
         mapped.trustor_head.to_mut()[0] = 0.0;
         assert!(!mapped.trustor_head.is_mapped());
-        assert!(mapped.trustee_head.is_mapped(), "untouched matrices stay mapped");
+        assert!(
+            mapped.trustee_head.is_mapped(),
+            "untouched matrices stay mapped"
+        );
         assert_eq!(mapped.trustor_head[0], 0.0);
     }
 
@@ -474,7 +487,10 @@ mod tests {
             reseal(&mut bad);
             match TrustArtifact::decode(&bad) {
                 Err(ArtifactError::Malformed(m)) => {
-                    assert!(m.contains("offsets") || m.contains("truncated"), "{what}: {m}")
+                    assert!(
+                        m.contains("offsets") || m.contains("truncated"),
+                        "{what}: {m}"
+                    )
                 }
                 other => panic!("{what}: expected Malformed, got {other:?}"),
             }
@@ -499,7 +515,10 @@ mod tests {
             let torn = &bytes[..bytes.len() - cut];
             let err = TrustArtifact::map(Arc::new(MappedBytes::from_bytes(torn)))
                 .expect_err("torn frame refused");
-            assert!(matches!(err, ArtifactError::Malformed(_)), "cut {cut}: {err:?}");
+            assert!(
+                matches!(err, ArtifactError::Malformed(_)),
+                "cut {cut}: {err:?}"
+            );
         }
     }
 
@@ -528,7 +547,10 @@ mod tests {
             reseal(&mut bytes);
             let want = Err(ArtifactError::UnsupportedVersion(u16::from(version)));
             assert_eq!(TrustArtifact::decode(&bytes), want);
-            assert_eq!(TrustArtifact::map(Arc::new(MappedBytes::from_bytes(&bytes))), want);
+            assert_eq!(
+                TrustArtifact::map(Arc::new(MappedBytes::from_bytes(&bytes))),
+                want
+            );
         }
     }
 
@@ -577,6 +599,8 @@ mod tests {
         assert!(ArtifactError::UnsupportedVersion(7)
             .to_string()
             .contains("version 7"));
-        assert!(ArtifactError::Malformed("x".into()).to_string().contains("x"));
+        assert!(ArtifactError::Malformed("x".into())
+            .to_string()
+            .contains("x"));
     }
 }

@@ -143,7 +143,13 @@ impl HypergraphConv {
         out_dim: usize,
         seed: u64,
     ) -> HypergraphConv {
-        Self::with_ops(name, Rc::new(AggregationOps::full(h)), in_dim, out_dim, seed)
+        Self::with_ops(
+            name,
+            Rc::new(AggregationOps::full(h)),
+            in_dim,
+            out_dim,
+            seed,
+        )
     }
 
     /// Creates a layer over an already-extracted full operator set, so a
@@ -319,7 +325,13 @@ impl AdaptiveHypergraphConv {
         out_dim: usize,
         seed: u64,
     ) -> AdaptiveHypergraphConv {
-        Self::with_ops(name, Rc::new(AggregationOps::full(h)), in_dim, out_dim, seed)
+        Self::with_ops(
+            name,
+            Rc::new(AggregationOps::full(h)),
+            in_dim,
+            out_dim,
+            seed,
+        )
     }
 
     /// Creates an adaptive layer over an already-extracted full operator
@@ -590,19 +602,25 @@ mod tests {
         let ops = AggregationOps::full(&h);
         for layer in &layers {
             let s = Session::new();
-            let pass = layer.forward_with_edges(&s, &ops, &s.constant(xavier_uniform(n, in_dim, 4)));
+            let pass =
+                layer.forward_with_edges(&s, &ops, &s.constant(xavier_uniform(n, in_dim, 4)));
             assert_eq!(pass.x_theta.value().shape(), Shape::Matrix(n, out_dim));
             assert_eq!(pass.edges.h_e.value().shape(), Shape::Matrix(m, out_dim));
             let recorded = s.graph().ops();
             assert!(
-                !recorded.iter().any(|&(_, shape)| shape == Shape::Matrix(m, in_dim)),
+                !recorded
+                    .iter()
+                    .any(|&(_, shape)| shape == Shape::Matrix(m, in_dim)),
                 "an m × in node: θ went back after the mean"
             );
             let products: Vec<_> = recorded
                 .iter()
                 .filter(|&&(op, shape)| op.starts_with("matmul") && shape.rows() == m)
                 .collect();
-            assert!(products.is_empty(), "dense products with m rows: {products:?}");
+            assert!(
+                products.is_empty(),
+                "dense products with m rows: {products:?}"
+            );
         }
     }
 

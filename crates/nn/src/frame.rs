@@ -93,8 +93,7 @@ pub(crate) fn get_string(data: &mut &[u8], what: &str) -> Result<String, String>
     need(data, 4, &format!("{what} length"))?;
     let len = u32::from_le_bytes(take(data)) as usize;
     need(data, len, what)?;
-    let s = String::from_utf8(data[..len].to_vec())
-        .map_err(|_| format!("non-UTF-8 {what}"))?;
+    let s = String::from_utf8(data[..len].to_vec()).map_err(|_| format!("non-UTF-8 {what}"))?;
     *data = &data[len..];
     Ok(s)
 }
@@ -113,10 +112,7 @@ pub(crate) fn put_tensor(buf: &mut Vec<u8>, t: &ahntp_tensor::Tensor) {
 }
 
 /// Reads a tensor written by [`put_tensor`], advancing `data` past it.
-pub(crate) fn get_tensor(
-    data: &mut &[u8],
-    what: &str,
-) -> Result<ahntp_tensor::Tensor, String> {
+pub(crate) fn get_tensor(data: &mut &[u8], what: &str) -> Result<ahntp_tensor::Tensor, String> {
     need(data, 9, &format!("{what} shape"))?;
     let [rank] = take(data);
     let rows = u32::from_le_bytes(take(data)) as usize;
@@ -187,7 +183,10 @@ mod tests {
         // Reference values from the zlib/PNG CRC-32.
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
-        assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414f_a339);
+        assert_eq!(
+            crc32(b"The quick brown fox jumps over the lazy dog"),
+            0x414f_a339
+        );
     }
 
     #[test]

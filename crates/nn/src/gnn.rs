@@ -60,8 +60,10 @@ impl GcnConv {
 
     /// Forward pass.
     pub fn forward(&self, s: &Session, x: &Var) -> Var {
-        let _span =
-            ahntp_telemetry::KernelSpan::enter("nn.gcn.forward", ahntp_telemetry::KernelKind::Other);
+        let _span = ahntp_telemetry::KernelSpan::enter(
+            "nn.gcn.forward",
+            ahntp_telemetry::KernelKind::Other,
+        );
         let y = s.graph().spmm(&self.norm_adj, x).matmul(&s.var(&self.w));
         if self.relu {
             y.relu()
@@ -140,8 +142,10 @@ impl GatConv {
 
     /// Forward pass.
     pub fn forward(&self, s: &Session, x: &Var) -> Var {
-        let _span =
-            ahntp_telemetry::KernelSpan::enter("nn.gat.forward", ahntp_telemetry::KernelKind::Other);
+        let _span = ahntp_telemetry::KernelSpan::enter(
+            "nn.gat.forward",
+            ahntp_telemetry::KernelKind::Other,
+        );
         let g = s.graph();
         let h = x.matmul(&s.var(&self.w)); // n × out
         let hi = h.gather_rows(&self.pair_dst);

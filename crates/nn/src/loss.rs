@@ -106,9 +106,7 @@ impl ContrastiveBatch {
         ContrastiveBatch {
             segments: Rc::new(anchors.to_vec()),
             n_anchors,
-            positive_mask: Tensor::vector(
-                is_positive.iter().map(|&b| f32::from(b)).collect(),
-            ),
+            positive_mask: Tensor::vector(is_positive.iter().map(|&b| f32::from(b)).collect()),
         }
     }
 
@@ -255,7 +253,9 @@ mod tests {
         let batch = ContrastiveBatch::new(&[0, 0, 1, 1], &[true, false, true, true]);
         let s = Session::new();
         let cs = s.constant(Tensor::vector(vec![0.5, -0.5, 0.1, 0.2]));
-        let full = supervised_contrastive(&s, &cs, &batch, 0.3).value().as_slice()[0];
+        let full = supervised_contrastive(&s, &cs, &batch, 0.3)
+            .value()
+            .as_slice()[0];
         // The same loss computed on anchor 0 alone must agree.
         let solo_batch = ContrastiveBatch::new(&[0, 0], &[true, false]);
         let solo_cs = s.constant(Tensor::vector(vec![0.5, -0.5]));
@@ -270,8 +270,12 @@ mod tests {
         let batch = ContrastiveBatch::new(&[0, 0], &[true, false]);
         let s = Session::new();
         let cs = s.constant(Tensor::vector(vec![0.2, -0.2]));
-        let sharp = supervised_contrastive(&s, &cs, &batch, 0.1).value().as_slice()[0];
-        let soft = supervised_contrastive(&s, &cs, &batch, 0.5).value().as_slice()[0];
+        let sharp = supervised_contrastive(&s, &cs, &batch, 0.1)
+            .value()
+            .as_slice()[0];
+        let soft = supervised_contrastive(&s, &cs, &batch, 0.5)
+            .value()
+            .as_slice()[0];
         // Lower temperature amplifies the similarity gap → lower loss here.
         assert!(sharp < soft, "sharp {sharp} vs soft {soft}");
     }
@@ -352,7 +356,10 @@ mod tests {
             for (cache, ids) in tiers.iter().zip(sel) {
                 let h = cache.hypergraph();
                 let ids: Vec<usize> = ids.map_or_else(|| (0..h.n_edges()).collect(), <[_]>::to_vec);
-                edges.extend(ids.iter().map(|&e| (h.edge(e).to_vec(), f64::from(h.weights()[e]))));
+                edges.extend(
+                    ids.iter()
+                        .map(|&e| (h.edge(e).to_vec(), f64::from(h.weights()[e]))),
+                );
             }
             let lap = laplacian_f64(&edges, n);
             let lf: Vec<f64> = (0..n * d)
@@ -361,7 +368,11 @@ mod tests {
                     (0..n).map(|u| lap[r][u] * f64::from(f.get(u, c))).sum()
                 })
                 .collect();
-            let expected: f64 = lf.iter().zip(f.as_slice()).map(|(l, &x)| l * f64::from(x)).sum();
+            let expected: f64 = lf
+                .iter()
+                .zip(f.as_slice())
+                .map(|(l, &x)| l * f64::from(x))
+                .sum();
 
             let factor = SmoothnessFactor::build(&[(&tiers[0], sel[0]), (&tiers[1], sel[1])]);
             let s = Session::new();
@@ -371,7 +382,10 @@ mod tests {
             let got = f64::from(r.value().as_slice()[0]);
             let grad = fv.grad().expect("f reaches R");
             let scale = lf.iter().fold(expected.abs(), |m, v| m.max(2.0 * v.abs()));
-            assert!((got - expected).abs() <= 1e-6 * scale, "{sel:?}: R {got} vs {expected}");
+            assert!(
+                (got - expected).abs() <= 1e-6 * scale,
+                "{sel:?}: R {got} vs {expected}"
+            );
             for (k, (&g, l)) in grad.as_slice().iter().zip(&lf).enumerate() {
                 assert!(
                     (f64::from(g) - 2.0 * l).abs() <= 1e-6 * scale,

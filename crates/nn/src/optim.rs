@@ -15,7 +15,11 @@ fn record_grad_norm(params: &[Param]) {
     let mut sq = 0.0f64;
     for p in params {
         if let Some(g) = p.grad() {
-            sq += g.as_slice().iter().map(|&v| f64::from(v) * f64::from(v)).sum::<f64>();
+            sq += g
+                .as_slice()
+                .iter()
+                .map(|&v| f64::from(v) * f64::from(v))
+                .sum::<f64>();
         }
     }
     ahntp_telemetry::gauge_set("train.grad_norm", sq.sqrt());
@@ -107,12 +111,7 @@ impl Adam {
     ///
     /// Rejects state whose length or tensor shapes disagree with the
     /// parameter list, leaving the optimizer untouched.
-    pub fn restore_state(
-        &mut self,
-        t: u32,
-        m: Vec<Tensor>,
-        v: Vec<Tensor>,
-    ) -> Result<(), String> {
+    pub fn restore_state(&mut self, t: u32, m: Vec<Tensor>, v: Vec<Tensor>) -> Result<(), String> {
         if m.len() != self.params.len() || v.len() != self.params.len() {
             return Err(format!(
                 "moment count mismatch: {} params, {} first moments, {} second moments",
@@ -213,8 +212,7 @@ impl Optimizer for Sgd {
             }
             let v = &mut self.velocity[i];
             for k in 0..g.len() {
-                v.as_mut_slice()[k] =
-                    self.momentum * v.as_slice()[k] + g.as_slice()[k];
+                v.as_mut_slice()[k] = self.momentum * v.as_slice()[k] + g.as_slice()[k];
             }
             p.axpy(-self.lr, v);
         }

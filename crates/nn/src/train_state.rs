@@ -324,7 +324,9 @@ mod tests {
         let err = state.apply(&mut opt, 0xbbb).unwrap_err();
         assert!(matches!(err, CheckpointError::WrongArchitecture { .. }));
         state.apply(&mut opt, 0xaaa).expect("matching fingerprint");
-        state.apply(&mut opt, 0).expect("untagged caller skips the check");
+        state
+            .apply(&mut opt, 0)
+            .expect("untagged caller skips the check");
     }
 
     #[test]

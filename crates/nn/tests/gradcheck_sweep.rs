@@ -17,8 +17,7 @@ use ahntp_nn::loss::{
     supervised_contrastive, ContrastiveBatch,
 };
 use ahntp_nn::{
-    AdaptiveHypergraphConv, GatConv, GcnConv, HypergraphConv, Linear, Mlp, Module, Param,
-    Session,
+    AdaptiveHypergraphConv, GatConv, GcnConv, HypergraphConv, Linear, Mlp, Module, Param, Session,
 };
 use ahntp_tensor::{xavier_uniform, Tensor};
 use std::rc::Rc;

@@ -30,9 +30,7 @@ fn check_params(params: &[Param], loss_fn: &dyn Fn() -> f32) {
     let mut grand_checked = 0usize;
     let mut grand_sampled = 0usize;
     for p in params {
-        let analytic = p
-            .grad()
-            .unwrap_or_else(|| p.value().map(|_| 0.0));
+        let analytic = p.grad().unwrap_or_else(|| p.value().map(|_| 0.0));
         let original = p.value();
         let mut checked = 0usize;
         // Sample a handful of coordinates per parameter to keep runtime sane.

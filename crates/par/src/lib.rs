@@ -737,9 +737,17 @@ mod tests {
             std::thread::scope(|s| {
                 let other = s.spawn(|| (0..20).map(|_| rows_faulted()).collect::<Vec<_>>());
                 for _ in 0..20 {
-                    assert_eq!(rows_faulted(), [true; 8], "a band missed its submitter's fault");
+                    assert_eq!(
+                        rows_faulted(),
+                        [true; 8],
+                        "a band missed its submitter's fault"
+                    );
                 }
-                let leaked = other.join().unwrap().iter().any(|rows| rows.contains(&true));
+                let leaked = other
+                    .join()
+                    .unwrap()
+                    .iter()
+                    .any(|rows| rows.contains(&true));
                 assert!(!leaked, "a band saw another submitter's fault");
             });
         });
@@ -772,7 +780,10 @@ mod tests {
                 assert_eq!(submit("par.tests.rows", 20), [160, 20, 80]);
                 let (others, seen_of_mine) = other.join().unwrap();
                 assert_eq!(others, [104, 13, 52]);
-                assert_eq!(seen_of_mine, 0, "a band counted into another submitter's context");
+                assert_eq!(
+                    seen_of_mine, 0,
+                    "a band counted into another submitter's context"
+                );
             });
         });
     }
@@ -787,11 +798,22 @@ mod tests {
             let _fault = scoped("par.tests.spawned", FaultSpec::new(Action::Err));
             let inherited = Context::capture().spawn(|| hit("par.tests.spawned").is_some());
             let stranger = std::thread::spawn(|| hit("par.tests.spawned").is_some());
-            (inherited.join().unwrap(), stranger.join().unwrap(), counter_get("faultz.triggered"))
+            (
+                inherited.join().unwrap(),
+                stranger.join().unwrap(),
+                counter_get("faultz.triggered"),
+            )
         });
         assert_eq!(seen, (true, false, 1));
-        assert_eq!(counter_get("faultz.par.tests.spawned.triggered"), 0, "left the context");
-        assert_eq!(ctx.run(|| counter_get("faultz.par.tests.spawned.triggered")), 1);
+        assert_eq!(
+            counter_get("faultz.par.tests.spawned.triggered"),
+            0,
+            "left the context"
+        );
+        assert_eq!(
+            ctx.run(|| counter_get("faultz.par.tests.spawned.triggered")),
+            1
+        );
     }
 
     #[test]

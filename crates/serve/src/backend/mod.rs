@@ -144,7 +144,10 @@ mod tests {
         // padded with whitespace the reader trims.
         for bad in ["quantum", " simd", "lsh", "lsh:bits=8,tables=4", "lsh:bits"] {
             let message = removed_backend(Some(bad)).expect(bad);
-            assert!(message.contains(bad.trim()) && message.contains("serving exact"), "{message}");
+            assert!(
+                message.contains(bad.trim()) && message.contains("serving exact"),
+                "{message}"
+            );
         }
     }
 }

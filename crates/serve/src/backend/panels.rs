@@ -627,12 +627,18 @@ mod tests {
         for &(bound, g) in &plan.order {
             let (a, b) = panels.group_slots(g, 0, n);
             let users: Vec<usize> = (a..b).map(|s| panels.user(s)).collect();
-            assert!(users.windows(2).all(|w| w[0] < w[1]), "group {g} ascends by id");
+            assert!(
+                users.windows(2).all(|w| w[0] < w[1]),
+                "group {g} ascends by id"
+            );
             panels.scan(q, a, b, |s, score| {
                 let v = panels.user(s);
                 let row = &rows[v * d..(v + 1) * d];
                 assert_eq!(score.to_bits(), scalar(q, row).to_bits(), "user {v}");
-                assert!(f64::from(score) <= bound + plan.slack, "user {v} above its bound");
+                assert!(
+                    f64::from(score) <= bound + plan.slack,
+                    "user {v} above its bound"
+                );
             });
         }
         for v in 0..n {
@@ -650,7 +656,11 @@ mod tests {
         let mut panels = Panels::new(rows.clone(), n, d);
         let storage = panels.as_ptr();
         panels.group();
-        assert!(panels.is_grouped() && panels.groups() >= 2, "{} groups", panels.groups());
+        assert!(
+            panels.is_grouped() && panels.groups() >= 2,
+            "{} groups",
+            panels.groups()
+        );
         assert_eq!(panels.as_ptr(), storage, "grouping permutes in place");
         let q: Vec<f32> = (0..d).map(|j| 0.75 - j as f32 * 0.5).collect();
         check_layout(&panels, &rows, &q);
@@ -709,7 +719,11 @@ mod tests {
         for id in 0..130 {
             let want = run.partition_point(|&v| (v as usize) < id);
             for guess in 0..=45 {
-                assert_eq!(first_at_least(&run, id, guess), want, "id {id} guess {guess}");
+                assert_eq!(
+                    first_at_least(&run, id, guess),
+                    want,
+                    "id {id} guess {guess}"
+                );
             }
         }
         assert_eq!(first_at_least(&[], 5, 0), 0);

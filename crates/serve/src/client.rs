@@ -58,14 +58,21 @@ pub fn read_response(reader: &mut impl BufRead) -> io::Result<Response> {
         return Err(io::ErrorKind::UnexpectedEof.into());
     }
     let mut parts = line.split_whitespace();
-    let status = match (parts.next(), parts.next().and_then(|s| s.parse::<u16>().ok())) {
+    let status = match (
+        parts.next(),
+        parts.next().and_then(|s| s.parse::<u16>().ok()),
+    ) {
         (Some(version), Some(status)) if version.starts_with("HTTP/1.") => status,
         _ => return Err(invalid(format!("bad status line {line:?}"))),
     };
     let (headers, body) =
         read_headers_and_body(reader, head_bytes, MAX_RESPONSE_BYTES).map_err(typed)?;
     let body = String::from_utf8(body).map_err(|_| invalid("body is not UTF-8".to_string()))?;
-    Ok(Response { status, headers, body })
+    Ok(Response {
+        status,
+        headers,
+        body,
+    })
 }
 
 /// One connection to a server.
@@ -89,13 +96,19 @@ impl Client {
         stream.set_read_timeout(Some(timeout))?;
         stream.set_write_timeout(Some(timeout))?;
         stream.set_nodelay(true)?;
-        Ok(Client { reader: BufReader::new(stream), close: false })
+        Ok(Client {
+            reader: BufReader::new(stream),
+            close: false,
+        })
     }
 
     /// Makes [`Client::get`] and [`Client::post`] send `Connection: close`:
     /// the server answers once and hangs up.
     pub fn one_shot(self) -> Client {
-        Client { close: true, ..self }
+        Client {
+            close: true,
+            ..self
+        }
     }
 
     /// `GET target`.

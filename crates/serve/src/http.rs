@@ -122,7 +122,9 @@ pub fn read_request(reader: &mut impl BufRead) -> Result<Option<Request>, HttpEr
         _ => return Err(HttpError::BadRequest(format!("bad request line {line:?}"))),
     };
     if !version.starts_with("HTTP/1.") {
-        return Err(HttpError::BadRequest(format!("unsupported version {version}")));
+        return Err(HttpError::BadRequest(format!(
+            "unsupported version {version}"
+        )));
     }
     let (headers, body) = read_headers_and_body(reader, head_bytes, MAX_BODY_BYTES)?;
 
@@ -366,7 +368,10 @@ mod tests {
         )
         .unwrap();
         let text = String::from_utf8(out).unwrap();
-        assert!(text.starts_with("HTTP/1.1 503 Service Unavailable\r\n"), "{text}");
+        assert!(
+            text.starts_with("HTTP/1.1 503 Service Unavailable\r\n"),
+            "{text}"
+        );
         assert!(text.contains("\r\nRetry-After: 2\r\n"), "{text}");
         assert!(text.contains("Connection: close\r\n"));
         assert!(text.ends_with("\r\n\r\n{}"));

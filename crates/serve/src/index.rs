@@ -600,7 +600,9 @@ pub struct SharedIndex {
 impl SharedIndex {
     /// Wraps an index for shared serving.
     pub fn new(index: TrustIndex) -> SharedIndex {
-        SharedIndex { inner: RwLock::new(index) }
+        SharedIndex {
+            inner: RwLock::new(index),
+        }
     }
 
     /// Read access for scoring. The guard pins one index version: every
@@ -619,7 +621,10 @@ impl SharedIndex {
                 return index;
             }
         }
-        self.inner.write().expect("index lock poisoned").group_trustees();
+        self.inner
+            .write()
+            .expect("index lock poisoned")
+            .group_trustees();
         self.read()
     }
 
@@ -630,7 +635,10 @@ impl SharedIndex {
     /// As [`TrustIndex::apply_head_patch`]; the index is untouched on
     /// error.
     pub fn apply_head_patch(&self, patch: &HeadPatch) -> Result<(), String> {
-        self.inner.write().expect("index lock poisoned").apply_head_patch(patch)
+        self.inner
+            .write()
+            .expect("index lock poisoned")
+            .apply_head_patch(patch)
     }
 
     /// Atomically replaces the served index with a fully-built snapshot.
@@ -726,11 +734,18 @@ mod tests {
         let index = toy_index();
         assert_eq!(
             index.score(0, 7),
-            Err(ScoreError::UserOutOfRange { user: 7, n_users: 4 })
+            Err(ScoreError::UserOutOfRange {
+                user: 7,
+                n_users: 4
+            })
         );
         assert!(index.score_pairs(&[(0, 1), (9, 0)]).is_err());
         assert!(index.top_k_trustees(4, 1).is_err());
-        let msg = ScoreError::UserOutOfRange { user: 7, n_users: 4 }.to_string();
+        let msg = ScoreError::UserOutOfRange {
+            user: 7,
+            n_users: 4,
+        }
+        .to_string();
         assert!(msg.contains('7') && msg.contains('4'), "{msg}");
     }
 
@@ -770,15 +785,9 @@ mod tests {
             head_dim: 2,
             embeddings: vec![0.0; 10].into(),
             trustor_head: [1.0, 0.0].repeat(5).into(),
-            trustee_head: [
-                &tied[..],
-                &tied[..],
-                &tied[..],
-                &[1.0, 0.0][..],
-                &tied[..],
-            ]
-            .concat()
-            .into(),
+            trustee_head: [&tied[..], &tied[..], &tied[..], &[1.0, 0.0][..], &tied[..]]
+                .concat()
+                .into(),
         };
         let index = TrustIndex::from_artifact(artifact).unwrap();
         let ids = |k: usize| -> Vec<usize> {
@@ -803,7 +812,10 @@ mod tests {
         let all = index.top_k_trustees(0, 3).unwrap();
         assert_eq!(index.top_k_trustees(0, 100_000_000_000).unwrap(), all);
         assert_eq!(index.top_k_trustees(0, usize::MAX).unwrap(), all);
-        assert_eq!(index.top_k_trustees_in(0, usize::MAX, 1, 3).unwrap().len(), 2);
+        assert_eq!(
+            index.top_k_trustees_in(0, usize::MAX, 1, 3).unwrap().len(),
+            2
+        );
         let defended = toy_index().with_defense(toy_defense(0.5)).unwrap();
         assert_eq!(defended.top_k_trustees(1, usize::MAX).unwrap().len(), 3);
     }
@@ -864,7 +876,9 @@ mod tests {
             assert!(shared.read_grouped().is_grouped());
             assert!(shared.read_grouped().is_grouped());
             assert_eq!(ahntp_telemetry::counter_get("serve.index.groupings"), 1);
-            shared.swap(TrustIndex::from_artifact(wide_artifact(900)).unwrap()).unwrap();
+            shared
+                .swap(TrustIndex::from_artifact(wide_artifact(900)).unwrap())
+                .unwrap();
             assert!(shared.read().is_grouped(), "the incoming index was grouped");
             assert_eq!(ahntp_telemetry::counter_get("serve.index.groupings"), 2);
         });
@@ -1038,7 +1052,11 @@ mod tests {
         let shrunk = TrustIndex::from_artifact(artifact).unwrap();
         let err = shared.swap(shrunk).unwrap_err();
         assert!(matches!(err, SwapError::ShapeMismatch { .. }), "{err}");
-        assert_eq!(shared.read().n_users(), 4, "refusals leave the index serving");
+        assert_eq!(
+            shared.read().n_users(),
+            4,
+            "refusals leave the index serving"
+        );
     }
 
     /// Many-user index with distinct head angles so rankings are
@@ -1064,8 +1082,7 @@ mod tests {
     #[test]
     fn parallel_scoring_is_bitwise_identical_to_serial_for_every_backend() {
         let artifact = wide_artifact(41); // ragged over every band size below
-        let pairs: Vec<(usize, usize)> =
-            (0..37).map(|i| (i % 41, (i * 7 + 3) % 41)).collect();
+        let pairs: Vec<(usize, usize)> = (0..37).map(|i| (i % 41, (i * 7 + 3) % 41)).collect();
         // Batch scores and every user's top-5 as bits, with the banded
         // path forced (threshold 0) — index construction included.
         let surface_at = |t: usize| -> (Vec<u32>, Vec<Vec<(usize, u32)>>) {
@@ -1110,7 +1127,12 @@ mod tests {
         const N: usize = 64;
         let a = wide_artifact(N);
         let mut b = a.clone();
-        b.trustee_head = a.trustee_head.iter().map(|x| -x).collect::<Vec<f32>>().into();
+        b.trustee_head = a
+            .trustee_head
+            .iter()
+            .map(|x| -x)
+            .collect::<Vec<f32>>()
+            .into();
         let snapshots = [&a, &b].map(|art| TrustIndex::from_artifact(art.clone()).unwrap());
         let patches = [&a, &b].map(|art| HeadPatch {
             users: (0..N).collect(),
@@ -1122,10 +1144,18 @@ mod tests {
         });
         let pairs: Vec<(usize, usize)> = (0..N).map(|i| (i, (i * 7 + 3) % N)).collect();
         let answer = |index: &TrustIndex| -> Vec<u32> {
-            index.score_pairs(&pairs).unwrap().iter().map(|s| s.to_bits()).collect()
+            index
+                .score_pairs(&pairs)
+                .unwrap()
+                .iter()
+                .map(|s| s.to_bits())
+                .collect()
         };
         let answers = snapshots.each_ref().map(answer);
-        assert_ne!(answers[0], answers[1], "the snapshots must score differently");
+        assert_ne!(
+            answers[0], answers[1],
+            "the snapshots must score differently"
+        );
 
         for threads in [1usize, 4] {
             // Threshold 0: at 4 threads every read is banded over the pool
@@ -1181,7 +1211,10 @@ mod tests {
         let opened = TrustIndex::open(&path);
         let _ = std::fs::remove_file(&path);
         let mut index = opened.unwrap();
-        assert!(index.is_mapped(), "embeddings and trustor head map zero-copy");
+        assert!(
+            index.is_mapped(),
+            "embeddings and trustor head map zero-copy"
+        );
         let before = index.score(0, 5).unwrap();
         let patch = HeadPatch {
             users: vec![0],
@@ -1259,7 +1292,11 @@ mod tests {
             .into_iter()
             .map(|(u, _)| u)
             .collect();
-        assert_eq!(got, vec![2, 3, 1], "prior must be able to demote a candidate");
+        assert_eq!(
+            got,
+            vec![2, 3, 1],
+            "prior must be able to demote a candidate"
+        );
         // Entries agree with the pair-scoring path bitwise.
         for (u, s) in index.top_k_trustees(0, 3).unwrap() {
             assert_eq!(s.to_bits(), index.score(0, u).unwrap().to_bits());
@@ -1273,8 +1310,13 @@ mod tests {
         merged.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         merged.truncate(3);
         assert_eq!(
-            full.iter().map(|&(u, s)| (u, s.to_bits())).collect::<Vec<_>>(),
-            merged.iter().map(|&(u, s)| (u, s.to_bits())).collect::<Vec<_>>()
+            full.iter()
+                .map(|&(u, s)| (u, s.to_bits()))
+                .collect::<Vec<_>>(),
+            merged
+                .iter()
+                .map(|&(u, s)| (u, s.to_bits()))
+                .collect::<Vec<_>>()
         );
     }
 
@@ -1285,7 +1327,10 @@ mod tests {
         // A hot swap keeps the active defense when the snapshot has none…
         let shared = SharedIndex::new(index);
         shared.swap(toy_index()).unwrap();
-        assert!(shared.read().defended(), "swap must keep the active defense");
+        assert!(
+            shared.read().defended(),
+            "swap must keep the active defense"
+        );
         assert_eq!(shared.read().defense().unwrap().alpha(), 0.5);
         // …and honors the snapshot's own defense when it has one.
         let replacement = toy_index().with_defense(toy_defense(0.25)).unwrap();

@@ -63,7 +63,9 @@ use std::time::{Duration, Instant};
 
 use ahntp_par::Context;
 use ahntp_telemetry::json::{parse, Json};
-use ahntp_telemetry::{counter_add, histogram_record, info, trace_now_us, warn, KernelKind, KernelSpan};
+use ahntp_telemetry::{
+    counter_add, histogram_record, info, trace_now_us, warn, KernelKind, KernelSpan,
+};
 
 use ahntp_stream::{parse_events, EventApplier, LiveTrustModel, StalenessBound, TrustEvent};
 
@@ -149,7 +151,13 @@ struct ReplyTo<T> {
 
 impl<T> Default for ReplySlot<T> {
     fn default() -> ReplySlot<T> {
-        ReplySlot { state: Mutex::new(SlotState { seq: 0, outcome: None }), settled: Condvar::new() }
+        ReplySlot {
+            state: Mutex::new(SlotState {
+                seq: 0,
+                outcome: None,
+            }),
+            settled: Condvar::new(),
+        }
     }
 }
 
@@ -167,7 +175,10 @@ impl<T> ReplySlot<T> {
         let mut state = self.state();
         state.seq += 1;
         state.outcome = None;
-        ReplyTo { slot: Arc::clone(self), seq: state.seq }
+        ReplyTo {
+            slot: Arc::clone(self),
+            seq: state.seq,
+        }
     }
 
     /// Waits up to `timeout` for the outcome of the request opened last
@@ -409,7 +420,10 @@ fn run_applier(
         }
         if let Some(message) = &error {
             counter_add("serve.ingest.errors", 1);
-            warn!("serve", "ingest batch failed after {} events: {message}", batch.applied);
+            warn!(
+                "serve",
+                "ingest batch failed after {} events: {message}", batch.applied
+            );
         }
         job.reply.send(IngestReply {
             applied: batch.applied,
@@ -461,7 +475,12 @@ fn serve_shared(
             if ingest.is_some() { "live" } else { "frozen" },
         );
     }
-    Ok(ServerHandle { core, ingest, applier, ctx: Context::capture() })
+    Ok(ServerHandle {
+        core,
+        ingest,
+        applier,
+        ctx: Context::capture(),
+    })
 }
 
 /// Reads `{"pairs": [[u, v], ...]}` out of a `/score` body (shared with
@@ -475,16 +494,20 @@ pub(crate) fn parse_pairs(body: &[u8]) -> Result<Vec<(usize, usize)>, String> {
     let as_user = |v: &Json| -> Result<usize, String> {
         match v.as_f64() {
             Some(n) if n >= 0.0 && n.fract() == 0.0 && n <= u32::MAX as f64 => Ok(n as usize),
-            _ => Err(format!("user ids must be non-negative integers, got {}", v.to_line())),
+            _ => Err(format!(
+                "user ids must be non-negative integers, got {}",
+                v.to_line()
+            )),
         }
     };
     items
         .iter()
         .map(|item| match item {
-            Json::Arr(pair) if pair.len() == 2 => {
-                Ok((as_user(&pair[0])?, as_user(&pair[1])?))
-            }
-            other => Err(format!("each pair must be [trustor, trustee], got {}", other.to_line())),
+            Json::Arr(pair) if pair.len() == 2 => Ok((as_user(&pair[0])?, as_user(&pair[1])?)),
+            other => Err(format!(
+                "each pair must be [trustor, trustee], got {}",
+                other.to_line()
+            )),
         })
         .collect()
 }
@@ -524,13 +547,14 @@ impl Node {
     /// at `started`, when the request began parsing) for the applier's
     /// reply to the job this worker queued.
     fn await_reply<T>(&self, slot: &ReplySlot<T>, started: Instant) -> Result<T, Response> {
-        slot.wait(self.deadline.saturating_sub(started.elapsed())).map_err(|e| match e {
-            NoReply::Timeout => self.deadline_exceeded("ingest deadline exceeded"),
-            // The applier went away mid-flight (a shutdown race, or it
-            // panicked): an overloaded-style answer rather than a hung
-            // worker.
-            NoReply::Dropped => self.shed("ingest backend stopped"),
-        })
+        slot.wait(self.deadline.saturating_sub(started.elapsed()))
+            .map_err(|e| match e {
+                NoReply::Timeout => self.deadline_exceeded("ingest deadline exceeded"),
+                // The applier went away mid-flight (a shutdown race, or it
+                // panicked): an overloaded-style answer rather than a hung
+                // worker.
+                NoReply::Dropped => self.shed("ingest backend stopped"),
+            })
     }
 
     /// `POST /score`: scores the pairs on this worker, under one read
@@ -556,7 +580,10 @@ impl Node {
         Ok(Response::new(
             200,
             Json::obj([
-                ("scores", Json::Arr(scores.into_iter().map(Json::from).collect())),
+                (
+                    "scores",
+                    Json::Arr(scores.into_iter().map(Json::from).collect()),
+                ),
                 ("backend", BackendKind::Exact.name().into()),
             ]),
         ))
@@ -588,7 +615,14 @@ impl Node {
         let n_events = events.len();
         let slot = INGEST_REPLY.with(Arc::clone);
         let enqueue_ts = trace_now_us();
-        if ingest.send(IngestJob { events, trace_id: call.trace_id, reply: slot.open() }).is_err() {
+        if ingest
+            .send(IngestJob {
+                events,
+                trace_id: call.trace_id,
+                reply: slot.open(),
+            })
+            .is_err()
+        {
             return Err(self.shed("ingest backend stopped"));
         }
         let enqueued_us = trace_now_us();
@@ -693,7 +727,10 @@ impl Node {
             ("model", index.model().into()),
             ("n_users", index.n_users().into()),
             // Hex string: u64 fingerprints don't fit in JSON's f64.
-            ("fingerprint", format!("{:016x}", index.fingerprint()).into()),
+            (
+                "fingerprint",
+                format!("{:016x}", index.fingerprint()).into(),
+            ),
             // Whether this server ingests live trust events.
             ("live", self.ingest.is_some().into()),
             ("backend", index.backend_name().into()),
@@ -780,7 +817,9 @@ mod tests {
     }
 
     fn score_body(pairs: &[(usize, usize)]) -> String {
-        let pairs = pairs.iter().map(|&(u, v)| Json::Arr(vec![u.into(), v.into()]));
+        let pairs = pairs
+            .iter()
+            .map(|&(u, v)| Json::Arr(vec![u.into(), v.into()]));
         Json::obj([("pairs", Json::Arr(pairs.collect()))]).to_line()
     }
 
@@ -788,7 +827,10 @@ mod tests {
     fn expected_score_body(index: &TrustIndex, pairs: &[(usize, usize)]) -> String {
         let scores = index.score_pairs(pairs).unwrap();
         Json::obj([
-            ("scores", Json::Arr(scores.into_iter().map(Json::from).collect())),
+            (
+                "scores",
+                Json::Arr(scores.into_iter().map(Json::from).collect()),
+            ),
             ("backend", index.backend_name().into()),
         ])
         .to_line()
@@ -848,8 +890,7 @@ mod tests {
     fn topk_healthz_and_metrics() {
         let server = start(5);
         let addr = server.addr();
-        let (status, body) =
-            get(addr, "/topk?user=0&k=3");
+        let (status, body) = get(addr, "/topk?user=0&k=3");
         assert_eq!(status, 200, "{body}");
         let doc = parse(&body).unwrap();
         let Some(Json::Arr(trustees)) = doc.get("trustees") else {
@@ -861,8 +902,7 @@ mod tests {
             assert_eq!(item.get("user").and_then(Json::as_f64), Some(*user as f64));
         }
 
-        let (status, body) =
-            get(addr, "/healthz");
+        let (status, body) = get(addr, "/healthz");
         assert_eq!(status, 200);
         let doc = parse(&body).unwrap();
         assert_eq!(doc.get("status").and_then(Json::as_str), Some("ok"));
@@ -872,13 +912,16 @@ mod tests {
             Some("feedbeef00000001")
         );
 
-        let (status, body) =
-            get(addr, "/metrics");
+        let (status, body) = get(addr, "/metrics");
         assert_eq!(status, 200);
         let doc = parse(&body).unwrap();
         // Exactly the requests this server has read: the two above and
         // the one being answered.
-        assert_eq!(doc.get("serve.http.requests").and_then(Json::as_f64), Some(3.0), "{body}");
+        assert_eq!(
+            doc.get("serve.http.requests").and_then(Json::as_f64),
+            Some(3.0),
+            "{body}"
+        );
         assert_eq!(doc.get("serve.http.errors"), None, "{body}");
         server.shutdown();
     }
@@ -1025,13 +1068,22 @@ mod tests {
             let node = bare_node(4, Some(ingest), 10_000, 2);
             let dropper = std::thread::spawn(move || drop(jobs.recv()));
             let started = Instant::now();
-            let resp = dispatch(&node, &TraceRing::new(4), &mut Call::new(&events_request(), 1));
+            let resp = dispatch(
+                &node,
+                &TraceRing::new(4),
+                &mut Call::new(&events_request(), 1),
+            );
             dropper.join().unwrap();
             assert_eq!(resp.status, 503, "{}", resp.body.to_line());
             assert_eq!(resp.body.to_line(), r#"{"error":"ingest backend stopped"}"#);
             assert_eq!(resp.retry_after, Some(2));
-            assert!(started.elapsed() < Duration::from_secs(5), "waited {:?}", started.elapsed());
-            let counts = ["serve.shed", "serve.deadline_exceeded"].map(ahntp_telemetry::counter_get);
+            assert!(
+                started.elapsed() < Duration::from_secs(5),
+                "waited {:?}",
+                started.elapsed()
+            );
+            let counts =
+                ["serve.shed", "serve.deadline_exceeded"].map(ahntp_telemetry::counter_get);
             assert_eq!(counts, [1, 0]);
         });
     }
@@ -1054,9 +1106,17 @@ mod tests {
         });
         let server = start(4);
         armed_rx.recv().expect("arming thread died");
-        assert_eq!(score(&server), 200, "faulted by a sibling thread's failpoint");
+        assert_eq!(
+            score(&server),
+            200,
+            "faulted by a sibling thread's failpoint"
+        );
         drop(probed_tx);
-        assert_eq!(arming.join().unwrap(), 500, "the arming thread's own server");
+        assert_eq!(
+            arming.join().unwrap(),
+            500,
+            "the arming thread's own server"
+        );
         server.shutdown();
     }
 
@@ -1071,7 +1131,11 @@ mod tests {
     }
 
     fn events_request() -> Request {
-        request("POST", "/events", br#"{"events":[{"op":"decay","factor":0.9}]}"#)
+        request(
+            "POST",
+            "/events",
+            br#"{"events":[{"op":"decay","factor":0.9}]}"#,
+        )
     }
 
     /// A node with no core behind it, and no applier behind `ingest`: the
@@ -1122,7 +1186,11 @@ mod tests {
         drop(jobs); // ingest is completely dead...
         let node = bare_node(3, Some(ingest), 5, 1);
         let traces = TraceRing::new(4);
-        let resp = dispatch(&node, &traces, &mut Call::new(&request("GET", "/healthz", b""), 1));
+        let resp = dispatch(
+            &node,
+            &traces,
+            &mut Call::new(&request("GET", "/healthz", b""), 1),
+        );
         assert_eq!(resp.status, 200, "...but liveness still answers");
         // While /events correctly sheds.
         let resp = dispatch(&node, &traces, &mut Call::new(&events_request(), 2));
@@ -1146,8 +1214,7 @@ mod tests {
         assert!(trace_id.chars().all(|c| c.is_ascii_hexdigit()));
 
         // The ring remembers the request, with its stage breakdown.
-        let (status, body) =
-            get(addr, "/debug/traces");
+        let (status, body) = get(addr, "/debug/traces");
         assert_eq!(status, 200);
         let doc = parse(&body).unwrap();
         let Some(Json::Arr(traces)) = doc.get("traces") else {
@@ -1157,7 +1224,10 @@ mod tests {
             .iter()
             .find(|t| t.get("path").and_then(Json::as_str) == Some("/score"))
             .expect("the /score request is in the ring");
-        assert_eq!(scored.get("trace_id").and_then(Json::as_str), Some(trace_id.as_str()));
+        assert_eq!(
+            scored.get("trace_id").and_then(Json::as_str),
+            Some(trace_id.as_str())
+        );
         let Some(Json::Arr(stages)) = scored.get("stages") else {
             panic!("no stages in {}", scored.to_line());
         };
@@ -1166,7 +1236,10 @@ mod tests {
             .filter_map(|s| s.get("name").and_then(Json::as_str).map(str::to_string))
             .collect();
         for want in ["serve.parse", "serve.queue.wait", "serve.score"] {
-            assert!(names.iter().any(|n| n == want), "missing {want} in {names:?}");
+            assert!(
+                names.iter().any(|n| n == want),
+                "missing {want} in {names:?}"
+            );
         }
         server.shutdown();
     }
@@ -1175,7 +1248,13 @@ mod tests {
     fn unrouted_requests_are_recorded_verbatim() {
         let server = start(4);
         let addr = server.addr();
-        assert_eq!(connect(addr).send(b"PUT /score HTTP/1.1\r\n\r\n").unwrap().status, 405);
+        assert_eq!(
+            connect(addr)
+                .send(b"PUT /score HTTP/1.1\r\n\r\n")
+                .unwrap()
+                .status,
+            405
+        );
         assert_eq!(get(addr, "/nope").0, 404);
         let doc = parse(&get(addr, "/debug/traces").1).unwrap();
         let Some(Json::Arr(traces)) = doc.get("traces") else {
@@ -1185,10 +1264,17 @@ mod tests {
             .iter()
             .map(|t| {
                 let text = |key| t.get(key).and_then(Json::as_str).unwrap();
-                (text("method"), text("path"), t.get("status").and_then(Json::as_f64).unwrap())
+                (
+                    text("method"),
+                    text("path"),
+                    t.get("status").and_then(Json::as_f64).unwrap(),
+                )
             })
             .collect();
-        assert_eq!(recorded, [("PUT", "/score", 405.0), ("GET", "/nope", 404.0)]);
+        assert_eq!(
+            recorded,
+            [("PUT", "/score", 405.0), ("GET", "/nope", 404.0)]
+        );
         server.shutdown();
     }
 
@@ -1219,18 +1305,23 @@ mod tests {
     fn prometheus_and_debug_trace_endpoints_respond() {
         let server = start(4);
         let addr = server.addr();
-        let client::Response { status, headers, body } =
-            connect(addr).get("/metrics?format=prometheus").unwrap();
+        let client::Response {
+            status,
+            headers,
+            body,
+        } = connect(addr).get("/metrics?format=prometheus").unwrap();
         assert_eq!(status, 200, "{body}");
         let ct = headers.get("content-type").unwrap();
         assert!(ct.starts_with("text/plain"), "{ct}");
-        assert!(body.contains("# TYPE serve_http_requests counter"), "{body}");
+        assert!(
+            body.contains("# TYPE serve_http_requests counter"),
+            "{body}"
+        );
         let (status, body) = get(addr, "/metrics?format=msgpack");
         assert_eq!(status, 400, "{body}");
 
         // /debug/trace.json always parses, even with collection off.
-        let (status, body) =
-            get(addr, "/debug/trace.json");
+        let (status, body) = get(addr, "/debug/trace.json");
         assert_eq!(status, 200);
         let doc = parse(&body).unwrap();
         assert!(doc.get("traceEvents").is_some(), "{body}");
@@ -1249,7 +1340,9 @@ mod tests {
 
     impl ToyLive {
         fn new(n: usize) -> ToyLive {
-            ToyLive { angles: (0..n).map(|u| u as f32 * 0.9).collect() }
+            ToyLive {
+                angles: (0..n).map(|u| u as f32 * 0.9).collect(),
+            }
         }
 
         fn rows(&self, users: &[usize]) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
@@ -1276,7 +1369,9 @@ mod tests {
             event: &TrustEvent,
         ) -> Result<AppliedEvent, ahntp_stream::StreamError> {
             match event {
-                TrustEvent::AddEdge { members, weight, .. } => {
+                TrustEvent::AddEdge {
+                    members, weight, ..
+                } => {
                     let n = self.angles.len();
                     if let Some(&v) = members.iter().find(|&&m| m >= n) {
                         return Err(HypergraphError::VertexOutOfRange { vertex: v, n }.into());
@@ -1287,7 +1382,9 @@ mod tests {
                     for &m in &affected {
                         self.angles[m] += weight;
                     }
-                    Ok(AppliedEvent { affected_users: affected })
+                    Ok(AppliedEvent {
+                        affected_users: affected,
+                    })
                 }
                 // Weight-only semantics: heads stay exact.
                 _ => Ok(AppliedEvent::default()),
@@ -1338,13 +1435,15 @@ mod tests {
         let server = serve_live(
             || Box::new(ToyLive::new(5)),
             StalenessBound::immediate(),
-            &ServeConfig { workers: 2, ..ServeConfig::default() },
+            &ServeConfig {
+                workers: 2,
+                ..ServeConfig::default()
+            },
         )
         .expect("bind live server");
         let addr = server.addr();
 
-        let (status, body) =
-            get(addr, "/healthz");
+        let (status, body) = get(addr, "/healthz");
         assert_eq!(status, 200);
         let doc = parse(&body).unwrap();
         assert_eq!(doc.get("live"), Some(&Json::Bool(true)), "{body}");
@@ -1355,7 +1454,11 @@ mod tests {
         );
         assert_eq!(status, 200, "{body}");
         let doc = parse(&body).unwrap();
-        assert_eq!(doc.get("applied").and_then(Json::as_f64), Some(1.0), "{body}");
+        assert_eq!(
+            doc.get("applied").and_then(Json::as_f64),
+            Some(1.0),
+            "{body}"
+        );
         assert_eq!(doc.get("affected_users").and_then(Json::as_f64), Some(2.0));
         assert_eq!(doc.get("refreshed_users").and_then(Json::as_f64), Some(2.0));
         assert_eq!(doc.get("dirty_users").and_then(Json::as_f64), Some(0.0));
@@ -1401,9 +1504,16 @@ mod tests {
         );
         assert_eq!(status, 500, "{body}");
         let doc = parse(&body).unwrap();
-        assert_eq!(doc.get("applied").and_then(Json::as_f64), Some(1.0), "{body}");
+        assert_eq!(
+            doc.get("applied").and_then(Json::as_f64),
+            Some(1.0),
+            "{body}"
+        );
         assert!(
-            doc.get("error").and_then(Json::as_str).unwrap_or("").contains("out of range"),
+            doc.get("error")
+                .and_then(Json::as_str)
+                .unwrap_or("")
+                .contains("out of range"),
             "{body}"
         );
         // The mirror applies the same prefix; scores still agree.
@@ -1442,14 +1552,19 @@ mod tests {
             let server = serve_live(
                 || Box::new(ToyLive::new(1000)),
                 StalenessBound::immediate(),
-                &ServeConfig { workers: 2, ..ServeConfig::default() },
+                &ServeConfig {
+                    workers: 2,
+                    ..ServeConfig::default()
+                },
             )
             .expect("bind live server");
             let addr = server.addr();
             let groupings = || {
                 let (_, body) = get(addr, "/metrics");
                 let doc = parse(&body).unwrap();
-                doc.get("serve.index.groupings").and_then(Json::as_f64).unwrap_or(0.0)
+                doc.get("serve.index.groupings")
+                    .and_then(Json::as_f64)
+                    .unwrap_or(0.0)
             };
             assert_eq!(post_score(addr, &score_body(&[(0, 1), (2, 999)])).0, 200);
             let (status, body) = post_events(
@@ -1473,7 +1588,10 @@ mod tests {
         let server = serve_live(
             || Box::new(ToyLive::new(4)),
             StalenessBound::batched(2),
-            &ServeConfig { workers: 1, ..ServeConfig::default() },
+            &ServeConfig {
+                workers: 1,
+                ..ServeConfig::default()
+            },
         )
         .expect("bind live server");
         let addr = server.addr();
@@ -1487,7 +1605,11 @@ mod tests {
         );
         assert_eq!(status, 200, "{body}");
         let doc = parse(&body).unwrap();
-        assert_eq!(doc.get("refreshed_users").and_then(Json::as_f64), Some(0.0), "{body}");
+        assert_eq!(
+            doc.get("refreshed_users").and_then(Json::as_f64),
+            Some(0.0),
+            "{body}"
+        );
         assert_eq!(doc.get("dirty_users").and_then(Json::as_f64), Some(2.0));
         // The third event exceeds max_pending_events = 2: everything
         // dirty refreshes in one patch.
@@ -1497,7 +1619,11 @@ mod tests {
         );
         assert_eq!(status, 200, "{body}");
         let doc = parse(&body).unwrap();
-        assert_eq!(doc.get("refreshed_users").and_then(Json::as_f64), Some(3.0), "{body}");
+        assert_eq!(
+            doc.get("refreshed_users").and_then(Json::as_f64),
+            Some(3.0),
+            "{body}"
+        );
         assert_eq!(doc.get("dirty_users").and_then(Json::as_f64), Some(0.0));
         server.shutdown();
     }
@@ -1513,13 +1639,20 @@ mod tests {
             let server = serve_live(
                 || Box::new(ToyLive::new(5)),
                 StalenessBound::immediate(),
-                &ServeConfig { workers: 2, deadline: Duration::from_millis(400), ..ServeConfig::default() },
+                &ServeConfig {
+                    workers: 2,
+                    deadline: Duration::from_millis(400),
+                    ..ServeConfig::default()
+                },
             )
             .expect("bind live server");
             let _fault = scoped("stream.apply", FaultSpec::new(Action::Delay(600)).on_nth(1));
             let mut conn = connect(server.addr());
             let first = conn
-                .post("/events", r#"{"events":[{"op":"add","group":"node","members":[0,2],"weight":0.7}]}"#)
+                .post(
+                    "/events",
+                    r#"{"events":[{"op":"add","group":"node","members":[0,2],"weight":0.7}]}"#,
+                )
                 .unwrap();
             assert_eq!(first.status, 504, "{}", first.body);
             let second = conn
@@ -1545,17 +1678,19 @@ mod tests {
     fn events_on_a_frozen_server_answer_501() {
         let server = start(4);
         let addr = server.addr();
-        let (status, body) =
-            post_events(addr, r#"{"events":[{"op":"decay","factor":0.9}]}"#);
+        let (status, body) = post_events(addr, r#"{"events":[{"op":"decay","factor":0.9}]}"#);
         assert_eq!(status, 501, "{body}");
         assert!(body.contains("serve_live"), "{body}");
         let (status, _) = get(addr, "/events");
         assert_eq!(status, 405);
         // And the frozen health check says so.
-        let (status, body) =
-            get(addr, "/healthz");
+        let (status, body) = get(addr, "/healthz");
         assert_eq!(status, 200);
-        assert_eq!(parse(&body).unwrap().get("live"), Some(&Json::Bool(false)), "{body}");
+        assert_eq!(
+            parse(&body).unwrap().get("live"),
+            Some(&Json::Bool(false)),
+            "{body}"
+        );
         server.shutdown();
     }
 }

@@ -133,7 +133,12 @@ pub(crate) struct Response {
 
 impl Response {
     pub(crate) fn new(status: u16, body: Json) -> Response {
-        Response { status, body, text: None, retry_after: None }
+        Response {
+            status,
+            body,
+            text: None,
+            retry_after: None,
+        }
     }
 
     pub(crate) fn error(status: u16, message: &str) -> Response {
@@ -161,14 +166,22 @@ pub(crate) struct Call<'a> {
 
 impl<'a> Call<'a> {
     pub(crate) fn new(req: &'a Request, trace_id: u64) -> Call<'a> {
-        Call { req, trace_id, stages: Stages::default() }
+        Call {
+            req,
+            trace_id,
+            stages: Stages::default(),
+        }
     }
 
     /// Records the stage `name` as having run over `[from_us, to_us)` on
     /// the trace clock ([`trace_now_us`]). An endpoint records at most
     /// four ([`Stages`]).
     pub(crate) fn stage(&mut self, name: &'static str, from_us: u64, to_us: u64) {
-        self.stages.push(Stage { name, ts_us: from_us, dur_us: to_us.saturating_sub(from_us) });
+        self.stages.push(Stage {
+            name,
+            ts_us: from_us,
+            dur_us: to_us.saturating_sub(from_us),
+        });
     }
 
     /// The request body as text, or the `400` every endpoint gives.
@@ -209,25 +222,37 @@ type SharedEndpoint = fn(&Request, &TraceRing) -> Response;
 
 /// The routes every server answers, all `GET`.
 const SHARED_ROUTES: [(&str, SharedEndpoint); 3] = [
-    ("/metrics", |req, _| match req.query.get("format").map(String::as_str) {
-        Some("prometheus") => {
-            let text = ("text/plain; version=0.0.4", metrics_prometheus_text());
-            Response { text: Some(text), ..Response::new(200, Json::Null) }
+    ("/metrics", |req, _| {
+        match req.query.get("format").map(String::as_str) {
+            Some("prometheus") => {
+                let text = ("text/plain; version=0.0.4", metrics_prometheus_text());
+                Response {
+                    text: Some(text),
+                    ..Response::new(200, Json::Null)
+                }
+            }
+            Some(other) => Response::error(
+                400,
+                &format!("unknown metrics format {other:?} (try \"prometheus\")"),
+            ),
+            None => Response::new(200, metrics_snapshot_json()),
         }
-        Some(other) => {
-            Response::error(400, &format!("unknown metrics format {other:?} (try \"prometheus\")"))
-        }
-        None => Response::new(200, metrics_snapshot_json()),
     }),
     // The last `trace_ring` requests with their stage timings.
-    ("/debug/traces", |_, traces| Response::new(200, traces.to_json())),
+    ("/debug/traces", |_, traces| {
+        Response::new(200, traces.to_json())
+    }),
     // The live Chrome trace buffer (empty unless collection is on).
-    ("/debug/trace.json", |_, _| Response::new(200, ahntp_telemetry::chrome_trace_json())),
+    ("/debug/trace.json", |_, _| {
+        Response::new(200, ahntp_telemetry::chrome_trace_json())
+    }),
 ];
 
 /// `name` borrowed from `known` when it is there, else an owned copy.
 fn interned(mut known: impl Iterator<Item = &'static str>, name: &str) -> Cow<'static, str> {
-    known.find(|k| *k == name).map_or_else(|| Cow::Owned(name.to_string()), Cow::Borrowed)
+    known
+        .find(|k| *k == name)
+        .map_or_else(|| Cow::Owned(name.to_string()), Cow::Borrowed)
 }
 
 /// A request's method and path as the ring records them: borrowed from
@@ -236,15 +261,25 @@ fn interned(mut known: impl Iterator<Item = &'static str>, name: &str) -> Cow<'s
 /// allocates nothing.
 fn route_names<H: Handler>(method: &str, path: &str) -> (Cow<'static, str>, Cow<'static, str>) {
     let methods = H::ROUTES.iter().map(|r| r.0).chain(["GET"]);
-    let paths = H::ROUTES.iter().map(|r| r.1).chain(SHARED_ROUTES.iter().map(|r| r.0));
+    let paths = H::ROUTES
+        .iter()
+        .map(|r| r.1)
+        .chain(SHARED_ROUTES.iter().map(|r| r.0));
     (interned(methods, method), interned(paths, path))
 }
 
 /// Dispatches one request: the handler's table, then the shared routes;
 /// a known path under another method is `405`, anything else `404`.
-pub(crate) fn dispatch<H: Handler>(handler: &H, traces: &TraceRing, call: &mut Call<'_>) -> Response {
+pub(crate) fn dispatch<H: Handler>(
+    handler: &H,
+    traces: &TraceRing,
+    call: &mut Call<'_>,
+) -> Response {
     let (method, path) = (call.req.method.as_str(), call.req.path.as_str());
-    if let Some((_, _, run)) = H::ROUTES.iter().find(|(m, p, _)| *m == method && *p == path) {
+    if let Some((_, _, run)) = H::ROUTES
+        .iter()
+        .find(|(m, p, _)| *m == method && *p == path)
+    {
         return run(handler, call).unwrap_or_else(|early| early);
     }
     match SHARED_ROUTES.iter().find(|(p, _)| *p == path) {
@@ -314,7 +349,12 @@ impl Core {
                 })
             })
             .collect();
-        Ok(Core { addr, shutdown, acceptor: Some(acceptor), workers })
+        Ok(Core {
+            addr,
+            shutdown,
+            acceptor: Some(acceptor),
+            workers,
+        })
     }
 
     /// The bound address (with the OS-assigned port when the config asked
@@ -366,7 +406,10 @@ fn serve_connection<H: Handler>(
             }
             Ok(None) => return Ok(()), // peer closed between requests
             Err(HttpError::Io(e))
-                if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) =>
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) =>
             {
                 // Idle keep-alive poll tick; only exit once shutdown is on.
                 if shutdown.load(Ordering::SeqCst) {
@@ -385,7 +428,14 @@ fn serve_connection<H: Handler>(
 fn refuse<H: Handler>(writer: &mut TcpStream, status: u16, message: &str) -> io::Result<()> {
     counter_add(H::NAMES.errors, 1);
     let body = Response::error(status, message).body.to_line();
-    write_response(writer, status, reason_phrase(status), "application/json", body.as_bytes(), false)
+    write_response(
+        writer,
+        status,
+        reason_phrase(status),
+        "application/json",
+        body.as_bytes(),
+        false,
+    )
 }
 
 /// Answers one parsed request; `Ok(false)` once the connection is not to
@@ -441,7 +491,10 @@ fn serve_request<H: Handler>(
     histogram_record(names.latency_us, us);
     // Access log: off by default (Info floor); enable with e.g.
     // AHNTP_LOG=serve.access=debug.
-    debug!(names.access, "{} {} {status} {us}us trace={trace_id:016x}", req.method, req.path);
+    debug!(
+        names.access,
+        "{} {} {status} {us}us trace={trace_id:016x}", req.method, req.path
+    );
     if ahntp_telemetry::trace_collecting() {
         // Request lane: one span for the request with the stages nested
         // under the same (pid, tid).
@@ -474,8 +527,14 @@ mod tests {
         let own = H::ROUTES.iter().map(|(m, p, _)| (*m, *p));
         for (method, path) in own.chain(SHARED_ROUTES.iter().map(|(p, _)| ("GET", *p))) {
             let (m, p) = route_names::<H>(method, path);
-            assert!(matches!(m, Cow::Borrowed(_)) && m == method, "{method} {path}: {m:?}");
-            assert!(matches!(p, Cow::Borrowed(_)) && p == path, "{method} {path}: {p:?}");
+            assert!(
+                matches!(m, Cow::Borrowed(_)) && m == method,
+                "{method} {path}: {m:?}"
+            );
+            assert!(
+                matches!(p, Cow::Borrowed(_)) && p == path,
+                "{method} {path}: {p:?}"
+            );
         }
     }
 

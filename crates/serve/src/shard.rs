@@ -176,7 +176,10 @@ impl Front {
                 .enumerate()
                 .map(|(i, shard)| scope.spawn(move || ctx.run(|| call(i, shard))))
                 .collect();
-            handles.into_iter().map(|h| h.join().expect("rpc thread panicked")).collect()
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("rpc thread panicked"))
+                .collect()
         })
     }
 
@@ -196,7 +199,10 @@ impl Front {
         warn!("front", "shard {} unreachable: {e}", shard.addr);
         Response::error(
             503,
-            &format!("shard {} (users [{}, {})) unavailable", shard.addr, shard.lo, shard.hi),
+            &format!(
+                "shard {} (users [{}, {})) unavailable",
+                shard.addr, shard.lo, shard.hi
+            ),
         )
         .retry_after(self.retry_after)
     }
@@ -235,7 +241,10 @@ impl Front {
         for &(u, v) in &pairs {
             for user in [u, v] {
                 if user >= self.n_users {
-                    return Err(bad_request(ScoreError::UserOutOfRange { user, n_users: self.n_users }));
+                    return Err(bad_request(ScoreError::UserOutOfRange {
+                        user,
+                        n_users: self.n_users,
+                    }));
                 }
             }
         }
@@ -249,9 +258,16 @@ impl Front {
             if groups[s].is_empty() {
                 return None;
             }
-            let group = groups[s].iter().map(|&i| Json::Arr(vec![pairs[i].0.into(), pairs[i].1.into()]));
+            let group = groups[s]
+                .iter()
+                .map(|&i| Json::Arr(vec![pairs[i].0.into(), pairs[i].1.into()]));
             let body = Json::obj([("pairs", Json::Arr(group.collect()))]).to_line();
-            Some(call_shard(shard.addr, "/score", Some(&body), self.rpc_timeout))
+            Some(call_shard(
+                shard.addr,
+                "/score",
+                Some(&body),
+                self.rpc_timeout,
+            ))
         });
         let mut scores: Vec<Option<Json>> = vec![None; pairs.len()];
         for ((shard, group), reply) in self.shards.iter().zip(&groups).zip(replies) {
@@ -261,7 +277,10 @@ impl Front {
                 return Err(bad_gateway(shard, "no scores in /score body"));
             };
             if got.len() != group.len() {
-                return Err(bad_gateway(shard, "shard returned a different number of scores"));
+                return Err(bad_gateway(
+                    shard,
+                    "shard returned a different number of scores",
+                ));
             }
             for (&i, s) in group.iter().zip(got) {
                 scores[i] = Some(s.clone());
@@ -353,8 +372,15 @@ impl Front {
             results.push(parse(&reply).unwrap_or(Json::Null));
         }
         counter_add("front.swap.ok", 1);
-        info!("front", "snapshot swapped across {} shards", self.shards.len());
-        Ok(Response::new(200, Json::obj([("swapped", true.into()), ("shards", Json::Arr(results))])))
+        info!(
+            "front",
+            "snapshot swapped across {} shards",
+            self.shards.len()
+        );
+        Ok(Response::new(
+            200,
+            Json::obj([("swapped", true.into()), ("shards", Json::Arr(results))]),
+        ))
     }
 
     /// `POST /events` on the front: broadcast (every shard holds the full
@@ -425,10 +451,16 @@ impl Front {
                     Ok((200, body)) => parse(&body).unwrap_or(Json::Null),
                     _ => Json::Null,
                 };
-                Json::obj([("addr", shard.addr.to_string().into()), ("metrics", metrics)])
+                Json::obj([
+                    ("addr", shard.addr.to_string().into()),
+                    ("metrics", metrics),
+                ])
             })
             .collect();
-        Ok(Response::new(200, Json::obj([("shards", Json::Arr(shards))])))
+        Ok(Response::new(
+            200,
+            Json::obj([("shards", Json::Arr(shards))]),
+        ))
     }
 }
 
@@ -484,7 +516,9 @@ fn n_users_of(healthz: &Json) -> usize {
 fn discover(addr: SocketAddr, timeout: Duration) -> io::Result<(ShardInfo, Json)> {
     let (status, body) = call_shard(addr, "/healthz", None, timeout)?;
     if status != 200 {
-        return Err(io::Error::other(format!("shard {addr} /healthz answered {status}")));
+        return Err(io::Error::other(format!(
+            "shard {addr} /healthz answered {status}"
+        )));
     }
     let doc = parse(&body)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("shard {addr}: {e}")))?;
@@ -492,7 +526,10 @@ fn discover(addr: SocketAddr, timeout: Duration) -> io::Result<(ShardInfo, Json)
     // A shard without an explicit range owns the whole id space (a
     // one-shard cluster over a plain server works).
     let lo = doc.get("shard_lo").and_then(Json::as_f64).unwrap_or(0.0) as usize;
-    let hi = doc.get("shard_hi").and_then(Json::as_f64).unwrap_or(n_users as f64) as usize;
+    let hi = doc
+        .get("shard_hi")
+        .and_then(Json::as_f64)
+        .unwrap_or(n_users as f64) as usize;
     Ok((ShardInfo { addr, lo, hi }, doc))
 }
 
@@ -514,7 +551,10 @@ fn discover(addr: SocketAddr, timeout: Duration) -> io::Result<(ShardInfo, Json)
 /// Binding failures, unreachable shards, and layout validation failures.
 pub fn serve_sharded(shards: &[SocketAddr], config: &ServeConfig) -> io::Result<ShardedHandle> {
     if shards.is_empty() {
-        return Err(io::Error::new(io::ErrorKind::InvalidInput, "no shards given"));
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "no shards given",
+        ));
     }
     let rpc_timeout = config.deadline;
     let mut infos: Vec<(ShardInfo, Json)> = Vec::with_capacity(shards.len());
@@ -524,7 +564,10 @@ pub fn serve_sharded(shards: &[SocketAddr], config: &ServeConfig) -> io::Result<
     // Cluster-wide invariants: identical snapshot everywhere.
     let invalid = |message: String| io::Error::new(io::ErrorKind::InvalidData, message);
     let field = |doc: &Json, name: &str| -> String {
-        doc.get(name).and_then(Json::as_str).unwrap_or("").to_string()
+        doc.get(name)
+            .and_then(Json::as_str)
+            .unwrap_or("")
+            .to_string()
     };
     let first = &infos[0].1;
     let (model, fingerprint) = (field(first, "model"), field(first, "fingerprint"));
@@ -534,12 +577,18 @@ pub fn serve_sharded(shards: &[SocketAddr], config: &ServeConfig) -> io::Result<
         for (name, want) in [("model", &model), ("fingerprint", &fingerprint)] {
             let got = field(doc, name);
             if &got != want {
-                return Err(invalid(format!("shard {} {name} {got:?} != {want:?}", info.addr)));
+                return Err(invalid(format!(
+                    "shard {} {name} {got:?} != {want:?}",
+                    info.addr
+                )));
             }
         }
         let got = n_users_of(doc);
         if got != n_users {
-            return Err(invalid(format!("shard {} holds {got} users, expected {n_users}", info.addr)));
+            return Err(invalid(format!(
+                "shard {} holds {got} users, expected {n_users}",
+                info.addr
+            )));
         }
     }
     // Ranges must partition [0, n_users) with no gap or overlap.
@@ -581,7 +630,10 @@ pub fn serve_sharded(shards: &[SocketAddr], config: &ServeConfig) -> io::Result<
         front.shards.len(),
         front.n_users
     );
-    Ok(ShardedHandle { core, shards: front.shards.clone() })
+    Ok(ShardedHandle {
+        core,
+        shards: front.shards.clone(),
+    })
 }
 
 #[cfg(test)]
@@ -609,8 +661,7 @@ mod tests {
                     assert_eq!(w[0].1, w[1].0, "contiguous");
                 }
                 let sizes: Vec<usize> = ranges.iter().map(|(lo, hi)| hi - lo).collect();
-                let (min, max) =
-                    (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
+                let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
                 assert!(max - min <= 1, "near-even: {sizes:?}");
             }
         }

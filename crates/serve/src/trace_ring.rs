@@ -58,7 +58,11 @@ impl Stages {
     /// caught in debug builds, dropped in release (a worker never panics
     /// over a trace record).
     pub fn push(&mut self, stage: Stage) {
-        debug_assert!(self.len < MAX_STAGES, "more than {MAX_STAGES} stages: {}", stage.name);
+        debug_assert!(
+            self.len < MAX_STAGES,
+            "more than {MAX_STAGES} stages: {}",
+            stage.name
+        );
         if let Some(slot) = self.items.get_mut(self.len) {
             *slot = stage;
             self.len += 1;
@@ -153,7 +157,11 @@ mod tests {
             status: 200,
             ts_us: id * 10,
             dur_us: 5,
-            stages: stages(&[Stage { name: "serve.parse", ts_us: id * 10, dur_us: 1 }]),
+            stages: stages(&[Stage {
+                name: "serve.parse",
+                ts_us: id * 10,
+                dur_us: 1,
+            }]),
         }
     }
 
@@ -206,16 +214,27 @@ mod tests {
 
     #[test]
     fn a_fifth_stage_is_dropped_not_a_release_panic() {
-        let stage = |i: u64| Stage { name: "serve.parse", ts_us: i, dur_us: 1 };
+        let stage = |i: u64| Stage {
+            name: "serve.parse",
+            ts_us: i,
+            dur_us: 1,
+        };
         let mut full = stages(&[stage(0), stage(1), stage(2), stage(3)]);
         let pushed = std::panic::catch_unwind(move || {
             full.push(stage(4));
             full
         });
-        assert_eq!(pushed.is_err(), cfg!(debug_assertions), "caught in debug, dropped in release");
+        assert_eq!(
+            pushed.is_err(),
+            cfg!(debug_assertions),
+            "caught in debug, dropped in release"
+        );
         if let Ok(full) = pushed {
             // The record keeps its four stages and the worker lives.
-            assert_eq!(full.as_slice().iter().map(|s| s.ts_us).collect::<Vec<_>>(), [0, 1, 2, 3]);
+            assert_eq!(
+                full.as_slice().iter().map(|s| s.ts_us).collect::<Vec<_>>(),
+                [0, 1, 2, 3]
+            );
         }
     }
 }

@@ -420,7 +420,12 @@ impl<M: LiveTrustModel> EventApplier<M> {
     /// structure it is computed against, so the row computed after the
     /// batch is the one a per-event refresh would have written last.
     pub fn apply_batch(&mut self, events: &[TrustEvent]) -> BatchOutcome {
-        let mut outcome = BatchOutcome { applied: 0, affected: 0, patch: None, error: None };
+        let mut outcome = BatchOutcome {
+            applied: 0,
+            affected: 0,
+            patch: None,
+            error: None,
+        };
         for event in events {
             match self.apply(event) {
                 Ok(applied) => {
@@ -537,7 +542,9 @@ fn parse_event((i, entry): (usize, &Json)) -> Result<TrustEvent, String> {
             .and_then(Json::as_f64)
             .ok_or_else(|| format!("event {i}: missing numeric \"{key}\""))?;
         if n < 0.0 || n.fract() != 0.0 || n > u32::MAX as f64 {
-            return Err(format!("event {i}: \"{key}\" must be a non-negative integer"));
+            return Err(format!(
+                "event {i}: \"{key}\" must be a non-negative integer"
+            ));
         }
         Ok(n as usize)
     };
@@ -607,7 +614,11 @@ mod tests {
 
     impl MockModel {
         fn new(n: usize) -> MockModel {
-            MockModel { n, applied: 0, refreshes: RefCell::default() }
+            MockModel {
+                n,
+                applied: 0,
+                refreshes: RefCell::default(),
+            }
         }
     }
 
@@ -622,12 +633,10 @@ mod tests {
                     v.sort_unstable();
                     v.dedup();
                     if v.iter().any(|&u| u >= self.n) {
-                        return Err(StreamError::Hypergraph(
-                            HypergraphError::VertexOutOfRange {
-                                vertex: *v.last().unwrap(),
-                                n: self.n,
-                            },
-                        ));
+                        return Err(StreamError::Hypergraph(HypergraphError::VertexOutOfRange {
+                            vertex: *v.last().unwrap(),
+                            n: self.n,
+                        }));
                     }
                     v
                 }
@@ -717,12 +726,18 @@ mod tests {
     #[test]
     fn a_batch_refreshes_once_with_the_union_of_its_dirty_users() {
         let mut applier = EventApplier::new(MockModel::new(8), StalenessBound::immediate());
-        let remove = TrustEvent::RemoveEdge { group: HyperGroup::Structure, edge: 14 };
+        let remove = TrustEvent::RemoveEdge {
+            group: HyperGroup::Structure,
+            edge: 14,
+        };
         let batch = applier.apply_batch(&[add(&[3, 1]), add(&[1, 5]), remove]);
         assert!(batch.error.is_none(), "{:?}", batch.error);
         assert_eq!((batch.applied, batch.affected), (3, 5));
         assert_eq!(*applier.model().refreshes.borrow(), vec![vec![1, 3, 5, 6]]);
-        assert_eq!(batch.patch.expect("dirty users exist").users, vec![1, 3, 5, 6]);
+        assert_eq!(
+            batch.patch.expect("dirty users exist").users,
+            vec![1, 3, 5, 6]
+        );
         assert_eq!(applier.pending_events(), 0);
         assert!(applier.dirty_users().is_empty());
     }
@@ -730,7 +745,11 @@ mod tests {
     #[test]
     fn a_weight_only_batch_refreshes_nothing_and_clears_pending() {
         let mut applier = EventApplier::new(MockModel::new(8), StalenessBound::immediate());
-        let reweight = TrustEvent::ReweightEdge { group: HyperGroup::Node, edge: 2, weight: 0.7 };
+        let reweight = TrustEvent::ReweightEdge {
+            group: HyperGroup::Node,
+            edge: 2,
+            weight: 0.7,
+        };
         let batch = applier.apply_batch(&[TrustEvent::Decay { factor: 0.9 }, reweight]);
         assert!(batch.error.is_none(), "{:?}", batch.error);
         assert_eq!((batch.applied, batch.affected), (2, 0));
@@ -744,7 +763,11 @@ mod tests {
         // The bound alone would defer: the flush is the failure's doing.
         let mut applier = EventApplier::new(MockModel::new(8), StalenessBound::batched(100));
         let batch = applier.apply_batch(&[add(&[1]), add(&[2]), add(&[9]), add(&[4])]);
-        assert!(matches!(batch.error, Some(StreamError::Hypergraph(_))), "{:?}", batch.error);
+        assert!(
+            matches!(batch.error, Some(StreamError::Hypergraph(_))),
+            "{:?}",
+            batch.error
+        );
         assert_eq!(batch.applied, 2);
         // The event after the failure never reached the model.
         assert_eq!(applier.model().applied, 2);
@@ -760,13 +783,20 @@ mod tests {
             let _fp = ahntp_faultz::scoped("stream.refresh", FaultSpec::new(Action::Err));
             applier.apply_batch(&[add(&[1]), add(&[2, 3])])
         };
-        assert!(matches!(batch.error, Some(StreamError::Injected(_))), "{:?}", batch.error);
+        assert!(
+            matches!(batch.error, Some(StreamError::Injected(_))),
+            "{:?}",
+            batch.error
+        );
         assert_eq!(batch.applied, 2);
         assert!(batch.patch.is_none());
         assert_eq!(applier.dirty_users(), vec![1, 2, 3]);
         // The next batch's one refresh covers the retained set too.
         let batch = applier.apply_batch(&[add(&[5])]);
-        assert_eq!(batch.patch.expect("healthy refresh").users, vec![1, 2, 3, 5]);
+        assert_eq!(
+            batch.patch.expect("healthy refresh").users,
+            vec![1, 2, 3, 5]
+        );
         assert_eq!(*applier.model().refreshes.borrow(), vec![vec![1, 2, 3, 5]]);
     }
 
@@ -780,8 +810,14 @@ mod tests {
         // leave 3 pending; the batch refreshes once, 3 = len − 1 events
         // later, and leaves nothing pending.
         let batch = applier.apply_batch(&[add(&[3]), add(&[4]), add(&[5]), add(&[6])]);
-        assert_eq!(batch.patch.expect("7 > 3 pending").users, vec![0, 1, 2, 3, 4, 5, 6]);
-        assert_eq!(*applier.model().refreshes.borrow(), vec![vec![0, 1, 2, 3, 4, 5, 6]]);
+        assert_eq!(
+            batch.patch.expect("7 > 3 pending").users,
+            vec![0, 1, 2, 3, 4, 5, 6]
+        );
+        assert_eq!(
+            *applier.model().refreshes.borrow(),
+            vec![vec![0, 1, 2, 3, 4, 5, 6]]
+        );
         assert_eq!(applier.pending_events(), 0);
     }
 
@@ -876,11 +912,26 @@ mod tests {
             ("{}", "expected"),
             (r#"{"events":[{"group":"node"}]}"#, "missing \"op\""),
             (r#"{"events":[{"op":"warp"}]}"#, "unknown op"),
-            (r#"{"events":[{"op":"add","group":"x","members":[0],"weight":1}]}"#, "unknown group"),
-            (r#"{"events":[{"op":"add","group":"node","members":[],"weight":1}]}"#, "non-empty"),
-            (r#"{"events":[{"op":"add","group":"node","members":[-1],"weight":1}]}"#, "non-negative"),
-            (r#"{"events":[{"op":"remove","group":"node","edge":1.5}]}"#, "non-negative integer"),
-            (r#"{"events":[{"op":"decay"}]}"#, "missing numeric \"factor\""),
+            (
+                r#"{"events":[{"op":"add","group":"x","members":[0],"weight":1}]}"#,
+                "unknown group",
+            ),
+            (
+                r#"{"events":[{"op":"add","group":"node","members":[],"weight":1}]}"#,
+                "non-empty",
+            ),
+            (
+                r#"{"events":[{"op":"add","group":"node","members":[-1],"weight":1}]}"#,
+                "non-negative",
+            ),
+            (
+                r#"{"events":[{"op":"remove","group":"node","edge":1.5}]}"#,
+                "non-negative integer",
+            ),
+            (
+                r#"{"events":[{"op":"decay"}]}"#,
+                "missing numeric \"factor\"",
+            ),
         ] {
             let err = parse_events(body).unwrap_err();
             assert!(err.contains(needle), "{body} -> {err}");

@@ -44,7 +44,11 @@ static ROOT: OnceLock<State> = OnceLock::new();
 /// The process-wide count behind `switches` (metrics, or trace switches).
 #[inline]
 fn anywhere(switches: u32) -> &'static AtomicUsize {
-    if switches == ENABLED { &METRICS_ON } else { &TRACING_ON }
+    if switches == ENABLED {
+        &METRICS_ON
+    } else {
+        &TRACING_ON
+    }
 }
 
 /// Everything one context owns.
@@ -116,10 +120,14 @@ impl Drop for State {
 /// place the crate's switches are read from it.
 fn root() -> &'static State {
     ROOT.get_or_init(|| {
-        let trace_out = std::env::var("AHNTP_TRACE_OUT").ok().filter(|p| !p.trim().is_empty());
+        let trace_out = std::env::var("AHNTP_TRACE_OUT")
+            .ok()
+            .filter(|p| !p.trim().is_empty());
         let on = |yes: bool, switch: u32| if yes { switch } else { 0 };
-        let switches = on(env_flag("AHNTP_TELEMETRY") || std::env::var("AHNTP_LOG").is_ok(), ENABLED)
-            | on(trace_out.is_some(), COLLECT)
+        let switches = on(
+            env_flag("AHNTP_TELEMETRY") || std::env::var("AHNTP_LOG").is_ok(),
+            ENABLED,
+        ) | on(trace_out.is_some(), COLLECT)
             | on(env_flag("AHNTP_PROFILE"), PROFILE);
         let cap = env_parse("AHNTP_TRACE_CAP", 262_144usize).max(1);
         let root = State::new(switches, cap, trace_out.map(PathBuf::from));
@@ -158,8 +166,16 @@ impl Scope {
     /// profile, no trace position.
     pub fn fresh() -> Scope {
         let root = root();
-        let state = State::new(root.switches.load(Relaxed), root.cap, root.trace_out.clone());
-        Scope { state: Some(Arc::new(state)), trace_id: 0, parent: None }
+        let state = State::new(
+            root.switches.load(Relaxed),
+            root.cap,
+            root.trace_out.clone(),
+        );
+        Scope {
+            state: Some(Arc::new(state)),
+            trace_id: 0,
+            parent: None,
+        }
     }
 
     /// Runs `f` with this as the calling thread's context and trace
@@ -197,7 +213,11 @@ pub(crate) fn replace_trace_id(trace_id: u64) -> u64 {
 #[inline]
 pub(crate) fn when_on(switches: u32, f: impl FnOnce(&Scope)) {
     if anywhere(switches).load(Relaxed) != 0 {
-        with_current(|scope| if scope.state().on(switches) { f(scope) });
+        with_current(|scope| {
+            if scope.state().on(switches) {
+                f(scope)
+            }
+        });
     }
 }
 
@@ -252,7 +272,11 @@ pub(crate) mod tests {
                 assert_eq!(worker.join().unwrap(), (n * 100, 1), "context {n}");
             }
         });
-        assert_eq!(counter_get("iso.calls"), 0, "a context leaked into the root");
+        assert_eq!(
+            counter_get("iso.calls"),
+            0,
+            "a context leaked into the root"
+        );
         let root_events = crate::chrome_trace_json().to_line();
         assert!(!root_events.contains("iso.span"), "{root_events}");
     }
@@ -271,7 +295,10 @@ pub(crate) mod tests {
                 assert!(current.state.is_none(), "a context was installed");
                 assert_eq!((current.trace_id, current.parent), (0, None));
             });
-            assert!(crate::trace::frames_never_pushed(), "a span frame was pushed");
+            assert!(
+                crate::trace::frames_never_pushed(),
+                "a span frame was pushed"
+            );
             assert_eq!(counter_get("iso.nowhere"), 0);
         })
         .join()
@@ -283,7 +310,11 @@ pub(crate) mod tests {
         // No test of this crate flips a switch of the root itself.
         let scope = Scope::fresh();
         for switch in [ENABLED, COLLECT, PROFILE] {
-            assert_eq!(scope.state().on(switch), root().on(switch), "switch {switch}");
+            assert_eq!(
+                scope.state().on(switch),
+                root().on(switch),
+                "switch {switch}"
+            );
         }
         scope.run(|| {
             let was = crate::enabled();

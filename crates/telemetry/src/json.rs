@@ -30,12 +30,7 @@ pub enum Json {
 impl Json {
     /// Convenience constructor for an object from key/value pairs.
     pub fn obj(pairs: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
-        Json::Obj(
-            pairs
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        )
+        Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
     }
 
     /// Member lookup; `None` on non-objects and missing keys.
@@ -203,10 +198,7 @@ impl Parser<'_> {
             self.pos += 1;
             Ok(())
         } else {
-            Err(format!(
-                "expected '{}' at byte {}",
-                b as char, self.pos
-            ))
+            Err(format!("expected '{}' at byte {}", b as char, self.pos))
         }
     }
 
@@ -399,7 +391,10 @@ mod tests {
         // sits next to a 2-, 3- or 4-byte character here.
         let text = "é\\n→\\\"𝄞\\u00e9\\\\ü";
         let want = "é\n→\"𝄞é\\ü";
-        assert_eq!(parse(&format!("\"{text}\"")), Ok(Json::Str(want.to_string())));
+        assert_eq!(
+            parse(&format!("\"{text}\"")),
+            Ok(Json::Str(want.to_string()))
+        );
         assert_eq!(parse(&Json::from(want).to_line()), Ok(Json::from(want)));
         assert!(parse("\"→").is_err(), "unterminated after a multi-byte run");
     }

@@ -71,11 +71,12 @@ impl RunLedger {
             path,
             seq: 0,
         };
-        ledger.write_record(
-            "run_start",
-            [("run", Json::from(run)), ("config", config)],
+        ledger.write_record("run_start", [("run", Json::from(run)), ("config", config)]);
+        info!(
+            "ledger",
+            "recording run {run:?} to {}",
+            ledger.path.display()
         );
-        info!("ledger", "recording run {run:?} to {}", ledger.path.display());
         Some(ledger)
     }
 
@@ -125,11 +126,7 @@ impl RunLedger {
         let _ = self.writer.flush();
     }
 
-    fn write_record(
-        &mut self,
-        kind: &str,
-        fields: impl IntoIterator<Item = (&'static str, Json)>,
-    ) {
+    fn write_record(&mut self, kind: &str, fields: impl IntoIterator<Item = (&'static str, Json)>) {
         let mut obj = Json::obj([("kind", Json::from(kind)), ("seq", Json::from(self.seq))]);
         if let Json::Obj(map) = &mut obj {
             for (k, v) in fields {
@@ -138,7 +135,10 @@ impl RunLedger {
         }
         self.seq += 1;
         let line = obj.to_line();
-        if writeln!(self.writer, "{line}").and_then(|_| self.writer.flush()).is_err() {
+        if writeln!(self.writer, "{line}")
+            .and_then(|_| self.writer.flush())
+            .is_err()
+        {
             // Disk full / closed fd: drop silently, training must go on.
         }
     }
@@ -147,15 +147,13 @@ impl RunLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::parse;
     use crate::context::tests::enabled_context;
+    use crate::json::parse;
     use crate::metrics::counter_add;
 
     fn temp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "ahntp-telemetry-test-{tag}-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("ahntp-telemetry-test-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
     }
@@ -192,7 +190,10 @@ mod tests {
         for (i, r) in records.iter().enumerate() {
             assert_eq!(r.get("seq").and_then(Json::as_f64), Some(i as f64));
         }
-        assert_eq!(records[0].get("kind").and_then(Json::as_str), Some("run_start"));
+        assert_eq!(
+            records[0].get("kind").and_then(Json::as_str),
+            Some("run_start")
+        );
         assert_eq!(
             records[0]
                 .get("config")
@@ -201,8 +202,14 @@ mod tests {
             Some(3.0)
         );
         assert_eq!(records[1].get("loss").and_then(Json::as_f64), Some(0.9));
-        assert_eq!(records[2].get("grad_norm").and_then(Json::as_f64), Some(0.2));
-        assert_eq!(records[3].get("event").and_then(Json::as_str), Some("early_stop"));
+        assert_eq!(
+            records[2].get("grad_norm").and_then(Json::as_f64),
+            Some(0.2)
+        );
+        assert_eq!(
+            records[3].get("event").and_then(Json::as_str),
+            Some("early_stop")
+        );
         let end = records.last().unwrap();
         assert_eq!(end.get("kind").and_then(Json::as_str), Some("run_end"));
         assert_eq!(end.get("best_loss").and_then(Json::as_f64), Some(0.5));

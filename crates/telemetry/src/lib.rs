@@ -76,8 +76,8 @@ mod trace;
 
 pub use context::Scope;
 pub use divergence::{
-    clear_nonfinite, finite_checks_enabled, first_nonfinite, record_nonfinite,
-    set_finite_checks, NonFiniteEvent,
+    clear_nonfinite, finite_checks_enabled, first_nonfinite, record_nonfinite, set_finite_checks,
+    NonFiniteEvent,
 };
 pub use env::{env_flag, env_parse};
 pub use ledger::{default_ledger_dir, RunLedger};

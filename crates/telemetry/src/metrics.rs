@@ -191,11 +191,13 @@ impl Registry {
         #[cfg(test)]
         tests::INSERTS.with(|n| n.set(n.get() + 1));
         let mut metrics = self.metrics.write().unwrap();
-        let metric = metrics.entry(name.to_string()).or_insert_with(|| match update {
-            Update::Add => Metric::Counter(AtomicU64::new(0)),
-            Update::Set => Metric::Gauge(AtomicU64::new(0)),
-            Update::Record => Metric::Histogram(Box::new(Histogram::new())),
-        });
+        let metric = metrics
+            .entry(name.to_string())
+            .or_insert_with(|| match update {
+                Update::Add => Metric::Counter(AtomicU64::new(0)),
+                Update::Set => Metric::Gauge(AtomicU64::new(0)),
+                Update::Record => Metric::Histogram(Box::new(Histogram::new())),
+            });
         metric.apply(update, value);
     }
 }
@@ -208,7 +210,9 @@ fn read<R>(f: impl FnOnce(&BTreeMap<String, Metric>) -> R) -> R {
 /// Runs one update on the calling thread's context, if its telemetry is on.
 #[inline]
 fn update(name: &str, update: Update, value: u64) {
-    when_on(ENABLED, |scope| scope.state().metrics.update(name, update, value));
+    when_on(ENABLED, |scope| {
+        scope.state().metrics.update(name, update, value)
+    });
 }
 
 /// Adds `delta` to the named counter. No-op when telemetry is disabled.
@@ -320,7 +324,12 @@ pub type Snapshot = BTreeMap<String, MetricValue>;
 /// Copies the current value of every metric. Names sort alphabetically,
 /// so dotted prefixes (`tensor.matmul.calls`) group naturally.
 pub fn metrics_snapshot() -> Snapshot {
-    read(|metrics| metrics.iter().map(|(name, m)| (name.clone(), m.value())).collect())
+    read(|metrics| {
+        metrics
+            .iter()
+            .map(|(name, m)| (name.clone(), m.value()))
+            .collect()
+    })
 }
 
 /// The full metrics snapshot as one JSON object keyed by metric name —
@@ -382,7 +391,11 @@ mod tests {
                 gauge_set("test.insert.gauge", 2.0);
                 histogram_record("test.insert.histo", 2);
             }
-            assert_eq!(inserts(), before + 3, "an existing name took the insert path");
+            assert_eq!(
+                inserts(),
+                before + 3,
+                "an existing name took the insert path"
+            );
             assert_eq!(counter_get("test.insert.counter"), 11);
             assert_eq!(metrics_snapshot().len(), 3);
         });

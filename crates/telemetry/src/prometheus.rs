@@ -134,7 +134,11 @@ mod tests {
             metrics_prometheus_text()
         });
         let samples = parse_exposition(&text);
-        assert_eq!(samples.len(), 2 + 4, "another context's metrics were exposed:\n{text}");
+        assert_eq!(
+            samples.len(),
+            2 + 4,
+            "another context's metrics were exposed:\n{text}"
+        );
         let get = |name: &str, labels: &str| {
             samples
                 .iter()

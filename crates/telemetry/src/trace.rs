@@ -133,7 +133,15 @@ impl KernelKind {
     /// All kinds, in `repr` order.
     pub fn all() -> [KernelKind; KERNEL_KINDS] {
         use KernelKind::*;
-        [Matmul, Csr, Elementwise, Reduction, CacheBuild, Score, Other]
+        [
+            Matmul,
+            Csr,
+            Elementwise,
+            Reduction,
+            CacheBuild,
+            Score,
+            Other,
+        ]
     }
 }
 
@@ -151,7 +159,9 @@ impl KernelProfile {
     /// `self − earlier`, element-wise and saturating — the time spent
     /// between two snapshots.
     pub fn delta_since(&self, earlier: &KernelProfile) -> KernelProfile {
-        KernelProfile { us: std::array::from_fn(|i| self.us[i].saturating_sub(earlier.us[i])) }
+        KernelProfile {
+            us: std::array::from_fn(|i| self.us[i].saturating_sub(earlier.us[i])),
+        }
     }
 
     /// Total µs across every kind. Because children telescope into their
@@ -277,7 +287,12 @@ impl KernelSpan {
     pub fn enter(name: &'static str, kind: KernelKind) -> KernelSpan {
         let pushed = trace_active();
         if pushed {
-            let frame = Frame { name, kind, start_us: trace_now_us(), child_us: 0 };
+            let frame = Frame {
+                name,
+                kind,
+                start_us: trace_now_us(),
+                child_us: 0,
+            };
             FRAMES.with(|f| f.borrow_mut().push(frame));
         }
         KernelSpan { pushed }
@@ -439,9 +454,19 @@ pub fn trace_complete_request(name: &'static str, ts_us: u64, dur_us: u64, trace
 /// and `chrome://tracing`.
 pub fn chrome_trace_json() -> Json {
     let events = with_current(|scope| {
-        scope.state().events.lock().unwrap().iter().map(TraceEvent::to_json).collect()
+        scope
+            .state()
+            .events
+            .lock()
+            .unwrap()
+            .iter()
+            .map(TraceEvent::to_json)
+            .collect()
     });
-    Json::obj([("traceEvents", Json::Arr(events)), ("displayTimeUnit", Json::from("ms"))])
+    Json::obj([
+        ("traceEvents", Json::Arr(events)),
+        ("displayTimeUnit", Json::from("ms")),
+    ])
 }
 
 /// Writes [`chrome_trace_json`] to `path` (creating parent directories).
@@ -472,9 +497,16 @@ pub fn flush_trace_to_env() -> Option<PathBuf> {
         Ok(()) => {
             let (len, dropped) = with_current(|scope| {
                 let state = scope.state();
-                (state.events.lock().unwrap().len(), state.dropped.load(Ordering::Relaxed))
+                (
+                    state.events.lock().unwrap().len(),
+                    state.dropped.load(Ordering::Relaxed),
+                )
             });
-            crate::info!("trace", "wrote {len} trace events to {} ({dropped} dropped)", path.display());
+            crate::info!(
+                "trace",
+                "wrote {len} trace events to {} ({dropped} dropped)",
+                path.display()
+            );
             Some(path)
         }
         Err(e) => {
@@ -545,7 +577,11 @@ mod tests {
         );
         // Telescoping: total self time ≤ total wall of the outer scope.
         assert!(p.total_us() >= 10_000);
-        assert_eq!(p.total_us(), matmul + reduction, "another kind was profiled");
+        assert_eq!(
+            p.total_us(),
+            matmul + reduction,
+            "another kind was profiled"
+        );
     }
 
     #[test]
@@ -582,7 +618,10 @@ mod tests {
         assert!(ts(inner) >= ts(outer));
         assert!(ts(inner) + dur(inner) <= ts(outer) + dur(outer));
         assert_eq!(
-            inner.get("args").and_then(|a| a.get("parent")).and_then(Json::as_str),
+            inner
+                .get("args")
+                .and_then(|a| a.get("parent"))
+                .and_then(Json::as_str),
             Some("test.evt.outer")
         );
         let hex = format!("{trace_id:016x}");
@@ -615,7 +654,10 @@ mod tests {
         });
         assert_eq!(evs.len(), 2, "child and parent, not the stray: {evs:?}");
         let child = &evs[0];
-        assert_eq!(child.get("name").and_then(Json::as_str), Some("test.ctx.child"));
+        assert_eq!(
+            child.get("name").and_then(Json::as_str),
+            Some("test.ctx.child")
+        );
         assert_eq!(
             child
                 .get("args")

@@ -20,11 +20,13 @@ impl Strategy for ArbString {
     type Value = String;
     fn generate(&self, rng: &mut TestRng) -> String {
         const ALPHABET: &[&str] = &[
-            "a", "Z", "0", " ", "\"", "\\", "\n", "\r", "\t", "\u{8}", "\u{c}", "\u{1}",
-            "\u{1f}", "/", "{", "}", "[", "]", ":", ",", "é", "λ", "好", "🦀", "\u{7f}",
+            "a", "Z", "0", " ", "\"", "\\", "\n", "\r", "\t", "\u{8}", "\u{c}", "\u{1}", "\u{1f}",
+            "/", "{", "}", "[", "]", ":", ",", "é", "λ", "好", "🦀", "\u{7f}",
         ];
         let len = rng.below(12);
-        (0..len).map(|_| ALPHABET[rng.below(ALPHABET.len())]).collect()
+        (0..len)
+            .map(|_| ALPHABET[rng.below(ALPHABET.len())])
+            .collect()
     }
 }
 
@@ -65,12 +67,16 @@ impl Strategy for ArbJson {
             3 => Json::Str(ArbString.generate(rng)),
             4 => {
                 let n = rng.below(4);
-                let child = ArbJson { depth: self.depth - 1 };
+                let child = ArbJson {
+                    depth: self.depth - 1,
+                };
                 Json::Arr((0..n).map(|_| child.generate(rng)).collect())
             }
             _ => {
                 let n = rng.below(4);
-                let child = ArbJson { depth: self.depth - 1 };
+                let child = ArbJson {
+                    depth: self.depth - 1,
+                };
                 Json::Obj(
                     (0..n)
                         .map(|_| (ArbString.generate(rng), child.generate(rng)))
@@ -87,11 +93,7 @@ fn normalize(v: &Json) -> Json {
     match v {
         Json::Num(n) if !n.is_finite() => Json::Null,
         Json::Arr(items) => Json::Arr(items.iter().map(normalize).collect()),
-        Json::Obj(map) => Json::Obj(
-            map.iter()
-                .map(|(k, v)| (k.clone(), normalize(v)))
-                .collect(),
-        ),
+        Json::Obj(map) => Json::Obj(map.iter().map(|(k, v)| (k.clone(), normalize(v))).collect()),
         other => other.clone(),
     }
 }

@@ -22,7 +22,11 @@ impl std::fmt::Debug for Tensor {
         // Avoid dumping megabytes of floats on assertion failures.
         const PREVIEW: usize = 8;
         let head: Vec<f32> = self.data.iter().take(PREVIEW).copied().collect();
-        let ellipsis = if self.data.len() > PREVIEW { ", …" } else { "" };
+        let ellipsis = if self.data.len() > PREVIEW {
+            ", …"
+        } else {
+            ""
+        };
         write!(f, "Tensor{} {:?}{}", self.shape, head, ellipsis)
     }
 }

@@ -128,7 +128,11 @@ fn tile<const R: usize, const C: usize>(
         Left::Rows(a) => {
             let rows: [&[f32]; R] = std::array::from_fn(|r| &a[(i + r) * k..][..k]);
             for kk in 0..k {
-                step(&mut acc, std::array::from_fn(|r| rows[r][kk]), &b[kk * n + j..][..C]);
+                step(
+                    &mut acc,
+                    std::array::from_fn(|r| rows[r][kk]),
+                    &b[kk * n + j..][..C],
+                );
             }
         }
         Left::Cols(a, m) => {
@@ -274,7 +278,8 @@ impl Tensor {
             Shape::Vector(len) => (len, 1),
         };
         assert_eq!(
-            k1, k2,
+            k1,
+            k2,
             "Tensor::matmul: inner dimensions disagree: {} @ {}",
             self.shape(),
             other.shape()
@@ -300,7 +305,8 @@ impl Tensor {
         let (k1, m) = (self.rows(), self.cols());
         let (k2, n) = (other.rows(), other.cols());
         assert_eq!(
-            k1, k2,
+            k1,
+            k2,
             "Tensor::t_matmul: row counts disagree: {} vs {}",
             self.shape(),
             other.shape()
@@ -323,7 +329,8 @@ impl Tensor {
         let (m, k1) = (self.rows(), self.cols());
         let (n, k2) = (other.rows(), other.cols());
         assert_eq!(
-            k1, k2,
+            k1,
+            k2,
             "Tensor::matmul_t: column counts disagree: {} vs {}",
             self.shape(),
             other.shape()

@@ -229,10 +229,7 @@ impl Tensor {
             self.cols()
         );
         let rows = self.rows();
-        let mut out: Vec<Tensor> = widths
-            .iter()
-            .map(|&w| Tensor::zeros(rows, w))
-            .collect();
+        let mut out: Vec<Tensor> = widths.iter().map(|&w| Tensor::zeros(rows, w)).collect();
         for r in 0..rows {
             let mut offset = 0;
             let src = self.row(r);

@@ -125,8 +125,12 @@ mod tests {
     fn he_normal_has_plausible_moments() {
         let t = he_normal(200, 100, 3);
         let mean = t.mean();
-        let var: f32 =
-            t.as_slice().iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / t.len() as f32;
+        let var: f32 = t
+            .as_slice()
+            .iter()
+            .map(|&v| (v - mean) * (v - mean))
+            .sum::<f32>()
+            / t.len() as f32;
         let expected_var = 2.0 / 200.0;
         assert!(mean.abs() < 0.01, "mean {mean} too far from 0");
         assert!(

@@ -454,12 +454,7 @@ impl<T: Scalar> CsrMatrix<T> {
         self.combine(other, "sub", |a, b| a - b)
     }
 
-    fn combine(
-        &self,
-        other: &CsrMatrix<T>,
-        op: &str,
-        f: impl Fn(T, T) -> T,
-    ) -> CsrMatrix<T> {
+    fn combine(&self, other: &CsrMatrix<T>, op: &str, f: impl Fn(T, T) -> T) -> CsrMatrix<T> {
         assert_eq!(
             (self.rows, self.cols),
             (other.rows, other.cols),
@@ -868,7 +863,11 @@ impl<T: Scalar> CsrMatrix<T> {
             cols: self.cols,
             row_ptr: self.row_ptr.clone(),
             col_idx: self.col_idx.clone(),
-            values: self.values.iter().map(|&v| U::from_f64(v.to_f64())).collect(),
+            values: self
+                .values
+                .iter()
+                .map(|&v| U::from_f64(v.to_f64()))
+                .collect(),
         }
     }
 
@@ -942,8 +941,7 @@ mod tests {
 
     #[test]
     fn from_triplets_sums_duplicates_and_sorts() {
-        let m =
-            CsrMatrix::from_triplets(2, 2, &[(0, 1, 1.0), (0, 0, 2.0), (0, 1, 3.0)]).unwrap();
+        let m = CsrMatrix::from_triplets(2, 2, &[(0, 1, 1.0), (0, 0, 2.0), (0, 1, 3.0)]).unwrap();
         m.validate().unwrap();
         assert_eq!(m.nnz(), 2);
         assert_eq!(m.get(0, 0), 2.0);

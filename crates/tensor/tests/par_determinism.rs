@@ -159,7 +159,11 @@ fn spmm_parallel_stitching_preserves_structure() {
     for t in [2, 7] {
         let par = ahntp_par::with_pool(t, 0, || a.spmm(&b));
         assert_eq!(serial.row_ptr(), par.row_ptr(), "row_ptr at {t} threads");
-        assert_eq!(serial.col_indices(), par.col_indices(), "col_idx at {t} threads");
+        assert_eq!(
+            serial.col_indices(),
+            par.col_indices(),
+            "col_idx at {t} threads"
+        );
         assert_eq!(serial.values(), par.values(), "values at {t} threads");
     }
 }
@@ -229,7 +233,11 @@ fn f64_mul_vec_is_bitwise_stable() {
 }
 
 /// One kernel under test next to a naive scalar version of it.
-type Case = (&'static str, fn(&Inputs) -> Vec<f32>, fn(&Inputs) -> Vec<f32>);
+type Case = (
+    &'static str,
+    fn(&Inputs) -> Vec<f32>,
+    fn(&Inputs) -> Vec<f32>,
+);
 
 /// Operands shared by every row of the reference table.
 struct Inputs {
@@ -340,7 +348,11 @@ fn naive_references_match_bitwise() {
         (
             "zip",
             |i| i.a.zip(&i.b, |x, y| x * y + 0.5).as_slice().to_vec(),
-            |i| (0..i.a.len()).map(|e| i.a.as_slice()[e] * i.b.as_slice()[e] + 0.5).collect(),
+            |i| {
+                (0..i.a.len())
+                    .map(|e| i.a.as_slice()[e] * i.b.as_slice()[e] + 0.5)
+                    .collect()
+            },
         ),
         (
             "axpy_inplace",
@@ -349,17 +361,37 @@ fn naive_references_match_bitwise() {
                 c.axpy_inplace(-0.3, &i.b);
                 c.as_slice().to_vec()
             },
-            |i| (0..i.a.len()).map(|e| i.a.as_slice()[e] + -0.3 * i.b.as_slice()[e]).collect(),
+            |i| {
+                (0..i.a.len())
+                    .map(|e| i.a.as_slice()[e] + -0.3 * i.b.as_slice()[e])
+                    .collect()
+            },
         ),
         (
             "add_row_broadcast",
-            |i| i.a.add_row_broadcast(&Tensor::vector(i.bias.clone())).as_slice().to_vec(),
-            |i| per_row(&i.a, |_, row| (0..row.len()).map(|c| row[c] + i.bias[c]).collect()),
+            |i| {
+                i.a.add_row_broadcast(&Tensor::vector(i.bias.clone()))
+                    .as_slice()
+                    .to_vec()
+            },
+            |i| {
+                per_row(&i.a, |_, row| {
+                    (0..row.len()).map(|c| row[c] + i.bias[c]).collect()
+                })
+            },
         ),
         (
             "scale_rows",
-            |i| i.a.scale_rows(&Tensor::vector(i.scales.clone())).as_slice().to_vec(),
-            |i| per_row(&i.a, |r, row| row.iter().map(|&v| v * i.scales[r]).collect()),
+            |i| {
+                i.a.scale_rows(&Tensor::vector(i.scales.clone()))
+                    .as_slice()
+                    .to_vec()
+            },
+            |i| {
+                per_row(&i.a, |r, row| {
+                    row.iter().map(|&v| v * i.scales[r]).collect()
+                })
+            },
         ),
         (
             "row_sums",
@@ -369,7 +401,11 @@ fn naive_references_match_bitwise() {
         (
             "row_norms",
             |i| i.a.row_norms().as_slice().to_vec(),
-            |i| per_row(&i.a, |_, row| vec![sum_of(row.iter().map(|&v| v * v)).sqrt()]),
+            |i| {
+                per_row(&i.a, |_, row| {
+                    vec![sum_of(row.iter().map(|&v| v * v)).sqrt()]
+                })
+            },
         ),
         (
             "softmax_rows",
@@ -389,7 +425,9 @@ fn naive_references_match_bitwise() {
             |i| {
                 per_row(&i.a, |_, row| {
                     let n = sum_of(row.iter().map(|&v| v * v)).sqrt();
-                    row.iter().map(|&v| if n > 0.0 { v / n } else { v }).collect()
+                    row.iter()
+                        .map(|&v| if n > 0.0 { v / n } else { v })
+                        .collect()
                 })
             },
         ),

@@ -20,9 +20,18 @@ fn main() {
 
     let variants = [
         (AhntpVariant::Full, "all components"),
-        (AhntpVariant::NoMpr, "plain PageRank replaces Motif-based PageRank"),
-        (AhntpVariant::NoAttention, "uniform hyperedge weighting (no attention)"),
-        (AhntpVariant::NoContrastive, "cross-entropy only (no contrastive loss)"),
+        (
+            AhntpVariant::NoMpr,
+            "plain PageRank replaces Motif-based PageRank",
+        ),
+        (
+            AhntpVariant::NoAttention,
+            "uniform hyperedge weighting (no attention)",
+        ),
+        (
+            AhntpVariant::NoContrastive,
+            "cross-entropy only (no contrastive loss)",
+        ),
     ];
 
     println!("dataset: {}\n", dataset.stats());

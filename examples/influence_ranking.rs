@@ -20,7 +20,11 @@ fn top_k(scores: &[f64], k: usize) -> Vec<(usize, f64)> {
 fn main() {
     let dataset = TrustDataset::generate(&DatasetConfig::epinions_like(400, 11));
     let g = &dataset.graph;
-    println!("social network: {} users, {} trust edges", g.n(), g.n_edges());
+    println!(
+        "social network: {} users, {} trust edges",
+        g.n(),
+        g.n_edges()
+    );
 
     // How common is each triangular motif in this network?
     println!("\nmotif census (instances per motif of Fig. 4):");

@@ -38,7 +38,10 @@ fn main() {
         &mut model,
         &split.train,
         &split.test,
-        &TrainConfig { epochs: 40, ..TrainConfig::default() },
+        &TrainConfig {
+            epochs: 40,
+            ..TrainConfig::default()
+        },
     );
     println!("trained: test {}", report.test);
 
@@ -65,8 +68,9 @@ fn main() {
     let mut conn = Client::connect(server.addr(), TIMEOUT).expect("connect");
     let Response { status, body, .. } = conn.get("/healthz").unwrap();
     println!("GET /healthz         -> {status} {body}");
-    let Response { status, body, .. } =
-        conn.post("/score", r#"{"pairs":[[0,1],[1,0],[2,3]]}"#).unwrap();
+    let Response { status, body, .. } = conn
+        .post("/score", r#"{"pairs":[[0,1],[1,0],[2,3]]}"#)
+        .unwrap();
     println!("POST /score          -> {status} {body}");
     let Response { status, body, .. } = conn.get("/topk?user=0&k=3").unwrap();
     println!("GET /topk?user=0&k=3 -> {status} {body}");

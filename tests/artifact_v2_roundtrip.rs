@@ -45,7 +45,9 @@ fn random_artifact(seed: u64) -> TrustArtifact {
     let emb_dim = 1 + rng.below(9);
     let head_dim = 1 + rng.below(9);
     let mut row = |len: usize| -> Vec<f32> {
-        (0..len).map(|_| (rng.next_f64() * 4.0 - 2.0) as f32).collect()
+        (0..len)
+            .map(|_| (rng.next_f64() * 4.0 - 2.0) as f32)
+            .collect()
     };
     TrustArtifact {
         model: "AHNTP".to_string(),
@@ -74,15 +76,31 @@ fn bits(rows: &[f32]) -> Vec<u32> {
 fn assert_bitwise_equal(a: &TrustArtifact, b: &TrustArtifact, what: &str) {
     assert_eq!(a.model, b.model, "{what}: model");
     assert_eq!(a.fingerprint, b.fingerprint, "{what}: fingerprint");
-    assert_eq!(a.calibration.to_bits(), b.calibration.to_bits(), "{what}: calibration");
+    assert_eq!(
+        a.calibration.to_bits(),
+        b.calibration.to_bits(),
+        "{what}: calibration"
+    );
     assert_eq!(
         (a.n_users, a.emb_dim, a.head_dim),
         (b.n_users, b.emb_dim, b.head_dim),
         "{what}: shape"
     );
-    assert_eq!(bits(&a.embeddings), bits(&b.embeddings), "{what}: embeddings");
-    assert_eq!(bits(&a.trustor_head), bits(&b.trustor_head), "{what}: trustor head");
-    assert_eq!(bits(&a.trustee_head), bits(&b.trustee_head), "{what}: trustee head");
+    assert_eq!(
+        bits(&a.embeddings),
+        bits(&b.embeddings),
+        "{what}: embeddings"
+    );
+    assert_eq!(
+        bits(&a.trustor_head),
+        bits(&b.trustor_head),
+        "{what}: trustor head"
+    );
+    assert_eq!(
+        bits(&a.trustee_head),
+        bits(&b.trustee_head),
+        "{what}: trustee head"
+    );
 }
 
 /// Renders a frame as the golden hex-dump format: 32 bytes per line.
@@ -135,7 +153,10 @@ fn fixture_round_trips_through_every_path() {
     let mapped = map(&v2).unwrap();
     assert_bitwise_equal(&a, &mapped, "map(v2)");
     // The map genuinely aliased the frame bytes instead of copying.
-    assert!(mapped.is_mapped(), "v2 map must be zero-copy on this platform");
+    assert!(
+        mapped.is_mapped(),
+        "v2 map must be zero-copy on this platform"
+    );
 }
 
 /// CRC-32 (IEEE), bitwise — `ahntp_nn` keeps its own private.
@@ -176,7 +197,10 @@ fn version_1_frames_are_refused_by_number() {
     v1.extend_from_slice(&seal.to_le_bytes());
     // A wrong seal would surface as `Malformed("checksum …")` instead, so
     // these refusals are about the version.
-    assert_eq!(TrustArtifact::decode(&v1), Err(ArtifactError::UnsupportedVersion(1)));
+    assert_eq!(
+        TrustArtifact::decode(&v1),
+        Err(ArtifactError::UnsupportedVersion(1))
+    );
     assert_eq!(map(&v1), Err(ArtifactError::UnsupportedVersion(1)));
 }
 

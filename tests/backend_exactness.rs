@@ -16,7 +16,9 @@ use proptest::TestRng;
 fn random_artifact(seed: u64, n_users: usize, head_dim: usize) -> TrustArtifact {
     let mut rng = TestRng::from_label(&format!("backend-exactness-{seed}"));
     let mut row = |len: usize| -> Vec<f32> {
-        (0..len).map(|_| (rng.next_f64() * 2.0 - 1.0) as f32).collect()
+        (0..len)
+            .map(|_| (rng.next_f64() * 2.0 - 1.0) as f32)
+            .collect()
     };
     TrustArtifact {
         model: "AHNTP".to_string(),
@@ -107,16 +109,28 @@ fn grouped_artifact(seed: u64, head: Head, n: usize, d: usize) -> TrustArtifact 
     let mut rng = TestRng::from_label(&format!("backend-grouped-{seed}"));
     let mut signed = || (rng.next_f64() * 2.0 - 1.0) as f32;
     let distinct: Vec<Vec<f32>> = (0..6)
-        .map(|_| (0..d).map(|j| if j == 0 { 1.0 } else { signed() }).collect())
+        .map(|_| {
+            (0..d)
+                .map(|j| if j == 0 { 1.0 } else { signed() })
+                .collect()
+        })
         .collect();
     let trustee: Vec<f32> = (0..n)
         .flat_map(|v| -> Vec<f32> {
             match head {
-                Head::Clustered => distinct[v % 6].iter().map(|c| c * 2.0 + 0.2 * signed()).collect(),
+                Head::Clustered => distinct[v % 6]
+                    .iter()
+                    .map(|c| c * 2.0 + 0.2 * signed())
+                    .collect(),
                 Head::Uniform => (0..d).map(|_| signed()).collect(),
                 // Rows 0 and n/2, where k-means seeds its two centres,
                 // hold different rows.
-                Head::Duplicates => distinct[if v < n / 2 { v % 2 } else { (v - n / 2 + 1) % 2 }].clone(),
+                Head::Duplicates => distinct[if v < n / 2 {
+                    v % 2
+                } else {
+                    (v - n / 2 + 1) % 2
+                }]
+                .clone(),
                 Head::AllEqual => distinct[0].clone(),
             }
         })

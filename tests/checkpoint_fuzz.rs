@@ -77,8 +77,12 @@ fn frames() -> Vec<(&'static str, Vec<u8>)> {
 fn try_decode(kind: &str, bytes: &[u8]) -> Result<(), String> {
     match kind {
         "AHNTP001" => load_params(&params(), bytes).map_err(|e| e.to_string()),
-        "AHNTP002" => TrainState::decode(bytes).map(|_| ()).map_err(|e| e.to_string()),
-        "AHNTPSRV1" => TrustArtifact::decode(bytes).map(|_| ()).map_err(|e| e.to_string()),
+        "AHNTP002" => TrainState::decode(bytes)
+            .map(|_| ())
+            .map_err(|e| e.to_string()),
+        "AHNTPSRV1" => TrustArtifact::decode(bytes)
+            .map(|_| ())
+            .map_err(|e| e.to_string()),
         other => panic!("unknown frame kind {other}"),
     }
 }

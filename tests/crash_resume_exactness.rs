@@ -50,10 +50,7 @@ fn mb_cfg() -> MiniBatchConfig {
 }
 
 fn scratch_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "ahntp-crash-resume-{tag}-{}",
-        std::process::id()
-    ));
+    let dir = std::env::temp_dir().join(format!("ahntp-crash-resume-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create scratch dir");
     dir
@@ -232,7 +229,8 @@ fn golden_resumed_trajectory_bytes_exact_at_one_and_four_threads() {
     let golden = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("golden file {} unreadable: {e}", path.display()));
     assert_eq!(
-        rendered_1, golden,
+        rendered_1,
+        golden,
         "resumed trajectory drifted from {}; if the numeric change is \
          intentional, regenerate with AHNTP_REGEN_GOLDEN=1",
         path.display()

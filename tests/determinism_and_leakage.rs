@@ -17,7 +17,12 @@ fn identical_seeds_give_identical_training_trajectories() {
     let ds = TrustDataset::generate(&DatasetConfig::ciao_like(90, 41));
     let split = ds.split(0.8, 0.2, 2, 5);
     let run = || -> (Vec<f32>, Vec<f32>) {
-        let mut m = Ahntp::new(&ds.features, &ds.attributes, &split.train_graph, &tiny_cfg());
+        let mut m = Ahntp::new(
+            &ds.features,
+            &ds.attributes,
+            &split.train_graph,
+            &tiny_cfg(),
+        );
         let losses: Vec<f32> = (0..5).map(|_| m.train_epoch(&split.train)).collect();
         (losses, m.predict(&split.test))
     };
@@ -33,7 +38,12 @@ fn different_seeds_give_different_models() {
     let split = ds.split(0.8, 0.2, 2, 5);
     let mut cfg_b = tiny_cfg();
     cfg_b.seed ^= 0xdead;
-    let a = Ahntp::new(&ds.features, &ds.attributes, &split.train_graph, &tiny_cfg());
+    let a = Ahntp::new(
+        &ds.features,
+        &ds.attributes,
+        &split.train_graph,
+        &tiny_cfg(),
+    );
     let b = Ahntp::new(&ds.features, &ds.attributes, &split.train_graph, &cfg_b);
     assert_ne!(a.predict(&split.test), b.predict(&split.test));
 }
@@ -57,7 +67,12 @@ fn structure_is_built_from_training_edges_only() {
     }
     // The model sees only the train graph; influence scores therefore
     // cannot encode withheld edges: removing them changes the scores.
-    let model = Ahntp::new(&ds.features, &ds.attributes, &split.train_graph, &tiny_cfg());
+    let model = Ahntp::new(
+        &ds.features,
+        &ds.attributes,
+        &split.train_graph,
+        &tiny_cfg(),
+    );
     let full_model = Ahntp::new(&ds.features, &ds.attributes, &ds.graph, &tiny_cfg());
     assert_ne!(
         model.influence_scores(),
@@ -84,7 +99,12 @@ fn predictions_are_invariant_across_calls() {
     // predict() must be pure: no hidden state updates.
     let ds = TrustDataset::generate(&DatasetConfig::ciao_like(90, 53));
     let split = ds.split(0.8, 0.2, 2, 11);
-    let mut m = Ahntp::new(&ds.features, &ds.attributes, &split.train_graph, &tiny_cfg());
+    let mut m = Ahntp::new(
+        &ds.features,
+        &ds.attributes,
+        &split.train_graph,
+        &tiny_cfg(),
+    );
     m.train_epoch(&split.train);
     let p1 = m.predict(&split.test);
     let p2 = m.predict(&split.test);

@@ -46,7 +46,12 @@ fn train(model: &mut dyn TrustModel, split: &ahntp_data::Split, cfg: &TrainConfi
 #[test]
 fn ahntp_learns_trust_prediction_end_to_end() {
     let (ds, split, cfg) = setup();
-    let mut model = Ahntp::new(&ds.features, &ds.attributes, &split.train_graph, &ahntp_cfg());
+    let mut model = Ahntp::new(
+        &ds.features,
+        &ds.attributes,
+        &split.train_graph,
+        &ahntp_cfg(),
+    );
     let report = train(&mut model, &split, &cfg);
     assert!(
         report.test.auc > 0.65,
@@ -86,7 +91,12 @@ fn ahntp_competitive_with_best_baseline() {
     // miniature scale we assert non-inferiority with a small tolerance
     // (the full-scale comparison is the table4_performance bench).
     let (ds, split, cfg) = setup();
-    let mut ahntp = Ahntp::new(&ds.features, &ds.attributes, &split.train_graph, &ahntp_cfg());
+    let mut ahntp = Ahntp::new(
+        &ds.features,
+        &ds.attributes,
+        &split.train_graph,
+        &ahntp_cfg(),
+    );
     let mut unigcn = UniGcn::new(
         &ds.features,
         &ds.attributes,

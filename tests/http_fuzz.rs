@@ -47,14 +47,21 @@ const PARSERS: [(&str, usize, Parser); 2] = [
 /// A well-formed message for parser `kind` with the given header block
 /// (after the first line) and body.
 fn message(kind: &str, headers: &str, body: &str) -> Vec<u8> {
-    let first = if kind == "request" { "POST /score?x=1 HTTP/1.1" } else { "HTTP/1.1 200 OK" };
+    let first = if kind == "request" {
+        "POST /score?x=1 HTTP/1.1"
+    } else {
+        "HTTP/1.1 200 OK"
+    };
     format!("{first}\r\n{headers}\r\n{body}").into_bytes()
 }
 
 const BODY: &str = r#"{"pairs":[[0,1],[2,3]]}"#;
 
 fn pristine(kind: &str) -> Vec<u8> {
-    let headers = format!("Content-Type: application/json\r\nContent-Length: {}\r\n", BODY.len());
+    let headers = format!(
+        "Content-Type: application/json\r\nContent-Length: {}\r\n",
+        BODY.len()
+    );
     message(kind, &headers, BODY)
 }
 
@@ -62,11 +69,26 @@ fn pristine(kind: &str) -> Vec<u8> {
 /// carry a message, and a parsed body is made of the input bytes right
 /// before the cursor — so it was neither invented nor read past.
 fn check(kind: &str, input: &[u8], parsed: &Parsed, consumed: usize) -> Result<(), TestCaseError> {
-    prop_assert!(consumed <= input.len(), "{} consumed {} of {}", kind, consumed, input.len());
+    prop_assert!(
+        consumed <= input.len(),
+        "{} consumed {} of {}",
+        kind,
+        consumed,
+        input.len()
+    );
     match parsed {
         Ok(Some(body)) => {
-            prop_assert!(body.len() <= consumed, "{} body longer than what was read", kind);
-            prop_assert_eq!(&input[consumed - body.len()..consumed], &body[..], "{} body", kind);
+            prop_assert!(
+                body.len() <= consumed,
+                "{} body longer than what was read",
+                kind
+            );
+            prop_assert_eq!(
+                &input[consumed - body.len()..consumed],
+                &body[..],
+                "{} body",
+                kind
+            );
         }
         Ok(None) => prop_assert_eq!(consumed, 0, "{} clean EOF after reading bytes", kind),
         Err(message) => prop_assert!(!message.is_empty(), "{} error has no message", kind),
@@ -92,9 +114,16 @@ fn pristine_messages_parse_and_stop_at_their_end() {
 fn head_and_body_caps_hold_before_anything_is_buffered() {
     for (kind, max_body, parse) in PARSERS {
         // A head line that never ends is refused at the cap.
-        let (parsed, consumed) = parse(&message(kind, &format!("X-Pad: {}", "x".repeat(1 << 20)), ""));
+        let (parsed, consumed) = parse(&message(
+            kind,
+            &format!("X-Pad: {}", "x".repeat(1 << 20)),
+            "",
+        ));
         assert!(parsed.is_err(), "{kind} swallowed a 1 MiB header");
-        assert!(consumed <= MAX_HEAD_BYTES + 1, "{kind} read {consumed} head bytes");
+        assert!(
+            consumed <= MAX_HEAD_BYTES + 1,
+            "{kind} read {consumed} head bytes"
+        );
         // An oversized body is refused from the header alone: nothing is
         // allocated for it (a terabyte would abort the test) and nothing
         // after the head is read.
@@ -102,15 +131,26 @@ fn head_and_body_caps_hold_before_anything_is_buffered() {
             let input = message(kind, &format!("Content-Length: {huge}\r\n"), BODY);
             let (parsed, consumed) = parse(&input);
             assert!(parsed.is_err(), "{kind} believed Content-Length {huge}");
-            assert_eq!(consumed, input.len() - BODY.len(), "{kind} read past the head");
+            assert_eq!(
+                consumed,
+                input.len() - BODY.len(),
+                "{kind} read past the head"
+            );
         }
         for bogus in ["-1", "1e3", "0x10", "", "18446744073709551616"] {
             let input = message(kind, &format!("Content-Length: {bogus}\r\n"), BODY);
-            assert!(parse(&input).0.is_err(), "{kind} took {bogus:?} for a length");
+            assert!(
+                parse(&input).0.is_err(),
+                "{kind} took {bogus:?} for a length"
+            );
         }
         // Absent: an empty body, and the bytes that follow stay unread.
         let input = message(kind, "Content-Type: application/json\r\n", BODY);
-        assert_eq!(parse(&input), (Ok(Some(Vec::new())), input.len() - BODY.len()), "{kind}");
+        assert_eq!(
+            parse(&input),
+            (Ok(Some(Vec::new())), input.len() - BODY.len()),
+            "{kind}"
+        );
     }
 }
 

@@ -146,7 +146,11 @@ fn golden_path() -> std::path::PathBuf {
 #[test]
 fn golden_trajectory_bytes_exact_at_one_and_four_threads() {
     let at = |threads| {
-        ahntp_par::with_pool(threads, ahntp_par::DEFAULT_PAR_THRESHOLD, render_trajectories)
+        ahntp_par::with_pool(
+            threads,
+            ahntp_par::DEFAULT_PAR_THRESHOLD,
+            render_trajectories,
+        )
     };
     let (rendered_1, rendered_4) = (at(1), at(4));
     assert_eq!(
@@ -162,7 +166,8 @@ fn golden_trajectory_bytes_exact_at_one_and_four_threads() {
     let golden = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("golden file {} unreadable: {e}", path.display()));
     assert_eq!(
-        rendered_1, golden,
+        rendered_1,
+        golden,
         "trajectory drifted from {}; if the numeric change is intentional, \
          regenerate with AHNTP_REGEN_GOLDEN=1",
         path.display()
@@ -210,7 +215,10 @@ fn an_objective_runs_each_conv_layer_once_per_tier_per_accumulation_group() {
         ahntp_telemetry::set_trace_collect(true);
         let (ds, split) = setup();
         let mut m = model(&ds, &split);
-        assert!(m.config().smoothness_weight > 0.0, "Eq. 23 must be in the objective");
+        assert!(
+            m.config().smoothness_weight > 0.0,
+            "Eq. 23 must be in the objective"
+        );
         let per_objective = 2 * m.config().conv_dims.len(); // tiers × layers
         let counter = ahntp_telemetry::counter_get;
         m.train_epoch(&split.train);
@@ -246,7 +254,10 @@ fn batch_counters_count_the_plan() {
         train_and_evaluate_minibatch(&mut m, &split.train, &split.test, &cfg, &mb);
         let epochs = cfg.epochs as u64;
         let batches = BatchPlan::for_epoch(&split.train, &mb, 0).n_batches() as u64;
-        assert!(batches > 2, "the split must span several accumulation groups");
+        assert!(
+            batches > 2,
+            "the split must span several accumulation groups"
+        );
         let (m_node, m_struct) = m.hyperedge_counts();
         // Which ids an epoch draws depends on the epoch, how many does not.
         let sampled = sample_edges(m_node, mb.edge_ratio, mb.seed, 0).len()

@@ -130,12 +130,11 @@ fn attention_reacts_to_feature_change() {
         *v += 1.0;
     }
     let a2 = conv.attention_coefficients(&bumped);
-    let diff: f32 = a1
-        .iter()
-        .zip(&a2)
-        .map(|(x, y)| (x - y).abs())
-        .sum();
-    assert!(diff > 1e-4, "attention must be input-dependent, diff {diff}");
+    let diff: f32 = a1.iter().zip(&a2).map(|(x, y)| (x - y).abs()).sum();
+    assert!(
+        diff > 1e-4,
+        "attention must be input-dependent, diff {diff}"
+    );
 }
 
 #[test]

@@ -7,8 +7,7 @@
 
 use ahntp_data::{inject_sybil, DatasetConfig, SybilConfig, TrustDataset};
 use ahntp_graph::{
-    ppr, ppr_from_seeds_with_stats, region_mass, sybil_mass_bound, trust_prior, DiGraph,
-    PprConfig,
+    ppr, ppr_from_seeds_with_stats, region_mass, sybil_mass_bound, trust_prior, DiGraph, PprConfig,
 };
 use proptest::prelude::*;
 use proptest::TestRng;

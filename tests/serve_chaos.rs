@@ -104,7 +104,10 @@ fn metrics(addr: SocketAddr) -> Json {
 }
 
 fn metric(addr: SocketAddr, name: &str) -> f64 {
-    metrics(addr).get(name).and_then(Json::as_f64).unwrap_or(0.0)
+    metrics(addr)
+        .get(name)
+        .and_then(Json::as_f64)
+        .unwrap_or(0.0)
 }
 
 /// An apply delay far past the deadline: the client gets `504` +
@@ -130,8 +133,15 @@ fn injected_batch_delay_never_hangs_a_client_past_the_deadline() {
         // deadline, not from the end of the injected delay.
         let now = metrics(addr);
         let count = |name: &str| now.get(name).and_then(Json::as_f64).unwrap_or(0.0);
-        let batches = now.get("serve.ingest.batch_size").and_then(|h| h.get("count"));
-        assert_eq!(batches.and_then(Json::as_f64), Some(1.0), "{}", now.to_line());
+        let batches = now
+            .get("serve.ingest.batch_size")
+            .and_then(|h| h.get("count"));
+        assert_eq!(
+            batches.and_then(Json::as_f64),
+            Some(1.0),
+            "{}",
+            now.to_line()
+        );
         assert_eq!(count("stream.events"), 0.0, "{}", now.to_line());
         assert_eq!(count("serve.deadline_exceeded"), 1.0);
         assert_eq!(count("faultz.triggered"), 1.0);
@@ -189,9 +199,17 @@ fn nth_gated_request_fault() {
     let (status, _, body) = post(addr, "/score", r#"{"pairs":[[0,1]]}"#);
     assert_eq!(status, 200, "second request must be clean: {body}");
     let now = metrics(addr);
-    for name in ["faultz.serve.request.triggered", "faultz.triggered", "serve.http.errors"] {
+    for name in [
+        "faultz.serve.request.triggered",
+        "faultz.triggered",
+        "serve.http.errors",
+    ] {
         let count = now.get(name).and_then(Json::as_f64);
-        assert_eq!(count, Some(1.0), "{name}: the nth(1) gate must fire exactly once");
+        assert_eq!(
+            count,
+            Some(1.0),
+            "{name}: the nth(1) gate must fire exactly once"
+        );
     }
     server.shutdown();
 }
@@ -279,7 +297,9 @@ fn loadgen_under_injected_delay() {
     // A clean one-shot request after all chaos: the stack is still whole.
     let server = start(Duration::from_secs(2));
     let mut conn = connect(server.addr());
-    let clean = conn.post("/score", r#"{"pairs":[[1,2]]}"#).expect("clean request");
+    let clean = conn
+        .post("/score", r#"{"pairs":[[1,2]]}"#)
+        .expect("clean request");
     assert_eq!(clean.status, 200, "{}", clean.body);
     server.shutdown();
 }

@@ -21,8 +21,7 @@ use ahntp_par::Context;
 use ahntp_serve::client::Client;
 use ahntp_serve::{serve_live, ServeConfig, ServerHandle, TrustIndex};
 use ahntp_stream::{
-    AppliedEvent, EventApplier, HyperGroup, LiveTrustModel, StalenessBound, StreamError,
-    TrustEvent,
+    AppliedEvent, EventApplier, HyperGroup, LiveTrustModel, StalenessBound, StreamError, TrustEvent,
 };
 use ahntp_telemetry::json::{parse, Json};
 use std::collections::BTreeSet;
@@ -113,15 +112,30 @@ fn wire(events: &[TrustEvent]) -> String {
     let entries: Vec<String> = events
         .iter()
         .map(|e| match e {
-            TrustEvent::AddEdge { group, members, weight } => format!(
+            TrustEvent::AddEdge {
+                group,
+                members,
+                weight,
+            } => format!(
                 r#"{{"op":"add","group":"{}","members":[{}],"weight":{weight}}}"#,
                 group.name(),
-                members.iter().map(ToString::to_string).collect::<Vec<_>>().join(",")
+                members
+                    .iter()
+                    .map(ToString::to_string)
+                    .collect::<Vec<_>>()
+                    .join(",")
             ),
             TrustEvent::RemoveEdge { group, edge } => {
-                format!(r#"{{"op":"remove","group":"{}","edge":{edge}}}"#, group.name())
+                format!(
+                    r#"{{"op":"remove","group":"{}","edge":{edge}}}"#,
+                    group.name()
+                )
             }
-            TrustEvent::ReweightEdge { group, edge, weight } => format!(
+            TrustEvent::ReweightEdge {
+                group,
+                edge,
+                weight,
+            } => format!(
                 r#"{{"op":"reweight","group":"{}","edge":{edge},"weight":{weight}}}"#,
                 group.name()
             ),
@@ -146,12 +160,14 @@ fn server_scores(addr: SocketAddr, pairs: &[(usize, usize)]) -> Vec<f64> {
     let Some(Json::Arr(scores)) = doc.get("scores") else {
         panic!("no scores in {body}");
     };
-    scores.iter().map(|s| s.as_f64().expect("numeric score")).collect()
+    scores
+        .iter()
+        .map(|s| s.as_f64().expect("numeric score"))
+        .collect()
 }
 
 fn assert_matches_mirror(addr: SocketAddr, mirror: &Mirror, what: &str) {
-    let pairs: Vec<(usize, usize)> =
-        (0..N_USERS).map(|u| (u, (u * 7 + 3) % N_USERS)).collect();
+    let pairs: Vec<(usize, usize)> = (0..N_USERS).map(|u| (u, (u * 7 + 3) % N_USERS)).collect();
     let got = server_scores(addr, &pairs);
     let want = mirror.scores(&pairs);
     for (i, (g, w)) in got.iter().zip(&want).enumerate() {
@@ -187,11 +203,26 @@ fn assert_matches_mirror(addr: SocketAddr, mirror: &Mirror, what: &str) {
 
 fn sample_events() -> Vec<TrustEvent> {
     vec![
-        TrustEvent::AddEdge { group: HyperGroup::Node, members: vec![1, 5, 9], weight: 1.2 },
-        TrustEvent::AddEdge { group: HyperGroup::Structure, members: vec![0, 7], weight: 0.8 },
-        TrustEvent::RemoveEdge { group: HyperGroup::Node, edge: 2 },
+        TrustEvent::AddEdge {
+            group: HyperGroup::Node,
+            members: vec![1, 5, 9],
+            weight: 1.2,
+        },
+        TrustEvent::AddEdge {
+            group: HyperGroup::Structure,
+            members: vec![0, 7],
+            weight: 0.8,
+        },
+        TrustEvent::RemoveEdge {
+            group: HyperGroup::Node,
+            edge: 2,
+        },
         TrustEvent::Decay { factor: 0.95 },
-        TrustEvent::AddEdge { group: HyperGroup::Node, members: vec![3, 11], weight: 0.6 },
+        TrustEvent::AddEdge {
+            group: HyperGroup::Node,
+            members: vec![3, 11],
+            weight: 0.6,
+        },
     ]
 }
 
@@ -218,7 +249,11 @@ fn ingest_fault() {
     let after = server_scores(addr, &[(0, 1), (5, 9), (11, 3)]);
     assert_eq!(before, after, "index mutated by a rejected batch");
     assert_matches_mirror(addr, &mirror, "after serve.ingest fault");
-    assert_eq!(ingest_counts(), (0, 0, 0), "the rejected batch reached the applier");
+    assert_eq!(
+        ingest_counts(),
+        (0, 0, 0),
+        "the rejected batch reached the applier"
+    );
 
     // Disarmed, the same batch lands.
     let (status, body) = post(addr, "/events", &wire(&sample_events()));
@@ -248,9 +283,16 @@ fn apply_fault_mid_batch() {
     };
     assert_eq!(status, 500, "{body}");
     let doc = parse(&body).expect("ingest JSON");
-    assert_eq!(doc.get("applied").and_then(Json::as_f64), Some(2.0), "{body}");
+    assert_eq!(
+        doc.get("applied").and_then(Json::as_f64),
+        Some(2.0),
+        "{body}"
+    );
     assert!(
-        doc.get("error").and_then(Json::as_str).unwrap_or("").contains("stream.apply"),
+        doc.get("error")
+            .and_then(Json::as_str)
+            .unwrap_or("")
+            .contains("stream.apply"),
         "{body}"
     );
     for event in &events[..2] {
@@ -294,7 +336,11 @@ fn refresh_fault() {
         let (status, body) = post(addr, "/events", &wire(std::slice::from_ref(&first)));
         assert_eq!(status, 500, "{body}");
         let doc = parse(&body).expect("ingest JSON");
-        assert_eq!(doc.get("applied").and_then(Json::as_f64), Some(1.0), "{body}");
+        assert_eq!(
+            doc.get("applied").and_then(Json::as_f64),
+            Some(1.0),
+            "{body}"
+        );
         assert!(
             doc.get("dirty_users").and_then(Json::as_f64).unwrap_or(0.0) >= 1.0,
             "dirty set must survive a refresh fault: {body}"
@@ -313,7 +359,11 @@ fn refresh_fault() {
     let (status, body) = post(addr, "/events", &wire(std::slice::from_ref(&second)));
     assert_eq!(status, 200, "{body}");
     let doc = parse(&body).expect("ingest JSON");
-    assert_eq!(doc.get("dirty_users").and_then(Json::as_f64), Some(0.0), "{body}");
+    assert_eq!(
+        doc.get("dirty_users").and_then(Json::as_f64),
+        Some(0.0),
+        "{body}"
+    );
     mirror.apply(&first).expect("mirror first");
     mirror.apply(&second).expect("mirror second");
     assert_matches_mirror(addr, &mirror, "after the flush catches up");
@@ -341,18 +391,33 @@ fn refresh_fault_after_a_batch() {
         let (status, body) = post(addr, "/events", &wire(&events));
         assert_eq!(status, 500, "{body}");
         let doc = parse(&body).expect("ingest JSON");
-        assert_eq!(doc.get("applied").and_then(Json::as_f64), Some(events.len() as f64), "{body}");
-        assert_eq!(doc.get("refreshed_users").and_then(Json::as_f64), Some(0.0), "{body}");
+        assert_eq!(
+            doc.get("applied").and_then(Json::as_f64),
+            Some(events.len() as f64),
+            "{body}"
+        );
+        assert_eq!(
+            doc.get("refreshed_users").and_then(Json::as_f64),
+            Some(0.0),
+            "{body}"
+        );
         assert!(
             doc.get("dirty_users").and_then(Json::as_f64).unwrap_or(0.0) >= 1.0,
             "dirty set must survive a refresh fault: {body}"
         );
         assert!(
-            doc.get("error").and_then(Json::as_str).unwrap_or("").contains("stream.refresh"),
+            doc.get("error")
+                .and_then(Json::as_str)
+                .unwrap_or("")
+                .contains("stream.refresh"),
             "{body}"
         );
     }
-    assert_matches_mirror(addr, &stale_mirror, "stale rows after a batch's refresh fault");
+    assert_matches_mirror(
+        addr,
+        &stale_mirror,
+        "stale rows after a batch's refresh fault",
+    );
     assert_eq!(ingest_counts(), (1, 1, events.len() as u64));
 
     let next = TrustEvent::AddEdge {
@@ -363,7 +428,11 @@ fn refresh_fault_after_a_batch() {
     let (status, body) = post(addr, "/events", &wire(std::slice::from_ref(&next)));
     assert_eq!(status, 200, "{body}");
     let doc = parse(&body).expect("ingest JSON");
-    assert_eq!(doc.get("dirty_users").and_then(Json::as_f64), Some(0.0), "{body}");
+    assert_eq!(
+        doc.get("dirty_users").and_then(Json::as_f64),
+        Some(0.0),
+        "{body}"
+    );
     for event in events.iter().chain([&next]) {
         mirror.apply(event).expect("mirror event");
     }
@@ -392,7 +461,10 @@ fn healthy_batch() {
         sum += applied.affected_users.len();
         union.extend(applied.affected_users);
     }
-    assert!(union.len() < sum, "the batch's affected sets must overlap for this test to bite");
+    assert!(
+        union.len() < sum,
+        "the batch's affected sets must overlap for this test to bite"
+    );
     let doc = parse(&body).expect("ingest JSON");
     let field = |name: &str| doc.get(name).and_then(Json::as_f64);
     assert_eq!(field("applied"), Some(events.len() as f64), "{body}");

@@ -83,10 +83,7 @@ fn serve_smoke(test_pairs: &[LabeledPair], model: &Ahntp) {
     assert_eq!(status, 200, "{body}");
     let health = parse(&body).unwrap();
     assert_eq!(health.get("status").and_then(Json::as_str), Some("ok"));
-    assert_eq!(
-        health.get("n_users").and_then(Json::as_f64),
-        Some(80.0)
-    );
+    assert_eq!(health.get("n_users").and_then(Json::as_f64), Some(80.0));
 
     // Scores over the wire match Ahntp::predict within 1e-6.
     let pairs: Vec<&LabeledPair> = test_pairs.iter().take(10).collect();

@@ -19,11 +19,11 @@
 use ahntp_faultz::{self as faultz, Action, FaultSpec};
 use ahntp_nn::TrustArtifact;
 use ahntp_par::Context;
+use ahntp_serve::client::Client;
 use ahntp_serve::{
     serve, serve_sharded, shard_ranges, BackendKind, ServeConfig, ServerHandle, ShardedHandle,
     TrustIndex,
 };
-use ahntp_serve::client::Client;
 use ahntp_telemetry::counter_get;
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
@@ -60,7 +60,10 @@ fn exact_index(a: &TrustArtifact) -> TrustIndex {
 }
 
 fn config() -> ServeConfig {
-    ServeConfig { workers: 2, ..ServeConfig::default() }
+    ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    }
 }
 
 /// A front over `n_shards` shards, all in the calling test's context.
@@ -69,7 +72,10 @@ fn start_cluster(a: &TrustArtifact, n_shards: usize) -> (Vec<ServerHandle>, Shar
     let shards: Vec<ServerHandle> = shard_ranges(N_USERS, n_shards)
         .into_iter()
         .map(|range| {
-            let cfg = ServeConfig { shard_range: Some(range), ..config() };
+            let cfg = ServeConfig {
+                shard_range: Some(range),
+                ..config()
+            };
             serve(exact_index(a), &cfg).expect("bind shard")
         })
         .collect();
@@ -128,7 +134,10 @@ fn one_shard_down() {
 
     for attempt in 0..5 {
         let (status, headers, body) = get(front.addr(), "/topk?user=1&k=3");
-        assert_eq!(status, 503, "attempt {attempt}: partial merge served? {body}");
+        assert_eq!(
+            status, 503,
+            "attempt {attempt}: partial merge served? {body}"
+        );
         assert!(
             header(&headers, "retry-after").is_some(),
             "attempt {attempt}: 503 without Retry-After"
@@ -206,7 +215,9 @@ fn oversized_shard_reply() {
     let shard = std::thread::spawn(move || {
         for stream in listener.incoming().take(3) {
             let mut stream = stream.expect("accept");
-            let req = read_request(&mut BufReader::new(&stream)).expect("request").expect("some");
+            let req = read_request(&mut BufReader::new(&stream))
+                .expect("request")
+                .expect("some");
             let body = match req.path.as_str() {
                 "/topk" => {
                     stream
@@ -219,8 +230,15 @@ fn oversized_shard_reply() {
                 ),
                 _ => r#"{"scores":[0.5],"backend":"exact"}"#.to_string(),
             };
-            write_response(&mut stream, 200, "OK", "application/json", body.as_bytes(), false)
-                .expect("reply");
+            write_response(
+                &mut stream,
+                200,
+                "OK",
+                "application/json",
+                body.as_bytes(),
+                false,
+            )
+            .expect("reply");
         }
     });
     ahntp_telemetry::set_enabled(true);
@@ -228,11 +246,17 @@ fn oversized_shard_reply() {
 
     let (status, _, body) = get(front.addr(), "/topk?user=1&k=3");
     assert_eq!(status, 502, "{body}");
-    assert!(body.contains(&shard_addr.to_string()), "502 names the shard: {body}");
+    assert!(
+        body.contains(&shard_addr.to_string()),
+        "502 names the shard: {body}"
+    );
     let (status, _, body) = post(front.addr(), "/score", r#"{"pairs":[[0,1]]}"#);
     assert_eq!(status, 200, "the front must serve the next request: {body}");
     // Unreadable is not unreachable: a 502, not a `front.shard_unavailable`.
-    assert_eq!(["front.http.errors", "front.shard_unavailable"].map(counter_get), [1, 0]);
+    assert_eq!(
+        ["front.http.errors", "front.shard_unavailable"].map(counter_get),
+        [1, 0]
+    );
 
     front.shutdown();
     shard.join().expect("fake shard thread");
@@ -261,26 +285,44 @@ fn mid_swap_failure() {
     }
     // The broadcast stopped at the first shard; nothing was swapped.
     let swap_counts = || {
-        ["faultz.shard.swap.triggered", "front.swap.refused", "front.swap.ok", "serve.index.swaps"]
-            .map(counter_get)
+        [
+            "faultz.shard.swap.triggered",
+            "front.swap.refused",
+            "front.swap.ok",
+            "serve.index.swaps",
+        ]
+        .map(counter_get)
     };
     assert_eq!(swap_counts(), [1, 1, 0, 0]);
     let (status, _, after_failure) = get(front.addr(), probe);
     assert_eq!(status, 200);
-    assert_eq!(before, after_failure, "failed swap must not change served bytes");
+    assert_eq!(
+        before, after_failure,
+        "failed swap must not change served bytes"
+    );
 
     // Disarmed: the identical request now succeeds everywhere...
     let (status, _, body) = post(front.addr(), "/admin/swap", &swap_body(&next));
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"swapped\":true"), "{body}");
-    assert_eq!(swap_counts(), [1, 1, 1, 2], "one swap on each of the two shards");
+    assert_eq!(
+        swap_counts(),
+        [1, 1, 1, 2],
+        "one swap on each of the two shards"
+    );
     // ...and the cluster serves the new snapshot: byte-identical to a
     // fresh single node over the swapped-in artifact.
     let single = serve(exact_index(&artifact(0.25)), &config()).expect("bind single");
     let (_, _, want) = get(single.addr(), probe);
     let (_, _, got) = get(front.addr(), probe);
-    assert_ne!(before, got, "the new snapshot scores differently by construction");
-    assert_eq!(want, got, "post-swap bytes must match a single node on the new artifact");
+    assert_ne!(
+        before, got,
+        "the new snapshot scores differently by construction"
+    );
+    assert_eq!(
+        want, got,
+        "post-swap bytes must match a single node on the new artifact"
+    );
     single.shutdown();
 
     let _ = std::fs::remove_file(next);
@@ -311,17 +353,20 @@ fn torn_v2_artifacts() {
         let mut torn = bytes.clone();
         torn[pos] ^= 0x40;
         std::fs::write(&torn_path, &torn).expect("write torn artifact");
-        let err = TrustIndex::open(&torn_path)
-            .expect_err(&format!("flip at {pos} must not map"));
+        let err = TrustIndex::open(&torn_path).expect_err(&format!("flip at {pos} must not map"));
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "flip at {pos}");
         assert!(!err.to_string().is_empty(), "typed error carries a message");
     }
     // Truncations: drop the tail at several depths.
     for keep in [0usize, 8, 33, bytes.len() / 2, bytes.len() - 1] {
         std::fs::write(&torn_path, &bytes[..keep]).expect("write truncated artifact");
-        let err = TrustIndex::open(&torn_path)
-            .expect_err(&format!("truncation to {keep} must not map"));
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "truncation to {keep}");
+        let err =
+            TrustIndex::open(&torn_path).expect_err(&format!("truncation to {keep} must not map"));
+        assert_eq!(
+            err.kind(),
+            std::io::ErrorKind::InvalidData,
+            "truncation to {keep}"
+        );
     }
 
     // A live shard swapping onto a torn file: 422, old snapshot intact.
@@ -336,7 +381,10 @@ fn torn_v2_artifacts() {
     assert_eq!(status, 422, "torn artifact must be refused: {body}");
     let (_, _, after) = get(server.addr(), "/topk?user=1&k=3");
     assert_eq!(before, after, "refused swap must not perturb the index");
-    assert_eq!(["serve.swap.errors", "serve.index.swaps"].map(counter_get), [1, 0]);
+    assert_eq!(
+        ["serve.swap.errors", "serve.index.swaps"].map(counter_get),
+        [1, 0]
+    );
     server.shutdown();
     let _ = std::fs::remove_file(torn_path);
 }
@@ -359,11 +407,19 @@ fn fingerprint_mismatch() {
     let (status, _, body) = post(front.addr(), "/admin/swap", &swap_body(&path));
     assert_eq!(status, 409, "{body}");
     assert!(body.contains("fingerprint"), "{body}");
-    assert!(body.contains("shard"), "refusal names the refusing shard: {body}");
+    assert!(
+        body.contains("shard"),
+        "refusal names the refusing shard: {body}"
+    );
     let (_, _, after) = get(front.addr(), "/topk?user=5&k=3");
     assert_eq!(before, after, "refused swap must not perturb the cluster");
     // The first shard refused and the broadcast stopped there.
-    let counts = ["serve.swap.refused", "front.swap.refused", "serve.index.swaps"].map(counter_get);
+    let counts = [
+        "serve.swap.refused",
+        "front.swap.refused",
+        "serve.index.swaps",
+    ]
+    .map(counter_get);
     assert_eq!(counts, [1, 1, 0]);
 
     let _ = std::fs::remove_file(path);
@@ -417,14 +473,24 @@ fn swaps_under_load() {
     }
     let mut total = 0;
     for client in clients {
-        for (i, status) in client.join().expect("client thread").into_iter().enumerate() {
+        for (i, status) in client
+            .join()
+            .expect("client thread")
+            .into_iter()
+            .enumerate()
+        {
             assert_eq!(status, 200, "request {i} failed during swap churn");
             total += 1;
         }
     }
     assert_eq!(total, 120, "every request must be answered");
     assert_eq!(swaps, 6);
-    let counts = ["front.swap.ok", "serve.index.swaps", "front.http.requests", "front.http.errors"];
+    let counts = [
+        "front.swap.ok",
+        "serve.index.swaps",
+        "front.http.requests",
+        "front.http.errors",
+    ];
     assert_eq!(counts.map(counter_get), [6, 12, 126, 0]);
 
     let _ = std::fs::remove_file(a);
@@ -455,13 +521,15 @@ fn a_front_and_its_shards_report_disjoint_metrics() {
     let shards: Vec<ServerHandle> = shard_ranges(N_USERS, 2)
         .into_iter()
         .map(|range| {
-            let cfg = ServeConfig { shard_range: Some(range), ..config() };
+            let cfg = ServeConfig {
+                shard_range: Some(range),
+                ..config()
+            };
             own_context(|| serve(exact_index(&artifact(0.0)), &cfg).expect("bind shard")).1
         })
         .collect();
     let addrs: Vec<SocketAddr> = shards.iter().map(ServerHandle::addr).collect();
-    let (front_ctx, front) =
-        own_context(|| serve_sharded(&addrs, &config()).expect("start front"));
+    let (front_ctx, front) = own_context(|| serve_sharded(&addrs, &config()).expect("start front"));
 
     for i in 0..N {
         let (status, _, body) = get(front.addr(), &format!("/topk?user={i}&k=3"));
@@ -473,19 +541,34 @@ fn a_front_and_its_shards_report_disjoint_metrics() {
     };
     // The front: N requests and this read; it has never counted a `serve.*`.
     let (_, _, metrics) = get(front.addr(), "/metrics");
-    assert_eq!(count(&metrics, "front.http.requests"), Some((N + 1) as f64), "{metrics}");
+    assert_eq!(
+        count(&metrics, "front.http.requests"),
+        Some((N + 1) as f64),
+        "{metrics}"
+    );
     assert_eq!(count(&metrics, "serve.http.requests"), None, "{metrics}");
     assert_eq!(count(&metrics, "serve.topk.range.calls"), None, "{metrics}");
     // Each shard: its discovery /healthz, its N fan-out calls and this read.
     for shard in &shards {
         let (_, _, metrics) = get(shard.addr(), "/metrics");
-        assert_eq!(count(&metrics, "serve.http.requests"), Some((N + 2) as f64), "{metrics}");
-        assert_eq!(count(&metrics, "serve.topk.range.calls"), Some(N as f64), "{metrics}");
+        assert_eq!(
+            count(&metrics, "serve.http.requests"),
+            Some((N + 2) as f64),
+            "{metrics}"
+        );
+        assert_eq!(
+            count(&metrics, "serve.topk.range.calls"),
+            Some(N as f64),
+            "{metrics}"
+        );
         assert_eq!(count(&metrics, "front.http.requests"), None, "{metrics}");
     }
     // And the context of this thread, which started none of them.
     assert_eq!(counter_get("serve.topk.range.calls"), 0);
-    assert_eq!(front_ctx.run(|| counter_get("front.http.requests")), (N + 1) as u64);
+    assert_eq!(
+        front_ctx.run(|| counter_get("front.http.requests")),
+        (N + 1) as u64
+    );
 
     front.shutdown();
     for s in shards {

@@ -30,7 +30,11 @@ fn tied_artifact(seed: u64) -> TrustArtifact {
     let mut rng = TestRng::from_label(&format!("shard-exactness-{seed}"));
     let head_dim = 3;
     let unique: Vec<Vec<f32>> = (0..5)
-        .map(|_| (0..head_dim).map(|_| (rng.next_f64() * 2.0 - 1.0) as f32).collect())
+        .map(|_| {
+            (0..head_dim)
+                .map(|_| (rng.next_f64() * 2.0 - 1.0) as f32)
+                .collect()
+        })
         .collect();
     let trustee: Vec<f32> = (0..N_USERS).flat_map(|v| unique[v % 5].clone()).collect();
     let trustor: Vec<f32> = (0..N_USERS * head_dim)
@@ -55,7 +59,10 @@ fn exact_index(artifact: &TrustArtifact) -> TrustIndex {
 }
 
 fn config() -> ServeConfig {
-    ServeConfig { workers: 2, ..ServeConfig::default() }
+    ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    }
 }
 
 /// Starts one shard server per range plus the front over them.
@@ -66,7 +73,10 @@ fn start_cluster(
     let shards: Vec<ServerHandle> = ranges
         .iter()
         .map(|&range| {
-            let cfg = ServeConfig { shard_range: Some(range), ..config() };
+            let cfg = ServeConfig {
+                shard_range: Some(range),
+                ..config()
+            };
             serve(exact_index(artifact), &cfg).expect("bind shard")
         })
         .collect();
@@ -102,7 +112,11 @@ fn send(addr: SocketAddr, raw: &str) -> (u16, String) {
 fn score_body() -> String {
     let pairs: Vec<String> = (0..N_USERS)
         .map(|v| format!("[{},{}]", (v * 7) % N_USERS, v))
-        .chain(["[0,0]".to_string(), "[3,21]".to_string(), "[3,21]".to_string()])
+        .chain([
+            "[0,0]".to_string(),
+            "[3,21]".to_string(),
+            "[3,21]".to_string(),
+        ])
         .collect();
     format!("{{\"pairs\":[{}]}}", pairs.join(","))
 }
@@ -129,7 +143,10 @@ fn assert_cluster_matches_single(single: SocketAddr, front: SocketAddr, layout: 
         let path = format!("/topk?user={user}");
         let (_, s_body) = get(single, &path);
         let (_, f_body) = get(front, &path);
-        assert_eq!(s_body, f_body, "[{layout}] default-k bytes diverged at user={user}");
+        assert_eq!(
+            s_body, f_body,
+            "[{layout}] default-k bytes diverged at user={user}"
+        );
     }
     // /score across all shards in one batch.
     let body = score_body();
@@ -143,21 +160,38 @@ fn assert_cluster_matches_single(single: SocketAddr, front: SocketAddr, layout: 
     let bad = format!("{{\"pairs\":[[1,2],[0,{N_USERS}]]}}");
     let (s_status, s_body) = post(single, "/score", &bad);
     let (f_status, f_body) = post(front, "/score", &bad);
-    assert_eq!((s_status, s_body.as_str()), (400, f_body.as_str()), "[{layout}] 400 body diverged: {f_body}");
+    assert_eq!(
+        (s_status, s_body.as_str()),
+        (400, f_body.as_str()),
+        "[{layout}] 400 body diverged: {f_body}"
+    );
     assert_eq!(f_status, 400, "[{layout}]");
     // Answers that never reach an endpoint come from the one server core
     // both tiers run on: unknown path, wrong method on a known path,
     // malformed request line, body over `MAX_BODY_BYTES`.
     let too_large = ahntp_serve::http::MAX_BODY_BYTES + 1;
     for (want, raw) in [
-        (404, "GET /nope HTTP/1.1\r\nConnection: close\r\n\r\n".to_string()),
-        (405, "PUT /topk?user=0 HTTP/1.1\r\nConnection: close\r\n\r\n".to_string()),
+        (
+            404,
+            "GET /nope HTTP/1.1\r\nConnection: close\r\n\r\n".to_string(),
+        ),
+        (
+            405,
+            "PUT /topk?user=0 HTTP/1.1\r\nConnection: close\r\n\r\n".to_string(),
+        ),
         (400, "NONSENSE\r\n\r\n".to_string()),
-        (413, format!("POST /score HTTP/1.1\r\nContent-Length: {too_large}\r\n\r\n")),
+        (
+            413,
+            format!("POST /score HTTP/1.1\r\nContent-Length: {too_large}\r\n\r\n"),
+        ),
     ] {
         let (s_status, s_body) = send(single, &raw);
         let (f_status, f_body) = send(front, &raw);
-        assert_eq!((s_status, &s_body), (f_status, &f_body), "[{layout}] {raw:?} diverged");
+        assert_eq!(
+            (s_status, &s_body),
+            (f_status, &f_body),
+            "[{layout}] {raw:?} diverged"
+        );
         assert_eq!(f_status, want, "[{layout}] {raw:?}: {f_body}");
     }
 }
@@ -219,14 +253,27 @@ fn boundary_ties_merge_in_score_desc_then_id_asc_order() {
     let ranked: Vec<(usize, f64)> = trustees
         .iter()
         .map(|t| {
-            let v = t.get("user").and_then(ahntp_telemetry::json::Json::as_f64).unwrap();
-            let s = t.get("score").and_then(ahntp_telemetry::json::Json::as_f64).unwrap();
+            let v = t
+                .get("user")
+                .and_then(ahntp_telemetry::json::Json::as_f64)
+                .unwrap();
+            let s = t
+                .get("score")
+                .and_then(ahntp_telemetry::json::Json::as_f64)
+                .unwrap();
             (v as usize, s)
         })
         .collect();
     // The scan excludes the trustor itself, so k = n ranks everyone else.
-    assert_eq!(ranked.len(), N_USERS - 1, "k = n returns every other candidate");
-    assert!(ranked.iter().all(|&(v, _)| v != 2), "the trustor never ranks itself");
+    assert_eq!(
+        ranked.len(),
+        N_USERS - 1,
+        "k = n returns every other candidate"
+    );
+    assert!(
+        ranked.iter().all(|&(v, _)| v != 2),
+        "the trustor never ranks itself"
+    );
     let mut n_tie_groups = 0;
     for w in ranked.windows(2) {
         let ((id_a, score_a), (id_b, score_b)) = (w[0], w[1]);
@@ -240,7 +287,11 @@ fn boundary_ties_merge_in_score_desc_then_id_asc_order() {
                 id_a < id_b,
                 "tied at {score_a}: id {id_a} must precede {id_b} (id asc)"
             );
-            assert_eq!(id_a % 5, id_b % 5, "ties come from the repeated trustee rows");
+            assert_eq!(
+                id_a % 5,
+                id_b % 5,
+                "ties come from the repeated trustee rows"
+            );
         }
     }
     assert!(
@@ -263,13 +314,23 @@ fn grouped_artifact(seed: u64) -> TrustArtifact {
     let mut rng = TestRng::from_label(&format!("shard-grouped-{seed}"));
     let head_dim = 4;
     let mut unit = |scale: f64| -> Vec<f32> {
-        (0..head_dim).map(|_| ((rng.next_f64() * 2.0 - 1.0) * scale) as f32).collect()
+        (0..head_dim)
+            .map(|_| ((rng.next_f64() * 2.0 - 1.0) * scale) as f32)
+            .collect()
     };
     let directions: Vec<Vec<f32>> = (0..8).map(|_| unit(1.0)).collect();
     let trustee: Vec<f32> = (0..GROUPED_USERS)
         .flat_map(|v| {
-            let noise = if v % 5 == 0 { vec![0.0; head_dim] } else { unit(0.1) };
-            directions[v % 8].iter().zip(noise).map(|(c, e)| c + e).collect::<Vec<f32>>()
+            let noise = if v % 5 == 0 {
+                vec![0.0; head_dim]
+            } else {
+                unit(0.1)
+            };
+            directions[v % 8]
+                .iter()
+                .zip(noise)
+                .map(|(c, e)| c + e)
+                .collect::<Vec<f32>>()
         })
         .collect();
     let trustor: Vec<f32> = (0..GROUPED_USERS).flat_map(|_| unit(1.0)).collect();
@@ -318,7 +379,11 @@ fn grouped_servers_answer_the_ungrouped_index_byte_for_byte() {
         for k in [1usize, 10, 50, GROUPED_USERS - 1, GROUPED_USERS + 5] {
             let want = topk_body(&oracle, user, k);
             let path = format!("/topk?user={user}&k={k}");
-            assert_eq!(get(single.addr(), &path), (200, want.clone()), "single {path}");
+            assert_eq!(
+                get(single.addr(), &path),
+                (200, want.clone()),
+                "single {path}"
+            );
             assert_eq!(get(front.addr(), &path), (200, want), "front {path}");
         }
     }

@@ -65,7 +65,11 @@ fn event_stream(n_node: usize, n_struct: usize) -> Vec<TrustEvent> {
     let mut events = Vec::with_capacity(N_EVENTS);
     for i in 0..N_EVENTS {
         let g = i % 2;
-        let group = if g == 0 { HyperGroup::Node } else { HyperGroup::Structure };
+        let group = if g == 0 {
+            HyperGroup::Node
+        } else {
+            HyperGroup::Structure
+        };
         let event = match i % 8 {
             3 if counts[g] > 4 => TrustEvent::RemoveEdge {
                 group,
@@ -127,7 +131,9 @@ fn apply_patch(artifact: &mut TrustArtifact, patch: &ahntp_stream::HeadPatch) {
 /// Runs the full event sequence at a given thread count, checking the
 /// patched artifact against the rebuild oracle after every event.
 fn run_sequence(threads: usize) -> TrustArtifact {
-    ahntp_par::with_pool(threads, ahntp_par::DEFAULT_PAR_THRESHOLD, || sequence(threads))
+    ahntp_par::with_pool(threads, ahntp_par::DEFAULT_PAR_THRESHOLD, || {
+        sequence(threads)
+    })
 }
 
 fn sequence(threads: usize) -> TrustArtifact {
@@ -205,7 +211,10 @@ fn run_batches(threads: usize) -> (TrustArtifact, usize) {
                 apply_patch(&mut artifact, patch);
                 refreshes += 1;
             }
-            assert!(applier.dirty_users().is_empty(), "batch {k} left rows dirty");
+            assert!(
+                applier.dirty_users().is_empty(),
+                "batch {k} left rows dirty"
+            );
             assert_artifacts_bitwise(
                 &artifact,
                 &applier.model().rebuild_artifact(),
@@ -223,7 +232,11 @@ fn batches_refresh_once_each_and_land_bitwise_on_the_per_event_artifact() {
         let (batched, refreshes) = run_batches(threads);
         // Every 4-event window of the stream holds an add, so each batch
         // refreshes exactly once.
-        assert_eq!(refreshes, N_EVENTS / BATCH_LEN, "refreshes at {threads} threads");
+        assert_eq!(
+            refreshes,
+            N_EVENTS / BATCH_LEN,
+            "refreshes at {threads} threads"
+        );
         assert_artifacts_bitwise(
             &batched,
             &per_event,
@@ -262,7 +275,11 @@ fn a_batched_staleness_bound_converges_to_the_rebuild_oracle() {
     );
     // The bound really batched: one refresh each time a pending event
     // exceeds it, plus the flush.
-    assert_eq!(patches, N_EVENTS / (BATCH + 1) + 1, "patches for {N_EVENTS} events");
+    assert_eq!(
+        patches,
+        N_EVENTS / (BATCH + 1) + 1,
+        "patches for {N_EVENTS} events"
+    );
 }
 
 /// User `u`'s rows of `a`: embedding, trustor head, trustee head.

@@ -33,7 +33,10 @@ fn attack(n_clusters: usize, attack_edges: usize) -> SybilConfig {
 }
 
 fn ppr_cfg() -> PprConfig {
-    PprConfig { tolerance: 1e-12, ..PprConfig::default() }
+    PprConfig {
+        tolerance: 1e-12,
+        ..PprConfig::default()
+    }
 }
 
 fn tiny_scale() -> Scale {
@@ -58,7 +61,11 @@ fn escaped_mass_obeys_the_cut_bound_and_scales_with_the_budget() {
         // honest seed, so its mass is exactly zero — bit for bit.
         let inj0 = inject_sybil(&h, &attack(n_clusters, 0));
         let mass0 = ppr(&inj0.dataset.graph, &inj0.honest, &cfg);
-        assert_eq!(region_mass(&mass0, &inj0.sybil), 0.0, "{n_clusters} clusters");
+        assert_eq!(
+            region_mass(&mass0, &inj0.sybil),
+            0.0,
+            "{n_clusters} clusters"
+        );
 
         let mut escaped = Vec::new();
         for budget in BUDGETS {
@@ -94,7 +101,9 @@ fn escaped_mass_obeys_the_cut_bound_and_scales_with_the_budget() {
             .collect();
         let (lo, hi) = per_edge
             .iter()
-            .fold((f64::INFINITY, 0.0f64), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+            .fold((f64::INFINITY, 0.0f64), |(lo, hi), &v| {
+                (lo.min(v), hi.max(v))
+            });
         assert!(
             hi / lo < 4.0,
             "per-edge leak varies superlinearly: {per_edge:?} ({n_clusters} clusters)"
@@ -110,8 +119,20 @@ fn escaped_mass_depends_on_the_cut_not_the_cluster_size() {
     let h = host();
     let cfg = ppr_cfg();
     let budget = 6;
-    let small = inject_sybil(&h, &SybilConfig { sybil_fraction: 0.15, ..attack(2, budget) });
-    let big = inject_sybil(&h, &SybilConfig { sybil_fraction: 0.45, ..attack(2, budget) });
+    let small = inject_sybil(
+        &h,
+        &SybilConfig {
+            sybil_fraction: 0.15,
+            ..attack(2, budget)
+        },
+    );
+    let big = inject_sybil(
+        &h,
+        &SybilConfig {
+            sybil_fraction: 0.45,
+            ..attack(2, budget)
+        },
+    );
     assert!(big.sybil.len() >= 3 * small.sybil.len() - 3);
     let mass_small = ppr(&small.dataset.graph, &small.honest, &cfg);
     let mass_big = ppr(&big.dataset.graph, &big.honest, &cfg);
@@ -146,7 +167,11 @@ fn ppr_prior_is_bitwise_thread_invariant_on_the_attacked_graph() {
     };
     let reference = bits_at(1);
     for threads in [2usize, 4] {
-        assert_eq!(reference, bits_at(threads), "ppr differs at {threads} threads");
+        assert_eq!(
+            reference,
+            bits_at(threads),
+            "ppr differs at {threads} threads"
+        );
     }
 }
 
@@ -155,15 +180,18 @@ fn defended_inflation_is_strictly_below_undefended_on_every_swept_config() {
     let h = host();
     let scale = tiny_scale();
     let cfg = ppr_cfg();
-    let train_cfg = TrainConfig { epochs: 6, patience: 0, ..TrainConfig::default() };
+    let train_cfg = TrainConfig {
+        epochs: 6,
+        patience: 0,
+        ..TrainConfig::default()
+    };
     for n_clusters in CLUSTERS {
         for budget in BUDGETS {
             let inj = inject_sybil(&h, &attack(n_clusters, budget));
             let probes = inj.probe_pairs(40, SEED);
             let prior = trust_prior(&ppr(&inj.dataset.graph, &inj.honest, &cfg));
             let split = inj.dataset.split(0.8, 0.2, 2, SEED);
-            let mut model =
-                build_model("SGC", &inj.dataset, &split, &scale).expect("known model");
+            let mut model = build_model("SGC", &inj.dataset, &split, &scale).expect("known model");
             train_and_evaluate(model.as_mut(), &split.train, &split.test, &train_cfg);
             let sybil_raw = model.predict(&probes.sybil);
             let honest_raw = model.predict(&probes.honest);
@@ -197,7 +225,11 @@ fn attack_harness_detects_undefended_inflation_end_to_end() {
     let prior = trust_prior(&ppr(&inj.dataset.graph, &inj.honest, &cfg));
     let clean_split = h.split(0.8, 0.2, 2, SEED);
     let attacked_split = inj.dataset.split(0.8, 0.2, 2, SEED);
-    let train_cfg = TrainConfig { epochs: scale.epochs, patience: 0, ..TrainConfig::default() };
+    let train_cfg = TrainConfig {
+        epochs: scale.epochs,
+        patience: 0,
+        ..TrainConfig::default()
+    };
     let mut clean = build_model("SGC", &h, &clean_split, &scale).expect("known model");
     let mut attacked =
         build_model("SGC", &inj.dataset, &attacked_split, &scale).expect("known model");

@@ -82,13 +82,20 @@ fn real_training_run() {
         assert!(loss.is_finite());
         assert!(r.get("wall_us").and_then(Json::as_f64).expect("wall") >= 0.0);
         // AHNTP trains with Adam, which publishes the grad-norm gauge.
-        let gn = r.get("grad_norm").and_then(Json::as_f64).expect("grad_norm");
+        let gn = r
+            .get("grad_norm")
+            .and_then(Json::as_f64)
+            .expect("grad_norm");
         assert!(gn.is_finite() && gn > 0.0, "grad norm {gn}");
     }
     let end = records.last().expect("non-empty ledger");
     assert_eq!(end.get("kind").and_then(Json::as_str), Some("run_end"));
     let metrics = end.get("metrics").expect("metrics snapshot in run_end");
-    for name in ["tensor.matmul.calls", "tensor.mul_dense.nnz_in", "train.epochs"] {
+    for name in [
+        "tensor.matmul.calls",
+        "tensor.mul_dense.nnz_in",
+        "train.epochs",
+    ] {
         assert_eq!(
             metrics.get(name).and_then(Json::as_f64),
             Some(ahntp_telemetry::counter_get(name) as f64),

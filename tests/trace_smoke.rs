@@ -25,9 +25,9 @@ use ahntp_bench::loadgen::{run_load, LoadConfig};
 use ahntp_data::{DatasetConfig, TrustDataset};
 use ahntp_eval::{train_and_evaluate_observed, LedgerObserver, TrustModel};
 use ahntp_faultz::{self as faultz, Action, FaultSpec};
+use ahntp_par::Context;
 use ahntp_serve::client::{Client, Response};
 use ahntp_serve::{serve, ServeConfig, TrustIndex};
-use ahntp_par::Context;
 use ahntp_telemetry::json::{parse, Json};
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -44,7 +44,10 @@ fn parse_trace(text: &str) -> Vec<Json> {
         panic!("no traceEvents array in {text:.200}");
     };
     for ev in events {
-        let ph = ev.get("ph").and_then(Json::as_str).expect("every event has ph");
+        let ph = ev
+            .get("ph")
+            .and_then(Json::as_str)
+            .expect("every event has ph");
         assert!(matches!(ph, "X" | "i"), "unexpected phase {ph}");
         for field in ["ts", "pid", "tid"] {
             let v = ev.get(field).and_then(Json::as_f64);
@@ -157,7 +160,11 @@ fn training_scenario() {
         .iter()
         .filter_map(|e| e.get("name").and_then(Json::as_str))
         .collect();
-    for want in ["tensor.matmul", "csr.mul_dense", "nn.adaptive_hconv.forward"] {
+    for want in [
+        "tensor.matmul",
+        "csr.mul_dense",
+        "nn.adaptive_hconv.forward",
+    ] {
         assert!(names.contains(&want), "no {want} span in the trace");
     }
     // The armed failpoint appears as an instant event: the nth(2) gate
@@ -165,7 +172,12 @@ fn training_scenario() {
     let instants: Vec<_> = events
         .iter()
         .filter(|e| e.get("ph").and_then(Json::as_str) == Some("i"))
-        .map(|e| (e.get("cat").and_then(Json::as_str), e.get("name").and_then(Json::as_str)))
+        .map(|e| {
+            (
+                e.get("cat").and_then(Json::as_str),
+                e.get("name").and_then(Json::as_str),
+            )
+        })
         .collect();
     assert_eq!(instants, [(Some("faultz"), Some("train.epoch"))]);
     assert_eq!(ahntp_telemetry::counter_get("faultz.triggered"), 1);
@@ -250,9 +262,15 @@ fn serving_scenario() {
         },
     );
     assert_eq!(report.failed, 0, "{}", report.summary());
-    let trace_id = report.sample_trace_id.as_deref().expect("responses carry a trace id");
+    let trace_id = report
+        .sample_trace_id
+        .as_deref()
+        .expect("responses carry a trace id");
     assert_eq!(trace_id.len(), 16, "{trace_id}");
-    assert!(trace_id.chars().all(|c| c.is_ascii_hexdigit()), "{trace_id}");
+    assert!(
+        trace_id.chars().all(|c| c.is_ascii_hexdigit()),
+        "{trace_id}"
+    );
     // CI greps this exact header name out of the --nocapture output.
     println!("X-Ahntp-Trace-Id: {trace_id}");
 
@@ -286,7 +304,10 @@ fn serving_scenario() {
         .filter(|t| t.get("path").and_then(Json::as_str) == Some("/score"))
         .filter(|t| matches!(t.get("stages"), Some(Json::Arr(s)) if s.len() >= 3))
         .count();
-    assert!(with_stages > 0, "no staged /score entries in the ring: {body}");
+    assert!(
+        with_stages > 0,
+        "no staged /score entries in the ring: {body}"
+    );
 
     // Prometheus exposition answers with the serve metrics.
     let Response { status, body, .. } = conn.get("/metrics?format=prometheus").unwrap();
@@ -313,7 +334,10 @@ fn serving_scenario() {
         .filter(|e| e.get("name").and_then(Json::as_str) == Some("serve.request"))
         .count();
     // The loadgen's 2 × 25 /score requests plus the three GETs above.
-    assert_eq!(roots, 53, "one serve.request span per request this server answered");
+    assert_eq!(
+        roots, 53,
+        "one serve.request span per request this server answered"
+    );
     for stage in ["serve.parse", "serve.queue.wait", "serve.score"] {
         assert!(
             request_lanes
@@ -338,7 +362,10 @@ fn serving_scenario() {
                 && e.get("name").and_then(Json::as_str) != Some("serve.request")
         })
         .collect();
-    assert!(!children.is_empty(), "request lane {tid} has no stage children");
+    assert!(
+        !children.is_empty(),
+        "request lane {tid} has no stage children"
+    );
     for child in children {
         let cts = child.get("ts").and_then(Json::as_f64).unwrap();
         let cend = cts + child.get("dur").and_then(Json::as_f64).unwrap();
