@@ -150,19 +150,19 @@ impl Optimizer for Adam {
             if c.weight_decay > 0.0 {
                 p.with_value(|w| g.axpy_inplace(c.weight_decay, w));
             }
-            let m = &mut self.m[i];
-            let v = &mut self.v[i];
             // Each gradient entry is read once, then overwritten with its
-            // update direction.
-            for k in 0..g.len() {
-                let gk = g.as_slice()[k];
-                let mk = c.beta1 * m.as_slice()[k] + (1.0 - c.beta1) * gk;
-                let vk = c.beta2 * v.as_slice()[k] + (1.0 - c.beta2) * gk * gk;
-                m.as_mut_slice()[k] = mk;
-                v.as_mut_slice()[k] = vk;
-                let m_hat = mk / bias1;
-                let v_hat = vk / bias2;
-                g.as_mut_slice()[k] = m_hat / (v_hat.sqrt() + c.eps);
+            // update direction. The moments have the parameter's shape
+            // (`new` and `restore_state` see to it), so the zip covers every
+            // entry, and walking the three buffers together rather than
+            // indexing them lets the loop vectorise with the same
+            // per-element arithmetic.
+            let (m, v) = (self.m[i].as_mut_slice(), self.v[i].as_mut_slice());
+            for ((gk, mk), vk) in g.as_mut_slice().iter_mut().zip(m).zip(v) {
+                *mk = c.beta1 * *mk + (1.0 - c.beta1) * *gk;
+                *vk = c.beta2 * *vk + (1.0 - c.beta2) * *gk * *gk;
+                let m_hat = *mk / bias1;
+                let v_hat = *vk / bias2;
+                *gk = m_hat / (v_hat.sqrt() + c.eps);
             }
             p.axpy(-c.lr, &g);
         }
