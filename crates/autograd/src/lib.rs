@@ -30,8 +30,11 @@
 //!   weights of a sparse aggregation. Instead of composing these from dozens
 //!   of scalar ops (slow, and numerically delicate), the tape provides
 //!   [`Graph::pair_scores`], [`Var::segment_softmax`], [`Var::segment_sum`],
-//!   [`Graph::weighted_gather`] and [`Var::pairwise_cosine`] as single nodes
-//!   with hand-derived adjoints. Every adjoint is validated against central
+//!   [`Graph::weighted_gather`] and [`Graph::pair_cosine`] as single nodes
+//!   with hand-derived adjoints. The two indexed ones do per-row work once
+//!   per row: `pair_scores` one dot per vertex and per hyperedge,
+//!   `pair_cosine` one norm per row of each operand, and neither gathers
+//!   a per-pair matrix. Every adjoint is validated against central
 //!   finite differences in `tests/gradcheck.rs`.
 //! * **Values are read where they lie.** A forward op computes from its
 //!   operands' tensors on the tape, under one borrow, and copies nothing;

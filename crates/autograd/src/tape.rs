@@ -44,8 +44,13 @@ pub(crate) enum Op {
     MulRows(usize, usize),
     Sum(usize),
     Mean(usize),
-    /// Row-paired cosine similarity of two `n x d` matrices → `[n]`.
-    PairwiseCosine(usize, usize),
+    /// Indexed cosine similarity (Eq. 19): `y_p = cos(a[ia[p]], b[ib[p]])`.
+    PairCosine {
+        a: usize,
+        b: usize,
+        ia: Rc<Vec<usize>>,
+        ib: Rc<Vec<usize>>,
+    },
     /// Softmax within segments of a vector.
     SegmentSoftmax(usize, Rc<Vec<usize>>),
     /// Sum within segments of a vector → `[n_segments]`.
@@ -98,7 +103,7 @@ pub(crate) fn op_name(op: &Op) -> &'static str {
         Op::MulRows(..) => "mul_rows",
         Op::Sum(..) => "sum",
         Op::Mean(..) => "mean",
-        Op::PairwiseCosine(..) => "pairwise_cosine",
+        Op::PairCosine { .. } => "pair_cosine",
         Op::SegmentSoftmax(..) => "segment_softmax",
         Op::SegmentSum(..) => "segment_sum",
         Op::Reshape(..) => "reshape",
@@ -292,6 +297,45 @@ impl Graph {
                 beta: beta.id,
                 pair_vertices: Rc::clone(pair_vertices),
                 pair_edges: Rc::clone(pair_edges),
+            },
+            rg,
+        )
+    }
+
+    /// Indexed cosine similarity, Eq. (19): `y_p = cos(a[ia[p]], b[ib[p]])`
+    /// for each pair `p`, as one node that never gathers the paired rows.
+    /// `a` and `b` are matrices of one width; the result is the `[pairs]`
+    /// vector. A pair with a zero-norm row has similarity 0 and passes no
+    /// gradient.
+    ///
+    /// Each row's norm is computed once per call, not once per pair, from
+    /// the same `k`-ascending chain as [`Tensor::cosine_rows`], so the value
+    /// is bitwise `cosine_rows` on the gathered rows. The adjoint
+    /// scatter-adds each pair's row gradients straight into `a` and `b`,
+    /// pairs ascending, which is the order a `gather_rows` adjoint adds
+    /// them in: the gradients are bitwise those of the gathered
+    /// composition too.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` and `b` are not matrices of one width, the index lists
+    /// differ in length, or an index is out of range.
+    pub fn pair_cosine(&self, a: &Var, b: &Var, ia: &Rc<Vec<usize>>, ib: &Rc<Vec<usize>>) -> Var {
+        a.assert_same_graph(self, "pair_cosine");
+        b.assert_same_graph(self, "pair_cosine");
+        let (value, rg) = {
+            let nodes = self.nodes.borrow();
+            let (an, bn) = (&nodes[a.id], &nodes[b.id]);
+            let value = pair_cosine_forward(&an.value, &bn.value, ia, ib);
+            (value, an.requires_grad || bn.requires_grad)
+        };
+        self.push(
+            value,
+            Op::PairCosine {
+                a: a.id,
+                b: b.id,
+                ia: Rc::clone(ia),
+                ib: Rc::clone(ib),
             },
             rg,
         )
@@ -621,31 +665,17 @@ fn backward_step(nodes: &mut [Node], i: usize, op: &Op, grad_out: Tensor) {
             da.map_inplace(|_| g);
             accum(nodes, *a, da);
         }
-        Op::PairwiseCosine(a, b) => {
-            let _k = KernelSpan::enter("autograd.pairwise_cosine.adjoint", KernelKind::Reduction);
-            let (av, bv, y) = (&nodes[*a].value, &nodes[*b].value, &nodes[i].value);
-            let mut da = zeros_like(av);
-            let mut db = zeros_like(bv);
-            let d = av.cols();
-            for r in 0..av.rows() {
-                let ar = av.row(r);
-                let br = bv.row(r);
-                let na: f32 = ar.iter().map(|&v| v * v).sum::<f32>().sqrt();
-                let nb: f32 = br.iter().map(|&v| v * v).sum::<f32>().sqrt();
-                if na == 0.0 || nb == 0.0 {
-                    continue; // cosine defined as 0 there; subgradient 0
-                }
-                let g = grad_out.as_slice()[r];
-                let cs = y.as_slice()[r];
-                let da_r = &mut da.as_mut_slice()[r * d..(r + 1) * d];
-                let db_r = &mut db.as_mut_slice()[r * d..(r + 1) * d];
-                for k in 0..d {
-                    da_r[k] = g * (br[k] / (na * nb) - cs * ar[k] / (na * na));
-                    db_r[k] = g * (ar[k] / (na * nb) - cs * br[k] / (nb * nb));
-                }
-            }
-            accum(nodes, *a, da);
+        Op::PairCosine { a, b, ia, ib } => {
+            let (da, db) = pair_cosine_backward(
+                &nodes[*a].value,
+                &nodes[*b].value,
+                ia,
+                ib,
+                &nodes[i].value,
+                &grad_out,
+            );
             accum(nodes, *b, db);
+            accum(nodes, *a, da);
         }
         Op::SegmentSoftmax(a, segments) => {
             let _k = KernelSpan::enter("autograd.segment_softmax.adjoint", KernelKind::Reduction);
@@ -886,6 +916,92 @@ fn pair_scores_backward(
     (outer(&per_vertex, beta_x), outer(&per_edge, beta_h), dbeta)
 }
 
+/// Each row's L2 norm, `√Σ x²` with `k` ascending: the chain
+/// [`Tensor::cosine_rows`] runs for either operand.
+fn row_norms(t: &Tensor) -> Vec<f32> {
+    (0..t.rows())
+        .map(|r| t.row(r).iter().fold(0.0f32, |s, &x| s + x * x).sqrt())
+        .collect()
+}
+
+/// Forward of [`Graph::pair_cosine`]: one norm per row of each operand,
+/// then one dot per pair.
+fn pair_cosine_forward(a: &Tensor, b: &Tensor, ia: &[usize], ib: &[usize]) -> Tensor {
+    let _k = KernelSpan::enter("autograd.pair_cosine", KernelKind::Reduction);
+    assert!(
+        !a.shape().is_vector() && !b.shape().is_vector() && a.cols() == b.cols(),
+        "pair_cosine: a and b must be matrices of one width, got {} and {}",
+        a.shape(),
+        b.shape()
+    );
+    assert_eq!(
+        ia.len(),
+        ib.len(),
+        "pair_cosine: {} left indices for {} right indices",
+        ia.len(),
+        ib.len()
+    );
+    for (p, (&i, &j)) in ia.iter().zip(ib).enumerate() {
+        assert!(
+            i < a.rows() && j < b.rows(),
+            "pair_cosine: pair {p} = ({i}, {j}) out of range ({} and {} rows)",
+            a.rows(),
+            b.rows()
+        );
+    }
+    let (na, nb) = (row_norms(a), row_norms(b));
+    let cosines = ia
+        .iter()
+        .zip(ib)
+        .map(|(&i, &j)| {
+            if na[i] == 0.0 || nb[j] == 0.0 {
+                return 0.0;
+            }
+            let dot = a
+                .row(i)
+                .iter()
+                .zip(b.row(j))
+                .fold(0.0f32, |s, (&x, &y)| s + x * y);
+            dot / (na[i] * nb[j])
+        })
+        .collect();
+    Tensor::vector(cosines)
+}
+
+/// Adjoint of [`Graph::pair_cosine`], `(da, db)`: pair `p` adds
+/// `g_p (b_j / (‖a_i‖‖b_j‖) − y_p a_i / ‖a_i‖²)` to row `i = ia[p]` of `da`
+/// and the mirror image to row `j = ib[p]` of `db`, pairs ascending.
+fn pair_cosine_backward(
+    a: &Tensor,
+    b: &Tensor,
+    ia: &[usize],
+    ib: &[usize],
+    y: &Tensor,
+    grad_out: &Tensor,
+) -> (Tensor, Tensor) {
+    let _k = KernelSpan::enter("autograd.pair_cosine.adjoint", KernelKind::Reduction);
+    let (na, nb) = (row_norms(a), row_norms(b));
+    let (mut da, mut db) = (zeros_like(a), zeros_like(b));
+    let pairs = ia
+        .iter()
+        .zip(ib)
+        .zip(y.as_slice().iter().zip(grad_out.as_slice()));
+    for ((&i, &j), (&cs, &g)) in pairs {
+        let (ni, nj) = (na[i], nb[j]);
+        if ni == 0.0 || nj == 0.0 {
+            continue; // cosine defined as 0 there; subgradient 0
+        }
+        let (ar, br) = (a.row(i), b.row(j));
+        for ((d, &x), &z) in da.row_mut(i).iter_mut().zip(ar).zip(br) {
+            *d += g * (z / (ni * nj) - cs * x / (ni * ni));
+        }
+        for ((d, &x), &z) in db.row_mut(j).iter_mut().zip(ar).zip(br) {
+            *d += g * (x / (ni * nj) - cs * z / (nj * nj));
+        }
+    }
+    (da, db)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -963,7 +1079,7 @@ mod tests {
             let (pv, pe) = (Rc::new(vec![0, 0, 1]), Rc::new(vec![0, 1, 1]));
             let att = g.pair_scores(&x, &h, &beta, &pv, &pe).segment_softmax(&pv);
             let y = g.weighted_gather(&pairs, 2, &att, &h);
-            y.pairwise_cosine(&x).sum().backward();
+            g.pair_cosine(&y, &x, &pv, &pe).sum().backward();
             let trace = ahntp_telemetry::chrome_trace_json();
             let Some(Json::Arr(events)) = trace.get("traceEvents") else {
                 panic!("a Chrome trace document has a traceEvents array");
@@ -978,8 +1094,8 @@ mod tests {
                 ("autograd.pair_scores", "csr"),
                 ("autograd.segment_softmax", "reduction"),
                 ("autograd.weighted_gather", "csr"),
-                ("autograd.pairwise_cosine", "reduction"),
-                ("autograd.pairwise_cosine.adjoint", "reduction"),
+                ("autograd.pair_cosine", "reduction"),
+                ("autograd.pair_cosine.adjoint", "reduction"),
                 ("autograd.weighted_gather.adjoint", "csr"),
                 ("autograd.segment_softmax.adjoint", "reduction"),
                 ("autograd.pair_scores.adjoint", "csr"),
@@ -987,6 +1103,42 @@ mod tests {
             .map(|(name, cat)| (name.to_owned(), cat.to_owned()));
             assert_eq!(spans, expected);
         });
+    }
+
+    #[test]
+    fn pair_cosine_is_bitwise_cosine_rows_on_the_gathered_rows() {
+        // Repeated rows on both sides, and a zero row in each operand.
+        let (n, m, d) = (7, 5, 13);
+        let fill = |rows: usize, seed: usize, zero: usize| {
+            let v = (0..rows * d)
+                .map(|k| {
+                    let x = ((k * 7919 + seed) % 1013) as f32 / 97.0 - 5.0;
+                    if k / d == zero {
+                        0.0
+                    } else {
+                        x
+                    }
+                })
+                .collect();
+            Tensor::from_vec(rows, d, v).expect("sized correctly")
+        };
+        let (a, b) = (fill(n, 3, 4), fill(m, 11, 1));
+        let ia = Rc::new(vec![0, 2, 2, 4, 6, 1, 2, 5, 0, 3]);
+        let ib = Rc::new(vec![3, 1, 0, 2, 4, 4, 1, 0, 3, 2]);
+        let (ga, gb) = (a.gather_rows(&ia), b.gather_rows(&ib));
+        let want: Vec<u32> = (0..ia.len())
+            .map(|p| ga.cosine_rows(p, &gb, p).to_bits())
+            .collect();
+        assert!(want.contains(&0), "a pair meets a zero row");
+        for threads in [1, 4] {
+            let got = ahntp_par::with_pool(threads, 0, || {
+                let g = Graph::new();
+                let (av, bv) = (g.leaf(a.clone()), g.leaf(b.clone()));
+                g.pair_cosine(&av, &bv, &ia, &ib).value()
+            });
+            let got: Vec<u32> = got.as_slice().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want, "at {threads} threads");
+        }
     }
 
     #[test]

@@ -194,28 +194,6 @@ impl Var {
         self.unary(Op::Mean(self.id), |a| Tensor::full(1, 1, a.mean()))
     }
 
-    /// Row-paired cosine similarity (Eq. 19): both operands are `n x d`;
-    /// the result is the `[n]` vector of `cos(self_i, other_i)`. Zero rows
-    /// yield similarity 0 with zero gradient.
-    pub fn pairwise_cosine(&self, other: &Var) -> Var {
-        self.binary(
-            other,
-            "pairwise_cosine",
-            Op::PairwiseCosine(self.id, other.id),
-            |a, b| {
-                let _k = KernelSpan::enter("autograd.pairwise_cosine", KernelKind::Reduction);
-                assert_eq!(
-                    a.shape(),
-                    b.shape(),
-                    "pairwise_cosine: shape mismatch {} vs {}",
-                    a.shape(),
-                    b.shape()
-                );
-                Tensor::vector((0..a.rows()).map(|r| a.cosine_rows(r, b, r)).collect())
-            },
-        )
-    }
-
     /// Softmax over variable-size segments of a vector (Eq. 15: attention
     /// normalisation over each vertex's incident hyperedges).
     /// `segments[k]` is the segment id of element `k`.
@@ -294,16 +272,6 @@ mod tests {
         assert_eq!(a.add_scalar(1.0).value().as_slice(), &[2.0, -1.0]);
         let s = a.sigmoid().value();
         assert!((s.as_slice()[0] - 0.73106).abs() < 1e-4);
-    }
-
-    #[test]
-    fn pairwise_cosine_matches_reduce_kernel() {
-        let g = Graph::new();
-        let a = g.leaf(Tensor::from_rows(&[&[1.0, 0.0], &[1.0, 1.0]]));
-        let b = g.leaf(Tensor::from_rows(&[&[0.0, 1.0], &[1.0, 1.0]]));
-        let cs = a.pairwise_cosine(&b).value();
-        assert!(cs.as_slice()[0].abs() < 1e-6);
-        assert!((cs.as_slice()[1] - 1.0).abs() < 1e-6);
     }
 
     #[test]

@@ -195,10 +195,29 @@ fn grad_scale_rows() {
 }
 
 #[test]
-fn grad_pairwise_cosine() {
-    let a = t(4, 3, 16);
+fn grad_pair_cosine_with_repeats_and_a_zero_row() {
+    // Rows 2 of `a` and 3 of `b` serve several pairs; row 1 of `b` is
+    // masked to zero, so its pairs read 0 and pass no gradient to either
+    // side — which central differences agree with, since perturbing the
+    // masked row moves nothing.
+    let a = t(5, 3, 16);
     let b = t(4, 3, 17);
-    check_gradients(&[a, b], |_, v| v[0].pairwise_cosine(&v[1]).sum(), EPS, TOL);
+    let mut mask = Tensor::full(4, 3, 1.0);
+    mask.row_mut(1).fill(0.0);
+    let ia = Rc::new(vec![0usize, 2, 2, 4, 1, 2]);
+    let ib = Rc::new(vec![3usize, 1, 0, 3, 1, 2]);
+    let weights = Tensor::vector(vec![1.0, -0.5, 2.0, 0.75, 1.5, -1.25]);
+    check_gradients(
+        &[a, b],
+        move |g, v| {
+            let b = v[1].mul(&g.constant(mask.clone()));
+            g.pair_cosine(&v[0], &b, &ia, &ib)
+                .mul(&g.constant(weights.clone()))
+                .sum()
+        },
+        EPS,
+        TOL,
+    );
 }
 
 #[test]
@@ -428,10 +447,14 @@ fn grad_contrastive_like_pipeline() {
     let a = t(6, 4, 22);
     let b = t(6, 4, 23);
     let seg = Rc::new(vec![0usize, 0, 1, 1, 2, 2]);
+    let rows = Rc::new((0..6).collect::<Vec<usize>>());
     check_gradients(
         &[a, b],
-        move |_, v| {
-            let cs = v[0].pairwise_cosine(&v[1]).scale(1.0 / 0.3).exp();
+        move |g, v| {
+            let cs = g
+                .pair_cosine(&v[0], &v[1], &rows, &rows)
+                .scale(1.0 / 0.3)
+                .exp();
             let pooled = cs.segment_sum(&seg, 3);
             pooled.ln_eps(1e-7).mean().neg()
         },

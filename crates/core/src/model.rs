@@ -438,17 +438,16 @@ impl Ahntp {
         let emb = self.embed(s);
         let trustor = self.tower_a.forward(s, &emb);
         let trustee = self.tower_b.forward(s, &emb);
-        Self::similarities_from(&trustor, &trustee, pairs)
+        Self::similarities_from(s, &trustor, &trustee, pairs)
     }
 
     /// Pair similarities (Eq. 19) from the two towers' outputs over every
     /// user (Eqs. 17–18).
-    fn similarities_from(trustor: &Var, trustee: &Var, pairs: &[LabeledPair]) -> Var {
+    fn similarities_from(s: &Session, trustor: &Var, trustee: &Var, pairs: &[LabeledPair]) -> Var {
         let trustors = Rc::new(pairs.iter().map(|p| p.trustor).collect::<Vec<_>>());
         let trustees = Rc::new(pairs.iter().map(|p| p.trustee).collect::<Vec<_>>());
-        let ta = trustor.gather_rows(&trustors);
-        let tb = trustee.gather_rows(&trustees);
-        ta.pairwise_cosine(&tb)
+        s.graph()
+            .pair_cosine(trustor, trustee, &trustors, &trustees)
     }
 
     /// All trainable parameters in a stable order (for optimizers,
@@ -612,7 +611,7 @@ impl Ahntp {
     /// Eq. 23 term is not a function of the batch's pairs; the
     /// accumulation group adds it once ([`Ahntp::group_gradient`]).
     fn pair_loss(&self, s: &Session, pairs: &[LabeledPair], trustor: &Var, trustee: &Var) -> Var {
-        let cs = Self::similarities_from(trustor, trustee, pairs);
+        let cs = Self::similarities_from(s, trustor, trustee, pairs);
         let labels = Tensor::vector(pairs.iter().map(|p| f32::from(p.label)).collect());
         let l2 = bce_from_similarity(s, &cs, &labels);
         if self.cfg.variant == AhntpVariant::NoContrastive {

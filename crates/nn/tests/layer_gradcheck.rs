@@ -148,9 +148,9 @@ fn full_loss_pipeline_parameter_gradients() {
     let forward = |s: &Session| {
         let xv = s.constant(x.clone());
         let emb = conv.forward(s, &mlp.forward(s, &xv));
-        let ta = tower_a.forward(s, &emb).gather_rows(&anchor_idx);
-        let tb = tower_b.forward(s, &emb).gather_rows(&partners);
-        let cs = ta.pairwise_cosine(&tb);
+        let ta = tower_a.forward(s, &emb);
+        let tb = tower_b.forward(s, &emb);
+        let cs = s.graph().pair_cosine(&ta, &tb, &anchor_idx, &partners);
         let l2 = bce_from_similarity(s, &cs, &label_t);
         let batch = ContrastiveBatch::new(&anchors, &labels);
         let l1 = supervised_contrastive(s, &cs, &batch, 0.3);

@@ -72,9 +72,9 @@ fn gradients_flow_from_losses_through_conv_to_mlp() {
         partners.push((trustees[k] + 37) % ds.graph.n());
         labels.push(false);
     }
-    let ta = t.gather_rows(&Rc::new(anchors.clone()));
-    let tb = t.gather_rows(&Rc::new(partners));
-    let cs = ta.pairwise_cosine(&tb);
+    let cs = s
+        .graph()
+        .pair_cosine(&t, &t, &Rc::new(anchors.clone()), &Rc::new(partners));
 
     let label_t = Tensor::vector(labels.iter().map(|&b| f32::from(b)).collect());
     let l2 = bce_from_similarity(&s, &cs, &label_t);
