@@ -256,12 +256,15 @@ impl Graph {
     /// one dot per vertex and one per hyperedge, and a pair adds two of
     /// them. The adjoints split the same way: `dx` is each vertex's summed
     /// incoming gradient times `β[..d]`, `dh` each hyperedge's times
-    /// `β[d..]`; `dβ` accumulates per pair, ascending. That is the
-    /// composition `concat_cols(x.gather_rows(v), h.gather_rows(e))
-    /// .matmul(beta)` reassociated, so value and gradients equal it up to
-    /// f32 rounding (`tests/gradcheck.rs` holds them within `1e-6` of
-    /// each tensor's max-norm, and checks the gradients against central
-    /// differences).
+    /// `β[d..]`; `dβ` is `[Σ_v s_v x_v ‖ Σ_e s_e h_e]` over those per-row
+    /// sums `s`, taken in f64 and rounded once, so it costs one axpy per
+    /// row rather than two per pair. That is the composition
+    /// `concat_cols(x.gather_rows(v), h.gather_rows(e)).matmul(beta)`
+    /// reassociated, so value and gradients equal it up to f32 rounding
+    /// (`tests/gradcheck.rs` holds them within `1e-6` of each tensor's
+    /// max-norm, and checks the gradients against central differences),
+    /// and `dβ` is within `1e-6` relative of its f64 value even where the
+    /// per-pair terms cancel.
     ///
     /// # Panics
     ///
@@ -874,8 +877,8 @@ fn pair_scores_forward(
 
 /// Adjoint of [`Graph::pair_scores`], `(dx, dh, dβ)`: the incoming
 /// gradient summed per vertex and per hyperedge (pairs ascending) scales
-/// `β[..d]` and `β[d..]` once per row; `dβ` sums `g_p · [x_v ‖ h_e]` over
-/// the pairs, ascending.
+/// `β[..d]` and `β[d..]` once per row; `dβ` is `[Σ_v s_v x_v ‖ Σ_e s_e h_e]`
+/// over the same sums taken in f64.
 fn pair_scores_backward(
     x: &Tensor,
     h: &Tensor,
@@ -886,9 +889,8 @@ fn pair_scores_backward(
 ) -> (Tensor, Tensor, Tensor) {
     let _k = KernelSpan::enter("autograd.pair_scores.adjoint", KernelKind::Csr);
     let d = x.cols();
-    let mut dbeta = zeros_like(beta);
     let (mut per_vertex, mut per_edge) = (vec![0.0f32; x.rows()], vec![0.0f32; h.rows()]);
-    let (dbeta_x, dbeta_h) = dbeta.as_mut_slice().split_at_mut(d);
+    let (mut vertex_f64, mut edge_f64) = (vec![0.0f64; x.rows()], vec![0.0f64; h.rows()]);
     for ((&v, &e), &g) in pair_vertices
         .iter()
         .zip(pair_edges)
@@ -896,13 +898,28 @@ fn pair_scores_backward(
     {
         per_vertex[v] += g;
         per_edge[e] += g;
-        for (s, &xv) in dbeta_x.iter_mut().zip(x.row(v)) {
-            *s += xv * g;
-        }
-        for (s, &hv) in dbeta_h.iter_mut().zip(h.row(e)) {
-            *s += hv * g;
-        }
+        vertex_f64[v] += f64::from(g);
+        edge_f64[e] += f64::from(g);
     }
+    // `Σ_p g_p x_{v_p} = Σ_v s_v x_v`: one axpy per row, not one per pair.
+    // Behind a segment softmax each vertex's `s_v` cancels by construction
+    // (its attention gradients sum to zero but for the LeakyReLU's slope),
+    // so the sums and the products are kept in f64 and rounded once.
+    let mut dbeta = zeros_like(beta);
+    let (dbeta_x, dbeta_h) = dbeta.as_mut_slice().split_at_mut(d);
+    let row_weighted = |out: &mut [f32], sums: &[f64], t: &Tensor| {
+        let mut acc = vec![0.0f64; d];
+        for (r, &s) in sums.iter().enumerate() {
+            for (a, &v) in acc.iter_mut().zip(t.row(r)) {
+                *a += s * f64::from(v);
+            }
+        }
+        for (o, a) in out.iter_mut().zip(acc) {
+            *o = a as f32;
+        }
+    };
+    row_weighted(dbeta_x, &vertex_f64, x);
+    row_weighted(dbeta_h, &edge_f64, h);
     let (beta_x, beta_h) = beta.as_slice().split_at(d);
     let outer = |sums: &[f32], b: &[f32]| {
         let mut out = Tensor::zeros(sums.len(), d);
@@ -1103,6 +1120,75 @@ mod tests {
             .map(|(name, cat)| (name.to_owned(), cat.to_owned()));
             assert_eq!(spans, expected);
         });
+    }
+
+    #[test]
+    fn pair_scores_dbeta_survives_a_cancelling_pair_list() {
+        // 600 pairs over 40 vertices and 70 hyperedges under gradients of
+        // a few hundred; the last two gradients are solved for so that the
+        // first entry of each half of `dβ = Σ_p g_p [x_{v_p} ‖ h_{e_p}]`
+        // cancels to ≈ 1e-8 of `Σ_p |g_p| |[x ‖ h]|`. Every entry must be
+        // within 1e-6 relative of the f64 sum on the tape's own gradients.
+        let (n, m, d, nnz) = (40, 70, 3, 600);
+        let fill = |rows: usize, seed: usize| {
+            let v = (0..rows * d)
+                .map(|k| ((k * 7919 + seed) % 997) as f32 / 83.0 - 5.99)
+                .collect();
+            Tensor::from_vec(rows, d, v).expect("sized correctly")
+        };
+        let (x, h) = (fill(n, 5), fill(m, 17));
+        let pv = Rc::new((0..nnz).map(|p| (p * 13) % n).collect::<Vec<_>>());
+        let pe = Rc::new((0..nnz).map(|p| (p * 29 + 3) % m).collect::<Vec<_>>());
+        let mut grads: Vec<f32> = (0..nnz - 2)
+            .map(|p| {
+                let magnitude = ((p * 7919) % 1000) as f32 + 0.375;
+                if p % 2 == 0 {
+                    magnitude
+                } else {
+                    -magnitude
+                }
+            })
+            .collect();
+        let at = |t: &Tensor, r: usize, k: usize| f64::from(t.row(r)[k]);
+        let sum = |grads: &[f32], t: &Tensor, rows: &[usize], k: usize| -> (f64, f64) {
+            let terms = grads
+                .iter()
+                .zip(rows)
+                .map(|(&g, &r)| f64::from(g) * at(t, r, k));
+            terms.fold((0.0, 0.0), |(s, a), v| (s + v, a + v.abs()))
+        };
+        // [x_a x_b; h_a h_b] [g_a; g_b] = −[Σ x; Σ h] on the first entries.
+        let ((px, _), (ph, _)) = (sum(&grads, &x, &pv, 0), sum(&grads, &h, &pe, 0));
+        let (a, b) = (nnz - 2, nnz - 1);
+        let (xa, xb) = (at(&x, pv[a], 0), at(&x, pv[b], 0));
+        let (ha, hb) = (at(&h, pe[a], 0), at(&h, pe[b], 0));
+        let det = xa * hb - xb * ha;
+        grads.push(((xb * ph - hb * px) / det) as f32);
+        grads.push(((ha * px - xa * ph) / det) as f32);
+        for (t, rows) in [(&x, &pv), (&h, &pe)] {
+            let (residual, magnitude) = sum(&grads, t, rows, 0);
+            assert!(
+                residual != 0.0 && residual.abs() < 1e-7 * magnitude,
+                "{residual} of {magnitude}"
+            );
+        }
+
+        let g = Graph::new();
+        let (xv, hv) = (g.leaf(x.clone()), g.leaf(h.clone()));
+        let beta = g.leaf(Tensor::vector(vec![0.5, -0.25, 1.0, 0.75, -1.5, 0.125]));
+        g.pair_scores(&xv, &hv, &beta, &pv, &pe)
+            .mul(&g.constant(Tensor::vector(grads.clone())))
+            .sum()
+            .backward();
+        let dbeta = beta.grad().expect("leaf gradient");
+        for (j, &got) in dbeta.as_slice().iter().enumerate() {
+            let (t, rows) = if j < d { (&x, &pv) } else { (&h, &pe) };
+            let (want, _) = sum(&grads, t, rows, j % d);
+            assert!(
+                (f64::from(got) - want).abs() <= 1e-6 * want.abs(),
+                "dβ[{j}]: {got} against the f64 {want}"
+            );
+        }
     }
 
     #[test]
