@@ -677,6 +677,9 @@ fn backward_step(nodes: &mut [Node], i: usize, op: &Op, grad_out: Tensor) {
                 &nodes[i].value,
                 &grad_out,
             );
+            // `b` first: the gathered composition reached `b` through the
+            // later of its two gathers, so this keeps the order in which a
+            // node that is both operands receives its two gradients.
             accum(nodes, *b, db);
             accum(nodes, *a, da);
         }
@@ -1005,8 +1008,12 @@ fn pair_cosine_backward(
         .zip(y.as_slice().iter().zip(grad_out.as_slice()));
     for ((&i, &j), (&cs, &g)) in pairs {
         let (ni, nj) = (na[i], nb[j]);
+        // Cosine is defined as 0 there, subgradient 0. Skipping the pair
+        // is bitwise adding the zero rows a gathered adjoint added: an
+        // entry that starts at +0.0 never becomes −0.0 under `+=`, and
+        // `x + 0.0 == x` for every other `x`.
         if ni == 0.0 || nj == 0.0 {
-            continue; // cosine defined as 0 there; subgradient 0
+            continue;
         }
         let (ar, br) = (a.row(i), b.row(j));
         for ((d, &x), &z) in da.row_mut(i).iter_mut().zip(ar).zip(br) {
