@@ -31,11 +31,15 @@
 //!   of scalar ops (slow, and numerically delicate), the tape provides
 //!   [`Graph::pair_scores`], [`Var::segment_softmax`], [`Var::segment_sum`],
 //!   [`Graph::weighted_gather`] and [`Graph::pair_cosine`] as single nodes
-//!   with hand-derived adjoints. The two indexed ones do per-row work once
-//!   per row: `pair_scores` one dot per vertex and per hyperedge,
-//!   `pair_cosine` one norm per row of each operand, and neither gathers
-//!   a per-pair matrix. Every adjoint is validated against central
-//!   finite differences in `tests/gradcheck.rs`.
+//!   with hand-derived adjoints. The three attention nodes (Eqs. 14–16)
+//!   read one CSR pattern — a row is one output vertex and one softmax
+//!   segment, a column one row of the aggregated features — so every
+//!   attention layer runs `pair_scores → leaky_relu → segment_softmax →
+//!   weighted_gather` over the pattern it already holds. The indexed
+//!   nodes do per-row work once per row: `pair_scores` one dot per vertex
+//!   and per hyperedge, `pair_cosine` one norm per row of each operand,
+//!   and neither gathers a per-pair matrix. Every adjoint is validated
+//!   against central finite differences in `tests/gradcheck.rs`.
 //! * **Values are read where they lie.** A forward op computes from its
 //!   operands' tensors on the tape, under one borrow, and copies nothing;
 //!   [`Var::value`] is for reading a result out. The backward pass moves
@@ -43,8 +47,10 @@
 //!   there — only leaves keep theirs ([`Var::grad`]) — and computes no
 //!   gradient for an operand that takes none (features, labels, masks).
 //! * **Sparse structure is constant.** Incidence and adjacency matrices
-//!   enter via [`Graph::spmm`] / [`Graph::weighted_gather`] as
-//!   non-differentiable structure; gradients flow only through dense
+//!   enter via [`Graph::spmm`] (values and pattern) or the three attention
+//!   nodes (pattern only, as `spmm_masked` reads its mask) as
+//!   non-differentiable structure, shared by `Rc` and checked in O(1)
+//!   against the operands' shapes; gradients flow only through dense
 //!   operands and attention weights, which is exactly the differentiability
 //!   boundary of the paper's model.
 //!

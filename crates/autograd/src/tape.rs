@@ -6,10 +6,6 @@ use std::borrow::Cow;
 use std::cell::RefCell;
 use std::rc::Rc;
 
-/// Vertex–hyperedge incidence pairs for [`Graph::weighted_gather`]:
-/// `pairs[k] = (vertex, hyperedge)` with an attention weight per pair.
-pub(crate) type IncidencePairs = Rc<Vec<(usize, usize)>>;
-
 /// An operation recorded on the tape. Parents are node ids; constant
 /// structure (sparse matrices, index lists) is shared via `Rc`, never
 /// copied.
@@ -18,7 +14,6 @@ pub(crate) enum Op {
     Add(usize, usize),
     Sub(usize, usize),
     Mul(usize, usize),
-    Div(usize, usize),
     Scale(usize, f32),
     AddScalar(usize),
     Matmul(usize, usize),
@@ -38,8 +33,6 @@ pub(crate) enum Op {
     AddBias(usize, usize),
     ConcatCols(Rc<Vec<usize>>),
     GatherRows(usize, Rc<Vec<usize>>),
-    /// Per-row scaling by a constant vector.
-    ScaleRowsConst(usize, Rc<Vec<f32>>),
     /// Per-row scaling of a matrix by a variable column.
     MulRows(usize, usize),
     Sum(usize),
@@ -51,27 +44,26 @@ pub(crate) enum Op {
         ia: Rc<Vec<usize>>,
         ib: Rc<Vec<usize>>,
     },
-    /// Softmax within segments of a vector.
-    SegmentSoftmax(usize, Rc<Vec<usize>>),
+    /// Softmax within each row of a pattern's entries.
+    SegmentSoftmax(usize, Rc<CsrMatrix<f32>>),
     /// Sum within segments of a vector → `[n_segments]`.
     SegmentSum(usize, Rc<Vec<usize>>),
     /// Same-volume shape reinterpretation.
     Reshape(usize),
-    /// Attention-weighted sparse aggregation:
-    /// `y_v = Σ_{k: pairs[k].0 = v} w_k · h_{pairs[k].1}`.
+    /// Attention-weighted sparse aggregation over a pattern's entries:
+    /// `y_r = Σ_{k ∈ row r} w_k · h_{col(k)}`.
     WeightedGather {
         weights: usize,
         h: usize,
-        pairs: IncidencePairs,
+        pattern: Rc<CsrMatrix<f32>>,
     },
-    /// Per-incidence attention scores (Eq. 14 before the LeakyReLU):
-    /// `s_p = [x_{v_p} ‖ h_{e_p}] · β`.
+    /// Per-entry attention scores (Eq. 14 before the LeakyReLU):
+    /// `s_k = [x_{row(k)} ‖ h_{col(k)}] · β`.
     PairScores {
         x: usize,
         h: usize,
         beta: usize,
-        pair_vertices: Rc<Vec<usize>>,
-        pair_edges: Rc<Vec<usize>>,
+        pattern: Rc<CsrMatrix<f32>>,
     },
 }
 
@@ -83,7 +75,6 @@ pub(crate) fn op_name(op: &Op) -> &'static str {
         Op::Add(..) => "add",
         Op::Sub(..) => "sub",
         Op::Mul(..) => "mul",
-        Op::Div(..) => "div",
         Op::Scale(..) => "scale",
         Op::AddScalar(..) => "add_scalar",
         Op::Matmul(..) => "matmul",
@@ -99,7 +90,6 @@ pub(crate) fn op_name(op: &Op) -> &'static str {
         Op::AddBias(..) => "add_bias",
         Op::ConcatCols(..) => "concat_cols",
         Op::GatherRows(..) => "gather_rows",
-        Op::ScaleRowsConst(..) => "scale_rows_const",
         Op::MulRows(..) => "mul_rows",
         Op::Sum(..) => "sum",
         Op::Mean(..) => "mean",
@@ -196,18 +186,20 @@ impl Graph {
         self.push(value, Op::Spmm(Rc::clone(h), x.id), rg)
     }
 
-    /// Attention-weighted aggregation: output row `v` is
-    /// `Σ_k w[k] · h[e_k]` over all incidence pairs `(v, e_k)`.
+    /// Attention-weighted aggregation over `pattern`'s entries: output row
+    /// `r` is `Σ_k w[k] · h[c_k]` over the entries `k = (r, c_k)` of
+    /// pattern row `r`, `k` counting entries in CSR order.
     ///
     /// This is Eq. (16) of the paper as a single differentiable node:
-    /// gradients flow to both the attention weights `w` (one per pair) and
-    /// the hyperedge features `h`.
+    /// gradients flow to both the attention weights `w` (one per entry) and
+    /// the hyperedge features `h`. Only the pattern is read, never its
+    /// values: a row is one output vertex, a column one row of `h`.
     ///
     /// # Panics
     ///
-    /// Panics if `w` is not a vector of length `pairs.len()` or any pair
-    /// index is out of range.
-    pub fn weighted_gather(&self, pairs: &IncidencePairs, n_out: usize, w: &Var, h: &Var) -> Var {
+    /// Panics if `w` is not a vector of `pattern.nnz()` weights or `h` does
+    /// not have `pattern.cols()` rows.
+    pub fn weighted_gather(&self, pattern: &Rc<CsrMatrix<f32>>, w: &Var, h: &Var) -> Var {
         w.assert_same_graph(self, "weighted_gather");
         h.assert_same_graph(self, "weighted_gather");
         let _k = KernelSpan::enter("autograd.weighted_gather", KernelKind::Csr);
@@ -216,19 +208,15 @@ impl Graph {
             let (wn, hn) = (&nodes[w.id], &nodes[h.id]);
             let (wv, hv) = (&wn.value, &hn.value);
             assert!(
-                wv.shape().is_vector() && wv.len() == pairs.len(),
+                wv.shape().is_vector() && wv.len() == pattern.nnz(),
                 "weighted_gather: weights must be a [{}] vector, got {}",
-                pairs.len(),
+                pattern.nnz(),
                 wv.shape()
             );
-            let mut out = Tensor::zeros(n_out, hv.cols());
-            for (k, (&(v, e), &wk)) in pairs.iter().zip(wv.as_slice()).enumerate() {
-                assert!(
-                    v < n_out && e < hv.rows(),
-                    "weighted_gather: pair {k} = ({v}, {e}) out of range ({n_out} vertices, {} edges)",
-                    hv.rows()
-                );
-                for (o, s) in out.row_mut(v).iter_mut().zip(hv.row(e)) {
+            assert_columns_index(pattern, hv, "weighted_gather", "h");
+            let mut out = Tensor::zeros(pattern.rows(), hv.cols());
+            for ((r, e), &wk) in entries(pattern).zip(wv.as_slice()) {
+                for (o, s) in out.row_mut(r).iter_mut().zip(hv.row(e)) {
                     *o += wk * s;
                 }
             }
@@ -239,54 +227,46 @@ impl Graph {
             Op::WeightedGather {
                 weights: w.id,
                 h: h.id,
-                pairs: Rc::clone(pairs),
+                pattern: Rc::clone(pattern),
             },
             rg,
         )
     }
 
-    /// Per-incidence attention scores, Eq. (14) before its LeakyReLU:
-    /// `s_p = [x_{v_p} ‖ h_{e_p}] · β` for each pair
-    /// `(v_p, e_p) = (pair_vertices[p], pair_edges[p])`, as one node that
-    /// never builds the `nnz × 2d` gathered matrix. `x` is `n × d`, `h` is
-    /// `m × d`, `beta` holds `2d` weights (a `[2d]` vector or a `2d × 1`
-    /// column); the result is the `[nnz]` vector of scores.
+    /// Per-entry attention scores, Eq. (14) before its LeakyReLU:
+    /// `s_k = [x_r ‖ h_c] · β` for each entry `k = (r, c)` of `pattern`, in
+    /// CSR order, as one node that never builds the `nnz × 2d` gathered
+    /// matrix. `x` is `pattern.rows() × d`, `h` is `pattern.cols() × d`,
+    /// `beta` holds `2d` weights (a `[2d]` vector or a `2d × 1` column);
+    /// the result is the `[nnz]` vector of scores. `x` and `h` may be one
+    /// node (graph attention over a square pattern).
     ///
-    /// The score splits as `x_v · β[..d] + h_e · β[d..]`, so each half is
-    /// one dot per vertex and one per hyperedge, and a pair adds two of
+    /// The score splits as `x_r · β[..d] + h_c · β[d..]`, so each half is
+    /// one dot per vertex and one per hyperedge, and an entry adds two of
     /// them. The adjoints split the same way: `dx` is each vertex's summed
     /// incoming gradient times `β[..d]`, `dh` each hyperedge's times
     /// `β[d..]`; `dβ` is `[Σ_v s_v x_v ‖ Σ_e s_e h_e]` over those per-row
     /// sums `s`, taken in f64 and rounded once, so it costs one axpy per
-    /// row rather than two per pair. That is the composition
-    /// `concat_cols(x.gather_rows(v), h.gather_rows(e)).matmul(beta)`
+    /// row rather than two per entry. That is the composition
+    /// `concat_cols(x.gather_rows(rows), h.gather_rows(cols)).matmul(beta)`
     /// reassociated, so value and gradients equal it up to f32 rounding
     /// (`tests/gradcheck.rs` holds them within `1e-6` of each tensor's
     /// max-norm, and checks the gradients against central differences),
     /// and `dβ` is within `1e-6` relative of its f64 value even where the
-    /// per-pair terms cancel.
+    /// per-entry terms cancel.
     ///
     /// # Panics
     ///
     /// Panics if `x` and `h` are not matrices of one width `d`, `beta` does
-    /// not hold `2d` weights, the index lists differ in length, or an index
-    /// is out of range.
-    pub fn pair_scores(
-        &self,
-        x: &Var,
-        h: &Var,
-        beta: &Var,
-        pair_vertices: &Rc<Vec<usize>>,
-        pair_edges: &Rc<Vec<usize>>,
-    ) -> Var {
+    /// not hold `2d` weights, or `pattern` is not `x.rows() × h.rows()`.
+    pub fn pair_scores(&self, x: &Var, h: &Var, beta: &Var, pattern: &Rc<CsrMatrix<f32>>) -> Var {
         for v in [x, h, beta] {
             v.assert_same_graph(self, "pair_scores");
         }
         let (value, rg) = {
             let nodes = self.nodes.borrow();
             let (xn, hn, bn) = (&nodes[x.id], &nodes[h.id], &nodes[beta.id]);
-            let value =
-                pair_scores_forward(&xn.value, &hn.value, &bn.value, pair_vertices, pair_edges);
+            let value = pair_scores_forward(&xn.value, &hn.value, &bn.value, pattern);
             (
                 value,
                 xn.requires_grad || hn.requires_grad || bn.requires_grad,
@@ -298,8 +278,7 @@ impl Graph {
                 x: x.id,
                 h: h.id,
                 beta: beta.id,
-                pair_vertices: Rc::clone(pair_vertices),
-                pair_edges: Rc::clone(pair_edges),
+                pattern: Rc::clone(pattern),
             },
             rg,
         )
@@ -526,14 +505,6 @@ fn backward_step(nodes: &mut [Node], i: usize, op: &Op, grad_out: Tensor) {
             accum_some(nodes, *a, da);
             accum_some(nodes, *b, db);
         }
-        Op::Div(a, b) => {
-            // y = a / b : da = g / b ; db = -g * a / b^2
-            let (av, bv) = (&nodes[*a].value, &nodes[*b].value);
-            let da = grad_out.div(bv);
-            let db = grad_out.mul(av).div(bv).div(bv).scale(-1.0);
-            accum(nodes, *a, da);
-            accum(nodes, *b, db);
-        }
         Op::Scale(a, c) => accum(nodes, *a, grad_out.scale(*c)),
         Op::AddScalar(a) => accum(nodes, *a, grad_out),
         Op::Matmul(a, b) => {
@@ -627,16 +598,6 @@ fn backward_step(nodes: &mut [Node], i: usize, op: &Op, grad_out: Tensor) {
             }
             accum(nodes, *a, da);
         }
-        Op::ScaleRowsConst(a, factors) => {
-            let mut da = grad_out;
-            let cols = da.cols();
-            for (r, &f) in factors.iter().enumerate() {
-                for v in &mut da.as_mut_slice()[r * cols..(r + 1) * cols] {
-                    *v *= f;
-                }
-            }
-            accum(nodes, *a, da);
-        }
         Op::MulRows(a, factors) => {
             let (av, fv) = (&nodes[*a].value, &nodes[*factors].value);
             let df = nodes[*factors].requires_grad.then(|| {
@@ -683,21 +644,22 @@ fn backward_step(nodes: &mut [Node], i: usize, op: &Op, grad_out: Tensor) {
             accum(nodes, *b, db);
             accum(nodes, *a, da);
         }
-        Op::SegmentSoftmax(a, segments) => {
+        Op::SegmentSoftmax(a, pattern) => {
             let _k = KernelSpan::enter("autograd.segment_softmax.adjoint", KernelKind::Reduction);
             let (y, g) = (nodes[i].value.as_slice(), grad_out.as_slice());
-            let n_seg = segments.iter().copied().max().map_or(0, |m| m + 1);
-            // dot_s = Σ_{j∈s} y_j g_j, then da_i = y_i (g_i − dot_{seg(i)}).
-            // Each product is exact in f64 and the sum cancels by
-            // construction (Σ_j y_j = 1), so it is accumulated there and
-            // rounded once.
-            let mut dot = vec![0.0f64; n_seg];
-            for (k, &s) in segments.iter().enumerate() {
-                dot[s] += f64::from(y[k]) * f64::from(g[k]);
-            }
             let mut da = zeros_like(&nodes[*a].value);
-            for (k, &s) in segments.iter().enumerate() {
-                da.as_mut_slice()[k] = y[k] * (g[k] - dot[s] as f32);
+            // Per row, dot = Σ_j y_j g_j, then da_k = y_k (g_k − dot). Each
+            // product is exact in f64 and the sum cancels by construction
+            // (Σ_j y_j = 1), so it is accumulated there and rounded once.
+            for seg in pattern.row_ptr().windows(2).map(|w| w[0]..w[1]) {
+                let (y, g) = (&y[seg.clone()], &g[seg.clone()]);
+                let dot: f64 = y
+                    .iter()
+                    .zip(g)
+                    .fold(0.0, |s, (&y, &g)| s + f64::from(y) * f64::from(g));
+                for ((d, &y), &g) in da.as_mut_slice()[seg].iter_mut().zip(y).zip(g) {
+                    *d = y * (g - dot as f32);
+                }
             }
             accum(nodes, *a, da);
         }
@@ -712,13 +674,17 @@ fn backward_step(nodes: &mut [Node], i: usize, op: &Op, grad_out: Tensor) {
             let parent_shape = nodes[*a].value.shape();
             accum(nodes, *a, grad_out.reshape(parent_shape));
         }
-        Op::WeightedGather { weights, h, pairs } => {
+        Op::WeightedGather {
+            weights,
+            h,
+            pattern,
+        } => {
             let _k = KernelSpan::enter("autograd.weighted_gather.adjoint", KernelKind::Csr);
             let (wv, hv) = (&nodes[*weights].value, &nodes[*h].value);
             let mut dw = zeros_like(wv);
             let mut dh = zeros_like(hv);
-            for (k, &(v, e)) in pairs.iter().enumerate() {
-                let g_row = grad_out.row(v);
+            for (k, (r, e)) in entries(pattern).enumerate() {
+                let g_row = grad_out.row(r);
                 let mut dot = 0.0f32;
                 for (&g, &hh) in g_row.iter().zip(hv.row(e)) {
                     dot += g * hh;
@@ -736,15 +702,13 @@ fn backward_step(nodes: &mut [Node], i: usize, op: &Op, grad_out: Tensor) {
             x,
             h,
             beta,
-            pair_vertices,
-            pair_edges,
+            pattern,
         } => {
             let (dx, dh, dbeta) = pair_scores_backward(
                 &nodes[*x].value,
                 &nodes[*h].value,
                 &nodes[*beta].value,
-                pair_vertices,
-                pair_edges,
+                pattern,
                 &grad_out,
             );
             accum(nodes, *beta, dbeta);
@@ -827,15 +791,35 @@ fn extend_all<'a>(out: &mut [f32], row: impl Fn(usize) -> &'a [f32], b: &[f32]) 
     }
 }
 
-/// Forward of [`Graph::pair_scores`]: one dot `x_v · β[..d]` per vertex
-/// and one `h_e · β[d..]` per hyperedge, then their sum per pair.
-fn pair_scores_forward(
-    x: &Tensor,
-    h: &Tensor,
-    beta: &Tensor,
-    pair_vertices: &[usize],
-    pair_edges: &[usize],
-) -> Tensor {
+/// Every entry of `pattern` as `(row, column)`: rows ascending, each row's
+/// entries in stored order. All three attention nodes run in this order,
+/// which is what makes each output row its own accumulation chain.
+fn entries(pattern: &CsrMatrix<f32>) -> impl Iterator<Item = (usize, usize)> + '_ {
+    let cols = pattern.col_indices();
+    pattern
+        .row_ptr()
+        .windows(2)
+        .enumerate()
+        .flat_map(move |(r, w)| cols[w[0]..w[1]].iter().map(move |&c| (r, c)))
+}
+
+/// Asserts that `pattern`'s columns index the rows of `t`, operand `what`
+/// of `op`. No entry is range-checked: a `CsrMatrix` keeps every column
+/// below `cols()`.
+fn assert_columns_index(pattern: &CsrMatrix<f32>, t: &Tensor, op: &str, what: &str) {
+    assert!(
+        pattern.cols() == t.rows(),
+        "{op}: a {}x{} pattern needs {} rows of {what}, got {}",
+        pattern.rows(),
+        pattern.cols(),
+        pattern.cols(),
+        t.shape()
+    );
+}
+
+/// Forward of [`Graph::pair_scores`]: one dot `x_r · β[..d]` per vertex
+/// and one `h_c · β[d..]` per hyperedge, then their sum per entry.
+fn pair_scores_forward(x: &Tensor, h: &Tensor, beta: &Tensor, pattern: &CsrMatrix<f32>) -> Tensor {
     let _k = KernelSpan::enter("autograd.pair_scores", KernelKind::Csr);
     let d = x.cols();
     assert!(
@@ -850,55 +834,42 @@ fn pair_scores_forward(
         2 * d,
         beta.shape()
     );
-    assert_eq!(
-        pair_vertices.len(),
-        pair_edges.len(),
-        "pair_scores: {} pair vertices for {} pair edges",
-        pair_vertices.len(),
-        pair_edges.len()
+    assert!(
+        pattern.rows() == x.rows(),
+        "pair_scores: a {}x{} pattern needs {} rows of x, got {}",
+        pattern.rows(),
+        pattern.cols(),
+        pattern.rows(),
+        x.shape()
     );
-    for (p, (&v, &e)) in pair_vertices.iter().zip(pair_edges).enumerate() {
-        assert!(
-            v < x.rows() && e < h.rows(),
-            "pair_scores: pair {p} = ({v}, {e}) out of range ({} vertices, {} edges)",
-            x.rows(),
-            h.rows()
-        );
-    }
+    assert_columns_index(pattern, h, "pair_scores", "h");
     let (beta_x, beta_h) = beta.as_slice().split_at(d);
     let mut per_vertex = vec![0.0f32; x.rows()];
     extend_all(&mut per_vertex, |v| x.row(v), beta_x);
     let mut per_edge = vec![0.0f32; h.rows()];
     extend_all(&mut per_edge, |e| h.row(e), beta_h);
-    let scores = pair_vertices
-        .iter()
-        .zip(pair_edges)
-        .map(|(&v, &e)| per_vertex[v] + per_edge[e])
+    let scores = entries(pattern)
+        .map(|(v, e)| per_vertex[v] + per_edge[e])
         .collect();
     Tensor::vector(scores)
 }
 
 /// Adjoint of [`Graph::pair_scores`], `(dx, dh, dβ)`: the incoming
-/// gradient summed per vertex and per hyperedge (pairs ascending) scales
-/// `β[..d]` and `β[d..]` once per row; `dβ` is `[Σ_v s_v x_v ‖ Σ_e s_e h_e]`
-/// over the same sums taken in f64.
+/// gradient summed per vertex and per hyperedge (entries in CSR order)
+/// scales `β[..d]` and `β[d..]` once per row; `dβ` is
+/// `[Σ_v s_v x_v ‖ Σ_e s_e h_e]` over the same sums taken in f64.
 fn pair_scores_backward(
     x: &Tensor,
     h: &Tensor,
     beta: &Tensor,
-    pair_vertices: &[usize],
-    pair_edges: &[usize],
+    pattern: &CsrMatrix<f32>,
     grad_out: &Tensor,
 ) -> (Tensor, Tensor, Tensor) {
     let _k = KernelSpan::enter("autograd.pair_scores.adjoint", KernelKind::Csr);
     let d = x.cols();
     let (mut per_vertex, mut per_edge) = (vec![0.0f32; x.rows()], vec![0.0f32; h.rows()]);
     let (mut vertex_f64, mut edge_f64) = (vec![0.0f64; x.rows()], vec![0.0f64; h.rows()]);
-    for ((&v, &e), &g) in pair_vertices
-        .iter()
-        .zip(pair_edges)
-        .zip(grad_out.as_slice())
-    {
+    for ((v, e), &g) in entries(pattern).zip(grad_out.as_slice()) {
         per_vertex[v] += g;
         per_edge[e] += g;
         vertex_f64[v] += f64::from(g);
@@ -1030,6 +1001,12 @@ fn pair_cosine_backward(
 mod tests {
     use super::*;
 
+    /// A `rows × cols` pattern holding `entries` (row-major, no repeats).
+    fn pattern(rows: usize, cols: usize, entries: &[(usize, usize)]) -> Rc<CsrMatrix<f32>> {
+        let trips: Vec<_> = entries.iter().map(|&(r, c)| (r, c, 1.0)).collect();
+        Rc::new(CsrMatrix::from_triplets(rows, cols, &trips).expect("entries in range"))
+    }
+
     #[test]
     fn leaf_and_constant_flags() {
         let g = Graph::new();
@@ -1099,10 +1076,10 @@ mod tests {
             let x = g.leaf(Tensor::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]));
             let h = g.leaf(Tensor::from_rows(&[&[0.5, -1.0], &[2.0, 0.25]]));
             let beta = g.leaf(Tensor::vector(vec![0.1, 0.2, 0.3, 0.4]));
-            let pairs: IncidencePairs = Rc::new(vec![(0, 0), (0, 1), (1, 1)]);
+            let p = pattern(2, 2, &[(0, 0), (0, 1), (1, 1)]);
             let (pv, pe) = (Rc::new(vec![0, 0, 1]), Rc::new(vec![0, 1, 1]));
-            let att = g.pair_scores(&x, &h, &beta, &pv, &pe).segment_softmax(&pv);
-            let y = g.weighted_gather(&pairs, 2, &att, &h);
+            let att = g.pair_scores(&x, &h, &beta, &p).segment_softmax(&p);
+            let y = g.weighted_gather(&p, &att, &h);
             g.pair_cosine(&y, &x, &pv, &pe).sum().backward();
             let trace = ahntp_telemetry::chrome_trace_json();
             let Some(Json::Arr(events)) = trace.get("traceEvents") else {
@@ -1131,11 +1108,12 @@ mod tests {
 
     #[test]
     fn pair_scores_dbeta_survives_a_cancelling_pair_list() {
-        // 600 pairs over 40 vertices and 70 hyperedges under gradients of
-        // a few hundred; the last two gradients are solved for so that the
-        // first entry of each half of `dβ = Σ_p g_p [x_{v_p} ‖ h_{e_p}]`
-        // cancels to ≈ 1e-8 of `Σ_p |g_p| |[x ‖ h]|`. Every entry must be
-        // within 1e-6 relative of the f64 sum on the tape's own gradients.
+        // 600 pairs over 40 vertices and 70 hyperedges (15 per vertex)
+        // under gradients of a few hundred; the last two gradients are
+        // solved for so that the first entry of each half of
+        // `dβ = Σ_p g_p [x_{v_p} ‖ h_{e_p}]` cancels to ≈ 1e-8 of
+        // `Σ_p |g_p| |[x ‖ h]|`. Every entry must be within 1e-6 relative
+        // of the f64 sum on the tape's own gradients.
         let (n, m, d, nnz) = (40, 70, 3, 600);
         let fill = |rows: usize, seed: usize| {
             let v = (0..rows * d)
@@ -1144,8 +1122,13 @@ mod tests {
             Tensor::from_vec(rows, d, v).expect("sized correctly")
         };
         let (x, h) = (fill(n, 5), fill(m, 17));
-        let pv = Rc::new((0..nnz).map(|p| (p * 13) % n).collect::<Vec<_>>());
-        let pe = Rc::new((0..nnz).map(|p| (p * 29 + 3) % m).collect::<Vec<_>>());
+        let pairs: Vec<(usize, usize)> = (0..n)
+            .flat_map(|v| (0..nnz / n).map(move |k| (v, (v * 29 + k * 37 + 3) % m)))
+            .collect();
+        let p = pattern(n, m, &pairs);
+        assert_eq!(p.nnz(), nnz, "no pair repeats");
+        let rows: Vec<usize> = entries(&p).map(|(v, _)| v).collect();
+        let (pv, pe): (&[usize], &[usize]) = (&rows, p.col_indices());
         let mut grads: Vec<f32> = (0..nnz - 2)
             .map(|p| {
                 let magnitude = ((p * 7919) % 1000) as f32 + 0.375;
@@ -1165,7 +1148,7 @@ mod tests {
             terms.fold((0.0, 0.0), |(s, a), v| (s + v, a + v.abs()))
         };
         // [x_a x_b; h_a h_b] [g_a; g_b] = −[Σ x; Σ h] on the first entries.
-        let ((px, _), (ph, _)) = (sum(&grads, &x, &pv, 0), sum(&grads, &h, &pe, 0));
+        let ((px, _), (ph, _)) = (sum(&grads, &x, pv, 0), sum(&grads, &h, pe, 0));
         let (a, b) = (nnz - 2, nnz - 1);
         let (xa, xb) = (at(&x, pv[a], 0), at(&x, pv[b], 0));
         let (ha, hb) = (at(&h, pe[a], 0), at(&h, pe[b], 0));
@@ -1183,7 +1166,7 @@ mod tests {
         let g = Graph::new();
         let (xv, hv) = (g.leaf(x.clone()), g.leaf(h.clone()));
         let beta = g.leaf(Tensor::vector(vec![0.5, -0.25, 1.0, 0.75, -1.5, 0.125]));
-        g.pair_scores(&xv, &hv, &beta, &pv, &pe)
+        g.pair_scores(&xv, &hv, &beta, &p)
             .mul(&g.constant(Tensor::vector(grads.clone())))
             .sum()
             .backward();
@@ -1196,6 +1179,47 @@ mod tests {
                 "dβ[{j}]: {got} against the f64 {want}"
             );
         }
+    }
+
+    #[test]
+    fn a_pattern_that_disagrees_with_its_operands_is_rejected_by_the_op() {
+        // 3 rows, 2 columns, 4 entries. Each case gets one count wrong —
+        // the rows against `x`, the columns against `h`, the entries
+        // against `w` or the scores — and must panic naming its op.
+        let p = pattern(3, 2, &[(0, 0), (0, 1), (1, 1), (2, 0)]);
+        let g = Graph::new();
+        let (x, h) = (
+            g.leaf(Tensor::full(3, 2, 0.5)),
+            g.leaf(Tensor::full(2, 2, 1.5)),
+        );
+        let beta = g.leaf(Tensor::vector(vec![0.25; 4]));
+        let (short_x, long_h) = (
+            g.leaf(Tensor::full(2, 2, 0.5)),
+            g.leaf(Tensor::full(3, 2, 1.5)),
+        );
+        let (w, short_w) = (
+            g.leaf(Tensor::vector(vec![0.5; 4])),
+            g.leaf(Tensor::vector(vec![0.5; 3])),
+        );
+        let cases: [(&str, &dyn Fn() -> Var); 5] = [
+            ("pair_scores", &|| g.pair_scores(&short_x, &h, &beta, &p)),
+            ("pair_scores", &|| g.pair_scores(&x, &long_h, &beta, &p)),
+            ("weighted_gather", &|| g.weighted_gather(&p, &short_w, &h)),
+            ("weighted_gather", &|| g.weighted_gather(&p, &w, &long_h)),
+            ("segment_softmax", &|| short_w.segment_softmax(&p)),
+        ];
+        for (k, (op, case)) in cases.iter().enumerate() {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(case))
+                .err()
+                .unwrap_or_else(|| panic!("case {k} was accepted"));
+            let msg = err
+                .downcast_ref::<String>()
+                .expect("a formatted panic message");
+            assert!(msg.starts_with(&format!("{op}: ")), "case {k}: {msg}");
+        }
+        // The same operands with the counts right are accepted.
+        let att = g.pair_scores(&x, &h, &beta, &p).segment_softmax(&p);
+        assert_eq!(g.weighted_gather(&p, &att, &h).shape(), Shape::Matrix(3, 2));
     }
 
     #[test]
@@ -1291,7 +1315,7 @@ mod tests {
         let x = g.leaf(Tensor::from_rows(&[&[f32::MAX]]));
         let h = g.leaf(Tensor::from_rows(&[&[f32::MAX]]));
         let beta = g.leaf(Tensor::vector(vec![1.0, 1.0]));
-        let _s = g.pair_scores(&x, &h, &beta, &Rc::new(vec![0]), &Rc::new(vec![0]));
+        let _s = g.pair_scores(&x, &h, &beta, &pattern(1, 1, &[(0, 0)]));
         let ev = ahntp_telemetry::first_nonfinite().expect("overflow recorded");
         assert_eq!(ev.op, "pair_scores");
         assert_eq!(ev.step, 3); // after the three leaves
@@ -1313,10 +1337,10 @@ mod tests {
     fn weighted_gather_forward_matches_manual() {
         let g = Graph::new();
         // 2 vertices, 2 hyperedges, 3 incidence pairs.
-        let pairs: IncidencePairs = Rc::new(vec![(0, 0), (0, 1), (1, 1)]);
+        let p = pattern(2, 2, &[(0, 0), (0, 1), (1, 1)]);
         let w = g.leaf(Tensor::vector(vec![0.5, 0.5, 2.0]));
         let h = g.leaf(Tensor::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]));
-        let y = g.weighted_gather(&pairs, 2, &w, &h);
+        let y = g.weighted_gather(&p, &w, &h);
         let v = y.value();
         assert_eq!(v.row(0), &[0.5, 0.5]);
         assert_eq!(v.row(1), &[0.0, 2.0]);
@@ -1330,13 +1354,15 @@ mod tests {
         // alone. Segment 1 is ordinary. Every entry must be within 1e-6 of
         // the f64 evaluation of `y (g − Σ y·g)` on the tape's own `y`.
         let (k0, k1) = (48, 5);
-        let segments = Rc::new([vec![0; k0], vec![1; k1]].concat());
+        let segments = [vec![0; k0], vec![1; k1]].concat();
+        let by_row: Vec<_> = segments.iter().enumerate().map(|(k, &s)| (s, k)).collect();
+        let p = pattern(2, k0 + k1, &by_row);
         let logits: Vec<f32> = (0..k0 + k1)
             .map(|k| ((k * 37) % 11) as f32 * 0.3 - 1.5)
             .collect();
         let g = Graph::new();
         let a = g.leaf(Tensor::vector(logits));
-        let y = a.segment_softmax(&segments);
+        let y = a.segment_softmax(&p);
         let yv: Vec<f64> = y.value().as_slice().iter().map(|&v| f64::from(v)).collect();
         let mut grads: Vec<f32> = (0..k0 - 3)
             .map(|k| {

@@ -2,7 +2,7 @@
 
 use crate::tape::{Op, Var};
 use ahntp_telemetry::{KernelKind, KernelSpan};
-use ahntp_tensor::{Shape, Tensor};
+use ahntp_tensor::{CsrMatrix, Shape, Tensor};
 use std::rc::Rc;
 
 impl Var {
@@ -47,11 +47,6 @@ impl Var {
     /// Element-wise (Hadamard) product.
     pub fn mul(&self, other: &Var) -> Var {
         self.binary(other, "mul", Op::Mul(self.id, other.id), Tensor::mul)
-    }
-
-    /// Element-wise quotient.
-    pub fn div(&self, other: &Var) -> Var {
-        self.binary(other, "div", Op::Div(self.id, other.id), Tensor::div)
     }
 
     /// Multiplication by a constant scalar.
@@ -147,20 +142,6 @@ impl Var {
         })
     }
 
-    /// Scales each row `r` by the constant factor `factors[r]`.
-    pub fn scale_rows(&self, factors: &Rc<Vec<f32>>) -> Var {
-        self.unary(Op::ScaleRowsConst(self.id, Rc::clone(factors)), |a| {
-            assert_eq!(
-                factors.len(),
-                a.rows(),
-                "scale_rows: {} factors for {} rows",
-                factors.len(),
-                a.rows()
-            );
-            a.scale_rows(&Tensor::vector(factors.as_ref().clone()))
-        })
-    }
-
     /// Scales each row `r` of a matrix by entry `r` of `factors` (an
     /// `[rows]` vector or a `rows × 1` column); gradients flow to both.
     ///
@@ -194,36 +175,39 @@ impl Var {
         self.unary(Op::Mean(self.id), |a| Tensor::full(1, 1, a.mean()))
     }
 
-    /// Softmax over variable-size segments of a vector (Eq. 15: attention
-    /// normalisation over each vertex's incident hyperedges).
-    /// `segments[k]` is the segment id of element `k`.
-    pub fn segment_softmax(&self, segments: &Rc<Vec<usize>>) -> Var {
-        self.unary(Op::SegmentSoftmax(self.id, Rc::clone(segments)), |v| {
+    /// Softmax within each row of `pattern` over this `[nnz]` vector, one
+    /// element per entry in CSR order (Eq. 15: attention normalisation
+    /// over each vertex's incident hyperedges). Only the pattern's row
+    /// pointers are read: row `r` is the segment of entries
+    /// `row_ptr[r]..row_ptr[r + 1]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless this is a vector of `pattern.nnz()` elements.
+    pub fn segment_softmax(&self, pattern: &Rc<CsrMatrix<f32>>) -> Var {
+        self.unary(Op::SegmentSoftmax(self.id, Rc::clone(pattern)), |v| {
             let _k = KernelSpan::enter("autograd.segment_softmax", KernelKind::Reduction);
             assert!(
-                v.shape().is_vector() && v.len() == segments.len(),
+                v.shape().is_vector() && v.len() == pattern.nnz(),
                 "segment_softmax: need a [{}] vector, got {}",
-                segments.len(),
+                pattern.nnz(),
                 v.shape()
             );
-            let v = v.as_slice();
-            let n_seg = segments.iter().copied().max().map_or(0, |m| m + 1);
-            // Max-shift per segment for numerical stability.
-            let mut seg_max = vec![f32::NEG_INFINITY; n_seg];
-            for (k, &s) in segments.iter().enumerate() {
-                seg_max[s] = seg_max[s].max(v[k]);
+            let mut out = v.clone();
+            for seg in pattern.row_ptr().windows(2) {
+                let y = &mut out.as_mut_slice()[seg[0]..seg[1]];
+                // Max-shift per segment for numerical stability.
+                let max = y.iter().fold(f32::NEG_INFINITY, |m, &x| m.max(x));
+                let mut sum = 0.0f32;
+                for x in y.iter_mut() {
+                    *x = (*x - max).exp();
+                    sum += *x;
+                }
+                for x in y.iter_mut() {
+                    *x /= sum;
+                }
             }
-            let mut exps: Vec<f32> = Vec::with_capacity(v.len());
-            let mut seg_sum = vec![0.0f32; n_seg];
-            for (k, &s) in segments.iter().enumerate() {
-                let e = (v[k] - seg_max[s]).exp();
-                exps.push(e);
-                seg_sum[s] += e;
-            }
-            for (k, &s) in segments.iter().enumerate() {
-                exps[k] /= seg_sum[s];
-            }
-            Tensor::vector(exps)
+            out
         })
     }
 
@@ -278,8 +262,14 @@ mod tests {
     fn segment_softmax_sums_to_one_per_segment() {
         let g = Graph::new();
         let x = g.leaf(Tensor::vector(vec![1.0, 2.0, 3.0, -1.0, 500.0]));
-        let segments = Rc::new(vec![0usize, 0, 1, 1, 1]);
-        let y = x.segment_softmax(&segments).value();
+        let pattern = Rc::new(CsrMatrix::from_csr(
+            2,
+            3,
+            vec![0, 2, 5],
+            vec![0, 1, 0, 1, 2],
+            vec![1.0; 5],
+        ));
+        let y = x.segment_softmax(&pattern).value();
         let s0 = y.as_slice()[0] + y.as_slice()[1];
         let s1 = y.as_slice()[2] + y.as_slice()[3] + y.as_slice()[4];
         assert!((s0 - 1.0).abs() < 1e-6);

@@ -95,10 +95,9 @@ impl UniGcnLayer {
 /// hyperedges, `x̃_i = act(Σ_{e ∋ i} α_ie · W h_e)`.
 struct UniGatLayer {
     v2e: Rc<CsrMatrix<f32>>,
-    pairs: Rc<Vec<(usize, usize)>>,
-    pair_vertices: Rc<Vec<usize>>,
-    pair_edges: Rc<Vec<usize>>,
-    n: usize,
+    /// The `n × m` incidence pattern the attention runs over (`e2v`'s;
+    /// its values are unused).
+    pattern: Rc<CsrMatrix<f32>>,
     w: Param,
     attn: Param,
     relu: bool,
@@ -113,17 +112,11 @@ impl UniGatLayer {
         relu: bool,
         seed: u64,
     ) -> Self {
-        let pairs = h.incidence_pairs();
-        let pair_vertices = pairs.iter().map(|&(v, _)| v).collect::<Vec<_>>();
-        let pair_edges = pairs.iter().map(|&(_, e)| e).collect::<Vec<_>>();
         let w_seed = SplitMix64::derive(seed, &format!("{name}.w"));
         let a_seed = SplitMix64::derive(seed, &format!("{name}.attn"));
         UniGatLayer {
             v2e: Rc::new(h.vertex_to_edge_mean()),
-            pairs: Rc::new(pairs),
-            pair_vertices: Rc::new(pair_vertices),
-            pair_edges: Rc::new(pair_edges),
-            n: h.n_vertices(),
+            pattern: Rc::new(h.edge_to_vertex_mean()),
             w: Param::new(format!("{name}.w"), xavier_uniform(in_dim, out_dim, w_seed)),
             attn: Param::new(
                 format!("{name}.attn"),
@@ -138,15 +131,11 @@ impl UniGatLayer {
         let w = s.var(&self.w);
         let h_e = g.spmm(&self.v2e, x).matmul(&w); // m × out
         let x_proj = x.matmul(&w); // n × out
-        let xi = x_proj.gather_rows(&self.pair_vertices);
-        let he = h_e.gather_rows(&self.pair_edges);
-        let cat = g.concat_cols(&[&xi, &he]);
-        let scores = cat
-            .matmul(&s.var(&self.attn))
-            .reshape(ahntp_tensor::Shape::Vector(self.pairs.len()))
+        let scores = g
+            .pair_scores(&x_proj, &h_e, &s.var(&self.attn), &self.pattern)
             .leaky_relu(ATTENTION_SLOPE);
-        let alpha = scores.segment_softmax(&self.pair_vertices);
-        let y = g.weighted_gather(&self.pairs, self.n, &alpha, &h_e);
+        let alpha = scores.segment_softmax(&self.pattern);
+        let y = g.weighted_gather(&self.pattern, &alpha, &h_e);
         if self.relu {
             y.relu()
         } else {

@@ -34,9 +34,7 @@ mod ppr;
 
 pub use digraph::{DiGraph, GraphError};
 pub use motif::{motif_adjacency, motif_instance_count, Motif};
-pub use pagerank::{
-    motif_pagerank, pagerank, personalized_pagerank, MotifPageRankConfig, PageRankConfig,
-};
+pub use pagerank::{motif_pagerank, pagerank, MotifPageRankConfig, PageRankConfig};
 pub use ppr::{
     ppr, ppr_from_seeds, ppr_from_seeds_with_stats, region_mass, sybil_mass_bound, trust_prior,
     PprConfig, PprStats,

@@ -1,12 +1,18 @@
 //! PageRank and Motif-based PageRank (Eqs. 1–5 of the paper).
 
-use crate::{motif_adjacency, DiGraph, Motif};
+use crate::{motif_adjacency, DiGraph, Motif, PprStats};
 use ahntp_tensor::CsrMatrix;
 
-/// Configuration for the basic PageRank iteration (Eq. 2).
+/// Configuration for the damped power iteration: PageRank (Eq. 2) and,
+/// under its other name [`PprConfig`](crate::PprConfig), personalized
+/// PageRank.
 #[derive(Debug, Clone, Copy)]
 pub struct PageRankConfig {
-    /// Damping factor `d ∈ (0, 1)`; the paper (and Brin–Page) use 0.85.
+    /// Damping factor `d ∈ (0, 1)`, the probability of following an edge
+    /// rather than teleporting; the paper (and Brin–Page) use 0.85. For
+    /// personalized PageRank the Sybil bound scales with `d / (1 − d)`, so
+    /// a smaller `d` is a tighter defense at the cost of shorter-range
+    /// trust propagation.
     pub damping: f64,
     /// Stop when the L1 residual between iterates falls below this.
     pub tolerance: f64,
@@ -44,58 +50,71 @@ impl Default for MotifPageRankConfig {
     }
 }
 
-/// Power iteration for `s = d · Pᵀ s + (1 − d)/n · e` over an arbitrary
-/// non-negative weight matrix `w` (row-normalised internally, Eq. 1).
+/// The damped power iteration behind both PageRanks: the fixed point of
+/// `s = d · Pᵀ s + (1 − d) · t` over the row-normalised weight matrix `P`
+/// of a non-negative `w` (Eq. 1) and a teleport distribution `t`
+/// (`Σ t = 1`), starting from `t`. Mass that would leave through a
+/// dangling row (no outgoing weight) returns along `t` too, so `Σ s = 1`
+/// at every iterate; one step is
+/// `s'_i = d · (Pᵀ s)_i + (1 − d) · t_i + d · m · t_i` with `m` the
+/// dangling mass. Uniform `t` is Brin–Page PageRank, `t` uniform over a
+/// seed set personalized PageRank.
 ///
-/// Dangling rows (no outgoing weight) redistribute their mass uniformly,
-/// the standard stochasticity fix, so `Σ s = 1` holds at every iterate.
-fn power_iteration(w: &CsrMatrix<f64>, cfg: &PageRankConfig) -> Vec<f64> {
+/// `Pᵀ` is formed once, so each step's product runs through the
+/// row-banded [`CsrMatrix::mul_vec`]: every output entry is one serial
+/// dot over the rows of `P` in order, the sum a scatter through `P` would
+/// take, so the result is bitwise identical at every `AHNTP_THREADS`.
+pub(crate) fn power_iteration(
+    w: &CsrMatrix<f64>,
+    teleport: &[f64],
+    cfg: &PageRankConfig,
+) -> (Vec<f64>, PprStats) {
     let n = w.rows();
     assert_eq!(n, w.cols(), "power_iteration: matrix must be square");
+    let d = cfg.damping;
     assert!(
-        (0.0..1.0).contains(&cfg.damping) && cfg.damping > 0.0,
-        "power_iteration: damping must be in (0, 1), got {}",
-        cfg.damping
+        d > 0.0 && d < 1.0,
+        "power_iteration: damping must be in (0, 1), got {d}"
     );
-    if n == 0 {
-        return Vec::new();
-    }
     let p = w.row_normalized();
+    let pt = p.transpose();
     let dangling: Vec<bool> = (0..n).map(|r| p.row_nnz(r) == 0).collect();
-    let uniform = 1.0 / n as f64;
-    let mut s = vec![uniform; n];
+    let mut s = teleport.to_vec();
+    let mut stats = PprStats {
+        iterations: 0,
+        residual: f64::INFINITY,
+        converged: false,
+    };
     for _ in 0..cfg.max_iterations {
-        // Mass that would be lost through dangling rows.
         let dangling_mass: f64 = s
             .iter()
             .zip(&dangling)
-            .filter_map(|(&v, &d)| d.then_some(v))
+            .filter_map(|(&v, &dang)| dang.then_some(v))
             .sum();
-        let mut next = p.t_mul_vec(&s);
-        let teleport = (1.0 - cfg.damping) * uniform;
-        let redistribute = cfg.damping * dangling_mass * uniform;
-        for v in &mut next {
-            *v = cfg.damping * *v + teleport + redistribute;
+        let mut next = pt.mul_vec(&s);
+        for (v, &t) in next.iter_mut().zip(teleport) {
+            *v = d * *v + (1.0 - d) * t + d * dangling_mass * t;
         }
-        let residual: f64 = next.iter().zip(&s).map(|(a, b)| (a - b).abs()).sum();
+        stats.residual = next.iter().zip(&s).map(|(a, b)| (a - b).abs()).sum();
+        stats.iterations += 1;
         s = next;
-        if residual < cfg.tolerance {
+        if stats.residual < cfg.tolerance {
+            stats.converged = true;
             break;
         }
     }
-    s
+    (s, stats)
 }
 
 /// Basic PageRank score `s` over the social graph (Eqs. 1–2).
 pub fn pagerank(g: &DiGraph, cfg: &PageRankConfig) -> Vec<f64> {
-    power_iteration(g.adjacency(), cfg)
+    uniform_pagerank(g.adjacency(), cfg)
 }
 
-/// PageRank over an arbitrary non-negative weight matrix — used for the
-/// comprehensive weight matrix `W_c` of Eq. 4, and exposed for callers that
-/// build their own influence graphs.
-pub fn personalized_pagerank(w: &CsrMatrix<f64>, cfg: &PageRankConfig) -> Vec<f64> {
-    power_iteration(w, cfg)
+/// [`power_iteration`] with the uniform teleport of Eq. 2.
+fn uniform_pagerank(w: &CsrMatrix<f64>, cfg: &PageRankConfig) -> Vec<f64> {
+    let n = w.rows();
+    power_iteration(w, &vec![1.0 / n as f64; n], cfg).0
 }
 
 /// Motif-based PageRank `s'` (Eqs. 3–5): mixes the pairwise adjacency with
@@ -118,7 +137,7 @@ pub fn motif_pagerank(g: &DiGraph, motif: Motif, cfg: &MotifPageRankConfig) -> V
         .scale(cfg.alpha)
         .add(&a_m.scale(1.0 - cfg.alpha))
         .prune();
-    power_iteration(&wc, &cfg.pagerank)
+    uniform_pagerank(&wc, &cfg.pagerank)
 }
 
 #[cfg(test)]

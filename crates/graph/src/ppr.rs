@@ -19,40 +19,21 @@
 //!
 //! # Determinism
 //!
-//! The iteration multiplies by the transposed row-normalised adjacency
-//! with [`CsrMatrix::mul_vec`], whose output is row-banded across the
-//! `ahntp-par` pool: each output entry is one serially-computed dot, so
-//! the result is bitwise identical at every `AHNTP_THREADS` setting —
-//! same discipline as every other kernel in the workspace. (Plain
-//! [`pagerank`](crate::pagerank) uses the serial `t_mul_vec` scatter;
-//! this module pays one explicit transpose up front to buy banding.)
+//! The iteration is [`pagerank`](crate::pagerank)'s, with the teleport
+//! vector uniform over the seeds: it multiplies by the transposed
+//! row-normalised adjacency with [`CsrMatrix::mul_vec`], whose output is
+//! row-banded across the `ahntp-par` pool. Each output entry is one
+//! serially-computed dot, so the result is bitwise identical at every
+//! `AHNTP_THREADS` setting — same discipline as every other kernel in the
+//! workspace.
 
-use crate::DiGraph;
+use crate::pagerank::power_iteration;
+use crate::{DiGraph, PageRankConfig};
 use ahntp_tensor::CsrMatrix;
 
-/// Configuration for the personalized power iteration.
-#[derive(Debug, Clone, Copy)]
-pub struct PprConfig {
-    /// Damping factor `d ∈ (0, 1)`: the probability of following an edge
-    /// rather than teleporting back to the seed set. The Sybil bound
-    /// scales with `d / (1 − d)`, so smaller `d` is a tighter defense at
-    /// the cost of shorter-range trust propagation.
-    pub damping: f64,
-    /// Stop when the L1 residual between iterates falls below this.
-    pub tolerance: f64,
-    /// Hard iteration cap.
-    pub max_iterations: usize,
-}
-
-impl Default for PprConfig {
-    fn default() -> Self {
-        PprConfig {
-            damping: 0.85,
-            tolerance: 1e-10,
-            max_iterations: 200,
-        }
-    }
-}
+/// Configuration for the personalized power iteration: the same damping,
+/// tolerance and iteration cap as PageRank's, with the same defaults.
+pub type PprConfig = PageRankConfig;
 
 /// What the power iteration actually did — exposed so property tests can
 /// assert the convergence contract instead of trusting it.
@@ -99,12 +80,6 @@ pub fn ppr_from_seeds_with_stats(
     cfg: &PprConfig,
 ) -> (Vec<f64>, PprStats) {
     let n = w.rows();
-    assert_eq!(n, w.cols(), "ppr: matrix must be square");
-    assert!(
-        cfg.damping > 0.0 && cfg.damping < 1.0,
-        "ppr: damping must be in (0, 1), got {}",
-        cfg.damping
-    );
     assert!(!seeds.is_empty(), "ppr: need at least one honest seed");
     let mut distinct: Vec<usize> = seeds.to_vec();
     distinct.sort_unstable();
@@ -112,47 +87,12 @@ pub fn ppr_from_seeds_with_stats(
     if let Some(&bad) = distinct.iter().find(|&&u| u >= n) {
         panic!("ppr: seed {bad} out of range for a graph of {n} nodes");
     }
-
     let mut teleport = vec![0.0f64; n];
     let share = 1.0 / distinct.len() as f64;
     for &u in &distinct {
         teleport[u] = share;
     }
-
-    let p = w.row_normalized();
-    // Pᵀ once: the per-iteration multiply then runs through the banded
-    // `mul_vec` (one output row per task) instead of the serial scatter.
-    let pt = p.transpose();
-    let dangling: Vec<bool> = (0..n).map(|r| p.row_nnz(r) == 0).collect();
-
-    let d = cfg.damping;
-    let mut s = teleport.clone();
-    let mut stats = PprStats {
-        iterations: 0,
-        residual: f64::INFINITY,
-        converged: false,
-    };
-    for _ in 0..cfg.max_iterations {
-        let dangling_mass: f64 = s
-            .iter()
-            .zip(&dangling)
-            .filter_map(|(&v, &dang)| dang.then_some(v))
-            .sum();
-        let mut next = pt.mul_vec(&s);
-        // Teleport and dangling mass both return to the seed set.
-        let back = (1.0 - d) + d * dangling_mass;
-        for (v, t) in next.iter_mut().zip(&teleport) {
-            *v = d * *v + back * t;
-        }
-        stats.residual = next.iter().zip(&s).map(|(a, b)| (a - b).abs()).sum();
-        stats.iterations += 1;
-        s = next;
-        if stats.residual < cfg.tolerance {
-            stats.converged = true;
-            break;
-        }
-    }
-    (s, stats)
+    power_iteration(w, &teleport, cfg)
 }
 
 /// Total trust mass inside a node region (e.g. the labelled Sybil set).

@@ -242,9 +242,9 @@ impl AggregationCache {
     /// Rows `vertices` of the vertex side of the operator set, over global
     /// hyperedge ids: row `i` of `e2v` holds `1 / |N_v|` on the edges
     /// incident to `v = vertices[i]`, bitwise row `v` of
-    /// [`AggregationCache::full_ops`]'s `e2v`, and the pairs of row `i`
-    /// are the full set's pairs of `v` with `v` renamed `i`. Not cached,
-    /// as [`AggregationCache::edge_rows`].
+    /// [`AggregationCache::full_ops`]'s `e2v` (pattern included, so the
+    /// attention pairs of row `i` are the full set's pairs of `v`). Not
+    /// cached, as [`AggregationCache::edge_rows`].
     ///
     /// # Panics
     ///
@@ -423,7 +423,7 @@ mod tests {
 
     /// Asserts the operator rows read off the lists for `edges` and
     /// `vertices` equal, bitwise, the same rows of the cache's full set:
-    /// `v2e` per edge, `e2v` and the incidence pairs per vertex.
+    /// `v2e` per edge, `e2v` (values and pattern) per vertex.
     fn assert_rows_match_full(cache: &AggregationCache, edges: &[usize], vertices: &[usize]) {
         let full = cache.full_ops();
         let v2e = cache.edge_rows(edges);
@@ -446,30 +446,7 @@ mod tests {
                 row_bits(&full.rows.e2v, v),
                 "e2v row of vertex {v}"
             );
-            let ours: Vec<_> = rows
-                .pairs
-                .iter()
-                .filter(|p| p.0 == i)
-                .map(|&(_, e)| (v, e))
-                .collect();
-            let theirs: Vec<_> = full
-                .rows
-                .pairs
-                .iter()
-                .filter(|p| p.0 == v)
-                .copied()
-                .collect();
-            assert_eq!(ours, theirs, "pairs of vertex {v}");
         }
-        assert!(
-            rows.pairs.windows(2).all(|w| w[0] <= w[1]),
-            "pairs sorted by row"
-        );
-        let split: (Vec<_>, Vec<_>) = rows.pairs.iter().copied().unzip();
-        assert_eq!(
-            (&*rows.pair_vertices, &*rows.pair_edges),
-            (&split.0, &split.1)
-        );
     }
 
     /// Asserts the maintained lists, the operator rows read off them and
@@ -485,7 +462,6 @@ mod tests {
         let cached = cache.full_ops();
         assert_eq!(*cached.v2e, h.vertex_to_edge_mean(), "v2e drifted");
         assert_eq!(*cached.rows.e2v, h.edge_to_vertex_mean(), "e2v drifted");
-        assert_eq!(*cached.rows.pairs, h.incidence_pairs(), "pairs drifted");
         assert_eq!(*cache.full_laplacian(), h.laplacian(), "Laplacian drifted");
     }
 
@@ -626,14 +602,16 @@ mod tests {
             *cache.slice_ops(&[0, 1]).v2e,
             "rows of Eq. 10 are a slice's"
         );
-        // An isolated vertex is an empty row with no pairs.
+        // An isolated vertex is an empty row.
         cache.apply_remove(1).expect("valid");
         let rows = cache.vertex_rows(&[2, 3]);
-        assert_eq!(rows.e2v.row_nnz(0), 1);
-        assert_eq!(*rows.pairs, vec![(0, 0), (1, 1)]);
+        assert_eq!(
+            (rows.e2v.row_ptr(), rows.e2v.col_indices()),
+            (&[0, 1, 2][..], &[0, 1][..])
+        );
         cache.apply_remove(1).expect("valid");
         let rows = cache.vertex_rows(&[3]);
-        assert_eq!((rows.e2v.nnz(), rows.pairs.len()), (0, 0));
+        assert_eq!(rows.e2v.nnz(), 0);
         assert_rows_match_full(&cache, &[0], &[0, 1, 2, 3]);
     }
 }

@@ -331,9 +331,11 @@ impl Hypergraph {
     }
 
     /// All `(vertex, hyperedge)` incidence pairs sorted by vertex — the
-    /// index structure behind the attention of Eqs. 14–16. Pair `k`
-    /// connects `pairs[k].0` to hyperedge `pairs[k].1`; the vertex is also
-    /// the segment that groups the attention softmax.
+    /// index structure behind the attention of Eqs. 14–16, in the order
+    /// of [`Hypergraph::edge_to_vertex_mean`]'s entries, which is what the
+    /// attention reads. Pair `k` connects `pairs[k].0` to hyperedge
+    /// `pairs[k].1`; the vertex is also the segment that groups the
+    /// attention softmax.
     pub fn incidence_pairs(&self) -> Vec<(usize, usize)> {
         let mut pairs = Vec::new();
         for (e, members) in self.edges.iter().enumerate() {

@@ -13,9 +13,10 @@
 //!
 //! The crate also provides the mean-aggregation operators that the adaptive
 //! convolution layer consumes (`vertex→edge` of Eq. 10 and `edge→vertex` of
-//! Eq. 12), the incidence pairs used by hyperedge attention (Eqs. 14–15),
-//! and the hypergraph Laplacian regulariser of Eq. 24 — as a matrix for
-//! reference, and as the factor [`SmoothnessFactor`] training uses.
+//! Eq. 12, whose pattern is also the incidence hyperedge attention scores,
+//! normalises and aggregates over in Eqs. 14–16), and the hypergraph
+//! Laplacian regulariser of Eq. 24 — as a matrix for reference, and as the
+//! factor [`SmoothnessFactor`] training uses.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

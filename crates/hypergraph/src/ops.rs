@@ -4,9 +4,12 @@
 //!
 //! A layer reads the set in two halves: the hyperedge side (`v2e` and
 //! `edge_ids`, Eqs. 10–11) and the vertex side ([`VertexRows`], Eqs.
-//! 12–16). Row `j` of the hyperedge side is read off the member list of
-//! its hyperedge, row `i` of the vertex side off the incident-edge list of
-//! its vertex. Both lists ascend, so every row comes out in CSR order with
+//! 12–16). The vertex side is one CSR matrix, `e2v`: its values are Eq.
+//! 12's means, and its pattern is the incidence that Eqs. 14–16 score,
+//! normalise and aggregate over, so the attention reads no other index.
+//! Row `j` of the hyperedge side is read off the member list of its
+//! hyperedge, row `i` of the vertex side off the incident-edge list of its
+//! vertex. Both lists ascend, so every row comes out in CSR order with
 //! no sort, in time linear in its entries. The same two readers build the
 //! full set ([`AggregationOps::full`],
 //! [`crate::AggregationCache::full_ops`]), a sampled slice
@@ -30,8 +33,7 @@ pub struct AggregationOps {
     /// *selected* edges for a slice.
     pub v2e: Rc<CsrMatrix<f32>>,
     /// The vertex side, row `i` for vertex `i`: the `n × m` edge→vertex
-    /// mean operator (Eq. 12), renormalised over the selected edges, and
-    /// the incidence pairs `(vertex, local edge)` of Eqs. 14–16.
+    /// mean operator (Eq. 12), renormalised over the selected edges.
     pub rows: VertexRows,
     /// Global hyperedge id per local edge — `Some` only for slices, where
     /// layers must gather their per-edge weights through it. `None` means
@@ -40,21 +42,15 @@ pub struct AggregationOps {
 }
 
 /// The vertex side of an operator set: what Eqs. 12–16 read for a run of
-/// output rows. Row `i` of `e2v` and the pairs with `pair_vertices == i`
-/// belong to output row `i`; `pair_edges` index the hyperedge-feature
-/// matrix the layer aggregates, so for a live refresh they are global
-/// hyperedge ids.
+/// output rows. Row `i` of `e2v` belongs to output row `i`; its columns
+/// index the hyperedge-feature matrix the layer aggregates, so for a live
+/// refresh they are global hyperedge ids. Its entries, rows ascending and
+/// each row's columns ascending, are the incidence pairs `(row, edge)` of
+/// Eqs. 14–16 in the order the attention nodes read them.
 #[derive(Clone)]
 pub struct VertexRows {
     /// `rows × m` edge→vertex mean operator (Eq. 12).
     pub e2v: Rc<CsrMatrix<f32>>,
-    /// Incidence pairs `(row, edge)` sorted by row (Eqs. 14–16).
-    pub pairs: Rc<Vec<(usize, usize)>>,
-    /// The row of each pair: what Eq. 14 gathers `x'_i` by and the
-    /// softmax group of Eq. 15.
-    pub pair_vertices: Rc<Vec<usize>>,
-    /// The hyperedge of each pair: what Eq. 14 gathers `W h̃_e` by.
-    pub pair_edges: Rc<Vec<usize>>,
 }
 
 impl VertexRows {
@@ -159,8 +155,8 @@ pub(crate) fn edge_rows(
 /// The vertex side for the output rows `vertices`. Row `i` reads the
 /// incident-edge list of the `i`-th vertex, keeps each edge `e` that
 /// `column(e)` maps to a column, and holds `1 / (edges kept)` there (Eq.
-/// 12), one pair `(i, column)` per entry. `column` must increase along
-/// each list, so the row stays ascending.
+/// 12). `column` must increase along each list, so the row stays
+/// ascending.
 ///
 /// # Panics
 ///
@@ -174,25 +170,15 @@ pub(crate) fn vertex_rows(
     let n_rows = vertices.len();
     let mut row_ptr = Vec::with_capacity(n_rows + 1);
     row_ptr.push(0);
-    let (mut edges, mut values, mut pair_vertices) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut edges, mut values) = (Vec::new(), Vec::new());
     for (i, v) in vertices.enumerate() {
         edges.extend(adj[v].iter().filter_map(|&e| column(e)));
         let kept = edges.len() - row_ptr[i];
         values.resize(edges.len(), 1.0 / kept as f32);
-        pair_vertices.resize(edges.len(), i);
         row_ptr.push(edges.len());
     }
-    let pairs = pair_vertices
-        .iter()
-        .copied()
-        .zip(edges.iter().copied())
-        .collect();
-    let e2v = CsrMatrix::from_csr(n_rows, n_cols, row_ptr, edges.clone(), values);
     VertexRows {
-        e2v: Rc::new(e2v),
-        pairs: Rc::new(pairs),
-        pair_vertices: Rc::new(pair_vertices),
-        pair_edges: Rc::new(edges),
+        e2v: Rc::new(CsrMatrix::from_csr(n_rows, n_cols, row_ptr, edges, values)),
     }
 }
 
@@ -215,13 +201,6 @@ mod tests {
         let ops = AggregationOps::full(&h);
         assert_eq!(*ops.v2e, h.vertex_to_edge_mean());
         assert_eq!(*ops.rows.e2v, h.edge_to_vertex_mean());
-        let pairs = h.incidence_pairs();
-        let split: (Vec<_>, Vec<_>) = pairs.iter().copied().unzip();
-        assert_eq!(*ops.rows.pairs, pairs);
-        assert_eq!(
-            (&*ops.rows.pair_vertices, &*ops.rows.pair_edges),
-            (&split.0, &split.1)
-        );
         assert!(ops.edge_ids.is_none());
         assert_eq!((ops.n_edges(), ops.rows.n_rows()), (3, 5));
     }
@@ -238,9 +217,6 @@ mod tests {
         for ops in [&*shared, &sliced] {
             assert_eq!(*ops.v2e, *full.v2e);
             assert_eq!(*ops.rows.e2v, *full.rows.e2v);
-            assert_eq!(*ops.rows.pairs, *full.rows.pairs);
-            assert_eq!(*ops.rows.pair_vertices, *full.rows.pair_vertices);
-            assert_eq!(*ops.rows.pair_edges, *full.rows.pair_edges);
         }
         assert_eq!(sliced.edge_ids.as_deref(), Some(&vec![0, 1, 2]));
     }
@@ -261,8 +237,8 @@ mod tests {
         assert_eq!(e2v.get(3, 1), 1.0);
         // Vertex 2 lost edge 1: its row over local edges sums to 1.
         assert_eq!(e2v.row_sums()[2], 1.0);
-        // pairs reference local edge ids.
-        assert!(ops.rows.pairs.iter().all(|&(_, e)| e < 2));
+        // Its columns are local edge ids.
+        assert_eq!(e2v.cols(), 2);
         assert_eq!(ops.edge_ids.as_deref(), Some(&vec![0, 2]));
     }
 
@@ -271,6 +247,5 @@ mod tests {
         let ops = AggregationCache::new(sample()).slice_ops(&[]);
         assert_eq!(ops.n_edges(), 0);
         assert_eq!((ops.rows.n_rows(), ops.rows.e2v.nnz()), (5, 0));
-        assert!(ops.rows.pairs.is_empty());
     }
 }

@@ -57,7 +57,7 @@ fn row_bits(m: &CsrMatrix<f32>, r: usize) -> Vec<(usize, u32)> {
 
 /// Asserts the operator rows a live refresh reads off the lists around
 /// `seed` — `v2e` rows for the hyperedges of its one-hop closure, `e2v`
-/// rows and incidence pairs for its two-hop closure — equal in bits those
+/// rows (values and pattern) for its two-hop closure — equal in bits those
 /// a cache built fresh on the mutated hypergraph reads, and the same rows
 /// of the full operator set.
 fn assert_rows_exact(
@@ -88,9 +88,6 @@ fn assert_rows_exact(
     let live = cache.vertex_rows(&vertices);
     let fresh = rebuilt.vertex_rows(&vertices);
     prop_assert_eq!(csr_bits(&live.e2v), csr_bits(&fresh.e2v));
-    prop_assert_eq!(&*live.pairs, &*fresh.pairs);
-    prop_assert_eq!(&*live.pair_vertices, &*fresh.pair_vertices);
-    prop_assert_eq!(&*live.pair_edges, &*fresh.pair_edges);
     prop_assert_eq!(live.e2v.cols(), full.rows.e2v.cols());
     for (i, &v) in vertices.iter().enumerate() {
         prop_assert_eq!(
@@ -99,37 +96,21 @@ fn assert_rows_exact(
             "e2v row of vertex {}",
             v
         );
-        let ours: Vec<(usize, usize)> = live
-            .pairs
-            .iter()
-            .filter(|p| p.0 == i)
-            .map(|&(_, e)| (v, e))
-            .collect();
-        let theirs: Vec<(usize, usize)> = full
-            .rows
-            .pairs
-            .iter()
-            .filter(|p| p.0 == v)
-            .copied()
-            .collect();
-        prop_assert_eq!(ours, theirs, "pairs of vertex {}", v);
     }
-    let (pair_vertices, pair_edges): (Vec<usize>, Vec<usize>) = live.pairs.iter().copied().unzip();
-    prop_assert_eq!(&*live.pair_vertices, &pair_vertices);
-    prop_assert_eq!(&*live.pair_edges, &pair_edges);
     Ok(())
 }
 
-/// Asserts an operator set's pairs and the two index vectors split from
-/// them equal `pairs`.
+/// Asserts an operator set's vertex-side entries, in CSR order (the order
+/// the attention reads them), are `pairs`.
 fn assert_pairs(
     ops: &AggregationOps,
     pairs: &[(usize, usize)],
 ) -> Result<(), proptest::test_runner::TestCaseError> {
-    let (pair_vertices, pair_edges): (Vec<usize>, Vec<usize>) = pairs.iter().copied().unzip();
-    prop_assert_eq!(&ops.rows.pairs[..], pairs);
-    prop_assert_eq!(&*ops.rows.pair_vertices, &pair_vertices);
-    prop_assert_eq!(&*ops.rows.pair_edges, &pair_edges);
+    let e2v = &ops.rows.e2v;
+    let entries: Vec<(usize, usize)> = (0..e2v.rows())
+        .flat_map(|r| e2v.row_entries(r).map(move |(c, _)| (r, c)))
+        .collect();
+    prop_assert_eq!(&entries[..], pairs);
     Ok(())
 }
 
@@ -387,7 +368,6 @@ proptest! {
         prop_assert!(sl.edge_ids.is_none());
         prop_assert_eq!(csr_bits(&sl.v2e), csr_bits(&full.v2e));
         prop_assert_eq!(csr_bits(&sl.rows.e2v), csr_bits(&full.rows.e2v));
-        assert_pairs(&sl, &full.rows.pairs)?;
         // Same for Eq. 23's factor.
         let factor_full = SmoothnessFactor::build(&[(&cache, None)]);
         let factor_id = SmoothnessFactor::build(&[(&cache, Some(&identity))]);

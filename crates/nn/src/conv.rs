@@ -392,7 +392,7 @@ impl AdaptiveHypergraphConv {
     }
 
     /// Eqs. 14–15 on top of the base layer's Eqs. 12–13: the attention
-    /// coefficients `w_ie` (one per pair of `rows`) together with the
+    /// coefficients `w_ie` (one per entry of `rows.e2v`) together with the
     /// vertex update `x'` Eq. 16 adds.
     fn attention(&self, s: &Session, rows: &VertexRows, x: &Var, h_e: &Var) -> (Var, Var) {
         let x_next = self.base.update(s, &rows.e2v, x, h_e);
@@ -407,10 +407,10 @@ impl AdaptiveHypergraphConv {
             .reshape(Shape::Vector(2 * out));
         let scores = s
             .graph()
-            .pair_scores(&x_next, h_e, &beta_w, &rows.pair_vertices, &rows.pair_edges)
+            .pair_scores(&x_next, h_e, &beta_w, &rows.e2v)
             .leaky_relu(ATTENTION_SLOPE);
         // Eq. 15: softmax per central vertex.
-        (scores.segment_softmax(&rows.pair_vertices), x_next)
+        (scores.segment_softmax(&rows.e2v), x_next)
     }
 
     /// The attention coefficients `w_ie` (Eq. 15) for inspection: a vector
@@ -422,11 +422,6 @@ impl AdaptiveHypergraphConv {
         let edges = self.edge_half(&s, &ops.v2e, None, &self.project(&s, &x));
         let (att, _) = self.attention(&s, &ops.rows, &x, &edges.h_e);
         att.value().into_vec()
-    }
-
-    /// The incidence pairs the attention coefficients refer to.
-    pub fn incidence_pairs(&self) -> &[(usize, usize)] {
-        &self.base.ops.rows.pairs
     }
 }
 
@@ -451,7 +446,7 @@ impl HypergraphLayer for AdaptiveHypergraphConv {
         // the hyperedges plus the x' self-term carried over from Eq. 13's
         // F(x^t, ·), then W once per vertex.
         s.graph()
-            .weighted_gather(&rows.pairs, rows.n_rows(), &att, &edges.h_e)
+            .weighted_gather(&rows.e2v, &att, &edges.h_e)
             .add(&x_next)
             .matmul(&s.var(&self.w_att))
             .relu()
@@ -541,7 +536,7 @@ mod tests {
         let conv = AdaptiveHypergraphConv::new("a", &h, 3, 2, 13);
         let x = xavier_uniform(4, 3, 5);
         let att = conv.attention_coefficients(&x);
-        let pairs = conv.incidence_pairs();
+        let pairs = h.incidence_pairs();
         assert_eq!(att.len(), pairs.len());
         let mut per_vertex = [0.0f32; 4];
         for (k, &(v, _)) in pairs.iter().enumerate() {
@@ -567,7 +562,7 @@ mod tests {
             h.add_edge(&e).expect("valid");
         }
         let conv = AdaptiveHypergraphConv::new("a", &h, 3, 2, 19);
-        let nnz = conv.incidence_pairs().len();
+        let nnz = h.incidence_pairs().len();
         assert_eq!(nnz, 16);
         let s = Session::new();
         conv.forward(&s, &s.constant(xavier_uniform(6, 3, 4)));
@@ -629,23 +624,25 @@ mod tests {
     /// concatenation (Eq. 14), and Eq. 16 summing `W h̃_e`.
     fn composed_adaptive_forward(conv: &AdaptiveHypergraphConv, s: &Session, x: &Var) -> Var {
         let (ops, w) = (&conv.base.ops, s.var(&conv.w_att));
-        let rows = &ops.rows;
+        let e2v = &ops.rows.e2v;
         let h_e = conv.edge_half(s, &ops.v2e, None, &conv.project(s, x)).h_e;
         let w_h = h_e.matmul(&w);
-        let x_proj = conv.base.update(s, &rows.e2v, x, &h_e).matmul(&w);
+        let x_proj = conv.base.update(s, e2v, x, &h_e).matmul(&w);
+        // Pair k of Eq. 14 is entry k of `e2v`: its row and its column.
+        let entry_rows = (0..e2v.rows()).flat_map(|v| std::iter::repeat_n(v, e2v.row_nnz(v)));
         let per_pair = [
-            &x_proj.gather_rows(&rows.pair_vertices),
-            &w_h.gather_rows(&rows.pair_edges),
+            &x_proj.gather_rows(&Rc::new(entry_rows.collect())),
+            &w_h.gather_rows(&Rc::new(e2v.col_indices().to_vec())),
         ];
         let scores = s
             .graph()
             .concat_cols(&per_pair)
             .matmul(&s.var(&conv.beta))
-            .reshape(Shape::Vector(rows.pairs.len()))
+            .reshape(Shape::Vector(e2v.nnz()))
             .leaky_relu(ATTENTION_SLOPE);
-        let att = scores.segment_softmax(&rows.pair_vertices);
+        let att = scores.segment_softmax(e2v);
         s.graph()
-            .weighted_gather(&rows.pairs, rows.n_rows(), &att, &w_h)
+            .weighted_gather(e2v, &att, &w_h)
             .add(&x_proj)
             .relu()
     }

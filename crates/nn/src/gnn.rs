@@ -9,15 +9,21 @@ use std::rc::Rc;
 /// Negative slope of the LeakyReLU in GAT attention (Velickovic et al.).
 const ATTENTION_SLOPE: f32 = 0.2;
 
-/// The symmetric-normalised GCN operator `Â = D̃^{-1/2} (A + Aᵀ + I) D̃^{-1/2}`
-/// (Kipf & Welling), built over the *undirected* view of the social graph —
-/// trust propagation flows both ways along a tie for embedding purposes.
-pub fn gcn_norm_adjacency(g: &DiGraph) -> CsrMatrix<f32> {
-    let und = g
-        .adjacency()
+/// `A + Aᵀ + I` with unit entries: the *undirected* view of the social
+/// graph with a self-loop on every vertex — each vertex's neighbourhood as
+/// GCN normalises it and GAT attends over it. Trust propagation flows both
+/// ways along a tie for embedding purposes.
+fn undirected_with_self_loops(g: &DiGraph) -> CsrMatrix<f64> {
+    g.adjacency()
         .add(g.adjacency_t())
         .map_values(|_| 1.0)
-        .add(&CsrMatrix::identity(g.n()));
+        .add(&CsrMatrix::identity(g.n()))
+}
+
+/// The symmetric-normalised GCN operator `Â = D̃^{-1/2} (A + Aᵀ + I) D̃^{-1/2}`
+/// (Kipf & Welling), built over [`undirected_with_self_loops`].
+pub fn gcn_norm_adjacency(g: &DiGraph) -> CsrMatrix<f32> {
+    let und = undirected_with_self_loops(g);
     let deg = und.row_sums();
     let inv_sqrt: Vec<f64> = deg
         .iter()
@@ -84,13 +90,9 @@ impl Module for GcnConv {
 /// `α_ij = softmax_j(LeakyReLU(aᵀ [W x_i ‖ W x_j]))`.
 #[derive(Clone)]
 pub struct GatConv {
-    /// `(dst, src)` pairs: each vertex attends over its undirected
-    /// neighbours plus itself.
-    pairs: Rc<Vec<(usize, usize)>>,
-    segments: Rc<Vec<usize>>,
-    pair_dst: Rc<Vec<usize>>,
-    pair_src: Rc<Vec<usize>>,
-    n: usize,
+    /// The `n × n` attention pattern, row `i` holding `j` for every
+    /// undirected neighbour of `i` and `i` itself (values unused).
+    pattern: Rc<CsrMatrix<f32>>,
     w: Param,
     attn: Param,
     relu: bool,
@@ -106,31 +108,10 @@ impl GatConv {
         relu: bool,
         seed: u64,
     ) -> GatConv {
-        let mut pairs: Vec<(usize, usize)> = Vec::new();
-        for i in 0..g.n() {
-            pairs.push((i, i)); // self-attention
-            let mut nbrs = g.out_neighbors(i);
-            nbrs.extend(g.in_neighbors(i));
-            nbrs.sort_unstable();
-            nbrs.dedup();
-            for j in nbrs {
-                if j != i {
-                    pairs.push((i, j));
-                }
-            }
-        }
-        pairs.sort_unstable();
-        let segments = pairs.iter().map(|&(d, _)| d).collect::<Vec<_>>();
-        let pair_dst = segments.clone();
-        let pair_src = pairs.iter().map(|&(_, s)| s).collect::<Vec<_>>();
         let w_seed = SplitMix64::derive(seed, &format!("{name}.w"));
         let a_seed = SplitMix64::derive(seed, &format!("{name}.attn"));
         GatConv {
-            pairs: Rc::new(pairs),
-            segments: Rc::new(segments),
-            pair_dst: Rc::new(pair_dst),
-            pair_src: Rc::new(pair_src),
-            n: g.n(),
+            pattern: Rc::new(undirected_with_self_loops(g).cast()),
             w: Param::new(format!("{name}.w"), xavier_uniform(in_dim, out_dim, w_seed)),
             attn: Param::new(
                 format!("{name}.attn"),
@@ -148,15 +129,11 @@ impl GatConv {
         );
         let g = s.graph();
         let h = x.matmul(&s.var(&self.w)); // n × out
-        let hi = h.gather_rows(&self.pair_dst);
-        let hj = h.gather_rows(&self.pair_src);
-        let cat = g.concat_cols(&[&hi, &hj]);
-        let scores = cat
-            .matmul(&s.var(&self.attn))
-            .reshape(ahntp_tensor::Shape::Vector(self.pairs.len()))
+        let scores = g
+            .pair_scores(&h, &h, &s.var(&self.attn), &self.pattern)
             .leaky_relu(ATTENTION_SLOPE);
-        let alpha = scores.segment_softmax(&self.segments);
-        let y = g.weighted_gather(&self.pairs, self.n, &alpha, &h);
+        let alpha = scores.segment_softmax(&self.pattern);
+        let y = g.weighted_gather(&self.pattern, &alpha, &h);
         if self.relu {
             y.relu()
         } else {
