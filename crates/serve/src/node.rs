@@ -19,8 +19,8 @@
 //! # Live trust
 //!
 //! [`serve_live`] additionally runs an **applier thread** owning a
-//! [`LiveTrustModel`]: `POST /events` batches flow to it over a channel
-//! (and their replies back through the worker's [`ReplySlot`]), it folds
+//! [`LiveTrustModel`]: `POST /events` batches flow to it over a channel,
+//! each carrying its request's own one-message reply channel, it folds
 //! each batch into the model's hypergraphs ([`EventApplier::apply_batch`]),
 //! and patches the batch's one refresh into the shared index under a short
 //! write lock ([`SharedIndex`]). One consumer means the event log is
@@ -36,9 +36,12 @@
 //! # Tracing
 //!
 //! The trace id the core mints is the worker's ambient id while an
-//! endpoint runs (and travels with an ingest job to the applier and
-//! back); the endpoints leave their stage timings — for `/score`: parse,
-//! the wait for the index read guard (`serve.queue.wait`), score — on the
+//! endpoint runs (and travels with an ingest job to the applier); the
+//! endpoints leave their stage timings — for `/score`: parse, the wait
+//! for the index read guard (`serve.queue.wait`), score; for `/events`:
+//! parse, `serve.enqueue`, the wait for the applier to pick the job up
+//! (`serve.ingest.wait`) and its apply (`serve.ingest.apply`, timed on
+//! the applier and sent back with the reply) — on the
 //! [`Call`], which the core records in the ring behind
 //! `GET /debug/traces` and, with trace collection on, emits nested inside
 //! the request's `serve.request` span.
@@ -48,16 +51,19 @@
 //! Every `/events` request carries a deadline ([`ServeConfig::deadline`]):
 //! a reply that does not arrive in time answers `504` with a
 //! `Retry-After` header and bumps `serve.deadline_exceeded`, so a stalled
-//! or slow applier can never hang a client past the deadline. An applier
-//! that is gone sheds the batch with `503` + `Retry-After` and bumps
-//! `serve.shed`. `GET /healthz` never touches the applier, so liveness
-//! probes keep answering under every failure mode. Failpoints
-//! (`ahntp-faultz`): `serve.request`, `serve.ingest`, `shard.swap`, plus
-//! `serve.read` / `serve.write` in the HTTP layer.
+//! or slow applier can never hang a client past the deadline. Each job
+//! carries its request's own one-message reply channel, so a late reply
+//! finds nobody reading it and is dropped. An applier that is gone — the
+//! job cannot be queued, or is dropped unanswered, which closes its reply
+//! channel and wakes the worker at once — sheds the batch with `503` +
+//! `Retry-After` and bumps `serve.shed`. `GET /healthz` never touches the
+//! applier, so liveness probes keep answering under every failure mode.
+//! Failpoints (`ahntp-faultz`): `serve.request`, `serve.ingest`,
+//! `shard.swap`, plus `serve.read` / `serve.write` in the HTTP layer.
 
 use std::io;
 use std::net::SocketAddr;
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -105,133 +111,12 @@ impl Handler for Node {
     ];
 }
 
-/// One worker's rendezvous with the applier thread that answers the
-/// ingest job it queued, reused for every request that worker serves. A
-/// per-request channel would be allocated on the worker and freed on the
-/// applier (and its message block the other way round) on every request;
-/// the slot is allocated once per thread and a job carries a refcount on
-/// it.
-///
-/// A worker waits for one reply at a time, so the slot holds one outcome,
-/// tagged with the sequence number of the request it belongs to:
-/// [`ReplySlot::open`] starts a request, [`ReplySlot::wait`] ends it, and a
-/// [`ReplyTo`] settling outside that window — the late answer to a request
-/// that already got its `504` — finds another number and is discarded, so
-/// it can never be taken for the worker's next request.
-struct ReplySlot<T> {
-    state: Mutex<SlotState<T>>,
-    settled: Condvar,
-}
-
-struct SlotState<T> {
-    /// Number of the request the worker is waiting on (or waited on last).
-    seq: u64,
-    /// `Some(Some(reply))` once answered, `Some(None)` once the job was
-    /// dropped unanswered.
-    outcome: Option<Option<T>>,
-}
-
-/// Why [`ReplySlot::wait`] returned without a reply.
-#[derive(Debug, PartialEq)]
-enum NoReply {
-    /// Nothing arrived in time.
-    Timeout,
-    /// The job was dropped unanswered: its queue stopped, or the thread
-    /// that would have answered is gone.
-    Dropped,
-}
-
-/// The answering side of one request on a [`ReplySlot`], carried by the
-/// queued job. Dropping it without [`ReplyTo::send`] wakes the worker with
-/// [`NoReply::Dropped`] instead of leaving it to its deadline.
-struct ReplyTo<T> {
-    slot: Arc<ReplySlot<T>>,
-    seq: u64,
-}
-
-impl<T> Default for ReplySlot<T> {
-    fn default() -> ReplySlot<T> {
-        ReplySlot {
-            state: Mutex::new(SlotState {
-                seq: 0,
-                outcome: None,
-            }),
-            settled: Condvar::new(),
-        }
-    }
-}
-
-impl<T> ReplySlot<T> {
-    /// The state, whether or not a thread panicked holding it: every
-    /// update is a plain store that leaves it valid, and [`ReplyTo`]'s drop
-    /// must not panic over a poisoned lock.
-    fn state(&self) -> MutexGuard<'_, SlotState<T>> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Starts the worker's next request, discarding whatever an earlier
-    /// one left behind.
-    fn open(self: &Arc<Self>) -> ReplyTo<T> {
-        let mut state = self.state();
-        state.seq += 1;
-        state.outcome = None;
-        ReplyTo {
-            slot: Arc::clone(self),
-            seq: state.seq,
-        }
-    }
-
-    /// Waits up to `timeout` for the outcome of the request opened last
-    /// (one that is already there is returned whatever the timeout) and
-    /// ends the request: what settles later is discarded.
-    fn wait(&self, timeout: Duration) -> Result<T, NoReply> {
-        let (mut state, _) = self
-            .settled
-            .wait_timeout_while(self.state(), timeout, |s| s.outcome.is_none())
-            .unwrap_or_else(PoisonError::into_inner);
-        state.seq += 1;
-        match state.outcome.take() {
-            Some(Some(reply)) => Ok(reply),
-            Some(None) => Err(NoReply::Dropped),
-            None => Err(NoReply::Timeout),
-        }
-    }
-}
-
-impl<T> ReplyTo<T> {
-    fn send(self, reply: T) {
-        self.settle(Some(reply));
-    }
-
-    /// Settles the request if it is still the slot's current one and still
-    /// open, so the drop that follows a `send` changes nothing.
-    fn settle(&self, outcome: Option<T>) {
-        let mut state = self.slot.state();
-        if state.seq == self.seq && state.outcome.is_none() {
-            state.outcome = Some(outcome);
-            // Unlock first: the woken worker takes the lock at once.
-            drop(state);
-            self.slot.settled.notify_one();
-        }
-    }
-}
-
-impl<T> Drop for ReplyTo<T> {
-    fn drop(&mut self) {
-        self.settle(None);
-    }
-}
-
-thread_local! {
-    /// The calling worker's slot for applier replies.
-    static INGEST_REPLY: Arc<ReplySlot<IngestReply>> = Arc::default();
-}
-
 /// One queued `POST /events` batch bound for the applier thread.
 struct IngestJob {
     events: Vec<TrustEvent>,
     trace_id: u64,
-    reply: ReplyTo<IngestReply>,
+    /// This request's own one-message reply channel.
+    reply: mpsc::SyncSender<IngestReply>,
 }
 
 /// What the applier sends back for one ingest batch.
@@ -425,7 +310,8 @@ fn run_applier(
                 "ingest batch failed after {} events: {message}", batch.applied
             );
         }
-        job.reply.send(IngestReply {
+        // `Err` means the worker gave up on this batch (its `504` is out).
+        let _ = job.reply.send(IngestReply {
             applied: batch.applied,
             affected: batch.affected,
             refreshed,
@@ -537,24 +423,11 @@ impl Node {
 
     /// A missed deadline: `504` + `Retry-After`, counted in
     /// `serve.deadline_exceeded`. The job may still complete behind the
-    /// channel; its reply finds the worker's slot moved on and is discarded.
+    /// channel; its reply finds the request's reply channel closed and is
+    /// dropped.
     fn deadline_exceeded(&self, message: &str) -> Response {
         counter_add("serve.deadline_exceeded", 1);
         Response::error(504, message).retry_after(self.retry_after)
-    }
-
-    /// Waits out what is left of the request's deadline (its budget started
-    /// at `started`, when the request began parsing) for the applier's
-    /// reply to the job this worker queued.
-    fn await_reply<T>(&self, slot: &ReplySlot<T>, started: Instant) -> Result<T, Response> {
-        slot.wait(self.deadline.saturating_sub(started.elapsed()))
-            .map_err(|e| match e {
-                NoReply::Timeout => self.deadline_exceeded("ingest deadline exceeded"),
-                // The applier went away mid-flight (a shutdown race, or it
-                // panicked): an overloaded-style answer rather than a hung
-                // worker.
-                NoReply::Dropped => self.shed("ingest backend stopped"),
-            })
     }
 
     /// `POST /score`: scores the pairs on this worker, under one read
@@ -613,13 +486,16 @@ impl Node {
         let events = parse_events(call.text()?).map_err(bad_request)?;
         call.stage("serve.parse", parse_ts, trace_now_us());
         let n_events = events.len();
-        let slot = INGEST_REPLY.with(Arc::clone);
+        // `sync_channel(1)`, not `channel()`: its one slot is allocated
+        // with the channel, on this worker, so the applier's reply
+        // allocates nothing.
+        let (reply, replied) = mpsc::sync_channel(1);
         let enqueue_ts = trace_now_us();
         if ingest
             .send(IngestJob {
                 events,
                 trace_id: call.trace_id,
-                reply: slot.open(),
+                reply,
             })
             .is_err()
         {
@@ -627,7 +503,18 @@ impl Node {
         }
         let enqueued_us = trace_now_us();
         call.stage("serve.enqueue", enqueue_ts, enqueued_us);
-        let reply = self.await_reply(&slot, started)?;
+        // The budget started when the request began parsing.
+        let reply = replied
+            .recv_timeout(self.deadline.saturating_sub(started.elapsed()))
+            .map_err(|e| match e {
+                mpsc::RecvTimeoutError::Timeout => {
+                    self.deadline_exceeded("ingest deadline exceeded")
+                }
+                // The job was dropped unanswered: the applier went away
+                // mid-flight (a shutdown race, or it panicked). An
+                // overloaded-style answer rather than a hung worker.
+                mpsc::RecvTimeoutError::Disconnected => self.shed("ingest backend stopped"),
+            })?;
         call.stage("serve.ingest.wait", enqueued_us, reply.picked_up_us);
         call.stage("serve.ingest.apply", reply.picked_up_us, reply.done_us);
         let mut entries = vec![
@@ -993,35 +880,11 @@ mod tests {
         assert!(total > 0, "no request completed before shutdown");
     }
 
-    #[test]
-    fn a_reply_slot_discards_what_settles_outside_its_request() {
-        let slot = Arc::<ReplySlot<u32>>::default();
-        // A reply that lands while the worker waits for its next request.
-        let late = slot.open();
-        assert_eq!(slot.wait(Duration::ZERO), Err(NoReply::Timeout));
-        let next = slot.open();
-        late.send(1);
-        next.send(2);
-        assert_eq!(slot.wait(Duration::ZERO), Ok(2));
-        // One that lands between two requests.
-        let late = slot.open();
-        assert_eq!(slot.wait(Duration::ZERO), Err(NoReply::Timeout));
-        late.send(3);
-        let next = slot.open();
-        assert_eq!(slot.wait(Duration::ZERO), Err(NoReply::Timeout));
-        drop(next);
-        // A job dropped unanswered wakes its worker at once.
-        let dropped = slot.open();
-        let dropper = std::thread::spawn(move || drop(dropped));
-        assert_eq!(slot.wait(TIMEOUT), Err(NoReply::Dropped));
-        dropper.join().unwrap();
-    }
-
     /// Every `/score` is one scoring call of its own pairs, and with no
     /// applier writing, the read guard it waits for is free: a median wait
     /// under a millisecond is far above an uncontended lock.
     #[test]
-    fn an_idle_batcher_dispatches_each_request_alone_and_at_once() {
+    fn each_score_is_one_scoring_call_under_an_uncontended_read_guard() {
         isolated(|| {
             let server = start(8);
             let index = toy_index(8);
@@ -1180,8 +1043,40 @@ mod tests {
         assert_eq!(counts(), [1, 1]);
     }
 
+    /// A reply sent after its request's `504`, before the worker's next
+    /// request exists, finds nobody listening, and the next request waits
+    /// out its own deadline instead of taking it.
     #[test]
-    fn healthz_bypasses_the_scoring_queue() {
+    fn a_reply_sent_between_requests_answers_neither() {
+        isolated(|| {
+            ahntp_telemetry::set_enabled(true);
+            let (ingest, jobs) = mpsc::channel::<IngestJob>();
+            let node = bare_node(4, Some(ingest), 20, 2);
+            let traces = TraceRing::new(4);
+            let first = dispatch(&node, &traces, &mut Call::new(&events_request(), 1));
+            assert_eq!(first.status, 504, "{}", first.body.to_line());
+            let late = IngestReply {
+                applied: 1,
+                affected: 0,
+                refreshed: 0,
+                dirty: 0,
+                error: None,
+                picked_up_us: 0,
+                done_us: 0,
+            };
+            let job = jobs.recv().unwrap();
+            assert!(
+                job.reply.send(late).is_err(),
+                "the timed-out request took it"
+            );
+            let second = dispatch(&node, &traces, &mut Call::new(&events_request(), 2));
+            assert_eq!(second.status, 504, "{}", second.body.to_line());
+            assert_eq!(ahntp_telemetry::counter_get("serve.deadline_exceeded"), 2);
+        });
+    }
+
+    #[test]
+    fn healthz_answers_while_ingest_is_dead() {
         let (ingest, jobs) = mpsc::channel();
         drop(jobs); // ingest is completely dead...
         let node = bare_node(3, Some(ingest), 5, 1);
@@ -1629,8 +1524,8 @@ mod tests {
     }
 
     /// The applier's late reply to a timed-out batch lands while the same
-    /// worker — same connection, same reply slot — waits for its next
-    /// batch, which must still get its own answer.
+    /// worker — same connection — waits for its next batch, which must
+    /// still get its own answer.
     #[test]
     fn a_late_ingest_reply_never_answers_the_next_request() {
         use ahntp_faultz::{scoped, Action, FaultSpec};
