@@ -15,8 +15,8 @@ use ahntp_nn::loss::{
     supervised_contrastive, ContrastiveBatch, COSINE_CALIBRATION,
 };
 use ahntp_nn::{
-    Adam, AdaptiveHypergraphConv, EdgeFeatures, HypergraphConv, HypergraphLayer, Mlp, Module,
-    Optimizer, Param, Session, TrainState, TrustArtifact,
+    Adam, AdaptiveHypergraphConv, HypergraphConv, HypergraphLayer, Mlp, Module, Optimizer, Param,
+    Session, TrainState, TrustArtifact,
 };
 use ahntp_stream::{AppliedEvent, HeadPatch, HyperGroup, LiveTrustModel, StreamError, TrustEvent};
 use ahntp_tensor::{SplitMix64, Tensor};
@@ -108,7 +108,7 @@ fn swap_remove_row(t: &mut Tensor, r: usize) {
 struct TierForward {
     acts: Vec<Var>,
     projections: Vec<Var>,
-    edges: Vec<EdgeFeatures>,
+    edges: Vec<Var>,
 }
 
 /// One stack of hypergraph convolutions over a fixed hypergraph — adaptive
@@ -521,7 +521,7 @@ impl Ahntp {
                 .map(|tier| tier.projections.iter().map(Var::value).collect()),
             edges: tiers
                 .each_ref()
-                .map(|tier| tier.edges.iter().map(|e| e.h_e.value()).collect()),
+                .map(|tier| tier.edges.iter().map(Var::value).collect()),
             seeds: Default::default(),
             added: Default::default(),
         }
@@ -810,13 +810,12 @@ impl Ahntp {
                     let fresh = lend(&s, projection, |xt| {
                         layer.edge_half(&s, &v2e, Some(&ids), xt)
                     });
-                    scatter_rows(cached, &ids, &fresh.h_e.value());
+                    scatter_rows(cached, &ids, &fresh.value());
                 }
                 let targets = cache.vertex_rows(&rows);
                 let x_rows = s.constant(x.gather_rows(&rows));
                 let y = lend(&s, cached, |h_e| {
-                    let edges = EdgeFeatures { h_e: h_e.clone() };
-                    layer.vertex_half(&s, &targets, &x_rows, &edges).value()
+                    layer.vertex_half(&s, &targets, &x_rows, h_e).value()
                 });
                 scatter_rows(&mut outputs[0], &rows, &y);
             }
@@ -959,7 +958,7 @@ impl LiveTrustModel for Ahntp {
     }
 
     /// Catches the model's own cached head up with every event applied
-    /// since the last refresh (see [`Ahntp::catch_up`]), then reads the
+    /// since the last refresh (see `Ahntp::catch_up`), then reads the
     /// rows of `users` from it, so `predict_pair`/`export_artifact` and
     /// the returned patch agree. A dropped head (after a parameter load)
     /// is rebuilt by a full forward instead. Rows in the patch are
@@ -1092,7 +1091,7 @@ impl BatchTrustModel for Ahntp {
     /// builds its embedding and runs each tower once, on one tape, then
     /// one objective — every micro-batch's trust objective, weighted,
     /// plus the Eq. 23 term once — and one backward
-    /// ([`Ahntp::group_gradient`]), then one optimizer step. For groups of
+    /// (`Ahntp::group_gradient`), then one optimizer step. For groups of
     /// two or more batches that gradient is the per-micro-batch sum up to
     /// f32 reordering: the test
     /// `a_group_objective_matches_a_tape_per_micro_batch` holds it within

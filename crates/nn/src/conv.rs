@@ -30,15 +30,6 @@ use std::rc::Rc;
 /// the GAT convention the paper follows.
 const ATTENTION_SLOPE: f32 = 0.2;
 
-/// What the edge half of a layer hands its vertex half: the hyperedge
-/// features `h̃_e = w_e · mean_{u ∈ e} x_u θ` (Eqs. 10–11 with θ applied
-/// first, `m × out`), for either layer kind.
-#[derive(Clone)]
-pub struct EdgeFeatures {
-    /// `h̃_e` of Eq. 11, taken after θ.
-    pub h_e: Var,
-}
-
 /// One layer's forward pass over an operator set: its output, the
 /// projection `x θ` its edge half read, and the hyperedge features.
 pub struct LayerForward {
@@ -46,8 +37,9 @@ pub struct LayerForward {
     pub out: Var,
     /// `x θ` over every input row (see [`HypergraphLayer::project`]).
     pub x_theta: Var,
-    /// What the edge half computed.
-    pub edges: EdgeFeatures,
+    /// What the edge half computed: the hyperedge features `h̃_e` of
+    /// Eq. 11, taken after θ (`m × out`).
+    pub edges: Var,
 }
 
 /// What a stack of hypergraph convolutions needs from a layer, whichever
@@ -58,7 +50,9 @@ pub trait HypergraphLayer: Module {
     /// Eq. 10's mean. Each output row depends on its input row alone.
     fn project(&self, s: &Session, x: &Var) -> Var;
 
-    /// The edge half: hyperedge features for the rows of `v2e` (a
+    /// The edge half: the hyperedge features
+    /// `h̃_e = w_e · mean_{u ∈ e} x_u θ` (Eqs. 10–11 with θ applied first,
+    /// for either layer kind) for the rows of `v2e` (a
     /// vertex→edge operator over every vertex of `x_theta`, the
     /// [`HypergraphLayer::project`]ion of every input row). `edge_ids` names
     /// the hyperedge of each row when they are not `0..m` (a slice, or the
@@ -70,12 +64,12 @@ pub trait HypergraphLayer: Module {
         v2e: &Rc<CsrMatrix<f32>>,
         edge_ids: Option<&Rc<Vec<usize>>>,
         x_theta: &Var,
-    ) -> EdgeFeatures;
+    ) -> Var;
 
     /// The vertex half: the output rows of `rows`, from `x`'s rows for the
-    /// same vertices and the whole hyperedge-feature matrix `edges` that
+    /// same vertices and the whole hyperedge-feature matrix `h_e` that
     /// `rows` index.
-    fn vertex_half(&self, s: &Session, rows: &VertexRows, x: &Var, edges: &EdgeFeatures) -> Var;
+    fn vertex_half(&self, s: &Session, rows: &VertexRows, x: &Var, h_e: &Var) -> Var;
 
     /// Forward pass against an explicit operator set — the full extraction
     /// or a sampled hyperedge slice from the same hypergraph — keeping the
@@ -245,7 +239,7 @@ impl HypergraphLayer for HypergraphConv {
         v2e: &Rc<CsrMatrix<f32>>,
         edge_ids: Option<&Rc<Vec<usize>>>,
         x_theta: &Var,
-    ) -> EdgeFeatures {
+    ) -> Var {
         // Eq. 10: hyperedge messages by mean aggregation, after θ.
         let mess_e = s.graph().spmm(v2e, x_theta);
         // Eq. 11: trainable per-edge scaling, gathered down to the rows'
@@ -255,13 +249,11 @@ impl HypergraphLayer for HypergraphConv {
             Some(ids) => w_col.gather_rows(ids),
             None => w_col,
         };
-        EdgeFeatures {
-            h_e: mess_e.mul_rows(&w_col),
-        }
+        mess_e.mul_rows(&w_col)
     }
 
-    fn vertex_half(&self, s: &Session, rows: &VertexRows, x: &Var, edges: &EdgeFeatures) -> Var {
-        self.update(s, &rows.e2v, x, &edges.h_e)
+    fn vertex_half(&self, s: &Session, rows: &VertexRows, x: &Var, h_e: &Var) -> Var {
+        self.update(s, &rows.e2v, x, h_e)
     }
 
     fn forward_with_edges(&self, s: &Session, ops: &AggregationOps, x: &Var) -> LayerForward {
@@ -419,8 +411,8 @@ impl AdaptiveHypergraphConv {
     pub fn attention_coefficients(&self, x: &Tensor) -> Vec<f32> {
         let s = Session::new();
         let (ops, x) = (&self.base.ops, s.constant(x.clone()));
-        let edges = self.edge_half(&s, &ops.v2e, None, &self.project(&s, &x));
-        let (att, _) = self.attention(&s, &ops.rows, &x, &edges.h_e);
+        let h_e = self.edge_half(&s, &ops.v2e, None, &self.project(&s, &x));
+        let (att, _) = self.attention(&s, &ops.rows, &x, &h_e);
         att.value().into_vec()
     }
 }
@@ -436,17 +428,17 @@ impl HypergraphLayer for AdaptiveHypergraphConv {
         v2e: &Rc<CsrMatrix<f32>>,
         edge_ids: Option<&Rc<Vec<usize>>>,
         x_theta: &Var,
-    ) -> EdgeFeatures {
+    ) -> Var {
         self.base.edge_half(s, v2e, edge_ids, x_theta)
     }
 
-    fn vertex_half(&self, s: &Session, rows: &VertexRows, x: &Var, edges: &EdgeFeatures) -> Var {
-        let (att, x_next) = self.attention(s, rows, x, &edges.h_e);
+    fn vertex_half(&self, s: &Session, rows: &VertexRows, x: &Var, h_e: &Var) -> Var {
+        let (att, x_next) = self.attention(s, rows, x, h_e);
         // Eq. 16 with W after the sum: attention-weighted aggregation of
         // the hyperedges plus the x' self-term carried over from Eq. 13's
         // F(x^t, ·), then W once per vertex.
         s.graph()
-            .weighted_gather(&rows.e2v, &att, &edges.h_e)
+            .weighted_gather(&rows.e2v, &att, h_e)
             .add(&x_next)
             .matmul(&s.var(&self.w_att))
             .relu()
@@ -600,7 +592,7 @@ mod tests {
             let pass =
                 layer.forward_with_edges(&s, &ops, &s.constant(xavier_uniform(n, in_dim, 4)));
             assert_eq!(pass.x_theta.value().shape(), Shape::Matrix(n, out_dim));
-            assert_eq!(pass.edges.h_e.value().shape(), Shape::Matrix(m, out_dim));
+            assert_eq!(pass.edges.value().shape(), Shape::Matrix(m, out_dim));
             let recorded = s.graph().ops();
             assert!(
                 !recorded
@@ -625,7 +617,7 @@ mod tests {
     fn composed_adaptive_forward(conv: &AdaptiveHypergraphConv, s: &Session, x: &Var) -> Var {
         let (ops, w) = (&conv.base.ops, s.var(&conv.w_att));
         let e2v = &ops.rows.e2v;
-        let h_e = conv.edge_half(s, &ops.v2e, None, &conv.project(s, x)).h_e;
+        let h_e = conv.edge_half(s, &ops.v2e, None, &conv.project(s, x));
         let w_h = h_e.matmul(&w);
         let x_proj = conv.base.update(s, e2v, x, &h_e).matmul(&w);
         // Pair k of Eq. 14 is entry k of `e2v`: its row and its column.

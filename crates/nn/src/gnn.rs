@@ -21,7 +21,7 @@ fn undirected_with_self_loops(g: &DiGraph) -> CsrMatrix<f64> {
 }
 
 /// The symmetric-normalised GCN operator `Â = D̃^{-1/2} (A + Aᵀ + I) D̃^{-1/2}`
-/// (Kipf & Welling), built over [`undirected_with_self_loops`].
+/// (Kipf & Welling), built over `undirected_with_self_loops`.
 pub fn gcn_norm_adjacency(g: &DiGraph) -> CsrMatrix<f32> {
     let und = undirected_with_self_loops(g);
     let deg = und.row_sums();

@@ -48,9 +48,7 @@ pub use rows::Rows;
 // Re-exported so downstream crates can open mapped artifacts without a
 // direct ahntp-mapped dependency.
 pub use ahntp_mapped::MappedBytes;
-pub use conv::{
-    AdaptiveHypergraphConv, EdgeFeatures, HypergraphConv, HypergraphLayer, LayerForward,
-};
+pub use conv::{AdaptiveHypergraphConv, HypergraphConv, HypergraphLayer, LayerForward};
 pub use gnn::{gcn_norm_adjacency, sgc_features, GatConv, GcnConv};
 pub use linear::{Linear, Mlp};
 pub use optim::{Adam, AdamConfig, Optimizer, Sgd};
