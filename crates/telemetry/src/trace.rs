@@ -553,7 +553,10 @@ mod tests {
 
     #[test]
     fn nested_frames_split_self_and_child_time() {
-        let p = tracing(false, true, || {
+        // Collected and profiled together: both spans' durations come from
+        // the same clock reads `frame_exit` splits into self times, so the
+        // split is checked exactly, whatever the scheduler does.
+        let (p, evs) = tracing(true, true, || {
             {
                 let _outer = KernelSpan::enter("test.outer", KernelKind::Reduction);
                 std::thread::sleep(std::time::Duration::from_millis(4));
@@ -562,8 +565,16 @@ mod tests {
                     std::thread::sleep(std::time::Duration::from_millis(6));
                 }
             }
-            profile_snapshot()
+            (profile_snapshot(), sink_events())
         });
+        let dur = |name: &str| {
+            let e = evs
+                .iter()
+                .find(|e| e.get("name").and_then(Json::as_str) == Some(name))
+                .unwrap_or_else(|| panic!("missing event {name}"));
+            e.get("dur").and_then(Json::as_f64).unwrap() as u64
+        };
+        let (outer, inner) = (dur("test.outer"), dur("test.inner"));
         let matmul = p.us[KernelKind::Matmul as usize];
         let reduction = p.us[KernelKind::Reduction as usize];
         assert!(matmul >= 6_000, "inner self time under-measured: {matmul}");
@@ -571,9 +582,11 @@ mod tests {
             reduction >= 4_000,
             "outer self time under-measured: {reduction}"
         );
-        assert!(
-            reduction < matmul + 6_000,
-            "outer must exclude child time: outer={reduction} inner={matmul}"
+        assert_eq!(matmul, inner, "inner self time is its whole span");
+        assert_eq!(
+            reduction,
+            outer - inner,
+            "outer must exclude child time: outer={outer} inner={inner}"
         );
         // Telescoping: total self time ≤ total wall of the outer scope.
         assert!(p.total_us() >= 10_000);
