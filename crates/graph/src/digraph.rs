@@ -35,7 +35,7 @@ impl std::error::Error for GraphError {}
 #[derive(Debug, Clone)]
 pub struct DiGraph {
     n: usize,
-    /// `R_U`: adj[i][j] = 1 iff there is an edge i → j.
+    /// `R_U`: `adj[i][j] = 1` iff there is an edge i → j.
     adj: CsrMatrix<f64>,
     /// `R_Uᵀ` cached for in-neighbour queries.
     adj_t: CsrMatrix<f64>,

@@ -9,7 +9,7 @@
 //! * [`Motif`] / [`motif_adjacency`] — the seven classical triangular
 //!   motifs M1–M7 (Fig. 4) and their motif-induced adjacency matrices
 //!   `A^{M_k}` (Table II), computed with masked sparse products.
-//! * [`pagerank`] / [`motif_pagerank`] — the basic PageRank score `s`
+//! * [`pagerank`](fn@pagerank) / [`motif_pagerank`] — the basic PageRank score `s`
 //!   (Eq. 2) and the motif-based PageRank `s'` obtained by mixing the
 //!   pairwise adjacency with a motif-induced adjacency (Eqs. 4–5).
 //!

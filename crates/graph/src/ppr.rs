@@ -19,7 +19,7 @@
 //!
 //! # Determinism
 //!
-//! The iteration is [`pagerank`](crate::pagerank)'s, with the teleport
+//! The iteration is [`pagerank`](fn@crate::pagerank)'s, with the teleport
 //! vector uniform over the seeds: it multiplies by the transposed
 //! row-normalised adjacency with [`CsrMatrix::mul_vec`], whose output is
 //! row-banded across the `ahntp-par` pool. Each output entry is one

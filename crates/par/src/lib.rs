@@ -69,10 +69,10 @@
 //! executes borrowed closures on persistent threads, which requires
 //! erasing the closure lifetime (exactly the trick scoped-thread
 //! libraries use). Soundness rests on one invariant, enforced by
-//! [`run_tasks`]: the submitting call **blocks until every one of its
+//! `run_tasks`: the submitting call **blocks until every one of its
 //! tasks has finished** before returning, so no borrow inside a task can
 //! outlive the stack frame that owns the data. The single `unsafe`
-//! expression lives in [`erase_lifetime`] with the full argument.
+//! expression lives in `erase_lifetime` with the full argument.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]

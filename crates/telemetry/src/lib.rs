@@ -22,7 +22,7 @@
 //!
 //! # Components
 //!
-//! * **Logging** ([`log_enabled`], [`trace!`](crate::trace) …
+//! * **Logging** ([`log_enabled`], [`trace!`](macro@crate::trace) …
 //!   [`error!`](crate::error)): an env-filterable stderr logger.
 //!   `AHNTP_LOG=debug,spmm=trace` sets a global `debug` floor and a
 //!   per-target `trace` override for the `spmm` target.

@@ -110,7 +110,7 @@ pub fn log_enabled(level: Level, target: &str) -> bool {
 }
 
 /// Emits one log line to stderr if the filter allows it. Prefer the
-/// [`trace!`](crate::trace) … [`error!`](crate::error) macros, which skip
+/// [`trace!`](macro@crate::trace) … [`error!`](crate::error) macros, which skip
 /// message formatting when the line would be dropped.
 pub fn log_message(level: Level, target: &str, message: &str) {
     if !log_enabled(level, target) {
