@@ -242,8 +242,9 @@ impl Graph {
     /// node (graph attention over a square pattern).
     ///
     /// The score splits as `x_r · β[..d] + h_c · β[d..]`, so each half is
-    /// one dot per vertex and one per hyperedge, and an entry adds two of
-    /// them. The adjoints split the same way: `dx` is each vertex's summed
+    /// one dot per vertex and one per hyperedge the pattern names (a row of
+    /// `h` no column names is never read), and an entry adds two of them.
+    /// The adjoints split the same way: `dx` is each vertex's summed
     /// incoming gradient times `β[..d]`, `dh` each hyperedge's times
     /// `β[d..]`; `dβ` is `[Σ_v s_v x_v ‖ Σ_e s_e h_e]` over those per-row
     /// sums `s`, taken in f64 and rounded once, so it costs one axpy per
@@ -818,7 +819,8 @@ fn assert_columns_index(pattern: &CsrMatrix<f32>, t: &Tensor, op: &str, what: &s
 }
 
 /// Forward of [`Graph::pair_scores`]: one dot `x_r · β[..d]` per vertex
-/// and one `h_c · β[d..]` per hyperedge, then their sum per entry.
+/// and one `h_c · β[d..]` per hyperedge a column names, then their sum
+/// per entry.
 fn pair_scores_forward(x: &Tensor, h: &Tensor, beta: &Tensor, pattern: &CsrMatrix<f32>) -> Tensor {
     let _k = KernelSpan::enter("autograd.pair_scores", KernelKind::Csr);
     let d = x.cols();
@@ -846,8 +848,25 @@ fn pair_scores_forward(x: &Tensor, h: &Tensor, beta: &Tensor, pattern: &CsrMatri
     let (beta_x, beta_h) = beta.as_slice().split_at(d);
     let mut per_vertex = vec![0.0f32; x.rows()];
     extend_all(&mut per_vertex, |v| x.row(v), beta_x);
+    // Only the rows of `h` the pattern names are dotted (a live refresh
+    // reads a few of a whole feature matrix), each by the same chain. A
+    // training pattern names every row and takes them in place, with no
+    // gather through the list.
+    let mut read = vec![false; h.rows()];
+    for &e in pattern.col_indices() {
+        read[e] = true;
+    }
+    let cols: Vec<usize> = (0..h.rows()).filter(|&e| read[e]).collect();
     let mut per_edge = vec![0.0f32; h.rows()];
-    extend_all(&mut per_edge, |e| h.row(e), beta_h);
+    if cols.len() == h.rows() {
+        extend_all(&mut per_edge, |e| h.row(e), beta_h);
+    } else {
+        let mut dots = vec![0.0f32; cols.len()];
+        extend_all(&mut dots, |i| h.row(cols[i]), beta_h);
+        for (&e, dot) in cols.iter().zip(dots) {
+            per_edge[e] = dot;
+        }
+    }
     let scores = entries(pattern)
         .map(|(v, e)| per_vertex[v] + per_edge[e])
         .collect();
@@ -1255,6 +1274,61 @@ mod tests {
             });
             let got: Vec<u32> = got.as_slice().iter().map(|v| v.to_bits()).collect();
             assert_eq!(got, want, "at {threads} threads");
+        }
+    }
+
+    #[test]
+    fn pair_scores_read_only_the_rows_of_h_the_pattern_names() {
+        // Twelve rows of `h`, a block of eight and a tail; the pattern
+        // names seven of them and skips 1, 4, 5, 9 and 11.
+        let (n, m, d) = (5, 12, 13);
+        let fill = |rows: usize, seed: usize| {
+            let v = (0..rows * d)
+                .map(|k| ((k * 7919 + seed) % 1013) as f32 / 97.0 - 5.0)
+                .collect();
+            Tensor::from_vec(rows, d, v).expect("sized correctly")
+        };
+        let (x, h) = (fill(n, 3), fill(m, 11));
+        let beta = fill(2, 29).reshape(Shape::Vector(2 * d));
+        let pairs = [
+            (0, 7),
+            (0, 0),
+            (1, 2),
+            (2, 10),
+            (2, 3),
+            (2, 6),
+            (4, 8),
+            (4, 7),
+        ];
+        let p = pattern(n, m, &pairs);
+        let skipped = [1, 4, 5, 9, 11];
+        assert!(p.col_indices().iter().all(|c| !skipped.contains(c)));
+        // The parent's arithmetic: one chain for every row of each operand.
+        let (beta_x, beta_h) = beta.as_slice().split_at(d);
+        let (mut per_vertex, mut per_edge) = (vec![0.0f32; n], vec![0.0f32; m]);
+        extend_all(&mut per_vertex, |v| x.row(v), beta_x);
+        extend_all(&mut per_edge, |e| h.row(e), beta_h);
+        let want: Vec<u32> = entries(&p)
+            .map(|(v, e)| (per_vertex[v] + per_edge[e]).to_bits())
+            .collect();
+        let mut other = h.clone();
+        for &e in &skipped {
+            other
+                .row_mut(e)
+                .iter_mut()
+                .for_each(|v| *v = -3.0e7 * *v + 1.0);
+        }
+        for threads in [1, 4] {
+            for h in [&h, &other] {
+                let got = ahntp_par::with_pool(threads, 0, || {
+                    let g = Graph::new();
+                    let leaves = [&x, h, &beta].map(|t| g.leaf(t.clone()));
+                    g.pair_scores(&leaves[0], &leaves[1], &leaves[2], &p)
+                        .value()
+                });
+                let got: Vec<u32> = got.as_slice().iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want, "at {threads} threads");
+            }
         }
     }
 

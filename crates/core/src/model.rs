@@ -799,23 +799,23 @@ impl Ahntp {
                 let projection = &mut head.projections[t][l];
                 if l > 0 {
                     let changed = s.constant(x.gather_rows(&rows));
-                    scatter_rows(projection, &rows, &layer.project(&s, &changed).value());
-                    edges = cache.incident_edges(&rows);
-                    rows = cache.closure(&rows, 1);
+                    let projected = layer.project(&s, &changed).take_value();
+                    scatter_rows(projection, &rows, &projected);
+                    (edges, rows) = cache.hop(&rows);
                 }
                 ahntp_telemetry::counter_add("core.refresh.edge_rows", edges.len() as u64);
                 if !edges.is_empty() {
                     let v2e = Rc::new(cache.edge_rows(&edges));
                     let ids = Rc::new(std::mem::take(&mut edges));
                     let fresh = lend(&s, projection, |xt| {
-                        layer.edge_half(&s, &v2e, Some(&ids), xt)
+                        layer.edge_half(&s, &v2e, Some(&ids), xt).take_value()
                     });
-                    scatter_rows(cached, &ids, &fresh.value());
+                    scatter_rows(cached, &ids, &fresh);
                 }
                 let targets = cache.vertex_rows(&rows);
                 let x_rows = s.constant(x.gather_rows(&rows));
                 let y = lend(&s, cached, |h_e| {
-                    layer.vertex_half(&s, &targets, &x_rows, h_e).value()
+                    layer.vertex_half(&s, &targets, &x_rows, h_e).take_value()
                 });
                 scatter_rows(&mut outputs[0], &rows, &y);
             }
@@ -834,12 +834,12 @@ impl Ahntp {
         scatter_rows(
             &mut head.trustor,
             &changed,
-            &self.tower_a.forward(&s, &emb).value(),
+            &self.tower_a.forward(&s, &emb).take_value(),
         );
         scatter_rows(
             &mut head.trustee,
             &changed,
-            &self.tower_b.forward(&s, &emb).value(),
+            &self.tower_b.forward(&s, &emb).take_value(),
         );
     }
 }
@@ -2110,6 +2110,47 @@ mod live_tests {
                 assert_eq!(rows, expected, "{} over {:?}", group.name(), cfg.conv_dims);
             }
         }
+    }
+
+    #[test]
+    fn a_traced_refresh_shows_its_walks_and_row_builds() {
+        use ahntp_telemetry::json::Json;
+        let mut model = trained_model();
+        Ahntp::export_artifact(&model);
+        let event = TrustEvent::AddEdge {
+            group: HyperGroup::Structure,
+            members: vec![3, 9],
+            weight: 1.0,
+        };
+        let applied = model.apply_event(&event).expect("valid event");
+        let spans = ahntp_par::Context::fresh().run(|| {
+            ahntp_telemetry::set_trace_collect(true);
+            model.refresh_heads(&applied.affected_users);
+            let trace = ahntp_telemetry::chrome_trace_json();
+            let Some(Json::Arr(events)) = trace.get("traceEvents") else {
+                panic!("a Chrome trace document has a traceEvents array");
+            };
+            let field = |e: &Json, k: &str| e.get(k).and_then(Json::as_str).map(str::to_owned);
+            let mut spans: Vec<(String, String)> = events
+                .iter()
+                .filter_map(|e| Some((field(e, "name")?, field(e, "cat")?)))
+                .filter(|(name, _)| name.starts_with("hypergraph."))
+                .collect();
+            spans.dedup();
+            spans
+        });
+        // Layer 0 reads the added edge's rows and the seeds' vertex rows;
+        // layer 1 walks one hop, then reads both kinds of rows again.
+        let [cone, rows] = [
+            ("hypergraph.cone", "other"),
+            ("hypergraph.rows", "cache_build"),
+        ]
+        .map(|(name, cat)| (name.to_owned(), cat.to_owned()));
+        assert_eq!(
+            spans,
+            [cone.clone(), rows.clone(), cone, rows],
+            "the refresh's bookkeeping spans, in order"
+        );
     }
 
     #[test]

@@ -14,13 +14,14 @@
 //! [`Hypergraph`]'s member lists and weights, and the per-vertex incident
 //! edge lists — and drops every derived matrix it invalidates. Those are
 //! rebuilt on next use from the lists. The streaming path never asks for
-//! them: it walks the two lists ([`AggregationCache::closure`],
-//! [`AggregationCache::incident_edges`]) and reads the operator rows it
-//! recomputes straight off them ([`AggregationCache::edge_rows`],
+//! them: it walks the two lists ([`AggregationCache::closure`], and
+//! [`AggregationCache::hop`] once per layer) and reads the operator rows
+//! it recomputes straight off them ([`AggregationCache::edge_rows`],
 //! [`AggregationCache::vertex_rows`]) with the same row readers.
 
 use crate::ops::{edge_rows, incident_lists, vertex_rows};
 use crate::{AggregationOps, Hypergraph, HypergraphError, RemovedEdge, VertexRows};
+use ahntp_telemetry::KernelKind;
 use ahntp_tensor::CsrMatrix;
 use std::cell::{OnceCell, RefCell};
 use std::rc::Rc;
@@ -172,58 +173,43 @@ impl AggregationCache {
     /// Vertices within `hops` hyperedge expansions of `seed` (including the
     /// seed itself), sorted ascending. One hop takes a vertex to every
     /// member of every hyperedge incident to it — the dependency footprint
-    /// of one convolution layer. Each hyperedge's members are walked once
-    /// per call, however many frontier vertices it touches.
+    /// of one convolution layer. A hop reads each hyperedge's members at
+    /// most once, however many frontier vertices it touches; when fewer
+    /// vertices lie outside the set than in the frontier it is read from
+    /// the outside vertices' lists instead. The walk stops as soon as the
+    /// set holds every vertex (`0..n` is then the answer, whatever hops are
+    /// left).
     pub fn closure(&self, seed: &[usize], hops: usize) -> Vec<usize> {
-        let adj = self.adjacency();
-        let n = self.h.n_vertices();
-        let mut in_set = vec![false; n];
-        let mut expanded = vec![false; self.h.n_edges()];
-        let mut frontier: Vec<usize> = Vec::new();
-        for &v in seed {
-            if !in_set[v] {
-                in_set[v] = true;
-                frontier.push(v);
-            }
-        }
+        let _k = ahntp_telemetry::KernelSpan::enter("hypergraph.cone", KernelKind::Other);
+        let (mut cone, mut frontier) = (Cone::new(self), Vec::new());
+        cone.insert(seed, &mut frontier);
         for _ in 0..hops {
-            let mut next = Vec::new();
-            for &v in &frontier {
-                for &e in &adj[v] {
-                    if std::mem::replace(&mut expanded[e], true) {
-                        continue;
-                    }
-                    for &u in self.h.edge(e) {
-                        if !in_set[u] {
-                            in_set[u] = true;
-                            next.push(u);
-                        }
-                    }
-                }
-            }
-            if next.is_empty() {
+            if frontier.is_empty() || cone.is_full() {
                 break;
             }
-            frontier = next;
+            frontier = cone.expand(&frontier, false);
         }
-        (0..n).filter(|&v| in_set[v]).collect()
+        cone.vertices()
     }
 
-    /// All hyperedges incident to any of `vertices`, sorted ascending.
+    /// One hop of the walk from `rows`: the hyperedges incident to any of
+    /// them, ascending, and `closure(rows, 1)` — what one layer of a live
+    /// refresh recomputes, from one pass over the incident-edge lists (of
+    /// `rows`, or of the vertices outside them when those are fewer). The
+    /// edges come off a bitmap scan, not a sort; once the set holds every
+    /// vertex the walk only marks edges and reads no more members.
+    pub fn hop(&self, rows: &[usize]) -> (Vec<usize>, Vec<usize>) {
+        let _k = ahntp_telemetry::KernelSpan::enter("hypergraph.cone", KernelKind::Other);
+        let (mut cone, mut frontier) = (Cone::new(self), Vec::new());
+        cone.insert(rows, &mut frontier);
+        cone.expand(&frontier, true);
+        (cone.edges(), cone.vertices())
+    }
+
+    /// All hyperedges incident to any of `vertices`, sorted ascending: the
+    /// edge half of [`AggregationCache::hop`].
     pub fn incident_edges(&self, vertices: &[usize]) -> Vec<usize> {
-        let adj = self.adjacency();
-        let mut seen = vec![false; self.h.n_edges()];
-        let mut out = Vec::new();
-        for &v in vertices {
-            for &e in &adj[v] {
-                if !seen[e] {
-                    seen[e] = true;
-                    out.push(e);
-                }
-            }
-        }
-        out.sort_unstable();
-        out
+        self.hop(vertices).0
     }
 
     /// Rows `edges` of the vertex→edge operator of Eq. 10, over global
@@ -236,6 +222,7 @@ impl AggregationCache {
     ///
     /// Panics if an edge id is out of range.
     pub fn edge_rows(&self, edges: &[usize]) -> CsrMatrix<f32> {
+        let _k = ahntp_telemetry::KernelSpan::enter("hypergraph.rows", KernelKind::CacheBuild);
         edge_rows(&self.h, edges.iter().copied())
     }
 
@@ -250,6 +237,7 @@ impl AggregationCache {
     ///
     /// Panics if a vertex id is out of range.
     pub fn vertex_rows(&self, vertices: &[usize]) -> VertexRows {
+        let _k = ahntp_telemetry::KernelSpan::enter("hypergraph.rows", KernelKind::CacheBuild);
         vertex_rows(
             self.adjacency(),
             vertices.iter().copied(),
@@ -290,7 +278,7 @@ impl AggregationCache {
     fn build(&self, site: &'static str, edge_ids: Option<&[usize]>) -> AggregationOps {
         ahntp_telemetry::counter_add("hypergraph.cache.misses", 1);
         ahntp_faultz::enforce(site);
-        let _k = ahntp_telemetry::KernelSpan::enter(site, ahntp_telemetry::KernelKind::CacheBuild);
+        let _k = ahntp_telemetry::KernelSpan::enter(site, KernelKind::CacheBuild);
         AggregationOps::build(&self.h, self.adjacency(), edge_ids)
     }
 
@@ -303,7 +291,7 @@ impl AggregationCache {
         ahntp_telemetry::counter_add("hypergraph.cache.misses", 1);
         let _k = ahntp_telemetry::KernelSpan::enter(
             "hypergraph.cache.laplacian",
-            ahntp_telemetry::KernelKind::CacheBuild,
+            KernelKind::CacheBuild,
         );
         let lap = Rc::new(self.h.laplacian());
         *self.full_lap.borrow_mut() = Some(Rc::clone(&lap));
@@ -312,6 +300,119 @@ impl AggregationCache {
 
     fn is_identity(&self, edge_ids: &[usize]) -> bool {
         edge_ids.len() == self.h.n_edges() && edge_ids.iter().enumerate().all(|(i, &e)| i == e)
+    }
+}
+
+/// The one walk behind [`AggregationCache::closure`] and
+/// [`AggregationCache::hop`]: the vertex set and the hyperedges already
+/// expanded, as bitmaps over the cache's ids.
+struct Cone<'a> {
+    h: &'a Hypergraph,
+    adj: &'a [Vec<usize>],
+    in_set: Vec<bool>,
+    expanded: Vec<bool>,
+    size: usize,
+}
+
+impl<'a> Cone<'a> {
+    fn new(cache: &'a AggregationCache) -> Cone<'a> {
+        Cone {
+            h: &cache.h,
+            adj: cache.adjacency(),
+            in_set: vec![false; cache.h.n_vertices()],
+            expanded: vec![false; cache.h.n_edges()],
+            size: 0,
+        }
+    }
+
+    fn is_full(&self) -> bool {
+        self.size == self.in_set.len()
+    }
+
+    /// Adds `vertices` to the set, pushing those it did not hold onto
+    /// `added` in order of first appearance.
+    fn insert(&mut self, vertices: &[usize], added: &mut Vec<usize>) {
+        for &v in vertices {
+            if !std::mem::replace(&mut self.in_set[v], true) {
+                self.size += 1;
+                added.push(v);
+            }
+        }
+    }
+
+    /// Expands every hyperedge incident to `frontier` that no earlier hop
+    /// expanded, and returns the vertices it added. Once the set is full no
+    /// member list is read: the walk stops there, or with `all_edges` goes
+    /// on only marking the frontier's hyperedges. When fewer vertices lie
+    /// outside the set than in `frontier`, the hop is walked from outside
+    /// instead.
+    fn expand(&mut self, frontier: &[usize], all_edges: bool) -> Vec<usize> {
+        if self.in_set.len() - self.size < frontier.len() {
+            return self.expand_from_outside(all_edges);
+        }
+        let (h, adj) = (self.h, self.adj);
+        let mut next = Vec::new();
+        for &v in frontier {
+            if self.is_full() && !all_edges {
+                break;
+            }
+            for &e in &adj[v] {
+                if !std::mem::replace(&mut self.expanded[e], true) && !self.is_full() {
+                    self.insert(h.edge(e), &mut next);
+                }
+            }
+        }
+        next
+    }
+
+    /// The same hop read off the lists of the vertices outside the set: one
+    /// joins when a hyperedge of its own has a member inside. Earlier hops
+    /// expanded every hyperedge that meets the set but not the frontier, so
+    /// this adds the same vertices. With `all_edges` every hyperedge of an
+    /// outside vertex is read, and the expanded ones become those that meet
+    /// the set: every hyperedge no outside vertex belongs to does, since
+    /// none is empty. Without, a vertex stops at its first such hyperedge
+    /// and the marks are left as they were.
+    fn expand_from_outside(&mut self, all_edges: bool) -> Vec<usize> {
+        let (h, adj) = (self.h, self.adj);
+        let mut meets: Vec<Option<bool>> = vec![None; self.expanded.len()];
+        let mut next = Vec::new();
+        for u in (0..self.in_set.len()).filter(|&u| !self.in_set[u]) {
+            let mut joins = false;
+            for &e in &adj[u] {
+                let inside =
+                    *meets[e].get_or_insert_with(|| h.edge(e).iter().any(|&w| self.in_set[w]));
+                joins |= inside;
+                if joins && !all_edges {
+                    break;
+                }
+            }
+            if joins {
+                next.push(u);
+            }
+        }
+        for &u in &next {
+            self.in_set[u] = true;
+        }
+        self.size += next.len();
+        if all_edges {
+            for (expanded, meets) in self.expanded.iter_mut().zip(meets) {
+                *expanded = meets != Some(false);
+            }
+        }
+        next
+    }
+
+    /// The set, ascending.
+    fn vertices(&self) -> Vec<usize> {
+        (0..self.in_set.len()).filter(|&v| self.in_set[v]).collect()
+    }
+
+    /// The expanded hyperedges, ascending.
+    fn edges(&self) -> Vec<usize> {
+        (0..self.expanded.len())
+            .filter(|&e| self.expanded[e])
+            .collect()
     }
 }
 

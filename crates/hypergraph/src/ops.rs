@@ -130,19 +130,20 @@ pub(crate) fn incident_lists(h: &Hypergraph) -> Vec<Vec<usize>> {
 
 /// Rows of the vertex→edge operator of Eq. 10 over global vertex ids: row
 /// `j` holds `1 / |N_e|` on the members of the `j`-th hyperedge `e` of
-/// `edges`, read off its member list.
+/// `edges`, read off its member list into arrays sized up front.
 ///
 /// # Panics
 ///
 /// Panics if an edge id is out of range.
 pub(crate) fn edge_rows(
     h: &Hypergraph,
-    edges: impl ExactSizeIterator<Item = usize>,
+    edges: impl ExactSizeIterator<Item = usize> + Clone,
 ) -> CsrMatrix<f32> {
     let n_rows = edges.len();
     let mut row_ptr = Vec::with_capacity(n_rows + 1);
     row_ptr.push(0);
-    let (mut cols, mut values) = (Vec::new(), Vec::new());
+    let nnz = edges.clone().map(|e| h.edge(e).len()).sum();
+    let (mut cols, mut values) = (Vec::with_capacity(nnz), Vec::with_capacity(nnz));
     for e in edges {
         let members = h.edge(e);
         cols.extend_from_slice(members);
@@ -163,14 +164,16 @@ pub(crate) fn edge_rows(
 /// Panics if a vertex id is out of range.
 pub(crate) fn vertex_rows(
     adj: &[Vec<usize>],
-    vertices: impl ExactSizeIterator<Item = usize>,
+    vertices: impl ExactSizeIterator<Item = usize> + Clone,
     n_cols: usize,
     column: impl Fn(usize) -> Option<usize>,
 ) -> VertexRows {
     let n_rows = vertices.len();
     let mut row_ptr = Vec::with_capacity(n_rows + 1);
     row_ptr.push(0);
-    let (mut edges, mut values) = (Vec::new(), Vec::new());
+    // Every list entry at most, exactly for the full set and live rows.
+    let nnz = vertices.clone().map(|v| adj[v].len()).sum();
+    let (mut edges, mut values) = (Vec::with_capacity(nnz), Vec::with_capacity(nnz));
     for (i, v) in vertices.enumerate() {
         edges.extend(adj[v].iter().filter_map(|&e| column(e)));
         let kept = edges.len() - row_ptr[i];

@@ -7,6 +7,7 @@ use ahntp_hypergraph::{
 };
 use ahntp_tensor::{CsrMatrix, SplitMix64, Tensor};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 const N: usize = 12;
 
@@ -223,6 +224,94 @@ fn arb_digraph() -> impl Strategy<Value = DiGraph> {
     })
 }
 
+/// A hypergraph for the cone walks: random hyperedges that often leave
+/// vertices isolated, or the same over a path through every vertex, whose
+/// diameter `N − 1` the hop counts reach past.
+fn arb_cone_hypergraph() -> impl Strategy<Value = Hypergraph> {
+    let edges =
+        || proptest::collection::vec(proptest::collection::btree_set(0usize..N, 1..6), 0..10);
+    prop_oneof![
+        1 => edges().prop_map(|sets| (false, sets)),
+        1 => edges().prop_map(|sets| (true, sets)),
+    ]
+    .prop_map(|(path, sets)| {
+        let mut h = Hypergraph::new(N);
+        if path {
+            for v in 1..N {
+                h.add_edge(&[v - 1, v]).expect("in range");
+            }
+        }
+        for members in sets {
+            let v: Vec<usize> = members.into_iter().collect();
+            h.add_edge(&v).expect("members in range by construction");
+        }
+        h
+    })
+}
+
+/// One hop of the reference walk: every hyperedge with a member in `set`,
+/// ascending, and `set` grown by their members. No frontier, no marker
+/// over edges.
+fn naive_hop(h: &Hypergraph, set: &BTreeSet<usize>) -> (Vec<usize>, BTreeSet<usize>) {
+    let mut next = set.clone();
+    let mut edges = Vec::new();
+    for (e, members) in h.edges().iter().enumerate() {
+        if members.iter().any(|v| set.contains(v)) {
+            edges.push(e);
+            next.extend(members.iter().copied());
+        }
+    }
+    (edges, next)
+}
+
+#[test]
+fn cone_walks_match_a_naive_bfs() {
+    // Seeds repeat, and the hop counts run past the path's diameter.
+    let cases = (
+        arb_cone_hypergraph(),
+        proptest::collection::vec(0usize..N, 0..5),
+        0usize..N + 3,
+    );
+    let mut rng = proptest::TestRng::from_label("cone_walks_match_a_naive_bfs");
+    let (mut full_early, mut never_full) = (0, 0);
+    for case in 0..256 {
+        let (h, seeds, hops) = cases.generate(&mut rng);
+        let cache = AggregationCache::new(h.clone());
+        let mut set: BTreeSet<usize> = seeds.iter().copied().collect();
+        let (edges, next) = naive_hop(&h, &set);
+        let want = (edges, next.into_iter().collect::<Vec<_>>());
+        assert_eq!(cache.hop(&seeds), want, "case {case}: hop from {seeds:?}");
+        let mut full_at = (set.len() == N).then_some(0);
+        for hop in 1..=hops {
+            let (edges, next) = naive_hop(&h, &set);
+            let rows: Vec<usize> = set.iter().copied().collect();
+            let want = (edges, next.iter().copied().collect::<Vec<_>>());
+            assert_eq!(cache.hop(&rows), want, "case {case}: hop from {rows:?}");
+            assert_eq!(cache.incident_edges(&rows), want.0, "case {case}");
+            set = next;
+            if set.len() == N && full_at.is_none() {
+                full_at = Some(hop);
+            }
+        }
+        let want: Vec<usize> = set.into_iter().collect();
+        assert_eq!(
+            cache.closure(&seeds, hops),
+            want,
+            "case {case}: {hops} hops from {seeds:?}"
+        );
+        match full_at {
+            Some(k) if k < hops => full_early += 1,
+            None => never_full += 1,
+            Some(_) => {}
+        }
+    }
+    // Both sides of the early exit are exercised, so neither is vacuous.
+    assert!(
+        full_early > 0 && never_full > 0,
+        "{full_early} cones full early, {never_full} never full"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -283,28 +372,6 @@ proptest! {
         }
         let inc = h.incidence();
         prop_assert!(pairs.iter().all(|&(v, e)| inc.get(v, e) == 1.0));
-    }
-
-    #[test]
-    fn closure_matches_a_naive_bfs(
-        h in arb_hypergraph(),
-        seeds in proptest::collection::vec(0usize..N, 0..4),
-        hops in 0usize..4,
-    ) {
-        // The reference expands every hyperedge that touches the set, once
-        // per hop, with no frontier and no marker over edges.
-        let mut set: std::collections::BTreeSet<usize> = seeds.iter().copied().collect();
-        for _ in 0..hops {
-            let mut next = set.clone();
-            for members in h.edges() {
-                if members.iter().any(|v| set.contains(v)) {
-                    next.extend(members.iter().copied());
-                }
-            }
-            set = next;
-        }
-        let cache = AggregationCache::new(h);
-        prop_assert_eq!(cache.closure(&seeds, hops), set.into_iter().collect::<Vec<_>>());
     }
 
     #[test]
