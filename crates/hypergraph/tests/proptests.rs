@@ -375,6 +375,22 @@ proptest! {
     }
 
     #[test]
+    fn closure_matches_a_naive_bfs(
+        h in arb_hypergraph(),
+        seeds in proptest::collection::vec(0usize..N, 0..4),
+        hops in 0usize..4,
+    ) {
+        // The reference expands every hyperedge that touches the set, once
+        // per hop, with no frontier and no marker over edges.
+        let mut set: BTreeSet<usize> = seeds.iter().copied().collect();
+        for _ in 0..hops {
+            set = naive_hop(&h, &set).1;
+        }
+        let cache = AggregationCache::new(h);
+        prop_assert_eq!(cache.closure(&seeds, hops), set.into_iter().collect::<Vec<_>>());
+    }
+
+    #[test]
     fn concat_preserves_edge_multiset(h1 in arb_hypergraph(), h2 in arb_hypergraph()) {
         let c = Hypergraph::concat(&[&h1, &h2]);
         prop_assert_eq!(c.n_edges(), h1.n_edges() + h2.n_edges());
