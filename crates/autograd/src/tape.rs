@@ -1266,15 +1266,11 @@ mod tests {
             .map(|p| ga.cosine_rows(p, &gb, p).to_bits())
             .collect();
         assert!(want.contains(&0), "a pair meets a zero row");
-        for threads in [1, 4] {
-            let got = ahntp_par::with_pool(threads, 0, || {
-                let g = Graph::new();
-                let (av, bv) = (g.leaf(a.clone()), g.leaf(b.clone()));
-                g.pair_cosine(&av, &bv, &ia, &ib).value()
-            });
-            let got: Vec<u32> = got.as_slice().iter().map(|v| v.to_bits()).collect();
-            assert_eq!(got, want, "at {threads} threads");
-        }
+        let g = Graph::new();
+        let (av, bv) = (g.leaf(a.clone()), g.leaf(b.clone()));
+        let got = g.pair_cosine(&av, &bv, &ia, &ib).value();
+        let got: Vec<u32> = got.as_slice().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(got, want);
     }
 
     #[test]
@@ -1318,17 +1314,14 @@ mod tests {
                 .iter_mut()
                 .for_each(|v| *v = -3.0e7 * *v + 1.0);
         }
-        for threads in [1, 4] {
-            for h in [&h, &other] {
-                let got = ahntp_par::with_pool(threads, 0, || {
-                    let g = Graph::new();
-                    let leaves = [&x, h, &beta].map(|t| g.leaf(t.clone()));
-                    g.pair_scores(&leaves[0], &leaves[1], &leaves[2], &p)
-                        .value()
-                });
-                let got: Vec<u32> = got.as_slice().iter().map(|v| v.to_bits()).collect();
-                assert_eq!(got, want, "at {threads} threads");
-            }
+        for h in [&h, &other] {
+            let g = Graph::new();
+            let leaves = [&x, h, &beta].map(|t| g.leaf(t.clone()));
+            let got = g
+                .pair_scores(&leaves[0], &leaves[1], &leaves[2], &p)
+                .value();
+            let got: Vec<u32> = got.as_slice().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want);
         }
     }
 

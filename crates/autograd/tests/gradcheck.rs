@@ -358,27 +358,22 @@ fn pair_scores_matches_the_composed_ops_within_rounding() {
             );
             out
         };
-        for threads in [1, 4] {
-            // Threshold 0: every gated kernel of the composed path forks.
-            let (a, b) =
-                ahntp_par::with_pool(threads, 0, || (run(fused), run(composed_pair_scores)));
-            for (k, (a, b)) in a.iter().zip(&b).enumerate() {
-                let what = if k == 0 { "scores" } else { "a leaf gradient" };
-                assert_eq!(a.shape(), b.shape(), "{what} {k}: shape");
-                let worst = a
-                    .as_slice()
-                    .iter()
-                    .zip(b.as_slice())
-                    .fold(0.0f32, |m, (x, y)| m.max((x - y).abs()));
-                assert!(
-                    worst <= PAIR_SCORES_TOL * max_abs(b),
-                    "{what} {k} of a {}×{} pattern is {worst} off the composed ops \
-                     (max-norm {}) at {threads} threads",
-                    p.rows(),
-                    p.cols(),
-                    max_abs(b)
-                );
-            }
+        let (a, b) = (run(fused), run(composed_pair_scores));
+        for (k, (a, b)) in a.iter().zip(&b).enumerate() {
+            let what = if k == 0 { "scores" } else { "a leaf gradient" };
+            assert_eq!(a.shape(), b.shape(), "{what} {k}: shape");
+            let worst = a
+                .as_slice()
+                .iter()
+                .zip(b.as_slice())
+                .fold(0.0f32, |m, (x, y)| m.max((x - y).abs()));
+            assert!(
+                worst <= PAIR_SCORES_TOL * max_abs(b),
+                "{what} {k} of a {}×{} pattern is {worst} off the composed ops (max-norm {})",
+                p.rows(),
+                p.cols(),
+                max_abs(b)
+            );
         }
     }
 }

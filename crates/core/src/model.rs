@@ -184,10 +184,10 @@ impl ConvStack {
 /// full-batch through [`TrustModel::train_epoch`] or planned mini-batches
 /// through [`BatchTrustModel::train_epoch_planned`]. Two invariants hold:
 /// the full-batch epoch *is* the identity plan of the mini-batch path, so
-/// the two agree bitwise at compute threads {1, 4}; and every objective is
-/// one function of one embedding — one embedding forward, one pass per
-/// tower, one Eq. 23 term and one backward per accumulation group, shared
-/// by every micro-batch's trust head.
+/// the two agree bitwise; and every objective is one function of one
+/// embedding — one embedding forward, one pass per tower, one Eq. 23 term
+/// and one backward per accumulation group, shared by every micro-batch's
+/// trust head.
 pub struct Ahntp {
     cfg: AhntpConfig,
     features: Tensor,
@@ -1087,8 +1087,8 @@ impl BatchTrustModel for Ahntp {
     /// the full-batch epoch: the caches return the full operators and the
     /// one batch's `L + R` is backpropagated unscaled.
     /// `minibatch_exactness` holds the two entry points to bitwise-equal
-    /// trajectories at compute threads {1, 4}. Each accumulation group
-    /// builds its embedding and runs each tower once, on one tape, then
+    /// trajectories. Each accumulation group builds its embedding and runs
+    /// each tower once, on one tape, then
     /// one objective — every micro-batch's trust objective, weighted,
     /// plus the Eq. 23 term once — and one backward
     /// (`Ahntp::group_gradient`), then one optimizer step. For groups of

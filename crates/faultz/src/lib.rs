@@ -28,8 +28,8 @@
 //! `train.epoch` faults its own training run, not the sibling test's on the
 //! next thread. A scope is *inherited*, never configured, and not on its
 //! own: it rides inside `ahntp_par::Context`, the one value captured where
-//! work goes to another thread (`ahntp-par` pool tasks; every thread of an
-//! `ahntp-serve` server) together with the telemetry context, so the
+//! work goes to another thread (every thread of an `ahntp-serve` server)
+//! together with the telemetry context, so the
 //! counters a triggered fault moves are its own context's too. Both sides
 //! share one scope, so a server sees what its starter arms *later*.
 //! [`Scope::capture`] / [`Scope::run`] are the halves `Context` is built from.

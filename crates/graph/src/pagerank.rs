@@ -60,10 +60,9 @@ impl Default for MotifPageRankConfig {
 /// dangling mass. Uniform `t` is Brin–Page PageRank, `t` uniform over a
 /// seed set personalized PageRank.
 ///
-/// `Pᵀ` is formed once, so each step's product runs through the
-/// row-banded [`CsrMatrix::mul_vec`]: every output entry is one serial
-/// dot over the rows of `P` in order, the sum a scatter through `P` would
-/// take, so the result is bitwise identical at every `AHNTP_THREADS`.
+/// `Pᵀ` is formed once, so each step's product runs through
+/// [`CsrMatrix::mul_vec`]: every output entry is one dot over the rows of
+/// `P` in order, the sum a scatter through `P` would take.
 pub(crate) fn power_iteration(
     w: &CsrMatrix<f64>,
     teleport: &[f64],

@@ -10,7 +10,7 @@
 //! the oracle in `tests/backend_exactness.rs`.
 //!
 //! The walk runs on the calling thread, and every tie-break is a total
-//! order, so the output is bitwise identical at every thread count.
+//! order, so the output is the same bits on every run.
 
 use ahntp_nn::Rows;
 

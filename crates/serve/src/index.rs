@@ -18,10 +18,7 @@
 //! that only scores pairs never groups. An ungrouped index answers the
 //! same, bitwise, by scoring every candidate.
 //!
-//! Big batches are split across the `ahntp-par` worker pool: each pair is
-//! scored by exactly one task with banding-invariant arithmetic, so
-//! results are bitwise identical to serial execution at any thread count.
-//! The top-k walk runs on the calling thread.
+//! A batch and the top-k walk both run on the calling thread.
 //!
 //! # Top-k tie-break
 //!
@@ -100,17 +97,6 @@ impl DefensePrior {
             return Err(format!("defense prior[{i}] = {v} outside [0, 1]"));
         }
         Ok(DefensePrior { alpha, trust })
-    }
-
-    /// [`DefensePrior::new`] with the blend weight taken from the
-    /// `AHNTP_PPR_ALPHA` environment knob (default `0.3`; malformed
-    /// values warn and fall back, matching every other env knob).
-    ///
-    /// # Errors
-    ///
-    /// As [`DefensePrior::new`].
-    pub fn from_env(trust: Vec<f32>) -> Result<DefensePrior, String> {
-        DefensePrior::new(ahntp_telemetry::env_parse("AHNTP_PPR_ALPHA", 0.3f32), trust)
     }
 
     /// The blend weight on the prior.
@@ -383,29 +369,10 @@ impl TrustIndex {
             self.check(u)?;
             self.check(v)?;
         }
-        let mut out = vec![0.0f32; pairs.len()];
-        ahntp_par::par_rows(
-            &mut out,
-            1,
-            2 * pairs.len() * self.head_dim(),
-            "serve.score_pairs.par_calls",
-            |off, band| {
-                for (&(u, v), o) in pairs[off..off + band.len()].iter().zip(band) {
-                    *o = self.heads.dot(u, v);
-                }
-            },
-        );
-        for v in &mut out {
-            *v = self.calibrated(*v);
-        }
-        if let Some(d) = &self.defense {
-            // The blend is per-element and runs after the (possibly
-            // banded) dot batch, so thread-invariance is untouched.
-            for (&(_, trustee), v) in pairs.iter().zip(&mut out) {
-                *v = d.blend(trustee, *v);
-            }
-        }
-        Ok(out)
+        Ok(pairs
+            .iter()
+            .map(|&(u, v)| self.defended_score(v, self.calibrated(self.heads.dot(u, v))))
+            .collect())
     }
 
     /// The `k` most-trusted candidate trustees for `trustor` (excluding
@@ -1079,44 +1046,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn parallel_scoring_is_bitwise_identical_to_serial_for_every_backend() {
-        let artifact = wide_artifact(41); // ragged over every band size below
-        let pairs: Vec<(usize, usize)> = (0..37).map(|i| (i % 41, (i * 7 + 3) % 41)).collect();
-        // Batch scores and every user's top-5 as bits, with the banded
-        // path forced (threshold 0) — index construction included.
-        let surface_at = |t: usize| -> (Vec<u32>, Vec<Vec<(usize, u32)>>) {
-            ahntp_par::with_pool(t, 0, || {
-                let index = TrustIndex::from_artifact(artifact.clone()).unwrap();
-                let scores = index
-                    .score_pairs(&pairs)
-                    .unwrap()
-                    .iter()
-                    .map(|s| s.to_bits())
-                    .collect();
-                let topk = (0..41)
-                    .map(|u| {
-                        index
-                            .top_k_trustees(u, 5)
-                            .unwrap()
-                            .into_iter()
-                            .map(|(v, s)| (v, s.to_bits()))
-                            .collect()
-                    })
-                    .collect();
-                (scores, topk)
-            })
-        };
-        let (scores_serial, topk_serial) = surface_at(1);
-        for t in [2usize, 7] {
-            let (scores, topk) = surface_at(t);
-            assert_eq!(scores_serial, scores, "score_pairs at {t} threads");
-            for (u, (want, got)) in topk_serial.iter().zip(&topk).enumerate() {
-                assert_eq!(want, got, "top_k_trustees({u}) at {t} threads");
-            }
-        }
-    }
-
     /// The `RwLock` is all that stands between live updates and torn reads:
     /// readers score while one thread hot-swaps between two snapshots and
     /// another patches every row over to one or the other, and each answer
@@ -1157,33 +1086,24 @@ mod tests {
             "the snapshots must score differently"
         );
 
-        for threads in [1usize, 4] {
-            // Threshold 0: at 4 threads every read is banded over the pool
-            // while its submitter holds the read guard.
-            ahntp_par::with_pool(threads, 0, || {
-                let shared = SharedIndex::new(snapshots[0].clone());
-                let stop = AtomicBool::new(false);
-                let until_stopped = |write: &dyn Fn(usize)| {
-                    (0..).take_while(|_| !stop.load(Relaxed)).for_each(write)
-                };
-                std::thread::scope(|s| {
-                    for _ in 0..threads {
-                        s.spawn(|| {
-                            until_stopped(&|_| {
-                                let got = answer(&shared.read());
-                                assert!(answers.contains(&got), "torn read: {got:08x?}");
-                            })
-                        });
-                    }
-                    s.spawn(|| until_stopped(&|i| shared.swap(snapshots[i % 2].clone()).unwrap()));
-                    s.spawn(|| {
-                        until_stopped(&|i| shared.apply_head_patch(&patches[i % 2]).unwrap())
-                    });
-                    std::thread::sleep(std::time::Duration::from_millis(400));
-                    stop.store(true, Relaxed);
+        let shared = SharedIndex::new(snapshots[0].clone());
+        let stop = AtomicBool::new(false);
+        let until_stopped =
+            |write: &dyn Fn(usize)| (0..).take_while(|_| !stop.load(Relaxed)).for_each(write);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    until_stopped(&|_| {
+                        let got = answer(&shared.read());
+                        assert!(answers.contains(&got), "torn read: {got:08x?}");
+                    })
                 });
-            });
-        }
+            }
+            s.spawn(|| until_stopped(&|i| shared.swap(snapshots[i % 2].clone()).unwrap()));
+            s.spawn(|| until_stopped(&|i| shared.apply_head_patch(&patches[i % 2]).unwrap()));
+            std::thread::sleep(std::time::Duration::from_millis(400));
+            stop.store(true, Relaxed);
+        });
     }
 
     /// The trustee head is held once: building from an owned artifact

@@ -124,18 +124,11 @@
 //!
 //! # Threads
 //!
-//! The batch dot is data-parallel: one band closure run through
-//! `ahntp_par::par_rows`, which either bands it over the process-wide
-//! worker pool once the work is large enough (`serve.score_pairs.par_calls`
-//! counts those dispatches) or calls it once over the whole batch. The
-//! top-k walk runs on the thread that asked for it. The pool is sized by
-//! the `AHNTP_THREADS` environment variable (unset or `0` = one thread
-//! per core, `1` = plain serial execution) and by nothing else — the pool
-//! is process-wide, so a server does not resize it. Banding never
-//! reorders the per-score arithmetic, so responses are bitwise identical
-//! at every thread count. The HTTP side is sized by
-//! [`ServeConfig::workers`]; the idle-connection read timeout is a
-//! constant.
+//! Scoring runs on the thread that asked for it: `score_pairs` is one loop
+//! over the batch and the top-k walk one scan, with no worker pool under
+//! either, so a response is the same bits whichever thread computes it.
+//! The HTTP side is sized by [`ServeConfig::workers`]; the
+//! idle-connection read timeout is a constant.
 //!
 //! ```no_run
 //! use ahntp_serve::{serve, ServeConfig, TrustIndex};

@@ -98,8 +98,7 @@ pub struct ServeConfig {
     /// serve `(1 − α) · learned + α · prior[trustee]` blended scores, and
     /// `/healthz` advertises `defended: true` plus the alpha. `None` (the
     /// default) serves raw learned scores. Build one with
-    /// [`crate::DefensePrior::from_env`] to pick the alpha up from
-    /// `AHNTP_PPR_ALPHA`.
+    /// [`crate::DefensePrior::new`], which takes the alpha explicitly.
     pub defense: Option<crate::index::DefensePrior>,
 }
 

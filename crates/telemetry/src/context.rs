@@ -31,7 +31,7 @@ pub(crate) const PROFILE: u32 = 4;
 
 // The counts are gates, not data: every access is `Relaxed`. A thread that
 // inherits a context synchronises with whoever switched it on through the
-// hand-off itself (thread spawn, the pool's queue mutex), and a stale
+// hand-off itself (thread spawn), and a stale
 // non-zero read only costs the thread-local lookup that finds the truth.
 /// Held in both counts until [`root`] has read the environment.
 const ROOT_UNBUILT: usize = 1 << (usize::BITS - 1);

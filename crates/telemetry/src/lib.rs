@@ -14,7 +14,7 @@
 //! profile accumulators are the state of a *context*; every free function
 //! below acts on the calling thread's context: the process's one **root**
 //! context (configured by the environment) unless the thread runs inside a
-//! [`Scope`]. A context is inherited, never configured — `ahntp-par`
+//! [`Scope`]. A context is inherited, never configured — `ahntp_par::Context`
 //! carries the scope across every thread hand-off in the workspace — so a
 //! server's `/metrics` is its own, and a test that wants exact numbers runs
 //! under a fresh context (`ahntp_par::Context::fresh().run(|| …)`): the
@@ -33,8 +33,8 @@
 //! * **Tracing & profiling** ([`KernelSpan`], [`trace_instant`],
 //!   [`chrome_trace_json`], [`profile_snapshot`]): hierarchical spans with
 //!   thread-local parent/child stacks and self-vs-child time, per-request
-//!   trace-id propagation (including across the `ahntp-par` pool, inside
-//!   the captured [`Scope`]), Chrome trace-event export
+//!   trace-id propagation (including across thread hand-offs, inside the
+//!   captured [`Scope`]), Chrome trace-event export
 //!   (`AHNTP_TRACE_OUT=trace.json`, Perfetto-loadable), and a per-kernel
 //!   profiler (`AHNTP_PROFILE=1`) whose self-time accounting telescopes so
 //!   per-kernel µs always sum to ≤ the enclosing wall-clock.

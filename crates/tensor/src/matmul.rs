@@ -2,15 +2,13 @@
 //!
 //! # One kernel
 //!
-//! `matmul`, `t_matmul` and `matmul_t` all run `product_rows`, handed to
-//! `ahntp_par::par_rows` with the product's FLOP count: the pool splits the
-//! output rows into bands or calls it once over the whole output, so serial
-//! and parallel are the same loop. The right operand is always `k×n`
+//! `matmul`, `t_matmul` and `matmul_t` all run `product_rows` over the
+//! whole output, on the calling thread. The right operand is always `k×n`
 //! row-major — `matmul_t` packs `Bᵀ` once per call, `n·k` copies against
 //! `m·n·k` multiply-adds — and the left one is read where it lies, by rows
 //! or, for `t_matmul`, by columns (`Left`).
 //!
-//! A band is walked in `MR×W` output tiles whose accumulators stay in
+//! The output is walked in `MR×W` output tiles whose accumulators stay in
 //! locals across the whole `k` range: a `k` step loads one tile row of `b`
 //! and `MR` scalars of `a` and stores nothing, where a row-at-a-time
 //! `i-k-j` loop reloads and stores the output row at every step.
@@ -24,11 +22,11 @@
 //! - the wide one, `W = 32`, inside `product_rows_avx512`, which enables
 //!   `avx512f` for itself alone, so LLVM holds a 4×32 tile in eight 16-lane
 //!   registers. Everything it calls is `#[inline(always)]`, so the whole
-//!   band is compiled into it, with its features.
+//!   kernel is compiled into it, with its features.
 //!
 //! `product` asks the CPU once per call (`is_x86_feature_detected!`, which
-//! `std` caches) and hands `par_rows` the wide band when the CPU has
-//! AVX-512F, the baseline otherwise. Calling the wide band is this crate's
+//! `std` caches) and runs the wide kernel when the CPU has AVX-512F, the
+//! baseline otherwise. Calling the wide kernel is this crate's
 //! one `unsafe` block. There are no intrinsics and no second algorithm:
 //! the lane count is the only difference, so the bits are the same (below),
 //! and a CPU without the feature runs the baseline unchanged.
@@ -36,11 +34,10 @@
 //! # Bits
 //!
 //! Every output element starts from `+0.0` and adds `a·b` for `k` ascending
-//! — one rounded multiply, one rounded add — whatever tile, instantiation
-//! or band it falls in, so results are bitwise identical at any thread
-//! count, on either instantiation, and to the scalar loops in
-//! `tests/par_determinism.rs`. Hence no `mul_add`: a fused multiply-add
-//! rounds once and changes bits.
+//! — one rounded multiply, one rounded add — whatever tile or
+//! instantiation it falls in, so results are bitwise identical on either
+//! instantiation and to the scalar loops in `tests/kernel_references.rs`.
+//! Hence no `mul_add`: a fused multiply-add rounds once and changes bits.
 //!
 //! Nor is there an `a == 0.0` skip, and for finite `b` none is observable:
 //! an accumulator that starts at `+0.0` never holds `-0.0` under
@@ -84,9 +81,9 @@ const MR: usize = 4;
 /// Tile width of the baseline instantiation.
 const NR: usize = 8;
 
-/// One band of a product as `par_rows` runs it: `product_rows`'s
-/// arguments, `(left, b, k, n, row0, out_band)`.
-type Band = fn(Left, &[f32], usize, usize, usize, &mut [f32]);
+/// One instantiation of the product kernel: `product_rows`'s arguments,
+/// `(left, b, k, n, out)`.
+type Kernel = fn(Left, &[f32], usize, usize, &mut [f32]);
 
 /// The left operand `A` of `A @ B`, as stored.
 #[derive(Clone, Copy)]
@@ -181,78 +178,60 @@ fn strip<const R: usize, const W: usize>(
     }
 }
 
-/// The band kernel of all three products at tile width `W`: fills output
-/// rows `row0..` of `A @ B` with `b` the `k×n` row-major right operand.
-/// Only reached through `par_rows`, so `out_band` is whole rows and never
-/// empty.
+/// The kernel of all three products at tile width `W`: fills `out`, the
+/// `m×n` product `A @ B`, with `b` the `k×n` row-major right operand.
 #[inline(always)]
-fn product_rows<const W: usize>(
-    left: Left,
-    b: &[f32],
-    k: usize,
-    n: usize,
-    row0: usize,
-    out_band: &mut [f32],
-) {
-    let rows = out_band.len() / n;
+fn product_rows<const W: usize>(left: Left, b: &[f32], k: usize, n: usize, out: &mut [f32]) {
+    let rows = out.len().checked_div(n).unwrap_or(0);
     let mut i = 0;
     while i < rows {
-        let out = &mut out_band[i * n..];
+        let out = &mut out[i * n..];
         // One output column has no width to vectorise over; eight rows at a
         // time keep eight independent add chains in flight instead.
         i += if n == 1 && rows - i >= 8 {
-            tile::<8, 1>(left, row0 + i, 0, b, n, k, out);
+            tile::<8, 1>(left, i, 0, b, n, k, out);
             8
         } else if rows - i >= MR {
-            strip::<MR, W>(left, row0 + i, b, n, k, out);
+            strip::<MR, W>(left, i, b, n, k, out);
             MR
         } else {
-            strip::<1, W>(left, row0 + i, b, n, k, out);
+            strip::<1, W>(left, i, b, n, k, out);
             1
         };
     }
 }
 
 /// `product_rows` with 4×32 tiles, compiled with AVX-512F enabled so that
-/// the same source runs on 16-lane registers. Only `wide_band` calls it,
+/// the same source runs on 16-lane registers. Only `wide_kernel` calls it,
 /// after checking the CPU.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-fn product_rows_avx512(
-    left: Left,
-    b: &[f32],
-    k: usize,
-    n: usize,
-    row0: usize,
-    out_band: &mut [f32],
-) {
-    product_rows::<32>(left, b, k, n, row0, out_band)
+fn product_rows_avx512(left: Left, b: &[f32], k: usize, n: usize, out: &mut [f32]) {
+    product_rows::<32>(left, b, k, n, out)
 }
 
-/// The wide band, if this CPU can run it.
+/// The wide kernel, if this CPU can run it.
 #[allow(unsafe_code)]
-fn wide_band() -> Option<Band> {
+fn wide_kernel() -> Option<Kernel> {
     #[cfg(target_arch = "x86_64")]
     if std::is_x86_feature_detected!("avx512f") {
-        let band: Band = |left, b, k, n, row0, out_band| {
+        let kernel: Kernel = |left, b, k, n, out| {
             // SAFETY: `product_rows_avx512` needs AVX-512F and nothing
-            // else, and this band is only returned once the check above
+            // else, and this kernel is only returned once the check above
             // has found it on this CPU.
-            unsafe { product_rows_avx512(left, b, k, n, row0, out_band) }
+            unsafe { product_rows_avx512(left, b, k, n, out) }
         };
-        return Some(band);
+        return Some(kernel);
     }
     None
 }
 
 /// Allocates the `m×n` output and fills it with `A @ B` through the widest
-/// band this CPU runs, banded across the pool when the work is worth it.
-fn product(par_calls: &str, left: Left, b: &[f32], (m, n, k): (usize, usize, usize)) -> Vec<f32> {
-    let band = wide_band().unwrap_or(product_rows::<NR>);
+/// kernel this CPU runs.
+fn product(left: Left, b: &[f32], (m, n, k): (usize, usize, usize)) -> Vec<f32> {
+    let kernel = wide_kernel().unwrap_or(product_rows::<NR>);
     let mut out = vec![0.0f32; m * n];
-    ahntp_par::par_rows(&mut out, n, 2 * m * n * k, par_calls, |row0, out_band| {
-        band(left, b, k, n, row0, out_band)
-    });
+    kernel(left, b, k, n, &mut out);
     out
 }
 
@@ -262,10 +241,9 @@ impl Tensor {
     /// Vectors are promoted to matrices in the only way that makes the
     /// product well-formed (`[n]` on the left acts as `1 x n`; on the right
     /// as `n x 1`), and the result is demoted back to a vector when one side
-    /// was a vector. Runs the register-tiled kernel of the module docs;
-    /// large products are row-partitioned across the worker pool with
-    /// bitwise-identical results. A zero in `self` does not mask a
-    /// non-finite value in `other`: `0·inf` is `NaN`.
+    /// was a vector. Runs the register-tiled kernel of the module docs. A
+    /// zero in `self` does not mask a non-finite value in `other`: `0·inf`
+    /// is `NaN`.
     ///
     /// # Panics
     ///
@@ -288,7 +266,7 @@ impl Tensor {
         record_matmul(None, m, n, k, 0);
         let _k = KernelSpan::enter("tensor.matmul", KernelKind::Matmul);
         let left = Left::Rows(&self.data);
-        let out = product("tensor.matmul.par_calls", left, &other.data, (m, n, k));
+        let out = product(left, &other.data, (m, n, k));
         let shape = match (self.shape(), other.shape()) {
             (Shape::Vector(_), Shape::Matrix(_, c)) => Shape::Vector(c),
             (Shape::Matrix(r, _), Shape::Vector(_)) => Shape::Vector(r),
@@ -314,7 +292,7 @@ impl Tensor {
         record_matmul(Some("tensor.t_matmul.calls"), m, n, k1, 0);
         let _k = KernelSpan::enter("tensor.t_matmul", KernelKind::Matmul);
         let left = Left::Cols(&self.data, m);
-        let out = product("tensor.t_matmul.par_calls", left, &other.data, (m, n, k1));
+        let out = product(left, &other.data, (m, n, k1));
         Tensor {
             data: out,
             shape: Shape::Matrix(m, n),
@@ -339,7 +317,7 @@ impl Tensor {
         let _k = KernelSpan::enter("tensor.matmul_t", KernelKind::Matmul);
         let left = Left::Rows(&self.data);
         let bt = other.transpose();
-        let out = product("tensor.matmul_t.par_calls", left, &bt.data, (m, n, k1));
+        let out = product(left, &bt.data, (m, n, k1));
         Tensor {
             data: out,
             shape: Shape::Matrix(m, n),
@@ -451,7 +429,7 @@ mod tests {
         assert!(a.matmul_t(&b.transpose()).get(0, 0).is_nan(), "matmul_t");
     }
 
-    /// `len` values of the mix `tests/par_determinism.rs` feeds the dense
+    /// `len` values of the mix `tests/kernel_references.rs` feeds the dense
     /// products: both zeros, subnormals, and magnitudes whose products and
     /// sums overflow to `inf` and on to `NaN`.
     fn edgy(len: usize, salt: u32) -> Vec<f32> {
@@ -473,7 +451,7 @@ mod tests {
 
     #[test]
     fn the_wide_instantiation_is_bitwise_the_baseline() {
-        let Some(wide) = wide_band() else {
+        let Some(wide) = wide_kernel() else {
             // Written past the harness's output capture, so that a run on a
             // CPU without AVX-512F says this test compared nothing.
             let note = "matmul: no avx512f on this CPU; the wide instantiation was not exercised\n";
@@ -488,9 +466,9 @@ mod tests {
                 for k in [0, 1, 17, 64] {
                     let (a, b) = (edgy(m * k, 41), edgy(k * n, 42));
                     for (layout, left) in [("rows", Left::Rows(&a)), ("cols", Left::Cols(&a, m))] {
-                        let bits = |band: Band| -> Vec<u32> {
+                        let bits = |kernel: Kernel| -> Vec<u32> {
                             let mut out = vec![0.0f32; m * n];
-                            band(left, &b, k, n, 0, &mut out);
+                            kernel(left, &b, k, n, &mut out);
                             out.iter().map(|v| v.to_bits()).collect()
                         };
                         assert_eq!(

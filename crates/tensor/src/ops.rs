@@ -1,14 +1,5 @@
-//! Element-wise arithmetic and broadcasting.
-//!
-//! # Threads
-//!
-//! Each element-wise kernel is one band closure handed to
-//! `ahntp_par::par_rows` with its element count as the work estimate: the
-//! pool either splits the output into bands or calls the closure once over
-//! all of it, so there is no separate serial loop. Every element is written
-//! by exactly one band with the same per-element expression, so results are
-//! bitwise identical at any thread count. Closures therefore need `Sync`;
-//! every mapper in this codebase is a pure function, so the bound is free.
+//! Element-wise arithmetic and broadcasting. Each kernel is one loop over
+//! the output on the calling thread.
 
 use crate::{Shape, Tensor};
 use ahntp_telemetry::{KernelKind, KernelSpan};
@@ -26,35 +17,28 @@ fn assert_same_shape(op: &str, a: &Tensor, b: &Tensor) {
 
 impl Tensor {
     /// Applies `f` to every element, returning a new tensor.
-    pub fn map(&self, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
+    pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
         let mut out = self.clone();
         out.map_inplace(f);
         out
     }
 
     /// Applies `f` to every element in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32 + Sync) {
+    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
         let _k = KernelSpan::enter("tensor.map", KernelKind::Elementwise);
-        let n = self.data.len();
-        ahntp_par::par_rows(&mut self.data, 1, n, "tensor.map.par_calls", |_, band| {
-            for v in band {
-                *v = f(*v);
-            }
-        });
+        for v in &mut self.data {
+            *v = f(*v);
+        }
     }
 
     /// Element-wise combination of two same-shape tensors.
-    pub fn zip(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync) -> Tensor {
+    pub fn zip(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
         assert_same_shape("zip", self, other);
         let _k = KernelSpan::enter("tensor.zip", KernelKind::Elementwise);
         let mut out = self.clone();
-        let n = out.data.len();
-        let b = &other.data;
-        ahntp_par::par_rows(&mut out.data, 1, n, "tensor.zip.par_calls", |off, band| {
-            for (v, &bv) in band.iter_mut().zip(&b[off..]) {
-                *v = f(*v, bv);
-            }
-        });
+        for (v, &bv) in out.data.iter_mut().zip(&other.data) {
+            *v = f(*v, bv);
+        }
         out
     }
 
@@ -96,19 +80,9 @@ impl Tensor {
     pub fn axpy_inplace(&mut self, alpha: f32, other: &Tensor) {
         assert_same_shape("axpy_inplace", self, other);
         let _k = KernelSpan::enter("tensor.axpy", KernelKind::Elementwise);
-        let n = self.data.len();
-        let b = &other.data;
-        ahntp_par::par_rows(
-            &mut self.data,
-            1,
-            n,
-            "tensor.axpy.par_calls",
-            |off, band| {
-                for (a, &bv) in band.iter_mut().zip(&b[off..]) {
-                    *a += alpha * bv;
-                }
-            },
-        );
+        for (a, &bv) in self.data.iter_mut().zip(&other.data) {
+            *a += alpha * bv;
+        }
     }
 
     /// Adds `row` (a vector of length `cols`) to every row of `self`.
@@ -122,21 +96,12 @@ impl Tensor {
         );
         let _k = KernelSpan::enter("tensor.add_row_broadcast", KernelKind::Elementwise);
         let mut out = self.clone();
-        let (cols, n) = (self.cols(), out.data.len());
-        let bias = &row.data;
-        ahntp_par::par_rows(
-            &mut out.data,
-            cols,
-            n,
-            "tensor.add_row_broadcast.par_calls",
-            |_, band| {
-                for band_row in band.chunks_mut(cols) {
-                    for (v, &b) in band_row.iter_mut().zip(bias) {
-                        *v += b;
-                    }
-                }
-            },
-        );
+        // A zero-column tensor has no data, so any chunk length walks no rows.
+        for out_row in out.data.chunks_mut(self.cols().max(1)) {
+            for (v, &b) in out_row.iter_mut().zip(&row.data) {
+                *v += b;
+            }
+        }
         out
     }
 
@@ -151,21 +116,12 @@ impl Tensor {
         );
         let _k = KernelSpan::enter("tensor.scale_rows", KernelKind::Elementwise);
         let mut out = self.clone();
-        let (cols, n) = (self.cols(), out.data.len());
-        let scales = &col.data;
-        ahntp_par::par_rows(
-            &mut out.data,
-            cols,
-            n,
-            "tensor.scale_rows.par_calls",
-            |row0, band| {
-                for (band_row, &s) in band.chunks_mut(cols).zip(&scales[row0..]) {
-                    for v in band_row {
-                        *v *= s;
-                    }
-                }
-            },
-        );
+        // As in `add_row_broadcast`: no columns, no data, no rows walked.
+        for (out_row, &s) in out.data.chunks_mut(self.cols().max(1)).zip(&col.data) {
+            for v in out_row {
+                *v *= s;
+            }
+        }
         out
     }
 

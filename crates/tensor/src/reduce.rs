@@ -1,13 +1,9 @@
 //! Reductions, norms, and row-wise softmax.
 //!
 //! Row-wise reductions (`row_sums`, `row_norms`, `softmax_rows`,
-//! `normalize_rows`) are one band closure each, run through
-//! `ahntp_par::par_rows`: every row is reduced by exactly one band in the
-//! same element order, so results are bitwise identical at any thread
-//! count (one thread is the closure called once). Whole-tensor scalar
-//! reductions (`sum`, `mean`, `frobenius_norm`, `col_sums`, …) stay serial
-//! on purpose — splitting them would change the accumulation order and
-//! therefore the rounding.
+//! `normalize_rows`) reduce each row in element order; whole-tensor
+//! reductions (`sum`, `mean`, `frobenius_norm`, `col_sums`, …) accumulate
+//! in storage order. Every kernel is one loop on the calling thread.
 
 use crate::{Shape, Tensor};
 use ahntp_telemetry::{KernelKind, KernelSpan};
@@ -40,21 +36,12 @@ impl Tensor {
     /// Reduces every row to one value with `f`, as a vector of length
     /// `rows`: the loop behind [`Tensor::row_sums`] and
     /// [`Tensor::row_norms`].
-    fn reduce_rows(
-        &self,
-        span: &'static str,
-        par_calls: &str,
-        f: impl Fn(&[f32]) -> f32 + Sync,
-    ) -> Tensor {
+    fn reduce_rows(&self, span: &'static str, f: impl Fn(&[f32]) -> f32) -> Tensor {
         let _k = KernelSpan::enter(span, KernelKind::Reduction);
         let cols = self.cols();
-        let mut out = vec![0.0f32; self.rows()];
-        ahntp_par::par_rows(&mut out, 1, self.data.len(), par_calls, |row0, band| {
-            for (bi, o) in band.iter_mut().enumerate() {
-                let r = row0 + bi;
-                *o = f(&self.data[r * cols..(r + 1) * cols]);
-            }
-        });
+        let out = (0..self.rows())
+            .map(|r| f(&self.data[r * cols..(r + 1) * cols]))
+            .collect();
         Tensor {
             data: out,
             shape: Shape::Vector(self.rows()),
@@ -63,27 +50,17 @@ impl Tensor {
 
     /// Rewrites every row of a copy in place with `f`: the loop behind
     /// [`Tensor::softmax_rows`] and [`Tensor::normalize_rows`].
-    fn map_rows(
-        &self,
-        span: &'static str,
-        par_calls: &str,
-        f: impl Fn(&mut [f32]) + Sync,
-    ) -> Tensor {
+    fn map_rows(&self, span: &'static str, f: impl Fn(&mut [f32])) -> Tensor {
         let _k = KernelSpan::enter(span, KernelKind::Reduction);
-        let cols = self.cols();
         let mut out = self.clone();
-        let work = 2 * out.data.len();
-        ahntp_par::par_rows(&mut out.data, cols, work, par_calls, |_, band| {
-            band.chunks_mut(cols).for_each(&f)
-        });
+        // A zero-column tensor has no data, so any chunk length walks no rows.
+        out.data.chunks_mut(self.cols().max(1)).for_each(f);
         out
     }
 
     /// Per-row sums as a vector of length `rows`.
     pub fn row_sums(&self) -> Tensor {
-        self.reduce_rows("tensor.row_sums", "tensor.row_sums.par_calls", |row| {
-            row.iter().sum()
-        })
+        self.reduce_rows("tensor.row_sums", |row| row.iter().sum())
     }
 
     /// Per-column sums as a vector of length `cols`.
@@ -104,7 +81,7 @@ impl Tensor {
 
     /// Per-row Euclidean norms as a vector of length `rows`.
     pub fn row_norms(&self) -> Tensor {
-        self.reduce_rows("tensor.row_norms", "tensor.row_norms.par_calls", |row| {
+        self.reduce_rows("tensor.row_norms", |row| {
             row.iter().map(|&v| v * v).sum::<f32>().sqrt()
         })
     }
@@ -137,11 +114,7 @@ impl Tensor {
                 }
             }
         };
-        self.map_rows(
-            "tensor.softmax_rows",
-            "tensor.softmax_rows.par_calls",
-            softmax_row,
-        )
+        self.map_rows("tensor.softmax_rows", softmax_row)
     }
 
     /// Rows rescaled to unit L2 norm; zero rows are left untouched.
@@ -154,11 +127,7 @@ impl Tensor {
                 }
             }
         };
-        self.map_rows(
-            "tensor.normalize_rows",
-            "tensor.normalize_rows.par_calls",
-            normalize_row,
-        )
+        self.map_rows("tensor.normalize_rows", normalize_row)
     }
 
     /// Cosine similarity between row `i` of `self` and row `j` of `other`.

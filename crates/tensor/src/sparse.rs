@@ -76,8 +76,6 @@ pub trait Scalar:
     + std::ops::Sub<Output = Self>
     + std::ops::Mul<Output = Self>
     + std::ops::AddAssign
-    + Send
-    + Sync
     + 'static
 {
     /// Additive identity.
@@ -570,27 +568,25 @@ impl<T: Scalar> CsrMatrix<T> {
         self.map_values(|v| v * s)
     }
 
-    /// Gustavson kernel over the row band `r0..r1`; returns the band's
-    /// column indices and values plus the stored-entry count of each row.
-    /// Per-row output is independent of the banding (each row accumulates
-    /// in the same entry order and emits columns sorted), so stitching the
-    /// bands back together reproduces the serial product bitwise.
-    fn spmm_band(
-        &self,
-        other: &CsrMatrix<T>,
-        r0: usize,
-        r1: usize,
-    ) -> (Vec<usize>, Vec<usize>, Vec<T>) {
+    /// Gustavson sparse·sparse product `self @ other`: each row accumulates
+    /// its entries in storage order and emits its columns sorted.
+    pub fn spmm(&self, other: &CsrMatrix<T>) -> CsrMatrix<T> {
+        let _k = KernelSpan::enter("csr.spmm", KernelKind::Csr);
+        assert_eq!(
+            self.cols, other.rows,
+            "CsrMatrix::spmm: inner dimensions disagree: {}x{} @ {}x{}",
+            self.rows, self.cols, other.rows, other.cols
+        );
         let n = other.cols;
-        let mut row_lens = Vec::with_capacity(r1 - r0);
+        let mut row_ptr = Vec::with_capacity(self.rows + 1);
+        row_ptr.push(0usize);
         let mut col_idx: Vec<usize> = Vec::new();
         let mut values: Vec<T> = Vec::new();
         // Dense accumulator + occupancy markers: classic Gustavson.
         let mut acc: Vec<T> = vec![T::ZERO; n];
         let mut seen = vec![false; n];
         let mut touched: Vec<usize> = Vec::new();
-        for i in r0..r1 {
-            let before = col_idx.len();
+        for i in 0..self.rows {
             for (k, vik) in self.row_entries(i) {
                 for (j, vkj) in other.row_entries(k) {
                     if !seen[j] {
@@ -608,31 +604,16 @@ impl<T: Scalar> CsrMatrix<T> {
                 seen[j] = false;
             }
             touched.clear();
-            row_lens.push(col_idx.len() - before);
+            row_ptr.push(col_idx.len());
         }
-        (row_lens, col_idx, values)
-    }
-
-    /// Gustavson sparse·sparse product `self @ other`. Large products are
-    /// row-banded across the worker pool and the per-band CSR fragments
-    /// stitched back together; results are bitwise identical to serial.
-    pub fn spmm(&self, other: &CsrMatrix<T>) -> CsrMatrix<T> {
-        let _k = KernelSpan::enter("csr.spmm", KernelKind::Csr);
-        assert_eq!(
-            self.cols, other.rows,
-            "CsrMatrix::spmm: inner dimensions disagree: {}x{} @ {}x{}",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        // Exact multiply-add count: one pass over our entries, each fanning
-        // out to a row of `other`.
-        let flops: usize = self.col_idx.iter().map(|&k| other.row_nnz(k)).sum();
-        let parts =
-            ahntp_par::par_bands(self.rows, 2 * flops, "tensor.spmm.par_calls", |r0, r1| {
-                self.spmm_band(other, r0, r1)
-            });
-        let out = Self::stitch_bands(self.rows, other.cols, parts);
-        record_sparse(&SPMM_COUNTERS, self.nnz() + other.nnz(), out.nnz());
-        out
+        record_sparse(&SPMM_COUNTERS, self.nnz() + other.nnz(), col_idx.len());
+        CsrMatrix {
+            rows: self.rows,
+            cols: n,
+            row_ptr,
+            col_idx,
+            values,
+        }
     }
 
     /// `(self @ other) ⊙ mask-pattern` computed without materialising the
@@ -706,28 +687,9 @@ impl<T: Scalar> CsrMatrix<T> {
         }
     }
 
-    /// Gather kernel shared by [`CsrMatrix::mul_dense`] (both paths) and the
-    /// parallel [`CsrMatrix::t_mul_dense`]: fills output rows starting at
-    /// `row0` with `sum_k self[r][k] * x[k]`, accumulating entries of each
-    /// row in ascending-`k` order (with the same `w == 0` skip everywhere),
-    /// so the result is independent of how rows are banded across tasks.
-    fn gather_rows_into(&self, x: &Tensor, row0: usize, out_band: &mut [f32]) {
-        for (bi, out_row) in out_band.chunks_mut(x.cols()).enumerate() {
-            for (k, v) in self.row_entries(row0 + bi) {
-                let w = v.to_f64() as f32;
-                if w == 0.0 {
-                    continue;
-                }
-                for (o, &xv) in out_row.iter_mut().zip(x.row(k)) {
-                    *o += w * xv;
-                }
-            }
-        }
-    }
-
-    /// Sparse·dense product `self @ x` where `x` is an f32 tensor. The
-    /// forward pass of every hypergraph/graph aggregation; output rows are
-    /// banded across the worker pool when large enough.
+    /// Sparse·dense product `self @ x` where `x` is an f32 tensor: the
+    /// forward pass of every hypergraph/graph aggregation. Each output row
+    /// gathers its entries in ascending-`k` order, skipping zero weights.
     pub fn mul_dense(&self, x: &Tensor) -> Tensor {
         let _k = KernelSpan::enter("csr.mul_dense", KernelKind::Csr);
         assert_eq!(
@@ -739,30 +701,26 @@ impl<T: Scalar> CsrMatrix<T> {
             x.shape()
         );
         record_sparse(&MUL_DENSE_COUNTERS, self.nnz(), self.nnz() * x.cols());
-        let cols = x.cols();
-        let mut out = Tensor::zeros(self.rows, cols);
-        ahntp_par::par_rows(
-            &mut out.data,
-            cols,
-            2 * self.nnz() * cols,
-            "tensor.mul_dense.par_calls",
-            |row0, band| self.gather_rows_into(x, row0, band),
-        );
+        let mut out = Tensor::zeros(self.rows, x.cols());
+        // A zero-column `x` leaves no data, so any chunk length walks no rows.
+        for (r, out_row) in out.data.chunks_mut(x.cols().max(1)).enumerate() {
+            for (k, v) in self.row_entries(r) {
+                let w = v.to_f64() as f32;
+                if w == 0.0 {
+                    continue;
+                }
+                for (o, &xv) in out_row.iter_mut().zip(x.row(k)) {
+                    *o += w * xv;
+                }
+            }
+        }
         out
     }
 
     /// `selfᵀ @ x` without materialising the transpose — the backward pass
-    /// companion to [`CsrMatrix::mul_dense`].
-    ///
-    /// The serial path scatters row-by-row. The parallel path transposes
-    /// first (O(nnz) counting sort) and gathers per output-row band; the
-    /// counting sort emits each transposed row's entries in ascending
-    /// former-row order, which is exactly the order the serial scatter
-    /// visits them in, so both paths are bitwise identical. This is the
-    /// one kernel that keeps two algorithms, chosen
-    /// from what the pool observes (thread count and work): a scatter
-    /// cannot be banded by output row, and a single thread has no use for
-    /// the transpose the gather needs.
+    /// companion to [`CsrMatrix::mul_dense`]. Scatters row by row, so each
+    /// output row adds its entries in ascending former-row order, skipping
+    /// zero weights.
     pub fn t_mul_dense(&self, x: &Tensor) -> Tensor {
         let _k = KernelSpan::enter("csr.t_mul_dense", KernelKind::Csr);
         assert_eq!(
@@ -774,20 +732,7 @@ impl<T: Scalar> CsrMatrix<T> {
             x.shape()
         );
         record_sparse(&T_MUL_DENSE_COUNTERS, self.nnz(), self.nnz() * x.cols());
-        let cols = x.cols();
-        let mut out = Tensor::zeros(self.cols, cols);
-        let work = 2 * self.nnz() * cols;
-        if ahntp_par::par_enabled(work) {
-            let t = self.transpose();
-            ahntp_par::par_rows(
-                &mut out.data,
-                cols,
-                work,
-                "tensor.t_mul_dense.par_calls",
-                |row0, band| t.gather_rows_into(x, row0, band),
-            );
-            return out;
-        }
+        let mut out = Tensor::zeros(self.cols, x.cols());
         for r in 0..self.rows {
             let x_row = x.row(r);
             for (c, v) in self.row_entries(r) {
@@ -805,8 +750,8 @@ impl<T: Scalar> CsrMatrix<T> {
     }
 
     /// Sparse·vector product in the scalar's own precision (used by the
-    /// f64 PageRank power iteration). Each output element is one row dot
-    /// product, so banding the output across the pool changes nothing.
+    /// f64 PageRank power iteration): each output element is one row dot
+    /// product.
     pub fn mul_vec(&self, x: &[T]) -> Vec<T> {
         let _k = KernelSpan::enter("csr.mul_vec", KernelKind::Csr);
         assert_eq!(
@@ -817,43 +762,15 @@ impl<T: Scalar> CsrMatrix<T> {
             self.cols,
             x.len()
         );
-        let mut out = vec![T::ZERO; self.rows];
-        ahntp_par::par_rows(
-            &mut out,
-            1,
-            2 * self.nnz(),
-            "tensor.mul_vec.par_calls",
-            |row0, band| {
-                for (bi, o) in band.iter_mut().enumerate() {
-                    let mut acc = T::ZERO;
-                    for (c, v) in self.row_entries(row0 + bi) {
-                        acc += v * x[c];
-                    }
-                    *o = acc;
+        (0..self.rows)
+            .map(|r| {
+                let mut acc = T::ZERO;
+                for (c, v) in self.row_entries(r) {
+                    acc += v * x[c];
                 }
-            },
-        );
-        out
-    }
-
-    /// `selfᵀ @ x` as a vector product (PageRank uses `T_pᵀ s`).
-    pub fn t_mul_vec(&self, x: &[T]) -> Vec<T> {
-        let _k = KernelSpan::enter("csr.t_mul_vec", KernelKind::Csr);
-        assert_eq!(
-            self.rows,
-            x.len(),
-            "CsrMatrix::t_mul_vec: ({}x{})^T @ [{}]",
-            self.rows,
-            self.cols,
-            x.len()
-        );
-        let mut out = vec![T::ZERO; self.cols];
-        for (r, &xr) in x.iter().enumerate() {
-            for (c, v) in self.row_entries(r) {
-                out[c] += v * xr;
-            }
-        }
-        out
+                acc
+            })
+            .collect()
     }
 
     /// Converts the value type (e.g. f64 motif counts → f32 weights).
@@ -868,43 +785,6 @@ impl<T: Scalar> CsrMatrix<T> {
                 .iter()
                 .map(|&v| U::from_f64(v.to_f64()))
                 .collect(),
-        }
-    }
-
-    /// Reassembles the per-band `(row_lens, col_idx, values)` fragments of
-    /// `ahntp_par::par_bands` into one CSR matrix. The first band's vectors
-    /// become the result's storage, so the one-band (serial) case copies no
-    /// entry.
-    fn stitch_bands(
-        rows: usize,
-        cols: usize,
-        parts: Vec<(Vec<usize>, Vec<usize>, Vec<T>)>,
-    ) -> CsrMatrix<T> {
-        let total: usize = parts.iter().map(|(_, c, _)| c.len()).sum();
-        let mut row_ptr = Vec::with_capacity(rows + 1);
-        row_ptr.push(0usize);
-        let mut push_rows = |row_lens: Vec<usize>| {
-            for len in row_lens {
-                row_ptr.push(row_ptr.last().unwrap() + len);
-            }
-        };
-        let mut parts = parts.into_iter();
-        let (row_lens, mut col_idx, mut values) =
-            parts.next().expect("par_bands yields at least one band");
-        push_rows(row_lens);
-        col_idx.reserve_exact(total - col_idx.len());
-        values.reserve_exact(total - values.len());
-        for (row_lens, band_cols, band_vals) in parts {
-            push_rows(row_lens);
-            col_idx.extend_from_slice(&band_cols);
-            values.extend_from_slice(&band_vals);
-        }
-        CsrMatrix {
-            rows,
-            cols,
-            row_ptr,
-            col_idx,
-            values,
         }
     }
 
@@ -1060,7 +940,6 @@ mod tests {
         let m = small();
         let v = vec![1.0, 1.0, 1.0];
         assert_eq!(m.mul_vec(&v), vec![3.0, 0.0, 7.0]);
-        assert_eq!(m.t_mul_vec(&v), vec![4.0, 4.0, 2.0]);
     }
 
     #[test]

@@ -1,45 +1,12 @@
-//! Bitwise determinism of every parallelized kernel.
+//! Every kernel against a naive scalar loop, bit for bit.
 //!
-//! The `ahntp-par` contract is that banding work across the pool never
-//! changes results — not "close", *bitwise identical* — because every
-//! output element is produced by exactly one task with the serial
-//! accumulation order. These tests force the parallel path (threshold 0)
-//! and compare each kernel at 1, 2, and 7 threads against the serial
-//! result, including ragged shapes with fewer rows than threads.
-//!
-//! Since the kernels have one loop body each (`ahntp_par::par_rows` /
-//! `par_bands` call it once when serial), "serial" is no longer a separate
-//! implementation to compare against: `naive_references_match_bitwise`
-//! pins the kernels that lost their hand-written serial loop to a scalar
-//! loop written here — for the dense products, the scalar loops (zero-skip
-//! included) that the register-tiled kernel replaced.
-//!
-//! Tests in this binary share the process-wide pool configuration;
-//! `ahntp_par::with_pool` serialises them and restores it.
+//! Each kernel is one loop on the calling thread, and each is compared
+//! here against an index-by-index scalar version that shares no code with
+//! it — for the dense products, the scalar loops (zero-skip included) that
+//! the register-tiled kernel replaced; for the sparse products, the dense
+//! sums over stored entries in storage order.
 
 use ahntp_tensor::{CsrMatrix, Tensor};
-
-/// Thread counts exercised: serial fallback, even split, and a count
-/// larger than some test shapes' row counts.
-const THREAD_COUNTS: [usize; 3] = [1, 2, 7];
-
-/// Runs `compute` at every thread count with the parallel threshold
-/// forced to zero and asserts the f32 outputs are bitwise identical to
-/// the 1-thread (exact serial) result.
-fn assert_bitwise_stable(what: &str, compute: impl Fn() -> Vec<f32>) {
-    let mut reference: Option<Vec<u32>> = None;
-    for &t in &THREAD_COUNTS {
-        let bits: Vec<u32> =
-            ahntp_par::with_pool(t, 0, || compute().iter().map(|v| v.to_bits()).collect());
-        match &reference {
-            None => reference = Some(bits),
-            Some(want) => assert_eq!(
-                want, &bits,
-                "{what}: result at {t} threads differs from serial"
-            ),
-        }
-    }
-}
 
 /// Deterministic pseudo-random matrix without pulling in a RNG: values
 /// mix positives, negatives, and exact zeros (to exercise the zero-skip
@@ -58,18 +25,8 @@ fn dense(rows: usize, cols: usize, salt: u32) -> Tensor {
     Tensor::from_vec(rows, cols, data).expect("length matches by construction")
 }
 
-fn sparse(rows: usize, cols: usize, salt: u32) -> CsrMatrix<f32> {
-    CsrMatrix::from_dense(&dense(rows, cols, salt))
-}
-
-/// Shapes chosen so banding is ragged: row counts below, at, and above
-/// the 7-thread band count, plus single-row and tall-thin cases.
-const SHAPES: [(usize, usize, usize); 4] = [
-    (3, 5, 4),   // fewer rows than threads
-    (7, 7, 7),   // exactly one row per band at 7 threads
-    (13, 6, 9),  // ragged final band
-    (40, 17, 8), // several rows per band
-];
+/// Small, square, ragged and tall-thin `(m, k, n)` shapes.
+const SHAPES: [(usize, usize, usize); 4] = [(3, 5, 4), (7, 7, 7), (13, 6, 9), (40, 17, 8)];
 
 /// Like [`dense`], with the values a rewritten dense kernel could treat
 /// differently mixed in: both zeros (the old loops skipped them in the left
@@ -107,129 +64,67 @@ fn reference_shapes() -> Vec<(usize, usize, usize)> {
     shapes
 }
 
+/// `a @ b` in CSR parts `(row_ptr, col_idx, values)` from a naive pass: for each
+/// output row, the stored entries of `a`'s row in column order, each
+/// fanning out over the stored entries of `b`'s row, into the columns it
+/// touches — the pattern `spmm` emits, explicit zeros included.
+fn naive_spmm(a: &Tensor, b: &Tensor) -> (Vec<usize>, Vec<usize>, Vec<f32>) {
+    let (m, k, n) = (a.rows(), a.cols(), b.cols());
+    let (mut row_ptr, mut cols, mut values) = (vec![0], Vec::new(), Vec::new());
+    for i in 0..m {
+        for j in 0..n {
+            let terms: Vec<f32> = (0..k)
+                .filter(|&kk| a.get(i, kk) != 0.0 && b.get(kk, j) != 0.0)
+                .map(|kk| a.get(i, kk) * b.get(kk, j))
+                .collect();
+            if !terms.is_empty() {
+                cols.push(j);
+                values.push(sum_of(terms.into_iter()));
+            }
+        }
+        row_ptr.push(cols.len());
+    }
+    (row_ptr, cols, values)
+}
+
 #[test]
-fn dense_products_are_bitwise_stable() {
-    for &(m, k, n) in &SHAPES {
-        let a = dense(m, k, 1);
-        let b = dense(k, n, 2);
-        assert_bitwise_stable(&format!("matmul {m}x{k}x{n}"), || {
-            a.matmul(&b).as_slice().to_vec()
-        });
-        let at = dense(k, m, 3);
-        assert_bitwise_stable(&format!("t_matmul {m}x{k}x{n}"), || {
-            at.t_matmul(&b).as_slice().to_vec()
-        });
-        let bt = dense(n, k, 4);
-        assert_bitwise_stable(&format!("matmul_t {m}x{k}x{n}"), || {
-            a.matmul_t(&bt).as_slice().to_vec()
-        });
+fn spmm_structure_matches_a_naive_product() {
+    // Structure (row_ptr / col_idx), not just values: a column whose terms
+    // cancel is still stored.
+    let cancel = Tensor::from_rows(&[&[1.0, 1.0], &[0.0, 2.0]]);
+    let opposite = Tensor::from_rows(&[&[3.0, 0.0], &[-3.0, 5.0]]);
+    for (a, b) in [
+        (dense(13, 9, 11), dense(9, 12, 12)),
+        (dense(40, 17, 5), dense(17, 8, 8)),
+        (cancel, opposite),
+    ] {
+        let p = CsrMatrix::from_dense(&a).spmm(&CsrMatrix::from_dense(&b));
+        p.validate().expect("spmm output is valid CSR");
+        let (row_ptr, cols, values) = naive_spmm(&a, &b);
+        assert_eq!(p.row_ptr(), row_ptr.as_slice(), "row_ptr");
+        assert_eq!(p.col_indices(), cols.as_slice(), "col_idx");
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(p.values()), bits(&values), "values");
     }
 }
 
 #[test]
-fn sparse_kernels_are_bitwise_stable() {
-    for &(m, k, n) in &SHAPES {
-        let s = sparse(m, k, 5);
-        let x = dense(k, n, 6);
-        assert_bitwise_stable(&format!("mul_dense {m}x{k}x{n}"), || {
-            s.mul_dense(&x).as_slice().to_vec()
-        });
-        let y = dense(m, n, 7);
-        assert_bitwise_stable(&format!("t_mul_dense {m}x{k}x{n}"), || {
-            s.t_mul_dense(&y).as_slice().to_vec()
-        });
-        let v: Vec<f32> = (0..k).map(|i| i as f32 * 0.25 - 1.0).collect();
-        assert_bitwise_stable(&format!("mul_vec {m}x{k}"), || s.mul_vec(&v));
-        let t = sparse(k, n, 8);
-        assert_bitwise_stable(&format!("spmm {m}x{k}x{n}"), || {
-            let p = s.spmm(&t);
-            p.validate().expect("spmm output is valid CSR");
-            p.to_dense().as_slice().to_vec()
-        });
-    }
-}
-
-#[test]
-fn spmm_parallel_stitching_preserves_structure() {
-    // Structure (row_ptr / col_idx), not just values, must be banding
-    // independent — the CSR fragments are concatenated across bands.
-    let a = sparse(13, 9, 11);
-    let b = sparse(9, 12, 12);
-    let serial = ahntp_par::with_pool(1, 0, || a.spmm(&b));
-    for t in [2, 7] {
-        let par = ahntp_par::with_pool(t, 0, || a.spmm(&b));
-        assert_eq!(serial.row_ptr(), par.row_ptr(), "row_ptr at {t} threads");
-        assert_eq!(
-            serial.col_indices(),
-            par.col_indices(),
-            "col_idx at {t} threads"
-        );
-        assert_eq!(serial.values(), par.values(), "values at {t} threads");
-    }
-}
-
-#[test]
-fn elementwise_ops_are_bitwise_stable() {
-    for &(m, _, n) in &SHAPES {
-        let a = dense(m, n, 13);
-        let b = dense(m, n, 14);
-        assert_bitwise_stable(&format!("map {m}x{n}"), || {
-            a.map(|v| (v * 1.7).tanh()).as_slice().to_vec()
-        });
-        assert_bitwise_stable(&format!("zip {m}x{n}"), || {
-            a.zip(&b, |x, y| x * y + 0.5).as_slice().to_vec()
-        });
-        assert_bitwise_stable(&format!("axpy {m}x{n}"), || {
-            let mut c = a.clone();
-            c.axpy_inplace(-0.3, &b);
-            c.as_slice().to_vec()
-        });
-        let bias = dense(1, n, 15).row(0).to_vec();
-        assert_bitwise_stable(&format!("add_row_broadcast {m}x{n}"), || {
-            a.add_row_broadcast(&Tensor::vector(bias.clone()))
-                .as_slice()
-                .to_vec()
-        });
-        let scales = dense(1, m, 16).row(0).to_vec();
-        assert_bitwise_stable(&format!("scale_rows {m}x{n}"), || {
-            a.scale_rows(&Tensor::vector(scales.clone()))
-                .as_slice()
-                .to_vec()
-        });
-    }
-}
-
-#[test]
-fn row_reductions_are_bitwise_stable() {
-    for &(m, _, n) in &SHAPES {
-        let a = dense(m, n, 17);
-        assert_bitwise_stable(&format!("row_sums {m}x{n}"), || {
-            a.row_sums().as_slice().to_vec()
-        });
-        assert_bitwise_stable(&format!("row_norms {m}x{n}"), || {
-            a.row_norms().as_slice().to_vec()
-        });
-        assert_bitwise_stable(&format!("softmax_rows {m}x{n}"), || {
-            a.softmax_rows().as_slice().to_vec()
-        });
-        assert_bitwise_stable(&format!("normalize_rows {m}x{n}"), || {
-            a.normalize_rows().as_slice().to_vec()
-        });
-    }
-}
-
-#[test]
-fn f64_mul_vec_is_bitwise_stable() {
+fn f64_mul_vec_matches_a_naive_loop() {
     // The PageRank path runs in f64; check that precision too.
-    let s: CsrMatrix<f64> = CsrMatrix::from_dense(&dense(23, 11, 19));
+    let a = dense(23, 11, 19);
+    let s: CsrMatrix<f64> = CsrMatrix::from_dense(&a);
     let v: Vec<f64> = (0..11).map(|i| f64::from(i as u32) * 0.125 - 0.5).collect();
-    let bits = |t: usize| -> Vec<u64> {
-        ahntp_par::with_pool(t, 0, || s.mul_vec(&v).iter().map(|x| x.to_bits()).collect())
-    };
-    let serial = bits(1);
-    for t in [2, 7] {
-        assert_eq!(serial, bits(t), "f64 mul_vec at {t} threads");
-    }
+    let want: Vec<u64> = (0..a.rows())
+        .map(|r| {
+            let mut acc = 0.0f64;
+            for c in (0..a.cols()).filter(|&c| a.get(r, c) != 0.0) {
+                acc += f64::from(a.get(r, c)) * v[c];
+            }
+            acc.to_bits()
+        })
+        .collect();
+    let got: Vec<u64> = s.mul_vec(&v).iter().map(|x| x.to_bits()).collect();
+    assert_eq!(got, want);
 }
 
 /// One kernel under test next to a naive scalar version of it.
@@ -249,6 +144,8 @@ struct Inputs {
     scales: Vec<f32>,
     /// `a`'s nonzeros as CSR.
     s: CsrMatrix<f32>,
+    /// `b` transposed: the dense operand of `s.mul_dense`.
+    b_t: Tensor,
     /// Operands of the dense products, `m×k` and `k×n`, and their
     /// transposes for the two fused-transpose kernels.
     left: Tensor,
@@ -335,10 +232,8 @@ fn as_vector_if(single: bool, t: &Tensor) -> Tensor {
 
 #[test]
 fn naive_references_match_bitwise() {
-    // The kernels below used to carry a hand-written serial loop beside
-    // the banded one; now the band closure is the only implementation.
-    // Each is compared, at every thread count, against an index-by-index
-    // scalar version that shares no code with it.
+    // Each kernel is compared against an index-by-index scalar version
+    // that shares no code with it.
     const CASES: &[Case] = &[
         (
             "map",
@@ -443,6 +338,38 @@ fn naive_references_match_bitwise() {
             },
         ),
         (
+            "mul_dense",
+            |i| i.s.mul_dense(&i.b_t).as_slice().to_vec(),
+            |i| {
+                // Stored entries of each row of `s`, ascending column.
+                per_row(&i.a, |_, row| {
+                    (0..i.b_t.cols())
+                        .map(|j| {
+                            let stored = (0..row.len()).filter(|&c| row[c] != 0.0);
+                            sum_of(stored.map(|c| row[c] * i.b_t.get(c, j)))
+                        })
+                        .collect()
+                })
+            },
+        ),
+        (
+            "t_mul_dense",
+            |i| i.s.t_mul_dense(&i.b).as_slice().to_vec(),
+            |i| {
+                // Output row `c` sums over the rows of `s` storing column
+                // `c`, ascending.
+                let (m, n) = (i.a.rows(), i.a.cols());
+                (0..n)
+                    .flat_map(|c| {
+                        (0..n).map(move |j| {
+                            let stored = (0..m).filter(|&r| i.a.get(r, c) != 0.0);
+                            sum_of(stored.map(|r| i.a.get(r, c) * i.b.get(r, j)))
+                        })
+                    })
+                    .collect()
+            },
+        ),
+        (
             "matmul",
             |i| i.left.matmul(&i.right).as_slice().to_vec(),
             |i| naive_matmul(&i.left, &i.right),
@@ -470,8 +397,10 @@ fn naive_references_match_bitwise() {
     for (m, k, n) in reference_shapes() {
         let a = dense(m, n, 21);
         let (left, right) = (edgy(m, k, 25), edgy(k, n, 26));
+        let b = dense(m, n, 22);
         let inputs = Inputs {
-            b: dense(m, n, 22),
+            b_t: b.transpose(),
+            b,
             bias: dense(1, n, 23).row(0).to_vec(),
             scales: dense(1, m, 24).row(0).to_vec(),
             s: CsrMatrix::from_dense(&a),
@@ -483,15 +412,8 @@ fn naive_references_match_bitwise() {
         };
         for &(name, kernel, naive) in CASES {
             let want: Vec<u32> = naive(&inputs).iter().map(|v| v.to_bits()).collect();
-            for &t in &THREAD_COUNTS {
-                let got: Vec<u32> = ahntp_par::with_pool(t, 0, || {
-                    kernel(&inputs).iter().map(|v| v.to_bits()).collect()
-                });
-                assert_eq!(
-                    got, want,
-                    "{name} {m}x{k}x{n} at {t} threads differs from the naive loop"
-                );
-            }
+            let got: Vec<u32> = kernel(&inputs).iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want, "{name} {m}x{k}x{n} differs from the naive loop");
         }
     }
 }

@@ -187,66 +187,4 @@ proptest! {
             prop_assert_eq!(g.row(out_row), a.row(src));
         }
     }
-
-    /// Banding across the worker pool must never change a single bit:
-    /// run the parallelized kernels at 1/2/7 threads (threshold forced to
-    /// zero so even these tiny shapes take the parallel path — including
-    /// row counts smaller than the thread count) and compare exactly.
-    /// Shapes reach past the dense kernel's register tiles (4×8, and 4×32
-    /// on a CPU with AVX-512F) on both
-    /// sides (row and column remainders, the one-column product), and the
-    /// values mix in both zeros, a subnormal and a magnitude that overflows.
-    #[test]
-    fn parallel_kernels_bitwise_match_serial(
-        rows in 1usize..14,
-        k in prop_oneof![4 => 1usize..19, 1 => Just(64usize)],
-        cols in prop_oneof![4 => 1usize..10, 1 => Just(28usize), 1 => Just(64usize)],
-        seed in 0u32..1000,
-    ) {
-        let salt = |i: u32| seed.wrapping_mul(31).wrapping_add(i);
-        let cell = |rows: usize, cols: usize, s: u32| -> Tensor {
-            let data: Vec<f32> = (0..rows * cols)
-                .map(|i| {
-                    let h = (i as u32).wrapping_mul(2654435761).wrapping_add(s);
-                    match h % 16 {
-                        0..=2 => 0.0,
-                        3 => -0.0,
-                        4 => 1e-41,
-                        5 => -2.5e30,
-                        _ => (h % 256) as f32 / 128.0 - 1.0,
-                    }
-                })
-                .collect();
-            Tensor::from_vec(rows, cols, data).expect("length matches")
-        };
-        let a = cell(rows, k, salt(1));
-        let a2 = cell(rows, k, salt(4));
-        let b = cell(k, cols, salt(2));
-        let s = CsrMatrix::<f32>::from_dense(&a);
-        let x = cell(rows, cols, salt(3));
-
-        let run = || -> Vec<u32> {
-            let mut bits = Vec::new();
-            let mut push = |t: Tensor| bits.extend(t.as_slice().iter().map(|v| v.to_bits()));
-            push(a.matmul(&b));
-            push(a.transpose().t_matmul(&b));
-            push(a.matmul_t(&b.transpose()));
-            push(s.mul_dense(&b));
-            push(s.t_mul_dense(&x));
-            push(s.spmm(&CsrMatrix::<f32>::from_dense(&b)).to_dense());
-            push(a.map(|v| (v * 1.3).exp()));
-            push(a.zip(&a2, |p, q| p - 2.0 * q));
-            push(a.row_sums());
-            push(a.row_norms());
-            push(a.softmax_rows());
-            push(a.normalize_rows());
-            bits
-        };
-        // Threshold 0 forces banding even at these toy sizes.
-        let serial = ahntp_par::with_pool(1, 0, run);
-        for t in [2usize, 7] {
-            let par = ahntp_par::with_pool(t, 0, run);
-            prop_assert_eq!(&serial, &par, "kernels differ at {} threads", t);
-        }
-    }
 }

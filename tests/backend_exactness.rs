@@ -1,14 +1,13 @@
 //! The scoring contract, property-tested: the panel scan is bitwise equal
-//! to the seed's scalar loop, kept here as the oracle (at 1 and 4 kernel
-//! threads, before and after a live patch), the bound-pruned walk over a
-//! grouped trustee head answers that oracle bitwise too, and the defended
-//! blend is bitwise that oracle blended with the prior.
+//! to the seed's scalar loop, kept here as the oracle (before and after a
+//! live patch), the bound-pruned walk over a grouped trustee head answers
+//! that oracle bitwise too, and the defended blend is bitwise that oracle
+//! blended with the prior.
 
 use ahntp_nn::TrustArtifact;
 use ahntp_serve::{DefensePrior, TrustIndex};
 use ahntp_stream::HeadPatch;
 use proptest::prelude::*;
-use proptest::test_runner::TestCaseError;
 use proptest::TestRng;
 
 /// Random (unnormalised is fine — the index never assumes norms) artifact
@@ -162,9 +161,8 @@ proptest! {
 
     /// `exact`'s whole visible surface — every pair's score, every
     /// user's top-k, and shard-range top-k at random `lo..hi` that cut
-    /// through panels — is bitwise the scalar oracle, with the
-    /// `ahntp-par` pool at 1 and 4 threads and banding forced on, then
-    /// again after a live patch rewrites one panel row and one tail row.
+    /// through panels — is bitwise the scalar oracle, then again after a
+    /// live patch rewrites one panel row and one tail row.
     /// `n` spans zero to four full 16-user panels plus a ragged tail.
     #[test]
     fn exact_is_bitwise_equal_to_the_scalar_oracle(seed in 0u64..1_000_000, n in 2usize..80, d in 1usize..19) {
@@ -199,28 +197,23 @@ proptest! {
             }
             let oracle = Oracle(&artifact);
             let want_scores: Vec<u32> = pairs.iter().map(|&(u, v)| oracle.score(u, v).to_bits()).collect();
-            for threads in [1usize, 4] {
-                ahntp_par::with_pool(threads, 0, || -> Result<(), TestCaseError> {
-                    prop_assert_eq!(
-                        bits(&index.score_pairs(&pairs).unwrap()), want_scores,
-                        "{} score_pairs at {} threads", round, threads
-                    );
-                    for u in 0..n {
-                        prop_assert_eq!(
-                            ranked_bits(index.top_k_trustees(u, k).unwrap()), oracle.top_k_in(u, k, 0, n),
-                            "{} top_k({}) at {} threads", round, u, threads
-                        );
-                    }
-                    for &(lo, hi) in &ranges {
-                        let u = (lo + hi) % n;
-                        prop_assert_eq!(
-                            ranked_bits(index.top_k_trustees_in(u, k, lo, hi).unwrap()),
-                            oracle.top_k_in(u, k, lo, hi),
-                            "{} top_k_in({}, {}..{}) at {} threads", round, u, lo, hi, threads
-                        );
-                    }
-                    Ok(())
-                })?;
+            prop_assert_eq!(
+                bits(&index.score_pairs(&pairs).unwrap()), want_scores,
+                "{} score_pairs", round
+            );
+            for u in 0..n {
+                prop_assert_eq!(
+                    ranked_bits(index.top_k_trustees(u, k).unwrap()), oracle.top_k_in(u, k, 0, n),
+                    "{} top_k({})", round, u
+                );
+            }
+            for &(lo, hi) in &ranges {
+                let u = (lo + hi) % n;
+                prop_assert_eq!(
+                    ranked_bits(index.top_k_trustees_in(u, k, lo, hi).unwrap()),
+                    oracle.top_k_in(u, k, lo, hi),
+                    "{} top_k_in({}, {}..{})", round, u, lo, hi
+                );
             }
         }
     }
@@ -268,11 +261,11 @@ proptest! {
 
     /// The walk over an explicitly grouped head is bitwise the scalar
     /// oracle for every head shape, every `k` from 0 past `n`, random,
-    /// empty, inverted and past-`n` ranges, and the defended blend, at 1
-    /// and 4 kernel threads; then again after live patches move rows to
-    /// the far side of their group (the trustee row negated) and point a
-    /// trustor at each moved row, so a group whose radius did not grow
-    /// with the patch would be skipped wrongly.
+    /// empty, inverted and past-`n` ranges, and the defended blend; then
+    /// again after live patches move rows to the far side of their group
+    /// (the trustee row negated) and point a trustor at each moved row, so
+    /// a group whose radius did not grow with the patch would be skipped
+    /// wrongly.
     #[test]
     fn the_grouped_walk_is_bitwise_equal_to_the_scalar_oracle(
         seed in 0u64..1_000_000,
@@ -324,52 +317,47 @@ proptest! {
 
         for (round, artifact, live) in [("built", &base, None), ("patched", &patched, Some(&patch))] {
             let oracle = Oracle(artifact);
-            for threads in [1usize, 4] {
-                ahntp_par::with_pool(threads, 0, || -> Result<(), TestCaseError> {
-                    let mut index = TrustIndex::from_artifact(base.clone()).unwrap();
-                    index.group_trustees();
-                    if let Some(patch) = live {
-                        index.apply_head_patch(patch).unwrap();
-                    }
-                    for &u in &trustors {
-                        for &k in &ks {
-                            prop_assert_eq!(
-                                ranked_bits(index.top_k_trustees(u, k).unwrap()),
-                                oracle.top_k_in(u, k, 0, n),
-                                "{:?} {} top_k({}, {}) at {} threads", head, round, u, k, threads
-                            );
-                            for &(lo, hi) in &ranges {
-                                let want = if lo >= hi.min(n) {
-                                    Vec::new()
-                                } else {
-                                    oracle.top_k_in(u, k, lo, hi.min(n))
-                                };
-                                prop_assert_eq!(
-                                    ranked_bits(index.top_k_trustees_in(u, k, lo, hi).unwrap()),
-                                    want,
-                                    "{:?} {} top_k_in({}, {}, {}..{}) at {} threads",
-                                    head, round, u, k, lo, hi, threads
-                                );
-                            }
-                        }
-                    }
-                    let defended = index
-                        .with_defense(DefensePrior::new(alpha, prior.clone()).unwrap())
-                        .unwrap();
-                    let blend = |u: usize, v: usize| (1.0 - alpha) * oracle.score(u, v) + alpha * prior[v];
-                    for &u in &trustors[..3] {
-                        let mut ranked: Vec<(usize, f32)> =
-                            (0..n).filter(|&v| v != u).map(|v| (v, blend(u, v))).collect();
-                        ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-                        ranked.truncate(10);
+            let mut index = TrustIndex::from_artifact(base.clone()).unwrap();
+            index.group_trustees();
+            if let Some(patch) = live {
+                index.apply_head_patch(patch).unwrap();
+            }
+            for &u in &trustors {
+                for &k in &ks {
+                    prop_assert_eq!(
+                        ranked_bits(index.top_k_trustees(u, k).unwrap()),
+                        oracle.top_k_in(u, k, 0, n),
+                        "{:?} {} top_k({}, {})", head, round, u, k
+                    );
+                    for &(lo, hi) in &ranges {
+                        let want = if lo >= hi.min(n) {
+                            Vec::new()
+                        } else {
+                            oracle.top_k_in(u, k, lo, hi.min(n))
+                        };
                         prop_assert_eq!(
-                            ranked_bits(defended.top_k_trustees(u, 10).unwrap()),
-                            ranked_bits(ranked),
-                            "{:?} {} defended top_k({})", head, round, u
+                            ranked_bits(index.top_k_trustees_in(u, k, lo, hi).unwrap()),
+                            want,
+                            "{:?} {} top_k_in({}, {}, {}..{})",
+                            head, round, u, k, lo, hi
                         );
                     }
-                    Ok(())
-                })?;
+                }
+            }
+            let defended = index
+                .with_defense(DefensePrior::new(alpha, prior.clone()).unwrap())
+                .unwrap();
+            let blend = |u: usize, v: usize| (1.0 - alpha) * oracle.score(u, v) + alpha * prior[v];
+            for &u in &trustors[..3] {
+                let mut ranked: Vec<(usize, f32)> =
+                    (0..n).filter(|&v| v != u).map(|v| (v, blend(u, v))).collect();
+                ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+                ranked.truncate(10);
+                prop_assert_eq!(
+                    ranked_bits(defended.top_k_trustees(u, 10).unwrap()),
+                    ranked_bits(ranked),
+                    "{:?} {} defended top_k({})", head, round, u
+                );
             }
         }
     }

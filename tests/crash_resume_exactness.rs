@@ -1,7 +1,7 @@
 //! Crash-safe resume exactness: killing training at any epoch via a
 //! failpoint and resuming from the checkpoint must reproduce the
 //! uninterrupted run **bitwise** — the same loss trajectory and the same
-//! final parameters, at 1 and 4 compute threads.
+//! final parameters.
 //!
 //! Three kill points are exercised (before the first epoch, mid-run, and
 //! before the final epoch), plus a checkpoint-write crash whose atomic
@@ -141,34 +141,22 @@ fn assert_bitwise_equal(base: &(EvalReport, Vec<f32>), got: &(EvalReport, Vec<f3
 
 /// The tentpole property: crash at the first epoch (no checkpoint yet —
 /// resume degrades to a fresh start), mid-run, and just before the final
-/// epoch; every resumed trajectory equals the uninterrupted one bitwise,
-/// at both thread counts.
+/// epoch; every resumed trajectory equals the uninterrupted one bitwise.
 #[test]
 fn killed_and_resumed_runs_match_the_uninterrupted_run_bitwise() {
-    // The pool size is process-wide: `with_pool` takes turns with the
-    // golden test below, which forces it too.
-    for threads in [1usize, 4] {
-        ahntp_par::with_pool(threads, ahntp_par::DEFAULT_PAR_THRESHOLD, || {
-            // A fresh dir per round: a leftover checkpoint from the previous
-            // round would turn the "no checkpoint yet" kill into a full
-            // resume and test nothing.
-            let dir = scratch_dir(&format!("kills-t{threads}"));
-            let base = uninterrupted(&dir);
-            assert_eq!(base.0.epochs_run, EPOCHS);
-            // `train.epoch` is hit once per epoch, 1-based: nth(1) dies before
-            // anything is checkpointed, nth(3) mid-run, nth(5) before the
-            // final epoch.
-            for kill_at in [1u64, 3, EPOCHS as u64] {
-                let resumed = crashed_then_resumed(&dir, "train.epoch", kill_at);
-                assert_bitwise_equal(
-                    &base,
-                    &resumed,
-                    &format!("{threads} threads, killed at epoch hit {kill_at}"),
-                );
-            }
-            let _ = std::fs::remove_dir_all(&dir);
-        });
+    // A dir of its own: a leftover checkpoint would turn the "no
+    // checkpoint yet" kill into a full resume and test nothing.
+    let dir = scratch_dir("kills");
+    let base = uninterrupted(&dir);
+    assert_eq!(base.0.epochs_run, EPOCHS);
+    // `train.epoch` is hit once per epoch, 1-based: nth(1) dies before
+    // anything is checkpointed, nth(3) mid-run, nth(5) before the
+    // final epoch.
+    for kill_at in [1u64, 3, EPOCHS as u64] {
+        let resumed = crashed_then_resumed(&dir, "train.epoch", kill_at);
+        assert_bitwise_equal(&base, &resumed, &format!("killed at epoch hit {kill_at}"));
     }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A crash *inside* the checkpoint protocol (the rename step of the
@@ -204,32 +192,22 @@ fn golden_path() -> PathBuf {
 }
 
 /// Pins the resumed trajectory against the checked-in golden file,
-/// byte-for-byte, identical at 1 and 4 threads.
+/// byte-for-byte.
 #[test]
-fn golden_resumed_trajectory_bytes_exact_at_one_and_four_threads() {
+fn golden_resumed_trajectory_bytes_exact() {
     let dir = scratch_dir("golden");
-    let render = |threads: usize| {
-        ahntp_par::with_pool(threads, ahntp_par::DEFAULT_PAR_THRESHOLD, || {
-            let (report, _) = crashed_then_resumed(&dir, "train.epoch", 3);
-            render_trajectory(&report)
-        })
-    };
-    let rendered_1 = render(1);
-    let rendered_4 = render(4);
+    let (report, _) = crashed_then_resumed(&dir, "train.epoch", 3);
+    let rendered = render_trajectory(&report);
     let _ = std::fs::remove_dir_all(&dir);
-    assert_eq!(
-        rendered_1, rendered_4,
-        "resumed trajectory depends on the thread count"
-    );
     let path = golden_path();
     if std::env::var("AHNTP_REGEN_GOLDEN").is_ok_and(|v| v == "1") {
-        std::fs::write(&path, &rendered_1).expect("write golden file");
+        std::fs::write(&path, &rendered).expect("write golden file");
         return;
     }
     let golden = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("golden file {} unreadable: {e}", path.display()));
     assert_eq!(
-        rendered_1,
+        rendered,
         golden,
         "resumed trajectory drifted from {}; if the numeric change is \
          intentional, regenerate with AHNTP_REGEN_GOLDEN=1",

@@ -6,9 +6,7 @@
 //!    trajectory **bitwise** — same epochs, same bits, same final
 //!    parameters.
 //! 2. The fixed-seed 3-epoch trajectories (full-batch and sampled
-//!    mini-batch) are pinned in a checked-in golden file, bytes-exact, and
-//!    identical under `AHNTP_THREADS ∈ {1, 4}` (the deterministic-kernel
-//!    contract of `ahntp-par`).
+//!    mini-batch) are pinned in a checked-in golden file, bytes-exact.
 //!
 //! Regenerate the golden file after an *intentional* numeric change with
 //! `AHNTP_REGEN_GOLDEN=1 cargo test --test minibatch_exactness`.
@@ -142,31 +140,19 @@ fn golden_path() -> std::path::PathBuf {
 }
 
 /// The golden determinism gate: the trajectories must match the checked-in
-/// file byte-for-byte, and must be identical at 1 and 4 compute threads.
+/// file byte-for-byte.
 #[test]
-fn golden_trajectory_bytes_exact_at_one_and_four_threads() {
-    let at = |threads| {
-        ahntp_par::with_pool(
-            threads,
-            ahntp_par::DEFAULT_PAR_THRESHOLD,
-            render_trajectories,
-        )
-    };
-    let (rendered_1, rendered_4) = (at(1), at(4));
-    assert_eq!(
-        rendered_1, rendered_4,
-        "loss trajectory depends on the thread count — deterministic-kernel \
-         contract violated"
-    );
+fn golden_trajectory_bytes_exact() {
+    let rendered = render_trajectories();
     let path = golden_path();
     if std::env::var("AHNTP_REGEN_GOLDEN").is_ok_and(|v| v == "1") {
-        std::fs::write(&path, &rendered_1).expect("write golden file");
+        std::fs::write(&path, &rendered).expect("write golden file");
         return;
     }
     let golden = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("golden file {} unreadable: {e}", path.display()));
     assert_eq!(
-        rendered_1,
+        rendered,
         golden,
         "trajectory drifted from {}; if the numeric change is intentional, \
          regenerate with AHNTP_REGEN_GOLDEN=1",

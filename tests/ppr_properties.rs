@@ -1,9 +1,8 @@
 //! Property tests for the personalized-PageRank kernel (`ahntp_graph::ppr`):
 //! walk-matrix rows stay sub-stochastic, teleport mass is conserved, the
-//! convergence contract reported by `PprStats` is honest, results are
-//! bitwise identical across thread counts, and the Snippet 1 attack-edge
-//! bound holds on randomly generated Sybil topologies (host dataset +
-//! `inject_sybil`), never depending on cluster size or density.
+//! convergence contract reported by `PprStats` is honest, and the Snippet 1
+//! attack-edge bound holds on randomly generated Sybil topologies (host
+//! dataset + `inject_sybil`), never depending on cluster size or density.
 
 use ahntp_data::{inject_sybil, DatasetConfig, SybilConfig, TrustDataset};
 use ahntp_graph::{
@@ -27,10 +26,6 @@ fn random_graph(seed: u64, n: usize) -> DiGraph {
     edges.sort_unstable();
     edges.dedup();
     DiGraph::from_edges(n, &edges).expect("valid random graph")
-}
-
-fn bits(mass: &[f64]) -> Vec<u64> {
-    mass.iter().map(|v| v.to_bits()).collect()
 }
 
 proptest! {
@@ -80,21 +75,6 @@ proptest! {
         let (_, stats) = ppr_from_seeds_with_stats(g.adjacency(), &[0], &capped);
         prop_assert!(!stats.converged);
         prop_assert_eq!(stats.iterations, 3);
-    }
-
-    /// The converged vector is bitwise identical at 1, 2 and 4 kernel
-    /// threads with banding forced on — the workspace-wide determinism
-    /// contract.
-    #[test]
-    fn deterministic_across_thread_counts(seed in 0u64..1_000_000, n in 4usize..48) {
-        let g = random_graph(seed, n);
-        let cfg = PprConfig::default();
-        let bits_at =
-            |threads: usize| ahntp_par::with_pool(threads, 0, || bits(&ppr(&g, &[0, n / 3], &cfg)));
-        let reference = bits_at(1);
-        for threads in [2usize, 4] {
-            prop_assert!(bits_at(threads) == reference, "ppr differs at {} threads", threads);
-        }
     }
 
     /// On randomly generated Sybil topologies (random host, random

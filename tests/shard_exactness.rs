@@ -1,7 +1,7 @@
 //! Exactness sweep for scatter-gather serving: for every shard count,
-//! uneven range layout, `k`, and `ahntp-par` thread count, the sharded
-//! front's `/score` and `/topk` responses are **byte-identical** to the
-//! single-node exact backend's — same JSON, same digits, same tie-break.
+//! uneven range layout and `k`, the sharded front's `/score` and `/topk`
+//! responses are **byte-identical** to the single-node exact backend's —
+//! same JSON, same digits, same tie-break.
 //!
 //! The tie-break under test is the documented total order: score
 //! descending, then user id ascending. It must hold *across shard
@@ -197,24 +197,20 @@ fn assert_cluster_matches_single(single: SocketAddr, front: SocketAddr, layout: 
 }
 
 /// The deterministic core sweep: shard counts 1/2/3/7 (all uneven over
-/// 24 users except 1 and 3), both `ahntp-par` thread counts.
+/// 24 users except 1 and 3).
 #[test]
-fn sharded_responses_are_byte_identical_across_shard_counts_and_threads() {
+fn sharded_responses_are_byte_identical_across_shard_counts() {
     let artifact = tied_artifact(0);
     let single = serve(exact_index(&artifact), &config()).expect("bind single");
-    for threads in [1usize, 4] {
-        ahntp_par::with_pool(threads, ahntp_par::DEFAULT_PAR_THRESHOLD, || {
-            for n_shards in [1usize, 2, 3, 7] {
-                let ranges = shard_ranges(N_USERS, n_shards);
-                let (shards, front) = start_cluster(&artifact, &ranges);
-                let layout = format!("shards={n_shards} threads={threads}");
-                assert_cluster_matches_single(single.addr(), front.addr(), &layout);
-                front.shutdown();
-                for s in shards {
-                    s.shutdown();
-                }
-            }
-        });
+    for n_shards in [1usize, 2, 3, 7] {
+        let ranges = shard_ranges(N_USERS, n_shards);
+        let (shards, front) = start_cluster(&artifact, &ranges);
+        let layout = format!("shards={n_shards}");
+        assert_cluster_matches_single(single.addr(), front.addr(), &layout);
+        front.shutdown();
+        for s in shards {
+            s.shutdown();
+        }
     }
     single.shutdown();
 }
@@ -403,9 +399,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// Random artifacts through random-ish layouts: split points drawn
-    /// from the seed, byte-compared against the single node at both
-    /// thread counts. Complements the fixed sweep above with layouts
-    /// nobody hand-picked.
+    /// from the seed, byte-compared against the single node. Complements
+    /// the fixed sweep above with layouts nobody hand-picked.
     #[test]
     fn random_layouts_are_byte_identical(seed in 0u64..1_000_000) {
         let artifact = tied_artifact(seed);
@@ -426,26 +421,21 @@ proptest! {
 
         let single = serve(exact_index(&artifact), &config()).expect("bind single");
         let (shards, front) = start_cluster(&artifact, &ranges);
-        for threads in [1usize, 4] {
-            ahntp_par::with_pool(threads, ahntp_par::DEFAULT_PAR_THRESHOLD, || {
-                for user in [0, N_USERS / 2, N_USERS - 1] {
-                    for k in [1usize, 5, N_USERS] {
-                        let path = format!("/topk?user={user}&k={k}");
-                        let (_, s_body) = get(single.addr(), &path);
-                        let (_, f_body) = get(front.addr(), &path);
-                        prop_assert_eq!(
-                            &s_body, &f_body,
-                            "ranges {:?} user={} k={} threads={}", ranges, user, k, threads
-                        );
-                    }
-                }
-                let body = score_body();
-                let (_, s_body) = post(single.addr(), "/score", &body);
-                let (_, f_body) = post(front.addr(), "/score", &body);
-                prop_assert_eq!(&s_body, &f_body, "/score at ranges {:?}", ranges);
-                Ok(())
-            })?;
+        for user in [0, N_USERS / 2, N_USERS - 1] {
+            for k in [1usize, 5, N_USERS] {
+                let path = format!("/topk?user={user}&k={k}");
+                let (_, s_body) = get(single.addr(), &path);
+                let (_, f_body) = get(front.addr(), &path);
+                prop_assert_eq!(
+                    &s_body, &f_body,
+                    "ranges {:?} user={} k={}", ranges, user, k
+                );
+            }
         }
+        let body = score_body();
+        let (_, s_body) = post(single.addr(), "/score", &body);
+        let (_, f_body) = post(front.addr(), "/score", &body);
+        prop_assert_eq!(&s_body, &f_body, "/score at ranges {:?}", ranges);
         front.shutdown();
         for s in shards {
             s.shutdown();

@@ -5,9 +5,7 @@
 //! removes, reweights, and decays on both hypergraph levels); after each
 //! event the delta-maintained head refresh is patched into an artifact,
 //! and the patched artifact must be bitwise equal to a from-scratch
-//! rebuild of the mutated structure. The whole run must also be bitwise
-//! identical at 1 and 4 kernel threads (the deterministic-kernel
-//! contract of `ahntp-par`).
+//! rebuild of the mutated structure.
 //!
 //! A second test feeds the same stream the way the server ingests it:
 //! `EventApplier::apply_batch` in 4-event batches under `immediate()`,
@@ -47,8 +45,7 @@ fn trained_model() -> Ahntp {
     model
 }
 
-/// Deterministic LCG so the event stream is identical across runs and
-/// thread counts.
+/// Deterministic LCG so the event stream is identical across runs.
 fn lcg(state: &mut u64) -> usize {
     *state = state
         .wrapping_mul(6364136223846793005)
@@ -128,15 +125,9 @@ fn apply_patch(artifact: &mut TrustArtifact, patch: &ahntp_stream::HeadPatch) {
     }
 }
 
-/// Runs the full event sequence at a given thread count, checking the
-/// patched artifact against the rebuild oracle after every event.
-fn run_sequence(threads: usize) -> TrustArtifact {
-    ahntp_par::with_pool(threads, ahntp_par::DEFAULT_PAR_THRESHOLD, || {
-        sequence(threads)
-    })
-}
-
-fn sequence(threads: usize) -> TrustArtifact {
+/// Runs the full event sequence, checking the patched artifact against the
+/// rebuild oracle after every event.
+fn run_sequence() -> TrustArtifact {
     let mut model = trained_model();
     let mut artifact = Ahntp::export_artifact(&model);
     let (n_node, n_struct) = model.hyperedge_counts();
@@ -155,11 +146,7 @@ fn sequence(threads: usize) -> TrustArtifact {
         let patch = model.refresh_heads(&applied.affected_users);
         apply_patch(&mut artifact, &patch);
         let oracle = model.rebuild_artifact();
-        assert_artifacts_bitwise(
-            &artifact,
-            &oracle,
-            &format!("event {i} ({}) at {threads} threads", event.op()),
-        );
+        assert_artifacts_bitwise(&artifact, &oracle, &format!("event {i} ({})", event.op()));
     }
     // The stream genuinely mixed every operation.
     assert!(events.len() >= 100, "only {} events", events.len());
@@ -184,10 +171,7 @@ fn assert_artifacts_bitwise(a: &TrustArtifact, b: &TrustArtifact, what: &str) {
 
 #[test]
 fn mixed_event_stream_lands_bitwise_on_the_rebuild_oracle() {
-    let serial = run_sequence(1);
-    let parallel = run_sequence(4);
-    // Same events, same bits: the delta path is thread-invariant.
-    assert_artifacts_bitwise(&serial, &parallel, "1 vs 4 threads");
+    run_sequence();
 }
 
 /// Events per `apply_batch` call: a `serve_live` request's size.
@@ -196,53 +180,41 @@ const BATCH_LEN: usize = 4;
 /// The stream through `apply_batch` under `immediate()`, checked against
 /// the rebuild oracle after every batch; returns the artifact and how
 /// many refreshes produced a patch.
-fn run_batches(threads: usize) -> (TrustArtifact, usize) {
-    ahntp_par::with_pool(threads, ahntp_par::DEFAULT_PAR_THRESHOLD, || {
-        let model = trained_model();
-        let mut artifact = Ahntp::export_artifact(&model);
-        let (n_node, n_struct) = model.hyperedge_counts();
-        let mut applier = EventApplier::new(model, StalenessBound::immediate());
-        let mut refreshes = 0usize;
-        for (k, chunk) in event_stream(n_node, n_struct).chunks(BATCH_LEN).enumerate() {
-            let batch = applier.apply_batch(chunk);
-            assert!(batch.error.is_none(), "batch {k}: {:?}", batch.error);
-            assert_eq!(batch.applied, chunk.len(), "batch {k}");
-            if let Some(patch) = &batch.patch {
-                apply_patch(&mut artifact, patch);
-                refreshes += 1;
-            }
-            assert!(
-                applier.dirty_users().is_empty(),
-                "batch {k} left rows dirty"
-            );
-            assert_artifacts_bitwise(
-                &artifact,
-                &applier.model().rebuild_artifact(),
-                &format!("batch {k} at {threads} threads"),
-            );
+fn run_batches() -> (TrustArtifact, usize) {
+    let model = trained_model();
+    let mut artifact = Ahntp::export_artifact(&model);
+    let (n_node, n_struct) = model.hyperedge_counts();
+    let mut applier = EventApplier::new(model, StalenessBound::immediate());
+    let mut refreshes = 0usize;
+    for (k, chunk) in event_stream(n_node, n_struct).chunks(BATCH_LEN).enumerate() {
+        let batch = applier.apply_batch(chunk);
+        assert!(batch.error.is_none(), "batch {k}: {:?}", batch.error);
+        assert_eq!(batch.applied, chunk.len(), "batch {k}");
+        if let Some(patch) = &batch.patch {
+            apply_patch(&mut artifact, patch);
+            refreshes += 1;
         }
-        (artifact, refreshes)
-    })
+        assert!(
+            applier.dirty_users().is_empty(),
+            "batch {k} left rows dirty"
+        );
+        assert_artifacts_bitwise(
+            &artifact,
+            &applier.model().rebuild_artifact(),
+            &format!("batch {k}"),
+        );
+    }
+    (artifact, refreshes)
 }
 
 #[test]
 fn batches_refresh_once_each_and_land_bitwise_on_the_per_event_artifact() {
-    let per_event = run_sequence(1);
-    for threads in [1, 4] {
-        let (batched, refreshes) = run_batches(threads);
-        // Every 4-event window of the stream holds an add, so each batch
-        // refreshes exactly once.
-        assert_eq!(
-            refreshes,
-            N_EVENTS / BATCH_LEN,
-            "refreshes at {threads} threads"
-        );
-        assert_artifacts_bitwise(
-            &batched,
-            &per_event,
-            &format!("4-event batches at {threads} threads vs per-event"),
-        );
-    }
+    let per_event = run_sequence();
+    let (batched, refreshes) = run_batches();
+    // Every 4-event window of the stream holds an add, so each batch
+    // refreshes exactly once.
+    assert_eq!(refreshes, N_EVENTS / BATCH_LEN);
+    assert_artifacts_bitwise(&batched, &per_event, "4-event batches vs per-event");
 }
 
 #[test]
